@@ -1,6 +1,12 @@
-"""Broker: provider registry, scheduling strategies, and the broker core."""
+"""Broker: the sans-IO mediator between consumers and providers.
 
-from .core import BrokerConfig, BrokerCore, BrokerStats
+``core`` (membership + the tasklet lifecycle) with ``workflows`` (DAG
+coordination), ``forwarding`` (federation peers) and ``observer`` (all
+stats/metrics/events/spans) beside it; ``registry``, ``scheduling``,
+``journal``, ``federation`` and ``accounting`` are the tables they use.
+"""
+
+from .core import BrokerConfig, BrokerCore
 from .federation import FederationConfig, FederationCore, PeerState
 from .journal import (
     CompletionRecord,
@@ -10,6 +16,7 @@ from .journal import (
     memo_key_of,
     replay_journal,
 )
+from .observer import BrokerStats
 from .registry import ProviderRecord, ProviderRegistry, ProviderView
 from .scheduling import (
     FastestFirstStrategy,

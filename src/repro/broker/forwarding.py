@@ -1,0 +1,307 @@
+"""The forwarding plane: one broker's dealings with its federation peers.
+
+:class:`ForwardingPlane` wraps the sans-IO peer table
+(:class:`~repro.broker.federation.FederationCore`) with everything that
+moves work between brokers: saturation forwarding and its acks, terminal
+outcomes flowing back, reclaim when a peer dies or restarts, gossip, and
+adoption of a dead peer's journal.  It exists only on a federated broker
+and reaches the tasklet lifecycle only through the core's ``_admit`` /
+``_issue`` / ``_complete``.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, Callable
+
+from ..common.ids import NodeId
+from ..transport.message import (
+    Envelope,
+    ForwardAck,
+    ForwardComplete,
+    ForwardTasklet,
+    GossipDigest,
+    PeerHello,
+)
+from .federation import FederationCore, PEER_CAME_UP, PEER_EPOCH_CHANGED
+from .journal import CompletionRecord, replay_journal
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core import BrokerCore, _TaskletState
+
+
+class ForwardingPlane:
+    """Peer-facing half of a federated broker."""
+
+    def __init__(self, core: "BrokerCore", federation: FederationCore):
+        self.core = core
+        self.federation = federation
+        #: Peer message types this plane handles (for the dispatch table).
+        self.handlers: dict[type, Callable[..., list[Envelope]]] = {
+            PeerHello: self.on_peer_hello,
+            GossipDigest: self.on_gossip,
+            ForwardTasklet: self.on_forward,
+            ForwardAck: self.on_forward_ack,
+            ForwardComplete: self.on_forward_complete,
+        }
+
+    # -- outbound forwards -------------------------------------------------------
+
+    def target(self) -> str | None:
+        """Peer to forward a fresh admission to, or ``None`` (keep local)."""
+        if not self.federation.config.forward_when_saturated:
+            return None
+        if self.core.registry.views(require_free_slot=True):
+            return None  # local capacity exists; no reason to forward
+        return self.federation.choose_peer()
+
+    def forward(self, state: "_TaskletState", peer_id: str, now: float) -> Envelope:
+        """Hand a fresh admission to a peer broker with free capacity."""
+        state.forwarded_to = NodeId(peer_id)
+        state.forwarded_at = now
+        state.forward_acked = False
+        self.core.observer.forwarded(state, peer_id)
+        return self._envelope(state, now)
+
+    def _envelope(self, state: "_TaskletState", now: float) -> Envelope:
+        """(Re-)send one forward; idempotent on the receiving peer."""
+        state.forward_last_sent = now
+        envelope = self.core._send(
+            ForwardTasklet(
+                origin_broker=str(self.core.node_id),
+                consumer_id=str(state.consumer_id),
+                tasklet=self.core._wire_tasklet(state),
+            ),
+            state.forwarded_to,
+        )
+        if state.forward_trace_ctx is not None:
+            envelope.trace = state.forward_trace_ctx.to_dict()
+        return envelope
+
+    def on_forward_ack(self, body: ForwardAck, envelope: Envelope) -> list[Envelope]:
+        state = self.core._tasklets.get(f"{body.consumer_id}/{body.tasklet_id}")
+        if state is None or state.done or state.forwarded_to is None:
+            return []
+        if body.broker_id and body.broker_id != str(state.forwarded_to):
+            return []  # ack from a peer this tasklet was reclaimed from
+        if body.accepted:
+            state.forward_acked = True
+            return []
+        return self._reclaim(state, reason=body.reason or "rejected by peer")
+
+    def on_forward_complete(
+        self, body: ForwardComplete, envelope: Envelope
+    ) -> list[Envelope]:
+        state = self.core._tasklets.get(f"{body.consumer_id}/{body.tasklet_id}")
+        if state is None or state.done:
+            return []  # duplicate outcome; the first one already won
+        self.core.observer.forward_completed(state, body.ok, body.broker_id)
+        # _complete cancels any local replicas issued by a racing reclaim,
+        # so a peer outcome arriving late still resolves exactly once.
+        return self.core._complete(
+            state, ok=body.ok, value=body.value, error=body.error, remote=body
+        )
+
+    def _reclaim(self, state: "_TaskletState", reason: str) -> list[Envelope]:
+        """Take forwarded work back and run it locally.
+
+        Only called when the forward is *known* dead — peer declared
+        dead, peer restarted under a new epoch, or explicit rejection —
+        never on a blind timeout, which is what preserves exactly-once.
+        """
+        peer_id = str(state.forwarded_to)
+        self.core.observer.forward_reclaimed(state, peer_id, reason)
+        state.forwarded_to = None
+        state.forwarded_at = 0.0
+        state.forward_acked = False
+        state.forward_last_sent = 0.0
+        return self.core._issue(state, state.qoc.redundancy)
+
+    def _reclaim_from(self, peer_id: str, reason: str) -> list[Envelope]:
+        out: list[Envelope] = []
+        for state in list(self.core._tasklets.values()):
+            if state.forwarded_to is not None and str(state.forwarded_to) == peer_id:
+                out.extend(self._reclaim(state, reason))
+        return out
+
+    # -- inbound forwards --------------------------------------------------------
+
+    def on_forward(self, body: ForwardTasklet, envelope: Envelope) -> list[Envelope]:
+        """Admit (or idempotently re-answer) work forwarded by a peer."""
+        core = self.core
+        origin = NodeId(body.origin_broker)
+        admission = core._admit(
+            NodeId(body.consumer_id),
+            body.tasklet,
+            origin=origin,
+            trace=envelope.trace,
+            accept=lambda: self._refusal(body.hops),
+        )
+        # A duplicate of in-flight or finished work (the origin re-sent an
+        # unacked forward) is re-acked; finished work is re-answered too.
+        ack = ForwardAck(
+            tasklet_id=admission.tasklet_id,
+            consumer_id=body.consumer_id,
+            accepted=admission.refusal is None,
+            broker_id=str(core.node_id),
+            reason=admission.refusal or "",
+        )
+        out = [core._send(ack, origin)]
+        if admission.completion is not None:
+            out.append(core._send(self.complete_of(admission.completion), origin))
+        elif admission.state is not None:
+            out.extend(core._issue(admission.state, admission.state.qoc.redundancy))
+        return out
+
+    def _refusal(self, hops: int) -> str | None:
+        """Why new forwarded work cannot be taken (None = it can)."""
+        if hops > self.federation.config.max_hops:
+            return f"too many hops ({hops})"
+        if not self.core.registry.views(require_free_slot=True):
+            # The gossip view the origin routed on is stale; rejecting
+            # (rather than queueing) sends the work back to a broker that
+            # holds the durable admission.
+            return "no free capacity"
+        return None
+
+    def complete_of(
+        self, completion: CompletionRecord, executions: list[dict] | None = None
+    ) -> ForwardComplete:
+        """Terminal outcome of forwarded work, built from its record (a
+        duplicate forward is re-answered without the execution list)."""
+        return ForwardComplete(
+            tasklet_id=completion.tasklet_id,
+            consumer_id=completion.consumer_id,
+            broker_id=str(self.core.node_id),
+            ok=completion.ok,
+            value=completion.value,
+            error=completion.error,
+            attempts=completion.attempts,
+            cost=completion.cost,
+            executions=executions or [],
+            executed_by=completion.executed_by,
+        )
+
+    # -- peers ---------------------------------------------------------------------
+
+    def _observe_peer(self, body: PeerHello | GossipDigest) -> list[Envelope]:
+        """Fold a peer sighting into the table; react to transitions."""
+        out: list[Envelope] = []
+        broker_id, epoch = body.broker_id, body.epoch
+        for transition in self.federation.observe(
+            broker_id, epoch, self.core.clock.now()
+        ):
+            if transition == PEER_CAME_UP:
+                self.core.observer.peer_up(broker_id, epoch)
+            elif transition == PEER_EPOCH_CHANGED:
+                # The previous incarnation's in-memory state — including
+                # everything we forwarded to it — is gone.
+                out.extend(
+                    self._reclaim_from(
+                        broker_id, reason="peer restarted (epoch changed)"
+                    )
+                )
+        return out
+
+    def on_peer_hello(self, body: PeerHello, envelope: Envelope) -> list[Envelope]:
+        out = self._observe_peer(body)
+        if body.reply_expected:
+            hello = PeerHello(
+                broker_id=str(self.core.node_id), epoch=self.federation.epoch
+            )
+            out.append(self.core._send(hello, NodeId(body.broker_id)))
+        return out
+
+    def on_gossip(self, body: GossipDigest, envelope: Envelope) -> list[Envelope]:
+        out = self._observe_peer(body)
+        self.federation.update_load(
+            body.broker_id,
+            providers_total=body.providers_total,
+            providers_alive=body.providers_alive,
+            free_slots=body.free_slots,
+            pending_tasklets=body.pending_tasklets,
+            backlog_replicas=body.backlog_replicas,
+            grades=body.grades,
+        )
+        self.core.observer.gossiped("in")
+        return out
+
+    def tick(self, now: float) -> list[Envelope]:
+        """Gossip, peer failure detection, and unacked-forward re-sends."""
+        core = self.core
+        out: list[Envelope] = []
+        dead, gossip_due = self.federation.tick(now)
+        for peer_id in dead:
+            core.observer.peer_down(peer_id)
+            out.extend(self._on_peer_dead(peer_id))
+        if gossip_due and self.federation.peers:
+            digest = self._digest(now)
+            for peer_id in self.federation.peer_ids():
+                out.append(core._send(digest, NodeId(peer_id)))
+                core.observer.gossiped("out")
+        resend_after = self.federation.config.forward_resend_interval
+        for state in list(core._tasklets.values()):
+            if state.done or state.forwarded_to is None or state.forward_acked:
+                continue
+            if now - state.forward_last_sent < resend_after:
+                continue
+            peer = self.federation.peers.get(str(state.forwarded_to))
+            if peer is not None and peer.alive:
+                # Safe to repeat: the peer admits forwards idempotently.
+                out.append(self._envelope(state, now))
+        return out
+
+    def _digest(self, now: float) -> GossipDigest:
+        core = self.core
+        records = core.registry.records()
+        return GossipDigest(
+            broker_id=str(core.node_id),
+            epoch=self.federation.epoch,
+            sent_at=now,
+            providers_total=len(records),
+            providers_alive=sum(1 for record in records if record.alive),
+            free_slots=sum(view.free_slots for view in core.registry.views()),
+            pending_tasklets=len(core._tasklets),
+            backlog_replicas=sum(
+                state.pending_replicas for state in core._tasklets.values()
+            ),
+            grades=core.observer.provider_grades(records),
+        )
+
+    def _on_peer_dead(self, peer_id: str) -> list[Envelope]:
+        out = self._reclaim_from(peer_id, reason="peer broker dead")
+        journal_path = self.federation.config.peer_journals.get(peer_id)
+        successor = self.federation.successor_of(peer_id)
+        if journal_path and successor == str(self.core.node_id):
+            out.extend(self._adopt_journal(peer_id, journal_path))
+        return out
+
+    def _adopt_journal(self, peer_id: str, path: str) -> list[Envelope]:
+        """Adopt a dead peer's journal (this broker is its successor).
+
+        Completions become re-deliverable here (consumers failing over
+        get journalled outcomes instead of re-executions); pending
+        admissions are re-admitted, journalled here and executed.
+        """
+        try:
+            snapshot = replay_journal(path)
+        except OSError:
+            return []
+        completions, pending, out = self.core._absorb(snapshot, own=False)
+        self.core.observer.journal_adopted(
+            peer_id, pending, completions, snapshot.malformed
+        )
+        return out
+
+    # -- monitoring ------------------------------------------------------------------
+
+    def describe(self, now: float) -> dict:
+        """The ``federation`` block of the ``/healthz`` document."""
+        return {
+            "epoch": self.federation.epoch,
+            "peers": [peer.to_dict(now) for peer in self.federation.peers.values()],
+            "forwarded_pending": sum(
+                1
+                for state in self.core._tasklets.values()
+                if state.forwarded_to is not None
+            ),
+        }

@@ -3,7 +3,7 @@
 The simulator's :class:`~repro.sim.metrics.MetricsCollector` samples
 virtual-time gauges and reduces them to a
 :class:`~repro.sim.metrics.MetricsSummary`; the broker keeps raw
-:class:`~repro.broker.core.BrokerStats` counters.  This module publishes
+:class:`~repro.broker.observer.BrokerStats` counters.  This module publishes
 both into the same :class:`~repro.obs.metrics.MetricsRegistry` the live
 instrumentation writes to, so one exposition covers live and simulated
 runs alike (and the bench harness can scrape its own runs).
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..broker.core import BrokerStats
+    from ..broker.observer import BrokerStats
     from ..sim.metrics import MetricsSummary
 
 

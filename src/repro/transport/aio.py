@@ -176,22 +176,25 @@ class AioConnection:
                     batch = []
                     while self._queue and len(batch) < FLUSH_MAX_ENVELOPES:
                         batch.append(self._queue.popleft())
-                codec = self.send_codec
-                data = encode_batch(batch, codec)
-                self._writer.write(data)
+                self._write_batch(batch)
                 await self._writer.drain()
-                if self._metrics is not None:
-                    self._metrics.bytes.labels(
-                        direction="out", codec=codec
-                    ).inc(len(data))
-                    self._metrics.messages.labels(
-                        direction="out", codec=codec
-                    ).inc(len(batch))
-                    self._metrics.flushes.inc()
         except (OSError, asyncio.CancelledError, TransportError):
             # Encoding failures and dead sockets end the link; the reader
             # loop (or its absence) reports the close upstream.
             self._close_on_loop()
+
+    def _write_batch(self, batch: list[tuple[Envelope, Stamp | None]]) -> None:
+        codec = self.send_codec
+        data = encode_batch(batch, codec)
+        self._writer.write(data)
+        if self._metrics is not None:
+            self._metrics.bytes.labels(direction="out", codec=codec).inc(
+                len(data)
+            )
+            self._metrics.messages.labels(direction="out", codec=codec).inc(
+                len(batch)
+            )
+            self._metrics.flushes.inc()
 
     # -- read path ----------------------------------------------------------
 
@@ -234,16 +237,23 @@ class AioConnection:
         return self._writer.get_extra_info("socket")
 
     def close(self) -> None:
-        """Thread-safe, idempotent close."""
-        self._loop_thread.call_soon(self._close_on_loop)
+        """Thread-safe, idempotent graceful close: everything ``send``
+        accepted is handed to the socket before it closes."""
+        self._loop_thread.call_soon(self._close_on_loop, True)
 
-    def _close_on_loop(self) -> None:
+    def _close_on_loop(self, flush: bool = False) -> None:
+        """Tear the link down.  Error paths drop what is still queued; a
+        graceful close (``flush``) writes it first — without waiting, as
+        the transport sends its buffer before it closes the socket."""
         with self._queue_lock:
             if self._closed:
                 return
             self._closed = True
+            pending = list(self._queue) if flush else []
             self._queue.clear()
         try:
+            if pending:
+                self._write_batch(pending)
             self._writer.close()
         except Exception:
             pass

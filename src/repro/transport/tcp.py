@@ -107,6 +107,10 @@ from ..transport.message import (
 
 _RECV_CHUNK = 65536
 
+#: How long ``_Connection.close`` waits for a thread that is mid-flush to
+#: put what ``send`` already accepted on the wire.
+_CLOSE_FLUSH_TIMEOUT = 2.0
+
 
 def _offered_codecs(codec: str) -> tuple[str, ...]:
     """Map the ``codec=`` tuning knob onto an advertised-codec list."""
@@ -131,6 +135,10 @@ class _Connection:
     Per-envelope ``stamp`` hooks run at flush time, immediately before
     encoding — that keeps ``Heartbeat.sent_at`` honest under coalescing.
 
+    What ``send`` accepted is written before ``close`` tears the socket
+    down (it waits, bounded, for the active flusher), so a final result
+    riding another thread's flush survives a graceful stop.
+
     ``metrics`` is an optional :class:`TransportMetrics` bundle; framed
     bytes and envelope counts are reported per direction and codec.
     """
@@ -143,6 +151,8 @@ class _Connection:
         #: Codec for the send direction; flipped by the hello handshake.
         self.send_codec = CODEC_JSON
         self._send_lock = threading.Lock()
+        #: Signalled (under ``_send_lock``) whenever a flusher finishes.
+        self._flush_done = threading.Condition(self._send_lock)
         self._queue: deque[tuple[Envelope, Stamp | None]] = deque()
         self._flushing = False
         self._closed = False
@@ -168,6 +178,7 @@ class _Connection:
                 with self._send_lock:
                     if not self._queue:
                         self._flushing = False
+                        self._flush_done.notify_all()
                         return
                     batch = list(self._queue)
                     self._queue.clear()
@@ -186,6 +197,7 @@ class _Connection:
             with self._send_lock:
                 self._flushing = False
                 self._queue.clear()
+                self._flush_done.notify_all()
             raise ConnectionClosed(f"send failed: {exc}") from exc
 
     def recv_envelopes(self) -> list[Envelope] | None:
@@ -217,7 +229,10 @@ class _Connection:
 
     def close(self) -> None:
         with self._send_lock:
-            self._closed = True
+            self._closed = True  # no new sends; the flusher drains the rest
+            self._flush_done.wait_for(
+                lambda: not self._flushing, _CLOSE_FLUSH_TIMEOUT
+            )
             self._queue.clear()
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
@@ -983,23 +998,28 @@ class TcpProvider:
     def _on_assign(
         self, request: AssignExecution, trace: dict[str, str] | None = None
     ) -> None:
-        if self._draining.is_set() or self._pool is None:
-            if self._metrics is not None:
-                self._metrics.rejected.inc()
-            rejection = ExecutionRejected(
-                execution_id=request.execution_id,
-                tasklet_id=request.tasklet_id,
-                provider_id=self.node_id,
-                reason="provider draining",
-            )
+        if self._running.is_set() and not self._draining.is_set():
+            with self._state_lock:
+                self._inflight.add(request.execution_id)
             try:
-                self._send(rejection.envelope(self.node_id, BROKER_ADDRESS))
-            except (ConnectionClosed, TransportError):
-                pass
-            return
-        with self._state_lock:
-            self._inflight.add(request.execution_id)
-        self._pool.submit(self._execute, request, self._epoch, trace)
+                self._pool.submit(self._execute, request, self._epoch, trace)
+                return
+            except RuntimeError:
+                # stop() shut the pool between the check and the submit
+                # (this runs on the reader thread, which outlives it).
+                self._finish_execution(request.execution_id)
+        if self._metrics is not None:
+            self._metrics.rejected.inc()
+        rejection = ExecutionRejected(
+            execution_id=request.execution_id,
+            tasklet_id=request.tasklet_id,
+            provider_id=self.node_id,
+            reason="provider draining",
+        )
+        try:
+            self._send(rejection.envelope(self.node_id, BROKER_ADDRESS))
+        except (ConnectionClosed, TransportError):
+            pass
 
     def _heartbeat_loop(self) -> None:
         while not self._stop_event.wait(self.heartbeat_interval):

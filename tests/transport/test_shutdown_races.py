@@ -1,0 +1,146 @@
+"""Deterministic regressions for the transport's shutdown races.
+
+* an envelope ``send`` accepted while another thread was mid-flush must
+  still reach the wire when the connection is then closed gracefully
+  (both connection implementations);
+* an assignment the provider's reader thread delivers after ``stop()``
+  shut the executor pool is rejected, not an unhandled thread exception.
+"""
+
+import asyncio
+import socket
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+from repro.common.ids import NodeId
+from repro.transport.aio import AioConnection, LoopThread
+from repro.transport.codec import EnvelopeDecoder
+from repro.transport.message import (
+    AssignExecution,
+    ExecutionRejected,
+    Heartbeat,
+    body_of,
+)
+from repro.transport.tcp import TcpProvider, _Connection
+
+
+def make_envelope(i):
+    return Heartbeat(provider_id=f"p{i}", free_slots=i).envelope(
+        NodeId(f"p{i}"), NodeId("broker")
+    )
+
+
+def recv_until_eof(sock, timeout=5.0):
+    sock.settimeout(timeout)
+    decoder = EnvelopeDecoder()
+    envelopes = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return envelopes
+        envelopes.extend(envelope for envelope, _c, _s in decoder.feed(chunk))
+
+
+class GatedSocket:
+    """A socket whose ``sendall`` parks until the test opens the gate."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.entered = threading.Event()
+        self.gate = threading.Event()
+
+    def sendall(self, data):
+        self.entered.set()
+        assert self.gate.wait(5.0)
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_threaded_close_flushes_sends_accepted_behind_an_active_flusher():
+    ours, peer = socket.socketpair()
+    gated = GatedSocket(ours)
+    connection = _Connection(gated)
+    flusher = threading.Thread(target=connection.send, args=(make_envelope(1),))
+    flusher.start()
+    assert gated.entered.wait(5.0)
+    # The heartbeat thread is parked inside sendall; this send is queued
+    # behind it and returns at once — it has been accepted.
+    connection.send(make_envelope(2))
+    closer = threading.Thread(target=connection.close)
+    closer.start()
+    while True:  # until close() has marked the connection closed
+        with connection._send_lock:
+            if connection._closed:
+                break
+    gated.gate.set()
+    flusher.join(5.0)
+    closer.join(5.0)
+    assert not flusher.is_alive() and not closer.is_alive()
+    received = recv_until_eof(peer)
+    peer.close()
+    assert [e.payload["provider_id"] for e in received] == ["p1", "p2"]
+
+
+def test_aio_close_flushes_sends_accepted_before_it():
+    loop_thread = LoopThread("test-aio-close").start()
+    server, peer = socket.socketpair()
+    try:
+
+        async def send_then_close():
+            reader, writer = await asyncio.open_connection(sock=server)
+            connection = AioConnection(loop_thread, reader, writer)
+            # One loop callback, no await: the close is queued on the
+            # loop ahead of the flush task the sends scheduled.
+            connection.send(make_envelope(1))
+            connection.send(make_envelope(2))
+            connection.close()
+
+        loop_thread.submit(send_then_close()).result(timeout=5.0)
+        received = recv_until_eof(peer)
+        assert [e.payload["provider_id"] for e in received] == ["p1", "p2"]
+    finally:
+        peer.close()
+        loop_thread.stop()
+
+
+def test_assignment_delivered_after_stop_is_rejected_not_raised():
+    assign = AssignExecution(
+        execution_id="ex-1",
+        tasklet_id="tl-1",
+        consumer_id="c1",
+        program={},
+        program_fingerprint="f",
+        entry="main",
+        args=[],
+        seed=0,
+        fuel=1000,
+    )
+    # ``_running`` still set = the reader passed its check just before
+    # stop() flipped it; cleared = it reads one more message afterwards.
+    for still_running in (True, False):
+        provider = TcpProvider("127.0.0.1", 1, node_id="p1", benchmark_score=1e7)
+        sent = []
+        provider._send = lambda envelope, stamp=None: sent.append(envelope)
+        provider._pool = ThreadPoolExecutor(max_workers=1)
+        provider._pool.shutdown(wait=False, cancel_futures=True)  # as stop() does
+        if still_running:
+            provider._running.set()
+        thread_errors = []
+        previous_hook = threading.excepthook
+        threading.excepthook = thread_errors.append
+        try:
+            reader = threading.Thread(
+                target=provider._on_broker_message, args=(assign,)
+            )
+            reader.start()
+            reader.join(5.0)
+        finally:
+            threading.excepthook = previous_hook
+        assert not reader.is_alive()
+        assert thread_errors == []
+        assert provider._inflight == set()
+        (rejection,) = [body_of(envelope) for envelope in sent]
+        assert isinstance(rejection, ExecutionRejected)
+        assert rejection.execution_id == "ex-1"
