@@ -142,7 +142,7 @@ def main() -> int:
         print(f"{len(values)} results before the kill, {len(lost)} to recover")
 
         wait_for(
-            lambda: not consumer._disconnected.is_set(),
+            lambda: consumer.connected,
             15, "consumer failover to a surviving broker",
         )
         for tid in lost:

@@ -123,9 +123,7 @@ def _broker_kill_scenario(tasks: int, limit: int, journal_dir: str):
             except BrokerUnreachable:
                 pass
         lost = tasks - len(values)
-        _wait(
-            lambda: not consumer._disconnected.is_set(), 15, "failover"
-        )
+        _wait(lambda: consumer.connected, 15, "failover")
         for tid in futures:
             if tid not in values:
                 values[tid] = consumer.library.submit(

@@ -117,7 +117,7 @@ class WorkflowCoordinator:
             core.observer.journal_appended("wf_admitted")
         core.observer.workflow_admitted(wf, len(self.active))
         out = [self._ack(src, spec.workflow_id)]
-        out.extend(self._release(wf, wf.scheduler.start()))
+        out.extend(self._release(wf, wf.scheduler.start(), core.clock.now()))
         return out
 
     def _ack(self, dst: NodeId, workflow_id: str, refusal: str = "") -> Envelope:
@@ -142,8 +142,14 @@ class WorkflowCoordinator:
 
     # -- node release ------------------------------------------------------------
 
-    def _release(self, wf: _WorkflowState, node_ids: list[str]) -> list[Envelope]:
+    def _release(
+        self, wf: _WorkflowState, node_ids: list[str], ready_at: float
+    ) -> list[Envelope]:
         """Issue READY nodes; short-circuit ones whose result is known.
+
+        ``ready_at`` is when their last dependency was met — their spans
+        start there, so no broker time falls between a node and its
+        successor on the trace's critical path.
 
         A worklist rather than plain iteration: a node served from the
         result cache (or a journalled completion, during recovery)
@@ -156,7 +162,6 @@ class WorkflowCoordinator:
         while worklist and not wf.done:
             node_id = worklist.pop(0)
             node = wf.spec.node(node_id)
-            ready_at = core.clock.now()
             # (The spec was validated at admission and every predecessor
             # is done, so the program and the arguments are there.)
             tasklet_dict = {
@@ -246,13 +251,14 @@ class WorkflowCoordinator:
         if wf.done:
             return []  # a sibling cancelled by ``_finish``
         ok, attempts = outcome.ok, outcome.attempts
+        finished_at = self.core.clock.now()
         self.core.observer.node_finished(
             wf, node_id, "ok" if ok else "failed", attempts
         )
         if ok:
             out = [self._update(wf, node_id, DONE, attempts)]
             released = wf.scheduler.complete(node_id, outcome.value)
-            out.extend(self._release(wf, released))
+            out.extend(self._release(wf, released, finished_at))
             return out
         out = [self._update(wf, node_id, FAILED, attempts, outcome.error)]
         error = outcome.error or f"node {node_id!r} failed"
@@ -343,7 +349,7 @@ class WorkflowCoordinator:
         if key in self.active or key in self.completed:
             return False
         wf = self._open(consumer_id, spec, None)
-        self._release(wf, wf.scheduler.start())
+        self._release(wf, wf.scheduler.start(), self.core.clock.now())
         self.core.observer.workflow_recovered(wf, wf.scheduler.counts()[DONE])
         return True
 

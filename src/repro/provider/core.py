@@ -15,9 +15,8 @@ at ``max(now, earliest slot free time)``.  This reproduces queueing
 behaviour exactly for FIFO providers without needing callbacks into the
 event loop.
 
-The real TCP provider does not use the slot model (its executions take
-actual wall time in worker threads) but reuses the registration and
-heartbeat composition.
+The real TCP provider does not use the slot model: its executions take
+actual wall time in worker threads.
 """
 
 from __future__ import annotations

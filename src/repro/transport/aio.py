@@ -1,9 +1,9 @@
-"""Asyncio event-loop transport core (broker side).
+"""Asyncio event-loop transport core (broker side only).
 
-The broker used to run one reader thread per accepted connection; at
-high fan-in that is a wall of thread stacks, GIL churn, and per-envelope
-``sendall`` syscalls.  This module replaces it with a single-threaded
-``asyncio`` event loop owned by :class:`LoopThread`:
+The broker serves many links, so it runs them all on one single-threaded
+``asyncio`` event loop owned by :class:`LoopThread` (providers and
+consumers have one link each and use the blocking, mutex-written
+``_Connection`` of :mod:`repro.transport.tcp` instead):
 
 * :class:`AioConnection` — one reader/writer pair per peer.  Writes are
   *coalesced*: ``send`` (callable from any thread) enqueues and schedules
@@ -11,14 +11,17 @@ high fan-in that is a wall of thread stacks, GIL churn, and per-envelope
   including everything that accumulates while the previous ``drain()``
   awaits — is encoded and written in **one** socket write.  Under load
   the batch size grows automatically; idle links flush per message, so
-  latency is never traded away when there is nothing to batch.
+  latency is never traded away when there is nothing to batch.  This is
+  the only send queue in the package.
 * :class:`LoopThread` — owns the loop on a daemon thread and bridges the
   synchronous public API (``start``/``stop``/``submit``) into it.
 
 Frames are the dual-codec format of :mod:`repro.transport.codec`: the
 reader accepts JSON and binary interleaved on one stream; the writer
 emits whatever ``send_codec`` was negotiated for the peer (JSON until a
-``hello`` advertises better).
+``hello`` advertises better).  Byte/message accounting and the
+"undecodable bytes end the link" rule are shared with the client
+connection (``count_sent`` / ``decode_chunk``).
 
 Per-envelope *stamps* run at flush time, immediately before encoding —
 that is what keeps ``Heartbeat.sent_at`` honest under coalescing: a
@@ -41,6 +44,8 @@ from .codec import (
     CODEC_JSON,
     EnvelopeDecoder,
     Stamp,
+    count_sent,
+    decode_chunk,
     encode_batch,
 )
 from .message import Envelope
@@ -135,8 +140,6 @@ class AioConnection:
         self.decoder = EnvelopeDecoder()
         #: Codec used for the *send* direction; flipped by negotiation.
         self.send_codec = CODEC_JSON
-        #: Codecs the peer advertised in its hello ("" = never said).
-        self.peer_codecs: tuple[str, ...] = ()
         self.peer_id: NodeId | None = None  # learned from hello/first envelope
         self._queue: deque[tuple[Envelope, Stamp | None]] = deque()
         self._queue_lock = threading.Lock()
@@ -187,14 +190,7 @@ class AioConnection:
         codec = self.send_codec
         data = encode_batch(batch, codec)
         self._writer.write(data)
-        if self._metrics is not None:
-            self._metrics.bytes.labels(direction="out", codec=codec).inc(
-                len(data)
-            )
-            self._metrics.messages.labels(direction="out", codec=codec).inc(
-                len(batch)
-            )
-            self._metrics.flushes.inc()
+        count_sent(self._metrics, codec, len(data), len(batch))
 
     # -- read path ----------------------------------------------------------
 
@@ -208,21 +204,10 @@ class AioConnection:
                 chunk = await self._reader.read(RECV_CHUNK)
                 if not chunk:
                     return
-                try:
-                    frames = self.decoder.feed(chunk)
-                except TransportError:
-                    # Undecodable peer == broken peer: drop the link; one
-                    # bad client must never take down the node.
-                    return
-                if self._metrics is not None and frames:
-                    for envelope, codec, size in frames:
-                        self._metrics.bytes.labels(
-                            direction="in", codec=codec
-                        ).inc(size)
-                        self._metrics.messages.labels(
-                            direction="in", codec=codec
-                        ).inc()
-                for envelope, _codec, _size in frames:
+                envelopes = decode_chunk(self.decoder, chunk, self._metrics)
+                if envelopes is None:
+                    return  # undecodable peer == broken peer: drop the link
+                for envelope in envelopes:
                     on_envelope(self, envelope)
         except (OSError, asyncio.CancelledError):
             return
@@ -230,11 +215,6 @@ class AioConnection:
             self._close_on_loop()
 
     # -- lifecycle ----------------------------------------------------------
-
-    @property
-    def sock(self):
-        """The underlying socket (fault-injection hooks in tests)."""
-        return self._writer.get_extra_info("socket")
 
     def close(self) -> None:
         """Thread-safe, idempotent graceful close: everything ``send``

@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator
 from ..common.errors import CodecError, TransportError
 from ..common.ids import NodeId
 from ..common.serde import MAX_FRAME_BYTES, loads, pack_frame
-from .message import MESSAGE_TYPES, Envelope
+from .message import MESSAGE_TYPES, Envelope, body_of
 
 #: Codec names as they appear in hello handshakes and metric labels.
 CODEC_JSON = "json"
@@ -118,6 +118,19 @@ def choose_codec(offered) -> str:
         if codec in offered:
             return codec
     return CODEC_JSON
+
+
+def accept_codec(connection, envelope: Envelope, offered) -> None:
+    """Apply a ``hello_ack``: switch ``connection``'s send direction to the
+    peer's pick, provided we offered it and can encode it (anything else
+    — including an undecodable ack — leaves the link on its current codec).
+    """
+    try:
+        ack = body_of(envelope)
+    except TransportError:
+        return
+    if ack.codec in offered and ack.codec in SUPPORTED_CODECS:
+        connection.send_codec = ack.codec
 
 
 # ---------------------------------------------------------------------------
@@ -450,3 +463,31 @@ def encode_batch(
             stamp(envelope)
         chunks.append(encode_envelope(envelope, codec))
     return b"".join(chunks)
+
+
+def count_sent(metrics, codec: str, size: int, envelopes: int) -> None:
+    """Account one socket write on the optional ``TransportMetrics``."""
+    if metrics is not None:
+        metrics.bytes.labels(direction="out", codec=codec).inc(size)
+        metrics.messages.labels(direction="out", codec=codec).inc(envelopes)
+        metrics.flushes.inc()
+
+
+def decode_chunk(
+    decoder: EnvelopeDecoder, chunk: bytes, metrics
+) -> list[Envelope] | None:
+    """Envelopes completed by one received chunk, accounted per codec.
+
+    ``None`` means the bytes were undecodable: such a peer is
+    indistinguishable from a broken one, so the caller drops the link —
+    one bad peer must never take down the node.
+    """
+    try:
+        frames = decoder.feed(chunk)
+    except TransportError:
+        return None
+    if metrics is not None:
+        for _envelope, codec, size in frames:
+            metrics.bytes.labels(direction="in", codec=codec).inc(size)
+            metrics.messages.labels(direction="in", codec=codec).inc()
+    return [envelope for envelope, _codec, _size in frames]

@@ -6,13 +6,20 @@ sockets:
 * :class:`TcpBroker` — a **single-threaded asyncio event loop** (see
   :mod:`repro.transport.aio`) serving every peer — providers, consumers,
   and federation peer brokers — with one reader/writer pair per
-  connection instead of a thread per connection.  Outbound envelopes are
-  write-coalesced: everything routed while a previous flush is draining
-  goes out in one socket write.
-* :class:`TcpProvider` — connects, self-benchmarks, registers, executes
-  assignments on a pool of worker threads, heartbeats periodically;
+  connection instead of a thread per connection.  It has many links, so
+  its outbound envelopes are write-coalesced: everything routed while a
+  previous flush is draining goes out in one socket write.
+* :class:`TcpProvider` — registers, executes assignments on a pool of
+  worker threads, heartbeats periodically;
 * :class:`TcpConsumer` — a :class:`~repro.consumer.library.Session` over a
   broker connection, so ``TaskletLibrary`` works unchanged.
+
+Provider and consumer are thin clients of the broker with one link
+each, so they share one client-side mechanism, :class:`_BrokerLink`: a
+blocking socket written under a mutex (:class:`_Connection`), a reader
+thread, the broker list, the redial backoff, the ``hello`` exchange and
+one explicit state.  What differs by role — what to say on connect;
+redial forever, up to a cap, or never — the role passes in.
 
 Framing is the dual-codec format of :mod:`repro.transport.codec`: every
 connection starts on length-prefixed JSON; a ``hello`` handshake
@@ -29,14 +36,14 @@ Connection lifecycle (documented in detail in ``docs/PROTOCOL.md``):
 * A consumer that loses its broker connection fails every pending future
   with a typed :class:`~repro.common.errors.BrokerUnreachable` error —
   nothing hangs — and fires its ``on_disconnect`` hook.
-* A provider that loses its broker connection reconnects with
-  exponential backoff plus jitter, re-registering with its *cached*
-  benchmark score; the broker's flap-recovery path fails the previous
-  incarnation's executions so re-issue happens immediately.
+* A provider that loses its broker connection redials with exponential
+  backoff plus jitter, re-registering with its *cached* benchmark score;
+  the broker's flap-recovery path fails the previous incarnation's
+  executions so re-issue happens immediately.
 * ``TcpProvider.stop(drain=True)`` rejects new assignments, finishes
-  in-flight executions, flushes their results, and only then
-  unregisters; results and the unregister share one FIFO send queue, so
-  the unregister can never overtake the final result on the wire.
+  in-flight executions, writes their results, and only then unregisters;
+  a client ``send`` returns once its bytes are with the kernel, so the
+  unregister can never overtake the final result on the wire.
 """
 
 from __future__ import annotations
@@ -48,9 +55,8 @@ import socket
 import threading
 import time
 import uuid
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dag.handle import WorkflowHandle
@@ -83,7 +89,10 @@ from ..transport.codec import (
     SUPPORTED_CODECS,
     EnvelopeDecoder,
     Stamp,
+    accept_codec,
     choose_codec,
+    count_sent,
+    decode_chunk,
     encode_batch,
 )
 from ..transport.message import (
@@ -107,10 +116,6 @@ from ..transport.message import (
 
 _RECV_CHUNK = 65536
 
-#: How long ``_Connection.close`` waits for a thread that is mid-flush to
-#: put what ``send`` already accepted on the wire.
-_CLOSE_FLUSH_TIMEOUT = 2.0
-
 
 def _offered_codecs(codec: str) -> tuple[str, ...]:
     """Map the ``codec=`` tuning knob onto an advertised-codec list."""
@@ -121,23 +126,40 @@ def _offered_codecs(codec: str) -> tuple[str, ...]:
     raise ValueError(f"codec must be 'binary' or 'json', got {codec!r}")
 
 
+def _nodelay(sock: socket.socket | None) -> None:
+    """Frames are small and latency-bound: never wait out Nagle."""
+    if sock is not None:
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+
+
+def _jittered(rng: random.Random, delay: float) -> float:
+    """Stretch a backoff delay by up to 50 %: no fleet redials in lockstep."""
+    return delay * (1.0 + 0.5 * rng.random())
+
+
+class _Node:
+    """``with node:`` is ``node.start()`` … ``node.stop()``."""
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
 class _Connection:
     """One framed, thread-safe TCP connection (client side).
 
-    Writes are *coalesced* through a combining lock: ``send`` enqueues
-    and, if no other thread is currently flushing, becomes the flusher —
-    draining everything queued (its own envelope plus whatever piled up
-    behind a slow ``sendall``) into one socket write.  Contending threads
-    just enqueue and return, so a heartbeat never blocks behind a large
-    result payload; their envelopes ride the active flusher's next batch
-    in FIFO order.
-
-    Per-envelope ``stamp`` hooks run at flush time, immediately before
-    encoding — that keeps ``Heartbeat.sent_at`` honest under coalescing.
-
-    What ``send`` accepted is written before ``close`` tears the socket
-    down (it waits, bounded, for the active flusher), so a final result
-    riding another thread's flush survives a graceful stop.
+    Writes go out under a mutex: ``send`` takes the send lock, runs the
+    per-envelope ``stamp`` hooks, encodes, hands the bytes to the kernel
+    in one ``sendall`` and releases.  So a ``send`` that returned *is*
+    written — a later ``close`` cannot lose it — senders reach the wire
+    in lock order, and a stamp (``Heartbeat.sent_at``) is taken just
+    before its bytes leave.  A ``send`` that raises wrote nothing or
+    killed the stream; it never wedges the senders behind it.
 
     ``metrics`` is an optional :class:`TransportMetrics` bundle; framed
     bytes and envelope counts are reported per direction and codec.
@@ -151,13 +173,8 @@ class _Connection:
         #: Codec for the send direction; flipped by the hello handshake.
         self.send_codec = CODEC_JSON
         self._send_lock = threading.Lock()
-        #: Signalled (under ``_send_lock``) whenever a flusher finishes.
-        self._flush_done = threading.Condition(self._send_lock)
-        self._queue: deque[tuple[Envelope, Stamp | None]] = deque()
-        self._flushing = False
         self._closed = False
         self._metrics = metrics
-        self.peer_id: NodeId | None = None  # learned from first envelope
 
     def send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
         self.send_many(((envelope, stamp),))
@@ -165,75 +182,34 @@ class _Connection:
     def send_many(
         self, entries: Sequence[tuple[Envelope, Stamp | None]]
     ) -> None:
-        """Enqueue envelopes and flush unless another thread already is."""
+        """Write ``entries`` as one socket write; returns once written."""
         with self._send_lock:
             if self._closed:
                 raise ConnectionClosed("connection closed")
-            self._queue.extend(entries)
-            if self._flushing:
-                return  # the active flusher drains our entries too
-            self._flushing = True
-        try:
-            while True:
-                with self._send_lock:
-                    if not self._queue:
-                        self._flushing = False
-                        self._flush_done.notify_all()
-                        return
-                    batch = list(self._queue)
-                    self._queue.clear()
-                    codec = self.send_codec
-                data = encode_batch(batch, codec)
+            codec = self.send_codec
+            data = encode_batch(entries, codec)
+            try:
                 self.sock.sendall(data)
-                if self._metrics is not None:
-                    self._metrics.bytes.labels(
-                        direction="out", codec=codec
-                    ).inc(len(data))
-                    self._metrics.messages.labels(
-                        direction="out", codec=codec
-                    ).inc(len(batch))
-                    self._metrics.flushes.inc()
-        except OSError as exc:
-            with self._send_lock:
-                self._flushing = False
-                self._queue.clear()
-                self._flush_done.notify_all()
-            raise ConnectionClosed(f"send failed: {exc}") from exc
+            except OSError as exc:
+                raise ConnectionClosed(f"send failed: {exc}") from exc
+        count_sent(self._metrics, codec, len(data), len(entries))
 
     def recv_envelopes(self) -> list[Envelope] | None:
-        """Block for data; completed envelopes, or ``None`` on EOF/garbage.
-
-        A peer that sends undecodable bytes is indistinguishable from a
-        broken one: the connection is reported dead (``None``) and the
-        caller drops it.  One bad peer must never take down the node.
-        """
+        """Block for data; completed envelopes, or ``None`` once the
+        stream is dead (EOF, socket error, or undecodable bytes)."""
         try:
             chunk = self.sock.recv(_RECV_CHUNK)
         except OSError:
-            return None
-        if not chunk:
-            return None
-        try:
-            frames = self.decoder.feed(chunk)
-        except TransportError:
-            return None
-        if self._metrics is not None and frames:
-            for _envelope, codec, size in frames:
-                self._metrics.bytes.labels(direction="in", codec=codec).inc(
-                    size
-                )
-                self._metrics.messages.labels(
-                    direction="in", codec=codec
-                ).inc()
-        return [envelope for envelope, _codec, _size in frames]
+            chunk = b""
+        return decode_chunk(self.decoder, chunk, self._metrics) if chunk else None
 
     def close(self) -> None:
-        with self._send_lock:
-            self._closed = True  # no new sends; the flusher drains the rest
-            self._flush_done.wait_for(
-                lambda: not self._flushing, _CLOSE_FLUSH_TIMEOUT
-            )
-            self._queue.clear()
+        # A send in progress finishes first.  The wait is bounded: a
+        # sender wedged on a dead peer is cut off by the shutdown below.
+        held = self._send_lock.acquire(timeout=2.0)
+        self._closed = True
+        if held:
+            self._send_lock.release()
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -241,19 +217,7 @@ class _Connection:
         self.sock.close()
 
 
-def _connect(
-    host: str,
-    port: int,
-    timeout: float = 10.0,
-    metrics: TransportMetrics | None = None,
-) -> _Connection:
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return _Connection(sock, metrics=metrics)
-
-
-class TcpBroker:
+class TcpBroker(_Node):
     """The broker as an asyncio TCP server (see module docstring).
 
     One event-loop thread owns every connection: acceptance, reads,
@@ -425,12 +389,6 @@ class TcpBroker:
         if self.journal is not None:
             self.journal.close()
 
-    def __enter__(self) -> "TcpBroker":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
     # -- event-loop internals ------------------------------------------------
 
     async def _start_on_loop(self) -> None:
@@ -482,19 +440,33 @@ class TcpBroker:
             # ``_accepted``): close here or the peer never sees EOF.
             writer.close()
             return
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
+        await self._adopt(reader, writer)
+
+    async def _adopt(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        peer_id: NodeId | None = None,
+        greeting: Sequence[Envelope] = (),
+    ) -> None:
+        """Serve one stream — accepted, or dialed to ``peer_id`` — until
+        it dies: track it, say ``greeting``, read it, forget it."""
+        _nodelay(writer.get_extra_info("socket"))
         connection = AioConnection(
             self._aio, reader, writer, metrics=self._transport_metrics
         )
+        connection.peer_id = peer_id
         with self._connections_lock:
             self._accepted.add(connection)
+            if peer_id is not None:
+                self._connections[peer_id] = connection
         if self._transport_metrics is not None:
             self._transport_metrics.connections.inc()
+        try:
+            for envelope in greeting:
+                connection.send(envelope)
+        except ConnectionClosed:
+            pass  # the reader below observes the dead link and returns
         await connection.run_reader(self._on_envelope)
         self._drop_connection(connection)
 
@@ -519,52 +491,31 @@ class TcpBroker:
         """
         backoff = 0.2
         rng = random.Random(f"{self.core.node_id}->{peer_id}")
+        me, peer = self.core.node_id, NodeId(peer_id)
         while self._running.is_set():
             try:
                 reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(host, port), timeout=5.0
                 )
             except (OSError, asyncio.TimeoutError):
-                await asyncio.sleep(backoff * (1.0 + 0.5 * rng.random()))
+                await asyncio.sleep(_jittered(rng, backoff))
                 backoff = min(backoff * 2.0, 5.0)
                 continue
             backoff = 0.2
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                try:
-                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                except OSError:
-                    pass
-            connection = AioConnection(
-                self._aio, reader, writer, metrics=self._transport_metrics
-            )
-            connection.peer_id = NodeId(peer_id)
-            with self._connections_lock:
-                self._accepted.add(connection)
-                self._connections[NodeId(peer_id)] = connection
-            if self._transport_metrics is not None:
-                self._transport_metrics.connections.inc()
             hello = Hello(
-                node_id=str(self.core.node_id),
-                codecs=list(self._offered),
-                role="broker",
+                node_id=str(me), codecs=list(self._offered), role="broker"
             )
             peer_hello = PeerHello(
-                broker_id=str(self.core.node_id),
+                broker_id=str(me),
                 epoch=self.core.federation.epoch,
                 reply_expected=True,
             )
-            try:
-                connection.send(
-                    hello.envelope(self.core.node_id, NodeId(peer_id))
-                )
-                connection.send(
-                    peer_hello.envelope(self.core.node_id, NodeId(peer_id))
-                )
-            except ConnectionClosed:
-                pass  # the reader below observes the dead link and returns
-            await connection.run_reader(self._on_envelope)
-            self._drop_connection(connection)
+            await self._adopt(
+                reader,
+                writer,
+                peer,
+                greeting=(hello.envelope(me, peer), peer_hello.envelope(me, peer)),
+            )
 
     def _drop_connection(self, connection: AioConnection) -> None:
         with self._connections_lock:
@@ -589,12 +540,7 @@ class TcpBroker:
             return
         if envelope.type == HelloAck.TYPE:
             # A peer broker we dialed answered our hello.
-            try:
-                ack = body_of(envelope)
-            except TransportError:
-                return
-            if ack.codec in self._offered and ack.codec in SUPPORTED_CODECS:
-                connection.send_codec = ack.codec
+            accept_codec(connection, envelope, self._offered)
             return
         if connection.peer_id is None:
             connection.peer_id = envelope.src
@@ -614,7 +560,6 @@ class TcpBroker:
             hello = body_of(envelope)
         except TransportError:
             return
-        connection.peer_codecs = tuple(hello.codecs)
         if connection.peer_id is None:
             connection.peer_id = envelope.src
             with self._connections_lock:
@@ -645,17 +590,254 @@ class TcpBroker:
                         del self._connections[envelope.dst]
 
 
-class TcpProvider:
+class _BrokerLink:
+    """A client's one supervised link to its broker.
+
+    Owns what a provider and a consumer both need: the socket and its
+    reader thread, the broker list and the index of the last good broker,
+    capped exponential backoff with jitter, the ``hello`` exchange, and
+    one explicit ``state`` — ``CONNECTING`` (``start`` is dialing on its
+    caller's thread) → ``UP`` → ``DOWN`` (the stream died; the link
+    thread backs off and redials) → ``UP`` …, until ``EXHAUSTED`` (redial
+    cap spent; the typed error is kept in ``exhausted``) or ``CLOSED``.
+
+    ``max_attempts`` is the redial policy: ``None`` retries forever, ``0``
+    never redials (the owner calls ``start`` again), ``n`` gives up with
+    :class:`FederationExhausted` after ``n`` failed dials.  ``start``
+    applies the same cap, but tries the list at least once and never
+    waits unboundedly.
+
+    ``on_connect(redial)`` returns the envelopes that must follow the
+    ``hello`` (a provider's registration); it runs under the link lock,
+    so it must not call back into the link.  ``on_envelope`` sees every
+    inbound envelope but the ``hello_ack``; ``on_lost(reason)`` runs when
+    an ``UP`` link dies other than by ``close``.
+    """
+
+    CLOSED, CONNECTING, UP, DOWN, EXHAUSTED = (
+        "closed", "connecting", "up", "down", "exhausted"
+    )
+
+    def __init__(
+        self,
+        node_id: NodeId,
+        role: str,
+        codec: str,
+        brokers: list[tuple[str, int]] | None,
+        broker_host: str | None,
+        broker_port: int | None,
+        backoff: float,
+        backoff_max: float,
+        max_attempts: int | None,
+        telemetry: Telemetry | None,
+        on_envelope: Callable[[Envelope], None],
+        on_lost: Callable[[str], None],
+        on_connect: Callable[[bool], Sequence[Envelope]] = lambda redial: (),
+    ):
+        if brokers:
+            self._brokers = [tuple(address) for address in brokers]
+        elif broker_host is not None and broker_port is not None:
+            self._brokers = [(broker_host, broker_port)]
+        else:
+            raise ValueError("either broker_host/broker_port or brokers required")
+        self._index = 0  # the last good broker; dial rounds start here
+        self._node_id = node_id
+        self._offered = _offered_codecs(codec)
+        self._hello = Hello(
+            node_id=str(node_id), codecs=list(self._offered), role=role
+        ).envelope(node_id, BROKER_ADDRESS)
+        self._backoff = backoff
+        self._backoff_max = backoff_max
+        self._max_attempts = max_attempts
+        self.metrics = TransportMetrics(telemetry.registry) if telemetry else None
+        self._events = telemetry.events if telemetry else None
+        self._on_envelope = on_envelope
+        self._on_lost = on_lost
+        self._on_connect = on_connect
+        self._rng = random.Random(node_id)
+        self._lock = threading.Condition()
+        #: Bumped by ``start`` and ``close``: a dial or reader thread that
+        #: carries an older number has been superseded and just leaves.
+        self._generation = 0
+        self._connection: _Connection | None = None  # set only while UP
+        self.state = self.CLOSED
+        self.exhausted: FederationExhausted | None = None
+
+    @property
+    def connected(self) -> bool:
+        return self.state == self.UP
+
+    @property
+    def send_codec(self) -> str | None:
+        connection = self._connection
+        return connection.send_codec if connection else None
+
+    def send_many(
+        self, entries: Sequence[tuple[Envelope, Stamp | None]]
+    ) -> None:
+        connection = self._connection
+        if connection is None:
+            raise ConnectionClosed(f"broker link is {self.state}")
+        connection.send_many(entries)
+
+    def start(self) -> None:
+        """(Re)open the link from scratch, dialing on the caller's thread.
+
+        Raises when no broker answers: :class:`FederationExhausted` under
+        a ``max_attempts`` cap, the dial's own ``OSError`` otherwise.
+        """
+        self.close()
+        with self._lock:
+            self._generation += 1
+            generation = self._generation
+            self.state = self.CONNECTING
+            self.exhausted = None
+        try:
+            connection = self._dial(generation, redial=False)
+        except BaseException:
+            self._settle(generation, self.CLOSED)
+            raise
+        if connection is not None:
+            threading.Thread(
+                target=self._run,
+                args=(generation, connection),
+                name=f"{self._node_id}-link",
+                daemon=True,
+            ).start()
+
+    def close(self) -> None:
+        """Tear the link down; prompt in every state, idempotent."""
+        with self._lock:
+            self._generation += 1
+            connection, self._connection = self._connection, None
+            self.state = self.CLOSED
+            self._lock.notify_all()  # cuts a backoff wait short
+        if connection is not None:
+            connection.close()
+
+    def _settle(self, generation: int, state: str) -> bool:
+        """Move to ``state`` — unless ``close`` or ``start`` took the link
+        over meanwhile (then False: the caller just leaves)."""
+        with self._lock:
+            if self._generation != generation:
+                return False
+            self._connection = None
+            self.state = state
+            return True
+
+    def _run(self, generation: int, connection: _Connection | None) -> None:
+        """The link thread: read until the stream dies, redial, repeat."""
+        while connection is not None:
+            while (envelopes := connection.recv_envelopes()) is not None:
+                for envelope in envelopes:
+                    if envelope.type == HelloAck.TYPE:
+                        accept_codec(connection, envelope, self._offered)
+                        continue
+                    try:
+                        self._on_envelope(envelope)
+                    except TransportError:
+                        continue  # unknown message type: forward compatibility
+            connection.close()
+            if not self._settle(generation, self.DOWN):
+                return
+            self._on_lost("connection to broker lost")
+            if self._max_attempts == 0:
+                return
+            connection = self._dial(generation, redial=True)
+
+    def _dial(self, generation: int, redial: bool) -> _Connection | None:
+        """Bring the link ``UP`` on the first broker that answers.
+
+        Rounds cycle the list from the last good broker; between rounds
+        (and before a redial's first) the wait is the capped, doubling,
+        jittered backoff, cut short by ``close``.  Returns ``None`` when
+        superseded; raises once the attempt cap is spent.
+        """
+        cap = self._max_attempts if redial else (self._max_attempts or 1)
+        attempts, delay = 0, self._backoff
+        while True:
+            if redial or attempts:
+                with self._lock:
+                    if self._lock.wait_for(
+                        lambda: self._generation != generation,
+                        _jittered(self._rng, delay),
+                    ):
+                        return None
+                delay = min(delay * 2.0, self._backoff_max)
+            for offset in range(len(self._brokers)):
+                index = (self._index + offset) % len(self._brokers)
+                attempts += 1
+                try:
+                    return self._open(index, generation, redial)
+                except (OSError, ConnectionClosed) as exc:
+                    error = exc
+            if cap is not None and attempts >= cap:
+                if not self._max_attempts:
+                    raise error  # a plain one-shot start(): the OSError itself
+                exhausted = FederationExhausted(
+                    f"no broker reachable after {attempts} attempts",
+                    brokers=[f"{host}:{port}" for host, port in self._brokers],
+                    attempts=attempts,
+                )
+                if not redial:
+                    raise exhausted from error
+                if self._settle(generation, self.EXHAUSTED):
+                    self.exhausted = exhausted
+                    if self._events is not None:
+                        self._events.record(
+                            ev.FEDERATION_EXHAUSTED,
+                            node=str(self._node_id),
+                            brokers=exhausted.brokers,
+                            attempts=attempts,
+                        )
+                return None
+
+    def _open(
+        self, index: int, generation: int, redial: bool
+    ) -> _Connection | None:
+        """Connect to broker ``index``, greet it, and publish the link."""
+        host, port = self._brokers[index]
+        sock = socket.create_connection((host, port), timeout=5.0)
+        sock.settimeout(None)
+        _nodelay(sock)
+        connection = _Connection(sock, self.metrics)
+        # Greet and publish in one step under the link lock: no other
+        # sender reaches the new stream before the hello and the owner's
+        # envelopes, and nothing is written once close() was called.
+        with self._lock:
+            if self._generation != generation:
+                connection.close()
+                return None
+            greeting = [self._hello, *self._on_connect(redial)]
+            try:
+                connection.send_many([(envelope, None) for envelope in greeting])
+            except ConnectionClosed:
+                connection.close()
+                raise
+            switched = redial and index != self._index
+            self._index = index
+            self._connection = connection
+            self.state = self.UP
+        if switched and self._events is not None:
+            self._events.record(
+                ev.BROKER_FAILOVER, node=str(self._node_id), broker=f"{host}:{port}"
+            )
+        return connection
+
+
+class TcpProvider(_Node):
     """A provider process/thread executing Tasklets over TCP.
 
-    The broker connection is supervised: if it drops while the provider
-    is running, the connection loop reconnects with exponential backoff
-    (plus jitter, so a provider fleet does not reconnect in lockstep) and
-    re-registers using the benchmark score measured at ``start`` — the
-    self-benchmark is not repeated on reconnect.  Every (re)connection
-    opens with a transport ``hello`` so the binary codec is renegotiated
-    per link; ``codec='json'`` pins the debug fallback.
+    The broker link is supervised (:class:`_BrokerLink`): if it drops
+    while the provider is running, the link redials with exponential
+    backoff (plus jitter, so a provider fleet does not reconnect in
+    lockstep) and re-registers using the benchmark score measured at
+    ``start`` — the self-benchmark is not repeated on reconnect.  Every
+    (re)connection opens with a transport ``hello`` so the binary codec
+    is renegotiated per link; ``codec='json'`` pins the debug fallback.
     """
+
+    _STOPPED, _RUNNING, _DRAINING = "stopped", "running", "draining"
 
     def __init__(
         self,
@@ -684,16 +866,10 @@ class TcpProvider:
         self.heartbeat_interval = heartbeat_interval
         self.price = price
         self.reconnect = reconnect
-        self.reconnect_backoff = reconnect_backoff
-        self.reconnect_backoff_max = reconnect_backoff_max
-        self._offered = _offered_codecs(codec)
         if obs_port is not None and telemetry is None:
             telemetry = Telemetry()
         self.telemetry = telemetry
         self._metrics = ProviderMetrics(telemetry.registry) if telemetry else None
-        self._transport_metrics = (
-            TransportMetrics(telemetry.registry) if telemetry else None
-        )
         self._tracer = telemetry.tracer if telemetry else None
         self._events = telemetry.events if telemetry else None
         self._score = benchmark_score  # measured once, cached for re-registration
@@ -704,37 +880,39 @@ class TcpProvider:
             metrics=self._metrics,
         )
         self._pool: ThreadPoolExecutor | None = None
-        self._connection: _Connection | None = None
-        self._running = threading.Event()
-        self._stop_event = threading.Event()
-        self._draining = threading.Event()
-        self._active = 0
-        self._active_lock = threading.Lock()
-        #: Executions assigned but not yet terminal, and the subset the
-        #: broker cancelled.  Both are touched from the reader thread and
-        #: the executor threads, hence the shared lock; entries are purged
-        #: when the matching execution finishes so neither set leaks.
-        self._state_lock = threading.Lock()
-        self._idle = threading.Condition(self._state_lock)
-        self._inflight: set[str] = set()
-        self._cancelled: set[str] = set()
+        #: Guards everything below, which the link thread, the executor
+        #: threads, the heartbeat thread and ``stop`` all touch; notified
+        #: when the provider stops and when a draining one runs empty.
+        self._state_lock = threading.Condition()
+        self._state = self._STOPPED
+        self._active = 0  # executor slots currently inside the VM
+        #: Executions assigned but not yet terminal -> whether the broker
+        #: cancelled them; purged when the execution finishes.
+        self._inflight: dict[str, bool] = {}
         #: Bumped on every (re-)registration.  Any registration voids all
         #: executions assigned before it — the broker fails them on the
         #: flap-recovery path (or never knew them, after a restart) — so
         #: results computed under an older epoch are dropped, not sent:
         #: a restarted broker may have reused their execution ids.
         self._epoch = 0
-        self._rng = random.Random(self.node_id)
-        #: Brokers to try, in order; reconnects cycle through the list so
-        #: a provider survives the death of its home broker (federation).
-        if brokers:
-            self._brokers = [tuple(address) for address in brokers]
-        elif broker_host is not None and broker_port is not None:
-            self._brokers = [(broker_host, broker_port)]
-        else:
-            raise ValueError("either broker_host/broker_port or brokers required")
-        self._broker_index = 0
-        self._broker = self._brokers[0]
+        #: ``brokers`` are tried in order and redials cycle through them,
+        #: so a provider survives the death of its home broker (federation).
+        self._link = _BrokerLink(
+            self.node_id,
+            "provider",
+            codec,
+            brokers,
+            broker_host,
+            broker_port,
+            backoff=reconnect_backoff,
+            backoff_max=reconnect_backoff_max,
+            max_attempts=None if reconnect else 0,
+            telemetry=telemetry,
+            on_envelope=self._on_envelope,
+            on_lost=self._on_lost,
+            on_connect=self._on_connect,
+        )
+        self._transport_metrics = self._link.metrics
         self.obs: ObsServer | None = (
             ObsServer(
                 telemetry,
@@ -750,18 +928,18 @@ class TcpProvider:
         )
 
     def _is_connected(self) -> bool:
-        return self._running.is_set() and self._connection is not None
+        return self._state != self._STOPPED and self._link.connected
 
     def _health_document(self) -> dict:
-        with self._active_lock:
-            active = self._active
         with self._state_lock:
+            state = self._state
+            active = self._active
             inflight = len(self._inflight)
-        connection = self._connection
+            epoch = self._epoch
         connected = self._is_connected()
-        if not self._running.is_set():
+        if state == self._STOPPED:
             status = "unhealthy"
-        elif not connected or self._draining.is_set():
+        elif not connected or state == self._DRAINING:
             status = "degraded"
         else:
             status = "ok"
@@ -770,39 +948,35 @@ class TcpProvider:
             "role": "provider",
             "node": str(self.node_id),
             "connected": connected,
-            "draining": self._draining.is_set(),
+            "draining": state == self._DRAINING,
             "capacity": self.capacity,
             "active_slots": active,
             "inflight": inflight,
-            "epoch": self._epoch,
+            "epoch": epoch,
             "benchmark_score": self._score,
-            "codec": connection.send_codec if connection else None,
+            "codec": self._link.send_codec,
         }
 
     def start(self) -> "TcpProvider":
         if self._score is None:
             self._score = run_benchmark().score
-        self._connection = _connect(
-            *self._broker, metrics=self._transport_metrics
-        )
+        # Pool and state first: an assignment can follow the registration
+        # on the link thread before ``_link.start`` has even returned.
         self._pool = ThreadPoolExecutor(
             max_workers=self.capacity, thread_name_prefix=f"{self.node_id}-exec"
         )
-        self._running.set()
-        self._stop_event.clear()
-        self._draining.clear()
-        self._handshake(self._connection)
-        self._register()
+        self._state = self._RUNNING
+        try:
+            self._link.start()
+        except BaseException:
+            self._state = self._STOPPED
+            self._pool.shutdown(wait=False)
+            raise
         if self.obs is not None:
             self.obs.start()
-        connection_thread = threading.Thread(
-            target=self._connection_loop, name=f"{self.node_id}-conn", daemon=True
-        )
-        heart = threading.Thread(
+        threading.Thread(
             target=self._heartbeat_loop, name=f"{self.node_id}-heart", daemon=True
-        )
-        connection_thread.start()
-        heart.start()
+        ).start()
         return self
 
     def stop(self, drain: bool = False, drain_timeout: float = 30.0) -> None:
@@ -811,57 +985,42 @@ class TcpProvider:
         With ``drain=True`` the provider first stops accepting work
         (rejecting new assignments so the broker re-issues them
         elsewhere), waits up to ``drain_timeout`` for in-flight
-        executions to finish and flush their results, and only then
+        executions to finish and write their results, and only then
         unregisters.  Without it, shutdown is immediate and the broker's
         flap/failure handling re-issues whatever was outstanding.
         """
-        if not self._running.is_set():
-            return
-        if drain:
-            self._draining.set()
-            self._wait_drained(drain_timeout)
-        self._running.clear()
-        self._stop_event.set()  # wakes heartbeat + reconnect waits promptly
+        with self._state_lock:
+            if self._state == self._STOPPED:
+                return
+            if drain:
+                self._state = self._DRAINING
+                self._state_lock.wait_for(
+                    lambda: not self._inflight, drain_timeout
+                )
+            self._state = self._STOPPED
+            self._state_lock.notify_all()  # wakes the heartbeat wait promptly
         try:
             self._send(
                 Unregister(provider_id=self.node_id).envelope(
                     self.node_id, BROKER_ADDRESS
                 )
             )
-        except (ConnectionClosed, TransportError):
+        except TransportError:
             pass
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        if self._connection is not None:
-            self._connection.close()
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._link.close()
         if self.obs is not None:
             self.obs.stop()
-
-    def __enter__(self) -> "TcpProvider":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- internals ----------------------------------------------------------
 
     def _send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
-        connection = self._connection
-        if connection is None:
-            raise TransportError("provider not connected")
-        connection.send(envelope, stamp)
+        self._link.send_many(((envelope, stamp),))
 
-    def _handshake(self, connection: _Connection) -> None:
-        """Open codec negotiation; the broker answers with a HelloAck."""
-        hello = Hello(
-            node_id=str(self.node_id),
-            codecs=list(self._offered),
-            role="provider",
-        )
-        connection.send(hello.envelope(self.node_id, BROKER_ADDRESS))
-
-    def _register(self) -> None:
-        self._epoch += 1
+    def _registration(self) -> Envelope:
+        """A ``register_provider`` envelope; each one opens a new epoch."""
+        with self._state_lock:
+            self._epoch += 1
         register = RegisterProvider(
             provider_id=self.node_id,
             device_class=self.device_class,
@@ -870,94 +1029,35 @@ class TcpProvider:
             price=self.price,
             heartbeat_interval=self.heartbeat_interval,
         )
-        self._send(register.envelope(self.node_id, BROKER_ADDRESS))
+        return register.envelope(self.node_id, BROKER_ADDRESS)
 
-    def _jittered(self, delay: float) -> float:
-        return delay * (1.0 + 0.5 * self._rng.random())
-
-    def _connection_loop(self) -> None:
-        """Read from the broker; on EOF, reconnect with backoff."""
-        connection = self._connection
-        backoff = self.reconnect_backoff
-        while self._running.is_set():
-            if connection is not None:
-                self._read_connection(connection)
-                connection.close()
-                if self._connection is connection:
-                    self._connection = None
-                connection = None
-                if self._events is not None and self._running.is_set():
-                    self._events.record(
-                        ev.DISCONNECT,
-                        node=str(self.node_id),
-                        reason="broker link lost",
-                        will_reconnect=self.reconnect,
-                    )
-            if not self._running.is_set() or not self.reconnect:
-                return
-            if self._stop_event.wait(self._jittered(backoff)):
-                return
-            backoff = min(backoff * 2.0, self.reconnect_backoff_max)
-            candidate = None
-            for offset in range(len(self._brokers)):
-                index = (self._broker_index + offset) % len(self._brokers)
-                try:
-                    candidate = _connect(
-                        *self._brokers[index],
-                        timeout=5.0,
-                        metrics=self._transport_metrics,
-                    )
-                except OSError:
-                    continue
-                if index != self._broker_index and self._events is not None:
-                    host, port = self._brokers[index]
-                    self._events.record(
-                        ev.BROKER_FAILOVER,
-                        node=str(self.node_id),
-                        broker=f"{host}:{port}",
-                    )
-                self._broker_index = index
-                self._broker = self._brokers[index]
-                break
-            if candidate is None:
-                continue
-            self._connection = candidate
-            try:
-                self._handshake(candidate)
-                self._register()
-            except (ConnectionClosed, TransportError):
-                self._connection = None
-                candidate.close()
-                continue
+    def _on_connect(self, redial: bool) -> list[Envelope]:
+        registration = self._registration()
+        if redial:
             if self._transport_metrics is not None:
                 self._transport_metrics.reconnects.inc()
             if self._events is not None:
                 self._events.record(
                     ev.RECONNECT, node=str(self.node_id), epoch=self._epoch
                 )
-            connection = candidate
-            backoff = self.reconnect_backoff
+        return [registration]
 
-    def _read_connection(self, connection: _Connection) -> None:
-        while self._running.is_set():
-            envelopes = connection.recv_envelopes()
-            if envelopes is None:
-                return
-            for envelope in envelopes:
-                try:
-                    body = body_of(envelope)
-                except TransportError:
-                    continue  # unknown message type: forward compatibility
-                if not self._on_broker_message(body, envelope.trace, connection):
-                    return
+    def _on_lost(self, reason: str) -> None:
+        if self._events is not None and self._state != self._STOPPED:
+            self._events.record(
+                ev.DISCONNECT,
+                node=str(self.node_id),
+                reason=reason,
+                will_reconnect=self.reconnect,
+            )
+
+    def _on_envelope(self, envelope: Envelope) -> None:
+        self._on_broker_message(body_of(envelope), envelope.trace)
 
     def _on_broker_message(
-        self,
-        body,
-        trace: dict[str, str] | None = None,
-        connection: _Connection | None = None,
-    ) -> bool:
-        """Dispatch one decoded broker message; False = stop reading."""
+        self, body, trace: dict[str, str] | None = None
+    ) -> None:
+        """Dispatch one decoded broker message (link thread)."""
         if isinstance(body, AssignExecution):
             self._on_assign(body, trace)
         elif isinstance(body, HeartbeatAck):
@@ -970,43 +1070,36 @@ class TcpProvider:
                     # An ack without the echo gives no RTT sample; count
                     # it so silent RTT gaps are visible, not just absent.
                     self._transport_metrics.heartbeats_unechoed.inc()
-        elif isinstance(body, HelloAck):
-            if (
-                connection is not None
-                and body.codec in self._offered
-                and body.codec in SUPPORTED_CODECS
-            ):
-                connection.send_codec = body.codec
         elif isinstance(body, CancelExecution):
             with self._state_lock:
                 # Only executions still in flight can be cancelled;
                 # anything else (already finished, or assigned to a
-                # previous incarnation) would leak in the set forever.
+                # previous incarnation) would leak in the map forever.
                 if body.execution_id in self._inflight:
-                    self._cancelled.add(body.execution_id)
+                    self._inflight[body.execution_id] = True
         elif isinstance(body, RegisterAck):
             if not body.accepted and body.reason == REASON_UNKNOWN_PROVIDER:
                 # The broker restarted and lost our registration: it
                 # answers our heartbeat with this rejection to ask us
-                # back.
-                try:
-                    self._register()
-                except (ConnectionClosed, TransportError):
-                    return False
-        return True
+                # back.  A failed send means the link is dying; the redial
+                # registers again.
+                self._send(self._registration())
 
     def _on_assign(
         self, request: AssignExecution, trace: dict[str, str] | None = None
     ) -> None:
-        if self._running.is_set() and not self._draining.is_set():
-            with self._state_lock:
-                self._inflight.add(request.execution_id)
+        with self._state_lock:
+            accepted = self._state == self._RUNNING
+            epoch = self._epoch
+            if accepted:
+                self._inflight[request.execution_id] = False
+        if accepted:
             try:
-                self._pool.submit(self._execute, request, self._epoch, trace)
+                self._pool.submit(self._execute, request, epoch, trace)
                 return
             except RuntimeError:
                 # stop() shut the pool between the check and the submit
-                # (this runs on the reader thread, which outlives it).
+                # (this runs on the link thread, which outlives it).
                 self._finish_execution(request.execution_id)
         if self._metrics is not None:
             self._metrics.rejected.inc()
@@ -1018,28 +1111,32 @@ class TcpProvider:
         )
         try:
             self._send(rejection.envelope(self.node_id, BROKER_ADDRESS))
-        except (ConnectionClosed, TransportError):
+        except TransportError:
             pass
 
     def _heartbeat_loop(self) -> None:
-        while not self._stop_event.wait(self.heartbeat_interval):
-            with self._active_lock:
+        while True:
+            with self._state_lock:
+                if self._state_lock.wait_for(
+                    lambda: self._state == self._STOPPED, self.heartbeat_interval
+                ):
+                    return
                 active = self._active
-                free = max(0, self.capacity - active)
             if self._metrics is not None:
                 self._metrics.busy_slots.labels(provider=str(self.node_id)).set(
                     active
                 )
             # A non-zero timestamp asks the broker for an ack (RTT
             # telemetry); without telemetry the flows stay ack-free.  The
-            # placeholder is re-stamped *at flush time* by the hook below
-            # — under write coalescing a heartbeat can sit behind a batch
-            # for milliseconds, and enqueue-time stamps would bill that
-            # wait as network RTT, poisoning the EWMA straggler watchdog.
+            # placeholder is re-stamped by the hook below immediately
+            # before its bytes leave — a heartbeat can wait for the send
+            # lock behind a large result, and a stamp taken here would
+            # bill that wait as network RTT, poisoning the EWMA
+            # straggler watchdog.
             want_rtt = self._transport_metrics is not None
             heartbeat = Heartbeat(
                 provider_id=self.node_id,
-                free_slots=free,
+                free_slots=max(0, self.capacity - active),
                 sent_at=time.monotonic() if want_rtt else 0.0,
             )
             try:
@@ -1047,28 +1144,15 @@ class TcpProvider:
                     heartbeat.envelope(self.node_id, BROKER_ADDRESS),
                     stamp=_stamp_heartbeat if want_rtt else None,
                 )
-            except (ConnectionClosed, TransportError):
-                continue  # disconnected; the connection loop is reconnecting
+            except TransportError:
+                continue  # link down; it is redialing
 
-    def _finish_execution(self, execution_id: str) -> bool:
-        """Purge bookkeeping for a terminal execution; True if cancelled."""
+    def _finish_execution(self, execution_id: str) -> None:
+        """Purge bookkeeping for a terminal execution."""
         with self._state_lock:
-            cancelled = execution_id in self._cancelled
-            self._cancelled.discard(execution_id)
-            self._inflight.discard(execution_id)
-            if not self._inflight:
-                self._idle.notify_all()
-        return cancelled
-
-    def _wait_drained(self, timeout: float) -> bool:
-        deadline = time.monotonic() + timeout
-        with self._state_lock:
-            while self._inflight:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
+            self._inflight.pop(execution_id, None)
+            if not self._inflight and self._state == self._DRAINING:
+                self._state_lock.notify_all()
 
     def _execute(
         self,
@@ -1077,19 +1161,17 @@ class TcpProvider:
         trace: dict[str, str] | None = None,
     ) -> None:
         with self._state_lock:
-            if request.execution_id in self._cancelled:
-                self._cancelled.discard(request.execution_id)
-                self._inflight.discard(request.execution_id)
-                if not self._inflight:
-                    self._idle.notify_all()
-                return
-        with self._active_lock:
-            self._active += 1
+            cancelled = self._inflight.get(request.execution_id)
+            if not cancelled:
+                self._active += 1
+        if cancelled:
+            self._finish_execution(request.execution_id)
+            return
         started = self._clock.now()
         try:
             outcome = self._executor.execute(request)
         finally:
-            with self._active_lock:
+            with self._state_lock:
                 self._active -= 1
         finished = self._clock.now()
         if self._metrics is not None:
@@ -1112,12 +1194,15 @@ class TcpProvider:
                     },
                 )
         with self._state_lock:
-            cancelled = request.execution_id in self._cancelled
+            current = (
+                not self._inflight.get(request.execution_id)
+                and epoch == self._epoch
+            )
         # Send before purging bookkeeping: a draining stop() waits on
         # ``_inflight`` emptying, and its unregister must not be able to
-        # overtake this result on the wire (the shared FIFO send queue
-        # preserves the order even when another thread is flushing).
-        if not cancelled and epoch == self._epoch:
+        # overtake this result on the wire (``_send`` returns only once
+        # the result is written).
+        if current:
             result = ExecutionResult(
                 execution_id=request.execution_id,
                 tasklet_id=request.tasklet_id,
@@ -1131,17 +1216,17 @@ class TcpProvider:
             )
             try:
                 self._send(result.envelope(self.node_id, BROKER_ADDRESS))
-            except (ConnectionClosed, TransportError):
+            except TransportError:
                 pass  # broker gone; re-registration will fail this execution
         self._finish_execution(request.execution_id)
 
 
 def _stamp_heartbeat(envelope: Envelope) -> None:
-    """Flush-time hook: the RTT clock starts when the bytes leave."""
+    """Send-time hook: the RTT clock starts when the bytes leave."""
     envelope.payload["sent_at"] = time.monotonic()
 
 
-class TcpConsumer:
+class TcpConsumer(_Node):
     """Consumer session over TCP; plug into :class:`TaskletLibrary`.
 
     If the broker connection drops, every pending future is failed with
@@ -1151,15 +1236,15 @@ class TcpConsumer:
 
     Every connection opens with a transport ``hello`` negotiating the
     binary wire codec (``codec='json'`` pins the debug fallback); batch
-    submissions are flushed as one coalesced socket write.
+    submissions go out as one socket write.
 
     Federation: pass ``brokers=[(host, port), ...]`` instead of a single
     address and the consumer fails over automatically — when the link
     dies it cycles the list with capped exponential backoff plus jitter,
     reconnects to the first broker that answers, and fires a
-    ``broker_failover`` event.  Pending futures are still failed on the
-    drop (resubmitting with the same tasklet ids is idempotent); once the
-    attempt cap is exhausted a typed
+    ``broker_failover`` event when that is a different one.  Pending
+    futures are still failed on the drop (resubmitting with the same
+    tasklet ids is idempotent); once the attempt cap is exhausted a typed
     :class:`~repro.common.errors.FederationExhausted` (a
     ``BrokerUnreachable`` subclass) names every broker tried.
     """
@@ -1181,47 +1266,36 @@ class TcpConsumer:
         self.node_id = NodeId(node_id or random_id("cons"))
         self._clock = WallClock()
         self.telemetry = telemetry
-        self._transport_metrics = (
-            TransportMetrics(telemetry.registry) if telemetry else None
-        )
-        self._events = telemetry.events if telemetry else None
-        self._offered = _offered_codecs(codec)
         self.core = ConsumerCore(
             node_id=self.node_id, clock=self._clock, telemetry=telemetry
         )
         self.library = TaskletLibrary(session=self, base_seed=base_seed)
         self.on_disconnect = on_disconnect
-        #: Auto-failover is enabled only by the ``brokers`` list; the
-        #: single-address form keeps the explicit-``reconnect()`` contract.
-        self._failover_enabled = brokers is not None
-        if brokers:
-            self._brokers = [tuple(address) for address in brokers]
-        elif broker_host is not None and broker_port is not None:
-            self._brokers = [(broker_host, broker_port)]
-        else:
-            raise ValueError("either broker_host/broker_port or brokers required")
-        self._broker = self._brokers[0]
-        self.failover_backoff = failover_backoff
-        self.failover_backoff_max = failover_backoff_max
-        self.max_failover_attempts = max_failover_attempts
-        self._exhausted: FederationExhausted | None = None
-        self._rng = random.Random(self.node_id)
-        self._connection: _Connection | None = None
-        self._reader: threading.Thread | None = None
-        self._running = threading.Event()
-        self._disconnected = threading.Event()
+        self._link = _BrokerLink(
+            self.node_id,
+            "consumer",
+            codec,
+            brokers,
+            broker_host,
+            broker_port,
+            backoff=failover_backoff,
+            backoff_max=failover_backoff_max,
+            # Auto-failover is enabled only by the ``brokers`` list; the
+            # single-address form keeps the explicit-``reconnect()`` contract.
+            max_attempts=max_failover_attempts if brokers is not None else 0,
+            telemetry=telemetry,
+            on_envelope=self.core.handle,
+            on_lost=self._on_lost,
+        )
+
+    @property
+    def connected(self) -> bool:
+        """Whether the broker link is up right now (false while a lost
+        link is failing over, once it is exhausted, and after ``stop``)."""
+        return self._link.connected
 
     def start(self) -> "TcpConsumer":
-        # _running first: _connect_any uses it as its abort signal.
-        self._running.set()
-        if self._failover_enabled:
-            self._connection = self._connect_any()
-        else:
-            self._connection = _connect(
-                *self._broker, metrics=self._transport_metrics
-            )
-        self._handshake(self._connection)
-        self._start_reader(self._connection)
+        self._link.start()
         return self
 
     def reconnect(self) -> "TcpConsumer":
@@ -1234,56 +1308,16 @@ class TcpConsumer:
         journal-backed broker re-delivers completed outcomes instead of
         re-executing them.
         """
-        old_connection = self._connection
-        old_reader = self._reader
-        if old_connection is not None:
-            old_connection.close()
-        if old_reader is not None and old_reader is not threading.current_thread():
-            old_reader.join(timeout=5.0)
-        self._connection = _connect(
-            *self._broker, metrics=self._transport_metrics
-        )
-        self._disconnected.clear()
-        self._running.set()
-        self._handshake(self._connection)
-        self._start_reader(self._connection)
+        self._link.start()
         return self
 
-    def _handshake(self, connection: _Connection) -> None:
-        hello = Hello(
-            node_id=str(self.node_id),
-            codecs=list(self._offered),
-            role="consumer",
-        )
-        try:
-            connection.send(hello.envelope(self.node_id, BROKER_ADDRESS))
-        except ConnectionClosed:
-            pass  # the reader loop observes the dead link and recovers
-
-    def _start_reader(self, connection: _Connection) -> None:
-        self._reader = threading.Thread(
-            target=self._reader_loop,
-            args=(connection,),
-            name=f"{self.node_id}-reader",
-            daemon=True,
-        )
-        self._reader.start()
-
     def stop(self) -> None:
-        was_running = self._running.is_set()
-        self._running.clear()
-        if self._connection is not None:
-            self._connection.close()
+        was_running = self._link.state != _BrokerLink.CLOSED
+        self._link.close()
         if was_running:
             # Nothing can resolve once the connection is gone; anyone
             # still waiting gets a typed error instead of a hang.
             self.core.fail_all_pending("consumer stopped")
-
-    def __enter__(self) -> "TcpConsumer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
     # -- Session protocol ----------------------------------------------------
 
@@ -1296,9 +1330,9 @@ class TcpConsumer:
     def submit_batch(self, tasklets: Sequence[Tasklet]) -> list[TaskletFuture]:
         """Submit many Tasklets under one core lock acquisition.
 
-        The whole batch is encoded and flushed as one coalesced socket
-        write — at high submission rates this is the difference between
-        one syscall and hundreds.
+        The whole batch is encoded and written as one socket write — at
+        high submission rates this is the difference between one syscall
+        and hundreds.
         """
         self._check_ready()
         futures, envelopes = self.core.submit_many(tasklets)
@@ -1313,154 +1347,44 @@ class TcpConsumer:
         return handle
 
     def _check_ready(self) -> None:
-        if self._exhausted is not None:
-            raise self._exhausted
-        if self._connection is None:
+        if self._link.exhausted is not None:
+            raise self._link.exhausted
+        if self._link.state == _BrokerLink.CLOSED:
             raise TransportError("consumer not started")
 
     def _send_submission(self, envelopes: Sequence[Envelope]) -> None:
-        if self._disconnected.is_set():
-            # The reader already saw EOF. A send() here could still
-            # "succeed" (TCP buffers one write after a peer close), so
-            # don't trust it — fail the futures typed right away.
-            self.core.fail_all_pending("connection to broker lost")
-            return
+        # A link the reader already saw die refuses the send outright —
+        # TCP would let one write after a peer close "succeed" — and a
+        # write that fails never left this host.  Either way the
+        # connection is dead for every pending future, so they all
+        # resolve with a typed error rather than hanging.
         try:
-            self._connection.send_many(
-                [(envelope, None) for envelope in envelopes]
-            )
+            self._link.send_many([(envelope, None) for envelope in envelopes])
         except ConnectionClosed as exc:
-            # The submission never left this host; the futures (and any
-            # other pending ones — the connection is dead for all of
-            # them) resolve with a typed error rather than hanging.
-            self.core.fail_all_pending(f"send failed: {exc}")
+            self.core.fail_all_pending(str(exc))
 
     def now(self) -> float:
         return self._clock.now()
 
     # -- internals ----------------------------------------------------------
 
-    def _reader_loop(self, connection: _Connection) -> None:
-        while self._running.is_set():
-            envelopes = connection.recv_envelopes()
-            if envelopes is None:
-                break
-            for envelope in envelopes:
-                if envelope.type == HelloAck.TYPE:
-                    try:
-                        ack = body_of(envelope)
-                    except TransportError:
-                        continue
-                    if (
-                        ack.codec in self._offered
-                        and ack.codec in SUPPORTED_CODECS
-                    ):
-                        connection.send_codec = ack.codec
-                    continue
-                try:
-                    self.core.handle(envelope)
-                except TransportError:
-                    continue  # unknown message type: forward compatibility
-        if not self._running.is_set():
-            return  # deliberate stop(); it fails pending futures itself
-        if self._connection is not connection:
-            # reconnect() superseded this link while we were blocked on
-            # the dying socket; the new reader owns the futures now.
-            return
-        # Flag first, then snapshot-and-fail: a submit racing this either
-        # sees the flag (fails itself) or registered in time to be caught
-        # by the snapshot below. No window where a future can slip through.
-        self._disconnected.set()
-        connection.close()
-        self.core.fail_all_pending("connection to broker lost")
+    def _on_lost(self, reason: str) -> None:
+        # The link went DOWN before this runs, so a submit racing the loss
+        # either is refused (and fails itself) or registered its future in
+        # time to be caught here.  No window where a future slips through.
+        self.core.fail_all_pending(reason)
         hook = self.on_disconnect
         if hook is not None:
-            hook("connection to broker lost")
-        if self._failover_enabled and self._running.is_set():
-            self._try_failover()
-
-    def _connect_any(self) -> _Connection:
-        """Connect to the first answering broker in the list.
-
-        Cycles the whole list per round with capped exponential backoff
-        plus jitter between rounds; gives up with a typed
-        :class:`FederationExhausted` once ``max_failover_attempts``
-        connection attempts have failed.
-        """
-        attempts = 0
-        backoff = self.failover_backoff
-        while self._running.is_set():
-            for host, port in self._brokers:
-                attempts += 1
-                try:
-                    connection = _connect(
-                        host, port, timeout=5.0,
-                        metrics=self._transport_metrics,
-                    )
-                except OSError:
-                    continue
-                self._broker = (host, port)
-                return connection
-            if attempts >= self.max_failover_attempts:
-                break
-            time.sleep(backoff * (1.0 + 0.5 * self._rng.random()))
-            backoff = min(backoff * 2.0, self.failover_backoff_max)
-        raise FederationExhausted(
-            f"no broker reachable after {attempts} attempts",
-            brokers=[f"{host}:{port}" for host, port in self._brokers],
-            attempts=attempts,
-        )
-
-    def _try_failover(self) -> None:
-        """Runs in the dying reader thread: find a live broker or give up."""
-        try:
-            connection = self._connect_any()
-        except FederationExhausted as exc:
-            self._exhausted = exc
-            if self._events is not None:
-                self._events.record(
-                    ev.FEDERATION_EXHAUSTED,
-                    node=str(self.node_id),
-                    brokers=exc.brokers,
-                    attempts=exc.attempts,
-                )
-            return
-        self._connection = connection
-        self._disconnected.clear()
-        self._handshake(connection)
-        if self._events is not None:
-            host, port = self._broker
-            self._events.record(
-                ev.BROKER_FAILOVER,
-                node=str(self.node_id),
-                broker=f"{host}:{port}",
-            )
-        self._start_reader(connection)
+            hook(reason)
 
 
-def _provider_process_main(
-    broker_host: str,
-    port: int,
-    capacity: int,
-    device_class: str,
-    node_id: str,
-    benchmark_score: float | None,
-    stop_event,
-) -> None:
-    provider = TcpProvider(
-        broker_host,
-        port,
-        capacity=capacity,
-        device_class=device_class,
-        node_id=node_id,
-        benchmark_score=benchmark_score,
-    )
-    provider.start()
+def _provider_process_main(stop_event, *args, **kwargs) -> None:
+    provider = TcpProvider(*args, **kwargs).start()
     stop_event.wait()
     provider.stop()
 
 
-class ProviderProcess:
+class ProviderProcess(_Node):
     """A provider running in its own OS process (GIL-free parallelism)."""
 
     def __init__(
@@ -1476,14 +1400,12 @@ class ProviderProcess:
         self._stop_event = multiprocessing.Event()
         self._process = multiprocessing.Process(
             target=_provider_process_main,
-            args=(
-                broker_host,
-                broker_port,
-                capacity,
-                device_class,
-                self.node_id,
-                benchmark_score,
-                self._stop_event,
+            args=(self._stop_event, broker_host, broker_port),
+            kwargs=dict(
+                capacity=capacity,
+                device_class=device_class,
+                node_id=self.node_id,
+                benchmark_score=benchmark_score,
             ),
             daemon=True,
         )
@@ -1509,12 +1431,6 @@ class ProviderProcess:
         if self._process.is_alive():
             self._process.kill()
         self._process.join(5.0)
-
-    def __enter__(self) -> "ProviderProcess":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 def spawn_provider_processes(

@@ -164,7 +164,7 @@ def test_severed_consumer_connection_fails_futures_not_broker():
             # Sever mid-flight: shutdown() tears the connection down even
             # with the reader thread blocked in recv (a bare close() would
             # leave the kernel socket alive until that recv returns).
-            victim._connection.close()
+            victim._link._connection.close()
             with pytest.raises(BrokerUnreachable):
                 future.result(timeout=5)
             wait_until(lambda: disconnects, timeout=5, message="on_disconnect hook")

@@ -155,7 +155,7 @@ def test_broker_kill_mid_workload_loses_nothing_duplicates_nothing(tmp_path):
             except BrokerUnreachable:
                 pass
         wait_until(
-            lambda: not consumer._disconnected.is_set(),
+            lambda: consumer.connected,
             message="consumer failover to a surviving broker",
         )
         for tid in ids:
@@ -205,7 +205,7 @@ def test_federation_exhausted_when_every_broker_is_gone(tmp_path):
         ).start()
         stop_all(brokers)
         wait_until(
-            lambda: consumer._exhausted is not None,
+            lambda: consumer._link.exhausted is not None,
             message="failover attempts to exhaust",
         )
         with pytest.raises(FederationExhausted) as excinfo:

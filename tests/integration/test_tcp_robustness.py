@@ -60,7 +60,7 @@ def test_abrupt_consumer_disconnect_leaves_broker_healthy(broker):
         _wait_registered(broker, 1)
         consumer = TcpConsumer(host, port).start()
         consumer.library.submit(kernels.PRIME_COUNT, args=[5000])
-        consumer._connection.sock.close()  # vanish without goodbye
+        consumer._link._connection.sock.close()  # vanish without goodbye
         time.sleep(0.3)
         # New consumers are served normally.
         with TcpConsumer(host, port) as fresh:

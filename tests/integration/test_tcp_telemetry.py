@@ -155,12 +155,10 @@ def test_unechoed_heartbeat_acks_are_counted(telemetry):
     )
     counter = telemetry.registry.get("repro_transport_heartbeats_unechoed_total")
     rtt = telemetry.registry.get("repro_transport_heartbeat_rtt_seconds")
-    assert provider._on_broker_message(
-        HeartbeatAck(provider_id="p1", echo_sent_at=0.0)
-    )
+    provider._on_broker_message(HeartbeatAck(provider_id="p1", echo_sent_at=0.0))
     assert counter.value == 1
     assert rtt.count == 0
-    assert provider._on_broker_message(
+    provider._on_broker_message(
         HeartbeatAck(provider_id="p1", echo_sent_at=time.monotonic())
     )
     assert counter.value == 1

@@ -1,8 +1,9 @@
 """Deterministic regressions for the transport's shutdown races.
 
-* an envelope ``send`` accepted while another thread was mid-flush must
-  still reach the wire when the connection is then closed gracefully
-  (both connection implementations);
+* a client ``send`` returns only once its bytes are written, so a graceful
+  close cannot lose it, and a send that fails to encode wedges nobody;
+* what the broker-side connection accepted before a graceful close still
+  reaches the wire;
 * an assignment the provider's reader thread delivers after ``stop()``
   shut the executor pool is rejected, not an unhandled thread exception.
 """
@@ -12,6 +13,9 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
+from repro.common.errors import CodecError
 from repro.common.ids import NodeId
 from repro.transport.aio import AioConnection, LoopThread
 from repro.transport.codec import EnvelopeDecoder
@@ -58,29 +62,63 @@ class GatedSocket:
         return getattr(self._sock, name)
 
 
-def test_threaded_close_flushes_sends_accepted_behind_an_active_flusher():
+def test_threaded_send_returns_once_written_so_close_loses_nothing():
     ours, peer = socket.socketpair()
     gated = GatedSocket(ours)
     connection = _Connection(gated)
-    flusher = threading.Thread(target=connection.send, args=(make_envelope(1),))
-    flusher.start()
+    first = threading.Thread(target=connection.send, args=(make_envelope(1),))
+    first.start()
     assert gated.entered.wait(5.0)
-    # The heartbeat thread is parked inside sendall; this send is queued
-    # behind it and returns at once — it has been accepted.
-    connection.send(make_envelope(2))
-    closer = threading.Thread(target=connection.close)
-    closer.start()
-    while True:  # until close() has marked the connection closed
-        with connection._send_lock:
-            if connection._closed:
-                break
+    # The first sender is parked inside sendall holding the send lock; a
+    # second send must wait its turn rather than return with its envelope
+    # merely queued.
+    second = threading.Thread(target=connection.send, args=(make_envelope(2),))
+    second.start()
+    second.join(0.2)
+    assert second.is_alive()
     gated.gate.set()
-    flusher.join(5.0)
-    closer.join(5.0)
-    assert not flusher.is_alive() and not closer.is_alive()
+    first.join(5.0)
+    second.join(5.0)
+    assert not first.is_alive() and not second.is_alive()
+    # Both sends returned, so both are with the kernel: close loses neither.
+    connection.close()
     received = recv_until_eof(peer)
     peer.close()
     assert [e.payload["provider_id"] for e in received] == ["p1", "p2"]
+
+
+def test_close_waits_for_a_send_in_progress():
+    ours, peer = socket.socketpair()
+    gated = GatedSocket(ours)
+    connection = _Connection(gated)
+    sender = threading.Thread(target=connection.send, args=(make_envelope(1),))
+    sender.start()
+    assert gated.entered.wait(5.0)
+    closer = threading.Thread(target=connection.close)
+    closer.start()
+    closer.join(0.2)
+    assert closer.is_alive()  # waiting for the send lock, socket still open
+    gated.gate.set()
+    sender.join(5.0)
+    closer.join(5.0)
+    assert not sender.is_alive() and not closer.is_alive()
+    received = recv_until_eof(peer)
+    peer.close()
+    assert [e.payload["provider_id"] for e in received] == ["p1"]
+
+
+def test_encode_failure_does_not_wedge_the_connection():
+    ours, peer = socket.socketpair()
+    connection = _Connection(ours)
+    unencodable = make_envelope(1)
+    unencodable.payload["free_slots"] = {1, 2}  # a set is not a wire value
+    with pytest.raises(CodecError):
+        connection.send(unencodable)
+    connection.send(make_envelope(2))
+    connection.close()
+    received = recv_until_eof(peer)
+    peer.close()
+    assert [e.payload["provider_id"] for e in received] == ["p2"]
 
 
 def test_aio_close_flushes_sends_accepted_before_it():
@@ -117,8 +155,8 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         seed=0,
         fuel=1000,
     )
-    # ``_running`` still set = the reader passed its check just before
-    # stop() flipped it; cleared = it reads one more message afterwards.
+    # Still RUNNING = the reader passed its check just before stop()
+    # flipped the state; STOPPED = it reads one more message afterwards.
     for still_running in (True, False):
         provider = TcpProvider("127.0.0.1", 1, node_id="p1", benchmark_score=1e7)
         sent = []
@@ -126,7 +164,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         provider._pool = ThreadPoolExecutor(max_workers=1)
         provider._pool.shutdown(wait=False, cancel_futures=True)  # as stop() does
         if still_running:
-            provider._running.set()
+            provider._state = provider._RUNNING
         thread_errors = []
         previous_hook = threading.excepthook
         threading.excepthook = thread_errors.append
@@ -140,7 +178,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
             threading.excepthook = previous_hook
         assert not reader.is_alive()
         assert thread_errors == []
-        assert provider._inflight == set()
+        assert not provider._inflight
         (rejection,) = [body_of(envelope) for envelope in sent]
         assert isinstance(rejection, ExecutionRejected)
         assert rejection.execution_id == "ex-1"
