@@ -1,7 +1,7 @@
-"""Shared helper for the per-table/figure benchmark files.
+"""Shared helper for the per-table/figure benchmark cases.
 
-Each ``bench_*.py`` wraps one reconstructed experiment (see DESIGN.md §3
-and ``repro.bench.experiments``).  The experiments are macro-benchmarks —
+Each case of ``bench_experiments.py`` wraps one reconstructed experiment
+(see DESIGN.md §3 and ``repro.bench.experiments``).  The experiments are macro-benchmarks —
 seconds each — so every benchmark runs exactly one round and additionally
 asserts the experiment's shape checks, making ``pytest benchmarks/
 --benchmark-only`` a full reproduction pass.

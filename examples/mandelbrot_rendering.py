@@ -71,7 +71,7 @@ def main() -> None:
     print(
         "\n(one pool, one seed — for the statistically meaningful strategy\n"
         " comparison across repeats and a larger long-tailed workload, run\n"
-        " the F4 experiment: pytest benchmarks/bench_fig4_heterogeneity.py)"
+        " the F4 experiment: pytest benchmarks/bench_experiments.py -k F4)"
     )
 
 

@@ -97,13 +97,13 @@ def main() -> int:
             host, port, node_id="slow-liar", benchmark_score=1e12,
             capacity=2, obs_port=0,
         )
-        real_execute = slow._executor.execute
+        real_execute = slow.core.executor.execute
 
         def delayed_execute(request):
             time.sleep(args.delay)
             return real_execute(request)
 
-        slow._executor.execute = delayed_execute
+        slow.core.executor.execute = delayed_execute
         slow.start()
         wait_for(lambda: alive_providers(base) >= 2, 10, "slow registration")
 

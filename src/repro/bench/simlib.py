@@ -144,7 +144,7 @@ def run_workload(
         # immune to the sampling aliasing that short task bursts cause.
         total_slots = sum(config.capacity for config in pool)
         busy = sum(
-            provider.core.stats.busy_seconds
+            provider.driver.stats.busy_seconds
             for provider in simulation.providers.values()
         )
         if makespan not in (0.0, float("inf")) and total_slots:

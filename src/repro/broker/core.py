@@ -776,6 +776,20 @@ class BrokerCore:
         is already decided and the replica's result no longer matters.
         ``cancel`` also tells the provider.
         """
+        out = self._release(state, outstanding, record, cancel)
+        if record is not None:
+            out.extend(self._fold(state, [record]))
+        return out
+
+    def _release(
+        self,
+        state: _TaskletState,
+        outstanding: _Outstanding,
+        record: ExecutionRecord | None,
+        cancel: bool,
+    ) -> list[Envelope]:
+        """The bookkeeping half of :meth:`_end_execution`: everything but
+        the vote, which :meth:`_lose` casts once for all it ends."""
         state.outstanding.pop(outstanding.execution_id, None)
         self._by_execution.pop(outstanding.execution_id, None)
         out: list[Envelope] = []
@@ -812,29 +826,35 @@ class BrokerCore:
                         price=provider.price,
                     )
         self.observer.execution_ended(state, outstanding, record)
-        if record is not None:
-            out.extend(self._fold_record(state, record))
         return out
 
-    def _fold_record(
-        self, state: _TaskletState, record: ExecutionRecord
+    def _fold(
+        self, state: _TaskletState, records: list[ExecutionRecord]
     ) -> list[Envelope]:
-        """Update the vote and drive the tasklet toward completion."""
+        """Update the vote with the executions that ended together and
+        drive the tasklet toward completion.
+
+        All of ``records`` are in the vote before anything is re-issued
+        or decided, so no replacement lands on a provider that has just
+        failed this tasklet and a final failure reports every execution.
+        """
         if state.done:
             return []
-        if not record.ok:
-            state.failed_providers.add(record.provider_id)
-        state.collector.add(record)
+        for record in records:
+            if not record.ok:
+                state.failed_providers.add(record.provider_id)
+            state.collector.add(record)
         winner = state.collector.winner()
         if winner is not None:
             return self._complete(state, ok=True, value=winner[0].value)
 
         out: list[Envelope] = []
-        if not record.ok and state.budget_left > 0:
-            self.observer.reissued(
-                state, after=record.status.value, node=str(record.provider_id)
-            )
-            out.extend(self._issue(state, 1))
+        for record in records:
+            if not record.ok and state.budget_left > 0:
+                self.observer.reissued(
+                    state, after=record.status.value, node=str(record.provider_id)
+                )
+                out.extend(self._issue(state, 1))
 
         if not state.outstanding and state.pending_replicas == 0:
             if state.budget_left > 0:
@@ -884,7 +904,7 @@ class BrokerCore:
         execution records happened there, not in this broker's books."""
         if state.done:
             # Completion is single-shot: a caller further up the stack
-            # (e.g. _fold_record re-checking after a failed _issue)
+            # (e.g. _fold re-checking after a failed _issue)
             # already finished this tasklet.
             return []
         state.done = True
@@ -993,13 +1013,13 @@ class BrokerCore:
         provider that will never report on it — with a ``status`` record."""
         out: list[Envelope] = []
         now = self.clock.now()
-        for state in list(self._tasklets.values()):
-            doomed = [
-                (outstanding, error)
-                for outstanding in state.outstanding.values()
-                if (error := why(state, outstanding)) is not None
-            ]
-            for outstanding, error in doomed:
+        lost: list[tuple[_TaskletState, list[ExecutionRecord]]] = []
+        for state in self._tasklets.values():
+            records: list[ExecutionRecord] = []
+            for outstanding in list(state.outstanding.values()):
+                error = why(state, outstanding)
+                if error is None:
+                    continue
                 record = ExecutionRecord(
                     execution_id=outstanding.execution_id,
                     tasklet_id=state.tasklet_id,
@@ -1009,9 +1029,15 @@ class BrokerCore:
                     started_at=outstanding.issued_at,
                     finished_at=now,
                 )
-                out.extend(
-                    self._end_execution(state, outstanding, record, cancel=cancel)
-                )
+                out.extend(self._release(state, outstanding, record, cancel))
+                records.append(record)
+            if records:
+                lost.append((state, records))
+        # Every lost slot is free before any vote is folded: folding
+        # re-issues, and a re-issue landing on a provider's fresh record
+        # ahead of that provider's next loss would be uncounted by it.
+        for state, records in lost:
+            out.extend(self._fold(state, records))
         return out
 
     # -- monitoring ---------------------------------------------------------------

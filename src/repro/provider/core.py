@@ -1,27 +1,19 @@
-"""The provider core: a sans-IO node contributing compute.
+"""The provider core: the provider's half of the protocol, sans-IO.
 
-Like :class:`~repro.broker.core.BrokerCore`, the provider core performs no
-IO: handlers return ``(delay, Envelope)`` pairs, where ``delay`` tells the
-transport how far in the future the message becomes visible.  This is how
-*virtual execution time* works in the simulator — the provider runs the
-Tasklet on the real TVM immediately (to obtain the true result and
-instruction count) but stamps the result with the time a device of its
-speed *would have taken*:
-
-    service_time = instructions / speed_ips  (+ fixed per-execution overhead)
-
-Concurrency is modelled with capacity slots: an arriving execution starts
-at ``max(now, earliest slot free time)``.  This reproduces queueing
-behaviour exactly for FIFO providers without needing callbacks into the
-event loop.
-
-The real TCP provider does not use the slot model: its executions take
-actual wall time in worker threads.
+It builds every provider→broker message, reacts to every broker→provider
+one and decides whether a finished execution may still be reported
+(docs/PROTOCOL.md, "Epochs" and "Cancellation").  A driver moves the
+envelopes and decides when accepted work runs and what time it is
+stamped with — :class:`~repro.transport.tcp.TcpProvider` on a thread pool
+in wall time, :class:`~repro.provider.simulated.SimProvider` at
+assignment in virtual time (DESIGN.md, "Provider internals").
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..common.clock import Clock
 from ..common.ids import NodeId
@@ -37,16 +29,13 @@ from ..transport.message import (
     ExecutionResult,
     Heartbeat,
     MessageBody,
+    REASON_UNKNOWN_PROVIDER,
     RegisterAck,
     RegisterProvider,
     Unregister,
     body_of,
 )
-from .executor import PROGRAM_CACHE_SIZE, TaskletExecutor
-from .failure import ExecutionFailureModel, FaultKind, corrupt_value
-
-#: Outbound message with a virtual delay before it is handed to the network.
-Outbound = tuple[float, Envelope]
+from .executor import PROGRAM_CACHE_SIZE, ExecutionOutcome, TaskletExecutor
 
 
 @dataclass
@@ -72,26 +61,24 @@ class ProviderConfig:
         return self.benchmark_score if self.benchmark_score is not None else self.speed_ips
 
 
-@dataclass
-class ProviderCoreStats:
-    executed: int = 0
-    succeeded: int = 0
-    vm_errors: int = 0
-    rejected: int = 0
-    dropped_by_fault: int = 0
-    corrupted_by_fault: int = 0
-    busy_seconds: float = 0.0
+class Work(NamedTuple):
+    """An assignment the core accepted; the driver decides when it runs."""
+
+    request: AssignExecution
+    epoch: int  # the registration it was accepted under
+    trace: dict[str, str] | None
 
 
 class ProviderCore:
-    """One simulated provider node (see module docstring)."""
+    """One provider node's protocol state (see module docstring)."""
+
+    STOPPED, RUNNING, DRAINING = "stopped", "running", "draining"
 
     def __init__(
         self,
         node_id: NodeId,
         clock: Clock,
         config: ProviderConfig | None = None,
-        failure_model: ExecutionFailureModel | None = None,
         broker: NodeId = BROKER_ADDRESS,
         telemetry: Telemetry | None = None,
     ):
@@ -103,7 +90,6 @@ class ProviderCore:
         if self.config.speed_ips <= 0:
             raise ValueError(f"speed must be positive, got {self.config.speed_ips}")
         self.broker = broker
-        self.failure_model = failure_model or ExecutionFailureModel()
         self.telemetry = telemetry
         self._metrics = ProviderMetrics(telemetry.registry) if telemetry else None
         self._tracer = telemetry.tracer if telemetry else None
@@ -113,18 +99,46 @@ class ProviderCore:
             profile=self.config.profile_executions,
             metrics=self._metrics,
         )
-        self.stats = ProviderCoreStats()
+        #: Guards everything below (the TCP driver calls in from several
+        #: threads); notified when the core stops or drains empty.
+        self.lock = threading.Condition()
+        #: Work is accepted only while ``RUNNING``.
+        self.state = self.STOPPED
+        self.active = 0  # executions inside the executor right now
+        #: Executions accepted but not yet finished -> whether the broker
+        #: cancelled them.
+        self.inflight: dict[str, bool] = {}
+        #: Bumped on every (re-)registration, which voids every execution
+        #: accepted before it: results from an older epoch are dropped.
+        self.epoch = 0
+        #: Whether the broker accepted the latest registration.
         self.registered = False
-        #: Virtual time at which each slot becomes free.
-        self._slot_free_at: list[float] = [0.0] * self.config.capacity
-        #: Start times of accepted executions that have not begun yet;
-        #: pruned lazily.  Their count is the queue length.
-        self._pending_starts: list[float] = []
 
-    # -- lifecycle ----------------------------------------------------------
+    # -- admission state ------------------------------------------------------
 
-    def start(self) -> list[Outbound]:
-        """Produce the registration message."""
+    def start(self) -> None:
+        """Begin accepting assignments."""
+        with self.lock:
+            self.state = self.RUNNING
+
+    def drain(self) -> None:
+        """Refuse new assignments; what is in flight still finishes."""
+        with self.lock:
+            if self.state == self.RUNNING:
+                self.state = self.DRAINING
+
+    def stop(self) -> None:
+        with self.lock:
+            self.state = self.STOPPED
+            self.lock.notify_all()
+
+    # -- provider -> broker ---------------------------------------------------
+
+    def registration(self) -> Envelope:
+        """A ``register_provider`` envelope; each one opens a new epoch."""
+        with self.lock:
+            self.epoch += 1
+            self.registered = False
         register = RegisterProvider(
             provider_id=self.node_id,
             device_class=self.config.device_class,
@@ -133,94 +147,90 @@ class ProviderCore:
             price=self.config.price,
             heartbeat_interval=self.config.heartbeat_interval,
         )
-        return [(0.0, self._send(register))]
+        return self._send(register)
 
-    def stop(self) -> list[Outbound]:
-        """Produce the graceful-leave message."""
+    def unregister(self) -> Envelope:
+        """The graceful-leave message."""
         self.registered = False
-        return [(0.0, self._send(Unregister(provider_id=self.node_id)))]
+        return self._send(Unregister(provider_id=self.node_id))
 
-    def tick(self) -> list[Outbound]:
-        """Produce a heartbeat (call once per heartbeat interval)."""
-        if not self.registered:
-            return []
-        free = sum(
-            1 for free_at in self._slot_free_at if free_at <= self.clock.now()
-        )
+    def heartbeat(self, free_slots: int) -> Envelope:
+        """The periodic liveness + load report."""
         if self._metrics is not None:
             self._metrics.busy_slots.labels(provider=str(self.node_id)).set(
-                self.config.capacity - free
+                self.config.capacity - free_slots
             )
-        heartbeat = Heartbeat(
-            provider_id=self.node_id, free_slots=free, queue_length=0
-        )
-        return [(0.0, self._send(heartbeat))]
+        return self._send(Heartbeat(provider_id=self.node_id, free_slots=free_slots))
 
-    # -- message handling -------------------------------------------------------
+    # -- broker -> provider ---------------------------------------------------
 
-    def handle(self, envelope: Envelope) -> list[Outbound]:
+    def handle(self, envelope: Envelope) -> tuple[list[Envelope], Work | None]:
+        """React to one broker message: what to send now, and the work an
+        accepted ``assign_execution`` became (the driver runs it)."""
         body = body_of(envelope)
-        if isinstance(body, RegisterAck):
-            if body.accepted:
-                self.registered = True
-                return []
-            # Broker does not know us (it restarted): re-register.
-            self.registered = False
-            return self.start()
         if isinstance(body, AssignExecution):
-            return self._on_assign(body, envelope.trace)
+            with self.lock:
+                if self.state == self.RUNNING:
+                    self.inflight[body.execution_id] = False
+                    return [], Work(body, self.epoch, envelope.trace)
+            return [self._rejection(body, "provider draining")], None
         if isinstance(body, CancelExecution):
-            # The slot model decides results at assignment time, so by
-            # the time a cancel arrives the result is already "on the
-            # wire"; the broker drops it as late.  Tracking cancel ids
-            # here would only accumulate forever (they were never read).
-            return []
-        return []
+            with self.lock:
+                # Only executions still in flight can be cancelled;
+                # anything else (already finished, or assigned to a
+                # previous incarnation) would leak in the map forever.
+                if body.execution_id in self.inflight:
+                    self.inflight[body.execution_id] = True
+        elif isinstance(body, RegisterAck):
+            self.registered = body.accepted
+            if not body.accepted and body.reason == REASON_UNKNOWN_PROVIDER:
+                # The broker restarted and lost our registration: it
+                # answers our heartbeat with this rejection to ask us
+                # back.  Any other rejection is permanent — asking again
+                # would be refused again.
+                return [self.registration()], None
+        return [], None
 
-    # -- execution ----------------------------------------------------------
+    # -- one execution --------------------------------------------------------
 
-    def _on_assign(
-        self, request: AssignExecution, trace: dict[str, str] | None = None
-    ) -> list[Outbound]:
-        now = self.clock.now()
-        # Pick the earliest-free slot; model a bounded queue.
-        slot = min(range(len(self._slot_free_at)), key=self._slot_free_at.__getitem__)
-        start_at = max(now, self._slot_free_at[slot])
-        queue_delay = start_at - now
-        if queue_delay > 0 and self._queued_count(now) >= self.config.max_queue:
-            self.stats.rejected += 1
-            if self._metrics is not None:
-                self._metrics.rejected.inc()
-            rejection = ExecutionRejected(
-                execution_id=request.execution_id,
-                tasklet_id=request.tasklet_id,
-                provider_id=self.node_id,
-                reason="provider queue full",
-            )
-            return [(0.0, self._send(rejection))]
+    def run(self, work: Work) -> ExecutionOutcome | None:
+        """Execute ``work`` now, on the caller's thread.  ``None`` means
+        the broker cancelled it before it began; it is already purged."""
+        with self.lock:
+            if self.inflight.get(work.request.execution_id):
+                self.finish(work)
+                return None
+            self.active += 1
+        try:
+            return self.executor.execute(work.request)
+        finally:
+            with self.lock:
+                self.active -= 1
 
-        if queue_delay > 0:
-            self._pending_starts.append(start_at)
-        outcome = self.executor.execute(request)
-        self.stats.executed += 1
-        service_time = self.config.startup_overhead_s + (
-            outcome.instructions / self.config.speed_ips
-        )
-        finished_at = start_at + service_time
-        self._slot_free_at[slot] = finished_at
-        self.stats.busy_seconds += service_time
+    def report(
+        self,
+        work: Work,
+        outcome: ExecutionOutcome,
+        started: float,
+        finished: float,
+    ) -> Envelope | None:
+        """Account for one finished execution and build its result —
+        ``None`` when the broker no longer wants it (it was cancelled, or
+        a registration since has voided it).  Follow with :meth:`finish`
+        once the result is on its way."""
+        request = work.request
         if self._metrics is not None:
             self._metrics.executions.labels(status=outcome.status.value).inc()
-            self._metrics.execution_seconds.observe(service_time)
+            self._metrics.execution_seconds.observe(finished - started)
         if self._tracer is not None:
-            parent = TraceContext.from_dict(trace)
+            parent = TraceContext.from_dict(work.trace)
             if parent is not None:
                 self._tracer.record(
                     name="provider.execute",
                     context=self._tracer.child(parent),
                     node=str(self.node_id),
-                    start=start_at,
-                    end=finished_at,
+                    start=started,
+                    end=finished,
                     parent_id=parent.span_id,
                     status="ok" if outcome.ok else outcome.status.value,
                     attrs={
@@ -228,57 +238,61 @@ class ProviderCore:
                         "instructions": outcome.instructions,
                     },
                 )
-
-        value = outcome.value
-        status = outcome.status
-        if outcome.ok:
-            self.stats.succeeded += 1
-            fault = self.failure_model.draw()
-            if fault is FaultKind.DROP:
-                self.stats.dropped_by_fault += 1
-                return []  # crash before reporting: broker times it out
-            if fault is FaultKind.CORRUPT:
-                self.stats.corrupted_by_fault += 1
-                value = corrupt_value(value, self.failure_model.rng)
-        else:
-            self.stats.vm_errors += 1
-            if self._events is not None:
-                self._events.record(
-                    ev.EXECUTION_FAULT,
-                    node=str(self.node_id),
-                    ts=finished_at,
-                    execution_id=str(request.execution_id),
-                    tasklet_id=str(request.tasklet_id),
-                    status=status.value,
-                    error=outcome.error or "",
-                )
-
+        if not outcome.ok and self._events is not None:
+            self._events.record(
+                ev.EXECUTION_FAULT,
+                node=str(self.node_id),
+                ts=finished,
+                execution_id=str(request.execution_id),
+                tasklet_id=str(request.tasklet_id),
+                status=outcome.status.value,
+                error=outcome.error or "",
+            )
+        with self.lock:
+            current = (
+                not self.inflight.get(request.execution_id)
+                and work.epoch == self.epoch
+            )
+        if not current:
+            return None
         result = ExecutionResult(
             execution_id=request.execution_id,
             tasklet_id=request.tasklet_id,
             provider_id=self.node_id,
-            status=status.value,
-            value=value,
+            status=outcome.status.value,
+            value=outcome.value,
             error=outcome.error,
             instructions=outcome.instructions,
-            started_at=start_at,
-            finished_at=finished_at,
+            started_at=started,
+            finished_at=finished,
         )
-        return [(finished_at - now, self._send(result))]
+        return self._send(result)
 
-    def _queued_count(self, now: float) -> int:
-        """Assignments accepted but not yet started (all slots busy)."""
-        self._pending_starts = [
-            start for start in self._pending_starts if start > now
-        ]
-        return len(self._pending_starts)
+    def reject(self, work: Work, reason: str) -> Envelope:
+        """Refuse work the driver finds it cannot run after all (its queue
+        is full, its pool is shut) while still handling the assignment."""
+        self.finish(work)
+        return self._rejection(work.request, reason)
 
-    # -- helpers ----------------------------------------------------------------
+    def finish(self, work: Work) -> None:
+        """``work`` is over on this node: purge its bookkeeping."""
+        with self.lock:
+            self.inflight.pop(work.request.execution_id, None)
+            if not self.inflight and self.state == self.DRAINING:
+                self.lock.notify_all()
+
+    # -- helpers --------------------------------------------------------------
+
+    def _rejection(self, request: AssignExecution, reason: str) -> Envelope:
+        if self._metrics is not None:
+            self._metrics.rejected.inc()
+        rejection = ExecutionRejected(
+            execution_id=request.execution_id,
+            tasklet_id=request.tasklet_id,
+            provider_id=self.node_id,
+            reason=reason,
+        )
+        return self._send(rejection)
 
     def _send(self, body: MessageBody) -> Envelope:
         return body.envelope(src=self.node_id, dst=self.broker)
-
-    @property
-    def busy_until(self) -> float:
-        """Virtual time at which the last slot frees (for the runner)."""
-        return max(self._slot_free_at)

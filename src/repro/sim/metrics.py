@@ -106,11 +106,9 @@ class MetricsCollector:
     def _sample(self) -> None:
         now = self.simulation.now
         for node_id, sim_provider in self.simulation.providers.items():
-            core = sim_provider.core
-            capacity = core.config.capacity
-            busy = sum(
-                1 for free_at in core._slot_free_at if free_at > now
-            )
+            driver = sim_provider.driver
+            capacity = driver.config.capacity
+            busy = capacity - driver.free_slots()
             self.utilization.setdefault(node_id, GaugeSeries()).record(
                 now, busy / capacity
             )
@@ -136,8 +134,8 @@ class MetricsCollector:
                 mean_utilization=series.mean,
                 peak_utilization=series.peak,
                 availability=availability_series.mean,
-                busy_seconds=sim_provider.core.stats.busy_seconds,
-                executed=sim_provider.core.stats.executed,
+                busy_seconds=sim_provider.driver.stats.busy_seconds,
+                executed=sim_provider.driver.stats.executed,
             )
         pool_mean = (
             sum(p.mean_utilization for p in providers.values()) / len(providers)

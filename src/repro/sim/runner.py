@@ -3,7 +3,8 @@
 The same sans-IO cores that run on the real TCP transport are wired here
 to a discrete-event loop: messages become events delayed by a network
 model, provider execution time becomes virtual delay computed from real
-TVM instruction counts, and provider churn toggles nodes off and on.
+TVM instruction counts (:class:`~repro.provider.simulated.SimProvider`),
+and provider churn toggles nodes off and on.
 
 Typical experiment shape::
 
@@ -43,6 +44,7 @@ from ..core.tasklet import Tasklet
 from ..obs.telemetry import Telemetry
 from ..provider.core import ProviderConfig, ProviderCore
 from ..provider.failure import ExecutionFailureModel
+from ..provider.simulated import SimProvider
 from ..sim.churn import ChurnModel
 from ..sim.eventloop import EventLoop
 from ..sim.network import ConstantLatency, NetworkModel
@@ -50,8 +52,11 @@ from ..transport.message import Envelope
 
 
 @dataclass
-class _SimProvider:
-    core: ProviderCore
+class _ProviderNode:
+    """A provider's availability; messages sent under an earlier
+    ``incarnation`` are lost (crash semantics above)."""
+
+    driver: SimProvider
     up: bool = True
     incarnation: int = 0
     churn_iter: object = None  # iterator over (is_up, duration)
@@ -126,7 +131,7 @@ class Simulation:
             telemetry=telemetry,
             journal=journal,
         )
-        self.providers: dict[NodeId, _SimProvider] = {}
+        self.providers: dict[NodeId, _ProviderNode] = {}
         self.consumers: dict[NodeId, SimConsumer] = {}
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -150,10 +155,9 @@ class Simulation:
             node_id=node_id,
             clock=self.loop.clock,
             config=config,
-            failure_model=failure_model,
             telemetry=self.telemetry,
         )
-        sim_provider = _SimProvider(core=core)
+        sim_provider = _ProviderNode(SimProvider(core, failure_model))
         self.providers[node_id] = sim_provider
 
         jitter = self.rng.stream("heartbeat-jitter").uniform(
@@ -164,7 +168,7 @@ class Simulation:
             lambda: self._provider_heartbeat(sim_provider),
             jitter0=jitter,
         )
-        self._emit_provider(sim_provider, core.start())
+        self._emit_provider(sim_provider, sim_provider.driver.start())
 
         if churn is not None:
             sim_provider.churn_iter = churn.sessions()
@@ -182,7 +186,7 @@ class Simulation:
 
     # -- churn ----------------------------------------------------------------
 
-    def _advance_churn(self, sim_provider: _SimProvider, expect_up: bool) -> None:
+    def _advance_churn(self, sim_provider: _ProviderNode, expect_up: bool) -> None:
         """Consume the next churn segment and schedule the transition."""
         is_up, duration = next(sim_provider.churn_iter)
         if is_up != expect_up:
@@ -200,20 +204,19 @@ class Simulation:
                 duration, lambda: self._provider_up(sim_provider), background=True
             )
 
-    def _provider_down(self, sim_provider: _SimProvider) -> None:
+    def _provider_down(self, sim_provider: _ProviderNode) -> None:
         if not sim_provider.up:
             return
         sim_provider.up = False
         if sim_provider.churn_iter is not None:
             self._advance_churn(sim_provider, expect_up=False)
 
-    def _provider_up(self, sim_provider: _SimProvider) -> None:
+    def _provider_up(self, sim_provider: _ProviderNode) -> None:
         if sim_provider.up:
             return
         sim_provider.up = True
         sim_provider.incarnation += 1
-        sim_provider.core.registered = False
-        self._emit_provider(sim_provider, sim_provider.core.start())
+        self._emit_provider(sim_provider, sim_provider.driver.start())
         if sim_provider.churn_iter is not None:
             self._advance_churn(sim_provider, expect_up=True)
 
@@ -264,7 +267,7 @@ class Simulation:
                 self.messages_dropped += 1
                 return
             self._emit_provider(
-                target_provider, target_provider.core.handle(envelope)
+                target_provider, target_provider.driver.handle(envelope)
             )
             return
         consumer = self.consumers.get(envelope.dst)
@@ -274,13 +277,13 @@ class Simulation:
             return
         self.messages_dropped += 1  # unknown destination
 
-    def _emit_provider(self, sim_provider: _SimProvider, outbound) -> None:
+    def _emit_provider(self, sim_provider: _ProviderNode, outbound) -> None:
         for delay, envelope in outbound:
             self.dispatch(envelope, extra_delay=delay)
 
-    def _provider_heartbeat(self, sim_provider: _SimProvider) -> None:
+    def _provider_heartbeat(self, sim_provider: _ProviderNode) -> None:
         if sim_provider.up:
-            self._emit_provider(sim_provider, sim_provider.core.tick())
+            self._emit_provider(sim_provider, sim_provider.driver.tick())
 
     def _broker_tick(self) -> None:
         for out in self.broker.tick():

@@ -9,8 +9,8 @@ sockets:
   connection instead of a thread per connection.  It has many links, so
   its outbound envelopes are write-coalesced: everything routed while a
   previous flush is draining goes out in one socket write.
-* :class:`TcpProvider` — registers, executes assignments on a pool of
-  worker threads, heartbeats periodically;
+* :class:`TcpProvider` — runs what its :class:`~repro.provider.core.ProviderCore`
+  accepts on a pool of worker threads, heartbeats periodically;
 * :class:`TcpConsumer` — a :class:`~repro.consumer.library.Session` over a
   broker connection, so ``TaskletLibrary`` works unchanged.
 
@@ -79,10 +79,10 @@ from ..core.futures import TaskletFuture
 from ..core.tasklet import Tasklet
 from ..obs import events as ev
 from ..obs.server import ObsServer
-from ..obs.telemetry import ProviderMetrics, Telemetry, TransportMetrics
-from ..obs.trace import TraceContext
+from ..obs.telemetry import Telemetry, TransportMetrics
 from ..provider.benchmark import run_benchmark
-from ..provider.executor import PROGRAM_CACHE_SIZE, TaskletExecutor
+from ..provider.core import ProviderConfig, ProviderCore, Work
+from ..provider.executor import PROGRAM_CACHE_SIZE
 from ..transport.aio import AioConnection, LoopThread
 from ..transport.codec import (
     CODEC_JSON,
@@ -96,21 +96,12 @@ from ..transport.codec import (
     encode_batch,
 )
 from ..transport.message import (
-    AssignExecution,
     BROKER_ADDRESS,
-    CancelExecution,
     Envelope,
-    ExecutionRejected,
-    ExecutionResult,
-    Heartbeat,
     HeartbeatAck,
     Hello,
     HelloAck,
     PeerHello,
-    REASON_UNKNOWN_PROVIDER,
-    RegisterAck,
-    RegisterProvider,
-    Unregister,
     body_of,
 )
 
@@ -828,6 +819,10 @@ class _BrokerLink:
 class TcpProvider(_Node):
     """A provider process/thread executing Tasklets over TCP.
 
+    The protocol is ``core``, the :class:`ProviderCore` the simulator
+    also drives; this driver adds the link, the worker pool, wall-clock
+    stamps, the heartbeat thread and the one wait for a drain.
+
     The broker link is supervised (:class:`_BrokerLink`): if it drops
     while the provider is running, the link redials with exponential
     backoff (plus jitter, so a provider fleet does not reconnect in
@@ -836,8 +831,6 @@ class TcpProvider(_Node):
     (re)connection opens with a transport ``hello`` so the binary codec
     is renegotiated per link; ``codec='json'`` pins the debug fallback.
     """
-
-    _STOPPED, _RUNNING, _DRAINING = "stopped", "running", "draining"
 
     def __init__(
         self,
@@ -861,40 +854,28 @@ class TcpProvider(_Node):
         codec: str = "binary",
     ):
         self.node_id = NodeId(node_id or random_id("prov"))
-        self.capacity = capacity
-        self.device_class = device_class
-        self.heartbeat_interval = heartbeat_interval
-        self.price = price
         self.reconnect = reconnect
         if obs_port is not None and telemetry is None:
             telemetry = Telemetry()
         self.telemetry = telemetry
-        self._metrics = ProviderMetrics(telemetry.registry) if telemetry else None
-        self._tracer = telemetry.tracer if telemetry else None
         self._events = telemetry.events if telemetry else None
-        self._score = benchmark_score  # measured once, cached for re-registration
-        self._clock = WallClock()
-        self._executor = TaskletExecutor(
-            cache_size=program_cache_size,
-            profile=profile_executions,
-            metrics=self._metrics,
+        self.core = ProviderCore(
+            node_id=self.node_id,
+            clock=WallClock(),
+            config=ProviderConfig(
+                device_class=device_class,
+                capacity=capacity,
+                # Measured once at ``start`` when not given, then cached
+                # for every re-registration.
+                benchmark_score=benchmark_score,
+                price=price,
+                heartbeat_interval=heartbeat_interval,
+                program_cache_size=program_cache_size,
+                profile_executions=profile_executions,
+            ),
+            telemetry=telemetry,
         )
         self._pool: ThreadPoolExecutor | None = None
-        #: Guards everything below, which the link thread, the executor
-        #: threads, the heartbeat thread and ``stop`` all touch; notified
-        #: when the provider stops and when a draining one runs empty.
-        self._state_lock = threading.Condition()
-        self._state = self._STOPPED
-        self._active = 0  # executor slots currently inside the VM
-        #: Executions assigned but not yet terminal -> whether the broker
-        #: cancelled them; purged when the execution finishes.
-        self._inflight: dict[str, bool] = {}
-        #: Bumped on every (re-)registration.  Any registration voids all
-        #: executions assigned before it — the broker fails them on the
-        #: flap-recovery path (or never knew them, after a restart) — so
-        #: results computed under an older epoch are dropped, not sent:
-        #: a restarted broker may have reused their execution ids.
-        self._epoch = 0
         #: ``brokers`` are tried in order and redials cycle through them,
         #: so a provider survives the death of its home broker (federation).
         self._link = _BrokerLink(
@@ -928,18 +909,19 @@ class TcpProvider(_Node):
         )
 
     def _is_connected(self) -> bool:
-        return self._state != self._STOPPED and self._link.connected
+        return self.core.state != ProviderCore.STOPPED and self._link.connected
 
     def _health_document(self) -> dict:
-        with self._state_lock:
-            state = self._state
-            active = self._active
-            inflight = len(self._inflight)
-            epoch = self._epoch
+        core = self.core
+        with core.lock:
+            state = core.state
+            active = core.active
+            inflight = len(core.inflight)
+            epoch = core.epoch
         connected = self._is_connected()
-        if state == self._STOPPED:
+        if state == core.STOPPED:
             status = "unhealthy"
-        elif not connected or state == self._DRAINING:
+        elif not connected or state == core.DRAINING:
             status = "degraded"
         else:
             status = "ok"
@@ -948,28 +930,29 @@ class TcpProvider(_Node):
             "role": "provider",
             "node": str(self.node_id),
             "connected": connected,
-            "draining": state == self._DRAINING,
-            "capacity": self.capacity,
+            "draining": state == core.DRAINING,
+            "capacity": core.config.capacity,
             "active_slots": active,
             "inflight": inflight,
             "epoch": epoch,
-            "benchmark_score": self._score,
+            "benchmark_score": core.config.benchmark_score,
             "codec": self._link.send_codec,
         }
 
     def start(self) -> "TcpProvider":
-        if self._score is None:
-            self._score = run_benchmark().score
+        config = self.core.config
+        if config.benchmark_score is None:
+            config.benchmark_score = run_benchmark().score
         # Pool and state first: an assignment can follow the registration
         # on the link thread before ``_link.start`` has even returned.
         self._pool = ThreadPoolExecutor(
-            max_workers=self.capacity, thread_name_prefix=f"{self.node_id}-exec"
+            max_workers=config.capacity, thread_name_prefix=f"{self.node_id}-exec"
         )
-        self._state = self._RUNNING
+        self.core.start()
         try:
             self._link.start()
         except BaseException:
-            self._state = self._STOPPED
+            self.core.stop()
             self._pool.shutdown(wait=False)
             raise
         if self.obs is not None:
@@ -989,24 +972,15 @@ class TcpProvider(_Node):
         unregisters.  Without it, shutdown is immediate and the broker's
         flap/failure handling re-issues whatever was outstanding.
         """
-        with self._state_lock:
-            if self._state == self._STOPPED:
+        core = self.core
+        with core.lock:
+            if core.state == core.STOPPED:
                 return
             if drain:
-                self._state = self._DRAINING
-                self._state_lock.wait_for(
-                    lambda: not self._inflight, drain_timeout
-                )
-            self._state = self._STOPPED
-            self._state_lock.notify_all()  # wakes the heartbeat wait promptly
-        try:
-            self._send(
-                Unregister(provider_id=self.node_id).envelope(
-                    self.node_id, BROKER_ADDRESS
-                )
-            )
-        except TransportError:
-            pass
+                core.drain()
+                core.lock.wait_for(lambda: not core.inflight, drain_timeout)
+            core.stop()  # also wakes the heartbeat wait promptly
+        self._send(core.unregister())
         self._pool.shutdown(wait=False, cancel_futures=True)
         self._link.close()
         if self.obs is not None:
@@ -1015,35 +989,27 @@ class TcpProvider(_Node):
     # -- internals ----------------------------------------------------------
 
     def _send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
-        self._link.send_many(((envelope, stamp),))
-
-    def _registration(self) -> Envelope:
-        """A ``register_provider`` envelope; each one opens a new epoch."""
-        with self._state_lock:
-            self._epoch += 1
-        register = RegisterProvider(
-            provider_id=self.node_id,
-            device_class=self.device_class,
-            capacity=self.capacity,
-            benchmark_score=self._score,
-            price=self.price,
-            heartbeat_interval=self.heartbeat_interval,
-        )
-        return register.envelope(self.node_id, BROKER_ADDRESS)
+        """Write one envelope if the link is up.  A failed send means the
+        link is dying or gone; the redial's registration voids whatever
+        this was about, and the next heartbeat is due anyway."""
+        try:
+            self._link.send_many(((envelope, stamp),))
+        except TransportError:
+            pass
 
     def _on_connect(self, redial: bool) -> list[Envelope]:
-        registration = self._registration()
+        registration = self.core.registration()
         if redial:
             if self._transport_metrics is not None:
                 self._transport_metrics.reconnects.inc()
             if self._events is not None:
                 self._events.record(
-                    ev.RECONNECT, node=str(self.node_id), epoch=self._epoch
+                    ev.RECONNECT, node=str(self.node_id), epoch=self.core.epoch
                 )
         return [registration]
 
     def _on_lost(self, reason: str) -> None:
-        if self._events is not None and self._state != self._STOPPED:
+        if self._events is not None and self.core.state != ProviderCore.STOPPED:
             self._events.record(
                 ev.DISCONNECT,
                 node=str(self.node_id),
@@ -1052,173 +1018,70 @@ class TcpProvider(_Node):
             )
 
     def _on_envelope(self, envelope: Envelope) -> None:
-        self._on_broker_message(body_of(envelope), envelope.trace)
-
-    def _on_broker_message(
-        self, body, trace: dict[str, str] | None = None
-    ) -> None:
-        """Dispatch one decoded broker message (link thread)."""
-        if isinstance(body, AssignExecution):
-            self._on_assign(body, trace)
-        elif isinstance(body, HeartbeatAck):
-            if self._transport_metrics is not None:
-                if body.echo_sent_at:
-                    self._transport_metrics.heartbeat_rtt.observe(
-                        max(0.0, time.monotonic() - body.echo_sent_at)
-                    )
-                else:
-                    # An ack without the echo gives no RTT sample; count
-                    # it so silent RTT gaps are visible, not just absent.
-                    self._transport_metrics.heartbeats_unechoed.inc()
-        elif isinstance(body, CancelExecution):
-            with self._state_lock:
-                # Only executions still in flight can be cancelled;
-                # anything else (already finished, or assigned to a
-                # previous incarnation) would leak in the map forever.
-                if body.execution_id in self._inflight:
-                    self._inflight[body.execution_id] = True
-        elif isinstance(body, RegisterAck):
-            if not body.accepted and body.reason == REASON_UNKNOWN_PROVIDER:
-                # The broker restarted and lost our registration: it
-                # answers our heartbeat with this rejection to ask us
-                # back.  A failed send means the link is dying; the redial
-                # registers again.
-                self._send(self._registration())
-
-    def _on_assign(
-        self, request: AssignExecution, trace: dict[str, str] | None = None
-    ) -> None:
-        with self._state_lock:
-            accepted = self._state == self._RUNNING
-            epoch = self._epoch
-            if accepted:
-                self._inflight[request.execution_id] = False
-        if accepted:
+        """Hand one broker message to the core (link thread)."""
+        if envelope.type == HeartbeatAck.TYPE:
+            self._on_heartbeat_ack(body_of(envelope))
+            return
+        replies, work = self.core.handle(envelope)
+        if work is not None:
             try:
-                self._pool.submit(self._execute, request, epoch, trace)
-                return
+                self._pool.submit(self._execute, work)
             except RuntimeError:
-                # stop() shut the pool between the check and the submit
-                # (this runs on the link thread, which outlives it).
-                self._finish_execution(request.execution_id)
-        if self._metrics is not None:
-            self._metrics.rejected.inc()
-        rejection = ExecutionRejected(
-            execution_id=request.execution_id,
-            tasklet_id=request.tasklet_id,
-            provider_id=self.node_id,
-            reason="provider draining",
-        )
-        try:
-            self._send(rejection.envelope(self.node_id, BROKER_ADDRESS))
-        except TransportError:
-            pass
+                # stop() shut the pool between the core's admission check
+                # and the submit (this thread outlives it).
+                replies = [self.core.reject(work, "provider draining")]
+        for reply in replies:
+            self._send(reply)
+
+    def _on_heartbeat_ack(self, ack: HeartbeatAck) -> None:
+        if self._transport_metrics is None:
+            return
+        if ack.echo_sent_at:
+            self._transport_metrics.heartbeat_rtt.observe(
+                max(0.0, time.monotonic() - ack.echo_sent_at)
+            )
+        else:
+            # An ack without the echo gives no RTT sample; count it so
+            # silent RTT gaps are visible, not just absent.
+            self._transport_metrics.heartbeats_unechoed.inc()
 
     def _heartbeat_loop(self) -> None:
+        core = self.core
         while True:
-            with self._state_lock:
-                if self._state_lock.wait_for(
-                    lambda: self._state == self._STOPPED, self.heartbeat_interval
+            with core.lock:
+                if core.lock.wait_for(
+                    lambda: core.state == core.STOPPED,
+                    core.config.heartbeat_interval,
                 ):
                     return
-                active = self._active
-            if self._metrics is not None:
-                self._metrics.busy_slots.labels(provider=str(self.node_id)).set(
-                    active
-                )
-            # A non-zero timestamp asks the broker for an ack (RTT
-            # telemetry); without telemetry the flows stay ack-free.  The
-            # placeholder is re-stamped by the hook below immediately
-            # before its bytes leave — a heartbeat can wait for the send
-            # lock behind a large result, and a stamp taken here would
-            # bill that wait as network RTT, poisoning the EWMA
-            # straggler watchdog.
+                free_slots = core.config.capacity - core.active
+            # With telemetry on, the send-time hook stamps ``sent_at``
+            # immediately before the bytes leave, and a stamped heartbeat
+            # asks the broker for an ack (RTT telemetry); without it the
+            # flows stay ack-free.  A heartbeat can wait for the send lock
+            # behind a large result, and a stamp taken here would bill
+            # that wait as network RTT, poisoning the EWMA straggler
+            # watchdog.
             want_rtt = self._transport_metrics is not None
-            heartbeat = Heartbeat(
-                provider_id=self.node_id,
-                free_slots=max(0, self.capacity - active),
-                sent_at=time.monotonic() if want_rtt else 0.0,
+            self._send(
+                core.heartbeat(free_slots), _stamp_heartbeat if want_rtt else None
             )
-            try:
-                self._send(
-                    heartbeat.envelope(self.node_id, BROKER_ADDRESS),
-                    stamp=_stamp_heartbeat if want_rtt else None,
-                )
-            except TransportError:
-                continue  # link down; it is redialing
 
-    def _finish_execution(self, execution_id: str) -> None:
-        """Purge bookkeeping for a terminal execution."""
-        with self._state_lock:
-            self._inflight.pop(execution_id, None)
-            if not self._inflight and self._state == self._DRAINING:
-                self._state_lock.notify_all()
-
-    def _execute(
-        self,
-        request: AssignExecution,
-        epoch: int,
-        trace: dict[str, str] | None = None,
-    ) -> None:
-        with self._state_lock:
-            cancelled = self._inflight.get(request.execution_id)
-            if not cancelled:
-                self._active += 1
-        if cancelled:
-            self._finish_execution(request.execution_id)
+    def _execute(self, work: Work) -> None:
+        """Run one accepted execution on a pool thread, wall-clock stamped."""
+        core = self.core
+        started = core.clock.now()
+        outcome = core.run(work)
+        if outcome is None:
             return
-        started = self._clock.now()
-        try:
-            outcome = self._executor.execute(request)
-        finally:
-            with self._state_lock:
-                self._active -= 1
-        finished = self._clock.now()
-        if self._metrics is not None:
-            self._metrics.executions.labels(status=outcome.status.value).inc()
-            self._metrics.execution_seconds.observe(finished - started)
-        if self._tracer is not None:
-            parent = TraceContext.from_dict(trace)
-            if parent is not None:
-                self._tracer.record(
-                    name="provider.execute",
-                    context=self._tracer.child(parent),
-                    node=str(self.node_id),
-                    start=started,
-                    end=finished,
-                    parent_id=parent.span_id,
-                    status="ok" if outcome.ok else outcome.status.value,
-                    attrs={
-                        "execution_id": str(request.execution_id),
-                        "instructions": outcome.instructions,
-                    },
-                )
-        with self._state_lock:
-            current = (
-                not self._inflight.get(request.execution_id)
-                and epoch == self._epoch
-            )
-        # Send before purging bookkeeping: a draining stop() waits on
-        # ``_inflight`` emptying, and its unregister must not be able to
-        # overtake this result on the wire (``_send`` returns only once
-        # the result is written).
-        if current:
-            result = ExecutionResult(
-                execution_id=request.execution_id,
-                tasklet_id=request.tasklet_id,
-                provider_id=self.node_id,
-                status=outcome.status.value,
-                value=outcome.value,
-                error=outcome.error,
-                instructions=outcome.instructions,
-                started_at=started,
-                finished_at=finished,
-            )
-            try:
-                self._send(result.envelope(self.node_id, BROKER_ADDRESS))
-            except TransportError:
-                pass  # broker gone; re-registration will fail this execution
-        self._finish_execution(request.execution_id)
+        result = core.report(work, outcome, started, core.clock.now())
+        # Send before the core purges its bookkeeping: a draining stop()
+        # waits on ``inflight`` emptying, and its unregister must not be
+        # able to overtake this result on the wire (``_send`` returns only
+        # once the result is written).
+        if result is not None:
+            self._send(result)
+        core.finish(work)
 
 
 def _stamp_heartbeat(envelope: Envelope) -> None:

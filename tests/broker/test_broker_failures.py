@@ -127,6 +127,35 @@ class TestExecutionTimeout:
         assert len(reissues) == 1
         assert harness.broker.stats.executions_timed_out == 1
 
+    def _two_replicas_time_out_together(self, max_attempts):
+        harness = Harness(
+            config=BrokerConfig(execution_timeout=10.0, heartbeat_tolerance=1e9)
+        )
+        for name in ("p1", "p2", "p3", "p4"):
+            harness.register(name)
+        replies = harness.submit(qoc=QoC(redundancy=2, max_attempts=max_attempts))
+        losers = {dst for dst, body in replies if isinstance(body, AssignExecution)}
+        assert len(losers) == 2
+        return harness, losers, harness.tick_at(11.0)
+
+    def test_simultaneous_timeouts_reissue_away_from_every_loser(self):
+        # Both replicas of one tasklet expire in the same tick: neither
+        # re-issue may land on the other replica's just-freed provider.
+        harness, losers, replies = self._two_replicas_time_out_together(2)
+        assert len(bodies(replies, CancelExecution)) == 2
+        targets = {dst for dst, body in replies if isinstance(body, AssignExecution)}
+        assert len(targets) == 2 and not targets & losers
+        assert harness.broker.stats.executions_timed_out == 2
+
+    def test_simultaneous_timeouts_without_budget_report_every_execution(self):
+        harness, losers, replies = self._two_replicas_time_out_together(1)
+        assert bodies(replies, AssignExecution) == []
+        (complete,) = bodies(replies, TaskletComplete)
+        assert not complete.ok
+        assert complete.error.startswith("all 2 executions failed")
+        assert {e["provider_id"] for e in complete.executions} == losers
+        assert harness.broker.pending_tasklets == 0
+
     def test_deadline_qoc_tightens_timeout(self):
         harness = Harness(
             config=BrokerConfig(execution_timeout=100.0, heartbeat_tolerance=1e9)
@@ -188,6 +217,20 @@ class TestFlapRecovery:
         assert record.outstanding == 1  # the re-issue, not the lost one
         assert harness.broker.stats.executions_lost == 1
         assert len(bodies(replies, AssignExecution)) == 1
+
+    def test_reregistration_holding_two_executions_counts_both_reissues(self):
+        # Both lost slots are freed before either tasklet is re-issued:
+        # a re-issue landing on the fresh record between the two losses
+        # would be wiped out by the second one (ROADMAP 2-vi).
+        harness = Harness()
+        harness.register("p1", capacity=2)
+        harness.submit(qoc=QoC(max_attempts=2))
+        harness.submit(qoc=QoC(max_attempts=2))
+        assert harness.broker.registry.get(NodeId("p1")).outstanding == 2
+        replies = harness.register("p1", capacity=2)
+        assert len(bodies(replies, AssignExecution)) == 2
+        assert harness.broker.registry.get(NodeId("p1")).outstanding == 2
+        assert harness.broker.stats.executions_lost == 2
 
     def test_reregistration_single_attempt_fails_tasklet(self):
         # max_attempts=1: flap recovery has no budget left to re-issue,

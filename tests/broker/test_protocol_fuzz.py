@@ -14,9 +14,8 @@ broker's lifecycle invariants must hold; it must never raise:
   a workflow that finished *during* journal recovery, when nobody was
   listening, hands its outcome to the first resubmit instead;
 * slot conservation: each provider record's ``outstanding`` equals the
-  live outstanding executions placed on it (one known deviation, kept
-  because this test must also pass on the commit it was written
-  against: see ``_Driver.undercounted``);
+  live outstanding executions placed on it — exactly, also across a
+  re-registration that voids several executions at once;
 * no done (or unknown) key in ``_backlog``; every ``_wf_nodes`` key is a
   live tasklet; every ``_by_execution`` entry maps to a live outstanding
   execution; the cost ledger conserves.
@@ -127,7 +126,7 @@ def _actions():
     )
 
 
-def _invariants(broker: BrokerCore, undercounted: set[str]) -> None:
+def _invariants(broker: BrokerCore) -> None:
     placed = Counter()
     for state in broker._tasklets.values():
         assert not state.done  # done states are removed immediately
@@ -138,12 +137,7 @@ def _invariants(broker: BrokerCore, undercounted: set[str]) -> None:
     # Slot conservation, per provider.
     for record in broker.registry._providers.values():
         assert record.capacity >= 1
-        if record.provider_id not in undercounted:
-            assert record.outstanding == placed[record.provider_id]
-            continue
-        assert record.outstanding <= placed[record.provider_id]
-        if not placed[record.provider_id]:
-            undercounted.discard(record.provider_id)  # clamped back to 0
+        assert record.outstanding == placed[record.provider_id]
     # Every outstanding execution maps back to a live tasklet.
     for execution_id, key in broker._by_execution.items():
         assert key in broker._tasklets
@@ -180,12 +174,6 @@ class _Driver:
         self.admitted: dict[str, set] = {"tasklet": set(), "workflow": set()}
         #: First terminal outcome seen per (kind, consumer, id).
         self.terminal: dict[tuple[str, str, str], tuple] = {}
-        #: Providers that re-registered while holding executions.  Failing
-        #: those executions one tasklet at a time lets the first re-issue
-        #: land on the fresh record before the next loss decrements it, so
-        #: the record can under-count until the provider next runs empty
-        #: (ROADMAP item 2-vi); never over-count.
-        self.undercounted: set[str] = set()
 
     def _build(self) -> BrokerCore:
         return BrokerCore(
@@ -204,14 +192,9 @@ class _Driver:
         # provider drops their results on re-registration).
         self.assigned_to.clear()
         self.issue_order.clear()
-        self.undercounted.clear()
-        _invariants(self.broker, self.undercounted)
+        _invariants(self.broker)
 
     def deliver(self, body, src: str, resubmit_of=None) -> None:
-        if isinstance(body, RegisterProvider) and (
-            NodeId(body.provider_id) in self.broker.registry
-        ):
-            self.undercounted.add(body.provider_id)
         self._observe(
             self.broker.handle(body.envelope(NodeId(src), self.broker.node_id)),
             resubmit_of,
@@ -243,7 +226,7 @@ class _Driver:
                     (payload["ok"], payload["outputs"]),
                     resubmit_of,
                 )
-        _invariants(self.broker, self.undercounted)
+        _invariants(self.broker)
 
     def _terminal(self, key, outcome, resubmit_of) -> None:
         first = self.terminal.setdefault(key, outcome)

@@ -220,7 +220,7 @@ def test_drain_stop_flushes_in_flight_results_before_unregistering():
         # The broker has issued the work, but drain only protects what
         # the provider has actually received — wait out the assignment's
         # flight time or the unregister races past it.
-        wait_until(lambda: len(provider._inflight) > 0, message="assignment arrival")
+        wait_until(lambda: len(provider.core.inflight) > 0, message="assignment arrival")
         provider.stop(drain=True)  # finish + flush, then unregister
         assert future.result(timeout=10) == kernels.python_prime_count(20000)
         wait_until(lambda: len(server.core.registry) == 0, timeout=5)

@@ -17,7 +17,7 @@ from repro.core import kernels
 from repro.obs import Telemetry, build_trace_tree, parse_prometheus
 from repro.obs import events as ev
 from repro.obs.metrics import iter_metric_names
-from repro.transport.message import HeartbeatAck
+from repro.transport.message import BROKER_ADDRESS, HeartbeatAck
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
 from .test_tcp import wait_for_registration
@@ -155,12 +155,13 @@ def test_unechoed_heartbeat_acks_are_counted(telemetry):
     )
     counter = telemetry.registry.get("repro_transport_heartbeats_unechoed_total")
     rtt = telemetry.registry.get("repro_transport_heartbeat_rtt_seconds")
-    provider._on_broker_message(HeartbeatAck(provider_id="p1", echo_sent_at=0.0))
+    def deliver(ack):
+        provider._on_envelope(ack.envelope(BROKER_ADDRESS, provider.node_id))
+
+    deliver(HeartbeatAck(provider_id="p1", echo_sent_at=0.0))
     assert counter.value == 1
     assert rtt.count == 0
-    provider._on_broker_message(
-        HeartbeatAck(provider_id="p1", echo_sent_at=time.monotonic())
-    )
+    deliver(HeartbeatAck(provider_id="p1", echo_sent_at=time.monotonic()))
     assert counter.value == 1
     assert rtt.count == 1
 

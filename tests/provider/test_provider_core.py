@@ -1,4 +1,6 @@
-"""Provider core: slot model, virtual timing, faults, lifecycle messages."""
+"""The simulated provider — the slot-model driver over ``ProviderCore``:
+virtual timing, faults, lifecycle messages.  (The protocol core on its
+own is modelled in ``test_provider_model.py``.)"""
 
 import random
 
@@ -8,7 +10,9 @@ from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
 from repro.provider.core import ProviderConfig, ProviderCore
 from repro.provider.failure import ExecutionFailureModel
+from repro.provider.simulated import SimProvider
 from repro.transport.message import (
+    REASON_UNKNOWN_PROVIDER,
     AssignExecution,
     ExecutionRejected,
     ExecutionResult,
@@ -31,14 +35,16 @@ PROGRAM = compile_source(
 )
 
 
-def make_provider(clock=None, **config_overrides):
+def make_provider(clock=None, failure_model=None, **config_overrides):
     defaults = dict(capacity=1, speed_ips=1e6, startup_overhead_s=0.01)
     defaults.update(config_overrides)
-    return ProviderCore(
+    core = ProviderCore(
         node_id=NodeId("p1"),
         clock=clock or VirtualClock(),
         config=ProviderConfig(**defaults),
     )
+    core.start()  # admitting work, as after ``SimProvider.start``
+    return SimProvider(core, failure_model)
 
 
 def assign(n=100, execution_id="ex-1"):
@@ -56,7 +62,7 @@ def assign(n=100, execution_id="ex-1"):
 
 
 def handle(provider, body, src="broker"):
-    envelope = body.envelope(NodeId(src), provider.node_id)
+    envelope = body.envelope(NodeId(src), provider.core.node_id)
     return provider.handle(envelope)
 
 
@@ -82,8 +88,17 @@ class TestLifecycle:
 
     def test_rejected_ack_triggers_reregistration(self):
         provider = make_provider()
-        outbound = handle(provider, RegisterAck(accepted=False, reason="unknown"))
+        outbound = handle(
+            provider, RegisterAck(accepted=False, reason=REASON_UNKNOWN_PROVIDER)
+        )
         assert isinstance(body_of(outbound[0][1]), RegisterProvider)
+
+    def test_permanent_rejection_is_not_retried(self):
+        provider = make_provider()
+        handle(provider, RegisterAck(accepted=True))
+        refusal = RegisterAck(accepted=False, reason="benchmark score must be > 0")
+        assert handle(provider, refusal) == []
+        assert provider.tick() == []  # refused: no longer registered
 
     def test_stop_produces_unregister(self):
         provider = make_provider()
@@ -159,25 +174,19 @@ class TestOutcomes:
         assert provider.stats.vm_errors == 1
 
     def test_drop_fault_produces_no_message(self):
-        provider = ProviderCore(
-            node_id=NodeId("p1"),
-            clock=VirtualClock(),
-            config=ProviderConfig(),
+        provider = make_provider(
             failure_model=ExecutionFailureModel(
                 drop_probability=1.0, rng=random.Random(0)
-            ),
+            )
         )
         assert handle(provider, assign()) == []
         assert provider.stats.dropped_by_fault == 1
 
     def test_corrupt_fault_changes_value(self):
-        provider = ProviderCore(
-            node_id=NodeId("p1"),
-            clock=VirtualClock(),
-            config=ProviderConfig(),
+        provider = make_provider(
             failure_model=ExecutionFailureModel(
                 corrupt_probability=1.0, rng=random.Random(0)
-            ),
+            )
         )
         body = body_of(handle(provider, assign(n=10))[0][1])
         assert body.status == "success"
@@ -206,3 +215,22 @@ class TestValidation:
         assert config.reported_score() == 5e6
         lying = ProviderConfig(speed_ips=5e6, benchmark_score=9e9)
         assert lying.reported_score() == 9e9
+
+
+class TestInSimulation:
+    def test_refused_registration_does_not_ping_pong(self):
+        from repro.core import kernels
+        from repro.sim.runner import Simulation
+
+        simulation = Simulation(seed=3)
+        refused = simulation.add_provider(ProviderConfig(benchmark_score=0.0))
+        simulation.add_provider(ProviderConfig())
+        consumer = simulation.add_consumer()
+        future = consumer.library.submit(kernels.PRIME_COUNT, args=[100])
+        simulation.run_for(1.0)
+        # One attempt, one refusal — not one per network round trip.
+        assert simulation.message_type_counts["register_provider"] == 2
+        assert simulation.message_type_counts["register_ack"] == 2
+        assert refused not in simulation.broker.registry
+        assert not simulation.providers[refused].driver.core.registered
+        assert future.result(0) == kernels.python_prime_count(100)

@@ -20,6 +20,7 @@ from repro.common.ids import NodeId
 from repro.transport.aio import AioConnection, LoopThread
 from repro.transport.codec import EnvelopeDecoder
 from repro.transport.message import (
+    BROKER_ADDRESS,
     AssignExecution,
     ExecutionRejected,
     Heartbeat,
@@ -164,13 +165,14 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         provider._pool = ThreadPoolExecutor(max_workers=1)
         provider._pool.shutdown(wait=False, cancel_futures=True)  # as stop() does
         if still_running:
-            provider._state = provider._RUNNING
+            provider.core.start()
         thread_errors = []
         previous_hook = threading.excepthook
         threading.excepthook = thread_errors.append
         try:
             reader = threading.Thread(
-                target=provider._on_broker_message, args=(assign,)
+                target=provider._on_envelope,
+                args=(assign.envelope(BROKER_ADDRESS, provider.node_id),),
             )
             reader.start()
             reader.join(5.0)
@@ -178,7 +180,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
             threading.excepthook = previous_hook
         assert not reader.is_alive()
         assert thread_errors == []
-        assert not provider._inflight
+        assert not provider.core.inflight
         (rejection,) = [body_of(envelope) for envelope in sent]
         assert isinstance(rejection, ExecutionRejected)
         assert rejection.execution_id == "ex-1"
