@@ -73,7 +73,8 @@ def test_scheduler_selection(benchmark):
             price=rng.uniform(0.5, 8.0),
             now=0.0,
         )
-        record.outstanding = rng.randint(0, record.capacity)
+        for _ in range(rng.randint(0, record.capacity)):
+            registry.acquire(record)
     strategy = make_strategy("qoc", seed=1)
     qoc = QoC.reliable(redundancy=3)
 

@@ -26,6 +26,7 @@ checks) is a decision, not an observation, and stays here.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,6 +40,8 @@ from ..core.tasklet import Tasklet
 from ..obs.telemetry import Telemetry
 from ..obs.trace import TraceContext
 from .accounting import CostLedger
+from .backlog import Backlog
+from .executions import ExecutionIndex
 from .federation import FederationConfig, FederationCore
 from .forwarding import ForwardingPlane
 from .journal import (
@@ -115,6 +118,8 @@ class _Outstanding:
     execution_id: ExecutionId
     provider_id: NodeId
     issued_at: float
+    #: Seconds it may run before it is re-issued (None = no limit).
+    horizon: float | None = None
     #: Telemetry context of the ``broker.assign`` span (None when disabled).
     trace_ctx: TraceContext | None = None
 
@@ -139,11 +144,15 @@ class _TaskletState:
     fuel: int
     submitted_at: float
     collector: VoteCollector
+    #: Admission ordinal: executions that end together are folded in the
+    #: order their tasklets were admitted.
+    order: int = 0
     outstanding: dict[ExecutionId, _Outstanding] = field(default_factory=dict)
     #: Providers whose execution of this tasklet already failed; re-issue
     #: avoids them while alternatives exist.
     failed_providers: set[NodeId] = field(default_factory=set)
-    pending_replicas: int = 0  # replicas wanted but not yet placeable
+    #: Replicas wanted but not yet placeable (written by ``Backlog`` only).
+    pending_replicas: int = 0
     issued: int = 0  # total executions ever issued
     done: bool = False
     #: Computation identity for result memoization (None = not memoizable).
@@ -236,9 +245,11 @@ class BrokerCore:
         )
         self.ledger = CostLedger()
         self._tasklets: dict[str, _TaskletState] = {}
-        self._by_execution: dict[ExecutionId, str] = {}
-        #: Tasklet keys with queued replicas, in FIFO order of first queueing.
-        self._backlog: list[str] = []
+        self._admissions = itertools.count()
+        #: Every outstanding execution, by id, provider and deadline.
+        self.executions = ExecutionIndex()
+        #: Tasklets with queued replicas, FIFO by first queueing.
+        self.backlog = Backlog(self.config.max_queued_replicas)
         #: Durability: journal (may be None), terminal outcomes by tasklet
         #: key (LRU-bounded, serves idempotent resubmits), and the result
         #: memoization cache by computation identity.
@@ -294,11 +305,15 @@ class BrokerCore:
         for provider_id in self.registry.detect_failures(now):
             self.observer.provider_failed(provider_id)
             out.extend(self._fail_provider_executions(provider_id))
-        out.extend(self._expire_executions(now))
+        # Re-issue executions that outlived their timeout/deadline.
+        overdue = self.executions.overdue(now)
+        out.extend(self._lose(ExecutionStatus.TIMEOUT, overdue, cancel=True))
         if self.forwarding is not None:
             out.extend(self.forwarding.tick(now))
         out.extend(self._drain_backlog())
-        self.observer.ticked(self._tasklets, self.registry, self.federation)
+        self.observer.ticked(
+            len(self._tasklets), self.backlog.replicas, self.registry, self.federation
+        )
         return out
 
     # -- membership handlers ----------------------------------------------------
@@ -487,6 +502,7 @@ class BrokerCore:
             fuel=tasklet.fuel,
             submitted_at=now,
             collector=VoteCollector(tasklet.qoc.redundancy),
+            order=next(self._admissions),
             memo_key=memo,
             origin_broker=origin,
         )
@@ -610,85 +626,16 @@ class BrokerCore:
 
     # -- execution lifecycle ------------------------------------------------------
 
-    def _issue(
-        self, state: _TaskletState, count: int, requeue: bool = False
-    ) -> list[Envelope]:
-        """Place up to ``count`` replicas; queue what cannot be placed.
-
-        ``requeue`` marks replicas that were already counted in
-        ``stats.replicas_queued`` once (backlog drains), so the counter
-        reflects distinct queueing decisions, not drain retries.
-        """
+    def _issue(self, state: _TaskletState, count: int) -> list[Envelope]:
+        """Place up to ``count`` replicas; queue what cannot be placed."""
         if state.done or count <= 0:
             return []
-        running = {
-            outstanding.provider_id for outstanding in state.outstanding.values()
-        }
-        all_views = self.registry.views(require_free_slot=True)
-        views = [
-            view
-            for view in all_views
-            if view.provider_id not in running
-            and view.provider_id not in state.failed_providers
-        ]
-        if not views:
-            # Every candidate already failed this tasklet once; retrying
-            # them beats giving up (transient faults are common).
-            views = [
-                view for view in all_views if view.provider_id not in running
-            ]
-        chosen = self.strategy.select(views, count, state.qoc)
-        out: list[Envelope] = []
-        now = self.clock.now()
-        for provider_id in chosen:
-            record = self.registry.get(provider_id)
-            if record is None or not record.alive:
-                # Chosen, but the provider died between the registry
-                # snapshot and placement (or a strategy returned a stale
-                # id).  Not counting it as placed routes the replica into
-                # ``missing`` below, so it queues in the backlog instead
-                # of silently vanishing from the attempt budget.
-                continue
-            execution_id = self.ids.next_execution()
-            record.outstanding += 1
-            outstanding = _Outstanding(
-                execution_id=execution_id, provider_id=provider_id, issued_at=now
-            )
-            state.outstanding[execution_id] = outstanding
-            state.issued += 1
-            self._by_execution[execution_id] = state.key
-            self.observer.placed(state, outstanding, record, self.strategy)
-            envelope = self._send(
-                AssignExecution(
-                    execution_id=execution_id,
-                    tasklet_id=state.tasklet_id,
-                    consumer_id=state.consumer_id,
-                    program=state.program,
-                    program_fingerprint=state.program_fingerprint,
-                    entry=state.entry,
-                    args=state.args,
-                    seed=state.seed,
-                    fuel=state.fuel,
-                ),
-                provider_id,
-            )
-            if outstanding.trace_ctx is not None:
-                envelope.trace = outstanding.trace_ctx.to_dict()
-            out.append(envelope)
+        out = self._assign(state, count)
         missing = count - len(out)
         if missing > 0:
-            queued_total = sum(
-                s.pending_replicas for s in self._tasklets.values()
-            )
-            allowed = max(0, self.config.max_queued_replicas - queued_total)
-            to_queue = min(missing, allowed)
-            overflow = missing - to_queue
-            if to_queue > 0:
-                state.pending_replicas += to_queue
-                if not requeue:
-                    self.observer.replicas_queued(to_queue)
-                if state.key not in self._backlog:
-                    self._backlog.append(state.key)
+            overflow = self.backlog.queue(state, missing)
+            if missing > overflow:
+                self.observer.replicas_queued(missing - overflow)
             if overflow > 0:
                 # The backlog is full.  Dropping the replicas silently
                 # would strand the tasklet (nothing outstanding, nothing
@@ -712,27 +659,83 @@ class BrokerCore:
                     )
         return out
 
-    def _drain_backlog(self) -> list[Envelope]:
-        """Try to place queued replicas (FIFO across Tasklets)."""
-        if not self._backlog:
+    def _assign(self, state: _TaskletState, count: int) -> list[Envelope]:
+        """Assign up to ``count`` replicas of ``state`` to providers with
+        a free slot — one envelope per replica placed, possibly none.
+        The placement half of :meth:`_issue`, and all the drain needs."""
+        if self.registry.free_capacity <= 0:
             return []
+        running = {
+            outstanding.provider_id for outstanding in state.outstanding.values()
+        }
+        all_views = self.registry.views(require_free_slot=True)
+        views = [
+            view
+            for view in all_views
+            if view.provider_id not in running
+            and view.provider_id not in state.failed_providers
+        ]
+        if not views:
+            # Every candidate already failed this tasklet once; retrying
+            # them beats giving up (transient faults are common).
+            views = [
+                view for view in all_views if view.provider_id not in running
+            ]
+        if not views:
+            return []
+        # ``select`` is looked up on the instance per call: tracing shims
+        # patch it there.
+        chosen = self.strategy.select(views, count, state.qoc)
         out: list[Envelope] = []
-        still_waiting: list[str] = []
-        for key in self._backlog:
-            state = self._tasklets.get(key)
-            if state is None or state.done or state.pending_replicas == 0:
+        now = self.clock.now()
+        horizon = self._horizon(state)
+        for provider_id in chosen:
+            record = self.registry.get(provider_id)
+            if record is None or not record.alive:
+                # Chosen, but the provider died between the registry
+                # snapshot and placement (or a strategy returned a stale
+                # id).  Not counting it as placed leaves the replica to
+                # the caller, so it queues in the backlog instead of
+                # silently vanishing from the attempt budget.
                 continue
-            wanted = state.pending_replicas
-            state.pending_replicas = 0
-            out.extend(self._issue(state, wanted, requeue=True))
-            if state.pending_replicas > 0:
-                still_waiting.append(key)
-        self._backlog = still_waiting
+            execution_id = self.ids.next_execution()
+            self.registry.acquire(record)
+            outstanding = _Outstanding(
+                execution_id=execution_id,
+                provider_id=provider_id,
+                issued_at=now,
+                horizon=horizon,
+            )
+            state.outstanding[execution_id] = outstanding
+            state.issued += 1
+            self.executions.add(execution_id, state.key, provider_id, now, horizon)
+            self.observer.placed(state, outstanding, record, self.strategy)
+            envelope = self._send(
+                AssignExecution(
+                    execution_id=execution_id,
+                    tasklet_id=state.tasklet_id,
+                    consumer_id=state.consumer_id,
+                    program=state.program,
+                    program_fingerprint=state.program_fingerprint,
+                    entry=state.entry,
+                    args=state.args,
+                    seed=state.seed,
+                    fuel=state.fuel,
+                ),
+                provider_id,
+            )
+            if outstanding.trace_ctx is not None:
+                envelope.trace = outstanding.trace_ctx.to_dict()
+            out.append(envelope)
         return out
+
+    def _drain_backlog(self) -> list[Envelope]:
+        """Give queued replicas the capacity that has come free."""
+        return self.backlog.drain(self._tasklets, self.registry, self._assign)
 
     def _on_result(self, body: ExecutionResult, envelope: Envelope) -> list[Envelope]:
         execution_id = ExecutionId(body.execution_id)
-        state = self._tasklets.get(self._by_execution.get(execution_id, ""))
+        state = self._tasklets.get(self.executions.tasklet_of(execution_id) or "")
         outstanding = state.outstanding.get(execution_id) if state else None
         if outstanding is None:
             return []  # late result for an already-decided tasklet
@@ -791,7 +794,9 @@ class BrokerCore:
         """The bookkeeping half of :meth:`_end_execution`: everything but
         the vote, which :meth:`_lose` casts once for all it ends."""
         state.outstanding.pop(outstanding.execution_id, None)
-        self._by_execution.pop(outstanding.execution_id, None)
+        self.executions.remove(
+            outstanding.execution_id, outstanding.provider_id, outstanding.horizon
+        )
         out: list[Envelope] = []
         if cancel:
             out.append(
@@ -808,9 +813,8 @@ class BrokerCore:
             # ``outstanding`` load if the provider re-registers later)
             # and grades every failure mode into ``reliability`` alike; a
             # cancelled replica says nothing about its provider.
-            if record is None:
-                provider.release_slot()
-            else:
+            self.registry.release(provider)
+            if record is not None:
                 provider.record_result(
                     record.ok,
                     record.instructions,
@@ -912,7 +916,7 @@ class BrokerCore:
         out: list[Envelope] = []
         for outstanding in list(state.outstanding.values()):
             out.extend(self._end_execution(state, outstanding, None, cancel=True))
-        state.pending_replicas = 0
+        self.backlog.forget(state)
         attempts, cost = state.issued, self.ledger.pop_cost_of(state.key)
         executions = [record.to_dict() for record in state.collector.all_records]
         executed_by = str(self.node_id) if state.issued > 0 else ""
@@ -979,60 +983,52 @@ class BrokerCore:
         PROVIDER_LOST record and let the vote logic re-issue."""
         return self._lose(
             ExecutionStatus.PROVIDER_LOST,
-            lambda state, outstanding: (
-                "provider failed or left"
-                if outstanding.provider_id == provider_id
-                else None
-            ),
+            self.executions.assigned_to(provider_id),
         )
 
-    def _expire_executions(self, now: float) -> list[Envelope]:
-        """Re-issue executions that outlived their timeout/deadline."""
-
-        def overdue(state: _TaskletState, outstanding: _Outstanding) -> str | None:
-            horizon = self.config.execution_timeout
-            if state.qoc.deadline_s is not None:
-                horizon = (
-                    state.qoc.deadline_s
-                    if horizon is None
-                    else min(horizon, state.qoc.deadline_s)
-                )
-            if horizon is None or now - outstanding.issued_at <= horizon:
-                return None
-            return f"no result within {horizon}s"
-
-        return self._lose(ExecutionStatus.TIMEOUT, overdue, cancel=True)
+    def _horizon(self, state: _TaskletState) -> float | None:
+        """Seconds an execution of ``state`` may run before re-issue."""
+        horizon = self.config.execution_timeout
+        deadline = state.qoc.deadline_s
+        if deadline is not None:
+            horizon = deadline if horizon is None else min(horizon, deadline)
+        return horizon
 
     def _lose(
         self,
         status: ExecutionStatus,
-        why: Callable[[_TaskletState, _Outstanding], str | None],
+        gone: set[ExecutionId],
         cancel: bool = False,
     ) -> list[Envelope]:
-        """End every outstanding execution ``why`` gives an error for — a
-        provider that will never report on it — with a ``status`` record."""
+        """End the live executions ``gone`` — their provider will never
+        report on them — with a ``status`` record each."""
+        affected = {self.executions.tasklet_of(execution_id) for execution_id in gone}
         out: list[Envelope] = []
         now = self.clock.now()
         lost: list[tuple[_TaskletState, list[ExecutionRecord]]] = []
-        for state in self._tasklets.values():
+        for state in sorted(
+            (self._tasklets[key] for key in affected), key=lambda s: s.order
+        ):
             records: list[ExecutionRecord] = []
             for outstanding in list(state.outstanding.values()):
-                error = why(state, outstanding)
-                if error is None:
+                if outstanding.execution_id not in gone:
                     continue
                 record = ExecutionRecord(
                     execution_id=outstanding.execution_id,
                     tasklet_id=state.tasklet_id,
                     provider_id=outstanding.provider_id,
                     status=status,
-                    error=error,
+                    error=(
+                        "provider failed or left"
+                        if status is ExecutionStatus.PROVIDER_LOST
+                        else f"no result within {outstanding.horizon}s"
+                    ),
                     started_at=outstanding.issued_at,
                     finished_at=now,
                 )
                 out.extend(self._release(state, outstanding, record, cancel))
                 records.append(record)
-            if records:
-                lost.append((state, records))
+            lost.append((state, records))
         # Every lost slot is free before any vote is folded: folding
         # re-issues, and a re-issue landing on a provider's fresh record
         # ahead of that provider's next loss would be uncounted by it.

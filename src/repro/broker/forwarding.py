@@ -50,7 +50,7 @@ class ForwardingPlane:
         """Peer to forward a fresh admission to, or ``None`` (keep local)."""
         if not self.federation.config.forward_when_saturated:
             return None
-        if self.core.registry.views(require_free_slot=True):
+        if self.core.registry.free_capacity > 0:
             return None  # local capacity exists; no reason to forward
         return self.federation.choose_peer()
 
@@ -156,7 +156,7 @@ class ForwardingPlane:
         """Why new forwarded work cannot be taken (None = it can)."""
         if hops > self.federation.config.max_hops:
             return f"too many hops ({hops})"
-        if not self.core.registry.views(require_free_slot=True):
+        if self.core.registry.free_capacity <= 0:
             # The gossip view the origin routed on is stale; rejecting
             # (rather than queueing) sends the work back to a broker that
             # holds the durable admission.
@@ -259,11 +259,9 @@ class ForwardingPlane:
             sent_at=now,
             providers_total=len(records),
             providers_alive=sum(1 for record in records if record.alive),
-            free_slots=sum(view.free_slots for view in core.registry.views()),
+            free_slots=core.registry.free_capacity,
             pending_tasklets=len(core._tasklets),
-            backlog_replicas=sum(
-                state.pending_replicas for state in core._tasklets.values()
-            ),
+            backlog_replicas=core.backlog.replicas,
             grades=core.observer.provider_grades(records),
         )
 

@@ -22,7 +22,7 @@ it is handed (``trace_ctx`` / ``trace_parent`` / ``forward_trace_ctx`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ..common.clock import Clock
 from ..common.ids import NodeId
@@ -131,7 +131,8 @@ class LifecycleObserver:
 
     def ticked(
         self,
-        tasklets: Mapping[str, "_TaskletState"],
+        pending_tasklets: int,
+        backlog_replicas: int,
         registry: ProviderRegistry,
         federation: "FederationCore | None",
     ) -> None:
@@ -426,13 +427,10 @@ class TelemetryObserver(LifecycleObserver):
         self._metrics.providers_failed.inc()
         self._event(ev.NODE_DEAD, str(provider_id))
 
-    def ticked(self, tasklets, registry, federation):
-        # Gauges are sampled once per tick, not per message, so the
-        # O(tasklets) backlog sum stays off the message hot path.
-        self._metrics.pending_tasklets.set(len(tasklets))
-        self._metrics.backlog_replicas.set(
-            sum(state.pending_replicas for state in tasklets.values())
-        )
+    def ticked(self, pending_tasklets, backlog_replicas, registry, federation):
+        # Gauges are sampled once per tick, not per message.
+        self._metrics.pending_tasklets.set(pending_tasklets)
+        self._metrics.backlog_replicas.set(backlog_replicas)
         self._metrics.providers_alive.set(len(registry.alive_providers()))
         if federation is not None:
             self._fed_metrics.peers_alive.set(len(federation.alive_peers()))

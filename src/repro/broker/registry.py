@@ -33,14 +33,12 @@ class ProviderRecord:
     registered_at: float = 0.0
     last_heartbeat: float = 0.0
     alive: bool = True
-    outstanding: int = 0  # executions assigned, not yet terminal
+    #: Executions assigned, not yet terminal (written by the registry's
+    #: ``acquire`` / ``release`` only).
+    outstanding: int = 0
     completed: int = 0
     failed: int = 0
     observed_speed: EwmaTracker = field(default_factory=lambda: EwmaTracker(alpha=0.3))
-
-    @property
-    def free_slots(self) -> int:
-        return max(0, self.capacity - self.outstanding)
 
     @property
     def effective_speed(self) -> float:
@@ -63,23 +61,17 @@ class ProviderRecord:
     ) -> None:
         """Fold one terminal execution into the learned statistics.
 
-        This is the *single* accounting path for terminal outcomes —
+        This is the *single* grading path for terminal outcomes —
         results, rejections, timeouts, and provider losses all land here,
-        so the slot is always released and ``reliability`` sees every
-        failure mode with the same weight.
+        so ``reliability`` sees every failure mode with the same weight.
+        The slot itself is freed by :meth:`ProviderRegistry.release`.
         """
-        self.outstanding = max(0, self.outstanding - 1)
         if ok:
             self.completed += 1
             if learn_speed and duration > 0 and instructions > 0:
                 self.observed_speed.add(instructions / duration)
         else:
             self.failed += 1
-
-    def release_slot(self) -> None:
-        """Free one slot without grading the provider (cancelled replica:
-        the vote already decided, so the outcome says nothing about it)."""
-        self.outstanding = max(0, self.outstanding - 1)
 
 
 @dataclass(frozen=True)
@@ -115,6 +107,11 @@ class ProviderRegistry:
         #: queues them locally.
         self.pipeline_depth = pipeline_depth
         self._providers: dict[NodeId, ProviderRecord] = {}
+        #: Executions the pool can take right now: the sum of
+        #: :meth:`_placeable` over every record, kept current wherever a
+        #: record joins, leaves, dies or changes ``outstanding`` — so "is
+        #: anything placeable?" never walks the providers.
+        self.free_capacity = 0
 
     # -- membership ----------------------------------------------------------
 
@@ -147,12 +144,19 @@ class ProviderRegistry:
         )
         # Re-registration replaces the old record: a provider that crashed
         # and came back starts with a clean slate of outstanding work.
+        replaced = self._providers.get(provider_id)
+        if replaced is not None:
+            self.free_capacity -= self._placeable(replaced)
         self._providers[provider_id] = record
+        self.free_capacity += self._placeable(record)
         return record
 
     def unregister(self, provider_id: NodeId) -> ProviderRecord | None:
         """Remove a provider (graceful leave); returns its record."""
-        return self._providers.pop(provider_id, None)
+        record = self._providers.pop(provider_id, None)
+        if record is not None:
+            self.free_capacity -= self._placeable(record)
+        return record
 
     def get(self, provider_id: NodeId) -> ProviderRecord | None:
         return self._providers.get(provider_id)
@@ -162,6 +166,35 @@ class ProviderRegistry:
 
     def __contains__(self, provider_id: NodeId) -> bool:
         return provider_id in self._providers
+
+    # -- slot accounting -----------------------------------------------------
+
+    def _placeable(self, record: ProviderRecord) -> int:
+        """Executions ``record`` can take right now (0 when dead)."""
+        if not record.alive:
+            return 0
+        return max(0, record.capacity + self.pipeline_depth - record.outstanding)
+
+    def acquire(self, record: ProviderRecord) -> None:
+        """Count one more execution assigned to ``record`` (one of this
+        registry's current records).  With :meth:`release`, the only
+        writer of ``outstanding``."""
+        limit = record.capacity + self.pipeline_depth
+        if record.alive and record.outstanding < limit:
+            self.free_capacity -= 1
+        record.outstanding += 1
+
+    def release(self, record: ProviderRecord) -> None:
+        """Free one of ``record``'s slots, whatever ended the execution;
+        grading is :meth:`ProviderRecord.record_result`'s business.  A
+        record with nothing outstanding (the provider re-registered
+        while the execution ran) is left alone."""
+        if record.outstanding == 0:
+            return
+        record.outstanding -= 1
+        limit = record.capacity + self.pipeline_depth
+        if record.alive and record.outstanding < limit:
+            self.free_capacity += 1
 
     # -- liveness ------------------------------------------------------------
 
@@ -196,6 +229,7 @@ class ProviderRegistry:
                 * self.heartbeat_tolerance
             )
             if record.alive and now - record.last_heartbeat > horizon:
+                self.free_capacity -= self._placeable(record)
                 record.alive = False
                 newly_dead.append(record.provider_id)
         return newly_dead
@@ -216,24 +250,25 @@ class ProviderRegistry:
         Stable ordering keeps strategy decisions deterministic for a given
         registry state, which the simulator's reproducibility relies on.
         """
-        views = [
+        depth = self.pipeline_depth
+        entries = [
+            (record, max(0, record.capacity + depth - record.outstanding))
+            for record in self._providers.values()
+            if record.alive
+        ]
+        if require_free_slot:
+            entries = [entry for entry in entries if entry[1] > 0]
+        entries.sort(key=lambda entry: entry[0].provider_id)
+        return [
             ProviderView(
                 provider_id=record.provider_id,
                 device_class=record.device_class,
                 capacity=record.capacity,
-                free_slots=max(
-                    0,
-                    record.capacity + self.pipeline_depth - record.outstanding,
-                ),
+                free_slots=free_slots,
                 effective_speed=record.effective_speed,
                 reliability=record.reliability,
                 price=record.price,
                 outstanding=record.outstanding,
             )
-            for record in sorted(
-                self.alive_providers(), key=lambda item: item.provider_id
-            )
+            for record, free_slots in entries
         ]
-        if require_free_slot:
-            views = [view for view in views if view.free_slots > 0]
-        return views

@@ -115,11 +115,7 @@ class MetricsCollector:
             self.availability.setdefault(node_id, GaugeSeries()).record(
                 now, 1.0 if sim_provider.up else 0.0
             )
-        backlog_size = sum(
-            state.pending_replicas
-            for state in self.simulation.broker._tasklets.values()
-        )
-        self.backlog.record(now, backlog_size)
+        self.backlog.record(now, self.simulation.broker.backlog.replicas)
         self.pending.record(now, self.simulation.broker.pending_tasklets)
 
     # -- reduction ----------------------------------------------------------

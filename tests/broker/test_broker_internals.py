@@ -18,6 +18,7 @@ from repro.obs import Telemetry
 from repro.sim.devices import make_pool
 from repro.sim.runner import Simulation
 from repro.transport.message import (
+    ExecutionResult,
     ForwardTasklet,
     GossipDigest,
     Heartbeat,
@@ -54,7 +55,7 @@ def _backlogged_broker(queued):
             args=[index], qoc=QoC(),
         )
         _send(broker, SubmitTasklet(tasklet=tasklet.to_dict()), "c0")
-    assert len(broker._backlog) == queued
+    assert len(broker.backlog) == queued
     return broker
 
 
@@ -75,16 +76,60 @@ def test_heartbeat_drains_the_backlog_exactly_once():
     calls = _count_select_calls(broker)
     out = _send(broker, Heartbeat(provider_id="p0", free_slots=0), "p0")
     assert out == []  # nothing freed, nothing placed
-    assert len(calls) == 50  # one placement attempt per backlogged tasklet
+    assert calls == []  # no free slot: the backlog is not even looked at
+    assert len(broker.backlog) == 50
 
 
 def test_registration_drains_the_backlog_exactly_once():
     broker = _backlogged_broker(queued=50)
+    waiting = list(broker.backlog)
     calls = _count_select_calls(broker)
     out = _register(broker, "p1")
     assert [envelope.type for envelope in out] == ["register_ack", "assign_execution"]
-    assert len(calls) == 50
-    assert len(broker._backlog) == 49
+    assert out[1].payload["tasklet_id"] == "tl-1"  # the oldest one waiting
+    assert calls == [1]  # one slot came free: one placement, then stop
+    assert list(broker.backlog) == waiting[1:]  # 49 left, still FIFO
+
+
+def test_unplaceable_head_does_not_block_the_queue():
+    broker = BrokerCore(clock=VirtualClock())
+    _register(broker, "p0", capacity=2)
+    head = Tasklet(
+        tasklet_id=TaskletId("head"), program=PROGRAM, entry="main", args=[0],
+        qoc=QoC(redundancy=2),
+    )
+    # One replica runs on p0, the only provider; its twin must not join
+    # it there, so it queues although p0 still has a free slot.
+    out = _send(broker, SubmitTasklet(tasklet=head.to_dict()), "c0")
+    assert [e.type for e in out] == ["submit_ack", "assign_execution"]
+    assert list(broker.backlog) == ["c0/head"]
+    assert broker.registry.free_capacity == 1
+    behind = Tasklet(
+        tasklet_id=TaskletId("behind"), program=PROGRAM, entry="main", args=[1],
+        qoc=QoC(),
+    )
+    # Fill the slot, queue ``behind``, then free the slot again.
+    filler = Tasklet(
+        tasklet_id=TaskletId("filler"), program=PROGRAM, entry="main", args=[2],
+        qoc=QoC(),
+    )
+    out = _send(broker, SubmitTasklet(tasklet=filler.to_dict()), "c0")
+    filler_execution = out[1].payload["execution_id"]
+    _send(broker, SubmitTasklet(tasklet=behind.to_dict()), "c0")
+    assert list(broker.backlog) == ["c0/head", "c0/behind"]
+    out = _send(
+        broker,
+        ExecutionResult(
+            execution_id=filler_execution, tasklet_id="filler", provider_id="p0",
+            status="success", value=3, instructions=4,
+        ),
+        "p0",
+    )
+    # The same drain that stepped over the head placed the tasklet behind it.
+    assigned = [e.payload["tasklet_id"] for e in out if e.type == "assign_execution"]
+    assert assigned == ["behind"]
+    assert list(broker.backlog) == ["c0/head"]  # still first in line
+    assert broker.backlog.replicas == 1
 
 
 def test_federation_handlers_exist_only_on_a_federated_broker():

@@ -16,9 +16,13 @@ broker's lifecycle invariants must hold; it must never raise:
 * slot conservation: each provider record's ``outstanding`` equals the
   live outstanding executions placed on it — exactly, also across a
   re-registration that voids several executions at once;
-* no done (or unknown) key in ``_backlog``; every ``_wf_nodes`` key is a
-  live tasklet; every ``_by_execution`` entry maps to a live outstanding
-  execution; the cost ledger conserves.
+* the counters equal a recount: ``registry.free_capacity`` is the free
+  slots of the alive providers, ``backlog.replicas`` is the sum of
+  ``pending_replicas``, and the backlog queues exactly the live tasklets
+  that have replicas pending, each once;
+* every ``_wf_nodes`` key is a live tasklet; the execution index holds
+  exactly the live outstanding executions, under the provider each was
+  assigned to; the cost ledger conserves.
 """
 
 import tempfile
@@ -139,12 +143,35 @@ def _invariants(broker: BrokerCore) -> None:
         assert record.capacity >= 1
         assert record.outstanding == placed[record.provider_id]
     # Every outstanding execution maps back to a live tasklet.
-    for execution_id, key in broker._by_execution.items():
-        assert key in broker._tasklets
+    executions = broker.executions
+    for execution_id in executions:
+        key = executions.tasklet_of(execution_id)
         assert execution_id in broker._tasklets[key].outstanding
-    assert len(broker._by_execution) == sum(placed.values())
-    for key in broker._backlog:
-        assert key in broker._tasklets and not broker._tasklets[key].done
+    assert len(executions) == sum(placed.values())
+    assert placed == Counter(
+        {provider: len(ids) for provider, ids in executions._assigned.items()}
+    )
+    assert all(ids <= executions._tasklet.keys() for ids in executions._assigned.values())
+    # (Every execution has a horizon here: the driver sets a timeout.)
+    assert all(executions._by_horizon.values())  # no empty bucket is kept
+    assert sorted(executions) == sorted(
+        execution_id for due in executions._by_horizon.values() for execution_id in due
+    )
+    # The counters are what a recount would give.
+    registry = broker.registry
+    assert registry.free_capacity == sum(
+        max(0, record.capacity + registry.pipeline_depth - record.outstanding)
+        for record in registry._providers.values()
+        if record.alive
+    )
+    backlog = broker.backlog
+    assert backlog.replicas == sum(
+        state.pending_replicas for state in broker._tasklets.values()
+    )
+    assert len(set(backlog)) == len(backlog)
+    assert set(backlog) == backlog._queued == {
+        state.key for state in broker._tasklets.values() if state.pending_replicas
+    }
     for key in broker._wf_nodes:
         assert key in broker._tasklets
     assert broker.ledger.conservation_holds
@@ -288,7 +315,7 @@ class _Driver:
                     )
                 else:
                     self.deliver(Heartbeat(provider_id=provider, free_slots=3), provider)
-            for execution_id in list(self.broker._by_execution):
+            for execution_id in list(self.broker.executions):
                 self.result(execution_id, self.assigned_to[execution_id], True, 7)
             self.tick(0.1)
         assert self.broker.pending_tasklets == 0
@@ -386,4 +413,49 @@ def _run(actions, journal, telemetry) -> None:
             )
         else:  # register / msg
             driver.deliver(payload, src)
+    driver.settle()
+
+
+def test_counters_survive_a_flapping_provider():
+    """The fixed sequence the fuzz only finds by luck: every release that
+    finds nothing to free, with the invariants checked after each step."""
+    driver = _Driver(journal=None, telemetry=None)
+    register = RegisterProvider(
+        provider_id="p0", device_class="d", capacity=2, benchmark_score=1e6
+    )
+
+    def submit(count):
+        for _ in range(count):
+            driver.tasklet_counter += 1
+            tasklet = Tasklet(
+                tasklet_id=TaskletId(f"tl-flap-{driver.tasklet_counter}"),
+                program=PROGRAM, entry="main", args=[driver.tasklet_counter],
+                qoc=QoC(max_attempts=4),
+            )
+            driver.submitted.append(("c0", tasklet.to_dict()))
+            driver.submit_tasklet("c0", tasklet.to_dict())
+
+    driver.deliver(register, "p0")
+    submit(4)  # two placed, two queued
+    broker = driver.broker
+    assert (broker.registry.free_capacity, broker.backlog.replicas) == (0, 2)
+    first_incarnation = list(driver.issue_order)
+    # Re-register with work outstanding: both executions are lost against
+    # a fresh record (nothing to release there) and the slots refill.
+    driver.deliver(register, "p0")
+    assert broker.registry.get(NodeId("p0")).outstanding == 2
+    assert (broker.registry.free_capacity, broker.backlog.replicas) == (0, 2)
+    # A late result from the previous incarnation frees nothing.
+    driver.result(first_incarnation[0], "p0", True, 7)
+    assert broker.registry.get(NodeId("p0")).outstanding == 2
+    # Silence: declared dead, its executions lost while no slot exists.
+    driver.tick(10.0)
+    assert broker.stats.providers_failed == 1
+    assert (broker.registry.free_capacity, broker.backlog.replicas) == (0, 4)
+    # The dead provider still answers; its record must not come back.
+    driver.result(driver.issue_order[-1], "p0", True, 7)
+    driver.deliver(Heartbeat(provider_id="p0", free_slots=2), "p0")
+    assert broker.registry.free_capacity == 0
+    driver.deliver(register, "p0")
+    assert (broker.registry.free_capacity, broker.backlog.replicas) == (0, 2)
     driver.settle()

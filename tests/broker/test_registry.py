@@ -39,7 +39,7 @@ def test_invalid_score_rejected():
 def test_reregistration_replaces_record():
     registry = ProviderRegistry()
     old = register(registry)
-    old.outstanding = 5
+    registry.acquire(old)
     new = register(registry, now=10.0)
     assert new.outstanding == 0
     assert registry.get(NodeId("p1")) is new
@@ -103,14 +103,12 @@ class TestLearnedStats:
     def test_observed_speed_takes_over(self):
         registry = ProviderRegistry()
         record = register(registry, score=5e6)
-        record.outstanding = 1
         record.record_result(ok=True, instructions=1_000_000, duration=1.0)
         assert record.effective_speed == pytest.approx(1e6)
 
     def test_learning_can_be_disabled(self):
         registry = ProviderRegistry(learn_speed=False)
         record = register(registry, score=5e6)
-        record.outstanding = 1
         record.record_result(
             ok=True, instructions=1_000_000, duration=1.0, learn_speed=False
         )
@@ -120,7 +118,6 @@ class TestLearnedStats:
         registry = ProviderRegistry()
         record = register(registry)
         assert record.reliability == pytest.approx(0.5)
-        record.outstanding = 2
         record.record_result(True, 100, 1.0)
         record.record_result(False, 0, 0.0)
         assert record.reliability == pytest.approx(2 / 4)
@@ -128,10 +125,13 @@ class TestLearnedStats:
     def test_free_slots_track_outstanding(self):
         registry = ProviderRegistry()
         record = register(registry, capacity=3)
-        record.outstanding = 2
-        assert record.free_slots == 1
-        record.outstanding = 5  # over-assignment guard
-        assert record.free_slots == 0
+        registry.acquire(record)
+        registry.acquire(record)
+        assert registry.views()[0].free_slots == registry.free_capacity == 1
+        for _ in range(3):  # over-assignment guard
+            registry.acquire(record)
+        assert registry.views()[0].free_slots == registry.free_capacity == 0
+        assert record.outstanding == 5
 
 
 class TestViews:
@@ -146,8 +146,79 @@ class TestViews:
 
     def test_require_free_slot_filter(self):
         registry = ProviderRegistry()
-        record = register(registry, "busy", capacity=1)
-        record.outstanding = 1
+        registry.acquire(register(registry, "busy", capacity=1))
         register(registry, "idle", capacity=1)
         views = registry.views(require_free_slot=True)
         assert [view.provider_id for view in views] == ["idle"]
+
+
+def recount(registry):
+    """What ``free_capacity`` must equal: the sum over alive providers."""
+    return sum(
+        max(0, record.capacity + registry.pipeline_depth - record.outstanding)
+        for record in registry._providers.values()
+        if record.alive
+    )
+
+
+class TestSlotAccounting:
+    def test_free_capacity_follows_membership_and_load(self):
+        registry = ProviderRegistry(pipeline_depth=1)
+        assert registry.free_capacity == 0
+        a = register(registry, "a", capacity=2)
+        b = register(registry, "b", capacity=1)
+        assert registry.free_capacity == recount(registry) == 5
+        for _ in range(3):
+            registry.acquire(a)
+        registry.acquire(b)
+        assert registry.free_capacity == recount(registry) == 1
+        registry.release(a)
+        assert registry.free_capacity == recount(registry) == 2
+        registry.unregister(NodeId("b"))
+        assert registry.free_capacity == recount(registry) == 1
+        registry.unregister(NodeId("b"))  # unknown: nothing to subtract
+        assert registry.free_capacity == 1
+
+    def test_over_assignment_releases_do_not_add_capacity_early(self):
+        # A stale strategy may over-assign; the slots beyond capacity
+        # were never counted as free, so freeing them adds nothing.
+        registry = ProviderRegistry()
+        record = register(registry, capacity=1)
+        registry.acquire(record)
+        registry.acquire(record)
+        assert registry.free_capacity == 0
+        registry.release(record)
+        assert registry.free_capacity == recount(registry) == 0
+        registry.release(record)
+        assert registry.free_capacity == recount(registry) == 1
+
+    def test_release_with_nothing_outstanding_is_a_no_op(self):
+        # Flap: the provider re-registered while work ran; the results of
+        # its previous incarnation find a fresh record with nothing to free.
+        registry = ProviderRegistry()
+        old = register(registry, capacity=2)
+        registry.acquire(old)
+        registry.acquire(old)
+        assert registry.free_capacity == 0
+        new = register(registry, capacity=2, now=1.0)
+        assert registry.free_capacity == recount(registry) == 2
+        registry.release(new)
+        registry.release(new)
+        assert new.outstanding == 0
+        assert registry.free_capacity == recount(registry) == 2
+
+    def test_dead_provider_offers_nothing_until_it_re_registers(self):
+        registry = ProviderRegistry()
+        record = register(registry, capacity=3, now=0.0)
+        registry.acquire(record)
+        assert registry.detect_failures(100.0) == [NodeId("p1")]
+        assert registry.free_capacity == recount(registry) == 0
+        # Its executions are then lost one by one: the slots come back on
+        # a record nobody may place on.
+        registry.release(record)
+        assert record.outstanding == 0
+        assert registry.free_capacity == recount(registry) == 0
+        assert registry.detect_failures(200.0) == []
+        assert registry.free_capacity == 0
+        register(registry, capacity=3, now=201.0)
+        assert registry.free_capacity == recount(registry) == 3
