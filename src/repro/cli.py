@@ -30,6 +30,7 @@ from .common.errors import TaskletError
 from .tvm.bytecode import CompiledProgram
 from .tvm.compiler import compile_source
 from .tvm.disassembler import disassemble
+from .tvm.translate import translate
 from .tvm.vm import DEFAULT_FUEL, VMLimits, execute
 
 
@@ -56,7 +57,7 @@ def _parse_cli_value(text: str):
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     program = _load_program(args.file)
-    disasm = args.disasm or args.quicken  # --quicken implies --disasm
+    disasm = args.disasm or args.translated  # --translated implies --disasm
     payload = json.dumps(program.to_dict(), indent=None, separators=(",", ":"))
     if args.output:
         Path(args.output).write_text(payload)
@@ -68,18 +69,29 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     elif not disasm:
         print(payload)
     if disasm:
-        # Quickening trusts verifier invariants, so verify first (a
-        # no-op for freshly compiled source, load-bearing for JSON input).
-        program.verify()
-        print(disassemble(program, quickened=args.quicken))
+        _print_listing(program, args.translated)
     return 0
 
 
+def _print_listing(program: CompiledProgram, translated: bool) -> None:
+    """The disassembly and, with ``--translated``, the Python a provider
+    runs in place of each function."""
+    print(disassemble(program))
+    if not translated:
+        return
+    # The translator trusts verifier invariants, so verify first (a no-op
+    # for freshly compiled source, load-bearing for JSON input).
+    program.verify()
+    translation = translate(program)
+    if translation is None:
+        print("\n# declined by the translator: runs on the portable VM")
+        return
+    for function, source in zip(program.functions, translation.sources):
+        print(f"\n# {function.name}, translated:\n{source}")
+
+
 def _cmd_disasm(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    if args.quicken:
-        program.verify()
-    print(disassemble(program, quickened=args.quicken))
+    _print_listing(_load_program(args.file), args.translated)
     return 0
 
 
@@ -693,19 +705,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a human-readable listing instead of bytecode JSON",
     )
     compile_cmd.add_argument(
-        "--quicken",
+        "--translated",
         action="store_true",
-        help="with --disasm (implied): show the provider's fused internal "
-        "form side by side with the portable bytecode",
+        help="with --disasm (implied): follow each function with the Python "
+        "a provider runs in its place",
     )
     compile_cmd.set_defaults(handler=_cmd_compile)
 
     disasm_cmd = commands.add_parser("disasm", help="disassemble a program")
     disasm_cmd.add_argument("file")
     disasm_cmd.add_argument(
-        "--quicken",
+        "--translated",
         action="store_true",
-        help="show the provider's fused internal form side by side",
+        help="follow each function with the Python a provider runs in its place",
     )
     disasm_cmd.set_defaults(handler=_cmd_disasm)
 

@@ -236,6 +236,12 @@ class ProviderMetrics:
             "repro_provider_vm_instructions_total",
             "TVM instructions retired across all executions",
         )
+        self.vm_runs = registry.counter(
+            "repro_provider_vm_runs_total",
+            "Executions by the engine that ran them: translated, portable "
+            "(declined, profiled or uncached program), or restarted (both)",
+            labelnames=("engine",),
+        )
         self.vm_opcodes = registry.counter(
             "repro_provider_vm_opcodes_total",
             "TVM instructions retired by opcode group (profiled executions only)",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..core.kernels import PRIME_COUNT
 from ..tvm.compiler import compile_source
-from ..tvm.vm import TVM, VMLimits
+from .executor import TaskletExecutor, local_assignment
 
 #: Default argument to the prime-count benchmark kernel; ~1.5M TVM
 #: instructions, long enough to dominate compile/startup noise on any
@@ -55,20 +55,24 @@ def run_benchmark(
         raise ValueError(f"benchmark limit too small: {limit}")
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    # Benchmark the quickened engine: it is what assigned Tasklets run on
-    # (TaskletExecutor quickens at cache insertion), so the reported
-    # instructions/second is the speed the scheduler will actually see.
+    # Measure TaskletExecutor.execute itself, program cache warm: that is
+    # what assigned Tasklets run on, so the reported instructions/second
+    # is the speed the broker's observed-rate EWMA will then see.
     program = compile_source(PRIME_COUNT)
+    executor = TaskletExecutor()
+    executor.execute(local_assignment(program, [10]))
+    request = local_assignment(program, [limit])
     best_elapsed = float("inf")
     instructions = 0
     for _ in range(repetitions):
-        machine = TVM(program, limits=VMLimits(), seed=0, quickened=True)
         started = time.perf_counter()
-        machine.run("main", [limit])
+        outcome = executor.execute(request)
         elapsed = time.perf_counter() - started
+        if not outcome.ok:
+            raise RuntimeError(f"self-benchmark failed: {outcome.error}")
         if elapsed < best_elapsed:
             best_elapsed = elapsed
-            instructions = machine.stats.instructions
+            instructions = outcome.instructions
     # Guard against a pathological 0-duration clock reading.
     best_elapsed = max(best_elapsed, 1e-9)
     return BenchmarkReport(

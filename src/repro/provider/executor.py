@@ -7,11 +7,16 @@ provider, worker threads in the TCP provider).
 
 A small LRU of verified programs avoids re-deserialising and re-verifying
 bytecode for bag-of-tasks workloads, where thousands of Tasklets share one
-program (the common case for this middleware).
+program (the common case for this middleware).  Each cached program
+carries its translation (:mod:`repro.tvm.translate`), built once at
+insertion: assignments run as translated Python functions, and restart on
+the portable :class:`~repro.tvm.vm.TVM` whenever the translated run gives
+up — so results, errors and instruction counts are the interpreter's own.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -19,8 +24,8 @@ from typing import TYPE_CHECKING, Any
 from ..common.errors import VMError
 from ..core.results import ExecutionStatus
 from ..tvm.bytecode import CompiledProgram
-from ..tvm.quicken import quicken_program
-from ..tvm.vm import TVM, VMLimits, VMProfile
+from ..tvm.translate import Translation, translate
+from ..tvm.vm import DEFAULT_FUEL, TVM, VMLimits, VMProfile
 from ..transport.message import AssignExecution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,6 +56,32 @@ class ExecutionOutcome:
         return self.status is ExecutionStatus.SUCCESS
 
 
+def local_assignment(
+    program: CompiledProgram,
+    args: list,
+    entry: str = "main",
+    seed: int = 0,
+    fuel: int = DEFAULT_FUEL,
+) -> AssignExecution:
+    """An assignment of ``program`` stamped as a consumer stamps it.
+
+    For callers that measure :meth:`TaskletExecutor.execute` without a
+    broker (the provider self-benchmark, F1, ``bench_micro_vm``): what
+    they time is then the engine assignments actually run on.
+    """
+    return AssignExecution(
+        execution_id="local",
+        tasklet_id="local",
+        consumer_id="local",
+        program=program.to_dict(),
+        entry=entry,
+        args=args,
+        seed=seed,
+        fuel=fuel,
+        program_fingerprint=program.fingerprint(),
+    )
+
+
 class TaskletExecutor:
     """Executes assignments on this host's TVM.
 
@@ -58,14 +89,13 @@ class TaskletExecutor:
     bundle; when attached, program-cache hits/misses and retired
     instruction counts are reported through its registry.
 
-    ``quicken`` (default on) rewrites each program into the VM's fused
-    internal representation once, at program-cache insertion — amortised
-    across bag-of-tasks workloads exactly like verification.  Quickening
-    is invisible outside the VM: results, errors, instruction counts
-    (and therefore billing and voting) are bit-identical to the baseline
-    engine, and the cached program's wire form and fingerprint are
-    untouched.  Pass ``quicken=False`` to run the baseline engine (the
-    ablation the benchmarks compare against).
+    Which engine runs follows from what the executor can observe, not
+    from an option: a profiled executor needs per-opcode counts and one
+    with ``cache_size=0`` has nothing to amortise a translation over, so
+    both stay on the portable VM; so does a program the translator
+    declines.  ``translated_runs`` / ``restarts`` / ``declined_programs``
+    (and ``repro_provider_vm_runs_total{engine=...}``) say which engine
+    ran: a program that restarts on every run is paying for both.
     """
 
     def __init__(
@@ -73,24 +103,29 @@ class TaskletExecutor:
         cache_size: int = PROGRAM_CACHE_SIZE,
         profile: bool = False,
         metrics: "ProviderMetrics | None" = None,
-        quicken: bool = True,
     ):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        self._cache: OrderedDict[str, CompiledProgram] = OrderedDict()
+        self._cache: OrderedDict[
+            str, tuple[CompiledProgram, Translation | None]
+        ] = OrderedDict()
         self._cache_size = cache_size
         self._profile = profile
         self._metrics = metrics
-        self._quicken = quicken
         self.cache_hits = 0
         self.cache_misses = 0
+        self.translated_runs = 0
+        self.restarts = 0
+        self.declined_programs = 0
 
     @property
     def cache_size(self) -> int:
         return self._cache_size
 
-    def _load_program(self, program_dict: dict, claimed_fingerprint: str) -> CompiledProgram:
-        """Return a verified program, via the cache when possible.
+    def _load_program(
+        self, program_dict: dict, claimed_fingerprint: str
+    ) -> tuple[CompiledProgram, Translation | None]:
+        """Return a verified program and its translation, cached when possible.
 
         The cache is keyed on the fingerprint the *consumer* stamped on
         the assignment, so a hit skips deserialisation entirely.  On a
@@ -116,36 +151,58 @@ class TaskletExecutor:
                 f"program fingerprint mismatch: claimed {claimed_fingerprint}, "
                 f"actual {key}"
             )
+        cached = self._cache.get(key)
+        if cached is not None:  # no claimed fingerprint, but already vetted
+            self._cache.move_to_end(key)
+            return cached
         program.verify()
-        if self._quicken:
-            quicken_program(program)
+        translation = None
         if self._cache_size > 0:
-            self._cache[key] = program
+            if not self._profile:
+                translation = translate(program)
+                if translation is None:
+                    self.declined_programs += 1
+            self._cache[key] = program, translation
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-        return program
+        return program, translation
 
     def execute(self, request: AssignExecution) -> ExecutionOutcome:
         """Run one assignment to completion (success or VM failure)."""
-        machine = None
+        machine = engine = None
         try:
-            program = self._load_program(
+            program, translation = self._load_program(
                 request.program, request.program_fingerprint
             )
-            machine = TVM(
-                program,
-                limits=VMLimits(fuel=request.fuel),
-                seed=request.seed,
-                verify=False,  # verified on cache insertion
-                profile=self._profile,
-                quickened=self._quicken,  # quickened on cache insertion
-            )
-            value = machine.run(request.entry, list(request.args))
+            args, ran = request.args, None
+            if translation is not None:
+                # The restart must see what the translated run was given.
+                pristine = copy.deepcopy(args) if translation.mutates else args
+                try:
+                    ran = translation.run(
+                        request.entry, args, request.fuel, request.seed
+                    )
+                except Exception:  # deopt is restart: the portable VM decides
+                    engine, args = "restarted", pristine
+                    self.restarts += 1
+                else:
+                    engine = "translated"
+                    self.translated_runs += 1
+            if ran is None:
+                engine = engine or "portable"
+                machine = TVM(
+                    program,
+                    limits=VMLimits(fuel=request.fuel),
+                    seed=request.seed,
+                    verify=False,  # verified on cache insertion
+                    profile=self._profile,
+                )
+                ran = machine.run(request.entry, list(args)), machine.stats.instructions
             outcome = ExecutionOutcome(
                 status=ExecutionStatus.SUCCESS,
-                value=value,
-                instructions=machine.stats.instructions,
-                profile=machine.profile,
+                value=ran[0],
+                instructions=ran[1],
+                profile=machine.profile if machine else None,
             )
         except VMError as exc:
             # instructions stays 0 on failure: billing and the virtual
@@ -156,6 +213,8 @@ class TaskletExecutor:
                 profile=machine.profile if machine else None,
             )
         if self._metrics is not None:
+            if engine is not None:  # None: the program never loaded
+                self._metrics.vm_runs.labels(engine=engine).inc()
             if outcome.instructions:
                 self._metrics.vm_instructions.inc(outcome.instructions)
             if outcome.profile is not None:

@@ -58,11 +58,6 @@ class FunctionCode:
     _pairs: list[tuple[int, int | None]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: memoised fused representation (see :mod:`repro.tvm.quicken`);
-    #: internal only — never serialised, never part of the fingerprint.
-    _quick_pairs: list[tuple[int, object]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def pairs(self) -> list[tuple[int, int | None]]:

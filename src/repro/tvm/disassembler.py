@@ -3,28 +3,17 @@
 Used by tests (to pin compilation output for regressions), by the
 ``examples/`` scripts for didactic output, and by anyone debugging the
 compiler.  The format round-trips through :mod:`repro.tvm.assembler`.
-
-With ``quickened=True`` the listing gains a second column showing the
-provider's fused internal form (:mod:`repro.tvm.quicken`) next to each
-portable instruction.  Fused superinstruction heads are marked with ``*``
-and note how many portable slots they span; unmarked tail slots keep
-their portable instruction (they are skipped by the fused handler but
-remain valid jump targets).
 """
 
 from __future__ import annotations
 
 from .builtins import BUILTIN_ORDER
 from .bytecode import CompiledProgram, FunctionCode
-from .opcodes import JUMP_OPS, QUICK_EXPANSION, Op, QOp
-from .quicken import quicken_function
-
-#: column where the fused listing starts in side-by-side mode
-_QUICK_COLUMN = 44
+from .opcodes import JUMP_OPS, Op
 
 
 def disassemble_function(
-    program: CompiledProgram, function: FunctionCode, quickened: bool = False
+    program: CompiledProgram, function: FunctionCode
 ) -> list[str]:
     """Render one function as a list of text lines."""
     header = (
@@ -37,7 +26,6 @@ def disassemble_function(
         for instruction in function.code
         if instruction.op in JUMP_OPS
     }
-    quick = quicken_function(function) if quickened else None
     for position, instruction in enumerate(function.code):
         marker = "L" if position in targets else " "
         operand_text = ""
@@ -50,32 +38,17 @@ def disassemble_function(
             elif instruction.op is Op.CALL_BUILTIN:
                 index, arity = divmod(instruction.operand, 8)
                 operand_text += f"  ; {BUILTIN_ORDER[index]}/{arity}"
-        line = f"{marker}{position:5d}  {instruction.op.name}{operand_text}"
-        if quick is not None:
-            quick_op, quick_operand = quick[position]
-            if quick_op != int(instruction.op):
-                span = len(QUICK_EXPANSION[quick_op])
-                line = (
-                    f"{line:<{_QUICK_COLUMN}}| *{QOp(quick_op).name} "
-                    f"{quick_operand}  ; spans {span}"
-                )
-            else:
-                line = f"{line:<{_QUICK_COLUMN}}|"
-        lines.append(line)
+        lines.append(f"{marker}{position:5d}  {instruction.op.name}{operand_text}")
     lines.append(".end")
     return lines
 
 
-def disassemble(program: CompiledProgram, quickened: bool = False) -> str:
-    """Render a whole program as text.
-
-    ``quickened=True`` adds the side-by-side fused column (the program
-    must already be verified; quickening trusts verifier invariants).
-    """
+def disassemble(program: CompiledProgram) -> str:
+    """Render a whole program as text."""
     lines: list[str] = [f".constants {len(program.constants)}"]
     for position, constant in enumerate(program.constants):
         lines.append(f"  k{position} = {constant!r}")
     for function in program.functions:
         lines.append("")
-        lines.extend(disassemble_function(program, function, quickened=quickened))
+        lines.extend(disassemble_function(program, function))
     return "\n".join(lines)

@@ -4,16 +4,6 @@ The TVM is a stack machine.  Each instruction is an ``(opcode, operand)``
 pair; operands are small integers (constant-pool indices, slot numbers,
 jump targets, function indices) or ``None``.  The numeric opcode values are
 part of the portable bytecode format — append new opcodes, never renumber.
-
-Two disjoint numbering ranges exist:
-
-* :class:`Op` (< 100) — the portable instruction set, serialised on the
-  wire and covered by the verifier.
-* :class:`QOp` (>= 100) — internal *fused superinstructions* produced by
-  the provider-side quickening pass (:mod:`repro.tvm.quicken`).  They
-  never appear in serialised programs, never affect ``fingerprint()``,
-  and each one charges exactly the fuel of the portable sequence it
-  replaces (see :data:`QUICK_EXPANSION`).
 """
 
 from __future__ import annotations
@@ -64,62 +54,6 @@ class Op(enum.IntEnum):
     INDEX = 51  # base idx -- base[idx]
     STORE_INDEX = 52  # base idx value --
 
-
-class QOp(enum.IntEnum):
-    """Internal fused superinstructions (never serialised).
-
-    Produced by :mod:`repro.tvm.quicken` from the dominant portable
-    sequences the execution profiler exposes.  Operands are richer than
-    portable operands (tuples where a fusion needs two indices); that is
-    fine because quickened code never leaves the process.
-    """
-
-    # LOAD s; PUSH_CONST k; ADD; STORE s  — operand (slot, const_index)
-    INC_LOCAL = 100
-    # LOAD s; PUSH_CONST k; SUB; STORE s  — operand (slot, const_index)
-    DEC_LOCAL = 101
-    # compare; JUMP_IF_FALSE t            — operand t (absolute target)
-    LT_JUMP_IF_FALSE = 102
-    LE_JUMP_IF_FALSE = 103
-    GT_JUMP_IF_FALSE = 104
-    GE_JUMP_IF_FALSE = 105
-    EQ_JUMP_IF_FALSE = 106
-    NE_JUMP_IF_FALSE = 107
-    # LOAD s1; LOAD s2                    — operand (slot1, slot2)
-    LOAD_LOAD = 108
-    # LOAD s; PUSH_CONST k                — operand (slot, const_index)
-    LOAD_CONST = 109
-    # LOAD s; INDEX                       — operand s (s holds the index)
-    LOAD_INDEX = 110
-
-
-#: Portable sequence each fused superinstruction replaces.  Drives three
-#: invariants: the fuel a fused instruction charges (``len`` of the
-#: sequence), the expansion of profile counts back into portable opcodes
-#: (so ``VMProfile`` is engine-independent), and the quickened
-#: disassembly annotations.
-QUICK_EXPANSION: dict[int, tuple[Op, ...]] = {
-    QOp.INC_LOCAL: (Op.LOAD, Op.PUSH_CONST, Op.ADD, Op.STORE),
-    QOp.DEC_LOCAL: (Op.LOAD, Op.PUSH_CONST, Op.SUB, Op.STORE),
-    QOp.LT_JUMP_IF_FALSE: (Op.LT, Op.JUMP_IF_FALSE),
-    QOp.LE_JUMP_IF_FALSE: (Op.LE, Op.JUMP_IF_FALSE),
-    QOp.GT_JUMP_IF_FALSE: (Op.GT, Op.JUMP_IF_FALSE),
-    QOp.GE_JUMP_IF_FALSE: (Op.GE, Op.JUMP_IF_FALSE),
-    QOp.EQ_JUMP_IF_FALSE: (Op.EQ, Op.JUMP_IF_FALSE),
-    QOp.NE_JUMP_IF_FALSE: (Op.NE, Op.JUMP_IF_FALSE),
-    QOp.LOAD_LOAD: (Op.LOAD, Op.LOAD),
-    QOp.LOAD_CONST: (Op.LOAD, Op.PUSH_CONST),
-    QOp.LOAD_INDEX: (Op.LOAD, Op.INDEX),
-}
-
-#: Fuel charged by each fused superinstruction (= instructions replaced).
-QUICK_FUEL: dict[int, int] = {
-    int(op): len(sequence) for op, sequence in QUICK_EXPANSION.items()
-}
-
-#: Longest fused sequence; the VM deoptimises to portable code once the
-#: remaining fuel drops below this, so fuel accounting stays exact.
-MAX_QUICK_FUEL = max(QUICK_FUEL.values())
 
 #: Opcodes whose operand is a jump target (used by the verifier and the
 #: disassembler to annotate targets).

@@ -1,8 +1,8 @@
 """Bytecode optimizer: folding, peepholes, jump threading, dead code.
 
 Optional post-compilation pass (``compile_source(..., optimize=True)`` or
-:func:`optimize_program`).  Unlike provider-side quickening
-(:mod:`repro.tvm.quicken`), these transformations change the *portable*
+:func:`optimize_program`).  Unlike provider-side translation
+(:mod:`repro.tvm.translate`), these transformations change the *portable*
 bytecode — they happen before fingerprinting, on the consumer side.
 Four classic transformations, each safe under the language's semantics:
 

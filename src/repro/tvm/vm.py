@@ -23,17 +23,10 @@ checkpoints every 2048 instructions plus at every call and array build,
 so a runaway push loop can overshoot ``max_stack`` by at most 2048
 entries before being stopped.
 
-``TVM(quickened=True)`` executes the *quickened* internal representation
-(:mod:`repro.tvm.quicken`): fused superinstructions replace the dominant
-two-to-four-instruction sequences while charging exactly the fuel of the
-sequence they replace, constituent by constituent.  Results, raised
-errors, and ``ExecutionStats.instructions`` are bit-identical to the
-baseline engine; once remaining fuel drops below the longest fused
-sequence the loop deoptimises to portable code (the quickened list is
-index-compatible by construction), so even fuel-exhaustion boundaries
-bill identically.  The stack checkpoint test widens from ``== 0`` to
-``< MAX_QUICK_FUEL`` under quickening because fuel no longer steps by
-one; every 2048-fuel window still checkpoints at least once.
+This is the *portable* engine: the reference semantics, the profiled
+path, and what every translated run (:mod:`repro.tvm.translate`) restarts
+on when it gives up — so every error and every failing instruction count
+a provider reports is produced here.
 
 A :class:`TVM` instance runs one execution (``run`` may only be called
 once); create a fresh instance per Tasklet.
@@ -56,7 +49,7 @@ from ..common.errors import (
 from . import operators
 from .builtins import BUILTIN_ORDER, BUILTINS
 from .bytecode import CompiledProgram, FunctionCode
-from .opcodes import MAX_QUICK_FUEL, OPCODE_GROUP, QUICK_EXPANSION, Op
+from .opcodes import OPCODE_GROUP, Op
 
 #: Sentinel for "no value" (void returns / uninitialised locals).  A
 #: distinct object, not None, so Tasklet code can never observe or forge it.
@@ -163,16 +156,9 @@ class TVM:
         seed: int = 0,
         verify: bool = True,
         profile: bool = False,
-        quickened: bool = False,
     ):
         if verify:
             program.verify()
-        if quickened:
-            # Memoised per function: a no-op for cached provider programs
-            # (the executor quickens at program-cache insertion).
-            from .quicken import quicken_program
-
-            quicken_program(program)
         self.program = program
         self.limits = limits or VMLimits()
         self.rng = random.Random(seed)
@@ -180,7 +166,6 @@ class TVM:
         self._stack: list = []
         self._frames: list[_Frame] = []
         self._ran = False
-        self._quickened = quickened
         # Profiling is opt-in: when disabled the dispatch loop pays one
         # local ``is not None`` test per instruction and nothing else.
         self._profile_counts: list[int] | None = [0] * 128 if profile else None
@@ -226,21 +211,11 @@ class TVM:
         groups: dict[str, int] = {}
         opcodes: dict[str, int] = {}
 
-        def record(op: Op, count: int) -> None:
-            opcodes[op.name] = opcodes.get(op.name, 0) + count
-            group = OPCODE_GROUP.get(int(op), "other")
-            groups[group] = groups.get(group, 0) + count
-
         for op_value, count in enumerate(counts):
-            if not count:
-                continue
-            if op_value in QUICK_EXPANSION:
-                # Fused superinstructions report as the portable sequence
-                # they replaced, so profiles are engine-independent.
-                for constituent in QUICK_EXPANSION[op_value]:
-                    record(constituent, count)
-            else:
-                record(Op(op_value), count)
+            if count:
+                opcodes[Op(op_value).name] = count
+                group = OPCODE_GROUP.get(op_value, "other")
+                groups[group] = groups.get(group, 0) + count
         self.profile = VMProfile(
             wall_time_s=wall_time_s,
             instructions=self.stats.instructions,
@@ -267,30 +242,17 @@ class TVM:
 
         local_vars = args + [_NONE] * (function.n_locals - function.n_params)
         frames.append(_Frame(function, local_vars, return_address=-1, stack_base=0))
-        quick = self._quickened
-        code = function._quick_pairs if quick else function.pairs
-        # Quickened fuel steps by up to MAX_QUICK_FUEL, so the checkpoint
-        # test widens to "low residue" — still >= 1 firing per window.
-        check_slack = MAX_QUICK_FUEL if quick else 1
+        code = function.pairs
         ip = 0
         fuel = limits.fuel
 
         try:
             while True:
-                if fuel < MAX_QUICK_FUEL:
-                    if fuel <= 0:
-                        raise VMFuelExhausted(
-                            f"fuel exhausted after {limits.fuel} instructions"
-                        )
-                    if quick:
-                        # Deoptimise: the final instructions run on the
-                        # portable code (index-compatible by construction)
-                        # so a fused instruction can never charge past the
-                        # fuel limit and exhaustion bills exactly.
-                        quick = False
-                        check_slack = 1
-                        code = frames[-1].function.pairs
-                if fuel & _CHECK_MASK < check_slack:
+                if fuel <= 0:
+                    raise VMFuelExhausted(
+                        f"fuel exhausted after {limits.fuel} instructions"
+                    )
+                if fuel & _CHECK_MASK == 0:
                     depth = len(stack)
                     if depth > max_stack:
                         raise VMStackOverflow(
@@ -305,165 +267,7 @@ class TVM:
                 if profile_counts is not None:
                     profile_counts[op] += 1
 
-                if op >= 100:  # fused superinstructions (quickened code)
-                    # Fuel is charged constituent by constituent, *before*
-                    # each constituent's fallible step, so error paths and
-                    # fuel accounting match the baseline engine exactly.
-                    # The loop head already charged the first constituent.
-                    if op == 102:  # LT_JUMP_IF_FALSE
-                        right = stack.pop()
-                        left = stack.pop()
-                        if (type(left) is int or type(left) is float) and (
-                            type(right) is int or type(right) is float
-                        ):
-                            condition = left < right
-                        else:
-                            condition = self._order(Op.LT, left, right)
-                        fuel -= 1
-                        if condition:
-                            ip += 1
-                        else:
-                            ip = operand
-                    elif op == 100:  # INC_LOCAL
-                        slot, const_index = operand
-                        value = local_vars[slot]
-                        if value is _NONE:
-                            raise VMError(
-                                f"read of uninitialised local slot {slot}"
-                            )
-                        fuel -= 2
-                        right = constants[const_index]
-                        if (type(value) is int or type(value) is float) and (
-                            type(right) is int or type(right) is float
-                        ):
-                            value = value + right
-                        else:
-                            value = self._add(value, right)
-                        fuel -= 1
-                        local_vars[slot] = value
-                        ip += 3
-                    elif op == 108:  # LOAD_LOAD
-                        first, second = operand
-                        value = local_vars[first]
-                        if value is _NONE:
-                            raise VMError(
-                                f"read of uninitialised local slot {first}"
-                            )
-                        fuel -= 1
-                        other = local_vars[second]
-                        if other is _NONE:
-                            raise VMError(
-                                f"read of uninitialised local slot {second}"
-                            )
-                        stack.append(value)
-                        stack.append(other)
-                        ip += 1
-                    elif op == 103:  # LE_JUMP_IF_FALSE
-                        right = stack.pop()
-                        left = stack.pop()
-                        if (type(left) is int or type(left) is float) and (
-                            type(right) is int or type(right) is float
-                        ):
-                            condition = left <= right
-                        else:
-                            condition = self._order(Op.LE, left, right)
-                        fuel -= 1
-                        if condition:
-                            ip += 1
-                        else:
-                            ip = operand
-                    elif op == 109:  # LOAD_CONST
-                        slot, const_index = operand
-                        value = local_vars[slot]
-                        if value is _NONE:
-                            raise VMError(
-                                f"read of uninitialised local slot {slot}"
-                            )
-                        fuel -= 1
-                        stack.append(value)
-                        stack.append(constants[const_index])
-                        ip += 1
-                    elif op == 106:  # EQ_JUMP_IF_FALSE
-                        right = stack.pop()
-                        condition = self._equals(stack.pop(), right)
-                        fuel -= 1
-                        if condition:
-                            ip += 1
-                        else:
-                            ip = operand
-                    elif op == 110:  # LOAD_INDEX
-                        index = local_vars[operand]
-                        if index is _NONE:
-                            raise VMError(
-                                f"read of uninitialised local slot {operand}"
-                            )
-                        fuel -= 1
-                        base = stack[-1]
-                        if (
-                            type(base) is list
-                            and type(index) is int
-                            and 0 <= index < len(base)
-                        ):
-                            stack[-1] = base[index]
-                        else:
-                            stack[-1] = self._index(base, index)
-                        ip += 1
-                    elif op == 104:  # GT_JUMP_IF_FALSE
-                        right = stack.pop()
-                        left = stack.pop()
-                        if (type(left) is int or type(left) is float) and (
-                            type(right) is int or type(right) is float
-                        ):
-                            condition = left > right
-                        else:
-                            condition = self._order(Op.GT, left, right)
-                        fuel -= 1
-                        if condition:
-                            ip += 1
-                        else:
-                            ip = operand
-                    elif op == 105:  # GE_JUMP_IF_FALSE
-                        right = stack.pop()
-                        left = stack.pop()
-                        if (type(left) is int or type(left) is float) and (
-                            type(right) is int or type(right) is float
-                        ):
-                            condition = left >= right
-                        else:
-                            condition = self._order(Op.GE, left, right)
-                        fuel -= 1
-                        if condition:
-                            ip += 1
-                        else:
-                            ip = operand
-                    elif op == 107:  # NE_JUMP_IF_FALSE
-                        right = stack.pop()
-                        condition = self._equals(stack.pop(), right)
-                        fuel -= 1
-                        if condition:
-                            ip = operand
-                        else:
-                            ip += 1
-                    else:  # op == 101, DEC_LOCAL
-                        slot, const_index = operand
-                        value = local_vars[slot]
-                        if value is _NONE:
-                            raise VMError(
-                                f"read of uninitialised local slot {slot}"
-                            )
-                        fuel -= 2
-                        right = constants[const_index]
-                        if (type(value) is int or type(value) is float) and (
-                            type(right) is int or type(right) is float
-                        ):
-                            value = value - right
-                        else:
-                            self._require_number(value, right, "-")
-                            value = value - right
-                        fuel -= 1
-                        local_vars[slot] = value
-                        ip += 3
-                elif op == 3:  # LOAD
+                if op == 3:  # LOAD
                     value = local_vars[operand]
                     if value is _NONE:
                         raise VMError(f"read of uninitialised local slot {operand}")
@@ -472,7 +276,7 @@ class TVM:
                     stack.append(constants[operand])
                 elif op == 4:  # STORE
                     local_vars[operand] = stack.pop()
-                elif op == 30:  # JUMP (loop back-edges: hot in quickened code)
+                elif op == 30:  # JUMP
                     ip = operand
                 elif op == 10:  # ADD
                     right = stack.pop()
@@ -651,7 +455,7 @@ class TVM:
                     if len(stack) > stats.max_stack_depth:
                         stats.max_stack_depth = len(stack)
                     local_vars = new_locals
-                    code = callee._quick_pairs if quick else callee.pairs
+                    code = callee.pairs
                     ip = 0
                 elif op == 42:  # RET
                     result = stack.pop()
@@ -662,7 +466,7 @@ class TVM:
                     stack.append(result)
                     top = frames[-1]
                     local_vars = top.locals
-                    code = top.function._quick_pairs if quick else top.function.pairs
+                    code = top.function.pairs
                     ip = frame.return_address
                 elif op == 50:  # BUILD_ARRAY
                     if operand:
@@ -710,9 +514,8 @@ def execute(
     args: list | None = None,
     limits: VMLimits | None = None,
     seed: int = 0,
-    quickened: bool = False,
 ) -> tuple[Any, ExecutionStats]:
     """Run ``entry(args)`` on a fresh VM; returns ``(result, stats)``."""
-    machine = TVM(program, limits=limits, seed=seed, quickened=quickened)
+    machine = TVM(program, limits=limits, seed=seed)
     result = machine.run(entry, args)
     return result, machine.stats

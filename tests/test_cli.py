@@ -97,23 +97,23 @@ class TestCompileDisasm:
         text = capsys.readouterr().out
         assert ".func main" in text
         assert not text.lstrip().startswith("{")
-        # Portable listing only: no fused column.
-        assert "*" not in text
+        # Portable listing only: no generated Python.
+        assert "def f0(" not in text
 
-    def test_compile_quicken_shows_fused_column(self, source_file, capsys):
-        # --quicken implies --disasm; the counting loop fuses its
-        # increment and loop test.
-        assert main(["compile", source_file, "--quicken"]) == 0
-        text = capsys.readouterr().out
-        assert "*INC_LOCAL" in text
-        assert "*LE_JUMP_IF_FALSE" in text
-        assert "spans 4" in text
-        # Side by side: the portable instructions are still all there.
-        assert "JUMP_IF_FALSE" in text and "ADD" in text
+    def test_compile_translated_shows_generated_python(self, source_file, capsys):
+        # --translated implies --disasm; the listing is followed by the
+        # Python a provider runs in place of each function.
+        assert main(["compile", source_file, "--translated"]) == 0
+        listing, _, python = capsys.readouterr().out.partition("# main, translated:")
+        assert "def f0(F, depth, v0):" in python
+        assert "fuel -= " in python and "while True:" in python
+        compile(python, "<listing>", "exec")  # it is Python, as printed
+        # The portable instructions are still all there.
+        assert "JUMP_IF_FALSE" in listing and "ADD" in listing
 
-    def test_disasm_quicken_flag(self, source_file, capsys):
-        assert main(["disasm", source_file, "--quicken"]) == 0
-        assert "*INC_LOCAL" in capsys.readouterr().out
+    def test_disasm_translated_flag(self, source_file, capsys):
+        assert main(["disasm", source_file, "--translated"]) == 0
+        assert "def f0(F, depth, v0):" in capsys.readouterr().out
 
 
 class TestBenchAndSimulate:
