@@ -12,10 +12,12 @@ import random
 from repro.broker.registry import ProviderRegistry
 from repro.broker.scheduling import make_strategy
 from repro.common.ids import NodeId
-from repro.common.serde import FrameReader, pack_frame
 from repro.core import kernels
 from repro.core.qoc import QoC
 from repro.core.results import _vote_key
+from repro.provider.executor import local_assignment
+from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
+from repro.transport.message import BROKER_ADDRESS
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import TVM, VMLimits
 
@@ -49,15 +51,19 @@ def test_compile_pipeline(benchmark):
 
 
 def test_program_wire_roundtrip(benchmark):
-    """Serialise + frame + parse one compiled program."""
+    """Encode + frame + decode one assignment carrying a compiled program,
+    through the codec and the incremental decoder the transport uses."""
     program = compile_source(kernels.MANDELBROT_ROW)
+    envelope = local_assignment(program, [5, 64, 48, 24]).envelope(
+        BROKER_ADDRESS, NodeId("p1")
+    )
 
     def roundtrip():
-        frame = pack_frame(program.to_dict())
-        return FrameReader().feed(frame)[0]
+        frame = encode_envelope(envelope, CODEC_BINARY)
+        return EnvelopeDecoder().feed(frame)[0][0]
 
-    payload = benchmark(roundtrip)
-    assert payload["version"] == 1
+    decoded = benchmark(roundtrip)
+    assert decoded.payload["program"]["version"] == 1
 
 
 def test_scheduler_selection(benchmark):

@@ -22,37 +22,19 @@ Exit code 0 when every assertion holds; stack trace otherwise.
 import argparse
 import json
 import sys
-import time
 
-from repro.broker.core import BrokerConfig
 from repro.broker.journal import replay_journal
 from repro.cli import main as cli_main
 from repro.common.errors import BrokerUnreachable
 from repro.dag.patterns import reference_values, tree
-from repro.obs import Telemetry
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
+from repro.transport.tcp import TcpConsumer, TcpProvider
 
-CONFIG = dict(heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=30.0)
+from _cluster import start_broker, wait_for
+
 #: Per-node busy-loop iterations (~0.5s each): big enough that, with a
 #: capacity-1 provider serialising the tree, the graph is guaranteed
 #: still in flight when we pull the plug; small enough to keep CI fast.
 WORK = 150_000
-
-
-def start_broker(journal_path: str, port: int = 0) -> TcpBroker:
-    deadline = time.perf_counter() + 10.0
-    while True:
-        try:
-            return TcpBroker(
-                port=port,
-                config=BrokerConfig(**CONFIG),
-                telemetry=Telemetry(),
-                journal_path=journal_path,
-            ).start()
-        except OSError:
-            if port == 0 or time.perf_counter() > deadline:
-                raise
-            time.sleep(0.1)
 
 
 def start_provider(host: str, port: int) -> TcpProvider:
@@ -62,16 +44,6 @@ def start_provider(host: str, port: int) -> TcpProvider:
     return TcpProvider(
         host, port, node_id="p1", benchmark_score=1e7, capacity=1
     ).start()
-
-
-def wait_for(predicate, deadline_s: float, what: str):
-    deadline = time.perf_counter() + deadline_s
-    while time.perf_counter() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(0.05)
-    raise AssertionError(f"timed out after {deadline_s}s waiting for {what}")
 
 
 def ok_completions(path: str) -> int:

@@ -20,51 +20,17 @@ Exit code 0 when every assertion holds; stack trace otherwise.
 import argparse
 import json
 import sys
-import time
-import urllib.request
 
-from repro.broker.core import BrokerConfig
 from repro.cli import main as cli_main
 from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
-from repro.obs import Telemetry, parse_prometheus
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
+from repro.obs import parse_prometheus
+from repro.transport.tcp import TcpConsumer, TcpProvider
+
+from _cluster import fetch, start_broker, wait_for
 
 DONE = [("done-0", 150), ("done-1", 151)]
 LOST = [("lost-0", 152), ("lost-1", 153), ("lost-2", 154)]
-CONFIG = dict(heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=30.0)
-
-
-def fetch(url: str):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
-        return response.read().decode()
-
-
-def start_broker(journal_path: str, port: int = 0) -> TcpBroker:
-    deadline = time.perf_counter() + 10.0
-    while True:
-        try:
-            return TcpBroker(
-                port=port,
-                config=BrokerConfig(**CONFIG),
-                telemetry=Telemetry(),
-                obs_port=0,
-                journal_path=journal_path,
-            ).start()
-        except OSError:
-            if port == 0 or time.perf_counter() > deadline:
-                raise
-            time.sleep(0.1)
-
-
-def wait_for(predicate, deadline_s: float, what: str):
-    deadline = time.perf_counter() + deadline_s
-    while time.perf_counter() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(0.05)
-    raise AssertionError(f"timed out after {deadline_s}s waiting for {what}")
 
 
 def submit_bag(consumer, bag):
@@ -83,7 +49,7 @@ def main() -> int:
     args = parser.parse_args()
 
     # -- incarnation 1: admit work, complete some, crash --------------------
-    first = start_broker(args.journal)
+    first = start_broker(args.journal, obs_port=0)
     host, port = first.address
     consumer = TcpConsumer(host, port, node_id="smoke-consumer").start()
     try:
@@ -115,7 +81,7 @@ def main() -> int:
         raise
 
     # -- incarnation 2: replay, recover, redeliver, memoize -----------------
-    second = start_broker(args.journal, port=port)
+    second = start_broker(args.journal, port=port, obs_port=0)
     provider = None
     try:
         stats = second.core.stats

@@ -20,9 +20,7 @@ journals and the flight-recorder event log are CI artifacts on failure.
 """
 
 import argparse
-import socket
 import sys
-import time
 
 from repro.broker.core import BrokerConfig
 from repro.broker.journal import replay_journal
@@ -31,36 +29,10 @@ from repro.core import kernels
 from repro.obs import FlightRecorder, Telemetry
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
+from _cluster import CONFIG, free_ports, peer_has_slots, wait_for
+
 BROKER_IDS = ("b1", "b2", "b3")
-CONFIG = dict(heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=30.0)
 BAG = [(f"fed-{i}", 200 + 10 * i) for i in range(8)]
-
-
-def free_ports(count):
-    sockets = []
-    for _ in range(count):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sockets.append(sock)
-    ports = [sock.getsockname()[1] for sock in sockets]
-    for sock in sockets:
-        sock.close()
-    return ports
-
-
-def wait_for(predicate, deadline_s: float, what: str):
-    deadline = time.perf_counter() + deadline_s
-    while time.perf_counter() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(0.05)
-    raise AssertionError(f"timed out after {deadline_s}s waiting for {what}")
-
-
-def peer_has_slots(broker, peer_id):
-    peer = broker.core.federation.peers.get(peer_id)
-    return peer is not None and peer.alive and peer.free_slots > 0
 
 
 def main() -> int:

@@ -23,31 +23,17 @@ import argparse
 import json
 import sys
 import time
-import urllib.request
 
 from repro.core import kernels
 from repro.obs import FlightRecorder, Telemetry, parse_prometheus
 from repro.obs import events as ev
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
+from _cluster import fetch, wait_for
+
 WARMUP_TASKS = 2  # teach the watchdog the program's runtime profile
 MAIN_TASKS = 4
 LIMIT = 300  # prime_count argument; small, so honest runs are fast
-
-
-def fetch(url: str):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
-        return response.read().decode()
-
-
-def wait_for(predicate, deadline_s: float, what: str):
-    deadline = time.perf_counter() + deadline_s
-    while time.perf_counter() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(0.1)
-    raise AssertionError(f"timed out after {deadline_s}s waiting for {what}")
 
 
 def alive_providers(base: str) -> int:

@@ -23,9 +23,7 @@ Exit code 0 when every assertion holds; stack trace otherwise.
 
 import argparse
 import json
-import socket
 import sys
-import time
 import urllib.request
 
 from repro.broker.core import BrokerConfig
@@ -34,35 +32,9 @@ from repro.obs import Telemetry, analyze_workflow, build_trace_tree
 from repro.obs.trace import Span
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
+from _cluster import CONFIG, free_ports, peer_has_slots, wait_for
+
 BROKER_IDS = ("b1", "b2", "b3")
-CONFIG = dict(heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=30.0)
-
-
-def free_ports(count):
-    sockets = []
-    for _ in range(count):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sockets.append(sock)
-    ports = [sock.getsockname()[1] for sock in sockets]
-    for sock in sockets:
-        sock.close()
-    return ports
-
-
-def wait_for(predicate, deadline_s: float, what: str):
-    deadline = time.perf_counter() + deadline_s
-    while time.perf_counter() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(0.05)
-    raise AssertionError(f"timed out after {deadline_s}s waiting for {what}")
-
-
-def peer_has_slots(broker, peer_id):
-    peer = broker.core.federation.peers.get(peer_id)
-    return peer is not None and peer.alive and peer.free_slots > 0
 
 
 def get_json(url):

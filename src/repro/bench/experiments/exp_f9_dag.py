@@ -57,7 +57,7 @@ def _topo_levels(spec: WorkflowSpec) -> list[list[str]]:
 
 
 def _run_naive(spec: WorkflowSpec) -> tuple[float, dict[str, object]]:
-    """Per-stage driver: one ``submit_batch`` + full wait per topo level.
+    """Per-stage driver: one ``submit_tasklets`` + full wait per topo level.
 
     Returns (makespan in virtual seconds, sink outputs).
     """
@@ -84,7 +84,7 @@ def _run_naive(spec: WorkflowSpec) -> tuple[float, dict[str, object]]:
                     fuel=node.fuel,
                 )
             )
-        futures = consumer.submit_batch(tasklets)
+        futures = consumer.submit_tasklets(tasklets)
         sim.run()
         for node_id, future in zip(level, futures):
             values[node_id] = future.result(0)

@@ -152,6 +152,15 @@ class ExecutionFailed(TaskletError):
         super().__init__(message)
 
 
+class DuplicateSubmission(TaskletError):
+    """A tasklet id was submitted while its earlier submission is pending.
+
+    Raised at submit time, before anything is registered or sent: the
+    pending future keeps its answer.  Resubmitting the id is accepted
+    again once that future has resolved or been failed.
+    """
+
+
 class ResultMismatch(TaskletError):
     """Redundant executions disagreed and no majority could be formed."""
 

@@ -9,8 +9,9 @@ two lower layers those dataclasses sit on:
   values (ints, floats, bools, strings, ``None``, lists, string-keyed
   dicts, and ``bytes`` via base64) that survives a JSON round trip without
   type loss (e.g. distinguishes ``1`` from ``1.0`` and bytes from str);
-* *framing* — ``pack_frame``/``FrameReader`` turn a byte stream (TCP) into
-  a sequence of discrete messages using a 4-byte big-endian length prefix.
+* *framing* — ``pack_frame`` prefixes a serialised payload with its 4-byte
+  big-endian length; the stream is cut back into messages by the one
+  incremental decoder, :class:`repro.transport.codec.EnvelopeDecoder`.
 """
 
 from __future__ import annotations
@@ -110,36 +111,3 @@ def pack_frame(payload: dict[str, Any]) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise CodecError(f"frame too large: {len(body)} bytes")
     return _HEADER.pack(len(body)) + body
-
-
-class FrameReader:
-    """Incremental frame decoder for a byte stream.
-
-    Feed arbitrary chunks with :meth:`feed`; complete frames come back in
-    order.  Partial frames are buffered across calls, which is exactly the
-    behaviour a non-blocking TCP receive loop needs.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, chunk: bytes) -> list[dict[str, Any]]:
-        """Absorb ``chunk`` and return every payload completed by it."""
-        self._buffer.extend(chunk)
-        frames: list[dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer, 0)
-            if length > MAX_FRAME_BYTES:
-                raise CodecError(f"incoming frame too large: {length} bytes")
-            if len(self._buffer) < _HEADER.size + length:
-                return frames
-            body = bytes(self._buffer[_HEADER.size : _HEADER.size + length])
-            del self._buffer[: _HEADER.size + length]
-            frames.append(loads(body))
-
-    @property
-    def pending_bytes(self) -> int:
-        """Number of buffered bytes not yet forming a complete frame."""
-        return len(self._buffer)

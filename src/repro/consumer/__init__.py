@@ -2,5 +2,6 @@
 
 from .core import ConsumerCore, ConsumerStats
 from .library import Session, TaskletLibrary
+from .session import CoreSession
 
-__all__ = ["ConsumerCore", "ConsumerStats", "Session", "TaskletLibrary"]
+__all__ = ["ConsumerCore", "ConsumerStats", "CoreSession", "Session", "TaskletLibrary"]

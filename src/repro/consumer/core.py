@@ -1,21 +1,36 @@
 """The consumer core: submission bookkeeping and future resolution.
 
-Sans-IO like its broker and provider counterparts: ``submit`` produces the
-envelope to send, ``handle`` consumes broker replies and resolves the
-matching :class:`~repro.core.futures.TaskletFuture`.
+Sans-IO like its broker and provider counterparts: ``submit_tasklets`` /
+``submit_workflow`` produce the envelopes to send, ``handle`` consumes
+broker replies and resolves the matching waiter.
 
-The future table is guarded by a lock because the real TCP deployment
-drives this core from two threads: the application submits while the
-receive thread resolves (or, on disconnect, fails) pending futures.
+All the core knows about an in-flight submission is one :class:`_Pending`
+record, in one table per kind.  A submission becomes pending in one place
+(``_register``) and stops being pending in one place per kind
+(``_end_tasklet``, ``_end_workflow``) — completion, rejection and
+disconnect alike — so every waiter handed out is answered exactly once
+(DESIGN.md §8).
+
+The tables are locked because TCP drives this core from two threads: the
+application submits while the link thread resolves, or on disconnect
+fails, what is pending.  Tables and counters change under the lock;
+metrics, spans and the waiter's resolution (application callbacks) do not.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 from ..common.clock import Clock
-from ..common.errors import BrokerUnreachable, WorkflowFailed, WorkflowSpecError
+from ..common.errors import (
+    BrokerUnreachable,
+    DuplicateSubmission,
+    TaskletError,
+    WorkflowFailed,
+    WorkflowSpecError,
+)
 from ..common.ids import NodeId, TaskletId
 from ..core.futures import TaskletFuture
 from ..core.results import ExecutionRecord, TaskletResult
@@ -28,6 +43,7 @@ from ..obs.trace import TraceContext
 from ..transport.message import (
     BROKER_ADDRESS,
     Envelope,
+    MessageBody,
     SubmitAck,
     SubmitTasklet,
     SubmitWorkflow,
@@ -50,6 +66,27 @@ class ConsumerStats:
     workflows_failed: int = 0
 
 
+@dataclass(slots=True)
+class _Pending:
+    """One in-flight submission: all that ending it needs."""
+
+    waiter: Any  # TaskletFuture | WorkflowHandle
+    submitted_at: float
+    trace: TraceContext | None  # the root context, with telemetry on
+
+
+class _Kind(NamedTuple):
+    """What differs between registering a tasklet and a workflow."""
+
+    waiter: type  # what the application holds on to
+    refusal: type[TaskletError]  # raised for an id that is still pending
+    counter: str  # the ConsumerStats field counting registrations
+
+
+_TASKLET = _Kind(TaskletFuture, DuplicateSubmission, "submitted")
+_WORKFLOW = _Kind(WorkflowHandle, WorkflowSpecError, "workflows_submitted")
+
+
 class ConsumerCore:
     """One consumer node's middleware state."""
 
@@ -69,73 +106,32 @@ class ConsumerCore:
         self._events = telemetry.events if telemetry else None
         self.stats = ConsumerStats()
         self._lock = threading.Lock()
-        self._futures: dict[TaskletId, TaskletFuture] = {}
-        self._submitted_at: dict[TaskletId, float] = {}
-        #: Root trace context per in-flight tasklet (telemetry only).
-        self._trace_ctx: dict[TaskletId, TraceContext] = {}
-        #: In-flight DAG workflows by workflow id.
-        self._workflows: dict[str, WorkflowHandle] = {}
-        #: Root trace context + submit time per in-flight workflow.
-        self._wf_trace: dict[str, tuple[TraceContext, float]] = {}
+        self._tasklets: dict[TaskletId, _Pending] = {}
+        self._workflows: dict[str, _Pending] = {}
 
     # -- submission -----------------------------------------------------------
 
     def submit(self, tasklet: Tasklet) -> tuple[TaskletFuture, list[Envelope]]:
-        """Register a future for ``tasklet`` and produce the submit message."""
-        future = TaskletFuture(tasklet.tasklet_id)
-        ctx = self._tracer.start_trace() if self._tracer is not None else None
-        with self._lock:
-            self._futures[tasklet.tasklet_id] = future
-            self._submitted_at[tasklet.tasklet_id] = self.clock.now()
-            if ctx is not None:
-                self._trace_ctx[tasklet.tasklet_id] = ctx
-            self.stats.submitted += 1
-        if self._metrics is not None:
-            self._metrics.submitted.inc()
-        envelope = SubmitTasklet(tasklet=tasklet.to_dict()).envelope(
-            src=self.node_id, dst=self.broker
-        )
-        if ctx is not None:
-            envelope.trace = ctx.to_dict()
-        return future, [envelope]
+        """:meth:`submit_tasklets` for a batch of one."""
+        futures, envelopes = self.submit_tasklets([tasklet])
+        return futures[0], envelopes
 
-    def submit_many(
-        self, tasklets: list[Tasklet]
+    def submit_tasklets(
+        self, tasklets: Sequence[Tasklet]
     ) -> tuple[list[TaskletFuture], list[Envelope]]:
-        """Batch submission: register every future under one lock acquisition.
+        """Register a future per tasklet and produce the submit messages.
 
-        Equivalent to calling :meth:`submit` per tasklet but pays the
-        lock / clock / stats overhead once for the whole batch — the fast
-        path for stage-at-a-time workloads (and the naive DAG baseline).
+        All of the batch or none of it: an id that is still pending (or
+        appears twice in the batch) raises :class:`DuplicateSubmission`
+        before anything is registered, so no future is ever overwritten.
         """
-        futures: list[TaskletFuture] = []
-        contexts: list[TraceContext | None] = []
-        now = self.clock.now()
-        with self._lock:
-            for tasklet in tasklets:
-                future = TaskletFuture(tasklet.tasklet_id)
-                ctx = (
-                    self._tracer.start_trace()
-                    if self._tracer is not None
-                    else None
-                )
-                self._futures[tasklet.tasklet_id] = future
-                self._submitted_at[tasklet.tasklet_id] = now
-                if ctx is not None:
-                    self._trace_ctx[tasklet.tasklet_id] = ctx
-                futures.append(future)
-                contexts.append(ctx)
-            self.stats.submitted += len(tasklets)
-        if self._metrics is not None and tasklets:
-            self._metrics.submitted.inc(len(tasklets))
-        envelopes: list[Envelope] = []
-        for tasklet, ctx in zip(tasklets, contexts):
-            envelope = SubmitTasklet(tasklet=tasklet.to_dict()).envelope(
-                src=self.node_id, dst=self.broker
-            )
-            if ctx is not None:
-                envelope.trace = ctx.to_dict()
-            envelopes.append(envelope)
+        futures, envelopes = self._register(
+            self._tasklets,
+            _TASKLET,
+            [(t.tasklet_id, SubmitTasklet(tasklet=t.to_dict())) for t in tasklets],
+        )
+        if self._metrics is not None and futures:
+            self._metrics.submitted.inc(len(futures))
         return futures, envelopes
 
     def submit_workflow(
@@ -148,283 +144,208 @@ class ConsumerCore:
         ``workflow_complete`` with the sink-node outputs.
         """
         spec.validate()
-        handle = WorkflowHandle(spec.workflow_id)
-        ctx = self._tracer.start_trace() if self._tracer is not None else None
+        submission = spec.workflow_id, SubmitWorkflow(workflow=spec.to_dict())
+        (handle,), envelopes = self._register(self._workflows, _WORKFLOW, [submission])
+        return handle, envelopes
+
+    def _register(
+        self, table: dict, kind: _Kind, submissions: Sequence[tuple[Any, MessageBody]]
+    ) -> tuple[list, list[Envelope]]:
+        """The one place a submission becomes pending: every ``(id, submit
+        message)`` of the batch or, if one of the ids still is, none."""
         now = self.clock.now()
-        with self._lock:
-            if spec.workflow_id in self._workflows:
-                raise WorkflowSpecError(
-                    f"workflow {spec.workflow_id!r} is already in flight"
-                )
-            self._workflows[spec.workflow_id] = handle
-            if ctx is not None:
-                self._wf_trace[spec.workflow_id] = (ctx, now)
-            self.stats.workflows_submitted += 1
-        envelope = SubmitWorkflow(workflow=spec.to_dict()).envelope(
-            src=self.node_id, dst=self.broker
-        )
-        if ctx is not None:
-            envelope.trace = ctx.to_dict()
-        return handle, [envelope]
-
-    def resolve_local(self, tasklet_id: TaskletId, result: TaskletResult) -> None:
-        """Resolve a future without broker involvement (local execution)."""
-        with self._lock:
-            future = self._futures.pop(tasklet_id, None)
-            submitted_at = self._submitted_at.pop(tasklet_id, 0.0)
-            ctx = self._trace_ctx.pop(tasklet_id, None)
-        if future is not None:
-            if result.ok:
-                self.stats.completed += 1
-            else:
-                self.stats.failed += 1
-            self._record_finish(
-                tasklet_id,
-                ok=result.ok,
-                submitted_at=submitted_at,
-                ctx=ctx,
-                failure_kind=None if result.ok else self._failure_kind(result.error),
-            )
-            future.resolve(result)
-
-    def fail_all_pending(self, reason: str) -> int:
-        """Fail every pending future with :class:`BrokerUnreachable`.
-
-        Called by the transport when the broker connection is lost: a
-        disconnected consumer can never receive ``tasklet_complete``, so
-        waiting callers are woken with a typed error instead of hanging
-        until their timeout.  Returns the number of futures failed.
-        """
-        with self._lock:
-            pending = list(self._futures.items())
-            submitted = dict(self._submitted_at)
-            contexts = dict(self._trace_ctx)
-            workflows = list(self._workflows.values())
-            self._futures.clear()
-            self._submitted_at.clear()
-            self._trace_ctx.clear()
-            self._workflows.clear()
-        now = self.clock.now()
-        for handle in workflows:
-            self.stats.workflows_failed += 1
-            self._record_workflow_finish(
-                handle.workflow_id, status="broker_unreachable"
-            )
-            handle.fail(
-                BrokerUnreachable(
-                    f"workflow {handle.workflow_id}: {reason}"
-                )
-            )
-        if pending and self._events is not None:
-            self._events.record(
-                ev.DISCONNECT,
-                node=str(self.node_id),
-                ts=now,
-                reason=reason,
-                pending_failed=len(pending),
-            )
-        for tasklet_id, future in pending:
-            self.stats.failed += 1
-            self._record_finish(
-                tasklet_id,
-                ok=False,
-                submitted_at=submitted.get(tasklet_id, 0.0),
-                ctx=contexts.get(tasklet_id),
-                failure_kind="broker_unreachable",
-            )
-            future.fail(
-                BrokerUnreachable(f"tasklet {tasklet_id}: {reason}"),
-                TaskletResult(
-                    tasklet_id=tasklet_id,
-                    ok=False,
-                    error=f"broker unreachable: {reason}",
-                    completed_at=now,
-                ),
-            )
-        return len(pending)
+        tracer = self._tracer
+        fresh: dict[Any, _Pending] = {}
+        for submission_id, _ in submissions:
+            if submission_id in fresh:
+                raise kind.refusal(f"{submission_id!r} is twice in one batch")
+            trace = tracer.start_trace() if tracer is not None else None
+            fresh[submission_id] = _Pending(kind.waiter(submission_id), now, trace)
+        with self._lock:  # held for the check and the insert, not the building
+            if clash := table.keys() & fresh.keys():
+                raise kind.refusal(f"{min(clash)!r} is already in flight")
+            table.update(fresh)
+            count = getattr(self.stats, kind.counter) + len(fresh)
+            setattr(self.stats, kind.counter, count)
+        envelopes = []
+        for (_, body), record in zip(submissions, fresh.values()):
+            envelope = body.envelope(src=self.node_id, dst=self.broker)
+            if record.trace is not None:
+                envelope.trace = record.trace.to_dict()
+            envelopes.append(envelope)
+        return [record.waiter for record in fresh.values()], envelopes
 
     # -- broker replies ----------------------------------------------------------
 
     def handle(self, envelope: Envelope) -> list[Envelope]:
         body = body_of(envelope)
-        if isinstance(body, SubmitAck):
-            if not body.accepted:
-                self.stats.rejected += 1
-                self._resolve_failed(TaskletId(body.tasklet_id), body.reason)
-            return []
         if isinstance(body, TaskletComplete):
-            self._on_complete(body)
-            return []
-        if isinstance(body, WorkflowAck):
-            if not body.accepted:
-                with self._lock:
-                    handle = self._workflows.pop(body.workflow_id, None)
-                if handle is not None:
-                    self.stats.workflows_failed += 1
-                    self._record_workflow_finish(body.workflow_id, status="rejected")
-                    handle.fail(
-                        WorkflowSpecError(
-                            f"workflow {body.workflow_id!r} rejected by "
-                            f"broker: {body.reason}"
-                        )
-                    )
-            return []
-        if isinstance(body, WorkflowUpdate):
+            self._end_tasklet(body)
+        elif isinstance(body, SubmitAck) and not body.accepted:
+            error = f"rejected by broker: {body.reason}"
+            verdict = TaskletComplete(body.tasklet_id, ok=False, error=error)
+            self._end_tasklet(verdict, "rejected")
+        elif isinstance(body, WorkflowComplete):
+            failure = None if body.ok else WorkflowFailed(
+                body.error
+                or f"workflow {body.workflow_id!r} failed at node "
+                f"{body.failed_node!r}",
+                node_id=body.failed_node,
+                dependents=body.dependents,
+            )
+            status = "ok" if body.ok else "failed"
+            self._end_workflow(body.workflow_id, status, failure, body)
+        elif isinstance(body, WorkflowUpdate):
             with self._lock:
-                handle = self._workflows.get(body.workflow_id)
-            if handle is not None:
-                handle.node_states[body.node_id] = body.state
-            return []
-        if isinstance(body, WorkflowComplete):
-            self._on_workflow_complete(body)
-            return []
+                record = self._workflows.get(body.workflow_id)
+            if record is not None:
+                record.waiter.node_states[body.node_id] = body.state
+        elif isinstance(body, WorkflowAck) and not body.accepted:
+            error = f"workflow {body.workflow_id!r} rejected by broker: {body.reason}"
+            self._end_workflow(body.workflow_id, "rejected", WorkflowSpecError(error))
         return []
 
-    def _on_workflow_complete(self, body: WorkflowComplete) -> None:
-        with self._lock:
-            handle = self._workflows.pop(body.workflow_id, None)
-        if handle is None:
-            return  # duplicate terminal message
-        handle.nodes_total = body.nodes_total
-        handle.nodes_memoized = body.nodes_memoized
-        self._record_workflow_finish(
-            body.workflow_id,
-            status="ok" if body.ok else "failed",
-            attrs={
-                "nodes_total": body.nodes_total,
-                "nodes_memoized": body.nodes_memoized,
-            },
-        )
-        if body.ok:
-            self.stats.workflows_completed += 1
-            for node_id in body.outputs:
-                handle.node_states[node_id] = "done"
-            handle.resolve(body.outputs)
-        else:
-            self.stats.workflows_failed += 1
-            if body.failed_node:
-                handle.node_states[body.failed_node] = "failed"
-            handle.fail(
-                WorkflowFailed(
-                    body.error
-                    or f"workflow {body.workflow_id!r} failed at node "
-                    f"{body.failed_node!r}",
-                    node_id=body.failed_node,
-                    dependents=body.dependents,
-                )
-            )
+    def fail_all_pending(self, reason: str) -> int:
+        """Fail everything pending with :class:`BrokerUnreachable`.
 
-    def _on_complete(self, body: TaskletComplete) -> None:
-        tasklet_id = TaskletId(body.tasklet_id)
+        Called by the transport when the broker connection is lost: a
+        disconnected consumer can never receive ``tasklet_complete``, so
+        waiting callers are woken with a typed error instead of hanging
+        until their timeout.  Returns the number of tasklet futures failed.
+        """
         with self._lock:
-            future = self._futures.pop(tasklet_id, None)
-            submitted_at = self._submitted_at.pop(tasklet_id, 0.0)
-            ctx = self._trace_ctx.pop(tasklet_id, None)
-        if future is None:
-            return  # duplicate completion
-        executions = [ExecutionRecord.from_dict(item) for item in body.executions]
+            tasklets, workflows = list(self._tasklets), list(self._workflows)
+        if (tasklets or workflows) and self._events is not None:
+            self._events.record(
+                ev.DISCONNECT,
+                node=str(self.node_id),
+                ts=self.clock.now(),
+                reason=reason,
+                pending_failed=len(tasklets) + len(workflows),
+            )
+        # An id answered since the snapshot is no longer pending; the ending
+        # paths count and resolve only what they pop.
+        for workflow_id in workflows:
+            exc = BrokerUnreachable(f"workflow {workflow_id}: {reason}")
+            self._end_workflow(workflow_id, "broker_unreachable", exc)
+        error = f"broker unreachable: {reason}"
+        return sum(
+            self._end_tasklet(
+                TaskletComplete(tasklet_id, ok=False, error=error),
+                "broker_unreachable",
+                BrokerUnreachable(f"tasklet {tasklet_id}: {reason}"),
+            )
+            for tasklet_id in tasklets
+        )
+
+    # -- the ending paths -----------------------------------------------------
+
+    def _end_tasklet(
+        self,
+        verdict: TaskletComplete,
+        kind: str | None = None,
+        exc: TaskletError | None = None,
+    ) -> bool:
+        """The one place a tasklet submission stops being pending.
+
+        ``verdict`` is the broker's terminal message, or one this core
+        wrote in its stead (rejection, disconnect); ``kind`` the failure
+        family when the caller knows it (else it is read off the error
+        text); with ``exc`` the future *fails* typed instead of resolving.
+        False — and nothing counted — when the id is not pending: a
+        duplicate, late or unknown terminal message.
+        """
+        now = self.clock.now()
+        tasklet_id, ok = TaskletId(verdict.tasklet_id), verdict.ok
+        with self._lock:
+            record = self._tasklets.pop(tasklet_id, None)
+            if record is None:
+                return False
+            if ok:
+                self.stats.completed += 1
+            else:
+                self.stats.failed += 1
+                if kind == "rejected":
+                    self.stats.rejected += 1
         result = TaskletResult(
             tasklet_id=tasklet_id,
-            ok=body.ok,
-            value=body.value,
-            error=body.error,
-            attempts=body.attempts,
-            cost=body.cost,
-            executions=executions,
-            submitted_at=submitted_at,
-            completed_at=self.clock.now(),
+            ok=ok,
+            value=verdict.value,
+            error=verdict.error,
+            attempts=verdict.attempts,
+            cost=verdict.cost,
+            executions=[ExecutionRecord.from_dict(item) for item in verdict.executions],
+            submitted_at=record.submitted_at,
+            completed_at=now,
         )
-        if result.ok:
-            self.stats.completed += 1
+        if self._metrics is not None:
+            if not ok and kind is None:
+                kind = self._failure_kind(result.error)
+            self._metrics.completed.labels(outcome="ok" if ok else "failed").inc()
+            if kind is not None:
+                self._metrics.failures.labels(kind=kind).inc()
+            self._metrics.latency.observe(max(0.0, now - record.submitted_at))
+            self._root_span(
+                "tasklet", record, now, kind or "ok", {"tasklet_id": str(tasklet_id)}
+            )
+        if exc is None:
+            record.waiter.resolve(result)
         else:
-            self.stats.failed += 1
-        self._record_finish(
-            tasklet_id,
-            ok=result.ok,
-            submitted_at=submitted_at,
-            ctx=ctx,
-            failure_kind=None if result.ok else self._failure_kind(result.error),
-        )
-        future.resolve(result)
+            record.waiter.fail(exc, result)
+        return True
 
-    def _resolve_failed(self, tasklet_id: TaskletId, reason: str) -> None:
-        with self._lock:
-            future = self._futures.pop(tasklet_id, None)
-            submitted_at = self._submitted_at.pop(tasklet_id, 0.0)
-            ctx = self._trace_ctx.pop(tasklet_id, None)
-        if future is None:
-            return
-        self.stats.failed += 1
-        self._record_finish(
-            tasklet_id,
-            ok=False,
-            submitted_at=submitted_at,
-            ctx=ctx,
-            failure_kind="rejected",
-        )
-        future.resolve(
-            TaskletResult(
-                tasklet_id=tasklet_id,
-                ok=False,
-                error=f"rejected by broker: {reason}",
-                submitted_at=submitted_at,
-                completed_at=self.clock.now(),
-            )
-        )
-
-    # -- telemetry ----------------------------------------------------------
-
-    def _record_finish(
-        self,
-        tasklet_id: TaskletId,
-        ok: bool,
-        submitted_at: float,
-        ctx: TraceContext | None,
-        failure_kind: str | None,
-    ) -> None:
-        """Metrics and the root ``tasklet`` span for one resolved future."""
-        if self._metrics is None:
-            return
-        now = self.clock.now()
-        self._metrics.completed.labels(outcome="ok" if ok else "failed").inc()
-        if failure_kind is not None:
-            self._metrics.failures.labels(kind=failure_kind).inc()
-        self._metrics.latency.observe(max(0.0, now - submitted_at))
-        if self._tracer is not None and ctx is not None:
-            self._tracer.record(
-                name="tasklet",
-                context=ctx,
-                node=str(self.node_id),
-                start=submitted_at,
-                end=now,
-                status="ok" if ok else (failure_kind or "failed"),
-                attrs={"tasklet_id": str(tasklet_id)},
-            )
-
-    def _record_workflow_finish(
+    def _end_workflow(
         self,
         workflow_id: str,
         status: str,
-        attrs: dict | None = None,
-    ) -> None:
-        """The root ``workflow`` span for one resolved DAG submission."""
+        exc: TaskletError | None = None,
+        body: WorkflowComplete | None = None,
+    ) -> bool:
+        """The one place a workflow submission stops being pending.
+
+        ``status`` labels the root ``workflow`` span (``ok`` counts as
+        completed, anything else as failed); the handle fails with ``exc``
+        or, without one, resolves with the outputs of ``body``.  False
+        when the id is not pending (duplicate terminal message).
+        """
+        now = self.clock.now()
         with self._lock:
-            entry = self._wf_trace.pop(workflow_id, None)
-        if entry is None or self._tracer is None:
-            return
-        ctx, submitted_at = entry
-        span_attrs = {"workflow_id": workflow_id}
-        if attrs:
-            span_attrs.update(attrs)
-        self._tracer.record(
-            name="workflow",
-            context=ctx,
-            node=str(self.node_id),
-            start=submitted_at,
-            end=self.clock.now(),
-            status=status,
-            attrs=span_attrs,
-        )
+            record = self._workflows.pop(workflow_id, None)
+            if record is None:
+                return False
+            if status == "ok":
+                self.stats.workflows_completed += 1
+            else:
+                self.stats.workflows_failed += 1
+        handle: WorkflowHandle = record.waiter
+        attrs: dict[str, Any] = {"workflow_id": workflow_id}
+        if body is not None:
+            handle.nodes_total = attrs["nodes_total"] = body.nodes_total
+            handle.nodes_memoized = attrs["nodes_memoized"] = body.nodes_memoized
+            if body.ok:
+                handle.node_states.update(dict.fromkeys(body.outputs, "done"))
+            elif body.failed_node:
+                handle.node_states[body.failed_node] = "failed"
+        self._root_span("workflow", record, now, status, attrs)
+        if exc is None:
+            handle.resolve(body.outputs)
+        else:
+            handle.fail(exc)
+        return True
+
+    def _root_span(
+        self, name: str, record: _Pending, end: float, status: str, attrs: dict
+    ) -> None:
+        if record.trace is not None:
+            self._tracer.record(
+                name=name,
+                context=record.trace,
+                node=str(self.node_id),
+                start=record.submitted_at,
+                end=end,
+                status=status,
+                attrs=attrs,
+            )
 
     @staticmethod
     def _failure_kind(error: str | None) -> str:
@@ -445,4 +366,4 @@ class ConsumerCore:
     @property
     def pending(self) -> int:
         with self._lock:
-            return len(self._futures) + len(self._workflows)
+            return len(self._tasklets) + len(self._workflows)

@@ -20,29 +20,33 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..dag.handle import WorkflowHandle
     from ..dag.spec import WorkflowSpec
 
-from ..common.errors import WorkflowSpecError
 from ..common.ids import IdGenerator
 from ..common.rng import derive_seed
 from ..core.futures import TaskletFuture
 from ..core.qoc import QoC
-from ..core.results import (
-    ExecutionRecord,
-    ExecutionStatus,
-    TaskletResult,
-)
+from ..core.results import ExecutionRecord, TaskletResult
 from ..core.tasklet import Tasklet
-from ..provider.executor import TaskletExecutor
-from ..transport.message import AssignExecution
+from ..provider.executor import TaskletExecutor, local_assignment
 from ..tvm.bytecode import CompiledProgram
 from ..tvm.compiler import compile_source
 from ..tvm.vm import DEFAULT_FUEL
 
 
 class Session(Protocol):
-    """Where remote Tasklets go: the simulator or a TCP connection."""
+    """Where remote Tasklets go: the simulator or a TCP connection.
 
-    def submit_tasklet(self, tasklet: Tasklet) -> TaskletFuture:
-        """Hand one Tasklet to the middleware; returns its future."""
+    Everything the library calls on its session is listed here;
+    :class:`~repro.consumer.session.CoreSession` implements it once, over
+    a :class:`~repro.consumer.core.ConsumerCore`, for both.
+    """
+
+    def submit_tasklets(self, tasklets: Sequence[Tasklet]) -> list[TaskletFuture]:
+        """Hand a batch of Tasklets to the middleware as one registration
+        and one send; returns their futures in order."""
+        ...
+
+    def submit_workflow(self, spec: "WorkflowSpec") -> "WorkflowHandle":
+        """Hand a whole DAG to the middleware; returns its handle."""
         ...
 
     def now(self) -> float:
@@ -96,31 +100,18 @@ class TaskletLibrary:
         per-Tasklet derivation from the library's ``base_seed``.
 
         ``tasklet_id`` defaults to a fresh id.  Passing an explicit id
-        makes resubmission idempotent: after a broker or connection
-        failure (``BrokerUnreachable``), submitting again with the same
-        id re-attaches to the in-flight attempt or re-delivers the
-        journalled result — it never runs the work twice.  The derived
-        seed depends only on the id, so a resubmit is bit-identical.
+        makes resubmission idempotent: once a broker or connection
+        failure has *failed* the pending future (``BrokerUnreachable``),
+        submitting again with the same id re-attaches to the in-flight
+        attempt or re-delivers the journalled result — it never runs the
+        work twice.  The derived seed depends only on the id, so a
+        resubmit is bit-identical.  While the id's earlier future is
+        still *pending* on this consumer, a resubmit raises
+        :class:`~repro.common.errors.DuplicateSubmission` and sends
+        nothing: that future is the one that gets the answer.
         """
-        if isinstance(program, str):
-            program = self.compile(program)
-        qoc = qoc or QoC()
-        if tasklet_id is None:
-            tasklet_id = self.ids.next_tasklet()
-        if seed is None:
-            seed = derive_seed(self.base_seed, tasklet_id)
-        tasklet = Tasklet(
-            tasklet_id=tasklet_id,
-            program=program,
-            entry=entry,
-            args=list(args or []),
-            qoc=qoc,
-            seed=seed,
-            fuel=fuel,
-        )
-        if qoc.local_only:
-            return self._run_local(tasklet)
-        return self.session.submit_tasklet(tasklet)
+        tasklet = self._tasklet(program, entry, args, qoc, fuel, seed, tasklet_id)
+        return self._issue([tasklet])[0]
 
     def map(
         self,
@@ -130,13 +121,49 @@ class TaskletLibrary:
         qoc: QoC | None = None,
         fuel: int = DEFAULT_FUEL,
     ) -> list[TaskletFuture]:
-        """Fan one program out over many argument tuples (bag of tasks)."""
+        """Fan one program out over many argument tuples (bag of tasks).
+
+        The whole bag is one registration and, over TCP, one socket
+        write; ids and derived seeds are those of as many ``submit`` calls.
+        """
+        return self._issue(
+            [self._tasklet(program, entry, args, qoc, fuel) for args in args_list]
+        )
+
+    def _tasklet(
+        self,
+        program: CompiledProgram | str,
+        entry: str,
+        args: Sequence[Any] | None,
+        qoc: QoC | None,
+        fuel: int,
+        seed: int | None = None,
+        tasklet_id: str | None = None,
+    ) -> Tasklet:
         if isinstance(program, str):
             program = self.compile(program)
-        return [
-            self.submit(program, entry=entry, args=args, qoc=qoc, fuel=fuel)
-            for args in args_list
-        ]
+        if tasklet_id is None:
+            tasklet_id = self.ids.next_tasklet()
+        if seed is None:
+            seed = derive_seed(self.base_seed, tasklet_id)
+        return Tasklet(
+            tasklet_id=tasklet_id,
+            program=program,
+            entry=entry,
+            args=list(args or []),
+            qoc=qoc or QoC(),
+            seed=seed,
+            fuel=fuel,
+        )
+
+    def _issue(self, tasklets: list[Tasklet]) -> list[TaskletFuture]:
+        """Futures for the Tasklets of one call (so one QoC): ``local_only``
+        ones run here and now, others go to the session as one batch."""
+        if not tasklets:
+            return []
+        if tasklets[0].qoc.local_only:
+            return [self._run_local(tasklet) for tasklet in tasklets]
+        return self.session.submit_tasklets(tasklets)
 
     def submit_workflow(self, spec: "WorkflowSpec") -> "WorkflowHandle":
         """Submit a whole DAG of Tasklets in one message.
@@ -147,19 +174,10 @@ class TaskletLibrary:
         The returned :class:`~repro.dag.WorkflowHandle` resolves with the
         sink-node outputs (``{node_id: value}``), or raises
         :class:`~repro.common.errors.WorkflowFailed` if a node exhausts
-        its retries.
-
-        Requires a session that supports workflows (the simulator and the
-        TCP consumer both do).
+        its retries.  The spec is validated where it is registered
+        (:meth:`~repro.consumer.core.ConsumerCore.submit_workflow`).
         """
-        spec.validate()
-        submit = getattr(self.session, "submit_workflow", None)
-        if submit is None:
-            raise WorkflowSpecError(
-                f"session {type(self.session).__name__} does not support "
-                "workflow submission"
-            )
-        return submit(spec)
+        return self.session.submit_workflow(spec)
 
     @staticmethod
     def gather(futures: Sequence[TaskletFuture], timeout: float | None = None) -> list[Any]:
@@ -174,22 +192,14 @@ class TaskletLibrary:
 
     def _run_local(self, tasklet: Tasklet) -> TaskletFuture:
         """Execute on the consumer's own TVM, never leaving the device."""
-        future = TaskletFuture(tasklet.tasklet_id)
-        request = AssignExecution(
-            execution_id=f"local-{tasklet.tasklet_id}",
-            tasklet_id=tasklet.tasklet_id,
-            consumer_id="local",
-            program=tasklet.program.to_dict(),
-            entry=tasklet.entry,
-            args=tasklet.args,
-            seed=tasklet.seed,
-            fuel=tasklet.fuel,
+        request = local_assignment(
+            tasklet.program, tasklet.args, tasklet.entry, tasklet.seed, tasklet.fuel
         )
         started = self.session.now()
         outcome = self._local_executor.execute(request)
         finished = self.session.now()
         record = ExecutionRecord(
-            execution_id=request.execution_id,
+            execution_id=f"local-{tasklet.tasklet_id}",
             tasklet_id=tasklet.tasklet_id,
             provider_id="local",
             status=outcome.status,
@@ -199,6 +209,7 @@ class TaskletLibrary:
             started_at=started,
             finished_at=finished,
         )
+        future = TaskletFuture(tasklet.tasklet_id)
         future.resolve(
             TaskletResult(
                 tasklet_id=tasklet.tasklet_id,

@@ -168,7 +168,13 @@ class TaskletExecutor:
         return program, translation
 
     def execute(self, request: AssignExecution) -> ExecutionOutcome:
-        """Run one assignment to completion (success or VM failure)."""
+        """Run one assignment to completion (success or VM failure).
+
+        Never raises: the caller holds a provider slot and an ``inflight``
+        entry that only its next step releases, so whatever an engine
+        throws — a :class:`VMError` the program earned, or anything else,
+        which is an engine defect — comes back as a ``VM_ERROR`` outcome.
+        """
         machine = engine = None
         try:
             program, translation = self._load_program(
@@ -204,12 +210,20 @@ class TaskletExecutor:
                 instructions=ran[1],
                 profile=machine.profile if machine else None,
             )
-        except VMError as exc:
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, VMError):
+                # This string is all of the traceback that leaves the slot.
+                fault = exc.__traceback__
+                while fault.tb_next is not None:
+                    fault = fault.tb_next
+                where = fault.tb_frame.f_code.co_name
+                error += f" [engine fault at {where}:{fault.tb_lineno}]"
             # instructions stays 0 on failure: billing and the virtual
             # service-time model only ever charge successful work.
             outcome = ExecutionOutcome(
                 status=ExecutionStatus.VM_ERROR,
-                error=f"{type(exc).__name__}: {exc}",
+                error=error,
                 profile=machine.profile if machine else None,
             )
         if self._metrics is not None:

@@ -30,17 +30,13 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..broker.journal import WorkJournal
-    from ..dag.handle import WorkflowHandle
-    from ..dag.spec import WorkflowSpec
 
 from ..broker.core import BrokerConfig, BrokerCore
 from ..broker.scheduling import Strategy, make_strategy
 from ..common.ids import IdGenerator, NodeId
 from ..common.rng import RngRegistry, derive_seed
 from ..consumer.core import ConsumerCore
-from ..consumer.library import TaskletLibrary
-from ..core.futures import TaskletFuture
-from ..core.tasklet import Tasklet
+from ..consumer.session import CoreSession
 from ..obs.telemetry import Telemetry
 from ..provider.core import ProviderConfig, ProviderCore
 from ..provider.failure import ExecutionFailureModel
@@ -62,43 +58,22 @@ class _ProviderNode:
     churn_iter: object = None  # iterator over (is_up, duration)
 
 
-class SimConsumer:
-    """One consumer node: middleware core + Tasklet Library session."""
+class SimConsumer(CoreSession):
+    """One consumer node; its envelopes leave through the simulated network."""
 
     def __init__(self, simulation: "Simulation", node_id: NodeId, base_seed: int):
         self.simulation = simulation
         self.node_id = node_id
-        self.core = ConsumerCore(
+        core = ConsumerCore(
             node_id=node_id,
             clock=simulation.loop.clock,
             telemetry=simulation.telemetry,
         )
-        self.library = TaskletLibrary(session=self, base_seed=base_seed)
+        super().__init__(core, base_seed)
 
-    # -- Session protocol ----------------------------------------------------
-
-    def submit_tasklet(self, tasklet: Tasklet) -> TaskletFuture:
-        future, envelopes = self.core.submit(tasklet)
+    def _send(self, envelopes: Sequence[Envelope]) -> None:
         for envelope in envelopes:
             self.simulation.dispatch(envelope)
-        return future
-
-    def submit_batch(self, tasklets: "Sequence[Tasklet]") -> list[TaskletFuture]:
-        """Submit many Tasklets under one core lock acquisition."""
-        futures, envelopes = self.core.submit_many(tasklets)
-        for envelope in envelopes:
-            self.simulation.dispatch(envelope)
-        return futures
-
-    def submit_workflow(self, spec: "WorkflowSpec") -> "WorkflowHandle":
-        """Submit a whole DAG; the broker schedules it stage by stage."""
-        handle, envelopes = self.core.submit_workflow(spec)
-        for envelope in envelopes:
-            self.simulation.dispatch(envelope)
-        return handle
-
-    def now(self) -> float:
-        return self.simulation.loop.now()
 
 
 class Simulation:

@@ -56,11 +56,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dag.handle import WorkflowHandle
-    from ..dag.spec import WorkflowSpec
+from typing import Callable, Sequence
 
 from ..broker.core import BrokerConfig, BrokerCore
 from ..broker.federation import FederationConfig
@@ -74,9 +70,7 @@ from ..common.errors import (
 )
 from ..common.ids import IdGenerator, NodeId, random_id
 from ..consumer.core import ConsumerCore
-from ..consumer.library import TaskletLibrary
-from ..core.futures import TaskletFuture
-from ..core.tasklet import Tasklet
+from ..consumer.session import CoreSession
 from ..obs import events as ev
 from ..obs.server import ObsServer
 from ..obs.telemetry import Telemetry, TransportMetrics
@@ -1089,8 +1083,8 @@ def _stamp_heartbeat(envelope: Envelope) -> None:
     envelope.payload["sent_at"] = time.monotonic()
 
 
-class TcpConsumer(_Node):
-    """Consumer session over TCP; plug into :class:`TaskletLibrary`.
+class TcpConsumer(CoreSession, _Node):
+    """Consumer session over TCP; ``.library`` is its :class:`TaskletLibrary`.
 
     If the broker connection drops, every pending future is failed with
     :class:`~repro.common.errors.BrokerUnreachable` (typed, immediate — no
@@ -1098,8 +1092,8 @@ class TcpConsumer(_Node):
     ``on_disconnect`` hook is invoked with a human-readable reason.
 
     Every connection opens with a transport ``hello`` negotiating the
-    binary wire codec (``codec='json'`` pins the debug fallback); batch
-    submissions go out as one socket write.
+    binary wire codec (``codec='json'`` pins the debug fallback); a
+    submission, one tasklet or a whole ``library.map``, is one socket write.
 
     Federation: pass ``brokers=[(host, port), ...]`` instead of a single
     address and the consumer fails over automatically — when the link
@@ -1127,12 +1121,11 @@ class TcpConsumer(_Node):
         codec: str = "binary",
     ):
         self.node_id = NodeId(node_id or random_id("cons"))
-        self._clock = WallClock()
         self.telemetry = telemetry
-        self.core = ConsumerCore(
-            node_id=self.node_id, clock=self._clock, telemetry=telemetry
+        core = ConsumerCore(
+            node_id=self.node_id, clock=WallClock(), telemetry=telemetry
         )
-        self.library = TaskletLibrary(session=self, base_seed=base_seed)
+        super().__init__(core, base_seed)
         self.on_disconnect = on_disconnect
         self._link = _BrokerLink(
             self.node_id,
@@ -1171,8 +1164,7 @@ class TcpConsumer(_Node):
         journal-backed broker re-delivers completed outcomes instead of
         re-executing them.
         """
-        self._link.start()
-        return self
+        return self.start()
 
     def stop(self) -> None:
         was_running = self._link.state != _BrokerLink.CLOSED
@@ -1182,32 +1174,7 @@ class TcpConsumer(_Node):
             # still waiting gets a typed error instead of a hang.
             self.core.fail_all_pending("consumer stopped")
 
-    # -- Session protocol ----------------------------------------------------
-
-    def submit_tasklet(self, tasklet: Tasklet) -> TaskletFuture:
-        self._check_ready()
-        future, envelopes = self.core.submit(tasklet)
-        self._send_submission(envelopes)
-        return future
-
-    def submit_batch(self, tasklets: Sequence[Tasklet]) -> list[TaskletFuture]:
-        """Submit many Tasklets under one core lock acquisition.
-
-        The whole batch is encoded and written as one socket write — at
-        high submission rates this is the difference between one syscall
-        and hundreds.
-        """
-        self._check_ready()
-        futures, envelopes = self.core.submit_many(tasklets)
-        self._send_submission(envelopes)
-        return futures
-
-    def submit_workflow(self, spec: "WorkflowSpec") -> "WorkflowHandle":
-        """Submit a whole DAG in one message; the broker owns the graph."""
-        self._check_ready()
-        handle, envelopes = self.core.submit_workflow(spec)
-        self._send_submission(envelopes)
-        return handle
+    # -- what CoreSession asks of a driver ---------------------------------------
 
     def _check_ready(self) -> None:
         if self._link.exhausted is not None:
@@ -1215,7 +1182,8 @@ class TcpConsumer(_Node):
         if self._link.state == _BrokerLink.CLOSED:
             raise TransportError("consumer not started")
 
-    def _send_submission(self, envelopes: Sequence[Envelope]) -> None:
+    def _send(self, envelopes: Sequence[Envelope]) -> None:
+        """One socket write per submission, however many envelopes."""
         # A link the reader already saw die refuses the send outright —
         # TCP would let one write after a peer close "succeed" — and a
         # write that fails never left this host.  Either way the
@@ -1225,9 +1193,6 @@ class TcpConsumer(_Node):
             self._link.send_many([(envelope, None) for envelope in envelopes])
         except ConnectionClosed as exc:
             self.core.fail_all_pending(str(exc))
-
-    def now(self) -> float:
-        return self._clock.now()
 
     # -- internals ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Any
 
 from ..common.errors import VMInvalidProgram
 from .builtins import BUILTIN_ORDER, BUILTINS
-from .opcodes import JUMP_OPS, NO_OPERAND_OPS, Op
+from .opcodes import JUMP_OPS, NO_OPERAND_OPS, STACK_EFFECT, Op
 
 #: Bytecode format version, embedded in every serialised program.
 BYTECODE_VERSION = 1
@@ -180,8 +180,10 @@ class CompiledProgram:
 
         Checks: operand presence matches the opcode, constant/slot/function/
         builtin indices are in range, jump targets land inside the function,
-        and every function body ends with an unconditional exit (``RET`` or
-        a backwards ``JUMP``) so the VM can never fall off the end.
+        every function body ends with an unconditional exit (``RET`` or
+        a backwards ``JUMP``) so the VM can never fall off the end, and the
+        operand stack is disciplined (:meth:`_verify_stack`) so no
+        instruction pops what its own function did not push.
         """
         if not self.functions:
             raise VMInvalidProgram("program has no functions")
@@ -189,6 +191,8 @@ class CompiledProgram:
             raise VMInvalidProgram("duplicate function names")
         for function in self.functions:
             self._verify_function(function)
+        for function in self.functions:  # every CALL operand is in range by now
+            self._verify_stack(function)
 
     def _verify_function(self, function: FunctionCode) -> None:
         if function.n_params < 0 or function.n_locals < function.n_params:
@@ -201,49 +205,33 @@ class CompiledProgram:
             raise VMInvalidProgram(f"{function.name}: empty body")
         for position, instruction in enumerate(code):
             op, operand = instruction.op, instruction.operand
+            defect = None
             if op in NO_OPERAND_OPS:
                 if operand is not None:
-                    raise VMInvalidProgram(
-                        f"{function.name}@{position}: {op.name} takes no operand"
-                    )
-                continue
-            if operand is None:
-                raise VMInvalidProgram(
-                    f"{function.name}@{position}: {op.name} requires an operand"
-                )
-            if op is Op.PUSH_CONST and not 0 <= operand < len(self.constants):
-                raise VMInvalidProgram(
-                    f"{function.name}@{position}: constant index {operand} out of range"
-                )
-            if op in (Op.LOAD, Op.STORE) and not 0 <= operand < function.n_locals:
-                raise VMInvalidProgram(
-                    f"{function.name}@{position}: slot {operand} out of range"
-                )
-            if op in JUMP_OPS and not 0 <= operand < len(code):
-                raise VMInvalidProgram(
-                    f"{function.name}@{position}: jump target {operand} out of range"
-                )
-            if op is Op.CALL and not 0 <= operand < len(self.functions):
-                raise VMInvalidProgram(
-                    f"{function.name}@{position}: function index {operand} out of range"
-                )
-            if op is Op.CALL_BUILTIN:
+                    defect = f"{op.name} takes no operand"
+            elif operand is None:
+                defect = f"{op.name} requires an operand"
+            elif op is Op.PUSH_CONST and not 0 <= operand < len(self.constants):
+                defect = f"constant index {operand} out of range"
+            elif op in (Op.LOAD, Op.STORE) and not 0 <= operand < function.n_locals:
+                defect = f"slot {operand} out of range"
+            elif op in JUMP_OPS and not 0 <= operand < len(code):
+                defect = f"jump target {operand} out of range"
+            elif op is Op.CALL and not 0 <= operand < len(self.functions):
+                defect = f"function index {operand} out of range"
+            elif op is Op.CALL_BUILTIN:
                 # operand encodes index*8 + arity (see compiler._compile_call).
                 index, arity = divmod(operand, 8)
                 if not 0 <= index < len(BUILTIN_ORDER):
-                    raise VMInvalidProgram(
-                        f"{function.name}@{position}: builtin index {index} out of range"
-                    )
-                spec = BUILTINS[BUILTIN_ORDER[index]]
-                if not spec.min_arity <= arity <= spec.max_arity:
-                    raise VMInvalidProgram(
-                        f"{function.name}@{position}: {spec.name} called "
-                        f"with arity {arity}"
-                    )
-            if op is Op.BUILD_ARRAY and operand < 0:
-                raise VMInvalidProgram(
-                    f"{function.name}@{position}: negative array size"
-                )
+                    defect = f"builtin index {index} out of range"
+                else:
+                    spec = BUILTINS[BUILTIN_ORDER[index]]
+                    if not spec.min_arity <= arity <= spec.max_arity:
+                        defect = f"{spec.name} called with arity {arity}"
+            elif op is Op.BUILD_ARRAY and operand < 0:
+                defect = "negative array size"
+            if defect:
+                raise VMInvalidProgram(f"{function.name}@{position}: {defect}")
         last = code[-1]
         ends_ok = last.op is Op.RET or (
             last.op is Op.JUMP and last.operand is not None and last.operand < len(code) - 1
@@ -252,6 +240,48 @@ class CompiledProgram:
             raise VMInvalidProgram(
                 f"{function.name}: body does not end with RET or a backward jump"
             )
+
+    def _verify_stack(self, function: FunctionCode) -> None:
+        """One forward pass over the code ``function`` can reach.
+
+        The operand-stack depth, counted from the function's own entry,
+        must be the same on every path into an instruction, cover what
+        the instruction pops, and so be at least one at ``RET``.  The VM
+        pops unchecked: this is what keeps a frame off its caller's
+        operands and ``list.pop`` off an empty stack.
+        """
+        code = function.code
+        depths = {0: 0}
+        work = [0]
+        while work:
+            pc = work.pop()
+            op, operand = code[pc].op, code[pc].operand
+            if op is Op.CALL:
+                pops, pushes = self.functions[operand].n_params, 1
+            elif op is Op.CALL_BUILTIN:
+                pops, pushes = operand % 8, 1
+            elif op is Op.BUILD_ARRAY:
+                pops, pushes = operand, 1
+            else:
+                pops, pushes = STACK_EFFECT[op]
+            if depths[pc] < pops:
+                raise VMInvalidProgram(
+                    f"{function.name}@{pc}: {op.name} pops {pops} with "
+                    f"{depths[pc]} on the operand stack"
+                )
+            depth = depths[pc] - pops + pushes
+            successors = [operand] if op in JUMP_OPS else []
+            if op is not Op.JUMP and op is not Op.RET:
+                successors.append(pc + 1)
+            for target in successors:
+                if target not in depths:
+                    depths[target] = depth
+                    work.append(target)
+                elif depths[target] != depth:
+                    raise VMInvalidProgram(
+                        f"{function.name}@{target}: operand-stack depth differs "
+                        f"at a join ({depths[target]} and {depth})"
+                    )
 
 
 def builtin_index(name: str) -> int:

@@ -59,6 +59,25 @@ class Op(enum.IntEnum):
 #: disassembler to annotate targets).
 JUMP_OPS = {Op.JUMP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE}
 
+#: ``(pops, pushes)`` of every opcode whose stack effect is fixed; ``CALL``,
+#: ``CALL_BUILTIN`` and ``BUILD_ARRAY`` pop what their operand says and push
+#: one.  Read by the verifier's stack-discipline pass.
+STACK_EFFECT: dict[Op, tuple[int, int]] = {
+    **dict.fromkeys((Op.PUSH_CONST, Op.PUSH_NONE, Op.LOAD), (0, 1)),
+    **dict.fromkeys(
+        (Op.STORE, Op.POP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE, Op.RET), (1, 0)
+    ),
+    **dict.fromkeys((Op.NEG, Op.NOT), (1, 1)),
+    **dict.fromkeys(
+        (Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.MOD, Op.INDEX)
+        + (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE),
+        (2, 1),
+    ),
+    Op.DUP: (1, 2),
+    Op.JUMP: (0, 0),
+    Op.STORE_INDEX: (3, 0),
+}
+
 #: Coarse instruction families, used by the VM's execution profiler
 #: (``TVM(profile=True)``) to report where instructions go.
 OPCODE_GROUP: dict[int, str] = {

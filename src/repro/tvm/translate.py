@@ -13,8 +13,8 @@ abandons the run, and the caller re-executes the assignment on the
 portable VM from pristine arguments and the same seed.  The invariant is
 that :meth:`Translation.run` *never returns unless the portable VM
 returns the same value with the same instruction count*.  To keep it,
-each function is abstractly interpreted to a fixed point first (stack
-discipline is not something ``verify()`` checks) and declined if unsound;
+each function is abstractly interpreted to a fixed point first (``verify()``
+knows stack depths, not tags or definite assignment) and declined if unsound;
 ``run`` accepts exactly ``bool/int/float/str/list`` values, so
 ``type(x) is int or type(x) is float`` is all of "is a number" and a
 guard is dropped only where a tag proves it; a possibly-void entry may

@@ -5,14 +5,14 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import CodecError
 from repro.common.serde import (
-    FrameReader,
-    MAX_FRAME_BYTES,
     decode_value,
     dumps,
     encode_value,
     loads,
     pack_frame,
 )
+from repro.transport.codec import EnvelopeDecoder
+from repro.transport.message import Envelope
 
 # JSON-safe Tasklet wire values: scalars, bytes, lists, str-keyed dicts.
 wire_values = st.recursive(
@@ -108,16 +108,30 @@ def test_loads_rejects_garbage():
         loads(b"\xff\xfe not json")
 
 
+def framed(payload):
+    """``payload`` as the stream carries it: in an envelope, in a frame."""
+    return pack_frame(Envelope("probe", "a", "b", payload, seq=0).to_dict())
+
+
+def payloads_of(frames):
+    return [envelope.payload for envelope, _codec, _size in frames]
+
+
 class TestFraming:
+    """``pack_frame`` writes what the one incremental decoder reads back
+    (partial frames, an oversized length prefix and trailing bytes are
+    ``tests/transport/test_codec.py``'s)."""
+
     def test_single_frame_roundtrip(self):
-        reader = FrameReader()
-        frames = reader.feed(pack_frame({"a": 1}))
-        assert frames == [{"a": 1}]
-        assert reader.pending_bytes == 0
+        decoder = EnvelopeDecoder()
+        assert payloads_of(decoder.feed(framed({"a": 1}))) == [{"a": 1}]
+        assert decoder.pending_bytes == 0
 
     def test_multiple_frames_in_one_chunk(self):
-        data = pack_frame({"n": 1}) + pack_frame({"n": 2}) + pack_frame({"n": 3})
-        assert FrameReader().feed(data) == [{"n": 1}, {"n": 2}, {"n": 3}]
+        data = framed({"n": 1}) + framed({"n": 2}) + framed({"n": 3})
+        assert payloads_of(EnvelopeDecoder().feed(data)) == [
+            {"n": 1}, {"n": 2}, {"n": 3}
+        ]
 
     @given(
         st.lists(
@@ -134,24 +148,10 @@ class TestFraming:
         st.integers(min_value=1, max_value=7),
     )
     def test_arbitrary_chunking_preserves_frames(self, payloads, chunk_size):
-        stream = b"".join(pack_frame(payload) for payload in payloads)
-        reader = FrameReader()
+        stream = b"".join(framed(payload) for payload in payloads)
+        decoder = EnvelopeDecoder()
         received = []
         for start in range(0, len(stream), chunk_size):
-            received.extend(reader.feed(stream[start : start + chunk_size]))
-        assert received == payloads
-        assert reader.pending_bytes == 0
-
-    def test_partial_frame_is_buffered(self):
-        frame = pack_frame({"x": 42})
-        reader = FrameReader()
-        assert reader.feed(frame[:3]) == []
-        assert reader.pending_bytes == 3
-        assert reader.feed(frame[3:]) == [{"x": 42}]
-
-    def test_oversized_incoming_frame_rejected(self):
-        import struct
-
-        reader = FrameReader()
-        with pytest.raises(CodecError):
-            reader.feed(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            received.extend(decoder.feed(stream[start : start + chunk_size]))
+        assert payloads_of(received) == payloads
+        assert decoder.pending_bytes == 0

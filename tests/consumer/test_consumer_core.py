@@ -1,10 +1,17 @@
 """Consumer core: submission bookkeeping and future resolution."""
 
+import dataclasses
+
+import pytest
+
 from repro.common.clock import VirtualClock
+from repro.common.errors import BrokerUnreachable, DuplicateSubmission, TaskletError
 from repro.common.ids import NodeId, TaskletId
 from repro.consumer.core import ConsumerCore
-from repro.core.results import TaskletResult
 from repro.core.tasklet import Tasklet
+from repro.dag.patterns import chain
+from repro.obs import Telemetry
+from repro.obs import events as ev
 from repro.transport.message import (
     SubmitAck,
     SubmitTasklet,
@@ -124,22 +131,71 @@ def test_execution_records_rehydrated():
     assert outcome.provider_seconds == 0.5
 
 
-def test_resolve_local_bypasses_wire():
+def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
-    core.resolve_local(
-        TaskletId("tl-1"),
-        TaskletResult(tasklet_id=TaskletId("tl-1"), ok=True, value=99),
+    first, _ = core.submit(make_tasklet())
+    with pytest.raises(DuplicateSubmission, match="tl-1") as refused:
+        core.submit(make_tasklet())
+    assert isinstance(refused.value, TaskletError)
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2))
+    assert first.result(0) == 2
+    assert core.pending == 0
+    stats = dataclasses.asdict(core.stats)
+    assert (stats["submitted"], stats["completed"], stats["failed"]) == (1, 1, 0)
+    # Answered, so the id may be submitted again.
+    again, envelopes = core.submit(make_tasklet())
+    assert again is not first and len(envelopes) == 1
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [["tl-2", "tl-1"], ["tl-2", "tl-3", "tl-2"]],
+    ids=["clashes-with-pending", "duplicate-inside-batch"],
+)
+def test_refused_batch_registers_nothing(batch):
+    core = make_core()
+    first, _ = core.submit(make_tasklet("tl-1"))
+    with pytest.raises(DuplicateSubmission):
+        core.submit_tasklets([make_tasklet(tasklet_id) for tasklet_id in batch])
+    assert core.pending == 1 and core.stats.submitted == 1
+    # Nothing of the refused batch is known: its completions are ignored.
+    deliver(core, TaskletComplete(tasklet_id="tl-2", ok=True, value=0))
+    assert core.stats.completed == 0
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2))
+    assert first.result(0) == 2
+
+
+def test_batch_is_one_registration_in_order():
+    core = make_core()
+    futures, envelopes = core.submit_tasklets(
+        [make_tasklet(f"tl-{n}") for n in range(3)]
     )
-    assert future.result(0) == 99
-    assert core.stats.completed == 1
+    assert [future.tasklet_id for future in futures] == ["tl-0", "tl-1", "tl-2"]
+    assert [body_of(e).tasklet["tasklet_id"] for e in envelopes] == [
+        "tl-0", "tl-1", "tl-2"
+    ]
+    assert core.pending == 3 and core.stats.submitted == 3
+
+
+def test_rejection_of_unknown_id_counts_nothing():
+    core = make_core()
+    deliver(core, SubmitAck(tasklet_id="tl-ghost", accepted=False, reason="x"))
+    assert core.stats.rejected == 0 and core.stats.failed == 0
+
+
+def test_disconnect_event_when_only_workflows_pending():
+    telemetry = Telemetry()
+    core = ConsumerCore(NodeId("c1"), VirtualClock(), telemetry=telemetry)
+    handle, _ = core.submit_workflow(chain(2, work=10))
+    assert core.fail_all_pending("link down") == 0  # no tasklet futures
+    with pytest.raises(BrokerUnreachable, match="link down"):
+        handle.result(0)
+    (event,) = [e for e in telemetry.events.events() if e.kind == ev.DISCONNECT]
+    assert event.attrs["pending_failed"] == 1
+    assert core.pending == 0 and core.stats.workflows_failed == 1
 
 
 def test_fail_all_pending_resolves_every_future_with_typed_error():
-    import pytest
-
-    from repro.common.errors import BrokerUnreachable
-
     core = make_core()
     first, _ = core.submit(make_tasklet("tl-1"))
     second, _ = core.submit(make_tasklet("tl-2"))

@@ -14,10 +14,15 @@ class FakeSession:
 
     def __init__(self, fail=False):
         self.submitted = []
+        self.batches = []  # size of each submit_tasklets call
         self.fail = fail
         self.time = 0.0
 
-    def submit_tasklet(self, tasklet):
+    def submit_tasklets(self, tasklets):
+        self.batches.append(len(tasklets))
+        return [self._submit(tasklet) for tasklet in tasklets]
+
+    def _submit(self, tasklet):
         self.submitted.append(tasklet)
         future = TaskletFuture(tasklet.tasklet_id)
         future.resolve(
@@ -103,6 +108,24 @@ def test_map_fans_out_in_order():
     futures = library.map(SOURCE, [[1], [2], [3]])
     assert len(futures) == 3
     assert [tasklet.args for tasklet in session.submitted] == [[1], [2], [3]]
+    assert session.batches == [3]  # one registration, one send
+
+
+def test_map_ids_and_seeds_are_those_of_as_many_submits():
+    mapped, submitted = FakeSession(), FakeSession()
+    TaskletLibrary(mapped, base_seed=9).map(SOURCE, [[1], [2], [3]])
+    library = TaskletLibrary(submitted, base_seed=9)
+    for n in (1, 2, 3):
+        library.submit(SOURCE, args=[n])
+    assert [(t.tasklet_id, t.seed) for t in mapped.submitted] == [
+        (t.tasklet_id, t.seed) for t in submitted.submitted
+    ]
+
+
+def test_map_of_nothing_touches_no_session():
+    session = FakeSession()
+    assert TaskletLibrary(session).map(SOURCE, []) == []
+    assert session.batches == []
 
 
 def test_gather_collects_values_in_order():
@@ -132,6 +155,12 @@ class TestLocalExecution:
         future = library.submit(SOURCE, args=[6], qoc=QoC.private())
         assert session.submitted == []  # privacy honoured
         assert future.result(0) == 36  # actually executed, locally
+
+    def test_local_map_never_reaches_session(self):
+        session = FakeSession()
+        futures = TaskletLibrary(session).map(SOURCE, [[2], [3]], qoc=QoC.private())
+        assert session.batches == []
+        assert [future.result(0) for future in futures] == [4, 9]
 
     def test_local_failure_is_reported(self):
         session = FakeSession()

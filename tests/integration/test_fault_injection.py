@@ -232,6 +232,49 @@ def test_drain_stop_flushes_in_flight_results_before_unregistering():
         server.stop()
 
 
+def test_engine_defect_frees_the_slot_and_drain_stop_is_prompt(monkeypatch):
+    # Whatever an engine throws, the pool thread must reach core.finish():
+    # otherwise the id stays in ``inflight`` and a draining stop() waits
+    # out its whole drain_timeout.
+    from repro.tvm.vm import TVM
+
+    def defect(self, entry, args=None):
+        raise IndexError("pop from empty list")
+
+    server = TcpBroker(config=fast_config()).start()
+    host, port = server.address
+    provider = None
+    consumer = None
+    try:
+        provider = TcpProvider(
+            host,
+            port,
+            node_id="p1",
+            capacity=1,
+            benchmark_score=1e7,
+            heartbeat_interval=0.2,
+            program_cache_size=0,  # no translation: straight to the portable VM
+        ).start()
+        wait_until(lambda: len(server.core.registry) == 1)
+        consumer = TcpConsumer(host, port).start()
+        monkeypatch.setattr(TVM, "run", defect)
+        future = consumer.library.submit(kernels.PRIME_COUNT, args=[100])
+        outcome = future.wait(timeout=10)  # not execution_timeout per attempt
+        assert not outcome.ok
+        assert "IndexError: pop from empty list" in outcome.executions[-1].error
+        # The result is written before the core forgets the execution.
+        wait_until(lambda: not provider.core.inflight, timeout=2.0)
+        started = time.perf_counter()
+        provider.stop(drain=True, drain_timeout=30.0)
+        assert time.perf_counter() - started < 2.0
+    finally:
+        if consumer is not None:
+            consumer.stop()
+        if provider is not None:
+            provider.stop()
+        server.stop()
+
+
 def test_stop_returns_promptly_despite_long_intervals():
     # Both the broker tick loop and the provider heartbeat loop sleep on
     # real stop events now: stop() must not ride out an interval.

@@ -96,7 +96,7 @@ class TestWorkflowExecution:
             )
             for limit in (100, 200, 300)
         ]
-        futures = consumer.submit_batch(tasklets)
+        futures = consumer.submit_tasklets(tasklets)
         simulation.run(max_time=1e4)
         assert [f.result(0) for f in futures] == [
             kernels.python_prime_count(limit) for limit in (100, 200, 300)

@@ -245,3 +245,39 @@ def test_live_obs_endpoints_on_broker_and_provider(telemetry):
     # Stopped broker: the obs endpoint is gone with it.
     with pytest.raises((urllib.error.URLError, OSError)):
         urllib.request.urlopen(server.obs.url + "/healthz", timeout=0.5)
+
+
+SEEDED = "func main(i: int) -> int { return rand_int(0, 1000000000) * 100 + i; }"
+
+
+def test_map_is_one_socket_write():
+    """A whole ``library.map`` is one registration and one flush, and is
+    otherwise indistinguishable from as many ``submit`` calls."""
+    server = TcpBroker().start()
+    host, port = server.address
+    try:
+        with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
+            wait_for_registration(server, 1)
+            telemetry = Telemetry()  # the consumer's own: only its link counts
+            with TcpConsumer(
+                host, port, base_seed=7, telemetry=telemetry
+            ) as consumer:
+                flushes = consumer._link.metrics.flushes
+                program = consumer.library.compile(SEEDED)
+                before = flushes.value
+                mapped = consumer.library.map(program, [[i] for i in range(50)])
+                assert flushes.value - before == 1
+                assert consumer.core.stats.submitted == 50
+                mapped_values = consumer.library.gather(mapped, timeout=60)
+            with TcpConsumer(host, port, base_seed=7) as consumer:
+                singles = [
+                    consumer.library.submit(SEEDED, args=[i]) for i in range(50)
+                ]
+                single_values = consumer.library.gather(singles, timeout=60)
+    finally:
+        server.stop()
+    assert [f.tasklet_id for f in mapped] == [f.tasklet_id for f in singles]
+    # The value is a function of the derived seed, so equal values mean
+    # equal seeds; distinct values mean the seeds differ per tasklet.
+    assert mapped_values == single_values
+    assert len({value // 100 for value in mapped_values}) > 1

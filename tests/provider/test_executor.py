@@ -65,6 +65,48 @@ def test_malformed_program_becomes_failed_outcome():
     assert not outcome.ok
 
 
+def test_stack_underflow_is_refused_at_load_not_raised_mid_run():
+    # [POP, PUSH_CONST 0, RET]: verified before PR 18, then IndexError out
+    # of execute() — the pool thread died holding its slot.
+    request = assignment(1)
+    request.program = {
+        "version": 1,
+        "constants": [1],
+        "functions": [
+            {
+                "name": "main",
+                "n_params": 1,
+                "n_locals": 1,
+                "returns_value": True,
+                "code": [[5, -1], [1, 0], [42, -1]],
+            }
+        ],
+    }
+    request.program_fingerprint = ""
+    outcome = TaskletExecutor().execute(request)
+    assert outcome.status is ExecutionStatus.VM_ERROR
+    assert outcome.error.startswith("VMInvalidProgram: main@0: POP pops 1 with 0")
+
+
+@pytest.mark.parametrize("cache_size", [0, 64], ids=["portable", "translated"])
+def test_execute_never_raises_whatever_an_engine_throws(monkeypatch, cache_size):
+    from repro.tvm.vm import TVM
+
+    def defect(self, entry, args=None):
+        raise IndexError("pop from empty list")
+
+    # The translated run gives up on any exception and restarts on the
+    # portable VM, so a defect there is what finally reaches execute().
+    monkeypatch.setattr(TVM, "run", defect)
+    executor = TaskletExecutor(cache_size=cache_size)
+    request = assignment(-1)  # the translated engine restarts on this one
+    outcome = executor.execute(request)
+    assert outcome.status is ExecutionStatus.VM_ERROR
+    assert outcome.error.startswith("IndexError: pop from empty list")
+    assert "engine fault at defect" in outcome.error
+    assert (outcome.value, outcome.instructions) == (None, 0)
+
+
 def test_cache_hits_for_repeated_program():
     executor = TaskletExecutor()
     for n in range(5):

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import TransportError
 from repro.common.ids import NodeId
 from repro.common.serde import loads, pack_frame
+from repro.transport.codec import CODEC_JSON, EnvelopeDecoder
 from repro.transport.message import (
     MESSAGE_TYPES,
     AssignExecution,
@@ -144,10 +145,8 @@ def test_every_registered_type_is_covered_by_samples():
 def test_envelope_wire_roundtrip(body):
     envelope = body.envelope(src=NodeId("n1"), dst=BROKER_ADDRESS)
     wire = pack_frame(envelope.to_dict())
-    from repro.common.serde import FrameReader
-
-    frames = FrameReader().feed(wire)
-    restored = Envelope.from_dict(frames[0])
+    ((restored, codec, size),) = EnvelopeDecoder().feed(wire)
+    assert (codec, size) == (CODEC_JSON, len(wire))
     assert restored.type == envelope.type
     assert restored.src == "n1"
     assert restored.dst == BROKER_ADDRESS

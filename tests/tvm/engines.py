@@ -13,8 +13,6 @@ mutates an array it was given cannot leak state into the next engine.
 
 import copy
 
-import pytest
-
 from repro.common.errors import VMError
 from repro.core.results import ExecutionStatus
 from repro.provider.executor import TaskletExecutor, local_assignment
@@ -39,15 +37,13 @@ KERNEL_CASES = {
 
 def run_portable(program, args, fuel=FUEL, seed=0, entry="main"):
     """``("ok", value, instructions)`` or ``("error", type name, message,
-    instructions)`` from the portable VM — ``"crash"`` in place of
-    ``"error"`` when what it raised is not a :class:`VMError` (bytecode
-    the verifier admits can still underflow the interpreter's stack)."""
+    instructions)`` from the portable VM.  Anything it raises that is not
+    a :class:`VMError` propagates: on verified bytecode that is a defect."""
     machine = TVM(program, limits=VMLimits(fuel=fuel), seed=seed)
     try:
         value = machine.run(entry, copy.deepcopy(list(args)))
-    except Exception as error:
-        kind = "error" if isinstance(error, VMError) else "crash"
-        return (kind, type(error).__name__, str(error), machine.stats.instructions)
+    except VMError as error:
+        return ("error", type(error).__name__, str(error), machine.stats.instructions)
     return ("ok", value, machine.stats.instructions)
 
 
@@ -82,11 +78,6 @@ def assert_engines_agree(program, args, fuel=FUEL, seed=0, entry="main"):
     request = local_assignment(
         program, copy.deepcopy(list(args)), entry=entry, seed=seed, fuel=fuel
     )
-    if expected[0] == "crash":
-        with pytest.raises(Exception) as crash:
-            executor.execute(request)
-        assert (type(crash.value).__name__, str(crash.value)) == expected[1:3]
-        return expected, direct
     outcome = executor.execute(request)
     if expected[0] == "ok":
         assert outcome.status is ExecutionStatus.SUCCESS, outcome.error

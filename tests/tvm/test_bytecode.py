@@ -154,6 +154,75 @@ class TestVerification:
         with pytest.raises(VMInvalidProgram):
             _program([_function(RET, n_params=3, n_locals=1)]).verify()
 
+    def test_pop_of_an_empty_stack_rejected(self):
+        # Three instructions that used to wedge a provider slot: the POP
+        # underflows the portable VM's list, which raised IndexError.
+        code = [Instruction(Op.POP), Instruction(Op.PUSH_CONST, 0), Instruction(Op.RET)]
+        with pytest.raises(VMInvalidProgram, match=r"main@0: POP pops 1 with 0"):
+            _program([_function(code)], constants=[1]).verify()
+
+    def test_ret_on_an_empty_stack_rejected(self):
+        with pytest.raises(VMInvalidProgram, match=r"main@0: RET pops 1 with 0"):
+            _program([_function([Instruction(Op.RET)])]).verify()
+
+    def test_depth_mismatched_join_rejected(self):
+        # Position 4 is reached with one entry (jumping from 1) or two
+        # (falling through 3).
+        code = [
+            Instruction(Op.LOAD, 0),
+            Instruction(Op.JUMP_IF_FALSE, 3),
+            Instruction(Op.PUSH_NONE),
+            Instruction(Op.PUSH_NONE),
+            Instruction(Op.RET),
+        ]
+        with pytest.raises(VMInvalidProgram, match=r"main@3: .*differs at a join"):
+            _program([_function(code, n_params=1, n_locals=1)]).verify()
+
+    def test_callee_may_not_reach_into_its_callers_operands(self):
+        # helper pops two with one argument: depths count from its own entry.
+        helper = _function(
+            [Instruction(Op.LOAD, 0), Instruction(Op.ADD), Instruction(Op.RET)],
+            n_params=1, n_locals=1, name="helper",
+        )
+        main = _function(
+            [
+                Instruction(Op.PUSH_CONST, 0),
+                Instruction(Op.PUSH_CONST, 0),
+                Instruction(Op.CALL, 0),
+                Instruction(Op.RET),
+            ]
+        )
+        with pytest.raises(VMInvalidProgram, match=r"helper@1: ADD pops 2 with 1"):
+            _program([helper, main], constants=[1]).verify()
+
+    def test_variable_pops_follow_the_operand(self):
+        # BUILD_ARRAY 2, a binary builtin and a unary CALL with too few.
+        from repro.tvm.bytecode import builtin_index
+
+        callee = _function([Instruction(Op.LOAD, 0), Instruction(Op.RET)], 1, 1, name="id")
+        for short in (
+            Instruction(Op.BUILD_ARRAY, 2),
+            Instruction(Op.CALL_BUILTIN, builtin_index("pow") * 8 + 2),
+        ):
+            code = [Instruction(Op.PUSH_CONST, 0), short, Instruction(Op.RET)]
+            with pytest.raises(VMInvalidProgram, match=r"main@1: .* pops 2 with 1"):
+                _program([callee, _function(code)], constants=[1]).verify()
+        code = [Instruction(Op.CALL, 0), Instruction(Op.RET)]
+        with pytest.raises(VMInvalidProgram, match=r"main@0: CALL pops 1 with 0"):
+            _program([callee, _function(code)], constants=[1]).verify()
+
+    def test_unreachable_code_is_not_held_to_stack_discipline(self):
+        # Nothing reaches the ADD: it can never run, so it is not a defect.
+        code = RET + [Instruction(Op.ADD), Instruction(Op.RET)]
+        _program([_function(code)]).verify()
+
+    def test_every_opcode_has_a_stack_effect(self):
+        from repro.tvm.opcodes import STACK_EFFECT
+
+        variable = {Op.CALL, Op.CALL_BUILTIN, Op.BUILD_ARRAY}
+        assert set(STACK_EFFECT) | variable == set(Op)
+        assert not set(STACK_EFFECT) & variable
+
     def test_unknown_opcode_rejected_at_decode(self):
         with pytest.raises(VMInvalidProgram):
             Instruction.from_pair([250, -1])

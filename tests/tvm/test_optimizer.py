@@ -184,9 +184,10 @@ class TestPeepholes:
         assert execute(optimized, "main")[0] == 9
 
     def test_pop_that_is_a_jump_target_survives(self):
-        # The POP at 5 balances two stack shapes (one value pushed on the
-        # false path, two on the true path); deleting the PUSH;POP pair
-        # would break the false path's jump, so the peephole must refuse.
+        # The POP at 6 ends a PUSH;POP pair on the false path and is also
+        # where the true path lands with a second value of its own;
+        # deleting the pair would leave that value on top at RET, so the
+        # peephole must refuse.
         from repro.tvm.assembler import assemble
 
         listing = """
@@ -195,12 +196,13 @@ class TestPeepholes:
           k1 = 2
         .func main params=1 locals=1 returns=value
           0  PUSH_CONST 0
-          1  PUSH_CONST 1
-          2  LOAD 0
-          3  JUMP_IF_FALSE 5
-          4  PUSH_CONST 0
-         L5  POP
-          6  RET
+          1  LOAD 0
+          2  JUMP_IF_FALSE 5
+          3  PUSH_CONST 1
+          4  JUMP 6
+          5  PUSH_CONST 0
+         L6  POP
+          7  RET
         .end
         """
         program = assemble(listing)

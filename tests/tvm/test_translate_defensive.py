@@ -1,20 +1,27 @@
 """Untrusted bytecode never reaches ``exec`` unvetted.
 
-``CompiledProgram.verify`` checks operands and jump ranges, not stack
-discipline, types or initialisation — and a provider executes strangers'
-bytecode.  Every shape here is something the verifier admits and the
-compiler never emits; each must be *declined* (stays on the portable VM)
-or *restart* there, and in both cases the executor's outcome must be the
-portable VM's, exactly (``tests/tvm/engines.py``).  The second half pins
-the source-injection rule: nothing a program carries except
-range-checked integers appears in generated source.
+``CompiledProgram.verify`` checks operands, jump ranges and stack
+discipline, not types or initialisation — and a provider executes
+strangers' bytecode.  The stack-discipline shapes here are refused by
+``verify()`` before any engine sees them, and the translator, called on
+them *unverified*, still declines on its own analysis.  Every other
+shape is something the verifier admits and the compiler never emits;
+each must be *declined* (stays on the portable VM) or *restart* there,
+and in both cases the executor's outcome must be the portable VM's,
+exactly (``tests/tvm/engines.py``).  The second half pins the
+source-injection rule: nothing a program carries except range-checked
+integers appears in generated source.
 """
 
 import enum
 import math
+from unittest import mock
 
 import pytest
 
+from repro.common.errors import VMInvalidProgram
+from repro.core.results import ExecutionStatus
+from repro.provider.executor import TaskletExecutor, local_assignment
 from repro.tvm.assembler import assemble
 from repro.tvm.bytecode import CompiledProgram, FunctionCode, Instruction
 from repro.tvm.opcodes import Op
@@ -28,8 +35,22 @@ def agree(listing, args=(), **options):
 
 
 # ---------------------------------------------------------------------------
-# Stack discipline: declined
+# Stack discipline: refused at load, and declined if it ever got past that
 # ---------------------------------------------------------------------------
+
+
+def refused(listing):
+    """``verify()`` refuses ``listing`` and so does the executor, typed;
+    the translator declines it unverified.  Returns the refusal text."""
+    with mock.patch.object(CompiledProgram, "verify"):  # assemble() verifies
+        program = assemble(listing)
+    with pytest.raises(VMInvalidProgram) as refusal:
+        program.verify()
+    assert translate(program) is None
+    outcome = TaskletExecutor().execute(local_assignment(program, []))
+    assert outcome.status is ExecutionStatus.VM_ERROR
+    assert outcome.error == f"VMInvalidProgram: {refusal.value}"
+    return str(refusal.value)
 
 
 def test_join_with_unequal_stack_depths_is_declined():
@@ -46,9 +67,7 @@ def test_join_with_unequal_stack_depths_is_declined():
      L5  RET
     .end
     """
-    for flag in (True, False):
-        expected, direct = agree(listing, [flag])
-        assert direct == ("declined",) and expected[:2] == ("ok", 7)
+    assert refused(listing).startswith("main@5: operand-stack depth differs")
     growing = """
     .constants 1
       k0 = 1
@@ -57,8 +76,7 @@ def test_join_with_unequal_stack_depths_is_declined():
       1  JUMP 0
     .end
     """
-    expected, direct = agree(growing, fuel=50_000)
-    assert direct == ("declined",) and expected[1] == "VMStackOverflow"
+    assert refused(growing).startswith("main@0: operand-stack depth differs")
 
 
 def test_operand_stack_underflow_is_declined():
@@ -71,9 +89,7 @@ def test_operand_stack_underflow_is_declined():
       2  RET
     .end
     """
-    expected, direct = agree(listing)
-    # The interpreter's own pop fails; whatever it does, the executor does.
-    assert direct == ("declined",) and expected[0] == "crash"
+    assert refused(listing).startswith("main@1: ADD pops 2 with 1")
 
 
 def test_jump_into_the_middle_of_an_expression_is_declined():
@@ -91,8 +107,7 @@ def test_jump_into_the_middle_of_an_expression_is_declined():
       5  RET
     .end
     """
-    assert agree(listing, [False])[0][:2] == ("ok", 4)
-    assert agree(listing, [True])[1] == ("declined",)
+    assert "main@4" in refused(listing)
 
 
 def test_unreachable_tail_is_ignored_not_translated():

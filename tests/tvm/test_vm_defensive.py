@@ -1,6 +1,6 @@
 """VM defensive paths only hand-written bytecode can reach.
 
-The compiler never emits these shapes (unbalanced stacks, uninitialised
+The compiler never emits these shapes (runaway stacks, uninitialised
 reads, DUP gymnastics), but a provider executes *strangers'* bytecode:
 anything the verifier admits must fail safely inside the VM rather than
 corrupt it.  Programs are built through the assembler.
@@ -45,28 +45,35 @@ def test_read_of_uninitialised_local_is_caught():
 
 
 def test_unbounded_push_loop_hits_stack_limit():
-    # PUSH in an infinite loop: the checkpointed stack guard must fire
-    # before fuel runs out when the limit is small.
+    # A loop that pushes without popping no longer verifies (the depth at
+    # its head would differ); the shape that still grows the operand stack
+    # without bound is recursion with an operand pending in every frame.
+    # With call depth out of the way, the operand-stack limit must fire.
     listing = """
     .constants 1
       k0 = 1
     .func main params=0 locals=0 returns=value
-       L0  PUSH_CONST 0
-        1  JUMP 0
+        0  PUSH_CONST 0
+        1  CALL 0
+        2  ADD
+        3  RET
     .end
     """
-    with pytest.raises(VMStackOverflow):
-        run_listing(listing, limits=VMLimits(fuel=100_000, max_stack=512))
+    limits = VMLimits(fuel=100_000, max_stack=512, max_call_depth=10_000)
+    with pytest.raises(VMStackOverflow, match="operand stack"):
+        run_listing(listing, limits=limits)
 
 
 def test_stack_overshoot_is_bounded_by_checkpoint_window():
-    # The guard may lag by at most the checkpoint period (2048).
-    listing = """
+    # Straight-line pushes are only caught at a checkpoint: the guard may
+    # lag by at most the checkpoint period (2048).
+    pushes = "\n".join(f"        {i}  PUSH_CONST 0" for i in range(5000))
+    listing = f"""
     .constants 1
       k0 = 1
     .func main params=0 locals=0 returns=value
-       L0  PUSH_CONST 0
-        1  JUMP 0
+{pushes}
+        5000  RET
     .end
     """
     program = assemble(listing)
