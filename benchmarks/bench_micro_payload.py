@@ -1,0 +1,186 @@
+"""Array payloads: what one hop, one vote and one validation cost per item.
+
+Every hop of a tasklet that carries an array encodes it once and decodes
+it once; the broker also validates it on admission and folds the result
+into the vote.  A list of plain ints takes the *packed* form of
+``repro.common.serde`` on all four — one C-level pass each, no Python
+step per element — and any other list (here: the same ints with one
+``True`` appended) the *per-item* form, which is the cost every array
+paid before the packed form existed.  This script times both in the same
+build and records them in ``BENCH_payload.json`` at the repo root:
+
+* ``encode_us`` / ``decode_us`` — one ``execution_result`` envelope
+  carrying the array through ``encode_envelope`` and
+  ``EnvelopeDecoder.feed`` under the binary codec (one hop);
+* ``vote_key_us`` — ``core.results._vote_key`` of the array;
+* ``validate_us`` — ``tvm.vm.is_tasklet_value`` of the array;
+* ``value_bytes_per_item`` — packed size of the array over its length.
+
+The guard is two ratios, so it holds on any host: at 1,024 items encode +
+decode of the packed form is at least ``SPEEDUP_FLOOR`` times faster than
+the per-item form, and the cost per item of all four steps at 65,536
+items is at most ``PER_ITEM_CEILING`` times that at 1,024 (nothing
+super-linear hides in the bulk path).
+
+Runs standalone (``PYTHONPATH=src python benchmarks/bench_micro_payload.py``,
+the CI ``payload-perf`` job) or under pytest
+(``pytest benchmarks/bench_micro_payload.py``).
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+try:
+    from repro.common.serde import pack_value
+except ImportError:  # running as a plain script without PYTHONPATH=src
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    from repro.common.serde import pack_value
+
+from repro.common.ids import NodeId
+from repro.core.results import _vote_key
+from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
+from repro.transport.message import ExecutionResult
+from repro.tvm.vm import is_tasklet_value
+
+SIZES = (16, 1_024, 65_536)
+#: Packed encode + decode at 1,024 items must beat the per-item form by this.
+SPEEDUP_FLOOR = 5.0
+#: Cost per item at the largest size over cost per item at 1,024.
+PER_ITEM_CEILING = 3.0
+#: Items handled per timed batch (so every size runs about as long), and
+#: batches per measurement; the best batch counts, which keeps a noisy
+#: neighbour out of a ratio of microseconds.
+ITEMS_PER_BATCH = 200_000
+BATCHES = 5
+
+
+def _best_mean_us(operation, rounds: int) -> float:
+    best = float("inf")
+    for _ in range(BATCHES):
+        start = time.perf_counter_ns()
+        for _ in range(rounds):
+            operation()
+        best = min(best, (time.perf_counter_ns() - start) / rounds)
+    return round(best / 1e3, 2)
+
+
+def measure_array(array: list) -> dict:
+    envelope = ExecutionResult(
+        execution_id="ex-1", tasklet_id="tl-1", provider_id="p1",
+        status="success", value=array, instructions=2,
+    ).envelope(NodeId("p1"), NodeId("broker"))
+    frame = encode_envelope(envelope, CODEC_BINARY)
+    assert EnvelopeDecoder().feed(frame)[0][0].payload["value"] == array
+    packed = bytearray()
+    pack_value(array, packed)
+    rounds = max(3, ITEMS_PER_BATCH // len(array))
+    gc.collect()
+    gc.disable()
+    try:
+        row = {
+            "items": len(array),
+            "form": "packed" if packed[0] == 0x09 else "per_item",
+            "encode_us": _best_mean_us(lambda: encode_envelope(envelope, CODEC_BINARY), rounds),
+            "decode_us": _best_mean_us(lambda: EnvelopeDecoder().feed(frame), rounds),
+            "vote_key_us": _best_mean_us(lambda: _vote_key(array), rounds),
+            "validate_us": _best_mean_us(lambda: is_tasklet_value(array), rounds),
+        }
+    finally:
+        gc.enable()
+    row["value_bytes_per_item"] = round(len(packed) / len(array), 3)
+    return row
+
+
+def _hop_us(row: dict) -> float:
+    return row["encode_us"] + row["decode_us"]
+
+
+def _per_item_ns(row: dict) -> float:
+    steps = ("encode_us", "decode_us", "vote_key_us", "validate_us")
+    return 1e3 * sum(row[step] for step in steps) / row["items"]
+
+
+def measure() -> dict:
+    rng = random.Random(19)
+    ints = [rng.randrange(-(2**31), 2**31) for _ in range(SIZES[-1])]
+    arrays = {str(size): measure_array(ints[:size]) for size in SIZES}
+    per_item_form = measure_array(ints[:1_024] + [True])
+    return {
+        "benchmark": "array_payload",
+        "items_per_batch": ITEMS_PER_BATCH,
+        "batches": BATCHES,
+        "int_arrays": arrays,
+        "per_item_form_1024_ints_and_a_bool": per_item_form,
+        "packed_hop_speedup_at_1024": round(_hop_us(per_item_form) / _hop_us(arrays["1024"]), 2),
+        "speedup_floor": SPEEDUP_FLOOR,
+        "per_item_cost_ratio_65536_over_1024": round(
+            _per_item_ns(arrays["65536"]) / _per_item_ns(arrays["1024"]), 2
+        ),
+        "per_item_ceiling": PER_ITEM_CEILING,
+    }
+
+
+def write_report(payload: dict) -> Path:
+    path = Path(__file__).resolve().parents[1] / "BENCH_payload.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return path
+
+
+def check(payload: dict) -> None:
+    """The perf guard: both ratios, and that each row took the form it names."""
+    assert all(row["form"] == "packed" for row in payload["int_arrays"].values())
+    assert payload["per_item_form_1024_ints_and_a_bool"]["form"] == "per_item"
+    assert payload["packed_hop_speedup_at_1024"] >= SPEEDUP_FLOOR, (
+        f"packed encode + decode is {payload['packed_hop_speedup_at_1024']}x the "
+        f"per-item form at 1,024 items (floor {SPEEDUP_FLOOR}x)"
+    )
+    assert payload["per_item_cost_ratio_65536_over_1024"] <= PER_ITEM_CEILING, (
+        f"an item costs {payload['per_item_cost_ratio_65536_over_1024']}x as much at "
+        f"65,536 items as at 1,024 (ceiling {PER_ITEM_CEILING}x)"
+    )
+
+
+def test_array_payload_cost():
+    """Pytest entry point: measure, record, and enforce the guard."""
+    payload = measure()
+    write_report(payload)
+    check(payload)
+
+
+def main() -> int:
+    payload = measure()
+    path = write_report(payload)
+    print(
+        f"{'items':>7} {'form':>9} {'encode':>10} {'decode':>10} {'vote key':>10} "
+        f"{'validate':>10} {'ns/item':>9} {'B/item':>7}"
+    )
+    rows = [*payload["int_arrays"].values(), payload["per_item_form_1024_ints_and_a_bool"]]
+    for row in rows:
+        print(
+            f"{row['items']:>7} {row['form']:>9} {row['encode_us']:>8.1f}us "
+            f"{row['decode_us']:>8.1f}us {row['vote_key_us']:>8.1f}us "
+            f"{row['validate_us']:>8.1f}us {_per_item_ns(row):>9.1f} "
+            f"{row['value_bytes_per_item']:>7.2f}"
+        )
+    print(
+        f"packed hop {payload['packed_hop_speedup_at_1024']}x the per-item form at 1,024 "
+        f"(floor {SPEEDUP_FLOOR}x); per item, 65,536 costs "
+        f"{payload['per_item_cost_ratio_65536_over_1024']}x 1,024 "
+        f"(ceiling {PER_ITEM_CEILING}x) -> {path}"
+    )
+    try:
+        check(payload)
+    except AssertionError as failure:
+        print(f"FAIL: {failure}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

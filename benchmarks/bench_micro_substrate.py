@@ -95,7 +95,7 @@ def test_vote_key_structured_result(benchmark):
     """Canonical vote key of a nested result (the voting hot path)."""
     value = [[float(i), i, f"s{i}", i % 2 == 0] for i in range(50)]
     key = benchmark(lambda: _vote_key(value))
-    assert isinstance(key, str)
+    assert isinstance(key, bytes)
 
 
 def test_fingerprint_memoised(benchmark):

@@ -39,6 +39,7 @@ from ..core.results import ExecutionRecord, ExecutionStatus, VoteCollector
 from ..core.tasklet import Tasklet
 from ..obs.telemetry import Telemetry
 from ..obs.trace import TraceContext
+from ..tvm.vm import is_tasklet_value
 from .accounting import CostLedger
 from .backlog import Backlog
 from .executions import ExecutionIndex
@@ -739,13 +740,21 @@ class BrokerCore:
         outstanding = state.outstanding.get(execution_id) if state else None
         if outstanding is None:
             return []  # late result for an already-decided tasklet
+        status, value, error = ExecutionStatus(body.status), body.value, body.error
+        if status is ExecutionStatus.SUCCESS and not (value is None or is_tasklet_value(value)):
+            # No TVM returns this (None is a void function's result).
+            # Decided before anything is released, so the execution ends
+            # as any failed one does: re-issued or failed, and graded
+            # against its provider.
+            error = f"result of type {type(value).__name__} is not a Tasklet value"
+            status, value = ExecutionStatus.VM_ERROR, None
         record = ExecutionRecord(
             execution_id=execution_id,
             tasklet_id=state.tasklet_id,
             provider_id=NodeId(body.provider_id),
-            status=ExecutionStatus(body.status),
-            value=body.value,
-            error=body.error,
+            status=status,
+            value=value,
+            error=error,
             instructions=body.instructions,
             started_at=body.started_at,
             finished_at=body.finished_at,
@@ -918,7 +927,12 @@ class BrokerCore:
             out.extend(self._end_execution(state, outstanding, None, cancel=True))
         self.backlog.forget(state)
         attempts, cost = state.issued, self.ledger.pop_cost_of(state.key)
-        executions = [record.to_dict() for record in state.collector.all_records]
+        # The winning value travels once, as the completion's own.
+        agreeing = (state.collector.winner() or []) if ok else []
+        executions = [
+            record.to_dict(with_value=record not in agreeing)
+            for record in state.collector.all_records
+        ]
         executed_by = str(self.node_id) if state.issued > 0 else ""
         if remote is not None:
             attempts, cost = remote.attempts, remote.cost

@@ -13,11 +13,11 @@ without any application-specific comparison logic.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..common.ids import ExecutionId, NodeId, TaskletId
+from ..common.serde import pack_value
 
 
 class ExecutionStatus(enum.Enum):
@@ -52,8 +52,11 @@ class ExecutionRecord:
     def duration(self) -> float:
         return max(0.0, self.finished_at - self.started_at)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
+    def to_dict(self, with_value: bool = True) -> dict[str, Any]:
+        """Wire form.  A record of the agreeing group goes without its
+        ``value`` key: it repeats the completion's own value, which then
+        crosses the wire once, and :meth:`from_dict` puts it back."""
+        data = {
             "execution_id": self.execution_id,
             "tasklet_id": self.tasklet_id,
             "provider_id": self.provider_id,
@@ -64,15 +67,20 @@ class ExecutionRecord:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
+        if not with_value:
+            del data["value"]
+        return data
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExecutionRecord":
+    def from_dict(cls, data: dict[str, Any], agreed_value: Any = None) -> "ExecutionRecord":
+        """``agreed_value`` is the completion's value, which a record
+        without a ``value`` key agreed with."""
         return cls(
             execution_id=ExecutionId(data["execution_id"]),
             tasklet_id=TaskletId(data["tasklet_id"]),
             provider_id=NodeId(data["provider_id"]),
             status=ExecutionStatus(data["status"]),
-            value=data.get("value"),
+            value=data.get("value", agreed_value),
             error=data.get("error"),
             instructions=int(data.get("instructions", 0)),
             started_at=float(data.get("started_at", 0.0)),
@@ -105,30 +113,20 @@ class TaskletResult:
         return sum(record.duration for record in self.executions)
 
 
-def _vote_key(value: Any) -> str:
-    """Canonical representation used to group equal replica results.
+def _vote_key(value: Any) -> bytes:
+    """Canonical representation used to group equal replica results: the
+    value's packed bytes (:func:`repro.common.serde.pack_value`).
 
-    JSON with sorted keys: structural equality for the nested
-    list/scalar values Tasklets return, while distinguishing ``1`` from
-    ``1.0`` and ``True`` (Tasklet results keep their runtime types).
+    The encoder is deterministic and keeps every runtime type apart, so
+    equal bytes mean structurally equal values with ``1``, ``1.0`` and
+    ``True`` distinct and ``-0.0`` unlike ``0.0``; every NaN is one vote,
+    whatever sign and payload the replica's host gave it.  It encodes any
+    wire value — that a result is a *Tasklet* value is checked where the
+    result arrives, not here.
     """
-
-    def tag(item: Any) -> Any:
-        if isinstance(item, bool):
-            return ["b", item]
-        if isinstance(item, int):
-            return ["i", item]
-        if isinstance(item, float):
-            return ["f", repr(item)]
-        if isinstance(item, str):
-            return ["s", item]
-        if isinstance(item, list):
-            return ["l", [tag(element) for element in item]]
-        if item is None:
-            return ["n"]
-        raise TypeError(f"unexpected result type {type(item).__name__}")
-
-    return json.dumps(tag(value), separators=(",", ":"))
+    key = bytearray()
+    pack_value(value, key, fold_nan=True)
+    return bytes(key)
 
 
 class VoteCollector:
@@ -145,7 +143,7 @@ class VoteCollector:
             raise ValueError(f"redundancy must be >= 1, got {redundancy}")
         self.redundancy = redundancy
         self.required = required if required is not None else redundancy // 2 + 1
-        self.successes: dict[str, list[ExecutionRecord]] = {}
+        self.successes: dict[bytes, list[ExecutionRecord]] = {}
         self.failures: list[ExecutionRecord] = []
 
     def add(self, record: ExecutionRecord) -> None:

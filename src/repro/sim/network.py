@@ -21,7 +21,7 @@ import random
 from typing import Protocol
 
 from ..common.ids import NodeId
-from ..common.serde import pack_frame
+from ..transport.codec import pack_frame
 from ..transport.message import Envelope
 
 

@@ -3,10 +3,10 @@
 Every frame on a TCP link is ``4-byte big-endian length || body``.  The
 first body byte makes each frame self-describing:
 
-* ``0x7B`` (``{``) — the legacy UTF-8 JSON encoding of
-  ``Envelope.to_dict()`` (see :mod:`repro.common.serde`); every peer can
-  read and write it, which makes it the negotiation-free fallback.
-* ``0xB1`` — the compact binary codec defined here (``bin1``): a one-byte
+* ``0x7B`` (``{``) — the UTF-8 JSON encoding of ``Envelope.to_dict()``;
+  every peer can read and write it, which makes it the negotiation-free
+  fallback.
+* ``0xB2`` — the compact binary codec defined here (``bin2``): a one-byte
   message-type tag, varint/struct-packed envelope header, and — for the
   hot message types — *field-packed* bodies that drop the JSON key
   strings entirely (field order is the dataclass field order, pinned by
@@ -18,11 +18,11 @@ frame.  Negotiation (the ``hello``/``register`` handshake, see
 ``docs/PROTOCOL.md`` "Wire format") only gates what a sender may *emit*:
 binary is sent exclusively to peers that advertised it.
 
-The value encoding is deliberately the same closed set as the JSON layer
-(None, bool, int, float, str, bytes, list, str-keyed dict) with the same
-reserved-key rule, so any payload that round-trips one codec round-trips
-the other bit-identically — the property the codec test suite enforces
-for every registered message type.
+Both codecs carry the values of :mod:`repro.common.serde` — one closed
+set, a JSON and a binary form of it — so any payload that round-trips one
+codec round-trips the other bit-identically: the property the codec test
+suite enforces for every registered message type.  This module owns what
+goes around the values: frames and envelopes.
 """
 
 from __future__ import annotations
@@ -33,22 +33,38 @@ from typing import Any, Callable, Iterator
 
 from ..common.errors import CodecError, TransportError
 from ..common.ids import NodeId
-from ..common.serde import MAX_FRAME_BYTES, loads, pack_frame
+from ..common.serde import (
+    dumps,
+    loads,
+    pack_str,
+    pack_value,
+    pack_varint,
+    unpack_str,
+    unpack_value,
+    unpack_varint,
+)
 from .message import MESSAGE_TYPES, Envelope, body_of
 
-#: Codec names as they appear in hello handshakes and metric labels.
+#: Codec names as they appear in hello handshakes and metric labels.  The
+#: binary name is a *contract* name: ``bin2`` replaced its predecessor
+#: when the value grammar gained the packed array, so a peer offering
+#: only the older name shares just JSON with this build and is never sent
+#: a tag it cannot decode.
 CODEC_JSON = "json"
-CODEC_BINARY = "bin1"
+CODEC_BINARY = "bin2"
 
 #: Codecs this build can decode, in sender-preference order.
 SUPPORTED_CODECS: tuple[str, ...] = (CODEC_BINARY, CODEC_JSON)
 
 #: First body byte of a binary frame.  JSON bodies always start with
 #: ``{`` (0x7B), so the two encodings can never be confused.
-MAGIC_BINARY = 0xB1
+MAGIC_BINARY = 0xB2
+
+#: Frames larger than this are rejected to bound memory under a corrupt or
+#: malicious length prefix. 64 MiB comfortably fits any bytecode program.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
-_FLOAT = struct.Struct(">d")
 
 #: Stable one-byte wire tags for registered message types.  Tag 0 is the
 #: generic escape: the type name travels as a string (forward
@@ -83,8 +99,8 @@ _TAG_TO_TYPE = {tag: name for name, tag in WIRE_TAGS.items()}
 #: Message types whose bodies are field-packed (keys omitted on the
 #: wire).  These are the hot-path messages; everything else ships its
 #: payload as a packed dict.  Field order comes from the dataclass
-#: definition, which is therefore part of the ``bin1`` wire contract —
-#: changing it means minting ``bin2``.
+#: definition, which is therefore part of the ``bin2`` wire contract —
+#: changing it means minting ``bin3``.
 _PACKED_TYPE_NAMES = (
     "heartbeat",
     "heartbeat_ack",
@@ -134,173 +150,16 @@ def accept_codec(connection, envelope: Envelope, offered) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Value packing (tag byte + varint-framed payloads)
-# ---------------------------------------------------------------------------
-
-_T_NONE = 0x00
-_T_TRUE = 0x01
-_T_FALSE = 0x02
-_T_INT = 0x03
-_T_FLOAT = 0x04
-_T_STR = 0x05
-_T_BYTES = 0x06
-_T_LIST = 0x07
-_T_DICT = 0x08
-
-
-def _pack_varint(n: int, out: bytearray) -> None:
-    if n < 0x80:  # the overwhelmingly common case: one byte
-        out.append(n)
-        return
-    while True:
-        byte = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
-
-
-def _unpack_varint(buf: bytes, pos: int) -> tuple[int, int]:
-    try:
-        byte = buf[pos]
-    except IndexError:
-        raise CodecError("truncated varint") from None
-    pos += 1
-    if not byte & 0x80:  # single-byte fast path
-        return byte, pos
-    result = byte & 0x7F
-    shift = 7
-    while True:
-        if pos >= len(buf):
-            raise CodecError("truncated varint")
-        byte = buf[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def _pack_str(text: str, out: bytearray) -> None:
-    data = text.encode("utf-8")
-    _pack_varint(len(data), out)
-    out += data
-
-
-def _unpack_str(buf: bytes, pos: int) -> tuple[str, int]:
-    length, pos = _unpack_varint(buf, pos)
-    end = pos + length
-    if end > len(buf):
-        raise CodecError("truncated string")
-    try:
-        return buf[pos:end].decode("utf-8"), end
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"bad utf-8 on the wire: {exc}") from exc
-
-
-def pack_value(value: Any, out: bytearray) -> None:
-    """Append the binary encoding of ``value`` to ``out``.
-
-    The accepted type set (and the reserved ``__x__`` dict-key rule) is
-    identical to :func:`repro.common.serde.encode_value`, so a payload is
-    binary-encodable exactly when it is JSON-encodable.
-    """
-    # Hot path first: payload fields are mostly strings and small ints.
-    if isinstance(value, str):
-        out.append(_T_STR)
-        data = value.encode("utf-8")
-        _pack_varint(len(data), out)
-        out += data
-    elif value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        out.append(_T_INT)
-        # Zigzag maps signed to unsigned; the varint then handles
-        # arbitrary-precision Python ints without a separate bigint tag.
-        _pack_varint(value << 1 if value >= 0 else ((-value) << 1) - 1, out)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += _FLOAT.pack(value)
-    elif isinstance(value, bytes):
-        out.append(_T_BYTES)
-        _pack_varint(len(value), out)
-        out += value
-    elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST)
-        _pack_varint(len(value), out)
-        for item in value:
-            pack_value(item, out)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        _pack_varint(len(value), out)
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(
-                    f"dict keys must be str, got {type(key).__name__}"
-                )
-            if key.startswith("__") and key.endswith("__"):
-                raise CodecError(f"reserved key name {key!r}")
-            _pack_str(key, out)
-            pack_value(item, out)
-    else:
-        raise CodecError(f"unsupported value type {type(value).__name__}")
-
-
-def unpack_value(buf: bytes, pos: int) -> tuple[Any, int]:
-    """Decode one value at ``pos``; returns ``(value, next_pos)``."""
-    try:
-        tag = buf[pos]
-    except IndexError:
-        raise CodecError("truncated value") from None
-    pos += 1
-    if tag == _T_STR:  # hot path: payload fields are mostly strings
-        return _unpack_str(buf, pos)
-    if tag == _T_INT:
-        zigzag, pos = _unpack_varint(buf, pos)
-        return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1), pos
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_FLOAT:
-        end = pos + _FLOAT.size
-        if end > len(buf):
-            raise CodecError("truncated float")
-        return _FLOAT.unpack_from(buf, pos)[0], end
-    if tag == _T_BYTES:
-        length, pos = _unpack_varint(buf, pos)
-        end = pos + length
-        if end > len(buf):
-            raise CodecError("truncated bytes")
-        return bytes(buf[pos:end]), end
-    if tag == _T_LIST:
-        count, pos = _unpack_varint(buf, pos)
-        items = []
-        for _ in range(count):
-            item, pos = unpack_value(buf, pos)
-            items.append(item)
-        return items, pos
-    if tag == _T_DICT:
-        count, pos = _unpack_varint(buf, pos)
-        result: dict[str, Any] = {}
-        for _ in range(count):
-            key, pos = _unpack_str(buf, pos)
-            result[key], pos = unpack_value(buf, pos)
-        return result, pos
-    raise CodecError(f"unknown value tag 0x{tag:02x}")
-
-
-# ---------------------------------------------------------------------------
 # Envelope encoding
 # ---------------------------------------------------------------------------
+
+
+def pack_frame(payload: dict[str, Any]) -> bytes:
+    """Serialise ``payload`` as JSON and prepend the 4-byte length header."""
+    body = dumps(payload)
+    if len(body) > MAX_FRAME_BYTES:
+        raise CodecError(f"frame too large: {len(body)} bytes")
+    return _HEADER.pack(len(body)) + body
 
 
 def encode_envelope(envelope: Envelope, codec: str = CODEC_JSON) -> bytes:
@@ -313,11 +172,11 @@ def encode_envelope(envelope: Envelope, codec: str = CODEC_JSON) -> bytes:
     tag = WIRE_TAGS.get(envelope.type, 0)
     body.append(tag)
     if tag == 0:
-        _pack_str(envelope.type, body)
+        pack_str(envelope.type, body)
     # NodeId subclasses str, so src/dst pack without a copy.
-    _pack_str(envelope.src, body)
-    _pack_str(envelope.dst, body)
-    _pack_varint(envelope.seq, body)
+    pack_str(envelope.src, body)
+    pack_str(envelope.dst, body)
+    pack_varint(envelope.seq, body)
     fields = FIELD_TABLES.get(envelope.type)
     payload = envelope.payload
     # Field-pack only when the payload carries exactly the pinned field
@@ -354,14 +213,14 @@ def decode_binary_body(body: bytes) -> Envelope:
     tag = body[pos]
     pos += 1
     if tag == 0:
-        type_name, pos = _unpack_str(body, pos)
+        type_name, pos = unpack_str(body, pos)
     else:
         type_name = _TAG_TO_TYPE.get(tag)
         if type_name is None:
             raise CodecError(f"unknown message tag 0x{tag:02x}")
-    src, pos = _unpack_str(body, pos)
-    dst, pos = _unpack_str(body, pos)
-    seq, pos = _unpack_varint(body, pos)
+    src, pos = unpack_str(body, pos)
+    dst, pos = unpack_str(body, pos)
+    seq, pos = unpack_varint(body, pos)
     if pos >= len(body):
         raise CodecError("truncated binary envelope")
     flags = body[pos]

@@ -23,9 +23,10 @@ redial forever, up to a cap, or never — the role passes in.
 
 Framing is the dual-codec format of :mod:`repro.transport.codec`: every
 connection starts on length-prefixed JSON; a ``hello`` handshake
-negotiates the compact ``bin1`` binary codec per link (JSON remains the
-debug fallback and the interop path for old peers).  Receivers decode
-both codecs frame-by-frame, so negotiation never races decoding.
+negotiates the compact ``bin2`` binary codec per link (JSON remains the
+debug fallback and the interop path for peers that offer no ``bin2``).
+Receivers decode both codecs frame-by-frame, so negotiation never races
+decoding.
 
 For *parallel* scaling on one machine (experiment F8) use
 :func:`spawn_provider_processes`: each provider lives in its own OS

@@ -131,13 +131,21 @@ class _Frame:
     stack_base: int  # operand stack height at call time
 
 
+_EXACT_SCALARS = frozenset((bool, int, float, str))
+
+
 def is_tasklet_value(value: Any) -> bool:
-    """Whether ``value`` is a legal Tasklet runtime value."""
+    """Whether ``value`` is a legal Tasklet runtime value.  A list is
+    answered from the set of its element types (one C-level pass); only
+    elements not exactly a scalar type — nested rows, instances of a
+    scalar subclass, anything illegal — are looked at one by one."""
     if isinstance(value, (bool, int, float, str)):
         return True
-    if isinstance(value, list):
-        return all(is_tasklet_value(item) for item in value)
-    return False
+    if not isinstance(value, list):
+        return False
+    return _EXACT_SCALARS.issuperset(map(type, value)) or all(
+        is_tasklet_value(item) for item in value if type(item) not in _EXACT_SCALARS
+    )
 
 
 class TVM:

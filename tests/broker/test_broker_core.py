@@ -1,12 +1,15 @@
 """Broker core lifecycle, driven with scripted envelopes and a manual clock."""
 
+import pytest
 
 from repro.broker.core import BrokerConfig, BrokerCore
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import pack_value
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
+from repro.transport.codec import CODEC_BINARY, encode_envelope
 from repro.transport.message import (
     AssignExecution,
     CancelExecution,
@@ -283,6 +286,38 @@ class TestRedundancy:
         assert completions[0].ok and completions[0].value == 7
         assert len(cancels) == 1
         assert cancels[0].execution_id == assigns[2][1].execution_id
+
+    @pytest.mark.parametrize("redundancy", [1, 3])
+    def test_completion_carries_the_winning_value_once(self, redundancy):
+        """Records of the agreeing group go without their ``value``: the
+        consumer re-attaches the completion's.  A dissenter keeps its own."""
+        array, wrong = list(range(70_000, 71_024)), list(range(1024))
+        harness = Harness()
+        for name in ("p1", "p2", "p3"):
+            harness.add_provider(name, capacity=1)
+        _tid, replies = harness.submit(qoc=QoC(redundancy=redundancy, max_attempts=3))
+        assigns = [(dst, body) for dst, body in replies if isinstance(body, AssignExecution)]
+        values = [array] if redundancy == 1 else [wrong, array, array]
+        for (provider, assign), value in zip(assigns, values):
+            envelopes = harness.broker.handle(
+                ExecutionResult(
+                    execution_id=assign.execution_id,
+                    tasklet_id=assign.tasklet_id,
+                    provider_id=provider,
+                    status="success",
+                    value=value,
+                ).envelope(NodeId(provider), harness.broker.node_id)
+            )
+        (complete,) = [e for e in envelopes if e.type == "tasklet_complete"]
+        body = body_of(complete)
+        assert body.ok and body.value == array
+        agreeing = [record for record in body.executions if "value" not in record]
+        dissenting = [record for record in body.executions if "value" in record]
+        assert len(agreeing) == (redundancy + 1) // 2
+        assert [record["value"] for record in dissenting] == [wrong] * (redundancy // 2)
+        packed = bytearray()
+        pack_value(array, packed)
+        assert encode_envelope(complete, CODEC_BINARY).count(bytes(packed)) == 1
 
     def test_disagreement_reported_when_budget_gone(self):
         harness = Harness()

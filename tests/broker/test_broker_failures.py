@@ -335,6 +335,57 @@ class TestLateResults:
         assert harness.broker.stats.executions_succeeded == 0
 
 
+def result_of(assign, provider, value):
+    return ExecutionResult(
+        execution_id=assign.execution_id,
+        tasklet_id=assign.tasklet_id,
+        provider_id=provider,
+        status="success",
+        value=value,
+        instructions=10,
+    )
+
+
+class TestByzantineResultValues:
+    def test_non_tasklet_result_value_is_a_failed_execution_not_a_wedge(self):
+        """Regression: a ``success`` whose value is outside the Tasklet
+        value set raised out of ``handle`` *after* the execution had been
+        released — the tasklet was left with no execution, no backlog
+        entry and no deadline, and its consumer waited forever."""
+        harness = Harness()
+        harness.register("p1")
+        harness.register("p2")
+        first = bodies(harness.submit(qoc=QoC(max_attempts=2)), AssignExecution)[0]
+        liar = harness.broker.registry.get(NodeId("p1"))
+        assert liar.outstanding == 1  # least-loaded: p1 first
+        # Budget remains: re-issued, away from the provider that lied.
+        replies = harness.send(result_of(first, "p1", {"a": 1}), src="p1")
+        (second,) = bodies(replies, AssignExecution)
+        assert [dst for dst, body in replies if body is second] == ["p2"]
+        assert bodies(replies, TaskletComplete) == []
+        assert liar.outstanding == 0 and liar.failed == 1
+        assert harness.broker.stats.executions_failed == 1
+        # Budget spent: failed, with an error that names the type — and
+        # the value never reaches the consumer.
+        replies = harness.send(result_of(second, "p2", [1, [None]]), src="p2")
+        (done,) = bodies(replies, TaskletComplete)
+        assert not done.ok and done.value is None
+        assert "result of type list is not a Tasklet value" in done.error
+        assert [record["status"] for record in done.executions] == ["vm_error"] * 2
+        assert all(record["value"] is None for record in done.executions)
+        assert harness.broker.pending_tasklets == 0
+
+    def test_void_and_nested_results_are_still_successes(self):
+        for value in (None, [[1, 2.5], ["x", True], []]):
+            harness = Harness()
+            harness.register("p1")
+            assign = bodies(harness.submit(), AssignExecution)[0]
+            (done,) = bodies(
+                harness.send(result_of(assign, "p1", value), src="p1"), TaskletComplete
+            )
+            assert done.ok and done.value == value
+
+
 class _StaleThenHonestStrategy:
     """Returns a provider id that is not in the registry for the first
     few calls, then delegates to least-loaded — models a provider dying

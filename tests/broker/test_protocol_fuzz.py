@@ -2,8 +2,9 @@
 
 Hypothesis drives the broker with random-but-well-formed protocol
 messages in arbitrary orders — registrations and re-registrations,
-duplicate results, results for unknown executions, heartbeats from
-strangers, malformed tasklets, unregisters, workflow submissions,
+duplicate results, results for unknown executions, ``success`` results
+whose value no TVM returns, heartbeats from strangers, malformed
+tasklets, unregisters, workflow submissions,
 duplicate and conflicting resubmits, and crash-and-replay (a fresh
 ``BrokerCore`` rebuilt on the same ``WorkJournal``).  After every step the
 broker's lifecycle invariants must hold; it must never raise:
@@ -20,6 +21,8 @@ broker's lifecycle invariants must hold; it must never raise:
   slots of the alive providers, ``backlog.replicas`` is the sum of
   ``pending_replicas``, and the backlog queues exactly the live tasklets
   that have replicas pending, each once;
+* nothing is wedged: every live tasklet has an outstanding execution or
+  queued replicas — something a result, a timeout or a drain will move;
 * every ``_wf_nodes`` key is a live tasklet; the execution index holds
   exactly the live outstanding executions, under the provider each was
   assigned to; the cost ledger conserves.
@@ -53,6 +56,9 @@ from repro.tvm.compiler import compile_source
 
 PROGRAM = compile_source("func main(x: int) -> int { return x; }")
 PROVIDERS = ["p0", "p1", "p2"]
+#: What a byzantine provider can put in a ``success``: both codecs carry
+#: these, and none is a Tasklet value.
+BYZANTINE_VALUES = [{"a": 1}, [1, {"b": 2}], [None], b"\x00", [[1.5, b""]]]
 CONSUMERS = ["c0", "c1"]
 
 
@@ -115,7 +121,7 @@ def _actions():
         st.sampled_from(PROVIDERS),
         st.integers(min_value=0, max_value=8),
         st.booleans(),
-        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-3, max_value=3) | st.sampled_from(BYZANTINE_VALUES),
     )
     reject = st.builds(
         lambda p, ex: ("reject", (p, ex), p),
@@ -136,6 +142,7 @@ def _invariants(broker: BrokerCore) -> None:
         assert not state.done  # done states are removed immediately
         assert state.issued <= state.budget
         assert state.pending_replicas >= 0
+        assert state.outstanding or state.pending_replicas  # not wedged
         for outstanding in state.outstanding.values():
             placed[outstanding.provider_id] += 1
     # Slot conservation, per provider.

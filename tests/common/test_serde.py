@@ -1,18 +1,31 @@
 """Wire codec: value round-trips, type preservation, framing."""
 
+import struct
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import CodecError
+from repro.common.ids import NodeId
 from repro.common.serde import (
     decode_value,
     dumps,
     encode_value,
     loads,
+    pack_value,
+    unpack_value,
+)
+from repro.core.results import _vote_key
+from repro.transport.codec import (
+    CODEC_BINARY,
+    EnvelopeDecoder,
+    decode_chunk,
+    encode_envelope,
     pack_frame,
 )
-from repro.transport.codec import EnvelopeDecoder
-from repro.transport.message import Envelope
+from repro.transport.message import Envelope, ExecutionResult
+from repro.tvm.vm import is_tasklet_value
 
 # JSON-safe Tasklet wire values: scalars, bytes, lists, str-keyed dicts.
 wire_values = st.recursive(
@@ -155,3 +168,225 @@ class TestFraming:
             received.extend(decoder.feed(stream[start : start + chunk_size]))
         assert payloads_of(received) == payloads
         assert decoder.pending_bytes == 0
+
+
+# ---------------------------------------------------------------------------
+# The binary form, and its bulk case: a list of plain numbers
+# ---------------------------------------------------------------------------
+
+#: Every boundary at which an int list changes item width or leaves the
+#: packed form altogether.
+EDGES = [
+    sign * (2**bits + delta)
+    for bits in (7, 8, 15, 16, 31, 32, 63, 64)
+    for delta in (-1, 0, 1)
+    for sign in (1, -1)
+]
+ints = st.sampled_from(EDGES) | st.integers(-(2**70), 2**70) | st.integers(-300, 300)
+floats = st.floats() | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
+scalars = ints | floats | st.booleans() | st.text(max_size=5)
+rows = (
+    st.lists(ints, max_size=12)  # packed, at whatever width min/max ask for
+    | st.lists(floats, max_size=12)
+    | st.lists(ints | st.booleans(), max_size=6)  # a bool makes it per-item
+    | st.lists(scalars, max_size=6)
+)
+tasklet_values = st.recursive(
+    scalars | rows,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+
+def exactly(value):
+    """``value`` with every type spelt out, so ``==`` is exact: ``1``,
+    ``1.0`` and ``True`` differ, ``-0.0`` is not ``0.0``, NaN equals NaN,
+    and a tuple is the list it travels as."""
+    if isinstance(value, (list, tuple)):
+        return [exactly(item) for item in value]
+    if isinstance(value, float):
+        return ("float", "nan" if value != value else struct.pack(">d", value))
+    return (type(value).__name__, value)
+
+
+def packed(value) -> bytes:
+    out = bytearray()
+    pack_value(value, out)
+    return bytes(out)
+
+
+def unpacked(data: bytes):
+    value, end = unpack_value(data, 0)
+    assert end == len(data)
+    return value
+
+
+@given(tasklet_values)
+def test_binary_roundtrip_is_type_exact_and_agrees_with_json(value):
+    decoded = unpacked(packed(value))
+    assert exactly(decoded) == exactly(value)
+    assert exactly(decoded) == exactly(loads(dumps({"v": value}))["v"])
+
+
+@given(tasklet_values)
+def test_equal_values_encode_to_identical_bytes(value):
+    clone = unpacked(packed(value))  # equal, and built by other code
+    assert packed(clone) == packed(value) == packed(value)
+
+
+@pytest.mark.parametrize(
+    "array, code, item_bytes",
+    [
+        ([0, 127, -128], "b", 1),
+        ([0, 255], "B", 1),
+        ([-129, 0], "h", 2),
+        ([0, 65_535], "H", 2),
+        ([-(2**31), 2**31 - 1], "i", 4),
+        ([0, 2**32 - 1], "I", 4),
+        ([-1, 2**32], "q", 8),
+        ([-(2**63), 2**63 - 1], "q", 8),
+        ([0, 2**64 - 1], "Q", 8),
+        ([0.5, -0.0], "d", 8),
+    ],
+)
+def test_arrays_take_the_narrowest_format_that_holds_them(array, code, item_bytes):
+    array = [array[0]] * 3 + array  # the extremes last: every narrower format is tried
+    data = packed(array)
+    assert data[:3] == bytes((0x09, ord(code), len(array)))
+    assert len(data) == 3 + item_bytes * len(array)
+    assert exactly(unpacked(data)) == exactly(array)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], [7], [1, 2, 3], [1.5, 2.5, 3.5], [1, 2, 3, True], [True] * 5, [1, 2, 3, 4.0],
+     ["a", "b", "c", "d"], [1, 2, 3, 2**64], [-1, 0, 1, 2**63], [0, 0, 0, -(2**63) - 1],
+     [[1, 2], [3, 4], [5, 6], [7, 8]], [None] * 4, (1, 2, 3, "x")],
+    ids=repr,
+)
+def test_every_other_list_takes_the_per_item_form(value):
+    data = packed(value)
+    assert data[0] == 0x07 and data[1] == len(value)
+    assert exactly(unpacked(data)) == exactly(value)
+
+
+def test_rows_of_a_nested_list_decide_for_themselves():
+    rows = [[1, 2, 3, 4], [1.5] * 4, [1, 2, 3, True], [5, 6]]
+    data = packed(rows)
+    assert data[:2] == b"\x07\x04"
+    assert data[2:].startswith(b"\x09b\x04\x01\x02\x03\x04" b"\x09d\x04")
+    assert data.endswith(b"\x07\x04\x03\x02\x03\x04\x03\x06\x01" b"\x07\x02\x03\x0a\x03\x0c")
+    assert exactly(unpacked(data)) == exactly(rows)
+
+
+def test_int_subclasses_never_enter_the_packed_form():
+    import enum
+
+    class Colour(enum.IntEnum):
+        RED = 1
+
+    assert packed([Colour.RED] * 4)[0] == 0x07
+    assert packed([1, 2, 3, Colour.RED])[0] == 0x07
+    assert exactly(unpacked(packed([Colour.RED] * 4))) == exactly([1] * 4)
+
+
+def test_float_arrays_are_bit_exact_on_the_wire():
+    payload_nan = struct.unpack(">d", bytes.fromhex("fff8000000000123"))[0]
+    data = packed([payload_nan, -0.0, 5e-324, 1.0])
+    assert data[:3] == b"\x09d\x04"
+    assert data[3:-8] == bytes.fromhex("fff8000000000123" "8000000000000000" "0000000000000001")
+    assert packed(payload_nan)[1:] == bytes.fromhex("fff8000000000123")
+
+
+MALFORMED_ARRAYS = {
+    "unknown format byte": b"\x09x\x01\x00",
+    "no format byte": b"\x09",
+    "no count": b"\x09q",
+    "2**32 items in a 12-byte frame": b"\x09q\x80\x80\x80\x80\x10" + bytes(5),
+    "2**70 items": b"\x09B" + b"\x80" * 10 + b"\x01",
+    "truncated inside the items": packed([2**40] * 4)[:-3],
+    "one byte short": packed([1.5] * 4)[:-1],
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_ARRAYS.values(), ids=MALFORMED_ARRAYS.keys())
+def test_malformed_arrays_are_codec_errors_before_anything_is_allocated(data):
+    # CodecError, never struct.error / MemoryError / OverflowError: the
+    # count is checked against the bytes present before it sizes anything.
+    with pytest.raises(CodecError):
+        unpack_value(data, 0)
+    with pytest.raises(CodecError):
+        unpack_value(b"\x07\x01" + data, 0)  # as a row of a per-item list
+
+
+@given(st.lists(ints, min_size=1, max_size=8) | st.lists(floats, min_size=4, max_size=8), st.data())
+def test_every_truncation_of_a_value_is_a_codec_error(array, data):
+    whole = packed([array, "tail"])
+    cut = data.draw(st.integers(0, len(whole) - 1))
+    with pytest.raises(CodecError):
+        unpack_value(whole[:cut], 0)
+
+
+def test_a_malformed_array_in_a_frame_drops_the_link_not_the_node():
+    envelope = ExecutionResult(
+        execution_id="ex-1", tasklet_id="tl-1", provider_id="p1", status="success",
+        value=list(range(1000, 1008)),
+    ).envelope(NodeId("p1"), NodeId("broker"))
+    frame = encode_envelope(envelope, CODEC_BINARY)
+    header = b"\x09h\x08"
+    assert frame.count(header) == 1
+    assert decode_chunk(EnvelopeDecoder(), frame, None) == [envelope]
+    for bad in (b"\x09z\x08", b"\x09h\x09", b"\x09h\xff\xff\xff\xff\x0f"):
+        forged = frame.replace(header, bad)
+        forged = struct.pack(">I", len(forged) - 4) + forged[4:]
+        assert decode_chunk(EnvelopeDecoder(), forged, None) is None
+
+
+def calls_made(function, *args) -> int:
+    """Python-level plus C-level calls ``function(*args)`` makes."""
+    count = 0
+
+    def profiler(_frame, event, _arg):
+        nonlocal count
+        count += event in ("call", "c_call")
+
+    sys.setprofile(profiler)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_an_int_array_costs_the_same_number_of_calls_at_any_length():
+    """Every place a value is walked — encode, decode, the vote key, the
+    Tasklet-value check — handles a list of plain ints in a number of
+    Python and C calls that does not depend on its length.  (128 and
+    8,192 items share a two-byte count varint, and both arrays need the
+    same item width, so the counts are *equal*, not merely bounded.)"""
+
+    def envelope_of(array):
+        return ExecutionResult(
+            execution_id="ex-1", tasklet_id="tl-1", provider_id="p1", status="success",
+            value=array,
+        ).envelope(NodeId("p1"), NodeId("broker"))
+
+    def feed(frame):
+        assert len(EnvelopeDecoder().feed(frame)) == 1
+
+    counts = {}
+    for n in (128, 8192):
+        array = [(-1) ** i * i * 1009 for i in range(n)]
+        frame = encode_envelope(envelope_of(array), CODEC_BINARY)
+        counts[n] = {
+            "pack_value": calls_made(packed, array),
+            "unpack_value": calls_made(unpacked, packed(array)),
+            "encode_envelope": calls_made(encode_envelope, envelope_of(array), CODEC_BINARY),
+            "EnvelopeDecoder.feed": calls_made(feed, frame),
+            "_vote_key": calls_made(_vote_key, array),
+            "is_tasklet_value": calls_made(is_tasklet_value, array),
+        }
+    assert counts[128] == counts[8192]
+    assert max(counts[8192].values()) < 200
+    # The same probe does see a per-item walk: one bool ends the bulk form.
+    assert calls_made(packed, [1] * 8191 + [True]) > 8192

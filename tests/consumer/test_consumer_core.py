@@ -131,6 +131,36 @@ def test_execution_records_rehydrated():
     assert outcome.provider_seconds == 0.5
 
 
+def test_agreeing_records_get_the_verdicts_value_back():
+    """The broker sends the winning value once; a record that agreed with
+    it arrives without a ``value`` key and is handed the verdict's, so
+    ``TaskletResult.executions`` reads as it always did.  A dissenting or
+    failed record carries — and keeps — its own."""
+    core = make_core()
+    future, _ = core.submit(make_tasklet())
+    array = list(range(1024))
+
+    def record(n, status="success", **extra):
+        return dict(
+            execution_id=f"ex-{n}", tasklet_id="tl-1", provider_id=f"p{n}", status=status,
+            error=None, instructions=5, started_at=0.0, finished_at=1.0, **extra,
+        )
+
+    executions = [
+        record(1, "vm_error", value=None),
+        record(2, value=[0]),  # outvoted
+        record(3),
+        record(4),
+    ]
+    deliver(
+        core,
+        TaskletComplete(tasklet_id="tl-1", ok=True, value=array, attempts=4, executions=executions),
+    )
+    outcome = future.wait(0)
+    assert [r.value for r in outcome.executions] == [None, [0], array, array]
+    assert all(r.value == outcome.value for r in outcome.executions[2:])
+
+
 def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
     core = make_core()
     first, _ = core.submit(make_tasklet())

@@ -1,12 +1,16 @@
 """The Tasklet model: validation and wire format."""
 
+import enum
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import TaskletError
 from repro.common.ids import TaskletId
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.tvm.compiler import compile_source
+from repro.tvm.vm import is_tasklet_value
 
 PROGRAM = compile_source("func main(a: int, b: int) -> int { return a + b; }")
 
@@ -48,6 +52,33 @@ def test_nested_list_arguments_accepted():
     program = compile_source("func main(xs: array) -> int { return len(xs); }")
     tasklet = make(program=program, args=[[1, [2.5, "x"], True]])
     assert tasklet.args[0][1] == [2.5, "x"]
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+def _reference_is_tasklet_value(value):
+    """The check as it was: ``isinstance``, one Python step per element."""
+    if isinstance(value, (bool, int, float, str)):
+        return True
+    if isinstance(value, list):
+        return all(_reference_is_tasklet_value(item) for item in value)
+    return False
+
+
+@given(
+    st.recursive(
+        st.sampled_from([0, 2**70, 1.5, float("nan"), True, "s", Level.LOW, None, b"", (1,)])
+        | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+        lambda children: st.lists(children, max_size=4),
+        max_leaves=10,
+    )
+)
+def test_value_check_agrees_with_the_per_element_form(value):
+    """The type-set pass answers exactly as the element-by-element walk
+    it replaced: scalar subclasses in, everything else out, at any depth."""
+    assert is_tasklet_value(value) == _reference_is_tasklet_value(value)
 
 
 def test_non_positive_fuel_rejected():

@@ -1,5 +1,9 @@
 """Replica voting: majority formation, disagreement, vote-key semantics."""
 
+import json
+import random
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +16,9 @@ from repro.core.results import (
 )
 
 _counter = iter(range(10**9))
+
+#: ``inf - inf`` as x86 (sign bit set) and as ARM produce it.
+NAN_BITS = ("fff8000000000000", "7ff8000000000000")
 
 
 def record(value=None, ok=True, provider="p1"):
@@ -52,6 +59,75 @@ class TestVoteKey:
     )
     def test_key_is_deterministic(self, value):
         assert _vote_key(value) == _vote_key(value)
+
+    @pytest.mark.parametrize("n", [1, 8])  # item by item, and bulk-packed
+    def test_lists_of_each_numeric_type_are_three_groups(self, n):
+        assert len({_vote_key([1] * n), _vote_key([1.0] * n), _vote_key([True] * n)}) == 3
+        assert _vote_key([1] * n + [1]) != _vote_key([1] * n + [True])
+
+    def test_every_nan_is_one_vote(self):
+        x86, arm = (struct.unpack(">d", bytes.fromhex(bits))[0] for bits in NAN_BITS)
+        assert struct.pack(">d", x86) != struct.pack(">d", arm)  # differ on the wire
+        assert _vote_key(x86) == _vote_key(arm) == _vote_key(float("nan"))
+        assert _vote_key([1.5, x86]) == _vote_key([1.5, arm])  # item by item
+        assert _vote_key([1.5, 2.5, x86, 3.5]) == _vote_key([1.5, 2.5, arm, 3.5])  # packed
+        assert _vote_key([[x86] * 4, "x"]) == _vote_key([[arm] * 4, "x"])
+        assert _vote_key([x86] * 4) != _vote_key([float("inf")] * 4)
+
+    def test_negative_zero_is_not_zero(self):
+        assert _vote_key(-0.0) != _vote_key(0.0)
+        assert _vote_key([1.0, -0.0]) != _vote_key([1.0, 0.0])
+        assert _vote_key([1.0, 2.0, 3.0, -0.0]) != _vote_key([1.0, 2.0, 3.0, 0.0])
+
+    def test_equal_arrays_from_two_providers_are_one_group(self):
+        rng = random.Random(5)
+        array = [rng.randrange(-(2**31), 2**31) for _ in range(1024)]
+        collector = VoteCollector(redundancy=3)
+        collector.add(record(array, provider="p1"))
+        collector.add(record(list(array), provider="p2"))
+        collector.add(record(array[:-1] + [array[-1] ^ 1], provider="p3"))
+        assert [len(group) for group in collector.successes.values()] == [2, 1]
+        assert {r.provider_id for r in collector.winner()} == {"p1", "p2"}
+        assert isinstance(_vote_key(array), bytes) and len(_vote_key(array)) < 4200
+
+    @given(st.data())
+    def test_groups_exactly_as_the_per_element_key_did(self, data):
+        """The packed bytes group results as the JSON-of-tagged-items key
+        they replaced (kept here as the reference) — over an alphabet
+        small enough that equal and nearly equal values do meet."""
+        leaves = st.sampled_from(
+            [0, 1, -1, 127, 128, 2**63, 2**64, True, False, 0.0, -0.0, 1.0, float("nan"),
+             float("inf"), "", "1", None]
+        )
+        arrays = st.lists(st.sampled_from([0, 1, 128]), min_size=3, max_size=5) | st.lists(
+            st.sampled_from([0.0, -0.0, float("nan")]), min_size=3, max_size=5
+        )  # around the length at which a list becomes bulk-packed
+        values = st.recursive(
+            leaves | arrays, lambda children: st.lists(children, max_size=4), max_leaves=8
+        )
+        a, b = data.draw(values), data.draw(values)
+        assert (_vote_key(a) == _vote_key(b)) == (_reference_key(a) == _reference_key(b))
+
+
+def _reference_key(value):
+    """``_vote_key`` as it was: one Python step per element."""
+
+    def tag(item):
+        if isinstance(item, bool):
+            return ["b", item]
+        if isinstance(item, int):
+            return ["i", item]
+        if isinstance(item, float):
+            return ["f", repr(item)]
+        if isinstance(item, str):
+            return ["s", item]
+        if isinstance(item, list):
+            return ["l", [tag(element) for element in item]]
+        if item is None:
+            return ["n"]
+        raise TypeError(f"unexpected result type {type(item).__name__}")
+
+    return json.dumps(tag(value), separators=(",", ":"))
 
 
 class TestRequiredVotes:

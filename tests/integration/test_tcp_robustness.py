@@ -110,7 +110,7 @@ def test_messages_larger_than_one_recv_chunk(broker):
     )
     big_source = "".join(parts)
     from repro.tvm.compiler import compile_source
-    from repro.common.serde import pack_frame
+    from repro.transport.codec import pack_frame
 
     program = compile_source(big_source)
     # The assignment that ships this program exceeds one recv chunk.

@@ -108,7 +108,7 @@ def test_tcp_exposition_covers_all_four_subsystems(broker, telemetry):
         labels.split('codec="')[1].rstrip('"')
         for labels in parsed["repro_transport_bytes_total"]
     }
-    assert "bin1" in codecs and "json" in codecs
+    assert "bin2" in codecs and "json" in codecs
     assert parsed["repro_transport_flushes_total"][""] > 0
     assert parsed["repro_provider_executions_total"]['status="success"'] == 1
 
@@ -238,7 +238,7 @@ def test_live_obs_endpoints_on_broker_and_provider(telemetry):
                 "inflight": 0,
                 "epoch": 1,
                 "benchmark_score": 1e5,
-                "codec": "bin1",
+                "codec": "bin2",
             }
     finally:
         server.stop()

@@ -506,11 +506,11 @@ class TestTopWorkflows:
             "transport": {
                 "loop": "asyncio",
                 "connections": 3,
-                "codecs": {"bin1": 2, "json": 1},
+                "codecs": {"bin2": 2, "json": 1},
             },
         }
         screen = _render_top(health, alerts=[])
-        assert "transport: asyncio  connections=3  codecs=[bin1:2 json:1]" in screen
+        assert "transport: asyncio  connections=3  codecs=[bin2:2 json:1]" in screen
 
     def test_render_top_omits_transport_line_without_section(self):
         from repro.cli import _render_top

@@ -4,6 +4,7 @@ Everything a provider and a consumer need from their one connection is
 ``_BrokerLink``'s job, so it is pinned down here once: the dial order,
 the backoff, the attempt cap, codec acceptance, loss detection, what may
 be written first on a new stream, and a clean ``close`` in every state.
+(One test does start a broker: what a peer of the replaced codec gets.)
 """
 
 import random
@@ -17,9 +18,9 @@ from repro.common.errors import ConnectionClosed, FederationExhausted
 from repro.common.ids import NodeId
 from repro.obs.telemetry import Telemetry
 from repro.transport import tcp
-from repro.transport.codec import EnvelopeDecoder, encode_envelope
-from repro.transport.message import Heartbeat, HeartbeatAck, HelloAck
-from repro.transport.tcp import TcpConsumer, _BrokerLink
+from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
+from repro.transport.message import Heartbeat, HeartbeatAck, Hello, HelloAck
+from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider, _BrokerLink
 
 ME, BROKER = NodeId("n1"), NodeId("broker")
 
@@ -184,7 +185,14 @@ def test_redial_cap_ends_exhausted_with_the_typed_error_and_event():
 
 @pytest.mark.parametrize(
     "codec, acked, expected",
-    [("json", "bin1", "json"), ("binary", "bin1", "bin1"), ("binary", "zstd9", "json")],
+    [
+        ("json", "bin1", "json"),
+        # The id predates the codec's second contract name; kept so the
+        # suite's history stays comparable across the rename.
+        pytest.param("binary", CODEC_BINARY, CODEC_BINARY, id="binary-bin1-bin1"),
+        ("binary", "bin1", "json"),  # the replaced contract is never offered
+        ("binary", "zstd9", "json"),
+    ],
 )
 def test_hello_ack_switches_only_to_an_offered_codec(codec, acked, expected):
     listener, owner = Listener(), Owner()
@@ -202,6 +210,31 @@ def test_hello_ack_switches_only_to_an_offered_codec(codec, acked, expected):
     finally:
         link.close()
         listener.close()
+
+
+def test_peer_offering_only_bin1_negotiates_json_and_round_trips_an_array():
+    """A build from before ``bin2`` offers a codec this one no longer
+    speaks: both directions settle on JSON, and an array — which ``bin2``
+    would have bulk-packed — crosses all four hops intact."""
+    array = [(-1) ** i * i * 2_000_003 for i in range(1024)]
+    with TcpBroker() as broker:
+        host, port = broker.address
+        with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
+            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
+            consumer = TcpConsumer(host, port, node_id="old-consumer")
+            consumer._link._offered = ("bin1",)
+            consumer._link._hello = Hello(
+                node_id="old-consumer", codecs=["bin1"], role="consumer"
+            ).envelope(NodeId("old-consumer"), BROKER)
+            with consumer:
+                future = consumer.library.submit(
+                    "func main(a: array) -> array { return a; }", args=[array]
+                )
+                result = future.result(timeout=30)
+                assert result == array and set(map(type, result)) == {int}
+                assert consumer._link.send_codec == "json"
+                codecs = broker._health_document()["transport"]["codecs"]
+                assert codecs == {"json": 1, CODEC_BINARY: 1}  # the consumer, the provider
 
 
 def test_garbage_from_the_peer_reports_the_link_lost():

@@ -4,8 +4,8 @@ import pytest
 
 from repro.common.errors import TransportError
 from repro.common.ids import NodeId
-from repro.common.serde import loads, pack_frame
-from repro.transport.codec import CODEC_JSON, EnvelopeDecoder
+from repro.common.serde import loads
+from repro.transport.codec import CODEC_JSON, EnvelopeDecoder, pack_frame
 from repro.transport.message import (
     MESSAGE_TYPES,
     AssignExecution,
@@ -37,8 +37,8 @@ from repro.transport.message import (
 )
 
 SAMPLE_BODIES = [
-    Hello(node_id="p1", codecs=["bin1", "json"], role="provider"),
-    HelloAck(codec="bin1", codecs=["bin1", "json"]),
+    Hello(node_id="p1", codecs=["bin2", "json"], role="provider"),
+    HelloAck(codec="bin2", codecs=["bin2", "json"]),
     RegisterProvider(
         provider_id="p1", device_class="laptop", capacity=2, benchmark_score=1e6
     ),
