@@ -2,8 +2,8 @@
 
 Unlike the experiment wrappers (one macro run each), these are classic
 pytest-benchmark microbenchmarks with statistical rounds: the VM's
-dispatch loop, the compiler pipeline, the wire codec, the scheduler's
-selection path, and the vote key.  They catch performance regressions in
+dispatch loop, the compiler pipeline, the wire codec and boundary, the
+scheduler's selection path, and the vote key.  They catch performance regressions in
 the pieces every experiment sits on.
 """
 
@@ -17,7 +17,7 @@ from repro.core.qoc import QoC
 from repro.core.results import _vote_key
 from repro.provider.executor import local_assignment
 from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
-from repro.transport.message import BROKER_ADDRESS
+from repro.transport.message import BROKER_ADDRESS, ExecutionResult, body_of
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import TVM, VMLimits
 
@@ -64,6 +64,23 @@ def test_program_wire_roundtrip(benchmark):
 
     decoded = benchmark(roundtrip)
     assert decoded.payload["program"]["version"] == 1
+
+
+def test_body_of_execution_result(benchmark):
+    """Reading one ``execution_result`` at the wire boundary: every field
+    against its declared type, then the body.  Informational — the guard
+    is the tier-1 test that ``body_of`` calls no introspection."""
+    envelope = ExecutionResult(
+        execution_id="ex-1",
+        tasklet_id="tl-1",
+        provider_id="p1",
+        status="success",
+        value=[1, 2],
+        instructions=500,
+        started_at=1.0,
+        finished_at=2.0,
+    ).envelope(NodeId("p1"), BROKER_ADDRESS)
+    assert benchmark(lambda: body_of(envelope)).status == "success"
 
 
 def test_scheduler_selection(benchmark):

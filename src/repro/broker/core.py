@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..common.clock import Clock
-from ..common.errors import TaskletError
+from ..common.errors import TaskletError, TransportError
 from ..common.ids import ExecutionId, IdGenerator, NodeId, TaskletId
 from ..core.qoc import QoC
 from ..core.results import ExecutionRecord, ExecutionStatus, VoteCollector
@@ -160,25 +160,17 @@ class _TaskletState:
     memo_key: str | None = None
     #: Federation: broker this tasklet was forwarded *from* (we execute on
     #: its behalf and return a ForwardComplete there instead of talking to
-    #: the consumer)...
+    #: the consumer).
     origin_broker: NodeId | None = None
-    #: ...or the peer it was forwarded *to* (nothing runs locally until
-    #: the forward completes or is reclaimed).
-    forwarded_to: NodeId | None = None
-    forwarded_at: float = 0.0
-    forward_acked: bool = False
-    forward_last_sent: float = 0.0
     #: The consumer resubmitted this forwarded-in tasklet directly (it
     #: failed over to this broker while the work was in flight), so the
     #: outcome must be delivered to the consumer as well as the origin.
     direct_consumer: bool = False
     #: Opaque telemetry contexts, written by the observer (None when
-    #: telemetry is off): the ``broker.tasklet`` span, the context it
-    #: parents on, and the in-flight ``broker.forward`` span the peer
-    #: broker parents its own ``broker.tasklet`` on.
+    #: telemetry is off): the ``broker.tasklet`` span and the context it
+    #: parents on.
     trace_ctx: TraceContext | None = None
     trace_parent: TraceContext | None = None
-    forward_trace_ctx: TraceContext | None = None
 
     @property
     def budget(self) -> int:
@@ -286,8 +278,14 @@ class BrokerCore:
     # -- message dispatch ----------------------------------------------------
 
     def handle(self, envelope: Envelope) -> list[Envelope]:
-        """Process one inbound envelope; returns outbound envelopes."""
-        body = body_of(envelope)
+        """Process one inbound envelope; returns outbound envelopes.  One
+        that cannot be read is reported, sends nothing and touches nothing
+        (DESIGN.md, "Wire boundary")."""
+        try:
+            body = body_of(envelope)
+        except TransportError as exc:
+            self.observer.message_unreadable(envelope, str(exc))
+            return []
         handler = self._handlers.get(type(body))
         # Unknown-but-registered types addressed to us are ignored rather
         # than fatal: forward compatibility with newer peers.
@@ -378,19 +376,24 @@ class BrokerCore:
         src = envelope.src
         self.observer.submitted()
         admission = self._admit(src, body.tasklet, trace=envelope.trace)
+        refusal = admission.refusal
         existing = admission.in_flight
-        if existing is not None and existing.origin_broker is not None:
-            # An idempotent resubmit of in-flight work is just re-acked
-            # (the running attempt completes to the resubmitter) — but
-            # this work arrived via a peer forward, and the consumer now
-            # talks to this broker directly (failover after the origin
-            # died): deliver the outcome to both; the origin gets its
-            # ForwardComplete for bookkeeping if it is alive.
+        workflow = self.workflows.nodes.get(existing.key) if existing else None
+        if workflow is not None:
+            # An idempotent resubmit of in-flight work is re-acked because
+            # the running attempt completes to the resubmitter; a released
+            # workflow node completes to its graph, with no TaskletComplete.
+            refusal = f"tasklet id is a running node of workflow {workflow.workflow_id!r}"
+        elif existing is not None and existing.origin_broker is not None:
+            # This in-flight work arrived via a peer forward, and the
+            # consumer now talks to this broker directly (failover after
+            # the origin died): deliver the outcome to both; the origin
+            # gets its ForwardComplete for bookkeeping if it is alive.
             existing.direct_consumer = True
         ack = SubmitAck(
             tasklet_id=admission.tasklet_id,
-            accepted=admission.refusal is None,
-            reason=admission.refusal or "",
+            accepted=refusal is None,
+            reason=refusal or "",
         )
         out = [self._send(ack, src)]
         completion = admission.completion
@@ -436,7 +439,7 @@ class BrokerCore:
         """
         try:
             tasklet = Tasklet.from_dict(tasklet_dict)
-        except (TaskletError, KeyError, TypeError, ValueError) as exc:
+        except (TaskletError, KeyError, TypeError, ValueError, AttributeError) as exc:
             return _Admission(
                 str(tasklet_dict.get("tasklet_id", "?")),
                 refusal=f"malformed tasklet: {exc}",
@@ -451,7 +454,7 @@ class BrokerCore:
         completed = self._completed.get(key)
         if completed is not None:
             return _Admission(tasklet_id, completion=completed)
-        fingerprint = tasklet_dict.get("program_fingerprint", "")
+        fingerprint = str(tasklet_dict.get("program_fingerprint", ""))
         existing = self._tasklets.get(key)
         if existing is not None:
             if (
@@ -751,7 +754,7 @@ class BrokerCore:
         record = ExecutionRecord(
             execution_id=execution_id,
             tasklet_id=state.tasklet_id,
-            provider_id=NodeId(body.provider_id),
+            provider_id=outstanding.provider_id,  # whoever the body names
             status=status,
             value=value,
             error=error,
@@ -814,9 +817,7 @@ class BrokerCore:
                     outstanding.provider_id,
                 )
             )
-        provider = self.registry.get(
-            record.provider_id if record is not None else outstanding.provider_id
-        )
+        provider = self.registry.get(outstanding.provider_id)
         if provider is not None:
             # The single accounting path: frees the slot (no phantom
             # ``outstanding`` load if the provider re-registers later)
@@ -922,6 +923,8 @@ class BrokerCore:
             return []
         state.done = True
         self.observer.tasklet_done(state, ok, error)
+        if self.forwarding is not None:
+            self.forwarding.forget(state)
         out: list[Envelope] = []
         for outstanding in list(state.outstanding.values()):
             out.extend(self._end_execution(state, outstanding, None, cancel=True))

@@ -6,14 +6,18 @@ moves work between brokers: saturation forwarding and its acks, terminal
 outcomes flowing back, reclaim when a peer dies or restarts, gossip, and
 adoption of a dead peer's journal.  It exists only on a federated broker
 and reaches the tasklet lifecycle only through the core's ``_admit`` /
-``_issue`` / ``_complete``.
+``_issue`` / ``_complete``.  What is forwarded *out* is this plane's own
+table — one :class:`_Forward` per tasklet a peer is working on, written
+here and nowhere else.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..common.ids import NodeId
+from ..obs.trace import TraceContext
 from ..transport.message import (
     Envelope,
     ForwardAck,
@@ -29,12 +33,30 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import BrokerCore, _TaskletState
 
 
+@dataclass(slots=True)
+class _Forward:
+    """One outbound forward: nothing runs locally until the peer answers
+    or the work is reclaimed."""
+
+    state: "_TaskletState"
+    peer: NodeId
+    forwarded_at: float
+    acked: bool = False
+    last_sent: float = 0.0
+    #: The in-flight ``broker.forward`` span the peer broker parents its
+    #: own ``broker.tasklet`` on (written by the observer; None when
+    #: telemetry is off).
+    trace_ctx: TraceContext | None = None
+
+
 class ForwardingPlane:
     """Peer-facing half of a federated broker."""
 
     def __init__(self, core: "BrokerCore", federation: FederationCore):
         self.core = core
         self.federation = federation
+        #: Outbound forwards in flight, by tasklet key.
+        self.forwards: dict[str, _Forward] = {}
         #: Peer message types this plane handles (for the dispatch table).
         self.handlers: dict[type, Callable[..., list[Envelope]]] = {
             PeerHello: self.on_peer_hello,
@@ -56,71 +78,74 @@ class ForwardingPlane:
 
     def forward(self, state: "_TaskletState", peer_id: str, now: float) -> Envelope:
         """Hand a fresh admission to a peer broker with free capacity."""
-        state.forwarded_to = NodeId(peer_id)
-        state.forwarded_at = now
-        state.forward_acked = False
-        self.core.observer.forwarded(state, peer_id)
-        return self._envelope(state, now)
+        forward = self.forwards[state.key] = _Forward(state, NodeId(peer_id), now)
+        self.core.observer.forwarded(forward)
+        return self._envelope(forward, now)
 
-    def _envelope(self, state: "_TaskletState", now: float) -> Envelope:
+    def _envelope(self, forward: _Forward, now: float) -> Envelope:
         """(Re-)send one forward; idempotent on the receiving peer."""
-        state.forward_last_sent = now
+        forward.last_sent = now
+        state = forward.state
         envelope = self.core._send(
             ForwardTasklet(
                 origin_broker=str(self.core.node_id),
                 consumer_id=str(state.consumer_id),
                 tasklet=self.core._wire_tasklet(state),
             ),
-            state.forwarded_to,
+            forward.peer,
         )
-        if state.forward_trace_ctx is not None:
-            envelope.trace = state.forward_trace_ctx.to_dict()
+        if forward.trace_ctx is not None:
+            envelope.trace = forward.trace_ctx.to_dict()
         return envelope
 
     def on_forward_ack(self, body: ForwardAck, envelope: Envelope) -> list[Envelope]:
-        state = self.core._tasklets.get(f"{body.consumer_id}/{body.tasklet_id}")
-        if state is None or state.done or state.forwarded_to is None:
+        forward = self.forwards.get(f"{body.consumer_id}/{body.tasklet_id}")
+        if forward is None:
             return []
-        if body.broker_id and body.broker_id != str(state.forwarded_to):
+        if body.broker_id and body.broker_id != forward.peer:
             return []  # ack from a peer this tasklet was reclaimed from
         if body.accepted:
-            state.forward_acked = True
+            forward.acked = True
             return []
-        return self._reclaim(state, reason=body.reason or "rejected by peer")
+        return self._reclaim(forward, reason=body.reason or "rejected by peer")
 
     def on_forward_complete(
         self, body: ForwardComplete, envelope: Envelope
     ) -> list[Envelope]:
-        state = self.core._tasklets.get(f"{body.consumer_id}/{body.tasklet_id}")
+        key = f"{body.consumer_id}/{body.tasklet_id}"
+        state = self.core._tasklets.get(key)
         if state is None or state.done:
             return []  # duplicate outcome; the first one already won
-        self.core.observer.forward_completed(state, body.ok, body.broker_id)
+        # (No record when a reclaim raced the outcome: it still counts.)
+        self.core.observer.forward_completed(self.forwards.pop(key, None), body.ok)
         # _complete cancels any local replicas issued by a racing reclaim,
         # so a peer outcome arriving late still resolves exactly once.
         return self.core._complete(
             state, ok=body.ok, value=body.value, error=body.error, remote=body
         )
 
-    def _reclaim(self, state: "_TaskletState", reason: str) -> list[Envelope]:
+    def forget(self, state: "_TaskletState") -> None:
+        """``state`` completed: whatever a peer still holds of it is moot."""
+        forward = self.forwards.pop(state.key, None)
+        if forward is not None:
+            self.core.observer.forward_cancelled(forward)
+
+    def _reclaim(self, forward: _Forward, reason: str) -> list[Envelope]:
         """Take forwarded work back and run it locally.
 
         Only called when the forward is *known* dead — peer declared
         dead, peer restarted under a new epoch, or explicit rejection —
         never on a blind timeout, which is what preserves exactly-once.
         """
-        peer_id = str(state.forwarded_to)
-        self.core.observer.forward_reclaimed(state, peer_id, reason)
-        state.forwarded_to = None
-        state.forwarded_at = 0.0
-        state.forward_acked = False
-        state.forward_last_sent = 0.0
+        state = forward.state
+        del self.forwards[state.key]
+        self.core.observer.forward_reclaimed(forward, reason)
         return self.core._issue(state, state.qoc.redundancy)
 
     def _reclaim_from(self, peer_id: str, reason: str) -> list[Envelope]:
         out: list[Envelope] = []
-        for state in list(self.core._tasklets.values()):
-            if state.forwarded_to is not None and str(state.forwarded_to) == peer_id:
-                out.extend(self._reclaim(state, reason))
+        for forward in [f for f in self.forwards.values() if f.peer == peer_id]:
+            out.extend(self._reclaim(forward, reason))
         return out
 
     # -- inbound forwards --------------------------------------------------------
@@ -239,15 +264,13 @@ class ForwardingPlane:
                 out.append(core._send(digest, NodeId(peer_id)))
                 core.observer.gossiped("out")
         resend_after = self.federation.config.forward_resend_interval
-        for state in list(core._tasklets.values()):
-            if state.done or state.forwarded_to is None or state.forward_acked:
+        for forward in self.forwards.values():
+            if forward.acked or now - forward.last_sent < resend_after:
                 continue
-            if now - state.forward_last_sent < resend_after:
-                continue
-            peer = self.federation.peers.get(str(state.forwarded_to))
+            peer = self.federation.peers.get(forward.peer)
             if peer is not None and peer.alive:
                 # Safe to repeat: the peer admits forwards idempotently.
-                out.append(self._envelope(state, now))
+                out.append(self._envelope(forward, now))
         return out
 
     def _digest(self, now: float) -> GossipDigest:
@@ -297,9 +320,5 @@ class ForwardingPlane:
         return {
             "epoch": self.federation.epoch,
             "peers": [peer.to_dict(now) for peer in self.federation.peers.values()],
-            "forwarded_pending": sum(
-                1
-                for state in self.core._tasklets.values()
-                if state.forwarded_to is not None
-            ),
+            "forwarded_pending": len(self.forwards),
         }

@@ -15,8 +15,9 @@ unconditionally, and never test whether telemetry is on:
 Contract: an observer method records and returns — it takes no
 decisions, builds no envelopes and never touches broker tables.  The
 only things it writes are the opaque trace contexts on the state objects
-it is handed (``trace_ctx`` / ``trace_parent`` / ``forward_trace_ctx`` /
-``node_traces``), which the core copies onto outbound envelopes.
+it is handed (``trace_ctx`` / ``trace_parent`` / ``node_traces``, and a
+forward record's ``trace_ctx``), which the core copies onto outbound
+envelopes.
 """
 
 from __future__ import annotations
@@ -42,13 +43,15 @@ from ..obs.telemetry import (
     WorkflowMetrics,
 )
 from ..obs.trace import TraceContext
+from ..transport.message import report_unreadable
 from .journal import CompletionRecord
 from .registry import ProviderRecord, ProviderRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..transport.message import RegisterProvider
+    from ..transport.message import Envelope, RegisterProvider
     from .core import BrokerConfig, _Outstanding, _TaskletState
     from .federation import FederationCore
+    from .forwarding import _Forward
     from .scheduling import Strategy
     from .workflows import _WorkflowState
 
@@ -67,6 +70,9 @@ class BrokerStats:
     executions_lost: int = 0
     replicas_queued: int = 0
     providers_failed: int = 0
+    #: Inbound envelopes that could not be read (unknown type, or a field
+    #: missing, mistyped or outside its closed set); each changed nothing.
+    messages_unreadable: int = 0
     #: Replicas dropped because the scheduling backlog was full (the
     #: owning tasklet is failed fast instead of stranded).
     replicas_overflowed: int = 0
@@ -115,7 +121,11 @@ class LifecycleObserver:
     def __init__(self) -> None:
         self.stats = BrokerStats()
 
-    # -- membership and the periodic tick -------------------------------------
+    # -- the wire boundary, membership and the periodic tick ---------------------
+
+    def message_unreadable(self, envelope: "Envelope", reason: str) -> None:
+        """``body_of`` refused an inbound envelope; nothing was changed."""
+        self.stats.messages_unreadable += 1
 
     def provider_registered(self, body: "RegisterProvider", was_known: bool) -> None:
         """A registration was accepted (``was_known``: it is a re-join)."""
@@ -283,19 +293,22 @@ class LifecycleObserver:
 
     # -- federation ---------------------------------------------------------------
 
-    def forwarded(self, state: "_TaskletState", peer_id: str) -> None:
+    def forwarded(self, forward: "_Forward") -> None:
         """A fresh admission was handed to a peer broker."""
         self.stats.tasklets_forwarded += 1
 
-    def forward_completed(self, state: "_TaskletState", ok: bool, peer_id: str) -> None:
-        """The peer returned the terminal outcome of a forward."""
+    def forward_completed(self, forward: "_Forward | None", ok: bool) -> None:
+        """A peer returned the terminal outcome of a forward (``forward``
+        is None when the work had been reclaimed meanwhile)."""
         self.stats.forwards_completed += 1
 
-    def forward_reclaimed(
-        self, state: "_TaskletState", peer_id: str, reason: str
-    ) -> None:
+    def forward_reclaimed(self, forward: "_Forward", reason: str) -> None:
         """Forwarded work was taken back to run locally."""
         self.stats.forwards_reclaimed += 1
+
+    def forward_cancelled(self, forward: "_Forward") -> None:
+        """The tasklet completed while its forward was still in flight
+        (e.g. its workflow was cancelled)."""
 
     def peer_up(self, peer_id: str, epoch: str) -> None: ...
 
@@ -395,7 +408,13 @@ class TelemetryObserver(LifecycleObserver):
             self._tracer.child(parent) if parent else self._tracer.start_trace()
         )
 
-    # -- membership and the periodic tick -------------------------------------
+    # -- the wire boundary, membership and the periodic tick ---------------------
+
+    def message_unreadable(self, envelope, reason):
+        super().message_unreadable(envelope, reason)
+        report_unreadable(
+            self._events, self._node, self._clock.now(), envelope, reason
+        )
 
     def provider_registered(self, body, was_known):
         self._event(
@@ -625,9 +644,6 @@ class TelemetryObserver(LifecycleObserver):
                 "ok" if ok else "failed",
                 {"tasklet_id": str(state.tasklet_id), "attempts": state.issued},
             )
-        # Completion raced an in-flight forward (e.g. workflow
-        # cancellation): close its span so the tree stays connected.
-        self._end_forward_span(state, "cancelled", str(state.forwarded_to or ""))
 
     # -- workflows ------------------------------------------------------------------
 
@@ -761,50 +777,54 @@ class TelemetryObserver(LifecycleObserver):
 
     # -- federation ---------------------------------------------------------------
 
-    def _end_forward_span(self, state, status: str, peer_id: str) -> None:
+    def _end_forward_span(self, forward, status: str) -> None:
         """Close the ``broker.forward`` span for a resolved forward."""
-        ctx = state.forward_trace_ctx
-        if ctx is None:
+        if forward is None or forward.trace_ctx is None:
             return
-        state.forward_trace_ctx = None
+        state = forward.state
         self._span(
             "broker.forward",
-            ctx,
-            state.forwarded_at or state.submitted_at,
+            forward.trace_ctx,
+            forward.forwarded_at,
             state.trace_ctx,
             status,
-            {"tasklet_id": str(state.tasklet_id), "peer": peer_id},
+            {"tasklet_id": str(state.tasklet_id), "peer": forward.peer},
         )
 
-    def forwarded(self, state, peer_id):
-        super().forwarded(state, peer_id)
+    def forwarded(self, forward):
+        super().forwarded(forward)
+        state = forward.state
         if state.trace_ctx is not None:
             # The peer parents its ``broker.tasklet`` on this context, so
             # the forwarded execution stays inside the origin's trace.
-            state.forward_trace_ctx = self._tracer.child(state.trace_ctx)
+            forward.trace_ctx = self._tracer.child(state.trace_ctx)
         self._fed_metrics.forwards.labels(direction="out").inc()
         self._event(
             ev.TASKLET_FORWARDED,
-            peer_id,
+            forward.peer,
             tasklet_id=str(state.tasklet_id),
             consumer_id=str(state.consumer_id),
         )
 
-    def forward_completed(self, state, ok, peer_id):
-        super().forward_completed(state, ok, peer_id)
+    def forward_completed(self, forward, ok):
+        super().forward_completed(forward, ok)
         outcome = "ok" if ok else "failed"
         self._fed_metrics.forward_results.labels(outcome=outcome).inc()
-        self._end_forward_span(state, outcome, peer_id)
+        self._end_forward_span(forward, outcome)
 
-    def forward_reclaimed(self, state, peer_id, reason):
-        super().forward_reclaimed(state, peer_id, reason)
-        self._end_forward_span(state, "reclaimed", peer_id)
+    def forward_reclaimed(self, forward, reason):
+        super().forward_reclaimed(forward, reason)
+        self._end_forward_span(forward, "reclaimed")
         self._event(
             ev.FORWARD_RECLAIMED,
-            peer_id,
-            tasklet_id=str(state.tasklet_id),
+            forward.peer,
+            tasklet_id=str(forward.state.tasklet_id),
             reason=reason,
         )
+
+    def forward_cancelled(self, forward):
+        # Close its span so the tree stays connected.
+        self._end_forward_span(forward, "cancelled")
 
     def peer_up(self, peer_id, epoch):
         self._event(ev.PEER_UP, peer_id, epoch=epoch)

@@ -79,13 +79,11 @@ class WorkflowCoordinator:
     def on_submit(self, body: SubmitWorkflow, envelope: Envelope) -> list[Envelope]:
         core, src = self.core, envelope.src
         core.observer.workflow_submitted()
-        workflow_id = "?"
-        if isinstance(body.workflow, dict):
-            workflow_id = str(body.workflow.get("workflow_id", "?"))
+        workflow_id = str(body.workflow.get("workflow_id", "?"))
         try:
             spec = WorkflowSpec.from_dict(body.workflow)
             spec.validate()
-        except (WorkflowSpecError, TaskletError, TypeError) as exc:
+        except (WorkflowSpecError, TaskletError, TypeError, AttributeError) as exc:
             return [self._ack(src, workflow_id, f"invalid workflow: {exc}")]
         key = f"{src}/{spec.workflow_id}"
         outcome = self.completed.get(key)

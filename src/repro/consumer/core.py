@@ -28,6 +28,7 @@ from ..common.errors import (
     BrokerUnreachable,
     DuplicateSubmission,
     TaskletError,
+    TransportError,
     WorkflowFailed,
     WorkflowSpecError,
 )
@@ -52,6 +53,7 @@ from ..transport.message import (
     WorkflowComplete,
     WorkflowUpdate,
     body_of,
+    report_unreadable,
 )
 
 
@@ -178,7 +180,16 @@ class ConsumerCore:
     # -- broker replies ----------------------------------------------------------
 
     def handle(self, envelope: Envelope) -> list[Envelope]:
-        body = body_of(envelope)
+        """Resolve what a broker reply answers.  One that cannot be read
+        is reported and changes nothing: its waiter stays pending for a
+        readable answer or the link's loss (DESIGN.md, "Wire boundary")."""
+        try:
+            body = body_of(envelope)
+        except TransportError as exc:
+            report_unreadable(
+                self._events, self.node_id, self.clock.now(), envelope, str(exc)
+            )
+            return []
         if isinstance(body, TaskletComplete):
             self._end_tasklet(body)
         elif isinstance(body, SubmitAck) and not body.accepted:

@@ -74,7 +74,8 @@ class ExecutionRecord:
     @classmethod
     def from_dict(cls, data: dict[str, Any], agreed_value: Any = None) -> "ExecutionRecord":
         """``agreed_value`` is the completion's value, which a record
-        without a ``value`` key agreed with."""
+        without a ``value`` key agreed with.  ``data`` has passed the wire
+        boundary (``TaskletComplete.executions``), so nothing is converted."""
         return cls(
             execution_id=ExecutionId(data["execution_id"]),
             tasklet_id=TaskletId(data["tasklet_id"]),
@@ -82,9 +83,9 @@ class ExecutionRecord:
             status=ExecutionStatus(data["status"]),
             value=data.get("value", agreed_value),
             error=data.get("error"),
-            instructions=int(data.get("instructions", 0)),
-            started_at=float(data.get("started_at", 0.0)),
-            finished_at=float(data.get("finished_at", 0.0)),
+            instructions=data.get("instructions", 0),
+            started_at=data.get("started_at", 0.0),
+            finished_at=data.get("finished_at", 0.0),
         )
 
 

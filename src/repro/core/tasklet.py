@@ -76,7 +76,7 @@ class Tasklet:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Tasklet":
         return cls(
-            tasklet_id=TaskletId(data["tasklet_id"]),
+            tasklet_id=TaskletId(str(data["tasklet_id"])),
             program=CompiledProgram.from_dict(data["program"]),
             entry=str(data["entry"]),
             args=list(data["args"]),

@@ -49,6 +49,7 @@ REISSUE = "reissue"  # replica re-issued after a failure/loss/timeout
 EXECUTION_FAULT = "execution_fault"  # terminal non-ok execution record
 RECONNECT = "reconnect"  # provider re-established its broker link
 DISCONNECT = "disconnect"  # node lost its broker link
+MESSAGE_UNREADABLE = "message_unreadable"  # inbound envelope refused at the wire boundary
 STRAGGLER_ALERT = "straggler_alert"  # execution exceeded expected runtime
 FLAPPING_ALERT = "flapping_alert"  # provider flapped repeatedly in a window
 SLO_BREACH = "slo_breach"  # tasklet finished past its QoC deadline

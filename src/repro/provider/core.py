@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..common.clock import Clock
+from ..common.errors import TransportError
 from ..common.ids import NodeId
 from ..obs import events as ev
 from ..obs.telemetry import ProviderMetrics, Telemetry
@@ -34,6 +35,7 @@ from ..transport.message import (
     RegisterProvider,
     Unregister,
     body_of,
+    report_unreadable,
 )
 from .executor import PROGRAM_CACHE_SIZE, ExecutionOutcome, TaskletExecutor
 
@@ -164,10 +166,22 @@ class ProviderCore:
 
     # -- broker -> provider ---------------------------------------------------
 
+    def read(self, envelope: Envelope) -> MessageBody | None:
+        """The typed body of an inbound envelope — or None, once reported,
+        for one that cannot be read: it changes nothing (DESIGN.md, "Wire
+        boundary")."""
+        try:
+            return body_of(envelope)
+        except TransportError as exc:
+            report_unreadable(
+                self._events, self.node_id, self.clock.now(), envelope, str(exc)
+            )
+            return None
+
     def handle(self, envelope: Envelope) -> tuple[list[Envelope], Work | None]:
         """React to one broker message: what to send now, and the work an
         accepted ``assign_execution`` became (the driver runs it)."""
-        body = body_of(envelope)
+        body = self.read(envelope)
         if isinstance(body, AssignExecution):
             with self.lock:
                 if self.state == self.RUNNING:

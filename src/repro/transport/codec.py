@@ -9,7 +9,7 @@ first body byte makes each frame self-describing:
 * ``0xB2`` — the compact binary codec defined here (``bin2``): a one-byte
   message-type tag, varint/struct-packed envelope header, and — for the
   hot message types — *field-packed* bodies that drop the JSON key
-  strings entirely (field order is the dataclass field order, pinned by
+  strings entirely (field order is the dataclass field order; see
   :data:`FIELD_TABLES`).
 
 Because decoding is self-describing, a receiver never needs negotiation:
@@ -66,62 +66,20 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
 
-#: Stable one-byte wire tags for registered message types.  Tag 0 is the
-#: generic escape: the type name travels as a string (forward
-#: compatibility for types minted after this table was frozen).
-WIRE_TAGS: dict[str, int] = {
-    "register_provider": 1,
-    "register_ack": 2,
-    "unregister": 3,
-    "heartbeat": 4,
-    "heartbeat_ack": 5,
-    "assign_execution": 6,
-    "execution_result": 7,
-    "execution_rejected": 8,
-    "cancel_execution": 9,
-    "submit_tasklet": 10,
-    "submit_ack": 11,
-    "tasklet_complete": 12,
-    "submit_workflow": 13,
-    "workflow_ack": 14,
-    "workflow_update": 15,
-    "workflow_complete": 16,
-    "peer_hello": 17,
-    "gossip_digest": 18,
-    "forward_tasklet": 19,
-    "forward_ack": 20,
-    "forward_complete": 21,
-    "hello": 22,
-    "hello_ack": 23,
-}
+#: The ``bin2`` tables, computed from the message registry — a type's tag,
+#: and whether and in which order its fields are packed, are declared
+#: once, on its dataclass.  Tag 0 is the generic escape: the type name
+#: travels as a string (forward compatibility for types this build has
+#: no tag for).  A field-packed body omits its keys and ships its values
+#: in dataclass field order, which is therefore part of the ``bin2`` wire
+#: contract — changing it means minting ``bin3``; every other payload
+#: ships as a packed dict.
+WIRE_TAGS: dict[str, int] = {name: cls.TAG for name, cls in MESSAGE_TYPES.items()}
 _TAG_TO_TYPE = {tag: name for name, tag in WIRE_TAGS.items()}
-
-#: Message types whose bodies are field-packed (keys omitted on the
-#: wire).  These are the hot-path messages; everything else ships its
-#: payload as a packed dict.  Field order comes from the dataclass
-#: definition, which is therefore part of the ``bin2`` wire contract —
-#: changing it means minting ``bin3``.
-_PACKED_TYPE_NAMES = (
-    "heartbeat",
-    "heartbeat_ack",
-    "assign_execution",
-    "execution_result",
-    "execution_rejected",
-    "cancel_execution",
-    "submit_tasklet",
-    "submit_ack",
-    "tasklet_complete",
-    "submit_workflow",
-    "workflow_ack",
-    "workflow_update",
-    "workflow_complete",
-    "forward_tasklet",
-    "forward_ack",
-    "forward_complete",
-)
 FIELD_TABLES: dict[str, tuple[str, ...]] = {
-    name: tuple(f.name for f in dataclasses.fields(MESSAGE_TYPES[name]))
-    for name in _PACKED_TYPE_NAMES
+    name: tuple(field.name for field in dataclasses.fields(cls))
+    for name, cls in MESSAGE_TYPES.items()
+    if cls.PACKED
 }
 
 _FLAG_TRACE = 0x01

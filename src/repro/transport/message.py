@@ -2,49 +2,35 @@
 
 Every message travels inside an :class:`Envelope` — a routable record with
 source, destination, message type, and a JSON-safe payload dict.  Bodies
-are typed dataclasses registered in :data:`MESSAGE_TYPES`; ``body_of``
-reconstructs the typed body from an envelope.
+are typed dataclasses, and the ``@_message`` decorator on each is the one
+place a message type is listed: its name, its ``bin2`` wire tag and
+whether its fields travel packed.  :mod:`repro.transport.codec` computes
+its tag and field tables from this registry, and ``docs/PROTOCOL.md``
+("Message table") lists every type with its direction — a tier-1 test
+holds that table to the registry.
 
-The protocol (arrows show direction; B=broker, P=provider, C=consumer)::
-
-    P -> B   REGISTER_PROVIDER      join the provider pool
-    B -> P   REGISTER_ACK           accept/reject
-    P -> B   HEARTBEAT              liveness + load report
-    B -> P   HEARTBEAT_ACK          timestamp echo (RTT telemetry, optional)
-    P -> B   UNREGISTER             graceful leave
-    C -> B   SUBMIT_TASKLET         new Tasklet with QoC goals
-    B -> C   SUBMIT_ACK             accepted / no provider / bad request
-    B -> P   ASSIGN_EXECUTION       one replica of a Tasklet
-    P -> B   EXECUTION_RESULT       success or VM failure, with stats
-    P -> B   EXECUTION_REJECTED     provider refuses (full/leaving)
-    B -> P   CANCEL_EXECUTION       replica no longer needed
-    B -> C   TASKLET_COMPLETE       final voted result
-
-Federation adds broker-to-broker peer messages (see docs/PROTOCOL.md,
-"Federation"):
-
-    B -> B   PEER_HELLO             announce id + incarnation epoch
-    B -> B   GOSSIP_DIGEST          periodic registry/health/load summary
-    B -> B   FORWARD_TASKLET        place one tasklet on a peer's pool
-    B -> B   FORWARD_ACK            peer accepted/rejected the forward
-    B -> B   FORWARD_COMPLETE       terminal outcome flows back to origin
-
-Workflows add DAG submission (see docs/PROTOCOL.md, "Workflows"):
-
-    C -> B   SUBMIT_WORKFLOW        whole DAG of tasklets with dependencies
-    B -> C   WORKFLOW_ACK           accepted / rejected (validation)
-    B -> C   WORKFLOW_UPDATE        one node changed state (advisory)
-    B -> C   WORKFLOW_COMPLETE      terminal outcome with sink outputs
+This module is also the wire *boundary*: whatever a peer sent is read
+completely here, before any handler sees it.  :meth:`Envelope.from_dict`
+yields a typed envelope header and :func:`body_of` a body whose every
+field has its declared type; both raise
+:class:`~repro.common.errors.TransportError` and nothing else
+(DESIGN.md, "Wire boundary").
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Type
+import types
+import typing
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Type
 
 from ..common.errors import TransportError
 from ..common.ids import NodeId
+from ..core.results import ExecutionStatus
+from ..dag.scheduler import BLOCKED, DONE, FAILED, READY, RUNNING
+from ..obs.events import MESSAGE_UNREADABLE
 
 #: Broadcast / well-known addresses.
 BROKER_ADDRESS = NodeId("broker")
@@ -56,6 +42,16 @@ BROKER_ADDRESS = NodeId("broker")
 REASON_UNKNOWN_PROVIDER = "unknown provider"
 
 _envelope_counter = itertools.count()
+
+#: What each envelope header field may hold once read off the wire.
+_HEADER_TYPES: dict[str, tuple[type, ...]] = {
+    "type": (str,),
+    "src": (str,),
+    "dst": (str,),
+    "payload": (dict,),
+    "seq": (int,),
+    "trace": (dict, type(None)),
+}
 
 
 @dataclass
@@ -90,18 +86,13 @@ class Envelope:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Envelope":
-        try:
-            trace = data.get("trace")
-            return cls(
-                type=str(data["type"]),
-                src=NodeId(data["src"]),
-                dst=NodeId(data["dst"]),
-                payload=dict(data["payload"]),
-                seq=int(data.get("seq", 0)),
-                trace=dict(trace) if trace else None,
-            )
-        except (KeyError, TypeError) as exc:
-            raise TransportError(f"malformed envelope: {exc}") from exc
+        """The envelope a decoded JSON frame holds, every header field of
+        its type (the binary decoder's are by construction)."""
+        header = {"seq": 0, "trace": None, **data}
+        for name, accepted in _HEADER_TYPES.items():
+            if type(header.get(name)) not in accepted:
+                raise TransportError(f"malformed envelope: bad or missing {name!r}")
+        return cls(**{name: header[name] for name in _HEADER_TYPES})
 
 
 #: type-name -> body class registry, filled by ``_message`` below.
@@ -111,53 +102,144 @@ MESSAGE_TYPES: dict[str, Type["MessageBody"]] = {}
 class MessageBody:
     """Base class for typed message bodies.
 
-    Subclasses are dataclasses whose fields are JSON-safe values; the
-    default ``to_payload``/``from_payload`` just use ``__dict__``.
+    Subclasses are dataclasses whose fields are JSON-safe values;
+    ``to_payload`` is just ``__dict__``, and ``from_payload`` reads a
+    peer's payload against the table ``_message`` compiled from the
+    field annotations.
     """
 
     TYPE: ClassVar[str] = ""
+    #: ``bin2`` wire tag, and whether the payload travels field-packed.
+    TAG: ClassVar[int] = 0
+    PACKED: ClassVar[bool] = False
+    #: Per field: name, whether it must be present, the exact runtime
+    #: types it accepts (None = any) and a further check (or None) that
+    #: returns what is wrong with a value of the right type, if anything.
+    _FIELDS: ClassVar[tuple[tuple[str, bool, tuple | None, Callable | None], ...]] = ()
 
     def to_payload(self) -> dict[str, Any]:
         return dict(self.__dict__)
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "MessageBody":
-        # Unknown-field tolerance: a newer peer may send fields this
-        # version does not know.  Dropping them (instead of raising) is
-        # what lets mixed-version clusters — and the codec-negotiation
-        # fields added over time — interoperate.
-        known = {f.name for f in fields(cls)}
-        if payload.keys() - known:
-            payload = {k: v for k, v in payload.items() if k in known}
-        return cls(**payload)
+        """The body ``payload`` holds, every field of its declared type —
+        or :class:`TransportError`, before anything is built.
+
+        Keys this version does not know are dropped and absent optional
+        fields take their defaults: a newer or older peer's message
+        still reads, which is what lets mixed-version clusters — and the
+        fields added over time — interoperate.
+        """
+        values = {}
+        for name, required, accepted, check in cls._FIELDS:
+            if name in payload:
+                value = values[name] = payload[name]
+                if accepted is not None and type(value) not in accepted:
+                    problem = f"is a {type(value).__name__}"
+                elif check is None or (problem := check(value)) is None:
+                    continue
+            elif required:
+                problem = "is missing"
+            else:
+                continue
+            raise TransportError(f"malformed {cls.TYPE} payload: {name} {problem}")
+        return cls(**values)
 
     def envelope(self, src: NodeId, dst: NodeId) -> Envelope:
         """Wrap this body for transmission."""
         return Envelope(type=self.TYPE, src=src, dst=dst, payload=self.to_payload())
 
 
-def _message(type_name: str):
-    """Class decorator: set TYPE and register in :data:`MESSAGE_TYPES`."""
+def _accepted_types(annotation) -> tuple[type, ...] | None:
+    """The exact runtime types a field annotated ``annotation`` may hold
+    (None = anything): a ``float`` takes an int, a ``bool`` is never an
+    int, containers are checked by container only."""
+    if annotation is Any:
+        return None
+    origin = typing.get_origin(annotation)
+    if origin in (typing.Union, types.UnionType):
+        parts = [_accepted_types(part) for part in typing.get_args(annotation)]
+        return None if None in parts else tuple(t for part in parts for t in part)
+    if origin is not None:
+        return (origin,)
+    return (float, int) if annotation is float else (annotation,)
+
+
+def _message(type_name: str, tag: int, packed: bool = False):
+    """Class decorator: register the dataclass under ``type_name`` with
+    its ``bin2`` wire ``tag`` (1-255, never reused; 0 is the codec's
+    escape for a type it has no tag for) and compile, once, what reading
+    it needs.  ``packed`` bodies travel as bare values in field order,
+    which makes that order part of the ``bin2`` contract."""
 
     def wrap(cls):
-        cls.TYPE = type_name
+        cls.TYPE, cls.TAG, cls.PACKED = type_name, tag, packed
+        hints = typing.get_type_hints(cls)
+        cls._FIELDS = tuple(
+            (
+                f.name,
+                f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING,
+                _accepted_types(hints[f.name]),
+                f.metadata.get("check"),
+            )
+            for f in dataclasses.fields(cls)
+        )
         MESSAGE_TYPES[type_name] = cls
         return cls
 
     return wrap
 
 
+def _one_of(choices) -> Any:
+    """A required string field that takes a value of a closed set."""
+    choices = frozenset(choices)
+
+    def check(value: str) -> str | None:
+        return None if value in choices else f"is not one of {sorted(choices)}"
+
+    return field(metadata={"check": check})
+
+
+def _records_of(shape: Type[MessageBody]) -> Any:
+    """An optional list field whose items each read as a ``shape`` payload."""
+
+    def check(items: list) -> str | None:
+        for item in items:
+            if type(item) is not dict:
+                return f"holds a {type(item).__name__}"
+            try:
+                shape.from_payload(item)
+            except TransportError as exc:
+                return f"holds a {exc}"
+        return None
+
+    return field(default_factory=list, metadata={"check": check})
+
+
 def body_of(envelope: Envelope) -> MessageBody:
-    """Reconstruct the typed body of an envelope."""
+    """The typed body of an envelope: every field of its declared type,
+    or :class:`TransportError` — never another exception, never half a
+    body."""
     body_class = MESSAGE_TYPES.get(envelope.type)
     if body_class is None:
         raise TransportError(f"unknown message type {envelope.type!r}")
-    try:
-        return body_class.from_payload(envelope.payload)
-    except TypeError as exc:
-        raise TransportError(
-            f"malformed {envelope.type} payload: {exc}"
-        ) from exc
+    return body_class.from_payload(envelope.payload)
+
+
+def report_unreadable(events, receiver, ts: float, envelope: Envelope, reason: str) -> None:
+    """What every node says, once, about an envelope ``body_of`` refused:
+    a ``message_unreadable`` event on its flight recorder (``events``;
+    None = telemetry off) naming sender, type and reason."""
+    if events is not None:
+        events.record(
+            MESSAGE_UNREADABLE,
+            node=str(envelope.src),
+            ts=ts,
+            type=envelope.type,
+            receiver=str(receiver),
+            reason=reason,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +247,7 @@ def body_of(envelope: Envelope) -> MessageBody:
 # ---------------------------------------------------------------------------
 
 
-@_message("hello")
+@_message("hello", tag=22)
 @dataclass
 class Hello(MessageBody):
     """Transport handshake: the dialing peer's first message.
@@ -184,7 +266,7 @@ class Hello(MessageBody):
     role: str = ""  # "provider" | "consumer" | "broker" (diagnostic only)
 
 
-@_message("hello_ack")
+@_message("hello_ack", tag=23)
 @dataclass
 class HelloAck(MessageBody):
     """Broker's answer to a :class:`Hello`: the negotiated codec."""
@@ -198,7 +280,7 @@ class HelloAck(MessageBody):
 # ---------------------------------------------------------------------------
 
 
-@_message("register_provider")
+@_message("register_provider", tag=1)
 @dataclass
 class RegisterProvider(MessageBody):
     """A provider joins the pool, reporting its capabilities."""
@@ -213,20 +295,20 @@ class RegisterProvider(MessageBody):
     heartbeat_interval: float = 1.0
 
 
-@_message("register_ack")
+@_message("register_ack", tag=2)
 @dataclass
 class RegisterAck(MessageBody):
     accepted: bool
     reason: str = ""
 
 
-@_message("unregister")
+@_message("unregister", tag=3)
 @dataclass
 class Unregister(MessageBody):
     provider_id: str
 
 
-@_message("heartbeat")
+@_message("heartbeat", tag=4, packed=True)
 @dataclass
 class Heartbeat(MessageBody):
     """Periodic liveness + load report; also the failure detector input.
@@ -244,7 +326,7 @@ class Heartbeat(MessageBody):
     sent_at: float = 0.0
 
 
-@_message("heartbeat_ack")
+@_message("heartbeat_ack", tag=5, packed=True)
 @dataclass
 class HeartbeatAck(MessageBody):
     """Echo of a timestamped heartbeat (RTT measurement, telemetry only).
@@ -257,7 +339,7 @@ class HeartbeatAck(MessageBody):
     echo_sent_at: float
 
 
-@_message("assign_execution")
+@_message("assign_execution", tag=6, packed=True)
 @dataclass
 class AssignExecution(MessageBody):
     """One replica of a Tasklet, shipped to one provider."""
@@ -275,7 +357,7 @@ class AssignExecution(MessageBody):
     program_fingerprint: str = ""
 
 
-@_message("execution_result")
+@_message("execution_result", tag=7, packed=True)
 @dataclass
 class ExecutionResult(MessageBody):
     """Terminal outcome of one execution attempt."""
@@ -283,7 +365,7 @@ class ExecutionResult(MessageBody):
     execution_id: str
     tasklet_id: str
     provider_id: str
-    status: str  # ExecutionStatus.value
+    status: str = _one_of(status.value for status in ExecutionStatus)
     value: Any = None
     error: str | None = None
     instructions: int = 0
@@ -291,7 +373,7 @@ class ExecutionResult(MessageBody):
     finished_at: float = 0.0
 
 
-@_message("execution_rejected")
+@_message("execution_rejected", tag=8, packed=True)
 @dataclass
 class ExecutionRejected(MessageBody):
     execution_id: str
@@ -300,7 +382,7 @@ class ExecutionRejected(MessageBody):
     reason: str = ""
 
 
-@_message("cancel_execution")
+@_message("cancel_execution", tag=9, packed=True)
 @dataclass
 class CancelExecution(MessageBody):
     """Sent when a replica's result is no longer needed (vote decided)."""
@@ -313,7 +395,7 @@ class CancelExecution(MessageBody):
 # ---------------------------------------------------------------------------
 
 
-@_message("submit_tasklet")
+@_message("submit_tasklet", tag=10, packed=True)
 @dataclass
 class SubmitTasklet(MessageBody):
     """A consumer hands a Tasklet to the broker."""
@@ -321,7 +403,7 @@ class SubmitTasklet(MessageBody):
     tasklet: dict[str, Any]  # Tasklet.to_dict()
 
 
-@_message("submit_ack")
+@_message("submit_ack", tag=11, packed=True)
 @dataclass
 class SubmitAck(MessageBody):
     tasklet_id: str
@@ -329,7 +411,7 @@ class SubmitAck(MessageBody):
     reason: str = ""
 
 
-@_message("tasklet_complete")
+@_message("tasklet_complete", tag=12, packed=True)
 @dataclass
 class TaskletComplete(MessageBody):
     """Final, voted outcome delivered to the consumer."""
@@ -340,7 +422,8 @@ class TaskletComplete(MessageBody):
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0  # total billed across all executions (cost QoC)
-    executions: list[dict[str, Any]] = field(default_factory=list)
+    #: ``ExecutionRecord.to_dict()`` each: the fields of an ``execution_result``.
+    executions: list[dict[str, Any]] = _records_of(ExecutionResult)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +431,7 @@ class TaskletComplete(MessageBody):
 # ---------------------------------------------------------------------------
 
 
-@_message("submit_workflow")
+@_message("submit_workflow", tag=13, packed=True)
 @dataclass
 class SubmitWorkflow(MessageBody):
     """A consumer hands a whole DAG of tasklets to the broker.
@@ -364,7 +447,7 @@ class SubmitWorkflow(MessageBody):
     workflow: dict[str, Any]  # WorkflowSpec.to_dict()
 
 
-@_message("workflow_ack")
+@_message("workflow_ack", tag=14, packed=True)
 @dataclass
 class WorkflowAck(MessageBody):
     """Broker's admission decision for one submitted workflow."""
@@ -374,7 +457,7 @@ class WorkflowAck(MessageBody):
     reason: str = ""
 
 
-@_message("workflow_update")
+@_message("workflow_update", tag=15, packed=True)
 @dataclass
 class WorkflowUpdate(MessageBody):
     """Advisory progress report: one node changed state.
@@ -386,12 +469,12 @@ class WorkflowUpdate(MessageBody):
 
     workflow_id: str
     node_id: str
-    state: str  # repro.dag node state constant
+    state: str = _one_of((BLOCKED, READY, RUNNING, DONE, FAILED))  # repro.dag's
     attempts: int = 0
     error: str | None = None
 
 
-@_message("workflow_complete")
+@_message("workflow_complete", tag=16, packed=True)
 @dataclass
 class WorkflowComplete(MessageBody):
     """Terminal outcome of a workflow.
@@ -418,7 +501,7 @@ class WorkflowComplete(MessageBody):
 # ---------------------------------------------------------------------------
 
 
-@_message("peer_hello")
+@_message("peer_hello", tag=17)
 @dataclass
 class PeerHello(MessageBody):
     """A broker announces itself to a configured peer.
@@ -435,7 +518,7 @@ class PeerHello(MessageBody):
     reply_expected: bool = False
 
 
-@_message("gossip_digest")
+@_message("gossip_digest", tag=18)
 @dataclass
 class GossipDigest(MessageBody):
     """Periodic peer summary: registry size, load, health grade counts.
@@ -457,7 +540,7 @@ class GossipDigest(MessageBody):
     grades: dict[str, int] = field(default_factory=dict)
 
 
-@_message("forward_tasklet")
+@_message("forward_tasklet", tag=19, packed=True)
 @dataclass
 class ForwardTasklet(MessageBody):
     """One tasklet placed on a peer broker's provider pool.
@@ -477,7 +560,7 @@ class ForwardTasklet(MessageBody):
     hops: int = 1
 
 
-@_message("forward_ack")
+@_message("forward_ack", tag=20, packed=True)
 @dataclass
 class ForwardAck(MessageBody):
     """Peer's admission decision for one forwarded tasklet."""
@@ -489,7 +572,7 @@ class ForwardAck(MessageBody):
     reason: str = ""
 
 
-@_message("forward_complete")
+@_message("forward_complete", tag=21, packed=True)
 @dataclass
 class ForwardComplete(MessageBody):
     """Terminal outcome of a forwarded tasklet, returned to the origin.
@@ -508,5 +591,5 @@ class ForwardComplete(MessageBody):
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0
-    executions: list[dict[str, Any]] = field(default_factory=list)
+    executions: list[dict[str, Any]] = _records_of(ExecutionResult)
     executed_by: str = ""

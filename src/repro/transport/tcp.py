@@ -103,15 +103,6 @@ from ..transport.message import (
 _RECV_CHUNK = 65536
 
 
-def _offered_codecs(codec: str) -> tuple[str, ...]:
-    """Map the ``codec=`` tuning knob onto an advertised-codec list."""
-    if codec == "json":
-        return (CODEC_JSON,)
-    if codec in ("binary", "auto"):
-        return SUPPORTED_CODECS
-    raise ValueError(f"codec must be 'binary' or 'json', got {codec!r}")
-
-
 def _nodelay(sock: socket.socket | None) -> None:
     """Frames are small and latency-bound: never wait out Nagle."""
     if sock is not None:
@@ -208,9 +199,8 @@ class TcpBroker(_Node):
 
     One event-loop thread owns every connection: acceptance, reads,
     coalesced writes, the periodic tick, and the federation peer dials.
-    ``codec='binary'`` (the default) negotiates the compact binary wire
-    codec with every peer that advertises it; ``codec='json'`` pins the
-    debug fallback for the whole node.
+    Every peer that advertises the compact binary wire codec is spoken to
+    in it; one that offers nothing better stays on JSON.
 
     Federation: pass ``broker_id`` plus ``peers`` (peer broker id ->
     ``(host, port)``) to join a static peer set.  The broker dials every
@@ -242,10 +232,8 @@ class TcpBroker(_Node):
         peer_journals: dict[str, str] | None = None,
         peer_obs_urls: dict[str, str] | None = None,
         gossip_interval: float = 1.0,
-        codec: str = "binary",
     ):
         self.config = config or BrokerConfig()
-        self._offered = _offered_codecs(codec)
         if obs_port is not None and telemetry is None:
             # An observability endpoint is useless without telemetry;
             # asking for one implies opting in.
@@ -453,7 +441,22 @@ class TcpBroker(_Node):
                 connection.send(envelope)
         except ConnectionClosed:
             pass  # the reader below observes the dead link and returns
-        await connection.run_reader(self._on_envelope)
+        try:
+            await connection.run_reader(self._on_envelope)
+        except Exception as exc:
+            # Nothing a peer sends raises out of ``_on_envelope`` (the core
+            # reports an unreadable envelope), so this is a defect in a
+            # handler.  The reader closed the link on its way out; say why,
+            # once, rather than leave it to "Task exception was never
+            # retrieved".
+            reason = f"handler fault: {type(exc).__name__}: {exc}"
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": f"link to {connection.peer_id}: {reason}", "exception": exc}
+            )
+            if self.telemetry is not None:
+                self.telemetry.events.record(
+                    ev.DISCONNECT, node=str(connection.peer_id), reason=reason
+                )
         self._drop_connection(connection)
 
     async def _tick_task(self) -> None:
@@ -489,7 +492,7 @@ class TcpBroker(_Node):
                 continue
             backoff = 0.2
             hello = Hello(
-                node_id=str(me), codecs=list(self._offered), role="broker"
+                node_id=str(me), codecs=list(SUPPORTED_CODECS), role="broker"
             )
             peer_hello = PeerHello(
                 broker_id=str(me),
@@ -526,17 +529,14 @@ class TcpBroker(_Node):
             return
         if envelope.type == HelloAck.TYPE:
             # A peer broker we dialed answered our hello.
-            accept_codec(connection, envelope, self._offered)
+            accept_codec(connection, envelope, SUPPORTED_CODECS)
             return
         if connection.peer_id is None:
             connection.peer_id = envelope.src
             with self._connections_lock:
                 self._connections[envelope.src] = connection
-        try:
-            with self._core_lock:
-                outbound = self.core.handle(envelope)
-        except TransportError:
-            return  # unknown message type: forward compatibility
+        with self._core_lock:
+            outbound = self.core.handle(envelope)
         self._route(outbound)
 
     def _on_hello(
@@ -550,10 +550,8 @@ class TcpBroker(_Node):
             connection.peer_id = envelope.src
             with self._connections_lock:
                 self._connections[envelope.src] = connection
-        chosen = choose_codec(
-            [codec for codec in hello.codecs if codec in self._offered]
-        )
-        ack = HelloAck(codec=chosen, codecs=list(self._offered))
+        chosen = choose_codec(hello.codecs)
+        ack = HelloAck(codec=chosen, codecs=list(SUPPORTED_CODECS))
         try:
             connection.send(ack.envelope(self.core.node_id, envelope.src))
         except ConnectionClosed:
@@ -608,7 +606,6 @@ class _BrokerLink:
         self,
         node_id: NodeId,
         role: str,
-        codec: str,
         brokers: list[tuple[str, int]] | None,
         broker_host: str | None,
         broker_port: int | None,
@@ -628,7 +625,9 @@ class _BrokerLink:
             raise ValueError("either broker_host/broker_port or brokers required")
         self._index = 0  # the last good broker; dial rounds start here
         self._node_id = node_id
-        self._offered = _offered_codecs(codec)
+        #: The codecs the ``hello`` offers — all a ``hello_ack`` may switch
+        #: this link to.
+        self._offered = SUPPORTED_CODECS
         self._hello = Hello(
             node_id=str(node_id), codecs=list(self._offered), role=role
         ).envelope(node_id, BROKER_ADDRESS)
@@ -714,19 +713,25 @@ class _BrokerLink:
     def _run(self, generation: int, connection: _Connection | None) -> None:
         """The link thread: read until the stream dies, redial, repeat."""
         while connection is not None:
-            while (envelopes := connection.recv_envelopes()) is not None:
-                for envelope in envelopes:
-                    if envelope.type == HelloAck.TYPE:
-                        accept_codec(connection, envelope, self._offered)
-                        continue
-                    try:
-                        self._on_envelope(envelope)
-                    except TransportError:
-                        continue  # unknown message type: forward compatibility
+            reason = "connection to broker lost"
+            try:
+                while (envelopes := connection.recv_envelopes()) is not None:
+                    for envelope in envelopes:
+                        if envelope.type == HelloAck.TYPE:
+                            accept_codec(connection, envelope, self._offered)
+                        else:
+                            self._on_envelope(envelope)
+            except Exception as exc:
+                # Nothing a peer sends raises out of ``on_envelope`` (the
+                # cores report an unreadable envelope), so this is a defect
+                # in the handler — and the link's loss like any other: a
+                # reader that unwound behind an ``UP`` state would leave the
+                # node heartbeating, sending, and deaf.
+                reason = f"handler fault: {type(exc).__name__}: {exc}"
             connection.close()
             if not self._settle(generation, self.DOWN):
                 return
-            self._on_lost("connection to broker lost")
+            self._on_lost(reason)
             if self._max_attempts == 0:
                 return
             connection = self._dial(generation, redial=True)
@@ -824,7 +829,7 @@ class TcpProvider(_Node):
     lockstep) and re-registers using the benchmark score measured at
     ``start`` — the self-benchmark is not repeated on reconnect.  Every
     (re)connection opens with a transport ``hello`` so the binary codec
-    is renegotiated per link; ``codec='json'`` pins the debug fallback.
+    is renegotiated per link.
     """
 
     def __init__(
@@ -846,7 +851,6 @@ class TcpProvider(_Node):
         obs_port: int | None = None,
         obs_host: str = "127.0.0.1",
         brokers: list[tuple[str, int]] | None = None,
-        codec: str = "binary",
     ):
         self.node_id = NodeId(node_id or random_id("prov"))
         self.reconnect = reconnect
@@ -876,7 +880,6 @@ class TcpProvider(_Node):
         self._link = _BrokerLink(
             self.node_id,
             "provider",
-            codec,
             brokers,
             broker_host,
             broker_port,
@@ -1015,7 +1018,9 @@ class TcpProvider(_Node):
     def _on_envelope(self, envelope: Envelope) -> None:
         """Hand one broker message to the core (link thread)."""
         if envelope.type == HeartbeatAck.TYPE:
-            self._on_heartbeat_ack(body_of(envelope))
+            ack = self.core.read(envelope)
+            if ack is not None:
+                self._on_heartbeat_ack(ack)
             return
         replies, work = self.core.handle(envelope)
         if work is not None:
@@ -1093,8 +1098,8 @@ class TcpConsumer(CoreSession, _Node):
     ``on_disconnect`` hook is invoked with a human-readable reason.
 
     Every connection opens with a transport ``hello`` negotiating the
-    binary wire codec (``codec='json'`` pins the debug fallback); a
-    submission, one tasklet or a whole ``library.map``, is one socket write.
+    binary wire codec; a submission, one tasklet or a whole
+    ``library.map``, is one socket write.
 
     Federation: pass ``brokers=[(host, port), ...]`` instead of a single
     address and the consumer fails over automatically — when the link
@@ -1119,7 +1124,6 @@ class TcpConsumer(CoreSession, _Node):
         failover_backoff: float = 0.2,
         failover_backoff_max: float = 2.0,
         max_failover_attempts: int = 12,
-        codec: str = "binary",
     ):
         self.node_id = NodeId(node_id or random_id("cons"))
         self.telemetry = telemetry
@@ -1131,7 +1135,6 @@ class TcpConsumer(CoreSession, _Node):
         self._link = _BrokerLink(
             self.node_id,
             "consumer",
-            codec,
             brokers,
             broker_host,
             broker_port,

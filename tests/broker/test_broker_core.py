@@ -9,6 +9,7 @@ from repro.common.ids import NodeId, TaskletId
 from repro.common.serde import pack_value
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
+from repro.dag.spec import WorkflowBuilder
 from repro.transport.codec import CODEC_BINARY, encode_envelope
 from repro.transport.message import (
     AssignExecution,
@@ -19,8 +20,11 @@ from repro.transport.message import (
     RegisterProvider,
     SubmitAck,
     SubmitTasklet,
+    SubmitWorkflow,
     TaskletComplete,
     Unregister,
+    WorkflowAck,
+    WorkflowComplete,
     body_of,
 )
 from repro.tvm.compiler import compile_source
@@ -363,3 +367,90 @@ class TestUnregister:
         reissues = [(dst, body) for dst, body in replies if isinstance(body, AssignExecution)]
         assert len(reissues) == 1
         assert reissues[0][0] == other
+
+
+class TestWorkflowNodeIds:
+    """Node tasklets share the tasklet table with plain ones, under
+    ``consumer/workflow:node``."""
+
+    SOURCE = "func main(x: int) -> int { return x * 2; }"
+
+    def _start_workflow(self, harness):
+        builder = WorkflowBuilder("wf-1")
+        builder.node(self.SOURCE, args=[21], node_id="n1")
+        spec = builder.build()
+        replies = harness.send(SubmitWorkflow(workflow=spec.to_dict()), src="c1")
+        (assign,) = bodies(replies, AssignExecution)
+        node = spec.node("n1")
+        twin = Tasklet(
+            tasklet_id=TaskletId("wf-1:n1"),
+            program=compile_source(self.SOURCE),
+            entry=node.entry,
+            args=[21],
+            seed=node.seed,
+            fuel=node.fuel,
+        )
+        assert twin.program.fingerprint() == node.program_fingerprint
+        return assign, SubmitTasklet(tasklet=twin.to_dict())
+
+    def test_plain_submit_of_a_running_workflow_nodes_id_is_refused_not_forgotten(self):
+        """Regression: the same computation under a running node's id was
+        an in-flight admission — acked accepted — and when the node ended
+        its outcome went to the graph only: no ``TaskletComplete``, ever."""
+        harness = Harness()
+        harness.add_provider()
+        assign, twin = self._start_workflow(harness)
+        (ack,) = bodies(harness.send(twin, src="c1"), SubmitAck)
+        assert not ack.accepted and "workflow 'wf-1'" in ack.reason
+        # The node itself is untouched, and another consumer's id is its own.
+        assert bodies(harness.send(twin, src="c2"), SubmitAck)[0].accepted
+        replies = harness.complete(assign)
+        (done,) = bodies(replies, WorkflowComplete)
+        assert done.ok and done.outputs == {"n1": 42}
+        assert [dst for dst, body in replies if isinstance(body, TaskletComplete)] == []
+
+    def test_plain_submit_of_a_finished_nodes_id_still_answers(self):
+        harness = Harness()
+        harness.add_provider()
+        assign, twin = self._start_workflow(harness)
+        harness.complete(assign)
+        replies = harness.send(twin, src="c1")
+        assert bodies(replies, SubmitAck)[0].accepted
+        (done,) = bodies(replies, TaskletComplete)
+        assert done.ok and done.value == 42 and done.tasklet_id == "wf-1:n1"
+        assert harness.broker.pending_tasklets == 0
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        {"qoc": 7},
+        {"args": 7},
+        {"program": "x"},
+        {"seed": "x"},
+        {"entry": []},
+        {"tasklet_id": {}},
+        {"program_fingerprint": 7},
+    ],
+    ids=lambda damage: next(iter(damage)),
+)
+def test_malformed_tasklet_dict_is_refused_or_read_as_text_never_raised(damage):
+    """What is *inside* a tasklet dict is its reader's business, which
+    refuses it or reads it as text — and what the broker then sends about
+    it is readable by whoever receives it (``Harness.send`` reads it all)."""
+    harness = Harness()
+    harness.add_provider()
+    tasklet = Tasklet(TaskletId("tl-1"), PROGRAM, entry="main", args=[1]).to_dict()
+    replies = harness.send(SubmitTasklet(tasklet={**tasklet, **damage}), src="c1")
+    (ack,) = bodies(replies, SubmitAck)
+    assert ack.accepted == (next(iter(damage)) in ("tasklet_id", "program_fingerprint"))
+    assert harness.broker.pending_tasklets == len(bodies(replies, AssignExecution))
+    assert harness.broker.pending_tasklets == int(ack.accepted)
+
+
+def test_malformed_workflow_dict_is_refused_not_raised():
+    harness = Harness()
+    for workflow in ({}, {"workflow_id": "w", "nodes": [], "programs": 7}, {"workflow_id": "w", "nodes": 7}):
+        (ack,) = bodies(harness.send(SubmitWorkflow(workflow=workflow), src="c1"), WorkflowAck)
+        assert not ack.accepted and "invalid workflow" in ack.reason
+    assert harness.broker.pending_workflows == 0

@@ -1,11 +1,14 @@
 """Broker failure handling: heartbeat detection, timeouts, flap recovery."""
 
+import pytest
+
 from repro.broker.core import BrokerConfig, BrokerCore
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
+from repro.transport.codec import CODEC_BINARY, encode_envelope, iter_frames
 from repro.transport.message import (
     REASON_UNKNOWN_PROVIDER,
     AssignExecution,
@@ -374,6 +377,51 @@ class TestByzantineResultValues:
         assert [record["status"] for record in done.executions] == ["vm_error"] * 2
         assert all(record["value"] is None for record in done.executions)
         assert harness.broker.pending_tasklets == 0
+
+    @pytest.mark.parametrize("field", ["started_at", "finished_at", "instructions", "status"])
+    def test_mistyped_result_field_never_wedges_a_tasklet(self, field):
+        """Regression: both codecs carry a string where a number or a
+        status belongs, and it raised out of ``handle`` — for the three
+        numbers *after* the execution had been released, leaving the
+        tasklet with nothing outstanding, nothing queued and no deadline.
+        Now the result is unreadable: nothing moves, and liveness ends the
+        execution it was about."""
+        harness = Harness()
+        harness.register("p1")
+        assign = bodies(harness.submit(), AssignExecution)[0]
+        result = result_of(assign, "p1", 1).envelope(NodeId("p1"), harness.broker.node_id)
+        result.payload[field] = "x"
+        (wire,) = iter_frames(encode_envelope(result, CODEC_BINARY))
+        assert wire.payload[field] == "x"
+        broker = harness.broker
+        assert broker.handle(wire) == []
+        assert broker.stats.messages_unreadable == 1
+        (state,) = broker._tasklets.values()
+        assert list(state.outstanding) == [assign.execution_id]
+        assert broker.registry.get(NodeId("p1")).outstanding == 1
+        assert broker.stats.executions_failed == broker.stats.executions_succeeded == 0
+        # The provider falls silent: declared dead, and with it the
+        # execution — the tasklet gets its terminal answer.
+        (done,) = bodies(harness.tick_at(10.0), TaskletComplete)
+        assert not done.ok and "1 executions failed" in done.error
+        assert broker.pending_tasklets == 0
+
+    def test_a_result_frees_the_slot_it_was_assigned_to_whoever_it_names(self):
+        """Regression: the slot released was the one ``provider_id`` in the
+        body named — another provider's, or nobody's, and then the real
+        assignee's slot stayed taken for ever."""
+        harness = Harness()
+        harness.register("p1")
+        harness.register("p2")
+        first = bodies(harness.submit(), AssignExecution)[0]
+        second = bodies(harness.submit(), AssignExecution)[0]
+        p1, p2 = (harness.broker.registry.get(NodeId(name)) for name in ("p1", "p2"))
+        assert (p1.outstanding, p2.outstanding) == (1, 1)
+        (done,) = bodies(harness.send(result_of(first, "p2", 1), src="p1"), TaskletComplete)
+        assert done.ok and done.executions[0]["provider_id"] == "p1"
+        assert (p1.outstanding, p2.outstanding, p1.completed, p2.completed) == (0, 1, 1, 0)
+        harness.send(result_of(second, "nobody", 1), src="p2")
+        assert (p1.outstanding, p2.outstanding, harness.broker.registry.free_capacity) == (0, 0, 2)
 
     def test_void_and_nested_results_are_still_successes(self):
         for value in (None, [[1, 2.5], ["x", True], []]):

@@ -18,6 +18,7 @@ from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
+from repro.dag.spec import WorkflowBuilder
 from repro.transport.message import (
     AssignExecution,
     ExecutionResult,
@@ -25,7 +26,9 @@ from repro.transport.message import (
     ForwardTasklet,
     RegisterProvider,
     SubmitTasklet,
+    SubmitWorkflow,
     TaskletComplete,
+    WorkflowComplete,
     body_of,
 )
 from repro.tvm.compiler import compile_source
@@ -291,6 +294,33 @@ class TestForwarding:
         completion = fed.cores["b1"]._completed[f"c1/{tasklet_id}"]
         assert completion.executed_by == "b2"
 
+    def test_forward_table_is_the_forwards_in_flight_and_nothing_else(self):
+        """One record per outbound forward, gone when the forward resolves
+        — also when the tasklet ends under it: a workflow that fails
+        cancels its forwarded sibling, and nothing is left pointing at it."""
+        fed = FedHarness()
+        fed.add_provider("b2", "p1")
+        fed.tick_all()
+        b1 = fed.cores["b1"]
+        builder = WorkflowBuilder("wf-1")
+        for node_id in ("left", "right"):
+            builder.node(
+                "func main(x: int) -> int { return x * 2; }", args=[1], node_id=node_id
+            )
+        out = fed.send("b1", SubmitWorkflow(workflow=builder.build().to_dict()), src="c1")
+        left, right = bodies(out, AssignExecution)  # both ran off to b2
+        assert sorted(b1.forwarding.forwards) == ["c1/wf-1:left", "c1/wf-1:right"]
+        assert all(forward.acked for forward in b1.forwarding.forwards.values())
+        assert b1.health_snapshot()["federation"]["forwarded_pending"] == 2
+        out = fed.send("b2", result_of(left, "p1", fed.clock, status="vm_error"), src="p1")
+        (done,) = bodies(out, WorkflowComplete)
+        assert not done.ok and done.failed_node == "left"
+        assert b1.forwarding.forwards == {} and b1.pending_tasklets == 0
+        assert b1.health_snapshot()["federation"]["forwarded_pending"] == 0
+        # The peer's late answer for the cancelled sibling finds nothing.
+        assert fed.send("b2", result_of(right, "p1", fed.clock), src="p1") == []
+        assert b1.stats.forwards_completed == 1
+
     def test_local_capacity_wins_over_forwarding(self):
         fed = FedHarness()
         fed.add_provider("b1", "p1")
@@ -350,7 +380,7 @@ class TestForwarding:
         assert fed.cores["b1"].stats.tasklets_forwarded == 1
         assert fed.cores["b1"].stats.forwards_reclaimed == 1
         state = fed.cores["b1"]._tasklets[f"c1/{tasklet_id}"]
-        assert state.forwarded_to is None
+        assert state.key not in fed.cores["b1"].forwarding.forwards
         assert state.pending_replicas == 1
 
 

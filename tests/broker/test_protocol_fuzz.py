@@ -1,13 +1,19 @@
-"""Protocol fuzzing: the broker survives any well-formed message sequence.
+"""Protocol fuzzing: the broker survives any message sequence.
 
-Hypothesis drives the broker with random-but-well-formed protocol
+Hypothesis drives the broker with random protocol
 messages in arbitrary orders — registrations and re-registrations,
 duplicate results, results for unknown executions, ``success`` results
 whose value no TVM returns, heartbeats from strangers, malformed
 tasklets, unregisters, workflow submissions,
 duplicate and conflicting resubmits, and crash-and-replay (a fresh
-``BrokerCore`` rebuilt on the same ``WorkJournal``).  After every step the
+``BrokerCore`` rebuilt on the same ``WorkJournal``) — any of which may
+first have one field replaced by something else the codecs carry (the
+*hostile* step: ``None``, a string, a float, a bool, an int, a list, a
+dict).  After every step the
 broker's lifecycle invariants must hold; it must never raise:
+
+* an unreadable message sends nothing and changes nothing but
+  ``messages_unreadable``;
 
 * at most one terminal ``TaskletComplete`` / ``WorkflowComplete`` per
   admitted id (answers to a resubmit repeat the first outcome), and after
@@ -28,6 +34,7 @@ broker's lifecycle invariants must hold; it must never raise:
   assigned to; the cost ledger conserves.
 """
 
+import dataclasses
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -53,6 +60,8 @@ from repro.transport.message import (
     Unregister,
 )
 from repro.tvm.compiler import compile_source
+
+from tests.transport.test_messages import HOSTILE_MENU, hostile, read
 
 PROGRAM = compile_source("func main(x: int) -> int { return x; }")
 PROVIDERS = ["p0", "p1", "p2"]
@@ -130,9 +139,29 @@ def _actions():
     )
     tick = st.builds(lambda dt: ("tick", dt, ""), st.floats(min_value=0, max_value=5))
     crash = st.just(("crash", None, ""))
-    return st.one_of(
+    action = st.one_of(
         register, unregister, heartbeat, submit, bad_submit, resubmit,
         workflow, result, reject, tick, crash,
+    )
+    # One action in four is hostile: the message it delivers first has its
+    # ``pick``-th field replaced by ``value``.
+    hostile_step = st.tuples(
+        st.integers(min_value=0, max_value=9), st.sampled_from(HOSTILE_MENU)
+    )
+    return st.tuples(action, st.one_of(st.none(), st.none(), st.none(), hostile_step))
+
+
+def _snapshot(broker: BrokerCore) -> tuple:
+    """Everything an unreadable message must leave as it was."""
+    return (
+        dataclasses.replace(broker.stats, messages_unreadable=0),
+        {key: (sorted(state.outstanding), state.pending_replicas, state.issued)
+         for key, state in broker._tasklets.items()},
+        sorted(broker.workflows.active),
+        list(broker._completed),
+        {record.provider_id: dataclasses.replace(record)
+         for record in broker.registry._providers.values()},
+        (broker.registry.free_capacity, broker.backlog.replicas, len(broker.executions)),
     )
 
 
@@ -208,6 +237,8 @@ class _Driver:
         self.admitted: dict[str, set] = {"tasklet": set(), "workflow": set()}
         #: First terminal outcome seen per (kind, consumer, id).
         self.terminal: dict[tuple[str, str, str], tuple] = {}
+        #: ``(pick, value)`` when the current action's delivery is hostile.
+        self.armed: tuple | None = None
 
     def _build(self) -> BrokerCore:
         return BrokerCore(
@@ -229,10 +260,17 @@ class _Driver:
         _invariants(self.broker)
 
     def deliver(self, body, src: str, resubmit_of=None) -> None:
-        self._observe(
-            self.broker.handle(body.envelope(NodeId(src), self.broker.node_id)),
-            resubmit_of,
-        )
+        envelope = body.envelope(NodeId(src), self.broker.node_id)
+        armed, self.armed = self.armed, None
+        if armed is not None:
+            hostile(envelope, *armed)
+        if read(envelope) is None:
+            before, unreadable = _snapshot(self.broker), self.broker.stats.messages_unreadable
+            assert self.broker.handle(envelope) == []
+            assert _snapshot(self.broker) == before
+            assert self.broker.stats.messages_unreadable == unreadable + 1
+            return
+        self._observe(self.broker.handle(envelope), resubmit_of)
 
     def tick(self, dt: float) -> None:
         self.clock.advance(dt)
@@ -307,6 +345,7 @@ class _Driver:
 
     def settle(self) -> None:
         """Make the pool healthy, answer everything, check exactly-once."""
+        self.armed = None
         for _ in range(200):
             if not (self.broker.pending_tasklets or self.broker.pending_workflows):
                 break
@@ -362,7 +401,7 @@ def test_broker_survives_arbitrary_message_sequences(
 
 def _run(actions, journal, telemetry) -> None:
     driver = _Driver(journal, telemetry)
-    for kind, payload, src in actions:
+    for (kind, payload, src), driver.armed in actions:
         if kind == "tick":
             driver.tick(payload)
         elif kind == "crash":

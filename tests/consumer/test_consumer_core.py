@@ -161,6 +161,36 @@ def test_agreeing_records_get_the_verdicts_value_back():
     assert all(r.value == outcome.value for r in outcome.executions[2:])
 
 
+@pytest.mark.parametrize(
+    "record",
+    [{"execution_id": "ex-1"}, "x", {"status": "exploded"}, {"instructions": "many"}],
+    ids=["missing-keys", "not-a-record", "unknown-status", "mistyped-number"],
+)
+def test_malformed_execution_record_never_orphans_a_future(record):
+    """Regression: one bad record in ``executions`` (a list a broker relays
+    verbatim from its peer) raised *after* the pending entry was popped
+    and counted — the future never resolved and nothing pointed to it any
+    more.  Now the message is unreadable: the future stays pending, and
+    counted pending, for the well-formed completion that follows."""
+    telemetry = Telemetry()
+    core = ConsumerCore(NodeId("c1"), VirtualClock(), telemetry=telemetry)
+    future, _ = core.submit(make_tasklet())
+    good = {"execution_id": "ex-1", "tasklet_id": "tl-1", "provider_id": "p1", "status": "success"}
+    if isinstance(record, dict) and "execution_id" not in record:
+        record = {**good, **record}
+    bad = TaskletComplete(tasklet_id="tl-1", ok=True, value=2, executions=[good, record])
+    assert deliver(core, bad) == []
+    assert not future.done and core.pending == 1
+    assert (core.stats.completed, core.stats.failed) == (0, 0)
+    (event,) = telemetry.events.events(kind=ev.MESSAGE_UNREADABLE)
+    assert event.node == "broker" and event.attrs["type"] == "tasklet_complete"
+    assert "executions" in event.attrs["reason"]
+    assert telemetry.spans.spans() == []
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2, executions=[good]))
+    assert future.result(0) == 2 and core.pending == 0 and core.stats.completed == 1
+    assert [record.value for record in future.wait(0).executions] == [2]
+
+
 def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
     core = make_core()
     first, _ = core.submit(make_tasklet())

@@ -7,8 +7,14 @@ batch with a pending id or an internal duplicate), ``submit_ack`` accept
 and reject, ``tasklet_complete`` ok / failed / duplicate / for an unknown
 id, ``submit_workflow`` (fresh and in flight), ``workflow_ack`` accept and
 reject, ``workflow_update``, ``workflow_complete`` ok / failed /
-duplicate, ``fail_all_pending``, clock advances — and after every step
+duplicate, ``fail_all_pending``, clock advances — where any broker message
+may first have one field replaced by something else the codecs carry (the
+*hostile* step) — and after every step
 checks what the QoC layer promises the application (DESIGN.md §8):
+
+* a message the boundary cannot read changes nothing (and, with telemetry
+  on, is one ``message_unreadable`` event); one it can read is acted on as
+  read, whatever it now says;
 
 * every waiter ever handed out is answered at most once, and exactly
   once as soon as its id has ended — with the result, error type and
@@ -62,11 +68,17 @@ from repro.transport.message import (
 )
 from repro.tvm.compiler import compile_source
 
+from tests.transport.test_messages import HOSTILE_MENU, hostile, read
+
 SOURCE = "func main(x: int) -> int { return x + 1; }"
 PROGRAM = compile_source(SOURCE)
 #: A small id space, so resubmits, duplicates and late messages collide.
 TASKLET_IDS = [f"tl-{n}" for n in range(6)]
 WORKFLOW_IDS = [f"wf-{n}" for n in range(3)]
+_RECORD = {"execution_id": "ex-1", "tasklet_id": "tl-0", "provider_id": "p1", "status": "success"}
+#: What may sit in ``tasklet_complete.executions``: mostly records.
+RECORDS = [_RECORD, _RECORD, {**_RECORD, "status": "vm_error", "error": "boom"},
+           {"execution_id": "ex-1"}, {**_RECORD, "status": "exploded"}, "x"]
 
 
 def tasklet(tasklet_id):
@@ -105,11 +117,26 @@ class ConsumerProtocol(RuleBasedStateMachine):
         self.workflows = {}
         self.stats = ConsumerStats()
         self.disconnects = 0  # fail_all_pending calls that found something
+        self.armed = None  # (pick, value) for the next delivery's hostile step
+        self.unreadable = 0
 
     # -- plumbing -----------------------------------------------------------
 
     def _deliver(self, body):
-        assert self.core.handle(body.envelope(BROKER_ADDRESS, self.core.node_id)) == []
+        """Hand the core ``body`` — or, when armed, what the hostile step
+        made of it; returns the body as read, None for an unreadable one."""
+        envelope = body.envelope(BROKER_ADDRESS, self.core.node_id)
+        armed, self.armed = self.armed, None
+        if armed is not None:
+            hostile(envelope, *armed)
+        body = read(envelope)
+        self.unreadable += body is None
+        assert self.core.handle(envelope) == []
+        return body
+
+    @rule(pick=st.integers(min_value=0, max_value=9), value=st.sampled_from(HOSTILE_MENU))
+    def arm_hostile_step(self, pick, value):
+        self.armed = (pick, value)
 
     def _watch(self, waiter, envelope):
         """Count what the core itself tells ``waiter`` (the waiters are
@@ -183,27 +210,34 @@ class ConsumerProtocol(RuleBasedStateMachine):
 
     @rule(tasklet_id=st.sampled_from(TASKLET_IDS + ["tl-unknown"]), accepted=st.booleans())
     def submit_ack(self, tasklet_id, accepted):
-        self._deliver(SubmitAck(tasklet_id=tasklet_id, accepted=accepted, reason="full"))
-        if not accepted and tasklet_id in self.tasklets:
-            self._end_tasklet(tasklet_id, ExecutionFailed, "rejected by broker: full")
+        ack = self._deliver(SubmitAck(tasklet_id=tasklet_id, accepted=accepted, reason="full"))
+        if ack is not None and not ack.accepted and ack.tasklet_id in self.tasklets:
+            error = f"rejected by broker: {ack.reason}"
+            self._end_tasklet(ack.tasklet_id, ExecutionFailed, error)
             self.stats.rejected += 1
 
-    @rule(tasklet_id=st.sampled_from(TASKLET_IDS + ["tl-unknown"]), ok=st.booleans())
-    def tasklet_complete(self, tasklet_id, ok):
-        """For a pending id; else a duplicate, late or unknown completion."""
+    @rule(
+        tasklet_id=st.sampled_from(TASKLET_IDS + ["tl-unknown"]),
+        ok=st.booleans(),
+        executions=st.lists(st.sampled_from(RECORDS), max_size=2),
+    )
+    def tasklet_complete(self, tasklet_id, ok, executions):
+        """For a pending id; else a duplicate, late or unknown completion —
+        with execution records a broker relays, not all of them well-formed."""
         body = TaskletComplete(
             tasklet_id=tasklet_id,
             ok=ok,
             value=41 if ok else None,
             error=None if ok else "all 3 executions failed",
             attempts=3,
+            executions=executions,
         )
-        self._deliver(body)
-        if tasklet_id in self.tasklets:
-            if ok:
-                self._end_tasklet(tasklet_id, None, 41)
+        body = self._deliver(body)
+        if body is not None and body.tasklet_id in self.tasklets:
+            if body.ok:
+                self._end_tasklet(body.tasklet_id, None, body.value)
             else:
-                self._end_tasklet(tasklet_id, ExecutionFailed, body.error)
+                self._end_tasklet(body.tasklet_id, ExecutionFailed, body.error)
 
     # -- workflows -----------------------------------------------------------
 
@@ -221,18 +255,19 @@ class ConsumerProtocol(RuleBasedStateMachine):
 
     @rule(workflow_id=st.sampled_from(WORKFLOW_IDS + ["wf-unknown"]), accepted=st.booleans())
     def workflow_ack(self, workflow_id, accepted):
-        self._deliver(WorkflowAck(workflow_id=workflow_id, accepted=accepted, reason="dup"))
-        if not accepted and workflow_id in self.workflows:
-            self._end_workflow(workflow_id, WorkflowSpecError, "rejected by broker: dup")
+        ack = self._deliver(WorkflowAck(workflow_id=workflow_id, accepted=accepted, reason="dup"))
+        if ack is not None and not ack.accepted and ack.workflow_id in self.workflows:
+            error = f"rejected by broker: {ack.reason}"
+            self._end_workflow(ack.workflow_id, WorkflowSpecError, error)
 
     @rule(workflow_id=st.sampled_from(WORKFLOW_IDS + ["wf-unknown"]))
     def workflow_update(self, workflow_id):
-        self._deliver(
+        update = self._deliver(
             WorkflowUpdate(workflow_id=workflow_id, node_id="only", state="running")
         )
-        if workflow_id in self.workflows:
-            handle = self.workflows[workflow_id].waiter
-            assert handle.node_states["only"] == "running"
+        if update is not None and update.workflow_id in self.workflows:
+            handle = self.workflows[update.workflow_id].waiter
+            assert handle.node_states[update.node_id] == update.state
 
     @rule(workflow_id=st.sampled_from(WORKFLOW_IDS + ["wf-unknown"]), ok=st.booleans())
     def workflow_complete(self, workflow_id, ok):
@@ -244,15 +279,16 @@ class ConsumerProtocol(RuleBasedStateMachine):
             failed_node="" if ok else "only",
             nodes_total=1,
         )
-        self._deliver(body)
-        if workflow_id in self.workflows:
-            handle = self.workflows[workflow_id].waiter
-            if ok:
-                self._end_workflow(workflow_id, None, {"only": 2})
+        body = self._deliver(body)
+        if body is not None and body.workflow_id in self.workflows:
+            handle = self.workflows[body.workflow_id].waiter
+            if body.ok:
+                self._end_workflow(body.workflow_id, None, body.outputs)
+                assert all(handle.node_states[node] == "done" for node in body.outputs)
             else:
-                self._end_workflow(workflow_id, WorkflowFailed, body.error)
-            assert handle.nodes_total == 1
-            assert handle.node_states["only"] == ("done" if ok else "failed")
+                self._end_workflow(body.workflow_id, WorkflowFailed, body.error)
+                assert not body.failed_node or handle.node_states[body.failed_node] == "failed"
+            assert handle.nodes_total == body.nodes_total
 
     # -- the link, the clock -------------------------------------------------
 
@@ -341,6 +377,8 @@ class ConsumerProtocol(RuleBasedStateMachine):
             if event.kind == ev.DISCONNECT
         ]
         assert len(disconnects) == self.disconnects
+        unreadable = self.telemetry.events.events(kind=ev.MESSAGE_UNREADABLE)
+        assert len(unreadable) == self.unreadable
 
 
 class ConsumerProtocolUntraced(ConsumerProtocol):

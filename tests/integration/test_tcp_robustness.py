@@ -5,13 +5,27 @@ import time
 
 import pytest
 
+from repro.common.ids import NodeId
 from repro.core import kernels
+from repro.obs import Telemetry
+from repro.transport.codec import SUPPORTED_CODECS, encode_envelope
+from repro.transport.message import (
+    AssignExecution,
+    CancelExecution,
+    Envelope,
+    Heartbeat,
+    RegisterAck,
+    Unregister,
+)
 from repro.transport.tcp import (
     ProviderProcess,
     TcpBroker,
     TcpConsumer,
     TcpProvider,
 )
+from repro.tvm.compiler import compile_source
+
+from tests.transport.test_broker_link import Listener, read_envelopes, wait_until
 
 
 @pytest.fixture
@@ -124,3 +138,96 @@ def test_messages_larger_than_one_recv_chunk(broker):
                 2.0 * 449.5 + (2.0 + 449.0) ** 0.5
             )
             assert future.result(timeout=60) == pytest.approx(expected)
+
+
+# -- the wire boundary on real sockets ------------------------------------------
+
+
+def test_unhashable_cancel_does_not_deafen_the_provider():
+    """Regression: ``cancel_execution`` with ``execution_id: {}`` raised
+    ``TypeError: unhashable`` on the provider's link thread, which died
+    behind an ``up`` link — heartbeats kept flowing, nothing was ever read
+    again.  The cancel is unreadable; the assignment behind it is served."""
+    program = compile_source("func main(x: int) -> int { return x + 1; }")
+    listener = Listener()
+    provider = TcpProvider(*listener.address, node_id="p1", benchmark_score=1e7).start()
+    peer = listener.accept()
+    try:
+        hello, registration = read_envelopes(peer, 2)
+        assert (hello.type, registration.type) == ("hello", "register_provider")
+        me, them = NodeId("broker"), NodeId("p1")
+        cancel = CancelExecution(execution_id="ex-0").envelope(me, them)
+        cancel.payload["execution_id"] = {}
+        assign = AssignExecution(
+            execution_id="ex-1",
+            tasklet_id="tl-1",
+            consumer_id="c1",
+            program=program.to_dict(),
+            program_fingerprint=program.fingerprint(),
+            entry="main",
+            args=[41],
+            seed=0,
+            fuel=10_000,
+        ).envelope(me, them)
+        peer.sendall(
+            encode_envelope(RegisterAck(accepted=True).envelope(me, them))
+            + encode_envelope(cancel)
+            + encode_envelope(assign)
+        )
+        (result,) = read_envelopes(peer, 1)
+        assert result.type == "execution_result"
+        assert (result.payload["execution_id"], result.payload["value"]) == ("ex-1", 42)
+        assert provider._link.connected
+    finally:
+        provider.stop()
+        peer.close()
+        listener.close()
+
+
+def test_unreadable_envelopes_are_counted_and_the_link_keeps_serving(broker):
+    host, port = broker.address
+    stranger, me = NodeId("ghost"), NodeId("broker")
+    mistyped = Heartbeat(provider_id="ghost", free_slots=1).envelope(stranger, me)
+    mistyped.payload["free_slots"] = "many"
+    unknown = Envelope(type="from_the_future", src=stranger, dst=me, payload={})
+    heartbeat = Heartbeat(provider_id="ghost", free_slots=1).envelope(stranger, me)
+    with socket.create_connection((host, port)) as peer:
+        peer.settimeout(5.0)
+        for codec in SUPPORTED_CODECS:
+            peer.sendall(
+                encode_envelope(mistyped, codec)
+                + encode_envelope(unknown, codec)
+                + encode_envelope(heartbeat, codec)
+            )
+            (nack,) = read_envelopes(peer, 1)  # the same link still answers
+            assert nack.type == "register_ack" and not nack.payload["accepted"]
+    assert broker.core.stats.messages_unreadable == 4
+    assert len(broker.core.registry) == 0
+
+
+def test_a_handler_fault_on_the_broker_costs_that_link_and_says_why():
+    telemetry = Telemetry()
+    with TcpBroker(telemetry=telemetry) as broker:
+        host, port = broker.address
+        real_handle, faults = broker.core.handle, []
+
+        def faulty(envelope):
+            if envelope.type == "unregister":
+                faults.append(envelope)
+                raise RuntimeError("boom")
+            return real_handle(envelope)
+
+        broker.core.handle = faulty
+        goodbye = Unregister(provider_id="p9").envelope(NodeId("p9"), NodeId("broker"))
+        with socket.create_connection((host, port)) as peer:
+            peer.settimeout(5.0)
+            peer.sendall(encode_envelope(goodbye))
+            assert peer.recv(65536) == b""  # closed, not left deaf
+        wait_until(lambda: telemetry.events.events(kind="disconnect"), message="the report")
+        (event,) = telemetry.events.events(kind="disconnect")
+        assert event.node == "p9"
+        assert event.attrs["reason"] == "handler fault: RuntimeError: boom"
+        assert len(faults) == 1
+        # Everybody else is served as before.
+        with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
+            _wait_registered(broker, 1)

@@ -4,8 +4,14 @@ No sockets, no threads, a ``VirtualClock``.  Hypothesis interleaves
 everything a driver and a broker can do to the core — assign, cancel
 (in-flight, finished and unknown ids), begin a run, finish it (ok or VM
 error), refuse accepted work, re-register (a link redial), every kind of
-``register_ack``, drain, stop, start — and after every step checks what
+``register_ack``, drain, stop, start — where any broker message may first
+have one field replaced by something else the codecs carry (the *hostile*
+step) — and after every step checks what
 the TCP provider and the simulator both rely on:
+
+* a message the boundary cannot read is answered with nothing and changes
+  nothing (one ``message_unreadable`` event); one it can read is acted on
+  as read, whatever it now says;
 
 * at most one ``execution_result`` or ``execution_rejected`` per execution
   id, and none for an execution cancelled before its report or accepted
@@ -47,6 +53,8 @@ from repro.transport.message import (
     body_of,
 )
 
+from tests.transport.test_messages import HOSTILE_MENU, hostile, read
+
 OUTCOMES = {
     True: ExecutionOutcome(ExecutionStatus.SUCCESS, value=7, instructions=11),
     False: ExecutionOutcome(ExecutionStatus.VM_ERROR, error="DivisionByZero: boom"),
@@ -84,6 +92,8 @@ class ProviderProtocol(RuleBasedStateMachine):
         self.counter = 0
         self.waiting = False  # a drain waiter would be blocked right now
         self.notified = 0
+        self.armed = None  # (pick, value) for the next delivery's hostile step
+        self.unreadable = 0
 
     # -- plumbing -----------------------------------------------------------
 
@@ -92,10 +102,32 @@ class ProviderProtocol(RuleBasedStateMachine):
         return OUTCOMES[self.next_outcome]
 
     def _deliver(self, body):
-        replies, work = self.core.handle(
-            body.envelope(BROKER_ADDRESS, self.core.node_id)
-        )
-        return [body_of(reply) for reply in replies], work
+        """Hand the core ``body`` — or, when armed, what the hostile step
+        made of it.  Returns the body as read (None for an unreadable one,
+        which must change nothing), the replies and the accepted work."""
+        envelope = body.envelope(BROKER_ADDRESS, self.core.node_id)
+        armed, self.armed = self.armed, None
+        if armed is not None:
+            hostile(envelope, *armed)
+            original, body = body, read(envelope)
+            if isinstance(body, AssignExecution) and (
+                body.execution_id in self.said
+                or body.execution_id in self.accepted
+                or body.execution_id in self.finished
+            ):
+                # (A broker never reuses an execution id; nor may the step.)
+                return self._deliver(original)
+        before = (self.core.registered, dict(self.core.inflight))
+        replies, work = self.core.handle(envelope)
+        if body is None:
+            self.unreadable += 1
+            assert (replies, work) == ([], None)
+            assert (self.core.registered, self.core.inflight) == before
+        return body, [body_of(reply) for reply in replies], work
+
+    @rule(pick=st.integers(min_value=0, max_value=9), value=st.sampled_from(HOSTILE_MENU))
+    def arm_hostile_step(self, pick, value):
+        self.armed = (pick, value)
 
     def _record(self, envelope):
         body = body_of(envelope)
@@ -125,15 +157,19 @@ class ProviderProtocol(RuleBasedStateMachine):
             seed=0,
             fuel=1000,
         )
-        replies, work = self._deliver(request)
+        request, replies, work = self._deliver(request)
+        if request is None:
+            return
+        execution_id = request.execution_id
         if self.state != ProviderCore.RUNNING:
             assert work is None
             (rejection,) = replies
             assert isinstance(rejection, ExecutionRejected)
             assert rejection.reason == "provider draining"
+            assert rejection.execution_id == execution_id
             self.said[execution_id] = [rejection]
             return
-        assert replies == [] and work.epoch == self.epoch
+        assert replies == [] and work.epoch == self.epoch and work.request == request
         self.accepted[execution_id] = work
         if refused_by_driver:  # its queue is full / its pool is shut
             rejection = self._record(self.core.reject(work, "provider queue full"))
@@ -144,22 +180,27 @@ class ProviderProtocol(RuleBasedStateMachine):
     def cancel(self, data):
         known = sorted(self.accepted) + self.finished[-3:] + ["ex-unknown"]
         execution_id = data.draw(st.sampled_from(known))
-        assert self._deliver(CancelExecution(execution_id=execution_id)) == ([], None)
-        if execution_id in self.accepted:
-            self.cancelled.add(execution_id)
+        cancel, *sent = self._deliver(CancelExecution(execution_id=execution_id))
+        assert sent == [[], None]
+        if cancel is not None and cancel.execution_id in self.accepted:
+            self.cancelled.add(cancel.execution_id)
 
     @rule(kind=st.sampled_from(["accepted", "unknown", "refused"]))
     def register_ack(self, kind):
         reason = {"unknown": REASON_UNKNOWN_PROVIDER, "refused": "bad score"}.get(kind, "")
-        replies, work = self._deliver(RegisterAck(accepted=kind == "accepted", reason=reason))
+        ack, replies, work = self._deliver(
+            RegisterAck(accepted=kind == "accepted", reason=reason)
+        )
         assert work is None
-        if kind == "unknown":  # the broker lost us: ask back in, new epoch
-            (registration,) = replies
+        if ack is None:
+            return
+        if not ack.accepted and ack.reason == REASON_UNKNOWN_PROVIDER:
+            (registration,) = replies  # the broker lost us: ask back in, new epoch
             assert isinstance(registration, RegisterProvider)
             self.epoch += 1
         else:
             assert replies == []
-        assert self.core.registered == (kind == "accepted")
+        assert self.core.registered == ack.accepted
 
     # -- the driver ---------------------------------------------------------
 
@@ -261,6 +302,8 @@ class ProviderProtocol(RuleBasedStateMachine):
             if event.kind == ev.EXECUTION_FAULT
         ]
         assert len(faults) == self.reports[False]
+        unreadable = self.telemetry.events.events(kind=ev.MESSAGE_UNREADABLE)
+        assert len(unreadable) == self.unreadable
 
 
 ProviderProtocol.TestCase.settings = settings(

@@ -89,7 +89,13 @@ def make_link(brokers, owner=None, **kwargs):
     )
     settings.update(kwargs)
     codec = settings.pop("codec", "binary")
-    return _BrokerLink(ME, "provider", codec, brokers, None, None, **settings)
+    link = _BrokerLink(ME, "provider", brokers, None, None, **settings)
+    if codec == "json":  # play a peer that offers nothing better
+        link._offered = ("json",)
+        link._hello = Hello(node_id=ME, codecs=["json"], role="provider").envelope(
+            ME, BROKER
+        )
+    return link
 
 
 def test_redial_cycles_the_list_from_the_last_good_broker():
@@ -249,6 +255,49 @@ def test_garbage_from_the_peer_reports_the_link_lost():
         assert link.state == link.DOWN and not link.connected
         assert peer.recv(65536)[:4] and peer.recv(65536) == b""  # hello, then EOF
         wait_until(lambda: not link_threads(), message="link thread exit")
+    finally:
+        link.close()
+        listener.close()
+
+
+def test_handler_fault_is_a_lost_link_not_a_deaf_one():
+    """Regression: an exception out of ``on_envelope`` unwound the reader
+    thread and left ``state`` at ``up`` — sends kept succeeding and nothing
+    was ever read again.  It is the link's loss like any other: closed,
+    reported with its cause, redialled."""
+    listener, owner = Listener(), Owner()
+    faults = []
+
+    def on_envelope(envelope):
+        if not faults:
+            faults.append(envelope)
+            raise RuntimeError("boom")
+        owner.envelopes.append(envelope)
+
+    def up_means_reading():
+        return link.state != link.UP or link_threads()
+
+    link = make_link([listener.address], owner, on_envelope=on_envelope)
+    marker = HeartbeatAck(provider_id="n1", echo_sent_at=1.0).envelope(BROKER, ME)
+    try:
+        link.start()
+        first = listener.accept()
+        first.sendall(encode_envelope(marker))
+        wait_until(lambda: owner.lost, message="on_lost")
+        assert up_means_reading()
+        assert owner.lost == ["handler fault: RuntimeError: boom"]
+        assert first.recv(65536)[:4] and first.recv(65536) == b""  # hello, then EOF
+        second = listener.accept()  # the redial
+        assert read_envelopes(second, 1)[0].type == "hello"
+        wait_until(lambda: link.connected)
+        second.sendall(encode_envelope(marker))
+        wait_until(lambda: owner.envelopes, message="delivery on the second incarnation")
+        assert [envelope.type for envelope in owner.envelopes] == ["heartbeat_ack"]
+        assert len(faults) == 1 and up_means_reading()
+        link.send_many([(heartbeat(1), None)])
+        assert read_envelopes(second, 1)[0].type == "heartbeat"
+        first.close()
+        second.close()
     finally:
         link.close()
         listener.close()

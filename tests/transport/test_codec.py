@@ -20,9 +20,11 @@ from repro.transport.codec import (
     WIRE_TAGS,
     EnvelopeDecoder,
     choose_codec,
+    decode_chunk,
     encode_batch,
     encode_envelope,
     iter_frames,
+    pack_frame,
 )
 from repro.transport.message import (
     MESSAGE_TYPES,
@@ -272,3 +274,100 @@ def test_choose_codec_prefers_binary_falls_back_to_json():
     assert choose_codec(["bin1", "json"]) == "json"
     assert choose_codec(["bin1"]) == "json"
     assert choose_codec(SUPPORTED_CODECS) == "bin2"
+
+
+# -- the bin2 contract, as literals ---------------------------------------------
+# The tag and field tables are computed from the message dataclasses, so
+# nothing in ``src/`` would notice a renumbered tag or a reordered field —
+# a peer of another build would.  These are the tables ``bin2`` was minted
+# with; a change here is a new codec name, never an edit.
+
+GOLDEN_WIRE_TAGS = {
+    "register_provider": 1,
+    "register_ack": 2,
+    "unregister": 3,
+    "heartbeat": 4,
+    "heartbeat_ack": 5,
+    "assign_execution": 6,
+    "execution_result": 7,
+    "execution_rejected": 8,
+    "cancel_execution": 9,
+    "submit_tasklet": 10,
+    "submit_ack": 11,
+    "tasklet_complete": 12,
+    "submit_workflow": 13,
+    "workflow_ack": 14,
+    "workflow_update": 15,
+    "workflow_complete": 16,
+    "peer_hello": 17,
+    "gossip_digest": 18,
+    "forward_tasklet": 19,
+    "forward_ack": 20,
+    "forward_complete": 21,
+    "hello": 22,
+    "hello_ack": 23,
+}
+
+GOLDEN_FIELD_TABLES = {
+    "heartbeat": ("provider_id", "free_slots", "queue_length", "sent_at"),
+    "heartbeat_ack": ("provider_id", "echo_sent_at"),
+    "assign_execution": (
+        "execution_id", "tasklet_id", "consumer_id", "program", "entry", "args",
+        "seed", "fuel", "program_fingerprint",
+    ),
+    "execution_result": (
+        "execution_id", "tasklet_id", "provider_id", "status", "value", "error",
+        "instructions", "started_at", "finished_at",
+    ),
+    "execution_rejected": ("execution_id", "tasklet_id", "provider_id", "reason"),
+    "cancel_execution": ("execution_id",),
+    "submit_tasklet": ("tasklet",),
+    "submit_ack": ("tasklet_id", "accepted", "reason"),
+    "tasklet_complete": (
+        "tasklet_id", "ok", "value", "error", "attempts", "cost", "executions",
+    ),
+    "submit_workflow": ("workflow",),
+    "workflow_ack": ("workflow_id", "accepted", "reason"),
+    "workflow_update": ("workflow_id", "node_id", "state", "attempts", "error"),
+    "workflow_complete": (
+        "workflow_id", "ok", "outputs", "error", "failed_node", "dependents",
+        "nodes_total", "nodes_memoized",
+    ),
+    "forward_tasklet": ("origin_broker", "consumer_id", "tasklet", "hops"),
+    "forward_ack": ("tasklet_id", "consumer_id", "accepted", "broker_id", "reason"),
+    "forward_complete": (
+        "tasklet_id", "consumer_id", "broker_id", "ok", "value", "error",
+        "attempts", "cost", "executions", "executed_by",
+    ),
+}
+
+
+def test_wire_tables_are_the_ones_bin2_was_minted_with():
+    assert (SUPPORTED_CODECS, CODEC_BINARY, MAGIC_BINARY) == (("bin2", "json"), "bin2", 0xB2)
+    assert WIRE_TAGS == GOLDEN_WIRE_TAGS
+    assert FIELD_TABLES == GOLDEN_FIELD_TABLES
+    assert len(GOLDEN_WIRE_TAGS) == 23 and len(GOLDEN_FIELD_TABLES) == 16
+
+
+@pytest.mark.parametrize("field", ["seq", "trace", "src", "dst", "type", "payload"])
+def test_json_envelope_header_is_typed_or_refused(field):
+    """The framing every link starts on: a header field of the wrong type
+    is undecodable bytes — ``decode_chunk`` says ``None`` (drop the link),
+    it never raises and never hands on an envelope nobody can route."""
+    header = {"type": "heartbeat", "src": "p1", "dst": "broker", "seq": 1,
+              "payload": {"provider_id": "p1", "free_slots": 1}}
+    (good,) = decode_chunk(EnvelopeDecoder(), pack_frame(header), None)
+    assert (good.type, good.src, good.seq, good.trace) == ("heartbeat", "p1", 1, None)
+    traced = dict(header, trace={"trace_id": "t", "span_id": "s"})
+    (good,) = decode_chunk(EnvelopeDecoder(), pack_frame(traced), None)
+    assert good.trace == traced["trace"]
+    for value in ("x", [1], 1.5, True, None, 7, {}):
+        if isinstance(value, type(traced[field])) and type(value) is not bool:
+            continue  # of the field's own type
+        if field in ("seq", "trace") and value is None:
+            continue  # null is absent: both are optional
+        frame = pack_frame(dict(header, **{field: value}))
+        assert decode_chunk(EnvelopeDecoder(), frame, None) is None, (field, value)
+    del traced[field]
+    if field not in ("seq", "trace"):
+        assert decode_chunk(EnvelopeDecoder(), pack_frame(traced), None) is None

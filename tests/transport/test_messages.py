@@ -1,5 +1,12 @@
 """Typed messages: registry completeness, envelope round-trips."""
 
+import dataclasses
+import re
+import sys
+import types
+import typing
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import TransportError
@@ -103,7 +110,17 @@ SAMPLE_BODIES = [
         value=42,
         attempts=1,
         cost=0.5,
-        executions=[{"execution_id": "ex-1"}],
+        executions=[
+            {
+                "execution_id": "ex-1",
+                "tasklet_id": "tl-1",
+                "provider_id": "p1",
+                "status": "success",
+                "instructions": 500,
+                "started_at": 1.0,
+                "finished_at": 2.0,
+            }
+        ],
         executed_by="broker-b",
     ),
     SubmitWorkflow(
@@ -193,3 +210,200 @@ def test_wire_payload_is_plain_json():
     envelope = body.envelope(NodeId("p"), BROKER_ADDRESS)
     decoded = loads(pack_frame(envelope.to_dict())[4:])
     assert decoded["payload"]["value"] == 1.5
+
+
+# -- the wire boundary: a body is read completely, or not at all ----------------
+
+#: What a hostile or merely different build can put where a field should
+#: be; both codecs carry every one of these.
+HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}]
+
+
+def hostile(envelope, pick: int, value) -> None:
+    """The stateful suites' hostile step: one payload field of ``envelope``
+    — the ``pick``-th, by name — is replaced by ``value``."""
+    names = sorted(envelope.payload)
+    envelope.payload[names[pick % len(names)]] = value
+
+
+def read(envelope):
+    """The body the boundary reads from ``envelope``, None for an unreadable
+    one: what the stateful suites' models expect a core to act on."""
+    try:
+        return body_of(envelope)
+    except TransportError:
+        return None
+
+
+_STATUSES = {"success", "vm_error", "provider_lost", "timeout", "rejected"}
+_NODE_STATES = {"blocked", "ready", "running", "done", "failed"}
+
+
+def _holds(value, annotation) -> bool:
+    """Whether ``value`` has the declared type — written out here, apart
+    from the registry's compiled table, as the oracle it is checked by."""
+    if annotation is typing.Any:
+        return True
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        return any(_holds(value, part) for part in typing.get_args(annotation))
+    expected = typing.get_origin(annotation) or annotation
+    if expected is float:
+        return type(value) in (float, int)
+    return type(value) is expected
+
+
+def _hints(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _well_formed(body) -> bool:
+    hints = _hints(type(body))
+    if not all(_holds(getattr(body, name), hint) for name, hint in hints.items()):
+        return False
+    if isinstance(body, ExecutionResult):
+        return body.status in _STATUSES
+    if isinstance(body, WorkflowUpdate):
+        return body.state in _NODE_STATES
+    if isinstance(body, (TaskletComplete, ForwardComplete)):
+        return all(
+            type(record) is dict
+            and _well_formed(ExecutionResult(**record))
+            for record in body.executions
+        )
+    return True
+
+
+def _envelope_of(body, **replaced):
+    envelope = body.envelope(NodeId("n1"), BROKER_ADDRESS)
+    envelope.payload.update(replaced)
+    return envelope
+
+
+@pytest.mark.parametrize("body", SAMPLE_BODIES, ids=lambda b: b.TYPE)
+def test_body_of_yields_a_typed_body_or_transport_error(body):
+    """Every field × the hostile menu: nothing but ``TransportError`` ever
+    escapes ``body_of``, what it does return has every field of its
+    declared type, and a value of the declared type is never refused."""
+    hints = _hints(type(body))
+    assert _well_formed(body)  # the samples themselves are the positive cases
+    for name, hint in hints.items():
+        for value in HOSTILE_MENU:
+            envelope = _envelope_of(body, **{name: value})
+            acceptable = _holds(value, hint)
+            got = read(envelope)  # (any other exception fails the test)
+            refused = got is None
+            if not refused:
+                assert _well_formed(got), (name, value)
+                assert getattr(got, name) == value
+                assert type(getattr(got, name)) is type(value)
+            if name not in ("status", "state", "executions"):  # further rules apply
+                assert refused == (not acceptable), (name, value)
+            elif not acceptable:
+                assert refused, (name, value)
+
+
+@pytest.mark.parametrize("body", SAMPLE_BODIES, ids=lambda b: b.TYPE)
+def test_extra_keys_are_dropped_and_absent_optional_fields_default(body):
+    required = {
+        f.name
+        for f in dataclasses.fields(body)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    }
+    envelope = _envelope_of(body, from_the_future={"nested": [1]})
+    assert body_of(envelope) == body
+    bare = body.envelope(NodeId("n1"), BROKER_ADDRESS)
+    bare.payload = {k: v for k, v in bare.payload.items() if k in required}
+    got = body_of(bare)
+    assert all(getattr(got, name) == getattr(body, name) for name in required)
+    assert got == type(body)(**bare.payload)  # the dataclass's own defaults
+    for name in required:
+        missing = dict(bare.payload)
+        del missing[name]
+        bare.payload = missing
+        with pytest.raises(TransportError, match=name):
+            body_of(bare)
+        bare.payload = {**missing, name: getattr(body, name)}
+
+
+_RECORD = {
+    "execution_id": "ex-1",
+    "tasklet_id": "tl-1",
+    "provider_id": "p1",
+    "status": "vm_error",
+}
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        ("x", "holds a str"),
+        ({"execution_id": "ex-1"}, "tasklet_id is missing"),
+        ({**_RECORD, "tasklet_id": 7}, "tasklet_id is a int"),
+        ({**_RECORD, "status": "exploded"}, "status is not one of"),
+        ({**_RECORD, "started_at": "yesterday"}, "started_at is a str"),
+    ],
+)
+def test_an_execution_record_is_checked_by_shape_not_by_container(record, reason):
+    body = TaskletComplete(tasklet_id="tl-1", ok=False, error="e", executions=[_RECORD])
+    assert body_of(_envelope_of(body)) == body  # the optional fields may be absent
+    with pytest.raises(TransportError, match=reason):
+        body_of(_envelope_of(body, executions=[_RECORD, record]))
+
+
+def test_body_of_calls_nothing_in_dataclasses_or_typing():
+    """The cost guard: what reading a class needs was compiled when it was
+    registered, so a message pays for no introspection."""
+    introspection = {dataclasses.__file__, typing.__file__}
+    offenders = []
+
+    def profiler(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in introspection:
+            offenders.append(frame.f_code.co_qualname)
+        elif event == "c_call" and getattr(arg, "__module__", None) in ("dataclasses", "typing"):
+            offenders.append(arg.__qualname__)
+
+    envelopes = [_envelope_of(body) for body in SAMPLE_BODIES]
+    sys.setprofile(profiler)
+    try:
+        for envelope in envelopes:
+            body_of(envelope)
+    finally:
+        sys.setprofile(None)
+    assert offenders == []
+    # The profiler does see such a call when there is one.
+    sys.setprofile(profiler)
+    try:
+        dataclasses.fields(Heartbeat)
+    finally:
+        sys.setprofile(None)
+    assert offenders[0] == "fields"
+
+
+# -- docs/PROTOCOL.md "Message table" is the registry, written out ------------
+
+
+def _documented_messages():
+    text = (Path(__file__).parents[2] / "docs" / "PROTOCOL.md").read_text()
+    section = text.split("### Message table", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            name, tag, _direction, form, fields = cells
+            rows[name.strip("`")] = (
+                int(tag),
+                form,
+                re.findall(r"`(\w+)`: ", fields),
+            )
+    return rows
+
+
+def test_protocol_message_table_lists_exactly_the_registry():
+    documented = _documented_messages()
+    assert set(documented) == set(MESSAGE_TYPES)
+    for name, cls in MESSAGE_TYPES.items():
+        tag, form, fields = documented[name]
+        assert tag == cls.TAG, name
+        assert form == ("packed" if cls.PACKED else "keyed"), name
+        assert fields == [f.name for f in dataclasses.fields(cls)], name
