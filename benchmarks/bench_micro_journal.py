@@ -16,7 +16,7 @@ returning.  Two claims are kept honest:
 
 import time
 
-from repro.broker.journal import CompletionRecord, WorkJournal
+from repro.broker.journal import CompletionRecord, WorkJournal, replay_journal
 
 TASKLET = {"tasklet_id": "tl", "entry": "main", "args": [7]}
 RECORDS = 400
@@ -68,3 +68,20 @@ def test_fsync_cost_is_opt_in(tmp_path):
         f"fsync mode ({best_synced * 1e3:.1f}ms): the opt-in durability "
         f"cost leaked into the default path"
     )
+
+
+def test_replay_10k_lines(tmp_path):
+    """Replay of a 10,000-line journal: every line looked up by kind and
+    opened by its record.  Informational (printed with ``-s``), with a
+    generous absolute floor as the tripwire."""
+    path = tmp_path / "replay.jsonl"
+    journal = WorkJournal(str(path))
+    append_records(journal, count=5_000)
+    journal.close()
+    start = time.perf_counter()
+    snapshot = replay_journal(str(path))
+    elapsed = time.perf_counter() - start
+    assert (snapshot.admitted, snapshot.completed, snapshot.malformed) == (5_000, 5_000, 0)
+    assert snapshot.pending == []
+    print(f"\nreplay: 10000 lines in {elapsed * 1e3:.1f} ms ({elapsed * 1e2:.2f} us/line)")
+    assert elapsed < 2.0, f"replay of 10k lines took {elapsed:.2f}s"

@@ -9,15 +9,18 @@ the pieces every experiment sits on.
 
 import random
 
+import pytest
+
 from repro.broker.registry import ProviderRegistry
 from repro.broker.scheduling import make_strategy
 from repro.common.ids import NodeId
 from repro.core import kernels
 from repro.core.qoc import QoC
 from repro.core.results import _vote_key
+from repro.core.tasklet import Tasklet
 from repro.provider.executor import local_assignment
 from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
-from repro.transport.message import BROKER_ADDRESS, ExecutionResult, body_of
+from repro.transport.message import BROKER_ADDRESS, ExecutionResult, SubmitTasklet, body_of
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import TVM, VMLimits
 
@@ -81,6 +84,22 @@ def test_body_of_execution_result(benchmark):
         finished_at=2.0,
     ).envelope(NodeId("p1"), BROKER_ADDRESS)
     assert benchmark(lambda: body_of(envelope)).status == "success"
+
+
+@pytest.mark.parametrize(
+    "kernel, args",
+    [("func main(x: int) -> int { return x + 1; }", [1]), (kernels.PRIME_COUNT, [1000])],
+    ids=["fine", "prime_count"],
+)
+def test_open_tasklet(benchmark, kernel, args):
+    """The broker's share of one ``submit_tasklet`` hop: the message at
+    the boundary, then the ``tasklet`` record it carries — QoC, program,
+    every instruction — opened once by the record grammar.  Informational;
+    the e2e benchmark's kernels (``fine_*`` and ``coarse_vm``)."""
+    tasklet = Tasklet("tl-1", compile_source(kernel), "main", args, qoc=QoC.reliable())
+    envelope = SubmitTasklet(tasklet=tasklet.to_dict()).envelope(NodeId("c1"), BROKER_ADDRESS)
+    opened = benchmark(lambda: Tasklet.from_dict(body_of(envelope).tasklet))
+    assert opened.to_dict() == tasklet.to_dict()
 
 
 def test_scheduler_selection(benchmark):

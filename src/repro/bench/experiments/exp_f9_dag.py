@@ -150,8 +150,8 @@ def _crash_recovery(depth: int) -> tuple[bool, bool, bool]:
         journal.close()
 
         snapshot = replay_journal(path)
-        outcome = next(iter(snapshot.workflow_completions.values()), {})
-        outputs = (outcome.get("outcome") or {}).get("outputs", {})
+        completed = next(iter(snapshot.workflow_completions.values()), None)
+        outputs = completed.outcome.get("outputs", {}) if completed else {}
         reference = reference_values(spec)
         correct = bool(outputs) and all(
             outputs.get(sink) == reference[sink] for sink in spec.sinks()

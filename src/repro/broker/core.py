@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..common.clock import Clock
-from ..common.errors import TaskletError, TransportError
-from ..common.ids import ExecutionId, IdGenerator, NodeId, TaskletId
-from ..core.qoc import QoC
+from ..common.errors import RecordError, TaskletError, TransportError
+from ..common.ids import ExecutionId, IdGenerator, NodeId
 from ..core.results import ExecutionRecord, ExecutionStatus, VoteCollector
 from ..core.tasklet import Tasklet
 from ..obs.telemetry import Telemetry
@@ -134,15 +133,11 @@ class _TaskletState:
     """
 
     key: str
-    tasklet_id: TaskletId
     consumer_id: NodeId
-    qoc: QoC
-    program: dict
-    program_fingerprint: str
-    entry: str
-    args: list
-    seed: int
-    fuel: int
+    #: The admitted record, opened once — and as it arrived: what is
+    #: journalled and forwarded, and whose ``program`` providers are sent.
+    tasklet: Tasklet
+    wire: dict
     submitted_at: float
     collector: VoteCollector
     #: Admission ordinal: executions that end together are folded in the
@@ -171,6 +166,10 @@ class _TaskletState:
     #: parents on.
     trace_ctx: TraceContext | None = None
     trace_parent: TraceContext | None = None
+
+    @property
+    def qoc(self):
+        return self.tasklet.qoc
 
     @property
     def budget(self) -> int:
@@ -375,16 +374,9 @@ class BrokerCore:
     def _on_submit(self, body: SubmitTasklet, envelope: Envelope) -> list[Envelope]:
         src = envelope.src
         self.observer.submitted()
-        admission = self._admit(src, body.tasklet, trace=envelope.trace)
-        refusal = admission.refusal
+        admission = self._admit_wire(src, body.tasklet, trace=envelope.trace)
         existing = admission.in_flight
-        workflow = self.workflows.nodes.get(existing.key) if existing else None
-        if workflow is not None:
-            # An idempotent resubmit of in-flight work is re-acked because
-            # the running attempt completes to the resubmitter; a released
-            # workflow node completes to its graph, with no TaskletComplete.
-            refusal = f"tasklet id is a running node of workflow {workflow.workflow_id!r}"
-        elif existing is not None and existing.origin_broker is not None:
+        if existing is not None and existing.origin_broker is not None:
             # This in-flight work arrived via a peer forward, and the
             # consumer now talks to this broker directly (failover after
             # the origin died): deliver the outcome to both; the origin
@@ -392,8 +384,8 @@ class BrokerCore:
             existing.direct_consumer = True
         ack = SubmitAck(
             tasklet_id=admission.tasklet_id,
-            accepted=refusal is None,
-            reason=refusal or "",
+            accepted=admission.refusal is None,
+            reason=admission.refusal or "",
         )
         out = [self._send(ack, src)]
         completion = admission.completion
@@ -412,10 +404,23 @@ class BrokerCore:
             out.extend(self._place(admission.state))
         return out
 
+    def _admit_wire(self, consumer_id: NodeId, wire: dict, **how) -> _Admission:
+        """Open the ``tasklet`` record a peer or a journal handed over —
+        here, once — and :meth:`_admit` it.  One that does not read is
+        refused by its id, which its carrier's boundary saw to."""
+        try:
+            tasklet = Tasklet.from_dict(wire)
+        except RecordError as exc:
+            return _Admission(wire["tasklet_id"], refusal=str(exc))
+        except TaskletError as exc:  # reads as declared, and is no Tasklet
+            return _Admission(wire["tasklet_id"], refusal=f"malformed tasklet: {exc}")
+        return self._admit(consumer_id, tasklet, wire, **how)
+
     def _admit(
         self,
         consumer_id: NodeId,
-        tasklet_dict: dict,
+        tasklet: Tasklet,
+        wire: dict,
         *,
         trace=None,
         origin: NodeId | None = None,
@@ -424,9 +429,10 @@ class BrokerCore:
         replayed: bool = False,
         journalled: bool = False,
     ) -> _Admission:
-        """The one admission path: decide what a wire-form Tasklet is to
-        this broker and, if it is new work, make it a journalled
-        :class:`_TaskletState`.  The caller answers whoever asked.
+        """The one admission path: decide what ``tasklet`` — whose wire
+        form is ``wire`` — is to this broker and, if it is new work, make
+        it a journalled :class:`_TaskletState`.  The caller answers
+        whoever asked.
 
         ``trace`` parents the ``broker.tasklet`` span.  ``origin`` (the
         forwarding peer broker) and ``workflow`` (the owning workflow key)
@@ -437,13 +443,6 @@ class BrokerCore:
         cache and starts no trace; ``journalled`` says its admission
         record is already in this broker's journal.
         """
-        try:
-            tasklet = Tasklet.from_dict(tasklet_dict)
-        except (TaskletError, KeyError, TypeError, ValueError, AttributeError) as exc:
-            return _Admission(
-                str(tasklet_dict.get("tasklet_id", "?")),
-                refusal=f"malformed tasklet: {exc}",
-            )
         tasklet_id = str(tasklet.tasklet_id)
         if tasklet.qoc.local_only:
             return _Admission(
@@ -454,15 +453,25 @@ class BrokerCore:
         completed = self._completed.get(key)
         if completed is not None:
             return _Admission(tasklet_id, completion=completed)
-        fingerprint = str(tasklet_dict.get("program_fingerprint", ""))
+        fingerprint = tasklet.program_fingerprint
         existing = self._tasklets.get(key)
         if existing is not None:
+            node_of = self.workflows.nodes.get(key)
+            if node_of is not None:
+                # A resubmit of in-flight work is re-acked because the
+                # running attempt completes to the resubmitter; a released
+                # workflow node completes to its graph, to nobody else.
+                return _Admission(
+                    tasklet_id,
+                    refusal=f"tasklet id is a running node of workflow {node_of.workflow_id!r}",
+                )
+            admitted = existing.tasklet
             if (
-                existing.program_fingerprint == fingerprint
-                and existing.entry == tasklet.entry
-                and existing.args == tasklet.args
-                and existing.seed == tasklet.seed
-                and existing.fuel == tasklet.fuel
+                admitted.program_fingerprint == fingerprint
+                and admitted.entry == tasklet.entry
+                and admitted.args == tasklet.args
+                and admitted.seed == tasklet.seed
+                and admitted.fuel == tasklet.fuel
             ):
                 return _Admission(tasklet_id, in_flight=existing)
             return _Admission(tasklet_id, refusal="duplicate tasklet id")
@@ -495,15 +504,9 @@ class BrokerCore:
                 self.observer.memo_lookup(hit=False)
         state = _TaskletState(
             key=key,
-            tasklet_id=tasklet.tasklet_id,
             consumer_id=consumer_id,
-            qoc=tasklet.qoc,
-            program=tasklet_dict["program"],
-            program_fingerprint=fingerprint,
-            entry=tasklet.entry,
-            args=tasklet.args,
-            seed=tasklet.seed,
-            fuel=tasklet.fuel,
+            tasklet=tasklet,
+            wire=wire,
             submitted_at=now,
             collector=VoteCollector(tasklet.qoc.redundancy),
             order=next(self._admissions),
@@ -517,7 +520,7 @@ class BrokerCore:
             self.journal.record_admitted(
                 key,
                 str(consumer_id),
-                tasklet_dict,
+                wire,
                 ts=now,
                 origin=str(origin or ""),
                 workflow=workflow,
@@ -612,16 +615,14 @@ class BrokerCore:
             completions += 1
         out: list[Envelope] = []
         for entry in snapshot.pending:
-            tasklet_dict = entry.get("tasklet")
-            if entry.get("origin") or not isinstance(tasklet_dict, dict):
-                # Origin-tagged: work a federation peer forwarded to the
-                # journal's broker.  The origin still holds the durable
-                # admission and reclaims it itself, so re-admitting here
-                # would double-execute.
+            if entry.origin:
+                # Work a federation peer forwarded to the journal's
+                # broker.  The origin still holds the durable admission
+                # and reclaims it itself, so re-admitting here would
+                # double-execute.
                 continue
-            consumer_id = NodeId(str(entry.get("consumer_id", "")))
-            state = self._admit(
-                consumer_id, tasklet_dict, replayed=True, journalled=own
+            state = self._admit_wire(
+                NodeId(entry.consumer_id), entry.tasklet, replayed=True, journalled=own
             ).state
             if state is not None:
                 pending += 1
@@ -691,7 +692,7 @@ class BrokerCore:
         # patch it there.
         chosen = self.strategy.select(views, count, state.qoc)
         out: list[Envelope] = []
-        now = self.clock.now()
+        now, tasklet = self.clock.now(), state.tasklet
         horizon = self._horizon(state)
         for provider_id in chosen:
             record = self.registry.get(provider_id)
@@ -717,14 +718,14 @@ class BrokerCore:
             envelope = self._send(
                 AssignExecution(
                     execution_id=execution_id,
-                    tasklet_id=state.tasklet_id,
+                    tasklet_id=tasklet.tasklet_id,
                     consumer_id=state.consumer_id,
-                    program=state.program,
-                    program_fingerprint=state.program_fingerprint,
-                    entry=state.entry,
-                    args=state.args,
-                    seed=state.seed,
-                    fuel=state.fuel,
+                    program=state.wire["program"],
+                    program_fingerprint=tasklet.program_fingerprint,
+                    entry=tasklet.entry,
+                    args=tasklet.args,
+                    seed=tasklet.seed,
+                    fuel=tasklet.fuel,
                 ),
                 provider_id,
             )
@@ -753,7 +754,7 @@ class BrokerCore:
             status, value = ExecutionStatus.VM_ERROR, None
         record = ExecutionRecord(
             execution_id=execution_id,
-            tasklet_id=state.tasklet_id,
+            tasklet_id=state.tasklet.tasklet_id,
             provider_id=outstanding.provider_id,  # whoever the body names
             status=status,
             value=value,
@@ -942,7 +943,7 @@ class BrokerCore:
             executions, executed_by = list(remote.executions), remote.executed_by
         completion = CompletionRecord(
             key=state.key,
-            tasklet_id=str(state.tasklet_id),
+            tasklet_id=str(state.tasklet.tasklet_id),
             consumer_id=str(state.consumer_id),
             ok=ok,
             value=value,
@@ -979,19 +980,6 @@ class BrokerCore:
             complete.trace = state.trace_ctx.to_dict()
         out.append(complete)
         return out
-
-    def _wire_tasklet(self, state: _TaskletState) -> dict:
-        """Reassemble the wire-form Tasklet dict from admitted state."""
-        return {
-            "tasklet_id": str(state.tasklet_id),
-            "program": state.program,
-            "program_fingerprint": state.program_fingerprint,
-            "entry": state.entry,
-            "args": list(state.args),
-            "qoc": state.qoc.to_dict(),
-            "seed": state.seed,
-            "fuel": state.fuel,
-        }
 
     # -- failure handling ---------------------------------------------------------
 
@@ -1032,7 +1020,7 @@ class BrokerCore:
                     continue
                 record = ExecutionRecord(
                     execution_id=outstanding.execution_id,
-                    tasklet_id=state.tasklet_id,
+                    tasklet_id=state.tasklet.tasklet_id,
                     provider_id=outstanding.provider_id,
                     status=status,
                     error=(

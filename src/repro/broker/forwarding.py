@@ -90,7 +90,7 @@ class ForwardingPlane:
             ForwardTasklet(
                 origin_broker=str(self.core.node_id),
                 consumer_id=str(state.consumer_id),
-                tasklet=self.core._wire_tasklet(state),
+                tasklet=state.wire,
             ),
             forward.peer,
         )
@@ -154,7 +154,7 @@ class ForwardingPlane:
         """Admit (or idempotently re-answer) work forwarded by a peer."""
         core = self.core
         origin = NodeId(body.origin_broker)
-        admission = core._admit(
+        admission = core._admit_wire(
             NodeId(body.consumer_id),
             body.tasklet,
             origin=origin,

@@ -23,10 +23,13 @@ seed, fuel) must produce bit-identical values, so :class:`ResultCache`
 memoizes successful completions under :func:`memo_key_of` and the broker
 serves repeats with zero executions issued.
 
-Replay tolerates a truncated or corrupt trailing line — the signature of
-a crash mid-append — and, more generally, skips any undecodable line
-(JSONL lines are independent), counting them in
-:attr:`JournalSnapshot.malformed`.
+Every line kind is a declared record (:mod:`repro.common.record`;
+docs/PROTOCOL.md, "Record table"): replay looks up a line's kind and opens
+it, and a line that does not read — a truncated or corrupt trailing line,
+the signature of a crash mid-append, or any other (JSONL lines are
+independent) — is skipped and counted in :attr:`JournalSnapshot.malformed`.
+What a line carries *inside* ``tasklet`` / ``workflow`` stays a plain dict
+for its owner — admission — to open.
 """
 
 from __future__ import annotations
@@ -39,15 +42,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Journal record kinds — the complete state vocabulary.  Workflow kinds
-#: mirror the tasklet pair at the graph level: a ``wf_admitted`` record
-#: carries the whole :class:`repro.dag.WorkflowSpec` wire dict, and node
-#: executions reuse plain ``admitted``/``complete`` records tagged with
-#: their owning workflow key (see :meth:`WorkJournal.record_admitted`).
-KIND_ADMITTED = "admitted"
-KIND_COMPLETE = "complete"
-KIND_WF_ADMITTED = "wf_admitted"
-KIND_WF_COMPLETE = "wf_complete"
+from ..common.errors import RecordError
+from ..common.record import Record, identified, reads_as, record, sparse
 
 
 def memo_key_of(
@@ -79,9 +75,10 @@ def memo_key_of(
     return digest.hexdigest()[:32]
 
 
+@record("complete")
 @dataclass(frozen=True)
-class CompletionRecord:
-    """Terminal outcome of one Tasklet, as journalled.
+class CompletionRecord(Record):
+    """Terminal outcome of one Tasklet, as journalled (a ``complete`` line).
 
     Per-execution records are deliberately not persisted (they can dwarf
     the result); a re-delivered or memoized completion therefore carries
@@ -103,45 +100,84 @@ class CompletionRecord:
     #: federation audits assert exactly-once across all broker journals.
     executed_by: str = ""
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "key": self.key,
-            "tasklet_id": self.tasklet_id,
-            "consumer_id": self.consumer_id,
-            "ok": self.ok,
-            "value": self.value,
-            "error": self.error,
-            "attempts": self.attempts,
-            "cost": self.cost,
-            "memo_key": self.memo_key,
-            "completed_at": self.completed_at,
-            "executed_by": self.executed_by,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CompletionRecord":
-        return cls(
-            key=str(data["key"]),
-            tasklet_id=str(data["tasklet_id"]),
-            consumer_id=str(data.get("consumer_id", "")),
-            ok=bool(data["ok"]),
-            value=data.get("value"),
-            error=data.get("error"),
-            attempts=int(data.get("attempts", 0)),
-            cost=float(data.get("cost", 0.0)),
-            memo_key=data.get("memo_key"),
-            completed_at=float(data.get("completed_at", 0.0)),
-            executed_by=str(data.get("executed_by", "")),
-        )
+@record("wf_outcome")
+@dataclass(frozen=True)
+class WorkflowOutcome(Record):
+    """Terminal outcome of one workflow: what a ``wf_complete`` line holds
+    and a ``workflow_complete`` message says."""
+
+    workflow_id: str
+    ok: bool
+    consumer_id: str = ""
+    outputs: dict[str, Any] = field(default_factory=dict)
+    error: str | None = None
+    failed_node: str = ""
+    dependents: list[str] = field(default_factory=list)
+    nodes_total: int = 0
+    nodes_memoized: int = 0
+
+
+class _Line(Record):
+    """A journal line that is nothing else: it is written with its kind
+    (the record's name), and reads by subscript like the line on disk."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"kind": self.WHAT, **super().to_dict()}
+
+    def __getitem__(self, name: str) -> Any:
+        return getattr(self, name)
+
+
+@record("admitted")
+@dataclass(frozen=True)
+class Admitted(_Line):
+    """A Tasklet passed admission.  ``origin`` names the originating
+    broker of forwarded work (the *origin's* durable responsibility:
+    replay never re-admits it here), ``workflow`` the owning workflow key
+    of a released node (its graph's recovery re-releases it)."""
+
+    key: str
+    consumer_id: str
+    ts: float
+    tasklet: dict[str, Any] = identified("tasklet_id")
+    origin: str = sparse(str)
+    workflow: str = sparse(str)
+
+
+@record("wf_admitted")
+@dataclass(frozen=True)
+class WorkflowAdmitted(_Line):
+    key: str
+    consumer_id: str
+    ts: float
+    workflow: dict[str, Any] = identified("workflow_id")
+
+
+@record("wf_complete")
+@dataclass(frozen=True)
+class WorkflowCompleted(_Line):
+    key: str
+    ts: float
+    outcome: dict[str, Any] = reads_as(WorkflowOutcome)
+
+
+#: Line kind -> its record: the complete state vocabulary.  Workflow kinds
+#: mirror the tasklet pair at the graph level; node executions reuse plain
+#: ``admitted`` / ``complete`` lines tagged with their workflow key.
+_LINES: dict[str, type[Record]] = {
+    shape.WHAT: shape
+    for shape in (Admitted, CompletionRecord, WorkflowAdmitted, WorkflowCompleted)
+}
 
 
 @dataclass
 class JournalSnapshot:
     """Result of replaying one journal file."""
 
-    #: ``admitted`` records (raw dicts) with no matching completion, in
-    #: admission order — the work a restarted broker must re-issue.
-    pending: list[dict] = field(default_factory=list)
+    #: ``admitted`` lines with no matching completion, in admission
+    #: order — the work a restarted broker must re-issue.
+    pending: list[Admitted] = field(default_factory=list)
     #: Terminal outcomes by Tasklet key, most recent write winning.
     completions: "OrderedDict[str, CompletionRecord]" = field(
         default_factory=OrderedDict
@@ -151,28 +187,27 @@ class JournalSnapshot:
     #: Undecodable or schema-less lines skipped (crash-truncated tail,
     #: torn writes); never fatal.
     malformed: int = 0
-    #: ``wf_admitted`` records (raw dicts) with no matching
-    #: ``wf_complete``, in admission order — workflows a restarted broker
-    #: must resume.
-    workflows: list[dict] = field(default_factory=list)
-    #: Workflow key -> ``wf_complete`` record dict, most recent winning.
-    workflow_completions: "OrderedDict[str, dict]" = field(
+    #: ``wf_admitted`` lines with no matching ``wf_complete``, in
+    #: admission order — workflows a restarted broker must resume.
+    workflows: list[WorkflowAdmitted] = field(default_factory=list)
+    #: Workflow key -> its ``wf_complete`` line, most recent winning.
+    workflow_completions: "OrderedDict[str, WorkflowCompleted]" = field(
         default_factory=OrderedDict
     )
-    #: Workflow-tagged node ``admitted`` records, in admission order.
+    #: Workflow-tagged node ``admitted`` lines, in admission order.
     #: Informational (CLI rendering): node re-release during recovery is
     #: driven by the spec + completions, not by these.
-    workflow_nodes: list[dict] = field(default_factory=list)
+    workflow_nodes: list[Admitted] = field(default_factory=list)
     workflows_admitted: int = 0
     workflows_completed: int = 0
 
     @property
     def pending_keys(self) -> list[str]:
-        return [str(entry.get("key", "")) for entry in self.pending]
+        return [entry.key for entry in self.pending]
 
     @property
     def pending_workflow_keys(self) -> list[str]:
-        return [str(entry.get("key", "")) for entry in self.workflows]
+        return [entry.key for entry in self.workflows]
 
     def workflow_node_state(self, node_key: str) -> str:
         """Journal-derived state of one workflow node.
@@ -184,10 +219,29 @@ class JournalSnapshot:
         completion = self.completions.get(node_key)
         if completion is not None:
             return "done" if completion.ok else "failed"
-        for record in self.workflow_nodes:
-            if record.get("key") == node_key:
-                return "running"
+        if any(entry.key == node_key for entry in self.workflow_nodes):
+            return "running"
         return "waiting"
+
+
+def _read_line(text: str) -> Record:
+    """The typed line ``text`` holds — or :class:`RecordError`: not JSON,
+    no known kind, or not what its kind declares."""
+    try:
+        document = json.loads(text)
+    except ValueError as exc:
+        raise RecordError(f"not JSON: {exc}") from None
+    kind = document.get("kind") if type(document) is dict else None
+    shape = _LINES.get(kind) if type(kind) is str else None
+    if shape is None:
+        raise RecordError(f"unknown line kind {kind!r}")
+    return shape.from_dict(document)
+
+
+def _encode(entry: Record) -> str:
+    """The line ``entry`` is written as: what :func:`_read_line` reads."""
+    document = {"kind": entry.WHAT, **entry.to_dict()}
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def replay_journal(path: str) -> JournalSnapshot:
@@ -201,60 +255,37 @@ def replay_journal(path: str) -> JournalSnapshot:
         handle = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         return snapshot
-    admitted_by_key: "OrderedDict[str, dict]" = OrderedDict()
-    wf_by_key: "OrderedDict[str, dict]" = OrderedDict()
+    admitted_by_key: "OrderedDict[str, Admitted]" = OrderedDict()
+    wf_by_key: "OrderedDict[str, WorkflowAdmitted]" = OrderedDict()
     with handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                entry = _read_line(line)
+            except RecordError:
                 snapshot.malformed += 1
                 continue
-            if not isinstance(record, dict):
-                snapshot.malformed += 1
-                continue
-            kind = record.get("kind")
-            if kind == KIND_ADMITTED:
-                key = record.get("key")
-                if not isinstance(key, str) or "tasklet" not in record:
-                    snapshot.malformed += 1
-                    continue
+            if type(entry) is Admitted:
                 snapshot.admitted += 1
-                if record.get("workflow"):
+                if entry.workflow:
                     # Node of a workflow: owned by its graph, never
                     # re-admitted standalone.
-                    snapshot.workflow_nodes.append(record)
-                    continue
-                admitted_by_key[key] = record
-            elif kind == KIND_WF_ADMITTED:
-                key = record.get("key")
-                if not isinstance(key, str) or "workflow" not in record:
-                    snapshot.malformed += 1
-                    continue
+                    snapshot.workflow_nodes.append(entry)
+                else:
+                    admitted_by_key[entry.key] = entry
+            elif type(entry) is WorkflowAdmitted:
                 snapshot.workflows_admitted += 1
-                wf_by_key[key] = record
-            elif kind == KIND_WF_COMPLETE:
-                key = record.get("key")
-                if not isinstance(key, str) or "outcome" not in record:
-                    snapshot.malformed += 1
-                    continue
+                wf_by_key[entry.key] = entry
+            elif type(entry) is WorkflowCompleted:
                 snapshot.workflows_completed += 1
-                snapshot.workflow_completions[key] = record
-                snapshot.workflow_completions.move_to_end(key)
-            elif kind == KIND_COMPLETE:
-                try:
-                    completion = CompletionRecord.from_dict(record)
-                except (KeyError, TypeError, ValueError):
-                    snapshot.malformed += 1
-                    continue
-                snapshot.completed += 1
-                snapshot.completions[completion.key] = completion
-                snapshot.completions.move_to_end(completion.key)
+                snapshot.workflow_completions[entry.key] = entry
+                snapshot.workflow_completions.move_to_end(entry.key)
             else:
-                snapshot.malformed += 1
+                snapshot.completed += 1
+                snapshot.completions[entry.key] = entry
+                snapshot.completions.move_to_end(entry.key)
     snapshot.pending = [
         record
         for key, record in admitted_by_key.items()
@@ -316,75 +347,37 @@ class WorkJournal:
         origin: str = "",
         workflow: str = "",
     ) -> None:
-        """Journal one admission (the full wire-form Tasklet).
-
-        ``origin`` names the originating broker for work forwarded by a
-        federation peer: such admissions are the *origin's* durable
-        responsibility, so replay never re-admits them here (the origin
-        reclaims and re-issues them when this broker is lost).
-
-        ``workflow`` names the owning workflow key for a node released
-        from a DAG: replay keeps such records out of
-        :attr:`JournalSnapshot.pending` (the workflow's own recovery
-        path re-releases nodes from the spec + completions).
-        """
-        record = {
-            "kind": KIND_ADMITTED,
-            "key": key,
-            "consumer_id": consumer_id,
-            "ts": ts,
-            "tasklet": tasklet,
-        }
-        if origin:
-            record["origin"] = origin
-        if workflow:
-            record["workflow"] = workflow
-        self._write(record)
+        """Journal one admission (the full wire-form Tasklet; see
+        :class:`Admitted` for ``origin`` and ``workflow``)."""
+        self._write(Admitted(key, consumer_id, ts, tasklet, origin, workflow))
 
     def record_complete(self, completion: CompletionRecord) -> None:
         """Journal one terminal outcome."""
-        record = completion.to_dict()
-        record["kind"] = KIND_COMPLETE
-        self._write(record)
+        self._write(completion)
 
     def record_workflow_admitted(
         self, key: str, consumer_id: str, workflow: dict, ts: float
     ) -> None:
         """Journal one admitted workflow (the full wire-form spec)."""
-        self._write(
-            {
-                "kind": KIND_WF_ADMITTED,
-                "key": key,
-                "consumer_id": consumer_id,
-                "ts": ts,
-                "workflow": workflow,
-            }
-        )
+        self._write(WorkflowAdmitted(key, consumer_id, ts, workflow))
 
     def record_workflow_complete(
         self, key: str, outcome: dict, ts: float
     ) -> None:
-        """Journal one workflow's terminal outcome dict."""
-        self._write(
-            {
-                "kind": KIND_WF_COMPLETE,
-                "key": key,
-                "ts": ts,
-                "outcome": outcome,
-            }
-        )
+        """Journal one workflow's terminal outcome (a ``wf_outcome`` dict)."""
+        self._write(WorkflowCompleted(key, ts, outcome))
 
-    def _write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def _write(self, entry: Record) -> None:
+        line = _encode(entry)
         with self._lock:
             if self._file.closed:
                 return  # shutdown race: losing a tail record is recoverable
-            self._file.write(line + "\n")
+            self._file.write(line)
             self._file.flush()
             if self.fsync:
                 os.fsync(self._file.fileno())
             self._appended += 1
-            self._size += len(line) + 1
+            self._size += len(line)
 
     # -- reads ----------------------------------------------------------------
 
@@ -429,33 +422,21 @@ class WorkJournal:
                 or _owned_by_pending_workflow(completion.key)
             ]
         live_nodes = [
-            record
-            for record in snapshot.workflow_nodes
-            if record.get("workflow") in pending_wf
-            and record.get("key") not in snapshot.completions
+            entry
+            for entry in snapshot.workflow_nodes
+            if entry.workflow in pending_wf and entry.key not in snapshot.completions
         ]
         temp_path = self.path + ".compact"
         with self._lock:
             with open(temp_path, "w", encoding="utf-8") as temp:
-
-                def _emit(record: dict) -> None:
-                    temp.write(
-                        json.dumps(record, sort_keys=True, separators=(",", ":"))
-                        + "\n"
-                    )
-
-                for entry in snapshot.pending:
-                    _emit(entry)
-                for entry in snapshot.workflows:
-                    _emit(entry)
-                for entry in live_nodes:
-                    _emit(entry)
-                for completion in completions:
-                    record = completion.to_dict()
-                    record["kind"] = KIND_COMPLETE
-                    _emit(record)
-                for entry in snapshot.workflow_completions.values():
-                    _emit(entry)
+                for entry in (
+                    *snapshot.pending,
+                    *snapshot.workflows,
+                    *live_nodes,
+                    *completions,
+                    *snapshot.workflow_completions.values(),
+                ):
+                    temp.write(_encode(entry))
                 temp.flush()
                 os.fsync(temp.fileno())
             if not self._file.closed:

@@ -44,7 +44,7 @@ from ..obs.telemetry import (
 )
 from ..obs.trace import TraceContext
 from ..transport.message import report_unreadable
-from .journal import CompletionRecord
+from .journal import CompletionRecord, WorkflowOutcome
 from .registry import ProviderRecord, ProviderRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -284,9 +284,9 @@ class LifecycleObserver:
         """A node's journalled failure was replayed (nothing ran)."""
 
     def workflow_finished(
-        self, wf: "_WorkflowState", outcome: dict, active: int
+        self, wf: "_WorkflowState", outcome: WorkflowOutcome, active: int
     ) -> None:
-        if outcome["ok"]:
+        if outcome.ok:
             self.stats.workflows_completed += 1
         else:
             self.stats.workflows_failed += 1
@@ -536,8 +536,8 @@ class TelemetryObserver(LifecycleObserver):
         self.health.watchdog.on_issue(
             execution_id=str(outstanding.execution_id),
             provider_id=str(outstanding.provider_id),
-            tasklet_id=str(state.tasklet_id),
-            fingerprint=state.program_fingerprint,
+            tasklet_id=str(state.tasklet.tasklet_id),
+            fingerprint=state.tasklet.program_fingerprint,
             speed_ips=provider.effective_speed,
             now=outstanding.issued_at,
         )
@@ -545,7 +545,7 @@ class TelemetryObserver(LifecycleObserver):
             ev.PLACEMENT,
             str(outstanding.provider_id),
             execution_id=str(outstanding.execution_id),
-            tasklet_id=str(state.tasklet_id),
+            tasklet_id=str(state.tasklet.tasklet_id),
         )
         self._metrics.executions_issued.inc()
         self._metrics.placements.labels(
@@ -562,7 +562,7 @@ class TelemetryObserver(LifecycleObserver):
         self._alert(
             ev.BACKLOG_OVERFLOW,
             str(state.consumer_id),
-            tasklet_id=str(state.tasklet_id),
+            tasklet_id=str(state.tasklet.tasklet_id),
             dropped=dropped,
             max_queued_replicas=limit,
         )
@@ -586,7 +586,7 @@ class TelemetryObserver(LifecycleObserver):
                     ev.EXECUTION_FAULT,
                     str(record.provider_id),
                     execution_id=execution_id,
-                    tasklet_id=str(state.tasklet_id),
+                    tasklet_id=str(state.tasklet.tasklet_id),
                     status=record.status.value,
                     error=record.error or "",
                 )
@@ -608,7 +608,7 @@ class TelemetryObserver(LifecycleObserver):
         self._event(
             ev.REISSUE,
             node,
-            tasklet_id=str(state.tasklet_id),
+            tasklet_id=str(state.tasklet.tasklet_id),
             after=after,
             **({"count": count} if count else {}),
         )
@@ -623,7 +623,7 @@ class TelemetryObserver(LifecycleObserver):
             self._alert(
                 ev.TASKLET_FAILED,
                 str(state.consumer_id),
-                tasklet_id=str(state.tasklet_id),
+                tasklet_id=str(state.tasklet.tasklet_id),
                 error=error or "",
                 attempts=state.issued,
             )
@@ -631,7 +631,7 @@ class TelemetryObserver(LifecycleObserver):
             self._alert(
                 ev.SLO_BREACH,
                 str(state.consumer_id),
-                tasklet_id=str(state.tasklet_id),
+                tasklet_id=str(state.tasklet.tasklet_id),
                 deadline_s=state.qoc.deadline_s,
                 elapsed_s=round(elapsed, 6),
             )
@@ -642,7 +642,7 @@ class TelemetryObserver(LifecycleObserver):
                 state.submitted_at,
                 state.trace_parent,
                 "ok" if ok else "failed",
-                {"tasklet_id": str(state.tasklet_id), "attempts": state.issued},
+                {"tasklet_id": str(state.tasklet.tasklet_id), "attempts": state.issued},
             )
 
     # -- workflows ------------------------------------------------------------------
@@ -732,7 +732,7 @@ class TelemetryObserver(LifecycleObserver):
 
     def workflow_finished(self, wf, outcome, active):
         super().workflow_finished(wf, outcome, active)
-        ok = outcome["ok"]
+        ok = outcome.ok
         self._wf_metrics.completed.labels(outcome="ok" if ok else "failed").inc()
         if ok:
             self._event(
@@ -748,15 +748,15 @@ class TelemetryObserver(LifecycleObserver):
                 ev.WORKFLOW_FAILED,
                 str(wf.consumer_id),
                 workflow_id=wf.workflow_id,
-                failed_node=outcome["failed_node"],
-                dependents=len(outcome["dependents"]),
-                error=outcome["error"] or "",
+                failed_node=outcome.failed_node,
+                dependents=len(outcome.dependents),
+                error=outcome.error or "",
             )
         # Dependents that never got released can never run: they get
         # zero-length ``failed`` spans so every node of the DAG shows up
         # in the trace.  Nodes still open after that were running when
         # the graph died — cancelled, not failed.
-        for node_id in outcome["dependents"]:
+        for node_id in outcome.dependents:
             if node_id not in wf.node_traces:
                 self._node_span(wf, node_id, "failed")
         for node_id in list(wf.node_traces):
@@ -788,7 +788,7 @@ class TelemetryObserver(LifecycleObserver):
             forward.forwarded_at,
             state.trace_ctx,
             status,
-            {"tasklet_id": str(state.tasklet_id), "peer": forward.peer},
+            {"tasklet_id": str(state.tasklet.tasklet_id), "peer": forward.peer},
         )
 
     def forwarded(self, forward):
@@ -802,7 +802,7 @@ class TelemetryObserver(LifecycleObserver):
         self._event(
             ev.TASKLET_FORWARDED,
             forward.peer,
-            tasklet_id=str(state.tasklet_id),
+            tasklet_id=str(state.tasklet.tasklet_id),
             consumer_id=str(state.consumer_id),
         )
 
@@ -818,7 +818,7 @@ class TelemetryObserver(LifecycleObserver):
         self._event(
             ev.FORWARD_RECLAIMED,
             forward.peer,
-            tasklet_id=str(forward.state.tasklet_id),
+            tasklet_id=str(forward.state.tasklet.tasklet_id),
             reason=reason,
         )
 

@@ -16,10 +16,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..common.errors import TaskletError, WorkflowSpecError
-from ..common.ids import NodeId
+from ..common.ids import NodeId, TaskletId
+from ..core.qoc import QoC
+from ..core.tasklet import Tasklet
 from ..dag.scheduler import DONE, FAILED, RUNNING, DagScheduler
 from ..dag.spec import WorkflowSpec
 from ..obs.trace import TraceContext
+from ..tvm.bytecode import CompiledProgram
 from ..transport.message import (
     Envelope,
     SubmitWorkflow,
@@ -27,7 +30,7 @@ from ..transport.message import (
     WorkflowComplete,
     WorkflowUpdate,
 )
-from .journal import CompletionRecord, JournalSnapshot
+from .journal import CompletionRecord, JournalSnapshot, WorkflowAdmitted, WorkflowOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import BrokerCore
@@ -42,6 +45,8 @@ class _WorkflowState:
     workflow_id: str
     consumer_id: NodeId
     spec: WorkflowSpec
+    #: ``spec.programs``, each opened once, at admission.
+    programs: dict[str, CompiledProgram]
     scheduler: DagScheduler
     submitted_at: float
     #: Content hash of the spec — idempotent-resubmit identity.
@@ -72,19 +77,19 @@ class WorkflowCoordinator:
         #: Released node's tasklet key -> owning workflow.
         self.nodes: dict[str, _WorkflowState] = {}
         #: Terminal outcomes (LRU) serving idempotent resubmits.
-        self.completed: "OrderedDict[str, dict]" = OrderedDict()
+        self.completed: "OrderedDict[str, WorkflowOutcome]" = OrderedDict()
 
     # -- submission ------------------------------------------------------------
 
     def on_submit(self, body: SubmitWorkflow, envelope: Envelope) -> list[Envelope]:
         core, src = self.core, envelope.src
         core.observer.workflow_submitted()
-        workflow_id = str(body.workflow.get("workflow_id", "?"))
         try:
-            spec = WorkflowSpec.from_dict(body.workflow)
-            spec.validate()
-        except (WorkflowSpecError, TaskletError, TypeError, AttributeError) as exc:
-            return [self._ack(src, workflow_id, f"invalid workflow: {exc}")]
+            spec, programs = self._read(body.workflow)
+        except WorkflowSpecError as exc:
+            # (The id is a string: the message would not have read otherwise.)
+            refusal = f"invalid workflow: {exc}"
+            return [self._ack(src, body.workflow["workflow_id"], refusal)]
         key = f"{src}/{spec.workflow_id}"
         outcome = self.completed.get(key)
         if outcome is not None:
@@ -107,7 +112,7 @@ class WorkflowCoordinator:
                     src, spec.workflow_id, "" if same else "duplicate workflow id"
                 )
             ]
-        wf = self._open(src, spec, envelope.trace)
+        wf = self._open(src, spec, programs, envelope.trace)
         if core.journal is not None:
             core.journal.record_workflow_admitted(
                 key, str(src), spec.to_dict(), ts=wf.submitted_at
@@ -124,12 +129,27 @@ class WorkflowCoordinator:
         )
         return self.core._send(ack, dst)
 
-    def _open(self, consumer_id: NodeId, spec: WorkflowSpec, trace) -> _WorkflowState:
+    @staticmethod
+    def _read(workflow: dict) -> tuple[WorkflowSpec, dict[str, CompiledProgram]]:
+        """Open a ``workflow`` record — spec and programs, once each — or
+        :class:`WorkflowSpecError`: it does not read, or is no valid graph."""
+        spec = WorkflowSpec.from_dict(workflow)
+        spec.validate()
+        return spec, spec.open_programs()
+
+    def _open(
+        self,
+        consumer_id: NodeId,
+        spec: WorkflowSpec,
+        programs: dict[str, CompiledProgram],
+        trace,
+    ) -> _WorkflowState:
         wf = _WorkflowState(
             key=f"{consumer_id}/{spec.workflow_id}",
             workflow_id=spec.workflow_id,
             consumer_id=consumer_id,
             spec=spec,
+            programs=programs,
             scheduler=DagScheduler(spec),
             submitted_at=self.core.clock.now(),
             spec_fingerprint=spec.fingerprint(),
@@ -160,9 +180,7 @@ class WorkflowCoordinator:
         while worklist and not wf.done:
             node_id = worklist.pop(0)
             node = wf.spec.node(node_id)
-            # (The spec was validated at admission and every predecessor
-            # is done, so the program and the arguments are there.)
-            tasklet_dict = {
+            wire = {
                 "tasklet_id": f"{wf.workflow_id}:{node_id}",
                 "program": wf.spec.programs[node.program_fingerprint],
                 "program_fingerprint": node.program_fingerprint,
@@ -172,8 +190,21 @@ class WorkflowCoordinator:
                 "seed": node.seed,
                 "fuel": node.fuel,
             }
+            try:
+                # The same Tasklet, opened — but for its program, which was
+                # at admission (where entry and arity were checked, too).
+                tasklet = Tasklet(
+                    TaskletId(wire["tasklet_id"]), wf.programs[node.program_fingerprint],
+                    node.entry, wire["args"], QoC(max_attempts=node.max_attempts),
+                    node.seed, node.fuel,
+                )
+            except TaskletError as exc:  # a predecessor's output is no Tasklet value
+                error = f"node {node_id!r} could not be released: {exc}"
+                out.extend(self._fail(wf, node_id, error))
+                break
+            tasklet.program_fingerprint = node.program_fingerprint
             admission = core._admit(
-                wf.consumer_id, tasklet_dict, workflow=wf.key, trace=wf.trace_ctx
+                wf.consumer_id, tasklet, wire, workflow=wf.key, trace=wf.trace_ctx
             )
             prior = admission.completion
             if prior is not None and not prior.ok:
@@ -290,20 +321,20 @@ class WorkflowCoordinator:
                 )
             )
         now = core.clock.now()
-        outcome = {
-            "workflow_id": wf.workflow_id,
-            "consumer_id": str(wf.consumer_id),
-            "ok": ok,
-            "outputs": wf.scheduler.outputs() if ok else {},
-            "error": error,
-            "failed_node": failed_node,
-            "dependents": list(dependents or []),
-            "nodes_total": len(wf.spec.nodes),
-            "nodes_memoized": wf.nodes_memoized,
-        }
+        outcome = WorkflowOutcome(
+            workflow_id=wf.workflow_id,
+            ok=ok,
+            consumer_id=str(wf.consumer_id),
+            outputs=wf.scheduler.outputs() if ok else {},
+            error=error,
+            failed_node=failed_node,
+            dependents=list(dependents or []),
+            nodes_total=len(wf.spec.nodes),
+            nodes_memoized=wf.nodes_memoized,
+        )
         self._remember(wf.key, outcome)
         if core.journal is not None:
-            core.journal.record_workflow_complete(wf.key, outcome, ts=now)
+            core.journal.record_workflow_complete(wf.key, outcome.to_dict(), ts=now)
             core.observer.journal_appended("wf_complete")
             core._maybe_compact_journal()
         del self.active[wf.key]
@@ -311,7 +342,7 @@ class WorkflowCoordinator:
         out.append(core._send(_complete_message(outcome), wf.consumer_id))
         return out
 
-    def _remember(self, key: str, outcome: dict) -> None:
+    def _remember(self, key: str, outcome: WorkflowOutcome) -> None:
         self.completed[key] = outcome
         self.completed.move_to_end(key)
         while len(self.completed) > max(1, self.core.config.completed_retention):
@@ -322,14 +353,11 @@ class WorkflowCoordinator:
     def recover(self, snapshot: JournalSnapshot) -> int:
         """Replay the workflow half of the journal; returns how many
         in-flight graphs were resumed."""
-        for record in snapshot.workflow_completions.values():
-            key = str(record.get("key", ""))
-            outcome = record.get("outcome")
-            if key and isinstance(outcome, dict):
-                self._remember(key, outcome)
+        for entry in snapshot.workflow_completions.values():
+            self._remember(entry.key, WorkflowOutcome.from_dict(entry.outcome))
         return sum(1 for entry in snapshot.workflows if self._resume(entry))
 
-    def _resume(self, entry: dict) -> bool:
+    def _resume(self, entry: WorkflowAdmitted) -> bool:
         """Rebuild one in-flight workflow during crash recovery.
 
         Node completions already replayed into the core short-circuit
@@ -338,15 +366,14 @@ class WorkflowCoordinator:
         the consumer re-learns the outcome by resubmitting.
         """
         try:
-            spec = WorkflowSpec.from_dict(entry["workflow"])
-            spec.validate()
-        except (WorkflowSpecError, TaskletError, KeyError, TypeError, ValueError):
+            spec, programs = self._read(entry.workflow)
+        except WorkflowSpecError:
             return False
-        consumer_id = NodeId(str(entry.get("consumer_id", "")))
+        consumer_id = NodeId(entry.consumer_id)
         key = f"{consumer_id}/{spec.workflow_id}"
         if key in self.active or key in self.completed:
             return False
-        wf = self._open(consumer_id, spec, None)
+        wf = self._open(consumer_id, spec, programs, None)
         self._release(wf, wf.scheduler.start(), self.core.clock.now())
         self.core.observer.workflow_recovered(wf, wf.scheduler.counts()[DONE])
         return True
@@ -367,14 +394,6 @@ class WorkflowCoordinator:
         ]
 
 
-def _complete_message(outcome: dict) -> WorkflowComplete:
-    return WorkflowComplete(
-        workflow_id=str(outcome.get("workflow_id", "")),
-        ok=bool(outcome.get("ok")),
-        outputs=dict(outcome.get("outputs") or {}),
-        error=outcome.get("error"),
-        failed_node=str(outcome.get("failed_node", "")),
-        dependents=list(outcome.get("dependents") or []),
-        nodes_total=int(outcome.get("nodes_total", 0)),
-        nodes_memoized=int(outcome.get("nodes_memoized", 0)),
-    )
+def _complete_message(outcome: WorkflowOutcome) -> WorkflowComplete:
+    # (Field for field, but for the ``consumer_id`` the message leaves out.)
+    return WorkflowComplete.from_dict(outcome.to_dict())

@@ -546,16 +546,16 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             "admitted": snapshot.admitted,
             "completed": snapshot.completed,
             "malformed": snapshot.malformed,
-            "pending": snapshot.pending,
+            "pending": [entry.to_dict() for entry in snapshot.pending],
             "completions": [
                 completion.to_dict()
                 for completion in snapshot.completions.values()
             ],
-            "workflows": snapshot.workflows,
-            "workflow_nodes": snapshot.workflow_nodes,
-            "workflow_completions": list(
-                snapshot.workflow_completions.values()
-            ),
+            "workflows": [entry.to_dict() for entry in snapshot.workflows],
+            "workflow_nodes": [entry.to_dict() for entry in snapshot.workflow_nodes],
+            "workflow_completions": [
+                entry.to_dict() for entry in snapshot.workflow_completions.values()
+            ],
         }
         print(json.dumps(document, indent=2, sort_keys=True))
         return 0
@@ -570,10 +570,10 @@ def _cmd_journal(args: argparse.Namespace) -> int:
     print(f"pending    : {len(snapshot.pending)} tasklet(s)")
     if args.pending:
         for entry in snapshot.pending:
-            tasklet = entry.get("tasklet", {})
+            tasklet = entry.tasklet
             print(
-                f"  {entry.get('key', '?'):<28} entry={tasklet.get('entry', '?')} "
-                f"args={tasklet.get('args', '?')} ts={entry.get('ts', 0):.3f}"
+                f"  {entry.key:<28} entry={tasklet.get('entry', '?')} "
+                f"args={tasklet.get('args', '?')} ts={entry.ts:.3f}"
             )
     ok_count = sum(1 for c in snapshot.completions.values() if c.ok)
     print(
@@ -586,27 +586,22 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             f"{len(snapshot.workflow_completions)} completion(s) retained"
         )
         for entry in snapshot.workflows:
-            workflow = entry.get("workflow", {})
+            workflow = entry.workflow
             nodes = workflow.get("nodes") or []
-            key = str(entry.get("key", "?"))
-            print(
-                f"  {key:<28} nodes={len(nodes)} ts={entry.get('ts', 0):.3f}"
-            )
+            print(f"  {entry.key:<28} nodes={len(nodes)} ts={entry.ts:.3f}")
             if args.pending:
-                consumer_id = str(entry.get("consumer_id", ""))
-                workflow_id = str(workflow.get("workflow_id", ""))
                 for node in nodes:
                     node_id = str(node.get("node_id", "?"))
-                    node_key = f"{consumer_id}/{workflow_id}:{node_id}"
+                    node_key = f"{entry.consumer_id}/{workflow['workflow_id']}:{node_id}"
                     state = snapshot.workflow_node_state(node_key)
                     print(f"    {node_id:<22} state={state}")
-        for outcome_record in snapshot.workflow_completions.values():
-            outcome = outcome_record.get("outcome", {})
-            verdict = "ok" if outcome.get("ok") else (
+        for entry in snapshot.workflow_completions.values():
+            outcome = entry.outcome
+            verdict = "ok" if outcome["ok"] else (
                 f"failed at {outcome.get('failed_node', '?')}"
             )
             print(
-                f"  {str(outcome_record.get('key', '?')):<28} "
+                f"  {entry.key:<28} "
                 f"{verdict} "
                 f"({outcome.get('nodes_total', 0)} nodes, "
                 f"{outcome.get('nodes_memoized', 0)} memoized)"

@@ -91,6 +91,12 @@ class VMInvalidProgram(VMError):
 # ---------------------------------------------------------------------------
 
 
+class RecordError(TaskletError):
+    """A record does not read as declared: a required field is missing, a
+    field holds a value of another type, or one outside its closed set
+    (see :mod:`repro.common.record`)."""
+
+
 class TransportError(TaskletError):
     """A message could not be encoded, decoded, sent, or delivered."""
 

@@ -285,7 +285,7 @@ class ConsumerCore:
             error=verdict.error,
             attempts=verdict.attempts,
             cost=verdict.cost,
-            executions=[ExecutionRecord.from_dict(d, verdict.value) for d in verdict.executions],
+            executions=[ExecutionRecord.from_dict({"value": verdict.value, **d}) for d in verdict.executions],
             submitted_at=record.submitted_at,
             completed_at=now,
         )

@@ -31,18 +31,20 @@ at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..common.errors import QoCUnsatisfiable
+from ..common.record import Record, record
 
 #: Upper bound on replicas; beyond this the marginal reliability gain is
 #: negligible while the provider-time cost keeps growing linearly.
 MAX_REDUNDANCY = 7
 
 
+@record("qoc")
 @dataclass(frozen=True)
-class QoC:
-    """Immutable QoC goal set attached to a Tasklet.
+class QoC(Record):
+    """Immutable QoC goal set attached to a Tasklet; on the wire, the
+    ``qoc`` record inside one.
 
     The default instance (``QoC()``) expresses pure best-effort execution.
     """
@@ -88,31 +90,6 @@ class QoC:
     def wants_voting(self) -> bool:
         """True when replica results must be compared before acceptance."""
         return self.redundancy >= 2
-
-    # -- wire format --------------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "redundancy": self.redundancy,
-            "max_attempts": self.max_attempts,
-            "speed": self.speed,
-            "local_only": self.local_only,
-            "remote_only": self.remote_only,
-            "deadline_s": self.deadline_s,
-            "cost_ceiling": self.cost_ceiling,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "QoC":
-        return cls(
-            redundancy=int(data.get("redundancy", 1)),
-            max_attempts=int(data.get("max_attempts", 1)),
-            speed=bool(data.get("speed", False)),
-            local_only=bool(data.get("local_only", False)),
-            remote_only=bool(data.get("remote_only", False)),
-            deadline_s=data.get("deadline_s"),
-            cost_ceiling=data.get("cost_ceiling"),
-        )
 
     # -- convenience constructors ---------------------------------------------------
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..common.ids import ExecutionId, NodeId, TaskletId
+from ..common.record import Record, record
 from ..common.serde import pack_value
 
 
@@ -30,9 +31,12 @@ class ExecutionStatus(enum.Enum):
     REJECTED = "rejected"  # provider refused (overloaded, shutting down)
 
 
+@record("execution")
 @dataclass
-class ExecutionRecord:
-    """Outcome of one execution attempt on one provider."""
+class ExecutionRecord(Record):
+    """Outcome of one execution attempt on one provider.  On the wire: an
+    item of ``tasklet_complete.executions``, with the fields of an
+    ``execution_result``."""
 
     execution_id: ExecutionId
     tasklet_id: TaskletId
@@ -55,38 +59,11 @@ class ExecutionRecord:
     def to_dict(self, with_value: bool = True) -> dict[str, Any]:
         """Wire form.  A record of the agreeing group goes without its
         ``value`` key: it repeats the completion's own value, which then
-        crosses the wire once, and :meth:`from_dict` puts it back."""
-        data = {
-            "execution_id": self.execution_id,
-            "tasklet_id": self.tasklet_id,
-            "provider_id": self.provider_id,
-            "status": self.status.value,
-            "value": self.value,
-            "error": self.error,
-            "instructions": self.instructions,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
+        crosses the wire once; the consumer puts it back before reading."""
+        data = super().to_dict()
         if not with_value:
             del data["value"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any], agreed_value: Any = None) -> "ExecutionRecord":
-        """``agreed_value`` is the completion's value, which a record
-        without a ``value`` key agreed with.  ``data`` has passed the wire
-        boundary (``TaskletComplete.executions``), so nothing is converted."""
-        return cls(
-            execution_id=ExecutionId(data["execution_id"]),
-            tasklet_id=TaskletId(data["tasklet_id"]),
-            provider_id=NodeId(data["provider_id"]),
-            status=ExecutionStatus(data["status"]),
-            value=data.get("value", agreed_value),
-            error=data.get("error"),
-            instructions=data.get("instructions", 0),
-            started_at=data.get("started_at", 0.0),
-            finished_at=data.get("finished_at", 0.0),
-        )
 
 
 @dataclass

@@ -14,14 +14,17 @@ from typing import Any
 
 from ..common.errors import TaskletError
 from ..common.ids import JobId, TaskletId
+from ..common.record import Record, record
 from ..tvm.bytecode import CompiledProgram
 from ..tvm.vm import DEFAULT_FUEL, is_tasklet_value
 from .qoc import QoC
 
 
+@record("tasklet")
 @dataclass
-class Tasklet:
-    """One unit of computation, ready to be shipped and executed.
+class Tasklet(Record):
+    """One unit of computation, ready to be shipped and executed; on the
+    wire, the ``tasklet`` record of a ``submit_tasklet``.
 
     ``seed`` feeds the TVM's deterministic PRNG.  All replicas of a
     Tasklet share the seed, so redundant executions are bit-identical and
@@ -30,6 +33,10 @@ class Tasklet:
 
     tasklet_id: TaskletId
     program: CompiledProgram
+    #: The content hash of ``program`` its sender stamped on the wire form
+    #: ("" = none, or not sent yet): what brokers memoize and providers
+    #: cache by, without either hashing the program again.
+    program_fingerprint: str = field(default="", init=False, compare=False)
     entry: str
     args: list[Any] = field(default_factory=list)
     qoc: QoC = field(default_factory=QoC)
@@ -58,33 +65,12 @@ class Tasklet:
     # -- wire format --------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "tasklet_id": self.tasklet_id,
-            "program": self.program.to_dict(),
+        data = super().to_dict()
+        if not self.program_fingerprint:
             # Memoised on the program object: a bag of tasks sharing one
-            # program pays the hash once, and providers key their caches
-            # on it without deserialising the payload.
-            "program_fingerprint": self.program.fingerprint(),
-            "entry": self.entry,
-            "args": list(self.args),
-            "qoc": self.qoc.to_dict(),
-            "seed": self.seed,
-            "fuel": self.fuel,
-            "job_id": self.job_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Tasklet":
-        return cls(
-            tasklet_id=TaskletId(str(data["tasklet_id"])),
-            program=CompiledProgram.from_dict(data["program"]),
-            entry=str(data["entry"]),
-            args=list(data["args"]),
-            qoc=QoC.from_dict(data.get("qoc", {})),
-            seed=int(data.get("seed", 0)),
-            fuel=int(data.get("fuel", DEFAULT_FUEL)),
-            job_id=data.get("job_id"),
-        )
+            # program pays the hash once.
+            data["program_fingerprint"] = self.program.fingerprint()
+        return data
 
     def describe(self) -> str:
         """One-line human-readable description for logs."""

@@ -33,7 +33,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..common.errors import WorkflowSpecError
+from ..common.errors import VMInvalidProgram, WorkflowSpecError
+from ..common.record import Record, record, sparse
 from ..tvm.bytecode import CompiledProgram
 from ..tvm.compiler import compile_source
 from ..tvm.vm import DEFAULT_FUEL, is_tasklet_value
@@ -89,15 +90,16 @@ def resolve_arg(value: Any, values: dict[str, Any]) -> Any:
 def _arg_is_wireable(value: Any) -> bool:
     """Literal parts must be Tasklet values; placeholders are checked later."""
     if _is_placeholder(value):
-        refs = arg_refs(value)
-        return all(isinstance(ref, str) and ref for ref in refs)
+        refs = [value[FROM_KEY]] if FROM_KEY in value else value[GATHER_KEY]
+        return type(refs) is list and all(type(ref) is str and ref for ref in refs)
     if isinstance(value, list):
         return all(_arg_is_wireable(item) for item in value)
     return is_tasklet_value(value)
 
 
+@record("node", error=WorkflowSpecError)
 @dataclass
-class NodeSpec:
+class NodeSpec(Record):
     """One node of a workflow: a Tasklet template awaiting its inputs."""
 
     node_id: str
@@ -109,7 +111,7 @@ class NodeSpec:
     #: Re-issue budget for this node's executions (QoC ``max_attempts``).
     max_attempts: int = 1
     #: Pure ordering dependencies (no data flows along these edges).
-    after: list[str] = field(default_factory=list)
+    after: list[str] = sparse(list)
 
     def deps(self) -> list[str]:
         """Predecessors, in placeholder order then ``after`` order, unique."""
@@ -121,39 +123,10 @@ class NodeSpec:
             seen.setdefault(str(ref), None)
         return list(seen)
 
-    def to_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            "node_id": self.node_id,
-            "program_fingerprint": self.program_fingerprint,
-            "entry": self.entry,
-            "args": list(self.args),
-            "seed": self.seed,
-            "fuel": self.fuel,
-            "max_attempts": self.max_attempts,
-        }
-        if self.after:
-            data["after"] = list(self.after)
-        return data
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "NodeSpec":
-        try:
-            return cls(
-                node_id=str(data["node_id"]),
-                program_fingerprint=str(data["program_fingerprint"]),
-                entry=str(data.get("entry", "main")),
-                args=list(data.get("args", [])),
-                seed=int(data.get("seed", 0)),
-                fuel=int(data.get("fuel", DEFAULT_FUEL)),
-                max_attempts=int(data.get("max_attempts", 1)),
-                after=[str(ref) for ref in data.get("after", [])],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WorkflowSpecError(f"malformed node spec: {exc}") from exc
-
-
+@record("workflow", error=WorkflowSpecError)
 @dataclass
-class WorkflowSpec:
+class WorkflowSpec(Record):
     """A whole DAG of Tasklets, submitted to the broker in one message."""
 
     workflow_id: str
@@ -236,6 +209,12 @@ class WorkflowSpec:
                 raise WorkflowSpecError(
                     f"node {node.node_id!r}: max_attempts must be >= 1"
                 )
+            for arg in node.args:  # (before anything walks a placeholder)
+                if not _arg_is_wireable(arg):
+                    raise WorkflowSpecError(
+                        f"node {node.node_id!r}: argument {arg!r} is neither "
+                        "a Tasklet value nor a valid placeholder"
+                    )
             for dep in node.deps():
                 if dep == node.node_id:
                     raise WorkflowSpecError(
@@ -246,36 +225,31 @@ class WorkflowSpec:
                         f"node {node.node_id!r} references unknown "
                         f"predecessor {dep!r}"
                     )
-            for arg in node.args:
-                if not _arg_is_wireable(arg):
-                    raise WorkflowSpecError(
-                        f"node {node.node_id!r}: argument {arg!r} is neither "
-                        "a Tasklet value nor a valid placeholder"
-                    )
         self.topo_order()  # raises on cycles
 
-    # -- wire format --------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "workflow_id": self.workflow_id,
-            "nodes": [node.to_dict() for node in self.nodes],
-            "programs": dict(self.programs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WorkflowSpec":
-        try:
-            return cls(
-                workflow_id=str(data["workflow_id"]),
-                nodes=[NodeSpec.from_dict(node) for node in data["nodes"]],
-                programs={
-                    str(fingerprint): dict(program)
-                    for fingerprint, program in data.get("programs", {}).items()
-                },
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WorkflowSpecError(f"malformed workflow spec: {exc}") from exc
+    def open_programs(self) -> dict[str, CompiledProgram]:
+        """The program table, each program opened once — after which every
+        node must name an entry its program has, with as many parameters
+        as the node passes arguments (placeholders count as one each)."""
+        programs = {}
+        for fingerprint, document in self.programs.items():
+            try:
+                programs[fingerprint] = CompiledProgram.from_dict(document)
+            except VMInvalidProgram as exc:
+                raise WorkflowSpecError(f"program {fingerprint!r}: {exc}") from None
+        for node in self.nodes:
+            program = programs[node.program_fingerprint]
+            if not program.has_function(node.entry):
+                raise WorkflowSpecError(
+                    f"node {node.node_id!r}: program has no entry function {node.entry!r}"
+                )
+            n_params = program.function(node.entry).n_params
+            if n_params != len(node.args):
+                raise WorkflowSpecError(
+                    f"node {node.node_id!r}: {node.entry}() expects {n_params} "
+                    f"arguments, got {len(node.args)}"
+                )
+        return programs
 
     def fingerprint(self) -> str:
         """Content identity of this spec (idempotent-resubmit detection).

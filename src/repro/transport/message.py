@@ -1,34 +1,26 @@
 """Typed messages exchanged between consumers, brokers, and providers.
 
-Every message travels inside an :class:`Envelope` — a routable record with
-source, destination, message type, and a JSON-safe payload dict.  Bodies
-are typed dataclasses, and the ``@_message`` decorator on each is the one
-place a message type is listed: its name, its ``bin2`` wire tag and
-whether its fields travel packed.  :mod:`repro.transport.codec` computes
-its tag and field tables from this registry, and ``docs/PROTOCOL.md``
-("Message table") lists every type with its direction — a tier-1 test
-holds that table to the registry.
-
-This module is also the wire *boundary*: whatever a peer sent is read
-completely here, before any handler sees it.  :meth:`Envelope.from_dict`
-yields a typed envelope header and :func:`body_of` a body whose every
-field has its declared type; both raise
-:class:`~repro.common.errors.TransportError` and nothing else
-(DESIGN.md, "Wire boundary").
+Every message travels inside an :class:`Envelope`; bodies are dataclasses,
+and the ``@_message`` decorator on each is the one place a message type is
+listed (name, ``bin2`` tag, packed or keyed).  docs/PROTOCOL.md has the
+*Message table* (a tier-1 test holds it to this registry), each field's
+meaning and the rules for an unreadable envelope; DESIGN.md, "Wire
+boundary", says why.  This module is that boundary's outer half:
+:meth:`Envelope.from_dict` yields a typed header and :func:`body_of` a body
+read by the record grammar (:mod:`repro.common.record`); both raise
+:class:`~repro.common.errors.TransportError` and nothing else.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import types
-import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Type
+from typing import Any, ClassVar, Type
 
 from ..common.errors import TransportError
 from ..common.ids import NodeId
-from ..core.results import ExecutionStatus
+from ..common.record import Record, compile_fields, identified, one_of, records_of
+from ..core.results import ExecutionRecord, ExecutionStatus
 from ..dag.scheduler import BLOCKED, DONE, FAILED, READY, RUNNING
 from ..obs.events import MESSAGE_UNREADABLE
 
@@ -99,122 +91,35 @@ class Envelope:
 MESSAGE_TYPES: dict[str, Type["MessageBody"]] = {}
 
 
-class MessageBody:
-    """Base class for typed message bodies.
-
-    Subclasses are dataclasses whose fields are JSON-safe values;
-    ``to_payload`` is just ``__dict__``, and ``from_payload`` reads a
-    peer's payload against the table ``_message`` compiled from the
-    field annotations.
-    """
+class MessageBody(Record):
+    """Base class for typed message bodies: records whose fields are
+    JSON-safe values, so the payload is just ``__dict__``."""
 
     TYPE: ClassVar[str] = ""
     #: ``bin2`` wire tag, and whether the payload travels field-packed.
     TAG: ClassVar[int] = 0
     PACKED: ClassVar[bool] = False
-    #: Per field: name, whether it must be present, the exact runtime
-    #: types it accepts (None = any) and a further check (or None) that
-    #: returns what is wrong with a value of the right type, if anything.
-    _FIELDS: ClassVar[tuple[tuple[str, bool, tuple | None, Callable | None], ...]] = ()
-
-    def to_payload(self) -> dict[str, Any]:
-        return dict(self.__dict__)
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "MessageBody":
-        """The body ``payload`` holds, every field of its declared type —
-        or :class:`TransportError`, before anything is built.
-
-        Keys this version does not know are dropped and absent optional
-        fields take their defaults: a newer or older peer's message
-        still reads, which is what lets mixed-version clusters — and the
-        fields added over time — interoperate.
-        """
-        values = {}
-        for name, required, accepted, check in cls._FIELDS:
-            if name in payload:
-                value = values[name] = payload[name]
-                if accepted is not None and type(value) not in accepted:
-                    problem = f"is a {type(value).__name__}"
-                elif check is None or (problem := check(value)) is None:
-                    continue
-            elif required:
-                problem = "is missing"
-            else:
-                continue
-            raise TransportError(f"malformed {cls.TYPE} payload: {name} {problem}")
-        return cls(**values)
 
     def envelope(self, src: NodeId, dst: NodeId) -> Envelope:
         """Wrap this body for transmission."""
-        return Envelope(type=self.TYPE, src=src, dst=dst, payload=self.to_payload())
-
-
-def _accepted_types(annotation) -> tuple[type, ...] | None:
-    """The exact runtime types a field annotated ``annotation`` may hold
-    (None = anything): a ``float`` takes an int, a ``bool`` is never an
-    int, containers are checked by container only."""
-    if annotation is Any:
-        return None
-    origin = typing.get_origin(annotation)
-    if origin in (typing.Union, types.UnionType):
-        parts = [_accepted_types(part) for part in typing.get_args(annotation)]
-        return None if None in parts else tuple(t for part in parts for t in part)
-    if origin is not None:
-        return (origin,)
-    return (float, int) if annotation is float else (annotation,)
+        return Envelope(type=self.TYPE, src=src, dst=dst, payload=dict(self.__dict__))
 
 
 def _message(type_name: str, tag: int, packed: bool = False):
     """Class decorator: register the dataclass under ``type_name`` with
     its ``bin2`` wire ``tag`` (1-255, never reused; 0 is the codec's
-    escape for a type it has no tag for) and compile, once, what reading
-    it needs.  ``packed`` bodies travel as bare values in field order,
-    which makes that order part of the ``bin2`` contract."""
+    escape for a type it has no tag for).  ``packed`` bodies travel as
+    bare values in field order, which makes that order part of the
+    ``bin2`` contract."""
 
     def wrap(cls):
         cls.TYPE, cls.TAG, cls.PACKED = type_name, tag, packed
-        hints = typing.get_type_hints(cls)
-        cls._FIELDS = tuple(
-            (
-                f.name,
-                f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING,
-                _accepted_types(hints[f.name]),
-                f.metadata.get("check"),
-            )
-            for f in dataclasses.fields(cls)
+        MESSAGE_TYPES[type_name] = compile_fields(
+            cls, f"{type_name} payload", TransportError
         )
-        MESSAGE_TYPES[type_name] = cls
         return cls
 
     return wrap
-
-
-def _one_of(choices) -> Any:
-    """A required string field that takes a value of a closed set."""
-    choices = frozenset(choices)
-
-    def check(value: str) -> str | None:
-        return None if value in choices else f"is not one of {sorted(choices)}"
-
-    return field(metadata={"check": check})
-
-
-def _records_of(shape: Type[MessageBody]) -> Any:
-    """An optional list field whose items each read as a ``shape`` payload."""
-
-    def check(items: list) -> str | None:
-        for item in items:
-            if type(item) is not dict:
-                return f"holds a {type(item).__name__}"
-            try:
-                shape.from_payload(item)
-            except TransportError as exc:
-                return f"holds a {exc}"
-        return None
-
-    return field(default_factory=list, metadata={"check": check})
 
 
 def body_of(envelope: Envelope) -> MessageBody:
@@ -224,7 +129,7 @@ def body_of(envelope: Envelope) -> MessageBody:
     body_class = MESSAGE_TYPES.get(envelope.type)
     if body_class is None:
         raise TransportError(f"unknown message type {envelope.type!r}")
-    return body_class.from_payload(envelope.payload)
+    return body_class.from_dict(envelope.payload)
 
 
 def report_unreadable(events, receiver, ts: float, envelope: Envelope, reason: str) -> None:
@@ -243,26 +148,21 @@ def report_unreadable(events, receiver, ts: float, envelope: Envelope, reason: s
 
 
 # ---------------------------------------------------------------------------
-# Transport-level (any peer <-> broker)
+# The message types.  What each field means, who sends what to whom and
+# when: docs/PROTOCOL.md ("Message table", "Field notes", "Federation").
+# Only what the table cannot say is noted here.
 # ---------------------------------------------------------------------------
+
+# -- transport-level (any peer <-> broker) ------------------------------------
 
 
 @_message("hello", tag=22)
 @dataclass
 class Hello(MessageBody):
-    """Transport handshake: the dialing peer's first message.
-
-    ``codecs`` lists every wire codec the sender can *decode*, in
-    preference order (see :mod:`repro.transport.codec`).  A broker that
-    understands the hello answers with :class:`HelloAck` naming the
-    codec it chose; both sides may then switch their *send* direction to
-    it.  A peer that never sends (or never answers) a hello simply stays
-    on length-prefixed JSON — the handshake is advisory, which is what
-    lets old and new peers share a cluster.
-    """
+    """Transport handshake: the dialing peer's first message."""
 
     node_id: str
-    codecs: list[str] = field(default_factory=list)
+    codecs: list[str] = field(default_factory=list)  # decodable, by preference
     role: str = ""  # "provider" | "consumer" | "broker" (diagnostic only)
 
 
@@ -275,9 +175,7 @@ class HelloAck(MessageBody):
     codecs: list[str] = field(default_factory=list)  # what the broker accepts
 
 
-# ---------------------------------------------------------------------------
-# Provider <-> broker
-# ---------------------------------------------------------------------------
+# -- provider <-> broker ---------------------------------------------------------
 
 
 @_message("register_provider", tag=1)
@@ -311,29 +209,20 @@ class Unregister(MessageBody):
 @_message("heartbeat", tag=4, packed=True)
 @dataclass
 class Heartbeat(MessageBody):
-    """Periodic liveness + load report; also the failure detector input.
-
-    ``sent_at`` is the sender's monotonic send timestamp; when non-zero
-    the broker echoes it back in a :class:`HeartbeatAck` so the provider
-    can measure its heartbeat round-trip time.  Zero (the default, used
-    by the simulator) requests no ack, keeping simulated message flows
-    unchanged.
-    """
+    """Periodic liveness + load report; also the failure detector input."""
 
     provider_id: str
     free_slots: int
     queue_length: int = 0
+    #: Sender's monotonic send time; non-zero asks for a
+    #: :class:`HeartbeatAck` (the simulator sends 0.0 and gets none).
     sent_at: float = 0.0
 
 
 @_message("heartbeat_ack", tag=5, packed=True)
 @dataclass
 class HeartbeatAck(MessageBody):
-    """Echo of a timestamped heartbeat (RTT measurement, telemetry only).
-
-    Peers that predate this message ignore unknown envelope types, so
-    the ack is safe to send to any provider that asked for it.
-    """
+    """Echo of a timestamped heartbeat (RTT measurement, telemetry only)."""
 
     provider_id: str
     echo_sent_at: float
@@ -347,13 +236,13 @@ class AssignExecution(MessageBody):
     execution_id: str
     tasklet_id: str
     consumer_id: str
-    program: dict[str, Any]  # CompiledProgram.to_dict()
+    program: dict[str, Any]  # a ``program`` record, opened on a cache miss
     entry: str
     args: list[Any]
     seed: int
     fuel: int
     #: Content hash of ``program``; lets the provider's program cache hit
-    #: without deserialising the payload.  Verified on every cache miss.
+    #: without opening the payload.  Verified on every cache miss.
     program_fingerprint: str = ""
 
 
@@ -365,7 +254,7 @@ class ExecutionResult(MessageBody):
     execution_id: str
     tasklet_id: str
     provider_id: str
-    status: str = _one_of(status.value for status in ExecutionStatus)
+    status: str = one_of(status.value for status in ExecutionStatus)
     value: Any = None
     error: str | None = None
     instructions: int = 0
@@ -390,9 +279,7 @@ class CancelExecution(MessageBody):
     execution_id: str
 
 
-# ---------------------------------------------------------------------------
-# Consumer <-> broker
-# ---------------------------------------------------------------------------
+# -- consumer <-> broker -----------------------------------------------------------
 
 
 @_message("submit_tasklet", tag=10, packed=True)
@@ -400,7 +287,7 @@ class CancelExecution(MessageBody):
 class SubmitTasklet(MessageBody):
     """A consumer hands a Tasklet to the broker."""
 
-    tasklet: dict[str, Any]  # Tasklet.to_dict()
+    tasklet: dict[str, Any] = identified("tasklet_id")  # a ``tasklet`` record
 
 
 @_message("submit_ack", tag=11, packed=True)
@@ -422,29 +309,15 @@ class TaskletComplete(MessageBody):
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0  # total billed across all executions (cost QoC)
-    #: ``ExecutionRecord.to_dict()`` each: the fields of an ``execution_result``.
-    executions: list[dict[str, Any]] = _records_of(ExecutionResult)
-
-
-# ---------------------------------------------------------------------------
-# Consumer <-> broker (workflows)
-# ---------------------------------------------------------------------------
+    executions: list[dict[str, Any]] = records_of(ExecutionRecord)
 
 
 @_message("submit_workflow", tag=13, packed=True)
 @dataclass
 class SubmitWorkflow(MessageBody):
-    """A consumer hands a whole DAG of tasklets to the broker.
+    """A consumer hands a whole DAG of tasklets to the broker."""
 
-    ``workflow`` is a :class:`repro.dag.WorkflowSpec` wire dict: node
-    templates referencing deduplicated program fingerprints, with
-    ``$from``/``$gather`` placeholders in node args naming predecessor
-    outputs.  The broker owns the graph from here — successors are
-    released and their arguments materialised broker-side, with no
-    consumer round-trip between stages.
-    """
-
-    workflow: dict[str, Any]  # WorkflowSpec.to_dict()
+    workflow: dict[str, Any] = identified("workflow_id")  # a ``workflow`` record
 
 
 @_message("workflow_ack", tag=14, packed=True)
@@ -460,16 +333,11 @@ class WorkflowAck(MessageBody):
 @_message("workflow_update", tag=15, packed=True)
 @dataclass
 class WorkflowUpdate(MessageBody):
-    """Advisory progress report: one node changed state.
-
-    Sent when a node starts running and when it reaches a terminal
-    state.  Consumers may ignore these; the terminal
-    :class:`WorkflowComplete` carries everything that matters.
-    """
+    """Advisory progress report: one node changed state."""
 
     workflow_id: str
     node_id: str
-    state: str = _one_of((BLOCKED, READY, RUNNING, DONE, FAILED))  # repro.dag's
+    state: str = one_of((BLOCKED, READY, RUNNING, DONE, FAILED))  # repro.dag's
     attempts: int = 0
     error: str | None = None
 
@@ -477,57 +345,35 @@ class WorkflowUpdate(MessageBody):
 @_message("workflow_complete", tag=16, packed=True)
 @dataclass
 class WorkflowComplete(MessageBody):
-    """Terminal outcome of a workflow.
-
-    On success ``outputs`` maps each sink node id to its value.  On
-    failure ``failed_node`` names the node that exhausted its retries
-    and ``dependents`` the downstream nodes that could no longer run.
-    ``nodes_memoized`` counts nodes short-circuited by the broker's
-    result cache (zero executions).
-    """
+    """Terminal outcome of a workflow."""
 
     workflow_id: str
     ok: bool
-    outputs: dict[str, Any] = field(default_factory=dict)
+    outputs: dict[str, Any] = field(default_factory=dict)  # by sink node id
     error: str | None = None
     failed_node: str = ""
     dependents: list[str] = field(default_factory=list)
     nodes_total: int = 0
-    nodes_memoized: int = 0
+    nodes_memoized: int = 0  # served by the result cache, zero executions
 
 
-# ---------------------------------------------------------------------------
-# Broker <-> broker (federation)
-# ---------------------------------------------------------------------------
+# -- broker <-> broker (federation) -----------------------------------------------
 
 
 @_message("peer_hello", tag=17)
 @dataclass
 class PeerHello(MessageBody):
-    """A broker announces itself to a configured peer.
-
-    ``epoch`` is the sender's incarnation id (fresh per process start): a
-    peer observing a *changed* epoch knows the broker restarted and that
-    any work forwarded to the previous incarnation is gone.  The dialing
-    side sets ``reply_expected`` so the listener answers with its own
-    hello (with ``reply_expected=False``, terminating the exchange).
-    """
+    """A broker announces itself to a configured peer."""
 
     broker_id: str
-    epoch: str
-    reply_expected: bool = False
+    epoch: str  # fresh per process start: a changed epoch is a restart
+    reply_expected: bool = False  # set by the dialing side only
 
 
 @_message("gossip_digest", tag=18)
 @dataclass
 class GossipDigest(MessageBody):
-    """Periodic peer summary: registry size, load, health grade counts.
-
-    Doubles as the peer liveness signal — a peer whose digests stop
-    arriving is declared dead after the configured tolerance.  ``grades``
-    maps health grade -> provider count (empty when the sending broker
-    runs without telemetry).
-    """
+    """Periodic peer summary; doubles as the peer liveness signal."""
 
     broker_id: str
     epoch: str
@@ -537,27 +383,18 @@ class GossipDigest(MessageBody):
     free_slots: int = 0
     pending_tasklets: int = 0
     backlog_replicas: int = 0
-    grades: dict[str, int] = field(default_factory=dict)
+    grades: dict[str, int] = field(default_factory=dict)  # health grade -> count
 
 
 @_message("forward_tasklet", tag=19, packed=True)
 @dataclass
 class ForwardTasklet(MessageBody):
-    """One tasklet placed on a peer broker's provider pool.
-
-    The origin broker stays responsible to its consumer: the peer
-    executes and returns a :class:`ForwardComplete` to ``origin_broker``
-    rather than talking to the consumer directly.  Re-sending the same
-    forward is idempotent (the peer re-acks in-flight work and re-answers
-    completed work), which is how forwards survive a dropped peer link.
-    ``hops`` guards against forwarding chains: a forwarded tasklet is
-    never forwarded again.
-    """
+    """One tasklet placed on a peer broker's provider pool."""
 
     origin_broker: str
     consumer_id: str
-    tasklet: dict[str, Any]  # Tasklet.to_dict()
-    hops: int = 1
+    tasklet: dict[str, Any] = identified("tasklet_id")  # a ``tasklet`` record
+    hops: int = 1  # a forwarded tasklet is never forwarded again
 
 
 @_message("forward_ack", tag=20, packed=True)
@@ -575,13 +412,7 @@ class ForwardAck(MessageBody):
 @_message("forward_complete", tag=21, packed=True)
 @dataclass
 class ForwardComplete(MessageBody):
-    """Terminal outcome of a forwarded tasklet, returned to the origin.
-
-    ``executed_by`` names the broker whose providers actually executed
-    the work ("" when the peer answered from its journal or result
-    cache), so exactly-once accounting is auditable across the
-    federation's journals.
-    """
+    """Terminal outcome of a forwarded tasklet, returned to the origin."""
 
     tasklet_id: str
     consumer_id: str
@@ -591,5 +422,7 @@ class ForwardComplete(MessageBody):
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0
-    executions: list[dict[str, Any]] = _records_of(ExecutionResult)
+    executions: list[dict[str, Any]] = records_of(ExecutionRecord)
+    #: Broker whose providers ran it ("" = answered from a journal or the
+    #: result cache): what the exactly-once audit counts.
     executed_by: str = ""

@@ -2,10 +2,10 @@
 
 A :class:`CompiledProgram` is the unit shipped from consumers to providers:
 a constant pool plus a list of functions, each with its instruction list.
-It serialises to the middleware's JSON wire format (``to_dict`` /
-``from_dict``) and can be structurally verified before execution so that a
-malicious or corrupted program fails fast instead of crashing the VM
-mid-run.
+It is a declared record (``program`` holding ``function`` records,
+:mod:`repro.common.record`) whose reader raises :class:`VMInvalidProgram`,
+and it can be structurally verified before execution so that a malicious
+or corrupted program fails fast instead of crashing the VM mid-run.
 """
 
 from __future__ import annotations
@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..common.errors import VMInvalidProgram
+from ..common.record import Record, coded, record
 from .builtins import BUILTIN_ORDER, BUILTINS
 from .opcodes import JUMP_OPS, NO_OPERAND_OPS, STACK_EFFECT, Op
 
 #: Bytecode format version, embedded in every serialised program.
 BYTECODE_VERSION = 1
+
+_OP_OF = {int(op): op for op in Op}
 
 
 @dataclass(frozen=True)
@@ -36,25 +39,37 @@ class Instruction:
 
     @classmethod
     def from_pair(cls, pair: list[int]) -> "Instruction":
-        if len(pair) != 2:
-            raise VMInvalidProgram(f"malformed instruction {pair!r}")
-        try:
-            op = Op(pair[0])
-        except ValueError as exc:
-            raise VMInvalidProgram(f"unknown opcode {pair[0]}") from exc
-        operand = None if pair[1] == -1 else int(pair[1])
-        return cls(op, operand)
+        return _read_code([pair])[0]
 
 
+def _read_code(pairs: list) -> list[Instruction]:
+    """The instructions a ``code`` list of ``[opcode, operand]`` pairs holds."""
+    code = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            raise VMInvalidProgram(f"holds a malformed instruction {pair!r}")
+        opcode, operand = pair
+        if type(opcode) is not int or opcode not in _OP_OF:
+            raise VMInvalidProgram(f"holds an unknown opcode {opcode!r}")
+        if type(operand) is not int:
+            raise VMInvalidProgram(f"holds a non-integer operand {operand!r}")
+        code.append(Instruction(_OP_OF[opcode], None if operand == -1 else operand))
+    return code
+
+
+@record("function", error=VMInvalidProgram)
 @dataclass
-class FunctionCode:
+class FunctionCode(Record):
     """Compiled body of one Tasklet function."""
 
     name: str
     n_params: int
     n_locals: int  # including parameters
     returns_value: bool
-    code: list[Instruction] = field(default_factory=list)
+    code: list[Instruction] = coded(
+        _read_code,
+        lambda code: [instruction.to_pair() for instruction in code],
+    )
     _pairs: list[tuple[int, int | None]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -75,31 +90,10 @@ class FunctionCode:
             ]
         return self._pairs
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "n_params": self.n_params,
-            "n_locals": self.n_locals,
-            "returns_value": self.returns_value,
-            "code": [instruction.to_pair() for instruction in self.code],
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FunctionCode":
-        try:
-            return cls(
-                name=str(data["name"]),
-                n_params=int(data["n_params"]),
-                n_locals=int(data["n_locals"]),
-                returns_value=bool(data["returns_value"]),
-                code=[Instruction.from_pair(pair) for pair in data["code"]],
-            )
-        except (KeyError, TypeError) as exc:
-            raise VMInvalidProgram(f"malformed function record: {exc}") from exc
-
-
+@record("program", error=VMInvalidProgram)
 @dataclass
-class CompiledProgram:
+class CompiledProgram(Record):
     """A verified-serialisable compiled Tasklet program."""
 
     functions: list[FunctionCode]
@@ -136,26 +130,16 @@ class CompiledProgram:
     def to_dict(self, include_source: bool = False) -> dict[str, Any]:
         """Wire representation.  Source is omitted by default (it is large
         and providers never need it)."""
-        payload: dict[str, Any] = {
-            "version": BYTECODE_VERSION,
-            "functions": [function.to_dict() for function in self.functions],
-            "constants": list(self.constants),
-        }
-        if include_source and self.source is not None:
-            payload["source"] = self.source
+        payload = {"version": BYTECODE_VERSION, **super().to_dict()}
+        if not include_source or self.source is None:
+            del payload["source"]
         return payload
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CompiledProgram":
-        version = data.get("version")
-        if version != BYTECODE_VERSION:
-            raise VMInvalidProgram(f"unsupported bytecode version {version!r}")
-        try:
-            functions = [FunctionCode.from_dict(record) for record in data["functions"]]
-            constants = list(data["constants"])
-        except (KeyError, TypeError) as exc:
-            raise VMInvalidProgram(f"malformed program record: {exc}") from exc
-        return cls(functions=functions, constants=constants, source=data.get("source"))
+        if type(data) is dict and data.get("version") != BYTECODE_VERSION:
+            raise VMInvalidProgram(f"unsupported bytecode version {data.get('version')!r}")
+        return super().from_dict(data)
 
     def fingerprint(self) -> str:
         """Stable content hash, used for provider-side program caching.

@@ -1,8 +1,11 @@
 """Broker core lifecycle, driven with scripted envelopes and a manual clock."""
 
+import re
+
 import pytest
 
 from repro.broker.core import BrokerConfig, BrokerCore
+from repro.broker.journal import WorkJournal
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
@@ -27,6 +30,7 @@ from repro.transport.message import (
     WorkflowComplete,
     body_of,
 )
+from repro.tvm.bytecode import CompiledProgram
 from repro.tvm.compiler import compile_source
 
 PROGRAM = compile_source("func main(x: int) -> int { return x * 2; }")
@@ -35,12 +39,13 @@ PROGRAM = compile_source("func main(x: int) -> int { return x * 2; }")
 class Harness:
     """Drives one BrokerCore with typed messages; collects typed replies."""
 
-    def __init__(self, strategy=None, config=None):
+    def __init__(self, strategy=None, config=None, journal=None):
         self.clock = VirtualClock()
         self.broker = BrokerCore(
             clock=self.clock,
             strategy=strategy or LeastLoadedStrategy(),
             config=config or BrokerConfig(execution_timeout=None),
+            journal=journal,
         )
         self._tasklet_counter = 0
 
@@ -436,21 +441,146 @@ class TestWorkflowNodeIds:
 )
 def test_malformed_tasklet_dict_is_refused_or_read_as_text_never_raised(damage):
     """What is *inside* a tasklet dict is its reader's business, which
-    refuses it or reads it as text — and what the broker then sends about
-    it is readable by whoever receives it (``Harness.send`` reads it all)."""
+    refuses it by id — nothing is read as text any more — and what the
+    broker then sends about it is readable by whoever receives it
+    (``Harness.send`` reads it all).  A tasklet that does not even name
+    itself cannot be refused by id: the message is unreadable."""
+    harness = Harness()
+    harness.add_provider()
+    tasklet = Tasklet(TaskletId("tl-1"), PROGRAM, entry="main", args=[1]).to_dict()
+    replies = harness.send(SubmitTasklet(tasklet={**tasklet, **damage}), src="c1")
+    if "tasklet_id" in damage:
+        assert replies == [] and harness.broker.stats.messages_unreadable == 1
+    else:
+        (ack,) = bodies(replies, SubmitAck)
+        assert not ack.accepted and ack.tasklet_id == "tl-1"
+        assert ack.reason.startswith(f"malformed tasklet: {next(iter(damage))} ")
+    assert bodies(replies, AssignExecution) == []
+    assert harness.broker.pending_tasklets == 0
+
+
+def test_malformed_workflow_dict_is_refused_not_raised():
+    harness = Harness()
+    for workflow in ({"workflow_id": "w", "nodes": [], "programs": 7}, {"workflow_id": "w", "nodes": 7}):
+        (ack,) = bodies(harness.send(SubmitWorkflow(workflow=workflow), src="c1"), WorkflowAck)
+        assert not ack.accepted and "invalid workflow" in ack.reason
+    # One that does not name itself cannot be refused by id: unreadable.
+    assert harness.send(SubmitWorkflow(workflow={}), src="c1") == []
+    assert harness.broker.stats.messages_unreadable == 1
+    assert harness.broker.pending_workflows == 0
+
+
+# -- one record grammar: what is inside a tasklet / a workflow is read strictly -------
+
+
+@pytest.mark.parametrize(
+    "damage, reason",
+    [
+        ({"qoc": {"speed": "no"}}, "qoc holds a malformed qoc: speed is a str"),
+        ({"qoc": {"redundancy": 2.9}}, "qoc holds a malformed qoc: redundancy is a float"),
+        ({"fuel": True}, "fuel is a bool"),
+        ({"seed": "7"}, "seed is a str"),
+        ({"entry": None}, "entry is a NoneType"),
+        ({"entry": "nosuch"}, "program has no entry function 'nosuch'"),
+        ({"args": [1, 2]}, r"main\(\) expects 1 arguments, got 2"),
+    ],
+    ids=["qoc.speed", "qoc.redundancy", "fuel", "seed", "entry-null", "entry-unknown", "arity"],
+)
+def test_what_used_to_be_coerced_is_refused_by_id(damage, reason):
+    """``speed: "no"`` admitted as ``True``, ``redundancy: 2.9`` as 2,
+    ``fuel: true`` as one unit, ``seed: "7"`` as 7, ``entry: null`` as the
+    entry ``"None"``.  Now each is answered by id, and nothing is kept —
+    in the words a well-typed tasklet that is no Tasklet (the last two
+    cases) has always been refused with."""
     harness = Harness()
     harness.add_provider()
     tasklet = Tasklet(TaskletId("tl-1"), PROGRAM, entry="main", args=[1]).to_dict()
     replies = harness.send(SubmitTasklet(tasklet={**tasklet, **damage}), src="c1")
     (ack,) = bodies(replies, SubmitAck)
-    assert ack.accepted == (next(iter(damage)) in ("tasklet_id", "program_fingerprint"))
-    assert harness.broker.pending_tasklets == len(bodies(replies, AssignExecution))
-    assert harness.broker.pending_tasklets == int(ack.accepted)
+    assert len(replies) == 1 and not ack.accepted and ack.tasklet_id == "tl-1"
+    assert ack.reason.startswith("malformed tasklet: ")
+    assert ack.reason.count("malformed tasklet") == 1
+    assert re.search(reason, ack.reason), ack.reason
+    assert harness.broker.pending_tasklets == 0
 
 
-def test_malformed_workflow_dict_is_refused_not_raised():
-    harness = Harness()
-    for workflow in ({}, {"workflow_id": "w", "nodes": [], "programs": 7}, {"workflow_id": "w", "nodes": 7}):
-        (ack,) = bodies(harness.send(SubmitWorkflow(workflow=workflow), src="c1"), WorkflowAck)
-        assert not ack.accepted and "invalid workflow" in ack.reason
-    assert harness.broker.pending_workflows == 0
+class TestWorkflowAdmissionOpensPrograms:
+    """A workflow's programs are opened once each, when it is admitted —
+    so what only a program can say about a node is said in the ack."""
+
+    TWO = "func half(x: int) -> int { return x / 2; } func main(x: int, y: int) -> int { return x + y; }"
+
+    def _spec(self, **last):
+        builder = WorkflowBuilder("wf-1")
+        first = builder.node(PROGRAM, args=[1], node_id="a")
+        middle = builder.node(PROGRAM, args=[{"$from": first}], node_id="b")
+        builder.node(self.TWO, node_id="c", **{"args": [{"$from": middle}, 1], **last})
+        return builder.build()
+
+    @pytest.mark.parametrize(
+        "last, reason",
+        [
+            ({"entry": "nosuch"}, "node 'c': program has no entry function 'nosuch'"),
+            ({"args": [{"$from": "b"}]}, r"node 'c': main\(\) expects 2 arguments, got 1"),
+            ({"entry": "half"}, r"node 'c': half\(\) expects 1 arguments, got 2"),
+        ],
+        ids=["entry", "too-few", "too-many"],
+    )
+    def test_a_node_its_program_cannot_run_is_refused_in_the_ack(self, tmp_path, last, reason):
+        """Regression: such a spec passed ``validate()`` and failed only
+        when that node was released — after every predecessor had run."""
+        spec = self._spec(**last)  # (valid as far as a spec can tell)
+        journal = WorkJournal(str(tmp_path / "journal.jsonl"))
+        harness = Harness(journal=journal)
+        harness.add_provider()
+        replies = harness.send(SubmitWorkflow(workflow=spec.to_dict()), src="c1")
+        journal.close()
+        (ack,) = bodies(replies, WorkflowAck)
+        assert len(replies) == 1 and not ack.accepted
+        assert re.search("invalid workflow: " + reason, ack.reason), ack.reason
+        assert harness.broker.pending_workflows == harness.broker.pending_tasklets == 0
+        assert harness.broker.stats.executions_issued == 0
+        assert (tmp_path / "journal.jsonl").read_text() == ""
+
+    def test_a_malformed_program_is_refused_by_fingerprint(self):
+        document = self._spec().to_dict()
+        fingerprint = document["nodes"][2]["program_fingerprint"]
+        document["programs"][fingerprint] = {"version": 1, "functions": "x", "constants": []}
+        harness = Harness()
+        (ack,) = bodies(harness.send(SubmitWorkflow(workflow=document), src="c1"), WorkflowAck)
+        assert not ack.accepted
+        assert f"program {fingerprint!r}: malformed program: functions is a str" in ack.reason
+
+    def test_programs_are_opened_once_each_not_once_per_node(self, monkeypatch):
+        """The counting test: one ``CompiledProgram.from_dict`` per
+        ``submit_tasklet``; per workflow one per *distinct program*, and
+        none as its nodes are released."""
+        opened = []
+        original = CompiledProgram.from_dict.__func__
+        monkeypatch.setattr(
+            CompiledProgram,
+            "from_dict",
+            classmethod(lambda cls, data: opened.append(1) or original(cls, data)),
+        )
+        harness = Harness()
+        harness.add_provider(capacity=8)
+        _tid, replies = harness.submit()
+        assert len(opened) == 1 and len(bodies(replies, AssignExecution)) == 1
+        harness.submit()  # the same program again: each submission is its own hop
+        assert len(opened) == 2
+        del opened[:]
+        builder = WorkflowBuilder("wf-wide")
+        source = builder.node(PROGRAM, args=[1], node_id="n0")
+        for index in range(1, 7):
+            builder.node(PROGRAM, args=[{"$from": source}], node_id=f"n{index}")
+        builder.node(self.TWO, args=[{"$from": "n1"}, {"$from": "n2"}], node_id="sum")
+        replies = harness.send(SubmitWorkflow(workflow=builder.build().to_dict()), src="c1")
+        assert bodies(replies, WorkflowAck)[0].accepted
+        assert len(opened) == 2  # eight nodes, two programs
+        pending, finished = bodies(replies, AssignExecution), []
+        while pending:  # the source, the fan-out, then the sum
+            replies = harness.complete(pending.pop(0), value=2)
+            pending.extend(bodies(replies, AssignExecution))
+            finished.extend(bodies(replies, WorkflowComplete))
+        assert [done.ok for done in finished] == [True]
+        assert len(opened) == 2

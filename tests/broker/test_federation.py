@@ -22,6 +22,7 @@ from repro.dag.spec import WorkflowBuilder
 from repro.transport.message import (
     AssignExecution,
     ExecutionResult,
+    ForwardAck,
     ForwardComplete,
     ForwardTasklet,
     RegisterProvider,
@@ -350,7 +351,7 @@ class TestForwarding:
         # Re-send the forward (what the origin does while unacked).
         dup = ForwardTasklet(
             origin_broker="b1", consumer_id="c1",
-            tasklet=fed.cores["b1"]._wire_tasklet(state),
+            tasklet=state.wire,
         )
         out = fed.send("b2", dup, src="b1")
         # No second assignment: the peer recognised in-flight work.
@@ -475,6 +476,36 @@ class TestFailoverResubmit:
         assert len(completes) == 1
         assert completes[0].ok and completes[0].value == 42
         assert fed.cores["b2"].stats.executions_issued == 1
+
+
+    def test_a_forward_under_a_running_workflow_nodes_id_is_refused_not_forgotten(self):
+        """Regression (the ``forward_tasklet`` twin of the plain-submit
+        collision): a forward whose key is a running workflow node was an
+        in-flight admission — acked accepted — and when the node ended its
+        outcome went to the graph only: the origin broker waited for a
+        ``forward_complete`` that never came."""
+        fed = FedHarness()
+        fed.add_provider("b2", "p1")
+        builder = WorkflowBuilder("wf-1")
+        builder.node(PROGRAM, args=[21], node_id="n1")
+        spec = builder.build()
+        out = fed.send("b2", SubmitWorkflow(workflow=spec.to_dict()), src="c1")
+        (assign,) = bodies(out, AssignExecution)
+        twin = Tasklet(TaskletId("wf-1:n1"), PROGRAM, "main", [21])  # the node, as a tasklet
+        b2 = fed.cores["b2"]
+        out = b2.handle(
+            ForwardTasklet(origin_broker="b1", consumer_id="c1", tasklet=twin.to_dict())
+            .envelope(NodeId("b1"), NodeId("b2"))
+        )
+        (ack,) = bodies(out, ForwardAck)
+        assert len(out) == 1 and not ack.accepted and ack.tasklet_id == "wf-1:n1"
+        assert ack.reason == "tasklet id is a running node of workflow 'wf-1'"
+        assert b2._tasklets["c1/wf-1:n1"].origin_broker is None  # the node is untouched
+        # ... and the graph still gets its node.
+        out = fed.send("b2", result_of(assign, "p1", fed.clock), src="p1")
+        (done,) = bodies(out, WorkflowComplete)
+        assert done.ok and done.outputs == {"n1": 42}
+        assert bodies(out, ForwardComplete) == []
 
 
 class TestEpochSemantics:

@@ -1,6 +1,7 @@
 """Unit tests for the broker work journal and result memoization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +334,118 @@ class TestWorkflowRecords:
         assert snapshot.workflows == []
         assert snapshot.workflow_nodes == []  # graph retired, nodes dropped
         assert "c1/wf-1" in snapshot.workflow_completions
+
+
+# -- every line is opened by its kind's declaration, or counted malformed --------
+
+
+def _line(**fields):
+    return json.dumps(fields)
+
+
+ADMITTED = {"kind": "admitted", "key": "c1/tl-1", "consumer_id": "c1", "ts": 1.0, "tasklet": TASKLET}
+COMPLETE = dict(make_completion().to_dict(), kind="complete")
+WF_COMPLETE = {"kind": "wf_complete", "key": "c1/wf-1", "ts": 2.0,
+               "outcome": {"workflow_id": "wf-1", "ok": True}}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # ``bool("false")`` is True: this line used to replay as a success.
+        pytest.param(_line(**{**COMPLETE, "ok": "false"}), id="complete-ok-is-the-string-false"),
+        pytest.param(_line(**{**COMPLETE, "ok": 1}), id="complete-ok-is-an-int"),
+        pytest.param(_line(**{**COMPLETE, "attempts": "3"}), id="complete-attempts-is-a-str"),
+        pytest.param(_line(**{**COMPLETE, "cost": None}), id="complete-cost-is-null"),
+        pytest.param(_line(**{**COMPLETE, "key": 7}), id="complete-key-is-an-int"),
+        pytest.param(
+            _line(**{k: v for k, v in COMPLETE.items() if k != "consumer_id"}),
+            id="complete-without-consumer",
+        ),
+        # An outcome that is not an object used to be skipped silently at recovery.
+        pytest.param(_line(**{**WF_COMPLETE, "outcome": "ok"}), id="wf_complete-outcome-is-a-str"),
+        pytest.param(_line(**{**WF_COMPLETE, "outcome": None}), id="wf_complete-outcome-is-null"),
+        pytest.param(
+            _line(**{**WF_COMPLETE, "outcome": {"workflow_id": "wf-1", "ok": "true"}}),
+            id="wf_complete-outcome-ok-is-a-str",
+        ),
+        pytest.param(_line(**{**WF_COMPLETE, "outcome": {"ok": True}}), id="wf_complete-outcome-unnamed"),
+        pytest.param(_line(**{**ADMITTED, "tasklet": "x"}), id="admitted-tasklet-is-a-str"),
+        pytest.param(_line(**{**ADMITTED, "tasklet": {"entry": "main"}}), id="admitted-tasklet-unnamed"),
+        pytest.param(_line(**{**ADMITTED, "origin": 7}), id="admitted-origin-is-an-int"),
+        pytest.param(_line(**{**ADMITTED, "consumer_id": None}), id="admitted-consumer-is-null"),
+        pytest.param(_line(**{**ADMITTED, "ts": "now"}), id="admitted-ts-is-a-str"),
+        pytest.param(
+            _line(kind="wf_admitted", key="c1/wf-1", consumer_id="c1", ts=1.0, workflow=[]),
+            id="wf_admitted-workflow-is-a-list",
+        ),
+        pytest.param(_line(kind=["admitted"], key="c1/tl-1"), id="kind-is-a-list"),
+        pytest.param(_line(key="c1/tl-1"), id="no-kind"),
+        pytest.param("[1, 2]", id="line-is-a-list"),
+        pytest.param("7", id="line-is-an-int"),
+    ],
+)
+def test_a_line_that_does_not_read_as_its_kind_is_malformed(tmp_path, line):
+    path = tmp_path / "j.jsonl"
+    path.write_text("\n".join([_line(**ADMITTED), line, _line(**WF_COMPLETE)]) + "\n")
+    snapshot = replay_journal(str(path))
+    assert snapshot.malformed == 1
+    assert snapshot.completions == {}  # in particular: no success out of "false"
+    assert snapshot.pending_keys == ["c1/tl-1"] and list(snapshot.workflow_completions) == ["c1/wf-1"]
+
+
+def test_lines_are_typed_and_read_like_the_dicts_on_disk(tmp_path):
+    path = tmp_path / "j.jsonl"
+    path.write_text(_line(**ADMITTED, origin="b2", from_the_future=1) + "\n" + _line(**WF_COMPLETE) + "\n")
+    snapshot = replay_journal(str(path))
+    (entry,) = snapshot.pending
+    assert (entry.key, entry.consumer_id, entry.ts, entry.origin, entry.workflow) == (
+        "c1/tl-1", "c1", 1.0, "b2", ""
+    )
+    assert entry.tasklet == TASKLET and entry["tasklet"] is entry.tasklet
+    assert entry.to_dict() == {**ADMITTED, "origin": "b2"}  # (``workflow`` stays out while empty)
+    assert snapshot.workflow_completions["c1/wf-1"]["outcome"]["ok"] is True
+
+
+# -- a journal written by the parent commit (PR 20) ------------------------------------
+
+FIXTURES = Path(__file__).parent
+
+
+def test_a_journal_the_parent_commit_wrote_replays_and_compacts_as_it_did(tmp_path):
+    """``parent_journal.raw.jsonl`` was written by the commit before the
+    record grammar (a federated ``BrokerCore`` on a ``VirtualClock``: an ok,
+    a failed and a pending tasklet, one forwarded in by a peer, a finished
+    workflow and one in flight with a node done and a node running);
+    ``.snapshot.json`` is what that commit's ``replay_journal`` read back
+    (lines as the raw dicts it kept) and ``.compacted.jsonl`` what its
+    ``compact()`` left.  Same snapshot, same bytes."""
+    expected = json.loads((FIXTURES / "parent_journal.snapshot.json").read_text())
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes((FIXTURES / "parent_journal.raw.jsonl").read_bytes())
+    snapshot = replay_journal(str(path))
+    assert snapshot.malformed == 0
+
+    def rendered(snapshot):
+        return {
+            **{name: getattr(snapshot, name) for name in (
+                "admitted", "completed", "malformed", "workflows_admitted", "workflows_completed"
+            )},
+            "pending": [entry.to_dict() for entry in snapshot.pending],
+            "completions": [c.to_dict() for c in snapshot.completions.values()],
+            "workflows": [entry.to_dict() for entry in snapshot.workflows],
+            "workflow_nodes": [entry.to_dict() for entry in snapshot.workflow_nodes],
+            "workflow_completions": [e.to_dict() for e in snapshot.workflow_completions.values()],
+        }
+
+    assert rendered(snapshot) == expected
+    assert [(c.key, c.ok) for c in snapshot.completions.values()][:2] == [
+        ("c1/tl-ok", True), ("c1/tl-bad", False)
+    ]
+    journal = WorkJournal(str(path))
+    journal.compact()
+    compacted = (FIXTURES / "parent_journal.compacted.jsonl").read_bytes()
+    assert path.read_bytes() == compacted
+    journal.compact()  # and what is compact stays as it is, byte for byte
+    journal.close()
+    assert path.read_bytes() == compacted

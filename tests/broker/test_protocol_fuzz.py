@@ -9,11 +9,17 @@ duplicate and conflicting resubmits, and crash-and-replay (a fresh
 ``BrokerCore`` rebuilt on the same ``WorkJournal``) — any of which may
 first have one field replaced by something else the codecs carry (the
 *hostile* step: ``None``, a string, a float, a bool, an int, a list, a
-dict).  After every step the
-broker's lifecycle invariants must hold; it must never raise:
+dict) — a field of the message, or one *inside* the records it carries:
+the tasklet, its ``qoc``, its ``program`` or a function of it; the
+workflow, a node, a program of its table, a placeholder.  After every step
+the broker's lifecycle invariants must hold; it must never raise:
 
 * an unreadable message sends nothing and changes nothing but
   ``messages_unreadable``;
+* a readable message whose record its owner's reader refuses — the
+  tasklet at admission, the workflow with its programs — is answered with
+  that one refusal (``submit_ack`` / ``workflow_ack``, not accepted) and
+  leaves no table entry, no journal line, no counter but ``*_submitted``;
 
 * at most one terminal ``TaskletComplete`` / ``WorkflowComplete`` per
   admitted id (answers to a resubmit repeat the first outcome), and after
@@ -44,11 +50,12 @@ from hypothesis import given, settings, strategies as st
 from repro.broker.core import BrokerConfig, BrokerCore
 from repro.broker.journal import WorkJournal
 from repro.common.clock import VirtualClock
+from repro.common.errors import TaskletError
 from repro.common.ids import NodeId, TaskletId
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.dag.patterns import DAG_KERNEL, chain
-from repro.dag.spec import WorkflowBuilder, from_node, gather
+from repro.dag.spec import WorkflowBuilder, WorkflowSpec, from_node, gather
 from repro.obs import Telemetry
 from repro.transport.message import (
     ExecutionRejected,
@@ -144,17 +151,36 @@ def _actions():
         workflow, result, reject, tick, crash,
     )
     # One action in four is hostile: the message it delivers first has its
-    # ``pick``-th field replaced by ``value``.
+    # ``pick``-th field — or the ``pick``-th field inside the records it
+    # carries — replaced by ``value``.
     hostile_step = st.tuples(
-        st.integers(min_value=0, max_value=9), st.sampled_from(HOSTILE_MENU)
+        st.integers(min_value=0, max_value=63), st.sampled_from(HOSTILE_MENU), st.booleans()
     )
     return st.tuples(action, st.one_of(st.none(), st.none(), st.none(), hostile_step))
 
 
+def _owner_refuses(body) -> bool:
+    """Whether the record ``body`` carries does not open — by the readers
+    its owner uses; what is checked here is what the broker then *does*."""
+    try:
+        if isinstance(body, SubmitTasklet):
+            Tasklet.from_dict(body.tasklet)
+        elif isinstance(body, SubmitWorkflow):
+            spec = WorkflowSpec.from_dict(body.workflow)
+            spec.validate()
+            spec.open_programs()
+    except TaskletError:
+        return True
+    return False
+
+
 def _snapshot(broker: BrokerCore) -> tuple:
-    """Everything an unreadable message must leave as it was."""
+    """Everything an unreadable or refused message must leave as it was."""
     return (
-        dataclasses.replace(broker.stats, messages_unreadable=0),
+        dataclasses.replace(
+            broker.stats, messages_unreadable=0, tasklets_submitted=0, workflows_submitted=0
+        ),
+        Path(broker.journal.path).stat().st_size if broker.journal else 0,
         {key: (sorted(state.outstanding), state.pending_replicas, state.issued)
          for key, state in broker._tasklets.items()},
         sorted(broker.workflows.active),
@@ -264,11 +290,20 @@ class _Driver:
         armed, self.armed = self.armed, None
         if armed is not None:
             hostile(envelope, *armed)
-        if read(envelope) is None:
+        body = read(envelope)
+        if body is None:
             before, unreadable = _snapshot(self.broker), self.broker.stats.messages_unreadable
             assert self.broker.handle(envelope) == []
             assert _snapshot(self.broker) == before
             assert self.broker.stats.messages_unreadable == unreadable + 1
+            return
+        if _owner_refuses(body):
+            before = _snapshot(self.broker)
+            (refusal,) = self.broker.handle(envelope)  # nothing but the refusal
+            assert refusal.type in ("submit_ack", "workflow_ack")
+            assert refusal.payload["accepted"] is False and refusal.payload["reason"]
+            assert str(refusal.dst) == src
+            assert _snapshot(self.broker) == before
             return
         self._observe(self.broker.handle(envelope), resubmit_of)
 

@@ -9,7 +9,8 @@ id, ``submit_workflow`` (fresh and in flight), ``workflow_ack`` accept and
 reject, ``workflow_update``, ``workflow_complete`` ok / failed /
 duplicate, ``fail_all_pending``, clock advances — where any broker message
 may first have one field replaced by something else the codecs carry (the
-*hostile* step) — and after every step
+*hostile* step: a field of the message, or one inside an execution record
+it carries) — and after every step
 checks what the QoC layer promises the application (DESIGN.md §8):
 
 * a message the boundary cannot read changes nothing (and, with telemetry
@@ -117,7 +118,7 @@ class ConsumerProtocol(RuleBasedStateMachine):
         self.workflows = {}
         self.stats = ConsumerStats()
         self.disconnects = 0  # fail_all_pending calls that found something
-        self.armed = None  # (pick, value) for the next delivery's hostile step
+        self.armed = None  # (pick, value, inside) for the next delivery's hostile step
         self.unreadable = 0
 
     # -- plumbing -----------------------------------------------------------
@@ -134,9 +135,15 @@ class ConsumerProtocol(RuleBasedStateMachine):
         assert self.core.handle(envelope) == []
         return body
 
-    @rule(pick=st.integers(min_value=0, max_value=9), value=st.sampled_from(HOSTILE_MENU))
-    def arm_hostile_step(self, pick, value):
-        self.armed = (pick, value)
+    @rule(
+        pick=st.integers(min_value=0, max_value=63),
+        value=st.sampled_from(HOSTILE_MENU),
+        inside=st.booleans(),
+    )
+    def arm_hostile_step(self, pick, value, inside):
+        """``inside``: the field is one of an execution record the message
+        carries, not of the message — which then reads, or is unreadable."""
+        self.armed = (pick, value, inside)
 
     def _watch(self, waiter, envelope):
         """Count what the core itself tells ``waiter`` (the waiters are

@@ -115,6 +115,27 @@ def test_cache_hits_for_repeated_program():
     assert executor.cache_hits == 4
 
 
+def test_a_cache_hit_opens_no_program(monkeypatch):
+    """The provider's hop: the ``program`` record is opened on a cache
+    miss, once, and never on a hit — whatever the payload then holds."""
+    from repro.tvm.bytecode import CompiledProgram
+
+    opened = []
+    original = CompiledProgram.from_dict.__func__
+    monkeypatch.setattr(
+        CompiledProgram,
+        "from_dict",
+        classmethod(lambda cls, data: opened.append(1) or original(cls, data)),
+    )
+    executor = TaskletExecutor()
+    assert executor.execute(assignment(3)).value == 3
+    assert len(opened) == 1
+    request = assignment(4)
+    request.program = {"version": "never looked at"}
+    assert executor.execute(request).value == 6
+    assert (len(opened), executor.cache_hits) == (1, 1)
+
+
 def test_cache_distinguishes_programs():
     other = compile_source("func main(n: int) -> int { return n; }")
     executor = TaskletExecutor()

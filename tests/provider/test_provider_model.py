@@ -6,13 +6,17 @@ everything a driver and a broker can do to the core — assign, cancel
 error), refuse accepted work, re-register (a link redial), every kind of
 ``register_ack``, drain, stop, start — where any broker message may first
 have one field replaced by something else the codecs carry (the *hostile*
-step) — and after every step checks what
+step: a field of the message, or one inside the ``program`` an assignment
+carries) — and after every step checks what
 the TCP provider and the simulator both rely on:
 
 * a message the boundary cannot read is answered with nothing and changes
   nothing (one ``message_unreadable`` event); one it can read is acted on
   as read, whatever it now says;
 
+* an assignment whose ``program`` does not open is accepted like any other
+  (nothing is opened before the run), fails its run, and is answered with
+  that one ``vm_error`` result — the provider's refusal — and nothing else;
 * at most one ``execution_result`` or ``execution_rejected`` per execution
   id, and none for an execution cancelled before its report or accepted
   under an older epoch;
@@ -35,12 +39,13 @@ from hypothesis.stateful import (
 )
 
 from repro.common.clock import VirtualClock
+from repro.common.errors import VMInvalidProgram
 from repro.common.ids import NodeId
 from repro.core.results import ExecutionStatus
 from repro.obs import Telemetry
 from repro.obs import events as ev
 from repro.provider.core import ProviderCore
-from repro.provider.executor import ExecutionOutcome
+from repro.provider.executor import ExecutionOutcome, TaskletExecutor
 from repro.transport.message import (
     BROKER_ADDRESS,
     REASON_UNKNOWN_PROVIDER,
@@ -52,9 +57,12 @@ from repro.transport.message import (
     RegisterProvider,
     body_of,
 )
+from repro.tvm.bytecode import CompiledProgram
+from repro.tvm.compiler import compile_source
 
 from tests.transport.test_messages import HOSTILE_MENU, hostile, read
 
+PROGRAM = compile_source("func main() -> int { return 7; }").to_dict()
 OUTCOMES = {
     True: ExecutionOutcome(ExecutionStatus.SUCCESS, value=7, instructions=11),
     False: ExecutionOutcome(ExecutionStatus.VM_ERROR, error="DivisionByZero: boom"),
@@ -92,13 +100,22 @@ class ProviderProtocol(RuleBasedStateMachine):
         self.counter = 0
         self.waiting = False  # a drain waiter would be blocked right now
         self.notified = 0
-        self.armed = None  # (pick, value) for the next delivery's hostile step
+        self.armed = None  # (pick, value, inside) for the next delivery's hostile step
         self.unreadable = 0
 
     # -- plumbing -----------------------------------------------------------
 
     def _execute(self, request):
         assert self.core.active == 1  # bracketed around the executor only
+        try:
+            CompiledProgram.from_dict(request.program)
+        except VMInvalidProgram:
+            # The hostile step reached inside the program: what the real
+            # executor makes of it is what gets reported.
+            outcome = TaskletExecutor().execute(request)
+            assert outcome.status is ExecutionStatus.VM_ERROR
+            assert outcome.error.startswith("VMInvalidProgram: "), outcome.error
+            return outcome
         return OUTCOMES[self.next_outcome]
 
     def _deliver(self, body):
@@ -125,9 +142,13 @@ class ProviderProtocol(RuleBasedStateMachine):
             assert (self.core.registered, self.core.inflight) == before
         return body, [body_of(reply) for reply in replies], work
 
-    @rule(pick=st.integers(min_value=0, max_value=9), value=st.sampled_from(HOSTILE_MENU))
-    def arm_hostile_step(self, pick, value):
-        self.armed = (pick, value)
+    @rule(
+        pick=st.integers(min_value=0, max_value=63),
+        value=st.sampled_from(HOSTILE_MENU),
+        inside=st.booleans(),
+    )
+    def arm_hostile_step(self, pick, value, inside):
+        self.armed = (pick, value, inside)
 
     def _record(self, envelope):
         body = body_of(envelope)
@@ -150,7 +171,7 @@ class ProviderProtocol(RuleBasedStateMachine):
             execution_id=execution_id,
             tasklet_id=f"tl-{self.counter}",
             consumer_id="c1",
-            program={},
+            program=PROGRAM,
             program_fingerprint="f",
             entry="main",
             args=[],
@@ -223,7 +244,7 @@ class ProviderProtocol(RuleBasedStateMachine):
             assert outcome is None  # never started, already purged
             self._done(execution_id)
         else:
-            assert outcome is OUTCOMES[ok]
+            assert outcome is OUTCOMES[ok] or outcome.error.startswith("VMInvalidProgram: ")
             self.outcomes[execution_id] = outcome
 
     @precondition(lambda self: self.outcomes)

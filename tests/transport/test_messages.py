@@ -1,5 +1,6 @@
 """Typed messages: registry completeness, envelope round-trips."""
 
+import copy
 import dataclasses
 import re
 import sys
@@ -219,11 +220,39 @@ def test_wire_payload_is_plain_json():
 HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}]
 
 
-def hostile(envelope, pick: int, value) -> None:
+def _records_inside(payload: dict) -> list[dict]:
+    """Every dict nested anywhere inside ``payload``: the records it
+    carries (a tasklet, its qoc, its program, a function; a workflow, a
+    node; an execution record) and the placeholders inside arguments."""
+    found, stack = [], list(payload.values())
+    while stack:
+        item = stack.pop()
+        if type(item) is dict:
+            found.append(item)
+            stack.extend(item.values())
+        elif type(item) is list:
+            stack.extend(item)
+    return found
+
+
+def hostile(envelope, pick: int, value, inside: bool = False) -> None:
     """The stateful suites' hostile step: one payload field of ``envelope``
-    — the ``pick``-th, by name — is replaced by ``value``."""
-    names = sorted(envelope.payload)
-    envelope.payload[names[pick % len(names)]] = value
+    — the ``pick``-th, by name — is replaced by ``value``.  With ``inside``
+    the field is one level (or more) down: the ``pick``-th field of the
+    records the payload carries, when it carries any."""
+    payload = envelope.payload
+    if inside:
+        # (What a sender nests it shares with its own tables: copy first.)
+        envelope.payload = payload = copy.deepcopy(payload)
+        sites = [
+            (nested, name) for nested in _records_inside(payload) for name in sorted(nested)
+        ]
+        if sites:
+            nested, name = sites[pick % len(sites)]
+            nested[name] = value
+            return
+    names = sorted(payload)
+    payload[names[pick % len(names)]] = value
 
 
 def read(envelope):
@@ -297,7 +326,9 @@ def test_body_of_yields_a_typed_body_or_transport_error(body):
                 assert _well_formed(got), (name, value)
                 assert getattr(got, name) == value
                 assert type(getattr(got, name)) is type(value)
-            if name not in ("status", "state", "executions"):  # further rules apply
+            if name not in ("status", "state", "executions", "tasklet", "workflow"):
+                # (Those five answer to further rules: closed sets, record
+                # shapes, and a submission that must name itself.)
                 assert refused == (not acceptable), (name, value)
             elif not acceptable:
                 assert refused, (name, value)
