@@ -17,6 +17,9 @@ returning.  Two claims are kept honest:
 import time
 
 from repro.broker.journal import CompletionRecord, WorkJournal, replay_journal
+from repro.core import kernels
+from repro.core.tasklet import Tasklet
+from repro.tvm.compiler import compile_source
 
 TASKLET = {"tasklet_id": "tl", "entry": "main", "args": [7]}
 RECORDS = 400
@@ -68,6 +71,22 @@ def test_fsync_cost_is_opt_in(tmp_path):
         f"fsync mode ({best_synced * 1e3:.1f}ms): the opt-in durability "
         f"cost leaked into the default path"
     )
+
+
+def test_record_admitted_prime_count(tmp_path):
+    """One ``admitted`` line for a ``coarse_vm`` tasklet: its program is
+    bytes the journal base64s, not a document it walks.  Informational
+    (printed with ``-s``)."""
+    tasklet = Tasklet("tl", compile_source(kernels.PRIME_COUNT), "main", [1000]).to_dict()
+    journal = WorkJournal(str(tmp_path / "admitted.jsonl"))
+    start = time.perf_counter()
+    for n in range(RECORDS):
+        journal.record_admitted(f"c1/tl-{n}", "c1", tasklet, ts=float(n))
+    elapsed = time.perf_counter() - start
+    snapshot = journal.replay()
+    journal.close()
+    assert snapshot.malformed == 0 and snapshot.pending[0].tasklet == tasklet
+    print(f"\nrecord_admitted[prime_count]: {elapsed / RECORDS * 1e6:.1f} us/line")
 
 
 def test_replay_10k_lines(tmp_path):

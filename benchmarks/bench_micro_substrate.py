@@ -8,6 +8,7 @@ the pieces every experiment sits on.
 """
 
 import random
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.qoc import QoC
 from repro.core.results import _vote_key
 from repro.core.tasklet import Tasklet
 from repro.provider.executor import local_assignment
+from repro.tvm.bytecode import ProgramTable
 from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
 from repro.transport.message import BROKER_ADDRESS, ExecutionResult, SubmitTasklet, body_of
 from repro.tvm.compiler import compile_source
@@ -66,7 +68,7 @@ def test_program_wire_roundtrip(benchmark):
         return EnvelopeDecoder().feed(frame)[0][0]
 
     decoded = benchmark(roundtrip)
-    assert decoded.payload["program"]["version"] == 1
+    assert decoded.payload["program"] == program.packed()
 
 
 def test_body_of_execution_result(benchmark):
@@ -94,12 +96,77 @@ def test_body_of_execution_result(benchmark):
 def test_open_tasklet(benchmark, kernel, args):
     """The broker's share of one ``submit_tasklet`` hop: the message at
     the boundary, then the ``tasklet`` record it carries — QoC, program,
-    every instruction — opened once by the record grammar.  Informational;
-    the e2e benchmark's kernels (``fine_*`` and ``coarse_vm``)."""
+    every instruction — opened by the record grammar with no table to
+    remember the program by: what a broker pays for the *first* tasklet of
+    a program.  Informational; the e2e benchmark's kernels (``fine_*`` and
+    ``coarse_vm``)."""
     tasklet = Tasklet("tl-1", compile_source(kernel), "main", args, qoc=QoC.reliable())
     envelope = SubmitTasklet(tasklet=tasklet.to_dict()).envelope(NodeId("c1"), BROKER_ADDRESS)
     opened = benchmark(lambda: Tasklet.from_dict(body_of(envelope).tasklet))
     assert opened.to_dict() == tasklet.to_dict()
+
+
+#: A program of ~650 instructions beside one of 6: the same entry, a
+#: hundred times the code.
+_PROGRAMS = {
+    "6-instr": "func main(x: int) -> int { return x + 1; }",
+    "650-instr": "func main(x: int) -> int { var acc: int = x;"
+    + "".join(f" acc = acc * 3 + {i};" for i in range(107))
+    + " return acc; }",
+}
+
+
+def _hop(source: str):
+    """One tasklet's way through the middleware, every later tasklet of
+    its program: the consumer writes and encodes a ``submit_tasklet``, the
+    broker decodes it, reads it and looks the program up in its table
+    (warm: the first tasklet opened it), writes and encodes the
+    ``assign_execution``, and the provider decodes and reads that."""
+    program = compile_source(source)
+    tasklet = Tasklet("tl-1", program, "main", [1], qoc=QoC.reliable())
+    assignment, table = local_assignment(program, [1]), ProgramTable()
+    consumer, broker, provider = NodeId("c1"), BROKER_ADDRESS, NodeId("p1")
+
+    def through(body, src, dst):
+        frame = encode_envelope(body.envelope(src, dst), CODEC_BINARY)
+        return body_of(EnvelopeDecoder().feed(frame)[0][0])
+
+    def hop():
+        submitted = through(SubmitTasklet(tasklet=tasklet.to_dict()), consumer, broker)
+        opened = Tasklet.from_dict(submitted.tasklet, table)
+        assignment.program = submitted.tasklet["program"]
+        return opened, through(assignment, broker, provider)
+
+    return program, hop
+
+
+@pytest.mark.parametrize("size", _PROGRAMS)
+def test_hop_cost(benchmark, size):
+    program, hop = _hop(_PROGRAMS[size])
+    opened, assigned = benchmark(hop)
+    assert opened.program == program and assigned.program == program.packed()
+    assert abs(sum(len(f.code) for f in program.functions) - int(size.split("-")[0])) < 10
+
+
+def test_hop_cost_does_not_grow_with_the_program():
+    """The floor: code crosses as bytes, so a hundred times the code is
+    the same Python steps per hop and a few more microseconds of memcpy
+    and SHA-256 — within 2x (1.1x measured; the dict form: 24x)."""
+    best = {}
+    for size, source in _PROGRAMS.items():
+        _, hop = _hop(source)
+        hop()
+        timings = []
+        for _ in range(7):
+            started = time.perf_counter()
+            for _ in range(200):
+                hop()
+            timings.append((time.perf_counter() - started) / 200)
+        best[size] = min(timings)
+    ratio = best["650-instr"] / best["6-instr"]
+    print(f"\nhop_cost: 6-instr {best['6-instr'] * 1e6:.1f} us, 650-instr "
+          f"{best['650-instr'] * 1e6:.1f} us, ratio {ratio:.2f}")
+    assert ratio < 2.0, f"a hop costs {ratio:.1f}x more for 100x the code"
 
 
 def test_scheduler_selection(benchmark):

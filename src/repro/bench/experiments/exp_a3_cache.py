@@ -46,13 +46,12 @@ def _large_program():
 
 
 def _assignments(program, tasks: int) -> list[AssignExecution]:
-    program_dict = program.to_dict()
     return [
         AssignExecution(
             execution_id=f"ex-{index}",
             tasklet_id=f"tl-{index}",
             consumer_id="cons",
-            program=program_dict,
+            program=program.packed(),
             entry="main",
             args=[float(index)],
             seed=0,

@@ -64,8 +64,8 @@ def _run_naive(spec: WorkflowSpec) -> tuple[float, dict[str, object]]:
     sim = _make_sim()
     consumer = sim.add_consumer()
     programs = {
-        fingerprint: CompiledProgram.from_dict(document)
-        for fingerprint, document in spec.programs.items()
+        fingerprint: CompiledProgram.from_packed(blob)
+        for fingerprint, blob in spec.programs.items()
     }
     values: dict[str, object] = {}
     started = sim.now

@@ -38,6 +38,7 @@ from ..core.results import ExecutionRecord, ExecutionStatus, VoteCollector
 from ..core.tasklet import Tasklet
 from ..obs.telemetry import Telemetry
 from ..obs.trace import TraceContext
+from ..tvm.bytecode import ProgramTable
 from ..tvm.vm import is_tasklet_value
 from .accounting import CostLedger
 from .backlog import Backlog
@@ -135,7 +136,7 @@ class _TaskletState:
     key: str
     consumer_id: NodeId
     #: The admitted record, opened once — and as it arrived: what is
-    #: journalled and forwarded, and whose ``program`` providers are sent.
+    #: journalled and forwarded, and whose ``program`` bytes providers are sent.
     tasklet: Tasklet
     wire: dict
     submitted_at: float
@@ -236,6 +237,9 @@ class BrokerCore:
             pipeline_depth=self.config.pipeline_depth,
         )
         self.ledger = CostLedger()
+        #: Programs opened here (admission needs entry and arity), each
+        #: once: what travels on, and is journalled, are the bytes sent.
+        self.programs = ProgramTable()
         self._tasklets: dict[str, _TaskletState] = {}
         self._admissions = itertools.count()
         #: Every outstanding execution, by id, provider and deadline.
@@ -409,7 +413,7 @@ class BrokerCore:
         here, once — and :meth:`_admit` it.  One that does not read is
         refused by its id, which its carrier's boundary saw to."""
         try:
-            tasklet = Tasklet.from_dict(wire)
+            tasklet = Tasklet.from_dict(wire, self.programs)
         except RecordError as exc:
             return _Admission(wire["tasklet_id"], refusal=str(exc))
         except TaskletError as exc:  # reads as declared, and is no Tasklet
@@ -1078,8 +1082,3 @@ class BrokerCore:
     def pending_workflows(self) -> int:
         """Workflows admitted but not yet terminal (for tests/monitoring)."""
         return len(self.workflows.active)
-
-    @property
-    def _wf_nodes(self) -> dict:
-        """Released workflow nodes by tasklet key (for tests)."""
-        return self.workflows.nodes

@@ -42,8 +42,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..common.errors import RecordError
+from ..common.errors import RecordError, TransportError, VMInvalidProgram
 from ..common.record import Record, identified, reads_as, record, sparse
+from ..common.serde import decode_value, encode_value
+from ..tvm.bytecode import CompiledProgram
 
 
 def memo_key_of(
@@ -224,24 +226,65 @@ class JournalSnapshot:
         return "waiting"
 
 
+def _repacked(document: dict) -> tuple[bytes, str]:
+    """Packed form and stamp of a program an older build journalled as its
+    document (and stamped with a hash of that)."""
+    program = CompiledProgram.from_dict(document)
+    return program.packed(), program.fingerprint()
+
+
+def _upgrade(line: dict) -> None:
+    """Rewrite, as it is read, an ``admitted`` / ``wf_admitted`` line an
+    older build wrote — the one place that knows a program was once
+    journalled as a dict: it is packed, and everything that names it
+    re-stamped.  (Memo keys made of the old stamps stay; they match
+    nothing this build computes and are simply cold.)"""
+    tasklet, workflow = line.get("tasklet"), line.get("workflow")
+    if type(tasklet) is dict and type(tasklet.get("program")) is dict:
+        tasklet["program"], tasklet["program_fingerprint"] = _repacked(tasklet["program"])
+    programs = workflow.get("programs") if type(workflow) is dict else None
+    if type(programs) is not dict:
+        return
+    stamps = {}
+    for old in [key for key, program in programs.items() if type(program) is dict]:
+        blob, stamps[old] = _repacked(programs.pop(old))
+        programs[stamps[old]] = blob
+    nodes = workflow.get("nodes")
+    for node in nodes if stamps and type(nodes) is list else ():
+        stamp = node.get("program_fingerprint") if type(node) is dict else None
+        if type(stamp) is str and stamp in stamps:
+            node["program_fingerprint"] = stamps[stamp]
+
+
 def _read_line(text: str) -> Record:
     """The typed line ``text`` holds — or :class:`RecordError`: not JSON,
-    no known kind, or not what its kind declares."""
+    no known kind, or not what its kind declares.  Bytes are ``serde``'s
+    ``__b__`` tag, as in the JSON codec."""
     try:
         document = json.loads(text)
+        if '"__' in text:  # (else there is no tag to read: most lines but ``admitted``)
+            document = decode_value(document)
     except ValueError as exc:
         raise RecordError(f"not JSON: {exc}") from None
+    except TransportError as exc:
+        raise RecordError(f"not a journal line: {exc}") from None
     kind = document.get("kind") if type(document) is dict else None
     shape = _LINES.get(kind) if type(kind) is str else None
     if shape is None:
         raise RecordError(f"unknown line kind {kind!r}")
+    try:
+        _upgrade(document)
+    except VMInvalidProgram as exc:
+        raise RecordError(f"malformed {kind}: {exc}") from None
     return shape.from_dict(document)
 
 
 def _encode(entry: Record) -> str:
     """The line ``entry`` is written as: what :func:`_read_line` reads."""
     document = {"kind": entry.WHAT, **entry.to_dict()}
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), default=encode_value
+    ) + "\n"
 
 
 def replay_journal(path: str) -> JournalSnapshot:

@@ -45,7 +45,7 @@ class _WorkflowState:
     workflow_id: str
     consumer_id: NodeId
     spec: WorkflowSpec
-    #: ``spec.programs``, each opened once, at admission.
+    #: ``spec.programs``, opened (by the broker's table) at admission.
     programs: dict[str, CompiledProgram]
     scheduler: DagScheduler
     submitted_at: float
@@ -129,13 +129,13 @@ class WorkflowCoordinator:
         )
         return self.core._send(ack, dst)
 
-    @staticmethod
-    def _read(workflow: dict) -> tuple[WorkflowSpec, dict[str, CompiledProgram]]:
-        """Open a ``workflow`` record — spec and programs, once each — or
-        :class:`WorkflowSpecError`: it does not read, or is no valid graph."""
+    def _read(self, workflow: dict) -> tuple[WorkflowSpec, dict[str, CompiledProgram]]:
+        """Open a ``workflow`` record — the spec once, its programs if the
+        broker has not yet — or :class:`WorkflowSpecError`: it does not
+        read, is no valid graph, or a program is not what its key says."""
         spec = WorkflowSpec.from_dict(workflow)
         spec.validate()
-        return spec, spec.open_programs()
+        return spec, spec.open_programs(self.core.programs)
 
     def _open(
         self,

@@ -527,6 +527,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_journal(args: argparse.Namespace) -> int:
     """Inspect (and optionally compact) a broker work journal."""
     from .broker.journal import WorkJournal, replay_journal
+    from .common.serde import encode_value
 
     if not Path(args.file).exists():
         print(f"error: no journal at {args.file}", file=sys.stderr)
@@ -557,7 +558,8 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                 entry.to_dict() for entry in snapshot.workflow_completions.values()
             ],
         }
-        print(json.dumps(document, indent=2, sort_keys=True))
+        # (A program is bytes: rendered as in the journal, ``{"__b__": base64}``.)
+        print(json.dumps(document, indent=2, sort_keys=True, default=encode_value))
         return 0
 
     verb = "compacted to" if args.compact else "holds"

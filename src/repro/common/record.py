@@ -57,6 +57,11 @@ class Record:
     def from_dict(cls, data: dict[str, Any]):
         """The record ``data`` holds — or ``cls.ERROR``, before anything
         is built."""
+        return cls._build(cls._read(data))
+
+    @classmethod
+    def _read(cls, data: dict[str, Any]) -> dict[str, Any]:
+        """Every field ``data`` holds, read — or ``cls.ERROR``."""
         if type(data) is not dict:
             raise cls.ERROR(f"malformed {cls.WHAT}: is a {type(data).__name__}")
         values = {}
@@ -79,6 +84,11 @@ class Record:
             else:
                 continue
             raise cls.ERROR(f"malformed {cls.WHAT}: {name} {problem}")
+        return values
+
+    @classmethod
+    def _build(cls, values: dict[str, Any]):
+        """The record of the read ``values``."""
         if not cls._LATE:
             return cls(**values)
         late = [(name, values.pop(name)) for name in cls._LATE if name in values]
@@ -175,9 +185,8 @@ def compile_fields(cls, what: str, error: type[TaskletError]):
             and f.default is dataclasses.MISSING
             and f.default_factory is dataclasses.MISSING
         )
-        fields.append(
-            (f.name, required, _accepted_types(hints[f.name]), f.metadata.get("read", read))
-        )
+        accepted = f.metadata.get("accepts") or _accepted_types(hints[f.name])
+        fields.append((f.name, required, accepted, f.metadata.get("read", read)))
         dumps.append(
             (f.name, f.metadata.get("dump", dump), f.metadata.get("sparse", False))
         )
@@ -200,9 +209,12 @@ def record(name: str, error: type[TaskletError] = RecordError):
 # -- field declarations that say more than an annotation can -----------------
 
 
-def coded(read: Callable, dump: Callable | None = None, **kwargs) -> Any:
-    """A field with its own reader (and writer)."""
-    return field(metadata={"read": read, "dump": dump}, **kwargs)
+def coded(
+    read: Callable | None, dump: Callable | None = None, accepts: tuple = (), **kwargs
+) -> Any:
+    """A field with its own reader (and writer) — and, where its wire form
+    is not what its annotation says, the types that form ``accepts``."""
+    return field(metadata={"read": read, "dump": dump, "accepts": accepts}, **kwargs)
 
 
 def sparse(default_factory: Callable) -> Any:

@@ -10,12 +10,13 @@ any TVM-hosting device and safely re-executable after a provider failure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any
 
-from ..common.errors import TaskletError
+from ..common.errors import RecordError, TaskletError, VMInvalidProgram
 from ..common.ids import JobId, TaskletId
-from ..common.record import Record, record
-from ..tvm.bytecode import CompiledProgram
+from ..common.record import Record, coded, record
+from ..tvm.bytecode import CompiledProgram, ProgramTable
 from ..tvm.vm import DEFAULT_FUEL, is_tasklet_value
 from .qoc import QoC
 
@@ -32,10 +33,12 @@ class Tasklet(Record):
     """
 
     tasklet_id: TaskletId
-    program: CompiledProgram
-    #: The content hash of ``program`` its sender stamped on the wire form
+    #: On the wire its packed bytes, which no hop but the last opens more
+    #: than once per distinct program (:meth:`from_dict`).
+    program: CompiledProgram = coded(None, methodcaller("packed"), accepts=(bytes,))
+    #: The hash of those bytes, as their sender stamped it on the wire form
     #: ("" = none, or not sent yet): what brokers memoize and providers
-    #: cache by, without either hashing the program again.
+    #: cache by, and every hop checks against the bytes it was sent.
     program_fingerprint: str = field(default="", init=False, compare=False)
     entry: str
     args: list[Any] = field(default_factory=list)
@@ -63,6 +66,19 @@ class Tasklet(Record):
             raise TaskletError(f"fuel must be positive, got {self.fuel}")
 
     # -- wire format --------------------------------------------------------------
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any], programs: ProgramTable | None = None):
+        """The Tasklet ``data`` holds; ``programs`` — a node's table — opens
+        its program if that node has not yet, and checks the stamp always."""
+        values = cls._read(data)
+        try:
+            values["program"] = (programs or ProgramTable()).open(
+                values["program"], values.get("program_fingerprint", "")
+            )
+        except VMInvalidProgram as exc:
+            raise RecordError(f"malformed tasklet: {exc}") from None
+        return cls._build(values)
 
     def to_dict(self) -> dict[str, Any]:
         data = super().to_dict()

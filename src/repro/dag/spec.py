@@ -35,7 +35,7 @@ from typing import Any
 
 from ..common.errors import VMInvalidProgram, WorkflowSpecError
 from ..common.record import Record, record, sparse
-from ..tvm.bytecode import CompiledProgram
+from ..tvm.bytecode import CompiledProgram, ProgramTable
 from ..tvm.compiler import compile_source
 from ..tvm.vm import DEFAULT_FUEL, is_tasklet_value
 
@@ -131,8 +131,8 @@ class WorkflowSpec(Record):
 
     workflow_id: str
     nodes: list[NodeSpec]
-    #: Deduplicated program table: fingerprint -> CompiledProgram.to_dict().
-    programs: dict[str, dict] = field(default_factory=dict)
+    #: Deduplicated program table: fingerprint -> CompiledProgram.packed().
+    programs: dict[str, bytes] = field(default_factory=dict)
 
     # -- structure ----------------------------------------------------------
 
@@ -227,14 +227,16 @@ class WorkflowSpec(Record):
                     )
         self.topo_order()  # raises on cycles
 
-    def open_programs(self) -> dict[str, CompiledProgram]:
-        """The program table, each program opened once — after which every
-        node must name an entry its program has, with as many parameters
-        as the node passes arguments (placeholders count as one each)."""
+    def open_programs(self, table: ProgramTable) -> dict[str, CompiledProgram]:
+        """The program table, each program opened by ``table`` (a broker's:
+        unless it has been before) and its key checked as the stamp it is
+        — after which every node must name an entry its program has, with
+        as many parameters as the node passes arguments (placeholders
+        count as one each)."""
         programs = {}
-        for fingerprint, document in self.programs.items():
+        for fingerprint, blob in self.programs.items():
             try:
-                programs[fingerprint] = CompiledProgram.from_dict(document)
+                programs[fingerprint] = table.open(blob, fingerprint)
             except VMInvalidProgram as exc:
                 raise WorkflowSpecError(f"program {fingerprint!r}: {exc}") from None
         for node in self.nodes:
@@ -256,7 +258,7 @@ class WorkflowSpec(Record):
 
         Program payloads are represented by their fingerprints, so two
         submissions of the same graph hash identically without touching
-        the (large) bytecode dicts.
+        the bytecode.
         """
         canonical = json.dumps(
             {
@@ -284,7 +286,7 @@ class WorkflowBuilder:
     def __init__(self, workflow_id: str | None = None):
         self.workflow_id = workflow_id or f"wf-{next(_builder_counter)}"
         self._nodes: list[NodeSpec] = []
-        self._programs: dict[str, dict] = {}
+        self._programs: dict[str, bytes] = {}
         self._source_cache: dict[str, CompiledProgram] = {}
         self._ids = itertools.count(1)
 
@@ -308,7 +310,7 @@ class WorkflowBuilder:
             program = cached
         fingerprint = program.fingerprint()
         if fingerprint not in self._programs:
-            self._programs[fingerprint] = program.to_dict()
+            self._programs[fingerprint] = program.packed()
         node_id = node_id or f"n{next(self._ids)}"
         self._nodes.append(
             NodeSpec(

@@ -23,17 +23,13 @@ from typing import TYPE_CHECKING, Any
 
 from ..common.errors import VMError
 from ..core.results import ExecutionStatus
-from ..tvm.bytecode import CompiledProgram
+from ..tvm.bytecode import PROGRAM_CACHE_SIZE, CompiledProgram, checked_stamp
 from ..tvm.translate import Translation, translate
 from ..tvm.vm import DEFAULT_FUEL, TVM, VMLimits, VMProfile
 from ..transport.message import AssignExecution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.telemetry import ProviderMetrics
-
-#: Default number of distinct programs a provider keeps verified in
-#: memory; override per executor with ``TaskletExecutor(cache_size=...)``.
-PROGRAM_CACHE_SIZE = 64
 
 
 @dataclass
@@ -73,7 +69,7 @@ def local_assignment(
         execution_id="local",
         tasklet_id="local",
         consumer_id="local",
-        program=program.to_dict(),
+        program=program.packed(),
         entry=entry,
         args=args,
         seed=seed,
@@ -123,38 +119,28 @@ class TaskletExecutor:
         return self._cache_size
 
     def _load_program(
-        self, program_dict: dict, claimed_fingerprint: str
+        self, blob: bytes, claimed_fingerprint: str
     ) -> tuple[CompiledProgram, Translation | None]:
         """Return a verified program and its translation, cached when possible.
 
-        The cache is keyed on the fingerprint the *consumer* stamped on
-        the assignment, so a hit skips deserialisation entirely.  On a
-        miss the fingerprint is recomputed from the actual payload and
-        compared against the claim — a consumer cannot poison the cache
-        for other consumers' programs.
+        The cache is keyed on the hash of the bytes the assignment
+        carries, which the fingerprint its consumer stamped on it must
+        equal — checked hit or miss, so nobody can have another program's
+        cached code run in place of the one they sent.  A hit opens
+        nothing; a miss opens, verifies and translates.
         """
-        if claimed_fingerprint:
-            cached = self._cache.get(claimed_fingerprint)
-            if cached is not None:
-                self.cache_hits += 1
-                if self._metrics is not None:
-                    self._metrics.program_cache.labels(result="hit").inc()
-                self._cache.move_to_end(claimed_fingerprint)
-                return cached
+        key = checked_stamp(blob, claimed_fingerprint)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            if self._metrics is not None:
+                self._metrics.program_cache.labels(result="hit").inc()
+            self._cache.move_to_end(key)
+            return cached
         self.cache_misses += 1
         if self._metrics is not None:
             self._metrics.program_cache.labels(result="miss").inc()
-        program = CompiledProgram.from_dict(program_dict)
-        key = program.fingerprint()
-        if claimed_fingerprint and claimed_fingerprint != key:
-            raise VMError(
-                f"program fingerprint mismatch: claimed {claimed_fingerprint}, "
-                f"actual {key}"
-            )
-        cached = self._cache.get(key)
-        if cached is not None:  # no claimed fingerprint, but already vetted
-            self._cache.move_to_end(key)
-            return cached
+        program = CompiledProgram.from_packed(blob)
         program.verify()
         translation = None
         if self._cache_size > 0:

@@ -236,13 +236,13 @@ class AssignExecution(MessageBody):
     execution_id: str
     tasklet_id: str
     consumer_id: str
-    program: dict[str, Any]  # a ``program`` record, opened on a cache miss
+    program: bytes  # a packed ``program``: the bytes the consumer sent, opened on a cache miss
     entry: str
     args: list[Any]
     seed: int
     fuel: int
-    #: Content hash of ``program``; lets the provider's program cache hit
-    #: without opening the payload.  Verified on every cache miss.
+    #: Hash of ``program``; lets the provider's program cache hit without
+    #: opening the bytes.  Checked against them on every execution.
     program_fingerprint: str = ""
 
 

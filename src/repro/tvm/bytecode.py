@@ -11,17 +11,19 @@ or corrupted program fails fast instead of crashing the VM mid-run.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..common.errors import VMInvalidProgram
+from ..common.errors import CodecError, VMInvalidProgram
 from ..common.record import Record, coded, record
+from ..common.serde import pack_value, unpack_value
 from .builtins import BUILTIN_ORDER, BUILTINS
 from .opcodes import JUMP_OPS, NO_OPERAND_OPS, STACK_EFFECT, Op
 
 #: Bytecode format version, embedded in every serialised program.
 BYTECODE_VERSION = 1
+#: Distinct opened programs a node keeps (broker table, provider executor).
+PROGRAM_CACHE_SIZE = 64
 
 _OP_OF = {int(op): op for op in Op}
 
@@ -98,13 +100,13 @@ class CompiledProgram(Record):
 
     functions: list[FunctionCode]
     constants: list[Any]
-    source: str | None = None  # original source, kept for debugging only
+    source: str | None = field(default=None, compare=False)  # for debugging only
 
     def __post_init__(self) -> None:
         self._index: dict[str, int] = {
             function.name: position for position, function in enumerate(self.functions)
         }
-        self._fingerprint: str | None = None
+        self._packed: bytes | None = None  # with its hash, ``_fingerprint``
 
     # -- lookup ----------------------------------------------------------------
 
@@ -141,20 +143,32 @@ class CompiledProgram(Record):
             raise VMInvalidProgram(f"unsupported bytecode version {data.get('version')!r}")
         return super().from_dict(data)
 
-    def fingerprint(self) -> str:
-        """Stable content hash, used for provider-side program caching.
+    def packed(self) -> bytes:
+        """The one form a program travels and is journalled in: its
+        document, ``serde``-packed.  Memoised, and its stamp with it."""
+        if self._packed is None:
+            pack_value(self.to_dict(), out := bytearray())
+            self._packed = bytes(out)
+            self._fingerprint = checked_stamp(self._packed)
+        return self._packed
 
-        Memoised: consumers stamp it on every assignment of a program, so
-        recomputing the canonical JSON each time would defeat the point of
-        the provider cache (see :mod:`repro.provider.executor`).
-        """
-        if self._fingerprint is None:
-            canonical = json.dumps(
-                self.to_dict(include_source=False),
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            self._fingerprint = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    @classmethod
+    def from_packed(cls, blob: bytes) -> "CompiledProgram":
+        """The program ``blob`` packs — all of it, and nothing after it."""
+        stamp = checked_stamp(blob)  # (which refuses what is not bytes)
+        try:
+            document, end = unpack_value(blob, 0)
+        except (CodecError, RecursionError) as exc:
+            raise VMInvalidProgram(f"malformed program: {exc}") from None
+        if end != len(blob):
+            raise VMInvalidProgram(f"malformed program: {len(blob) - end} trailing bytes")
+        program = cls.from_dict(document)
+        program._packed, program._fingerprint = blob, stamp
+        return program
+
+    def fingerprint(self) -> str:
+        """The stamp: a hash of the packed bytes, checkable unopened."""
+        self.packed()
         return self._fingerprint
 
     # -- verification --------------------------------------------------------
@@ -266,6 +280,32 @@ class CompiledProgram(Record):
                         f"{function.name}@{target}: operand-stack depth differs "
                         f"at a join ({depths[target]} and {depth})"
                     )
+
+
+def checked_stamp(blob: bytes, stamp: str = "") -> str:
+    """The fingerprint of packed program ``blob``, which ``stamp`` — unless "" — must equal."""
+    if type(blob) is not bytes:
+        raise VMInvalidProgram(f"malformed program: is a {type(blob).__name__}")
+    actual = hashlib.sha256(blob).hexdigest()[:16]
+    if stamp and stamp != actual:
+        raise VMInvalidProgram(f"program fingerprint mismatch: claimed {stamp}, actual {actual}")
+    return actual
+
+
+class ProgramTable:
+    """Opened programs by fingerprint (an LRU): a node opens each once, not once per tasklet."""
+
+    def __init__(self) -> None:
+        self.opened: dict[str, CompiledProgram] = {}
+
+    def open(self, blob: bytes, stamp: str = "") -> CompiledProgram:
+        """The program ``blob`` packs, its ``stamp`` checked hit or miss."""
+        key = checked_stamp(blob, stamp)
+        program = self.opened.pop(key, None) or CompiledProgram.from_packed(blob)
+        self.opened[key] = program  # (again) the most recently used
+        if len(self.opened) > PROGRAM_CACHE_SIZE:
+            del self.opened[next(iter(self.opened))]
+        return program
 
 
 def builtin_index(name: str) -> int:

@@ -30,8 +30,9 @@ from repro.transport.message import (
     WorkflowComplete,
     body_of,
 )
-from repro.tvm.bytecode import CompiledProgram
+from repro.tvm.bytecode import CompiledProgram, checked_stamp
 from repro.tvm.compiler import compile_source
+from tests.conftest import packed_document
 
 PROGRAM = compile_source("func main(x: int) -> int { return x * 2; }")
 
@@ -544,8 +545,9 @@ class TestWorkflowAdmissionOpensPrograms:
 
     def test_a_malformed_program_is_refused_by_fingerprint(self):
         document = self._spec().to_dict()
-        fingerprint = document["nodes"][2]["program_fingerprint"]
-        document["programs"][fingerprint] = {"version": 1, "functions": "x", "constants": []}
+        blob = packed_document({"version": 1, "functions": "x", "constants": []})
+        fingerprint = document["nodes"][2]["program_fingerprint"] = checked_stamp(blob)
+        document["programs"][fingerprint] = blob
         harness = Harness()
         (ack,) = bodies(harness.send(SubmitWorkflow(workflow=document), src="c1"), WorkflowAck)
         assert not ack.accepted
@@ -553,8 +555,9 @@ class TestWorkflowAdmissionOpensPrograms:
 
     def test_programs_are_opened_once_each_not_once_per_node(self, monkeypatch):
         """The counting test: one ``CompiledProgram.from_dict`` per
-        ``submit_tasklet``; per workflow one per *distinct program*, and
-        none as its nodes are released."""
+        *distinct program* per broker — none for a ``submit_tasklet`` or a
+        workflow table entry whose bytes it has opened before, and none as
+        nodes are released."""
         opened = []
         original = CompiledProgram.from_dict.__func__
         monkeypatch.setattr(
@@ -566,9 +569,8 @@ class TestWorkflowAdmissionOpensPrograms:
         harness.add_provider(capacity=8)
         _tid, replies = harness.submit()
         assert len(opened) == 1 and len(bodies(replies, AssignExecution)) == 1
-        harness.submit()  # the same program again: each submission is its own hop
-        assert len(opened) == 2
-        del opened[:]
+        harness.submit()  # the same bytes again: hashed, looked up, not opened
+        assert len(opened) == 1
         builder = WorkflowBuilder("wf-wide")
         source = builder.node(PROGRAM, args=[1], node_id="n0")
         for index in range(1, 7):
@@ -576,7 +578,7 @@ class TestWorkflowAdmissionOpensPrograms:
         builder.node(self.TWO, args=[{"$from": "n1"}, {"$from": "n2"}], node_id="sum")
         replies = harness.send(SubmitWorkflow(workflow=builder.build().to_dict()), src="c1")
         assert bodies(replies, WorkflowAck)[0].accepted
-        assert len(opened) == 2  # eight nodes, two programs
+        assert len(opened) == 2  # eight nodes, two programs, one of them new to this broker
         pending, finished = bodies(replies, AssignExecution), []
         while pending:  # the source, the fan-out, then the sum
             replies = harness.complete(pending.pop(0), value=2)

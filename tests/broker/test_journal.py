@@ -1,17 +1,28 @@
 """Unit tests for the broker work journal and result memoization."""
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.broker.core import BrokerCore
 from repro.broker.journal import (
     CompletionRecord,
     ResultCache,
     WorkJournal,
+    _encode,
+    _read_line,
     memo_key_of,
     replay_journal,
 )
+from repro.common.clock import VirtualClock
+from repro.common.ids import NodeId
+from repro.common.serde import loads
+from repro.provider.executor import TaskletExecutor
+from repro.transport.message import ExecutionResult, RegisterProvider, body_of
+from repro.tvm.bytecode import CompiledProgram, checked_stamp
+from repro.tvm.vm import TVM
 
 
 def make_completion(key="c1/tl-1", ok=True, value=42, memo_key=None):
@@ -419,8 +430,12 @@ def test_a_journal_the_parent_commit_wrote_replays_and_compacts_as_it_did(tmp_pa
     workflow and one in flight with a node done and a node running);
     ``.snapshot.json`` is what that commit's ``replay_journal`` read back
     (lines as the raw dicts it kept) and ``.compacted.jsonl`` what its
-    ``compact()`` left.  Same snapshot, same bytes."""
-    expected = json.loads((FIXTURES / "parent_journal.snapshot.json").read_text())
+    ``compact()`` left — both regenerated by the commit that made a
+    program travel packed (and its stamp the hash of those bytes), which
+    :func:`test_an_older_builds_journal_is_upgraded_line_by_line` holds to
+    changing ``program``, ``program_fingerprint`` and the ``programs``
+    keys only.  Same snapshot, same bytes."""
+    expected = loads((FIXTURES / "parent_journal.snapshot.json").read_bytes())
     path = tmp_path / "journal.jsonl"
     path.write_bytes((FIXTURES / "parent_journal.raw.jsonl").read_bytes())
     snapshot = replay_journal(str(path))
@@ -449,3 +464,81 @@ def test_a_journal_the_parent_commit_wrote_replays_and_compacts_as_it_did(tmp_pa
     journal.compact()  # and what is compact stays as it is, byte for byte
     journal.close()
     assert path.read_bytes() == compacted
+
+
+def _without_programs(line: dict) -> tuple[dict, list]:
+    """``line`` with every program and stamp taken out, and — apart — the
+    programs it carries, in the order its stamps name them."""
+    line = copy.deepcopy(line)
+    tasklet, workflow = line.get("tasklet"), line.get("workflow")
+    if type(tasklet) is dict:
+        return line, [(tasklet.pop("program_fingerprint"), tasklet.pop("program"))]
+    if type(workflow) is dict:
+        table = workflow.pop("programs")
+        return line, [(node["program_fingerprint"], table[node.pop("program_fingerprint")])
+                      for node in workflow["nodes"]]
+    return line, []
+
+
+def test_an_older_builds_journal_is_upgraded_line_by_line(tmp_path):
+    """Every line of the parent's journal reads, as this build reads it,
+    to the line on disk — but for each program, now the packed form of the
+    document journalled, and each stamp (a tasklet's, a node's, a table
+    key), now the hash of those bytes: never the old one."""
+    raw = (FIXTURES / "parent_journal.raw.jsonl").read_text().splitlines()
+    for text in raw:
+        on_disk, read = json.loads(text), loads(_encode(_read_line(text)).encode())
+        (rest_before, before), (rest_after, after) = _without_programs(on_disk), _without_programs(read)
+        assert rest_after == rest_before
+        assert len(after) == len(before)
+        for (old_stamp, document), (stamp, blob) in zip(before, after):
+            assert CompiledProgram.from_packed(blob) == CompiledProgram.from_dict(document)
+            assert stamp == checked_stamp(blob) != old_stamp
+    assert sum("program" in text for text in raw) == 10  # (the test above saw programs)
+    # What this build writes, it reads back as written: nothing is upgraded twice.
+    path = tmp_path / "journal.jsonl"
+    path.write_text("\n".join(raw) + "\n")
+    WorkJournal(str(path)).compact()
+    for text in path.read_text().splitlines():
+        assert _encode(_read_line(text)) == text + "\n"
+
+
+def test_what_an_older_build_left_pending_runs_to_the_same_value(tmp_path):
+    """A broker of this build recovers the parent's journal: the same
+    completions, the same pending work — and each pending tasklet, run by
+    a real executor on the bytes the broker sends, gives what the program
+    document on disk gives on the portable VM."""
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes((FIXTURES / "parent_journal.raw.jsonl").read_bytes())
+    on_disk = {line["key"]: line for line in map(json.loads, path.read_text().splitlines())
+               if line["kind"] == "admitted"}
+    clock = VirtualClock()
+    broker = BrokerCore(clock, journal=WorkJournal(str(path)))
+    assert sorted(broker._tasklets) == ["c2/tl-pending", "c2/wf-live:b"]
+    assert sorted(broker._completed) == [
+        "c1/tl-bad", "c1/tl-ok", "c1/wf-done:a", "c1/wf-done:b", "c2/wf-live:a"
+    ]
+    assert list(broker.workflows.active) == ["c2/wf-live"] and list(broker.workflows.completed) == ["c1/wf-done"]
+    register = RegisterProvider(provider_id="p1", device_class="d", capacity=4, benchmark_score=1e6)
+    out = broker.handle(register.envelope(NodeId("p1"), broker.node_id))
+    assignments = [body_of(envelope) for envelope in out if envelope.type == "assign_execution"]
+    assert len(assignments) == 2
+    executor, values = TaskletExecutor(), {}
+    for assignment in assignments:
+        outcome = executor.execute(assignment)
+        assert outcome.ok, outcome.error
+        line = on_disk[f"c2/{assignment.tasklet_id}"]["tasklet"]
+        reference = TVM(CompiledProgram.from_dict(line["program"]), seed=line["seed"])
+        assert outcome.value == reference.run(line["entry"], list(line["args"]))
+        values[assignment.tasklet_id] = outcome.value
+        result = ExecutionResult(
+            assignment.execution_id, assignment.tasklet_id, "p1", "success", outcome.value,
+            instructions=outcome.instructions, finished_at=1.0,
+        )
+        out.extend(broker.handle(result.envelope(NodeId("p1"), broker.node_id)))
+    broker.journal.close()
+    assert values == {"tl-pending": 2, "wf-live:b": 12}
+    assert (executor.cache_misses, executor.cache_hits) == (1, 1)  # one program, re-stamped alike
+    finished = {envelope.type: envelope.payload for envelope in out}
+    assert finished["tasklet_complete"]["value"] == 2
+    assert finished["workflow_complete"]["outputs"] == {"b": 12}

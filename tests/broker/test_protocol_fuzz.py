@@ -9,16 +9,18 @@ duplicate and conflicting resubmits, and crash-and-replay (a fresh
 ``BrokerCore`` rebuilt on the same ``WorkJournal``) — any of which may
 first have one field replaced by something else the codecs carry (the
 *hostile* step: ``None``, a string, a float, a bool, an int, a list, a
-dict) — a field of the message, or one *inside* the records it carries:
-the tasklet, its ``qoc``, its ``program`` or a function of it; the
-workflow, a node, a program of its table, a placeholder.  After every step
+dict, bytes that pack no program) — a field of the message, or one
+*inside* the records it carries: the tasklet (its ``program`` bytes, their
+stamp), its ``qoc``; the workflow, a node, a packed program of its table
+(or the key that stamps it), a placeholder.  After every step
 the broker's lifecycle invariants must hold; it must never raise:
 
 * an unreadable message sends nothing and changes nothing but
   ``messages_unreadable``;
 * a readable message whose record its owner's reader refuses — the
-  tasklet at admission, the workflow with its programs — is answered with
-  that one refusal (``submit_ack`` / ``workflow_ack``, not accepted) and
+  tasklet at admission, the workflow with its programs, either with a
+  program that does not open or is not what its stamp says — is answered
+  with that one refusal (``submit_ack`` / ``workflow_ack``, not accepted) and
   leaves no table entry, no journal line, no counter but ``*_submitted``;
 
 * at most one terminal ``TaskletComplete`` / ``WorkflowComplete`` per
@@ -35,7 +37,7 @@ the broker's lifecycle invariants must hold; it must never raise:
   that have replicas pending, each once;
 * nothing is wedged: every live tasklet has an outstanding execution or
   queued replicas — something a result, a timeout or a drain will move;
-* every ``_wf_nodes`` key is a live tasklet; the execution index holds
+* every ``workflows.nodes`` key is a live tasklet; the execution index holds
   exactly the live outstanding executions, under the provider each was
   assigned to; the cost ledger conserves.
 """
@@ -45,6 +47,7 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.core import BrokerConfig, BrokerCore
@@ -66,6 +69,7 @@ from repro.transport.message import (
     SubmitWorkflow,
     Unregister,
 )
+from repro.tvm.bytecode import ProgramTable
 from repro.tvm.compiler import compile_source
 
 from tests.transport.test_messages import HOSTILE_MENU, hostile, read
@@ -168,7 +172,7 @@ def _owner_refuses(body) -> bool:
         elif isinstance(body, SubmitWorkflow):
             spec = WorkflowSpec.from_dict(body.workflow)
             spec.validate()
-            spec.open_programs()
+            spec.open_programs(ProgramTable())
     except TaskletError:
         return True
     return False
@@ -234,7 +238,7 @@ def _invariants(broker: BrokerCore) -> None:
     assert set(backlog) == backlog._queued == {
         state.key for state in broker._tasklets.values() if state.pending_replicas
     }
-    for key in broker._wf_nodes:
+    for key in broker.workflows.nodes:
         assert key in broker._tasklets
     assert broker.ledger.conservation_holds
     stats = broker.stats
@@ -540,3 +544,45 @@ def test_counters_survive_a_flapping_provider():
     driver.deliver(register, "p0")
     assert (broker.registry.free_capacity, broker.backlog.replicas) == (0, 2)
     driver.settle()
+
+
+# -- the hostile step, aimed: the programs a submission carries -------------------
+
+_OTHER = compile_source("func main(x: int) -> int { return x + 1; }")
+
+
+@pytest.mark.parametrize("with_journal", [False, True], ids=["no-journal", "journal"])
+@pytest.mark.parametrize(
+    "value",
+    HOSTILE_MENU + [b"", PROGRAM.packed()[:-1], PROGRAM.packed() + b"\0", _OTHER.packed()],
+    ids=lambda value: repr(value)[:24],
+)
+def test_a_program_that_is_not_what_it_should_be_is_refused_and_leaves_nothing(value, with_journal, tmp_path):
+    """What the fuzz's hostile step reaches by chance, reached on purpose:
+    a tasklet's ``program``, a workflow's ``programs`` value — replaced by
+    every menu value, an empty, a truncated and an over-long blob, and a
+    well-formed program that is not the one stamped — and a stamp (a
+    tasklet's, a node's) replaced alike.  ``deliver`` holds each to
+    "refused: that one refusal, by id, and no table entry, no journal
+    line" — or, for what the message boundary cannot read, to nothing."""
+    journal = WorkJournal(str(tmp_path / "journal.jsonl")) if with_journal else None
+    driver = _Driver(journal, None)
+    driver.deliver(RegisterProvider("p0", "d", 2, 1e6), "p0")
+    tasklet = Tasklet(TaskletId("tl-1"), PROGRAM, "main", [1]).to_dict()
+    workflow = dict(WORKFLOWS[0], workflow_id="wf-1")
+    (stamp,) = workflow["programs"]
+    unopened = lambda: driver.broker.programs.opened == {}
+    driver.submit_tasklet("c0", {**tasklet, "program": value})
+    assert driver.broker.stats.messages_unreadable == 0 and unopened()
+    driver.submit_workflow("c0", {**workflow, "programs": {stamp: value}})
+    assert driver.broker.stats.messages_unreadable == 0 and unopened()
+    if type(value) is not bytes:  # (bytes are no stamp at all: refused by type)
+        value = repr(value)
+    driver.submit_tasklet("c0", {**tasklet, "program_fingerprint": value})
+    nodes = [{**node, "program_fingerprint": value} for node in workflow["nodes"]]
+    driver.submit_workflow("c0", {**workflow, "nodes": nodes})
+    assert driver.admitted == {"tasklet": set(), "workflow": set()}
+    assert driver.broker.stats.executions_issued == 0
+    if journal is not None:
+        journal.close()
+        assert (tmp_path / "journal.jsonl").read_text() == ""

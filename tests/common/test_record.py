@@ -30,8 +30,10 @@ from repro.core.qoc import QoC
 from repro.core.results import ExecutionRecord, ExecutionStatus
 from repro.core.tasklet import Tasklet
 from repro.dag.spec import WorkflowBuilder, from_node
+from repro.tvm.bytecode import CompiledProgram
 from repro.tvm.compiler import compile_source
 
+from tests.conftest import packed_document
 from tests.transport.test_messages import HOSTILE_MENU, _holds
 
 PROGRAM = compile_source(
@@ -87,6 +89,8 @@ def _wire_holds(value, annotation) -> bool:
     annotation = getattr(annotation, "__supertype__", annotation)
     if typing.get_origin(annotation) is typing.Union or isinstance(annotation, type(int | None)):
         return any(_wire_holds(value, part) for part in typing.get_args(annotation))
+    if annotation is CompiledProgram:  # (a tasklet's: it travels packed)
+        return type(value) is bytes
     if isinstance(annotation, type) and issubclass(annotation, Record):
         return type(value) is dict
     if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
@@ -160,7 +164,7 @@ def test_a_missing_field_defaults_or_is_refused(name):
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLES))
-@pytest.mark.parametrize("value", HOSTILE_MENU[:-1] + [[{}]], ids=repr)
+@pytest.mark.parametrize("value", [v for v in HOSTILE_MENU if v != {}] + [[{}]], ids=repr)
 def test_what_is_not_an_object_is_not_a_record(name, value):
     with pytest.raises(RECORD_TYPES[name].ERROR):
         RECORD_TYPES[name].from_dict(value)
@@ -178,9 +182,21 @@ def test_what_is_not_an_object_is_not_a_record(name, value):
         ({"seed": "7"}, "seed is a str"),
         ({"entry": None}, "entry is a NoneType"),
         ({"program_fingerprint": 7}, "program_fingerprint is a int"),
-        ({"program": {"version": 1}}, "program holds a malformed program: functions is missing"),
+        (
+            {"program": packed_document({"version": 1}), "program_fingerprint": ""},
+            "malformed program: functions is missing",
+        ),
+        ({"program": {"version": 1}}, "program is a dict"),  # (as builds before the packed form sent it)
+        ({"program": PROGRAM.packed() + b"\0"}, "program fingerprint mismatch: claimed .*, actual "),
+        (
+            {"program": PROGRAM.packed() + b"\0", "program_fingerprint": ""},
+            "malformed program: 1 trailing bytes",
+        ),
     ],
-    ids=["qoc.speed", "qoc.redundancy", "fuel", "seed", "entry", "fingerprint", "program"],
+    ids=[
+        "qoc.speed", "qoc.redundancy", "fuel", "seed", "entry", "fingerprint", "program",
+        "program-unpacked", "program-mis-stamped", "program-trailing-byte",
+    ],
 )
 def test_a_tasklet_is_read_strictly(damage, reason):
     """Each of these used to be coerced: ``"no"`` was ``True``, ``2.9``
@@ -200,12 +216,17 @@ def test_an_instruction_pair_is_two_ints_and_a_known_opcode():
 
 def test_a_stamped_fingerprint_survives_the_round_trip_unhashed():
     """The stamp is the sender's: a broker re-sends (forwards, journals)
-    what it was sent, and hashes no program to do so."""
-    wire = {**SAMPLES["tasklet"], "program_fingerprint": "as-stamped"}
+    what it was sent — stamp and bytes, the very object — having checked
+    the one against the other; no stamp stays no stamp, and a stamp that
+    is not the hash of the bytes it travels with is refused."""
+    wire = SAMPLES["tasklet"]
     opened = Tasklet.from_dict(wire)
-    assert opened.program_fingerprint == "as-stamped"
-    assert opened.to_dict() == wire
-    assert opened.program._fingerprint is None
+    assert opened.program_fingerprint == PROGRAM.fingerprint()
+    assert opened.to_dict() == wire and opened.to_dict()["program"] is wire["program"]
+    unstamped = Tasklet.from_dict({**wire, "program_fingerprint": ""})
+    assert unstamped.program_fingerprint == "" and unstamped.program == PROGRAM
+    with pytest.raises(RecordError, match="claimed as-stamped, actual " + PROGRAM.fingerprint()):
+        Tasklet.from_dict({**wire, "program_fingerprint": "as-stamped"})
     assert TASKLET.program_fingerprint == ""  # a local one is stamped when written
     assert TASKLET.to_dict()["program_fingerprint"] == PROGRAM.fingerprint()
 

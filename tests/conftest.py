@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.serde import pack_value
 from repro.core import kernels
 from repro.tvm.compiler import compile_source
 
@@ -33,6 +34,14 @@ def matmul_program():
 def compile_main(body: str, signature: str = "() -> int"):
     """Compile a one-function program ``func main{signature} { body }``."""
     return compile_source(f"func main{signature} {{ {body} }}")
+
+
+def packed_document(document) -> bytes:
+    """The bytes ``document`` travels as where a packed program is expected
+    — for the tests that need one no compiler emits."""
+    out = bytearray()
+    pack_value(document, out)
+    return bytes(out)
 
 
 @pytest.fixture

@@ -124,11 +124,9 @@ def test_messages_larger_than_one_recv_chunk(broker):
     )
     big_source = "".join(parts)
     from repro.tvm.compiler import compile_source
-    from repro.transport.codec import pack_frame
-
     program = compile_source(big_source)
     # The assignment that ships this program exceeds one recv chunk.
-    assert len(pack_frame(program.to_dict())) > 65536
+    assert len(program.packed()) > 65536
 
     with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
         _wait_registered(broker, 1)
@@ -162,7 +160,7 @@ def test_unhashable_cancel_does_not_deafen_the_provider():
             execution_id="ex-1",
             tasklet_id="tl-1",
             consumer_id="c1",
-            program=program.to_dict(),
+            program=program.packed(),
             program_fingerprint=program.fingerprint(),
             entry="main",
             args=[41],

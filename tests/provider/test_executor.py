@@ -6,6 +6,7 @@ from repro.core.results import ExecutionStatus
 from repro.provider.executor import TaskletExecutor
 from repro.transport.message import AssignExecution
 from repro.tvm.compiler import compile_source
+from tests.conftest import packed_document
 
 PROGRAM = compile_source(
     """
@@ -25,7 +26,7 @@ def assignment(n=10, fingerprint=None, fuel=1_000_000, program=None, seed=0):
         execution_id=f"ex-{n}",
         tasklet_id=f"tl-{n}",
         consumer_id="c",
-        program=target.to_dict(),
+        program=target.packed(),
         entry="main",
         args=[n],
         seed=seed,
@@ -59,7 +60,7 @@ def test_fuel_exhaustion_becomes_failed_outcome():
 
 def test_malformed_program_becomes_failed_outcome():
     request = assignment(1)
-    request.program = {"version": 1, "functions": [], "constants": []}
+    request.program = packed_document({"version": 1, "functions": [], "constants": []})
     request.program_fingerprint = ""
     outcome = TaskletExecutor().execute(request)
     assert not outcome.ok
@@ -69,7 +70,7 @@ def test_stack_underflow_is_refused_at_load_not_raised_mid_run():
     # [POP, PUSH_CONST 0, RET]: verified before PR 18, then IndexError out
     # of execute() — the pool thread died holding its slot.
     request = assignment(1)
-    request.program = {
+    request.program = packed_document({
         "version": 1,
         "constants": [1],
         "functions": [
@@ -81,7 +82,7 @@ def test_stack_underflow_is_refused_at_load_not_raised_mid_run():
                 "code": [[5, -1], [1, 0], [42, -1]],
             }
         ],
-    }
+    })
     request.program_fingerprint = ""
     outcome = TaskletExecutor().execute(request)
     assert outcome.status is ExecutionStatus.VM_ERROR
@@ -115,9 +116,9 @@ def test_cache_hits_for_repeated_program():
     assert executor.cache_hits == 4
 
 
-def test_a_cache_hit_opens_no_program(monkeypatch):
-    """The provider's hop: the ``program`` record is opened on a cache
-    miss, once, and never on a hit — whatever the payload then holds."""
+@pytest.fixture
+def opened(monkeypatch):
+    """One entry per program opened (``from_packed`` reads through it)."""
     from repro.tvm.bytecode import CompiledProgram
 
     opened = []
@@ -127,12 +128,16 @@ def test_a_cache_hit_opens_no_program(monkeypatch):
         "from_dict",
         classmethod(lambda cls, data: opened.append(1) or original(cls, data)),
     )
+    return opened
+
+
+def test_a_cache_hit_opens_no_program(opened):
+    """The provider's hop: the packed program is opened on a cache miss,
+    once, and never on a hit — where its bytes are hashed, not read."""
     executor = TaskletExecutor()
     assert executor.execute(assignment(3)).value == 3
     assert len(opened) == 1
-    request = assignment(4)
-    request.program = {"version": "never looked at"}
-    assert executor.execute(request).value == 6
+    assert executor.execute(assignment(4)).value == 6
     assert (len(opened), executor.cache_hits) == (1, 1)
 
 
@@ -176,9 +181,33 @@ def test_fingerprint_poisoning_cannot_hijack_cache():
     assert executor.execute(honest).value == 111
 
 
-def test_missing_fingerprint_still_works():
-    outcome = TaskletExecutor().execute(assignment(5, fingerprint=""))
-    assert outcome.ok and outcome.value == 10
+def test_a_warm_cache_does_not_answer_for_another_program():
+    """Fails on the parent: a hit was taken on the stamp alone, so bytes
+    of B stamped as A ran A's cached code and reported A's result."""
+    a = compile_source("func main(n: int) -> int { return 111; }")
+    b = compile_source("func main(n: int) -> int { return 222; }")
+    executor = TaskletExecutor()
+    assert executor.execute(assignment(1, program=a)).value == 111  # A is warm
+    forged = assignment(1, program=b, fingerprint=a.fingerprint())
+    outcome = executor.execute(forged)
+    assert outcome.status is ExecutionStatus.VM_ERROR and outcome.value is None
+    assert outcome.error == (
+        "VMInvalidProgram: program fingerprint mismatch: "
+        f"claimed {a.fingerprint()}, actual {b.fingerprint()}"
+    )
+    assert (executor.cache_hits, executor.cache_misses) == (0, 1)  # counted as neither
+    assert executor.execute(assignment(1, program=b)).value == 222
+
+
+def test_missing_fingerprint_still_works(opened):
+    """... and opens the program once: an unstamped assignment is cached
+    by the hash of its bytes, as a stamped one is."""
+    executor = TaskletExecutor()
+    for n in (5, 6, 7):
+        outcome = executor.execute(assignment(n, fingerprint=""))
+        assert outcome.ok and outcome.value == n * (n - 1) // 2
+    assert (len(opened), executor.cache_misses, executor.cache_hits) == (1, 1, 2)
+    assert executor.execute(assignment(5)).ok and len(opened) == 1  # one entry, stamped or not
 
 
 def test_cache_size_zero_disables_caching():

@@ -23,7 +23,9 @@ from repro.transport.message import (
     body_of,
 )
 from repro.tvm.compiler import compile_source
+from tests.transport.test_messages import HOSTILE_MENU
 
+OTHER = compile_source("func main(n: int) -> int { return n; }")
 PROGRAM = compile_source(
     """
     func main(n: int) -> int {
@@ -52,7 +54,7 @@ def assign(n=100, execution_id="ex-1"):
         execution_id=execution_id,
         tasklet_id="tl-1",
         consumer_id="c1",
-        program=PROGRAM.to_dict(),
+        program=PROGRAM.packed(),
         entry="main",
         args=[n],
         seed=0,
@@ -166,12 +168,39 @@ class TestOutcomes:
     def test_vm_error_reported(self):
         bad = compile_source("func main(n: int) -> int { return n / 0; }")
         request = assign()
-        request.program = bad.to_dict()
+        request.program = bad.packed()
         request.program_fingerprint = bad.fingerprint()
         provider = make_provider()
         body = body_of(handle(provider, request)[0][1])
         assert body.status == "vm_error"
         assert provider.stats.vm_errors == 1
+
+    @pytest.mark.parametrize(
+        "value",
+        HOSTILE_MENU + [b"", PROGRAM.packed()[:-1], PROGRAM.packed() + b"\0", OTHER.packed()],
+        ids=lambda value: repr(value)[:24],
+    )
+    def test_a_program_that_is_not_what_it_should_be_fails_its_one_run(self, value):
+        """The hostile step, aimed at ``assign_execution.program``: what is
+        not bytes is an unreadable message (no answer, nothing in flight);
+        bytes that pack no program, or another than the one stamped, are
+        accepted like any assignment, open nothing into the cache, and are
+        answered with the one ``vm_error`` — after which the provider
+        still serves."""
+        provider = make_provider()
+        request = assign()
+        request.program = value
+        outbound = handle(provider, request)
+        if type(value) is not bytes:
+            assert outbound == [] and not provider.core.inflight
+        else:
+            ((_delay, envelope),) = outbound
+            body = body_of(envelope)
+            assert (body.status, body.value) == ("vm_error", None)
+            assert body.error.startswith("VMInvalidProgram: program fingerprint mismatch: claimed ")
+        assert not provider.core.executor._cache
+        provider.core.clock.advance(10.0)
+        assert body_of(handle(provider, assign(10, "ex-2"))[0][1]).value == 45
 
     def test_drop_fault_produces_no_message(self):
         provider = make_provider(

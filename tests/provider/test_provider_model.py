@@ -6,17 +6,18 @@ everything a driver and a broker can do to the core — assign, cancel
 error), refuse accepted work, re-register (a link redial), every kind of
 ``register_ack``, drain, stop, start — where any broker message may first
 have one field replaced by something else the codecs carry (the *hostile*
-step: a field of the message, or one inside the ``program`` an assignment
-carries) — and after every step checks what
+step; for an assignment that includes its ``program`` bytes and their
+stamp) — and after every step checks what
 the TCP provider and the simulator both rely on:
 
 * a message the boundary cannot read is answered with nothing and changes
   nothing (one ``message_unreadable`` event); one it can read is acted on
   as read, whatever it now says;
 
-* an assignment whose ``program`` does not open is accepted like any other
-  (nothing is opened before the run), fails its run, and is answered with
-  that one ``vm_error`` result — the provider's refusal — and nothing else;
+* an assignment whose ``program`` does not open, or is not what its stamp
+  says, is accepted like any other (nothing is hashed or opened before
+  the run), fails its run, and is answered with that one ``vm_error``
+  result — the provider's refusal — and nothing else;
 * at most one ``execution_result`` or ``execution_rejected`` per execution
   id, and none for an execution cancelled before its report or accepted
   under an older epoch;
@@ -57,12 +58,12 @@ from repro.transport.message import (
     RegisterProvider,
     body_of,
 )
-from repro.tvm.bytecode import CompiledProgram
+from repro.tvm.bytecode import ProgramTable
 from repro.tvm.compiler import compile_source
 
 from tests.transport.test_messages import HOSTILE_MENU, hostile, read
 
-PROGRAM = compile_source("func main() -> int { return 7; }").to_dict()
+PROGRAM = compile_source("func main() -> int { return 7; }")
 OUTCOMES = {
     True: ExecutionOutcome(ExecutionStatus.SUCCESS, value=7, instructions=11),
     False: ExecutionOutcome(ExecutionStatus.VM_ERROR, error="DivisionByZero: boom"),
@@ -108,10 +109,10 @@ class ProviderProtocol(RuleBasedStateMachine):
     def _execute(self, request):
         assert self.core.active == 1  # bracketed around the executor only
         try:
-            CompiledProgram.from_dict(request.program)
+            ProgramTable().open(request.program, request.program_fingerprint)
         except VMInvalidProgram:
-            # The hostile step reached inside the program: what the real
-            # executor makes of it is what gets reported.
+            # The hostile step reached the program or its stamp: what the
+            # real executor makes of it is what gets reported.
             outcome = TaskletExecutor().execute(request)
             assert outcome.status is ExecutionStatus.VM_ERROR
             assert outcome.error.startswith("VMInvalidProgram: "), outcome.error
@@ -171,8 +172,8 @@ class ProviderProtocol(RuleBasedStateMachine):
             execution_id=execution_id,
             tasklet_id=f"tl-{self.counter}",
             consumer_id="c1",
-            program=PROGRAM,
-            program_fingerprint="f",
+            program=PROGRAM.packed(),
+            program_fingerprint=PROGRAM.fingerprint(),
             entry="main",
             args=[],
             seed=0,

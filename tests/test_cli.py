@@ -419,7 +419,7 @@ def journal_file(tmp_path):
 
     path = tmp_path / "journal.jsonl"
     journal = WorkJournal(str(path))
-    tasklet = {"tasklet_id": "tl-1", "entry": "main", "args": [7]}
+    tasklet = {"tasklet_id": "tl-1", "program": b"\x00", "entry": "main", "args": [7]}
     journal.record_admitted("c1/tl-1", "c1", tasklet, ts=1.0)
     journal.record_admitted(
         "c1/tl-2", "c1", dict(tasklet, tasklet_id="tl-2"), ts=2.0
@@ -447,6 +447,7 @@ class TestJournalCli:
         document = json.loads(capsys.readouterr().out)
         assert document["admitted"] == 2 and document["completed"] == 1
         assert [entry["key"] for entry in document["pending"]] == ["c1/tl-2"]
+        assert document["pending"][0]["tasklet"]["program"] == {"__b__": "AA=="}  # (bytes, as journalled)
         assert document["completions"][0]["value"] == 8
 
     def test_compact_rewrites_file(self, journal_file, capsys):

@@ -55,13 +55,13 @@ SAMPLE_BODIES = [
     Unregister(provider_id="p1"),
     Heartbeat(provider_id="p1", free_slots=1, queue_length=3),
     HeartbeatAck(provider_id="p1", echo_sent_at=12.5),
-    SubmitTasklet(tasklet={"tasklet_id": "tl-1", "entry": "main"}),
+    SubmitTasklet(tasklet={"tasklet_id": "tl-1", "program": b"\x08\x00", "entry": "main"}),
     SubmitAck(tasklet_id="tl-1", accepted=True),
     AssignExecution(
         execution_id="ex-1",
         tasklet_id="tl-1",
         consumer_id="c1",
-        program={"version": 1},
+        program=b"\x08\x00",  # (packed; a provider would open — and refuse — it)
         entry="main",
         args=[1, [2.5, "x"]],
         seed=7,
@@ -98,7 +98,7 @@ SAMPLE_BODIES = [
     ForwardTasklet(
         origin_broker="broker-a",
         consumer_id="c1",
-        tasklet={"tasklet_id": "tl-1", "entry": "main"},
+        tasklet={"tasklet_id": "tl-1", "program": b"\x08\x00", "entry": "main"},
     ),
     ForwardAck(
         tasklet_id="tl-1", consumer_id="c1", accepted=True, broker_id="broker-b"
@@ -128,7 +128,7 @@ SAMPLE_BODIES = [
         workflow={
             "workflow_id": "wf-1",
             "nodes": [{"node_id": "a", "program_fingerprint": "abc123"}],
-            "programs": {"abc123": {"version": 1}},
+            "programs": {"abc123": b"\x08\x00"},
         }
     ),
     WorkflowAck(workflow_id="wf-1", accepted=True),
@@ -216,14 +216,15 @@ def test_wire_payload_is_plain_json():
 # -- the wire boundary: a body is read completely, or not at all ----------------
 
 #: What a hostile or merely different build can put where a field should
-#: be; both codecs carry every one of these.
-HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}]
+#: be; both codecs carry every one of these.  The last is what a packed
+#: program is — bytes — and packs no program (``None``).
+HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}, b"\x00"]
 
 
 def _records_inside(payload: dict) -> list[dict]:
     """Every dict nested anywhere inside ``payload``: the records it
-    carries (a tasklet, its qoc, its program, a function; a workflow, a
-    node; an execution record) and the placeholders inside arguments."""
+    carries (a tasklet, its qoc; a workflow, a node, its table of packed
+    programs; an execution record) and the placeholders inside arguments."""
     found, stack = [], list(payload.values())
     while stack:
         item = stack.pop()

@@ -149,7 +149,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         execution_id="ex-1",
         tasklet_id="tl-1",
         consumer_id="c1",
-        program={},
+        program=b"",
         program_fingerprint="f",
         entry="main",
         args=[],

@@ -276,10 +276,11 @@ def _bc_function(rng, index, n_params, callees):
     return FunctionCode("main" if index == 0 else f"f{index}", n_params, n_locals, True, body)
 
 
-def test_generated_bytecode_with_arbitrary_jumps_agrees():
+def generated_bytecode_programs():
+    """The ``BYTECODE_PROGRAM_COUNT`` programs, each with arguments and a
+    fuel to run it on — the same ones on every call."""
     rng = random.Random(SEED)
-    outcomes: dict[str, int] = {}
-    for index in range(BYTECODE_PROGRAM_COUNT):
+    for _ in range(BYTECODE_PROGRAM_COUNT):
         n_params = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
         functions = []
         for position, count in enumerate(n_params):
@@ -290,7 +291,12 @@ def test_generated_bytecode_with_arbitrary_jumps_agrees():
             functions.append(_bc_function(rng, position, count, callees))
         program = CompiledProgram(functions, list(_INT_CONSTANTS))
         args = [rng.choice([0, 1, 5, -2, 13]) for _ in range(n_params[0])]
-        fuel = rng.choice([50, 300, 3000, 20000])
+        yield program, args, rng.choice([50, 300, 3000, 20000])
+
+
+def test_generated_bytecode_with_arbitrary_jumps_agrees():
+    outcomes: dict[str, int] = {}
+    for index, (program, args, fuel) in enumerate(generated_bytecode_programs()):
         try:
             portable, direct = assert_engines_agree(program, args, fuel=fuel)
         except AssertionError as divergence:
