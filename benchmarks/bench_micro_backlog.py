@@ -43,6 +43,7 @@ except ImportError:  # running as a plain script without PYTHONPATH=src
 
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import opened, packed
 from repro.core.tasklet import Tasklet
 from repro.transport.message import (
     ExecutionResult,
@@ -108,7 +109,7 @@ class _Loop:
                 payload = envelope.payload
                 self.placements += 1
                 self.running.append(
-                    (payload["execution_id"], str(envelope.dst), payload["args"][0] + 1)
+                    (payload["execution_id"], str(envelope.dst), opened(payload["args"])[0] + 1)
                 )
             elif envelope.type == "tasklet_complete":
                 assert envelope.payload["ok"], envelope.payload
@@ -130,7 +131,7 @@ class _Loop:
         self.deliver(
             ExecutionResult(
                 execution_id=execution_id, tasklet_id="", provider_id=provider,
-                status="success", value=value, instructions=4,
+                status="success", value=packed(value), instructions=4,
                 started_at=now, finished_at=now + 1e-4,
             ),
             provider,

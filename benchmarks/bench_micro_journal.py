@@ -17,11 +17,12 @@ returning.  Two claims are kept honest:
 import time
 
 from repro.broker.journal import CompletionRecord, WorkJournal, replay_journal
+from repro.common.serde import packed
 from repro.core import kernels
 from repro.core.tasklet import Tasklet
 from repro.tvm.compiler import compile_source
 
-TASKLET = {"tasklet_id": "tl", "entry": "main", "args": [7]}
+TASKLET = {"tasklet_id": "tl", "entry": "main", "args": packed([7])}
 RECORDS = 400
 
 
@@ -32,7 +33,7 @@ def append_records(journal, count=RECORDS):
         journal.record_complete(
             CompletionRecord(
                 key=key, tasklet_id=f"tl-{n}", consumer_id="c1",
-                ok=True, value=n, attempts=1, completed_at=float(n),
+                ok=True, value=packed(n), attempts=1, completed_at=float(n),
             )
         )
 

@@ -3,21 +3,22 @@
 Unlike the experiment wrappers (one macro run each), these are classic
 pytest-benchmark microbenchmarks with statistical rounds: the VM's
 dispatch loop, the compiler pipeline, the wire codec and boundary, the
-scheduler's selection path, and the vote key.  They catch performance regressions in
-the pieces every experiment sits on.
+scheduler's selection path, and the check of a packed result.  They catch
+performance regressions in the pieces every experiment sits on.
 """
 
 import random
 import time
 
 import pytest
+from bench_micro_payload import broker_hop_us
 
 from repro.broker.registry import ProviderRegistry
 from repro.broker.scheduling import make_strategy
 from repro.common.ids import NodeId
 from repro.core import kernels
 from repro.core.qoc import QoC
-from repro.core.results import _vote_key
+from repro.common.serde import check_packed, packed
 from repro.core.tasklet import Tasklet
 from repro.provider.executor import local_assignment
 from repro.tvm.bytecode import ProgramTable
@@ -80,7 +81,7 @@ def test_body_of_execution_result(benchmark):
         tasklet_id="tl-1",
         provider_id="p1",
         status="success",
-        value=[1, 2],
+        value=packed([1, 2]),
         instructions=500,
         started_at=1.0,
         finished_at=2.0,
@@ -169,6 +170,20 @@ def test_hop_cost_does_not_grow_with_the_program():
     assert ratio < 2.0, f"a hop costs {ratio:.1f}x more for 100x the code"
 
 
+def test_hop_cost_does_not_grow_with_the_arguments():
+    """Data crosses the broker as bytes: its share of submit → assign
+    (decode, open the record, check, memo key, place, encode) and of
+    result → complete (decode, check, vote, complete, encode) for a
+    1,024-int argument and result is within 1.5x of a 2-int one — a few
+    microseconds of memcpy and SHA-256 more (the list form: about 4x)."""
+    small = broker_hop_us([1, 2], rounds=300, batches=7)
+    large = broker_hop_us(list(range(70_000, 71_024)), rounds=300, batches=7)
+    for leg, few, many in zip(("submit -> assign", "result -> complete"), small, large):
+        print(f"\nbroker hop, {leg}: 2 ints {few:.1f} us, 1,024 ints {many:.1f} us, "
+              f"ratio {many / few:.2f}")
+        assert many / few < 1.5, f"{leg} costs {many / few:.1f}x more for 512x the data"
+
+
 def test_scheduler_selection(benchmark):
     """One placement decision over a 100-provider registry."""
     registry = ProviderRegistry()
@@ -195,10 +210,10 @@ def test_scheduler_selection(benchmark):
 
 
 def test_vote_key_structured_result(benchmark):
-    """Canonical vote key of a nested result (the voting hot path)."""
-    value = [[float(i), i, f"s{i}", i % 2 == 0] for i in range(50)]
-    key = benchmark(lambda: _vote_key(value))
-    assert isinstance(key, bytes)
+    """The one walk the broker makes of a nested result: the check of its
+    packed bytes, which are the vote key as they arrived (no key is built)."""
+    blob = packed([[float(i), i, f"s{i}", i % 2 == 0] for i in range(50)], fold_nan=True)
+    assert benchmark(lambda: check_packed(blob, whole_none=True)) == 50
 
 
 def test_fingerprint_memoised(benchmark):

@@ -26,6 +26,7 @@ import sys
 from repro.broker.journal import replay_journal
 from repro.cli import main as cli_main
 from repro.common.errors import BrokerUnreachable
+from repro.common.serde import opened
 from repro.dag.patterns import reference_values, tree
 from repro.transport.tcp import TcpConsumer, TcpProvider
 
@@ -142,7 +143,9 @@ def main() -> int:
     duplicates = {key: n for key, n in executed.items() if n != 1}
     assert not duplicates, f"nodes executed more than once: {duplicates}"
     outcome = next(iter(snapshot.workflow_completions.values()))["outcome"]
-    assert outcome["ok"] and outcome["outputs"] == expected, outcome
+    # (The journal holds each sink's result as the bytes it crossed the wire as.)
+    outputs = {sink: opened(blob) for sink, blob in outcome["outputs"].items()}
+    assert outcome["ok"] and outputs == expected, outcome
     assert not snapshot.workflows, "workflow still pending after completion"
     print(
         f"audit: {nodes_total} nodes, each with exactly one executed_by "

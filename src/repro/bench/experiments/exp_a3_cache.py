@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 
+from ...common.serde import packed
 from ...provider.executor import TaskletExecutor
 from ...transport.message import AssignExecution
 from ...tvm.compiler import compile_source
@@ -53,7 +54,7 @@ def _assignments(program, tasks: int) -> list[AssignExecution]:
             consumer_id="cons",
             program=program.packed(),
             entry="main",
-            args=[float(index)],
+            args=packed([float(index)]),
             seed=0,
             fuel=50_000_000,
             program_fingerprint=program.fingerprint(),

@@ -24,6 +24,7 @@ import os
 import tempfile
 
 from ...broker.journal import WorkJournal, replay_journal
+from ...common.serde import opened
 from ...core.qoc import QoC
 from ...core.tasklet import Tasklet
 from ...dag.patterns import butterfly, chain, reference_values, stencil, tree
@@ -153,8 +154,8 @@ def _crash_recovery(depth: int) -> tuple[bool, bool, bool]:
         completed = next(iter(snapshot.workflow_completions.values()), None)
         outputs = completed.outcome.get("outputs", {}) if completed else {}
         reference = reference_values(spec)
-        correct = bool(outputs) and all(
-            outputs.get(sink) == reference[sink] for sink in spec.sinks()
+        correct = bool(outputs) and all(  # (journalled packed, as they crossed the wire)
+            sink in outputs and opened(outputs[sink]) == reference[sink] for sink in spec.sinks()
         )
         # Exactly-once audit: every node key has at most one ok completion
         # record across both broker lifetimes (re-issued nodes journal one;

@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..common.clock import Clock
-from ..common.errors import RecordError, TaskletError, TransportError
+from ..common.errors import CodecError, RecordError, TaskletError, TransportError
 from ..common.ids import ExecutionId, IdGenerator, NodeId
+from ..common.serde import check_packed
 from ..core.results import ExecutionRecord, ExecutionStatus, VoteCollector
 from ..core.tasklet import Tasklet
 from ..obs.telemetry import Telemetry
 from ..obs.trace import TraceContext
 from ..tvm.bytecode import ProgramTable
-from ..tvm.vm import is_tasklet_value
 from .accounting import CostLedger
 from .backlog import Backlog
 from .executions import ExecutionIndex
@@ -135,8 +135,9 @@ class _TaskletState:
 
     key: str
     consumer_id: NodeId
-    #: The admitted record, opened once — and as it arrived: what is
-    #: journalled and forwarded, and whose ``program`` bytes providers are sent.
+    #: The admitted record, opened once (but for its ``args``, which stay
+    #: the bytes they are) — and as it arrived: what is journalled and
+    #: forwarded, and whose ``program`` bytes providers are sent.
     tasklet: Tasklet
     wire: dict
     submitted_at: float
@@ -473,7 +474,7 @@ class BrokerCore:
             if (
                 admitted.program_fingerprint == fingerprint
                 and admitted.entry == tasklet.entry
-                and admitted.args == tasklet.args
+                and admitted.args == tasklet.args  # bytes: 1, 1.0 and True differ
                 and admitted.seed == tasklet.seed
                 and admitted.fuel == tasklet.fuel
             ):
@@ -483,9 +484,7 @@ class BrokerCore:
         if refusal is not None:
             return _Admission(tasklet_id, refusal=refusal)
         now = self.clock.now()
-        memo = memo_key_of(
-            fingerprint, tasklet.entry, tasklet.args, tasklet.seed, tasklet.fuel
-        )
+        memo = memo_key_of(fingerprint, tasklet.entry, tasklet.args, tasklet.seed, tasklet.fuel)
         if self.result_cache is not None and memo is not None and not replayed:
             hit = self.result_cache.get(memo)
             if hit is not None:
@@ -748,14 +747,16 @@ class BrokerCore:
         outstanding = state.outstanding.get(execution_id) if state else None
         if outstanding is None:
             return []  # late result for an already-decided tasklet
-        status, value, error = ExecutionStatus(body.status), body.value, body.error
-        if status is ExecutionStatus.SUCCESS and not (value is None or is_tasklet_value(value)):
-            # No TVM returns this (None is a void function's result).
-            # Decided before anything is released, so the execution ends
-            # as any failed one does: re-issued or failed, and graded
-            # against its provider.
-            error = f"result of type {type(value).__name__} is not a Tasklet value"
-            status, value = ExecutionStatus.VM_ERROR, None
+        status, value, error = ExecutionStatus(body.status), None, body.error
+        if status is ExecutionStatus.SUCCESS:  # (only a success carries a value)
+            try:
+                check_packed(body.value, whole_none=True)  # (None: a void function's)
+                value = body.value
+            except CodecError as exc:
+                # No provider packs this.  Decided before anything is released, so
+                # the execution ends as any failed one does: re-issued or failed,
+                # and graded against its provider.
+                status, error = ExecutionStatus.VM_ERROR, f"result is not a Tasklet value: {exc}"
         record = ExecutionRecord(
             execution_id=execution_id,
             tasklet_id=state.tasklet.tasklet_id,
@@ -935,10 +936,9 @@ class BrokerCore:
             out.extend(self._end_execution(state, outstanding, None, cancel=True))
         self.backlog.forget(state)
         attempts, cost = state.issued, self.ledger.pop_cost_of(state.key)
-        # The winning value travels once, as the completion's own.
-        agreeing = (state.collector.winner() or []) if ok else []
+        # The winning value travels once, as the completion's own (the bytes are the vote).
         executions = [
-            record.to_dict(with_value=record not in agreeing)
+            record.to_dict(with_value=not (ok and record.ok and record.value == value))
             for record in state.collector.all_records
         ]
         executed_by = str(self.node_id) if state.issued > 0 else ""

@@ -44,37 +44,29 @@ from typing import Any
 
 from ..common.errors import RecordError, TransportError, VMInvalidProgram
 from ..common.record import Record, identified, reads_as, record, sparse
-from ..common.serde import decode_value, encode_value
+from ..common.serde import decode_value, encode_value, packed
 from ..tvm.bytecode import CompiledProgram
 
 
 def memo_key_of(
     program_fingerprint: str,
     entry: str,
-    args: list[Any],
+    args: bytes,
     seed: int,
     fuel: int,
 ) -> str | None:
     """Identity of a Tasklet's *computation* (not its submission).
 
     Everything that determines the result of a deterministic Tasklet:
-    the program content hash plus entry point, arguments, PRNG seed, and
-    fuel (fuel is included because exhaustion depends on it).  Returns
-    ``None`` when no fingerprint was stamped or the arguments do not
-    canonicalise — such submissions are simply never memoized.
+    the program content hash plus entry point, PRNG seed, fuel (exhaustion
+    depends on it) and the packed arguments, hashed as the bytes they are.
+    Returns ``None`` when no fingerprint was stamped — such submissions
+    are simply never memoized.
     """
     if not program_fingerprint:
         return None
-    try:
-        canonical = json.dumps(
-            [entry, args, seed, fuel], sort_keys=True, separators=(",", ":")
-        )
-    except (TypeError, ValueError):
-        return None
-    digest = hashlib.sha256(
-        (program_fingerprint + "\x00" + canonical).encode("utf-8")
-    )
-    return digest.hexdigest()[:32]
+    head = f"{program_fingerprint}\x00{entry}\x00{seed}\x00{fuel}\x00"
+    return hashlib.sha256(head.encode("utf-8") + args).hexdigest()[:32]
 
 
 @record("complete")
@@ -91,7 +83,7 @@ class CompletionRecord(Record):
     tasklet_id: str
     consumer_id: str
     ok: bool
-    value: Any = None
+    value: bytes | None = None  # the packed result: the bytes that were voted on
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0
@@ -112,7 +104,7 @@ class WorkflowOutcome(Record):
     workflow_id: str
     ok: bool
     consumer_id: str = ""
-    outputs: dict[str, Any] = field(default_factory=dict)
+    outputs: dict[str, bytes] = field(default_factory=dict)  # sink -> packed result
     error: str | None = None
     failed_node: str = ""
     dependents: list[str] = field(default_factory=list)
@@ -234,14 +226,25 @@ def _repacked(document: dict) -> tuple[bytes, str]:
 
 
 def _upgrade(line: dict) -> None:
-    """Rewrite, as it is read, an ``admitted`` / ``wf_admitted`` line an
-    older build wrote — the one place that knows a program was once
-    journalled as a dict: it is packed, and everything that names it
-    re-stamped.  (Memo keys made of the old stamps stay; they match
-    nothing this build computes and are simply cold.)"""
+    """Rewrite, as it is read, a line an older build wrote — the one place
+    that knows a program was once journalled as a dict (it is packed, and
+    everything that names it re-stamped) and arguments, results and
+    workflow outputs as JSON values (they are packed; an old ``null`` that
+    was a success is a void result).  (Memo keys of either age stay; they
+    match nothing this build computes and are simply cold.)"""
     tasklet, workflow = line.get("tasklet"), line.get("workflow")
     if type(tasklet) is dict and type(tasklet.get("program")) is dict:
         tasklet["program"], tasklet["program_fingerprint"] = _repacked(tasklet["program"])
+    if type(tasklet) is dict and type(tasklet.get("args")) is list:
+        tasklet["args"] = packed(tasklet["args"])
+    value = line.get("value")
+    if line["kind"] == "complete" and type(value) is not bytes:
+        if value is not None or line.get("ok") is True:
+            line["value"] = packed(value, fold_nan=True)
+    outputs = line["outcome"].get("outputs") if type(line.get("outcome")) is dict else None
+    for sink, value in outputs.items() if type(outputs) is dict else ():
+        if type(value) is not bytes:
+            outputs[sink] = packed(value, fold_nan=True)
     programs = workflow.get("programs") if type(workflow) is dict else None
     if type(programs) is not dict:
         return
@@ -274,7 +277,7 @@ def _read_line(text: str) -> Record:
         raise RecordError(f"unknown line kind {kind!r}")
     try:
         _upgrade(document)
-    except VMInvalidProgram as exc:
+    except (VMInvalidProgram, TransportError) as exc:
         raise RecordError(f"malformed {kind}: {exc}") from None
     return shape.from_dict(document)
 

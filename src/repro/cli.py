@@ -527,7 +527,19 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_journal(args: argparse.Namespace) -> int:
     """Inspect (and optionally compact) a broker work journal."""
     from .broker.journal import WorkJournal, replay_journal
-    from .common.serde import encode_value
+    from .common.errors import CodecError
+    from .common.serde import encode_value, opened
+
+    def shown(blob):
+        """A packed value (arguments, a result) as a reader wants it: opened."""
+        try:
+            return None if blob is None else opened(blob)
+        except CodecError as exc:
+            return f"<unreadable: {exc}>"
+
+    def admission(entry) -> dict:
+        tasklet = {**entry.tasklet, "args": shown(entry.tasklet.get("args"))}
+        return {**entry.to_dict(), "tasklet": tasklet}
 
     if not Path(args.file).exists():
         print(f"error: no journal at {args.file}", file=sys.stderr)
@@ -547,15 +559,25 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             "admitted": snapshot.admitted,
             "completed": snapshot.completed,
             "malformed": snapshot.malformed,
-            "pending": [entry.to_dict() for entry in snapshot.pending],
+            "pending": [admission(entry) for entry in snapshot.pending],
             "completions": [
-                completion.to_dict()
+                {**completion.to_dict(), "value": shown(completion.value)}
                 for completion in snapshot.completions.values()
             ],
             "workflows": [entry.to_dict() for entry in snapshot.workflows],
-            "workflow_nodes": [entry.to_dict() for entry in snapshot.workflow_nodes],
+            "workflow_nodes": [admission(entry) for entry in snapshot.workflow_nodes],
             "workflow_completions": [
-                entry.to_dict() for entry in snapshot.workflow_completions.values()
+                {
+                    **entry.to_dict(),
+                    "outcome": {
+                        **entry.outcome,
+                        "outputs": {
+                            sink: shown(blob)
+                            for sink, blob in entry.outcome.get("outputs", {}).items()
+                        },
+                    },
+                }
+                for entry in snapshot.workflow_completions.values()
             ],
         }
         # (A program is bytes: rendered as in the journal, ``{"__b__": base64}``.)
@@ -575,7 +597,7 @@ def _cmd_journal(args: argparse.Namespace) -> int:
             tasklet = entry.tasklet
             print(
                 f"  {entry.key:<28} entry={tasklet.get('entry', '?')} "
-                f"args={tasklet.get('args', '?')} ts={entry.ts:.3f}"
+                f"args={shown(tasklet.get('args'))} ts={entry.ts:.3f}"
             )
     ok_count = sum(1 for c in snapshot.completions.values() if c.ok)
     print(

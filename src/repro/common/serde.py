@@ -15,8 +15,11 @@ equal ones (``1`` stays an int, ``1.0`` a float, ``True`` a bool):
   plain floats), unless it is very short, is one :mod:`struct` call, not
   a Python step per item.  Because the encoder is deterministic and keeps
   every type distinction, the packed bytes are also the *canonical* form
-  of a value: replica voting groups results by them
-  (:mod:`repro.core.results`).
+  of a value, and the only form a Tasklet's arguments and result have
+  between the node that packs them and the node that uses them
+  (:func:`packed` / :func:`opened`): every hop in between checks
+  (:func:`check_packed`), hashes, compares, stores and forwards the bytes,
+  and never builds the value (DESIGN.md, "Values").
 
 Frames and envelopes — what goes around a value on a socket — are
 :mod:`repro.transport.codec`'s.
@@ -345,3 +348,110 @@ def unpack_value(buf: bytes, pos: int) -> tuple[Any, int]:
             result[key], pos = unpack_value(buf, pos)
         return result, pos
     raise CodecError(f"unknown value tag 0x{tag:02x}")
+
+
+# ---------------------------------------------------------------------------
+# A value as its bytes: what carries a Tasklet's arguments and result
+# ---------------------------------------------------------------------------
+
+#: Lists may nest this deep in a checked value; one that nests deeper is
+#: refused (no Tasklet builds one, and whoever opens it recurses per level).
+MAX_PACKED_DEPTH = 64
+
+
+def packed(value: Any, fold_nan: bool = False) -> bytes:
+    """``value`` as its packed bytes (:func:`pack_value`)."""
+    out = bytearray()
+    pack_value(value, out, fold_nan)
+    return bytes(out)
+
+
+def opened(blob: bytes) -> Any:
+    """The value ``blob`` packs — all of it, and nothing after it — or
+    :class:`CodecError`, whatever ``blob`` is."""
+    if type(blob) is not bytes:
+        raise CodecError(f"packed value is a {type(blob).__name__}")
+    try:
+        value, end = unpack_value(blob, 0)
+    except RecursionError:
+        raise CodecError("value nests too deeply") from None
+    if end != len(blob):
+        raise CodecError(f"{len(blob) - end} trailing bytes")
+    return value
+
+
+def check_packed(blob: bytes, whole_none: bool = False) -> int | None:
+    """Check, without building it, that ``blob`` packs exactly one Tasklet
+    value — a bool, int, float or string, or a list of them, nested at
+    most :data:`MAX_PACKED_DEPTH` deep — with nothing after it; with
+    ``whole_none`` the blob may also be ``None`` itself (a void result).
+    Returns the item count of a top-level list (None for a scalar); raises
+    :class:`CodecError` for anything else, non-bytes included.
+
+    A packed array costs its header: its items are numbers whatever its
+    bytes are.  Strings are decoded, which is their UTF-8 check; nothing
+    is sized by a count the buffer does not back.
+    """
+    if type(blob) is not bytes:
+        raise CodecError(f"packed value is a {type(blob).__name__}")
+    if whole_none and blob == b"\x00":
+        return None
+    size, pos, top = len(blob), 0, None
+    unread = [1]  # items still to read: of the blob, then per open list
+    while unread:
+        if not unread[-1]:
+            unread.pop()
+            continue
+        unread[-1] -= 1
+        level = len(unread)
+        if pos >= size:
+            raise CodecError("truncated value")
+        tag = blob[pos]
+        pos += 1
+        count = None
+        if tag == _T_INT:  # (its varint is skipped, not built)
+            while pos < size and blob[pos] & 0x80:
+                pos += 1
+            pos += 1
+        elif tag == _T_FLOAT:
+            pos += _FLOAT.size
+        elif tag == _T_STR:
+            _, pos = unpack_str(blob, pos)
+        elif tag == _T_ARRAY:
+            if pos >= size:
+                raise CodecError("truncated array")
+            item_size = _ARRAY_ITEM_SIZE.get(blob[pos])
+            if item_size is None:
+                raise CodecError(f"unknown array item format 0x{blob[pos]:02x}")
+            count, pos = unpack_varint(blob, pos + 1)
+            pos += count * item_size
+        elif tag == _T_LIST:
+            if level > MAX_PACKED_DEPTH:
+                raise CodecError("value nests too deeply")
+            count, pos = unpack_varint(blob, pos)
+            unread.append(count)
+        elif tag != _T_TRUE and tag != _T_FALSE:
+            raise CodecError(f"value tag 0x{tag:02x} is not a Tasklet value")
+        if pos > size:
+            raise CodecError("truncated value")
+        if level == 1:
+            top = count
+    if pos != size:
+        raise CodecError(f"{size - pos} trailing bytes")
+    return top
+
+
+def splice_list(parts: list[bytes], out: bytearray) -> None:
+    """Append the list whose items are the packed ``parts``: byte for byte
+    what :func:`pack_value` writes for the list of the opened parts, none
+    of which is opened — unless they are numbers that take the array form
+    together, which only their values can say."""
+    if len(parts) >= _ARRAY_MIN_ITEMS:
+        tags = {part[:1] for part in parts}
+        if len(tags) == 1 and tags <= {bytes((_T_INT,)), bytes((_T_FLOAT,))}:
+            pack_value([unpack_value(part, 0)[0] for part in parts], out)
+            return
+    out.append(_T_LIST)
+    pack_varint(len(parts), out)
+    for part in parts:
+        out += part

@@ -26,6 +26,7 @@ from typing import Any, NamedTuple, Sequence
 from ..common.clock import Clock
 from ..common.errors import (
     BrokerUnreachable,
+    CodecError,
     DuplicateSubmission,
     TaskletError,
     TransportError,
@@ -33,8 +34,9 @@ from ..common.errors import (
     WorkflowSpecError,
 )
 from ..common.ids import NodeId, TaskletId
+from ..common.serde import opened
 from ..core.futures import TaskletFuture
-from ..core.results import ExecutionRecord, TaskletResult
+from ..core.results import TaskletResult, open_completion
 from ..core.tasklet import Tasklet
 from ..dag.handle import WorkflowHandle
 from ..dag.spec import WorkflowSpec
@@ -85,6 +87,14 @@ class _Kind(NamedTuple):
     counter: str  # the ConsumerStats field counting registrations
 
 
+#: Error text -> coarse family, for the ``failures_total`` counter.
+_FAILURE_KINDS = (
+    ("disagreed", "disagreement"),
+    ("insufficient agreeing", "insufficient_votes"),
+    ("executions failed", "executions_failed"),
+    ("rejected by broker", "rejected"),
+    ("broker unreachable", "broker_unreachable"),
+)
 _TASKLET = _Kind(TaskletFuture, DuplicateSubmission, "submitted")
 _WORKFLOW = _Kind(WorkflowHandle, WorkflowSpecError, "workflows_submitted")
 
@@ -186,9 +196,7 @@ class ConsumerCore:
         try:
             body = body_of(envelope)
         except TransportError as exc:
-            report_unreadable(
-                self._events, self.node_id, self.clock.now(), envelope, str(exc)
-            )
+            report_unreadable(self._events, self.node_id, self.clock.now(), envelope, str(exc))
             return []
         if isinstance(body, TaskletComplete):
             self._end_tasklet(body)
@@ -199,8 +207,7 @@ class ConsumerCore:
         elif isinstance(body, WorkflowComplete):
             failure = None if body.ok else WorkflowFailed(
                 body.error
-                or f"workflow {body.workflow_id!r} failed at node "
-                f"{body.failed_node!r}",
+                or f"workflow {body.workflow_id!r} failed at node {body.failed_node!r}",
                 node_id=body.failed_node,
                 dependents=body.dependents,
             )
@@ -264,9 +271,14 @@ class ConsumerCore:
         family when the caller knows it (else it is read off the error
         text); with ``exc`` the future *fails* typed instead of resolving.
         False — and nothing counted — when the id is not pending: a
-        duplicate, late or unknown terminal message.
-        """
+        duplicate, late or unknown terminal message.  Values arrive packed:
+        opened here, once; one that does not open fails the future typed."""
         now = self.clock.now()
+        try:
+            value, executions = open_completion(verdict.value, verdict.executions)
+        except CodecError as bad:
+            verdict = TaskletComplete(verdict.tasklet_id, False, error=f"unreadable result: {bad}")
+            value, executions, kind, exc = None, [], kind or "unreadable", exc or bad
         tasklet_id, ok = TaskletId(verdict.tasklet_id), verdict.ok
         with self._lock:
             record = self._tasklets.pop(tasklet_id, None)
@@ -281,24 +293,23 @@ class ConsumerCore:
         result = TaskletResult(
             tasklet_id=tasklet_id,
             ok=ok,
-            value=verdict.value,
+            value=value,
             error=verdict.error,
             attempts=verdict.attempts,
             cost=verdict.cost,
-            executions=[ExecutionRecord.from_dict({"value": verdict.value, **d}) for d in verdict.executions],
+            executions=executions,
             submitted_at=record.submitted_at,
             completed_at=now,
         )
         if self._metrics is not None:
             if not ok and kind is None:
-                kind = self._failure_kind(result.error)
+                error = result.error or ""
+                kind = next((kind for text, kind in _FAILURE_KINDS if text in error), "other")
             self._metrics.completed.labels(outcome="ok" if ok else "failed").inc()
             if kind is not None:
                 self._metrics.failures.labels(kind=kind).inc()
             self._metrics.latency.observe(max(0.0, now - record.submitted_at))
-            self._root_span(
-                "tasklet", record, now, kind or "ok", {"tasklet_id": str(tasklet_id)}
-            )
+            self._root_span("tasklet", record, now, kind or "ok", {"tasklet_id": str(tasklet_id)})
         if exc is None:
             record.waiter.resolve(result)
         else:
@@ -316,10 +327,15 @@ class ConsumerCore:
 
         ``status`` labels the root ``workflow`` span (``ok`` counts as
         completed, anything else as failed); the handle fails with ``exc``
-        or, without one, resolves with the outputs of ``body``.  False
-        when the id is not pending (duplicate terminal message).
-        """
-        now = self.clock.now()
+        or, without one, resolves with the outputs of ``body``, opened — or
+        fails, should one not open.  False when the id is not pending
+        (duplicate terminal message)."""
+        now, outputs = self.clock.now(), None
+        try:
+            if exc is None:
+                outputs = {sink: opened(blob) for sink, blob in body.outputs.items()}
+        except CodecError as bad:
+            status, exc = "unreadable", bad
         with self._lock:
             record = self._workflows.pop(workflow_id, None)
             if record is None:
@@ -339,7 +355,7 @@ class ConsumerCore:
                 handle.node_states[body.failed_node] = "failed"
         self._root_span("workflow", record, now, status, attrs)
         if exc is None:
-            handle.resolve(body.outputs)
+            handle.resolve(outputs)
         else:
             handle.fail(exc)
         return True
@@ -357,22 +373,6 @@ class ConsumerCore:
                 status=status,
                 attrs=attrs,
             )
-
-    @staticmethod
-    def _failure_kind(error: str | None) -> str:
-        """Coarse error family for the ``failures_total`` counter."""
-        error = error or ""
-        if "disagreed" in error:
-            return "disagreement"
-        if "insufficient agreeing" in error:
-            return "insufficient_votes"
-        if "executions failed" in error:
-            return "executions_failed"
-        if "rejected by broker" in error:
-            return "rejected"
-        if "broker unreachable" in error:
-            return "broker_unreachable"
-        return "other"
 
     @property
     def pending(self) -> int:

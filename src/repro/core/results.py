@@ -7,7 +7,13 @@ decide the final :class:`TaskletResult` the consumer sees.
 Because Tasklets are deterministic (shared seed, closed world), honest
 replicas return *identical* values; voting is therefore exact-equality
 majority, which catches both corrupted results and byzantine providers
-without any application-specific comparison logic.
+without any application-specific comparison logic.  A result reaches the
+broker as the bytes its provider packed (``serde.packed(value,
+fold_nan=True)``), and those bytes are the vote: the encoder is
+deterministic and keeps every runtime type apart, so equal bytes mean
+structurally equal values with ``1``, ``1.0`` and ``True`` distinct and
+``-0.0`` unlike ``0.0``, and every NaN — whatever sign and payload the
+replica's host gave it — is one vote.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Any
 
 from ..common.ids import ExecutionId, NodeId, TaskletId
 from ..common.record import Record, record
-from ..common.serde import pack_value
+from ..common.serde import opened
 
 
 class ExecutionStatus(enum.Enum):
@@ -42,6 +48,8 @@ class ExecutionRecord(Record):
     tasklet_id: TaskletId
     provider_id: NodeId
     status: ExecutionStatus
+    #: The result as its provider packed it (None: there is none); opened
+    #: only in the records a consumer's ``TaskletResult`` holds.
     value: Any = None
     error: str | None = None
     instructions: int = 0
@@ -64,6 +72,26 @@ class ExecutionRecord(Record):
         if not with_value:
             del data["value"]
         return data
+
+
+def open_completion(
+    value: bytes | None, executions: list[dict]
+) -> tuple[Any, list[ExecutionRecord]]:
+    """What a ``tasklet_complete`` carries packed, opened — once, by its
+    consumer: the value, and the execution records with theirs (one that
+    agreed with the verdict left its own to it).  :class:`CodecError` if
+    one does not open."""
+
+    def unpacked(blob: bytes | None) -> Any:
+        return None if blob is None else opened(blob)
+
+    value = unpacked(value)
+    return value, [
+        ExecutionRecord.from_dict(
+            {**item, "value": unpacked(item["value"]) if "value" in item else value}
+        )
+        for item in executions
+    ]
 
 
 @dataclass
@@ -91,22 +119,6 @@ class TaskletResult:
         return sum(record.duration for record in self.executions)
 
 
-def _vote_key(value: Any) -> bytes:
-    """Canonical representation used to group equal replica results: the
-    value's packed bytes (:func:`repro.common.serde.pack_value`).
-
-    The encoder is deterministic and keeps every runtime type apart, so
-    equal bytes mean structurally equal values with ``1``, ``1.0`` and
-    ``True`` distinct and ``-0.0`` unlike ``0.0``; every NaN is one vote,
-    whatever sign and payload the replica's host gave it.  It encodes any
-    wire value — that a result is a *Tasklet* value is checked where the
-    result arrives, not here.
-    """
-    key = bytearray()
-    pack_value(value, key, fold_nan=True)
-    return bytes(key)
-
-
 class VoteCollector:
     """Collects replica results for one Tasklet and decides acceptance.
 
@@ -125,9 +137,10 @@ class VoteCollector:
         self.failures: list[ExecutionRecord] = []
 
     def add(self, record: ExecutionRecord) -> None:
-        """Fold in one terminal execution record."""
+        """Fold in one terminal execution record; successes group by
+        their packed value, which nothing here opens or re-packs."""
         if record.ok:
-            self.successes.setdefault(_vote_key(record.value), []).append(record)
+            self.successes.setdefault(record.value, []).append(record)
         else:
             self.failures.append(record)
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from operator import methodcaller
 from typing import Any
 
-from ..common.errors import RecordError, TaskletError, VMInvalidProgram
+from ..common.errors import CodecError, RecordError, TaskletError, VMInvalidProgram
 from ..common.ids import JobId, TaskletId
 from ..common.record import Record, coded, record
+from ..common.serde import check_packed, packed
 from ..tvm.bytecode import CompiledProgram, ProgramTable
 from ..tvm.vm import DEFAULT_FUEL, is_tasklet_value
 from .qoc import QoC
@@ -41,7 +42,15 @@ class Tasklet(Record):
     #: cache by, and every hop checks against the bytes it was sent.
     program_fingerprint: str = field(default="", init=False, compare=False)
     entry: str
-    args: list[Any] = field(default_factory=list)
+    #: The argument list as its consumer wrote it — on the wire, and on a
+    #: Tasklet opened from it, its ``serde``-packed bytes: no hop between the
+    #: consumer and the provider that runs it builds them (DESIGN.md, "Values").
+    args: list[Any] | bytes = coded(
+        None,
+        lambda args: args if type(args) is bytes else packed(args),
+        accepts=(bytes,),
+        default_factory=list,
+    )
     qoc: QoC = field(default_factory=QoC)
     seed: int = 0
     fuel: int = DEFAULT_FUEL
@@ -53,13 +62,22 @@ class Tasklet(Record):
                 f"program has no entry function {self.entry!r} "
                 f"(available: {', '.join(self.program.function_names)})"
             )
+        args = self.args
+        if type(args) is bytes:  # off the wire: checked as the bytes they stay
+            try:
+                count, args = check_packed(args), ()
+            except CodecError as exc:
+                raise TaskletError(f"args are not packed Tasklet values: {exc}") from None
+            if count is None:
+                raise TaskletError("args do not pack a list")
+        else:
+            count = len(args)
         entry_code = self.program.function(self.entry)
-        if len(self.args) != entry_code.n_params:
+        if count != entry_code.n_params:
             raise TaskletError(
-                f"{self.entry}() expects {entry_code.n_params} arguments, "
-                f"got {len(self.args)}"
+                f"{self.entry}() expects {entry_code.n_params} arguments, got {count}"
             )
-        for arg in self.args:
+        for arg in args:
             if not is_tasklet_value(arg):
                 raise TaskletError(f"argument {arg!r} is not a valid Tasklet value")
         if self.fuel <= 0:
@@ -92,5 +110,5 @@ class Tasklet(Record):
         """One-line human-readable description for logs."""
         return (
             f"Tasklet({self.tasklet_id}, entry={self.entry}, "
-            f"args={len(self.args)}, redundancy={self.qoc.redundancy})"
+            f"redundancy={self.qoc.redundancy})"
         )

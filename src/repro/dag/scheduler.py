@@ -12,17 +12,17 @@ The :class:`DagScheduler` owns the node-state machine of a single
 It performs no I/O and knows nothing about envelopes, providers, or
 journals — the broker drives it: :meth:`start` yields the initially
 ready nodes, :meth:`complete` records an output and yields newly
-released nodes, :meth:`args_of` materialises a node's argument list by
-resolving ``$from``/``$gather`` placeholders against recorded outputs.
-The same object is rebuilt during journal recovery by replaying
-completions in topological order.
+released nodes, :meth:`args_of` writes a node's packed argument list by
+splicing recorded outputs — kept as the bytes their providers packed —
+in place of its ``$from``/``$gather`` placeholders.  The same object is
+rebuilt during journal recovery by replaying completions in topological
+order.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from .spec import WorkflowSpec, resolve_arg
+from ..common.serde import pack_value, splice_list
+from .spec import FROM_KEY, GATHER_KEY, WorkflowSpec
 
 #: Node states.
 BLOCKED = "blocked"
@@ -33,6 +33,13 @@ FAILED = "failed"
 
 #: States a node can no longer leave.
 TERMINAL_STATES = frozenset({DONE, FAILED})
+
+
+def _templated(arg) -> bool:
+    """Whether a placeholder sits anywhere inside the argument ``arg``."""
+    if isinstance(arg, dict):
+        return FROM_KEY in arg or GATHER_KEY in arg
+    return isinstance(arg, list) and any(map(_templated, arg))
 
 
 class DagScheduler:
@@ -47,7 +54,8 @@ class DagScheduler:
         self._state: dict[str, str] = {
             node.node_id: BLOCKED for node in spec.nodes
         }
-        self._values: dict[str, Any] = {}
+        #: Node outputs as they arrived: packed (``serde.packed``) bytes.
+        self._values: dict[str, bytes] = {}
         self._failed_node: str | None = None
         self._started = False
 
@@ -82,11 +90,11 @@ class DagScheduler:
             out[state] += 1
         return out
 
-    def value_of(self, node_id: str) -> Any:
+    def value_of(self, node_id: str) -> bytes:
         return self._values[node_id]
 
-    def outputs(self) -> dict[str, Any]:
-        """Sink-node outputs (the workflow's results), if computed."""
+    def outputs(self) -> dict[str, bytes]:
+        """Sink-node outputs (the workflow's results, packed), if computed."""
         return {
             node_id: self._values[node_id]
             for node_id in self.spec.sinks()
@@ -105,14 +113,33 @@ class DagScheduler:
             frontier.extend(self._successors.get(succ, []))
         return list(seen)
 
-    def args_of(self, node_id: str) -> list[Any]:
-        """The node's argument list with placeholders resolved.
+    def args_of(self, node_id: str) -> bytes:
+        """The node's packed argument list, placeholders resolved: byte
+        for byte ``packed([resolve_arg(arg, opened outputs) ...])`` — what
+        a consumer submitting the same tasklet directly would send, so
+        both share a memo key — with no output opened on the way.
 
         Only valid once every predecessor is DONE (i.e. the node is
         READY or later); raises ``KeyError`` otherwise.
         """
-        node = self.spec.node(node_id)
-        return [resolve_arg(arg, self._values) for arg in node.args]
+        out = bytearray()
+        splice_list([self._spliced(arg) for arg in self.spec.node(node_id).args], out)
+        return bytes(out)
+
+    def _spliced(self, arg) -> bytes:
+        """One argument, packed: a placeholder is the output it names (a
+        ``$gather``, the list of them), and a list that holds one is the
+        list of its items; anything else is a literal."""
+        if isinstance(arg, dict) and FROM_KEY in arg:
+            return self._values[str(arg[FROM_KEY])]
+        out = bytearray()
+        if isinstance(arg, dict) and GATHER_KEY in arg:
+            splice_list([self._values[str(ref)] for ref in arg[GATHER_KEY]], out)
+        elif isinstance(arg, list) and _templated(arg):
+            splice_list([self._spliced(item) for item in arg], out)
+        else:
+            pack_value(arg, out)
+        return bytes(out)
 
     # -- transitions --------------------------------------------------------
 
@@ -133,8 +160,8 @@ class DagScheduler:
             )
         self._state[node_id] = RUNNING
 
-    def complete(self, node_id: str, value: Any) -> list[str]:
-        """Record a node's output; returns newly READY successors.
+    def complete(self, node_id: str, value: bytes) -> list[str]:
+        """Record a node's (packed) output; returns newly READY successors.
 
         Accepts completion from READY as well as RUNNING so recovery and
         memoization can short-circuit nodes that were never issued.

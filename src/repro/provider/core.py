@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..common.clock import Clock
-from ..common.errors import TransportError
+from ..common.errors import CodecError, TransportError
 from ..common.ids import NodeId
+from ..common.serde import packed
+from ..core.results import ExecutionStatus
 from ..obs import events as ev
 from ..obs.telemetry import ProviderMetrics, Telemetry
 from ..obs.trace import TraceContext
@@ -231,8 +233,17 @@ class ProviderCore:
         """Account for one finished execution and build its result —
         ``None`` when the broker no longer wants it (it was cancelled, or
         a registration since has voided it).  Follow with :meth:`finish`
-        once the result is on its way."""
-        request = work.request
+        once the result is on its way.
+
+        The value leaves here as bytes, packed once with every NaN folded
+        into one: what the broker votes on, stores and forwards unopened."""
+        request, value = work.request, None
+        if outcome.ok:
+            try:
+                value = packed(outcome.value, fold_nan=True)
+            except (CodecError, RecursionError) as exc:  # nested past what any node opens
+                error = f"result cannot be packed: {type(exc).__name__}: {exc}"
+                outcome = ExecutionOutcome(ExecutionStatus.VM_ERROR, error=error)
         if self._metrics is not None:
             self._metrics.executions.labels(status=outcome.status.value).inc()
             self._metrics.execution_seconds.observe(finished - started)
@@ -274,7 +285,7 @@ class ProviderCore:
             tasklet_id=request.tasklet_id,
             provider_id=self.node_id,
             status=outcome.status.value,
-            value=outcome.value,
+            value=value,
             error=outcome.error,
             instructions=outcome.instructions,
             started_at=started,

@@ -16,12 +16,12 @@ up — so results, errors and instruction counts are the interpreter's own.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from ..common.errors import VMError
+from ..common.errors import CodecError, VMError, VMTypeError
+from ..common.serde import opened, packed
 from ..core.results import ExecutionStatus
 from ..tvm.bytecode import PROGRAM_CACHE_SIZE, CompiledProgram, checked_stamp
 from ..tvm.translate import Translation, translate
@@ -71,11 +71,23 @@ def local_assignment(
         consumer_id="local",
         program=program.packed(),
         entry=entry,
-        args=args,
+        args=packed(args),
         seed=seed,
         fuel=fuel,
         program_fingerprint=program.fingerprint(),
     )
+
+
+def _opened_args(blob: bytes) -> list:
+    """The argument list an assignment carries — opened here, where it is
+    run, and nowhere on the way (DESIGN.md, "Values")."""
+    try:
+        args = opened(blob)
+    except CodecError as exc:
+        raise VMTypeError(f"arguments do not open: {exc}") from None
+    if type(args) is not list:
+        raise VMTypeError("arguments do not pack a list")
+    return args
 
 
 class TaskletExecutor:
@@ -166,16 +178,16 @@ class TaskletExecutor:
             program, translation = self._load_program(
                 request.program, request.program_fingerprint
             )
-            args, ran = request.args, None
+            args, ran = _opened_args(request.args), None
             if translation is not None:
-                # The restart must see what the translated run was given.
-                pristine = copy.deepcopy(args) if translation.mutates else args
                 try:
                     ran = translation.run(
                         request.entry, args, request.fuel, request.seed
                     )
                 except Exception:  # deopt is restart: the portable VM decides
-                    engine, args = "restarted", pristine
+                    engine = "restarted"
+                    if translation.mutates:  # it must see what that run was given
+                        args = _opened_args(request.args)
                     self.restarts += 1
                 else:
                     engine = "translated"
@@ -189,7 +201,7 @@ class TaskletExecutor:
                     verify=False,  # verified on cache insertion
                     profile=self._profile,
                 )
-                ran = machine.run(request.entry, list(args)), machine.stats.instructions
+                ran = machine.run(request.entry, args), machine.stats.instructions
             outcome = ExecutionOutcome(
                 status=ExecutionStatus.SUCCESS,
                 value=ran[0],

@@ -238,7 +238,7 @@ class AssignExecution(MessageBody):
     consumer_id: str
     program: bytes  # a packed ``program``: the bytes the consumer sent, opened on a cache miss
     entry: str
-    args: list[Any]
+    args: bytes  # the packed argument list: the bytes the consumer sent, opened to run
     seed: int
     fuel: int
     #: Hash of ``program``; lets the provider's program cache hit without
@@ -255,7 +255,7 @@ class ExecutionResult(MessageBody):
     tasklet_id: str
     provider_id: str
     status: str = one_of(status.value for status in ExecutionStatus)
-    value: Any = None
+    value: Any = None  # packed bytes (None: none); their user checks them (PROTOCOL.md)
     error: str | None = None
     instructions: int = 0
     started_at: float = 0.0
@@ -349,7 +349,7 @@ class WorkflowComplete(MessageBody):
 
     workflow_id: str
     ok: bool
-    outputs: dict[str, Any] = field(default_factory=dict)  # by sink node id
+    outputs: dict[str, Any] = field(default_factory=dict)  # sink node id -> packed result
     error: str | None = None
     failed_node: str = ""
     dependents: list[str] = field(default_factory=list)

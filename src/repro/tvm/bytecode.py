@@ -16,7 +16,7 @@ from typing import Any
 
 from ..common.errors import CodecError, VMInvalidProgram
 from ..common.record import Record, coded, record
-from ..common.serde import pack_value, unpack_value
+from ..common.serde import opened, packed
 from .builtins import BUILTIN_ORDER, BUILTINS
 from .opcodes import JUMP_OPS, NO_OPERAND_OPS, STACK_EFFECT, Op
 
@@ -147,8 +147,7 @@ class CompiledProgram(Record):
         """The one form a program travels and is journalled in: its
         document, ``serde``-packed.  Memoised, and its stamp with it."""
         if self._packed is None:
-            pack_value(self.to_dict(), out := bytearray())
-            self._packed = bytes(out)
+            self._packed = packed(self.to_dict())
             self._fingerprint = checked_stamp(self._packed)
         return self._packed
 
@@ -157,11 +156,9 @@ class CompiledProgram(Record):
         """The program ``blob`` packs — all of it, and nothing after it."""
         stamp = checked_stamp(blob)  # (which refuses what is not bytes)
         try:
-            document, end = unpack_value(blob, 0)
-        except (CodecError, RecursionError) as exc:
+            document = opened(blob)
+        except CodecError as exc:
             raise VMInvalidProgram(f"malformed program: {exc}") from None
-        if end != len(blob):
-            raise VMInvalidProgram(f"malformed program: {len(blob) - end} trailing bytes")
         program = cls.from_dict(document)
         program._packed, program._fingerprint = blob, stamp
         return program

@@ -9,7 +9,7 @@ from repro.broker.journal import WorkJournal
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
-from repro.common.serde import pack_value
+from repro.common.serde import opened, packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.dag.spec import WorkflowBuilder
@@ -33,6 +33,7 @@ from repro.transport.message import (
 from repro.tvm.bytecode import CompiledProgram, checked_stamp
 from repro.tvm.compiler import compile_source
 from tests.conftest import packed_document
+from tests.transport.test_messages import HOSTILE_BLOBS
 
 PROGRAM = compile_source("func main(x: int) -> int { return x * 2; }")
 
@@ -82,12 +83,13 @@ class Harness:
 
     def complete(self, assign: AssignExecution, value=42, status="success",
                  provider=None, duration=1.0):
+        """Answer ``assign`` as a provider does: a success's value packed."""
         result = ExecutionResult(
             execution_id=assign.execution_id,
             tasklet_id=assign.tasklet_id,
             provider_id=provider or "p1",
             status=status,
-            value=value,
+            value=packed(value, fold_nan=True) if status == "success" else None,
             error=None if status == "success" else "failed",
             instructions=1000,
             started_at=self.clock.now(),
@@ -202,6 +204,26 @@ class TestSubmission:
         assert not ack.accepted
         assert "duplicate" in ack.reason
 
+    @pytest.mark.parametrize("other", [[1.0], [True], [2]], ids=repr)
+    def test_resubmit_with_equal_but_differently_typed_args_is_another_computation(self, other):
+        """Regression: in-flight resubmit identity was Python ``==`` on the
+        argument lists, under which ``[1] == [1.0] == [True]`` — resubmitting
+        ``tl-dup`` with ``[1.0]`` while ``tl-dup`` with ``[1]`` was in flight
+        was acked ``accepted`` and answered with the other computation's
+        result (``[2]`` was refused all along).  The packed bytes tell them
+        apart, as they do for the memo key and the vote."""
+        harness = Harness()
+        harness.add_provider()
+        program = compile_source("func main(x: float) -> float { return x / 2.0; }")
+        first = Tasklet(TaskletId("tl-dup"), program, "main", [1])
+        harness.send(SubmitTasklet(tasklet=first.to_dict()), src="c1")
+        twin = Tasklet(TaskletId("tl-dup"), program, "main", other)
+        (ack,) = bodies(harness.send(SubmitTasklet(tasklet=twin.to_dict()), src="c1"), SubmitAck)
+        assert not ack.accepted and ack.reason == "duplicate tasklet id"
+        same = Tasklet(TaskletId("tl-dup"), program, "main", [1])
+        assert bodies(harness.send(SubmitTasklet(tasklet=same.to_dict()), src="c1"), SubmitAck)[0].accepted
+        assert harness.broker.stats.executions_issued == 1 and harness.broker.pending_tasklets == 1
+
 
 class TestCompletion:
     def test_result_completes_tasklet(self):
@@ -212,7 +234,7 @@ class TestCompletion:
         replies = harness.complete(assign, value=42)
         completions = bodies(replies, TaskletComplete)
         assert len(completions) == 1
-        assert completions[0].ok and completions[0].value == 42
+        assert completions[0].ok and opened(completions[0].value) == 42
         assert completions[0].attempts == 1
         assert harness.broker.pending_tasklets == 0
         assert harness.broker.stats.tasklets_completed == 1
@@ -293,7 +315,7 @@ class TestRedundancy:
         replies = harness.complete(assigns[1][1], value=7, provider=assigns[1][0])
         completions = bodies(replies, TaskletComplete)
         cancels = bodies(replies, CancelExecution)
-        assert completions[0].ok and completions[0].value == 7
+        assert completions[0].ok and opened(completions[0].value) == 7
         assert len(cancels) == 1
         assert cancels[0].execution_id == assigns[2][1].execution_id
 
@@ -301,7 +323,7 @@ class TestRedundancy:
     def test_completion_carries_the_winning_value_once(self, redundancy):
         """Records of the agreeing group go without their ``value``: the
         consumer re-attaches the completion's.  A dissenter keeps its own."""
-        array, wrong = list(range(70_000, 71_024)), list(range(1024))
+        array, wrong = packed(list(range(70_000, 71_024))), packed(list(range(1024)))
         harness = Harness()
         for name in ("p1", "p2", "p3"):
             harness.add_provider(name, capacity=1)
@@ -325,9 +347,7 @@ class TestRedundancy:
         dissenting = [record for record in body.executions if "value" in record]
         assert len(agreeing) == (redundancy + 1) // 2
         assert [record["value"] for record in dissenting] == [wrong] * (redundancy // 2)
-        packed = bytearray()
-        pack_value(array, packed)
-        assert encode_envelope(complete, CODEC_BINARY).count(bytes(packed)) == 1
+        assert encode_envelope(complete, CODEC_BINARY).count(array) == 1
 
     def test_disagreement_reported_when_budget_gone(self):
         harness = Harness()
@@ -412,7 +432,7 @@ class TestWorkflowNodeIds:
         assert bodies(harness.send(twin, src="c2"), SubmitAck)[0].accepted
         replies = harness.complete(assign)
         (done,) = bodies(replies, WorkflowComplete)
-        assert done.ok and done.outputs == {"n1": 42}
+        assert done.ok and done.outputs == {"n1": packed(42)}
         assert [dst for dst, body in replies if isinstance(body, TaskletComplete)] == []
 
     def test_plain_submit_of_a_finished_nodes_id_still_answers(self):
@@ -423,7 +443,7 @@ class TestWorkflowNodeIds:
         replies = harness.send(twin, src="c1")
         assert bodies(replies, SubmitAck)[0].accepted
         (done,) = bodies(replies, TaskletComplete)
-        assert done.ok and done.value == 42 and done.tasklet_id == "wf-1:n1"
+        assert done.ok and opened(done.value) == 42 and done.tasklet_id == "wf-1:n1"
         assert harness.broker.pending_tasklets == 0
 
 
@@ -460,6 +480,39 @@ def test_malformed_tasklet_dict_is_refused_or_read_as_text_never_raised(damage):
     assert harness.broker.pending_tasklets == 0
 
 
+@pytest.mark.parametrize("with_journal", [False, True], ids=["memory", "journal"])
+@pytest.mark.parametrize(
+    "args", [[1], 7, None, "x", b"\x00", packed(1), *HOSTILE_BLOBS], ids=lambda a: repr(a)[:24]
+)
+def test_args_that_pack_no_argument_list_are_refused_by_id_and_leave_nothing(
+    args, with_journal, tmp_path
+):
+    """``args`` travels packed and is checked as the bytes it is, unopened:
+    a list (what an older peer sends), no bytes at all, bytes that are no
+    packed value, that pack a scalar, ``None`` or a value no Tasklet takes
+    — each refused by id, with no table entry, no journal line, nothing
+    sent but the refusal, and never an exception (100k-deep nesting
+    included)."""
+    journal = WorkJournal(str(tmp_path / "j.jsonl")) if with_journal else None
+    harness = Harness(journal=journal)
+    harness.add_provider()
+    tasklet = Tasklet(TaskletId("tl-1"), PROGRAM, entry="main", args=[1]).to_dict()
+    replies = harness.send(SubmitTasklet(tasklet={**tasklet, "args": args}), src="c1")
+    (ack,) = bodies(replies, SubmitAck)
+    assert len(replies) == 1 and not ack.accepted and ack.tasklet_id == "tl-1"
+    assert ack.reason.startswith("malformed tasklet: args "), ack.reason
+    broker = harness.broker
+    assert broker.pending_tasklets == 0 and not broker._completed and len(broker.result_cache) == 0
+    assert (broker.stats.tasklets_submitted, broker.stats.executions_issued) == (1, 0)
+    assert broker.stats.messages_unreadable == 0
+    if journal is not None:
+        journal.close()
+        assert (tmp_path / "j.jsonl").read_text() == ""
+    # The id is free: the same tasklet, its arguments as they should be, runs.
+    replies = harness.send(SubmitTasklet(tasklet=tasklet), src="c1")
+    assert bodies(replies, SubmitAck)[0].accepted and len(bodies(replies, AssignExecution)) == 1
+
+
 def test_malformed_workflow_dict_is_refused_not_raised():
     harness = Harness()
     for workflow in ({"workflow_id": "w", "nodes": [], "programs": 7}, {"workflow_id": "w", "nodes": 7}):
@@ -483,7 +536,7 @@ def test_malformed_workflow_dict_is_refused_not_raised():
         ({"seed": "7"}, "seed is a str"),
         ({"entry": None}, "entry is a NoneType"),
         ({"entry": "nosuch"}, "program has no entry function 'nosuch'"),
-        ({"args": [1, 2]}, r"main\(\) expects 1 arguments, got 2"),
+        ({"args": packed([1, 2])}, r"main\(\) expects 1 arguments, got 2"),
     ],
     ids=["qoc.speed", "qoc.redundancy", "fuel", "seed", "entry-null", "entry-unknown", "arity"],
 )

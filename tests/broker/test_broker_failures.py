@@ -1,11 +1,15 @@
 """Broker failure handling: heartbeat detection, timeouts, flap recovery."""
 
+import dataclasses
+import struct
+
 import pytest
 
 from repro.broker.core import BrokerConfig, BrokerCore
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import opened, packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.transport.codec import CODEC_BINARY, encode_envelope, iter_frames
@@ -22,6 +26,7 @@ from repro.transport.message import (
     body_of,
 )
 from repro.tvm.compiler import compile_source
+from tests.transport.test_messages import HOSTILE_BLOBS
 
 PROGRAM = compile_source("func main(x: int) -> int { return x; }")
 
@@ -293,7 +298,7 @@ class TestLateResults:
                 tasklet_id=first.tasklet_id,
                 provider_id=assignee,
                 status="success",
-                value=1,
+                value=packed(1),
                 instructions=10,
                 started_at=0.0,
                 finished_at=10.4,
@@ -310,7 +315,7 @@ class TestLateResults:
                 tasklet_id=reissues[0].tasklet_id,
                 provider_id="p2",
                 status="success",
-                value=1,
+                value=packed(1),
                 instructions=10,
                 started_at=10.5,
                 finished_at=10.6,
@@ -330,7 +335,7 @@ class TestLateResults:
                 tasklet_id="tl-ghost",
                 provider_id="p1",
                 status="success",
-                value=1,
+                value=packed(1),
             ),
             src="p1",
         )
@@ -338,13 +343,18 @@ class TestLateResults:
         assert harness.broker.stats.executions_succeeded == 0
 
 
+#: ``inf - inf`` as x86 (sign bit set) and as ARM produce it.
+NAN_BITS = ("fff8000000000000", "7ff8000000000000")
+
+
 def result_of(assign, provider, value):
+    """A success as a provider reports it: ``value`` packed (bytes: as given)."""
     return ExecutionResult(
         execution_id=assign.execution_id,
         tasklet_id=assign.tasklet_id,
         provider_id=provider,
         status="success",
-        value=value,
+        value=value if type(value) is bytes else packed(value, fold_nan=True),
         instructions=10,
     )
 
@@ -354,7 +364,8 @@ class TestByzantineResultValues:
         """Regression: a ``success`` whose value is outside the Tasklet
         value set raised out of ``handle`` *after* the execution had been
         released — the tasklet was left with no execution, no backlog
-        entry and no deadline, and its consumer waited forever."""
+        entry and no deadline, and its consumer waited forever.  (The
+        value arrives packed, and is refused as the bytes it is.)"""
         harness = Harness()
         harness.register("p1")
         harness.register("p2")
@@ -373,10 +384,64 @@ class TestByzantineResultValues:
         replies = harness.send(result_of(second, "p2", [1, [None]]), src="p2")
         (done,) = bodies(replies, TaskletComplete)
         assert not done.ok and done.value is None
-        assert "result of type list is not a Tasklet value" in done.error
+        assert "result is not a Tasklet value: value tag 0x00" in done.error
         assert [record["status"] for record in done.executions] == ["vm_error"] * 2
         assert all(record["value"] is None for record in done.executions)
         assert harness.broker.pending_tasklets == 0
+
+    @pytest.mark.parametrize(
+        "value", [[1, 2], 7, "x", {"a": 1}, *HOSTILE_BLOBS], ids=lambda v: repr(v)[:24]
+    )
+    def test_a_success_that_packs_no_tasklet_value_fails_graded_and_is_reissued(self, value):
+        """A result is checked as the bytes it arrives as, unopened: no
+        bytes at all (what an older provider sends), or bytes wrong in any
+        of the ways ``HOSTILE_BLOBS`` lists — the execution ends as a
+        ``vm_error``, its provider is graded for it, the replica is
+        re-issued elsewhere, and the value reaches no vote, no journal and
+        no consumer."""
+        harness = Harness()
+        harness.register("p1")
+        harness.register("p2")
+        first = bodies(harness.submit(qoc=QoC(max_attempts=2)), AssignExecution)[0]
+        liar = harness.broker.registry.get(NodeId("p1"))
+        result = dataclasses.replace(result_of(first, "p1", 0), value=value)
+        replies = harness.send(result, src="p1")
+        (second,) = bodies(replies, AssignExecution)
+        assert [dst for dst, body in replies if body is second] == ["p2"]
+        assert bodies(replies, TaskletComplete) == []
+        assert (liar.outstanding, liar.failed, liar.completed) == (0, 1, 0)
+        stats = harness.broker.stats
+        assert (stats.executions_failed, stats.executions_succeeded) == (1, 0)
+        (state,) = harness.broker._tasklets.values()
+        assert not state.collector.successes and len(state.collector.failures) == 1
+        (done,) = bodies(harness.send(result_of(second, "p2", 5), src="p2"), TaskletComplete)
+        assert done.ok and opened(done.value) == 5
+        lied, honest = done.executions
+        assert (lied["status"], lied["value"]) == ("vm_error", None)
+        assert lied["error"].startswith("result is not a Tasklet value: ")
+        assert "value" not in honest  # it agreed with the verdict: the value travels once
+
+    def test_two_hosts_nans_are_one_vote_because_their_providers_folded_them(self):
+        """The broker votes on the bytes: ``inf - inf`` as x86 and as ARM
+        produce it differ in the sign bit, and agree because each provider
+        packed with every NaN folded into one; blobs that kept their
+        payloads are two values, as any two different byte strings are."""
+        x86, arm = (struct.unpack(">d", bytes.fromhex(bits))[0] for bits in NAN_BITS)
+        for fold, verdict in ((True, "ok"), (False, "disagreed")):
+            harness = Harness()
+            harness.register("p1")
+            harness.register("p2")
+            replies = harness.submit(qoc=QoC(redundancy=2, max_attempts=1))
+            assigns = [(dst, body) for dst, body in replies if isinstance(body, AssignExecution)]
+            for (provider, assign), nan in zip(assigns, (x86, arm)):
+                blob = packed([1.5, 2.5, nan, 3.5], fold_nan=fold)
+                replies = harness.send(result_of(assign, provider, blob), src=provider)
+            (done,) = bodies(replies, TaskletComplete)
+            if fold:
+                assert done.ok and done.value == packed([1.5, 2.5, float("nan"), 3.5], fold_nan=True)
+                assert all("value" not in record for record in done.executions)
+            else:
+                assert not done.ok and verdict in done.error
 
     @pytest.mark.parametrize("field", ["started_at", "finished_at", "instructions", "status"])
     def test_mistyped_result_field_never_wedges_a_tasklet(self, field):
@@ -431,7 +496,7 @@ class TestByzantineResultValues:
             (done,) = bodies(
                 harness.send(result_of(assign, "p1", value), src="p1"), TaskletComplete
             )
-            assert done.ok and done.value == value
+            assert done.ok and opened(done.value) == value
 
 
 class _StaleThenHonestStrategy:

@@ -11,6 +11,7 @@ from repro.broker.journal import WorkJournal
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import opened, packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.transport.message import (
@@ -72,7 +73,7 @@ class Harness:
             tasklet_id=assign.tasklet_id,
             provider_id=provider,
             status="success",
-            value=value,
+            value=packed(value),
             instructions=1000,
             started_at=self.clock.now(),
             finished_at=self.clock.now() + 0.5,
@@ -104,7 +105,7 @@ class TestJournalRecovery:
         assigns = bodies(replies, AssignExecution)
         assert len(assigns) == 1 and assigns[0].tasklet_id == "tl-1"
         completions = bodies(second.complete(assigns[0]), TaskletComplete)
-        assert completions[0].ok and completions[0].value == 8
+        assert completions[0].ok and opened(completions[0].value) == 8
         second.close()
 
     def test_completed_tasklet_not_rerun_after_restart(self, tmp_path):
@@ -123,7 +124,7 @@ class TestJournalRecovery:
         replies = second.submit("tl-1")
         assert bodies(replies, SubmitAck)[0].accepted
         completions = bodies(replies, TaskletComplete)
-        assert completions[0].ok and completions[0].value == 99
+        assert completions[0].ok and opened(completions[0].value) == 99
         assert completions[0].executions == []
         assert second.broker.stats.executions_issued == 0
         assert second.broker.stats.completions_redelivered == 1
@@ -148,7 +149,7 @@ class TestJournalRecovery:
         issued = harness.broker.stats.executions_issued
         replies = harness.submit("tl-1")
         completions = bodies(replies, TaskletComplete)
-        assert completions[0].ok and completions[0].value == 5
+        assert completions[0].ok and opened(completions[0].value) == 5
         assert harness.broker.stats.executions_issued == issued
         harness.close()
 
@@ -165,7 +166,7 @@ class TestMemoization:
         replies = harness.submit("tl-2", seed=3)
         completions = bodies(replies, TaskletComplete)
         assert bodies(replies, SubmitAck)[0].accepted
-        assert completions[0].ok and completions[0].value == 123
+        assert completions[0].ok and opened(completions[0].value) == 123
         assert completions[0].attempts == 0
         assert completions[0].executions == []
         assert harness.broker.stats.executions_issued == issued
@@ -226,7 +227,7 @@ class TestMemoization:
         # cache warmed during journal replay.
         replies = second.submit("tl-9", seed=3)
         completions = bodies(replies, TaskletComplete)
-        assert completions[0].ok and completions[0].value == 77
+        assert completions[0].ok and opened(completions[0].value) == 77
         assert second.broker.stats.executions_issued == 0
         second.close()
 
@@ -276,7 +277,7 @@ class TestAutoCompactionWiring:
                     tasklet_id=assign.tasklet_id,
                     provider_id="p1",
                     status="success",
-                    value=n + 1,
+                    value=packed(n + 1),
                     instructions=1000,
                     started_at=clock.now(),
                     finished_at=clock.now(),

@@ -16,6 +16,7 @@ from repro.broker.journal import WorkJournal, replay_journal
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import opened, packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.dag.spec import WorkflowBuilder
@@ -238,7 +239,7 @@ class FedHarness:
             provider_id=str(assign.execution_id).split("/")[0]
             if "/" in str(assign.execution_id) else "p?",
             status=status,
-            value=value,
+            value=packed(value) if status == "success" else None,
             error=None if status == "success" else "failed",
             instructions=1000,
             started_at=self.clock.now(),
@@ -262,7 +263,7 @@ def result_of(assign: AssignExecution, provider, clock, value=42,
         tasklet_id=assign.tasklet_id,
         provider_id=provider,
         status=status,
-        value=value,
+        value=packed(value) if status == "success" else None,
         error=None if status == "success" else "failed",
         instructions=1000,
         started_at=clock.now(),
@@ -288,7 +289,7 @@ class TestForwarding:
         )
         completes = bodies(out, TaskletComplete)
         assert len(completes) == 1
-        assert completes[0].ok and completes[0].value == 42
+        assert completes[0].ok and opened(completes[0].value) == 42
         assert fed.cores["b1"].stats.forwards_completed == 1
         assert fed.cores["b1"].stats.tasklets_completed == 1
         # The origin's completion record names the executing broker.
@@ -445,7 +446,7 @@ class TestPeerLoss:
             src="p9",
         )
         assert core.stats.tasklets_completed == 1
-        assert core._completed[f"c1/{tasklet_id}"].value == 42
+        assert opened(core._completed[f"c1/{tasklet_id}"].value) == 42
 
 
 class TestFailoverResubmit:
@@ -474,7 +475,7 @@ class TestFailoverResubmit:
         )
         completes = bodies(out, TaskletComplete)
         assert len(completes) == 1
-        assert completes[0].ok and completes[0].value == 42
+        assert completes[0].ok and opened(completes[0].value) == 42
         assert fed.cores["b2"].stats.executions_issued == 1
 
 
@@ -504,7 +505,7 @@ class TestFailoverResubmit:
         # ... and the graph still gets its node.
         out = fed.send("b2", result_of(assign, "p1", fed.clock), src="p1")
         (done,) = bodies(out, WorkflowComplete)
-        assert done.ok and done.outputs == {"n1": 42}
+        assert done.ok and done.outputs == {"n1": packed(42)}
         assert bodies(out, ForwardComplete) == []
 
 
@@ -535,7 +536,7 @@ class TestEpochSemantics:
             "b2", result_of(fresh_assigns[0], "p1", fed.clock), src="p1"
         )
         completes = bodies(out, TaskletComplete)
-        assert len(completes) == 1 and completes[0].value == 42
+        assert len(completes) == 1 and opened(completes[0].value) == 42
         assert fed.cores["b1"].stats.tasklets_completed == 1
         assert fed.cores["b2"].stats.forwards_completed == 0  # b2 executed
 
@@ -601,7 +602,7 @@ class TestJournalHandoff:
         )
         completes = bodies(out, TaskletComplete)
         assert len(completes) == 1
-        assert completes[0].ok and completes[0].value == 42
+        assert completes[0].ok and opened(completes[0].value) == 42
         assert core.stats.executions_issued == 0  # never re-executed
 
     def test_forwarded_admissions_are_not_readmitted_on_restart(self, tmp_path):

@@ -18,20 +18,21 @@ from repro.broker.journal import (
 )
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
-from repro.common.serde import loads
+from repro.common.serde import encode_value, loads, opened, packed
 from repro.provider.executor import TaskletExecutor
-from repro.transport.message import ExecutionResult, RegisterProvider, body_of
+from repro.transport.message import Envelope, ExecutionResult, RegisterProvider, body_of
 from repro.tvm.bytecode import CompiledProgram, checked_stamp
 from repro.tvm.vm import TVM
 
 
 def make_completion(key="c1/tl-1", ok=True, value=42, memo_key=None):
+    """A completion as the broker keeps it: a success's value packed."""
     return CompletionRecord(
         key=key,
         tasklet_id=key.split("/", 1)[1],
         consumer_id=key.split("/", 1)[0],
         ok=ok,
-        value=value,
+        value=packed(value) if ok else None,
         error=None if ok else "boom",
         attempts=1,
         cost=0.5,
@@ -40,7 +41,11 @@ def make_completion(key="c1/tl-1", ok=True, value=42, memo_key=None):
     )
 
 
-TASKLET = {"tasklet_id": "tl-1", "entry": "main", "args": [7]}
+TASKLET = {"tasklet_id": "tl-1", "entry": "main", "args": packed([7])}
+
+
+def _line(**fields):
+    return json.dumps(fields, default=encode_value)  # (bytes as the journal writes them)
 
 
 class TestReplay:
@@ -60,7 +65,7 @@ class TestReplay:
         assert snapshot.pending_keys == ["c1/tl-2"]
         assert snapshot.admitted == 2 and snapshot.completed == 1
         completion = snapshot.completions["c1/tl-1"]
-        assert completion.ok and completion.value == 42
+        assert completion.ok and opened(completion.value) == 42
 
     def test_completion_roundtrips_fields(self, tmp_path):
         journal = WorkJournal(str(tmp_path / "j.jsonl"))
@@ -88,10 +93,9 @@ class TestReplay:
     def test_corrupt_middle_line_does_not_poison_rest(self, tmp_path):
         path = tmp_path / "j.jsonl"
         lines = [
-            json.dumps({"kind": "admitted", "key": "c1/tl-1", "consumer_id": "c1",
-                        "ts": 1.0, "tasklet": TASKLET}),
+            _line(kind="admitted", key="c1/tl-1", consumer_id="c1", ts=1.0, tasklet=TASKLET),
             "not json at all {{{",
-            json.dumps(dict(make_completion("c1/tl-1").to_dict(), kind="complete")),
+            _line(**make_completion("c1/tl-1").to_dict(), kind="complete"),
         ]
         path.write_text("\n".join(lines) + "\n")
         snapshot = replay_journal(str(path))
@@ -110,7 +114,7 @@ class TestReplay:
         journal.record_complete(make_completion(value=2))
         snapshot = journal.replay()
         journal.close()
-        assert snapshot.completions["c1/tl-1"].value == 2
+        assert opened(snapshot.completions["c1/tl-1"].value) == 2
 
 
 class TestCompact:
@@ -141,29 +145,33 @@ class TestCompact:
 
 
 class TestMemoKey:
+    """The key hashes the packed arguments as the bytes they are."""
+
     def test_stable_for_identical_inputs(self):
-        a = memo_key_of("fp", "main", [1, 2], 7, 1000)
-        b = memo_key_of("fp", "main", [1, 2], 7, 1000)
+        a = memo_key_of("fp", "main", packed([1, 2]), 7, 1000)
+        b = memo_key_of("fp", "main", packed([1, 2]), 7, 1000)
         assert a == b is not None
 
     @pytest.mark.parametrize(
         "other",
         [
-            ("fp2", "main", [1, 2], 7, 1000),
-            ("fp", "other", [1, 2], 7, 1000),
-            ("fp", "main", [1, 3], 7, 1000),
-            ("fp", "main", [1, 2], 8, 1000),
-            ("fp", "main", [1, 2], 7, 999),
+            ("fp2", "main", packed([1, 2]), 7, 1000),
+            ("fp", "other", packed([1, 2]), 7, 1000),
+            ("fp", "main", packed([1, 3]), 7, 1000),
+            ("fp", "main", packed([1, 2]), 8, 1000),
+            ("fp", "main", packed([1, 2]), 7, 999),
         ],
     )
     def test_any_input_change_changes_key(self, other):
-        assert memo_key_of(*other) != memo_key_of("fp", "main", [1, 2], 7, 1000)
+        assert memo_key_of(*other) != memo_key_of("fp", "main", packed([1, 2]), 7, 1000)
 
     def test_no_fingerprint_means_not_memoizable(self):
-        assert memo_key_of("", "main", [1], 0, 1000) is None
+        assert memo_key_of("", "main", packed([1]), 0, 1000) is None
 
-    def test_unserialisable_args_mean_not_memoizable(self):
-        assert memo_key_of("fp", "main", [object()], 0, 1000) is None
+    def test_fields_do_not_run_into_each_other_and_types_stay_apart(self):
+        assert memo_key_of("fp", "main", packed([1]), 12, 3) != memo_key_of("fp", "main", packed([1]), 1, 23)
+        keys = {memo_key_of("fp", "main", packed([x]), 0, 1000) for x in (1, 1.0, True)}
+        assert len(keys) == 3  # (the JSON key it replaces read 1 and 1.0 apart, and that was all)
 
 
 class TestResultCache:
@@ -171,7 +179,7 @@ class TestResultCache:
         cache = ResultCache(capacity=4)
         assert cache.get("k") is None
         cache.put("k", make_completion())
-        assert cache.get("k").value == 42
+        assert opened(cache.get("k").value) == 42
         assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_failures_never_cached(self):
@@ -246,7 +254,7 @@ class TestFsyncMode:
         journal.close()
         snapshot = replay_journal(path)
         assert snapshot.pending == []
-        assert snapshot.completions["c1/tl-1"].value == 42
+        assert opened(snapshot.completions["c1/tl-1"].value) == 42
         assert snapshot.malformed == 0
 
 
@@ -266,7 +274,7 @@ class TestWorkflowRecords:
     def test_wf_complete_retires_the_workflow(self, tmp_path):
         journal = WorkJournal(str(tmp_path / "wj.jsonl"))
         journal.record_workflow_admitted("c1/wf-1", "c1", WF_SPEC, ts=1.0)
-        outcome = {"ok": True, "workflow_id": "wf-1", "outputs": {"a": 9}}
+        outcome = {"ok": True, "workflow_id": "wf-1", "outputs": {"a": packed(9)}}
         journal.record_workflow_complete("c1/wf-1", outcome, ts=2.0)
         snapshot = journal.replay()
         journal.close()
@@ -350,10 +358,6 @@ class TestWorkflowRecords:
 # -- every line is opened by its kind's declaration, or counted malformed --------
 
 
-def _line(**fields):
-    return json.dumps(fields)
-
-
 ADMITTED = {"kind": "admitted", "key": "c1/tl-1", "consumer_id": "c1", "ts": 1.0, "tasklet": TASKLET}
 COMPLETE = dict(make_completion().to_dict(), kind="complete")
 WF_COMPLETE = {"kind": "wf_complete", "key": "c1/wf-1", "ts": 2.0,
@@ -418,23 +422,32 @@ def test_lines_are_typed_and_read_like_the_dicts_on_disk(tmp_path):
     assert snapshot.workflow_completions["c1/wf-1"]["outcome"]["ok"] is True
 
 
-# -- a journal written by the parent commit (PR 20) ------------------------------------
+# -- journals written by older builds ------------------------------------------------
 
 FIXTURES = Path(__file__).parent
 
+#: ``parent_journal.raw.jsonl`` was written by the commit before the record
+#: grammar (a federated ``BrokerCore`` on a ``VirtualClock``: an ok, a failed
+#: and a pending tasklet, one forwarded in by a peer, a finished workflow and
+#: one in flight with a node done and a node running): programs are dicts,
+#: arguments lists, results JSON values.  ``pr22_journal.raw.jsonl`` was
+#: written by the commit before values travelled packed (programs already
+#: bytes): a 1,024-int echo, a void and a failed tasklet, a finished workflow,
+#: one in flight with a node done and a node running, and a pending tasklet.
+#: Neither is ever regenerated.
+RAW_JOURNALS = ["parent_journal.raw.jsonl", "pr22_journal.raw.jsonl"]
+
 
 def test_a_journal_the_parent_commit_wrote_replays_and_compacts_as_it_did(tmp_path):
-    """``parent_journal.raw.jsonl`` was written by the commit before the
-    record grammar (a federated ``BrokerCore`` on a ``VirtualClock``: an ok,
-    a failed and a pending tasklet, one forwarded in by a peer, a finished
-    workflow and one in flight with a node done and a node running);
-    ``.snapshot.json`` is what that commit's ``replay_journal`` read back
-    (lines as the raw dicts it kept) and ``.compacted.jsonl`` what its
-    ``compact()`` left — both regenerated by the commit that made a
-    program travel packed (and its stamp the hash of those bytes), which
+    """``.snapshot.json`` is what the commit that wrote
+    ``parent_journal.raw.jsonl`` read back with its ``replay_journal`` (lines
+    as the raw dicts it kept) and ``.compacted.jsonl`` what its ``compact()``
+    left — both regenerated by the commit that made a program travel packed
+    and again by the one that made values do, which
     :func:`test_an_older_builds_journal_is_upgraded_line_by_line` holds to
-    changing ``program``, ``program_fingerprint`` and the ``programs``
-    keys only.  Same snapshot, same bytes."""
+    changing ``program``, its stamps, ``args``, ``value`` and ``outputs``
+    only, each to the packed form of what is on disk.  Same snapshot, same
+    bytes."""
     expected = loads((FIXTURES / "parent_journal.snapshot.json").read_bytes())
     path = tmp_path / "journal.jsonl"
     path.write_bytes((FIXTURES / "parent_journal.raw.jsonl").read_bytes())
@@ -466,79 +479,144 @@ def test_a_journal_the_parent_commit_wrote_replays_and_compacts_as_it_did(tmp_pa
     assert path.read_bytes() == compacted
 
 
-def _without_programs(line: dict) -> tuple[dict, list]:
-    """``line`` with every program and stamp taken out, and — apart — the
-    programs it carries, in the order its stamps name them."""
+def _without_upgraded(line: dict) -> tuple[dict, list, list]:
+    """``line`` with everything an upgrade may touch taken out, and — apart
+    — the programs it carries (in the order its stamps name them) and the
+    values (arguments, a result, workflow outputs; ``...`` = none)."""
     line = copy.deepcopy(line)
-    tasklet, workflow = line.get("tasklet"), line.get("workflow")
+    tasklet, workflow, outcome = line.get("tasklet"), line.get("workflow"), line.get("outcome")
     if type(tasklet) is dict:
-        return line, [(tasklet.pop("program_fingerprint"), tasklet.pop("program"))]
+        programs = [(tasklet.pop("program_fingerprint"), tasklet.pop("program"))]
+        return line, programs, [tasklet.pop("args")]
     if type(workflow) is dict:
         table = workflow.pop("programs")
         return line, [(node["program_fingerprint"], table[node.pop("program_fingerprint")])
-                      for node in workflow["nodes"]]
-    return line, []
+                      for node in workflow["nodes"]], []
+    if type(outcome) is dict:
+        return line, [], [value for _sink, value in sorted(outcome.pop("outputs").items())]
+    failed = line["kind"] == "complete" and not line["ok"] and line["value"] is None
+    return line, [], [... if failed else line.pop("value")]
 
 
 def test_an_older_builds_journal_is_upgraded_line_by_line(tmp_path):
-    """Every line of the parent's journal reads, as this build reads it,
-    to the line on disk — but for each program, now the packed form of the
-    document journalled, and each stamp (a tasklet's, a node's, a table
-    key), now the hash of those bytes: never the old one."""
-    raw = (FIXTURES / "parent_journal.raw.jsonl").read_text().splitlines()
-    for text in raw:
-        on_disk, read = json.loads(text), loads(_encode(_read_line(text)).encode())
-        (rest_before, before), (rest_after, after) = _without_programs(on_disk), _without_programs(read)
-        assert rest_after == rest_before
-        assert len(after) == len(before)
-        for (old_stamp, document), (stamp, blob) in zip(before, after):
-            assert CompiledProgram.from_packed(blob) == CompiledProgram.from_dict(document)
-            assert stamp == checked_stamp(blob) != old_stamp
-    assert sum("program" in text for text in raw) == 10  # (the test above saw programs)
-    # What this build writes, it reads back as written: nothing is upgraded twice.
-    path = tmp_path / "journal.jsonl"
-    path.write_text("\n".join(raw) + "\n")
-    WorkJournal(str(path)).compact()
-    for text in path.read_text().splitlines():
-        assert _encode(_read_line(text)) == text + "\n"
+    """Every line of an older journal reads, as this build reads it, to the
+    line on disk — but for each program a build journalled as its document,
+    now the packed form of that document, and its stamps (a tasklet's, a
+    node's, a table key), now the hash of those bytes, never the old one;
+    and for each argument list, result and workflow output, now the packed
+    form of the JSON value on disk (a failure's ``null`` stays no value, a
+    success's is a void result)."""
+    for name in RAW_JOURNALS:
+        raw = (FIXTURES / name).read_text().splitlines()
+        values_seen = 0
+        for text in raw:
+            on_disk, read = loads(text.encode()), loads(_encode(_read_line(text)).encode())
+            (rest_before, before, values_before) = _without_upgraded(on_disk)
+            (rest_after, after, values_after) = _without_upgraded(read)
+            assert rest_after == rest_before
+            assert len(after) == len(before) and len(values_after) == len(values_before)
+            for (old_stamp, program), (stamp, blob) in zip(before, after):
+                if type(program) is dict:
+                    assert CompiledProgram.from_packed(blob) == CompiledProgram.from_dict(program)
+                    assert stamp == checked_stamp(blob) != old_stamp
+                else:
+                    assert (stamp, blob) == (old_stamp, program)
+            for value, blob in zip(values_before, values_after):
+                values_seen += 1
+                assert (blob is ...) if value is ... else (type(blob) is bytes and opened(blob) == value)
+        assert sum("program" in text for text in raw) >= 9 and values_seen >= 11  # (both were seen)
+        # What this build writes, it reads back as written: nothing is upgraded twice.
+        path = tmp_path / name
+        path.write_text("\n".join(raw) + "\n")
+        WorkJournal(str(path)).compact()
+        for text in path.read_text().splitlines():
+            assert _encode(_read_line(text)) == text + "\n"
+            if '"kind":"wf_admitted"' not in text:  # (a node's ``args`` is a template, not a value)
+                assert '"args":[' not in text and '"value":[' not in text
+
+
+_RECOVERED = [
+    (
+        "parent_journal.raw.jsonl",
+        ["c2/tl-pending", "c2/wf-live:b"],
+        ["c1/tl-bad", "c1/tl-ok", "c1/wf-done:a", "c1/wf-done:b", "c2/wf-live:a"],
+        (["c2/wf-live"], ["c1/wf-done"]),
+        {"tl-pending": 2, "wf-live:b": 12},
+    ),
+    (
+        "pr22_journal.raw.jsonl",
+        ["c2/tl-pending", "c2/wf-live:b"],
+        ["c1/tl-array", "c1/tl-bad", "c1/tl-void", "c1/wf-done:only", "c2/wf-live:a"],
+        (["c2/wf-live"], ["c1/wf-done"]),
+        {"tl-pending": 6, "wf-live:b": 4},
+    ),
+]
 
 
 def test_what_an_older_build_left_pending_runs_to_the_same_value(tmp_path):
-    """A broker of this build recovers the parent's journal: the same
+    for case in _RECOVERED:
+        _recovers_and_runs(tmp_path, *case)
+
+
+def _recovers_and_runs(tmp_path, name, pending, completed, workflows, values):
+    """A broker of this build recovers an older journal: the same
     completions, the same pending work — and each pending tasklet, run by
     a real executor on the bytes the broker sends, gives what the program
-    document on disk gives on the portable VM."""
-    path = tmp_path / "journal.jsonl"
-    path.write_bytes((FIXTURES / "parent_journal.raw.jsonl").read_bytes())
-    on_disk = {line["key"]: line for line in map(json.loads, path.read_text().splitlines())
-               if line["kind"] == "admitted"}
+    and arguments on disk give on the portable VM."""
+    path = tmp_path / name
+    path.write_bytes((FIXTURES / name).read_bytes())
+    on_disk = {line["key"]: line for line in map(loads, path.read_bytes().splitlines())}
     clock = VirtualClock()
     broker = BrokerCore(clock, journal=WorkJournal(str(path)))
-    assert sorted(broker._tasklets) == ["c2/tl-pending", "c2/wf-live:b"]
-    assert sorted(broker._completed) == [
-        "c1/tl-bad", "c1/tl-ok", "c1/wf-done:a", "c1/wf-done:b", "c2/wf-live:a"
-    ]
-    assert list(broker.workflows.active) == ["c2/wf-live"] and list(broker.workflows.completed) == ["c1/wf-done"]
+    assert sorted(broker._tasklets) == pending and sorted(broker._completed) == completed
+    assert (list(broker.workflows.active), list(broker.workflows.completed)) == workflows
+    for key in completed:  # what was journalled as a JSON value is delivered as its bytes
+        stored, line = broker._completed[key].value, on_disk[key]
+        assert stored is None if not line["ok"] else opened(stored) == line["value"]
     register = RegisterProvider(provider_id="p1", device_class="d", capacity=4, benchmark_score=1e6)
     out = broker.handle(register.envelope(NodeId("p1"), broker.node_id))
     assignments = [body_of(envelope) for envelope in out if envelope.type == "assign_execution"]
     assert len(assignments) == 2
-    executor, values = TaskletExecutor(), {}
+    executor, ran = TaskletExecutor(), {}
     for assignment in assignments:
         outcome = executor.execute(assignment)
         assert outcome.ok, outcome.error
         line = on_disk[f"c2/{assignment.tasklet_id}"]["tasklet"]
-        reference = TVM(CompiledProgram.from_dict(line["program"]), seed=line["seed"])
-        assert outcome.value == reference.run(line["entry"], list(line["args"]))
-        values[assignment.tasklet_id] = outcome.value
+        program = line["program"]
+        program = CompiledProgram.from_dict(program) if type(program) is dict else CompiledProgram.from_packed(program)
+        assert outcome.value == TVM(program, seed=line["seed"]).run(line["entry"], list(line["args"]))
+        ran[assignment.tasklet_id] = outcome.value
         result = ExecutionResult(
-            assignment.execution_id, assignment.tasklet_id, "p1", "success", outcome.value,
+            assignment.execution_id, assignment.tasklet_id, "p1", "success", packed(outcome.value),
             instructions=outcome.instructions, finished_at=1.0,
         )
         out.extend(broker.handle(result.envelope(NodeId("p1"), broker.node_id)))
     broker.journal.close()
-    assert values == {"tl-pending": 2, "wf-live:b": 12}
+    assert ran == values
     assert (executor.cache_misses, executor.cache_hits) == (1, 1)  # one program, re-stamped alike
     finished = {envelope.type: envelope.payload for envelope in out}
-    assert finished["tasklet_complete"]["value"] == 2
-    assert finished["workflow_complete"]["outputs"] == {"b": 12}
+    assert opened(finished["tasklet_complete"]["value"]) == values["tl-pending"]
+    assert finished["workflow_complete"]["outputs"] == {"b": packed(values["wf-live:b"])}
+
+
+def test_a_completion_an_older_build_journalled_is_redelivered_as_its_bytes(tmp_path):
+    """The 1,024-int result the parent journalled as a JSON list: a resubmit
+    of that tasklet after recovery is answered with its packed form, the
+    same object every time, and compaction writes it that way."""
+    path = tmp_path / "journal.jsonl"
+    path.write_bytes((FIXTURES / "pr22_journal.raw.jsonl").read_bytes())
+    admitted, complete = [loads(line) for line in path.read_bytes().splitlines()[:2]]
+    assert admitted["key"] == complete["key"] == "c1/tl-array" and len(complete["value"]) == 1024
+    broker = BrokerCore(VirtualClock(), journal=WorkJournal(str(path)))
+    resubmit = {**admitted["tasklet"], "args": packed(admitted["tasklet"]["args"])}
+    answers = []
+    for _ in range(2):
+        out = broker.handle(Envelope("submit_tasklet", NodeId("c1"), broker.node_id, {"tasklet": resubmit}))
+        answers.append(next(e.payload["value"] for e in out if e.type == "tasklet_complete"))
+    assert answers[0] is answers[1] is broker._completed["c1/tl-array"].value
+    assert opened(answers[0]) == complete["value"] and broker.stats.executions_issued == 0
+    broker.journal.compact()
+    broker.journal.close()
+    (line,) = [text for text in path.read_text().splitlines() if '"c1/tl-array"' in text]
+    assert '"value":{"__b__":' in line and len(line) < 6000
+    assert _read_line(line).value is not None and opened(_read_line(line).value) == complete["value"]

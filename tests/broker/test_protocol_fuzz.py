@@ -3,15 +3,15 @@
 Hypothesis drives the broker with random protocol
 messages in arbitrary orders — registrations and re-registrations,
 duplicate results, results for unknown executions, ``success`` results
-whose value no TVM returns, heartbeats from strangers, malformed
+whose value no provider packs, heartbeats from strangers, malformed
 tasklets, unregisters, workflow submissions,
 duplicate and conflicting resubmits, and crash-and-replay (a fresh
 ``BrokerCore`` rebuilt on the same ``WorkJournal``) — any of which may
 first have one field replaced by something else the codecs carry (the
 *hostile* step: ``None``, a string, a float, a bool, an int, a list, a
-dict, bytes that pack no program) — a field of the message, or one
-*inside* the records it carries: the tasklet (its ``program`` bytes, their
-stamp), its ``qoc``; the workflow, a node, a packed program of its table
+dict, bytes that pack no program and no Tasklet value) — a field of the
+message, or one *inside* the records it carries: the tasklet (its
+``program`` bytes, their stamp, its packed ``args``), its ``qoc``; the workflow, a node, a packed program of its table
 (or the key that stamps it), a placeholder.  After every step
 the broker's lifecycle invariants must hold; it must never raise:
 
@@ -22,6 +22,10 @@ the broker's lifecycle invariants must hold; it must never raise:
   program that does not open or is not what its stamp says — is answered
   with that one refusal (``submit_ack`` / ``workflow_ack``, not accepted) and
   leaves no table entry, no journal line, no counter but ``*_submitted``;
+* a ``success`` for a live execution whose value is not the packed bytes
+  of a Tasklet value fails that execution and is graded against its
+  provider: no success is counted, and what follows is what follows any
+  failed execution;
 
 * at most one terminal ``TaskletComplete`` / ``WorkflowComplete`` per
   admitted id (answers to a resubmit repeat the first outcome), and after
@@ -55,6 +59,7 @@ from repro.broker.journal import WorkJournal
 from repro.common.clock import VirtualClock
 from repro.common.errors import TaskletError
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.dag.patterns import DAG_KERNEL, chain
@@ -72,13 +77,14 @@ from repro.transport.message import (
 from repro.tvm.bytecode import ProgramTable
 from repro.tvm.compiler import compile_source
 
-from tests.transport.test_messages import HOSTILE_MENU, hostile, read
+from tests.transport.test_messages import HOSTILE_BLOBS, HOSTILE_MENU, hostile, read
 
 PROGRAM = compile_source("func main(x: int) -> int { return x; }")
 PROVIDERS = ["p0", "p1", "p2"]
 #: What a byzantine provider can put in a ``success``: both codecs carry
-#: these, and none is a Tasklet value.
-BYZANTINE_VALUES = [{"a": 1}, [1, {"b": 2}], [None], b"\x00", [[1.5, b""]]]
+#: these, and none is the packed form of a Tasklet value — a value that
+#: was never packed, and bytes that are wrong each in another way.
+BYZANTINE_VALUES = [{"a": 1}, [1, {"b": 2}], [None], "7", *HOSTILE_BLOBS]
 CONSUMERS = ["c0", "c1"]
 
 
@@ -369,17 +375,29 @@ class _Driver:
         return execution_id, self.assigned_to[execution_id]
 
     def result(self, execution_id, provider, ok, value) -> None:
+        """A provider's answer: an int ``value`` packed as providers pack,
+        a byzantine one as it is."""
+        honest = type(value) is int
         body = ExecutionResult(
             execution_id=execution_id,
             tasklet_id="tl-any",
             provider_id=provider,
             status="success" if ok else "vm_error",
-            value=value,
+            value=packed(value, fold_nan=True) if honest else value,
             error=None if ok else "boom",
             instructions=10,
             started_at=self.clock.now(),
             finished_at=self.clock.now(),
         )
+        record = self.broker.registry.get(NodeId(provider))
+        lied = ok and not honest and self.armed is None and record is not None
+        if lied and self.broker.executions.tasklet_of(execution_id):
+            failed, stats = record.failed, dataclasses.replace(self.broker.stats)
+            self.deliver(body, provider)
+            assert record.failed == failed + 1
+            assert self.broker.stats.executions_succeeded == stats.executions_succeeded
+            assert self.broker.stats.executions_failed == stats.executions_failed + 1
+            return
         self.deliver(body, provider)
 
     def settle(self) -> None:
@@ -473,7 +491,7 @@ def _run(actions, journal, telemetry) -> None:
                 driver.submit_workflow(consumer, wire)
             else:
                 if conflicting:
-                    wire = dict(wire, args=[99])
+                    wire = dict(wire, args=packed([99]))
                 driver.submit_tasklet(consumer, wire)
         elif kind == "workflow":
             consumer, shape, suffix = payload

@@ -67,7 +67,7 @@ SAMPLES = {
         "ex-1", "tl-1", "p1", ExecutionStatus.VM_ERROR, None, "boom", 12, 1.0, 2.5
     ).to_dict(),
     "complete": CompletionRecord(
-        "c1/tl-1", "tl-1", "c1", True, [1, 2], None, 2, 0.5, "m1", 9.0, "b1"
+        "c1/tl-1", "tl-1", "c1", True, packed_document([1, 2]), None, 2, 0.5, "m1", 9.0, "b1"
     ).to_dict(),
     "wf_outcome": OUTCOME.to_dict(),
     "admitted": Admitted("c1/tl-1", "c1", 1.5, TASKLET.to_dict(), "b2", "c1/wf-1").to_dict(),
@@ -87,6 +87,8 @@ def _wire_holds(value, annotation) -> bool:
     ``annotation`` must have — written out apart from the compiled table,
     as the oracle it is checked by."""
     annotation = getattr(annotation, "__supertype__", annotation)
+    if annotation == (list[typing.Any] | bytes):  # (a tasklet's args: they travel packed)
+        return type(value) is bytes
     if typing.get_origin(annotation) is typing.Union or isinstance(annotation, type(int | None)):
         return any(_wire_holds(value, part) for part in typing.get_args(annotation))
     if annotation is CompiledProgram:  # (a tasklet's: it travels packed)

@@ -9,14 +9,18 @@ from hypothesis import given, strategies as st
 from repro.common.errors import CodecError
 from repro.common.ids import NodeId
 from repro.common.serde import (
+    MAX_PACKED_DEPTH,
+    check_packed,
     decode_value,
     dumps,
     encode_value,
     loads,
+    opened,
     pack_value,
+    packed,
+    splice_list,
     unpack_value,
 )
-from repro.core.results import _vote_key
 from repro.transport.codec import (
     CODEC_BINARY,
     EnvelopeDecoder,
@@ -209,16 +213,7 @@ def exactly(value):
     return (type(value).__name__, value)
 
 
-def packed(value) -> bytes:
-    out = bytearray()
-    pack_value(value, out)
-    return bytes(out)
-
-
-def unpacked(data: bytes):
-    value, end = unpack_value(data, 0)
-    assert end == len(data)
-    return value
+unpacked = opened  # (all of the bytes, or CodecError)
 
 
 @given(tasklet_values)
@@ -359,8 +354,8 @@ def calls_made(function, *args) -> int:
 
 
 def test_an_int_array_costs_the_same_number_of_calls_at_any_length():
-    """Every place a value is walked — encode, decode, the vote key, the
-    Tasklet-value check — handles a list of plain ints in a number of
+    """Every place a value is walked — encode, decode, the broker's check
+    of the packed bytes, the Tasklet-value check — handles a list of plain ints in a number of
     Python and C calls that does not depend on its length.  (128 and
     8,192 items share a two-byte count varint, and both arrays need the
     same item width, so the counts are *equal*, not merely bounded.)"""
@@ -383,10 +378,194 @@ def test_an_int_array_costs_the_same_number_of_calls_at_any_length():
             "unpack_value": calls_made(unpacked, packed(array)),
             "encode_envelope": calls_made(encode_envelope, envelope_of(array), CODEC_BINARY),
             "EnvelopeDecoder.feed": calls_made(feed, frame),
-            "_vote_key": calls_made(_vote_key, array),
+            "check_packed": calls_made(check_packed, packed([array])),
             "is_tasklet_value": calls_made(is_tasklet_value, array),
         }
     assert counts[128] == counts[8192]
     assert max(counts[8192].values()) < 200
     # The same probe does see a per-item walk: one bool ends the bulk form.
     assert calls_made(packed, [1] * 8191 + [True]) > 8192
+
+
+# ---------------------------------------------------------------------------
+# A value as its bytes: the check a broker makes, and the splice a DAG makes
+# ---------------------------------------------------------------------------
+
+
+def accepts(blob, whole_none=False):
+    """``check_packed``'s verdict: ``(True, top-level count)`` or ``(False,
+    reason)`` — anything it raises that is no CodecError fails the test."""
+    try:
+        return True, check_packed(blob, whole_none)
+    except CodecError as refusal:
+        return False, str(refusal)
+
+
+def reference_accepts(blob) -> bool:
+    """The check as a node that may build the value would make it."""
+    try:
+        value, end = unpack_value(blob, 0)
+    except (CodecError, RecursionError):
+        return False
+    return end == len(blob) and is_tasklet_value(value)
+
+
+def as_lists(value):
+    return [as_lists(item) for item in value] if isinstance(value, (list, tuple)) else value
+
+
+@given(tasklet_values, st.booleans())
+def test_the_checker_accepts_what_pack_value_emits_for_a_tasklet_value(value, fold_nan):
+    out = bytearray()
+    pack_value(value, out, fold_nan)
+    accepted, count = accepts(bytes(out))
+    assert accepted, count
+    assert count == (len(value) if isinstance(value, (list, tuple)) else None)
+    assert is_tasklet_value(unpacked(bytes(out)))
+
+
+@given(wire_values)
+def test_the_checker_and_the_builder_agree_on_everything_pack_value_emits(value):
+    """Over every *wire* value — ``None``, bytes and dicts included, at any
+    depth — the bytes are accepted exactly when the value they open to is
+    a Tasklet value; ``None`` as the whole of a result, and only there."""
+    blob = packed(value)
+    assert accepts(blob)[0] == reference_accepts(blob) == is_tasklet_value(as_lists(value))
+    assert accepts(blob, whole_none=True)[0] == (value is None or is_tasklet_value(as_lists(value)))
+
+
+@given(tasklet_values | wire_values, st.data())
+def test_what_the_checker_accepts_always_opens_to_a_tasklet_value(value, data):
+    """Checker ⊆ ``is_tasklet_value ∘ unpack``, over damaged blobs too: a
+    byte changed, dropped or added anywhere, or bytes that never were a
+    value — whatever is accepted opens, all of it, to a Tasklet value, and
+    nothing but ``CodecError`` is ever raised."""
+    blob = bytearray(packed(value))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, max(0, len(blob) - 1)))
+        damage = data.draw(st.sampled_from(["set", "drop", "insert", "cut"]))
+        if damage == "set" and blob:
+            blob[at] = data.draw(st.integers(0, 255))
+        elif damage == "drop" and blob:
+            del blob[at]
+        elif damage == "insert":
+            blob.insert(at, data.draw(st.integers(0, 255)))
+        else:
+            del blob[at:]
+    blob = bytes(blob)
+    accepted, _ = accepts(blob)
+    if accepted:
+        assert reference_accepts(blob), blob
+    noise = data.draw(st.binary(max_size=24))
+    if accepts(noise)[0]:
+        assert reference_accepts(noise), noise
+
+
+@pytest.mark.parametrize(
+    "blob, reason",
+    [
+        ([1], "packed value is a list"),
+        (None, "packed value is a NoneType"),
+        (b"", "truncated value"),
+        (b"\x03", "truncated value"),
+        (b"\x03\x80\x80", "truncated value"),
+        (b"\x04\x00\x00", "truncated value"),
+        (b"\x07\x02\x03\x02", "truncated value"),
+        (b"\x07\x01\x03\x02\x00", "1 trailing bytes"),
+        (b"\x03\x02\x03\x02", "2 trailing bytes"),
+        (b"\x00", "value tag 0x00 is not a Tasklet value"),
+        (b"\x07\x01\x00", "value tag 0x00 is not a Tasklet value"),
+        (b"\x07\x01\x08\x00", "value tag 0x08 is not a Tasklet value"),
+        (b"\x07\x01\x06\x01x", "value tag 0x06 is not a Tasklet value"),
+        (b"\x0a", "value tag 0x0a is not a Tasklet value"),
+        (b"\x09", "truncated array"),
+        (b"\x09i\xff\xff\x03", "truncated value"),
+        (b"\x09i\xff\xff\xff\xff\xff\xff\xff\xff\x7f", "truncated value"),
+        (b"\x09z\x01\x00", "unknown array item format 0x7a"),
+        (b"\x05\x02\xff\xfe", "bad utf-8 on the wire"),
+        (b"\x05\x05ab", "truncated string"),
+        (b"\x07\x01" * 100_000 + b"\x03\x00", "value nests too deeply"),
+        (b"\x07\xff\xff\xff\xff\x0f", "truncated value"),
+    ],
+    ids=lambda case: repr(case)[:28],
+)
+def test_what_the_checker_refuses_and_in_which_words(blob, reason):
+    accepted, said = accepts(blob)
+    assert not accepted and said.startswith(reason), said
+    assert accepts(blob, whole_none=True)[0] == (blob == b"\x00")
+
+
+def test_the_checker_builds_nothing_and_costs_a_packed_array_its_header():
+    """No list, no int, no float is made on the way, and an array of any
+    length is a header: the count is its claim on the buffer, checked by
+    arithmetic.  A string is decoded — that is its UTF-8 check."""
+    array = [(-1) ** i * i * 1009 for i in range(8192)]
+    blob = packed([array, [1.5] * 4096, "text", True, 2**80, [[1], ["x"]]])
+    assert check_packed(blob) == 6
+    short = packed([array[:128], [1.5] * 128, "text", True, 2**80, [[1], ["x"]]])
+    assert calls_made(check_packed, blob) == calls_made(check_packed, short) < 50  # (two-byte counts both)
+    made = []
+
+    def profiler(_frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") in ("unpack_from", "from_bytes", "list"):
+            made.append(arg.__name__)
+
+    sys.setprofile(profiler)
+    try:
+        check_packed(blob)
+    finally:
+        sys.setprofile(None)
+    assert made == []
+    deep = packed([[[[[[[[1]]]]]]]])
+    assert check_packed(deep) == 1
+    nested = 1
+    for _ in range(MAX_PACKED_DEPTH):
+        nested = [nested]
+    assert check_packed(packed(nested)) == 1  # exactly as deep as is allowed
+    with pytest.raises(CodecError, match="nests too deeply"):
+        check_packed(packed([nested]))
+
+
+parts_of_a_list = st.lists(tasklet_values | st.none(), max_size=8) | st.lists(
+    ints | st.just(2**70), min_size=3, max_size=6
+) | st.lists(floats, min_size=3, max_size=6)
+
+
+@given(parts_of_a_list, st.booleans())
+def test_splicing_packed_parts_is_packing_the_list_of_them(items, fold_nan):
+    """``splice_list`` writes, from the packed items alone, the bytes
+    ``pack_value`` writes for the list — the array form included, which
+    four or more same-typed numbers take (and ints past 64 bits do not)."""
+    parts = []
+    for item in items:
+        out = bytearray()
+        pack_value(item, out, fold_nan)
+        parts.append(bytes(out))
+    spliced = bytearray(b"before")
+    splice_list(parts, spliced)
+    assert bytes(spliced) == b"before" + packed([unpacked(part) for part in parts])
+    assert exactly(unpacked(bytes(spliced[6:]))) == exactly([unpacked(part) for part in parts])
+
+
+def test_a_gather_of_four_ints_takes_the_array_form_and_three_do_not():
+    four, three = [packed(n) for n in (1, 2, 3, 400)], [packed(n) for n in (1, 2, 3)]
+    out = bytearray()
+    splice_list(four, out)
+    assert bytes(out) == packed([1, 2, 3, 400]) and out[0] == 0x09
+    out = bytearray()
+    splice_list(three, out)
+    assert bytes(out) == packed([1, 2, 3]) == b"\x07\x03" + b"".join(three)
+    out = bytearray()
+    splice_list([packed(1.5)] * 3 + [packed(2)], out)  # mixed: item by item
+    assert bytes(out) == packed([1.5, 1.5, 1.5, 2]) and out[0] == 0x07
+
+
+def test_opened_takes_all_of_the_bytes_or_raises_codec_error():
+    assert opened(packed([1, [2.5, "x"]])) == [1, [2.5, "x"]] and opened(b"\x00") is None
+    for bad, reason in [
+        ([1], "packed value is a list"), (b"", "truncated value"),
+        (packed(1) + b"\x00", "1 trailing bytes"),
+        (b"\x07\x01" * 100_000 + b"\x03\x00", "value nests too deeply"),
+    ]:
+        with pytest.raises(CodecError, match=reason):
+            opened(bad)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.serde import pack_value
+from repro.common.serde import packed
 from repro.core import kernels
 from repro.tvm.compiler import compile_source
 
@@ -39,9 +39,7 @@ def compile_main(body: str, signature: str = "() -> int"):
 def packed_document(document) -> bytes:
     """The bytes ``document`` travels as where a packed program is expected
     — for the tests that need one no compiler emits."""
-    out = bytearray()
-    pack_value(document, out)
-    return bytes(out)
+    return packed(document)
 
 
 @pytest.fixture

@@ -5,8 +5,9 @@ import dataclasses
 import pytest
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import BrokerUnreachable, DuplicateSubmission, TaskletError
+from repro.common.errors import BrokerUnreachable, CodecError, DuplicateSubmission, TaskletError
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import packed
 from repro.consumer.core import ConsumerCore
 from repro.core.tasklet import Tasklet
 from repro.dag.patterns import chain
@@ -16,9 +17,11 @@ from repro.transport.message import (
     SubmitAck,
     SubmitTasklet,
     TaskletComplete,
+    WorkflowComplete,
     body_of,
 )
 from repro.tvm.compiler import compile_source
+from tests.transport.test_messages import HOSTILE_BLOBS
 
 PROGRAM = compile_source("func main(x: int) -> int { return x + 1; }")
 
@@ -54,7 +57,7 @@ def test_completion_resolves_future_with_latency():
     core = make_core(clock)
     future, _ = core.submit(make_tasklet())
     clock.advance(2.5)
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2, attempts=1))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), attempts=1))
     outcome = future.wait(0)
     assert outcome.ok and outcome.value == 2
     assert outcome.latency == 2.5
@@ -92,15 +95,15 @@ def test_positive_ack_keeps_future_pending():
 
 def test_unknown_completion_ignored():
     core = make_core()
-    deliver(core, TaskletComplete(tasklet_id="tl-ghost", ok=True, value=1))
+    deliver(core, TaskletComplete(tasklet_id="tl-ghost", ok=True, value=packed(1)))
     assert core.stats.completed == 0
 
 
 def test_duplicate_completion_ignored():
     core = make_core()
     future, _ = core.submit(make_tasklet())
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=1))
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(1)))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)))
     assert future.result(0) == 1
     assert core.stats.completed == 1
 
@@ -113,7 +116,7 @@ def test_execution_records_rehydrated():
         "tasklet_id": "tl-1",
         "provider_id": "p1",
         "status": "success",
-        "value": 2,
+        "value": packed(2),
         "error": None,
         "instructions": 50,
         "started_at": 0.5,
@@ -122,7 +125,7 @@ def test_execution_records_rehydrated():
     deliver(
         core,
         TaskletComplete(
-            tasklet_id="tl-1", ok=True, value=2, attempts=1, executions=[record]
+            tasklet_id="tl-1", ok=True, value=packed(2), attempts=1, executions=[record]
         ),
     )
     outcome = future.wait(0)
@@ -148,13 +151,13 @@ def test_agreeing_records_get_the_verdicts_value_back():
 
     executions = [
         record(1, "vm_error", value=None),
-        record(2, value=[0]),  # outvoted
+        record(2, value=packed([0])),  # outvoted
         record(3),
         record(4),
     ]
     deliver(
         core,
-        TaskletComplete(tasklet_id="tl-1", ok=True, value=array, attempts=4, executions=executions),
+        TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(array), attempts=4, executions=executions),
     )
     outcome = future.wait(0)
     assert [r.value for r in outcome.executions] == [None, [0], array, array]
@@ -178,7 +181,7 @@ def test_malformed_execution_record_never_orphans_a_future(record):
     good = {"execution_id": "ex-1", "tasklet_id": "tl-1", "provider_id": "p1", "status": "success"}
     if isinstance(record, dict) and "execution_id" not in record:
         record = {**good, **record}
-    bad = TaskletComplete(tasklet_id="tl-1", ok=True, value=2, executions=[good, record])
+    bad = TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), executions=[good, record])
     assert deliver(core, bad) == []
     assert not future.done and core.pending == 1
     assert (core.stats.completed, core.stats.failed) == (0, 0)
@@ -186,7 +189,7 @@ def test_malformed_execution_record_never_orphans_a_future(record):
     assert event.node == "broker" and event.attrs["type"] == "tasklet_complete"
     assert "executions" in event.attrs["reason"]
     assert telemetry.spans.spans() == []
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2, executions=[good]))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), executions=[good]))
     assert future.result(0) == 2 and core.pending == 0 and core.stats.completed == 1
     assert [record.value for record in future.wait(0).executions] == [2]
 
@@ -197,7 +200,7 @@ def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
     with pytest.raises(DuplicateSubmission, match="tl-1") as refused:
         core.submit(make_tasklet())
     assert isinstance(refused.value, TaskletError)
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)))
     assert first.result(0) == 2
     assert core.pending == 0
     stats = dataclasses.asdict(core.stats)
@@ -219,9 +222,9 @@ def test_refused_batch_registers_nothing(batch):
         core.submit_tasklets([make_tasklet(tasklet_id) for tasklet_id in batch])
     assert core.pending == 1 and core.stats.submitted == 1
     # Nothing of the refused batch is known: its completions are ignored.
-    deliver(core, TaskletComplete(tasklet_id="tl-2", ok=True, value=0))
+    deliver(core, TaskletComplete(tasklet_id="tl-2", ok=True, value=packed(0)))
     assert core.stats.completed == 0
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=2))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)))
     assert first.result(0) == 2
 
 
@@ -282,7 +285,73 @@ def test_late_completion_after_fail_all_pending_ignored():
     core = make_core()
     future, _ = core.submit(make_tasklet())
     core.fail_all_pending("connection to broker lost")
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=7))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(7)))
     # The typed failure won the write-once race; the late result is dropped.
     assert future.wait(0).ok is False
     assert core.stats.completed == 0
+
+
+# -- values arrive packed: opened once, here, or the waiter fails typed -----------
+
+
+#: (Three of the hostile blobs do open — to values no Tasklet returns,
+#: which is the broker's check, made before anything was voted on.)
+UNOPENABLE = [
+    blob for blob in HOSTILE_BLOBS
+    if blob not in (packed([{"a": 1}]), packed([b"x"]), packed([None]))
+]
+
+
+@pytest.mark.parametrize("value", [2, [1], "x", *UNOPENABLE], ids=lambda v: repr(v)[:24])
+def test_an_unopenable_completion_fails_the_future_typed_not_pending(value):
+    """``tasklet_complete.value`` reads at the boundary whatever it is; what
+    does not open — no bytes at all (an older broker's list), or bytes
+    that are no packed value — ends the submission with a typed error,
+    counted as a failure: the future is never left waiting for a value
+    that cannot come, and no half-opened result reaches the application."""
+    telemetry = Telemetry()
+    core = ConsumerCore(NodeId("c1"), VirtualClock(), telemetry=telemetry)
+    future, _ = core.submit(make_tasklet())
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=value, attempts=1))
+    assert future.done and core.pending == 0
+    assert (core.stats.completed, core.stats.failed) == (0, 1)
+    with pytest.raises(CodecError):
+        future.result(0)
+    outcome = future.wait(0)
+    assert not outcome.ok and outcome.value is None and outcome.error.startswith("unreadable result: ")
+    assert telemetry.events.events(kind=ev.MESSAGE_UNREADABLE) == []  # it *was* read
+    failures = telemetry.registry.get("repro_consumer_failures_total")
+    assert failures.labels(kind="unreadable").value == 1
+    # The same goes for the value of one execution record among good ones.
+    future, _ = core.submit(make_tasklet("tl-2"))
+    record = {"execution_id": "ex-1", "tasklet_id": "tl-2", "provider_id": "p1",
+              "status": "success", "value": value}
+    deliver(core, TaskletComplete("tl-2", ok=True, value=packed(2), executions=[record]))
+    with pytest.raises(CodecError):
+        future.result(0)
+
+
+def test_a_void_result_and_a_failure_carry_no_surprise():
+    core = make_core()
+    void, _ = core.submit(make_tasklet("tl-1"))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(None)))
+    assert void.wait(0).ok and void.result(0) is None
+    failed, _ = core.submit(make_tasklet("tl-2"))
+    deliver(core, TaskletComplete(tasklet_id="tl-2", ok=False, error="all 1 executions failed"))
+    assert not failed.wait(0).ok and failed.wait(0).value is None
+
+
+@pytest.mark.parametrize("blob", [3, None, *UNOPENABLE[:3]], ids=lambda v: repr(v)[:24])
+def test_an_unopenable_workflow_output_fails_the_handle_typed(blob):
+    core = make_core()
+    spec = chain(2, work=10)
+    handle, _ = core.submit_workflow(spec)
+    complete = WorkflowComplete(spec.workflow_id, ok=True, outputs={"n1": packed(4), "n2": blob})
+    deliver(core, complete)
+    assert handle.done and core.pending == 0
+    assert (core.stats.workflows_completed, core.stats.workflows_failed) == (0, 1)
+    with pytest.raises(CodecError):
+        handle.result(0)
+    good, _ = core.submit_workflow(spec)
+    deliver(core, WorkflowComplete(spec.workflow_id, ok=True, outputs={"n2": packed([4, 5.5])}))
+    assert good.result(0) == {"n2": [4, 5.5]} and core.stats.workflows_completed == 1

@@ -45,12 +45,14 @@ from hypothesis.stateful import (
 from repro.common.clock import VirtualClock
 from repro.common.errors import (
     BrokerUnreachable,
+    CodecError,
     DuplicateSubmission,
     ExecutionFailed,
     WorkflowFailed,
     WorkflowSpecError,
 )
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import packed, unpack_value
 from repro.consumer.core import ConsumerCore, ConsumerStats
 from repro.core.tasklet import Tasklet
 from repro.dag import WorkflowBuilder
@@ -77,9 +79,31 @@ PROGRAM = compile_source(SOURCE)
 TASKLET_IDS = [f"tl-{n}" for n in range(6)]
 WORKFLOW_IDS = [f"wf-{n}" for n in range(3)]
 _RECORD = {"execution_id": "ex-1", "tasklet_id": "tl-0", "provider_id": "p1", "status": "success"}
-#: What may sit in ``tasklet_complete.executions``: mostly records.
-RECORDS = [_RECORD, _RECORD, {**_RECORD, "status": "vm_error", "error": "boom"},
+#: What may sit in ``tasklet_complete.executions``: mostly records — one
+#: that agreed (no value of its own), one outvoted, one failed.
+RECORDS = [_RECORD, {**_RECORD, "value": packed(40)}, {**_RECORD, "status": "vm_error", "error": "boom"},
            {"execution_id": "ex-1"}, {**_RECORD, "status": "exploded"}, "x"]
+
+
+def unpacked(blobs):
+    """The values ``blobs`` pack, each all of its bytes (None stays None)
+    — or None when one of them does not open: written out here, apart
+    from ``serde.opened``, as the oracle the core is checked by."""
+    values = []
+    for blob in blobs:
+        if blob is None:
+            values.append(None)
+            continue
+        if type(blob) is not bytes:
+            return None
+        try:
+            value, end = unpack_value(blob, 0)
+        except (CodecError, RecursionError):
+            return None
+        if end != len(blob):
+            return None
+        values.append(value)
+    return values
 
 
 def tasklet(tasklet_id):
@@ -234,15 +258,19 @@ class ConsumerProtocol(RuleBasedStateMachine):
         body = TaskletComplete(
             tasklet_id=tasklet_id,
             ok=ok,
-            value=41 if ok else None,
+            value=packed(41) if ok else None,
             error=None if ok else "all 3 executions failed",
             attempts=3,
             executions=executions,
         )
         body = self._deliver(body)
         if body is not None and body.tasklet_id in self.tasklets:
-            if body.ok:
-                self._end_tasklet(body.tasklet_id, None, body.value)
+            carried = [body.value] + [r["value"] for r in body.executions if "value" in r]
+            values = unpacked(carried)
+            if values is None:  # a value that does not open: a typed failure, not a wait
+                self._end_tasklet(body.tasklet_id, CodecError, "")
+            elif body.ok:
+                self._end_tasklet(body.tasklet_id, None, values[0])
             else:
                 self._end_tasklet(body.tasklet_id, ExecutionFailed, body.error)
 
@@ -281,7 +309,7 @@ class ConsumerProtocol(RuleBasedStateMachine):
         body = WorkflowComplete(
             workflow_id=workflow_id,
             ok=ok,
-            outputs={"only": 2} if ok else {},
+            outputs={"only": packed(2)} if ok else {},
             error=None if ok else "node only failed",
             failed_node="" if ok else "only",
             nodes_total=1,
@@ -289,8 +317,11 @@ class ConsumerProtocol(RuleBasedStateMachine):
         body = self._deliver(body)
         if body is not None and body.workflow_id in self.workflows:
             handle = self.workflows[body.workflow_id].waiter
-            if body.ok:
-                self._end_workflow(body.workflow_id, None, body.outputs)
+            values = unpacked(list(body.outputs.values()))
+            if body.ok and values is None:
+                self._end_workflow(body.workflow_id, CodecError, "")
+            elif body.ok:
+                self._end_workflow(body.workflow_id, None, dict(zip(body.outputs, values)))
                 assert all(handle.node_states[node] == "done" for node in body.outputs)
             else:
                 self._end_workflow(body.workflow_id, WorkflowFailed, body.error)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.common.errors import TaskletError
 from repro.common.ids import TaskletId
+from repro.common.serde import opened
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.tvm.compiler import compile_source
@@ -91,7 +92,8 @@ def test_wire_roundtrip():
     clone = Tasklet.from_dict(tasklet.to_dict())
     assert clone.tasklet_id == tasklet.tasklet_id
     assert clone.entry == tasklet.entry
-    assert clone.args == tasklet.args
+    assert opened(clone.args) == tasklet.args  # (off the wire they stay packed)
+    assert clone.to_dict()["args"] is clone.args
     assert clone.qoc == tasklet.qoc
     assert clone.seed == 99
     assert clone.fuel == 1234

@@ -1,4 +1,7 @@
-"""Replica voting: majority formation, disagreement, vote-key semantics."""
+"""Replica voting: majority formation, disagreement, vote-key semantics.
+
+A result reaches the collector as the bytes its provider packed
+(``packed(value, fold_nan=True)``), and those bytes are the vote key."""
 
 import json
 import random
@@ -8,12 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.ids import ExecutionId, NodeId, TaskletId
-from repro.core.results import (
-    ExecutionRecord,
-    ExecutionStatus,
-    VoteCollector,
-    _vote_key,
-)
+from repro.common.serde import opened, packed
+from repro.core.results import ExecutionRecord, ExecutionStatus, VoteCollector
 
 _counter = iter(range(10**9))
 
@@ -21,13 +20,19 @@ _counter = iter(range(10**9))
 NAN_BITS = ("fff8000000000000", "7ff8000000000000")
 
 
+def _vote_key(value) -> bytes:
+    """A result as its provider sends it: what the collector groups by."""
+    return packed(value, fold_nan=True)
+
+
 def record(value=None, ok=True, provider="p1"):
+    """One execution's record; a success carries its value packed."""
     return ExecutionRecord(
         execution_id=ExecutionId(f"ex-{next(_counter)}"),
         tasklet_id=TaskletId("tl-1"),
         provider_id=NodeId(provider),
         status=ExecutionStatus.SUCCESS if ok else ExecutionStatus.PROVIDER_LOST,
-        value=value,
+        value=_vote_key(value) if ok else None,
         error=None if ok else "lost",
     )
 
@@ -73,6 +78,12 @@ class TestVoteKey:
         assert _vote_key([1.5, 2.5, x86, 3.5]) == _vote_key([1.5, 2.5, arm, 3.5])  # packed
         assert _vote_key([[x86] * 4, "x"]) == _vote_key([[arm] * 4, "x"])
         assert _vote_key([x86] * 4) != _vote_key([float("inf")] * 4)
+        # Two hosts' packers, one group — and an unfolded NaN would be another.
+        collector = VoteCollector(redundancy=3)
+        for host, nan in (("p1", x86), ("p2", arm)):
+            collector.add(record([1.5, 2.5, nan, 3.5], provider=host))
+        assert len(collector.winner()) == 2 and not collector.disagreement()
+        assert packed([1.5, 2.5, x86, 3.5]) != packed([1.5, 2.5, arm, 3.5])
 
     def test_negative_zero_is_not_zero(self):
         assert _vote_key(-0.0) != _vote_key(0.0)
@@ -110,7 +121,7 @@ class TestVoteKey:
 
 
 def _reference_key(value):
-    """``_vote_key`` as it was: one Python step per element."""
+    """The vote key as it once was: one Python step per element."""
 
     def tag(item):
         if isinstance(item, bool):
@@ -150,7 +161,7 @@ class TestCollecting:
         collector = VoteCollector(1)
         collector.add(record(42))
         assert collector.decided
-        assert [r.value for r in collector.winner()] == [42]
+        assert [opened(r.value) for r in collector.winner()] == [42]
 
     def test_r3_needs_two_agreeing(self):
         collector = VoteCollector(3)
@@ -180,7 +191,7 @@ class TestCollecting:
         collector.add(record(999, provider="bad"))
         collector.add(record(7, provider="c"))
         assert collector.decided
-        assert all(r.value == 7 for r in collector.winner())
+        assert all(opened(r.value) == 7 for r in collector.winner())
 
     def test_equal_but_distinct_corruptions_never_decide(self):
         collector = VoteCollector(3)

@@ -19,6 +19,7 @@ from repro.broker.federation import FederationConfig
 from repro.broker.journal import WorkJournal, _read_line
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
+from repro.common.serde import packed
 from repro.consumer.core import ConsumerCore
 from repro.core.kernels import PRIME_COUNT
 from repro.core.tasklet import Tasklet
@@ -106,9 +107,10 @@ class Cluster:
                 elif arrived.type == "assign_execution":
                     request = body_of(arrived)
                     outcome = self.executor.execute(request)
+                    value = packed(outcome.value, fold_nan=True) if outcome.ok else None
                     result = ExecutionResult(
                         request.execution_id, request.tasklet_id, receiver,
-                        outcome.status.value, outcome.value, outcome.error, outcome.instructions,
+                        outcome.status.value, value, outcome.error, outcome.instructions,
                     )
                     out = [result.envelope(NodeId(receiver), self.broker.node_id)]
                 else:

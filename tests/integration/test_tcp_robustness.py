@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.common.ids import NodeId
+from repro.common.serde import packed
 from repro.core import kernels
 from repro.obs import Telemetry
 from repro.transport.codec import SUPPORTED_CODECS, encode_envelope
@@ -163,7 +164,7 @@ def test_unhashable_cancel_does_not_deafen_the_provider():
             program=program.packed(),
             program_fingerprint=program.fingerprint(),
             entry="main",
-            args=[41],
+            args=packed([41]),
             seed=0,
             fuel=10_000,
         ).envelope(me, them)
@@ -174,7 +175,7 @@ def test_unhashable_cancel_does_not_deafen_the_provider():
         )
         (result,) = read_envelopes(peer, 1)
         assert result.type == "execution_result"
-        assert (result.payload["execution_id"], result.payload["value"]) == ("ex-1", 42)
+        assert (result.payload["execution_id"], result.payload["value"]) == ("ex-1", packed(42))
         assert provider._link.connected
     finally:
         provider.stop()

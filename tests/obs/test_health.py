@@ -14,6 +14,7 @@ from repro.broker.registry import ProviderRecord
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
+from repro.common.serde import packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.obs import Telemetry
@@ -266,7 +267,7 @@ class StragglerHarness:
                 tasklet_id=assign.tasklet_id,
                 provider_id=provider,
                 status="success",
-                value=45,
+                value=packed(45),
                 instructions=instructions,
                 started_at=now - duration,
                 finished_at=now,

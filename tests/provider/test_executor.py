@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.common.serde import packed
 from repro.core.results import ExecutionStatus
 from repro.provider.executor import TaskletExecutor
 from repro.transport.message import AssignExecution
 from repro.tvm.compiler import compile_source
+from tests.transport.test_messages import HOSTILE_BLOBS
 from tests.conftest import packed_document
 
 PROGRAM = compile_source(
@@ -28,7 +30,7 @@ def assignment(n=10, fingerprint=None, fuel=1_000_000, program=None, seed=0):
         consumer_id="c",
         program=target.packed(),
         entry="main",
-        args=[n],
+        args=packed([n]),
         seed=seed,
         fuel=fuel,
         program_fingerprint=(
@@ -106,6 +108,22 @@ def test_execute_never_raises_whatever_an_engine_throws(monkeypatch, cache_size)
     assert outcome.error.startswith("IndexError: pop from empty list")
     assert "engine fault at defect" in outcome.error
     assert (outcome.value, outcome.instructions) == (None, 0)
+
+
+@pytest.mark.parametrize("args", HOSTILE_BLOBS + [b"\x00", packed(7)], ids=lambda a: repr(a)[:24])
+def test_arguments_that_do_not_open_to_a_list_are_refused_typed(args):
+    """The provider opens the arguments — here, and nowhere before — and
+    refuses what its VM would: bytes that are no packed value or pack no
+    list are a ``VMTypeError`` outcome, never an exception, never an
+    "engine fault"; a list that opens is the VM's to judge, as ever."""
+    request = assignment(3)
+    request.args = args
+    outcome = TaskletExecutor().execute(request)
+    assert outcome.status is ExecutionStatus.VM_ERROR and outcome.value is None
+    assert "engine fault" not in outcome.error
+    opens_to_a_list = args in (packed([{"a": 1}]), packed([b"x"]), packed([None]))
+    assert outcome.error.startswith("VMTypeError: arguments do ") != opens_to_a_list
+    assert outcome.error.startswith(("VMTypeError: ", "VMError: ")), outcome.error
 
 
 def test_cache_hits_for_repeated_program():
@@ -267,10 +285,10 @@ def test_seed_reaches_the_vm():
     program = compile_source("func main() -> float { return rand(); }")
     executor = TaskletExecutor()
     request_a = assignment(0, program=program, seed=1)
-    request_a.args = []
+    request_a.args = packed([])
     request_b = assignment(0, program=program, seed=1)
-    request_b.args = []
+    request_b.args = packed([])
     request_c = assignment(0, program=program, seed=2)
-    request_c.args = []
+    request_c.args = packed([])
     assert executor.execute(request_a).value == executor.execute(request_b).value
     assert executor.execute(request_a).value != executor.execute(request_c).value

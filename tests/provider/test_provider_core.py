@@ -3,11 +3,13 @@ virtual timing, faults, lifecycle messages.  (The protocol core on its
 own is modelled in ``test_provider_model.py``.)"""
 
 import random
+import struct
 
 import pytest
 
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
+from repro.common.serde import opened, packed
 from repro.provider.core import ProviderConfig, ProviderCore
 from repro.provider.failure import ExecutionFailureModel
 from repro.provider.simulated import SimProvider
@@ -56,7 +58,7 @@ def assign(n=100, execution_id="ex-1"):
         consumer_id="c1",
         program=PROGRAM.packed(),
         entry="main",
-        args=[n],
+        args=packed([n]),
         seed=0,
         fuel=10_000_000,
         program_fingerprint=PROGRAM.fingerprint(),
@@ -200,7 +202,40 @@ class TestOutcomes:
             assert body.error.startswith("VMInvalidProgram: program fingerprint mismatch: claimed ")
         assert not provider.core.executor._cache
         provider.core.clock.advance(10.0)
-        assert body_of(handle(provider, assign(10, "ex-2"))[0][1]).value == 45
+        assert opened(body_of(handle(provider, assign(10, "ex-2"))[0][1]).value) == 45
+
+    def test_a_result_leaves_packed_with_every_nan_folded_into_one(self):
+        """The result's bytes are its vote key: packed here, once, with
+        ``fold_nan`` — whatever sign and payload this host's NaN has."""
+        program = compile_source("func main(x: float) -> array { return [x - x, 1.5, 2.5, 3.5]; }")
+        provider = make_provider()
+        request = AssignExecution(
+            "ex-1", "tl-1", "c1", program.packed(), "main", packed([float("inf")]), 0, 10_000,
+            program.fingerprint(),
+        )
+        body = body_of(handle(provider, request)[0][1])
+        assert body.status == "success"
+        assert body.value == packed([float("nan"), 1.5, 2.5, 3.5], fold_nan=True)
+        negative = struct.unpack(">d", bytes.fromhex("fff8000000000000"))[0]
+        assert body.value == packed([negative, 1.5, 2.5, 3.5], fold_nan=True) != packed([negative, 1.5, 2.5, 3.5])
+
+    def test_a_value_nested_past_what_any_node_opens_is_a_vm_error_not_a_crash(self):
+        """A Tasklet can build a list 2,000 deep; packing it recurses per
+        level.  It used to leave as a value and raise ``RecursionError`` in
+        whichever thread encoded the frame; now the execution fails, typed."""
+        program = compile_source(
+            "func main(n: int) -> array { var a: array = [1]; var i: int = 0;"
+            " while (i < n) { a = [a]; i = i + 1; } return a; }"
+        )
+        provider = make_provider()
+        request = AssignExecution(
+            "ex-1", "tl-1", "c1", program.packed(), "main", packed([2000]), 0, 1_000_000,
+            program.fingerprint(),
+        )
+        body = body_of(handle(provider, request)[0][1])
+        assert (body.status, body.value) == ("vm_error", None)
+        assert body.error.startswith("result cannot be packed: RecursionError")
+        assert provider.stats.vm_errors == 0 and not provider.core.inflight  # (the run itself was fine)
 
     def test_drop_fault_produces_no_message(self):
         provider = make_provider(
@@ -219,7 +254,7 @@ class TestOutcomes:
         )
         body = body_of(handle(provider, assign(n=10))[0][1])
         assert body.status == "success"
-        assert body.value != 45
+        assert opened(body.value) != 45
         assert provider.stats.corrupted_by_fault == 1
 
     def test_stats_track_busy_seconds(self):

@@ -6,8 +6,8 @@ everything a driver and a broker can do to the core — assign, cancel
 error), refuse accepted work, re-register (a link redial), every kind of
 ``register_ack``, drain, stop, start — where any broker message may first
 have one field replaced by something else the codecs carry (the *hostile*
-step; for an assignment that includes its ``program`` bytes and their
-stamp) — and after every step checks what
+step; for an assignment that includes its ``program`` bytes, their stamp
+and its packed ``args``) — and after every step checks what
 the TCP provider and the simulator both rely on:
 
 * a message the boundary cannot read is answered with nothing and changes
@@ -15,9 +15,11 @@ the TCP provider and the simulator both rely on:
   as read, whatever it now says;
 
 * an assignment whose ``program`` does not open, or is not what its stamp
-  says, is accepted like any other (nothing is hashed or opened before
-  the run), fails its run, and is answered with that one ``vm_error``
-  result — the provider's refusal — and nothing else;
+  says, or whose ``args`` are bytes that open to no argument list, is
+  accepted like any other (nothing is hashed or opened before the run),
+  fails its run, and is answered with that one ``vm_error`` result — the
+  provider's refusal — and nothing else;
+* a success leaves as the packed bytes of its value;
 * at most one ``execution_result`` or ``execution_rejected`` per execution
   id, and none for an execution cancelled before its report or accepted
   under an older epoch;
@@ -40,8 +42,9 @@ from hypothesis.stateful import (
 )
 
 from repro.common.clock import VirtualClock
-from repro.common.errors import VMInvalidProgram
+from repro.common.errors import CodecError, VMInvalidProgram
 from repro.common.ids import NodeId
+from repro.common.serde import packed, unpack_value
 from repro.core.results import ExecutionStatus
 from repro.obs import Telemetry
 from repro.obs import events as ev
@@ -117,6 +120,17 @@ class ProviderProtocol(RuleBasedStateMachine):
             assert outcome.status is ExecutionStatus.VM_ERROR
             assert outcome.error.startswith("VMInvalidProgram: "), outcome.error
             return outcome
+        try:
+            args, end = unpack_value(request.args, 0)
+        except (CodecError, RecursionError):
+            args, end = None, -1
+        if type(args) is not list or end != len(request.args):
+            # ... or the arguments: bytes (else the message was unreadable)
+            # that pack no list.  Refused, typed, by the real executor.
+            outcome = TaskletExecutor().execute(request)
+            assert outcome.status is ExecutionStatus.VM_ERROR
+            assert outcome.error.startswith("VMTypeError: arguments do "), outcome.error
+            return outcome
         return OUTCOMES[self.next_outcome]
 
     def _deliver(self, body):
@@ -175,7 +189,7 @@ class ProviderProtocol(RuleBasedStateMachine):
             program=PROGRAM.packed(),
             program_fingerprint=PROGRAM.fingerprint(),
             entry="main",
-            args=[],
+            args=packed([]),
             seed=0,
             fuel=1000,
         )
@@ -245,7 +259,9 @@ class ProviderProtocol(RuleBasedStateMachine):
             assert outcome is None  # never started, already purged
             self._done(execution_id)
         else:
-            assert outcome is OUTCOMES[ok] or outcome.error.startswith("VMInvalidProgram: ")
+            assert outcome is OUTCOMES[ok] or outcome.error.startswith(
+                ("VMInvalidProgram: ", "VMTypeError: arguments do ")
+            )
             self.outcomes[execution_id] = outcome
 
     @precondition(lambda self: self.outcomes)
@@ -262,6 +278,7 @@ class ProviderProtocol(RuleBasedStateMachine):
             body = self._record(result)
             assert isinstance(body, ExecutionResult)
             assert body.status == outcome.status.value
+            assert body.value == (packed(7) if outcome.ok else None)
             assert (body.started_at, body.finished_at) == (started, self.clock.now())
         else:
             assert result is None  # dropped, not sent

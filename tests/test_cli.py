@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.common.serde import packed
 
 SOURCE = """
 func main(n: int) -> int {
@@ -419,14 +420,14 @@ def journal_file(tmp_path):
 
     path = tmp_path / "journal.jsonl"
     journal = WorkJournal(str(path))
-    tasklet = {"tasklet_id": "tl-1", "program": b"\x00", "entry": "main", "args": [7]}
+    tasklet = {"tasklet_id": "tl-1", "program": b"\x00", "entry": "main", "args": packed([7])}
     journal.record_admitted("c1/tl-1", "c1", tasklet, ts=1.0)
     journal.record_admitted(
         "c1/tl-2", "c1", dict(tasklet, tasklet_id="tl-2"), ts=2.0
     )
     journal.record_complete(
         CompletionRecord(
-            key="c1/tl-1", tasklet_id="tl-1", consumer_id="c1", ok=True, value=8
+            key="c1/tl-1", tasklet_id="tl-1", consumer_id="c1", ok=True, value=packed(8)
         )
     )
     journal.close()
@@ -439,7 +440,7 @@ class TestJournalCli:
         out = capsys.readouterr().out
         assert "2 admitted, 1 complete" in out
         assert "pending    : 1 tasklet(s)" in out
-        assert "c1/tl-2" in out
+        assert "c1/tl-2" in out and "args=[7] " in out  # (opened, not the bytes on disk)
         assert "1 retained (1 ok, 0 failed)" in out
 
     def test_json_summary(self, journal_file, capsys):
@@ -448,7 +449,10 @@ class TestJournalCli:
         assert document["admitted"] == 2 and document["completed"] == 1
         assert [entry["key"] for entry in document["pending"]] == ["c1/tl-2"]
         assert document["pending"][0]["tasklet"]["program"] == {"__b__": "AA=="}  # (bytes, as journalled)
+        # Values are packed on disk and shown opened: arguments, a result.
+        assert document["pending"][0]["tasklet"]["args"] == [7]
         assert document["completions"][0]["value"] == 8
+        assert '"value":{"__b__":' in open(journal_file).read()
 
     def test_compact_rewrites_file(self, journal_file, capsys):
         assert main(["journal", journal_file, "--compact"]) == 0
@@ -536,7 +540,7 @@ def workflow_journal_file(tmp_path):
     journal.record_admitted(
         "c1/wf-live:a",
         "c1",
-        {"tasklet_id": "wf-live:a", "entry": "main", "args": []},
+        {"tasklet_id": "wf-live:a", "entry": "main", "args": packed([])},
         ts=1.1,
         workflow="c1/wf-live",
     )
@@ -546,7 +550,7 @@ def workflow_journal_file(tmp_path):
             tasklet_id="wf-live:a",
             consumer_id="c1",
             ok=True,
-            value=9,
+            value=packed(9),
         )
     )
     journal.record_workflow_complete(
@@ -554,7 +558,7 @@ def workflow_journal_file(tmp_path):
         {
             "ok": True,
             "workflow_id": "wf-done",
-            "outputs": {"sink": 3},
+            "outputs": {"sink": packed(3)},
             "nodes_total": 2,
             "nodes_memoized": 1,
         },
@@ -585,7 +589,8 @@ class TestJournalCliWorkflows:
         assert [w["key"] for w in document["workflows"]] == ["c1/wf-live"]
         assert [n["key"] for n in document["workflow_nodes"]] == ["c1/wf-live:a"]
         outcome = document["workflow_completions"][0]["outcome"]
-        assert outcome["outputs"] == {"sink": 3}
+        assert outcome["outputs"] == {"sink": 3}  # (opened)
+        assert document["workflow_nodes"][0]["tasklet"]["args"] == []
         # Workflow node admissions never show up as plain pending work.
         assert document["pending"] == []
 

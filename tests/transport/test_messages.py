@@ -12,7 +12,7 @@ import pytest
 
 from repro.common.errors import TransportError
 from repro.common.ids import NodeId
-from repro.common.serde import loads
+from repro.common.serde import loads, packed
 from repro.transport.codec import CODEC_JSON, EnvelopeDecoder, pack_frame
 from repro.transport.message import (
     MESSAGE_TYPES,
@@ -63,7 +63,7 @@ SAMPLE_BODIES = [
         consumer_id="c1",
         program=b"\x08\x00",  # (packed; a provider would open — and refuse — it)
         entry="main",
-        args=[1, [2.5, "x"]],
+        args=packed([1, [2.5, "x"]]),
         seed=7,
         fuel=1000,
         program_fingerprint="abc123",
@@ -73,7 +73,7 @@ SAMPLE_BODIES = [
         tasklet_id="tl-1",
         provider_id="p1",
         status="success",
-        value=[1, 2],
+        value=packed([1, 2]),
         instructions=500,
         started_at=1.0,
         finished_at=2.0,
@@ -82,7 +82,7 @@ SAMPLE_BODIES = [
         execution_id="ex-1", tasklet_id="tl-1", provider_id="p1", reason="full"
     ),
     CancelExecution(execution_id="ex-1"),
-    TaskletComplete(tasklet_id="tl-1", ok=True, value=3, attempts=1),
+    TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(3), attempts=1),
     PeerHello(broker_id="broker-a", epoch="abc123", reply_expected=True),
     GossipDigest(
         broker_id="broker-a",
@@ -108,7 +108,7 @@ SAMPLE_BODIES = [
         consumer_id="c1",
         broker_id="broker-b",
         ok=True,
-        value=42,
+        value=packed(42),
         attempts=1,
         cost=0.5,
         executions=[
@@ -139,7 +139,7 @@ SAMPLE_BODIES = [
     WorkflowComplete(
         workflow_id="wf-1",
         ok=True,
-        outputs={"b": 9},
+        outputs={"b": packed(9)},
         nodes_total=2,
         nodes_memoized=1,
     ),
@@ -215,10 +215,25 @@ def test_wire_payload_is_plain_json():
 
 # -- the wire boundary: a body is read completely, or not at all ----------------
 
+_SMALL = packed([1, "a"])
+#: Bytes that are no packed Tasklet value (arguments, a result), each for
+#: another reason — what whoever uses such bytes must refuse, typed.
+HOSTILE_BLOBS = [
+    b"",
+    *(_SMALL[:cut] for cut in range(1, len(_SMALL))),  # truncated at every prefix
+    _SMALL + b"\x00",  # one trailing byte
+    packed([{"a": 1}]),  # a dict tag inside
+    packed([b"x"]),  # a bytes tag inside
+    b"\x07\x01\x09i\xff\xff\x03",  # an array count past the end of the buffer
+    b"\x07\x01\x09z\x01\x00",  # an unknown array format
+    b"\x07\x01\x05\x02\xff\xfe",  # invalid UTF-8
+    b"\x07\x01" * 100_000 + b"\x03\x00",  # 100k-deep nesting
+    packed([None]),  # None as an argument
+]
 #: What a hostile or merely different build can put where a field should
-#: be; both codecs carry every one of these.  The last is what a packed
-#: program is — bytes — and packs no program (``None``).
-HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}, b"\x00"]
+#: be; both codecs carry every one of these.  ``b"\x00"`` is what a packed
+#: program or argument list is — bytes — and packs neither (``None``).
+HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}, b"\x00", *HOSTILE_BLOBS]
 
 
 def _records_inside(payload: dict) -> list[dict]:

@@ -152,7 +152,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         program=b"",
         program_fingerprint="f",
         entry="main",
-        args=[],
+        args=b"\x07\x00",  # a packed []
         seed=0,
         fuel=1000,
     )

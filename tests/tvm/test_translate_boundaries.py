@@ -16,6 +16,8 @@ from repro.common.errors import VMError
 from repro.core import kernels
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import ProviderMetrics
+from repro.common.serde import opened
+from repro.provider import executor as executor_module
 from repro.provider.executor import TaskletExecutor, local_assignment
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import TVM
@@ -95,12 +97,11 @@ def test_restart_sees_the_arguments_the_translated_run_was_given(mutation):
     outcome = executor.execute(request)
     assert executor.restarts == 1
     assert outcome.error == "VMDivisionByZero: division by zero"
-    # What the caller's array looks like afterwards is what one
-    # interpreted run leaves behind — not two runs' worth of pushes.
-    witness = [[1, [2, 3]], 0]
+    # Both runs were given their own opening of the packed arguments: the
+    # caller's list is what it was, and so is the assignment.
+    assert args == [[1, [2, 3]], 0] and request.args == local_assignment(program, args).args
     with pytest.raises(VMError):
-        TVM(program).run("main", witness)
-    assert args == witness
+        TVM(program).run("main", [[1, [2, 3]], 0])
     # And when nothing faults, the result is what the interpreter computes
     # from the same starting array.
     succeeding = [[1, [2, 3]], 5]
@@ -112,32 +113,41 @@ def test_a_second_push_would_show_if_the_restart_reused_the_array():
     source = """
     func main(a: array) -> int {
         push(a, 7);
-        if (len(a) > 1) { return 1 / 0; }
+        if (len(a) == 2) { return 1 / 0; }
         return len(a);
     }
     """
     # Given [] the translated run pushes once and returns 1.  Given [5]
     # it pushes, faults and restarts: an interpreter handed the *written*
-    # array would see length 3, the pristine one length 2.
+    # array would see length 3 and return it, the pristine one — opened
+    # again from the assignment's bytes — length 2, and fault as it must.
     program = compile_source(source)
     assert assert_engines_agree(program, [[]])[0][:2] == ("ok", 1)
     executor = TaskletExecutor()
     array = [5]
-    assert not executor.execute(local_assignment(program, [array])).ok
-    assert executor.restarts == 1 and array == [5, 7]
+    outcome = executor.execute(local_assignment(program, [array]))
+    assert outcome.error == "VMDivisionByZero: division by zero"
+    assert executor.restarts == 1 and array == [5]
 
 
-def test_programs_that_cannot_mutate_pay_no_argument_copy():
+def test_programs_that_cannot_mutate_pay_no_argument_copy(monkeypatch):
+    """The arguments are opened once per run — and a second time only for
+    the restart of a program that could have written to them."""
+    opens = []
+    monkeypatch.setattr(executor_module, "opened", lambda blob: opens.append(1) or opened(blob))
     echo = compile_source("func main(a: array) -> array { return a; }")
     payload = list(range(1024))
     executor = TaskletExecutor()
     outcome = executor.execute(local_assignment(echo, [payload]))
-    assert outcome.value is payload and executor.translated_runs == 1
+    assert outcome.value == payload and executor.translated_runs == 1 and len(opens) == 1
     (cached,) = executor._cache.values()
     assert cached[1].mutates is False
-    writer = compile_source("func main(a: array) -> array { a[0] = 1; return a; }")
-    outcome = executor.execute(local_assignment(writer, [payload]))
-    assert outcome.value is payload and payload[0] == 1
+    reader = compile_source("func main(a: array, zero: int) -> int { return a[0] / zero; }")
+    assert not executor.execute(local_assignment(reader, [payload, 0])).ok
+    assert executor.restarts == 1 and len(opens) == 2  # restarted on what it was given
+    writer = compile_source("func main(a: array, zero: int) -> int { a[0] = 1; return 1 / zero; }")
+    assert not executor.execute(local_assignment(writer, [payload, 0])).ok
+    assert executor.restarts == 2 and len(opens) == 4 and payload[0] == 0
 
 
 def test_concurrent_runs_of_one_translation_share_no_state():

@@ -27,11 +27,18 @@ from repro.tvm.bytecode import CompiledProgram, FunctionCode, Instruction
 from repro.tvm.opcodes import Op
 from repro.tvm.translate import MAX_TRANSLATED_SIZE, translate
 
-from tests.tvm.engines import assert_engines_agree
+from tests.tvm.engines import assert_engines_agree, run_portable, run_translated
 
 
 def agree(listing, args=(), **options):
     return assert_engines_agree(assemble(listing), list(args), **options)
+
+
+def engines(listing, args):
+    """The portable and the translated outcome for arguments no wire
+    carries (``agree`` also runs an executor, which packs them)."""
+    program = assemble(listing)
+    return run_portable(program, args), run_translated(program, args)
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +337,15 @@ def test_values_of_inexact_types_stay_on_the_portable_vm():
     """
     # An int subclass is a legal Tasklet value to the interpreter, but
     # "type(x) is int" is the translation's whole notion of a number.
-    expected, direct = agree(listing, [Level.HIGH])
+    # (Engine against engine: an executor opens its arguments from packed
+    # bytes, which hold exact types only.)
+    expected, direct = engines(listing, [Level.HIGH])
     assert expected[:2] == ("ok", 12) and direct == ("restart",)
-    expected, direct = agree(listing, [{"not": "a value"}])
+    expected, direct = engines(listing, [{"not": "a value"}])
     assert expected[1] == "VMTypeError" and direct == ("restart",)
+    executor = TaskletExecutor()  # packed, it is the int 3
+    assert executor.execute(local_assignment(assemble(listing), [Level.HIGH])).value == 12
+    assert executor.translated_runs == 1
 
 
 def test_a_subclass_instance_cannot_ride_an_elided_guard():
@@ -355,7 +367,7 @@ def test_a_subclass_instance_cannot_ride_an_elided_guard():
     .end
     """
     assert agree(listing, [-3])[1][:2] == ("ok", 6)
-    expected, direct = agree(listing, [Odd(3)])
+    expected, direct = engines(listing, [Odd(3)])
     assert expected[1] == "VMTypeError" and direct == ("restart",)
 
 
