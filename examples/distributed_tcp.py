@@ -18,7 +18,8 @@ import time
 
 from repro import QoC
 from repro.core.kernels import NUMERIC_INTEGRATION, python_numeric_integration
-from repro.transport.tcp import TcpBroker, TcpConsumer, spawn_provider_processes
+from repro.provider.process import spawn_provider_processes
+from repro.transport.tcp import TcpBroker, TcpConsumer
 
 TASKS = 12
 STEPS_PER_TASK = 3000

@@ -15,7 +15,8 @@ import os
 import time
 
 from ...core.kernels import PRIME_COUNT, python_prime_count
-from ...transport.tcp import TcpBroker, TcpConsumer, spawn_provider_processes
+from ...provider.process import spawn_provider_processes
+from ...transport.tcp import TcpBroker, TcpConsumer
 from ..harness import Experiment, Table, monotone_increasing
 
 

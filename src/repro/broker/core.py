@@ -46,6 +46,7 @@ from .executions import ExecutionIndex
 from .federation import FederationConfig, FederationCore
 from .forwarding import ForwardingPlane
 from .journal import (
+    COMPLETED_RETENTION,
     CompletionRecord,
     JournalSnapshot,
     ResultCache,
@@ -106,12 +107,6 @@ class BrokerConfig:
     #: executions issued.  Safe because Tasklets are deterministic and
     #: side-effect-free; disable to force every submission to execute.
     memoize_results: bool = True
-    #: LRU capacity of the result-memoization cache (<= 0 disables it
-    #: regardless of ``memoize_results``).
-    result_cache_size: int = 4096
-    #: Completed-tasklet records retained in memory for idempotent
-    #: resubmit re-delivery (LRU by completion recency).
-    completed_retention: int = 8192
 
 
 @dataclass
@@ -253,9 +248,7 @@ class BrokerCore:
         self.journal = journal
         self._completed: "OrderedDict[str, CompletionRecord]" = OrderedDict()
         self.result_cache: ResultCache | None = (
-            ResultCache(self.config.result_cache_size)
-            if self.config.memoize_results and self.config.result_cache_size > 0
-            else None
+            ResultCache() if self.config.memoize_results else None
         )
         self.workflows = WorkflowCoordinator(self)
         #: Message dispatch: body type -> ``handler(body, envelope)``.
@@ -561,7 +554,7 @@ class BrokerCore:
         """Index (and optionally journal) one terminal outcome."""
         self._completed[completion.key] = completion
         self._completed.move_to_end(completion.key)
-        while len(self._completed) > max(1, self.config.completed_retention):
+        while len(self._completed) > COMPLETED_RETENTION:
             self._completed.popitem(last=False)
         if (
             completion.ok

@@ -69,6 +69,14 @@ def memo_key_of(
     return hashlib.sha256(head.encode("utf-8") + args).hexdigest()[:32]
 
 
+#: Terminal outcomes (tasklets and workflows each) the broker keeps in
+#: memory for idempotent resubmit re-delivery, LRU by completion recency.
+COMPLETED_RETENTION = 8192
+
+#: LRU capacity of the result-memoization cache.
+RESULT_CACHE_SIZE = 4096
+
+
 @record("complete")
 @dataclass(frozen=True)
 class CompletionRecord(Record):
@@ -557,7 +565,7 @@ class ResultCache:
     and must stay retryable.
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int = RESULT_CACHE_SIZE):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity

@@ -30,7 +30,13 @@ from ..transport.message import (
     WorkflowComplete,
     WorkflowUpdate,
 )
-from .journal import CompletionRecord, JournalSnapshot, WorkflowAdmitted, WorkflowOutcome
+from .journal import (
+    COMPLETED_RETENTION,
+    CompletionRecord,
+    JournalSnapshot,
+    WorkflowAdmitted,
+    WorkflowOutcome,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import BrokerCore
@@ -345,7 +351,7 @@ class WorkflowCoordinator:
     def _remember(self, key: str, outcome: WorkflowOutcome) -> None:
         self.completed[key] = outcome
         self.completed.move_to_end(key)
-        while len(self.completed) > max(1, self.core.config.completed_retention):
+        while len(self.completed) > COMPLETED_RETENTION:
             self.completed.popitem(last=False)
 
     # -- crash recovery ------------------------------------------------------------

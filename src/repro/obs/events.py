@@ -50,6 +50,7 @@ EXECUTION_FAULT = "execution_fault"  # terminal non-ok execution record
 RECONNECT = "reconnect"  # provider re-established its broker link
 DISCONNECT = "disconnect"  # node lost its broker link
 MESSAGE_UNREADABLE = "message_unreadable"  # inbound envelope refused at the wire boundary
+TICK_FAULT = "tick_fault"  # the broker's periodic tick raised; the next one still runs
 STRAGGLER_ALERT = "straggler_alert"  # execution exceeded expected runtime
 FLAPPING_ALERT = "flapping_alert"  # provider flapped repeatedly in a window
 SLO_BREACH = "slo_breach"  # tasklet finished past its QoC deadline

@@ -1,18 +1,17 @@
-"""Real TCP deployment of the Tasklet middleware.
+"""Real TCP deployment of the Tasklet middleware: the client side.
 
 The same sans-IO cores used by the simulator run here behind real
 sockets:
 
-* :class:`TcpBroker` — a **single-threaded asyncio event loop** (see
-  :mod:`repro.transport.aio`) serving every peer — providers, consumers,
-  and federation peer brokers — with one reader/writer pair per
-  connection instead of a thread per connection.  It has many links, so
-  its outbound envelopes are write-coalesced: everything routed while a
-  previous flush is draining goes out in one socket write.
 * :class:`TcpProvider` — runs what its :class:`~repro.provider.core.ProviderCore`
   accepts on a pool of worker threads, heartbeats periodically;
 * :class:`TcpConsumer` — a :class:`~repro.consumer.library.Session` over a
   broker connection, so ``TaskletLibrary`` works unchanged.
+
+(:class:`TcpBroker`, importable from here, is the asyncio driver of
+:mod:`repro.transport.aio`; a provider in its own OS process is
+:mod:`repro.provider.process`.  DESIGN.md, "Who runs what", says which
+thread runs which part of each node.)
 
 Provider and consumer are thin clients of the broker with one link
 each, so they share one client-side mechanism, :class:`_BrokerLink`: a
@@ -21,55 +20,28 @@ thread, the broker list, the redial backoff, the ``hello`` exchange and
 one explicit state.  What differs by role — what to say on connect;
 redial forever, up to a cap, or never — the role passes in.
 
-Framing is the dual-codec format of :mod:`repro.transport.codec`: every
-connection starts on length-prefixed JSON; a ``hello`` handshake
-negotiates the compact ``bin2`` binary codec per link (JSON remains the
-debug fallback and the interop path for peers that offer no ``bin2``).
-Receivers decode both codecs frame-by-frame, so negotiation never races
-decoding.
-
-For *parallel* scaling on one machine (experiment F8) use
-:func:`spawn_provider_processes`: each provider lives in its own OS
-process, so TVM execution escapes the GIL.
-
-Connection lifecycle (documented in detail in ``docs/PROTOCOL.md``):
-
-* A consumer that loses its broker connection fails every pending future
-  with a typed :class:`~repro.common.errors.BrokerUnreachable` error —
-  nothing hangs — and fires its ``on_disconnect`` hook.
-* A provider that loses its broker connection redials with exponential
-  backoff plus jitter, re-registering with its *cached* benchmark score;
-  the broker's flap-recovery path fails the previous incarnation's
-  executions so re-issue happens immediately.
-* ``TcpProvider.stop(drain=True)`` rejects new assignments, finishes
-  in-flight executions, writes their results, and only then unregisters;
-  a client ``send`` returns once its bytes are with the kernel, so the
-  unregister can never overtake the final result on the wire.
+Frames and codec negotiation are :mod:`repro.transport.codec`'s; what a
+lost link means for each role — a consumer's futures fail typed, a
+provider redials and re-registers, a draining stop cannot lose a result
+— is docs/PROTOCOL.md, "Connection lifecycle".
 """
 
 from __future__ import annotations
 
-import asyncio
-import multiprocessing
 import random
 import socket
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
-from ..broker.core import BrokerConfig, BrokerCore
-from ..broker.federation import FederationConfig
-from ..broker.journal import WorkJournal
-from ..broker.scheduling import make_strategy
 from ..common.clock import WallClock
 from ..common.errors import (
     ConnectionClosed,
     FederationExhausted,
     TransportError,
 )
-from ..common.ids import IdGenerator, NodeId, random_id
+from ..common.ids import NodeId, random_id
 from ..consumer.core import ConsumerCore
 from ..consumer.session import CoreSession
 from ..obs import events as ev
@@ -78,53 +50,26 @@ from ..obs.telemetry import Telemetry, TransportMetrics
 from ..provider.benchmark import run_benchmark
 from ..provider.core import ProviderConfig, ProviderCore, Work
 from ..provider.executor import PROGRAM_CACHE_SIZE
-from ..transport.aio import AioConnection, LoopThread
-from ..transport.codec import (
+from .aio import TcpBroker, _jittered, _Node, _nodelay  # noqa: F401  (TcpBroker: re-exported)
+from .codec import (
     CODEC_JSON,
     SUPPORTED_CODECS,
     EnvelopeDecoder,
     Stamp,
     accept_codec,
-    choose_codec,
     count_sent,
     decode_chunk,
     encode_batch,
 )
-from ..transport.message import (
+from .message import (
     BROKER_ADDRESS,
     Envelope,
     HeartbeatAck,
     Hello,
     HelloAck,
-    PeerHello,
-    body_of,
 )
 
 _RECV_CHUNK = 65536
-
-
-def _nodelay(sock: socket.socket | None) -> None:
-    """Frames are small and latency-bound: never wait out Nagle."""
-    if sock is not None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-
-
-def _jittered(rng: random.Random, delay: float) -> float:
-    """Stretch a backoff delay by up to 50 %: no fleet redials in lockstep."""
-    return delay * (1.0 + 0.5 * rng.random())
-
-
-class _Node:
-    """``with node:`` is ``node.start()`` … ``node.stop()``."""
-
-    def __enter__(self):
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
 
 
 class _Connection:
@@ -192,386 +137,6 @@ class _Connection:
         except OSError:
             pass
         self.sock.close()
-
-
-class TcpBroker(_Node):
-    """The broker as an asyncio TCP server (see module docstring).
-
-    One event-loop thread owns every connection: acceptance, reads,
-    coalesced writes, the periodic tick, and the federation peer dials.
-    Every peer that advertises the compact binary wire codec is spoken to
-    in it; one that offers nothing better stays on JSON.
-
-    Federation: pass ``broker_id`` plus ``peers`` (peer broker id ->
-    ``(host, port)``) to join a static peer set.  The broker dials every
-    peer (with backoff), introduces itself with a transport ``hello``
-    followed by a ``PeerHello``, and the shared reader path routes
-    gossip/forward traffic into the core like any other connection.
-    ``peer_journals`` (peer id -> journal path) additionally enables
-    journal handoff: when a peer is declared dead and this broker is its
-    successor, the peer's journal is adopted.  ``peer_obs_urls`` (peer id
-    -> ObsServer base URL) lets this broker's ``/traces?workflow_id=``
-    endpoint merge peer spans, so federated workflow traces render whole.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        strategy: str = "qoc",
-        config: BrokerConfig | None = None,
-        telemetry: Telemetry | None = None,
-        obs_port: int | None = None,
-        obs_host: str = "127.0.0.1",
-        journal_path: str | None = None,
-        journal_sync: bool = False,
-        journal_compact_records: int | None = None,
-        journal_compact_bytes: int | None = None,
-        broker_id: str | None = None,
-        peers: dict[str, tuple[str, int]] | None = None,
-        peer_journals: dict[str, str] | None = None,
-        peer_obs_urls: dict[str, str] | None = None,
-        gossip_interval: float = 1.0,
-    ):
-        self.config = config or BrokerConfig()
-        if obs_port is not None and telemetry is None:
-            # An observability endpoint is useless without telemetry;
-            # asking for one implies opting in.
-            telemetry = Telemetry()
-        self.telemetry = telemetry
-        self._transport_metrics = (
-            TransportMetrics(telemetry.registry) if telemetry else None
-        )
-        #: Durable work journal (None = volatile broker).  Constructing the
-        #: core replays it: pending tasklets are re-admitted (queued until
-        #: providers re-register) and completed outcomes become
-        #: re-deliverable to reconnecting consumers that resubmit.
-        self.journal = (
-            WorkJournal(
-                journal_path,
-                fsync=journal_sync,
-                auto_compact_records=journal_compact_records,
-                auto_compact_bytes=journal_compact_bytes,
-            )
-            if journal_path
-            else None
-        )
-        #: Federation peer addresses (empty = standalone broker).
-        self._peer_addresses = dict(peers or {})
-        federation = (
-            FederationConfig(
-                peers=list(self._peer_addresses),
-                gossip_interval=gossip_interval,
-                peer_journals=dict(peer_journals or {}),
-            )
-            if self._peer_addresses
-            else None
-        )
-        self.core = BrokerCore(
-            clock=WallClock(),
-            strategy=make_strategy(strategy),
-            config=self.config,
-            node_id=NodeId(broker_id) if broker_id else BROKER_ADDRESS,
-            # Namespaced ids: a restarted broker must never mint an
-            # execution id that a previous incarnation already used (a
-            # provider could still answer the old one).
-            id_generator=IdGenerator(namespace=uuid.uuid4().hex[:8]),
-            telemetry=telemetry,
-            journal=self.journal,
-            federation=federation,
-        )
-        self._core_lock = threading.Lock()
-        self._connections: dict[NodeId, AioConnection] = {}
-        #: Every live connection, registered or not, so ``stop`` can
-        #: close them all promptly.
-        self._accepted: set[AioConnection] = set()
-        self._connections_lock = threading.Lock()
-        # The listener is bound synchronously so ``address`` is valid
-        # immediately (and bind failures raise here, where the restart
-        # retry loops expect them); asyncio adopts the socket at start.
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self._running = threading.Event()
-        self._aio: LoopThread | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._tasks: list[asyncio.Task] = []
-        self.obs: ObsServer | None = (
-            ObsServer(
-                telemetry,
-                host=obs_host,
-                port=obs_port,
-                node=str(self.core.node_id),
-                role="broker",
-                health=self._health_document,
-                ready=self._running.is_set,
-                peer_obs_urls=list((peer_obs_urls or {}).values()),
-            )
-            if obs_port is not None and telemetry is not None
-            else None
-        )
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._listener.getsockname()
-
-    def _health_document(self) -> dict:
-        with self._core_lock:
-            document = self.core.health_snapshot()
-        with self._connections_lock:
-            connections = list(self._accepted)
-        codecs: dict[str, int] = {}
-        for connection in connections:
-            codecs[connection.send_codec] = (
-                codecs.get(connection.send_codec, 0) + 1
-            )
-        document["transport"] = {
-            "loop": "asyncio",
-            "connections": len(connections),
-            "codecs": codecs,
-        }
-        return document
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> "TcpBroker":
-        self._running.set()
-        if self.obs is not None:
-            self.obs.start()
-        self._aio = LoopThread("broker-aio").start()
-        self._aio.submit(self._start_on_loop()).result(timeout=10.0)
-        return self
-
-    def stop(self) -> None:
-        self._running.clear()
-        if self.obs is not None:
-            self.obs.stop()
-        if self._aio is not None:
-            try:
-                self._aio.submit(self._shutdown_on_loop()).result(timeout=5.0)
-            except Exception:
-                pass  # loop already dead; the thread join below cleans up
-            self._aio.stop()
-            self._aio = None
-        try:
-            # Normally the asyncio server owns (and closed) this socket;
-            # closing again is a no-op but covers the never-started case.
-            self._listener.close()
-        except OSError:
-            pass
-        if self.journal is not None:
-            self.journal.close()
-
-    # -- event-loop internals ------------------------------------------------
-
-    async def _start_on_loop(self) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_client, sock=self._listener
-        )
-        loop = asyncio.get_running_loop()
-        self._tasks = [loop.create_task(self._tick_task())]
-        for peer_id, (peer_host, peer_port) in self._peer_addresses.items():
-            self._tasks.append(
-                loop.create_task(self._peer_task(peer_id, peer_host, peer_port))
-            )
-
-    async def _shutdown_on_loop(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        self._tasks = []
-        # Yield once so handler tasks for just-accepted connections get to
-        # run their first statements and register in ``_accepted`` — an
-        # unregistered transport would otherwise never be closed and its
-        # peer never see EOF.  Stragglers after this cycle self-close on
-        # the ``_running`` guard in ``_serve_client``.
-        await asyncio.sleep(0)
-        with self._connections_lock:
-            connections = list(self._accepted)
-            self._accepted.clear()
-            self._connections.clear()
-        for connection in connections:
-            connection.close()
-        if self._transport_metrics is not None and connections:
-            # Reader tasks skip their own dec once a connection left
-            # ``_accepted``, so this is the only decrement for these.
-            self._transport_metrics.connections.dec(len(connections))
-        if self._server is not None:
-            self._server.close()
-            try:
-                # On 3.12+ this also waits for handler tasks; connections
-                # are closed above, so their readers exit promptly.
-                await asyncio.wait_for(self._server.wait_closed(), timeout=2.0)
-            except asyncio.TimeoutError:
-                pass
-            self._server = None
-
-    async def _serve_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if not self._running.is_set():
-            # Accepted during shutdown (after the close sweep snapshotted
-            # ``_accepted``): close here or the peer never sees EOF.
-            writer.close()
-            return
-        await self._adopt(reader, writer)
-
-    async def _adopt(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer_id: NodeId | None = None,
-        greeting: Sequence[Envelope] = (),
-    ) -> None:
-        """Serve one stream — accepted, or dialed to ``peer_id`` — until
-        it dies: track it, say ``greeting``, read it, forget it."""
-        _nodelay(writer.get_extra_info("socket"))
-        connection = AioConnection(
-            self._aio, reader, writer, metrics=self._transport_metrics
-        )
-        connection.peer_id = peer_id
-        with self._connections_lock:
-            self._accepted.add(connection)
-            if peer_id is not None:
-                self._connections[peer_id] = connection
-        if self._transport_metrics is not None:
-            self._transport_metrics.connections.inc()
-        try:
-            for envelope in greeting:
-                connection.send(envelope)
-        except ConnectionClosed:
-            pass  # the reader below observes the dead link and returns
-        try:
-            await connection.run_reader(self._on_envelope)
-        except Exception as exc:
-            # Nothing a peer sends raises out of ``_on_envelope`` (the core
-            # reports an unreadable envelope), so this is a defect in a
-            # handler.  The reader closed the link on its way out; say why,
-            # once, rather than leave it to "Task exception was never
-            # retrieved".
-            reason = f"handler fault: {type(exc).__name__}: {exc}"
-            asyncio.get_running_loop().call_exception_handler(
-                {"message": f"link to {connection.peer_id}: {reason}", "exception": exc}
-            )
-            if self.telemetry is not None:
-                self.telemetry.events.record(
-                    ev.DISCONNECT, node=str(connection.peer_id), reason=reason
-                )
-        self._drop_connection(connection)
-
-    async def _tick_task(self) -> None:
-        interval = self.config.heartbeat_interval / 2.0
-        while True:
-            await asyncio.sleep(interval)
-            with self._core_lock:
-                outbound = self.core.tick()
-            self._route(outbound)
-
-    async def _peer_task(self, peer_id: str, host: str, port: int) -> None:
-        """Maintain the outbound link to one federation peer.
-
-        Dial with capped exponential backoff plus jitter, introduce
-        ourselves with a transport ``hello`` (codec negotiation) and a
-        ``PeerHello`` (reply expected, so the peer's epoch lands in our
-        table immediately), then read the link like any other
-        connection.  Both sides dialing each other is fine: forwards and
-        gossip are idempotent, and ``_connections`` keeps whichever link
-        registered last.
-        """
-        backoff = 0.2
-        rng = random.Random(f"{self.core.node_id}->{peer_id}")
-        me, peer = self.core.node_id, NodeId(peer_id)
-        while self._running.is_set():
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), timeout=5.0
-                )
-            except (OSError, asyncio.TimeoutError):
-                await asyncio.sleep(_jittered(rng, backoff))
-                backoff = min(backoff * 2.0, 5.0)
-                continue
-            backoff = 0.2
-            hello = Hello(
-                node_id=str(me), codecs=list(SUPPORTED_CODECS), role="broker"
-            )
-            peer_hello = PeerHello(
-                broker_id=str(me),
-                epoch=self.core.federation.epoch,
-                reply_expected=True,
-            )
-            await self._adopt(
-                reader,
-                writer,
-                peer,
-                greeting=(hello.envelope(me, peer), peer_hello.envelope(me, peer)),
-            )
-
-    def _drop_connection(self, connection: AioConnection) -> None:
-        with self._connections_lock:
-            dropped = connection in self._accepted
-            self._accepted.discard(connection)
-            if (
-                connection.peer_id is not None
-                and self._connections.get(connection.peer_id) is connection
-            ):
-                del self._connections[connection.peer_id]
-        if dropped and self._transport_metrics is not None:
-            self._transport_metrics.connections.dec()
-        # A provider that drops TCP is handled by the heartbeat failure
-        # detector; nothing else to do here.
-
-    def _on_envelope(
-        self, connection: AioConnection, envelope: Envelope
-    ) -> None:
-        """Dispatch one inbound envelope (runs on the event loop)."""
-        if envelope.type == Hello.TYPE:
-            self._on_hello(connection, envelope)
-            return
-        if envelope.type == HelloAck.TYPE:
-            # A peer broker we dialed answered our hello.
-            accept_codec(connection, envelope, SUPPORTED_CODECS)
-            return
-        if connection.peer_id is None:
-            connection.peer_id = envelope.src
-            with self._connections_lock:
-                self._connections[envelope.src] = connection
-        with self._core_lock:
-            outbound = self.core.handle(envelope)
-        self._route(outbound)
-
-    def _on_hello(
-        self, connection: AioConnection, envelope: Envelope
-    ) -> None:
-        try:
-            hello = body_of(envelope)
-        except TransportError:
-            return
-        if connection.peer_id is None:
-            connection.peer_id = envelope.src
-            with self._connections_lock:
-                self._connections[envelope.src] = connection
-        chosen = choose_codec(hello.codecs)
-        ack = HelloAck(codec=chosen, codecs=list(SUPPORTED_CODECS))
-        try:
-            connection.send(ack.envelope(self.core.node_id, envelope.src))
-        except ConnectionClosed:
-            return
-        # The peer decodes every codec it advertised, so this side may
-        # switch immediately — even the ack itself may go out binary.
-        connection.send_codec = chosen
-
-    def _route(self, envelopes: list[Envelope]) -> None:
-        for envelope in envelopes:
-            with self._connections_lock:
-                connection = self._connections.get(envelope.dst)
-            if connection is None:
-                continue  # peer gone; failure detector will clean up
-            try:
-                connection.send(envelope)
-            except ConnectionClosed:
-                with self._connections_lock:
-                    if self._connections.get(envelope.dst) is connection:
-                        del self._connections[envelope.dst]
 
 
 class _BrokerLink:
@@ -823,13 +388,9 @@ class TcpProvider(_Node):
     also drives; this driver adds the link, the worker pool, wall-clock
     stamps, the heartbeat thread and the one wait for a drain.
 
-    The broker link is supervised (:class:`_BrokerLink`): if it drops
-    while the provider is running, the link redials with exponential
-    backoff (plus jitter, so a provider fleet does not reconnect in
-    lockstep) and re-registers using the benchmark score measured at
-    ``start`` — the self-benchmark is not repeated on reconnect.  Every
-    (re)connection opens with a transport ``hello`` so the binary codec
-    is renegotiated per link.
+    The broker link is supervised (:class:`_BrokerLink`): a dropped link
+    redials and re-registers with the benchmark score measured at
+    ``start`` (docs/PROTOCOL.md, "Provider reconnect").
     """
 
     def __init__(
@@ -1097,17 +658,14 @@ class TcpConsumer(CoreSession, _Node):
     caller is left hanging until its timeout) and the optional
     ``on_disconnect`` hook is invoked with a human-readable reason.
 
-    Every connection opens with a transport ``hello`` negotiating the
-    binary wire codec; a submission, one tasklet or a whole
-    ``library.map``, is one socket write.
+    A submission, one tasklet or a whole ``library.map``, is one socket
+    write.
 
     Federation: pass ``brokers=[(host, port), ...]`` instead of a single
-    address and the consumer fails over automatically — when the link
-    dies it cycles the list with capped exponential backoff plus jitter,
-    reconnects to the first broker that answers, and fires a
-    ``broker_failover`` event when that is a different one.  Pending
-    futures are still failed on the drop (resubmitting with the same
-    tasklet ids is idempotent); once the attempt cap is exhausted a typed
+    address and the consumer fails over automatically (the link cycles
+    the list; docs/PROTOCOL.md, "Client failover").  Pending futures
+    are still failed on the drop (resubmitting with the same tasklet ids
+    is idempotent); once the attempt cap is exhausted a typed
     :class:`~repro.common.errors.FederationExhausted` (a
     ``BrokerUnreachable`` subclass) names every broker tried.
     """
@@ -1208,82 +766,3 @@ class TcpConsumer(CoreSession, _Node):
         hook = self.on_disconnect
         if hook is not None:
             hook(reason)
-
-
-def _provider_process_main(stop_event, *args, **kwargs) -> None:
-    provider = TcpProvider(*args, **kwargs).start()
-    stop_event.wait()
-    provider.stop()
-
-
-class ProviderProcess(_Node):
-    """A provider running in its own OS process (GIL-free parallelism)."""
-
-    def __init__(
-        self,
-        broker_host: str,
-        broker_port: int,
-        capacity: int = 1,
-        device_class: str = "host",
-        node_id: str | None = None,
-        benchmark_score: float | None = None,
-    ):
-        self.node_id = node_id or random_id("prov")
-        self._stop_event = multiprocessing.Event()
-        self._process = multiprocessing.Process(
-            target=_provider_process_main,
-            args=(self._stop_event, broker_host, broker_port),
-            kwargs=dict(
-                capacity=capacity,
-                device_class=device_class,
-                node_id=self.node_id,
-                benchmark_score=benchmark_score,
-            ),
-            daemon=True,
-        )
-
-    def start(self) -> "ProviderProcess":
-        self._process.start()
-        return self
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop_event.set()
-        self._process.join(timeout)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout)
-
-    def kill(self) -> None:
-        """Crash the provider process: no unregister, no drain, no goodbye.
-
-        Fault-injection helper — from the broker's point of view this is a
-        provider dying mid-execution, recovered by the heartbeat failure
-        detector (or by flap recovery if the same node id returns).
-        """
-        if self._process.is_alive():
-            self._process.kill()
-        self._process.join(5.0)
-
-
-def spawn_provider_processes(
-    broker_host: str,
-    broker_port: int,
-    count: int,
-    capacity: int = 1,
-    benchmark_score: float | None = None,
-) -> list[ProviderProcess]:
-    """Start ``count`` single-capacity provider processes; caller stops them."""
-    processes = [
-        ProviderProcess(
-            broker_host,
-            broker_port,
-            capacity=capacity,
-            device_class="host",
-            node_id=f"prov-p{i}",
-            benchmark_score=benchmark_score,
-        )
-        for i in range(count)
-    ]
-    for process in processes:
-        process.start()
-    return processes

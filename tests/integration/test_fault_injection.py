@@ -14,8 +14,8 @@ from repro.broker.core import BrokerConfig
 from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
 from repro.core.qoc import QoC
+from repro.provider.process import ProviderProcess
 from repro.transport.tcp import (
-    ProviderProcess,
     TcpBroker,
     TcpConsumer,
     TcpProvider,

@@ -5,21 +5,27 @@ import time
 
 import pytest
 
-from repro.common.ids import NodeId
+from repro.common.ids import NodeId, TaskletId
 from repro.common.serde import packed
 from repro.core import kernels
+from repro.core.qoc import QoC
+from repro.core.tasklet import Tasklet
 from repro.obs import Telemetry
+from repro.provider.process import ProviderProcess
 from repro.transport.codec import SUPPORTED_CODECS, encode_envelope
 from repro.transport.message import (
     AssignExecution,
     CancelExecution,
     Envelope,
+    ExecutionResult,
     Heartbeat,
+    Hello,
     RegisterAck,
+    RegisterProvider,
+    SubmitTasklet,
     Unregister,
 )
 from repro.transport.tcp import (
-    ProviderProcess,
     TcpBroker,
     TcpConsumer,
     TcpProvider,
@@ -202,6 +208,66 @@ def test_unreadable_envelopes_are_counted_and_the_link_keeps_serving(broker):
             assert nack.type == "register_ack" and not nack.payload["accepted"]
     assert broker.core.stats.messages_unreadable == 4
     assert len(broker.core.registry) == 0
+
+
+def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
+    """Regression (ROADMAP 3(b)): a peer could claim any ``envelope.src``.
+    A consumer link that said hello as ``c1`` and then sends an
+    ``execution_result`` as ``prov-0`` — naming an execution that really is
+    outstanding on ``prov-0`` — decides nothing, re-points no route and is
+    counted; the link stays up and keeps being answered as ``c1``."""
+    me, c1, prov = NodeId("broker"), NodeId("c1"), NodeId("prov-0")
+    program = compile_source("func main(x: int) -> int { return x + 1; }")
+
+    def submit(name):
+        tasklet = Tasklet(
+            tasklet_id=TaskletId(name), program=program, entry="main", args=[41], qoc=QoC()
+        )
+        return encode_envelope(SubmitTasklet(tasklet=tasklet.to_dict()).envelope(c1, me))
+
+    with socket.create_connection(broker.address) as provider, socket.create_connection(
+        broker.address
+    ) as consumer:
+        provider.settimeout(5.0)
+        consumer.settimeout(5.0)
+        registration = RegisterProvider(
+            provider_id="prov-0", device_class="host", capacity=1, benchmark_score=1e7
+        )
+        provider.sendall(encode_envelope(registration.envelope(prov, me)))
+        assert read_envelopes(provider, 1)[0].type == "register_ack"
+        hello = Hello(node_id="c1", codecs=["json"], role="consumer")
+        consumer.sendall(encode_envelope(hello.envelope(c1, me)) + submit("tl-1"))
+        assert [e.type for e in read_envelopes(consumer, 2)] == ["hello_ack", "submit_ack"]
+        (assignment,) = read_envelopes(provider, 1)
+        assert assignment.type == "assign_execution"
+        forged = ExecutionResult(
+            execution_id=assignment.payload["execution_id"],
+            tasklet_id="tl-1",
+            provider_id="prov-0",
+            status="success",
+            value=packed(666),
+        ).envelope(prov, me)
+        consumer.sendall(encode_envelope(forged) + submit("tl-2"))
+        # The link is still up and still c1's: the next submit is answered
+        # on it, and no ``tasklet_complete`` for tl-1 came first.
+        (ack,) = read_envelopes(consumer, 1)
+        assert (ack.type, ack.payload["tasklet_id"]) == ("submit_ack", "tl-2")
+        assert broker.core.stats.messages_unreadable == 1
+        assert broker.core.stats.tasklets_completed == 0
+        assert broker.core.pending_tasklets == 2
+        # prov-0's route was not taken over: its real result still decides.
+        real = ExecutionResult(
+            execution_id=assignment.payload["execution_id"],
+            tasklet_id="tl-1",
+            provider_id="prov-0",
+            status="success",
+            value=packed(42),
+        ).envelope(prov, me)
+        provider.sendall(encode_envelope(real))
+        assert read_envelopes(provider, 1)[0].payload["tasklet_id"] == "tl-2"
+        (complete,) = read_envelopes(consumer, 1)
+        assert complete.type == "tasklet_complete"
+        assert (complete.payload["tasklet_id"], complete.payload["value"]) == ("tl-1", packed(42))
 
 
 def test_a_handler_fault_on_the_broker_costs_that_link_and_says_why():

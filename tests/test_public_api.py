@@ -12,8 +12,10 @@ SUBPACKAGES = [
     "repro.core",
     "repro.transport",
     "repro.transport.tcp",
+    "repro.transport.aio",
     "repro.broker",
     "repro.provider",
+    "repro.provider.process",
     "repro.consumer",
     "repro.sim",
     "repro.bench",

@@ -1,16 +1,24 @@
-"""Event-loop transport core: coalescing, negotiation, lifecycle."""
+"""The broker's connection: coalescing, negotiation, lifecycle.
+
+An :class:`AioConnection` lives on one event loop and is touched by that
+loop's thread only (DESIGN.md, "Who runs what"), so every test drives it
+from a coroutine on a loop it runs itself; the peer is a plain blocking
+socket.
+"""
 
 import asyncio
 import socket
-import threading
-import time
 
 import pytest
 
 from repro.common.errors import ConnectionClosed
 from repro.common.ids import NodeId
-from repro.transport.aio import AioConnection, LoopThread
-from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder
+from repro.transport.aio import FLUSH_MAX_ENVELOPES, AioConnection
+from repro.transport.codec import (
+    CODEC_BINARY,
+    EnvelopeDecoder,
+    encode_envelope,
+)
 from repro.transport.message import Heartbeat
 
 
@@ -20,153 +28,134 @@ def make_envelope(i=0):
     )
 
 
-@pytest.fixture
-def loop_thread():
-    lt = LoopThread("test-aio").start()
-    yield lt
-    lt.stop()
+def on_loop(scenario, timeout=10.0):
+    """Run ``scenario(connection, peer)`` on a fresh event loop:
+    ``connection`` is wired to the blocking socket ``peer``."""
+    server, peer = socket.socketpair()
 
-
-@pytest.fixture
-def pair(loop_thread):
-    """An AioConnection wired to a plain blocking socket peer."""
-    server, client = socket.socketpair()
-
-    async def build():
+    async def run():
         reader, writer = await asyncio.open_connection(sock=server)
-        return AioConnection(loop_thread, reader, writer)
+        connection = AioConnection(reader, writer)
+        try:
+            return await asyncio.wait_for(scenario(connection, peer), timeout)
+        finally:
+            connection.close()
 
-    connection = loop_thread.submit(build()).result(timeout=5.0)
-    yield connection, client
-    connection.close()
-    client.close()
-
-
-def recv_frames(sock, count, timeout=5.0):
-    """Read from a blocking socket until ``count`` envelopes arrived."""
-    sock.settimeout(timeout)
-    decoder = EnvelopeDecoder()
-    frames = []
-    while len(frames) < count:
-        chunk = sock.recv(65536)
-        assert chunk, "peer closed early"
-        frames.extend(decoder.feed(chunk))
-    return frames
+    try:
+        return asyncio.run(run())
+    finally:
+        peer.close()
 
 
-def test_send_delivers_and_respects_codec(pair):
-    connection, peer = pair
-    connection.send(make_envelope(1))
-    ((envelope, codec, _size),) = recv_frames(peer, 1)
-    assert envelope.payload["provider_id"] == "p1"
-    assert codec == "json"  # pre-negotiation default
-    connection.send_codec = CODEC_BINARY
-    connection.send(make_envelope(2))
-    ((envelope, codec, _size),) = recv_frames(peer, 1)
-    assert envelope.payload["provider_id"] == "p2"
-    assert codec == CODEC_BINARY
+async def recv_frames(sock, count):
+    """Read from the blocking peer (off the loop) until ``count`` frames
+    arrived."""
+
+    def read():
+        sock.settimeout(5.0)
+        decoder = EnvelopeDecoder()
+        frames = []
+        while len(frames) < count:
+            chunk = sock.recv(65536)
+            assert chunk, "peer closed early"
+            frames.extend(decoder.feed(chunk))
+        return frames
+
+    return await asyncio.get_running_loop().run_in_executor(None, read)
 
 
-def test_writes_coalesce_under_burst(pair):
-    connection, peer = pair
+def test_send_delivers_and_respects_codec():
+    async def scenario(connection, peer):
+        connection.send(make_envelope(1))
+        ((envelope, codec, _size),) = await recv_frames(peer, 1)
+        assert envelope.payload["provider_id"] == "p1"
+        assert codec == "json"  # pre-negotiation default
+        connection.send_codec = CODEC_BINARY
+        connection.send(make_envelope(2))
+        ((envelope, codec, _size),) = await recv_frames(peer, 1)
+        assert envelope.payload["provider_id"] == "p2"
+        assert codec == CODEC_BINARY
 
-    class Counting:
-        """Stand-in metrics: count flushes without a full registry."""
+    on_loop(scenario)
 
-        class _Inc:
-            def __init__(self):
-                self.value = 0
 
-            def labels(self, **_kw):
-                return self
+class CountingMetrics:
+    """Stand-in metrics: count flushes without a full registry."""
 
-            def inc(self, amount=1):
-                self.value += amount
-
+    class _Inc:
         def __init__(self):
-            self.bytes = self._Inc()
-            self.messages = self._Inc()
-            self.flushes = self._Inc()
+            self.value = 0
 
-    connection._metrics = metrics = Counting()
-    total = 200
-    # Enqueue from off-loop threads while the loop is busy elsewhere:
-    # everything queued before the flush task runs shares one write.
-    def burst(start):
-        for i in range(start, start + total // 2):
+        def labels(self, **_kw):
+            return self
+
+        def inc(self, amount=1):
+            self.value += amount
+
+    def __init__(self):
+        self.bytes = self._Inc()
+        self.messages = self._Inc()
+        self.flushes = self._Inc()
+
+
+def test_writes_coalesce_under_burst():
+    total = FLUSH_MAX_ENVELOPES + 88
+
+    async def scenario(connection, peer):
+        connection._metrics = metrics = CountingMetrics()
+        # One loop callback queues the lot — what routing one inbound
+        # chunk's replies looks like: it all shares the flush that runs
+        # next, split only at the per-write cap.
+        for i in range(total):
             connection.send(make_envelope(i))
+        assert metrics.flushes.value == 0, "send never writes, it queues"
+        frames = await recv_frames(peer, total)
+        assert [e.payload["provider_id"] for e, _c, _s in frames] == [
+            f"p{i}" for i in range(total)
+        ]
+        assert metrics.messages.value == total
+        assert metrics.flushes.value == 2, "≤ 512 envelopes per write, no fewer"
+        # What is queued while a flush drains rides the next one whole.
+        connection.send(make_envelope(1))
+        connection.send(make_envelope(2))
+        await recv_frames(peer, 2)
+        assert metrics.flushes.value == 3
 
-    threads = [
-        threading.Thread(target=burst, args=(0,)),
-        threading.Thread(target=burst, args=(total // 2,)),
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    frames = recv_frames(peer, total)
-    assert len(frames) == total
-    # The counter ticks after each drain(); wait out the last batch's.
-    deadline = time.perf_counter() + 5.0
-    while metrics.messages.value < total and time.perf_counter() < deadline:
-        time.sleep(0.01)
-    assert metrics.messages.value == total
-    assert metrics.flushes.value < total, "burst must coalesce, not write per-message"
+    on_loop(scenario)
 
 
-def test_send_after_close_raises_typed(pair):
-    connection, peer = pair
-    connection.close()
-    deadline = time.perf_counter() + 5.0
-    while not connection.closed and time.perf_counter() < deadline:
-        time.sleep(0.01)
-    with pytest.raises(ConnectionClosed):
-        connection.send(make_envelope())
+def test_send_after_close_raises_typed():
+    async def scenario(connection, peer):
+        connection.close()
+        assert connection.closed
+        with pytest.raises(ConnectionClosed):
+            connection.send(make_envelope())
+
+    on_loop(scenario)
 
 
-def test_reader_dispatches_and_reports_close(loop_thread):
-    server, client = socket.socketpair()
-    received = []
-    done = threading.Event()
-
-    async def serve():
-        reader, writer = await asyncio.open_connection(sock=server)
-        connection = AioConnection(loop_thread, reader, writer)
-        await connection.run_reader(
-            lambda conn, envelope: received.append(envelope)
+def test_reader_dispatches_and_reports_close():
+    async def scenario(connection, peer):
+        received = []
+        reader = asyncio.ensure_future(
+            connection.run_reader(lambda conn, envelope: received.append(envelope))
         )
-        done.set()
+        peer.sendall(encode_envelope(make_envelope(7), CODEC_BINARY))
+        while not received:
+            await asyncio.sleep(0.01)
+        assert received[0].payload["provider_id"] == "p7"
+        peer.close()
+        await reader  # returns on EOF
+        assert connection.closed
 
-    loop_thread.submit(serve())
-    from repro.transport.codec import encode_envelope
-
-    client.sendall(encode_envelope(make_envelope(7), CODEC_BINARY))
-    deadline = time.perf_counter() + 5.0
-    while not received and time.perf_counter() < deadline:
-        time.sleep(0.01)
-    assert received and received[0].payload["provider_id"] == "p7"
-    client.close()
-    assert done.wait(5.0), "reader must return on EOF"
+    on_loop(scenario)
 
 
-def test_reader_drops_link_on_garbage(loop_thread):
-    server, client = socket.socketpair()
-    done = threading.Event()
-
-    async def serve():
-        reader, writer = await asyncio.open_connection(sock=server)
-        connection = AioConnection(loop_thread, reader, writer)
+def test_reader_drops_link_on_garbage():
+    async def scenario(connection, peer):
+        peer.sendall(b"\xde\xad\xbe\xef" * 4)
+        # Garbage must end the reader, not hang it (``on_loop`` bounds it).
         await connection.run_reader(lambda conn, envelope: None)
-        done.set()
+        assert connection.closed
 
-    loop_thread.submit(serve())
-    client.sendall(b"\xde\xad\xbe\xef" * 4)
-    assert done.wait(5.0), "garbage must end the reader, not hang it"
-    client.close()
-
-
-def test_loop_thread_stop_is_idempotent():
-    lt = LoopThread("t").start()
-    assert lt.on_loop() is False
-    lt.stop()
-    lt.stop()
+    on_loop(scenario)

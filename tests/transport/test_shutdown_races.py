@@ -17,7 +17,7 @@ import pytest
 
 from repro.common.errors import CodecError
 from repro.common.ids import NodeId
-from repro.transport.aio import AioConnection, LoopThread
+from repro.transport.aio import AioConnection
 from repro.transport.codec import EnvelopeDecoder
 from repro.transport.message import (
     BROKER_ADDRESS,
@@ -123,25 +123,23 @@ def test_encode_failure_does_not_wedge_the_connection():
 
 
 def test_aio_close_flushes_sends_accepted_before_it():
-    loop_thread = LoopThread("test-aio-close").start()
     server, peer = socket.socketpair()
     try:
 
         async def send_then_close():
             reader, writer = await asyncio.open_connection(sock=server)
-            connection = AioConnection(loop_thread, reader, writer)
-            # One loop callback, no await: the close is queued on the
-            # loop ahead of the flush task the sends scheduled.
+            connection = AioConnection(reader, writer)
+            # One loop callback, no await: the close runs before the
+            # flush task the first send scheduled ever does.
             connection.send(make_envelope(1))
             connection.send(make_envelope(2))
             connection.close()
 
-        loop_thread.submit(send_then_close()).result(timeout=5.0)
+        asyncio.run(asyncio.wait_for(send_then_close(), timeout=5.0))
         received = recv_until_eof(peer)
         assert [e.payload["provider_id"] for e in received] == ["p1", "p2"]
     finally:
         peer.close()
-        loop_thread.stop()
 
 
 def test_assignment_delivered_after_stop_is_rejected_not_raised():
