@@ -21,6 +21,16 @@ summed the queue once per call: ``handle(result)`` took 3.3 ms at 256
 queued and 130 ms at 2,048 (40x) on the box that now reads ~45 us at
 every depth.
 
+The workflow row asks the same of a graph's size: the broker time
+(``handle``) per node of one ``dag.patterns`` stencil — its
+``submit_workflow`` plus the result of every node — at 64, 256 and 1,024
+nodes, each node answered with its true value by one provider with a slot
+per column.  The guard: per node, 1,024 costs at most
+``WORKFLOW_RATIO_CEILING`` times 64.  While the broker re-walked the graph
+(list-backed Kahn order, a linear ``spec.node`` per released node, a
+``finished`` test over every node per result, a JSON hash of every node
+per submit) a 1,024-node stencil cost ~1.6x a 64-node one per node.
+
 Runs standalone (``PYTHONPATH=src python benchmarks/bench_micro_backlog.py``,
 the CI ``broker-scale-perf`` job) or under pytest
 (``pytest benchmarks/bench_micro_backlog.py``).
@@ -45,11 +55,13 @@ from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
 from repro.common.serde import opened, packed
 from repro.core.tasklet import Tasklet
+from repro.dag.patterns import python_dag_kernel, stencil
 from repro.transport.message import (
     ExecutionResult,
     Heartbeat,
     RegisterProvider,
     SubmitTasklet,
+    SubmitWorkflow,
 )
 from repro.tvm.compiler import compile_source
 
@@ -63,6 +75,10 @@ RATIO_CEILING = 3.0
 #: which keeps a noisy neighbour out of a ratio of microseconds.
 BATCH = 400
 BATCHES = 5
+#: Stencil sizes (square: width = depth) of the workflow row, and the
+#: ceiling on per-node broker time at the largest over the smallest.
+WORKFLOW_NODES = (64, 256, 1_024)
+WORKFLOW_RATIO_CEILING = 1.3
 
 PROGRAM = compile_source("func main(x: int) -> int { return x + 1; }")
 
@@ -189,9 +205,95 @@ def measure_depth(depth: int) -> dict:
     }
 
 
+class _Workflows:
+    """One broker and one provider with a slot per stencil column, which
+    answers every assignment with the node's true value."""
+
+    def __init__(self, width: int):
+        self.clock = VirtualClock()
+        self.broker = BrokerCore(clock=self.clock)
+        self.width = width
+        self.runs = 0
+        self._deliver(
+            RegisterProvider(
+                provider_id="p0", device_class="bench", capacity=width,
+                benchmark_score=1e8,
+            ),
+            "p0",
+        )
+
+    def _deliver(self, body, src: str) -> tuple[list, int]:
+        """``handle`` one message: what it sent, and the ns it took."""
+        envelope = body.envelope(NodeId(src), self.broker.node_id)
+        start = time.perf_counter_ns()
+        out = self.broker.handle(envelope)
+        return out, time.perf_counter_ns() - start
+
+    def run(self) -> int:
+        """One whole stencil through the broker; the ns its ``handle`` calls
+        took.  Salts differ per run, so the result memo never answers."""
+        self.runs += 1
+        nodes = self.width * self.width
+        spec = stencil(self.width, self.width, work=1, salt=self.runs * nodes)
+        spec.workflow_id = f"wf-{self.runs}"
+        out, spent = self._deliver(SubmitWorkflow(workflow=spec.to_dict()), "c0")
+        pending, completed = deque(out), 0
+        while pending:
+            envelope = pending.popleft()
+            if envelope.type == "workflow_complete":
+                assert envelope.payload["ok"], envelope.payload
+                completed += 1
+            if envelope.type != "assign_execution":
+                continue
+            payload, now = envelope.payload, self.clock.now()
+            inputs, work, salt = opened(payload["args"])
+            value = python_dag_kernel(list(inputs), work, salt)
+            out, took = self._deliver(
+                ExecutionResult(
+                    execution_id=payload["execution_id"], tasklet_id=payload["tasklet_id"],
+                    provider_id="p0", status="success", value=packed(value, fold_nan=True),
+                    instructions=4, started_at=now, finished_at=now + 1e-4,
+                ),
+                "p0",
+            )
+            spent += took
+            pending.extend(out)
+        assert completed == 1
+        return spent
+
+
+def measure_workflows() -> dict:
+    """Best per-node time of ``BATCHES`` runs per size — the sizes taken in
+    turn, so a noisy stretch of the host slows all of them, not one."""
+    loops = {}
+    for nodes in WORKFLOW_NODES:
+        width = int(round(nodes ** 0.5))
+        assert width * width == nodes
+        loops[nodes] = _Workflows(width)
+        loops[nodes].run()  # the program is opened once per broker: not what is measured
+    best = dict.fromkeys(WORKFLOW_NODES, float("inf"))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(BATCHES):
+            for nodes, workflows in loops.items():
+                best[nodes] = min(best[nodes], workflows.run())
+    finally:
+        gc.enable()
+    for workflows in loops.values():
+        assert workflows.broker.stats.memo_hits == 0
+        assert workflows.broker.stats.workflows_completed == BATCHES + 1
+    return {
+        str(nodes): {"nodes": nodes, "handle_us_per_node": round(best[nodes] / nodes / 1e3, 2)}
+        for nodes in WORKFLOW_NODES
+    }
+
+
 def measure() -> dict:
     depths = {str(depth): measure_depth(depth) for depth in DEPTHS}
     shallow, deep = depths[str(DEPTHS[0])], depths[str(DEPTHS[-1])]
+    workflow = measure_workflows()
+    small, large = workflow[str(WORKFLOW_NODES[0])], workflow[str(WORKFLOW_NODES[-1])]
     return {
         "benchmark": "broker_backlog_scale",
         "slots": len(PROVIDERS) * SLOTS_EACH,
@@ -203,6 +305,11 @@ def measure() -> dict:
             deep["tick_nothing_overdue_us"] / shallow["tick_nothing_overdue_us"], 2
         ),
         "ratio_ceiling": RATIO_CEILING,
+        "workflow": workflow,
+        "workflow_time_ratio": round(
+            large["handle_us_per_node"] / small["handle_us_per_node"], 2
+        ),
+        "workflow_ratio_ceiling": WORKFLOW_RATIO_CEILING,
     }
 
 
@@ -229,6 +336,11 @@ def check(payload: dict) -> None:
             f"{name} {payload[name]}x between {DEPTHS[0]} and {DEPTHS[-1]} "
             f"queued exceeds the {RATIO_CEILING}x ceiling"
         )
+    assert payload["workflow_time_ratio"] <= WORKFLOW_RATIO_CEILING, (
+        f"broker time per workflow node {payload['workflow_time_ratio']}x between "
+        f"{WORKFLOW_NODES[0]} and {WORKFLOW_NODES[-1]} nodes exceeds the "
+        f"{WORKFLOW_RATIO_CEILING}x ceiling"
+    )
 
 
 def test_backlog_cost_is_independent_of_depth():
@@ -254,7 +366,14 @@ def main() -> int:
         )
     print(
         f"result {payload['result_time_ratio']}x, tick {payload['tick_time_ratio']}x "
-        f"from {DEPTHS[0]} to {DEPTHS[-1]} queued (ceiling {RATIO_CEILING}x) -> {path}"
+        f"from {DEPTHS[0]} to {DEPTHS[-1]} queued (ceiling {RATIO_CEILING}x)"
+    )
+    print(f"{'nodes':>7} {'handle/node':>12}")
+    for row in payload["workflow"].values():
+        print(f"{row['nodes']:>7} {row['handle_us_per_node']:>10.1f}us")
+    print(
+        f"workflow {payload['workflow_time_ratio']}x per node from {WORKFLOW_NODES[0]} "
+        f"to {WORKFLOW_NODES[-1]} nodes (ceiling {WORKFLOW_RATIO_CEILING}x) -> {path}"
     )
     try:
         check(payload)

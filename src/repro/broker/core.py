@@ -740,6 +740,10 @@ class BrokerCore:
         outstanding = state.outstanding.get(execution_id) if state else None
         if outstanding is None:
             return []  # late result for an already-decided tasklet
+        if envelope.src != outstanding.provider_id:  # only its assignee may end it
+            reason = f"{envelope.src} answered {execution_id}, assigned to {outstanding.provider_id}"
+            self.observer.message_unreadable(envelope, reason)
+            return []
         status, value, error = ExecutionStatus(body.status), None, body.error
         if status is ExecutionStatus.SUCCESS:  # (only a success carries a value)
             try:

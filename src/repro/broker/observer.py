@@ -709,7 +709,7 @@ class TelemetryObserver(LifecycleObserver):
             {
                 "workflow_id": wf.workflow_id,
                 "node_id": node_id,
-                "deps": list(wf.spec.node(node_id).deps()),
+                "deps": list(wf.scheduler.graph.deps[node_id]),
                 "attempts": attempts,
             },
             end=now,

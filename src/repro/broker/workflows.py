@@ -11,7 +11,7 @@ and is told about node outcomes through :meth:`node_terminal`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -20,7 +20,7 @@ from ..common.ids import NodeId, TaskletId
 from ..core.qoc import QoC
 from ..core.tasklet import Tasklet
 from ..dag.scheduler import DONE, FAILED, RUNNING, DagScheduler
-from ..dag.spec import WorkflowSpec
+from ..dag.spec import WorkflowGraph, WorkflowSpec
 from ..obs.trace import TraceContext
 from ..tvm.bytecode import CompiledProgram
 from ..transport.message import (
@@ -55,8 +55,6 @@ class _WorkflowState:
     programs: dict[str, CompiledProgram]
     scheduler: DagScheduler
     submitted_at: float
-    #: Content hash of the spec — idempotent-resubmit identity.
-    spec_fingerprint: str
     nodes_memoized: int = 0
     done: bool = False
     #: Released, not yet terminal nodes: tasklet key -> node id, in
@@ -91,11 +89,12 @@ class WorkflowCoordinator:
         core, src = self.core, envelope.src
         core.observer.workflow_submitted()
         try:
-            spec, programs = self._read(body.workflow)
+            graph, programs = self._read(body.workflow)
         except WorkflowSpecError as exc:
             # (The id is a string: the message would not have read otherwise.)
             refusal = f"invalid workflow: {exc}"
             return [self._ack(src, body.workflow["workflow_id"], refusal)]
+        spec = graph.spec
         key = f"{src}/{spec.workflow_id}"
         outcome = self.completed.get(key)
         if outcome is not None:
@@ -111,14 +110,15 @@ class WorkflowCoordinator:
         existing = self.active.get(key)
         if existing is not None:
             # Same graph resubmitted while in flight: re-ack and let the
-            # running instance complete to this consumer.
-            same = existing.spec_fingerprint == spec.fingerprint()
+            # running instance complete to this consumer.  (Content identity
+            # is hashed here, the one place that asks for it.)
+            same = existing.spec.fingerprint() == spec.fingerprint()
             return [
                 self._ack(
                     src, spec.workflow_id, "" if same else "duplicate workflow id"
                 )
             ]
-        wf = self._open(src, spec, programs, envelope.trace)
+        wf = self._open(src, graph, programs, envelope.trace)
         if core.journal is not None:
             core.journal.record_workflow_admitted(
                 key, str(src), spec.to_dict(), ts=wf.submitted_at
@@ -135,30 +135,31 @@ class WorkflowCoordinator:
         )
         return self.core._send(ack, dst)
 
-    def _read(self, workflow: dict) -> tuple[WorkflowSpec, dict[str, CompiledProgram]]:
-        """Open a ``workflow`` record — the spec once, its programs if the
-        broker has not yet — or :class:`WorkflowSpecError`: it does not
-        read, is no valid graph, or a program is not what its key says."""
+    def _read(self, workflow: dict) -> tuple[WorkflowGraph, dict[str, CompiledProgram]]:
+        """Open a ``workflow`` record — the spec once, its graph walked
+        once, its programs if the broker has not yet — or
+        :class:`WorkflowSpecError`: it does not read, is no valid graph, or
+        a program is not what its key says."""
         spec = WorkflowSpec.from_dict(workflow)
-        spec.validate()
-        return spec, spec.open_programs(self.core.programs)
+        graph = spec.validate()
+        return graph, spec.open_programs(self.core.programs)
 
     def _open(
         self,
         consumer_id: NodeId,
-        spec: WorkflowSpec,
+        graph: WorkflowGraph,
         programs: dict[str, CompiledProgram],
         trace,
     ) -> _WorkflowState:
+        spec = graph.spec
         wf = _WorkflowState(
             key=f"{consumer_id}/{spec.workflow_id}",
             workflow_id=spec.workflow_id,
             consumer_id=consumer_id,
             spec=spec,
             programs=programs,
-            scheduler=DagScheduler(spec),
+            scheduler=DagScheduler(graph),
             submitted_at=self.core.clock.now(),
-            spec_fingerprint=spec.fingerprint(),
         )
         self.core.observer.workflow_opened(wf, trace)
         self.active[wf.key] = wf
@@ -182,10 +183,10 @@ class WorkflowCoordinator:
         """
         core = self.core
         out: list[Envelope] = []
-        worklist = list(node_ids)
+        worklist = deque(node_ids)
         while worklist and not wf.done:
-            node_id = worklist.pop(0)
-            node = wf.spec.node(node_id)
+            node_id = worklist.popleft()
+            node = wf.scheduler.graph.nodes[node_id]
             wire = {
                 "tasklet_id": f"{wf.workflow_id}:{node_id}",
                 "program": wf.spec.programs[node.program_fingerprint],
@@ -372,14 +373,14 @@ class WorkflowCoordinator:
         the consumer re-learns the outcome by resubmitting.
         """
         try:
-            spec, programs = self._read(entry.workflow)
+            graph, programs = self._read(entry.workflow)
         except WorkflowSpecError:
             return False
         consumer_id = NodeId(entry.consumer_id)
-        key = f"{consumer_id}/{spec.workflow_id}"
+        key = f"{consumer_id}/{graph.spec.workflow_id}"
         if key in self.active or key in self.completed:
             return False
-        wf = self._open(consumer_id, spec, programs, None)
+        wf = self._open(consumer_id, graph, programs, None)
         self._release(wf, wf.scheduler.start(), self.core.clock.now())
         self.core.observer.workflow_recovered(wf, wf.scheduler.counts()[DONE])
         return True

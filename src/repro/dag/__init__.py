@@ -22,6 +22,7 @@ from .scheduler import (
 from .spec import (
     NodeSpec,
     WorkflowBuilder,
+    WorkflowGraph,
     WorkflowSpec,
     arg_refs,
     from_node,
@@ -39,6 +40,7 @@ __all__ = [
     "DagScheduler",
     "NodeSpec",
     "WorkflowBuilder",
+    "WorkflowGraph",
     "WorkflowSpec",
     "WorkflowHandle",
     "WorkflowError",

@@ -27,7 +27,7 @@ injection, not just completion counts.
 
 from __future__ import annotations
 
-from .spec import WorkflowBuilder, WorkflowSpec, gather, resolve_arg
+from .spec import WorkflowBuilder, WorkflowGraph, WorkflowSpec, gather, resolve_arg
 
 _MOD = 1000003
 
@@ -186,8 +186,9 @@ def reference_values(spec: WorkflowSpec) -> dict[str, int]:
     generators (args are ``[inputs, work, salt]``).
     """
     values: dict[str, int] = {}
-    for node_id in spec.topo_order():
-        node = spec.node(node_id)
+    graph = WorkflowGraph(spec)
+    for node_id in graph.topo_order():
+        node = graph.nodes[node_id]
         inputs = resolve_arg(node.args[0], values)
         values[node_id] = python_dag_kernel(
             list(inputs), int(node.args[1]), int(node.args[2])

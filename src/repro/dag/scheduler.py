@@ -17,12 +17,18 @@ splicing recorded outputs — kept as the bytes their providers packed —
 in place of its ``$from``/``$gather`` placeholders.  The same object is
 rebuilt during journal recovery by replaying completions in topological
 order.
+
+It is built on the :class:`~repro.dag.spec.WorkflowGraph` that validating
+the spec produced, and walks it no more: a transition costs the edges it
+touches, not the size of the graph.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..common.serde import pack_value, splice_list
-from .spec import FROM_KEY, GATHER_KEY, WorkflowSpec
+from .spec import FROM_KEY, GATHER_KEY, WorkflowGraph
 
 #: Node states.
 BLOCKED = "blocked"
@@ -45,19 +51,16 @@ def _templated(arg) -> bool:
 class DagScheduler:
     """Tracks node states and releases nodes as predecessors complete."""
 
-    def __init__(self, spec: WorkflowSpec):
-        self.spec = spec
+    def __init__(self, graph: WorkflowGraph):
+        self.graph = graph
+        self.spec = graph.spec
         self._deps: dict[str, set[str]] = {
-            node.node_id: set(node.deps()) for node in spec.nodes
+            node_id: set(refs) for node_id, refs in graph.deps.items()
         }
-        self._successors: dict[str, list[str]] = spec.successors()
-        self._state: dict[str, str] = {
-            node.node_id: BLOCKED for node in spec.nodes
-        }
+        self._state: dict[str, str] = dict.fromkeys(graph.deps, BLOCKED)
         #: Node outputs as they arrived: packed (``serde.packed``) bytes.
         self._values: dict[str, bytes] = {}
         self._failed_node: str | None = None
-        self._started = False
 
     # -- queries ------------------------------------------------------------
 
@@ -75,9 +78,8 @@ class DagScheduler:
     @property
     def finished(self) -> bool:
         """True once every node is done, or any node has failed."""
-        if self._failed_node is not None:
-            return True
-        return all(state == DONE for state in self._state.values())
+        # (An output is recorded exactly when its node becomes DONE.)
+        return self._failed_node is not None or len(self._values) == len(self._state)
 
     @property
     def failed(self) -> bool:
@@ -97,20 +99,21 @@ class DagScheduler:
         """Sink-node outputs (the workflow's results, packed), if computed."""
         return {
             node_id: self._values[node_id]
-            for node_id in self.spec.sinks()
+            for node_id in self.graph.sinks
             if node_id in self._values
         }
 
     def dependents_of(self, node_id: str) -> list[str]:
         """Every transitive successor of ``node_id`` (BFS order)."""
+        successors = self.graph.successors
         seen: dict[str, None] = {}
-        frontier = list(self._successors.get(node_id, []))
+        frontier = deque(successors.get(node_id, []))
         while frontier:
-            succ = frontier.pop(0)
+            succ = frontier.popleft()
             if succ in seen:
                 continue
             seen[succ] = None
-            frontier.extend(self._successors.get(succ, []))
+            frontier.extend(successors.get(succ, []))
         return list(seen)
 
     def args_of(self, node_id: str) -> bytes:
@@ -123,7 +126,7 @@ class DagScheduler:
         READY or later); raises ``KeyError`` otherwise.
         """
         out = bytearray()
-        splice_list([self._spliced(arg) for arg in self.spec.node(node_id).args], out)
+        splice_list([self._spliced(arg) for arg in self.graph.nodes[node_id].args], out)
         return bytes(out)
 
     def _spliced(self, arg) -> bytes:
@@ -144,13 +147,12 @@ class DagScheduler:
     # -- transitions --------------------------------------------------------
 
     def start(self) -> list[str]:
-        """Mark dependency-free nodes READY; returns them (topo order)."""
-        self._started = True
+        """Mark dependency-free nodes READY; returns them (declaration order)."""
         released: list[str] = []
-        for node in self.spec.nodes:
-            if self._state[node.node_id] == BLOCKED and not self._deps[node.node_id]:
-                self._state[node.node_id] = READY
-                released.append(node.node_id)
+        for node_id, deps in self._deps.items():
+            if self._state[node_id] == BLOCKED and not deps:
+                self._state[node_id] = READY
+                released.append(node_id)
         return released
 
     def mark_running(self, node_id: str) -> None:
@@ -177,7 +179,7 @@ class DagScheduler:
         self._state[node_id] = DONE
         self._values[node_id] = value
         released: list[str] = []
-        for succ in self._successors.get(node_id, []):
+        for succ in self.graph.successors[node_id]:
             deps = self._deps[succ]
             deps.discard(node_id)
             if not deps and self._state[succ] == BLOCKED:

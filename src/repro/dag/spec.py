@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -89,12 +90,14 @@ def resolve_arg(value: Any, values: dict[str, Any]) -> Any:
 
 def _arg_is_wireable(value: Any) -> bool:
     """Literal parts must be Tasklet values; placeholders are checked later."""
+    if is_tasklet_value(value):  # a literal, scalar or list: one pass
+        return True
+    if isinstance(value, list):
+        return all(map(_arg_is_wireable, value))
     if _is_placeholder(value):
         refs = [value[FROM_KEY]] if FROM_KEY in value else value[GATHER_KEY]
         return type(refs) is list and all(type(ref) is str and ref for ref in refs)
-    if isinstance(value, list):
-        return all(_arg_is_wireable(item) for item in value)
-    return is_tasklet_value(value)
+    return False
 
 
 @record("node", error=WorkflowSpecError)
@@ -117,10 +120,11 @@ class NodeSpec(Record):
         """Predecessors, in placeholder order then ``after`` order, unique."""
         seen: dict[str, None] = {}
         for arg in self.args:
-            for ref in arg_refs(arg):
-                seen.setdefault(ref, None)
+            if isinstance(arg, (dict, list)):  # (a literal names no node)
+                for ref in arg_refs(arg):
+                    seen[ref] = None
         for ref in self.after:
-            seen.setdefault(str(ref), None)
+            seen[str(ref)] = None
         return list(seen)
 
 
@@ -135,6 +139,11 @@ class WorkflowSpec(Record):
     programs: dict[str, bytes] = field(default_factory=dict)
 
     # -- structure ----------------------------------------------------------
+    #
+    # Each query walks the spec as it is now: a spec is a mutable record,
+    # so nothing about its graph is cached on it.  A caller that asks more
+    # than once keeps a WorkflowGraph (``validate()`` returns the one it
+    # built).
 
     def node(self, node_id: str) -> NodeSpec:
         for node in self.nodes:
@@ -142,44 +151,17 @@ class WorkflowSpec(Record):
                 return node
         raise KeyError(node_id)
 
-    def successors(self) -> dict[str, list[str]]:
-        """node id -> direct successors (declaration order)."""
-        out: dict[str, list[str]] = {node.node_id: [] for node in self.nodes}
-        for node in self.nodes:
-            for dep in node.deps():
-                if dep in out:
-                    out[dep].append(node.node_id)
-        return out
-
     def sinks(self) -> list[str]:
         """Nodes with no successors: the workflow's output nodes."""
-        successors = self.successors()
-        return [node.node_id for node in self.nodes if not successors[node.node_id]]
+        return WorkflowGraph(self).sinks
 
     def topo_order(self) -> list[str]:
         """Kahn topological order; raises on cycles (used by validate)."""
-        remaining = {node.node_id: set(node.deps()) for node in self.nodes}
-        successors = self.successors()
-        ready = [node_id for node_id, deps in remaining.items() if not deps]
-        order: list[str] = []
-        while ready:
-            node_id = ready.pop(0)
-            order.append(node_id)
-            for succ in successors.get(node_id, []):
-                deps = remaining[succ]
-                deps.discard(node_id)
-                if not deps and succ not in order and succ not in ready:
-                    ready.append(succ)
-        if len(order) != len(self.nodes):
-            cyclic = sorted(set(remaining) - set(order))
-            raise WorkflowSpecError(
-                f"workflow {self.workflow_id!r} has a dependency cycle "
-                f"involving: {', '.join(cyclic)}"
-            )
-        return order
+        return WorkflowGraph(self).topo_order()
 
-    def validate(self) -> None:
-        """Raise :class:`WorkflowSpecError` unless the spec is well-formed."""
+    def validate(self) -> "WorkflowGraph":
+        """Raise :class:`WorkflowSpecError` unless the spec is well-formed;
+        returns the graph index the check built, for the caller to keep."""
         if not self.workflow_id:
             raise WorkflowSpecError("workflow_id must be non-empty")
         if not self.nodes:
@@ -187,12 +169,13 @@ class WorkflowSpec(Record):
                 f"workflow {self.workflow_id!r} has no nodes"
             )
         ids = [node.node_id for node in self.nodes]
-        if len(set(ids)) != len(ids):
+        known = set(ids)
+        if len(known) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise WorkflowSpecError(
                 f"duplicate node id(s): {', '.join(dupes)}"
             )
-        known = set(ids)
+        deps: list[list[str]] = []
         for node in self.nodes:
             if not node.node_id:
                 raise WorkflowSpecError("node_id must be non-empty")
@@ -215,7 +198,8 @@ class WorkflowSpec(Record):
                         f"node {node.node_id!r}: argument {arg!r} is neither "
                         "a Tasklet value nor a valid placeholder"
                     )
-            for dep in node.deps():
+            refs = node.deps()
+            for dep in refs:
                 if dep == node.node_id:
                     raise WorkflowSpecError(
                         f"node {node.node_id!r} depends on itself"
@@ -225,7 +209,10 @@ class WorkflowSpec(Record):
                         f"node {node.node_id!r} references unknown "
                         f"predecessor {dep!r}"
                     )
-        self.topo_order()  # raises on cycles
+            deps.append(refs)
+        graph = WorkflowGraph(self, deps)
+        graph.topo_order()  # raises on cycles
+        return graph
 
     def open_programs(self, table: ProgramTable) -> dict[str, CompiledProgram]:
         """The program table, each program opened by ``table`` (a broker's:
@@ -270,6 +257,66 @@ class WorkflowSpec(Record):
             separators=(",", ":"),
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:32]
+
+
+class WorkflowGraph:
+    """One walk of a :class:`WorkflowSpec`'s nodes: everything the
+    validator, the scheduler and the broker ask of its structure, answered
+    in O(nodes + edges).  It describes the spec as it was when built.
+
+    ``nodes``: id -> node (the first, were an id duplicated); ``deps``: id
+    -> predecessors (:meth:`NodeSpec.deps` order); ``successors``: id ->
+    direct successors (declaration order); ``order``: Kahn order, FIFO with
+    ties in declaration order, of every node the walk reaches; ``cyclic``:
+    the sorted ids it never reaches (a cycle, a self-dependency, an unknown
+    predecessor), ``None`` when it reaches every node; ``sinks``: the nodes
+    without successors, in declaration order.
+    """
+
+    __slots__ = ("spec", "nodes", "deps", "successors", "order", "cyclic", "sinks")
+
+    def __init__(self, spec: WorkflowSpec, deps: list[list[str]] | None = None):
+        if deps is None:
+            deps = [node.deps() for node in spec.nodes]
+        ids = [node.node_id for node in spec.nodes]
+        self.spec = spec
+        self.nodes: dict[str, NodeSpec] = {}
+        for node_id, node in zip(ids, spec.nodes):
+            self.nodes.setdefault(node_id, node)
+        self.deps: dict[str, list[str]] = dict(zip(ids, deps))
+        self.successors: dict[str, list[str]] = {node_id: [] for node_id in ids}
+        successors = self.successors
+        for node_id, refs in zip(ids, deps):
+            for ref in refs:
+                if ref in successors:
+                    successors[ref].append(node_id)
+        self.sinks = [node_id for node_id in ids if not successors[node_id]]
+        waiting = {node_id: set(refs) for node_id, refs in self.deps.items()}
+        ready = deque(node_id for node_id, refs in waiting.items() if not refs)
+        queued = set(ready)
+        order: list[str] = []
+        while ready:
+            node_id = ready.popleft()
+            order.append(node_id)
+            for succ in successors[node_id]:
+                refs = waiting[succ]
+                refs.discard(node_id)
+                if not refs and succ not in queued:
+                    queued.add(succ)
+                    ready.append(succ)
+        self.order = order
+        self.cyclic = (
+            None if len(order) == len(ids) else sorted(set(waiting) - set(order))
+        )
+
+    def topo_order(self) -> list[str]:
+        """``order``, or :class:`WorkflowSpecError` unless it is complete."""
+        if self.cyclic is not None:
+            raise WorkflowSpecError(
+                f"workflow {self.spec.workflow_id!r} has a dependency cycle "
+                f"involving: {', '.join(self.cyclic)}"
+            )
+        return self.order
 
 
 _builder_counter = itertools.count(1)

@@ -3,7 +3,8 @@
 :class:`TaskletExecutor` turns an :class:`AssignExecution` request into an
 :class:`ExecutionOutcome`.  It is deliberately synchronous — concurrency
 is the responsibility of the caller (slot scheduling in the simulated
-provider, worker threads in the TCP provider).
+provider; the link thread and the pool threads in the TCP provider, which
+share one executor).
 
 A small LRU of verified programs avoids re-deserialising and re-verifying
 bytecode for bag-of-tasks workloads, where thousands of Tasklets share one
@@ -12,10 +13,17 @@ carries its translation (:mod:`repro.tvm.translate`), built once at
 insertion: assignments run as translated Python functions, and restart on
 the portable :class:`~repro.tvm.vm.TVM` whenever the translated run gives
 up — so results, errors and instruction counts are the interpreter's own.
+Each entry also keeps the wall time of the program's latest run here,
+which is how a driver knows a run is cheap before it starts one
+(:meth:`TaskletExecutor.known_cheap`).
 """
 
 from __future__ import annotations
 
+import math
+import sys
+import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -90,6 +98,18 @@ def _opened_args(blob: bytes) -> list:
     return args
 
 
+class _Cached:
+    """One LRU entry: a verified program, its translation (``None``: the
+    portable VM runs it) and the wall time of its latest run here."""
+
+    __slots__ = ("program", "translation", "last_run_s")
+
+    def __init__(self, program: CompiledProgram, translation: Translation | None):
+        self.program = program
+        self.translation = translation
+        self.last_run_s = math.inf  # never run here
+
+
 class TaskletExecutor:
     """Executes assignments on this host's TVM.
 
@@ -104,6 +124,10 @@ class TaskletExecutor:
     declines.  ``translated_runs`` / ``restarts`` / ``declined_programs``
     (and ``repro_provider_vm_runs_total{engine=...}``) say which engine
     ran: a program that restarts on every run is paying for both.
+
+    Several threads may share one executor: the LRU and its hit / miss /
+    declined counts are kept under one lock, which is never held across a
+    run.
     """
 
     def __init__(
@@ -114,9 +138,8 @@ class TaskletExecutor:
     ):
         if cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {cache_size}")
-        self._cache: OrderedDict[
-            str, tuple[CompiledProgram, Translation | None]
-        ] = OrderedDict()
+        self._cache: OrderedDict[str, _Cached] = OrderedDict()
+        self._lock = threading.Lock()
         self._cache_size = cache_size
         self._profile = profile
         self._metrics = metrics
@@ -130,40 +153,49 @@ class TaskletExecutor:
     def cache_size(self) -> int:
         return self._cache_size
 
-    def _load_program(
-        self, blob: bytes, claimed_fingerprint: str
-    ) -> tuple[CompiledProgram, Translation | None]:
+    def known_cheap(self, claimed_fingerprint: str) -> bool:
+        """Whether the program stamped ``claimed_fingerprint`` last ran here
+        in less than the interpreter's thread switch interval.  The claim
+        only picks the thread the next run takes: :meth:`execute` checks it
+        against the bytes, as it does for every run."""
+        with self._lock:
+            cached = self._cache.get(claimed_fingerprint)
+        return cached is not None and cached.last_run_s < sys.getswitchinterval()
+
+    def _load_program(self, blob: bytes, claimed_fingerprint: str) -> _Cached:
         """Return a verified program and its translation, cached when possible.
 
         The cache is keyed on the hash of the bytes the assignment
         carries, which the fingerprint its consumer stamped on it must
         equal — checked hit or miss, so nobody can have another program's
         cached code run in place of the one they sent.  A hit opens
-        nothing; a miss opens, verifies and translates.
+        nothing; a miss opens, verifies and translates (outside the lock).
         """
         key = checked_stamp(blob, claimed_fingerprint)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            if self._metrics is not None:
-                self._metrics.program_cache.labels(result="hit").inc()
-            self._cache.move_to_end(key)
-            return cached
-        self.cache_misses += 1
+        with self._lock:
+            cached = self._cache.get(key)
+            if cached is not None:
+                self._cache.move_to_end(key)
+                self.cache_hits += 1
+            else:
+                self.cache_misses += 1
         if self._metrics is not None:
-            self._metrics.program_cache.labels(result="miss").inc()
+            result = "miss" if cached is None else "hit"
+            self._metrics.program_cache.labels(result=result).inc()
+        if cached is not None:
+            return cached
         program = CompiledProgram.from_packed(blob)
         program.verify()
-        translation = None
-        if self._cache_size > 0:
-            if not self._profile:
-                translation = translate(program)
-                if translation is None:
-                    self.declined_programs += 1
-            self._cache[key] = program, translation
+        if self._cache_size == 0:
+            return _Cached(program, None)
+        cached = _Cached(program, None if self._profile else translate(program))
+        with self._lock:
+            if cached.translation is None and not self._profile:
+                self.declined_programs += 1
+            self._cache[key] = cached
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
-        return program, translation
+        return cached
 
     def execute(self, request: AssignExecution) -> ExecutionOutcome:
         """Run one assignment to completion (success or VM failure).
@@ -172,12 +204,14 @@ class TaskletExecutor:
         entry that only its next step releases, so whatever an engine
         throws — a :class:`VMError` the program earned, or anything else,
         which is an engine defect — comes back as a ``VM_ERROR`` outcome.
+        The run's wall time — from the program in hand, so a miss's
+        opening and translating is not counted — is kept on its cache entry.
         """
-        machine = engine = None
+        machine = engine = cached = None
         try:
-            program, translation = self._load_program(
-                request.program, request.program_fingerprint
-            )
+            cached = self._load_program(request.program, request.program_fingerprint)
+            began = time.perf_counter()
+            program, translation = cached.program, cached.translation
             args, ran = _opened_args(request.args), None
             if translation is not None:
                 try:
@@ -224,6 +258,8 @@ class TaskletExecutor:
                 error=error,
                 profile=machine.profile if machine else None,
             )
+        if cached is not None:  # None: the program never loaded
+            cached.last_run_s = time.perf_counter() - began
         if self._metrics is not None:
             if engine is not None:  # None: the program never loaded
                 self._metrics.vm_runs.labels(engine=engine).inc()

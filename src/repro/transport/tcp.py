@@ -4,7 +4,7 @@ The same sans-IO cores used by the simulator run here behind real
 sockets:
 
 * :class:`TcpProvider` — runs what its :class:`~repro.provider.core.ProviderCore`
-  accepts on a pool of worker threads, heartbeats periodically;
+  accepts (known-cheap work on its link thread, the rest on a pool), heartbeats;
 * :class:`TcpConsumer` — a :class:`~repro.consumer.library.Session` over a
   broker connection, so ``TaskletLibrary`` works unchanged.
 
@@ -385,7 +385,7 @@ class TcpProvider(_Node):
     """A provider process/thread executing Tasklets over TCP.
 
     The protocol is ``core``, the :class:`ProviderCore` the simulator
-    also drives; this driver adds the link, the worker pool, wall-clock
+    also drives; this driver adds the link, the thread pool, wall-clock
     stamps, the heartbeat thread and the one wait for a drain.
 
     The broker link is supervised (:class:`_BrokerLink`): a dropped link
@@ -584,7 +584,9 @@ class TcpProvider(_Node):
                 self._on_heartbeat_ack(ack)
             return
         replies, work = self.core.handle(envelope)
-        if work is not None:
+        if work is not None and self.core.executor.known_cheap(work.request.program_fingerprint):
+            self._execute(work)  # cheaper here than handed off (DESIGN.md, "Provider internals")
+        elif work is not None:
             try:
                 self._pool.submit(self._execute, work)
             except RuntimeError:
@@ -616,20 +618,16 @@ class TcpProvider(_Node):
                 ):
                     return
                 free_slots = core.config.capacity - core.active
-            # With telemetry on, the send-time hook stamps ``sent_at``
-            # immediately before the bytes leave, and a stamped heartbeat
-            # asks the broker for an ack (RTT telemetry); without it the
-            # flows stay ack-free.  A heartbeat can wait for the send lock
-            # behind a large result, and a stamp taken here would bill
-            # that wait as network RTT, poisoning the EWMA straggler
-            # watchdog.
+            # With telemetry on, ``sent_at`` is stamped just before the bytes
+            # leave and asks the broker for an RTT ack; a stamp taken here
+            # would bill a wait for the send lock as network RTT.
             want_rtt = self._transport_metrics is not None
             self._send(
                 core.heartbeat(free_slots), _stamp_heartbeat if want_rtt else None
             )
 
     def _execute(self, work: Work) -> None:
-        """Run one accepted execution on a pool thread, wall-clock stamped."""
+        """Run one accepted execution, wall-clock stamped (link or pool thread)."""
         core = self.core
         started = core.clock.now()
         outcome = core.run(work)

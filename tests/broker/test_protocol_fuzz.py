@@ -26,6 +26,9 @@ the broker's lifecycle invariants must hold; it must never raise:
   of a Tasklet value fails that execution and is graded against its
   provider: no success is counted, and what follows is what follows any
   failed execution;
+* a result or rejection for a live execution from a provider it is not
+  assigned to — whichever ``provider_id`` it claims — sends nothing and
+  changes nothing but ``messages_unreadable``;
 
 * at most one terminal ``TaskletComplete`` / ``WorkflowComplete`` per
   admitted id (answers to a resubmit repeat the first outcome), and after
@@ -154,11 +157,20 @@ def _actions():
         st.sampled_from(PROVIDERS),
         st.integers(min_value=0, max_value=8),
     )
+    imposter = st.builds(
+        lambda p, ex, rejection, claims_assignee: (
+            "imposter", (p, ex, rejection, claims_assignee), p
+        ),
+        st.sampled_from(PROVIDERS),
+        st.integers(min_value=0, max_value=8),
+        st.booleans(),
+        st.booleans(),
+    )
     tick = st.builds(lambda dt: ("tick", dt, ""), st.floats(min_value=0, max_value=5))
     crash = st.just(("crash", None, ""))
     action = st.one_of(
         register, unregister, heartbeat, submit, bad_submit, resubmit,
-        workflow, result, reject, tick, crash,
+        workflow, result, reject, imposter, tick, crash,
     )
     # One action in four is hostile: the message it delivers first has its
     # ``pick``-th field — or the ``pick``-th field inside the records it
@@ -400,6 +412,28 @@ class _Driver:
             return
         self.deliver(body, provider)
 
+    def imposter(self, execution_id, assignee, sender, rejection, claims_assignee) -> None:
+        """``sender`` answers an execution placed on ``assignee``: unless it
+        is the assignee, or the execution is no longer live, that changes
+        nothing but the count."""
+        self.armed = None
+        if sender == assignee or not self.broker.executions.tasklet_of(execution_id):
+            return
+        claimed = assignee if claims_assignee else sender
+        body = (
+            ExecutionRejected(execution_id=execution_id, tasklet_id="tl-any", provider_id=claimed)
+            if rejection
+            else ExecutionResult(
+                execution_id=execution_id, tasklet_id="tl-any", provider_id=claimed,
+                status="success", value=packed(666), instructions=10,
+                started_at=self.clock.now(), finished_at=self.clock.now(),
+            )
+        )
+        before, unreadable = _snapshot(self.broker), self.broker.stats.messages_unreadable
+        assert self.broker.handle(body.envelope(NodeId(sender), self.broker.node_id)) == []
+        assert _snapshot(self.broker) == before
+        assert self.broker.stats.messages_unreadable == unreadable + 1
+
     def settle(self) -> None:
         """Make the pool healthy, answer everything, check exactly-once."""
         self.armed = None
@@ -514,6 +548,10 @@ def _run(actions, journal, telemetry) -> None:
                 ),
                 assigned,
             )
+        elif kind == "imposter":
+            sender, index, rejection, claims_assignee = payload
+            execution_id, assigned = driver.execution_for(index, sender)
+            driver.imposter(execution_id, assigned, sender, rejection, claims_assignee)
         else:  # register / msg
             driver.deliver(payload, src)
     driver.settle()

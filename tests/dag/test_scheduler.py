@@ -20,7 +20,15 @@ from repro.dag.scheduler import (
     RUNNING,
     DagScheduler,
 )
-from repro.dag.spec import NodeSpec, WorkflowBuilder, WorkflowSpec, from_node, gather, resolve_arg
+from repro.dag.spec import (
+    NodeSpec,
+    WorkflowBuilder,
+    WorkflowGraph,
+    WorkflowSpec,
+    from_node,
+    gather,
+    resolve_arg,
+)
 
 SQUARE = "func main(n: int) -> int { return n * n; }"
 
@@ -31,7 +39,7 @@ def diamond_scheduler() -> DagScheduler:
     build.node(SQUARE, args=[from_node("src")], node_id="left")
     build.node(SQUARE, args=[from_node("src")], node_id="right")
     build.node(SQUARE, args=[gather(["left", "right"])], node_id="sink")
-    return DagScheduler(build.build())
+    return DagScheduler(WorkflowGraph(build.build()))
 
 
 def test_start_releases_only_sources():
@@ -144,7 +152,7 @@ def test_scheduler_drives_pattern_to_oracle_values():
     """Run a whole stencil through the scheduler, no middleware."""
     spec = stencil(3, 3, work=5)
     oracle = reference_values(spec)
-    scheduler = DagScheduler(spec)
+    scheduler = DagScheduler(WorkflowGraph(spec))
     frontier = scheduler.start()
     while frontier:
         node_id = frontier.pop()
@@ -200,7 +208,7 @@ def test_args_of_splices_exactly_the_packed_resolved_arguments(graph):
     spec = WorkflowSpec(
         "wf", [NodeSpec(node_id, "fp", args=args) for node_id, args, _ in graph], {}
     )
-    scheduler = DagScheduler(spec)
+    scheduler = DagScheduler(WorkflowGraph(spec))
     scheduler.start()
     values = {}
     for node_id, args, output in graph:

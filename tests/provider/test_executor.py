@@ -1,5 +1,9 @@
 """Tasklet executor: outcomes, caching, fingerprint integrity."""
 
+import sys
+import threading
+from collections import OrderedDict
+
 import pytest
 
 from repro.common.serde import packed
@@ -292,3 +296,95 @@ def test_seed_reaches_the_vm():
     request_c.args = packed([])
     assert executor.execute(request_a).value == executor.execute(request_b).value
     assert executor.execute(request_a).value != executor.execute(request_c).value
+
+
+def test_a_concurrent_miss_cannot_evict_a_hit_between_lookup_and_refresh():
+    """Fails on the parent: the LRU was read and then refreshed with no
+    lock, so another thread's miss could evict the entry in between — and
+    the ``KeyError`` came back as a ``VM_ERROR`` "engine fault" for a
+    correct program.  The other thread's load is injected right after the
+    lookup: it must wait for the bookkeeping, not run inside it."""
+    a = compile_source("func main(n: int) -> int { return n + 1; }")
+    b = compile_source("func main(n: int) -> int { return n + 2; }")
+    executor = TaskletExecutor(cache_size=1)
+    assert executor.execute(assignment(1, program=a)).value == 2  # A is warm
+    other = {}
+
+    def load_b():
+        other["outcome"] = executor.execute(assignment(1, program=b))
+
+    class Interleaved(OrderedDict):
+        def get(self, key, default=None):
+            found = super().get(key, default)
+            if "thread" not in other:  # once: B's miss lands between get and refresh
+                other["thread"] = threading.Thread(target=load_b)
+                other["thread"].start()
+                other["thread"].join(0.5)  # (it cannot finish while the lookup holds the lock)
+            return found
+
+    executor._cache = Interleaved(executor._cache)
+    outcome = executor.execute(assignment(5, program=a))
+    other["thread"].join(5.0)
+    assert not other["thread"].is_alive()
+    assert outcome.status is ExecutionStatus.SUCCESS, outcome.error
+    assert outcome.value == 6
+    assert other["outcome"].value == 3
+    assert (executor.cache_hits, executor.cache_misses) == (1, 2)
+    assert list(executor._cache) == [b.fingerprint()]  # B's insert evicted A afterwards
+
+
+def test_threads_sharing_one_executor_lose_no_update_and_no_run():
+    """More threads than cores over a two-entry LRU and four programs, with
+    the interpreter switching threads every microsecond: every run answers
+    its own program, and hits + misses count every load."""
+    programs = [compile_source(f"func main(n: int) -> int {{ return n + {i}; }}") for i in range(4)]
+    executor = TaskletExecutor(cache_size=2)
+    runs, workers, wrong = 150, 6, []
+
+    def work(worker):
+        for n in range(runs):
+            i = (worker + n) % len(programs)
+            outcome = executor.execute(assignment(n, program=programs[i]))
+            if outcome.value != n + i:
+                wrong.append(outcome.error or outcome.value)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert executor.cache_hits + executor.cache_misses == runs * workers
+    assert len(executor._cache) <= 2
+
+
+def test_known_cheap_is_the_latest_run_of_a_cached_program_against_the_switch_interval():
+    loop = compile_source(
+        "func main(n: int) -> int { var t: int = 0;"
+        " for (var i: int = 0; i < n; i = i + 1) { t = t + i; } return t; }"
+    )
+    stamp = loop.fingerprint()
+    executor = TaskletExecutor()
+    assert not executor.known_cheap(stamp)  # never run here
+    assert executor.execute(assignment(3, program=loop)).ok
+    assert executor.known_cheap(stamp)
+    assert not executor.known_cheap("")  # an unstamped claim picks nothing
+    # A run over the interval demotes the program at once, and a cheap run
+    # promotes it again: the latest run is all that is kept.
+    assert executor.execute(assignment(3_000_000, program=loop, fuel=10**9)).ok
+    assert not executor.known_cheap(stamp)
+    assert executor.execute(assignment(3, program=loop)).ok
+    assert executor.known_cheap(stamp)
+    # Evicted with its program; and an executor that caches nothing knows nothing.
+    for i in range(executor.cache_size):
+        executor.execute(assignment(1, program=compile_source(f"func main(n: int) -> int {{ return {i}; }}")))
+    assert not executor.known_cheap(stamp)
+    uncached = TaskletExecutor(cache_size=0)
+    uncached.execute(assignment(3, program=loop))
+    assert not uncached.known_cheap(stamp)

@@ -4,8 +4,8 @@
   close cannot lose it, and a send that fails to encode wedges nobody;
 * what the broker-side connection accepted before a graceful close still
   reaches the wire;
-* an assignment the provider's reader thread delivers after ``stop()``
-  shut the executor pool is rejected, not an unhandled thread exception.
+* an assignment the provider's link thread hands to the pool after
+  ``stop()`` shut it is rejected, not an unhandled thread exception.
 """
 
 import asyncio
@@ -143,6 +143,8 @@ def test_aio_close_flushes_sends_accepted_before_it():
 
 
 def test_assignment_delivered_after_stop_is_rejected_not_raised():
+    # A program this provider never ran: not known cheap, so the link thread
+    # hands it to the pool (the path a shut pool refuses), not to itself.
     assign = AssignExecution(
         execution_id="ex-1",
         tasklet_id="tl-1",
@@ -162,6 +164,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         provider._send = lambda envelope, stamp=None: sent.append(envelope)
         provider._pool = ThreadPoolExecutor(max_workers=1)
         provider._pool.shutdown(wait=False, cancel_futures=True)  # as stop() does
+        assert not provider.core.executor.known_cheap(assign.program_fingerprint)
         if still_running:
             provider.core.start()
         thread_errors = []

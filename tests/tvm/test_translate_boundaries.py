@@ -141,7 +141,7 @@ def test_programs_that_cannot_mutate_pay_no_argument_copy(monkeypatch):
     outcome = executor.execute(local_assignment(echo, [payload]))
     assert outcome.value == payload and executor.translated_runs == 1 and len(opens) == 1
     (cached,) = executor._cache.values()
-    assert cached[1].mutates is False
+    assert cached.translation.mutates is False
     reader = compile_source("func main(a: array, zero: int) -> int { return a[0] / zero; }")
     assert not executor.execute(local_assignment(reader, [payload, 0])).ok
     assert executor.restarts == 1 and len(opens) == 2  # restarted on what it was given
