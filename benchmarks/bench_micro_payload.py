@@ -52,7 +52,7 @@ from repro.broker.core import BrokerConfig, BrokerCore
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
 from repro.core.tasklet import Tasklet
-from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
+from repro.transport.codec import EnvelopeDecoder, encode_envelope
 from repro.transport.message import ExecutionResult, RegisterProvider, SubmitTasklet
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import is_tasklet_value
@@ -100,8 +100,7 @@ def broker_hop_us(array: list, rounds: int, batches: int = BATCHES) -> tuple[flo
             encode_envelope(
                 SubmitTasklet(
                     tasklet=Tasklet(TaskletId(f"tl-{index}"), _ECHO, "main", [array]).to_dict()
-                ).envelope(consumer, broker.node_id),
-                CODEC_BINARY,
+                ).envelope(consumer, broker.node_id)
             )
             for index, array in enumerate(arrays)
         ]
@@ -109,19 +108,18 @@ def broker_hop_us(array: list, rounds: int, batches: int = BATCHES) -> tuple[flo
         for frame, array in zip(submits, arrays):
             start = time.perf_counter_ns()
             out = broker.handle(EnvelopeDecoder().feed(frame)[0][0])
-            sent = [encode_envelope(envelope, CODEC_BINARY) for envelope in out]
+            sent = [encode_envelope(envelope) for envelope in out]
             spent[0] += time.perf_counter_ns() - start
             assign = EnvelopeDecoder().feed(sent[1])[0][0].payload  # (the provider's share)
             frame = encode_envelope(
                 ExecutionResult(
                     assign["execution_id"], assign["tasklet_id"], "p1", "success",
                     packed(array, fold_nan=True), instructions=2,
-                ).envelope(provider, broker.node_id),
-                CODEC_BINARY,
+                ).envelope(provider, broker.node_id)
             )
             start = time.perf_counter_ns()
             out = broker.handle(EnvelopeDecoder().feed(frame)[0][0])
-            sent = [encode_envelope(envelope, CODEC_BINARY) for envelope in out]
+            sent = [encode_envelope(envelope) for envelope in out]
             spent[1] += time.perf_counter_ns() - start
             assert out[-1].type == "tasklet_complete" and out[-1].payload["ok"]
         best = [min(b, ns / rounds) for b, ns in zip(best, spent)]
@@ -133,7 +131,7 @@ def measure_array(array: list) -> dict:
         execution_id="ex-1", tasklet_id="tl-1", provider_id="p1",
         status="success", value=array, instructions=2,
     ).envelope(NodeId("p1"), NodeId("broker"))
-    frame = encode_envelope(envelope, CODEC_BINARY)
+    frame = encode_envelope(envelope)
     assert EnvelopeDecoder().feed(frame)[0][0].payload["value"] == array
     blob = packed(array)
     rounds = max(3, ITEMS_PER_BATCH // len(array))
@@ -143,7 +141,7 @@ def measure_array(array: list) -> dict:
         row = {
             "items": len(array),
             "form": "packed" if blob[0] == 0x09 else "per_item",
-            "encode_us": _best_mean_us(lambda: encode_envelope(envelope, CODEC_BINARY), rounds),
+            "encode_us": _best_mean_us(lambda: encode_envelope(envelope), rounds),
             "decode_us": _best_mean_us(lambda: EnvelopeDecoder().feed(frame), rounds),
             "check_us": _best_mean_us(lambda: check_packed(blob), rounds),
             "validate_us": _best_mean_us(lambda: is_tasklet_value(array), rounds),

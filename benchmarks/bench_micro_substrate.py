@@ -22,7 +22,7 @@ from repro.common.serde import check_packed, packed
 from repro.core.tasklet import Tasklet
 from repro.provider.executor import local_assignment
 from repro.tvm.bytecode import ProgramTable
-from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
+from repro.transport.codec import EnvelopeDecoder, encode_envelope
 from repro.transport.message import BROKER_ADDRESS, ExecutionResult, SubmitTasklet, body_of
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import TVM, VMLimits
@@ -65,7 +65,7 @@ def test_program_wire_roundtrip(benchmark):
     )
 
     def roundtrip():
-        frame = encode_envelope(envelope, CODEC_BINARY)
+        frame = encode_envelope(envelope)
         return EnvelopeDecoder().feed(frame)[0][0]
 
     decoded = benchmark(roundtrip)
@@ -129,7 +129,7 @@ def _hop(source: str):
     consumer, broker, provider = NodeId("c1"), BROKER_ADDRESS, NodeId("p1")
 
     def through(body, src, dst):
-        frame = encode_envelope(body.envelope(src, dst), CODEC_BINARY)
+        frame = encode_envelope(body.envelope(src, dst))
         return body_of(EnvelopeDecoder().feed(frame)[0][0])
 
     def hop():

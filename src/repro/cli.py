@@ -361,16 +361,9 @@ def _render_top(health: dict, alerts: list[dict],
     ]
     transport = health.get("transport") or {}
     if transport:
-        codecs = transport.get("codecs") or {}
-        mix = (
-            " ".join(
-                f"{codec}:{count}" for codec, count in sorted(codecs.items())
-            )
-            or "-"
-        )
         lines.append(
             f"transport: {transport.get('loop', '?')}  "
-            f"connections={transport.get('connections', 0)}  codecs=[{mix}]"
+            f"connections={transport.get('connections', 0)}"
         )
     providers = health.get("providers") or []
     if providers:

@@ -1,25 +1,25 @@
-"""Value serialisation: one closed set of values, two encodings.
+"""Value serialisation: one closed set of values, one wire form.
 
 Everything the system ships — message payloads, Tasklet arguments and
 results — is built from one closed set of Python values: ``None``, bools,
 ints, floats, strings, ``bytes``, lists (tuples travel as lists) and
 string-keyed dicts whose keys are not ``__reserved__``.  The set is closed
-on purpose: the wire is not extensible via pickle.  This module gives that
-set its two encodings, which accept exactly the same values and decode to
-equal ones (``1`` stays an int, ``1.0`` a float, ``True`` a bool):
+on purpose: the wire is not extensible via pickle.
 
-* *JSON* — :func:`dumps` / :func:`loads`; bytes and non-finite floats are
-  tagged (:func:`encode_value`).  The debug and fallback form.
-* *binary* — :func:`pack_value` / :func:`unpack_value`: a tag byte per
-  value, varint lengths, and one bulk form — a list of plain ints (or of
-  plain floats), unless it is very short, is one :mod:`struct` call, not
-  a Python step per item.  Because the encoder is deterministic and keeps
-  every type distinction, the packed bytes are also the *canonical* form
-  of a value, and the only form a Tasklet's arguments and result have
-  between the node that packs them and the node that uses them
-  (:func:`packed` / :func:`opened`): every hop in between checks
-  (:func:`check_packed`), hashes, compares, stores and forwards the bytes,
-  and never builds the value (DESIGN.md, "Values").
+* *binary* — :func:`pack_value` / :func:`unpack_value`, the wire form: a
+  tag byte per value, varint lengths, and one bulk form — a list of plain
+  ints (or of plain floats), unless it is very short, is one
+  :mod:`struct` call, not a Python step per item.  Because the encoder is
+  deterministic and keeps every type distinction (``1`` stays an int,
+  ``1.0`` a float, ``True`` a bool), the packed bytes are also the
+  *canonical* form of a value, and the only form a Tasklet's arguments
+  and result have between the node that packs them and the node that
+  uses them (:func:`packed` / :func:`opened`): every hop in between
+  checks (:func:`check_packed`), hashes, compares, stores and forwards
+  the bytes, and never builds the value (DESIGN.md, "Values").
+* *JSON-safe* — :func:`encode_value` / :func:`decode_value` tag bytes and
+  non-finite floats so a value fits in a JSON document: the journal's
+  lines and the CLI's output, never a socket.
 
 Frames and envelopes — what goes around a value on a socket — are
 :mod:`repro.transport.codec`'s.
@@ -28,7 +28,6 @@ Frames and envelopes — what goes around a value on a socket — are
 from __future__ import annotations
 
 import base64
-import json
 import struct
 from math import isnan
 from typing import Any
@@ -88,27 +87,6 @@ def decode_value(value: Any) -> Any:
     if isinstance(value, list):
         return [decode_value(item) for item in value]
     return value
-
-
-def dumps(payload: dict[str, Any]) -> bytes:
-    """Serialise a message payload to UTF-8 JSON bytes."""
-    try:
-        return json.dumps(
-            encode_value(payload), separators=(",", ":"), allow_nan=False
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise CodecError(f"cannot serialise payload: {exc}") from exc
-
-
-def loads(data: bytes) -> dict[str, Any]:
-    """Deserialise UTF-8 JSON bytes back into a payload dict."""
-    try:
-        decoded = decode_value(json.loads(data.decode("utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"cannot parse payload: {exc}") from exc
-    if not isinstance(decoded, dict):
-        raise CodecError(f"payload must be an object, got {type(decoded).__name__}")
-    return decoded
 
 
 # ---------------------------------------------------------------------------

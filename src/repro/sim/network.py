@@ -11,8 +11,8 @@ experiments:
   used in the overhead-decomposition experiment (F2) where code+data
   transfer matters.
 
-Message size, when a model needs it, is estimated from the actual wire
-encoding so code-shipping costs are faithful to the real transport.
+Message size, when a model needs it, is the ``bin2`` frame the real
+transport sends, so code-shipping costs are faithful to it.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import random
 from typing import Protocol
 
 from ..common.ids import NodeId
-from ..transport.codec import pack_frame
+from ..transport.codec import encode_envelope
 from ..transport.message import Envelope
 
 
 def wire_size(envelope: Envelope) -> int:
     """Exact size of this envelope on the real TCP transport, in bytes."""
-    return len(pack_frame(envelope.to_dict()))
+    return len(encode_envelope(envelope))
 
 
 class NetworkModel(Protocol):

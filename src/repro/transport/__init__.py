@@ -1,10 +1,6 @@
 """Transport: typed messages plus the real TCP deployment (see tcp.py)."""
 
-from .codec import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    SUPPORTED_CODECS,
-)
+from .codec import CODEC_BINARY
 from .message import (
     AssignExecution,
     BROKER_ADDRESS,
@@ -13,8 +9,6 @@ from .message import (
     ExecutionRejected,
     ExecutionResult,
     Heartbeat,
-    Hello,
-    HelloAck,
     MESSAGE_TYPES,
     MessageBody,
     REASON_UNKNOWN_PROVIDER,
@@ -31,20 +25,16 @@ __all__ = [
     "AssignExecution",
     "BROKER_ADDRESS",
     "CODEC_BINARY",
-    "CODEC_JSON",
     "CancelExecution",
     "Envelope",
     "ExecutionRejected",
     "ExecutionResult",
     "Heartbeat",
-    "Hello",
-    "HelloAck",
     "MESSAGE_TYPES",
     "MessageBody",
     "REASON_UNKNOWN_PROVIDER",
     "RegisterAck",
     "RegisterProvider",
-    "SUPPORTED_CODECS",
     "SubmitAck",
     "SubmitTasklet",
     "TaskletComplete",

@@ -10,7 +10,7 @@ outside reader, ``/healthz``, hops onto the loop and waits (DESIGN.md,
 the blocking client link of :mod:`repro.transport.tcp` instead.
 
 Writes are coalesced and stamped at flush time (docs/PROTOCOL.md, "Write
-coalescing"); frames, negotiation and byte accounting are those of
+coalescing"); frames and byte accounting are those of
 :mod:`repro.transport.codec`, shared with the client connection.
 """
 
@@ -24,37 +24,27 @@ import time
 import uuid
 from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..broker.core import BrokerConfig, BrokerCore
 from ..broker.federation import FederationConfig
 from ..broker.journal import WorkJournal
 from ..broker.scheduling import make_strategy
 from ..common.clock import WallClock
-from ..common.errors import ConnectionClosed, TransportError
+from ..common.errors import CodecError, ConnectionClosed, TransportError
 from ..common.ids import IdGenerator, NodeId
 from ..obs import events as ev
 from ..obs.server import ObsServer
 from ..obs.telemetry import Telemetry, TransportMetrics
 from .codec import (
-    CODEC_JSON,
-    SUPPORTED_CODECS,
+    CODEC_BINARY,
     EnvelopeDecoder,
     Stamp,
-    accept_codec,
-    choose_codec,
     count_sent,
     decode_chunk,
     encode_batch,
 )
-from .message import (
-    BROKER_ADDRESS,
-    Envelope,
-    Hello,
-    HelloAck,
-    PeerHello,
-    body_of,
-)
+from .message import BROKER_ADDRESS, Envelope, PeerHello
 
 RECV_CHUNK = 262144
 
@@ -96,8 +86,7 @@ class AioConnection:
 
     Built and used on the loop thread only.  ``metrics`` is the optional
     ``TransportMetrics`` bundle; bytes and envelope counts are reported
-    per direction *and* per codec, flushes per flush, so a mixed-codec
-    cluster is visible in the exposition.
+    per direction, flushes per flush.
     """
 
     def __init__(
@@ -110,8 +99,6 @@ class AioConnection:
         self._writer = writer
         self._metrics = metrics
         self.decoder = EnvelopeDecoder()
-        #: Codec used for the *send* direction; flipped by negotiation.
-        self.send_codec = CODEC_JSON
         self.peer_id: NodeId | None = None  # learned from the first envelope
         self._queue: deque[tuple[Envelope, Stamp | None]] = deque()
         self._flush_task: asyncio.Task | None = None  # set while one is due
@@ -151,10 +138,9 @@ class AioConnection:
             self._flush_task = None
 
     def _write_batch(self, batch: list[tuple[Envelope, Stamp | None]]) -> None:
-        codec = self.send_codec
-        data = encode_batch(batch, codec)
+        data = encode_batch(batch, CODEC_BINARY)
         self._writer.write(data)
-        count_sent(self._metrics, codec, len(data), len(batch))
+        count_sent(self._metrics, len(data), len(batch))
 
     # -- read path ----------------------------------------------------------
 
@@ -162,17 +148,15 @@ class AioConnection:
         self,
         on_envelope: Callable[["AioConnection", Envelope], None],
     ) -> None:
-        """Read frames until EOF/garbage, dispatching each envelope; the
-        link is closed on the way out, however that is."""
+        """Read frames until EOF, dispatching each envelope; the link is
+        closed on the way out, however that is.  Bytes that are not
+        ``bin2`` frames raise :class:`~repro.common.errors.CodecError`."""
         try:
             while True:
                 chunk = await self._reader.read(RECV_CHUNK)
                 if not chunk:
                     return
-                envelopes = decode_chunk(self.decoder, chunk, self._metrics)
-                if envelopes is None:
-                    return  # undecodable peer == broken peer: drop the link
-                for envelope in envelopes:
+                for envelope in decode_chunk(self.decoder, chunk, self._metrics):
                     on_envelope(self, envelope)
         except OSError:
             return
@@ -202,17 +186,15 @@ class AioConnection:
 class TcpBroker(_Node):
     """The broker as an asyncio TCP server (see module docstring).
 
-    Every peer that advertises the compact binary wire codec is spoken to
-    in it; one that offers nothing better stays on JSON.  ``state`` is
-    the driver's one lifecycle fact: ``stopped`` → ``running`` (``start``
-    returned) → ``stopping`` (``stop`` is tearing the loop down) →
-    ``stopped``.
+    ``state`` is the driver's one lifecycle fact: ``stopped`` →
+    ``running`` (``start`` returned) → ``stopping`` (``stop`` is tearing
+    the loop down) → ``stopped``.
 
     Federation: pass ``broker_id`` plus ``peers`` (peer broker id ->
     ``(host, port)``) to join a static peer set.  The broker dials every
-    peer (with backoff), introduces itself with a transport ``hello``
-    followed by a ``PeerHello``, and the shared reader path routes
-    gossip/forward traffic into the core like any other connection.
+    peer (with backoff), introduces itself with a ``PeerHello``, and the
+    shared reader path routes gossip/forward traffic into the core like
+    any other connection.
     ``peer_journals`` (peer id -> journal path) additionally enables
     journal handoff: when a peer is declared dead and this broker is its
     successor, the peer's journal is adopted.  ``peer_obs_urls`` (peer id
@@ -425,13 +407,9 @@ class TcpBroker(_Node):
 
     async def _health(self) -> dict:
         document = self.core.health_snapshot()
-        codecs: dict[str, int] = {}
-        for connection in self._accepted:
-            codecs[connection.send_codec] = codecs.get(connection.send_codec, 0) + 1
         document["transport"] = {
             "loop": "asyncio",
             "connections": len(self._accepted),
-            "codecs": codecs,
         }
         return document
 
@@ -478,7 +456,7 @@ class TcpBroker(_Node):
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         peer_id: NodeId | None = None,
-        greeting: Sequence[Envelope] = (),
+        greeting: Envelope | None = None,
     ) -> None:
         """Serve one stream — accepted, or dialed to ``peer_id`` — until
         it dies: track it, say ``greeting``, read it, forget it."""
@@ -494,10 +472,17 @@ class TcpBroker(_Node):
             self._learn_peer(connection, peer_id)
         if self._transport_metrics is not None:
             self._transport_metrics.connections.inc()
-        for envelope in greeting:
-            connection.send(envelope)  # nothing awaited since it was built
+        if greeting is not None:
+            connection.send(greeting)  # nothing awaited since it was built
         try:
             await connection.run_reader(self._on_envelope)
+        except CodecError as exc:
+            # Not bin2 (a JSON ``{``, an older contract) or corrupt: the
+            # peer is refused, and only its link ends.
+            if self.telemetry is not None:
+                self.telemetry.events.record(
+                    ev.DISCONNECT, node=str(connection.peer_id), reason=f"refused: {exc}"
+                )
         except Exception as exc:
             # Nothing a peer sends raises out of ``_on_envelope`` (the core
             # reports an unreadable envelope), so this is a defect in a
@@ -534,12 +519,11 @@ class TcpBroker(_Node):
         """Maintain the outbound link to one federation peer.
 
         Dial with capped exponential backoff plus jitter, introduce
-        ourselves with a transport ``hello`` (codec negotiation) and a
-        ``PeerHello`` (reply expected, so the peer's epoch lands in our
-        table immediately), then read the link like any other
-        connection.  Both sides dialing each other is fine: forwards and
-        gossip are idempotent, and ``_connections`` keeps whichever link
-        registered last.
+        ourselves with a ``PeerHello`` (reply expected, so the peer's
+        epoch lands in our table immediately), then read the link like any
+        other connection.  Both sides dialing each other is fine: forwards
+        and gossip are idempotent, and ``_connections`` keeps whichever
+        link registered last.
         """
         backoff = 0.2
         rng = random.Random(f"{self.core.node_id}->{peer_id}")
@@ -554,20 +538,12 @@ class TcpBroker(_Node):
                 backoff = min(backoff * 2.0, 5.0)
                 continue
             backoff = 0.2
-            hello = Hello(
-                node_id=str(me), codecs=list(SUPPORTED_CODECS), role="broker"
-            )
-            peer_hello = PeerHello(
+            hello = PeerHello(
                 broker_id=str(me),
                 epoch=self.core.federation.epoch,
                 reply_expected=True,
             )
-            await self._adopt(
-                reader,
-                writer,
-                peer,
-                greeting=(hello.envelope(me, peer), peer_hello.envelope(me, peer)),
-            )
+            await self._adopt(reader, writer, peer, greeting=hello.envelope(me, peer))
 
     def _learn_peer(self, connection: AioConnection, peer_id: NodeId) -> None:
         """``connection`` speaks for ``peer_id`` from now on.  A new
@@ -599,30 +575,7 @@ class TcpBroker(_Node):
                 f"src {envelope.src!r} on the link of {connection.peer_id!r}",
             )
             return
-        if envelope.type == Hello.TYPE:
-            self._on_hello(connection, envelope)
-        elif envelope.type == HelloAck.TYPE:
-            # A peer broker we dialed answered our hello.
-            accept_codec(connection, envelope, SUPPORTED_CODECS)
-        else:
-            self._route(self.core.handle(envelope))
-
-    def _on_hello(
-        self, connection: AioConnection, envelope: Envelope
-    ) -> None:
-        try:
-            hello = body_of(envelope)
-        except TransportError:
-            return
-        chosen = choose_codec(hello.codecs)
-        ack = HelloAck(codec=chosen, codecs=list(SUPPORTED_CODECS))
-        try:
-            connection.send(ack.envelope(self.core.node_id, envelope.src))
-        except ConnectionClosed:
-            return
-        # The peer decodes every codec it advertised, so this side may
-        # switch immediately — even the ack itself may go out binary.
-        connection.send_codec = chosen
+        self._route(self.core.handle(envelope))
 
     def _route(self, envelopes: list[Envelope]) -> None:
         connections = self._connections

@@ -1,41 +1,28 @@
-"""Wire codecs: negotiated binary framing next to the JSON debug fallback.
+"""The wire codec, ``bin2``: frames and envelopes around serde values.
 
-Every frame on a TCP link is ``4-byte big-endian length || body``.  The
-first body byte makes each frame self-describing:
+Every frame on a TCP link is ``4-byte big-endian length || body``, and
+every body starts with the magic byte ``0xB2``: a one-byte message-type
+tag, a varint/struct-packed envelope header, and — for the hot message
+types — a *field-packed* body that ships bare values in dataclass field
+order (see :data:`FIELD_TABLES`).  The values inside are
+:mod:`repro.common.serde`'s binary form.
 
-* ``0x7B`` (``{``) — the UTF-8 JSON encoding of ``Envelope.to_dict()``;
-  every peer can read and write it, which makes it the negotiation-free
-  fallback.
-* ``0xB2`` — the compact binary codec defined here (``bin2``): a one-byte
-  message-type tag, varint/struct-packed envelope header, and — for the
-  hot message types — *field-packed* bodies that drop the JSON key
-  strings entirely (field order is the dataclass field order; see
-  :data:`FIELD_TABLES`).
-
-Because decoding is self-describing, a receiver never needs negotiation:
-:class:`EnvelopeDecoder` handles both codecs on one stream, frame by
-frame.  Negotiation (the ``hello``/``register`` handshake, see
-``docs/PROTOCOL.md`` "Wire format") only gates what a sender may *emit*:
-binary is sent exclusively to peers that advertised it.
-
-Both codecs carry the values of :mod:`repro.common.serde` — one closed
-set, a JSON and a binary form of it — so any payload that round-trips one
-codec round-trips the other bit-identically: the property the codec test
-suite enforces for every registered message type.  This module owns what
-goes around the values: frames and envelopes.
+There is one codec and nothing to negotiate: a node sends ``bin2`` from
+its first frame.  The magic byte is the contract (docs/PROTOCOL.md,
+"Version"): a changed tag, field order or value grammar mints a new
+magic and a new name, and a frame whose first body byte is anything
+else — a JSON ``{``, an older contract — is refused, which ends that link.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Iterator
+from typing import Callable, Iterator
 
 from ..common.errors import CodecError, TransportError
 from ..common.ids import NodeId
 from ..common.serde import (
-    dumps,
-    loads,
     pack_str,
     pack_value,
     pack_varint,
@@ -43,21 +30,14 @@ from ..common.serde import (
     unpack_value,
     unpack_varint,
 )
-from .message import MESSAGE_TYPES, Envelope, body_of
+from .message import MESSAGE_TYPES, Envelope
 
-#: Codec names as they appear in hello handshakes and metric labels.  The
-#: binary name is a *contract* name: ``bin2`` replaced its predecessor
-#: when the value grammar gained the packed array, so a peer offering
-#: only the older name shares just JSON with this build and is never sent
-#: a tag it cannot decode.
-CODEC_JSON = "json"
+#: The codec's name, as the ``codec`` label of the transport counters
+#: carries it.  It is a *contract* name: ``bin2`` replaced its
+#: predecessor when the value grammar gained the packed array.
 CODEC_BINARY = "bin2"
 
-#: Codecs this build can decode, in sender-preference order.
-SUPPORTED_CODECS: tuple[str, ...] = (CODEC_BINARY, CODEC_JSON)
-
-#: First body byte of a binary frame.  JSON bodies always start with
-#: ``{`` (0x7B), so the two encodings can never be confused.
+#: First body byte of every frame; any other first byte is refused.
 MAGIC_BINARY = 0xB2
 
 #: Frames larger than this are rejected to bound memory under a corrupt or
@@ -86,46 +66,13 @@ _FLAG_TRACE = 0x01
 _FLAG_FIELD_PACKED = 0x02
 
 
-def choose_codec(offered) -> str:
-    """Pick the preferred mutually-supported codec; JSON if none match."""
-    for codec in SUPPORTED_CODECS:
-        if codec in offered:
-            return codec
-    return CODEC_JSON
-
-
-def accept_codec(connection, envelope: Envelope, offered) -> None:
-    """Apply a ``hello_ack``: switch ``connection``'s send direction to the
-    peer's pick, provided we offered it and can encode it (anything else
-    — including an undecodable ack — leaves the link on its current codec).
-    """
-    try:
-        ack = body_of(envelope)
-    except TransportError:
-        return
-    if ack.codec in offered and ack.codec in SUPPORTED_CODECS:
-        connection.send_codec = ack.codec
-
-
 # ---------------------------------------------------------------------------
 # Envelope encoding
 # ---------------------------------------------------------------------------
 
 
-def pack_frame(payload: dict[str, Any]) -> bytes:
-    """Serialise ``payload`` as JSON and prepend the 4-byte length header."""
-    body = dumps(payload)
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame too large: {len(body)} bytes")
-    return _HEADER.pack(len(body)) + body
-
-
-def encode_envelope(envelope: Envelope, codec: str = CODEC_JSON) -> bytes:
+def encode_envelope(envelope: Envelope) -> bytes:
     """Serialise one envelope to a complete length-prefixed frame."""
-    if codec == CODEC_JSON:
-        return pack_frame(envelope.to_dict())
-    if codec != CODEC_BINARY:
-        raise CodecError(f"unknown codec {codec!r}")
     body = bytearray((MAGIC_BINARY,))
     tag = WIRE_TAGS.get(envelope.type, 0)
     body.append(tag)
@@ -161,10 +108,12 @@ def encode_envelope(envelope: Envelope, codec: str = CODEC_JSON) -> bytes:
     return _HEADER.pack(len(body)) + bytes(body)
 
 
-def decode_binary_body(body: bytes) -> Envelope:
-    """Decode one binary frame body (starting at the magic byte)."""
-    if not body or body[0] != MAGIC_BINARY:
-        raise CodecError("not a binary frame")
+def decode_body(body: bytes) -> Envelope:
+    """Decode one frame body (starting at the magic byte)."""
+    if not body:
+        raise CodecError("empty frame")
+    if body[0] != MAGIC_BINARY:
+        raise CodecError(f"not a bin2 frame: first body byte 0x{body[0]:02x}")
     pos = 1
     if pos >= len(body):
         raise CodecError("truncated binary envelope")
@@ -211,31 +160,21 @@ def decode_binary_body(body: bytes) -> Envelope:
     )
 
 
-def decode_body(body: bytes) -> tuple[Envelope, str]:
-    """Decode one frame body of either codec; returns the codec seen."""
-    if body[:1] == bytes((MAGIC_BINARY,)):
-        return decode_binary_body(body), CODEC_BINARY
-    return Envelope.from_dict(loads(body)), CODEC_JSON
-
-
 class EnvelopeDecoder:
-    """Incremental dual-codec frame decoder for one byte stream.
+    """Incremental frame decoder for one byte stream.
 
     Feed arbitrary chunks with :meth:`feed`; complete envelopes come back
-    in order as ``(envelope, codec, frame_bytes)`` so the transport can
-    attribute byte/message counters per codec.  Raises
-    :class:`~repro.common.errors.TransportError` (or its
-    :class:`~repro.common.errors.CodecError` subclass) on garbage — the
-    caller treats the connection as broken, exactly like the JSON-only
-    reader did.
+    in order as ``(envelope, frame_bytes)`` so the transport can count
+    bytes.  Raises :class:`~repro.common.errors.CodecError` on garbage —
+    the caller refuses the link.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
 
-    def feed(self, chunk: bytes) -> list[tuple[Envelope, str, int]]:
+    def feed(self, chunk: bytes) -> list[tuple[Envelope, int]]:
         self._buffer.extend(chunk)
-        frames: list[tuple[Envelope, str, int]] = []
+        frames: list[tuple[Envelope, int]] = []
         while True:
             if len(self._buffer) < _HEADER.size:
                 return frames
@@ -247,8 +186,7 @@ class EnvelopeDecoder:
                 return frames
             body = bytes(self._buffer[_HEADER.size:total])
             del self._buffer[:total]
-            envelope, codec = decode_body(body)
-            frames.append((envelope, codec, total))
+            frames.append((decode_body(body), total))
 
     @property
     def pending_bytes(self) -> int:
@@ -258,7 +196,7 @@ class EnvelopeDecoder:
 def iter_frames(data: bytes) -> Iterator[Envelope]:
     """Decode a complete byte string of frames (tests and tools)."""
     decoder = EnvelopeDecoder()
-    for envelope, _codec, _size in decoder.feed(data):
+    for envelope, _size in decoder.feed(data):
         yield envelope
     if decoder.pending_bytes:
         raise TransportError(f"{decoder.pending_bytes} trailing bytes")
@@ -273,38 +211,42 @@ Stamp = Callable[[Envelope], None]
 def encode_batch(
     batch: list[tuple[Envelope, Stamp | None]], codec: str
 ) -> bytes:
-    """Encode a coalesced write: many envelopes, one byte string."""
+    """Encode a coalesced write: many envelopes, one byte string.
+
+    ``codec`` must be :data:`CODEC_BINARY`; the parameter stays for the
+    benchmark tracing shim, which wraps this function by its signature.
+    """
+    if codec != CODEC_BINARY:
+        raise CodecError(f"unknown codec {codec!r}")
     chunks: list[bytes] = []
     for envelope, stamp in batch:
         if stamp is not None:
             stamp(envelope)
-        chunks.append(encode_envelope(envelope, codec))
+        chunks.append(encode_envelope(envelope))
     return b"".join(chunks)
 
 
-def count_sent(metrics, codec: str, size: int, envelopes: int) -> None:
+def count_sent(metrics, size: int, envelopes: int) -> None:
     """Account one socket write on the optional ``TransportMetrics``."""
     if metrics is not None:
-        metrics.bytes.labels(direction="out", codec=codec).inc(size)
-        metrics.messages.labels(direction="out", codec=codec).inc(envelopes)
+        metrics.bytes.labels(direction="out", codec=CODEC_BINARY).inc(size)
+        metrics.messages.labels(direction="out", codec=CODEC_BINARY).inc(envelopes)
         metrics.flushes.inc()
 
 
 def decode_chunk(
     decoder: EnvelopeDecoder, chunk: bytes, metrics
-) -> list[Envelope] | None:
-    """Envelopes completed by one received chunk, accounted per codec.
+) -> list[Envelope]:
+    """Envelopes completed by one received chunk, accounted on ``metrics``.
 
-    ``None`` means the bytes were undecodable: such a peer is
-    indistinguishable from a broken one, so the caller drops the link —
-    one bad peer must never take down the node.
+    Raises :class:`~repro.common.errors.CodecError` on undecodable bytes:
+    such a peer is indistinguishable from a broken one, so the caller
+    refuses the link — one bad peer must never take down the node.
     """
-    try:
-        frames = decoder.feed(chunk)
-    except TransportError:
-        return None
-    if metrics is not None:
-        for _envelope, codec, size in frames:
-            metrics.bytes.labels(direction="in", codec=codec).inc(size)
-            metrics.messages.labels(direction="in", codec=codec).inc()
-    return [envelope for envelope, _codec, _size in frames]
+    frames = decoder.feed(chunk)
+    if metrics is not None and frames:
+        metrics.bytes.labels(direction="in", codec=CODEC_BINARY).inc(
+            sum(size for _envelope, size in frames)
+        )
+        metrics.messages.labels(direction="in", codec=CODEC_BINARY).inc(len(frames))
+    return [envelope for envelope, _size in frames]

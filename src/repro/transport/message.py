@@ -6,9 +6,10 @@ listed (name, ``bin2`` tag, packed or keyed).  docs/PROTOCOL.md has the
 *Message table* (a tier-1 test holds it to this registry), each field's
 meaning and the rules for an unreadable envelope; DESIGN.md, "Wire
 boundary", says why.  This module is that boundary's outer half:
-:meth:`Envelope.from_dict` yields a typed header and :func:`body_of` a body
-read by the record grammar (:mod:`repro.common.record`); both raise
-:class:`~repro.common.errors.TransportError` and nothing else.
+:func:`body_of` reads a body by the record grammar
+(:mod:`repro.common.record`) and raises
+:class:`~repro.common.errors.TransportError` and nothing else; the header
+is the codec's (:mod:`repro.transport.codec`).
 """
 
 from __future__ import annotations
@@ -35,16 +36,6 @@ REASON_UNKNOWN_PROVIDER = "unknown provider"
 
 _envelope_counter = itertools.count()
 
-#: What each envelope header field may hold once read off the wire.
-_HEADER_TYPES: dict[str, tuple[type, ...]] = {
-    "type": (str,),
-    "src": (str,),
-    "dst": (str,),
-    "payload": (dict,),
-    "seq": (int,),
-    "trace": (dict, type(None)),
-}
-
 
 @dataclass
 class Envelope:
@@ -53,8 +44,8 @@ class Envelope:
     ``trace`` is the optional telemetry trace context —
     ``{"trace_id": ..., "span_id": ...}`` — that lets receivers parent
     their spans on the sender's (see :mod:`repro.obs.trace`).  ``None``
-    (telemetry disabled, or an untraced message type) is omitted from
-    the wire form entirely, so the disabled path costs zero bytes.
+    (telemetry disabled, or an untraced message type) is one clear flag
+    bit on the wire, so the disabled path costs zero bytes.
     """
 
     type: str
@@ -63,28 +54,6 @@ class Envelope:
     payload: dict[str, Any]
     seq: int = field(default_factory=lambda: next(_envelope_counter))
     trace: dict[str, str] | None = None
-
-    def to_dict(self) -> dict[str, Any]:
-        data = {
-            "type": self.type,
-            "src": self.src,
-            "dst": self.dst,
-            "payload": self.payload,
-            "seq": self.seq,
-        }
-        if self.trace is not None:
-            data["trace"] = self.trace
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Envelope":
-        """The envelope a decoded JSON frame holds, every header field of
-        its type (the binary decoder's are by construction)."""
-        header = {"seq": 0, "trace": None, **data}
-        for name, accepted in _HEADER_TYPES.items():
-            if type(header.get(name)) not in accepted:
-                raise TransportError(f"malformed envelope: bad or missing {name!r}")
-        return cls(**{name: header[name] for name in _HEADER_TYPES})
 
 
 #: type-name -> body class registry, filled by ``_message`` below.
@@ -108,9 +77,10 @@ class MessageBody(Record):
 def _message(type_name: str, tag: int, packed: bool = False):
     """Class decorator: register the dataclass under ``type_name`` with
     its ``bin2`` wire ``tag`` (1-255, never reused; 0 is the codec's
-    escape for a type it has no tag for).  ``packed`` bodies travel as
-    bare values in field order, which makes that order part of the
-    ``bin2`` contract."""
+    escape for a type it has no tag for; 22 and 23, the retired
+    ``hello`` / ``hello_ack`` handshake, stay unused).  ``packed``
+    bodies travel as bare values in field order, which makes that order
+    part of the ``bin2`` contract."""
 
     def wrap(cls):
         cls.TYPE, cls.TAG, cls.PACKED = type_name, tag, packed
@@ -152,28 +122,6 @@ def report_unreadable(events, receiver, ts: float, envelope: Envelope, reason: s
 # when: docs/PROTOCOL.md ("Message table", "Field notes", "Federation").
 # Only what the table cannot say is noted here.
 # ---------------------------------------------------------------------------
-
-# -- transport-level (any peer <-> broker) ------------------------------------
-
-
-@_message("hello", tag=22)
-@dataclass
-class Hello(MessageBody):
-    """Transport handshake: the dialing peer's first message."""
-
-    node_id: str
-    codecs: list[str] = field(default_factory=list)  # decodable, by preference
-    role: str = ""  # "provider" | "consumer" | "broker" (diagnostic only)
-
-
-@_message("hello_ack", tag=23)
-@dataclass
-class HelloAck(MessageBody):
-    """Broker's answer to a :class:`Hello`: the negotiated codec."""
-
-    codec: str
-    codecs: list[str] = field(default_factory=list)  # what the broker accepts
-
 
 # -- provider <-> broker ---------------------------------------------------------
 

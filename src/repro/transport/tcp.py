@@ -16,14 +16,14 @@ thread runs which part of each node.)
 Provider and consumer are thin clients of the broker with one link
 each, so they share one client-side mechanism, :class:`_BrokerLink`: a
 blocking socket written under a mutex (:class:`_Connection`), a reader
-thread, the broker list, the redial backoff, the ``hello`` exchange and
-one explicit state.  What differs by role — what to say on connect;
-redial forever, up to a cap, or never — the role passes in.
+thread, the broker list, the redial backoff and one explicit state.
+What differs by role — what to say on connect; redial forever, up to a
+cap, or never — the role passes in.
 
-Frames and codec negotiation are :mod:`repro.transport.codec`'s; what a
-lost link means for each role — a consumer's futures fail typed, a
-provider redials and re-registers, a draining stop cannot lose a result
-— is docs/PROTOCOL.md, "Connection lifecycle".
+Frames are :mod:`repro.transport.codec`'s; what a lost link means for
+each role — a consumer's futures fail typed, a provider redials and
+re-registers, a draining stop cannot lose a result — is
+docs/PROTOCOL.md, "Connection lifecycle".
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 
 from ..common.clock import WallClock
 from ..common.errors import (
+    CodecError,
     ConnectionClosed,
     FederationExhausted,
     TransportError,
@@ -52,22 +53,14 @@ from ..provider.core import ProviderConfig, ProviderCore, Work
 from ..provider.executor import PROGRAM_CACHE_SIZE
 from .aio import TcpBroker, _jittered, _Node, _nodelay  # noqa: F401  (TcpBroker: re-exported)
 from .codec import (
-    CODEC_JSON,
-    SUPPORTED_CODECS,
+    CODEC_BINARY,
     EnvelopeDecoder,
     Stamp,
-    accept_codec,
     count_sent,
     decode_chunk,
     encode_batch,
 )
-from .message import (
-    BROKER_ADDRESS,
-    Envelope,
-    HeartbeatAck,
-    Hello,
-    HelloAck,
-)
+from .message import Envelope, HeartbeatAck
 
 _RECV_CHUNK = 65536
 
@@ -84,7 +77,7 @@ class _Connection:
     killed the stream; it never wedges the senders behind it.
 
     ``metrics`` is an optional :class:`TransportMetrics` bundle; framed
-    bytes and envelope counts are reported per direction and codec.
+    bytes and envelope counts are reported per direction.
     """
 
     def __init__(
@@ -92,8 +85,6 @@ class _Connection:
     ):
         self.sock = sock
         self.decoder = EnvelopeDecoder()
-        #: Codec for the send direction; flipped by the hello handshake.
-        self.send_codec = CODEC_JSON
         self._send_lock = threading.Lock()
         self._closed = False
         self._metrics = metrics
@@ -108,17 +99,17 @@ class _Connection:
         with self._send_lock:
             if self._closed:
                 raise ConnectionClosed("connection closed")
-            codec = self.send_codec
-            data = encode_batch(entries, codec)
+            data = encode_batch(entries, CODEC_BINARY)
             try:
                 self.sock.sendall(data)
             except OSError as exc:
                 raise ConnectionClosed(f"send failed: {exc}") from exc
-        count_sent(self._metrics, codec, len(data), len(entries))
+        count_sent(self._metrics, len(data), len(entries))
 
     def recv_envelopes(self) -> list[Envelope] | None:
         """Block for data; completed envelopes, or ``None`` once the
-        stream is dead (EOF, socket error, or undecodable bytes)."""
+        stream is dead (EOF or socket error).  Undecodable bytes raise
+        :class:`~repro.common.errors.CodecError`."""
         try:
             chunk = self.sock.recv(_RECV_CHUNK)
         except OSError:
@@ -144,11 +135,11 @@ class _BrokerLink:
 
     Owns what a provider and a consumer both need: the socket and its
     reader thread, the broker list and the index of the last good broker,
-    capped exponential backoff with jitter, the ``hello`` exchange, and
-    one explicit ``state`` — ``CONNECTING`` (``start`` is dialing on its
-    caller's thread) → ``UP`` → ``DOWN`` (the stream died; the link
-    thread backs off and redials) → ``UP`` …, until ``EXHAUSTED`` (redial
-    cap spent; the typed error is kept in ``exhausted``) or ``CLOSED``.
+    capped exponential backoff with jitter, and one explicit ``state`` —
+    ``CONNECTING`` (``start`` is dialing on its caller's thread) → ``UP``
+    → ``DOWN`` (the stream died; the link thread backs off and redials) →
+    ``UP`` …, until ``EXHAUSTED`` (redial cap spent; the typed error is
+    kept in ``exhausted``) or ``CLOSED``.
 
     ``max_attempts`` is the redial policy: ``None`` retries forever, ``0``
     never redials (the owner calls ``start`` again), ``n`` gives up with
@@ -156,11 +147,11 @@ class _BrokerLink:
     applies the same cap, but tries the list at least once and never
     waits unboundedly.
 
-    ``on_connect(redial)`` returns the envelopes that must follow the
-    ``hello`` (a provider's registration); it runs under the link lock,
-    so it must not call back into the link.  ``on_envelope`` sees every
-    inbound envelope but the ``hello_ack``; ``on_lost(reason)`` runs when
-    an ``UP`` link dies other than by ``close``.
+    ``on_connect(redial)`` returns the envelopes that open a new stream
+    (a provider's registration); it runs under the link lock, so it must
+    not call back into the link.  ``on_envelope`` sees every inbound
+    envelope; ``on_lost(reason)`` runs when an ``UP`` link dies other
+    than by ``close``.
     """
 
     CLOSED, CONNECTING, UP, DOWN, EXHAUSTED = (
@@ -170,7 +161,6 @@ class _BrokerLink:
     def __init__(
         self,
         node_id: NodeId,
-        role: str,
         brokers: list[tuple[str, int]] | None,
         broker_host: str | None,
         broker_port: int | None,
@@ -190,12 +180,6 @@ class _BrokerLink:
             raise ValueError("either broker_host/broker_port or brokers required")
         self._index = 0  # the last good broker; dial rounds start here
         self._node_id = node_id
-        #: The codecs the ``hello`` offers — all a ``hello_ack`` may switch
-        #: this link to.
-        self._offered = SUPPORTED_CODECS
-        self._hello = Hello(
-            node_id=str(node_id), codecs=list(self._offered), role=role
-        ).envelope(node_id, BROKER_ADDRESS)
         self._backoff = backoff
         self._backoff_max = backoff_max
         self._max_attempts = max_attempts
@@ -216,11 +200,6 @@ class _BrokerLink:
     @property
     def connected(self) -> bool:
         return self.state == self.UP
-
-    @property
-    def send_codec(self) -> str | None:
-        connection = self._connection
-        return connection.send_codec if connection else None
 
     def send_many(
         self, entries: Sequence[tuple[Envelope, Stamp | None]]
@@ -282,10 +261,9 @@ class _BrokerLink:
             try:
                 while (envelopes := connection.recv_envelopes()) is not None:
                     for envelope in envelopes:
-                        if envelope.type == HelloAck.TYPE:
-                            accept_codec(connection, envelope, self._offered)
-                        else:
-                            self._on_envelope(envelope)
+                        self._on_envelope(envelope)
+            except CodecError as exc:
+                reason = f"refused: {exc}"  # not bin2 frames: end the stream
             except Exception as exc:
                 # Nothing a peer sends raises out of ``on_envelope`` (the
                 # cores report an unreadable envelope), so this is a defect
@@ -358,15 +336,16 @@ class _BrokerLink:
         _nodelay(sock)
         connection = _Connection(sock, self.metrics)
         # Greet and publish in one step under the link lock: no other
-        # sender reaches the new stream before the hello and the owner's
-        # envelopes, and nothing is written once close() was called.
+        # sender reaches the new stream before the owner's envelopes, and
+        # nothing is written once close() was called.
         with self._lock:
             if self._generation != generation:
                 connection.close()
                 return None
-            greeting = [self._hello, *self._on_connect(redial)]
+            greeting = self._on_connect(redial)
             try:
-                connection.send_many([(envelope, None) for envelope in greeting])
+                if greeting:
+                    connection.send_many([(envelope, None) for envelope in greeting])
             except ConnectionClosed:
                 connection.close()
                 raise
@@ -440,7 +419,6 @@ class TcpProvider(_Node):
         #: so a provider survives the death of its home broker (federation).
         self._link = _BrokerLink(
             self.node_id,
-            "provider",
             brokers,
             broker_host,
             broker_port,
@@ -495,7 +473,6 @@ class TcpProvider(_Node):
             "inflight": inflight,
             "epoch": epoch,
             "benchmark_score": core.config.benchmark_score,
-            "codec": self._link.send_codec,
         }
 
     def start(self) -> "TcpProvider":
@@ -690,7 +667,6 @@ class TcpConsumer(CoreSession, _Node):
         self.on_disconnect = on_disconnect
         self._link = _BrokerLink(
             self.node_id,
-            "consumer",
             brokers,
             broker_host,
             broker_port,

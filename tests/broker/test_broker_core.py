@@ -13,7 +13,7 @@ from repro.common.serde import opened, packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.dag.spec import WorkflowBuilder
-from repro.transport.codec import CODEC_BINARY, encode_envelope
+from repro.transport.codec import encode_envelope
 from repro.transport.message import (
     AssignExecution,
     CancelExecution,
@@ -347,7 +347,7 @@ class TestRedundancy:
         dissenting = [record for record in body.executions if "value" in record]
         assert len(agreeing) == (redundancy + 1) // 2
         assert [record["value"] for record in dissenting] == [wrong] * (redundancy // 2)
-        assert encode_envelope(complete, CODEC_BINARY).count(array) == 1
+        assert encode_envelope(complete).count(array) == 1
 
     def test_disagreement_reported_when_budget_gone(self):
         harness = Harness()

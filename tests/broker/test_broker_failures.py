@@ -12,7 +12,7 @@ from repro.common.ids import NodeId, TaskletId
 from repro.common.serde import opened, packed
 from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
-from repro.transport.codec import CODEC_BINARY, encode_envelope, iter_frames
+from repro.transport.codec import encode_envelope, iter_frames
 from repro.transport.message import (
     REASON_UNKNOWN_PROVIDER,
     AssignExecution,
@@ -456,7 +456,7 @@ class TestByzantineResultValues:
         assign = bodies(harness.submit(), AssignExecution)[0]
         result = result_of(assign, "p1", 1).envelope(NodeId("p1"), harness.broker.node_id)
         result.payload[field] = "x"
-        (wire,) = iter_frames(encode_envelope(result, CODEC_BINARY))
+        (wire,) = iter_frames(encode_envelope(result))
         assert wire.payload[field] == "x"
         broker = harness.broker
         assert broker.handle(wire) == []

@@ -18,11 +18,16 @@ from repro.broker.journal import (
 )
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
-from repro.common.serde import encode_value, loads, opened, packed
+from repro.common.serde import decode_value, encode_value, opened, packed
 from repro.provider.executor import TaskletExecutor
 from repro.transport.message import Envelope, ExecutionResult, RegisterProvider, body_of
 from repro.tvm.bytecode import CompiledProgram, checked_stamp
 from repro.tvm.vm import TVM
+
+
+def loads(data):
+    """``data`` read as a journal line is: JSON, with serde's tags opened."""
+    return decode_value(json.loads(data))
 
 
 def make_completion(key="c1/tl-1", ok=True, value=42, memo_key=None):

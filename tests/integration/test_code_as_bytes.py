@@ -1,7 +1,7 @@
 """Code crosses the cluster as bytes.
 
 A consumer core, a broker core and a provider's executor, joined by the
-real codecs (every envelope is encoded and decoded on its way, as between
+real codec (every envelope is encoded and decoded on its way, as between
 processes) and nothing else.  The tests count who reads a program's
 instructions (``bytecode._read_code``, by code object: the record grammar
 holds the function, not the module's name for it) and who opens a program
@@ -25,7 +25,7 @@ from repro.core.kernels import PRIME_COUNT
 from repro.core.tasklet import Tasklet
 from repro.dag.patterns import reference_values, stencil
 from repro.provider.executor import TaskletExecutor
-from repro.transport.codec import CODEC_BINARY, CODEC_JSON, decode_body, encode_envelope
+from repro.transport.codec import decode_body, encode_envelope
 from repro.transport.message import (
     ExecutionResult,
     ForwardTasklet,
@@ -48,8 +48,8 @@ class Cluster:
     ``_read_code`` / ``CompiledProgram.from_dict`` calls by the node that
     was running when they were made."""
 
-    def __init__(self, codec, journal=None, federation=None):
-        self.codec, self.clock = codec, VirtualClock()
+    def __init__(self, journal=None, federation=None):
+        self.clock = VirtualClock()
         self.consumer = ConsumerCore(NodeId("c1"), self.clock)
         self.broker = BrokerCore(
             self.clock, config=BrokerConfig(execution_timeout=None), journal=journal,
@@ -81,11 +81,9 @@ class Cluster:
     def _wire(self, envelope, sender):
         """What the receiver's decoder makes of what ``sender`` encodes."""
         with self.on(sender):
-            frame = encode_envelope(envelope, self.codec)
+            frame = encode_envelope(envelope)
         with self.on(str(envelope.dst)):
-            decoded, codec = decode_body(frame[4:])
-        assert codec == self.codec
-        return decoded
+            return decode_body(frame[4:])
 
     def deliver(self, envelope):
         """Carry ``envelope`` — and everything sent in answer — to where it
@@ -129,12 +127,8 @@ class Cluster:
         return [future.result(0) for future in futures]
 
 
-CODECS = pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
-
-
-@CODECS
-def test_after_its_first_tasklet_nobody_reads_a_programs_code_again(codec, tmp_path):
-    cluster = Cluster(codec, journal=WorkJournal(str(tmp_path / "journal.jsonl")))
+def test_after_its_first_tasklet_nobody_reads_a_programs_code_again(tmp_path):
+    cluster = Cluster(journal=WorkJournal(str(tmp_path / "journal.jsonl")))
     assert cluster.submit([10]) == [4]
     # The first tasklet: the broker opens the program (it needs entry and
     # arity), the provider opens, verifies and translates it; the consumer
@@ -158,9 +152,8 @@ def test_after_its_first_tasklet_nobody_reads_a_programs_code_again(codec, tmp_p
     assert len(lines) == 42 and admitted == [PROGRAM.packed()] * 21
 
 
-@CODECS
-def test_a_64_node_workflow_opens_its_program_once_per_node(codec):
-    cluster = Cluster(codec)
+def test_a_64_node_workflow_opens_its_program_once_per_node():
+    cluster = Cluster()
     spec = stencil(8, 8, work=3)
     assert len(spec.nodes) == 64 and len(spec.programs) == 1
     with cluster.on("c1"):
@@ -181,7 +174,7 @@ def test_a_64_node_workflow_opens_its_program_once_per_node(codec):
 
 
 def test_one_assignment_object_per_workflow_program():
-    broker = Cluster(CODEC_BINARY).broker
+    broker = Cluster().broker
     spec = stencil(4, 2, work=1)
     document = spec.to_dict()
     out = broker.handle(SubmitWorkflow(workflow=document).envelope(NodeId("c1"), broker.node_id))
@@ -209,7 +202,7 @@ def test_a_mis_stamped_submit_is_refused_once_by_id_and_nothing_runs(tmp_path, w
     """Fails on the parent, where it was accepted — and then answered with
     X's result (111, for a tasklet whose code returns 222) by a provider
     that had X warm, ``VM_ERROR`` by a cold one."""
-    cluster = Cluster(CODEC_BINARY, journal=WorkJournal(str(tmp_path / "journal.jsonl")))
+    cluster = Cluster(journal=WorkJournal(str(tmp_path / "journal.jsonl")))
     if warm:
         assert cluster.submit([1], program=X) == [111]
     journalled = (tmp_path / "journal.jsonl").read_text()
@@ -226,7 +219,7 @@ def test_a_mis_stamped_submit_is_refused_once_by_id_and_nothing_runs(tmp_path, w
 
 def test_a_mis_stamped_forward_is_refused_in_the_forward_ack():
     federation = FederationConfig(peers=["b2"])
-    cluster = Cluster(CODEC_BINARY, federation=federation)
+    cluster = Cluster(federation=federation)
     forward = ForwardTasklet(origin_broker="b2", consumer_id="c9", tasklet=_forged())
     out = cluster.broker.handle(forward.envelope(NodeId("b2"), cluster.broker.node_id))
     (ack,) = [body_of(envelope) for envelope in out]
@@ -236,7 +229,7 @@ def test_a_mis_stamped_forward_is_refused_in_the_forward_ack():
 
 
 def test_a_mis_keyed_workflow_program_is_refused_in_the_workflow_ack(tmp_path):
-    cluster = Cluster(CODEC_BINARY, journal=WorkJournal(str(tmp_path / "journal.jsonl")))
+    cluster = Cluster(journal=WorkJournal(str(tmp_path / "journal.jsonl")))
     document = stencil(2, 2, work=1).to_dict()
     (stamp,) = document["programs"]
     document["programs"][stamp] = Y.packed()
@@ -254,7 +247,7 @@ def test_a_mis_keyed_workflow_program_is_refused_in_the_workflow_ack(tmp_path):
 
 
 def test_the_brokers_table_stays_bounded_and_so_does_a_providers_cache():
-    cluster = Cluster(CODEC_BINARY)
+    cluster = Cluster()
     for index in range(10 * PROGRAM_CACHE_SIZE):
         program = compile_source(f"func main(x: int) -> int {{ return x + {index}; }}")
         assert cluster.submit([1], program=program) == [1 + index]

@@ -1,7 +1,7 @@
 """Data crosses the broker as bytes.
 
 The cluster of :mod:`tests.integration.test_code_as_bytes` — a consumer
-core, a broker core and a provider's executor joined by the real codecs —
+core, a broker core and a provider's executor joined by the real codec —
 with the broker's ``handle`` watched: which functions that build or walk a
 value run inside it (counted by code object), and whether what it sends on
 is the object that arrived.  After the first tasklet of a program: none,
@@ -12,14 +12,11 @@ import json
 import sys
 from collections import Counter
 
-import pytest
-
 from repro.broker.journal import WorkJournal, _read_line
 from repro.common import serde
 from repro.common.serde import opened, packed
 from repro.dag.patterns import reference_values, stencil
 from repro.dag.spec import WorkflowBuilder, gather
-from repro.transport.codec import CODEC_BINARY, CODEC_JSON
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import is_tasklet_value
 
@@ -45,8 +42,8 @@ class WatchedCluster(Cluster):
     calls made inside ``BrokerCore.handle`` — and keeps what went in and
     what came out, to compare objects."""
 
-    def __init__(self, codec, journal=None):
-        super().__init__(codec, journal=journal)
+    def __init__(self, journal=None):
+        super().__init__(journal=journal)
         self.inside = Counter()
         self.handled = []  # (inbound envelope, outbound envelopes)
         handle = self.broker.handle
@@ -72,14 +69,13 @@ def array_of(first: int) -> list:
     return [first, *range(70_001, 71_024)]
 
 
-@pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
-def test_a_steady_state_round_trip_builds_no_value_on_the_broker(codec):
+def test_a_steady_state_round_trip_builds_no_value_on_the_broker():
     """submit → assign → result → complete of a 1,024-int echo: inside
     ``BrokerCore.handle`` nothing unpacks, packs, walks or JSON-encodes a
-    value — on either codec, whose job ends where ``handle`` begins — and
+    value — the codec's job ends where ``handle`` begins — and
     the arguments assigned, and the value completed, are the very objects
     the submit and the result delivered."""
-    cluster = WatchedCluster(codec)
+    cluster = WatchedCluster()
     assert cluster.submit([array_of(0)], program=ECHO) == [array_of(0)]
     cluster.inside.clear(), cluster.handled.clear()
     assert cluster.submit([array_of(1)], [array_of(2)], program=ECHO) == [array_of(1), array_of(2)]
@@ -104,7 +100,7 @@ def test_a_steady_state_round_trip_builds_no_value_on_the_broker(codec):
 
 
 def test_a_repeat_is_answered_from_the_memo_with_the_bytes_that_were_stored():
-    cluster = WatchedCluster(CODEC_BINARY)
+    cluster = WatchedCluster()
     assert cluster.submit([array_of(5)], program=ECHO) == [array_of(5)]
     stored = cluster.broker._completed["c1/tl-0"].value
     cluster.inside.clear(), cluster.handled.clear()
@@ -123,7 +119,7 @@ def test_the_journal_holds_the_bytes_and_replays_them(tmp_path):
     ``json.dumps`` of a dict whose values are base64, not item lists —
     and a broker recovering from it redelivers the same bytes."""
     path = tmp_path / "journal.jsonl"
-    cluster = WatchedCluster(CODEC_BINARY, journal=WorkJournal(str(path)))
+    cluster = WatchedCluster(journal=WorkJournal(str(path)))
     assert cluster.submit([array_of(0)], program=ECHO) == [array_of(0)]
     cluster.inside.clear()
     assert cluster.submit([array_of(1)], program=ECHO) == [array_of(1)]
@@ -139,7 +135,7 @@ def test_the_journal_holds_the_bytes_and_replays_them(tmp_path):
     assert [opened(line.tasklet["args"]) for line in lines[::2]] == [[array_of(0)], [array_of(1)]]
     assert [line.value for line in lines[1::2]] == [packed(array_of(0)), packed(array_of(1))]
     assert max(len(text) for text in path.read_text().splitlines()) < 7000
-    recovered = WatchedCluster(CODEC_BINARY, journal=WorkJournal(str(path)))
+    recovered = WatchedCluster(journal=WorkJournal(str(path)))
     assert recovered.broker._completed["c1/tl-1"].value == packed(array_of(1))
     recovered.broker.journal.close()
 
@@ -149,7 +145,7 @@ def test_a_workflow_keeps_and_splices_its_node_outputs_unopened():
     predecessors' packed outputs (so its memo key is the one the same
     tasklet, submitted directly, would get), and the sinks' outputs are
     the bytes their providers sent."""
-    cluster = WatchedCluster(CODEC_BINARY)
+    cluster = WatchedCluster()
     spec = stencil(8, 8, work=3)
     with cluster.on("c1"):
         handle, envelopes = cluster.consumer.submit_workflow(spec)
@@ -183,7 +179,7 @@ def test_a_node_and_the_same_tasklet_submitted_directly_share_a_memo_key():
     builder = WorkflowBuilder("wf-memo")
     sources = [builder.node(square, args=[n], node_id=f"sq{n}") for n in (1, 2, 3, 4)]
     builder.node(total, args=[gather(sources), 100], node_id="sum")
-    cluster = WatchedCluster(CODEC_BINARY)
+    cluster = WatchedCluster()
     with cluster.on("c1"):
         handle, envelopes = cluster.consumer.submit_workflow(builder.build())
     for envelope in envelopes:

@@ -1,5 +1,6 @@
 """TCP robustness: garbage on the wire, abrupt disconnects, process providers."""
 
+import json
 import socket
 import time
 
@@ -12,14 +13,13 @@ from repro.core.qoc import QoC
 from repro.core.tasklet import Tasklet
 from repro.obs import Telemetry
 from repro.provider.process import ProviderProcess
-from repro.transport.codec import SUPPORTED_CODECS, encode_envelope
+from repro.transport.codec import encode_envelope
 from repro.transport.message import (
     AssignExecution,
     CancelExecution,
     Envelope,
     ExecutionResult,
     Heartbeat,
-    Hello,
     RegisterAck,
     RegisterProvider,
     SubmitTasklet,
@@ -54,7 +54,7 @@ def test_garbage_bytes_do_not_kill_the_broker(broker):
     host, port = broker.address
     # A client that speaks nonsense...
     rogue = socket.create_connection((host, port))
-    rogue.sendall(b"\x00\x00\x00\x05hello")  # valid length, invalid JSON
+    rogue.sendall(b"\x00\x00\x00\x05hello")  # valid length, not bin2
     time.sleep(0.2)
     rogue.close()
     # ...must not affect well-behaved peers.
@@ -158,8 +158,8 @@ def test_unhashable_cancel_does_not_deafen_the_provider():
     provider = TcpProvider(*listener.address, node_id="p1", benchmark_score=1e7).start()
     peer = listener.accept()
     try:
-        hello, registration = read_envelopes(peer, 2)
-        assert (hello.type, registration.type) == ("hello", "register_provider")
+        (registration,) = read_envelopes(peer, 1)
+        assert registration.type == "register_provider"
         me, them = NodeId("broker"), NodeId("p1")
         cancel = CancelExecution(execution_id="ex-0").envelope(me, them)
         cancel.payload["execution_id"] = {}
@@ -198,11 +198,11 @@ def test_unreadable_envelopes_are_counted_and_the_link_keeps_serving(broker):
     heartbeat = Heartbeat(provider_id="ghost", free_slots=1).envelope(stranger, me)
     with socket.create_connection((host, port)) as peer:
         peer.settimeout(5.0)
-        for codec in SUPPORTED_CODECS:
+        for _ in range(2):
             peer.sendall(
-                encode_envelope(mistyped, codec)
-                + encode_envelope(unknown, codec)
-                + encode_envelope(heartbeat, codec)
+                encode_envelope(mistyped)
+                + encode_envelope(unknown)
+                + encode_envelope(heartbeat)
             )
             (nack,) = read_envelopes(peer, 1)  # the same link still answers
             assert nack.type == "register_ack" and not nack.payload["accepted"]
@@ -212,7 +212,7 @@ def test_unreadable_envelopes_are_counted_and_the_link_keeps_serving(broker):
 
 def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
     """Regression (ROADMAP 3(b)): a peer could claim any ``envelope.src``.
-    A consumer link that said hello as ``c1`` and then sends an
+    A consumer link that introduced itself as ``c1`` and then sends an
     ``execution_result`` as ``prov-0`` — naming an execution that really is
     outstanding on ``prov-0`` — decides nothing, re-points no route and is
     counted; the link stays up and keeps being answered as ``c1``."""
@@ -235,9 +235,8 @@ def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
         )
         provider.sendall(encode_envelope(registration.envelope(prov, me)))
         assert read_envelopes(provider, 1)[0].type == "register_ack"
-        hello = Hello(node_id="c1", codecs=["json"], role="consumer")
-        consumer.sendall(encode_envelope(hello.envelope(c1, me)) + submit("tl-1"))
-        assert [e.type for e in read_envelopes(consumer, 2)] == ["hello_ack", "submit_ack"]
+        consumer.sendall(submit("tl-1"))
+        assert [e.type for e in read_envelopes(consumer, 1)] == ["submit_ack"]
         (assignment,) = read_envelopes(provider, 1)
         assert assignment.type == "assign_execution"
         forged = ExecutionResult(
@@ -268,6 +267,43 @@ def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
         (complete,) = read_envelopes(consumer, 1)
         assert complete.type == "tasklet_complete"
         assert (complete.payload["tasklet_id"], complete.payload["value"]) == ("tl-1", packed(42))
+
+
+def test_a_json_frame_is_refused_on_its_link_only():
+    """bin2 is the only wire: a frame whose first body byte is not 0xB2 —
+    here the ``{`` of the JSON frames older builds opened with — closes
+    that link with one ``disconnect`` event naming the byte, while a bin2
+    link opened before it keeps being served."""
+    telemetry = Telemetry()
+    me, c1 = NodeId("broker"), NodeId("c1")
+    program = compile_source("func main(x: int) -> int { return x + 1; }")
+
+    def submit(name):
+        tasklet = Tasklet(
+            tasklet_id=TaskletId(name), program=program, entry="main", args=[41], qoc=QoC()
+        )
+        return encode_envelope(SubmitTasklet(tasklet=tasklet.to_dict()).envelope(c1, me))
+
+    with TcpBroker(telemetry=telemetry) as broker:
+        with socket.create_connection(broker.address) as good:
+            good.settimeout(5.0)
+            good.sendall(submit("tl-1"))
+            assert read_envelopes(good, 1)[0].type == "submit_ack"
+            document = {"type": "heartbeat", "src": "old", "dst": "broker", "seq": 0,
+                        "payload": {"provider_id": "old", "free_slots": 1}}
+            body = json.dumps(document).encode()
+            with socket.create_connection(broker.address) as old:
+                old.settimeout(5.0)
+                old.sendall(len(body).to_bytes(4, "big") + body)
+                assert old.recv(65536) == b""  # refused: closed, nothing said
+            wait_until(lambda: telemetry.events.events(kind="disconnect"), message="the report")
+            (event,) = telemetry.events.events(kind="disconnect")
+            assert event.attrs["reason"] == "refused: not a bin2 frame: first body byte 0x7b"
+            good.sendall(submit("tl-2"))
+            (ack,) = read_envelopes(good, 1)
+            assert (ack.type, ack.payload["tasklet_id"]) == ("submit_ack", "tl-2")
+        assert len(broker.core.registry) == 0
+        assert broker.core.stats.messages_unreadable == 0
 
 
 def test_a_handler_fault_on_the_broker_costs_that_link_and_says_why():

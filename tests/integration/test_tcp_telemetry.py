@@ -102,13 +102,12 @@ def test_tcp_exposition_covers_all_four_subsystems(broker, telemetry):
     assert by_direction("repro_transport_bytes_total", "in") > 0
     assert by_direction("repro_transport_bytes_total", "out") > 0
     assert by_direction("repro_transport_messages_total", "in") > 0
-    # The handshake negotiated the binary codec, and the label makes a
-    # mixed-codec cluster visible: both codecs appear in the exposition.
+    # One codec: the label stays in the schema, and it says bin2.
     codecs = {
         labels.split('codec="')[1].rstrip('"')
         for labels in parsed["repro_transport_bytes_total"]
     }
-    assert "bin2" in codecs and "json" in codecs
+    assert codecs == {"bin2"}
     assert parsed["repro_transport_flushes_total"][""] > 0
     assert parsed["repro_provider_executions_total"]['status="success"'] == 1
 
@@ -238,7 +237,6 @@ def test_live_obs_endpoints_on_broker_and_provider(telemetry):
                 "inflight": 0,
                 "epoch": 1,
                 "benchmark_score": 1e5,
-                "codec": "bin2",
             }
     finally:
         server.stop()

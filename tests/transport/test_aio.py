@@ -1,4 +1,4 @@
-"""The broker's connection: coalescing, negotiation, lifecycle.
+"""The broker's connection: coalescing, framing, lifecycle.
 
 An :class:`AioConnection` lives on one event loop and is touched by that
 loop's thread only (DESIGN.md, "Who runs what"), so every test drives it
@@ -11,14 +11,10 @@ import socket
 
 import pytest
 
-from repro.common.errors import ConnectionClosed
+from repro.common.errors import CodecError, ConnectionClosed
 from repro.common.ids import NodeId
 from repro.transport.aio import FLUSH_MAX_ENVELOPES, AioConnection
-from repro.transport.codec import (
-    CODEC_BINARY,
-    EnvelopeDecoder,
-    encode_envelope,
-)
+from repro.transport.codec import MAGIC_BINARY, EnvelopeDecoder, encode_envelope
 from repro.transport.message import Heartbeat
 
 
@@ -66,15 +62,12 @@ async def recv_frames(sock, count):
 
 def test_send_delivers_and_respects_codec():
     async def scenario(connection, peer):
+        # bin2 from the first frame: there is nothing to negotiate.
         connection.send(make_envelope(1))
-        ((envelope, codec, _size),) = await recv_frames(peer, 1)
+        ((envelope, size),) = await recv_frames(peer, 1)
         assert envelope.payload["provider_id"] == "p1"
-        assert codec == "json"  # pre-negotiation default
-        connection.send_codec = CODEC_BINARY
-        connection.send(make_envelope(2))
-        ((envelope, codec, _size),) = await recv_frames(peer, 1)
-        assert envelope.payload["provider_id"] == "p2"
-        assert codec == CODEC_BINARY
+        assert size == len(encode_envelope(envelope))
+        assert encode_envelope(envelope)[4] == MAGIC_BINARY
 
     on_loop(scenario)
 
@@ -110,7 +103,7 @@ def test_writes_coalesce_under_burst():
             connection.send(make_envelope(i))
         assert metrics.flushes.value == 0, "send never writes, it queues"
         frames = await recv_frames(peer, total)
-        assert [e.payload["provider_id"] for e, _c, _s in frames] == [
+        assert [e.payload["provider_id"] for e, _s in frames] == [
             f"p{i}" for i in range(total)
         ]
         assert metrics.messages.value == total
@@ -140,7 +133,7 @@ def test_reader_dispatches_and_reports_close():
         reader = asyncio.ensure_future(
             connection.run_reader(lambda conn, envelope: received.append(envelope))
         )
-        peer.sendall(encode_envelope(make_envelope(7), CODEC_BINARY))
+        peer.sendall(encode_envelope(make_envelope(7)))
         while not received:
             await asyncio.sleep(0.01)
         assert received[0].payload["provider_id"] == "p7"
@@ -154,8 +147,10 @@ def test_reader_dispatches_and_reports_close():
 def test_reader_drops_link_on_garbage():
     async def scenario(connection, peer):
         peer.sendall(b"\xde\xad\xbe\xef" * 4)
-        # Garbage must end the reader, not hang it (``on_loop`` bounds it).
-        await connection.run_reader(lambda conn, envelope: None)
+        # Garbage must end the reader with a typed refusal, not hang it
+        # (``on_loop`` bounds it), and close the link on the way out.
+        with pytest.raises(CodecError, match="too large"):
+            await connection.run_reader(lambda conn, envelope: None)
         assert connection.closed
 
     on_loop(scenario)

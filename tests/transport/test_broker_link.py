@@ -2,9 +2,8 @@
 
 Everything a provider and a consumer need from their one connection is
 ``_BrokerLink``'s job, so it is pinned down here once: the dial order,
-the backoff, the attempt cap, codec acceptance, loss detection, what may
-be written first on a new stream, and a clean ``close`` in every state.
-(One test does start a broker: what a peer of the replaced codec gets.)
+the backoff, the attempt cap, loss detection, what may be written first
+on a new stream, and a clean ``close`` in every state.
 """
 
 import random
@@ -18,9 +17,9 @@ from repro.common.errors import ConnectionClosed, FederationExhausted
 from repro.common.ids import NodeId
 from repro.obs.telemetry import Telemetry
 from repro.transport import tcp
-from repro.transport.codec import CODEC_BINARY, EnvelopeDecoder, encode_envelope
-from repro.transport.message import Heartbeat, HeartbeatAck, Hello, HelloAck
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider, _BrokerLink
+from repro.transport.codec import EnvelopeDecoder, encode_envelope
+from repro.transport.message import Heartbeat, HeartbeatAck
+from repro.transport.tcp import TcpConsumer, _BrokerLink
 
 ME, BROKER = NodeId("n1"), NodeId("broker")
 
@@ -51,7 +50,7 @@ def read_envelopes(peer, count):
     while len(envelopes) < count:
         chunk = peer.recv(65536)
         assert chunk, f"EOF after {len(envelopes)} of {count} envelopes"
-        envelopes.extend(envelope for envelope, _c, _s in decoder.feed(chunk))
+        envelopes.extend(envelope for envelope, _size in decoder.feed(chunk))
     return envelopes
 
 
@@ -86,16 +85,10 @@ def make_link(brokers, owner=None, **kwargs):
         telemetry=None,
         on_envelope=owner.envelopes.append,
         on_lost=owner.lost.append,
+        on_connect=lambda redial: [heartbeat(0)],  # stands in for a registration
     )
     settings.update(kwargs)
-    codec = settings.pop("codec", "binary")
-    link = _BrokerLink(ME, "provider", brokers, None, None, **settings)
-    if codec == "json":  # play a peer that offers nothing better
-        link._offered = ("json",)
-        link._hello = Hello(node_id=ME, codecs=["json"], role="provider").envelope(
-            ME, BROKER
-        )
-    return link
+    return _BrokerLink(ME, brokers, None, None, **settings)
 
 
 def test_redial_cycles_the_list_from_the_last_good_broker():
@@ -107,11 +100,11 @@ def test_redial_cycles_the_list_from_the_last_good_broker():
     try:
         link.start()  # first refuses, second answers
         peer = second.accept()
-        assert read_envelopes(peer, 1)[0].type == "hello"
+        assert read_envelopes(peer, 1)[0].type == "heartbeat"
         first.sock.listen(8)  # alive again — but not where the cycle resumes
         second.close()
         peer.close()
-        assert read_envelopes(third.accept(), 1)[0].type == "hello"
+        assert read_envelopes(third.accept(), 1)[0].type == "heartbeat"
         wait_until(lambda: link.connected)
         with pytest.raises(socket.timeout):
             first.accept(timeout=0.2)
@@ -189,71 +182,17 @@ def test_redial_cap_ends_exhausted_with_the_typed_error_and_event():
         link.close()
 
 
-@pytest.mark.parametrize(
-    "codec, acked, expected",
-    [
-        ("json", "bin1", "json"),
-        # The id predates the codec's second contract name; kept so the
-        # suite's history stays comparable across the rename.
-        pytest.param("binary", CODEC_BINARY, CODEC_BINARY, id="binary-bin1-bin1"),
-        ("binary", "bin1", "json"),  # the replaced contract is never offered
-        ("binary", "zstd9", "json"),
-    ],
-)
-def test_hello_ack_switches_only_to_an_offered_codec(codec, acked, expected):
-    listener, owner = Listener(), Owner()
-    link = make_link([listener.address], owner, codec=codec)
-    try:
-        link.start()
-        peer = listener.accept()
-        ack = HelloAck(codec=acked, codecs=[acked]).envelope(BROKER, ME)
-        marker = HeartbeatAck(provider_id="n1", echo_sent_at=1.0)
-        peer.sendall(encode_envelope(ack) + encode_envelope(marker.envelope(BROKER, ME)))
-        # The ack is consumed by the link; the marker behind it reaches us.
-        wait_until(lambda: owner.envelopes, message="marker delivery")
-        assert [envelope.type for envelope in owner.envelopes] == ["heartbeat_ack"]
-        assert link.send_codec == expected
-    finally:
-        link.close()
-        listener.close()
-
-
-def test_peer_offering_only_bin1_negotiates_json_and_round_trips_an_array():
-    """A build from before ``bin2`` offers a codec this one no longer
-    speaks: both directions settle on JSON, and an array — which ``bin2``
-    would have bulk-packed — crosses all four hops intact."""
-    array = [(-1) ** i * i * 2_000_003 for i in range(1024)]
-    with TcpBroker() as broker:
-        host, port = broker.address
-        with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
-            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
-            consumer = TcpConsumer(host, port, node_id="old-consumer")
-            consumer._link._offered = ("bin1",)
-            consumer._link._hello = Hello(
-                node_id="old-consumer", codecs=["bin1"], role="consumer"
-            ).envelope(NodeId("old-consumer"), BROKER)
-            with consumer:
-                future = consumer.library.submit(
-                    "func main(a: array) -> array { return a; }", args=[array]
-                )
-                result = future.result(timeout=30)
-                assert result == array and set(map(type, result)) == {int}
-                assert consumer._link.send_codec == "json"
-                codecs = broker._health_document()["transport"]["codecs"]
-                assert codecs == {"json": 1, CODEC_BINARY: 1}  # the consumer, the provider
-
-
 def test_garbage_from_the_peer_reports_the_link_lost():
     listener, owner = Listener(), Owner()
     link = make_link([listener.address], owner, max_attempts=0)
     try:
         link.start()
         peer = listener.accept()
-        peer.sendall(b"\x00\x00\x00\x05hello")  # valid length, invalid body
+        peer.sendall(b"\x00\x00\x00\x05hello")  # valid length, not bin2
         wait_until(lambda: owner.lost, message="on_lost")
-        assert owner.lost == ["connection to broker lost"]
+        assert owner.lost == ["refused: not a bin2 frame: first body byte 0x68"]
         assert link.state == link.DOWN and not link.connected
-        assert peer.recv(65536)[:4] and peer.recv(65536) == b""  # hello, then EOF
+        assert peer.recv(65536)[:4] and peer.recv(65536) == b""  # greeting, then EOF
         wait_until(lambda: not link_threads(), message="link thread exit")
     finally:
         link.close()
@@ -286,9 +225,9 @@ def test_handler_fault_is_a_lost_link_not_a_deaf_one():
         wait_until(lambda: owner.lost, message="on_lost")
         assert up_means_reading()
         assert owner.lost == ["handler fault: RuntimeError: boom"]
-        assert first.recv(65536)[:4] and first.recv(65536) == b""  # hello, then EOF
+        assert first.recv(65536)[:4] and first.recv(65536) == b""  # greeting, then EOF
         second = listener.accept()  # the redial
-        assert read_envelopes(second, 1)[0].type == "hello"
+        assert read_envelopes(second, 1)[0].type == "heartbeat"
         wait_until(lambda: link.connected)
         second.sendall(encode_envelope(marker))
         wait_until(lambda: owner.envelopes, message="delivery on the second incarnation")
@@ -303,7 +242,7 @@ def test_handler_fault_is_a_lost_link_not_a_deaf_one():
         listener.close()
 
 
-def test_nothing_precedes_the_hello_and_the_on_connect_envelopes():
+def test_nothing_precedes_the_on_connect_envelopes():
     listener = Listener()
     connecting, registered = threading.Event(), threading.Event()
 
@@ -332,9 +271,8 @@ def test_nothing_precedes_the_hello_and_the_on_connect_envelopes():
         link.start()
         sender.join(5.0)
         assert not sender.is_alive()
-        received = read_envelopes(listener.accept(), 3)
-        assert [envelope.type for envelope in received] == ["hello"] + ["heartbeat"] * 2
-        assert [envelope.payload["provider_id"] for envelope in received[1:]] == ["p1", "p2"]
+        received = read_envelopes(listener.accept(), 2)
+        assert [envelope.payload["provider_id"] for envelope in received] == ["p1", "p2"]
         assert refused and set(refused) <= {link.CONNECTING}
     finally:
         registered.set()
@@ -362,7 +300,7 @@ def test_a_dial_landing_after_close_says_and_leaves_nothing(monkeypatch):
         link.close()
         release.set()
         late = listener.accept()
-        assert late.recv(65536) == b""  # closed at once, not even a hello
+        assert late.recv(65536) == b""  # closed at once, not even a greeting
         wait_until(lambda: not link_threads(), message="link thread exit")
         assert link.state == link.CLOSED and not link.connected
     finally:

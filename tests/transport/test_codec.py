@@ -1,30 +1,38 @@
-"""Wire codec: every message type round-trips both codecs bit-identically.
+"""Wire codec: every message type round-trips ``bin2`` bit-identically.
 
 Property-style sweep: the shared ``SAMPLE_BODIES`` corpus (which the
 registry-completeness test forces to cover every registered message
-type) is pushed through json and bin2, with trace contexts, unicode,
-large payloads, and unknown-field tolerance on top.
+type) is pushed through a ``bin2`` frame, with trace contexts, unicode,
+large payloads, and unknown-field tolerance on top.  The ``json`` cases
+push the same envelopes' values through the JSON-safe form
+(``serde.encode_value`` / ``decode_value``) that journal lines and the
+CLI's JSON output use: whatever a message carries must survive that too.
 """
+
+import json
 
 import pytest
 
 from repro.common.errors import CodecError, TransportError
 from repro.common.ids import NodeId
-from repro.common.serde import pack_value, unpack_str, unpack_value, unpack_varint
+from repro.common.serde import (
+    decode_value,
+    encode_value,
+    pack_value,
+    unpack_str,
+    unpack_value,
+    unpack_varint,
+)
 from repro.transport.codec import (
     CODEC_BINARY,
-    CODEC_JSON,
     FIELD_TABLES,
     MAGIC_BINARY,
-    SUPPORTED_CODECS,
     WIRE_TAGS,
     EnvelopeDecoder,
-    choose_codec,
     decode_chunk,
     encode_batch,
     encode_envelope,
     iter_frames,
-    pack_frame,
 )
 from repro.transport.message import (
     MESSAGE_TYPES,
@@ -36,18 +44,30 @@ from repro.transport.message import (
 
 from .test_messages import SAMPLE_BODIES
 
-BOTH = (CODEC_JSON, CODEC_BINARY)
+JSON_SAFE = "json"
+BOTH = (JSON_SAFE, CODEC_BINARY)
 # The binary cases keep the test ids they had under the codec's first
 # contract name, so the suite's history stays comparable across the rename.
-BOTH_CASES = (pytest.param(CODEC_JSON, id="json"), pytest.param(CODEC_BINARY, id="bin1"))
+BOTH_CASES = (pytest.param(JSON_SAFE, id="json"), pytest.param(CODEC_BINARY, id="bin1"))
 
 
-def roundtrip(envelope, codec):
-    frames = EnvelopeDecoder().feed(encode_envelope(envelope, codec))
-    assert len(frames) == 1
-    decoded, seen_codec, size = frames[0]
-    assert seen_codec == codec
-    assert size > 0
+def json_safe(value):
+    return decode_value(json.loads(json.dumps(encode_value(value), allow_nan=False)))
+
+
+def roundtrip(envelope, form=CODEC_BINARY):
+    if form == JSON_SAFE:
+        return Envelope(
+            envelope.type,
+            envelope.src,
+            envelope.dst,
+            json_safe(envelope.payload),
+            envelope.seq,
+            json_safe(envelope.trace),
+        )
+    wire = encode_envelope(envelope)
+    ((decoded, size),) = EnvelopeDecoder().feed(wire)
+    assert size == len(wire)
     return decoded
 
 
@@ -56,7 +76,7 @@ def roundtrip(envelope, codec):
 def test_every_message_type_roundtrips(body, codec):
     envelope = body.envelope(src=NodeId("n1"), dst=NodeId("broker"))
     decoded = roundtrip(envelope, codec)
-    assert decoded.to_dict() == envelope.to_dict()
+    assert decoded == envelope
     assert body_of(decoded) == body
 
 
@@ -83,7 +103,7 @@ def test_unicode_and_awkward_values_roundtrip(codec):
     )
     envelope = body.envelope(NodeId("c-é"), NodeId("broker"))
     decoded = roundtrip(envelope, codec)
-    assert decoded.to_dict() == envelope.to_dict()
+    assert decoded == envelope
 
 
 @pytest.mark.parametrize("codec", BOTH_CASES)
@@ -129,7 +149,7 @@ def test_unregistered_type_uses_generic_tag():
         dst=NodeId("b"),
         payload={"k": 1},
     )
-    decoded = roundtrip(envelope, CODEC_BINARY)
+    decoded = roundtrip(envelope)
     assert decoded.type == "experimental_v99"
     assert decoded.payload == {"k": 1}
 
@@ -168,11 +188,11 @@ def test_trace_context_survives_field_packing(body):
     # and the body must actually take the field-packed path (flag 0x02).
     envelope = body.envelope(src=NodeId("n1"), dst=NodeId("broker"))
     envelope.trace = {"trace_id": "tr-abc-1", "span_id": "sp-abc-9"}
-    frame = encode_envelope(envelope, CODEC_BINARY)
+    frame = encode_envelope(envelope)
     flags = _binary_flags(frame)
     assert flags & 0x01, f"{body.TYPE}: trace flag not set"
     assert flags & 0x02, f"{body.TYPE}: body not field-packed"
-    decoded = roundtrip(envelope, CODEC_BINARY)
+    decoded = roundtrip(envelope)
     assert decoded.trace == envelope.trace
     assert decoded.payload == envelope.payload
     assert body_of(decoded) == body
@@ -191,16 +211,7 @@ def test_forward_and_workflow_types_are_field_packed():
         assert name in FIELD_TABLES, f"{name} lost its field table"
 
 
-def test_binary_is_smaller_than_json_for_hot_messages():
-    envelope = Heartbeat(provider_id="prov-1", free_slots=3, sent_at=12.5).envelope(
-        NodeId("prov-1"), NodeId("broker")
-    )
-    assert len(encode_envelope(envelope, CODEC_BINARY)) < len(
-        encode_envelope(envelope, CODEC_JSON)
-    )
-
-
-def test_mixed_codec_stream_decodes_in_order():
+def test_a_frame_stream_decodes_in_order_byte_by_byte():
     decoder = EnvelopeDecoder()
     envelopes = [
         Heartbeat(provider_id=f"p{i}", free_slots=i).envelope(
@@ -208,18 +219,15 @@ def test_mixed_codec_stream_decodes_in_order():
         )
         for i in range(6)
     ]
-    wire = b"".join(
-        encode_envelope(envelope, BOTH[i % 2])
-        for i, envelope in enumerate(envelopes)
-    )
+    wire = b"".join(encode_envelope(envelope) for envelope in envelopes)
     # Feed byte-by-byte: reassembly must not care about chunk boundaries.
     frames = []
     for i in range(len(wire)):
         frames.extend(decoder.feed(wire[i : i + 1]))
-    assert [e.payload["provider_id"] for e, _c, _s in frames] == [
+    assert [e.payload["provider_id"] for e, _s in frames] == [
         f"p{i}" for i in range(6)
     ]
-    assert [c for _e, c, _s in frames] == [BOTH[i % 2] for i in range(6)]
+    assert sum(size for _e, size in frames) == len(wire)
 
 
 def test_batch_encoding_applies_stamps_at_encode_time():
@@ -264,18 +272,6 @@ def test_value_packing_handles_extreme_ints():
         assert value == n and pos == len(out)
 
 
-def test_choose_codec_prefers_binary_falls_back_to_json():
-    assert SUPPORTED_CODECS == ("bin2", "json")
-    assert choose_codec(["bin2", "json"]) == "bin2"
-    assert choose_codec(["json"]) == "json"
-    assert choose_codec([]) == "json"
-    assert choose_codec(["bin99"]) == "json"
-    # The replaced contract is not spoken: its peers share only JSON.
-    assert choose_codec(["bin1", "json"]) == "json"
-    assert choose_codec(["bin1"]) == "json"
-    assert choose_codec(SUPPORTED_CODECS) == "bin2"
-
-
 # -- the bin2 contract, as literals ---------------------------------------------
 # The tag and field tables are computed from the message dataclasses, so
 # nothing in ``src/`` would notice a renumbered tag or a reordered field —
@@ -304,9 +300,9 @@ GOLDEN_WIRE_TAGS = {
     "forward_tasklet": 19,
     "forward_ack": 20,
     "forward_complete": 21,
-    "hello": 22,
-    "hello_ack": 23,
 }
+#: The transport handshake's tags (``hello``, ``hello_ack``), retired with it.
+RETIRED_WIRE_TAGS = {22, 23}
 
 GOLDEN_FIELD_TABLES = {
     "heartbeat": ("provider_id", "free_slots", "queue_length", "sent_at"),
@@ -343,31 +339,23 @@ GOLDEN_FIELD_TABLES = {
 
 
 def test_wire_tables_are_the_ones_bin2_was_minted_with():
-    assert (SUPPORTED_CODECS, CODEC_BINARY, MAGIC_BINARY) == (("bin2", "json"), "bin2", 0xB2)
+    assert (CODEC_BINARY, MAGIC_BINARY) == ("bin2", 0xB2)
     assert WIRE_TAGS == GOLDEN_WIRE_TAGS
     assert FIELD_TABLES == GOLDEN_FIELD_TABLES
-    assert len(GOLDEN_WIRE_TAGS) == 23 and len(GOLDEN_FIELD_TABLES) == 16
+    assert len(GOLDEN_WIRE_TAGS) == 21 and len(GOLDEN_FIELD_TABLES) == 16
+    assert not RETIRED_WIRE_TAGS & set(WIRE_TAGS.values())
 
 
 @pytest.mark.parametrize("field", ["seq", "trace", "src", "dst", "type", "payload"])
 def test_json_envelope_header_is_typed_or_refused(field):
-    """The framing every link starts on: a header field of the wrong type
-    is undecodable bytes — ``decode_chunk`` says ``None`` (drop the link),
-    it never raises and never hands on an envelope nobody can route."""
+    """JSON was the framing links used to start on: now a JSON frame is
+    refused whatever its header holds — well-formed, or with ``field`` of
+    the wrong type — by a typed error that names the first body byte."""
     header = {"type": "heartbeat", "src": "p1", "dst": "broker", "seq": 1,
+              "trace": {"trace_id": "t", "span_id": "s"},
               "payload": {"provider_id": "p1", "free_slots": 1}}
-    (good,) = decode_chunk(EnvelopeDecoder(), pack_frame(header), None)
-    assert (good.type, good.src, good.seq, good.trace) == ("heartbeat", "p1", 1, None)
-    traced = dict(header, trace={"trace_id": "t", "span_id": "s"})
-    (good,) = decode_chunk(EnvelopeDecoder(), pack_frame(traced), None)
-    assert good.trace == traced["trace"]
-    for value in ("x", [1], 1.5, True, None, 7, {}):
-        if isinstance(value, type(traced[field])) and type(value) is not bool:
-            continue  # of the field's own type
-        if field in ("seq", "trace") and value is None:
-            continue  # null is absent: both are optional
-        frame = pack_frame(dict(header, **{field: value}))
-        assert decode_chunk(EnvelopeDecoder(), frame, None) is None, (field, value)
-    del traced[field]
-    if field not in ("seq", "trace"):
-        assert decode_chunk(EnvelopeDecoder(), pack_frame(traced), None) is None
+    for document in (header, dict(header, **{field: [1]})):
+        body = json.dumps(document).encode()
+        frame = len(body).to_bytes(4, "big") + body
+        with pytest.raises(CodecError, match="first body byte 0x7b"):
+            decode_chunk(EnvelopeDecoder(), frame, None)

@@ -12,8 +12,8 @@ import pytest
 
 from repro.common.errors import TransportError
 from repro.common.ids import NodeId
-from repro.common.serde import loads, packed
-from repro.transport.codec import CODEC_JSON, EnvelopeDecoder, pack_frame
+from repro.common.serde import packed
+from repro.transport.codec import EnvelopeDecoder, encode_envelope
 from repro.transport.message import (
     MESSAGE_TYPES,
     AssignExecution,
@@ -28,8 +28,6 @@ from repro.transport.message import (
     GossipDigest,
     Heartbeat,
     HeartbeatAck,
-    Hello,
-    HelloAck,
     PeerHello,
     RegisterAck,
     RegisterProvider,
@@ -45,8 +43,6 @@ from repro.transport.message import (
 )
 
 SAMPLE_BODIES = [
-    Hello(node_id="p1", codecs=["bin2", "json"], role="provider"),
-    HelloAck(codec="bin2", codecs=["bin2", "json"]),
     RegisterProvider(
         provider_id="p1", device_class="laptop", capacity=2, benchmark_score=1e6
     ),
@@ -162,9 +158,9 @@ def test_every_registered_type_is_covered_by_samples():
 @pytest.mark.parametrize("body", SAMPLE_BODIES, ids=lambda b: b.TYPE)
 def test_envelope_wire_roundtrip(body):
     envelope = body.envelope(src=NodeId("n1"), dst=BROKER_ADDRESS)
-    wire = pack_frame(envelope.to_dict())
-    ((restored, codec, size),) = EnvelopeDecoder().feed(wire)
-    assert (codec, size) == (CODEC_JSON, len(wire))
+    wire = encode_envelope(envelope)
+    ((restored, size),) = EnvelopeDecoder().feed(wire)
+    assert size == len(wire)
     assert restored.type == envelope.type
     assert restored.src == "n1"
     assert restored.dst == BROKER_ADDRESS
@@ -195,24 +191,6 @@ def test_malformed_payload_rejected():
         body_of(envelope)
 
 
-def test_malformed_envelope_dict_rejected():
-    with pytest.raises(TransportError):
-        Envelope.from_dict({"type": "x"})
-
-
-def test_wire_payload_is_plain_json():
-    body = ExecutionResult(
-        execution_id="e",
-        tasklet_id="t",
-        provider_id="p",
-        status="success",
-        value=1.5,
-    )
-    envelope = body.envelope(NodeId("p"), BROKER_ADDRESS)
-    decoded = loads(pack_frame(envelope.to_dict())[4:])
-    assert decoded["payload"]["value"] == 1.5
-
-
 # -- the wire boundary: a body is read completely, or not at all ----------------
 
 _SMALL = packed([1, "a"])
@@ -231,7 +209,7 @@ HOSTILE_BLOBS = [
     packed([None]),  # None as an argument
 ]
 #: What a hostile or merely different build can put where a field should
-#: be; both codecs carry every one of these.  ``b"\x00"`` is what a packed
+#: be; the codec carries every one of these.  ``b"\x00"`` is what a packed
 #: program or argument list is — bytes — and packs neither (``None``).
 HOSTILE_MENU = [None, "x", 1.5, True, 7, [], {}, b"\x00", *HOSTILE_BLOBS]
 

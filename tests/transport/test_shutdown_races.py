@@ -43,7 +43,7 @@ def recv_until_eof(sock, timeout=5.0):
         chunk = sock.recv(65536)
         if not chunk:
             return envelopes
-        envelopes.extend(envelope for envelope, _c, _s in decoder.feed(chunk))
+        envelopes.extend(envelope for envelope, _size in decoder.feed(chunk))
 
 
 class GatedSocket:
