@@ -85,7 +85,7 @@ _ECHO = compile_source("func main(a: array) -> array { return a; }")
 def broker_hop_us(array: list, rounds: int, batches: int = BATCHES) -> tuple[float, float]:
     """What the broker spends on one echo tasklet whose argument and result
     are ``array``: microseconds from the bytes of a ``submit_tasklet`` to
-    the bytes of its ack and assignment, and from the bytes of the
+    the bytes of its assignment, and from the bytes of the
     ``execution_result`` to the bytes of the ``tasklet_complete`` — frame
     decode, ``BrokerCore.handle``, encode; best batch mean of each.  Every
     tasklet differs in its first item, so none is memoized or in flight."""
@@ -110,7 +110,7 @@ def broker_hop_us(array: list, rounds: int, batches: int = BATCHES) -> tuple[flo
             out = broker.handle(EnvelopeDecoder().feed(frame)[0][0])
             sent = [encode_envelope(envelope) for envelope in out]
             spent[0] += time.perf_counter_ns() - start
-            assign = EnvelopeDecoder().feed(sent[1])[0][0].payload  # (the provider's share)
+            (assign,) = [e.payload for e in out if e.type == "assign_execution"]  # (the provider's)
             frame = encode_envelope(
                 ExecutionResult(
                     assign["execution_id"], assign["tasklet_id"], "p1", "success",

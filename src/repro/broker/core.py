@@ -154,6 +154,9 @@ class _TaskletState:
     #: its behalf and return a ForwardComplete there instead of talking to
     #: the consumer).
     origin_broker: NodeId | None = None
+    #: Federation: the peer this tasklet was last forwarded to and then
+    #: reclaimed from — whose outcome, racing the reclaim, still counts.
+    reclaimed_from: NodeId | None = None
     #: The consumer resubmitted this forwarded-in tasklet directly (it
     #: failed over to this broker while the work was in flight), so the
     #: outcome must be delivered to the consumer as well as the origin.
@@ -183,7 +186,7 @@ class _Admission:
     ``tasklet_id``, exactly one of the four outcomes is set."""
 
     tasklet_id: str
-    #: Newly admitted work: the caller acknowledges, then places it.
+    #: Newly admitted work: the caller places it.
     state: _TaskletState | None = None
     #: The same computation is already running under this key.
     in_flight: _TaskletState | None = None
@@ -373,6 +376,11 @@ class BrokerCore:
         src = envelope.src
         self.observer.submitted()
         admission = self._admit_wire(src, body.tasklet, trace=envelope.trace)
+        if admission.refusal is not None:
+            # The one answer to a submission that is not its outcome: an
+            # accepted one is answered by its tasklet_complete alone.
+            refusal = SubmitAck(admission.tasklet_id, accepted=False, reason=admission.refusal)
+            return [self._send(refusal, src)]
         existing = admission.in_flight
         if existing is not None and existing.origin_broker is not None:
             # This in-flight work arrived via a peer forward, and the
@@ -380,12 +388,6 @@ class BrokerCore:
             # the origin died): deliver the outcome to both; the origin
             # gets its ForwardComplete for bookkeeping if it is alive.
             existing.direct_consumer = True
-        ack = SubmitAck(
-            tasklet_id=admission.tasklet_id,
-            accepted=admission.refusal is None,
-            reason=admission.refusal or "",
-        )
-        out = [self._send(ack, src)]
         completion = admission.completion
         if completion is not None:
             # Served from the result cache, or a resubmit of completed
@@ -397,10 +399,9 @@ class BrokerCore:
                 self.observer.redelivered(
                     src, completion.ok, tasklet_id=completion.tasklet_id
                 )
-            out.append(self._send(self._tasklet_complete_of(completion), src))
-        elif admission.state is not None:
-            out.extend(self._place(admission.state))
-        return out
+            return [self._send(self._tasklet_complete_of(completion), src)]
+        # (In flight: the running attempt completes to this consumer too.)
+        return self._place(admission.state) if admission.state is not None else []
 
     def _admit_wire(self, consumer_id: NodeId, wire: dict, **how) -> _Admission:
         """Open the ``tasklet`` record a peer or a journal handed over —
@@ -456,8 +457,8 @@ class BrokerCore:
         if existing is not None:
             node_of = self.workflows.nodes.get(key)
             if node_of is not None:
-                # A resubmit of in-flight work is re-acked because the
-                # running attempt completes to the resubmitter; a released
+                # A resubmit of in-flight work is answered by the running
+                # attempt, which completes to the resubmitter; a released
                 # workflow node completes to its graph, to nobody else.
                 return _Admission(
                     tasklet_id,
@@ -586,9 +587,8 @@ class BrokerCore:
         Runs during construction, before any provider can register, so
         re-issuing pending tasklets only queues replicas in the backlog
         (the envelopes are discarded); they are placed as providers
-        (re)join.  The SubmitAcks that re-admission would imply are not
-        re-sent — the consumer already got them from the previous
-        incarnation, and the resubmit path answers anyone who asks again.
+        (re)join.  Nobody is told: an admission is answered only by its
+        outcome, and the resubmit path answers anyone who asks again.
         """
         snapshot = journal.replay()
         completions, pending, _ = self._absorb(snapshot, own=True)
@@ -744,6 +744,9 @@ class BrokerCore:
             reason = f"{envelope.src} answered {execution_id}, assigned to {outstanding.provider_id}"
             self.observer.message_unreadable(envelope, reason)
             return []
+        # A result is proof of life: a provider whose heartbeats queue
+        # behind its results is not dead.
+        self.registry.heartbeat(outstanding.provider_id, self.clock.now())
         status, value, error = ExecutionStatus(body.status), None, body.error
         if status is ExecutionStatus.SUCCESS:  # (only a success carries a value)
             try:

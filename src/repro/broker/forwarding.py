@@ -116,7 +116,13 @@ class ForwardingPlane:
         state = self.core._tasklets.get(key)
         if state is None or state.done:
             return []  # duplicate outcome; the first one already won
-        # (No record when a reclaim raced the outcome: it still counts.)
+        forward = self.forwards.get(key)
+        if (forward is None or forward.peer != envelope.src) and state.reclaimed_from != envelope.src:
+            # Only the peer the work went to may end it — or, when a reclaim
+            # raced its outcome (no record now), the peer it was taken from.
+            reason = f"{envelope.src} completed {key}, which it was not forwarded"
+            self.core.observer.message_unreadable(envelope, reason)
+            return []
         self.core.observer.forward_completed(self.forwards.pop(key, None), body.ok)
         # _complete cancels any local replicas issued by a racing reclaim,
         # so a peer outcome arriving late still resolves exactly once.
@@ -139,6 +145,7 @@ class ForwardingPlane:
         """
         state = forward.state
         del self.forwards[state.key]
+        state.reclaimed_from = forward.peer
         self.core.observer.forward_reclaimed(forward, reason)
         return self.core._issue(state, state.qoc.redundancy)
 

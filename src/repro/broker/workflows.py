@@ -93,7 +93,7 @@ class WorkflowCoordinator:
         except WorkflowSpecError as exc:
             # (The id is a string: the message would not have read otherwise.)
             refusal = f"invalid workflow: {exc}"
-            return [self._ack(src, body.workflow["workflow_id"], refusal)]
+            return [self._refuse(src, body.workflow["workflow_id"], refusal)]
         spec = graph.spec
         key = f"{src}/{spec.workflow_id}"
         outcome = self.completed.get(key)
@@ -106,18 +106,15 @@ class WorkflowCoordinator:
             core.observer.redelivered(
                 src, complete.ok, workflow_id=complete.workflow_id
             )
-            return [self._ack(src, complete.workflow_id), core._send(complete, src)]
+            return [core._send(complete, src)]
         existing = self.active.get(key)
         if existing is not None:
-            # Same graph resubmitted while in flight: re-ack and let the
-            # running instance complete to this consumer.  (Content identity
-            # is hashed here, the one place that asks for it.)
-            same = existing.spec.fingerprint() == spec.fingerprint()
-            return [
-                self._ack(
-                    src, spec.workflow_id, "" if same else "duplicate workflow id"
-                )
-            ]
+            # Same graph resubmitted while in flight: the running instance
+            # completes to this consumer, so there is nothing to say now.
+            # (Content identity is hashed here, the one place that asks.)
+            if existing.spec.fingerprint() == spec.fingerprint():
+                return []
+            return [self._refuse(src, spec.workflow_id, "duplicate workflow id")]
         wf = self._open(src, graph, programs, envelope.trace)
         if core.journal is not None:
             core.journal.record_workflow_admitted(
@@ -125,14 +122,12 @@ class WorkflowCoordinator:
             )
             core.observer.journal_appended("wf_admitted")
         core.observer.workflow_admitted(wf, len(self.active))
-        out = [self._ack(src, spec.workflow_id)]
-        out.extend(self._release(wf, wf.scheduler.start(), core.clock.now()))
-        return out
+        return self._release(wf, wf.scheduler.start(), core.clock.now())
 
-    def _ack(self, dst: NodeId, workflow_id: str, refusal: str = "") -> Envelope:
-        ack = WorkflowAck(
-            workflow_id=workflow_id, accepted=not refusal, reason=refusal
-        )
+    def _refuse(self, dst: NodeId, workflow_id: str, refusal: str) -> Envelope:
+        """The one answer to a submission that is not its outcome (an
+        accepted workflow is answered by its updates and completion)."""
+        ack = WorkflowAck(workflow_id=workflow_id, accepted=False, reason=refusal)
         return self.core._send(ack, dst)
 
     def _read(self, workflow: dict) -> tuple[WorkflowGraph, dict[str, CompiledProgram]]:

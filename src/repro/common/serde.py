@@ -30,7 +30,7 @@ from __future__ import annotations
 import base64
 import struct
 from math import isnan
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import CodecError
 
@@ -118,6 +118,27 @@ _ARRAY_ITEM_SIZE = {ord(code): struct.calcsize(">" + code) for code in _INT_FORM
 #: ``[op, arg]`` pairs, argument lists — that a busy broker encodes.
 _ARRAY_MIN_ITEMS = 4
 
+#: Wire bytes computed once, so that the values a message is mostly made
+#: of are written without a call: the one-byte values, the tag and length
+#: of a string, a blob, a list or a dict shorter than 128 (bytes or items),
+#: and every int whose zigzag form is one byte (-64 <= n < 64, at n + 64).
+_NONE, _TRUE, _FALSE = bytes((_T_NONE,)), bytes((_T_TRUE,)), bytes((_T_FALSE,))
+_FLOAT_TAG = bytes((_T_FLOAT,))
+_STR_HEADS = [bytes((_T_STR, n)) for n in range(128)]
+_BYTES_HEADS = [bytes((_T_BYTES, n)) for n in range(128)]
+_LIST_HEADS = [bytes((_T_LIST, n)) for n in range(128)]
+_DICT_HEADS = [bytes((_T_DICT, n)) for n in range(128)]
+_SMALL_INTS = [bytes((_T_INT, n << 1 if n >= 0 else (-n << 1) - 1)) for n in range(-64, 64)]
+#: ... and back: the int a one-byte zigzag varint ``z`` holds is ``_ZIGZAG[z]``.
+_ZIGZAG = [z >> 1 if not z & 1 else -((z + 1) >> 1) for z in range(128)]
+
+#: A dict key's packed form (length and UTF-8), kept once the key has
+#: passed the ``str`` and reserved-name checks.  Keys are mostly field
+#: names, but a peer's dict may bring any, so the cache stops growing at
+#: ``_KEY_HEADS_MAX`` entries (a key it has no room for is packed per use).
+_KEY_HEADS: dict[str, bytes] = {}
+_KEY_HEADS_MAX = 4096
+
 
 def pack_varint(n: int, out: bytearray) -> None:
     if n < 0x80:  # the overwhelmingly common case: one byte
@@ -171,6 +192,25 @@ def unpack_str(buf: bytes, pos: int) -> tuple[str, int]:
         raise CodecError(f"bad utf-8 on the wire: {exc}") from exc
 
 
+def _head(tag: int, size: int, out: bytearray) -> None:
+    """A tag and a length (or count) too large for the precomputed heads."""
+    out.append(tag)
+    pack_varint(size, out)
+
+
+def _key_head(key: Any) -> bytes:
+    """A dict key's packed form, checked — and kept while there is room."""
+    if not isinstance(key, str):
+        raise CodecError(f"dict keys must be str, got {type(key).__name__}")
+    if key.startswith("__") and key.endswith("__"):
+        raise CodecError(f"reserved key name {key!r}")
+    head = bytearray()
+    pack_str(key, head)
+    if len(_KEY_HEADS) < _KEY_HEADS_MAX:
+        _KEY_HEADS[key] = bytes(head)
+    return bytes(head)
+
+
 def _pack_array(value: list | tuple, out: bytearray, fold_nan: bool) -> bool:
     """Append ``value`` in the packed form if it qualifies: at least
     ``_ARRAY_MIN_ITEMS`` elements, every one exactly ``int`` (a ``bool``
@@ -222,110 +262,214 @@ def pack_value(value: Any, out: bytearray, fold_nan: bool = False) -> None:
     NaN instead, which is what makes the bytes a canonical key — two
     hosts' NaNs differ in sign and payload, and are the same result.
     """
-    # Hot path first: payload fields are mostly strings and small ints.
+    _pack_seq((value,), out, fold_nan, False)
+
+
+def pack_items(values: Iterable[Any], out: bytearray, fold_nan: bool = False) -> None:
+    """Append :func:`pack_value` of each of ``values`` in turn, with no
+    count before them: what a list holds after its head, or the fields of
+    a field-packed message body."""
+    _pack_seq(values, out, fold_nan, False)
+
+
+def _pack_seq(values: Iterable[Any], out: bytearray, fold_nan: bool, keyed: bool) -> None:
+    """The encoder: one pass over ``values`` — or, ``keyed``, over a
+    dict's items, each value after its key.  Dispatch is on the exact type;
+    a scalar is written in this loop, a list or a dict costs one call, and
+    an instance of a subclass of a wire type goes to :func:`_pack_other`."""
+    for value in values:
+        if keyed:
+            key, value = value
+            try:
+                out += _KEY_HEADS[key]
+            except KeyError:
+                out += _key_head(key)
+        kind = type(value)
+        if kind is str:
+            data = value.encode()
+            size = len(data)
+            if size < 128:
+                out += _STR_HEADS[size]
+            else:
+                _head(_T_STR, size, out)
+            out += data
+        elif kind is int:
+            if -64 <= value < 64:
+                out += _SMALL_INTS[value + 64]
+            else:
+                # Zigzag maps signed to unsigned; the varint then handles
+                # arbitrary-precision Python ints without a separate bigint tag.
+                _head(_T_INT, value << 1 if value >= 0 else (-value << 1) - 1, out)
+        elif value is None:
+            out += _NONE
+        elif kind is bool:
+            out += _TRUE if value else _FALSE
+        elif kind is float:
+            out += _FLOAT_TAG
+            out += _FLOAT.pack(_NAN if fold_nan and value != value else value)
+        elif kind is bytes:
+            size = len(value)
+            if size < 128:
+                out += _BYTES_HEADS[size]
+            else:
+                _head(_T_BYTES, size, out)
+            out += value
+        elif kind is dict:
+            size = len(value)
+            if size < 128:
+                out += _DICT_HEADS[size]
+            else:
+                _head(_T_DICT, size, out)
+            _pack_seq(value.items(), out, fold_nan, True)
+        elif kind is list or kind is tuple:
+            if not _pack_array(value, out, fold_nan):
+                size = len(value)
+                if size < 128:
+                    out += _LIST_HEADS[size]
+                else:
+                    _head(_T_LIST, size, out)
+                _pack_seq(value, out, fold_nan, False)
+        else:
+            _pack_other(value, out, fold_nan)
+
+
+def _pack_other(value: Any, out: bytearray, fold_nan: bool) -> None:
+    """A value whose exact type is none of the wire types: an instance of
+    a subclass of one travels as that type — an ``IntEnum`` as its int —
+    and anything else is refused."""
     if isinstance(value, str):
-        out.append(_T_STR)
         data = value.encode("utf-8")
-        pack_varint(len(data), out)
+        _head(_T_STR, len(data), out)
         out += data
-    elif value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
     elif isinstance(value, int):
-        out.append(_T_INT)
-        # Zigzag maps signed to unsigned; the varint then handles
-        # arbitrary-precision Python ints without a separate bigint tag.
-        pack_varint(value << 1 if value >= 0 else ((-value) << 1) - 1, out)
+        _head(_T_INT, value << 1 if value >= 0 else ((-value) << 1) - 1, out)
     elif isinstance(value, float):
         out.append(_T_FLOAT)
         out += _FLOAT.pack(_NAN if fold_nan and value != value else value)
     elif isinstance(value, bytes):
-        out.append(_T_BYTES)
-        pack_varint(len(value), out)
+        _head(_T_BYTES, len(value), out)
         out += value
     elif isinstance(value, (list, tuple)):
         if not _pack_array(value, out, fold_nan):
-            out.append(_T_LIST)
-            pack_varint(len(value), out)
-            for item in value:
-                pack_value(item, out, fold_nan)
+            _head(_T_LIST, len(value), out)
+            _pack_seq(value, out, fold_nan, False)
     elif isinstance(value, dict):
-        out.append(_T_DICT)
-        pack_varint(len(value), out)
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(
-                    f"dict keys must be str, got {type(key).__name__}"
-                )
-            if key.startswith("__") and key.endswith("__"):
-                raise CodecError(f"reserved key name {key!r}")
-            pack_str(key, out)
-            pack_value(item, out, fold_nan)
+        _head(_T_DICT, len(value), out)
+        _pack_seq(value.items(), out, fold_nan, True)
     else:
         raise CodecError(f"unsupported value type {type(value).__name__}")
 
 
 def unpack_value(buf: bytes, pos: int) -> tuple[Any, int]:
     """Decode one value at ``pos``; returns ``(value, next_pos)``."""
+    if type(buf) is not bytes:
+        buf = bytes(buf)
+    values, pos = _unpack_seq(buf, pos, 1, None)
+    return values[0], pos
+
+
+def unpack_items(
+    buf: bytes, pos: int, count: int, names: tuple[str, ...] | None = None
+) -> tuple[Any, int]:
+    """Decode ``count`` values in a row at ``pos`` — the inverse of
+    :func:`pack_items`; returns ``(values, next_pos)``: a list of them, or
+    with ``names`` (one per value) a dict of them under those names."""
+    if type(buf) is not bytes:
+        buf = bytes(buf)
+    return _unpack_seq(buf, pos, count, names)
+
+
+def _unpack_seq(buf: bytes, pos: int, count: int, keys: Any) -> tuple[Any, int]:
+    """The decoder: ``count`` values in one pass, into a list (``keys``
+    None), a dict under the names ``keys`` holds, or — ``keys`` True — a
+    dict whose keys precede their values in ``buf``.  A scalar is read in
+    this loop, a list or a dict costs one call.  Every fault is a
+    :class:`CodecError`: a short buffer, bad UTF-8, an unknown tag."""
+    size = len(buf)
+    if count > size - pos:  # (a count is the peer's claim: each item takes a byte)
+        raise CodecError("truncated value")
+    items: Any = [None] * count if keys is None else {}
     try:
-        tag = buf[pos]
+        for index in range(count):
+            if keys is True:
+                length = buf[pos]
+                pos += 1
+                if length & 0x80:
+                    length, pos = unpack_varint(buf, pos - 1)
+                end = pos + length
+                if end > size:
+                    raise CodecError("truncated string")
+                key = buf[pos:end].decode()
+                pos = end
+            elif keys is not None:
+                key = keys[index]
+            tag = buf[pos]
+            pos += 1
+            if tag == _T_STR or tag == _T_BYTES:
+                length = buf[pos]
+                pos += 1
+                if length & 0x80:
+                    length, pos = unpack_varint(buf, pos - 1)
+                end = pos + length
+                if end > size:
+                    raise CodecError("truncated string" if tag == _T_STR else "truncated bytes")
+                value = buf[pos:end].decode() if tag == _T_STR else buf[pos:end]
+                pos = end
+            elif tag == _T_INT:
+                zigzag = buf[pos]
+                pos += 1
+                if not zigzag & 0x80:
+                    value = _ZIGZAG[zigzag]
+                else:
+                    zigzag, pos = unpack_varint(buf, pos - 1)
+                    value = (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1)
+            elif tag == _T_NONE:
+                value = None
+            elif tag == _T_TRUE:
+                value = True
+            elif tag == _T_FALSE:
+                value = False
+            elif tag == _T_FLOAT:
+                if pos + 8 > size:
+                    raise CodecError("truncated float")
+                value = _FLOAT.unpack_from(buf, pos)[0]
+                pos += 8
+            elif tag == _T_LIST or tag == _T_DICT:
+                length = buf[pos]
+                pos += 1
+                if length & 0x80:
+                    length, pos = unpack_varint(buf, pos - 1)
+                value, pos = _unpack_seq(buf, pos, length, True if tag == _T_DICT else None)
+            elif tag == _T_ARRAY:
+                value, pos = _unpack_array(buf, pos)
+            else:
+                raise CodecError(f"unknown value tag 0x{tag:02x}")
+            if keys is None:
+                items[index] = value
+            else:
+                items[key] = value
     except IndexError:
         raise CodecError("truncated value") from None
-    pos += 1
-    if tag == _T_STR:  # hot path: payload fields are mostly strings
-        return unpack_str(buf, pos)
-    if tag == _T_INT:
-        zigzag, pos = unpack_varint(buf, pos)
-        return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1), pos
-    if tag == _T_NONE:
-        return None, pos
-    if tag == _T_TRUE:
-        return True, pos
-    if tag == _T_FALSE:
-        return False, pos
-    if tag == _T_FLOAT:
-        end = pos + _FLOAT.size
-        if end > len(buf):
-            raise CodecError("truncated float")
-        return _FLOAT.unpack_from(buf, pos)[0], end
-    if tag == _T_BYTES:
-        length, pos = unpack_varint(buf, pos)
-        end = pos + length
-        if end > len(buf):
-            raise CodecError("truncated bytes")
-        return bytes(buf[pos:end]), end
-    if tag == _T_ARRAY:
-        if pos >= len(buf):
-            raise CodecError("truncated array")
-        code = buf[pos]
-        size = _ARRAY_ITEM_SIZE.get(code)
-        if size is None:
-            raise CodecError(f"unknown array item format 0x{code:02x}")
-        count, pos = unpack_varint(buf, pos + 1)
-        end = pos + count * size
-        # Checked before unpacking: the count is the peer's claim, and
-        # only the bytes actually present may size an allocation.
-        if end > len(buf):
-            raise CodecError("truncated array")
-        return list(struct.unpack_from(f">{count}{chr(code)}", buf, pos)), end
-    if tag == _T_LIST:
-        count, pos = unpack_varint(buf, pos)
-        items = []
-        for _ in range(count):
-            item, pos = unpack_value(buf, pos)
-            items.append(item)
-        return items, pos
-    if tag == _T_DICT:
-        count, pos = unpack_varint(buf, pos)
-        result: dict[str, Any] = {}
-        for _ in range(count):
-            key, pos = unpack_str(buf, pos)
-            result[key], pos = unpack_value(buf, pos)
-        return result, pos
-    raise CodecError(f"unknown value tag 0x{tag:02x}")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"bad utf-8 on the wire: {exc}") from exc
+    return items, pos
+
+
+def _unpack_array(buf: bytes, pos: int) -> tuple[list, int]:
+    """A packed array's items, after its tag: one :mod:`struct` call."""
+    if pos >= len(buf):
+        raise CodecError("truncated array")
+    code = buf[pos]
+    size = _ARRAY_ITEM_SIZE.get(code)
+    if size is None:
+        raise CodecError(f"unknown array item format 0x{code:02x}")
+    count, pos = unpack_varint(buf, pos + 1)
+    end = pos + count * size
+    # Checked before unpacking: the count is the peer's claim, and
+    # only the bytes actually present may size an allocation.
+    if end > len(buf):
+        raise CodecError("truncated array")
+    return list(struct.unpack_from(f">{count}{chr(code)}", buf, pos)), end
 
 
 # ---------------------------------------------------------------------------

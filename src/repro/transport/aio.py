@@ -46,8 +46,6 @@ from .codec import (
 )
 from .message import BROKER_ADDRESS, Envelope, PeerHello
 
-RECV_CHUNK = 262144
-
 #: A flush larger than this is split across writes; bounds per-batch
 #: encode latency so one huge program payload cannot starve small acks.
 FLUSH_MAX_ENVELOPES = 512
@@ -55,15 +53,6 @@ FLUSH_MAX_ENVELOPES = 512
 #: How long a ``/healthz`` scrape waits for the loop to answer before it
 #: reports the loop itself as the fault.
 HEALTH_WAIT_S = 1.0
-
-
-def _nodelay(sock: socket.socket | None) -> None:
-    """Frames are small and latency-bound: never wait out Nagle."""
-    if sock is not None:
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
 
 
 def _jittered(rng: random.Random, delay: float) -> float:
@@ -81,106 +70,120 @@ class _Node:
         self.stop()
 
 
-class AioConnection:
-    """One framed peer link of the broker, with write coalescing.
+class AioConnection(asyncio.Protocol):
+    """One framed peer link of the broker (loop thread only).  Bytes are
+    decoded in the callback that received them, each envelope handed to
+    ``on_envelope(connection, envelope)`` there and then.  ``send``
+    queues; the first send of a loop turn schedules the one flush of what
+    the turn queued, and while the transport is paused the queue waits.
 
-    Built and used on the loop thread only.  ``metrics`` is the optional
-    ``TransportMetrics`` bundle; bytes and envelope counts are reported
-    per direction, flushes per flush.
+    The link ends once — EOF, a dead socket, bytes that are not ``bin2``
+    frames, a handler fault, or ``close`` — calling ``on_lost(connection,
+    cause)`` (the ``CodecError`` or the handler's exception, else None)
+    and resolving ``lost``.  ``metrics``: the optional ``TransportMetrics``.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        metrics=None,
-    ):
-        self._reader = reader
-        self._writer = writer
+    def __init__(self, on_envelope: Callable, on_lost: Callable, metrics=None):
+        self._on_envelope = on_envelope
+        self._on_lost = on_lost
         self._metrics = metrics
         self.decoder = EnvelopeDecoder()
         self.peer_id: NodeId | None = None  # learned from the first envelope
+        self._loop = asyncio.get_running_loop()
+        self._transport: asyncio.Transport | None = None
         self._queue: deque[tuple[Envelope, Stamp | None]] = deque()
-        self._flush_task: asyncio.Task | None = None  # set while one is due
-        self.closed = False
+        self._flush_due = False  # a flush is scheduled for this loop turn
+        self._paused = False  # the transport's buffer is full
+        self.closed = False  # no more sends
+        self.lost: asyncio.Future = self._loop.create_future()
 
     # -- write path ---------------------------------------------------------
 
     def send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
-        """Enqueue one envelope; never blocks on the socket.
-
-        Raises :class:`ConnectionClosed` only when the link is already
-        known dead; write errors discovered later surface through the
-        reader's close path (the caller's failure detector).
-        """
+        """Enqueue one envelope.  Raises :class:`ConnectionClosed` only when
+        the link is known dead; a write error found later ends the link."""
         if self.closed:
             raise ConnectionClosed("connection closed")
         self._queue.append((envelope, stamp))
-        if self._flush_task is None:
-            self._flush_task = asyncio.get_running_loop().create_task(
-                self._flush()
-            )
+        self._schedule()
 
-    async def _flush(self) -> None:
+    def _schedule(self) -> None:
+        if not (self._flush_due or self._paused or self._transport is None):
+            self._flush_due = True
+            self._loop.call_soon(self._flush)
+
+    def _flush(self) -> None:
+        self._flush_due = False
+        queue = self._queue
         try:
-            while self._queue and not self.closed:
-                batch = [
-                    self._queue.popleft()
-                    for _ in range(min(len(self._queue), FLUSH_MAX_ENVELOPES))
-                ]
-                self._write_batch(batch)
-                await self._writer.drain()
+            while queue and not (self._paused or self.closed):
+                count = min(len(queue), FLUSH_MAX_ENVELOPES)
+                self._write_batch([queue.popleft() for _ in range(count)])
         except (OSError, TransportError):
-            # Encoding failures and dead sockets end the link; the reader
-            # (or its absence) reports the close upstream.
+            # An envelope that does not encode, or a dead socket: the
+            # link ends (and ``connection_lost`` reports it).
             self.close(flush=False)
-        finally:
-            self._flush_task = None
 
     def _write_batch(self, batch: list[tuple[Envelope, Stamp | None]]) -> None:
         data = encode_batch(batch, CODEC_BINARY)
-        self._writer.write(data)
+        self._transport.write(data)
         count_sent(self._metrics, len(data), len(batch))
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        if self._queue:
+            self._schedule()
 
     # -- read path ----------------------------------------------------------
 
-    async def run_reader(
-        self,
-        on_envelope: Callable[["AioConnection", Envelope], None],
-    ) -> None:
-        """Read frames until EOF, dispatching each envelope; the link is
-        closed on the way out, however that is.  Bytes that are not
-        ``bin2`` frames raise :class:`~repro.common.errors.CodecError`."""
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        if self.closed:  # closed before the transport existed
+            transport.close()
+        elif self._queue:
+            self._schedule()
+
+    def data_received(self, data: bytes) -> None:
         try:
-            while True:
-                chunk = await self._reader.read(RECV_CHUNK)
-                if not chunk:
-                    return
-                for envelope in decode_chunk(self.decoder, chunk, self._metrics):
-                    on_envelope(self, envelope)
-        except OSError:
-            return
-        finally:
-            self.close(flush=False)
+            for envelope in decode_chunk(self.decoder, data, self._metrics):
+                self._on_envelope(self, envelope)
+        except Exception as exc:  # not bin2, or a handler fault: this link ends
+            self._end(exc)
+
+    def eof_received(self) -> None:
+        self._end(None)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._end(None)  # (a socket error is the peer's loss, not a fault)
+
+    def _end(self, cause: Exception | None) -> None:
+        self.close(flush=False)
+        if not self.lost.done():
+            self.lost.set_result(None)
+            self._on_lost(self, cause)
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self, flush: bool = True) -> None:
-        """Tear the link down; idempotent.  A graceful close hands
-        everything ``send`` accepted to the socket first — without
-        waiting, as the transport sends its buffer before it closes the
-        socket; error paths (``flush=False``) drop what is still queued."""
+        """Stop sending and close the transport; idempotent.  A graceful
+        close hands what ``send`` accepted to the transport, which writes
+        it out before it closes; ``flush=False`` drops it."""
         if self.closed:
             return
         self.closed = True
         pending = list(self._queue) if flush else []
         self._queue.clear()
+        if self._transport is None:
+            return
         try:
             if pending:
                 self._write_batch(pending)
-            self._writer.close()
         except Exception:
             pass
+        self._transport.close()
 
 
 class TcpBroker(_Node):
@@ -193,8 +196,8 @@ class TcpBroker(_Node):
     Federation: pass ``broker_id`` plus ``peers`` (peer broker id ->
     ``(host, port)``) to join a static peer set.  The broker dials every
     peer (with backoff), introduces itself with a ``PeerHello``, and the
-    shared reader path routes gossip/forward traffic into the core like
-    any other connection.
+    link's callbacks route gossip/forward traffic into the core like any
+    other connection's.
     ``peer_journals`` (peer id -> journal path) additionally enables
     journal handoff: when a peer is declared dead and this broker is its
     successor, the peer's journal is adopted.  ``peer_obs_urls`` (peer id
@@ -279,7 +282,9 @@ class TcpBroker(_Node):
         # The listener is bound synchronously so ``address`` is valid
         # immediately (and bind failures raise here, where the restart
         # retry loops expect them); asyncio adopts the socket at start.
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # Declared IPPROTO_TCP, which accepted sockets inherit: asyncio
+        # turns Nagle off only on those (small frames must not wait).
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
         self._listener.listen(128)
@@ -414,82 +419,57 @@ class TcpBroker(_Node):
         return document
 
     async def _serve(self) -> None:
-        self._server = await asyncio.start_server(self._adopt, sock=self._listener)
         loop = asyncio.get_running_loop()
-        self._tasks = [loop.create_task(self._tick_task())]
-        for peer_id, (peer_host, peer_port) in self._peer_addresses.items():
-            self._tasks.append(
-                loop.create_task(self._peer_task(peer_id, peer_host, peer_port))
-            )
+        self._server = await loop.create_server(self._adopt, sock=self._listener)
+        self._tasks = [loop.create_task(self._tick_task())] + [
+            loop.create_task(self._peer_task(peer_id, *address))
+            for peer_id, address in self._peer_addresses.items()
+        ]
 
     async def _shutdown(self) -> None:
         for task in self._tasks:
             task.cancel()
         self._tasks = []
-        # Yield once so handler tasks for just-accepted connections get to
-        # run their first statements and register in ``_accepted`` — an
-        # unregistered transport would otherwise never be closed and its
-        # peer never see EOF.  Stragglers after this cycle self-close on
-        # the ``state`` guard in ``_adopt``.
-        await asyncio.sleep(0)
+        # Stop accepting, and give the connections accepted just before two
+        # turns to exist (asyncio makes their protocols in tasks of its own):
+        # the sweep below then closes every connection there is.
+        asyncio.get_running_loop().remove_reader(self._listener.fileno())
+        for _ in range(2):
+            await asyncio.sleep(0)
         connections = list(self._accepted)
         self._accepted.clear()
         self._connections.clear()
         for connection in connections:
             connection.close()
         if self._transport_metrics is not None and connections:
-            # Reader tasks skip their own dec once a connection left
+            # ``_drop_connection`` skips its dec once a connection left
             # ``_accepted``, so this is the only decrement for these.
             self._transport_metrics.connections.dec(len(connections))
         if self._server is not None:
+            # Asked before ``close``, this waits for the accepted sockets to
+            # close too (their last callbacks run before the loop stops).
+            closed = asyncio.ensure_future(self._server.wait_closed())
             self._server.close()
             try:
-                # On 3.12+ this also waits for handler tasks; connections
-                # are closed above, so their readers exit promptly.
-                await asyncio.wait_for(self._server.wait_closed(), timeout=2.0)
+                await asyncio.wait_for(closed, timeout=2.0)
             except asyncio.TimeoutError:
                 pass
             self._server = None
 
-    async def _adopt(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        peer_id: NodeId | None = None,
-        greeting: Envelope | None = None,
-    ) -> None:
-        """Serve one stream — accepted, or dialed to ``peer_id`` — until
-        it dies: track it, say ``greeting``, read it, forget it."""
-        if self.state != self.RUNNING:
-            # Accepted during shutdown (after the close sweep snapshotted
-            # ``_accepted``): close here or the peer never sees EOF.
-            writer.close()
-            return
-        _nodelay(writer.get_extra_info("socket"))
-        connection = AioConnection(reader, writer, metrics=self._transport_metrics)
+    def _adopt(
+        self, peer_id: NodeId | None = None, greeting: Envelope | None = None
+    ) -> AioConnection:
+        """The protocol of one stream — accepted, or dialed to ``peer_id``
+        — tracked from now until it is lost, ``greeting`` said first."""
+        connection = AioConnection(self._on_envelope, self._drop_connection, self._transport_metrics)
         self._accepted.add(connection)
         if peer_id is not None:
             self._learn_peer(connection, peer_id)
         if self._transport_metrics is not None:
             self._transport_metrics.connections.inc()
         if greeting is not None:
-            connection.send(greeting)  # nothing awaited since it was built
-        try:
-            await connection.run_reader(self._on_envelope)
-        except CodecError as exc:
-            # Not bin2 (a JSON ``{``, an older contract) or corrupt: the
-            # peer is refused, and only its link ends.
-            if self.telemetry is not None:
-                self.telemetry.events.record(
-                    ev.DISCONNECT, node=str(connection.peer_id), reason=f"refused: {exc}"
-                )
-        except Exception as exc:
-            # Nothing a peer sends raises out of ``_on_envelope`` (the core
-            # reports an unreadable envelope), so this is a defect in a
-            # handler.  The reader closed the link on its way out.
-            self._report_defect(ev.DISCONNECT, connection.peer_id, "handler fault", exc)
-        finally:
-            self._drop_connection(connection)
+            connection.send(greeting)
+        return connection
 
     def _report_defect(
         self, kind: str, node: NodeId | None, what: str, exc: Exception
@@ -528,22 +508,23 @@ class TcpBroker(_Node):
         backoff = 0.2
         rng = random.Random(f"{self.core.node_id}->{peer_id}")
         me, peer = self.core.node_id, NodeId(peer_id)
+        loop = asyncio.get_running_loop()
+
+        def dialed() -> AioConnection:
+            hello = PeerHello(str(me), self.core.federation.epoch, reply_expected=True)
+            return self._adopt(peer, greeting=hello.envelope(me, peer))
+
         while self.state == self.RUNNING:
             try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(host, port), timeout=5.0
+                _, connection = await asyncio.wait_for(
+                    loop.create_connection(dialed, host, port), timeout=5.0
                 )
             except (OSError, asyncio.TimeoutError):
                 await asyncio.sleep(_jittered(rng, backoff))
                 backoff = min(backoff * 2.0, 5.0)
                 continue
             backoff = 0.2
-            hello = PeerHello(
-                broker_id=str(me),
-                epoch=self.core.federation.epoch,
-                reply_expected=True,
-            )
-            await self._adopt(reader, writer, peer, greeting=hello.envelope(me, peer))
+            await connection.lost
 
     def _learn_peer(self, connection: AioConnection, peer_id: NodeId) -> None:
         """``connection`` speaks for ``peer_id`` from now on.  A new
@@ -552,7 +533,20 @@ class TcpBroker(_Node):
         connection.peer_id = peer_id
         self._connections[peer_id] = connection
 
-    def _drop_connection(self, connection: AioConnection) -> None:
+    def _drop_connection(self, connection: AioConnection, cause: Exception | None) -> None:
+        """``connection`` is lost (its ``on_lost``): say why if it was
+        refused or faulted, and forget it."""
+        if isinstance(cause, CodecError):
+            # Not bin2 (a JSON ``{``, an older contract) or corrupt: the
+            # peer is refused, and only its link ends.
+            if self.telemetry is not None:
+                self.telemetry.events.record(
+                    ev.DISCONNECT, node=str(connection.peer_id), reason=f"refused: {cause}"
+                )
+        elif cause is not None:
+            # Nothing a peer sends raises out of ``_on_envelope`` (the core
+            # reports an unreadable envelope): a defect in a handler.
+            self._report_defect(ev.DISCONNECT, connection.peer_id, "handler fault", cause)
         dropped = connection in self._accepted
         self._accepted.discard(connection)
         if self._connections.get(connection.peer_id) is connection:
@@ -562,10 +556,8 @@ class TcpBroker(_Node):
         # A provider that drops TCP is handled by the heartbeat failure
         # detector; nothing else to do here.
 
-    def _on_envelope(
-        self, connection: AioConnection, envelope: Envelope
-    ) -> None:
-        """Dispatch one inbound envelope."""
+    def _on_envelope(self, connection: AioConnection, envelope: Envelope) -> None:
+        """Dispatch one inbound envelope (in the callback that read it)."""
         if connection.peer_id is None:
             self._learn_peer(connection, envelope.src)
         elif envelope.src != connection.peer_id:

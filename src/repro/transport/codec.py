@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import dataclasses
 import struct
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from ..common.errors import CodecError, TransportError
 from ..common.ids import NodeId
 from ..common.serde import (
+    pack_items,
     pack_str,
     pack_value,
     pack_varint,
+    unpack_items,
     unpack_str,
     unpack_value,
     unpack_varint,
@@ -65,6 +68,27 @@ FIELD_TABLES: dict[str, tuple[str, ...]] = {
 _FLAG_TRACE = 0x01
 _FLAG_FIELD_PACKED = 0x02
 
+#: Per type: the frame's magic and tag — and for a field-packed type, its
+#: field set (a payload qualifies when its keys are exactly these) and a
+#: reader of the values in wire order (one field: the payload's only value).
+_ENCODERS = {name: (bytes((MAGIC_BINARY, tag)), None, None) for name, tag in WIRE_TAGS.items()}
+for _name, _fields in FIELD_TABLES.items():
+    _values = itemgetter(*_fields) if len(_fields) > 1 else dict.values
+    _ENCODERS[_name] = (_ENCODERS[_name][0], frozenset(_fields), _values)
+_GENERIC = bytes((MAGIC_BINARY, 0))
+
+#: Node ids — every envelope's ``src`` and ``dst`` — packed (length and
+#: UTF-8).  A hostile peer may name any, so the cache stops at 4,096.
+_NAME_HEADS: dict[str, bytes] = {}
+
+
+def _name_head(name: str) -> bytes:
+    head = bytearray()
+    pack_str(name, head)
+    if len(_NAME_HEADS) < 4096:
+        _NAME_HEADS[name] = bytes(head)
+    return bytes(head)
+
 
 # ---------------------------------------------------------------------------
 # Envelope encoding
@@ -73,39 +97,7 @@ _FLAG_FIELD_PACKED = 0x02
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """Serialise one envelope to a complete length-prefixed frame."""
-    body = bytearray((MAGIC_BINARY,))
-    tag = WIRE_TAGS.get(envelope.type, 0)
-    body.append(tag)
-    if tag == 0:
-        pack_str(envelope.type, body)
-    # NodeId subclasses str, so src/dst pack without a copy.
-    pack_str(envelope.src, body)
-    pack_str(envelope.dst, body)
-    pack_varint(envelope.seq, body)
-    fields = FIELD_TABLES.get(envelope.type)
-    payload = envelope.payload
-    # Field-pack only when the payload carries exactly the pinned field
-    # set; anything else (hand-built payloads, future extra keys) falls
-    # back to the keyed dict form so nothing is silently dropped.
-    packed = fields is not None and len(payload) == len(fields) and all(
-        name in payload for name in fields
-    )
-    flags = 0
-    if envelope.trace is not None:
-        flags |= _FLAG_TRACE
-    if packed:
-        flags |= _FLAG_FIELD_PACKED
-    body.append(flags)
-    if envelope.trace is not None:
-        pack_value(envelope.trace, body)
-    if packed:
-        for name in fields:  # type: ignore[union-attr]
-            pack_value(payload[name], body)
-    else:
-        pack_value(payload, body)
-    if len(body) > MAX_FRAME_BYTES:
-        raise CodecError(f"frame too large: {len(body)} bytes")
-    return _HEADER.pack(len(body)) + bytes(body)
+    return encode_batch(((envelope, None),), CODEC_BINARY)
 
 
 def decode_body(body: bytes) -> Envelope:
@@ -114,15 +106,13 @@ def decode_body(body: bytes) -> Envelope:
         raise CodecError("empty frame")
     if body[0] != MAGIC_BINARY:
         raise CodecError(f"not a bin2 frame: first body byte 0x{body[0]:02x}")
-    pos = 1
-    if pos >= len(body):
+    if len(body) < 2:
         raise CodecError("truncated binary envelope")
-    tag = body[pos]
-    pos += 1
+    tag = body[1]
     if tag == 0:
-        type_name, pos = unpack_str(body, pos)
+        type_name, pos = unpack_str(body, 2)
     else:
-        type_name = _TAG_TO_TYPE.get(tag)
+        type_name, pos = _TAG_TO_TYPE.get(tag), 2
         if type_name is None:
             raise CodecError(f"unknown message tag 0x{tag:02x}")
     src, pos = unpack_str(body, pos)
@@ -141,23 +131,14 @@ def decode_body(body: bytes) -> Envelope:
         fields = FIELD_TABLES.get(type_name)
         if fields is None:
             raise CodecError(f"no field table for {type_name!r}")
-        payload = {}
-        for name in fields:
-            payload[name], pos = unpack_value(body, pos)
+        payload, pos = unpack_items(body, pos, len(fields), fields)
     else:
         payload, pos = unpack_value(body, pos)
         if not isinstance(payload, dict):
             raise CodecError("payload must be a dict")
     if pos != len(body):
         raise CodecError(f"{len(body) - pos} trailing bytes in frame")
-    return Envelope(
-        type=type_name,
-        src=NodeId(src),
-        dst=NodeId(dst),
-        payload=payload,
-        seq=seq,
-        trace=trace,
-    )
+    return Envelope(type_name, NodeId(src), NodeId(dst), payload, seq, trace)
 
 
 class EnvelopeDecoder:
@@ -173,20 +154,21 @@ class EnvelopeDecoder:
         self._buffer = bytearray()
 
     def feed(self, chunk: bytes) -> list[tuple[Envelope, int]]:
-        self._buffer.extend(chunk)
+        buffer = self._buffer
+        buffer += chunk
         frames: list[tuple[Envelope, int]] = []
-        while True:
-            if len(self._buffer) < _HEADER.size:
-                return frames
-            (length,) = _HEADER.unpack_from(self._buffer, 0)
+        pos, size = 0, len(buffer)
+        while size - pos >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer, pos)
             if length > MAX_FRAME_BYTES:
                 raise CodecError(f"incoming frame too large: {length} bytes")
-            total = _HEADER.size + length
-            if len(self._buffer) < total:
-                return frames
-            body = bytes(self._buffer[_HEADER.size:total])
-            del self._buffer[:total]
-            frames.append((decode_body(body), total))
+            end = pos + _HEADER.size + length
+            if end > size:
+                break
+            frames.append((decode_body(bytes(buffer[pos + _HEADER.size : end])), end - pos))
+            pos = end
+        del buffer[:pos]
+        return frames
 
     @property
     def pending_bytes(self) -> int:
@@ -218,12 +200,37 @@ def encode_batch(
     """
     if codec != CODEC_BINARY:
         raise CodecError(f"unknown codec {codec!r}")
-    chunks: list[bytes] = []
+    out = bytearray()
     for envelope, stamp in batch:
         if stamp is not None:
             stamp(envelope)
-        chunks.append(encode_envelope(envelope))
-    return b"".join(chunks)
+        start = len(out)
+        out += b"\0\0\0\0"  # (the body's length, once it is known)
+        kind = envelope.type
+        head, fields, values_of = _ENCODERS.get(kind) or (_GENERIC, None, None)
+        out += head
+        if head is _GENERIC:
+            pack_str(kind, out)
+        out += _NAME_HEADS.get(envelope.src) or _name_head(envelope.src)
+        out += _NAME_HEADS.get(envelope.dst) or _name_head(envelope.dst)
+        pack_varint(envelope.seq, out)
+        payload, trace = envelope.payload, envelope.trace
+        # Field-pack only when the payload carries exactly the pinned field
+        # set; anything else (hand-built payloads, future extra keys) falls
+        # back to the keyed dict form so nothing is silently dropped.
+        packed = fields is not None and payload.keys() == fields
+        out.append((trace is not None) * _FLAG_TRACE | packed * _FLAG_FIELD_PACKED)
+        if trace is not None:
+            pack_value(trace, out)
+        if packed:
+            pack_items(values_of(payload), out)
+        else:
+            pack_value(payload, out)
+        size = len(out) - start - _HEADER.size
+        if size > MAX_FRAME_BYTES:
+            raise CodecError(f"frame too large: {size} bytes")
+        _HEADER.pack_into(out, start, size)
+    return bytes(out)
 
 
 def count_sent(metrics, size: int, envelopes: int) -> None:

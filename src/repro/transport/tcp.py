@@ -51,7 +51,7 @@ from ..obs.telemetry import Telemetry, TransportMetrics
 from ..provider.benchmark import run_benchmark
 from ..provider.core import ProviderConfig, ProviderCore, Work
 from ..provider.executor import PROGRAM_CACHE_SIZE
-from .aio import TcpBroker, _jittered, _Node, _nodelay  # noqa: F401  (TcpBroker: re-exported)
+from .aio import TcpBroker, _jittered, _Node  # noqa: F401  (TcpBroker: re-exported)
 from .codec import (
     CODEC_BINARY,
     EnvelopeDecoder,
@@ -333,7 +333,7 @@ class _BrokerLink:
         host, port = self._brokers[index]
         sock = socket.create_connection((host, port), timeout=5.0)
         sock.settimeout(None)
-        _nodelay(sock)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # frames are small: no Nagle
         connection = _Connection(sock, self.metrics)
         # Greet and publish in one step under the link lock: no other
         # sender reaches the new stream before the owner's envelopes, and
@@ -696,9 +696,9 @@ class TcpConsumer(CoreSession, _Node):
         Pending futures were already failed with
         :class:`~repro.common.errors.BrokerUnreachable` when the link
         died; after reconnecting, resubmitting with the *same* tasklet
-        ids is idempotent — the broker (re-)acks in-flight work, and a
-        journal-backed broker re-delivers completed outcomes instead of
-        re-executing them.
+        ids is idempotent — in-flight work completes to the resubmitter,
+        and a journal-backed broker re-delivers completed outcomes instead
+        of re-executing them.
         """
         return self.start()
 

@@ -132,9 +132,8 @@ class TestSubmission:
         harness = Harness()
         harness.add_provider()
         tasklet_id, replies = harness.submit()
-        acks = bodies(replies, SubmitAck)
         assigns = bodies(replies, AssignExecution)
-        assert acks[0].accepted
+        assert bodies(replies, SubmitAck) == [], "an accepted submission is not acked"
         assert len(assigns) == 1
         assert assigns[0].tasklet_id == tasklet_id
         assert assigns[0].entry == "main"
@@ -143,8 +142,7 @@ class TestSubmission:
     def test_submit_without_providers_queues(self):
         harness = Harness()
         tasklet_id, replies = harness.submit()
-        assert bodies(replies, SubmitAck)[0].accepted
-        assert bodies(replies, AssignExecution) == []
+        assert replies == []  # queued: nothing to say until it completes
         assert harness.broker.pending_tasklets == 1
         # A provider arriving later drains the backlog.
         replies = harness.add_provider()
@@ -183,8 +181,7 @@ class TestSubmission:
         harness.send(SubmitTasklet(tasklet=tasklet.to_dict()), src="c1")
         issued = harness.broker.stats.executions_issued
         replies = harness.send(SubmitTasklet(tasklet=tasklet.to_dict()), src="c1")
-        assert bodies(replies, SubmitAck)[0].accepted
-        assert bodies(replies, AssignExecution) == []
+        assert replies == []  # the running attempt answers the resubmitter
         assert harness.broker.stats.executions_issued == issued
         assert harness.broker.pending_tasklets == 1
 
@@ -209,7 +206,7 @@ class TestSubmission:
         """Regression: in-flight resubmit identity was Python ``==`` on the
         argument lists, under which ``[1] == [1.0] == [True]`` — resubmitting
         ``tl-dup`` with ``[1.0]`` while ``tl-dup`` with ``[1]`` was in flight
-        was acked ``accepted`` and answered with the other computation's
+        was taken for the running one and answered with the other computation's
         result (``[2]`` was refused all along).  The packed bytes tell them
         apart, as they do for the memo key and the vote."""
         harness = Harness()
@@ -221,7 +218,7 @@ class TestSubmission:
         (ack,) = bodies(harness.send(SubmitTasklet(tasklet=twin.to_dict()), src="c1"), SubmitAck)
         assert not ack.accepted and ack.reason == "duplicate tasklet id"
         same = Tasklet(TaskletId("tl-dup"), program, "main", [1])
-        assert bodies(harness.send(SubmitTasklet(tasklet=same.to_dict()), src="c1"), SubmitAck)[0].accepted
+        assert harness.send(SubmitTasklet(tasklet=same.to_dict()), src="c1") == []
         assert harness.broker.stats.executions_issued == 1 and harness.broker.pending_tasklets == 1
 
 
@@ -421,7 +418,7 @@ class TestWorkflowNodeIds:
 
     def test_plain_submit_of_a_running_workflow_nodes_id_is_refused_not_forgotten(self):
         """Regression: the same computation under a running node's id was
-        an in-flight admission — acked accepted — and when the node ended
+        an in-flight admission — accepted — and when the node ended
         its outcome went to the graph only: no ``TaskletComplete``, ever."""
         harness = Harness()
         harness.add_provider()
@@ -429,7 +426,8 @@ class TestWorkflowNodeIds:
         (ack,) = bodies(harness.send(twin, src="c1"), SubmitAck)
         assert not ack.accepted and "workflow 'wf-1'" in ack.reason
         # The node itself is untouched, and another consumer's id is its own.
-        assert bodies(harness.send(twin, src="c2"), SubmitAck)[0].accepted
+        replies = harness.send(twin, src="c2")
+        assert bodies(replies, SubmitAck) == [] and len(bodies(replies, AssignExecution)) == 1
         replies = harness.complete(assign)
         (done,) = bodies(replies, WorkflowComplete)
         assert done.ok and done.outputs == {"n1": packed(42)}
@@ -441,7 +439,7 @@ class TestWorkflowNodeIds:
         assign, twin = self._start_workflow(harness)
         harness.complete(assign)
         replies = harness.send(twin, src="c1")
-        assert bodies(replies, SubmitAck)[0].accepted
+        assert bodies(replies, SubmitAck) == []
         (done,) = bodies(replies, TaskletComplete)
         assert done.ok and opened(done.value) == 42 and done.tasklet_id == "wf-1:n1"
         assert harness.broker.pending_tasklets == 0
@@ -510,7 +508,7 @@ def test_args_that_pack_no_argument_list_are_refused_by_id_and_leave_nothing(
         assert (tmp_path / "j.jsonl").read_text() == ""
     # The id is free: the same tasklet, its arguments as they should be, runs.
     replies = harness.send(SubmitTasklet(tasklet=tasklet), src="c1")
-    assert bodies(replies, SubmitAck)[0].accepted and len(bodies(replies, AssignExecution)) == 1
+    assert bodies(replies, SubmitAck) == [] and len(bodies(replies, AssignExecution)) == 1
 
 
 def test_malformed_workflow_dict_is_refused_not_raised():
@@ -630,7 +628,7 @@ class TestWorkflowAdmissionOpensPrograms:
             builder.node(PROGRAM, args=[{"$from": source}], node_id=f"n{index}")
         builder.node(self.TWO, args=[{"$from": "n1"}, {"$from": "n2"}], node_id="sum")
         replies = harness.send(SubmitWorkflow(workflow=builder.build().to_dict()), src="c1")
-        assert bodies(replies, WorkflowAck)[0].accepted
+        assert bodies(replies, WorkflowAck) == [] and len(bodies(replies, AssignExecution)) == 1
         assert len(opened) == 2  # eight nodes, two programs, one of them new to this broker
         pending, finished = bodies(replies, AssignExecution), []
         while pending:  # the source, the fan-out, then the sum

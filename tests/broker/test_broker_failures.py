@@ -115,6 +115,40 @@ class TestHeartbeatFailureDetection:
         harness.tick_at(4.5)
         assert harness.broker.stats.providers_failed == 0
 
+    def test_results_keep_a_provider_alive_whose_heartbeats_stall(self):
+        """Regression: only a heartbeat was proof of life, so a provider
+        whose heartbeats stalled behind the results it kept sending was
+        declared dead and its work failed over.  A result counts — from
+        the execution's assignee only."""
+        harness = Harness(BrokerConfig(  # dead after 3 silent 1 s intervals
+            heartbeat_interval=1.0, heartbeat_tolerance=3.0, memoize_results=False,
+        ))
+        harness.register("p1")
+
+        def result_for(assign, provider):
+            return ExecutionResult(
+                execution_id=assign.execution_id, tasklet_id=assign.tasklet_id,
+                provider_id=provider, status="success", value=packed(1), instructions=4,
+            )
+
+        for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):  # p1 never heartbeats
+            harness.clock.advance_to(t)
+            (assign,) = bodies(harness.submit(), AssignExecution)
+            harness.send(result_for(assign, "p1"), src="p1")
+            harness.tick_at(t + 0.5)
+        assert harness.broker.stats.providers_failed == 0
+        assert harness.broker.stats.tasklets_completed == 6
+        # A result for p1's execution sent by anyone else proves nothing about p1.
+        (assign,) = bodies(harness.submit(), AssignExecution)
+        harness.register("p2")
+        for t in (7.0, 8.0, 9.0):
+            harness.clock.advance_to(t)
+            harness.send(Heartbeat(provider_id="p2", free_slots=1), src="p2")
+            harness.send(result_for(assign, "p1"), src="p2")
+        harness.tick_at(9.5)
+        assert harness.broker.stats.providers_failed == 1
+        assert harness.broker.stats.messages_unreadable == 3
+
 
 class TestExecutionTimeout:
     def test_stuck_execution_reissued_and_cancelled(self):

@@ -449,6 +449,45 @@ class TestPeerLoss:
         assert opened(core._completed[f"c1/{tasklet_id}"].value) == 42
 
 
+class TestForwardCompleteSender:
+    """Only the peer a tasklet was forwarded to may end it — or, when its
+    outcome raced a reclaim, the peer it was reclaimed from
+    (``test_late_forward_complete_after_reclaim_resolves_once``)."""
+
+    @staticmethod
+    def forged(tasklet_id, broker_id):
+        return ForwardComplete(
+            tasklet_id=str(tasklet_id), consumer_id="c1", broker_id=broker_id,
+            ok=True, value=packed(666), attempts=1,
+        )
+
+    def test_an_outcome_from_a_peer_it_was_not_forwarded_to_is_refused(self):
+        fed = FedHarness(ids=("b1", "b2", "b3"))
+        fed.add_provider("b2", "p1")
+        fed.tick_all()  # b1 learns that b2 (not b3) has free slots
+        tasklet_id, out = fed.submit("b1")
+        (assign,) = bodies(out, AssignExecution)
+        core = fed.cores["b1"]
+        assert core.stats.tasklets_forwarded == 1
+        for sender in ("b3", "c9"):  # another peer, a consumer
+            assert fed.send("b1", self.forged(tasklet_id, sender), src=sender) == []
+        assert core.stats.messages_unreadable == 2
+        assert core.stats.tasklets_completed == 0 and core.pending_tasklets == 1
+        assert list(core.forwarding.forwards) == [f"c1/{tasklet_id}"]
+        # The peer the work went to still decides it.
+        out = fed.send("b2", result_of(assign, "p1", fed.clock), src="p1")
+        (done,) = bodies(out, TaskletComplete)
+        assert done.ok and opened(done.value) == 42
+
+    def test_a_tasklet_never_forwarded_is_not_completed_by_a_peer(self):
+        fed = FedHarness()
+        tasklet_id, _out = fed.submit("b1")  # no capacity anywhere: queued on b1
+        core = fed.cores["b1"]
+        assert core.stats.tasklets_forwarded == 0
+        assert fed.send("b1", self.forged(tasklet_id, "b2"), src="b2") == []
+        assert core.stats.messages_unreadable == 1 and core.pending_tasklets == 1
+
+
 class TestFailoverResubmit:
     def test_consumer_resubmit_to_executing_peer_gets_the_result(self):
         """Consumer failover mid-forward: c1 submitted to b1, b1 forwarded

@@ -22,6 +22,8 @@ the broker's lifecycle invariants must hold; it must never raise:
   program that does not open or is not what its stamp says — is answered
   with that one refusal (``submit_ack`` / ``workflow_ack``, not accepted) and
   leaves no table entry, no journal line, no counter but ``*_submitted``;
+* no accepted ``submit_ack`` / ``workflow_ack`` is ever sent: a submission
+  the broker takes is answered by its outcome alone;
 * a ``success`` for a live execution whose value is not the packed bytes
   of a Tasklet value fails that execution and is graded against its
   provider: no success is counted, and what follows is what follows any
@@ -327,22 +329,33 @@ class _Driver:
             assert str(refusal.dst) == src
             assert _snapshot(self.broker) == before
             return
-        self._observe(self.broker.handle(envelope), resubmit_of)
+        if isinstance(body, SubmitTasklet):
+            submitted = ("tasklet", src, body.tasklet["tasklet_id"])
+        elif isinstance(body, SubmitWorkflow):
+            submitted = ("workflow", src, body.workflow["workflow_id"])
+        else:
+            submitted = None
+        self._observe(self.broker.handle(envelope), resubmit_of, submitted)
 
     def tick(self, dt: float) -> None:
         self.clock.advance(dt)
         self._observe(self.broker.tick(), None)
 
-    def _observe(self, outbound, resubmit_of) -> None:
+    def _observe(self, outbound, resubmit_of, submitted=None) -> None:
+        """Check what the broker sent; ``submitted`` (kind, consumer, id)
+        is admitted unless one of the envelopes refuses it."""
+        refused = set()
         for envelope in outbound:
             payload, dst = envelope.payload, str(envelope.dst)
             if envelope.type == "assign_execution":
                 self.assigned_to[payload["execution_id"]] = dst
                 self.issue_order.append(payload["execution_id"])
-            elif envelope.type == "submit_ack" and payload["accepted"]:
-                self.admitted["tasklet"].add((dst, payload["tasklet_id"]))
-            elif envelope.type == "workflow_ack" and payload["accepted"]:
-                self.admitted["workflow"].add((dst, payload["workflow_id"]))
+            elif envelope.type in ("submit_ack", "workflow_ack"):
+                # A submission is answered by its refusal or by its outcome:
+                # no accepted ack is ever sent.
+                assert payload["accepted"] is False and payload["reason"], payload
+                kind = "tasklet" if envelope.type == "submit_ack" else "workflow"
+                refused.add((kind, dst, payload[f"{kind}_id"]))
             elif envelope.type == "tasklet_complete":
                 self._terminal(
                     ("tasklet", dst, payload["tasklet_id"]),
@@ -355,6 +368,8 @@ class _Driver:
                     (payload["ok"], payload["outputs"]),
                     resubmit_of,
                 )
+        if submitted is not None and submitted not in refused:
+            self.admitted[submitted[0]].add(submitted[1:])
         _invariants(self.broker)
 
     def _terminal(self, key, outcome, resubmit_of) -> None:

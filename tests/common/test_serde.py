@@ -211,6 +211,24 @@ def test_binary_roundtrip_is_type_exact_and_agrees_with_json(value):
     assert exactly(decoded) == exactly(as_json({"v": value})["v"])
 
 
+def typed(value):
+    """:func:`exactly`, into dicts as well."""
+    if isinstance(value, dict):
+        return {key: typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [typed(item) for item in value]
+    return exactly(value)
+
+
+@given(wire_values)
+def test_every_wire_value_unpacks_to_itself_types_and_all(value):
+    out = bytearray()
+    pack_value(value, out)
+    decoded, end = unpack_value(bytes(out), 0)
+    assert end == len(out)
+    assert typed(decoded) == typed(value)
+
+
 @given(tasklet_values)
 def test_equal_values_encode_to_identical_bytes(value):
     clone = unpacked(packed(value))  # equal, and built by other code
@@ -372,8 +390,11 @@ def test_an_int_array_costs_the_same_number_of_calls_at_any_length():
         }
     assert counts[128] == counts[8192]
     assert max(counts[8192].values()) < 200
-    # The same probe does see a per-item walk: one bool ends the bulk form.
-    assert calls_made(packed, [1] * 8191 + [True]) > 8192
+    # The same probe does see a per-item walk (each string is encoded by a
+    # call).  One bool ends the bulk form: its ints are then written item
+    # by item, inline, which costs bytes on the wire rather than calls.
+    assert calls_made(packed, ["x"] * 8192) > 8192
+    assert packed([1] * 8191 + [True])[:3] == b"\x07\x80\x40"  # (8,192 items)
 
 
 # ---------------------------------------------------------------------------

@@ -236,8 +236,7 @@ def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
         provider.sendall(encode_envelope(registration.envelope(prov, me)))
         assert read_envelopes(provider, 1)[0].type == "register_ack"
         consumer.sendall(submit("tl-1"))
-        assert [e.type for e in read_envelopes(consumer, 1)] == ["submit_ack"]
-        (assignment,) = read_envelopes(provider, 1)
+        (assignment,) = read_envelopes(provider, 1)  # (an accepted submit is not acked)
         assert assignment.type == "assign_execution"
         forged = ExecutionResult(
             execution_id=assignment.payload["execution_id"],
@@ -247,10 +246,9 @@ def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
             value=packed(666),
         ).envelope(prov, me)
         consumer.sendall(encode_envelope(forged) + submit("tl-2"))
-        # The link is still up and still c1's: the next submit is answered
-        # on it, and no ``tasklet_complete`` for tl-1 came first.
-        (ack,) = read_envelopes(consumer, 1)
-        assert (ack.type, ack.payload["tasklet_id"]) == ("submit_ack", "tl-2")
+        # The link is still up and still c1's: the next submit is admitted
+        # from it (and answered on it below), and tl-1 is not decided.
+        wait_until(lambda: broker.core.pending_tasklets == 2, message="tl-2's admission")
         assert broker.core.stats.messages_unreadable == 1
         assert broker.core.stats.tasklets_completed == 0
         assert broker.core.pending_tasklets == 2
@@ -263,10 +261,17 @@ def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
             value=packed(42),
         ).envelope(prov, me)
         provider.sendall(encode_envelope(real))
-        assert read_envelopes(provider, 1)[0].payload["tasklet_id"] == "tl-2"
+        (second,) = read_envelopes(provider, 1)
+        assert second.payload["tasklet_id"] == "tl-2"
         (complete,) = read_envelopes(consumer, 1)
         assert complete.type == "tasklet_complete"
         assert (complete.payload["tasklet_id"], complete.payload["value"]) == ("tl-1", packed(42))
+        provider.sendall(encode_envelope(ExecutionResult(
+            execution_id=second.payload["execution_id"], tasklet_id="tl-2",
+            provider_id="prov-0", status="success", value=packed(42),
+        ).envelope(prov, me)))
+        (complete,) = read_envelopes(consumer, 1)
+        assert (complete.type, complete.payload["tasklet_id"]) == ("tasklet_complete", "tl-2")
 
 
 def test_a_json_frame_is_refused_on_its_link_only():
@@ -275,20 +280,36 @@ def test_a_json_frame_is_refused_on_its_link_only():
     that link with one ``disconnect`` event naming the byte, while a bin2
     link opened before it keeps being served."""
     telemetry = Telemetry()
-    me, c1 = NodeId("broker"), NodeId("c1")
+    me, c1, prov = NodeId("broker"), NodeId("c1"), NodeId("prov-0")
     program = compile_source("func main(x: int) -> int { return x + 1; }")
 
-    def submit(name):
-        tasklet = Tasklet(
-            tasklet_id=TaskletId(name), program=program, entry="main", args=[41], qoc=QoC()
+    with TcpBroker(telemetry=telemetry) as broker, socket.create_connection(
+        broker.address
+    ) as provider:
+        provider.settimeout(5.0)
+        registration = RegisterProvider(
+            provider_id="prov-0", device_class="host", capacity=1, benchmark_score=1e7
         )
-        return encode_envelope(SubmitTasklet(tasklet=tasklet.to_dict()).envelope(c1, me))
+        provider.sendall(encode_envelope(registration.envelope(prov, me)))
+        assert read_envelopes(provider, 1)[0].type == "register_ack"
 
-    with TcpBroker(telemetry=telemetry) as broker:
+        def served(link, name, x):
+            """``name``, submitted on ``link``, is assigned and its outcome
+            comes back on ``link``: the link is read and answered."""
+            tasklet = Tasklet(TaskletId(name), program, "main", args=[x], qoc=QoC())
+            link.sendall(encode_envelope(SubmitTasklet(tasklet=tasklet.to_dict()).envelope(c1, me)))
+            (assignment,) = read_envelopes(provider, 1)
+            assert (assignment.type, assignment.payload["tasklet_id"]) == ("assign_execution", name)
+            provider.sendall(encode_envelope(ExecutionResult(
+                execution_id=assignment.payload["execution_id"], tasklet_id=name,
+                provider_id="prov-0", status="success", value=packed(x + 1),
+            ).envelope(prov, me)))
+            (complete,) = read_envelopes(link, 1)
+            assert (complete.type, complete.payload["tasklet_id"]) == ("tasklet_complete", name)
+
         with socket.create_connection(broker.address) as good:
             good.settimeout(5.0)
-            good.sendall(submit("tl-1"))
-            assert read_envelopes(good, 1)[0].type == "submit_ack"
+            served(good, "tl-1", 41)
             document = {"type": "heartbeat", "src": "old", "dst": "broker", "seq": 0,
                         "payload": {"provider_id": "old", "free_slots": 1}}
             body = json.dumps(document).encode()
@@ -299,10 +320,8 @@ def test_a_json_frame_is_refused_on_its_link_only():
             wait_until(lambda: telemetry.events.events(kind="disconnect"), message="the report")
             (event,) = telemetry.events.events(kind="disconnect")
             assert event.attrs["reason"] == "refused: not a bin2 frame: first body byte 0x7b"
-            good.sendall(submit("tl-2"))
-            (ack,) = read_envelopes(good, 1)
-            assert (ack.type, ack.payload["tasklet_id"]) == ("submit_ack", "tl-2")
-        assert len(broker.core.registry) == 0
+            served(good, "tl-2", 42)
+        assert [r.provider_id for r in broker.core.registry.records()] == ["prov-0"]
         assert broker.core.stats.messages_unreadable == 0
 
 

@@ -1,9 +1,9 @@
 """The broker's connection: coalescing, framing, lifecycle.
 
-An :class:`AioConnection` lives on one event loop and is touched by that
-loop's thread only (DESIGN.md, "Who runs what"), so every test drives it
-from a coroutine on a loop it runs itself; the peer is a plain blocking
-socket.
+An :class:`AioConnection` is an ``asyncio.Protocol`` on one event loop,
+touched by that loop's thread only (DESIGN.md, "Who runs what"), so every
+test drives it from a coroutine on a loop it runs itself; the peer is a
+plain blocking socket.
 """
 
 import asyncio
@@ -24,14 +24,20 @@ def make_envelope(i=0):
     )
 
 
-def on_loop(scenario, timeout=10.0):
+def on_loop(scenario, timeout=10.0, on_envelope=None):
     """Run ``scenario(connection, peer)`` on a fresh event loop:
-    ``connection`` is wired to the blocking socket ``peer``."""
+    ``connection`` is wired to the blocking socket ``peer``, hands what it
+    reads to ``on_envelope`` and records why it ended in ``connection.causes``."""
     server, peer = socket.socketpair()
 
     async def run():
-        reader, writer = await asyncio.open_connection(sock=server)
-        connection = AioConnection(reader, writer)
+        causes = []
+        connection = AioConnection(
+            on_envelope or (lambda conn, envelope: None),
+            lambda conn, cause: causes.append(cause),
+        )
+        connection.causes = causes
+        await asyncio.get_running_loop().create_connection(lambda: connection, sock=server)
         try:
             return await asyncio.wait_for(scenario(connection, peer), timeout)
         finally:
@@ -128,29 +134,110 @@ def test_send_after_close_raises_typed():
 
 
 def test_reader_dispatches_and_reports_close():
-    async def scenario(connection, peer):
-        received = []
-        reader = asyncio.ensure_future(
-            connection.run_reader(lambda conn, envelope: received.append(envelope))
-        )
-        peer.sendall(encode_envelope(make_envelope(7)))
-        while not received:
-            await asyncio.sleep(0.01)
-        assert received[0].payload["provider_id"] == "p7"
-        peer.close()
-        await reader  # returns on EOF
-        assert connection.closed
+    received = []
 
-    on_loop(scenario)
+    async def scenario(connection, peer):
+        # Two frames in one write: both are handled in the callback that
+        # read them, in order.
+        peer.sendall(encode_envelope(make_envelope(7)) + encode_envelope(make_envelope(8)))
+        while len(received) < 2:
+            await asyncio.sleep(0.01)
+        assert [e.payload["provider_id"] for _conn, e in received] == ["p7", "p8"]
+        assert received[0][0] is connection
+        peer.close()
+        await connection.lost  # resolves on EOF
+        assert connection.closed
+        assert connection.causes == [None]
+
+    on_loop(scenario, on_envelope=lambda conn, envelope: received.append((conn, envelope)))
 
 
 def test_reader_drops_link_on_garbage():
     async def scenario(connection, peer):
         peer.sendall(b"\xde\xad\xbe\xef" * 4)
-        # Garbage must end the reader with a typed refusal, not hang it
-        # (``on_loop`` bounds it), and close the link on the way out.
-        with pytest.raises(CodecError, match="too large"):
-            await connection.run_reader(lambda conn, envelope: None)
+        # Garbage must end the link with a typed refusal, not hang it
+        # (``on_loop`` bounds it), and close it on the way out.
+        await connection.lost
+        (cause,) = connection.causes
+        assert isinstance(cause, CodecError) and "too large" in str(cause)
         assert connection.closed
+        peer.settimeout(5.0)
+        assert peer.recv(1) == b""  # the peer sees the close
 
     on_loop(scenario)
+
+
+def test_a_handler_fault_ends_the_link_with_its_cause():
+    async def scenario(connection, peer):
+        peer.sendall(encode_envelope(make_envelope(1)) + encode_envelope(make_envelope(2)))
+        await connection.lost
+        (cause,) = connection.causes
+        assert isinstance(cause, RuntimeError) and str(cause) == "p1"
+        assert connection.closed
+
+    def boom(conn, envelope):
+        raise RuntimeError(envelope.payload["provider_id"])
+
+    on_loop(scenario, on_envelope=boom)
+
+
+def test_a_paused_transport_queues_and_resume_flushes_in_order():
+    async def scenario(connection, peer):
+        connection._metrics = metrics = CountingMetrics()
+        connection.pause_writing()  # (what the transport calls when its buffer is full)
+        for i in range(3):
+            connection.send(make_envelope(i))
+        await asyncio.sleep(0.05)
+        assert metrics.flushes.value == 0, "nothing is written while paused"
+        connection.resume_writing()
+        connection.send(make_envelope(3))
+        frames = await recv_frames(peer, 4)
+        assert [e.payload["provider_id"] for e, _s in frames] == ["p0", "p1", "p2", "p3"]
+        assert metrics.flushes.value == 1
+
+    on_loop(scenario)
+
+
+def test_a_full_kernel_buffer_pauses_the_flush_and_loses_nothing():
+    total = 3 * FLUSH_MAX_ENVELOPES
+
+    async def scenario(connection, peer):
+        connection._transport.set_write_buffer_limits(high=1024)
+        paused = []
+        original = connection.pause_writing
+
+        def pause():
+            paused.append(len(connection._queue))
+            original()
+
+        connection.pause_writing = pause
+        big = "x" * 2000
+        for i in range(total):
+            envelope = make_envelope(i)
+            envelope.payload["provider_id"] = f"p{i}-{big}"
+            connection.send(envelope)
+        frames = await recv_frames(peer, total)
+        assert [e.payload["provider_id"] for e, _s in frames] == [
+            f"p{i}-{big}" for i in range(total)
+        ]
+        assert paused and paused[0] > 0, "the flush stopped with envelopes still queued"
+
+    on_loop(scenario)
+
+
+def test_no_link_of_the_broker_waits_out_nagle():
+    """Regression: frames are small, and a link with Nagle on holds each
+    one back until the peer's delayed ack (~40 ms on loopback) — an
+    accepted link, and one dialed to a federation peer, alike."""
+    from repro.transport.tcp import TcpBroker
+
+    from .test_broker_link import wait_until
+
+    def nodelay(connection):
+        sock = connection._transport.get_extra_info("socket")
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    with TcpBroker(broker_id="b2") as b2, TcpBroker(broker_id="b1", peers={"b2": b2.address}) as b1:
+        with socket.create_connection(b1.address):
+            wait_until(lambda: "b2" in b1._connections and len(b1._accepted) == 2, message="links")
+            assert all(nodelay(connection) for connection in list(b1._accepted))

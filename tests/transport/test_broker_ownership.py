@@ -213,7 +213,7 @@ def test_a_failed_start_leaves_nothing_running_and_can_be_tried_again(monkeypatc
     broker = TcpBroker(obs_port=0)
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(asyncio, "start_server", refuse)
+            patch.setattr(asyncio.BaseEventLoop, "create_server", refuse)
             with pytest.raises(OSError, match="no server for you"):
                 broker.start()
         assert threads_named("broker-aio", "obs-broker") == []
@@ -229,3 +229,20 @@ def test_a_failed_start_leaves_nothing_running_and_can_be_tried_again(monkeypatc
     finally:
         broker.stop()
     assert threads_named("broker-aio", "obs-broker") == []
+
+
+def test_a_link_accepted_as_stop_begins_is_closed_not_left_open():
+    """Regression: a connection accepted in the loop turn ``stop()`` began
+    in got its protocol after the close sweep, and its socket was left to
+    the garbage collector — the peer never saw the broker go."""
+    for _ in range(10):
+        broker = TcpBroker().start()
+        peer = socket.create_connection(broker.address)
+        broker.stop()
+        peer.settimeout(2.0)
+        try:
+            assert peer.recv(1) == b""
+        except ConnectionResetError:
+            pass  # (refused from the accept queue: as good as EOF)
+        finally:
+            peer.close()

@@ -127,10 +127,10 @@ def test_aio_close_flushes_sends_accepted_before_it():
     try:
 
         async def send_then_close():
-            reader, writer = await asyncio.open_connection(sock=server)
-            connection = AioConnection(reader, writer)
+            connection = AioConnection(lambda conn, envelope: None, lambda conn, cause: None)
+            await asyncio.get_running_loop().create_connection(lambda: connection, sock=server)
             # One loop callback, no await: the close runs before the
-            # flush task the first send scheduled ever does.
+            # flush the first send scheduled ever does.
             connection.send(make_envelope(1))
             connection.send(make_envelope(2))
             connection.close()
