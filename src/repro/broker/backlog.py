@@ -21,12 +21,16 @@ from .registry import ProviderRegistry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import _TaskletState
 
+#: Replicas the backlog holds across all tasklets; what does not fit fails
+#: its tasklet rather than stranding it.
+MAX_QUEUED_REPLICAS = 100_000
+
 
 class Backlog:
     """FIFO of tasklet keys with queued replicas (see module docstring)."""
 
-    def __init__(self, max_replicas: int):
-        self.max_replicas = max_replicas
+    def __init__(self) -> None:
+        self.max_replicas = MAX_QUEUED_REPLICAS
         #: ``sum(state.pending_replicas)`` over every live tasklet.
         self.replicas = 0
         self._order: deque[str] = deque()

@@ -87,7 +87,6 @@ class BrokerConfig:
     heartbeat_interval: float = 1.0
     heartbeat_tolerance: float = 3.0  # intervals of silence before "dead"
     execution_timeout: float | None = 30.0  # per-execution re-issue horizon
-    max_queued_replicas: int = 100_000
     #: When False, scheduling trusts self-reported benchmark scores and
     #: never learns from observed execution rates (ablation A1).
     learn_speed: bool = True
@@ -95,18 +94,6 @@ class BrokerConfig:
     #: result->assign network round trip for fine-grained Tasklets
     #: (ablation A5).  0 = assign only to genuinely free slots.
     pipeline_depth: int = 0
-    #: Straggler watchdog: alert when an outstanding execution exceeds
-    #: this multiple of its expected runtime (learned program profile /
-    #: provider speed).  Advisory only; re-issue policy is unchanged.
-    straggler_multiple: float = 4.0
-    #: Floor on expected runtime, absorbing scheduling/transport jitter
-    #: for very short programs.
-    straggler_min_expected_s: float = 0.05
-    #: Serve repeated identical submissions (same program fingerprint,
-    #: entry, args, seed, fuel) from the result cache with zero
-    #: executions issued.  Safe because Tasklets are deterministic and
-    #: side-effect-free; disable to force every submission to execute.
-    memoize_results: bool = True
 
 
 @dataclass
@@ -221,9 +208,7 @@ class BrokerCore:
         #: Everything reported about the lifecycle goes through here; the
         #: health model and watchdog exist only when telemetry is enabled.
         self.observer: LifecycleObserver = (
-            TelemetryObserver(
-                telemetry, self.config, node_id, clock, federation is not None
-            )
+            TelemetryObserver(telemetry, node_id, clock, federation is not None)
             if telemetry
             else LifecycleObserver()
         )
@@ -244,15 +229,14 @@ class BrokerCore:
         #: Every outstanding execution, by id, provider and deadline.
         self.executions = ExecutionIndex()
         #: Tasklets with queued replicas, FIFO by first queueing.
-        self.backlog = Backlog(self.config.max_queued_replicas)
+        self.backlog = Backlog()
         #: Durability: journal (may be None), terminal outcomes by tasklet
         #: key (LRU-bounded, serves idempotent resubmits), and the result
-        #: memoization cache by computation identity.
+        #: memoization cache by computation identity — safe because
+        #: Tasklets are deterministic and side-effect-free.
         self.journal = journal
         self._completed: "OrderedDict[str, CompletionRecord]" = OrderedDict()
-        self.result_cache: ResultCache | None = (
-            ResultCache() if self.config.memoize_results else None
-        )
+        self.result_cache = ResultCache()
         self.workflows = WorkflowCoordinator(self)
         #: Message dispatch: body type -> ``handler(body, envelope)``.
         self._handlers: dict[type, Callable[..., list[Envelope]]] = {
@@ -479,7 +463,7 @@ class BrokerCore:
             return _Admission(tasklet_id, refusal=refusal)
         now = self.clock.now()
         memo = memo_key_of(fingerprint, tasklet.entry, tasklet.args, tasklet.seed, tasklet.fuel)
-        if self.result_cache is not None and memo is not None and not replayed:
+        if memo is not None and not replayed:
             hit = self.result_cache.get(memo)
             if hit is not None:
                 self.observer.memo_lookup(hit=True)
@@ -557,11 +541,7 @@ class BrokerCore:
         self._completed.move_to_end(completion.key)
         while len(self._completed) > COMPLETED_RETENTION:
             self._completed.popitem(last=False)
-        if (
-            completion.ok
-            and completion.memo_key
-            and self.result_cache is not None
-        ):
+        if completion.ok and completion.memo_key:
             self.result_cache.put(completion.memo_key, completion)
         if journal_write and self.journal is not None:
             self.journal.record_complete(completion)
@@ -643,21 +623,11 @@ class BrokerCore:
                 # pending, no TaskletComplete — the consumer waits
                 # forever), so account for the drop and, if nothing else
                 # is carrying this tasklet, fail it now.
-                self.observer.backlog_overflowed(
-                    state, overflow, self.config.max_queued_replicas
-                )
+                limit = self.backlog.max_replicas
+                self.observer.backlog_overflowed(state, overflow, limit)
                 if not state.outstanding and state.pending_replicas == 0:
-                    out.extend(
-                        self._complete(
-                            state,
-                            ok=False,
-                            error=(
-                                f"scheduling backlog full: {overflow} replica(s) "
-                                "dropped (max_queued_replicas="
-                                f"{self.config.max_queued_replicas})"
-                            ),
-                        )
-                    )
+                    error = f"scheduling backlog full: {overflow} replica(s) dropped (limit {limit})"
+                    out.extend(self._complete(state, ok=False, error=error))
         return out
 
     def _assign(self, state: _TaskletState, count: int) -> list[Envelope]:
@@ -1067,7 +1037,7 @@ class BrokerCore:
             doc["workflows"] = self.workflows.describe(now)
         if self.forwarding is not None:
             doc["federation"] = self.forwarding.describe(now)
-        self.observer.health_report(doc, records)
+        self.observer.health_report(doc, self.registry)
         return doc
 
     def _send(self, body: MessageBody, dst: NodeId) -> Envelope:

@@ -5,7 +5,7 @@ ids of its peers (and, on TCP, their addresses) and exchanges periodic
 :class:`~repro.transport.message.GossipDigest` messages summarising its
 registry, load, and health grades.  The digest stream doubles as the
 peer failure detector — a peer whose digests stop arriving for
-``peer_tolerance`` gossip intervals is declared dead.
+:data:`PEER_TOLERANCE` gossip intervals is declared dead.
 
 :class:`FederationCore` is sans-IO state shared by the simulator and the
 TCP deployment, mirroring the broker-core pattern: it never sends
@@ -27,6 +27,14 @@ from __future__ import annotations
 import uuid
 from dataclasses import dataclass, field
 
+#: Gossip intervals of digest silence before a peer is declared dead.
+PEER_TOLERANCE = 3.0
+#: Seconds before an unacknowledged forward is re-sent (safe: forwards are
+#: idempotent on the receiving peer).
+FORWARD_RESEND_INTERVAL_S = 5.0
+#: Forwarded tasklets are never forwarded again past this hop count.
+MAX_HOPS = 1
+
 
 @dataclass
 class FederationConfig:
@@ -36,16 +44,6 @@ class FederationConfig:
     peers: list[str] = field(default_factory=list)
     #: Seconds between outbound gossip digests.
     gossip_interval: float = 1.0
-    #: Gossip intervals of digest silence before a peer is declared dead.
-    peer_tolerance: float = 3.0
-    #: Forward a submission to a peer with free capacity when no local
-    #: provider has a free slot.
-    forward_when_saturated: bool = True
-    #: Re-send an unacknowledged forward after this many seconds (safe:
-    #: forwards are idempotent on the receiving peer).
-    forward_resend_interval: float = 5.0
-    #: Forwarded tasklets are never forwarded again past this hop count.
-    max_hops: int = 1
     #: peer broker id -> journal path.  When a peer dies and this broker
     #: is the deterministic successor (lowest live broker id), it adopts
     #: the dead peer's journal: completions become re-deliverable here
@@ -162,7 +160,7 @@ class FederationCore:
 
     def tick(self, now: float) -> tuple[list[str], bool]:
         """Advance timers: ``(newly dead peer ids, gossip due?)``."""
-        horizon = self.config.peer_tolerance * self.config.gossip_interval
+        horizon = PEER_TOLERANCE * self.config.gossip_interval
         dead = []
         for peer in self.peers.values():
             if peer.alive and now - peer.last_seen > horizon:
@@ -184,18 +182,15 @@ class FederationCore:
     def alive_peers(self) -> list[PeerState]:
         return [peer for peer in self.peers.values() if peer.alive]
 
-    def choose_peer(self, exclude: set[str] | None = None) -> str | None:
+    def choose_peer(self) -> str | None:
         """Best forwarding target: most free capacity, ties by id.
 
         Only peers currently alive *and* advertising free slots qualify
         (routing on the gossiped health/load view, not blind
         round-robin); ``None`` means keep the work local.
         """
-        exclude = exclude or set()
         candidates = [
-            peer
-            for peer in self.peers.values()
-            if peer.alive and peer.free_slots > 0 and peer.broker_id not in exclude
+            peer for peer in self.peers.values() if peer.alive and peer.free_slots > 0
         ]
         if not candidates:
             return None

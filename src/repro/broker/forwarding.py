@@ -26,7 +26,13 @@ from ..transport.message import (
     GossipDigest,
     PeerHello,
 )
-from .federation import FederationCore, PEER_CAME_UP, PEER_EPOCH_CHANGED
+from .federation import (
+    FORWARD_RESEND_INTERVAL_S,
+    MAX_HOPS,
+    PEER_CAME_UP,
+    PEER_EPOCH_CHANGED,
+    FederationCore,
+)
 from .journal import CompletionRecord, replay_journal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,8 +76,6 @@ class ForwardingPlane:
 
     def target(self) -> str | None:
         """Peer to forward a fresh admission to, or ``None`` (keep local)."""
-        if not self.federation.config.forward_when_saturated:
-            return None
         if self.core.registry.free_capacity > 0:
             return None  # local capacity exists; no reason to forward
         return self.federation.choose_peer()
@@ -186,7 +190,7 @@ class ForwardingPlane:
 
     def _refusal(self, hops: int) -> str | None:
         """Why new forwarded work cannot be taken (None = it can)."""
-        if hops > self.federation.config.max_hops:
+        if hops > MAX_HOPS:
             return f"too many hops ({hops})"
         if self.core.registry.free_capacity <= 0:
             # The gossip view the origin routed on is stale; rejecting
@@ -270,9 +274,8 @@ class ForwardingPlane:
             for peer_id in self.federation.peer_ids():
                 out.append(core._send(digest, NodeId(peer_id)))
                 core.observer.gossiped("out")
-        resend_after = self.federation.config.forward_resend_interval
         for forward in self.forwards.values():
-            if forward.acked or now - forward.last_sent < resend_after:
+            if forward.acked or now - forward.last_sent < FORWARD_RESEND_INTERVAL_S:
                 continue
             peer = self.federation.peers.get(forward.peer)
             if peer is not None and peer.alive:
@@ -292,7 +295,7 @@ class ForwardingPlane:
             free_slots=core.registry.free_capacity,
             pending_tasklets=len(core._tasklets),
             backlog_replicas=core.backlog.replicas,
-            grades=core.observer.provider_grades(records),
+            grades=core.observer.provider_grades(core.registry),
         )
 
     def _on_peer_dead(self, peer_id: str) -> list[Envelope]:

@@ -356,43 +356,32 @@ def replay_journal(path: str) -> JournalSnapshot:
 class WorkJournal:
     """Append-only JSONL journal of admitted and completed Tasklets.
 
-    Writes are serialised by an internal lock (the TCP broker drives the
-    core from several threads) and flushed per record so a crash loses at
-    most the line being written — which replay tolerates.  ``fsync=True``
-    additionally syncs every append for machines where the page cache
-    must not be trusted; off by default because it dominates admission
-    latency (``benchmarks/bench_micro_journal.py`` measures both paths).
+    Writes are serialised by an internal lock — one thread owns the TCP
+    broker's core, so it is uncontended there — and flushed per record
+    so a crash loses at most the line being written, which replay
+    tolerates.  ``fsync=True`` additionally syncs every append for
+    machines where the page cache must not be trusted; off by default
+    because it dominates admission latency
+    (``benchmarks/bench_micro_journal.py`` measures both paths).
 
-    ``auto_compact_records`` / ``auto_compact_bytes`` arm automatic
-    compaction: once that many records have been appended since the last
-    compaction (or the file exceeds that many bytes), the next
+    ``auto_compact_records`` arms automatic compaction: once that many
+    records have been appended since the last compaction, the next
     :meth:`maybe_compact` call rewrites the journal in place, dropping
-    ``admitted`` records that already completed.  Both default to off —
+    ``admitted`` records that already completed.  Off by default —
     compaction stays manual via ``repro journal --compact``.
     """
 
-    #: Appends required between byte-triggered compactions, so a journal
-    #: dominated by live (incompactable) state cannot re-trigger a
-    #: rewrite on every write.
-    MIN_APPENDS_BETWEEN_COMPACTIONS = 32
-
     def __init__(
-        self,
-        path: str,
-        fsync: bool = False,
-        auto_compact_records: int | None = None,
-        auto_compact_bytes: int | None = None,
+        self, path: str, fsync: bool = False, auto_compact_records: int | None = None
     ):
         self.path = path
         self.fsync = fsync
         self.auto_compact_records = auto_compact_records
-        self.auto_compact_bytes = auto_compact_bytes
         self._lock = threading.Lock()
         self._appended = 0  # records written since open / last compaction
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         self._file = open(path, "a", encoding="utf-8")
-        self._size = self._file.tell()
 
     # -- writes ---------------------------------------------------------------
 
@@ -431,7 +420,6 @@ class WorkJournal:
             if self.fsync:
                 os.fsync(self._file.fileno())
             self._appended += 1
-            self._size += len(line)
 
     # -- reads ----------------------------------------------------------------
 
@@ -497,7 +485,6 @@ class WorkJournal:
                 self._file.close()
             os.replace(temp_path, self.path)
             self._file = open(self.path, "a", encoding="utf-8")
-            self._size = self._file.tell()
             self._appended = 0
         kept = JournalSnapshot(
             pending=snapshot.pending,
@@ -516,23 +503,16 @@ class WorkJournal:
         return kept
 
     def should_compact(self) -> bool:
-        """True when an armed auto-compaction threshold has been crossed."""
+        """True when the armed auto-compaction threshold has been crossed."""
         with self._lock:
-            if self._file.closed:
-                return False
-            if (
-                self.auto_compact_records is not None
-                and self._appended >= self.auto_compact_records
-            ):
-                return True
             return (
-                self.auto_compact_bytes is not None
-                and self._size >= self.auto_compact_bytes
-                and self._appended >= self.MIN_APPENDS_BETWEEN_COMPACTIONS
+                not self._file.closed
+                and self.auto_compact_records is not None
+                and self._appended >= self.auto_compact_records
             )
 
     def maybe_compact(self) -> dict | None:
-        """Compact if a threshold is crossed; stats dict or ``None``.
+        """Compact if the threshold is crossed; stats dict or ``None``.
 
         Called by the broker after journal writes (never while holding
         the journal lock — :meth:`compact` takes it itself).  The stats
@@ -540,14 +520,20 @@ class WorkJournal:
         """
         if not self.should_compact():
             return None
-        bytes_before = self._size
+        bytes_before = os.path.getsize(self.path)
         snapshot = self.compact()
+        lines = (  # every line the rewrite holds, workflow lines included
+            snapshot.admitted
+            + snapshot.completed
+            + snapshot.workflows_admitted
+            + snapshot.workflows_completed
+        )
         return {
-            "records_kept": snapshot.admitted + snapshot.completed,
+            "records_kept": lines,
             "pending": len(snapshot.pending),
             "completions": len(snapshot.completions),
             "bytes_before": bytes_before,
-            "bytes_after": self._size,
+            "bytes_after": os.path.getsize(self.path),
         }
 
     def close(self) -> None:

@@ -29,13 +29,7 @@ from ..common.clock import Clock
 from ..common.ids import NodeId
 from ..core.results import ExecutionRecord, ExecutionStatus
 from ..obs import events as ev
-from ..obs.health import (
-    GRADE_RANK,
-    HealthMetrics,
-    HealthModel,
-    StragglerWatchdog,
-    overall_status,
-)
+from ..obs.health import FLAP_WINDOW_S, GRADE_RANK, HealthMetrics, HealthModel, overall_status
 from ..obs.telemetry import (
     BrokerMetrics,
     FederationMetrics,
@@ -49,7 +43,7 @@ from .registry import ProviderRecord, ProviderRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..transport.message import Envelope, RegisterProvider
-    from .core import BrokerConfig, _Outstanding, _TaskletState
+    from .core import _Outstanding, _TaskletState
     from .federation import FederationCore
     from .forwarding import _Forward
     from .scheduling import Strategy
@@ -326,11 +320,11 @@ class LifecycleObserver:
 
     # -- health documents -----------------------------------------------------------
 
-    def provider_grades(self, records: list[ProviderRecord]) -> dict[str, int]:
+    def provider_grades(self, registry: ProviderRegistry) -> dict[str, int]:
         """Providers per health grade (gossiped to peers)."""
         return {}
 
-    def health_report(self, doc: dict, records: list[ProviderRecord]) -> None:
+    def health_report(self, doc: dict, registry: ProviderRegistry) -> None:
         """Finish the ``/healthz`` document: overall status and detail."""
         doc["status"] = "ok" if doc["providers_alive"] else "unhealthy"
 
@@ -338,14 +332,7 @@ class LifecycleObserver:
 class TelemetryObserver(LifecycleObserver):
     """Reports every lifecycle fact through one :class:`Telemetry`."""
 
-    def __init__(
-        self,
-        telemetry: Telemetry,
-        config: "BrokerConfig",
-        node_id: NodeId,
-        clock: Clock,
-        federated: bool,
-    ):
+    def __init__(self, telemetry: Telemetry, node_id: NodeId, clock: Clock, federated: bool):
         super().__init__()
         self._node = str(node_id)
         self._clock = clock
@@ -358,14 +345,7 @@ class TelemetryObserver(LifecycleObserver):
         )
         self._tracer = telemetry.tracer
         self._events = telemetry.events
-        self.health = HealthModel(
-            heartbeat_interval=config.heartbeat_interval,
-            heartbeat_tolerance=config.heartbeat_tolerance,
-            watchdog=StragglerWatchdog(
-                multiple=config.straggler_multiple,
-                min_expected_s=config.straggler_min_expected_s,
-            ),
-        )
+        self.health = HealthModel()
 
     def _alert(self, kind: str, node: str, **attrs) -> None:
         """Record an operator alert: flight-recorder event + counter."""
@@ -429,7 +409,7 @@ class TelemetryObserver(LifecycleObserver):
                 ev.FLAPPING_ALERT,
                 body.provider_id,
                 flaps=self.health.flap_count(body.provider_id),
-                window_s=self.health.flap_window_s,
+                window_s=FLAP_WINDOW_S,
             )
 
     def provider_left(self, provider_id):
@@ -467,7 +447,7 @@ class TelemetryObserver(LifecycleObserver):
         metrics = self._health_metrics
         metrics.stragglers_active.set(len(self.health.watchdog.active_stragglers()))
         counts = {grade: 0 for grade in ("healthy", "degraded", "unhealthy")}
-        for card in self.health.scorecards(registry.records(), now):
+        for card in self.health.scorecards(registry, now):
             metrics.provider_grade.labels(provider=card.provider_id).set(
                 GRADE_RANK[card.grade]
             )
@@ -564,7 +544,7 @@ class TelemetryObserver(LifecycleObserver):
             str(state.consumer_id),
             tasklet_id=str(state.tasklet.tasklet_id),
             dropped=dropped,
-            max_queued_replicas=limit,
+            limit=limit,
         )
 
     def execution_ended(self, state, outstanding, record):
@@ -852,15 +832,15 @@ class TelemetryObserver(LifecycleObserver):
 
     # -- health documents -----------------------------------------------------------
 
-    def provider_grades(self, records):
+    def provider_grades(self, registry):
         grades: dict[str, int] = {}
-        for card in self.health.scorecards(records, self._clock.now()):
+        for card in self.health.scorecards(registry, self._clock.now()):
             grades[card.grade] = grades.get(card.grade, 0) + 1
         return grades
 
-    def health_report(self, doc, records):
+    def health_report(self, doc, registry):
         now = self._clock.now()
-        cards = self.health.scorecards(records, now)
+        cards = self.health.scorecards(registry, now)
         doc["status"] = overall_status(cards)
         doc["providers"] = [card.to_dict() for card in cards]
         doc["stragglers"] = [

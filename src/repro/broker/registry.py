@@ -215,20 +215,20 @@ class ProviderRegistry:
         record.last_heartbeat = now
         return True
 
-    def detect_failures(self, now: float) -> list[NodeId]:
-        """Mark silent providers dead; returns the newly dead ones.
+    def horizon(self, record: ProviderRecord) -> float:
+        """Seconds of silence after which ``record``'s provider is dead.
 
-        Each provider's horizon honours the heartbeat interval it promised
-        at registration, so slow-beating providers are not flapped dead by
-        a broker configured for a faster cadence.
+        It honours the heartbeat interval the provider promised at
+        registration, so slow-beating providers are not flapped dead by a
+        broker configured for a faster cadence.
         """
+        return max(self.heartbeat_interval, record.heartbeat_interval) * self.heartbeat_tolerance
+
+    def detect_failures(self, now: float) -> list[NodeId]:
+        """Mark silent providers dead; returns the newly dead ones."""
         newly_dead: list[NodeId] = []
         for record in self._providers.values():
-            horizon = (
-                max(self.heartbeat_interval, record.heartbeat_interval)
-                * self.heartbeat_tolerance
-            )
-            if record.alive and now - record.last_heartbeat > horizon:
+            if record.alive and now - record.last_heartbeat > self.horizon(record):
                 self.free_capacity -= self._placeable(record)
                 record.alive = False
                 newly_dead.append(record.provider_id)

@@ -15,7 +15,12 @@ Two pieces:
   each program (EWMA over completed executions, keyed by the program
   fingerprint), derives an expected runtime per issued execution from the
   executing provider's effective speed, and raises an alert when an
-  outstanding execution exceeds a configurable multiple of it.
+  outstanding execution exceeds :data:`STRAGGLER_MULTIPLE` times it.
+
+The thresholds are this module's constants.  Liveness is the registry's:
+a provider's silence horizon is :meth:`ProviderRegistry.horizon
+<repro.broker.registry.ProviderRegistry.horizon>`, the one the failure
+detector uses.
 
 The watchdog is advisory: :class:`~repro.broker.core.BrokerCore` records
 the alert (event + metric) and exposes the straggler set, but the
@@ -26,13 +31,13 @@ re-issue policy is unchanged — reacting to the signal is the operator's
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..common.stats import EwmaTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..broker.registry import ProviderRecord
+    from ..broker.registry import ProviderRecord, ProviderRegistry
     from .metrics import MetricsRegistry
 
 GRADE_HEALTHY = "healthy"
@@ -42,6 +47,24 @@ GRADE_UNHEALTHY = "unhealthy"
 #: Grade ordering used when aggregating ("worst wins") and for the
 #: ``repro_health_provider_grade`` gauge value.
 GRADE_RANK = {GRADE_HEALTHY: 0, GRADE_DEGRADED: 1, GRADE_UNHEALTHY: 2}
+
+#: A flap burst: this many crash-and-returns within the window.
+FLAP_WINDOW_S = 60.0
+FLAP_THRESHOLD = 3
+#: Smoothed success ratios below which a provider is degraded / unhealthy,
+#: judged once it has this many results.
+RELIABILITY_WARN = 0.75
+RELIABILITY_FLOOR = 0.4
+RELIABILITY_MIN_SAMPLES = 4
+#: Delivering less than this share of its benchmark degrades a provider.
+SPEED_WARN_RATIO = 0.5
+#: An execution outstanding past this multiple of its expected runtime is
+#: a straggler; the expectation never drops below the floor, which absorbs
+#: scheduling and transport jitter for very short programs.
+STRAGGLER_MULTIPLE = 4.0
+STRAGGLER_MIN_EXPECTED_S = 0.05
+#: EWMA weight of the newest instruction count in a program's profile.
+PROFILE_ALPHA = 0.3
 
 
 class HealthMetrics:
@@ -133,33 +156,22 @@ class StragglerWatchdog:
 
     Expected runtime for an execution is::
 
-        max(min_expected_s, instructions_estimate / provider_speed)
+        max(STRAGGLER_MIN_EXPECTED_S, instructions_estimate / provider_speed)
 
     where ``instructions_estimate`` is an EWMA over the instruction counts
     of *completed* executions of the same program fingerprint (the program
     profile), and ``provider_speed`` is the broker's effective-speed
     estimate for the executing provider at issue time — i.e. the promise
     the provider benchmark made.  An execution still outstanding after
-    ``multiple ×`` that expectation is a straggler; each one alerts once.
+    ``STRAGGLER_MULTIPLE ×`` that expectation is a straggler; each one
+    alerts once.
 
     Executions of programs never seen before have no expectation and never
     alert (cold start is not an anomaly).
     """
 
-    def __init__(
-        self,
-        multiple: float = 4.0,
-        min_expected_s: float = 0.05,
-        alpha: float = 0.3,
-    ):
-        if multiple <= 1.0:
-            raise ValueError(f"multiple must be > 1, got {multiple}")
-        if min_expected_s <= 0:
-            raise ValueError(f"min_expected_s must be positive, got {min_expected_s}")
-        self.multiple = multiple
-        self.min_expected_s = min_expected_s
+    def __init__(self) -> None:
         self._profiles: dict[str, EwmaTracker] = {}
-        self._alpha = alpha
         self._watches: dict[str, _Watch] = {}
 
     # -- program profile -----------------------------------------------------
@@ -174,7 +186,7 @@ class StragglerWatchdog:
         estimate = self.instructions_estimate(fingerprint)
         if estimate is None or speed_ips <= 0:
             return None
-        return max(self.min_expected_s, estimate / speed_ips)
+        return max(STRAGGLER_MIN_EXPECTED_S, estimate / speed_ips)
 
     # -- execution lifecycle hooks (called by the broker) ---------------------
 
@@ -208,7 +220,7 @@ class StragglerWatchdog:
             return
         tracker = self._profiles.get(fingerprint)
         if tracker is None:
-            tracker = self._profiles[fingerprint] = EwmaTracker(alpha=self._alpha)
+            tracker = self._profiles[fingerprint] = EwmaTracker(alpha=PROFILE_ALPHA)
         tracker.add(float(instructions))
 
     def on_lost(self, execution_id: str) -> None:
@@ -224,7 +236,7 @@ class StragglerWatchdog:
             if watch.alerted or watch.expected_s is None:
                 continue
             elapsed = now - watch.issued_at
-            if elapsed > watch.expected_s * self.multiple:
+            if elapsed > watch.expected_s * STRAGGLER_MULTIPLE:
                 watch.alerted = True
                 alerts.append(
                     StragglerAlert(
@@ -233,7 +245,7 @@ class StragglerWatchdog:
                         tasklet_id=watch.tasklet_id,
                         expected_s=watch.expected_s,
                         elapsed_s=elapsed,
-                        multiple=self.multiple,
+                        multiple=STRAGGLER_MULTIPLE,
                     )
                 )
         return alerts
@@ -259,37 +271,19 @@ class HealthModel:
     Grading rules, worst grade wins:
 
     * dead (failure detector fired, or heartbeat silence past the
-      detection horizon) → ``unhealthy``;
-    * success ratio below ``reliability_floor`` → ``unhealthy``; below
-      ``reliability_warn`` → ``degraded``;
-    * flapped ``flap_threshold``+ times within ``flap_window_s`` →
-      ``degraded`` (and a ``flapping_alert`` is raised once per burst);
-    * delivering less than ``speed_warn_ratio`` of its self-reported
+      registry's horizon) → ``unhealthy``;
+    * success ratio below :data:`RELIABILITY_FLOOR` → ``unhealthy``; below
+      :data:`RELIABILITY_WARN` → ``degraded``;
+    * flapped :data:`FLAP_THRESHOLD` or more times within
+      :data:`FLAP_WINDOW_S` → ``degraded`` (and a ``flapping_alert`` is
+      raised once per burst);
+    * delivering less than :data:`SPEED_WARN_RATIO` of its self-reported
       benchmark (throughput-normalised speed) → ``degraded``;
     * any outstanding execution past its straggler deadline → ``degraded``.
     """
 
-    def __init__(
-        self,
-        heartbeat_interval: float = 1.0,
-        heartbeat_tolerance: float = 3.0,
-        flap_window_s: float = 60.0,
-        flap_threshold: int = 3,
-        reliability_warn: float = 0.75,
-        reliability_floor: float = 0.4,
-        reliability_min_samples: int = 4,
-        speed_warn_ratio: float = 0.5,
-        watchdog: StragglerWatchdog | None = None,
-    ):
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_tolerance = heartbeat_tolerance
-        self.flap_window_s = flap_window_s
-        self.flap_threshold = flap_threshold
-        self.reliability_warn = reliability_warn
-        self.reliability_floor = reliability_floor
-        self.reliability_min_samples = reliability_min_samples
-        self.speed_warn_ratio = speed_warn_ratio
-        self.watchdog = watchdog or StragglerWatchdog()
+    def __init__(self) -> None:
+        self.watchdog = StragglerWatchdog()
         self._flap_times: dict[str, deque[float]] = {}
         self._flap_counts: dict[str, int] = {}
         #: Providers already alerted for the current flap burst; cleared
@@ -305,7 +299,7 @@ class HealthModel:
         times.append(now)
         self._flap_counts[provider_id] = self._flap_counts.get(provider_id, 0) + 1
         self._prune_flaps(provider_id, now)
-        if len(times) >= self.flap_threshold:
+        if len(times) >= FLAP_THRESHOLD:
             if provider_id not in self._flap_alerted:
                 self._flap_alerted.add(provider_id)
                 return True
@@ -315,14 +309,14 @@ class HealthModel:
         times = self._flap_times.get(provider_id)
         if times is None:
             return
-        while times and now - times[0] > self.flap_window_s:
+        while times and now - times[0] > FLAP_WINDOW_S:
             times.popleft()
-        if len(times) < self.flap_threshold:
+        if len(times) < FLAP_THRESHOLD:
             self._flap_alerted.discard(provider_id)
 
     def is_flapping(self, provider_id: str, now: float) -> bool:
         self._prune_flaps(str(provider_id), now)
-        return len(self._flap_times.get(str(provider_id), ())) >= self.flap_threshold
+        return len(self._flap_times.get(str(provider_id), ())) >= FLAP_THRESHOLD
 
     def flap_count(self, provider_id: str) -> int:
         """Total flaps ever recorded for a provider."""
@@ -330,25 +324,20 @@ class HealthModel:
 
     # -- scorecards -----------------------------------------------------------
 
-    def grade(self, record: "ProviderRecord", now: float, straggling: int = 0) -> str:
-        horizon = (
-            max(self.heartbeat_interval, record.heartbeat_interval)
-            * self.heartbeat_tolerance
-        )
+    def grade(
+        self, record: "ProviderRecord", horizon: float, now: float, straggling: int = 0
+    ) -> str:
+        """``record``'s grade; ``horizon`` is its registry's silence horizon."""
         heartbeat_age = max(0.0, now - record.last_heartbeat)
         if not record.alive or heartbeat_age > horizon:
             return GRADE_UNHEALTHY
         # Laplace smoothing pins a provider with no history at 0.5, so
         # reliability only judges providers with actual evidence.
-        samples = record.completed + record.failed
-        if samples >= self.reliability_min_samples:
-            if record.reliability < self.reliability_floor:
-                return GRADE_UNHEALTHY
+        judged = record.completed + record.failed >= RELIABILITY_MIN_SAMPLES
+        if judged and record.reliability < RELIABILITY_FLOOR:
+            return GRADE_UNHEALTHY
         grade = GRADE_HEALTHY
-        if (
-            samples >= self.reliability_min_samples
-            and record.reliability < self.reliability_warn
-        ):
+        if judged and record.reliability < RELIABILITY_WARN:
             grade = GRADE_DEGRADED
         if self.is_flapping(record.provider_id, now):
             grade = GRADE_DEGRADED
@@ -356,25 +345,24 @@ class HealthModel:
             record.benchmark_score > 0
             and record.observed_speed.value is not None
             and record.effective_speed
-            < record.benchmark_score * self.speed_warn_ratio
+            < record.benchmark_score * SPEED_WARN_RATIO
         ):
             grade = GRADE_DEGRADED
         if straggling > 0:
             grade = GRADE_DEGRADED
         return grade
 
-    def scorecards(
-        self, records: Iterable["ProviderRecord"], now: float
-    ) -> list[ProviderScorecard]:
+    def scorecards(self, registry: "ProviderRegistry", now: float) -> list[ProviderScorecard]:
+        """One card per provider ``registry`` knows, dead ones included."""
         straggling = self.watchdog.straggling_by_provider()
         cards: list[ProviderScorecard] = []
-        for record in sorted(records, key=lambda item: item.provider_id):
+        for record in registry.records():
             stuck = straggling.get(str(record.provider_id), 0)
             cards.append(
                 ProviderScorecard(
                     provider_id=str(record.provider_id),
                     device_class=record.device_class,
-                    grade=self.grade(record, now, straggling=stuck),
+                    grade=self.grade(record, registry.horizon(record), now, stuck),
                     alive=record.alive,
                     capacity=record.capacity,
                     outstanding=record.outstanding,

@@ -40,7 +40,7 @@ from ..transport.message import (
     body_of,
     report_unreadable,
 )
-from .executor import PROGRAM_CACHE_SIZE, ExecutionOutcome, TaskletExecutor
+from .executor import ExecutionOutcome, TaskletExecutor
 
 
 @dataclass
@@ -56,11 +56,6 @@ class ProviderConfig:
     #: Fixed per-execution overhead (queueing, deserialisation, VM spin-up)
     #: in virtual seconds; the F2 overhead-breakdown experiment sweeps it.
     startup_overhead_s: float = 0.002
-    max_queue: int = 1024  # assignments queued beyond busy slots
-    #: Distinct verified programs the executor keeps in its LRU.
-    program_cache_size: int = PROGRAM_CACHE_SIZE
-    #: Collect a per-execution TVM profile (opcode groups, stack depth).
-    profile_executions: bool = False
 
     def reported_score(self) -> float:
         return self.benchmark_score if self.benchmark_score is not None else self.speed_ips
@@ -99,11 +94,7 @@ class ProviderCore:
         self._metrics = ProviderMetrics(telemetry.registry) if telemetry else None
         self._tracer = telemetry.tracer if telemetry else None
         self._events = telemetry.events if telemetry else None
-        self.executor = TaskletExecutor(
-            cache_size=self.config.program_cache_size,
-            profile=self.config.profile_executions,
-            metrics=self._metrics,
-        )
+        self.executor = TaskletExecutor(metrics=self._metrics)
         #: Guards everything below (the TCP driver calls in from several
         #: threads); notified when the core stops or drains empty.
         self.lock = threading.Condition()

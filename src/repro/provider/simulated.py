@@ -24,6 +24,9 @@ from .failure import ExecutionFailureModel, FaultKind, corrupt_value
 #: Outbound message with a virtual delay before it is handed to the network.
 Outbound = tuple[float, Envelope]
 
+#: Assignments a provider queues beyond its busy slots; past it, it rejects.
+MAX_QUEUE = 1024
+
 
 @dataclass
 class ProviderCoreStats:
@@ -88,7 +91,7 @@ class SimProvider:
         slot = min(range(len(self._slot_free_at)), key=self._slot_free_at.__getitem__)
         start_at = max(now, self._slot_free_at[slot])
         queue_delay = start_at - now
-        if queue_delay > 0 and self._queued_count(now) >= self.config.max_queue:
+        if queue_delay > 0 and self._queued_count(now) >= MAX_QUEUE:
             self.stats.rejected += 1
             return [(0.0, self.core.reject(work, "provider queue full"))]
 

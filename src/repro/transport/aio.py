@@ -9,7 +9,7 @@ outside reader, ``/healthz``, hops onto the loop and waits (DESIGN.md,
 "Who runs what").  Providers and consumers have one link each and use
 the blocking client link of :mod:`repro.transport.tcp` instead.
 
-Writes are coalesced and stamped at flush time (docs/PROTOCOL.md, "Write
+Writes are coalesced, one flush per loop turn (docs/PROTOCOL.md, "Write
 coalescing"); frames and byte accounting are those of
 :mod:`repro.transport.codec`, shared with the client connection.
 """
@@ -36,14 +36,7 @@ from ..common.ids import IdGenerator, NodeId
 from ..obs import events as ev
 from ..obs.server import ObsServer
 from ..obs.telemetry import Telemetry, TransportMetrics
-from .codec import (
-    CODEC_BINARY,
-    EnvelopeDecoder,
-    Stamp,
-    count_sent,
-    decode_chunk,
-    encode_batch,
-)
+from .codec import CODEC_BINARY, EnvelopeDecoder, count_sent, decode_chunk, encode_batch
 from .message import BROKER_ADDRESS, Envelope, PeerHello
 
 #: A flush larger than this is split across writes; bounds per-batch
@@ -91,7 +84,7 @@ class AioConnection(asyncio.Protocol):
         self.peer_id: NodeId | None = None  # learned from the first envelope
         self._loop = asyncio.get_running_loop()
         self._transport: asyncio.Transport | None = None
-        self._queue: deque[tuple[Envelope, Stamp | None]] = deque()
+        self._queue: deque[Envelope] = deque()
         self._flush_due = False  # a flush is scheduled for this loop turn
         self._paused = False  # the transport's buffer is full
         self.closed = False  # no more sends
@@ -99,12 +92,12 @@ class AioConnection(asyncio.Protocol):
 
     # -- write path ---------------------------------------------------------
 
-    def send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
+    def send(self, envelope: Envelope) -> None:
         """Enqueue one envelope.  Raises :class:`ConnectionClosed` only when
         the link is known dead; a write error found later ends the link."""
         if self.closed:
             raise ConnectionClosed("connection closed")
-        self._queue.append((envelope, stamp))
+        self._queue.append(envelope)
         self._schedule()
 
     def _schedule(self) -> None:
@@ -124,7 +117,7 @@ class AioConnection(asyncio.Protocol):
             # link ends (and ``connection_lost`` reports it).
             self.close(flush=False)
 
-    def _write_batch(self, batch: list[tuple[Envelope, Stamp | None]]) -> None:
+    def _write_batch(self, batch: list[Envelope]) -> None:
         data = encode_batch(batch, CODEC_BINARY)
         self._transport.write(data)
         count_sent(self._metrics, len(data), len(batch))
@@ -219,7 +212,6 @@ class TcpBroker(_Node):
         journal_path: str | None = None,
         journal_sync: bool = False,
         journal_compact_records: int | None = None,
-        journal_compact_bytes: int | None = None,
         broker_id: str | None = None,
         peers: dict[str, tuple[str, int]] | None = None,
         peer_journals: dict[str, str] | None = None,
@@ -244,7 +236,6 @@ class TcpBroker(_Node):
                 journal_path,
                 fsync=journal_sync,
                 auto_compact_records=journal_compact_records,
-                auto_compact_bytes=journal_compact_bytes,
             )
             if journal_path
             else None

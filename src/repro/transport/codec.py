@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import struct
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Iterator, Sequence
 
 from ..common.errors import CodecError, TransportError
 from ..common.ids import NodeId
@@ -97,7 +97,7 @@ def _name_head(name: str) -> bytes:
 
 def encode_envelope(envelope: Envelope) -> bytes:
     """Serialise one envelope to a complete length-prefixed frame."""
-    return encode_batch(((envelope, None),), CODEC_BINARY)
+    return encode_batch((envelope,), CODEC_BINARY)
 
 
 def decode_body(body: bytes) -> Envelope:
@@ -184,15 +184,7 @@ def iter_frames(data: bytes) -> Iterator[Envelope]:
         raise TransportError(f"{decoder.pending_bytes} trailing bytes")
 
 
-#: Type of the optional per-envelope flush hook: called with the
-#: envelope immediately before encoding, at actual flush time.  Used to
-#: stamp ``Heartbeat.sent_at`` so write coalescing cannot skew RTTs.
-Stamp = Callable[[Envelope], None]
-
-
-def encode_batch(
-    batch: list[tuple[Envelope, Stamp | None]], codec: str
-) -> bytes:
+def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:
     """Encode a coalesced write: many envelopes, one byte string.
 
     ``codec`` must be :data:`CODEC_BINARY`; the parameter stays for the
@@ -201,9 +193,7 @@ def encode_batch(
     if codec != CODEC_BINARY:
         raise CodecError(f"unknown codec {codec!r}")
     out = bytearray()
-    for envelope, stamp in batch:
-        if stamp is not None:
-            stamp(envelope)
+    for envelope in batch:
         start = len(out)
         out += b"\0\0\0\0"  # (the body's length, once it is known)
         kind = envelope.type

@@ -50,31 +50,38 @@ from ..obs.server import ObsServer
 from ..obs.telemetry import Telemetry, TransportMetrics
 from ..provider.benchmark import run_benchmark
 from ..provider.core import ProviderConfig, ProviderCore, Work
-from ..provider.executor import PROGRAM_CACHE_SIZE
 from .aio import TcpBroker, _jittered, _Node  # noqa: F401  (TcpBroker: re-exported)
-from .codec import (
-    CODEC_BINARY,
-    EnvelopeDecoder,
-    Stamp,
-    count_sent,
-    decode_chunk,
-    encode_batch,
-)
+from .codec import CODEC_BINARY, EnvelopeDecoder, count_sent, decode_chunk, encode_batch
 from .message import Envelope, HeartbeatAck
 
 _RECV_CHUNK = 65536
+
+#: A provider's redial backoff: first wait and cap, in seconds (it
+#: redials forever).
+RECONNECT_BACKOFF_S = 0.2
+RECONNECT_BACKOFF_MAX_S = 5.0
+#: A consumer given a broker list fails over with this backoff, and gives
+#: up after this many failed dials.
+FAILOVER_BACKOFF_S = 0.2
+FAILOVER_BACKOFF_MAX_S = 2.0
+MAX_FAILOVER_ATTEMPTS = 12
+
+#: A send-time hook, run on each envelope of a write under the send lock
+#: just before encoding: ``Heartbeat.sent_at`` is stamped so, and a wait
+#: for the lock is not billed as network RTT.
+Stamp = Callable[[Envelope], None]
 
 
 class _Connection:
     """One framed, thread-safe TCP connection (client side).
 
-    Writes go out under a mutex: ``send`` takes the send lock, runs the
-    per-envelope ``stamp`` hooks, encodes, hands the bytes to the kernel
-    in one ``sendall`` and releases.  So a ``send`` that returned *is*
-    written — a later ``close`` cannot lose it — senders reach the wire
-    in lock order, and a stamp (``Heartbeat.sent_at``) is taken just
-    before its bytes leave.  A ``send`` that raises wrote nothing or
-    killed the stream; it never wedges the senders behind it.
+    Writes go out under a mutex: ``send_many`` takes the send lock, runs
+    its ``stamp`` hook, encodes, hands the bytes to the kernel in one
+    ``sendall`` and releases.  So a send that returned *is* written — a
+    later ``close`` cannot lose it — senders reach the wire in lock
+    order, and a stamp (``Heartbeat.sent_at``) is taken just before its
+    bytes leave.  A send that raises wrote nothing or killed the stream;
+    it never wedges the senders behind it.
 
     ``metrics`` is an optional :class:`TransportMetrics` bundle; framed
     bytes and envelope counts are reported per direction.
@@ -89,22 +96,23 @@ class _Connection:
         self._closed = False
         self._metrics = metrics
 
-    def send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
-        self.send_many(((envelope, stamp),))
+    def send(self, envelope: Envelope) -> None:
+        self.send_many((envelope,))
 
-    def send_many(
-        self, entries: Sequence[tuple[Envelope, Stamp | None]]
-    ) -> None:
-        """Write ``entries`` as one socket write; returns once written."""
+    def send_many(self, envelopes: Sequence[Envelope], stamp: Stamp | None = None) -> None:
+        """Write ``envelopes`` as one socket write; returns once written."""
         with self._send_lock:
             if self._closed:
                 raise ConnectionClosed("connection closed")
-            data = encode_batch(entries, CODEC_BINARY)
+            if stamp is not None:
+                for envelope in envelopes:
+                    stamp(envelope)
+            data = encode_batch(envelopes, CODEC_BINARY)
             try:
                 self.sock.sendall(data)
             except OSError as exc:
                 raise ConnectionClosed(f"send failed: {exc}") from exc
-        count_sent(self._metrics, len(data), len(entries))
+        count_sent(self._metrics, len(data), len(envelopes))
 
     def recv_envelopes(self) -> list[Envelope] | None:
         """Block for data; completed envelopes, or ``None`` once the
@@ -201,13 +209,11 @@ class _BrokerLink:
     def connected(self) -> bool:
         return self.state == self.UP
 
-    def send_many(
-        self, entries: Sequence[tuple[Envelope, Stamp | None]]
-    ) -> None:
+    def send_many(self, envelopes: Sequence[Envelope], stamp: Stamp | None = None) -> None:
         connection = self._connection
         if connection is None:
             raise ConnectionClosed(f"broker link is {self.state}")
-        connection.send_many(entries)
+        connection.send_many(envelopes, stamp)
 
     def start(self) -> None:
         """(Re)open the link from scratch, dialing on the caller's thread.
@@ -345,7 +351,7 @@ class _BrokerLink:
             greeting = self._on_connect(redial)
             try:
                 if greeting:
-                    connection.send_many([(envelope, None) for envelope in greeting])
+                    connection.send_many(greeting)
             except ConnectionClosed:
                 connection.close()
                 raise
@@ -383,11 +389,7 @@ class TcpProvider(_Node):
         heartbeat_interval: float = 1.0,
         price: float = 0.0,
         reconnect: bool = True,
-        reconnect_backoff: float = 0.2,
-        reconnect_backoff_max: float = 5.0,
         telemetry: Telemetry | None = None,
-        program_cache_size: int = PROGRAM_CACHE_SIZE,
-        profile_executions: bool = False,
         obs_port: int | None = None,
         obs_host: str = "127.0.0.1",
         brokers: list[tuple[str, int]] | None = None,
@@ -409,8 +411,6 @@ class TcpProvider(_Node):
                 benchmark_score=benchmark_score,
                 price=price,
                 heartbeat_interval=heartbeat_interval,
-                program_cache_size=program_cache_size,
-                profile_executions=profile_executions,
             ),
             telemetry=telemetry,
         )
@@ -422,8 +422,8 @@ class TcpProvider(_Node):
             brokers,
             broker_host,
             broker_port,
-            backoff=reconnect_backoff,
-            backoff_max=reconnect_backoff_max,
+            backoff=RECONNECT_BACKOFF_S,
+            backoff_max=RECONNECT_BACKOFF_MAX_S,
             max_attempts=None if reconnect else 0,
             telemetry=telemetry,
             on_envelope=self._on_envelope,
@@ -529,7 +529,7 @@ class TcpProvider(_Node):
         link is dying or gone; the redial's registration voids whatever
         this was about, and the next heartbeat is due anyway."""
         try:
-            self._link.send_many(((envelope, stamp),))
+            self._link.send_many((envelope,), stamp)
         except TransportError:
             pass
 
@@ -654,9 +654,6 @@ class TcpConsumer(CoreSession, _Node):
         on_disconnect=None,
         telemetry: Telemetry | None = None,
         brokers: list[tuple[str, int]] | None = None,
-        failover_backoff: float = 0.2,
-        failover_backoff_max: float = 2.0,
-        max_failover_attempts: int = 12,
     ):
         self.node_id = NodeId(node_id or random_id("cons"))
         self.telemetry = telemetry
@@ -670,11 +667,11 @@ class TcpConsumer(CoreSession, _Node):
             brokers,
             broker_host,
             broker_port,
-            backoff=failover_backoff,
-            backoff_max=failover_backoff_max,
+            backoff=FAILOVER_BACKOFF_S,
+            backoff_max=FAILOVER_BACKOFF_MAX_S,
             # Auto-failover is enabled only by the ``brokers`` list; the
             # single-address form keeps the explicit-``reconnect()`` contract.
-            max_attempts=max_failover_attempts if brokers is not None else 0,
+            max_attempts=MAX_FAILOVER_ATTEMPTS if brokers is not None else 0,
             telemetry=telemetry,
             on_envelope=self.core.handle,
             on_lost=self._on_lost,
@@ -726,7 +723,7 @@ class TcpConsumer(CoreSession, _Node):
         # connection is dead for every pending future, so they all
         # resolve with a typed error rather than hanging.
         try:
-            self._link.send_many([(envelope, None) for envelope in envelopes])
+            self._link.send_many(envelopes)
         except ConnectionClosed as exc:
             self.core.fail_all_pending(str(exc))
 

@@ -59,7 +59,7 @@ class Harness:
             src=name,
         )
 
-    def submit(self, qoc=None):
+    def submit(self, qoc=None, seed=0):
         self._n += 1
         tasklet = Tasklet(
             tasklet_id=TaskletId(f"tl-{self._n}"),
@@ -67,6 +67,7 @@ class Harness:
             entry="main",
             args=[1],
             qoc=qoc or QoC(),
+            seed=seed,
         )
         return self.send(SubmitTasklet(tasklet=tasklet.to_dict()), src="c1")
 
@@ -121,7 +122,7 @@ class TestHeartbeatFailureDetection:
         declared dead and its work failed over.  A result counts — from
         the execution's assignee only."""
         harness = Harness(BrokerConfig(  # dead after 3 silent 1 s intervals
-            heartbeat_interval=1.0, heartbeat_tolerance=3.0, memoize_results=False,
+            heartbeat_interval=1.0, heartbeat_tolerance=3.0,
         ))
         harness.register("p1")
 
@@ -133,13 +134,14 @@ class TestHeartbeatFailureDetection:
 
         for t in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):  # p1 never heartbeats
             harness.clock.advance_to(t)
-            (assign,) = bodies(harness.submit(), AssignExecution)
+            # (A seed each: the same computation again would be served from the result cache.)
+            (assign,) = bodies(harness.submit(seed=int(t)), AssignExecution)
             harness.send(result_for(assign, "p1"), src="p1")
             harness.tick_at(t + 0.5)
         assert harness.broker.stats.providers_failed == 0
         assert harness.broker.stats.tasklets_completed == 6
         # A result for p1's execution sent by anyone else proves nothing about p1.
-        (assign,) = bodies(harness.submit(), AssignExecution)
+        (assign,) = bodies(harness.submit(seed=7), AssignExecution)
         harness.register("p2")
         for t in (7.0, 8.0, 9.0):
             harness.clock.advance_to(t)
@@ -574,9 +576,8 @@ class TestBacklogOverflow:
         # Regression: an overflowing replica used to be dropped silently,
         # leaving the tasklet with nothing outstanding, nothing queued and
         # no TaskletComplete — the consumer hung forever.
-        harness = Harness(
-            config=BrokerConfig(execution_timeout=None, max_queued_replicas=0)
-        )
+        harness = Harness(config=BrokerConfig(execution_timeout=None))
+        harness.broker.backlog.max_replicas = 0
         replies = harness.submit()  # no providers, zero backlog budget
         completions = bodies(replies, TaskletComplete)
         assert len(completions) == 1 and not completions[0].ok
@@ -585,9 +586,8 @@ class TestBacklogOverflow:
         assert harness.broker.pending_tasklets == 0
 
     def test_overflow_only_affects_new_work(self):
-        harness = Harness(
-            config=BrokerConfig(execution_timeout=None, max_queued_replicas=1)
-        )
+        harness = Harness(config=BrokerConfig(execution_timeout=None))
+        harness.broker.backlog.max_replicas = 1
         first = harness.submit()
         assert bodies(first, TaskletComplete) == []  # queued, still pending
         second = harness.submit()

@@ -203,17 +203,6 @@ class TestMemoization:
         assert bodies(replies, AssignExecution)
         assert harness.broker.stats.memo_hits == 0
 
-    def test_memoization_can_be_disabled(self):
-        harness = Harness(
-            config=BrokerConfig(execution_timeout=None, memoize_results=False)
-        )
-        harness.register()
-        assigns = bodies(harness.submit("tl-1", seed=3), AssignExecution)
-        harness.complete(assigns[0])
-        replies = harness.submit("tl-2", seed=3)
-        assert bodies(replies, AssignExecution)
-        assert harness.broker.stats.memo_hits == 0
-
     def test_memoized_results_survive_restart_via_journal(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         first = Harness(path)
@@ -244,7 +233,7 @@ class TestAutoCompactionWiring:
         broker = BrokerCore(
             clock=clock,
             strategy=LeastLoadedStrategy(),
-            config=BrokerConfig(execution_timeout=None, memoize_results=False),
+            config=BrokerConfig(execution_timeout=None),
             journal=journal,
             telemetry=telemetry,
         )

@@ -87,7 +87,6 @@ class TestFederationCore:
         fed.update_load("b3", 2, 2, free_slots=5,
                         pending_tasklets=0, backlog_replicas=0, grades={})
         assert fed.choose_peer() == "b3"
-        assert fed.choose_peer(exclude={"b3"}) == "b2"
 
     def test_choose_peer_skips_dead_and_saturated(self):
         fed = self.make()

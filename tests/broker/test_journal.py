@@ -226,20 +226,32 @@ class TestAutoCompact:
         assert list(snapshot.pending_keys) == ["c1/tl-9"]
         assert len(snapshot.completions) == 3
 
-    def test_byte_threshold_respects_min_appends_guard(self, tmp_path):
-        journal = WorkJournal(
-            str(tmp_path / "wj.jsonl"), auto_compact_bytes=1
-        )
-        # Over the byte threshold after one append, but the guard holds
-        # until MIN_APPENDS_BETWEEN_COMPACTIONS writes have accumulated —
-        # a journal that compacts to a large residue must not thrash.
-        journal.record_admitted("c1/tl-0", "c1", TASKLET, ts=0.0)
-        assert not journal.should_compact()
-        for n in range(WorkJournal.MIN_APPENDS_BETWEEN_COMPACTIONS):
-            journal.record_complete(make_completion(f"c1/tl-{n}"))
-        assert journal.should_compact()
-        assert journal.maybe_compact() is not None
+    def test_records_kept_counts_the_workflow_lines_the_rewrite_holds(self, tmp_path):
+        """Regression: ``records_kept`` summed tasklet admissions and
+        completions only, so a journal holding a workflow reported fewer
+        records than its compaction had just written."""
+        path = tmp_path / "wj.jsonl"
+        journal = WorkJournal(str(path), auto_compact_records=8)
+        finished = dict(WF_SPEC, workflow_id="wf-done")
+        journal.record_workflow_admitted("c1/wf-done", "c1", finished, ts=1.0)
+        journal.record_admitted("c1/wf-done:a", "c1", TASKLET, ts=1.1, workflow="c1/wf-done")
+        journal.record_complete(make_completion("c1/wf-done:a"))
+        outcome = {"ok": True, "workflow_id": "wf-done", "outputs": {"a": packed(42)}}
+        journal.record_workflow_complete("c1/wf-done", outcome, ts=2.0)
+        journal.record_workflow_admitted("c1/wf-1", "c1", WF_SPEC, ts=3.0)
+        journal.record_admitted("c1/wf-1:a", "c1", TASKLET, ts=3.1, workflow="c1/wf-1")
+        journal.record_admitted("c1/tl-1", "c1", TASKLET, ts=3.2)
+        journal.record_complete(make_completion("c1/tl-1"))
+        before = path.stat().st_size
+        stats = journal.maybe_compact()
         journal.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # Kept: the pending workflow's wf_admitted and its unfinished node's
+        # admission, both completions, and the finished workflow's wf_complete.
+        assert len(lines) == 5
+        assert stats["records_kept"] == len(lines)
+        assert stats["bytes_before"] == before
+        assert stats["bytes_after"] == path.stat().st_size < before
 
     def test_disarmed_by_default(self, tmp_path):
         journal = WorkJournal(str(tmp_path / "wj.jsonl"))

@@ -15,6 +15,8 @@ from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
 from repro.core.qoc import QoC
 from repro.provider.process import ProviderProcess
+from repro.provider.executor import TaskletExecutor
+from repro.transport import tcp
 from repro.transport.tcp import (
     TcpBroker,
     TcpConsumer,
@@ -83,7 +85,8 @@ def test_killed_providers_mid_bag_of_tasks_every_future_resolves():
         server.stop()
 
 
-def test_broker_restart_fails_consumer_futures_and_provider_reconnects():
+def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypatch):
+    monkeypatch.setattr(tcp, "RECONNECT_BACKOFF_S", 0.05)
     first = TcpBroker(config=fast_config()).start()
     host, port = first.address
     provider = None
@@ -97,7 +100,6 @@ def test_broker_restart_fails_consumer_futures_and_provider_reconnects():
             capacity=2,
             benchmark_score=1e7,
             heartbeat_interval=0.2,
-            reconnect_backoff=0.05,
         ).start()
         wait_until(lambda: len(first.core.registry) == 1, message="registration")
         disconnects = []
@@ -253,8 +255,10 @@ def test_engine_defect_frees_the_slot_and_drain_stop_is_prompt(monkeypatch):
             capacity=1,
             benchmark_score=1e7,
             heartbeat_interval=0.2,
-            program_cache_size=0,  # no translation: straight to the portable VM
-        ).start()
+        )
+        # No program cache, so no translation: straight to the portable VM.
+        provider.core.executor = TaskletExecutor(cache_size=0)
+        provider.start()
         wait_until(lambda: len(server.core.registry) == 1)
         consumer = TcpConsumer(host, port).start()
         monkeypatch.setattr(TVM, "run", defect)

@@ -14,6 +14,7 @@ from repro.broker.core import BrokerConfig
 from repro.broker.journal import replay_journal
 from repro.common.errors import BrokerUnreachable, FederationExhausted
 from repro.core import kernels
+from repro.transport import tcp
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
 from .netutil import free_ports
@@ -192,16 +193,15 @@ def test_broker_kill_mid_workload_loses_nothing_duplicates_nothing(tmp_path):
         stop_all(brokers)
 
 
-def test_federation_exhausted_when_every_broker_is_gone(tmp_path):
+def test_federation_exhausted_when_every_broker_is_gone(tmp_path, monkeypatch):
+    monkeypatch.setattr(tcp, "FAILOVER_BACKOFF_S", 0.05)
+    monkeypatch.setattr(tcp, "FAILOVER_BACKOFF_MAX_S", 0.1)
+    monkeypatch.setattr(tcp, "MAX_FAILOVER_ATTEMPTS", 4)
     brokers, addresses, _journals = start_federation(tmp_path, ids=("b1", "b2"))
     consumer = None
     try:
         consumer = TcpConsumer(
-            node_id="c1",
-            brokers=[addresses["b1"], addresses["b2"]],
-            failover_backoff=0.05,
-            failover_backoff_max=0.1,
-            max_failover_attempts=4,
+            node_id="c1", brokers=[addresses["b1"], addresses["b2"]]
         ).start()
         stop_all(brokers)
         wait_until(

@@ -10,7 +10,7 @@ path (event + metric), without changing the re-issue policy.
 import pytest
 
 from repro.broker.core import BrokerConfig, BrokerCore
-from repro.broker.registry import ProviderRecord
+from repro.broker.registry import ProviderRecord, ProviderRegistry
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
@@ -23,6 +23,7 @@ from repro.obs.health import (
     GRADE_DEGRADED,
     GRADE_HEALTHY,
     GRADE_UNHEALTHY,
+    STRAGGLER_MIN_EXPECTED_S,
     HealthModel,
     StragglerWatchdog,
     overall_status,
@@ -49,14 +50,29 @@ def record(**overrides) -> ProviderRecord:
     return ProviderRecord(**defaults)
 
 
+HORIZON = 3.0  # a 1 s heartbeat, 3 intervals of silence
+
+
+def registry_of(*records) -> ProviderRegistry:
+    """A registry (1 s heartbeats, tolerance 3) holding ``records`` as they are."""
+    registry = ProviderRegistry()
+    for shape in records:
+        registered = registry.register(
+            shape.provider_id, shape.device_class, shape.capacity,
+            shape.benchmark_score, shape.price, now=shape.last_heartbeat,
+        )
+        registered.alive = shape.alive
+    return registry
+
+
 class TestWatchdog:
     def test_cold_start_never_alerts(self):
-        dog = StragglerWatchdog(multiple=2.0, min_expected_s=0.01)
+        dog = StragglerWatchdog()
         dog.on_issue("e1", "p1", "t1", "fp", speed_ips=1e6, now=0.0)
         assert dog.check(now=1e9) == []
 
     def test_profile_learned_from_completions_drives_expectations(self):
-        dog = StragglerWatchdog(multiple=2.0, min_expected_s=0.001)
+        dog = StragglerWatchdog()
         dog.on_issue("e1", "p1", "t1", "fp", speed_ips=1000.0, now=0.0)
         dog.on_result("e1", ok=True, instructions=500)
         # 500 instructions at 1000 ips -> 0.5s expected.
@@ -64,19 +80,20 @@ class TestWatchdog:
         assert dog.instructions_estimate("fp") == pytest.approx(500.0)
 
     def test_overdue_execution_alerts_exactly_once(self):
-        dog = StragglerWatchdog(multiple=2.0, min_expected_s=0.001)
+        dog = StragglerWatchdog()
         dog.on_issue("e1", "p1", "t1", "fp", speed_ips=1000.0, now=0.0)
         dog.on_result("e1", ok=True, instructions=1000)  # teach: 1s expected
         dog.on_issue("e2", "p2", "t2", "fp", speed_ips=1000.0, now=10.0)
-        assert dog.check(now=11.0) == []  # 1s elapsed < 2s deadline
-        alerts = dog.check(now=12.5)
+        assert dog.check(now=13.5) == []  # 3.5s elapsed < 4s deadline
+        alerts = dog.check(now=14.5)
         assert len(alerts) == 1
         alert = alerts[0]
         assert alert.execution_id == "e2"
         assert alert.provider_id == "p2"
         assert alert.expected_s == pytest.approx(1.0)
-        assert alert.elapsed_s == pytest.approx(2.5)
-        assert dog.check(now=20.0) == []  # alerted once, not re-raised
+        assert alert.elapsed_s == pytest.approx(4.5)
+        assert alert.multiple == 4.0
+        assert dog.check(now=30.0) == []  # alerted once, not re-raised
         assert [w.execution_id for w in dog.active_stragglers()] == ["e2"]
         assert dog.straggling_by_provider() == {"p2": 1}
 
@@ -87,7 +104,7 @@ class TestWatchdog:
         assert dog.instructions_estimate("fp") is None
 
     def test_lost_executions_are_forgotten(self):
-        dog = StragglerWatchdog(multiple=2.0, min_expected_s=0.001)
+        dog = StragglerWatchdog()
         dog.on_issue("e1", "p1", "t1", "fp", speed_ips=1000.0, now=0.0)
         dog.on_result("e1", ok=True, instructions=1000)
         dog.on_issue("e2", "p1", "t2", "fp", speed_ips=1000.0, now=0.0)
@@ -96,50 +113,48 @@ class TestWatchdog:
         assert dog.check(now=1e9) == []
 
     def test_min_expected_floor_absorbs_tiny_programs(self):
-        dog = StragglerWatchdog(min_expected_s=0.5)
+        dog = StragglerWatchdog()
         dog.on_issue("e1", "p1", "t1", "fp", speed_ips=1e9, now=0.0)
         dog.on_result("e1", ok=True, instructions=10)
-        assert dog.expected_runtime("fp", 1e9) == 0.5
-
-    def test_rejects_nonsense_configuration(self):
-        with pytest.raises(ValueError):
-            StragglerWatchdog(multiple=1.0)
-        with pytest.raises(ValueError):
-            StragglerWatchdog(min_expected_s=0.0)
+        assert dog.expected_runtime("fp", 1e9) == STRAGGLER_MIN_EXPECTED_S == 0.05
 
 
 class TestGrading:
     def test_fresh_alive_provider_is_healthy(self):
         model = HealthModel()
-        assert model.grade(record(), now=100.0) == GRADE_HEALTHY
+        assert model.grade(record(), HORIZON, now=100.0) == GRADE_HEALTHY
 
     def test_dead_or_silent_provider_is_unhealthy(self):
-        model = HealthModel(heartbeat_interval=1.0, heartbeat_tolerance=3.0)
-        assert model.grade(record(alive=False), now=100.0) == GRADE_UNHEALTHY
+        model = HealthModel()
+        assert model.grade(record(alive=False), HORIZON, now=100.0) == GRADE_UNHEALTHY
         silent = record(last_heartbeat=10.0)  # 90s of silence
-        assert model.grade(silent, now=100.0) == GRADE_UNHEALTHY
+        assert model.grade(silent, HORIZON, now=100.0) == GRADE_UNHEALTHY
+        # The horizon is the registry's: the one its failure detector uses.
+        registry = registry_of(silent)
+        assert registry.horizon(registry.get(silent.provider_id)) == HORIZON
+        assert registry.detect_failures(100.0) == [silent.provider_id]
 
     def test_reliability_thresholds(self):
-        model = HealthModel(reliability_warn=0.75, reliability_floor=0.4)
+        model = HealthModel()  # degraded below 0.75, unhealthy below 0.4
         flaky = record(completed=5, failed=3)  # ~0.6 smoothed
-        assert model.grade(flaky, now=100.0) == GRADE_DEGRADED
+        assert model.grade(flaky, HORIZON, now=100.0) == GRADE_DEGRADED
         broken = record(completed=1, failed=9)  # ~0.17 smoothed
-        assert model.grade(broken, now=100.0) == GRADE_UNHEALTHY
+        assert model.grade(broken, HORIZON, now=100.0) == GRADE_UNHEALTHY
 
     def test_underdelivering_speed_degrades(self):
-        model = HealthModel(speed_warn_ratio=0.5)
+        model = HealthModel()  # degraded below half its benchmark
         slow = record(benchmark_score=1e6)
         # Claimed 1e6 ips; observed collapses to 1e5.
         for _ in range(8):
             slow.observed_speed.add(1e5)
-        assert model.grade(slow, now=100.0) == GRADE_DEGRADED
+        assert model.grade(slow, HORIZON, now=100.0) == GRADE_DEGRADED
 
     def test_straggling_degrades(self):
         model = HealthModel()
-        assert model.grade(record(), now=100.0, straggling=1) == GRADE_DEGRADED
+        assert model.grade(record(), HORIZON, now=100.0, straggling=1) == GRADE_DEGRADED
 
     def test_flap_burst_alerts_once_then_rearms_after_window(self):
-        model = HealthModel(flap_window_s=60.0, flap_threshold=3)
+        model = HealthModel()  # three flaps within 60 s
         assert model.record_flap("p1", now=0.0) is False
         assert model.record_flap("p1", now=1.0) is False
         assert model.record_flap("p1", now=2.0) is True  # burst detected
@@ -153,15 +168,18 @@ class TestGrading:
         assert model.flap_count("p1") == 7
 
     def test_flapping_provider_is_degraded(self):
-        model = HealthModel(flap_window_s=60.0, flap_threshold=2)
-        model.record_flap("p1", now=99.0)
+        model = HealthModel()
+        model.record_flap("p1", now=41.0)
+        model.record_flap("p1", now=70.0)
+        assert model.grade(record(), HORIZON, now=100.0) == GRADE_HEALTHY
         model.record_flap("p1", now=100.0)
-        assert model.grade(record(), now=100.0) == GRADE_DEGRADED
+        assert model.grade(record(), HORIZON, now=100.0) == GRADE_DEGRADED
+        assert model.grade(record(), HORIZON, now=101.5) == GRADE_HEALTHY  # 41 s left the window
 
     def test_scorecards_cover_all_records(self):
         model = HealthModel()
         cards = model.scorecards(
-            [record(), record(provider_id=NodeId("p2"), alive=False)], now=100.0
+            registry_of(record(), record(provider_id=NodeId("p2"), alive=False)), now=100.0
         )
         assert [card.provider_id for card in cards] == ["p1", "p2"]
         assert cards[0].grade == GRADE_HEALTHY
@@ -177,19 +195,19 @@ class TestOverallStatus:
 
     def test_all_dead_is_unhealthy(self):
         model = HealthModel()
-        cards = model.scorecards([record(alive=False)], now=100.0)
+        cards = model.scorecards(registry_of(record(alive=False)), now=100.0)
         assert overall_status(cards) == GRADE_UNHEALTHY
 
     def test_mixed_pool_is_degraded(self):
         model = HealthModel()
         cards = model.scorecards(
-            [record(), record(provider_id=NodeId("p2"), alive=False)], now=100.0
+            registry_of(record(), record(provider_id=NodeId("p2"), alive=False)), now=100.0
         )
         assert overall_status(cards) == GRADE_DEGRADED
 
     def test_healthy_pool_is_ok(self):
         model = HealthModel()
-        assert overall_status(model.scorecards([record()], now=100.0)) == "ok"
+        assert overall_status(model.scorecards(registry_of(record()), now=100.0)) == "ok"
 
 
 PROGRAM = compile_source(
@@ -214,11 +232,7 @@ class StragglerHarness:
         self.broker = BrokerCore(
             clock=self.clock,
             strategy=LeastLoadedStrategy(),
-            config=BrokerConfig(
-                execution_timeout=None,
-                straggler_multiple=2.0,
-                straggler_min_expected_s=0.001,
-            ),
+            config=BrokerConfig(execution_timeout=None),
             telemetry=self.telemetry,
         )
         self._counter = 0
@@ -302,7 +316,7 @@ class TestStragglerEndToEnd:
             harness.complete("honest", assign)
 
         # At 1e12 claimed ips the expectation collapses to the floor
-        # (0.001s); two virtual seconds of silence is far past 2x that.
+        # (0.05 s); two virtual seconds of silence is far past 4x that.
         issued_before = harness.broker.stats.executions_issued
         harness.clock.advance(2.0)
         harness.broker.tick()

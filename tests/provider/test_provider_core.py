@@ -11,6 +11,7 @@ from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId
 from repro.common.serde import opened, packed
 from repro.provider.core import ProviderConfig, ProviderCore
+from repro.provider import simulated
 from repro.provider.failure import ExecutionFailureModel
 from repro.provider.simulated import SimProvider
 from repro.transport.message import (
@@ -156,8 +157,9 @@ class TestExecutionTiming:
         second_delay = handle(provider, assign(execution_id="b"))[0][0]
         assert second_delay == pytest.approx(first_delay)
 
-    def test_queue_overflow_rejects(self):
-        provider = make_provider(capacity=1, max_queue=1)
+    def test_queue_overflow_rejects(self, monkeypatch):
+        monkeypatch.setattr(simulated, "MAX_QUEUE", 1)
+        provider = make_provider(capacity=1)
         handle(provider, assign(execution_id="running"))
         handle(provider, assign(execution_id="queued"))
         outbound = handle(provider, assign(execution_id="overflow"))

@@ -82,3 +82,53 @@ def test_every_public_module_has_a_docstring():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         module = importlib.import_module(info.name)
         assert module.__doc__, f"{info.name} lacks a module docstring"
+
+
+#: Every value a deployment, an experiment or a test seam may set, by
+#: surface (54 in all); anything else is a module constant.  A new knob
+#: must be added to this list, in the same change as the caller outside
+#: tests that sets it.
+SETTABLE = {
+    "repro.broker.core.BrokerConfig": (
+        "heartbeat_interval", "heartbeat_tolerance", "execution_timeout",
+        "learn_speed", "pipeline_depth",
+    ),
+    "repro.broker.federation.FederationConfig": (
+        "peers", "gossip_interval", "peer_journals", "epoch",
+    ),
+    "repro.provider.core.ProviderConfig": (
+        "device_class", "capacity", "speed_ips", "benchmark_score", "price",
+        "heartbeat_interval", "startup_overhead_s",
+    ),
+    "repro.transport.aio.TcpBroker": (
+        "host", "port", "strategy", "config", "telemetry", "obs_port", "obs_host",
+        "journal_path", "journal_sync", "journal_compact_records", "broker_id", "peers",
+        "peer_journals", "peer_obs_urls", "gossip_interval",
+    ),
+    "repro.transport.tcp.TcpProvider": (
+        "broker_host", "broker_port", "capacity", "device_class", "node_id",
+        "benchmark_score", "heartbeat_interval", "price", "reconnect", "telemetry",
+        "obs_port", "obs_host", "brokers",
+    ),
+    "repro.transport.tcp.TcpConsumer": (
+        "broker_host", "broker_port", "node_id", "base_seed", "on_disconnect",
+        "telemetry", "brokers",
+    ),
+    "repro.broker.journal.WorkJournal": ("path", "fsync", "auto_compact_records"),
+    "repro.obs.health.HealthModel": (),
+    "repro.obs.health.StragglerWatchdog": (),
+}
+
+
+@pytest.mark.parametrize("surface", sorted(SETTABLE))
+def test_every_settable_value_is_in_the_census(surface):
+    import dataclasses
+    import inspect
+
+    module_name, _, name = surface.rpartition(".")
+    cls = getattr(importlib.import_module(module_name), name)
+    if dataclasses.is_dataclass(cls):
+        names = tuple(field.name for field in dataclasses.fields(cls))
+    else:
+        names = tuple(inspect.signature(cls).parameters)
+    assert names == SETTABLE[surface]

@@ -176,7 +176,7 @@ def test_redial_cap_ends_exhausted_with_the_typed_error_and_event():
         (event,) = telemetry.events.events(kind="federation_exhausted")
         assert event.attrs["attempts"] == 3
         with pytest.raises(ConnectionClosed):
-            link.send_many([(heartbeat(1), None)])
+            link.send_many([heartbeat(1)])
         wait_until(lambda: not link_threads(), message="link thread exit")
     finally:
         link.close()
@@ -233,7 +233,7 @@ def test_handler_fault_is_a_lost_link_not_a_deaf_one():
         wait_until(lambda: owner.envelopes, message="delivery on the second incarnation")
         assert [envelope.type for envelope in owner.envelopes] == ["heartbeat_ack"]
         assert len(faults) == 1 and up_means_reading()
-        link.send_many([(heartbeat(1), None)])
+        link.send_many([heartbeat(1)])
         assert read_envelopes(second, 1)[0].type == "heartbeat"
         first.close()
         second.close()
@@ -258,7 +258,7 @@ def test_nothing_precedes_the_on_connect_envelopes():
         assert connecting.wait(5.0)
         while True:  # as the provider's heartbeat loop would: retry until up
             try:
-                link.send_many([(heartbeat(2), None)])
+                link.send_many([heartbeat(2)])
                 return
             except ConnectionClosed:
                 refused.append(link.state)
@@ -309,15 +309,15 @@ def test_a_dial_landing_after_close_says_and_leaves_nothing(monkeypatch):
         listener.close()
 
 
-def test_consumer_stop_during_failover_is_prompt_and_leaves_nothing():
+def test_consumer_stop_during_failover_is_prompt_and_leaves_nothing(monkeypatch):
+    monkeypatch.setattr(tcp, "FAILOVER_BACKOFF_S", 0.05)
+    monkeypatch.setattr(tcp, "FAILOVER_BACKOFF_MAX_S", 0.05)
+    monkeypatch.setattr(tcp, "MAX_FAILOVER_ATTEMPTS", 10_000)
     listener = Listener()
     telemetry, disconnects = Telemetry(), []
     consumer = TcpConsumer(
         node_id="n1",
         brokers=[listener.address],
-        failover_backoff=0.05,
-        failover_backoff_max=0.05,
-        max_failover_attempts=10_000,
         on_disconnect=disconnects.append,
         telemetry=telemetry,
     ).start()

@@ -23,7 +23,7 @@ from repro.common.ids import NodeId
 from repro.core import kernels
 from repro.dag.patterns import chain, reference_values
 from repro.obs.telemetry import Telemetry
-from repro.transport import aio
+from repro.transport import aio, tcp
 from repro.transport.aio import AioConnection
 from repro.transport.codec import encode_envelope
 from repro.transport.message import Unregister
@@ -69,6 +69,7 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
         (TcpBroker, "_route"),
     ):
         recording(owner, name)
+    monkeypatch.setattr(tcp, "RECONNECT_BACKOFF_S", 0.05)
 
     broker = TcpBroker(config=BrokerConfig(**FAST), obs_port=0).start()
     loop_thread = broker._thread
@@ -83,7 +84,7 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
         host, port = broker.address
         provider = TcpProvider(
             host, port, node_id="p1", capacity=2, benchmark_score=1e7,
-            heartbeat_interval=0.2, reconnect_backoff=0.05,
+            heartbeat_interval=0.2,
         )
         with provider, TcpConsumer(host, port, node_id="c1") as consumer:
             wait_until(lambda: len(broker.core.registry) == 1, message="registration")

@@ -10,6 +10,7 @@ CLI's JSON output use: whatever a message carries must survive that too.
 """
 
 import json
+import socket
 
 import pytest
 
@@ -41,6 +42,8 @@ from repro.transport.message import (
     SubmitTasklet,
     body_of,
 )
+
+from repro.transport.tcp import _Connection
 
 from .test_messages import SAMPLE_BODIES
 
@@ -231,19 +234,34 @@ def test_a_frame_stream_decodes_in_order_byte_by_byte():
 
 
 def test_batch_encoding_applies_stamps_at_encode_time():
-    stamped = []
-    envelope = Heartbeat(provider_id="p1", free_slots=0, sent_at=0.0).envelope(
-        NodeId("p1"), NodeId("broker")
-    )
+    """A batch is its envelopes' frames back to back; the one send-time
+    stamp (a heartbeat's ``sent_at``) is the client link's, run under its
+    send lock just before it encodes."""
+    envelopes = [
+        Heartbeat(provider_id="p1", free_slots=n, sent_at=0.0).envelope(
+            NodeId("p1"), NodeId("broker")
+        )
+        for n in range(2)
+    ]
+    data = encode_batch(envelopes, CODEC_BINARY)
+    assert data == b"".join(encode_envelope(envelope) for envelope in envelopes)
 
-    def stamp(env):
-        env.payload["sent_at"] = 99.5
-        stamped.append(env)
+    ours, peer = socket.socketpair()
+    connection, stamped = _Connection(ours), []
 
-    data = encode_batch([(envelope, stamp)], CODEC_BINARY)
-    assert stamped == [envelope]
-    (decoded,) = list(iter_frames(data))
-    assert decoded.payload["sent_at"] == 99.5
+    def stamp(envelope):
+        assert connection._send_lock.locked()
+        envelope.payload["sent_at"] = 99.5
+        stamped.append(envelope)
+
+    try:
+        connection.send_many(envelopes, stamp)
+        assert stamped == envelopes
+        received = peer.recv(65536)
+        assert [decoded.payload["sent_at"] for decoded in iter_frames(received)] == [99.5, 99.5]
+    finally:
+        connection.close()
+        peer.close()
 
 
 def test_garbage_and_oversized_frames_raise_typed_errors():
