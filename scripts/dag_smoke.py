@@ -23,28 +23,17 @@ import argparse
 import json
 import sys
 
+from repro.bench.cluster import LocalCluster, wait_until
 from repro.broker.journal import replay_journal
 from repro.cli import main as cli_main
 from repro.common.errors import BrokerUnreachable
 from repro.common.serde import opened
 from repro.dag.patterns import reference_values, tree
-from repro.transport.tcp import TcpConsumer, TcpProvider
-
-from _cluster import start_broker, wait_for
 
 #: Per-node busy-loop iterations (~0.5s each): big enough that, with a
 #: capacity-1 provider serialising the tree, the graph is guaranteed
 #: still in flight when we pull the plug; small enough to keep CI fast.
 WORK = 150_000
-
-
-def start_provider(host: str, port: int) -> TcpProvider:
-    # capacity=1 serialises the graph: after the wait below triggers,
-    # the next node is mid-execution for a whole node's runtime — a wide
-    # window in which the broker kill lands mid-workflow.
-    return TcpProvider(
-        host, port, node_id="p1", benchmark_score=1e7, capacity=1
-    ).start()
 
 
 def ok_completions(path: str) -> int:
@@ -66,21 +55,21 @@ def main() -> int:
     reference = reference_values(spec)
     expected = {sink: reference[sink] for sink in spec.sinks()}
 
-    # -- incarnation 1: admit the DAG, finish part of it, crash -------------
-    first = start_broker(args.journal)
-    host, port = first.address
-    consumer = TcpConsumer(host, port, node_id="dag-consumer").start()
-    try:
-        provider = start_provider(host, port)
-        wait_for(lambda: len(first.core.registry) >= 1, 10, "registration")
+    with LocalCluster("b1", journal=args.journal) as cluster:
+        # -- incarnation 1: admit the DAG, finish part of it, crash ---------
+        first = cluster.broker
+        consumer = cluster.consumer(node_id="dag-consumer")
+        # capacity=1 serialises the graph: after the wait below triggers,
+        # the next node is mid-execution for a whole node's runtime — a wide
+        # window in which the broker kill lands mid-workflow.
+        provider = cluster.provider("b1", node_id="p1", capacity=1)
         handle = consumer.submit_workflow(spec)
-        wait_for(lambda: ok_completions(args.journal) >= 2, 60, "partial progress")
+        wait_until(lambda: ok_completions(args.journal) >= 2, 60, "partial progress")
         # Pull the plug with the graph guaranteed unfinished: in-flight
         # results die with the connection; the journal is the only truth.
         assert first.core.pending_workflows == 1, first.core.pending_workflows
-        first.stop()
+        cluster.kill("b1")
         provider.stop()
-        provider = None
         done_before = ok_completions(args.journal)
         assert done_before < nodes_total, "workflow finished before the kill"
         print(
@@ -92,15 +81,9 @@ def main() -> int:
             raise AssertionError("workflow handle survived the crash")
         except BrokerUnreachable:
             pass  # typed, immediate — the documented failure surface
-    except BaseException:
-        consumer.stop()
-        first.stop()
-        raise
 
-    # -- incarnation 2: replay, resume, re-attach, finish -------------------
-    second = start_broker(args.journal, port=port)
-    provider = None
-    try:
+        # -- incarnation 2: replay, resume, re-attach, finish ---------------
+        second = cluster.restart("b1")
         stats = second.core.stats
         assert stats.workflows_recovered == 1, stats.workflows_recovered
         assert second.core.pending_workflows == 1, second.core.pending_workflows
@@ -114,7 +97,7 @@ def main() -> int:
 
         consumer.reconnect()
         handle = consumer.submit_workflow(spec)  # idempotent: re-attaches
-        provider = start_provider(host, port)
+        cluster.provider("b1", node_id="p1", capacity=1)
         outputs = handle.result(timeout=120)
         assert outputs == expected, (outputs, expected)
         assert handle.nodes_total == nodes_total, handle.nodes_total
@@ -127,11 +110,6 @@ def main() -> int:
             f"{remaining} node(s) executed by incarnation 2, "
             f"{done_before} redelivered from the journal"
         )
-    finally:
-        if provider is not None:
-            provider.stop()
-        consumer.stop()
-        second.stop()
 
     # -- exactly-once audit across both incarnations ------------------------
     snapshot = replay_journal(args.journal)

@@ -21,13 +21,11 @@ import argparse
 import json
 import sys
 
-from repro.cli import main as cli_main
+from repro.bench.cluster import LocalCluster, wait_until
+from repro.cli import fetch, main as cli_main
 from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
 from repro.obs import parse_prometheus
-from repro.transport.tcp import TcpConsumer, TcpProvider
-
-from _cluster import fetch, start_broker, wait_for
 
 DONE = [("done-0", 150), ("done-1", 151)]
 LOST = [("lost-0", 152), ("lost-1", 153), ("lost-2", 154)]
@@ -48,51 +46,39 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    # -- incarnation 1: admit work, complete some, crash --------------------
-    first = start_broker(args.journal, obs_port=0)
-    host, port = first.address
-    consumer = TcpConsumer(host, port, node_id="smoke-consumer").start()
-    try:
-        provider = TcpProvider(
-            host, port, node_id="p1", benchmark_score=1e7, capacity=2
-        ).start()
-        wait_for(lambda: len(first.core.registry) >= 1, 10, "registration")
+    with LocalCluster("b1", journal=args.journal, obs=True) as cluster:
+        # -- incarnation 1: admit work, complete some, crash ----------------
+        first = cluster.broker
+        consumer = cluster.consumer(node_id="smoke-consumer")
+        provider = cluster.provider("b1", node_id="p1")
         done_values = [f.result(timeout=60) for f in submit_bag(consumer, DONE)]
         assert done_values == [kernels.python_prime_count(n) for _, n in DONE]
         provider.stop()  # nothing left to run the next bag
-        wait_for(
+        wait_until(
             lambda: len(first.core.registry) == 0, 10, "provider unregistration"
         )
         pending = submit_bag(consumer, LOST)
-        wait_for(
+        wait_until(
             lambda: first.core.pending_tasklets == len(LOST), 10, "admission"
         )
         print(f"incarnation 1: {len(DONE)} completed, {len(LOST)} pending — killing broker")
-        first.stop()
+        cluster.kill("b1")
         for future in pending:
             try:
                 future.result(timeout=10)
                 raise AssertionError("pending future survived the crash")
             except BrokerUnreachable:
                 pass  # typed, immediate — the documented failure surface
-    except BaseException:
-        consumer.stop()
-        first.stop()
-        raise
 
-    # -- incarnation 2: replay, recover, redeliver, memoize -----------------
-    second = start_broker(args.journal, port=port, obs_port=0)
-    provider = None
-    try:
+        # -- incarnation 2: replay, recover, redeliver, memoize -------------
+        second = cluster.restart("b1")
         stats = second.core.stats
         assert stats.tasklets_recovered == len(LOST), stats.tasklets_recovered
         print(f"incarnation 2: recovered {stats.tasklets_recovered} pending tasklet(s)")
 
         consumer.reconnect()
         futures = submit_bag(consumer, DONE + LOST)
-        provider = TcpProvider(
-            host, port, node_id="p1", benchmark_score=1e7, capacity=2
-        ).start()
+        cluster.provider("b1", node_id="p1")
         values = consumer.library.gather(futures, timeout=120)
         assert values == [kernels.python_prime_count(n) for _, n in DONE + LOST]
         assert stats.completions_redelivered == len(DONE), stats.completions_redelivered
@@ -126,11 +112,6 @@ def main() -> int:
         assert records.get('kind="admitted"', 0) >= 1, records
         hits, misses = cache.get('result="hit"'), cache.get('result="miss"')
         print(f"/metrics: memo_cache hit={hits} miss={misses}, journal records {records}")
-    finally:
-        if provider is not None:
-            provider.stop()
-        consumer.stop()
-        second.stop()
 
     assert cli_main(["journal", args.journal]) == 0
     document = json.loads(fetch_journal_json(args.journal))

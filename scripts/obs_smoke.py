@@ -24,12 +24,11 @@ import json
 import sys
 import time
 
+from repro.bench.cluster import LocalCluster, wait_until
+from repro.cli import fetch, fetch_json
 from repro.core import kernels
 from repro.obs import FlightRecorder, Telemetry, parse_prometheus
 from repro.obs import events as ev
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
-
-from _cluster import fetch, wait_for
 
 WARMUP_TASKS = 2  # teach the watchdog the program's runtime profile
 MAIN_TASKS = 4
@@ -37,7 +36,7 @@ LIMIT = 300  # prime_count argument; small, so honest runs are fast
 
 
 def alive_providers(base: str) -> int:
-    return json.loads(fetch(base + "/healthz")).get("providers_alive", 0)
+    return fetch_json(base + "/healthz").get("providers_alive", 0)
 
 
 def main() -> int:
@@ -53,35 +52,28 @@ def main() -> int:
     args = parser.parse_args()
 
     telemetry = Telemetry(events=FlightRecorder(jsonl_path=args.events_log))
-    broker = TcpBroker(
-        strategy="fastest_first", telemetry=telemetry, obs_port=0
-    ).start()
-    fast = slow = None
-    try:
-        host, port = broker.address
-        base = broker.obs.url
+    with LocalCluster(
+        "b1", telemetry={"b1": telemetry}, obs=True, strategy="fastest_first"
+    ) as cluster:
+        base = cluster.broker.obs.url
         print(f"broker obs plane at {base}")
 
-        fast = TcpProvider(
-            host, port, node_id="fast", benchmark_score=1e5, capacity=2,
-            obs_port=0,
-        ).start()
-        wait_for(lambda: alive_providers(base) >= 1, 10, "fast registration")
+        fast = cluster.provider(
+            "b1", node_id="fast", benchmark_score=1e5, capacity=2, obs_port=0
+        )
+        wait_until(lambda: alive_providers(base) >= 1, 10, "fast registration")
 
         # Warmup on the honest provider teaches the watchdog how long
         # this program actually takes.
-        with TcpConsumer(host, port) as consumer:
-            futures = consumer.library.map(
-                kernels.PRIME_COUNT, [[LIMIT]] * WARMUP_TASKS
-            )
-            consumer.library.gather(futures, timeout=60)
+        consumer = cluster.consumer()
+        futures = consumer.library.map(kernels.PRIME_COUNT, [[LIMIT]] * WARMUP_TASKS)
+        consumer.library.gather(futures, timeout=60)
         print(f"warmup: {WARMUP_TASKS} tasklets on the honest provider")
 
         # The straggler: claims a fantasy benchmark score (so
         # fastest_first prefers it) and sleeps before every execution.
-        slow = TcpProvider(
-            host, port, node_id="slow-liar", benchmark_score=1e12,
-            capacity=2, obs_port=0,
+        slow = cluster.provider(
+            "b1", node_id="slow-liar", benchmark_score=1e12, capacity=2, obs_port=0
         )
         real_execute = slow.core.executor.execute
 
@@ -90,23 +82,19 @@ def main() -> int:
             return real_execute(request)
 
         slow.core.executor.execute = delayed_execute
-        slow.start()
-        wait_for(lambda: alive_providers(base) >= 2, 10, "slow registration")
+        wait_until(lambda: alive_providers(base) >= 2, 10, "slow registration")
 
-        with TcpConsumer(host, port) as consumer:
-            futures = consumer.library.map(
-                kernels.PRIME_COUNT, [[LIMIT]] * MAIN_TASKS
-            )
-            # The watchdog alert fires on a broker tick mid-execution,
-            # well before the delayed results land.
-            wait_for(
-                lambda: parse_prometheus(fetch(base + "/metrics"))
-                .get("repro_health_alerts_total", {})
-                .get('kind="straggler_alert"'),
-                30,
-                "straggler alert on /metrics",
-            )
-            values = consumer.library.gather(futures, timeout=120)
+        futures = consumer.library.map(kernels.PRIME_COUNT, [[LIMIT]] * MAIN_TASKS)
+        # The watchdog alert fires on a broker tick mid-execution,
+        # well before the delayed results land.
+        wait_until(
+            lambda: parse_prometheus(fetch(base + "/metrics"))
+            .get("repro_health_alerts_total", {})
+            .get('kind="straggler_alert"'),
+            30,
+            "straggler alert on /metrics",
+        )
+        values = consumer.library.gather(futures, timeout=120)
         expected = kernels.python_prime_count(LIMIT)
         assert values == [expected] * MAIN_TASKS, values
         print(f"workload: {MAIN_TASKS} tasklets completed correctly")
@@ -116,7 +104,7 @@ def main() -> int:
         assert alerts >= 1, parsed.get("repro_health_alerts_total")
         print(f"/metrics: repro_health_alerts_total straggler_alert={alerts}")
 
-        events = json.loads(fetch(f"{base}/events?kind={ev.STRAGGLER_ALERT}"))
+        events = fetch_json(f"{base}/events?kind={ev.STRAGGLER_ALERT}")
         straggler_events = events["events"]
         assert straggler_events, "no straggler_alert events on /events"
         assert all(
@@ -125,7 +113,7 @@ def main() -> int:
         print(f"/events: {len(straggler_events)} straggler_alert event(s) "
               "on slow-liar")
 
-        health = json.loads(fetch(base + "/healthz"))
+        health = fetch_json(base + "/healthz")
         assert health["role"] == "broker"
         assert health["status"] in ("ok", "degraded"), health
         grades = {
@@ -134,27 +122,21 @@ def main() -> int:
         assert set(grades) == {"fast", "slow-liar"}, grades
         print(f"/healthz: status={health['status']} grades={grades}")
 
-        assert json.loads(fetch(base + "/readyz"))["ready"] is True
+        assert fetch_json(base + "/readyz")["ready"] is True
         for provider in (fast, slow):
-            doc = json.loads(fetch(provider.obs.url + "/healthz"))
+            doc = fetch_json(provider.obs.url + "/healthz")
             assert doc["connected"] is True, doc
             assert fetch(provider.obs.url + "/metrics")
         print("/readyz + both provider obs planes answered")
 
-        with open(args.events_log, encoding="utf-8") as handle:
-            logged = [json.loads(line) for line in handle if line.strip()]
-        kinds = {event["kind"] for event in logged}
-        assert ev.STRAGGLER_ALERT in kinds, sorted(kinds)
-        assert ev.NODE_JOIN in kinds, sorted(kinds)
-        print(f"{args.events_log}: {len(logged)} events, kinds={sorted(kinds)}")
-        print("obs smoke OK")
-        return 0
-    finally:
-        for provider in (slow, fast):
-            if provider is not None:
-                provider.stop()
-        broker.stop()
-
+    with open(args.events_log, encoding="utf-8") as handle:
+        logged = [json.loads(line) for line in handle if line.strip()]
+    kinds = {event["kind"] for event in logged}
+    assert ev.STRAGGLER_ALERT in kinds, sorted(kinds)
+    assert ev.NODE_JOIN in kinds, sorted(kinds)
+    print(f"{args.events_log}: {len(logged)} events, kinds={sorted(kinds)}")
+    print("obs smoke OK")
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -24,22 +24,14 @@ Exit code 0 when every assertion holds; stack trace otherwise.
 import argparse
 import json
 import sys
-import urllib.request
 
-from repro.broker.core import BrokerConfig
+from repro.bench.cluster import LocalCluster, wait_until
+from repro.cli import fetch_json
 from repro.dag.patterns import chain, reference_values
 from repro.obs import Telemetry, analyze_workflow, build_trace_tree
 from repro.obs.trace import Span
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
-
-from _cluster import CONFIG, free_ports, peer_has_slots, wait_for
 
 BROKER_IDS = ("b1", "b2", "b3")
-
-
-def get_json(url):
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return json.load(response)
 
 
 def main() -> int:
@@ -50,61 +42,26 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    ports = free_ports(2 * len(BROKER_IDS))
-    addresses = {
-        bid: ("127.0.0.1", port)
-        for bid, port in zip(BROKER_IDS, ports[: len(BROKER_IDS)])
-    }
-    obs_urls = {
-        bid: f"http://127.0.0.1:{port}"
-        for bid, port in zip(BROKER_IDS, ports[len(BROKER_IDS):])
-    }
     telemetries = {bid: Telemetry() for bid in BROKER_IDS}
+    with LocalCluster(*BROKER_IDS, telemetry=telemetries, obs=True) as cluster:
+        brokers = cluster.brokers
+        b1_url = brokers["b1"].obs.url
+        print(
+            "federation up: "
+            + ", ".join(
+                f"{b}@{cluster.addresses[b][1]} obs={brokers[b].obs.url}" for b in BROKER_IDS
+            )
+        )
 
-    brokers = {}
-    for bid in BROKER_IDS:
-        obs_port = int(obs_urls[bid].rsplit(":", 1)[1])
-        brokers[bid] = TcpBroker(
-            host="127.0.0.1",
-            port=addresses[bid][1],
-            config=BrokerConfig(**CONFIG),
-            telemetry=telemetries[bid],
-            obs_port=obs_port,
-            broker_id=bid,
-            peers={o: addresses[o] for o in BROKER_IDS if o != bid},
-            peer_obs_urls={o: obs_urls[o] for o in BROKER_IDS if o != bid},
-            gossip_interval=0.2,
-        ).start()
-    print(
-        "federation up: "
-        + ", ".join(f"{b}@{addresses[b][1]} obs={obs_urls[b]}" for b in BROKER_IDS)
-    )
-
-    providers = []
-    consumer = None
-    try:
         # Each provider shares its broker's telemetry (the co-located
         # deployment shape): its ``provider.execute`` spans land in that
         # broker's store and travel with the federated span pull.
         for bid, name in (("b2", "p2"), ("b3", "p3")):
-            providers.append(
-                TcpProvider(
-                    *addresses[bid], node_id=name, capacity=2,
-                    benchmark_score=1e7, telemetry=telemetries[bid],
-                ).start()
-            )
-        wait_for(
-            lambda: peer_has_slots(brokers["b1"], "b2")
-            and peer_has_slots(brokers["b1"], "b3"),
-            15, "gossip to carry peer capacity to b1",
-        )
+            cluster.provider(bid, node_id=name, telemetry=telemetries[bid])
 
         # The consumer shares b1's telemetry: its root ``workflow`` span
         # lands in b1's store, next to b1's broker-side spans.
-        consumer = TcpConsumer(
-            *addresses["b1"], node_id="trace-consumer",
-            telemetry=telemetries["b1"],
-        ).start()
+        consumer = cluster.consumer(node_id="trace-consumer", telemetry=telemetries["b1"])
         spec = chain(4, work=200, salt=11)
         reference = reference_values(spec)
         handle = consumer.submit_workflow(spec)
@@ -121,19 +78,11 @@ def main() -> int:
         print(f"b1 forwarded {forwarded} node tasklet(s) to peers")
 
         # One HTTP query against b1 merges the whole federation's spans.
-        doc = wait_for(
-            lambda: (
-                lambda d: d if any(
-                    s["name"] == "provider.execute" for s in d["spans"]
-                ) else None
-            )(
-                get_json(
-                    f"{obs_urls['b1']}/traces?format=json"
-                    f"&workflow_id={spec.workflow_id}"
-                )
-            ),
-            15, "federated span pull to include peer executions",
-        )
+        def merged():
+            doc = fetch_json(f"{b1_url}/traces?format=json&workflow_id={spec.workflow_id}")
+            return doc if any(s["name"] == "provider.execute" for s in doc["spans"]) else None
+
+        doc = wait_until(merged, 15, "federated span pull to include peer executions")
         spans = [Span.from_dict(item) for item in doc["spans"]]
         assert spans, "no spans for the workflow"
         trace_ids = {span.trace_id for span in spans}
@@ -174,12 +123,7 @@ def main() -> int:
             f"{analysis.makespan * 1e3:.1f}ms (drift {drift:.1%})"
         )
 
-        with urllib.request.urlopen(
-            f"{obs_urls['b1']}/traces?format=chrome"
-            f"&workflow_id={spec.workflow_id}",
-            timeout=10,
-        ) as response:
-            chrome = json.load(response)
+        chrome = fetch_json(f"{b1_url}/traces?format=chrome&workflow_id={spec.workflow_id}")
         events = chrome["traceEvents"]
         assert events, "empty chrome trace"
         for event in events:
@@ -188,16 +132,6 @@ def main() -> int:
         with open(args.chrome_out, "w") as handle_out:
             json.dump(chrome, handle_out)
         print(f"chrome trace artifact: {args.chrome_out} ({len(events)} events)")
-    finally:
-        if consumer is not None:
-            consumer.stop()
-        for provider in providers:
-            provider.stop()
-        for broker in brokers.values():
-            try:
-                broker.stop()
-            except Exception:
-                pass
 
     print("trace smoke OK")
     return 0

@@ -12,146 +12,69 @@ recovery through consumer failover plus idempotent resubmission.
 Shape claims: with re-issue enabled every workload completes down to a 50%
 duty cycle; makespan grows as availability falls; the number of lost/
 re-issued executions grows as availability falls; the broker-kill run
-completes every tasklet exactly once (cross-journal audit).
+completes every tasklet exactly once (cross-journal audit), and never on
+the broker that was killed.
 """
 
 from __future__ import annotations
 
-import socket
 import tempfile
 import time
 
 from ...broker.core import BrokerConfig
-from ...broker.journal import replay_journal
 from ...common.errors import BrokerUnreachable
 from ...core.kernels import PRIME_COUNT, python_prime_count
 from ...core.qoc import QoC
 from ...sim.churn import ExponentialChurn
 from ...provider.core import ProviderConfig
 from ...sim.workloads import prime_count
-from ...transport.tcp import TcpBroker, TcpConsumer, TcpProvider
+from ..cluster import LocalCluster, wait_until
 from ..harness import Experiment, Table, monotone_increasing
 from ..simlib import run_workload
 
 
-def _free_ports(count: int) -> list[int]:
-    sockets = []
-    for _ in range(count):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sockets.append(sock)
-    ports = [sock.getsockname()[1] for sock in sockets]
-    for sock in sockets:
-        sock.close()
-    return ports
+def broker_kill(cluster: LocalCluster, bag: list[tuple[str, int]]):
+    """Kill the consumer's broker with ``bag`` in flight.
 
+    ``cluster`` is three peered, journal-backed brokers ``b1``-``b3``.
+    Providers join b2 and b3 only, so b1 (the consumer's first choice)
+    forwards all it admits; the consumer shares b1's telemetry.  Each
+    ``(tasklet_id, limit)`` of ``bag`` is a ``PRIME_COUNT`` submitted
+    through b1, which is then stopped with no drain and no goodbye.  The
+    consumer fails over on its own and what the kill lost is resubmitted
+    under the same ids.
 
-def _wait(predicate, deadline_s: float, what: str) -> None:
-    deadline = time.perf_counter() + deadline_s
-    while not predicate():
-        if time.perf_counter() > deadline:
-            raise TimeoutError(f"timed out waiting for {what}")
-        time.sleep(0.02)
-
-
-def _broker_kill_scenario(tasks: int, limit: int, journal_dir: str):
-    """Kill the consumer's broker mid-workload in a 3-broker federation.
-
-    Returns ``(ok_rate, wall_s, executions_issued, lost, exactly_once)``
-    where ``lost`` counts tasklets that needed failover resubmission and
-    ``exactly_once`` is the cross-journal audit: every tasklet was
-    executed by exactly one broker.
+    Returns ``(values, lost, executors)``: each tasklet's value, the ids
+    that needed resubmission, and each id's ``executed_by`` set from the
+    cross-journal audit.
     """
-    ids = ("b1", "b2", "b3")
-    ports = _free_ports(len(ids))
-    addresses = {bid: ("127.0.0.1", port) for bid, port in zip(ids, ports)}
-    journals = {bid: f"{journal_dir}/{bid}.jsonl" for bid in ids}
-    config = BrokerConfig(
-        heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=30.0
-    )
-    brokers = {
-        bid: TcpBroker(
-            host="127.0.0.1",
-            port=addresses[bid][1],
-            config=config,
-            journal_path=journals[bid],
-            broker_id=bid,
-            peers={o: addresses[o] for o in ids if o != bid},
-            peer_journals={o: journals[o] for o in ids if o != bid},
-            gossip_interval=0.2,
-        ).start()
-        for bid in ids
+    cluster.provider("b2", node_id="p2")
+    cluster.provider("b3", node_id="p3")
+    b1 = cluster.brokers["b1"]
+    consumer = cluster.consumer(node_id="kill-consumer", telemetry=b1.telemetry)
+    futures = {
+        tid: consumer.library.submit(PRIME_COUNT, args=[limit], tasklet_id=tid)
+        for tid, limit in bag
     }
-    providers = []
-    consumer = None
-    try:
-        for bid, name in (("b2", "p2"), ("b3", "p3")):
-            providers.append(
-                TcpProvider(
-                    *addresses[bid], node_id=name, capacity=2,
-                    benchmark_score=1e7,
-                ).start()
-            )
-
-        def peer_ready(peer_id):
-            peer = brokers["b1"].core.federation.peers.get(peer_id)
-            return peer is not None and peer.alive and peer.free_slots > 0
-
-        _wait(
-            lambda: peer_ready("b2") and peer_ready("b3"),
-            15, "gossip to carry peer capacity",
-        )
-        consumer = TcpConsumer(
-            node_id="f7-consumer", brokers=[addresses[bid] for bid in ids]
-        ).start()
-        started = time.perf_counter()
-        futures = {
-            f"f7-kill-{n}": consumer.library.submit(
-                PRIME_COUNT, args=[limit], tasklet_id=f"f7-kill-{n}"
-            )
-            for n in range(tasks)
-        }
-        _wait(
-            lambda: brokers["b1"].core.stats.tasklets_submitted >= tasks,
-            15, "admission",
-        )
-        brokers["b1"].stop()  # the kill: no drain, no goodbye
-        values = {}
-        for tid, future in futures.items():
-            try:
-                values[tid] = future.result(timeout=30)
-            except BrokerUnreachable:
-                pass
-        lost = tasks - len(values)
-        _wait(lambda: consumer.connected, 15, "failover")
-        for tid in futures:
-            if tid not in values:
-                values[tid] = consumer.library.submit(
-                    PRIME_COUNT, args=[limit], tasklet_id=tid
-                ).result(timeout=60)
-        wall = time.perf_counter() - started
-        expected = python_prime_count(limit)
-        ok = sum(1 for value in values.values() if value == expected)
-        issued = sum(
-            brokers[bid].core.stats.executions_issued for bid in ("b2", "b3")
-        )
-        executors: dict[str, set] = {tid: set() for tid in futures}
-        for path in journals.values():
-            for completion in replay_journal(path).completions.values():
-                if completion.tasklet_id in executors and completion.executed_by:
-                    executors[completion.tasklet_id].add(completion.executed_by)
-        exactly_once = all(len(who) == 1 for who in executors.values())
-        return ok / tasks, wall, issued, lost, exactly_once
-    finally:
-        if consumer is not None:
-            consumer.stop()
-        for provider in providers:
-            provider.stop()
-        for broker in brokers.values():
-            try:
-                broker.stop()
-            except Exception:
-                pass
+    wait_until(
+        lambda: b1.core.stats.tasklets_submitted >= len(bag), 15, "b1 to admit the bag"
+    )
+    cluster.kill("b1")
+    values = {}
+    for tid, future in futures.items():
+        try:
+            values[tid] = future.result(timeout=30)
+        except BrokerUnreachable:
+            pass
+    lost = [tid for tid, _ in bag if tid not in values]
+    wait_until(lambda: consumer.connected, 15, "consumer failover to a surviving broker")
+    for tid, limit in bag:
+        if tid in lost:
+            values[tid] = consumer.library.submit(
+                PRIME_COUNT, args=[limit], tasklet_id=tid
+            ).result(timeout=60)
+    audit = cluster.executors()
+    return values, lost, {tid: audit.get(tid, set()) for tid, _ in bag}
 
 
 def run(quick: bool = True) -> Experiment:
@@ -230,12 +153,22 @@ def run(quick: bool = True) -> Experiment:
             mean(duty_failed),
         )
     kill_tasks = 8 if quick else 16
-    with tempfile.TemporaryDirectory(prefix="repro-f7-") as journal_dir:
-        kill_ok, kill_wall, kill_issued, kill_lost, exactly_once = (
-            _broker_kill_scenario(kill_tasks, limit=500, journal_dir=journal_dir)
+    with tempfile.TemporaryDirectory(prefix="repro-f7-") as journal_dir, LocalCluster(
+        "b1", "b2", "b3", journal=f"{journal_dir}/journal_{{id}}.jsonl"
+    ) as cluster:
+        started = time.perf_counter()
+        values, lost, executors = broker_kill(
+            cluster, [(f"f7-kill-{n}", 500) for n in range(kill_tasks)]
         )
+        kill_wall = time.perf_counter() - started
+        kill_issued = sum(
+            cluster.brokers[bid].core.stats.executions_issued for bid in ("b2", "b3")
+        )
+    expected = python_prime_count(500)
+    kill_ok = sum(1 for value in values.values() if value == expected) / kill_tasks
+    executed_by = set().union(*executors.values())
     table.add_row(
-        "broker-kill", kill_ok * 100, kill_wall, kill_issued, kill_lost
+        "broker-kill", kill_ok * 100, kill_wall, kill_issued, len(lost)
     )
     table.add_note(
         f"{providers} slow providers, exponential ON/OFF churn with "
@@ -248,7 +181,7 @@ def run(quick: bool = True) -> Experiment:
         f"consumer's broker killed with {kill_tasks} tasklets in flight; "
         "recovery: automatic consumer failover + idempotent resubmission "
         "('lost executions' counts tasklets resubmitted after the kill); "
-        "wall-clock seconds, not virtual"
+        "wall-clock seconds from the providers' start, not virtual"
     )
 
     experiment = Experiment("F7", table)
@@ -260,8 +193,13 @@ def run(quick: bool = True) -> Experiment:
     experiment.check(
         "broker kill mid-workload: exactly one executor per tasklet "
         "(cross-journal audit)",
-        exactly_once,
+        all(len(who) == 1 for who in executors.values()),
         detail=f"{kill_issued} executions for {kill_tasks} tasklets",
+    )
+    experiment.check(
+        "broker kill mid-workload: no tasklet executed by the killed broker",
+        executed_by <= {"b2", "b3"},
+        detail=" ".join(sorted(executed_by)),
     )
     experiment.check(
         "all tasks complete at every duty cycle >= 0.5 (re-issue works)",

@@ -548,45 +548,27 @@ class ResultCache:
     Only ``ok`` outcomes are cached: a success of a deterministic,
     side-effect-free Tasklet is a property of its inputs, while a failure
     is usually a property of the moment (provider churn, exhausted pool)
-    and must stay retryable.
+    and must stay retryable.  The broker's thread owns it; hits and misses
+    are counted in ``BrokerStats``.
     """
 
-    def __init__(self, capacity: int = RESULT_CACHE_SIZE):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
+    def __init__(self):
+        self.capacity = RESULT_CACHE_SIZE
         self._entries: "OrderedDict[str, CompletionRecord]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def get(self, key: str) -> CompletionRecord | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
+        entry = self._entries.get(key)
+        if entry is not None:
             self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
+        return entry
 
     def put(self, key: str, completion: CompletionRecord) -> None:
         if not completion.ok:
             return
-        with self._lock:
-            self._entries[key] = completion
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+        self._entries[key] = completion
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+        return len(self._entries)

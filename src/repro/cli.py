@@ -160,7 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if ok == args.tasks else 1
 
 
-def _fetch(url: str, timeout: float = 5.0) -> str:
+def fetch(url: str, timeout: float = 5.0) -> str:
     """GET one ObsServer endpoint; raises TaskletError on failure."""
     import urllib.error
     import urllib.request
@@ -176,9 +176,9 @@ def _fetch(url: str, timeout: float = 5.0) -> str:
         raise TaskletError(f"cannot reach {url}: {exc}") from exc
 
 
-def _fetch_json(url: str, timeout: float = 5.0) -> dict:
+def fetch_json(url: str, timeout: float = 5.0) -> dict:
     try:
-        return json.loads(_fetch(url, timeout))
+        return json.loads(fetch(url, timeout))
     except json.JSONDecodeError as exc:
         raise TaskletError(f"malformed JSON from {url}: {exc}") from exc
 
@@ -195,17 +195,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     if args.from_url:
         base = args.from_url.rstrip("/")
         if args.format == "prom":
-            print(_fetch(f"{base}/metrics"), end="")
+            print(fetch(f"{base}/metrics"), end="")
         elif args.format == "json":
             print(
                 json.dumps(
-                    _fetch_json(f"{base}/metrics?format=json"),
+                    fetch_json(f"{base}/metrics?format=json"),
                     indent=2,
                     sort_keys=True,
                 )
             )
         else:  # traces
-            print(_fetch(f"{base}/traces"), end="")
+            print(fetch(f"{base}/traces"), end="")
         return 0
 
     telemetry = Telemetry()
@@ -312,7 +312,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             # own peer list.
             query += "&scope=local"
         try:
-            data = _fetch_json(f"{base}/traces?{query}&format=json")
+            data = fetch_json(f"{base}/traces?{query}&format=json")
         except TaskletError as exc:
             errors.append(str(exc))
             continue
@@ -476,11 +476,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
     base = args.url.rstrip("/")
 
     def poll() -> tuple[dict, list[dict], dict]:
-        health = _fetch_json(f"{base}/healthz")
-        events = _fetch_json(f"{base}/events?limit=200").get("events", [])
+        health = fetch_json(f"{base}/healthz")
+        events = fetch_json(f"{base}/events?limit=200").get("events", [])
         alerts = [event for event in events if event.get("kind") in ALERT_KINDS]
         try:
-            latency = _fetch_json(f"{base}/traces?format=summary")
+            latency = fetch_json(f"{base}/traces?format=summary")
         except TaskletError:
             latency = {}  # older server without the summary endpoint
         return health, alerts, latency

@@ -218,6 +218,19 @@ class TcpBroker(_Node):
         peer_obs_urls: dict[str, str] | None = None,
         gossip_interval: float = 1.0,
     ):
+        # The listener is bound first and synchronously: ``address`` is valid
+        # immediately, and a bind failure raises before the journal is opened
+        # or replayed, leaving nothing open.  asyncio adopts the socket at
+        # start.  Declared IPPROTO_TCP, which accepted sockets inherit:
+        # asyncio turns Nagle off only on those (small frames must not wait).
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(128)
+        except OSError:
+            self._listener.close()
+            raise
         self.config = config or BrokerConfig()
         if obs_port is not None and telemetry is None:
             # An observability endpoint is useless without telemetry;
@@ -270,15 +283,6 @@ class TcpBroker(_Node):
         #: Every live connection, registered or not, so ``stop`` can
         #: close them all promptly.
         self._accepted: set[AioConnection] = set()
-        # The listener is bound synchronously so ``address`` is valid
-        # immediately (and bind failures raise here, where the restart
-        # retry loops expect them); asyncio adopts the socket at start.
-        # Declared IPPROTO_TCP, which accepted sockets inherit: asyncio
-        # turns Nagle off only on those (small frames must not wait).
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM, socket.IPPROTO_TCP)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
         self.state = self.STOPPED
         self._loop: asyncio.AbstractEventLoop | None = None  # while not stopped
         self._thread: threading.Thread | None = None

@@ -173,6 +173,16 @@ class TestMemoization:
         assert harness.broker.stats.memo_hits == 1
         assert harness.broker.pending_tasklets == 0
 
+    def test_hit_and_miss_counters(self):
+        harness = Harness()
+        harness.register()
+        assigns = bodies(harness.submit("tl-1", seed=3), AssignExecution)
+        harness.complete(assigns[0])
+        stats = harness.broker.stats
+        assert (stats.memo_hits, stats.memo_misses) == (0, 1)
+        harness.submit("tl-2", seed=3)
+        assert (stats.memo_hits, stats.memo_misses) == (1, 1)
+
     def test_different_seed_misses(self):
         harness = Harness()
         harness.register()

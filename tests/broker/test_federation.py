@@ -604,12 +604,12 @@ class TestJournalHandoff:
         completes = bodies(out, TaskletComplete)
         assert len(completes) == 1 and completes[0].ok
         # Cross-journal exactly-once audit: at most one broker executed.
-        executed_by = set()
-        for broker_id in fed.ids:
-            snapshot = replay_journal(fed.journal_path(broker_id))
-            for completion in snapshot.completions.values():
-                if completion.key == f"c1/{tasklet_id}" and completion.executed_by:
-                    executed_by.add(completion.executed_by)
+        executed_by = {
+            completion.executed_by
+            for broker_id in fed.ids
+            for completion in replay_journal(fed.journal_path(broker_id)).completions.values()
+            if completion.key == f"c1/{tasklet_id}" and completion.executed_by
+        }
         assert executed_by == {"b1"}
 
     def test_adopted_completions_are_redeliverable(self, tmp_path):

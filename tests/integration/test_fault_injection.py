@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.bench.cluster import FAST_CONFIG, wait_until
 from repro.broker.core import BrokerConfig
 from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
@@ -24,24 +25,8 @@ from repro.transport.tcp import (
 )
 
 
-def fast_config(**overrides):
-    defaults = dict(
-        heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=15.0
-    )
-    defaults.update(overrides)
-    return BrokerConfig(**defaults)
-
-
-def wait_until(predicate, timeout=15.0, message="condition not reached"):
-    deadline = time.perf_counter() + timeout
-    while not predicate():
-        if time.perf_counter() > deadline:
-            raise TimeoutError(message)
-        time.sleep(0.02)
-
-
 def test_killed_providers_mid_bag_of_tasks_every_future_resolves():
-    server = TcpBroker(config=fast_config()).start()
+    server = TcpBroker(config=FAST_CONFIG).start()
     host, port = server.address
     victims = []
     steady = None
@@ -61,7 +46,7 @@ def test_killed_providers_mid_bag_of_tasks_every_future_resolves():
             ).start()
             for i in range(2)
         ]
-        wait_until(lambda: len(server.core.registry) == 3, message="registration")
+        wait_until(lambda: len(server.core.registry) == 3, what="registration")
         consumer = TcpConsumer(host, port).start()
         futures = consumer.library.map(
             kernels.PRIME_COUNT, [[4000]] * 8, qoc=QoC(max_attempts=5)
@@ -87,7 +72,7 @@ def test_killed_providers_mid_bag_of_tasks_every_future_resolves():
 
 def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypatch):
     monkeypatch.setattr(tcp, "RECONNECT_BACKOFF_S", 0.05)
-    first = TcpBroker(config=fast_config()).start()
+    first = TcpBroker(config=FAST_CONFIG).start()
     host, port = first.address
     provider = None
     second = None
@@ -101,7 +86,7 @@ def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypat
             benchmark_score=1e7,
             heartbeat_interval=0.2,
         ).start()
-        wait_until(lambda: len(first.core.registry) == 1, message="registration")
+        wait_until(lambda: len(first.core.registry) == 1, what="registration")
         disconnects = []
         consumer = TcpConsumer(host, port, on_disconnect=disconnects.append).start()
         futures = consumer.library.map(
@@ -117,7 +102,7 @@ def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypat
             if not outcome.ok:
                 with pytest.raises(BrokerUnreachable):
                     future.result(0)
-        wait_until(lambda: disconnects, timeout=5, message="on_disconnect hook")
+        wait_until(lambda: disconnects, timeout=5, what="on_disconnect hook")
 
         # Provider side: a new broker on the same address sees the
         # provider re-register all by itself (cached benchmark, backoff).
@@ -127,7 +112,7 @@ def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypat
         while True:
             try:
                 second = TcpBroker(
-                    host=host, port=port, config=fast_config()
+                    host=host, port=port, config=FAST_CONFIG
                 ).start()
                 break
             except OSError:
@@ -137,7 +122,7 @@ def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypat
         wait_until(
             lambda: len(second.core.registry) == 1,
             timeout=15,
-            message="provider did not re-register after broker restart",
+            what="the provider to re-register with the restarted broker",
         )
         with TcpConsumer(host, port) as fresh:
             future = fresh.library.submit(kernels.PRIME_COUNT, args=[300])
@@ -153,7 +138,7 @@ def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypat
 
 
 def test_severed_consumer_connection_fails_futures_not_broker():
-    server = TcpBroker(config=fast_config()).start()
+    server = TcpBroker(config=FAST_CONFIG).start()
     host, port = server.address
     try:
         with TcpProvider(
@@ -169,7 +154,7 @@ def test_severed_consumer_connection_fails_futures_not_broker():
             victim._link._connection.close()
             with pytest.raises(BrokerUnreachable):
                 future.result(timeout=5)
-            wait_until(lambda: disconnects, timeout=5, message="on_disconnect hook")
+            wait_until(lambda: disconnects, timeout=5, what="on_disconnect hook")
             # The broker shrugged it off and serves new consumers.
             with TcpConsumer(host, port) as fresh:
                 future = fresh.library.submit(kernels.PRIME_COUNT, args=[200])
@@ -182,14 +167,14 @@ def test_submit_after_disconnect_fails_typed_instead_of_hanging():
     # TCP quirk: the first send() after a peer close "succeeds" locally
     # (the RST only lands later), so a post-disconnect submit must not
     # trust the send — the consumer flags itself disconnected instead.
-    server = TcpBroker(config=fast_config()).start()
+    server = TcpBroker(config=FAST_CONFIG).start()
     host, port = server.address
     consumer = None
     try:
         disconnects = []
         consumer = TcpConsumer(host, port, on_disconnect=disconnects.append).start()
         server.stop()
-        wait_until(lambda: disconnects, timeout=5, message="on_disconnect hook")
+        wait_until(lambda: disconnects, timeout=5, what="on_disconnect hook")
         started = time.perf_counter()
         future = consumer.library.submit(kernels.PRIME_COUNT, args=[100])
         with pytest.raises(BrokerUnreachable):
@@ -202,7 +187,7 @@ def test_submit_after_disconnect_fails_typed_instead_of_hanging():
 
 
 def test_drain_stop_flushes_in_flight_results_before_unregistering():
-    server = TcpBroker(config=fast_config()).start()
+    server = TcpBroker(config=FAST_CONFIG).start()
     host, port = server.address
     provider = None
     consumer = None
@@ -222,7 +207,7 @@ def test_drain_stop_flushes_in_flight_results_before_unregistering():
         # The broker has issued the work, but drain only protects what
         # the provider has actually received — wait out the assignment's
         # flight time or the unregister races past it.
-        wait_until(lambda: len(provider.core.inflight) > 0, message="assignment arrival")
+        wait_until(lambda: len(provider.core.inflight) > 0, what="assignment arrival")
         provider.stop(drain=True)  # finish + flush, then unregister
         assert future.result(timeout=10) == kernels.python_prime_count(20000)
         wait_until(lambda: len(server.core.registry) == 0, timeout=5)
@@ -243,7 +228,7 @@ def test_engine_defect_frees_the_slot_and_drain_stop_is_prompt(monkeypatch):
     def defect(self, entry, args=None):
         raise IndexError("pop from empty list")
 
-    server = TcpBroker(config=fast_config()).start()
+    server = TcpBroker(config=FAST_CONFIG).start()
     host, port = server.address
     provider = None
     consumer = None

@@ -10,138 +10,99 @@ import time
 
 import pytest
 
-from repro.broker.core import BrokerConfig
+from repro.bench.cluster import LocalCluster
 from repro.core import kernels
 from repro.core.qoc import QoC
 from repro.common.errors import ExecutionFailed
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
 
 @pytest.fixture
-def broker():
-    server = TcpBroker().start()
-    yield server
-    server.stop()
+def cluster():
+    with LocalCluster("b1") as cluster:
+        yield cluster
 
 
-def wait_for_registration(broker, count, timeout=10.0):
-    deadline = time.perf_counter() + timeout
-    while len(broker.core.registry) < count:
-        if time.perf_counter() > deadline:
-            raise TimeoutError(f"only {len(broker.core.registry)} providers registered")
-        time.sleep(0.02)
+def test_single_tasklet_roundtrip(cluster):
+    cluster.provider("b1", node_id="p1")
+    consumer = cluster.consumer()
+    future = consumer.library.submit(kernels.PRIME_COUNT, args=[500])
+    assert future.result(timeout=30) == kernels.python_prime_count(500)
 
 
-def make_provider(broker, **kwargs):
-    host, port = broker.address
-    kwargs.setdefault("benchmark_score", 1e7)  # skip self-benchmark: faster tests
-    kwargs.setdefault("capacity", 2)
-    return TcpProvider(host, port, **kwargs)
+def test_bag_of_tasks_across_providers(cluster):
+    cluster.provider("b1", node_id="p1")
+    cluster.provider("b1", node_id="p2")
+    consumer = cluster.consumer()
+    futures = consumer.library.map(
+        kernels.MANDELBROT_ROW,
+        [[y, 20, 10, 15] for y in range(10)],
+    )
+    values = consumer.library.gather(futures, timeout=60)
+    for y, row in enumerate(values):
+        assert row == kernels.python_mandelbrot_row(y, 20, 10, 15)
+    # Both providers did some of the work.
+    registry = cluster.broker.core.registry
+    assert all(r.completed > 0 for r in registry.alive_providers())
 
 
-def make_consumer(broker):
-    host, port = broker.address
-    return TcpConsumer(host, port)
+def test_redundant_execution_over_tcp(cluster):
+    cluster.provider("b1", node_id="p1")
+    cluster.provider("b1", node_id="p2")
+    consumer = cluster.consumer()
+    future = consumer.library.submit(
+        kernels.PRIME_COUNT, args=[300], qoc=QoC.reliable(redundancy=2)
+    )
+    assert future.result(timeout=30) == kernels.python_prime_count(300)
+    outcome = future.wait(0)
+    assert len({r.provider_id for r in outcome.executions}) == 2
 
 
-def test_single_tasklet_roundtrip(broker):
-    with make_provider(broker, node_id="p1"):
-        wait_for_registration(broker, 1)
-        with make_consumer(broker) as consumer:
-            future = consumer.library.submit(kernels.PRIME_COUNT, args=[500])
-            assert future.result(timeout=30) == kernels.python_prime_count(500)
+def test_vm_error_propagates_to_consumer(cluster):
+    cluster.provider("b1", node_id="p1")
+    consumer = cluster.consumer()
+    future = consumer.library.submit(
+        "func main(n: int) -> int { return n / 0; }", args=[1]
+    )
+    with pytest.raises(ExecutionFailed) as info:
+        future.result(timeout=30)
+    assert "VMDivisionByZero" in str(info.value)
 
 
-def test_bag_of_tasks_across_providers(broker):
-    with make_provider(broker, node_id="p1"), make_provider(broker, node_id="p2"):
-        wait_for_registration(broker, 2)
-        with make_consumer(broker) as consumer:
-            futures = consumer.library.map(
-                kernels.MANDELBROT_ROW,
-                [[y, 20, 10, 15] for y in range(10)],
-            )
-            values = consumer.library.gather(futures, timeout=60)
-            for y, row in enumerate(values):
-                assert row == kernels.python_mandelbrot_row(y, 20, 10, 15)
-        # Both providers did some of the work.
-        registry = broker.core.registry
-        assert all(r.completed > 0 for r in registry.alive_providers())
+def test_provider_disconnect_recovered_by_retry(cluster):
+    flaky = cluster.provider("b1", node_id="flaky")
+    consumer = cluster.consumer()
+    # Submit slow work, then kill the provider mid-flight.
+    futures = consumer.library.map(
+        kernels.PRIME_COUNT,
+        [[8000]] * 2,
+        qoc=QoC(max_attempts=4),
+    )
+    time.sleep(0.2)
+    flaky.stop()  # unregisters: outstanding work fails immediately
+    # (The cluster's 30 s execution timeout is generous on purpose: the
+    # recovery under test comes from Unregister, not from that timeout.)
+    cluster.provider("b1", node_id="steady")
+    values = consumer.library.gather(futures, timeout=120)
+    assert values == [kernels.python_prime_count(8000)] * 2
 
 
-def test_redundant_execution_over_tcp(broker):
-    with make_provider(broker, node_id="p1"), make_provider(broker, node_id="p2"):
-        wait_for_registration(broker, 2)
-        with make_consumer(broker) as consumer:
-            future = consumer.library.submit(
-                kernels.PRIME_COUNT, args=[300], qoc=QoC.reliable(redundancy=2)
-            )
-            assert future.result(timeout=30) == kernels.python_prime_count(300)
-            outcome = future.wait(0)
-            assert len({r.provider_id for r in outcome.executions}) == 2
-
-
-def test_vm_error_propagates_to_consumer(broker):
-    with make_provider(broker, node_id="p1"):
-        wait_for_registration(broker, 1)
-        with make_consumer(broker) as consumer:
-            future = consumer.library.submit(
-                "func main(n: int) -> int { return n / 0; }", args=[1]
-            )
-            with pytest.raises(ExecutionFailed) as info:
-                future.result(timeout=30)
-            assert "VMDivisionByZero" in str(info.value)
-
-
-def test_provider_disconnect_recovered_by_retry():
-    server = TcpBroker(
-        config=BrokerConfig(
-            heartbeat_interval=0.2,
-            heartbeat_tolerance=2.0,
-            # Generous: single-core CI runs the TVM slowly; the recovery
-            # under test comes from Unregister, not from this timeout.
-            execution_timeout=30.0,
-        )
-    ).start()
-    try:
-        flaky = make_provider(server, node_id="flaky").start()
-        wait_for_registration(server, 1)
-        with make_consumer(server) as consumer:
-            # Submit slow work, then kill the provider mid-flight.
-            futures = consumer.library.map(
-                kernels.PRIME_COUNT,
-                [[8000]] * 2,
-                qoc=QoC(max_attempts=4),
-            )
-            time.sleep(0.2)
-            flaky.stop()  # unregisters: outstanding work fails immediately
-            steady = make_provider(server, node_id="steady").start()
-            try:
-                values = consumer.library.gather(futures, timeout=120)
-                assert values == [kernels.python_prime_count(8000)] * 2
-            finally:
-                steady.stop()
-    finally:
-        server.stop()
-
-
-def test_local_qoc_needs_no_broker_connection(broker):
+def test_local_qoc_needs_no_broker_connection(cluster):
     # local_only runs on the consumer's TVM even with zero providers.
-    with make_consumer(broker) as consumer:
-        future = consumer.library.submit(
-            kernels.PRIME_COUNT, args=[200], qoc=QoC.private()
+    consumer = cluster.consumer()
+    future = consumer.library.submit(
+        kernels.PRIME_COUNT, args=[200], qoc=QoC.private()
+    )
+    assert future.result(timeout=5) == kernels.python_prime_count(200)
+
+
+def test_consumer_rejection_for_malformed_entry(cluster):
+    cluster.provider("b1", node_id="p1")
+    consumer = cluster.consumer()
+    # Submitting with a bad entry is caught locally by Tasklet
+    # validation before anything touches the wire.
+    from repro.common.errors import TaskletError
+
+    with pytest.raises(TaskletError):
+        consumer.library.submit(
+            kernels.PRIME_COUNT, entry="nosuch", args=[1]
         )
-        assert future.result(timeout=5) == kernels.python_prime_count(200)
-
-
-def test_consumer_rejection_for_malformed_entry(broker):
-    with make_provider(broker, node_id="p1"):
-        wait_for_registration(broker, 1)
-        with make_consumer(broker) as consumer:
-            # Submitting with a bad entry is caught locally by Tasklet
-            # validation before anything touches the wire.
-            from repro.common.errors import TaskletError
-
-            with pytest.raises(TaskletError):
-                consumer.library.submit(
-                    kernels.PRIME_COUNT, entry="nosuch", args=[1]
-                )

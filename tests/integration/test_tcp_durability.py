@@ -6,60 +6,17 @@ it on the same port, then drive the documented client recovery recipe:
 tasklet ids.  Nothing runs twice and nothing is lost.
 """
 
-import time
-
 import pytest
 
-from repro.broker.core import BrokerConfig
+from repro.bench.cluster import LocalCluster, wait_until
 from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
-
-from .netutil import retry_bind
-
-CONFIG = dict(heartbeat_interval=0.2, heartbeat_tolerance=2.0, execution_timeout=30.0)
-
-
-def start_broker(journal_path, port=0, retry_for=5.0):
-    def factory():
-        return TcpBroker(
-            port=port, config=BrokerConfig(**CONFIG), journal_path=str(journal_path)
-        ).start()
-
-    # Port 0 never collides, so it gets no retry; a pinned restart port
-    # is retried through the transient rebind window.
-    return factory() if port == 0 else retry_bind(factory, retry_for=retry_for)
-
-
-def wait_for_registration(broker, count, timeout=10.0):
-    deadline = time.perf_counter() + timeout
-    while len(broker.core.registry) < count:
-        if time.perf_counter() > deadline:
-            raise TimeoutError(f"only {len(broker.core.registry)} providers registered")
-        time.sleep(0.02)
-
-
-def wait_until(predicate, timeout=10.0, message="condition"):
-    deadline = time.perf_counter() + timeout
-    while not predicate():
-        if time.perf_counter() > deadline:
-            raise TimeoutError(f"timed out waiting for {message}")
-        time.sleep(0.02)
-
-
-def make_provider(broker, **kwargs):
-    host, port = broker.address
-    kwargs.setdefault("benchmark_score", 1e7)
-    kwargs.setdefault("capacity", 2)
-    return TcpProvider(host, port, **kwargs)
 
 
 def test_broker_restart_recovers_every_admitted_tasklet(tmp_path):
-    journal = tmp_path / "journal.jsonl"
-    first = start_broker(journal)
-    port = first.address[1]
-    consumer = TcpConsumer(*first.address, node_id="c1").start()
-    try:
+    with LocalCluster("b1", journal=str(tmp_path / "journal.jsonl")) as cluster:
+        first = cluster.broker
+        consumer = cluster.consumer(node_id="c1")
         # Admit a bag with no providers attached: everything is journalled
         # and queued, nothing can complete before the crash.
         ids = [f"bag-{i}" for i in range(4)]
@@ -67,91 +24,68 @@ def test_broker_restart_recovers_every_admitted_tasklet(tmp_path):
             consumer.library.submit(kernels.PRIME_COUNT, args=[200 + i], tasklet_id=tid)
             for i, tid in enumerate(ids)
         ]
-        wait_until(
-            lambda: first.core.pending_tasklets == 4, message="4 admitted tasklets"
-        )
-        first.stop()  # crash: in-flight futures fail loudly, not silently
+        wait_until(lambda: first.core.pending_tasklets == 4, what="4 admitted tasklets")
+        cluster.kill("b1")  # crash: in-flight futures fail loudly, not silently
         for future in futures:
             with pytest.raises(BrokerUnreachable):
                 future.result(timeout=10)
 
-        second = start_broker(journal, port=port)
-        try:
-            assert second.core.stats.tasklets_recovered == 4
-            # Documented recovery recipe: reconnect, resubmit same ids.
-            consumer.reconnect()
-            futures = [
-                consumer.library.submit(
-                    kernels.PRIME_COUNT, args=[200 + i], tasklet_id=tid
-                )
-                for i, tid in enumerate(ids)
-            ]
-            with make_provider(second, node_id="p1"):
-                wait_for_registration(second, 1)
-                values = consumer.library.gather(futures, timeout=120)
-            assert values == [kernels.python_prime_count(200 + i) for i in range(4)]
-            # Exactly once: one execution per tasklet, no redundant runs.
-            assert second.core.stats.executions_issued == 4
-            assert second.core.stats.tasklets_completed == 4
-        finally:
-            second.stop()
-    finally:
-        consumer.stop()
+        second = cluster.restart("b1")
+        assert second.core.stats.tasklets_recovered == 4
+        # Documented recovery recipe: reconnect, resubmit same ids.
+        consumer.reconnect()
+        futures = [
+            consumer.library.submit(kernels.PRIME_COUNT, args=[200 + i], tasklet_id=tid)
+            for i, tid in enumerate(ids)
+        ]
+        cluster.provider("b1", node_id="p1")
+        values = consumer.library.gather(futures, timeout=120)
+        assert values == [kernels.python_prime_count(200 + i) for i in range(4)]
+        # Exactly once: one execution per tasklet, no redundant runs.
+        assert second.core.stats.executions_issued == 4
+        assert second.core.stats.tasklets_completed == 4
 
 
 def test_completed_result_redelivered_without_any_provider(tmp_path):
-    journal = tmp_path / "journal.jsonl"
-    first = start_broker(journal)
-    port = first.address[1]
-    consumer = TcpConsumer(*first.address, node_id="c1").start()
-    try:
-        with make_provider(first, node_id="p1"):
-            wait_for_registration(first, 1)
-            future = consumer.library.submit(
-                kernels.PRIME_COUNT, args=[500], tasklet_id="keep-1"
-            )
-            expected = future.result(timeout=30)
-        first.stop()
+    with LocalCluster("b1", journal=str(tmp_path / "journal.jsonl")) as cluster:
+        consumer = cluster.consumer(node_id="c1")
+        provider = cluster.provider("b1", node_id="p1")
+        future = consumer.library.submit(
+            kernels.PRIME_COUNT, args=[500], tasklet_id="keep-1"
+        )
+        expected = future.result(timeout=30)
+        provider.stop()
+        cluster.kill("b1")
 
         # The restarted broker has no providers at all: the resubmitted
         # tasklet can only be answered from the journalled completion.
-        second = start_broker(journal, port=port)
-        try:
-            consumer.reconnect()
-            future = consumer.library.submit(
-                kernels.PRIME_COUNT, args=[500], tasklet_id="keep-1"
-            )
-            assert future.result(timeout=30) == expected
-            outcome = future.wait(0)
-            assert outcome.executions == []  # served from the journal
-            assert second.core.stats.completions_redelivered == 1
-            assert second.core.stats.executions_issued == 0
-        finally:
-            second.stop()
-    finally:
-        consumer.stop()
+        second = cluster.restart("b1")
+        consumer.reconnect()
+        future = consumer.library.submit(
+            kernels.PRIME_COUNT, args=[500], tasklet_id="keep-1"
+        )
+        assert future.result(timeout=30) == expected
+        outcome = future.wait(0)
+        assert outcome.executions == []  # served from the journal
+        assert second.core.stats.completions_redelivered == 1
+        assert second.core.stats.executions_issued == 0
 
 
 def test_identical_submissions_served_from_result_cache(tmp_path):
-    broker = start_broker(tmp_path / "journal.jsonl")
-    consumer = TcpConsumer(*broker.address, node_id="c1").start()
-    try:
-        with make_provider(broker, node_id="p1"):
-            wait_for_registration(broker, 1)
-            first = consumer.library.submit(
-                kernels.PRIME_COUNT, args=[400], seed=7, tasklet_id="memo-a"
-            )
-            expected = first.result(timeout=30)
-            # Different tasklet id, identical computation: the broker
-            # must answer from its result cache without re-executing.
-            second = consumer.library.submit(
-                kernels.PRIME_COUNT, args=[400], seed=7, tasklet_id="memo-b"
-            )
-            assert second.result(timeout=30) == expected
-            outcome = second.wait(0)
-            assert outcome.executions == []
-            assert broker.core.stats.memo_hits == 1
-            assert broker.core.stats.executions_issued == 1
-    finally:
-        consumer.stop()
-        broker.stop()
+    with LocalCluster("b1", journal=str(tmp_path / "journal.jsonl")) as cluster:
+        consumer = cluster.consumer(node_id="c1")
+        cluster.provider("b1", node_id="p1")
+        first = consumer.library.submit(
+            kernels.PRIME_COUNT, args=[400], seed=7, tasklet_id="memo-a"
+        )
+        expected = first.result(timeout=30)
+        # Different tasklet id, identical computation: the broker
+        # must answer from its result cache without re-executing.
+        second = consumer.library.submit(
+            kernels.PRIME_COUNT, args=[400], seed=7, tasklet_id="memo-b"
+        )
+        assert second.result(timeout=30) == expected
+        outcome = second.wait(0)
+        assert outcome.executions == []
+        assert cluster.broker.core.stats.memo_hits == 1
+        assert cluster.broker.core.stats.executions_issued == 1

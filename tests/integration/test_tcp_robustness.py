@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.bench.cluster import wait_until
 from repro.common.ids import NodeId, TaskletId
 from repro.common.serde import packed
 from repro.core import kernels
@@ -32,7 +33,7 @@ from repro.transport.tcp import (
 )
 from repro.tvm.compiler import compile_source
 
-from tests.transport.test_broker_link import Listener, read_envelopes, wait_until
+from tests.transport.test_broker_link import Listener, read_envelopes
 
 
 @pytest.fixture
@@ -248,7 +249,7 @@ def test_a_link_speaks_for_the_peer_it_introduced_itself_as(broker):
         consumer.sendall(encode_envelope(forged) + submit("tl-2"))
         # The link is still up and still c1's: the next submit is admitted
         # from it (and answered on it below), and tl-1 is not decided.
-        wait_until(lambda: broker.core.pending_tasklets == 2, message="tl-2's admission")
+        wait_until(lambda: broker.core.pending_tasklets == 2, what="tl-2's admission")
         assert broker.core.stats.messages_unreadable == 1
         assert broker.core.stats.tasklets_completed == 0
         assert broker.core.pending_tasklets == 2
@@ -317,7 +318,7 @@ def test_a_json_frame_is_refused_on_its_link_only():
                 old.settimeout(5.0)
                 old.sendall(len(body).to_bytes(4, "big") + body)
                 assert old.recv(65536) == b""  # refused: closed, nothing said
-            wait_until(lambda: telemetry.events.events(kind="disconnect"), message="the report")
+            wait_until(lambda: telemetry.events.events(kind="disconnect"), what="the report")
             (event,) = telemetry.events.events(kind="disconnect")
             assert event.attrs["reason"] == "refused: not a bin2 frame: first body byte 0x7b"
             served(good, "tl-2", 42)
@@ -343,7 +344,7 @@ def test_a_handler_fault_on_the_broker_costs_that_link_and_says_why():
             peer.settimeout(5.0)
             peer.sendall(encode_envelope(goodbye))
             assert peer.recv(65536) == b""  # closed, not left deaf
-        wait_until(lambda: telemetry.events.events(kind="disconnect"), message="the report")
+        wait_until(lambda: telemetry.events.events(kind="disconnect"), what="the report")
         (event,) = telemetry.events.events(kind="disconnect")
         assert event.node == "p9"
         assert event.attrs["reason"] == "handler fault: RuntimeError: boom"

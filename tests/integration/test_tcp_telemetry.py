@@ -13,6 +13,7 @@ import urllib.request
 
 import pytest
 
+from repro.bench.cluster import wait_until
 from repro.core import kernels
 from repro.obs import Telemetry, build_trace_tree, parse_prometheus
 from repro.obs import events as ev
@@ -20,7 +21,6 @@ from repro.obs.metrics import iter_metric_names
 from repro.transport.message import BROKER_ADDRESS, HeartbeatAck
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
-from .test_tcp import wait_for_registration
 
 
 @pytest.fixture
@@ -42,7 +42,7 @@ def run_tasklets(broker, telemetry, tasks=2):
         telemetry=telemetry,
     )
     with provider:
-        wait_for_registration(broker, 1)
+        wait_until(lambda: len(broker.core.registry) == 1, what="registration")
         with TcpConsumer(host, port, telemetry=telemetry) as consumer:
             futures = consumer.library.map(
                 kernels.PRIME_COUNT, [[300]] * tasks
@@ -125,7 +125,7 @@ def test_heartbeat_rtt_is_observed(telemetry):
             host, port, node_id="p1", benchmark_score=1e7,
             telemetry=telemetry,
         ):
-            wait_for_registration(server, 1)
+            wait_until(lambda: len(server.core.registry) == 1, what="registration")
             rtt = telemetry.registry.get("repro_transport_heartbeat_rtt_seconds")
             deadline = time.perf_counter() + 10.0
             while rtt.count == 0 and time.perf_counter() < deadline:
@@ -187,7 +187,7 @@ def test_live_obs_endpoints_on_broker_and_provider(telemetry):
             obs_port=0,  # auto-creates its own Telemetry
         )
         with provider:
-            wait_for_registration(server, 1)
+            wait_until(lambda: len(server.core.registry) == 1, what="registration")
             with TcpConsumer(host, port, telemetry=telemetry) as consumer:
                 futures = consumer.library.map(kernels.PRIME_COUNT, [[200]] * 2)
                 consumer.library.gather(futures, timeout=60)
@@ -255,7 +255,7 @@ def test_map_is_one_socket_write():
     host, port = server.address
     try:
         with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
-            wait_for_registration(server, 1)
+            wait_until(lambda: len(server.core.registry) == 1, what="registration")
             telemetry = Telemetry()  # the consumer's own: only its link counts
             with TcpConsumer(
                 host, port, base_seed=7, telemetry=telemetry

@@ -7,43 +7,12 @@ client recovery recipe — ``reconnect()`` plus idempotent resubmission of
 the same workflow — to completion with an exactly-once journal audit.
 """
 
-import time
-
 import pytest
 
-from repro.broker.core import BrokerConfig
+from repro.bench.cluster import LocalCluster, wait_until
 from repro.broker.journal import replay_journal
 from repro.common.errors import BrokerUnreachable
 from repro.dag.patterns import chain, reference_values
-from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
-
-from .netutil import retry_bind
-
-CONFIG = dict(heartbeat_interval=0.2, heartbeat_tolerance=3.0, execution_timeout=30.0)
-
-
-def start_broker(journal_path, port=0, retry_for=5.0):
-    def factory():
-        return TcpBroker(
-            port=port, config=BrokerConfig(**CONFIG), journal_path=str(journal_path)
-        ).start()
-
-    return factory() if port == 0 else retry_bind(factory, retry_for=retry_for)
-
-
-def make_provider(broker, **kwargs):
-    host, port = broker.address
-    kwargs.setdefault("benchmark_score", 1e7)
-    kwargs.setdefault("capacity", 2)
-    return TcpProvider(host, port, **kwargs)
-
-
-def wait_until(predicate, timeout=10.0, message="condition"):
-    deadline = time.perf_counter() + timeout
-    while not predicate():
-        if time.perf_counter() > deadline:
-            raise TimeoutError(f"timed out waiting for {message}")
-        time.sleep(0.02)
 
 
 def ok_completions(path) -> int:
@@ -53,20 +22,15 @@ def ok_completions(path) -> int:
 def test_workflow_end_to_end_over_tcp(tmp_path):
     spec = chain(3, work=200, salt=5)
     reference = reference_values(spec)
-    broker = start_broker(tmp_path / "journal.jsonl")
-    consumer = TcpConsumer(*broker.address, node_id="c1").start()
-    try:
-        with make_provider(broker, node_id="p1"):
-            wait_until(lambda: len(broker.core.registry) >= 1, message="registration")
-            handle = consumer.submit_workflow(spec)
-            outputs = handle.result(timeout=60)
+    with LocalCluster("b1", journal=str(tmp_path / "journal.jsonl")) as cluster:
+        consumer = cluster.consumer(node_id="c1")
+        cluster.provider("b1", node_id="p1")
+        handle = consumer.submit_workflow(spec)
+        outputs = handle.result(timeout=60)
         assert outputs == {sink: reference[sink] for sink in spec.sinks()}
         assert handle.nodes_total == 3
-        assert broker.core.stats.workflows_completed == 1
-        assert broker.core.pending_workflows == 0
-    finally:
-        consumer.stop()
-        broker.stop()
+        assert cluster.broker.core.stats.workflows_completed == 1
+        assert cluster.broker.core.pending_workflows == 0
 
 
 def test_broker_restart_resumes_workflow_exactly_once(tmp_path):
@@ -78,53 +42,42 @@ def test_broker_restart_resumes_workflow_exactly_once(tmp_path):
     reference = reference_values(spec)
     expected = {sink: reference[sink] for sink in spec.sinks()}
 
-    first = start_broker(journal)
-    port = first.address[1]
-    consumer = TcpConsumer(*first.address, node_id="c1").start()
-    try:
-        provider = make_provider(first, node_id="p1").start()
-        wait_until(lambda: len(first.core.registry) >= 1, message="registration")
+    with LocalCluster("b1", journal=str(journal)) as cluster:
+        first = cluster.broker
+        consumer = cluster.consumer(node_id="c1")
+        provider = cluster.provider("b1", node_id="p1")
         handle = consumer.submit_workflow(spec)
-        wait_until(
-            lambda: ok_completions(journal) >= 1,
-            timeout=60,
-            message="partial progress",
-        )
+        wait_until(lambda: ok_completions(journal) >= 1, 60, "partial progress")
         assert first.core.pending_workflows == 1
-        first.stop()  # crash: in-flight results die with the connection
+        cluster.kill("b1")  # crash: in-flight results die with the connection
         provider.stop()
         done_before = ok_completions(journal)
         assert done_before < len(spec.nodes)
         with pytest.raises(BrokerUnreachable):
             handle.result(timeout=10)
 
-        second = start_broker(journal, port=port)
-        try:
-            assert second.core.stats.workflows_recovered == 1
-            assert second.core.stats.workflow_nodes_memoized == done_before
-            # Documented recovery recipe: reconnect, resubmit the same
-            # workflow — the broker re-attaches it to the running graph.
-            consumer.reconnect()
-            handle = consumer.submit_workflow(spec)
-            with make_provider(second, node_id="p2"):
-                outputs = handle.result(timeout=120)
-            assert outputs == expected
-            # Journalled-done nodes short-circuited; the rest ran once.
-            assert (
-                second.core.stats.executions_issued
-                == len(spec.nodes) - done_before
-            )
-        finally:
-            second.stop()
+        second = cluster.restart("b1")
+        assert second.core.stats.workflows_recovered == 1
+        assert second.core.stats.workflow_nodes_memoized == done_before
+        # Documented recovery recipe: reconnect, resubmit the same
+        # workflow — the broker re-attaches it to the running graph.
+        consumer.reconnect()
+        handle = consumer.submit_workflow(spec)
+        cluster.provider("b1", node_id="p2")
+        outputs = handle.result(timeout=120)
+        assert outputs == expected
+        # Journalled-done nodes short-circuited; the rest ran once.
+        assert (
+            second.core.stats.executions_issued
+            == len(spec.nodes) - done_before
+        )
 
-        # Exactly-once audit across both incarnations.
-        snapshot = replay_journal(str(journal))
-        assert snapshot.workflows == []  # nothing left pending
-        executed = [
-            record
-            for record in snapshot.completions.values()
-            if record.ok and record.executed_by
-        ]
-        assert len(executed) == len(spec.nodes)
-    finally:
-        consumer.stop()
+    # Exactly-once audit across both incarnations.
+    snapshot = replay_journal(str(journal))
+    assert snapshot.workflows == []  # nothing left pending
+    executed = [
+        record
+        for record in snapshot.completions.values()
+        if record.ok and record.executed_by
+    ]
+    assert len(executed) == len(spec.nodes)

@@ -229,9 +229,8 @@ def test_no_link_of_the_broker_waits_out_nagle():
     """Regression: frames are small, and a link with Nagle on holds each
     one back until the peer's delayed ack (~40 ms on loopback) — an
     accepted link, and one dialed to a federation peer, alike."""
+    from repro.bench.cluster import wait_until
     from repro.transport.tcp import TcpBroker
-
-    from .test_broker_link import wait_until
 
     def nodelay(connection):
         sock = connection._transport.get_extra_info("socket")
@@ -239,5 +238,20 @@ def test_no_link_of_the_broker_waits_out_nagle():
 
     with TcpBroker(broker_id="b2") as b2, TcpBroker(broker_id="b1", peers={"b2": b2.address}) as b1:
         with socket.create_connection(b1.address):
-            wait_until(lambda: "b2" in b1._connections and len(b1._accepted) == 2, message="links")
+            wait_until(lambda: "b2" in b1._connections and len(b1._accepted) == 2, what="links")
             assert all(nodelay(connection) for connection in list(b1._accepted))
+
+
+def test_a_broker_whose_bind_fails_opens_no_journal(tmp_path):
+    """Regression: the listener is bound before the journal is opened, so a
+    taken port leaves no journal file (nor an open socket) behind."""
+    from repro.transport.tcp import TcpBroker
+
+    journal = tmp_path / "fresh" / "journal.jsonl"
+    journal.parent.mkdir()
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        with pytest.raises(OSError):
+            TcpBroker(port=holder.getsockname()[1], journal_path=str(journal))
+    assert not journal.exists()

@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+from repro.bench.cluster import wait_until
 from repro.common.errors import ConnectionClosed, FederationExhausted
 from repro.common.ids import NodeId
 from repro.obs.telemetry import Telemetry
@@ -56,13 +57,6 @@ def read_envelopes(peer, count):
 
 def heartbeat(i):
     return Heartbeat(provider_id=f"p{i}", free_slots=i).envelope(ME, BROKER)
-
-
-def wait_until(predicate, timeout=5.0, message="condition"):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, f"timed out waiting for {message}"
-        time.sleep(0.01)
 
 
 def link_threads():
@@ -169,7 +163,7 @@ def test_redial_cap_ends_exhausted_with_the_typed_error_and_event():
         peer = listener.accept()
         listener.close()
         peer.close()
-        wait_until(lambda: link.state == link.EXHAUSTED, message="exhaustion")
+        wait_until(lambda: link.state == link.EXHAUSTED, what="exhaustion")
         assert owner.lost == ["connection to broker lost"]
         assert link.exhausted.attempts == 3
         assert link.exhausted.brokers == ["%s:%d" % listener.address]
@@ -177,7 +171,7 @@ def test_redial_cap_ends_exhausted_with_the_typed_error_and_event():
         assert event.attrs["attempts"] == 3
         with pytest.raises(ConnectionClosed):
             link.send_many([heartbeat(1)])
-        wait_until(lambda: not link_threads(), message="link thread exit")
+        wait_until(lambda: not link_threads(), what="link thread exit")
     finally:
         link.close()
 
@@ -189,11 +183,11 @@ def test_garbage_from_the_peer_reports_the_link_lost():
         link.start()
         peer = listener.accept()
         peer.sendall(b"\x00\x00\x00\x05hello")  # valid length, not bin2
-        wait_until(lambda: owner.lost, message="on_lost")
+        wait_until(lambda: owner.lost, what="on_lost")
         assert owner.lost == ["refused: not a bin2 frame: first body byte 0x68"]
         assert link.state == link.DOWN and not link.connected
         assert peer.recv(65536)[:4] and peer.recv(65536) == b""  # greeting, then EOF
-        wait_until(lambda: not link_threads(), message="link thread exit")
+        wait_until(lambda: not link_threads(), what="link thread exit")
     finally:
         link.close()
         listener.close()
@@ -222,7 +216,7 @@ def test_handler_fault_is_a_lost_link_not_a_deaf_one():
         link.start()
         first = listener.accept()
         first.sendall(encode_envelope(marker))
-        wait_until(lambda: owner.lost, message="on_lost")
+        wait_until(lambda: owner.lost, what="on_lost")
         assert up_means_reading()
         assert owner.lost == ["handler fault: RuntimeError: boom"]
         assert first.recv(65536)[:4] and first.recv(65536) == b""  # greeting, then EOF
@@ -230,7 +224,7 @@ def test_handler_fault_is_a_lost_link_not_a_deaf_one():
         assert read_envelopes(second, 1)[0].type == "heartbeat"
         wait_until(lambda: link.connected)
         second.sendall(encode_envelope(marker))
-        wait_until(lambda: owner.envelopes, message="delivery on the second incarnation")
+        wait_until(lambda: owner.envelopes, what="delivery on the second incarnation")
         assert [envelope.type for envelope in owner.envelopes] == ["heartbeat_ack"]
         assert len(faults) == 1 and up_means_reading()
         link.send_many([heartbeat(1)])
@@ -301,7 +295,7 @@ def test_a_dial_landing_after_close_says_and_leaves_nothing(monkeypatch):
         release.set()
         late = listener.accept()
         assert late.recv(65536) == b""  # closed at once, not even a greeting
-        wait_until(lambda: not link_threads(), message="link thread exit")
+        wait_until(lambda: not link_threads(), what="link thread exit")
         assert link.state == link.CLOSED and not link.connected
     finally:
         release.set()
@@ -325,7 +319,7 @@ def test_consumer_stop_during_failover_is_prompt_and_leaves_nothing(monkeypatch)
         peer = listener.accept()
         listener.close()
         peer.close()
-        wait_until(lambda: disconnects, message="on_disconnect")
+        wait_until(lambda: disconnects, what="on_disconnect")
         assert not consumer.connected
         time.sleep(0.12)  # a few refused redials into the failover
         started = time.monotonic()
@@ -338,7 +332,7 @@ def test_consumer_stop_during_failover_is_prompt_and_leaves_nothing(monkeypatch)
                 late.accept(timeout=0.4)
         finally:
             late.close()
-        wait_until(lambda: not link_threads(), message="link thread exit")
+        wait_until(lambda: not link_threads(), what="link thread exit")
         assert telemetry.events.events(kind="federation_exhausted") == []
         assert disconnects == ["connection to broker lost"]
     finally:

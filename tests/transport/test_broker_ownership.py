@@ -18,7 +18,8 @@ import urllib.request
 
 import pytest
 
-from repro.broker.core import BrokerConfig, BrokerCore
+from repro.bench.cluster import FAST_CONFIG, wait_until
+from repro.broker.core import BrokerCore
 from repro.common.ids import NodeId
 from repro.core import kernels
 from repro.dag.patterns import chain, reference_values
@@ -28,10 +29,6 @@ from repro.transport.aio import AioConnection
 from repro.transport.codec import encode_envelope
 from repro.transport.message import Unregister
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
-
-from .test_broker_link import wait_until
-
-FAST = dict(heartbeat_interval=0.2, heartbeat_tolerance=3.0)
 
 
 def get(url, timeout=5.0):
@@ -71,7 +68,7 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
         recording(owner, name)
     monkeypatch.setattr(tcp, "RECONNECT_BACKOFF_S", 0.05)
 
-    broker = TcpBroker(config=BrokerConfig(**FAST), obs_port=0).start()
+    broker = TcpBroker(config=FAST_CONFIG, obs_port=0).start()
     loop_thread = broker._thread
     scrapes, done = [], threading.Event()
 
@@ -87,7 +84,7 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
             heartbeat_interval=0.2,
         )
         with provider, TcpConsumer(host, port, node_id="c1") as consumer:
-            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
+            wait_until(lambda: len(broker.core.registry) == 1, what="registration")
             scraper.start()
             futures = consumer.library.map(kernels.PRIME_COUNT, [[200 + i] for i in range(8)])
             assert consumer.library.gather(futures, timeout=60) == [
@@ -100,12 +97,12 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
             provider._link._connection.close()
             wait_until(
                 lambda: broker.telemetry.events.events(kind="node_flap"),
-                message="the re-registration",
+                what="the re-registration",
             )
             future = consumer.library.submit(kernels.PRIME_COUNT, args=[300])
             assert future.result(timeout=60) == kernels.python_prime_count(300)
-            wait_until(lambda: len(seen.get("BrokerCore.tick", ())) >= 2, message="ticks")
-            wait_until(lambda: len(scrapes) >= 5, timeout=30.0, message="scrapes")
+            wait_until(lambda: len(seen.get("BrokerCore.tick", ())) >= 2, what="ticks")
+            wait_until(lambda: len(scrapes) >= 5, timeout=30.0, what="scrapes")
     finally:
         done.set()
         if scraper.ident is not None:
@@ -147,7 +144,7 @@ def test_healthz_says_the_loop_is_stuck_within_its_bound_then_recovers(monkeypat
 
         broker.core.handle = blocking
         with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
-            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
+            wait_until(lambda: len(broker.core.registry) == 1, what="registration")
             assert get(broker.obs.url + "/healthz")[0] == 200
             goodbye = Unregister(provider_id="p9").envelope(NodeId("p9"), NodeId("broker"))
             with socket.create_connection((host, port)) as peer:
@@ -165,7 +162,7 @@ def test_healthz_says_the_loop_is_stuck_within_its_bound_then_recovers(monkeypat
             assert document["transport"]["loop_wait_ms"] >= 300.0
             assert waited < 2.0, "the scrape is bounded by HEALTH_WAIT_S, not the stall"
             wait_until(
-                lambda: get(broker.obs.url + "/healthz")[0] == 200, message="recovery"
+                lambda: get(broker.obs.url + "/healthz")[0] == 200, what="recovery"
             )
             status, document = get(broker.obs.url + "/healthz")
             assert (status, document["status"]) == (200, "ok")
@@ -173,8 +170,7 @@ def test_healthz_says_the_loop_is_stuck_within_its_bound_then_recovers(monkeypat
 
 def test_a_tick_fault_is_reported_and_the_next_tick_still_runs():
     telemetry = Telemetry()
-    config = BrokerConfig(**FAST)
-    with TcpBroker(config=config, telemetry=telemetry) as broker:
+    with TcpBroker(config=FAST_CONFIG, telemetry=telemetry) as broker:
         host, port = broker.address
         real_tick, faults = broker.core.tick, []
 
@@ -190,8 +186,8 @@ def test_a_tick_fault_is_reported_and_the_next_tick_still_runs():
             reconnect=False,
         ).start()
         try:
-            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
-            wait_until(lambda: telemetry.events.events(kind="tick_fault"), message="the report")
+            wait_until(lambda: len(broker.core.registry) == 1, what="registration")
+            wait_until(lambda: telemetry.events.events(kind="tick_fault"), what="the report")
             (event,) = telemetry.events.events(kind="tick_fault")
             assert event.node == "broker"
             assert event.attrs["reason"] == "tick fault: RuntimeError: boom"
@@ -200,7 +196,7 @@ def test_a_tick_fault_is_reported_and_the_next_tick_still_runs():
             wait_until(
                 lambda: broker.core.stats.providers_failed == 1,
                 timeout=10.0,
-                message="the failure detector",
+                what="the failure detector",
             )
         finally:
             provider.stop()

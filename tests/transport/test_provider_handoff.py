@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.broker.core import BrokerConfig
+from repro.bench.cluster import FAST_CONFIG, wait_until
 from repro.common.ids import NodeId
 from repro.common.serde import packed
 from repro.provider.executor import TaskletExecutor
@@ -25,7 +25,7 @@ from repro.transport.message import BROKER_ADDRESS, AssignExecution, CancelExecu
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 from repro.tvm.compiler import compile_source
 
-from .test_broker_link import Listener, read_envelopes, wait_until
+from .test_broker_link import Listener, read_envelopes
 
 FAST = compile_source("func main(x: int) -> int { return x + 1; }")
 LOOP = compile_source(
@@ -80,11 +80,11 @@ def _pool(name):
 
 
 def test_a_warm_cheap_program_runs_on_the_link_thread_and_an_unseen_one_on_the_pool(runs):
-    with TcpBroker(config=BrokerConfig(heartbeat_interval=0.2, heartbeat_tolerance=3.0)) as broker:
+    with TcpBroker(config=FAST_CONFIG) as broker:
         host, port = broker.address
         with TcpProvider(host, port, node_id="p1", capacity=2, benchmark_score=1e7), \
                 TcpConsumer(host, port) as consumer:
-            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
+            wait_until(lambda: len(broker.core.registry) == 1, what="registration")
             library = consumer.library
             for index, (program, x, expected) in enumerate(
                 [(FAST, 1, 2), (FAST, 2, 3), (FAST, 3, 4), (OTHER, 1, 3), (OTHER, 2, 4)]
@@ -97,11 +97,11 @@ def test_a_warm_cheap_program_runs_on_the_link_thread_and_an_unseen_one_on_the_p
 
 
 def test_a_cheap_program_whose_run_is_slow_is_demoted_at_once(runs):
-    with TcpBroker(config=BrokerConfig(heartbeat_interval=0.2, heartbeat_tolerance=3.0)) as broker:
+    with TcpBroker(config=FAST_CONFIG) as broker:
         host, port = broker.address
         with TcpProvider(host, port, node_id="p1", capacity=2, benchmark_score=1e7), \
                 TcpConsumer(host, port) as consumer:
-            wait_until(lambda: len(broker.core.registry) == 1, message="registration")
+            wait_until(lambda: len(broker.core.registry) == 1, what="registration")
             library = consumer.library
             for index, n in enumerate([3, 4, SLOW_N, 5, 6]):
                 future = library.submit(LOOP, args=[n], tasklet_id=f"t{index}", fuel=10**9)
@@ -175,11 +175,11 @@ def test_a_cancel_for_queued_pool_work_still_drops_it(runs):
         broker.send(_assign("e2", OTHER, 1))  # unseen too: queued behind e1
         broker.send(CancelExecution(execution_id="e2").envelope(BROKER_ADDRESS, NodeId("p1")))
         core = broker.provider.core
-        wait_until(lambda: core.inflight.get("e2") is True, message="the cancel")
+        wait_until(lambda: core.inflight.get("e2") is True, what="the cancel")
         runs.release("e1")
         (result,) = broker.results(1)
         assert (result.type, result.payload["execution_id"]) == ("execution_result", "e1")
-        wait_until(lambda: not core.inflight, message="e2 purged")
+        wait_until(lambda: not core.inflight, what="e2 purged")
         assert "e2" not in runs.threads  # dropped before it began: never executed
         broker.send(_assign("e3", OTHER, 1))  # the link and the pool still serve
         (result,) = broker.results(1)
