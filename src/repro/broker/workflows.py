@@ -19,7 +19,7 @@ from ..common.errors import TaskletError, WorkflowSpecError
 from ..common.ids import NodeId, TaskletId
 from ..core.qoc import QoC
 from ..core.tasklet import Tasklet
-from ..dag.scheduler import DONE, FAILED, RUNNING, DagScheduler
+from ..dag.scheduler import DONE, DagScheduler
 from ..dag.spec import WorkflowGraph, WorkflowSpec
 from ..obs.trace import TraceContext
 from ..tvm.bytecode import CompiledProgram
@@ -28,7 +28,6 @@ from ..transport.message import (
     SubmitWorkflow,
     WorkflowAck,
     WorkflowComplete,
-    WorkflowUpdate,
 )
 from .journal import (
     COMPLETED_RETENTION,
@@ -126,7 +125,7 @@ class WorkflowCoordinator:
 
     def _refuse(self, dst: NodeId, workflow_id: str, refusal: str) -> Envelope:
         """The one answer to a submission that is not its outcome (an
-        accepted workflow is answered by its updates and completion)."""
+        accepted workflow is answered by its completion alone)."""
         ack = WorkflowAck(workflow_id=workflow_id, accepted=False, reason=refusal)
         return self.core._send(ack, dst)
 
@@ -223,7 +222,6 @@ class WorkflowCoordinator:
                 # node completes with zero executions.
                 wf.nodes_memoized += 1
                 core.observer.node_finished(wf, node_id, "memoized")
-                out.append(self._update(wf, node_id, DONE))
                 worklist.extend(wf.scheduler.complete(node_id, prior.value))
                 continue
             state = admission.state
@@ -236,7 +234,6 @@ class WorkflowCoordinator:
             self.nodes[state.key] = wf
             wf.scheduler.mark_running(node_id)
             core.observer.node_released(wf, node_id, state, ready_at)
-            out.append(self._update(wf, node_id, RUNNING))
             # Saturate-forwards exactly like a fresh consumer admission;
             # the ForwardComplete routes back through ``nodes``.
             out.extend(core._place(state))
@@ -254,23 +251,6 @@ class WorkflowCoordinator:
             dependents=wf.scheduler.fail(node_id),
         )
 
-    def _update(
-        self,
-        wf: _WorkflowState,
-        node_id: str,
-        state: str,
-        attempts: int = 0,
-        error: str | None = None,
-    ) -> Envelope:
-        update = WorkflowUpdate(
-            workflow_id=wf.workflow_id,
-            node_id=node_id,
-            state=state,
-            attempts=attempts,
-            error=error,
-        )
-        return self.core._send(update, wf.consumer_id)
-
     # -- node and workflow completion ----------------------------------------------
 
     def node_terminal(
@@ -281,20 +261,13 @@ class WorkflowCoordinator:
         node_id = wf.running.pop(outcome.key)
         if wf.done:
             return []  # a sibling cancelled by ``_finish``
-        ok, attempts = outcome.ok, outcome.attempts
-        finished_at = self.core.clock.now()
         self.core.observer.node_finished(
-            wf, node_id, "ok" if ok else "failed", attempts
+            wf, node_id, "ok" if outcome.ok else "failed", outcome.attempts
         )
-        if ok:
-            out = [self._update(wf, node_id, DONE, attempts)]
+        if outcome.ok:
             released = wf.scheduler.complete(node_id, outcome.value)
-            out.extend(self._release(wf, released, finished_at))
-            return out
-        out = [self._update(wf, node_id, FAILED, attempts, outcome.error)]
-        error = outcome.error or f"node {node_id!r} failed"
-        out.extend(self._fail(wf, node_id, error))
-        return out
+            return self._release(wf, released, self.core.clock.now())
+        return self._fail(wf, node_id, outcome.error or f"node {node_id!r} failed")
 
     def _finish(
         self,

@@ -53,7 +53,6 @@ from ..transport.message import (
     TaskletComplete,
     WorkflowAck,
     WorkflowComplete,
-    WorkflowUpdate,
     body_of,
     report_unreadable,
 )
@@ -213,11 +212,6 @@ class ConsumerCore:
             )
             status = "ok" if body.ok else "failed"
             self._end_workflow(body.workflow_id, status, failure, body)
-        elif isinstance(body, WorkflowUpdate):
-            with self._lock:
-                record = self._workflows.get(body.workflow_id)
-            if record is not None:
-                record.waiter.node_states[body.node_id] = body.state
         elif isinstance(body, WorkflowAck) and not body.accepted:
             error = f"workflow {body.workflow_id!r} rejected by broker: {body.reason}"
             self._end_workflow(body.workflow_id, "rejected", WorkflowSpecError(error))
@@ -349,10 +343,6 @@ class ConsumerCore:
         if body is not None:
             handle.nodes_total = attrs["nodes_total"] = body.nodes_total
             handle.nodes_memoized = attrs["nodes_memoized"] = body.nodes_memoized
-            if body.ok:
-                handle.node_states.update(dict.fromkeys(body.outputs, "done"))
-            elif body.failed_node:
-                handle.node_states[body.failed_node] = "failed"
         self._root_span("workflow", record, now, status, attrs)
         if exc is None:
             handle.resolve(outputs)

@@ -11,10 +11,11 @@ from ..common.errors import TaskletError, TimeoutExpired, WorkflowFailed
 class WorkflowHandle:
     """Write-once future resolving to a workflow's sink outputs.
 
-    The consumer core updates :attr:`node_states` as ``workflow_update``
-    messages arrive, then resolves (or fails) the handle on
-    ``workflow_complete``.  :meth:`result` blocks the application thread
-    until then.
+    The consumer core resolves (or fails) the handle on the workflow's
+    one answer, its ``workflow_complete`` (or a refusing ``workflow_ack``).
+    :meth:`result` blocks the application thread until then.  Which node
+    failed, and which nodes that left unrun, are on the
+    :class:`WorkflowFailed` it raises.
     """
 
     def __init__(self, workflow_id: str):
@@ -23,8 +24,6 @@ class WorkflowHandle:
         self._lock = threading.Lock()
         self._outputs: dict[str, Any] | None = None
         self._error: TaskletError | None = None
-        #: Last reported state per node id (advisory; updated live).
-        self.node_states: dict[str, str] = {}
         #: Node-count summary from the terminal message, if any.
         self.nodes_total = 0
         self.nodes_memoized = 0

@@ -55,10 +55,6 @@ def gather(node_ids: list[str]) -> dict[str, list[str]]:
     return {GATHER_KEY: [str(node_id) for node_id in node_ids]}
 
 
-def _is_placeholder(value: Any) -> bool:
-    return isinstance(value, dict) and (FROM_KEY in value or GATHER_KEY in value)
-
-
 def arg_refs(value: Any) -> list[str]:
     """Node ids referenced by placeholders inside one argument (in order)."""
     if isinstance(value, dict):
@@ -88,16 +84,32 @@ def resolve_arg(value: Any, values: dict[str, Any]) -> Any:
     return value
 
 
-def _arg_is_wireable(value: Any) -> bool:
-    """Literal parts must be Tasklet values; placeholders are checked later."""
-    if is_tasklet_value(value):  # a literal, scalar or list: one pass
-        return True
-    if isinstance(value, list):
-        return all(map(_arg_is_wireable, value))
-    if _is_placeholder(value):
-        refs = [value[FROM_KEY]] if FROM_KEY in value else value[GATHER_KEY]
-        return type(refs) is list and all(type(ref) is str and ref for ref in refs)
-    return False
+_STR = frozenset((str,))
+
+
+def _checked_refs(values: list, refs: dict[str, None]) -> bool:
+    """One walk of a node's arguments (or of a list inside one): add the
+    node ids their placeholders name to ``refs``, in :func:`arg_refs`
+    order.  False unless every value is a Tasklet value or a placeholder
+    naming non-empty string ids."""
+    for value in values:
+        if isinstance(value, (int, float, str)):  # (bool is an int)
+            continue
+        if isinstance(value, dict):  # (no Tasklet value is a dict)
+            if FROM_KEY in value:
+                named = [value[FROM_KEY]]
+            elif GATHER_KEY in value:
+                named = value[GATHER_KEY]
+            else:
+                return False
+            if type(named) is not list or not _STR.issuperset(map(type, named)) or not all(named):
+                return False
+            refs.update(dict.fromkeys(named))
+        elif not is_tasklet_value(value) and (
+            not isinstance(value, list) or not _checked_refs(value, refs)
+        ):
+            return False
+    return True
 
 
 @record("node", error=WorkflowSpecError)
@@ -192,13 +204,16 @@ class WorkflowSpec(Record):
                 raise WorkflowSpecError(
                     f"node {node.node_id!r}: max_attempts must be >= 1"
                 )
-            for arg in node.args:  # (before anything walks a placeholder)
-                if not _arg_is_wireable(arg):
-                    raise WorkflowSpecError(
-                        f"node {node.node_id!r}: argument {arg!r} is neither "
-                        "a Tasklet value nor a valid placeholder"
-                    )
-            refs = node.deps()
+            seen: dict[str, None] = {}  # (node.deps(), from the same walk)
+            if not _checked_refs(node.args, seen):
+                bad = next(arg for arg in node.args if not _checked_refs([arg], {}))
+                raise WorkflowSpecError(
+                    f"node {node.node_id!r}: argument {bad!r} is neither "
+                    "a Tasklet value nor a valid placeholder"
+                )
+            if node.after:
+                seen.update(dict.fromkeys(map(str, node.after)))
+            refs = list(seen)
             for dep in refs:
                 if dep == node.node_id:
                     raise WorkflowSpecError(

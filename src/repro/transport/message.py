@@ -22,7 +22,6 @@ from ..common.errors import TransportError
 from ..common.ids import NodeId
 from ..common.record import Record, compile_fields, identified, one_of, records_of
 from ..core.results import ExecutionRecord, ExecutionStatus
-from ..dag.scheduler import BLOCKED, DONE, FAILED, READY, RUNNING
 from ..obs.events import MESSAGE_UNREADABLE
 
 #: Broadcast / well-known addresses.
@@ -77,8 +76,9 @@ class MessageBody(Record):
 def _message(type_name: str, tag: int, packed: bool = False):
     """Class decorator: register the dataclass under ``type_name`` with
     its ``bin2`` wire ``tag`` (1-255, never reused; 0 is the codec's
-    escape for a type it has no tag for; 22 and 23, the retired
-    ``hello`` / ``hello_ack`` handshake, stay unused).  ``packed``
+    escape for a type it has no tag for; retired and unused: 15, the
+    advisory per-node workflow progress report, and 22 and 23, the
+    ``hello`` / ``hello_ack`` handshake).  ``packed``
     bodies travel as bare values in field order, which makes that order
     part of the ``bin2`` contract."""
 
@@ -276,18 +276,6 @@ class WorkflowAck(MessageBody):
     workflow_id: str
     accepted: bool
     reason: str = ""
-
-
-@_message("workflow_update", tag=15, packed=True)
-@dataclass
-class WorkflowUpdate(MessageBody):
-    """Advisory progress report: one node changed state."""
-
-    workflow_id: str
-    node_id: str
-    state: str = one_of((BLOCKED, READY, RUNNING, DONE, FAILED))  # repro.dag's
-    attempts: int = 0
-    error: str | None = None
 
 
 @_message("workflow_complete", tag=16, packed=True)

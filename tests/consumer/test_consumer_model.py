@@ -6,8 +6,8 @@ submit (a fresh id, an answered id again, an id that is still pending, a
 batch with a pending id or an internal duplicate), ``submit_ack`` accept
 and reject, ``tasklet_complete`` ok / failed / duplicate / for an unknown
 id, ``submit_workflow`` (fresh and in flight), ``workflow_ack`` accept and
-reject, ``workflow_update``, ``workflow_complete`` ok / failed /
-duplicate, ``fail_all_pending``, clock advances — where any broker message
+reject, ``workflow_complete`` ok / failed / duplicate, ``fail_all_pending``,
+clock advances — where any broker message
 may first have one field replaced by something else the codecs carry (the
 *hostile* step: a field of the message, or one inside an execution record
 it carries) — and after every step
@@ -66,7 +66,6 @@ from repro.transport.message import (
     TaskletComplete,
     WorkflowAck,
     WorkflowComplete,
-    WorkflowUpdate,
     body_of,
 )
 from repro.tvm.compiler import compile_source
@@ -295,15 +294,6 @@ class ConsumerProtocol(RuleBasedStateMachine):
             error = f"rejected by broker: {ack.reason}"
             self._end_workflow(ack.workflow_id, WorkflowSpecError, error)
 
-    @rule(workflow_id=st.sampled_from(WORKFLOW_IDS + ["wf-unknown"]))
-    def workflow_update(self, workflow_id):
-        update = self._deliver(
-            WorkflowUpdate(workflow_id=workflow_id, node_id="only", state="running")
-        )
-        if update is not None and update.workflow_id in self.workflows:
-            handle = self.workflows[update.workflow_id].waiter
-            assert handle.node_states[update.node_id] == update.state
-
     @rule(workflow_id=st.sampled_from(WORKFLOW_IDS + ["wf-unknown"]), ok=st.booleans())
     def workflow_complete(self, workflow_id, ok):
         body = WorkflowComplete(
@@ -322,10 +312,12 @@ class ConsumerProtocol(RuleBasedStateMachine):
                 self._end_workflow(body.workflow_id, CodecError, "")
             elif body.ok:
                 self._end_workflow(body.workflow_id, None, dict(zip(body.outputs, values)))
-                assert all(handle.node_states[node] == "done" for node in body.outputs)
             else:
                 self._end_workflow(body.workflow_id, WorkflowFailed, body.error)
-                assert not body.failed_node or handle.node_states[body.failed_node] == "failed"
+                failure = handle.exception(0)
+                assert (failure.node_id, failure.dependents) == (
+                    body.failed_node, body.dependents
+                )
             assert handle.nodes_total == body.nodes_total
 
     # -- the link, the clock -------------------------------------------------

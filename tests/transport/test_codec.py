@@ -205,7 +205,6 @@ def test_forward_and_workflow_types_are_field_packed():
     for name in (
         "submit_workflow",
         "workflow_ack",
-        "workflow_update",
         "workflow_complete",
         "forward_tasklet",
         "forward_ack",
@@ -311,7 +310,6 @@ GOLDEN_WIRE_TAGS = {
     "tasklet_complete": 12,
     "submit_workflow": 13,
     "workflow_ack": 14,
-    "workflow_update": 15,
     "workflow_complete": 16,
     "peer_hello": 17,
     "gossip_digest": 18,
@@ -319,8 +317,9 @@ GOLDEN_WIRE_TAGS = {
     "forward_ack": 20,
     "forward_complete": 21,
 }
-#: The transport handshake's tags (``hello``, ``hello_ack``), retired with it.
-RETIRED_WIRE_TAGS = {22, 23}
+#: Retired tags, never reused: the advisory ``workflow_update`` (15) and
+#: the transport handshake's ``hello`` / ``hello_ack`` (22, 23).
+RETIRED_WIRE_TAGS = {15, 22, 23}
 
 GOLDEN_FIELD_TABLES = {
     "heartbeat": ("provider_id", "free_slots", "queue_length", "sent_at"),
@@ -342,7 +341,6 @@ GOLDEN_FIELD_TABLES = {
     ),
     "submit_workflow": ("workflow",),
     "workflow_ack": ("workflow_id", "accepted", "reason"),
-    "workflow_update": ("workflow_id", "node_id", "state", "attempts", "error"),
     "workflow_complete": (
         "workflow_id", "ok", "outputs", "error", "failed_node", "dependents",
         "nodes_total", "nodes_memoized",
@@ -360,7 +358,7 @@ def test_wire_tables_are_the_ones_bin2_was_minted_with():
     assert (CODEC_BINARY, MAGIC_BINARY) == ("bin2", 0xB2)
     assert WIRE_TAGS == GOLDEN_WIRE_TAGS
     assert FIELD_TABLES == GOLDEN_FIELD_TABLES
-    assert len(GOLDEN_WIRE_TAGS) == 21 and len(GOLDEN_FIELD_TABLES) == 16
+    assert len(GOLDEN_WIRE_TAGS) == 20 and len(GOLDEN_FIELD_TABLES) == 15
     assert not RETIRED_WIRE_TAGS & set(WIRE_TAGS.values())
 
 

@@ -38,7 +38,6 @@ from repro.transport.message import (
     Unregister,
     WorkflowAck,
     WorkflowComplete,
-    WorkflowUpdate,
     body_of,
 )
 
@@ -129,9 +128,6 @@ SAMPLE_BODIES = [
     ),
     WorkflowAck(workflow_id="wf-1", accepted=True),
     WorkflowAck(workflow_id="wf-1", accepted=False, reason="duplicate"),
-    WorkflowUpdate(
-        workflow_id="wf-1", node_id="a", state="running", attempts=1
-    ),
     WorkflowComplete(
         workflow_id="wf-1",
         ok=True,
@@ -259,7 +255,6 @@ def read(envelope):
 
 
 _STATUSES = {"success", "vm_error", "provider_lost", "timeout", "rejected"}
-_NODE_STATES = {"blocked", "ready", "running", "done", "failed"}
 
 
 def _holds(value, annotation) -> bool:
@@ -286,8 +281,6 @@ def _well_formed(body) -> bool:
         return False
     if isinstance(body, ExecutionResult):
         return body.status in _STATUSES
-    if isinstance(body, WorkflowUpdate):
-        return body.state in _NODE_STATES
     if isinstance(body, (TaskletComplete, ForwardComplete)):
         return all(
             type(record) is dict
@@ -320,8 +313,8 @@ def test_body_of_yields_a_typed_body_or_transport_error(body):
                 assert _well_formed(got), (name, value)
                 assert getattr(got, name) == value
                 assert type(getattr(got, name)) is type(value)
-            if name not in ("status", "state", "executions", "tasklet", "workflow"):
-                # (Those five answer to further rules: closed sets, record
+            if name not in ("status", "executions", "tasklet", "workflow"):
+                # (Those four answer to further rules: closed sets, record
                 # shapes, and a submission that must name itself.)
                 assert refused == (not acceptable), (name, value)
             elif not acceptable:
