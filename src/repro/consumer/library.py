@@ -4,7 +4,7 @@ This is the paper's "Tasklet Library" — the thin layer an application
 links to issue Tasklets without caring where they run.  It adds, on top of
 a :class:`Session` (simulated or TCP):
 
-* source compilation with caching (``compile``);
+* source compilation, once per distinct source per process (``compile``);
 * one-call submission (``submit``) and bulk fan-out (``map``);
 * the *privacy* QoC goal: ``local_only`` Tasklets never reach the session —
   they run on the consumer's own TVM, synchronously;
@@ -23,12 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 from ..common.ids import IdGenerator
 from ..common.rng import derive_seed
 from ..core.futures import TaskletFuture
+from ..core.programs import compiled
 from ..core.qoc import QoC
 from ..core.results import ExecutionRecord, TaskletResult
 from ..core.tasklet import Tasklet
 from ..provider.executor import TaskletExecutor, local_assignment
 from ..tvm.bytecode import CompiledProgram
-from ..tvm.compiler import compile_source
 from ..tvm.vm import DEFAULT_FUEL
 
 
@@ -67,19 +67,14 @@ class TaskletLibrary:
         self.session = session
         self.base_seed = base_seed
         self.ids = IdGenerator()
-        self._source_cache: dict[str, CompiledProgram] = {}
         self._local_executor = TaskletExecutor()
 
     # -- compilation ---------------------------------------------------------
 
     def compile(self, source: str) -> CompiledProgram:
-        """Compile Tasklet source (memoised per distinct source text)."""
-        cached = self._source_cache.get(source)
-        if cached is not None:
-            return cached
-        program = compile_source(source)
-        self._source_cache[source] = program
-        return program
+        """Compile Tasklet source (memoised per distinct source text, in
+        :mod:`repro.core.programs`)."""
+        return compiled(source)
 
     # -- submission -----------------------------------------------------------
 

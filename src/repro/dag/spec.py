@@ -36,8 +36,8 @@ from typing import Any
 
 from ..common.errors import VMInvalidProgram, WorkflowSpecError
 from ..common.record import Record, record, sparse
+from ..core.programs import compiled
 from ..tvm.bytecode import CompiledProgram, ProgramTable
-from ..tvm.compiler import compile_source
 from ..tvm.vm import DEFAULT_FUEL, is_tasklet_value
 
 #: Placeholder keys recognised inside node argument lists.
@@ -340,16 +340,15 @@ _builder_counter = itertools.count(1)
 class WorkflowBuilder:
     """Incremental construction of a :class:`WorkflowSpec`.
 
-    Accepts programs as source text (compiled and cached per builder) or
-    pre-compiled :class:`CompiledProgram` objects; node ids default to
-    ``n1, n2, ...`` in creation order.
+    Accepts programs as source text (compiled once per process, by
+    :mod:`repro.core.programs`) or pre-compiled :class:`CompiledProgram`
+    objects; node ids default to ``n1, n2, ...`` in creation order.
     """
 
     def __init__(self, workflow_id: str | None = None):
         self.workflow_id = workflow_id or f"wf-{next(_builder_counter)}"
         self._nodes: list[NodeSpec] = []
         self._programs: dict[str, bytes] = {}
-        self._source_cache: dict[str, CompiledProgram] = {}
         self._ids = itertools.count(1)
 
     def node(
@@ -365,11 +364,7 @@ class WorkflowBuilder:
     ) -> str:
         """Add one node; returns its id (for use in placeholders)."""
         if isinstance(program, str):
-            cached = self._source_cache.get(program)
-            if cached is None:
-                cached = compile_source(program)
-                self._source_cache[program] = cached
-            program = cached
+            program = compiled(program)
         fingerprint = program.fingerprint()
         if fingerprint not in self._programs:
             self._programs[fingerprint] = program.packed()

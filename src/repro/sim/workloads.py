@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core import kernels
+from ..core.programs import compiled
 from ..tvm.bytecode import CompiledProgram
-from ..tvm.compiler import compile_source
 
 
 @dataclass
@@ -32,19 +32,10 @@ class Workload:
         return len(self.args_list)
 
 
-_PROGRAM_CACHE: dict[str, CompiledProgram] = {}
-
-
-def _cached_program(source: str) -> CompiledProgram:
-    if source not in _PROGRAM_CACHE:
-        _PROGRAM_CACHE[source] = compile_source(source)
-    return _PROGRAM_CACHE[source]
-
-
 def mandelbrot(width: int = 128, height: int = 96, max_iter: int = 64) -> Workload:
     """Fractal rendering: one Tasklet per image row (heterogeneous task
     sizes — rows near the set's interior iterate far more)."""
-    program = _cached_program(kernels.MANDELBROT_ROW)
+    program = compiled(kernels.MANDELBROT_ROW)
     args_list = [[y, width, height, max_iter] for y in range(height)]
     return Workload(
         name=f"mandelbrot-{width}x{height}i{max_iter}",
@@ -56,7 +47,7 @@ def mandelbrot(width: int = 128, height: int = 96, max_iter: int = 64) -> Worklo
 
 def monte_carlo_pi(tasks: int = 64, samples_per_task: int = 20_000) -> Workload:
     """Monte-Carlo π: homogeneous task sizes (the load-balancing control)."""
-    program = _cached_program(kernels.MONTE_CARLO_PI)
+    program = compiled(kernels.MONTE_CARLO_PI)
     args_list = [[samples_per_task] for _ in range(tasks)]
     return Workload(
         name=f"mcpi-{tasks}x{samples_per_task}",
@@ -70,7 +61,7 @@ def matmul_tiles(tiles: int = 32, n: int = 12, seed: int = 0) -> Workload:
     """Dense linear-algebra tiles with random inputs (data-heavy tasks:
     arguments and results dominate message size)."""
     rng = random.Random(seed)
-    program = _cached_program(kernels.MATMUL_TILE)
+    program = compiled(kernels.MATMUL_TILE)
     args_list = []
     expected = []
     for _ in range(tiles):
@@ -89,7 +80,7 @@ def matmul_tiles(tiles: int = 32, n: int = 12, seed: int = 0) -> Workload:
 
 def prime_count(tasks: int = 32, limit: int = 3000) -> Workload:
     """Pure integer compute, identical task sizes (benchmark kernel)."""
-    program = _cached_program(kernels.PRIME_COUNT)
+    program = compiled(kernels.PRIME_COUNT)
     args_list = [[limit] for _ in range(tasks)]
     return Workload(
         name=f"primes-{tasks}x{limit}",
@@ -102,7 +93,7 @@ def prime_count(tasks: int = 32, limit: int = 3000) -> Workload:
 
 def integration(tasks: int = 48, steps: int = 2000) -> Workload:
     """Numeric integration split into per-task subintervals."""
-    program = _cached_program(kernels.NUMERIC_INTEGRATION)
+    program = compiled(kernels.NUMERIC_INTEGRATION)
     span = 12.0
     width = span / tasks
     args_list = [
@@ -123,7 +114,7 @@ def mixed(seed: int = 0, scale: int = 1) -> Workload:
     used by the scheduling experiments to create stragglers.
     """
     rng = random.Random(seed)
-    program = _cached_program(kernels.PRIME_COUNT)
+    program = compiled(kernels.PRIME_COUNT)
     sizes = [800] * (24 * scale) + [4000] * (8 * scale) + [12000] * (2 * scale)
     rng.shuffle(sizes)
     return Workload(

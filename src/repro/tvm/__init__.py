@@ -8,8 +8,6 @@ Typical use::
     result, stats = execute(program, "main", [12])
 """
 
-from .assembler import assemble
-from .astinterp import AstInterpreter, interpret_source
 from .bytecode import BYTECODE_VERSION, CompiledProgram, FunctionCode, Instruction
 from .compiler import compile_ast, compile_source
 from .disassembler import disassemble
@@ -21,9 +19,6 @@ from .semantics import analyze
 from .vm import TVM, ExecutionStats, VMLimits, execute, is_tasklet_value
 
 __all__ = [
-    "assemble",
-    "AstInterpreter",
-    "interpret_source",
     "BYTECODE_VERSION",
     "CompiledProgram",
     "FunctionCode",

@@ -2,7 +2,8 @@
 
 Used by tests (to pin compilation output for regressions), by the
 ``examples/`` scripts for didactic output, and by anyone debugging the
-compiler.  The format round-trips through :mod:`repro.tvm.assembler`.
+compiler.  The format round-trips through the test suite's assembler
+(``tests/tvm/assembler.py``).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 One definition of what ``+``, ``/``, ``==``, indexing, etc. *mean* on
 runtime values.  The bytecode VM (:mod:`repro.tvm.vm`) calls these on its
 slow paths (its fast paths inline the common numeric cases with identical
-behaviour) and the reference AST interpreter
-(:mod:`repro.tvm.astinterp`) calls them for everything — so differential
+behaviour), the translated tier (:mod:`repro.tvm.translate`) binds them
+as its slow paths, and the test suite's reference AST interpreter
+(``tests/tvm/astinterp.py``) calls them for everything — so differential
 tests compare control-flow and compilation machinery, not two independent
 guesses at arithmetic semantics.
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import ast as python_ast
 
-from ..common.errors import VMInvalidProgram
-from .bytecode import CompiledProgram, FunctionCode, Instruction
-from .opcodes import Op
+from repro.common.errors import VMInvalidProgram
+from repro.tvm.bytecode import CompiledProgram, FunctionCode, Instruction
+from repro.tvm.opcodes import Op
 
 _OP_BY_NAME = {op.name: op for op in Op}
 

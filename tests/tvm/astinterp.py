@@ -16,12 +16,12 @@ from __future__ import annotations
 import random
 from typing import Any
 
-from ..common.errors import VMError
-from . import ast_nodes as ast, operators
-from .builtins import BUILTINS
-from .opcodes import Op
-from .parser import parse
-from .semantics import analyze
+from repro.common.errors import VMError
+from repro.tvm import ast_nodes as ast, operators
+from repro.tvm.builtins import BUILTINS
+from repro.tvm.opcodes import Op
+from repro.tvm.parser import parse
+from repro.tvm.semantics import analyze
 
 _MAX_STEPS_DEFAULT = 10_000_000
 

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import kernels
-from repro.tvm.assembler import AssemblerError, assemble
 from repro.tvm.compiler import compile_source
 from repro.tvm.disassembler import disassemble
 from repro.tvm.vm import execute
+
+from tests.tvm.assembler import AssemblerError, assemble
 
 ROUNDTRIP_SOURCES = [
     "func main() -> int { return 41 + 1; }",

@@ -4,9 +4,10 @@ import pytest
 
 from repro.common.errors import VMError
 from repro.core import kernels
-from repro.tvm.astinterp import AstInterpreter, interpret_source
 from repro.tvm.parser import parse
 from repro.tvm.semantics import analyze
+
+from tests.tvm.astinterp import AstInterpreter, interpret_source
 
 
 def test_basic_execution():

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.common.errors import ParserError, SemanticError
-from repro.tvm.astinterp import interpret_source
 from repro.tvm.compiler import compile_source
 from repro.tvm.vm import execute
+
+from tests.tvm.astinterp import interpret_source
 
 
 def run_main(source, args=None):

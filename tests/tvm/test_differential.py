@@ -10,11 +10,12 @@ indicates a compiler or VM bug, not an expected error.
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.tvm.astinterp import AstInterpreter, interpret_source
 from repro.tvm.compiler import compile_ast, compile_source
 from repro.tvm.parser import parse
 from repro.tvm.semantics import analyze
 from repro.tvm.vm import execute
+
+from tests.tvm.astinterp import AstInterpreter, interpret_source
 
 # ---------------------------------------------------------------------------
 # Random-program generator

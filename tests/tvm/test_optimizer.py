@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.tvm.astinterp import AstInterpreter
 from repro.tvm.compiler import compile_ast, compile_source
 from repro.tvm.opcodes import Op
 from repro.tvm.optimizer import optimize_program
 from repro.tvm.parser import parse
 from repro.tvm.semantics import analyze
 from repro.tvm.vm import execute
+
+from tests.tvm.astinterp import AstInterpreter
 
 
 def instruction_count(program) -> int:
@@ -148,7 +149,7 @@ class TestPeepholes:
             )
 
     def test_dup_pop_pair_deleted(self):
-        from repro.tvm.assembler import assemble
+        from tests.tvm.assembler import assemble
 
         listing = """
         .constants 1
@@ -166,7 +167,7 @@ class TestPeepholes:
         assert execute(optimized, "main")[0] == 7
 
     def test_pure_push_pop_pair_deleted(self):
-        from repro.tvm.assembler import assemble
+        from tests.tvm.assembler import assemble
 
         listing = """
         .constants 2
@@ -188,7 +189,7 @@ class TestPeepholes:
         # where the true path lands with a second value of its own;
         # deleting the pair would leave that value on top at RET, so the
         # peephole must refuse.
-        from repro.tvm.assembler import assemble
+        from tests.tvm.assembler import assemble
 
         listing = """
         .constants 2

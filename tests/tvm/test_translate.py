@@ -10,11 +10,12 @@ model, and redundant-execution voting.  The portable representation
 """
 
 import re
+import threading
+
+import pytest
 
 from repro.core import kernels
 from repro.provider.executor import TaskletExecutor, local_assignment
-from repro.tvm.assembler import assemble
-from repro.tvm.astinterp import AstInterpreter
 from repro.tvm.bytecode import CompiledProgram
 from repro.tvm.compiler import compile_source
 from repro.tvm.parser import parse
@@ -22,7 +23,14 @@ from repro.tvm.semantics import analyze
 from repro.tvm.translate import translate
 from repro.tvm.vm import TVM
 
-from tests.tvm.engines import KERNEL_CASES, assert_engines_agree, run_portable
+from tests.tvm.assembler import assemble
+from tests.tvm.astinterp import AstInterpreter
+from tests.tvm.engines import (
+    KERNEL_CASES,
+    assert_engines_agree,
+    run_portable,
+    run_translated,
+)
 
 COUNT_LOOP = """
 func main(n: int) -> int {
@@ -35,6 +43,13 @@ func main(n: int) -> int {
 """
 
 
+def agree_ok(program, args):
+    """The value both engines return; neither may fault or restart."""
+    expected, direct = assert_engines_agree(program, args)
+    assert expected[0] == direct[0] == "ok", (expected, direct)
+    return expected[1]
+
+
 # ---------------------------------------------------------------------------
 # The translation itself
 # ---------------------------------------------------------------------------
@@ -45,28 +60,30 @@ def test_translation_elides_only_the_guards_it_has_proven():
     program.verify()
     (source,) = translate(program).sources
     # s and i start from int constants and only ever have an int added,
-    # so the loop body needs no type test; n is a parameter and is
-    # guarded where it is compared.
+    # so the loop body needs no type test; n is a parameter compared as a
+    # number, so it is guarded once, at entry, not in the loop head.
     assert re.search(r"v1 = v1 \+ k\d\n", source)
     assert re.search(r"v2 = v2 \+ k\d\n", source)
     assert "type(v1)" not in source and "type(v2)" not in source
-    assert "type(v0) is not int and type(v0) is not float: raise R" in source
+    guard = "if type(v0) is not int and type(v0) is not float: raise R"
+    assert source.count(guard) == 1
+    assert source.index(guard) < source.index("while True:")
 
 
 def test_fuel_charges_cover_every_reachable_instruction_once():
-    program = compile_source(kernels.PRIME_COUNT)
-    program.verify()
-    translation = translate(program)
-    for function, source in zip(program.functions, translation.sources):
-        charged = sum(int(n) for n in re.findall(r"fuel -= (\d+)", source))
-        # The compiler's implicit ``PUSH_NONE; RET`` tail is unreachable
-        # in a value-returning function and must not be emitted.
-        assert charged == len(function.code) - 2, function.name
+    for name in KERNEL_CASES:
+        program = compile_source(kernels.ALL_KERNELS[name])
+        program.verify()
+        translation = translate(program)
+        for function, source in zip(program.functions, translation.sources):
+            charged = sum(int(n) for n in re.findall(r"fuel -= (\d+)", source))
+            # The compiler's implicit ``PUSH_NONE; RET`` tail is unreachable
+            # in a value-returning function and must not be emitted; nesting
+            # and joins move blocks, never copy or drop one.
+            assert charged == len(function.code) - 2, (name, function.name)
 
 
 def test_function_entry_and_every_loop_head_test_fuel():
-    # Without the test at a loop head ``while (true) {}`` would spin on a
-    # negative budget for ever; a behavioural test of that cannot end.
     listing = """
     .func main params=0 locals=0 returns=void
       0  JUMP 1
@@ -74,13 +91,223 @@ def test_function_entry_and_every_loop_head_test_fuel():
      L2  JUMP 1
     .end
     """
-    (source,) = translate(assemble(listing)).sources
-    for head in (0, 1):  # the entry, and the target of the back edge at 2
-        block = f"if pc == {head}:\n            fuel -= 1\n            if fuel < 0: raise R"
-        assert block in source
-    assert "if pc == 2:\n            fuel -= 1\n            pc = 1" in source
+    program = assemble(listing)
+    (source,) = translate(program).sources
+    # The entry runs before the loop, the back edge's target 1 heads it,
+    # and 2 (one predecessor) nests in 1 and jumps back with a bare continue.
+    entry, loop = source.split("while True:")
+    assert entry.endswith("fuel -= 1\n    if fuel < 0: raise R\n    ")
+    assert loop == (
+        "\n        fuel -= 1\n        if fuel < 0: raise R"
+        "\n        fuel -= 1\n        continue"
+    )
     nested = translate(compile_source(kernels.MANDELBROT_ROW)).sources[0]
     assert nested.count("if fuel < 0: raise R") == 3  # entry + two loop heads
+    # ``while (true) {}`` ends: without the loop head's test it would spin
+    # on a negative budget for ever, so run it where a hang is a failure.
+    outcome = []
+    runner = threading.Thread(
+        target=lambda: outcome.append(run_translated(program, [], fuel=10_000)), daemon=True
+    )
+    runner.start()
+    runner.join(timeout=10)
+    assert outcome == [("restart",)]
+    assert run_portable(program, [], fuel=10_000)[1] == "VMFuelExhausted"
+
+
+@pytest.mark.parametrize("source, args", [(COUNT_LOOP, [10]), (kernels.PRIME_COUNT, [300])])
+def test_fuel_sweep_ends_exactly_where_the_portable_vm_ends(source, args):
+    # Charges are per block, merged along nesting: every budget in the
+    # last 40 instructions must still fail, bill and succeed as interpreted.
+    program = compile_source(source)
+    status, value, exact = run_portable(program, args)
+    assert status == "ok"
+    for fuel in range(exact - 40, exact + 2):
+        expected, direct = assert_engines_agree(program, args, fuel=fuel)
+        if fuel < exact:
+            message = f"fuel exhausted after {fuel} instructions"
+            assert expected == ("error", "VMFuelExhausted", message, fuel)
+            assert direct == ("restart",)
+        else:
+            assert expected == direct == ("ok", value, exact)
+
+
+INT_KERNEL = """
+func main(n: int) -> int {
+    var s: int = 0;
+    for (var i: int = 0; i < 20; i = i + 1) {
+        s = s + n % 7 + i;
+    }
+    return s;
+}
+"""
+
+
+def test_an_int_parameter_is_guarded_at_entry_and_restarts_on_any_other_type():
+    program = compile_source(INT_KERNEL)
+    (source,) = translate(program).sources
+    # ``%`` wants an int, so n is tested once, before the loop, as an int.
+    assert source.count("type(v0)") == 1
+    assert "if type(v0) is not int: raise R" in source.split("while True:")[0]
+    assert assert_engines_agree(program, [12])[1] == ("ok", 290, 350)
+    for argument in (12.5, True, "12", [12]):
+        expected, direct = assert_engines_agree(program, [argument])
+        assert direct == ("restart",), argument
+    assert expected[:2] == ("error", "VMTypeError")
+
+
+def test_a_parameter_the_body_stores_to_is_guarded_where_it_is_used_not_at_entry():
+    # Only the path that keeps the argument multiplies it: a string
+    # argument is legal when the other path overwrites it first.
+    listing = """
+    .constants 2
+      k0 = 5
+      k1 = 2
+    .func main params=2 locals=2 returns=value
+      0  LOAD 1
+      1  JUMP_IF_FALSE 4
+      2  PUSH_CONST 0
+      3  STORE 0
+     L4  LOAD 0
+      5  PUSH_CONST 1
+      6  MUL
+      7  RET
+    .end
+    """
+    program = assemble(listing)
+    assert agree_ok(program, ["text", True]) == 10 and agree_ok(program, [3, False]) == 6
+    expected, direct = assert_engines_agree(program, ["text", False])
+    assert direct == ("restart",) and expected[1] == "VMTypeError"
+
+
+def test_an_int_and_a_float_joined_are_a_number_not_either():
+    # The int fast paths of / and % on a float (or true division on an
+    # int) would change the value: the join must forget which it was.
+    in_a_local = """
+    .constants 3
+      k0 = 7
+      k1 = 7.5
+      k2 = 2
+    .func main params=1 locals=2 returns=value
+      0  LOAD 0
+      1  JUMP_IF_FALSE 5
+      2  PUSH_CONST 0
+      3  STORE 1
+      4  JUMP 7
+     L5  PUSH_CONST 1
+      6  STORE 1
+     L7  LOAD 1
+      8  PUSH_CONST 2
+      9  DIV
+     10  LOAD 1
+     11  PUSH_CONST 2
+     12  MOD
+     13  ADD
+     14  RET
+    .end
+    """
+    on_the_stack = """
+    .constants 3
+      k0 = 7
+      k1 = 7.5
+      k2 = 2
+    .func main params=1 locals=1 returns=value
+      0  LOAD 0
+      1  JUMP_IF_FALSE 4
+      2  PUSH_CONST 0
+      3  JUMP 5
+     L4  PUSH_CONST 1
+     L5  PUSH_CONST 2
+      6  DIV
+      7  RET
+    .end
+    """
+    assert agree_ok(assemble(in_a_local), [True]) == 4
+    assert agree_ok(assemble(in_a_local), [False]) == 5.25
+    assert agree_ok(assemble(on_the_stack), [True]) == 3
+    assert agree_ok(assemble(on_the_stack), [False]) == 3.75
+
+
+CALLS = """
+.constants 3
+  k0 = 1
+  k1 = 2
+  k2 = True
+.func pick params=1 locals=1 returns=value
+  0  LOAD 0
+  1  JUMP_IF_FALSE 4
+  2  PUSH_CONST 2
+  3  RET
+ L4  PUSH_NONE
+  5  RET
+.end
+.func negate params=1 locals=1 returns=value
+  0  LOAD 0
+  1  NOT
+  2  RET
+.end
+.func main params=1 locals=1 returns=value
+  0  LOAD 0
+  1  CALL {callee}
+  2  JUMP_IF_FALSE 5
+  3  PUSH_CONST 0
+  4  RET
+ L5  PUSH_CONST 1
+  6  RET
+.end
+"""
+
+
+def test_only_an_always_bool_callee_frees_its_caller_of_the_result_guard():
+    maybe_void, always_bool = (assemble(CALLS.format(callee=index)) for index in (0, 1))
+    assert translate(maybe_void).sources[2].count("is N: raise R") == 1
+    assert "is N" not in translate(always_bool).sources[2]
+    assert "is not True" not in translate(always_bool).sources[2]
+    assert agree_ok(maybe_void, [True]) == 1
+    expected, direct = assert_engines_agree(maybe_void, [False])
+    assert direct == ("restart",) and expected[1] == "VMTypeError"
+    assert agree_ok(always_bool, [True]) == 2 and agree_ok(always_bool, [False]) == 1
+    # is_prime returns only bools, so main tests nothing after calling it;
+    # fib's calls to itself read as maybe void, so fib guards their results.
+    prime = translate(compile_source(kernels.PRIME_COUNT)).sources
+    assert "is N" not in prime[1] and "is not True" not in prime[1]
+    fib = translate(compile_source(kernels.FIBONACCI)).sources[0]
+    assert fib.count("is N: raise R") == 2
+
+
+def test_remainder_and_quotient_of_negative_ints_in_a_proven_int_loop():
+    source = """
+    func main(n: int) -> int {
+        var s: int = 0;
+        for (var i: int = 0 - 13; i < 13; i = i + 1) {
+            s = s + i % 3 + i / 4 + 7 % (i - 13) + (0 - 9) / (i + 14) + i % (0 - 5);
+            s = s + i % n + (0 - i) / n;
+        }
+        return s;
+    }
+    """
+    program = compile_source(source)
+    (text,) = translate(program).sources
+    # n is guarded as an int at entry, i and s are proven ints: no type
+    # test in the loop, but the sign tests stay, with C semantics on the
+    # slow path.
+    assert text.count("type(") == 1
+    assert "modulo(" in text and "divide(" in text and ">= 0" in text
+    for n in (3, -4, 7):
+        assert agree_ok(program, [n]) == sum(
+            c_mod(i, 3) + c_div(i, 4) + c_mod(7, i - 13) + c_div(-9, i + 14) + c_mod(i, -5)
+            + c_mod(i, n) + c_div(-i, n)
+            for i in range(-13, 13)
+        )
+
+
+def c_mod(x, y):
+    return abs(x) % abs(y) * (1 if x >= 0 else -1)
+
+
+def c_div(x, y):
+    quotient = abs(x) // abs(y)
+    return quotient if (x >= 0) == (y >= 0) else -quotient
 
 
 def test_translation_leaves_wire_format_and_fingerprint_untouched():

@@ -22,11 +22,11 @@ import pytest
 from repro.common.errors import VMInvalidProgram
 from repro.core.results import ExecutionStatus
 from repro.provider.executor import TaskletExecutor, local_assignment
-from repro.tvm.assembler import assemble
 from repro.tvm.bytecode import CompiledProgram, FunctionCode, Instruction
 from repro.tvm.opcodes import Op
 from repro.tvm.translate import MAX_TRANSLATED_SIZE, translate
 
+from tests.tvm.assembler import assemble
 from tests.tvm.engines import assert_engines_agree, run_portable, run_translated
 
 

@@ -23,7 +23,6 @@ Comparison is two-tier:
 import random
 
 from repro.common.errors import VMError
-from repro.tvm.astinterp import AstInterpreter
 from repro.tvm.builtins import BUILTIN_ORDER
 from repro.tvm.bytecode import CompiledProgram, FunctionCode
 from repro.tvm.bytecode import Instruction as Ins
@@ -33,6 +32,7 @@ from repro.tvm.opcodes import Op
 from repro.tvm.parser import parse
 from repro.tvm.semantics import analyze
 
+from tests.tvm.astinterp import AstInterpreter
 from tests.tvm.engines import assert_engines_agree
 
 PROGRAM_COUNT = 520

@@ -9,8 +9,9 @@ corrupt it.  Programs are built through the assembler.
 import pytest
 
 from repro.common.errors import VMError, VMStackOverflow
-from repro.tvm.assembler import assemble
 from repro.tvm.vm import TVM, VMLimits, execute
+
+from tests.tvm.assembler import assemble
 
 
 def run_listing(listing: str, args=None, limits=None, seed=0):
