@@ -4,7 +4,7 @@ from .clock import Clock, VirtualClock, WallClock
 from .errors import TaskletError
 from .ids import ExecutionId, IdGenerator, JobId, NodeId, TaskletId, random_id
 from .rng import RngRegistry, derive_seed
-from .stats import EwmaTracker, Summary, Welford, summarize
+from .stats import EwmaTracker, Summary, summarize
 
 __all__ = [
     "Clock",
@@ -21,6 +21,5 @@ __all__ = [
     "derive_seed",
     "EwmaTracker",
     "Summary",
-    "Welford",
     "summarize",
 ]

@@ -101,44 +101,6 @@ def summarize(values: Iterable[float]) -> Summary:
     )
 
 
-class Welford:
-    """Online mean/variance accumulator (Welford's algorithm).
-
-    Used by the broker's per-provider latency tracker, where samples arrive
-    one heartbeat at a time and storing full histories per provider would
-    grow without bound.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        """Fold one sample into the running statistics."""
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        """Running mean; 0.0 before any sample."""
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased running variance; 0.0 with fewer than two samples."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        """Running standard deviation."""
-        return math.sqrt(self.variance)
-
-
 class EwmaTracker:
     """Exponentially weighted moving average, for drifting quantities.
 

@@ -7,12 +7,12 @@ broker replies and resolves the matching waiter.
 All the core knows about an in-flight submission is one :class:`_Pending`
 record, in one table per kind.  A submission becomes pending in one place
 (``_register``) and stops being pending in one place per kind
-(``_end_tasklet``, ``_end_workflow``) — completion, rejection and
-disconnect alike — so every waiter handed out is answered exactly once
-(DESIGN.md §8).
+(``_end_tasklet``, ``_end_workflow``) — completion, rejection,
+disconnect and a submission that did not encode alike — so every waiter
+handed out is answered exactly once (DESIGN.md §8).
 
 The tables are locked because TCP drives this core from two threads: the
-application submits while the link thread resolves, or on disconnect
+application submits while the consumer's loop thread resolves, or on disconnect
 fails, what is pending.  Tables and counters change under the lock;
 metrics, spans and the waiter's resolution (application callbacks) do not.
 """
@@ -249,6 +249,16 @@ class ConsumerCore:
             )
             for tasklet_id in tasklets
         )
+
+    def fail_unsent(self, envelopes: Sequence[Envelope], exc: TaskletError) -> None:
+        """End the submissions ``envelopes`` carry, failed with ``exc``: they
+        never left this host (they did not encode), so no answer can come."""
+        for body in (envelope.payload for envelope in envelopes):
+            if "workflow" in body:
+                self._end_workflow(body["workflow"]["workflow_id"], "unsent", exc)
+            else:
+                verdict = TaskletComplete(body["tasklet"]["tasklet_id"], ok=False, error=str(exc))
+                self._end_tasklet(verdict, "unsent", exc)
 
     # -- the ending paths -----------------------------------------------------
 

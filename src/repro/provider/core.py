@@ -5,7 +5,7 @@ one and decides whether a finished execution may still be reported
 (docs/PROTOCOL.md, "Epochs" and "Cancellation").  A driver moves the
 envelopes and decides when accepted work runs and what time it is
 stamped with — :class:`~repro.transport.tcp.TcpProvider` in wall time, on
-the link thread that read it when its program is known to be cheap and on
+the loop thread that read it when its program is known to be cheap and on
 a thread pool otherwise, :class:`~repro.provider.simulated.SimProvider` at
 assignment in virtual time (DESIGN.md, "Provider internals").
 """

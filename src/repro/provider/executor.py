@@ -3,7 +3,7 @@
 :class:`TaskletExecutor` turns an :class:`AssignExecution` request into an
 :class:`ExecutionOutcome`.  It is deliberately synchronous — concurrency
 is the responsibility of the caller (slot scheduling in the simulated
-provider; the link thread and the pool threads in the TCP provider, which
+provider; the loop thread and the pool threads in the TCP provider, which
 share one executor).
 
 A small LRU of verified programs avoids re-deserialising and re-verifying

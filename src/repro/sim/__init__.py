@@ -7,9 +7,7 @@ from .metrics import GaugeSeries, MetricsCollector, MetricsSummary
 from .network import (
     BandwidthLatency,
     ConstantLatency,
-    JitteredLatency,
     NetworkModel,
-    PerClassLatency,
     wire_size,
 )
 from .runner import SimConsumer, Simulation
@@ -32,9 +30,7 @@ __all__ = [
     "MetricsSummary",
     "BandwidthLatency",
     "ConstantLatency",
-    "JitteredLatency",
     "NetworkModel",
-    "PerClassLatency",
     "wire_size",
     "SimConsumer",
     "Simulation",

@@ -1,12 +1,10 @@
 """Network models for the simulator.
 
 The paper's testbed spans a campus LAN plus mobile devices; we model the
-network as a per-message delivery delay.  Three models cover the
+network as a per-message delivery delay.  Two models cover the
 experiments:
 
 * :class:`ConstantLatency` — fixed one-way delay, the default;
-* :class:`JitteredLatency` — uniform jitter around a base delay
-  (deterministic via a seeded stream);
 * :class:`BandwidthLatency` — base delay plus a size-proportional term,
   used in the overhead-decomposition experiment (F2) where code+data
   transfer matters.
@@ -17,7 +15,6 @@ transport sends, so code-shipping costs are faithful to it.
 
 from __future__ import annotations
 
-import random
 from typing import Protocol
 
 from ..common.ids import NodeId
@@ -49,20 +46,6 @@ class ConstantLatency:
         return self.latency_s
 
 
-class JitteredLatency:
-    """Uniform jitter in ``[base - jitter, base + jitter]``."""
-
-    def __init__(self, base_s: float = 0.005, jitter_s: float = 0.002, seed: int = 0):
-        if base_s - jitter_s < 0:
-            raise ValueError("jitter would produce negative delays")
-        self.base_s = base_s
-        self.jitter_s = jitter_s
-        self._rng = random.Random(seed)
-
-    def delay(self, src: NodeId, dst: NodeId, envelope: Envelope) -> float:
-        return self.base_s + self._rng.uniform(-self.jitter_s, self.jitter_s)
-
-
 class BandwidthLatency:
     """Base propagation delay plus serialisation over a shared-class link.
 
@@ -79,24 +62,3 @@ class BandwidthLatency:
 
     def delay(self, src: NodeId, dst: NodeId, envelope: Envelope) -> float:
         return self.base_s + wire_size(envelope) * 8.0 / self.bandwidth_bps
-
-
-class PerClassLatency:
-    """Different delays per (src-class, dst-class) pair.
-
-    Node classes are resolved through a callback so the model stays
-    decoupled from the runner's node table.  Unknown pairs fall back to
-    ``default``.
-    """
-
-    def __init__(self, class_of, delays: dict[tuple[str, str], float], default: float = 0.005):
-        self.class_of = class_of
-        self.delays = dict(delays)
-        self.default = default
-
-    def delay(self, src: NodeId, dst: NodeId, envelope: Envelope) -> float:
-        key = (self.class_of(src), self.class_of(dst))
-        if key in self.delays:
-            return self.delays[key]
-        reverse = (key[1], key[0])
-        return self.delays.get(reverse, self.default)

@@ -1,43 +1,4 @@
-"""Transport: typed messages plus the real TCP deployment (see tcp.py)."""
-
-from .codec import CODEC_BINARY
-from .message import (
-    AssignExecution,
-    BROKER_ADDRESS,
-    CancelExecution,
-    Envelope,
-    ExecutionRejected,
-    ExecutionResult,
-    Heartbeat,
-    MESSAGE_TYPES,
-    MessageBody,
-    REASON_UNKNOWN_PROVIDER,
-    RegisterAck,
-    RegisterProvider,
-    SubmitAck,
-    SubmitTasklet,
-    TaskletComplete,
-    Unregister,
-    body_of,
-)
-
-__all__ = [
-    "AssignExecution",
-    "BROKER_ADDRESS",
-    "CODEC_BINARY",
-    "CancelExecution",
-    "Envelope",
-    "ExecutionRejected",
-    "ExecutionResult",
-    "Heartbeat",
-    "MESSAGE_TYPES",
-    "MessageBody",
-    "REASON_UNKNOWN_PROVIDER",
-    "RegisterAck",
-    "RegisterProvider",
-    "SubmitAck",
-    "SubmitTasklet",
-    "TaskletComplete",
-    "Unregister",
-    "body_of",
-]
+"""Transport: typed messages (``message``), the ``bin2`` wire codec
+(``codec``) and the real TCP deployment — every node's loop, link and
+dial loop, and the broker's driver (``aio``); the provider's and the
+consumer's drivers (``tcp``)."""

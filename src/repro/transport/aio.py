@@ -1,17 +1,13 @@
-"""The broker's driver: one asyncio loop thread that owns everything.
+"""Every node's driver runs one asyncio loop, on one thread it owns.
 
-:class:`TcpBroker` serves every peer — providers, consumers, federation
-peer brokers — from one event loop on one thread it starts, runs and
-joins itself.  That thread is the only one that touches the
-:class:`~repro.broker.core.BrokerCore`, the connection table and every
-:class:`AioConnection` send queue, so nothing here takes a lock; the one
-outside reader, ``/healthz``, hops onto the loop and waits (DESIGN.md,
-"Who runs what").  Providers and consumers have one link each and use
-the blocking client link of :mod:`repro.transport.tcp` instead.
-
-Writes are coalesced, one flush per loop turn (docs/PROTOCOL.md, "Write
-coalescing"); frames and byte accounting are those of
-:mod:`repro.transport.codec`, shared with the client connection.
+:class:`_Node` is that lifecycle, shared by :class:`TcpBroker` (here) and
+:mod:`repro.transport.tcp`'s provider and consumer.  A node's loop thread
+alone touches its core's handler, its connections and their send queues,
+so nothing takes a lock; other threads hop onto the loop (DESIGN.md, "Who
+runs what").  Every link is an :class:`AioConnection`, and :func:`dial`
+opens every outbound one: a client's to its broker, a broker's to each
+federation peer.  Writes are coalesced, one flush per loop turn
+(docs/PROTOCOL.md, "Write coalescing"); frames are :mod:`.codec`'s.
 """
 
 from __future__ import annotations
@@ -24,19 +20,19 @@ import time
 import uuid
 from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable
+from typing import Awaitable, Callable, Sequence
 
 from ..broker.core import BrokerConfig, BrokerCore
 from ..broker.federation import FederationConfig
 from ..broker.journal import WorkJournal
 from ..broker.scheduling import make_strategy
 from ..common.clock import WallClock
-from ..common.errors import CodecError, ConnectionClosed, TransportError
+from ..common.errors import CodecError, ConnectionClosed, FederationExhausted, TransportError
 from ..common.ids import IdGenerator, NodeId
 from ..obs import events as ev
 from ..obs.server import ObsServer
 from ..obs.telemetry import Telemetry, TransportMetrics
-from .codec import CODEC_BINARY, EnvelopeDecoder, count_sent, decode_chunk, encode_batch
+from .codec import CODEC_BINARY, EnvelopeDecoder, decode_chunk, encode_batch
 from .message import BROKER_ADDRESS, Envelope, PeerHello
 
 #: A flush larger than this is split across writes; bounds per-batch
@@ -47,14 +43,89 @@ FLUSH_MAX_ENVELOPES = 512
 #: reports the loop itself as the fault.
 HEALTH_WAIT_S = 1.0
 
+#: The dial loop's first wait between rounds, and its cap for the links
+#: that redial forever (a provider's, a federation peer's), in seconds.
+RECONNECT_BACKOFF_S = 0.2
+RECONNECT_BACKOFF_MAX_S = 5.0
+
 
 def _jittered(rng: random.Random, delay: float) -> float:
     """Stretch a backoff delay by up to 50 %: no fleet redials in lockstep."""
     return delay * (1.0 + 0.5 * rng.random())
 
 
+async def dial(
+    addresses: Sequence[tuple[str, int]],
+    factory: Callable[[int], "AioConnection"],
+    rng: random.Random,
+    first: int = 0,
+    wait: bool = False,
+    cap: int | None = None,
+    typed: bool = False,
+    backoff_max: float = RECONNECT_BACKOFF_MAX_S,
+) -> None:
+    """The one dial loop: connect to the first of ``addresses`` that
+    answers, its protocol built by ``factory(index)`` — which queues the
+    greeting, so nothing precedes it on the stream.
+
+    Rounds cycle the list from ``first`` (the last good address); before
+    each round — but the first, unless ``wait`` — the wait is the capped,
+    doubling, jittered backoff from :data:`RECONNECT_BACKOFF_S`.  Once
+    ``cap`` dials failed (``None``: never) it raises the last dial's own
+    ``OSError``, or with ``typed`` a :class:`FederationExhausted`.
+    """
+    loop = asyncio.get_running_loop()
+    attempts, delay = 0, RECONNECT_BACKOFF_S
+    while True:
+        if wait or attempts:
+            await asyncio.sleep(_jittered(rng, delay))
+            delay = min(delay * 2.0, backoff_max)
+        for offset in range(len(addresses)):
+            index = (first + offset) % len(addresses)
+            attempts += 1
+            host, port = addresses[index]
+            try:
+                connect = loop.create_connection(lambda: factory(index), host, port)
+                await asyncio.wait_for(connect, timeout=5.0)
+                return
+            except asyncio.TimeoutError:  # (an OSError itself only from Python 3.11)
+                error = TimeoutError(f"dial to {host}:{port} timed out")
+            except OSError as exc:
+                error = exc
+        if cap is not None and attempts >= cap:
+            if not typed:
+                raise error
+            raise FederationExhausted(
+                f"no broker reachable after {attempts} attempts",
+                brokers=[f"{host}:{port}" for host, port in addresses],
+                attempts=attempts,
+            ) from error
+
+
+def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
+    """A node's loop thread: run until stopped, then close the loop."""
+    asyncio.set_event_loop(loop)
+    try:
+        loop.run_forever()
+        # Drain: give cancelled tasks one cycle to unwind before the
+        # loop closes, so shutdown never leaks "pending task" noise.
+        pending = asyncio.all_tasks(loop)
+        for task in pending:
+            task.cancel()
+        if pending:
+            loop.run_until_complete(
+                asyncio.gather(*pending, return_exceptions=True)
+            )
+    finally:
+        loop.close()
+
+
 class _Node:
-    """``with node:`` is ``node.start()`` … ``node.stop()``."""
+    """A node's driver: one asyncio loop on one thread it starts, runs and
+    joins itself.  ``with node:`` is ``node.start()`` … ``node.stop()``."""
+
+    _loop: asyncio.AbstractEventLoop | None = None  # from start to stop
+    _thread: threading.Thread | None = None
 
     def __enter__(self):
         return self.start()
@@ -62,9 +133,50 @@ class _Node:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
+    def _start_loop(self, name: str) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=_run_loop, args=(self._loop,), name=name, daemon=True
+        )
+        self._thread.start()
+
+    def _await(self, coroutine: Awaitable, timeout: float | None = None):
+        """Run ``coroutine`` on the loop; its result (another thread)."""
+        if threading.current_thread() is self._thread:
+            raise TransportError("a node's loop cannot wait on itself")
+        return asyncio.run_coroutine_threadsafe(coroutine, self._loop).result(timeout)
+
+    def _hop(self, callback: Callable, *args) -> bool:
+        """Post ``callback(*args)`` to the loop (another thread): the one
+        way in.  False once the loop is gone."""
+        loop = self._loop
+        try:
+            loop.call_soon_threadsafe(callback, *args)
+        except (AttributeError, RuntimeError):  # (stopped: None, or closed)
+            return False
+        return True
+
+    def _halt_loop(self, closing: Callable[[], Awaitable]) -> None:
+        """Run ``closing()`` on the loop, stop it and join its thread
+        (bounded: a wedged loop is abandoned to its daemon thread)."""
+        loop, thread = self._loop, self._thread
+        self._loop = self._thread = None
+        if thread is threading.current_thread():  # (a callback stopping its own node)
+            loop.create_task(closing()).add_done_callback(lambda _: loop.stop())
+            return
+        try:
+            asyncio.run_coroutine_threadsafe(closing(), loop).result(timeout=5.0)
+        except Exception:
+            pass  # loop wedged or already dead; the join below cleans up
+        try:
+            loop.call_soon_threadsafe(loop.stop)
+        except RuntimeError:
+            pass  # loop already closed
+        thread.join(5.0)
+
 
 class AioConnection(asyncio.Protocol):
-    """One framed peer link of the broker (loop thread only).  Bytes are
+    """One framed link of a node (its loop thread only).  Bytes are
     decoded in the callback that received them, each envelope handed to
     ``on_envelope(connection, envelope)`` there and then.  ``send``
     queues; the first send of a loop turn schedules the one flush of what
@@ -100,12 +212,27 @@ class AioConnection(asyncio.Protocol):
         self._queue.append(envelope)
         self._schedule()
 
+    def send_encoded(self, frames: bytes, count: int, now: bool = False) -> None:
+        """Enqueue ``count`` envelopes already encoded into ``frames`` by
+        the thread that made them — where one that does not encode fails
+        alone, as it would not here — and with ``now`` write the queue at
+        once, not at the turn's flush.  Raises as :meth:`send` does."""
+        if self.closed:
+            raise ConnectionClosed("connection closed")
+        self._queue.append((frames, count))
+        if now and self._transport is not None:
+            self.flush()
+        else:
+            self._schedule()
+
     def _schedule(self) -> None:
         if not (self._flush_due or self._paused or self._transport is None):
             self._flush_due = True
-            self._loop.call_soon(self._flush)
+            self._loop.call_soon(self.flush)
 
-    def _flush(self) -> None:
+    def flush(self) -> None:
+        """Write what is queued: the loop turn's one flush, or sooner for
+        a sender that asked for ``now``."""
         self._flush_due = False
         queue = self._queue
         try:
@@ -117,10 +244,28 @@ class AioConnection(asyncio.Protocol):
             # link ends (and ``connection_lost`` reports it).
             self.close(flush=False)
 
-    def _write_batch(self, batch: list[Envelope]) -> None:
-        data = encode_batch(batch, CODEC_BINARY)
+    def _write_batch(self, batch: list) -> None:
+        """One socket write, in queue order: each run of envelopes encoded
+        in one call, and the ``(frames, count)`` senders encoded as is."""
+        parts, run, count = [], [], 0
+        for item in batch:
+            if type(item) is not tuple:
+                run.append(item)
+                continue
+            if run:
+                parts.append(encode_batch(run, CODEC_BINARY))
+                count, run = count + len(run), []
+            parts.append(item[0])
+            count += item[1]
+        if run:
+            parts.append(encode_batch(run, CODEC_BINARY))
+            count += len(run)
+        data = parts[0] if len(parts) == 1 else b"".join(parts)
         self._transport.write(data)
-        count_sent(self._metrics, len(data), len(batch))
+        if (metrics := self._metrics) is not None:
+            metrics.bytes.labels(direction="out", codec=CODEC_BINARY).inc(len(data))
+            metrics.messages.labels(direction="out", codec=CODEC_BINARY).inc(count)
+            metrics.flushes.inc()
 
     def pause_writing(self) -> None:
         self._paused = True
@@ -188,7 +333,7 @@ class TcpBroker(_Node):
 
     Federation: pass ``broker_id`` plus ``peers`` (peer broker id ->
     ``(host, port)``) to join a static peer set.  The broker dials every
-    peer (with backoff), introduces itself with a ``PeerHello``, and the
+    peer (:func:`dial`), introduces itself with a ``PeerHello``, and the
     link's callbacks route gossip/forward traffic into the core like any
     other connection's.
     ``peer_journals`` (peer id -> journal path) additionally enables
@@ -284,8 +429,6 @@ class TcpBroker(_Node):
         #: close them all promptly.
         self._accepted: set[AioConnection] = set()
         self.state = self.STOPPED
-        self._loop: asyncio.AbstractEventLoop | None = None  # while not stopped
-        self._thread: threading.Thread | None = None
         self._server: asyncio.base_events.Server | None = None
         self._tasks: list[asyncio.Task] = []
         self.obs: ObsServer | None = (
@@ -314,16 +457,10 @@ class TcpBroker(_Node):
         be tried again."""
         if self.state != self.STOPPED:
             raise TransportError(f"broker is {self.state}")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, args=(self._loop,), name="broker-aio", daemon=True
-        )
         self.state = self.RUNNING
-        self._thread.start()
+        self._start_loop("broker-aio")
         try:
-            asyncio.run_coroutine_threadsafe(
-                self._serve(), self._loop
-            ).result(timeout=10.0)
+            self._await(self._serve(), timeout=10.0)
             if self.obs is not None:
                 self.obs.start()
         except BaseException:
@@ -346,22 +483,8 @@ class TcpBroker(_Node):
             self.journal.close()
 
     def _halt(self) -> None:
-        """Shut the loop down and join its thread (bounded: a wedged
-        loop is abandoned to its daemon thread)."""
         self.state = self.STOPPING
-        loop, thread = self._loop, self._thread
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._shutdown(), loop
-            ).result(timeout=5.0)
-        except Exception:
-            pass  # loop wedged or already dead; the join below cleans up
-        try:
-            loop.call_soon_threadsafe(loop.stop)
-        except RuntimeError:
-            pass  # loop already closed
-        thread.join(5.0)
-        self._loop = self._thread = None
+        self._halt_loop(self._shutdown)
         self.state = self.STOPPED
 
     def _health_document(self) -> dict:
@@ -387,23 +510,6 @@ class TcpBroker(_Node):
         return document
 
     # -- everything below runs on the loop thread ------------------------------
-
-    @staticmethod
-    def _run_loop(loop: asyncio.AbstractEventLoop) -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_forever()
-            # Drain: give cancelled tasks one cycle to unwind before the
-            # loop closes, so shutdown never leaks "pending task" noise.
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-        finally:
-            loop.close()
 
     async def _health(self) -> dict:
         document = self.core.health_snapshot()
@@ -491,34 +597,25 @@ class TcpBroker(_Node):
                 self._report_defect(ev.TICK_FAULT, self.core.node_id, "tick fault", exc)
 
     async def _peer_task(self, peer_id: str, host: str, port: int) -> None:
-        """Maintain the outbound link to one federation peer.
-
-        Dial with capped exponential backoff plus jitter, introduce
-        ourselves with a ``PeerHello`` (reply expected, so the peer's
-        epoch lands in our table immediately), then read the link like any
-        other connection.  Both sides dialing each other is fine: forwards
-        and gossip are idempotent, and ``_connections`` keeps whichever
-        link registered last.
+        """Keep the outbound link to one federation peer up: :func:`dial`
+        it, forever, introducing ourselves with a ``PeerHello`` (reply
+        expected, so the peer's epoch lands in our table immediately), and
+        read the link like any other connection.  Both sides dialing each
+        other is fine: forwards and gossip are idempotent, and
+        ``_connections`` keeps whichever link registered last.
         """
-        backoff = 0.2
         rng = random.Random(f"{self.core.node_id}->{peer_id}")
         me, peer = self.core.node_id, NodeId(peer_id)
-        loop = asyncio.get_running_loop()
+        connection = None
 
-        def dialed() -> AioConnection:
+        def dialed(_index: int) -> AioConnection:
+            nonlocal connection
             hello = PeerHello(str(me), self.core.federation.epoch, reply_expected=True)
-            return self._adopt(peer, greeting=hello.envelope(me, peer))
+            connection = self._adopt(peer, greeting=hello.envelope(me, peer))
+            return connection
 
         while self.state == self.RUNNING:
-            try:
-                _, connection = await asyncio.wait_for(
-                    loop.create_connection(dialed, host, port), timeout=5.0
-                )
-            except (OSError, asyncio.TimeoutError):
-                await asyncio.sleep(_jittered(rng, backoff))
-                backoff = min(backoff * 2.0, 5.0)
-                continue
-            backoff = 0.2
+            await dial([(host, port)], dialed, rng, wait=connection is not None)
             await connection.lost
 
     def _learn_peer(self, connection: AioConnection, peer_id: NodeId) -> None:

@@ -223,14 +223,6 @@ def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:
     return bytes(out)
 
 
-def count_sent(metrics, size: int, envelopes: int) -> None:
-    """Account one socket write on the optional ``TransportMetrics``."""
-    if metrics is not None:
-        metrics.bytes.labels(direction="out", codec=CODEC_BINARY).inc(size)
-        metrics.messages.labels(direction="out", codec=CODEC_BINARY).inc(envelopes)
-        metrics.flushes.inc()
-
-
 def decode_chunk(
     decoder: EnvelopeDecoder, chunk: bytes, metrics
 ) -> list[Envelope]:

@@ -1,47 +1,31 @@
 """Real TCP deployment of the Tasklet middleware: the client side.
 
-The same sans-IO cores used by the simulator run here behind real
-sockets:
+The sans-IO cores the simulator drives run here behind real sockets:
+:class:`TcpProvider` runs what its ``ProviderCore`` accepts (known-cheap
+work on its loop, the rest on a pool) and heartbeats; :class:`TcpConsumer`
+is a ``Session`` over a broker link, so ``TaskletLibrary`` works unchanged.
+(:class:`TcpBroker`, importable from here, lives in :mod:`.aio`.)
 
-* :class:`TcpProvider` — runs what its :class:`~repro.provider.core.ProviderCore`
-  accepts (known-cheap work on its link thread, the rest on a pool), heartbeats;
-* :class:`TcpConsumer` — a :class:`~repro.consumer.library.Session` over a
-  broker connection, so ``TaskletLibrary`` works unchanged.
-
-(:class:`TcpBroker`, importable from here, is the asyncio driver of
-:mod:`repro.transport.aio`; a provider in its own OS process is
-:mod:`repro.provider.process`.  DESIGN.md, "Who runs what", says which
-thread runs which part of each node.)
-
-Provider and consumer are thin clients of the broker with one link
-each, so they share one client-side mechanism, :class:`_BrokerLink`: a
-blocking socket written under a mutex (:class:`_Connection`), a reader
-thread, the broker list, the redial backoff and one explicit state.
-What differs by role — what to say on connect; redial forever, up to a
-cap, or never — the role passes in.
-
-Frames are :mod:`repro.transport.codec`'s; what a lost link means for
-each role — a consumer's futures fail typed, a provider redials and
-re-registers, a draining stop cannot lose a result — is
-docs/PROTOCOL.md, "Connection lifecycle".
+Each speaks as the broker does: one loop on a thread it owns
+(``<id>-link``), one ``AioConnection``, opened by ``aio.dial``.  They
+share :class:`_Client` — the broker list, the redial policy and one
+``state`` the loop owns — and differ in what they say on connect and how
+they redial.  Other threads hop onto the loop (DESIGN.md, "Who runs
+what"); what a lost link means for each is docs/PROTOCOL.md, "Connection
+lifecycle".
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
-import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..common.clock import WallClock
-from ..common.errors import (
-    CodecError,
-    ConnectionClosed,
-    FederationExhausted,
-    TransportError,
-)
+from ..common.errors import CodecError, FederationExhausted, TransportError
 from ..common.ids import NodeId, random_id
 from ..consumer.core import ConsumerCore
 from ..consumer.session import CoreSession
@@ -50,332 +34,205 @@ from ..obs.server import ObsServer
 from ..obs.telemetry import Telemetry, TransportMetrics
 from ..provider.benchmark import run_benchmark
 from ..provider.core import ProviderConfig, ProviderCore, Work
-from .aio import TcpBroker, _jittered, _Node  # noqa: F401  (TcpBroker: re-exported)
-from .codec import CODEC_BINARY, EnvelopeDecoder, count_sent, decode_chunk, encode_batch
+from . import aio
+from .aio import AioConnection, TcpBroker, _Node  # noqa: F401  (TcpBroker: re-exported)
+from .codec import CODEC_BINARY, encode_batch
 from .message import Envelope, HeartbeatAck
 
-_RECV_CHUNK = 65536
-
-#: A provider's redial backoff: first wait and cap, in seconds (it
-#: redials forever).
-RECONNECT_BACKOFF_S = 0.2
-RECONNECT_BACKOFF_MAX_S = 5.0
-#: A consumer given a broker list fails over with this backoff, and gives
-#: up after this many failed dials.
-FAILOVER_BACKOFF_S = 0.2
+#: A consumer given a broker list fails over with a lower backoff cap,
+#: and gives up after this many failed dials.
 FAILOVER_BACKOFF_MAX_S = 2.0
 MAX_FAILOVER_ATTEMPTS = 12
 
-#: A send-time hook, run on each envelope of a write under the send lock
-#: just before encoding: ``Heartbeat.sent_at`` is stamped so, and a wait
-#: for the lock is not billed as network RTT.
-Stamp = Callable[[Envelope], None]
 
+class _Client(_Node):
+    """A node with one link to a broker, driven from its own loop.
 
-class _Connection:
-    """One framed, thread-safe TCP connection (client side).
+    ``state`` is the link's one fact, changed on the loop only: ``closed``
+    → ``down`` (dialing) → ``up`` → ``down`` (lost: redialing) → ``up`` …,
+    until ``exhausted`` (the redial cap is spent; the typed error is kept
+    in ``exhausted``) or ``closed``.  ``max_attempts`` is the redial
+    policy: ``None`` redials forever, ``0`` never (the owner calls
+    ``start`` again), ``n`` gives up after ``n`` failed dials.  ``start``
+    applies the same cap, but tries the list at least once.
 
-    Writes go out under a mutex: ``send_many`` takes the send lock, runs
-    its ``stamp`` hook, encodes, hands the bytes to the kernel in one
-    ``sendall`` and releases.  So a send that returned *is* written — a
-    later ``close`` cannot lose it — senders reach the wire in lock
-    order, and a stamp (``Heartbeat.sent_at``) is taken just before its
-    bytes leave.  A send that raises wrote nothing or killed the stream;
-    it never wedges the senders behind it.
-
-    ``metrics`` is an optional :class:`TransportMetrics` bundle; framed
-    bytes and envelope counts are reported per direction.
+    A role supplies ``_greeting(redial)`` (what opens a new stream),
+    ``_on_envelope`` and ``_on_lost(reason)`` — all run on the loop.
+    What a client sends is encoded on the thread that made it (with
+    :func:`encode_batch`, looked up per call), so an envelope that does
+    not encode fails its sender alone and the link stays up.
     """
 
-    def __init__(
-        self, sock: socket.socket, metrics: TransportMetrics | None = None
-    ):
-        self.sock = sock
-        self.decoder = EnvelopeDecoder()
-        self._send_lock = threading.Lock()
-        self._closed = False
-        self._metrics = metrics
+    CLOSED, DOWN, UP, EXHAUSTED = "closed", "down", "up", "exhausted"
 
-    def send(self, envelope: Envelope) -> None:
-        self.send_many((envelope,))
-
-    def send_many(self, envelopes: Sequence[Envelope], stamp: Stamp | None = None) -> None:
-        """Write ``envelopes`` as one socket write; returns once written."""
-        with self._send_lock:
-            if self._closed:
-                raise ConnectionClosed("connection closed")
-            if stamp is not None:
-                for envelope in envelopes:
-                    stamp(envelope)
-            data = encode_batch(envelopes, CODEC_BINARY)
-            try:
-                self.sock.sendall(data)
-            except OSError as exc:
-                raise ConnectionClosed(f"send failed: {exc}") from exc
-        count_sent(self._metrics, len(data), len(envelopes))
-
-    def recv_envelopes(self) -> list[Envelope] | None:
-        """Block for data; completed envelopes, or ``None`` once the
-        stream is dead (EOF or socket error).  Undecodable bytes raise
-        :class:`~repro.common.errors.CodecError`."""
-        try:
-            chunk = self.sock.recv(_RECV_CHUNK)
-        except OSError:
-            chunk = b""
-        return decode_chunk(self.decoder, chunk, self._metrics) if chunk else None
-
-    def close(self) -> None:
-        # A send in progress finishes first.  The wait is bounded: a
-        # sender wedged on a dead peer is cut off by the shutdown below.
-        held = self._send_lock.acquire(timeout=2.0)
-        self._closed = True
-        if held:
-            self._send_lock.release()
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.sock.close()
-
-
-class _BrokerLink:
-    """A client's one supervised link to its broker.
-
-    Owns what a provider and a consumer both need: the socket and its
-    reader thread, the broker list and the index of the last good broker,
-    capped exponential backoff with jitter, and one explicit ``state`` —
-    ``CONNECTING`` (``start`` is dialing on its caller's thread) → ``UP``
-    → ``DOWN`` (the stream died; the link thread backs off and redials) →
-    ``UP`` …, until ``EXHAUSTED`` (redial cap spent; the typed error is
-    kept in ``exhausted``) or ``CLOSED``.
-
-    ``max_attempts`` is the redial policy: ``None`` retries forever, ``0``
-    never redials (the owner calls ``start`` again), ``n`` gives up with
-    :class:`FederationExhausted` after ``n`` failed dials.  ``start``
-    applies the same cap, but tries the list at least once and never
-    waits unboundedly.
-
-    ``on_connect(redial)`` returns the envelopes that open a new stream
-    (a provider's registration); it runs under the link lock, so it must
-    not call back into the link.  ``on_envelope`` sees every inbound
-    envelope; ``on_lost(reason)`` runs when an ``UP`` link dies other
-    than by ``close``.
-    """
-
-    CLOSED, CONNECTING, UP, DOWN, EXHAUSTED = (
-        "closed", "connecting", "up", "down", "exhausted"
-    )
-
-    def __init__(
-        self,
-        node_id: NodeId,
-        brokers: list[tuple[str, int]] | None,
-        broker_host: str | None,
-        broker_port: int | None,
-        backoff: float,
-        backoff_max: float,
-        max_attempts: int | None,
-        telemetry: Telemetry | None,
-        on_envelope: Callable[[Envelope], None],
-        on_lost: Callable[[str], None],
-        on_connect: Callable[[bool], Sequence[Envelope]] = lambda redial: (),
-    ):
+    def __init__(self, node_id, brokers, broker_host, broker_port, telemetry, max_attempts,
+                 backoff_max):
         if brokers:
             self._brokers = [tuple(address) for address in brokers]
         elif broker_host is not None and broker_port is not None:
             self._brokers = [(broker_host, broker_port)]
         else:
             raise ValueError("either broker_host/broker_port or brokers required")
+        self.node_id, self.telemetry = node_id, telemetry
         self._index = 0  # the last good broker; dial rounds start here
-        self._node_id = node_id
-        self._backoff = backoff
-        self._backoff_max = backoff_max
-        self._max_attempts = max_attempts
-        self.metrics = TransportMetrics(telemetry.registry) if telemetry else None
-        self._events = telemetry.events if telemetry else None
-        self._on_envelope = on_envelope
-        self._on_lost = on_lost
-        self._on_connect = on_connect
         self._rng = random.Random(node_id)
-        self._lock = threading.Condition()
-        #: Bumped by ``start`` and ``close``: a dial or reader thread that
-        #: carries an older number has been superseded and just leaves.
-        self._generation = 0
-        self._connection: _Connection | None = None  # set only while UP
+        self._max_attempts = max_attempts
+        self._backoff_max = backoff_max
+        self._metrics = TransportMetrics(telemetry.registry) if telemetry else None
+        self._events = telemetry.events if telemetry else None
+        self._connection: AioConnection | None = None  # set only while up
+        self._redialing: asyncio.Task | None = None
+        self._connecting: asyncio.Task | None = None  # a dial started on the loop itself
         self.state = self.CLOSED
         self.exhausted: FederationExhausted | None = None
 
     @property
     def connected(self) -> bool:
+        """Whether the broker link is up right now."""
         return self.state == self.UP
 
-    def send_many(self, envelopes: Sequence[Envelope], stamp: Stamp | None = None) -> None:
-        connection = self._connection
-        if connection is None:
-            raise ConnectionClosed(f"broker link is {self.state}")
-        connection.send_many(envelopes, stamp)
+    def _greeting(self, redial: bool) -> Sequence[Envelope]:
+        return ()
 
-    def start(self) -> None:
-        """(Re)open the link from scratch, dialing on the caller's thread.
+    # -- the caller's thread --------------------------------------------------
 
-        Raises when no broker answers: :class:`FederationExhausted` under
-        a ``max_attempts`` cap, the dial's own ``OSError`` otherwise.
-        """
-        self.close()
-        with self._lock:
-            self._generation += 1
-            generation = self._generation
-            self.state = self.CONNECTING
-            self.exhausted = None
+    def _open_link(self) -> None:
+        """(Re)open the link from scratch, starting the loop if needed.
+        Raises as the dial does, and then leaves nothing running.
+
+        On the node's own loop — ``reconnect()`` inside ``on_disconnect``
+        or a future's callback — the dial cannot be waited for: it runs
+        next, and what is submitted meanwhile waits for it."""
+        if self._loop is None:
+            self._start_loop(f"{self.node_id}-link")
+        if threading.current_thread() is self._thread:
+            self._connecting = self._loop.create_task(self._reconnect())
+            return
         try:
-            connection = self._dial(generation, redial=False)
+            self._await(self._connect())
         except BaseException:
-            self._settle(generation, self.CLOSED)
+            self._close_link()
             raise
-        if connection is not None:
-            threading.Thread(
-                target=self._run,
-                args=(generation, connection),
-                name=f"{self._node_id}-link",
-                daemon=True,
-            ).start()
 
-    def close(self) -> None:
-        """Tear the link down; prompt in every state, idempotent."""
-        with self._lock:
-            self._generation += 1
-            connection, self._connection = self._connection, None
-            self.state = self.CLOSED
-            self._lock.notify_all()  # cuts a backoff wait short
-        if connection is not None:
-            connection.close()
+    def _close_link(self, *last: Envelope) -> None:
+        """Say ``last``, close the link gracefully and stop the loop;
+        prompt in every state, idempotent."""
+        if self._loop is not None:
+            self._halt_loop(lambda: self._close(last))
+        self.state = self.CLOSED
 
-    def _settle(self, generation: int, state: str) -> bool:
-        """Move to ``state`` — unless ``close`` or ``start`` took the link
-        over meanwhile (then False: the caller just leaves)."""
-        with self._lock:
-            if self._generation != generation:
-                return False
-            self._connection = None
-            self.state = state
-            return True
+    # -- the loop ---------------------------------------------------------------
 
-    def _run(self, generation: int, connection: _Connection | None) -> None:
-        """The link thread: read until the stream dies, redial, repeat."""
-        while connection is not None:
-            reason = "connection to broker lost"
-            try:
-                while (envelopes := connection.recv_envelopes()) is not None:
-                    for envelope in envelopes:
-                        self._on_envelope(envelope)
-            except CodecError as exc:
-                reason = f"refused: {exc}"  # not bin2 frames: end the stream
-            except Exception as exc:
-                # Nothing a peer sends raises out of ``on_envelope`` (the
-                # cores report an unreadable envelope), so this is a defect
-                # in the handler — and the link's loss like any other: a
-                # reader that unwound behind an ``UP`` state would leave the
-                # node heartbeating, sending, and deaf.
-                reason = f"handler fault: {type(exc).__name__}: {exc}"
-            connection.close()
-            if not self._settle(generation, self.DOWN):
-                return
-            self._on_lost(reason)
-            if self._max_attempts == 0:
-                return
-            connection = self._dial(generation, redial=True)
+    async def _connect(self) -> None:
+        await self._close(())
+        self.state, self.exhausted = self.DOWN, None
+        await self._dial(redial=False)
 
-    def _dial(self, generation: int, redial: bool) -> _Connection | None:
-        """Bring the link ``UP`` on the first broker that answers.
-
-        Rounds cycle the list from the last good broker; between rounds
-        (and before a redial's first) the wait is the capped, doubling,
-        jittered backoff, cut short by ``close``.  Returns ``None`` when
-        superseded; raises once the attempt cap is spent.
-        """
-        cap = self._max_attempts if redial else (self._max_attempts or 1)
-        attempts, delay = 0, self._backoff
-        while True:
-            if redial or attempts:
-                with self._lock:
-                    if self._lock.wait_for(
-                        lambda: self._generation != generation,
-                        _jittered(self._rng, delay),
-                    ):
-                        return None
-                delay = min(delay * 2.0, self._backoff_max)
-            for offset in range(len(self._brokers)):
-                index = (self._index + offset) % len(self._brokers)
-                attempts += 1
-                try:
-                    return self._open(index, generation, redial)
-                except (OSError, ConnectionClosed) as exc:
-                    error = exc
-            if cap is not None and attempts >= cap:
-                if not self._max_attempts:
-                    raise error  # a plain one-shot start(): the OSError itself
-                exhausted = FederationExhausted(
-                    f"no broker reachable after {attempts} attempts",
-                    brokers=[f"{host}:{port}" for host, port in self._brokers],
-                    attempts=attempts,
-                )
-                if not redial:
-                    raise exhausted from error
-                if self._settle(generation, self.EXHAUSTED):
-                    self.exhausted = exhausted
-                    if self._events is not None:
-                        self._events.record(
-                            ev.FEDERATION_EXHAUSTED,
-                            node=str(self._node_id),
-                            brokers=exhausted.brokers,
-                            attempts=attempts,
-                        )
-                return None
-
-    def _open(
-        self, index: int, generation: int, redial: bool
-    ) -> _Connection | None:
-        """Connect to broker ``index``, greet it, and publish the link."""
-        host, port = self._brokers[index]
-        sock = socket.create_connection((host, port), timeout=5.0)
-        sock.settimeout(None)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # frames are small: no Nagle
-        connection = _Connection(sock, self.metrics)
-        # Greet and publish in one step under the link lock: no other
-        # sender reaches the new stream before the owner's envelopes, and
-        # nothing is written once close() was called.
-        with self._lock:
-            if self._generation != generation:
-                connection.close()
-                return None
-            greeting = self._on_connect(redial)
-            try:
-                if greeting:
-                    connection.send_many(greeting)
-            except ConnectionClosed:
-                connection.close()
-                raise
-            switched = redial and index != self._index
-            self._index = index
-            self._connection = connection
-            self.state = self.UP
-        if switched and self._events is not None:
-            self._events.record(
-                ev.BROKER_FAILOVER, node=str(self._node_id), broker=f"{host}:{port}"
+    async def _reconnect(self) -> None:
+        """``_connect`` with nobody waiting for it: a failed dial leaves
+        the link down (exhausted, under a cap) and goes to the loop's
+        exception handler."""
+        try:
+            await self._connect()
+        except (OSError, FederationExhausted) as exc:
+            if isinstance(exc, FederationExhausted):
+                self.state, self.exhausted = self.EXHAUSTED, exc
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": f"{self.node_id}: reconnect failed: {exc}", "exception": exc}
             )
+
+    async def _dial(self, redial: bool) -> None:
+        capped = self._max_attempts
+        try:
+            await aio.dial(
+                self._brokers,
+                lambda index: self._adopt(index, redial),
+                self._rng,
+                first=self._index,
+                wait=redial,
+                cap=capped if redial else (capped or 1),
+                typed=bool(capped),
+                backoff_max=self._backoff_max,
+            )
+        except FederationExhausted as exhausted:
+            if not redial:
+                raise
+            self.state, self.exhausted = self.EXHAUSTED, exhausted
+            if self._events is not None:
+                self._events.record(
+                    ev.FEDERATION_EXHAUSTED,
+                    node=str(self.node_id),
+                    brokers=exhausted.brokers,
+                    attempts=exhausted.attempts,
+                )
+
+    def _adopt(self, index: int, redial: bool) -> AioConnection:
+        """The dial's factory: the new stream's protocol, its greeting
+        queued first, and the link up on it."""
+        connection = AioConnection(self._on_envelope, self._lost, self._metrics)
+        greeting = self._greeting(redial)
+        connection.send_encoded(encode_batch(greeting, CODEC_BINARY), len(greeting))
+        if redial and index != self._index and self._events is not None:
+            host, port = self._brokers[index]
+            self._events.record(
+                ev.BROKER_FAILOVER, node=str(self.node_id), broker=f"{host}:{port}"
+            )
+        self._index, self._connection, self.state = index, connection, self.UP
         return connection
 
+    def _write(self, envelopes: Sequence[Envelope]) -> bool:
+        """Queue ``envelopes`` on the link, encoded here; False if it is not up."""
+        return self._write_frames(encode_batch(envelopes, CODEC_BINARY), len(envelopes))
 
-class TcpProvider(_Node):
-    """A provider process/thread executing Tasklets over TCP.
+    def _write_frames(self, frames: bytes, count: int, now: bool = False) -> bool:
+        """Queue ``count`` envelopes that the thread which made them encoded
+        into ``frames`` (``now``: and write them); False if the link is not up."""
+        connection = self._connection
+        if connection is None or connection.closed:
+            return False
+        if count:
+            connection.send_encoded(frames, count, now)
+        return True
 
-    The protocol is ``core``, the :class:`ProviderCore` the simulator
-    also drives; this driver adds the link, the thread pool, wall-clock
-    stamps, the heartbeat thread and the one wait for a drain.
+    def _lost(self, connection: AioConnection, cause: Exception | None) -> None:
+        """The link's ``on_lost``: report why, and redial by the policy."""
+        if connection is not self._connection:
+            return  # closed on purpose
+        self._connection, self.state = None, self.DOWN
+        if isinstance(cause, CodecError):
+            reason = f"refused: {cause}"  # not bin2 frames: the stream ended
+        elif cause is not None:
+            # Nothing a peer sends raises out of ``_on_envelope`` (the cores
+            # report an unreadable envelope): a defect in the handler, and
+            # the link's loss like any other — never a deaf link left up.
+            reason = f"handler fault: {type(cause).__name__}: {cause}"
+        else:
+            reason = "connection to broker lost"
+        self._on_lost(reason)
+        if self._max_attempts != 0:
+            self._redialing = asyncio.get_running_loop().create_task(self._dial(redial=True))
 
-    The broker link is supervised (:class:`_BrokerLink`): a dropped link
-    redials and re-registers with the benchmark score measured at
-    ``start`` (docs/PROTOCOL.md, "Provider reconnect").
+    async def _close(self, last: Sequence[Envelope]) -> None:
+        """Stop dialing and close the link gracefully, ``last`` said first,
+        and let the transport write what the close handed it."""
+        self.state = self.CLOSED
+        for dialing in (self._redialing, self._connecting):
+            if dialing is not None and dialing is not asyncio.current_task():
+                dialing.cancel()
+        if self._write(last):  # (up, and ``last`` queued)
+            connection, self._connection = self._connection, None
+            connection.close()
+            await asyncio.wait([connection.lost], timeout=2.0)
+        self._connection = None
+
+
+class TcpProvider(_Client):
+    """A provider executing Tasklets over TCP.  The protocol is ``core``,
+    the :class:`ProviderCore` the simulator also drives; this driver adds
+    the link, the thread pool, wall-clock stamps, the heartbeat timer and
+    the one wait for a drain.  The link redials forever (``reconnect=False``:
+    never) and re-registers with the benchmark score measured at ``start``
+    (docs/PROTOCOL.md, "Provider reconnect").
     """
 
     def __init__(
@@ -394,67 +251,36 @@ class TcpProvider(_Node):
         obs_host: str = "127.0.0.1",
         brokers: list[tuple[str, int]] | None = None,
     ):
-        self.node_id = NodeId(node_id or random_id("prov"))
-        self.reconnect = reconnect
         if obs_port is not None and telemetry is None:
             telemetry = Telemetry()
-        self.telemetry = telemetry
-        self._events = telemetry.events if telemetry else None
-        self.core = ProviderCore(
-            node_id=self.node_id,
-            clock=WallClock(),
-            config=ProviderConfig(
-                device_class=device_class,
-                capacity=capacity,
-                # Measured once at ``start`` when not given, then cached
-                # for every re-registration.
-                benchmark_score=benchmark_score,
-                price=price,
-                heartbeat_interval=heartbeat_interval,
-            ),
-            telemetry=telemetry,
-        )
-        self._pool: ThreadPoolExecutor | None = None
         #: ``brokers`` are tried in order and redials cycle through them,
         #: so a provider survives the death of its home broker (federation).
-        self._link = _BrokerLink(
-            self.node_id,
-            brokers,
-            broker_host,
-            broker_port,
-            backoff=RECONNECT_BACKOFF_S,
-            backoff_max=RECONNECT_BACKOFF_MAX_S,
-            max_attempts=None if reconnect else 0,
-            telemetry=telemetry,
-            on_envelope=self._on_envelope,
-            on_lost=self._on_lost,
-            on_connect=self._on_connect,
+        super().__init__(
+            NodeId(node_id or random_id("prov")), brokers, broker_host, broker_port,
+            telemetry, max_attempts=None if reconnect else 0,
+            backoff_max=aio.RECONNECT_BACKOFF_MAX_S,
         )
-        self._transport_metrics = self._link.metrics
-        self.obs: ObsServer | None = (
-            ObsServer(
-                telemetry,
-                host=obs_host,
-                port=obs_port,
-                node=str(self.node_id),
-                role="provider",
-                health=self._health_document,
-                ready=self._is_connected,
-            )
-            if obs_port is not None and telemetry is not None
-            else None
+        self.reconnect = reconnect
+        # ``benchmark_score`` is measured once at ``start`` when not given,
+        # then cached for every re-registration.
+        config = ProviderConfig(
+            device_class=device_class, capacity=capacity, benchmark_score=benchmark_score,
+            price=price, heartbeat_interval=heartbeat_interval,
         )
+        self.core = ProviderCore(self.node_id, WallClock(), config, telemetry=telemetry)
+        self._pool: ThreadPoolExecutor | None = None
+        self.obs = ObsServer(
+            telemetry, host=obs_host, port=obs_port, node=str(self.node_id), role="provider",
+            health=self._health_document, ready=self._is_connected,
+        ) if obs_port is not None else None
 
     def _is_connected(self) -> bool:
-        return self.core.state != ProviderCore.STOPPED and self._link.connected
+        return self.core.state != ProviderCore.STOPPED and self.connected
 
     def _health_document(self) -> dict:
         core = self.core
         with core.lock:
-            state = core.state
-            active = core.active
-            inflight = len(core.inflight)
-            epoch = core.epoch
+            state, active, inflight, epoch = core.state, core.active, len(core.inflight), core.epoch
         connected = self._is_connected()
         if state == core.STOPPED:
             status = "unhealthy"
@@ -463,16 +289,10 @@ class TcpProvider(_Node):
         else:
             status = "ok"
         return {
-            "status": status,
-            "role": "provider",
-            "node": str(self.node_id),
-            "connected": connected,
-            "draining": state == core.DRAINING,
-            "capacity": core.config.capacity,
-            "active_slots": active,
-            "inflight": inflight,
-            "epoch": epoch,
-            "benchmark_score": core.config.benchmark_score,
+            "status": status, "role": "provider", "node": str(self.node_id),
+            "connected": connected, "draining": state == core.DRAINING,
+            "capacity": core.config.capacity, "active_slots": active, "inflight": inflight,
+            "epoch": epoch, "benchmark_score": core.config.benchmark_score,
         }
 
     def start(self) -> "TcpProvider":
@@ -480,81 +300,63 @@ class TcpProvider(_Node):
         if config.benchmark_score is None:
             config.benchmark_score = run_benchmark().score
         # Pool and state first: an assignment can follow the registration
-        # on the link thread before ``_link.start`` has even returned.
+        # on the loop before ``_open_link`` has even returned.
         self._pool = ThreadPoolExecutor(
             max_workers=config.capacity, thread_name_prefix=f"{self.node_id}-exec"
         )
         self.core.start()
         try:
-            self._link.start()
+            self._open_link()
         except BaseException:
             self.core.stop()
             self._pool.shutdown(wait=False)
             raise
         if self.obs is not None:
             self.obs.start()
-        threading.Thread(
-            target=self._heartbeat_loop, name=f"{self.node_id}-heart", daemon=True
-        ).start()
+        self._hop(self._loop.call_later, config.heartbeat_interval, self._heartbeat)
         return self
 
     def stop(self, drain: bool = False, drain_timeout: float = 30.0) -> None:
-        """Disconnect from the broker and shut down.
-
-        With ``drain=True`` the provider first stops accepting work
-        (rejecting new assignments so the broker re-issues them
-        elsewhere), waits up to ``drain_timeout`` for in-flight
-        executions to finish and write their results, and only then
-        unregisters.  Without it, shutdown is immediate and the broker's
-        flap/failure handling re-issues whatever was outstanding.
-        """
+        """Disconnect from the broker and shut down.  With ``drain=True``
+        the provider first refuses new work (the broker re-issues it),
+        waits up to ``drain_timeout`` for what is in flight to finish and
+        queue its results, and only then unregisters — on the same loop, so
+        after those results.  Without it, the broker's flap/failure
+        handling re-issues whatever was outstanding."""
         core = self.core
         with core.lock:
-            if core.state == core.STOPPED:
-                return
-            if drain:
+            running = core.state != core.STOPPED
+            if running and drain:
                 core.drain()
                 core.lock.wait_for(lambda: not core.inflight, drain_timeout)
-            core.stop()  # also wakes the heartbeat wait promptly
-        self._send(core.unregister())
-        self._pool.shutdown(wait=False, cancel_futures=True)
-        self._link.close()
-        if self.obs is not None:
-            self.obs.stop()
+            core.stop()
+        if running:
+            self._pool.shutdown(wait=False, cancel_futures=True)
+            self._close_link(core.unregister())
+            if self.obs is not None:
+                self.obs.stop()
+        else:
+            self._close_link()  # a core stopped by hand may have left its link up
 
-    # -- internals ----------------------------------------------------------
+    # -- the loop ---------------------------------------------------------------
 
-    def _send(self, envelope: Envelope, stamp: Stamp | None = None) -> None:
-        """Write one envelope if the link is up.  A failed send means the
-        link is dying or gone; the redial's registration voids whatever
-        this was about, and the next heartbeat is due anyway."""
-        try:
-            self._link.send_many((envelope,), stamp)
-        except TransportError:
-            pass
-
-    def _on_connect(self, redial: bool) -> list[Envelope]:
+    def _greeting(self, redial: bool) -> list[Envelope]:
         registration = self.core.registration()
         if redial:
-            if self._transport_metrics is not None:
-                self._transport_metrics.reconnects.inc()
+            if self._metrics is not None:
+                self._metrics.reconnects.inc()
             if self._events is not None:
-                self._events.record(
-                    ev.RECONNECT, node=str(self.node_id), epoch=self.core.epoch
-                )
+                self._events.record(ev.RECONNECT, node=str(self.node_id), epoch=self.core.epoch)
         return [registration]
 
     def _on_lost(self, reason: str) -> None:
         if self._events is not None and self.core.state != ProviderCore.STOPPED:
             self._events.record(
-                ev.DISCONNECT,
-                node=str(self.node_id),
-                reason=reason,
-                will_reconnect=self.reconnect,
+                ev.DISCONNECT, node=str(self.node_id), reason=reason, will_reconnect=self.reconnect
             )
 
-    def _on_envelope(self, envelope: Envelope) -> None:
-        """Hand one broker message to the core (link thread)."""
+    def _on_envelope(self, connection: AioConnection, envelope: Envelope) -> None:
+        """Hand one broker message to the core."""
         if envelope.type == HeartbeatAck.TYPE:
             ack = self.core.read(envelope)
             if ack is not None:
@@ -562,87 +364,86 @@ class TcpProvider(_Node):
             return
         replies, work = self.core.handle(envelope)
         if work is not None and self.core.executor.known_cheap(work.request.program_fingerprint):
-            self._execute(work)  # cheaper here than handed off (DESIGN.md, "Provider internals")
+            # Cheaper here than handed off (DESIGN.md, "Provider internals");
+            # its result leaves now, not behind the next run in this read.
+            self._report(work, self._execute(work), now=True)
         elif work is not None:
             try:
-                self._pool.submit(self._execute, work)
+                self._pool.submit(self._execute_pooled, work)
             except RuntimeError:
                 # stop() shut the pool between the core's admission check
-                # and the submit (this thread outlives it).
+                # and the submit (the loop outlives it).
                 replies = [self.core.reject(work, "provider draining")]
-        for reply in replies:
-            self._send(reply)
+        self._write(replies)
 
     def _on_heartbeat_ack(self, ack: HeartbeatAck) -> None:
-        if self._transport_metrics is None:
+        if self._metrics is None:
             return
         if ack.echo_sent_at:
-            self._transport_metrics.heartbeat_rtt.observe(
-                max(0.0, time.monotonic() - ack.echo_sent_at)
-            )
+            self._metrics.heartbeat_rtt.observe(max(0.0, time.monotonic() - ack.echo_sent_at))
         else:
             # An ack without the echo gives no RTT sample; count it so
             # silent RTT gaps are visible, not just absent.
-            self._transport_metrics.heartbeats_unechoed.inc()
+            self._metrics.heartbeats_unechoed.inc()
 
-    def _heartbeat_loop(self) -> None:
+    def _heartbeat(self) -> None:
+        """The heartbeat timer: one now, the next an interval later."""
         core = self.core
-        while True:
-            with core.lock:
-                if core.lock.wait_for(
-                    lambda: core.state == core.STOPPED,
-                    core.config.heartbeat_interval,
-                ):
-                    return
-                free_slots = core.config.capacity - core.active
-            # With telemetry on, ``sent_at`` is stamped just before the bytes
-            # leave and asks the broker for an RTT ack; a stamp taken here
-            # would bill a wait for the send lock as network RTT.
-            want_rtt = self._transport_metrics is not None
-            self._send(
-                core.heartbeat(free_slots), _stamp_heartbeat if want_rtt else None
-            )
+        if core.state == core.STOPPED:
+            return
+        self._loop.call_later(core.config.heartbeat_interval, self._heartbeat)
+        heartbeat = core.heartbeat(core.config.capacity - core.active)
+        if self._metrics is not None:
+            # Asks the broker for an RTT ack.  Stamped on the loop as it is
+            # queued, just before its flush: no other sender to wait behind.
+            heartbeat.payload["sent_at"] = time.monotonic()
+        self._write([heartbeat])
 
-    def _execute(self, work: Work) -> None:
-        """Run one accepted execution, wall-clock stamped (link or pool thread)."""
+    def _report(self, work: Work, result: bytes | None, now: bool = False) -> None:
+        """Send ``work``'s encoded result, then purge it.  In that order: a
+        draining stop() waits on ``inflight`` emptying, and its unregister,
+        queued on this loop after, cannot overtake the result."""
+        if result is not None:
+            self._write_frames(result, 1, now)
+        self.core.finish(work)
+
+    def _execute(self, work: Work) -> bytes | None:
+        """Run one accepted execution, wall-clock stamped (loop or pool
+        thread): its result, encoded — or None if the broker no longer
+        wants one, or it does not encode (over the frame cap): then it is
+        not sent, as a failed send never was; the link stays up, and the
+        broker's execution timeout re-issues the work."""
         core = self.core
         started = core.clock.now()
         outcome = core.run(work)
         if outcome is None:
-            return
+            return None
         result = core.report(work, outcome, started, core.clock.now())
-        # Send before the core purges its bookkeeping: a draining stop()
-        # waits on ``inflight`` emptying, and its unregister must not be
-        # able to overtake this result on the wire (``_send`` returns only
-        # once the result is written).
-        if result is not None:
-            self._send(result)
-        core.finish(work)
+        try:
+            return encode_batch([result], CODEC_BINARY)
+        except CodecError:
+            return None
+
+    def _execute_pooled(self, work: Work) -> None:
+        """A pool thread's run: the result goes back in one hop."""
+        result = self._execute(work)
+        if not self._hop(self._report, work, result):
+            self.core.finish(work)  # stopped: the result has nowhere to go
 
 
-def _stamp_heartbeat(envelope: Envelope) -> None:
-    """Send-time hook: the RTT clock starts when the bytes leave."""
-    envelope.payload["sent_at"] = time.monotonic()
-
-
-class TcpConsumer(CoreSession, _Node):
+class TcpConsumer(CoreSession, _Client):
     """Consumer session over TCP; ``.library`` is its :class:`TaskletLibrary`.
 
-    If the broker connection drops, every pending future is failed with
-    :class:`~repro.common.errors.BrokerUnreachable` (typed, immediate — no
-    caller is left hanging until its timeout) and the optional
-    ``on_disconnect`` hook is invoked with a human-readable reason.
-
-    A submission, one tasklet or a whole ``library.map``, is one socket
-    write.
-
-    Federation: pass ``brokers=[(host, port), ...]`` instead of a single
-    address and the consumer fails over automatically (the link cycles
-    the list; docs/PROTOCOL.md, "Client failover").  Pending futures
-    are still failed on the drop (resubmitting with the same tasklet ids
-    is idempotent); once the attempt cap is exhausted a typed
-    :class:`~repro.common.errors.FederationExhausted` (a
-    ``BrokerUnreachable`` subclass) names every broker tried.
+    When the link drops, every pending future fails at once with
+    :class:`~repro.common.errors.BrokerUnreachable` and ``on_disconnect``
+    (if given) is called on the consumer's loop with the reason (it may
+    ``stop()`` or ``reconnect()`` the consumer).  A submission, one tasklet
+    or a whole ``library.map``, is encoded on the caller's thread, then one
+    hop onto the loop and one socket write.  Given ``brokers=[(host,
+    port), ...]`` the consumer fails over by itself (docs/PROTOCOL.md,
+    "Client failover"); once the attempt cap is spent, a typed
+    ``FederationExhausted`` (a ``BrokerUnreachable``) names every broker
+    tried.
     """
 
     def __init__(
@@ -655,53 +456,32 @@ class TcpConsumer(CoreSession, _Node):
         telemetry: Telemetry | None = None,
         brokers: list[tuple[str, int]] | None = None,
     ):
-        self.node_id = NodeId(node_id or random_id("cons"))
-        self.telemetry = telemetry
-        core = ConsumerCore(
-            node_id=self.node_id, clock=WallClock(), telemetry=telemetry
-        )
-        super().__init__(core, base_seed)
-        self.on_disconnect = on_disconnect
-        self._link = _BrokerLink(
-            self.node_id,
-            brokers,
-            broker_host,
-            broker_port,
-            backoff=FAILOVER_BACKOFF_S,
-            backoff_max=FAILOVER_BACKOFF_MAX_S,
+        _Client.__init__(
+            self, NodeId(node_id or random_id("cons")), brokers, broker_host,
+            broker_port, telemetry,
             # Auto-failover is enabled only by the ``brokers`` list; the
             # single-address form keeps the explicit-``reconnect()`` contract.
             max_attempts=MAX_FAILOVER_ATTEMPTS if brokers is not None else 0,
-            telemetry=telemetry,
-            on_envelope=self.core.handle,
-            on_lost=self._on_lost,
+            backoff_max=FAILOVER_BACKOFF_MAX_S,
         )
-
-    @property
-    def connected(self) -> bool:
-        """Whether the broker link is up right now (false while a lost
-        link is failing over, once it is exhausted, and after ``stop``)."""
-        return self._link.connected
+        core = ConsumerCore(node_id=self.node_id, clock=WallClock(), telemetry=telemetry)
+        CoreSession.__init__(self, core, base_seed)
+        self.on_disconnect = on_disconnect
 
     def start(self) -> "TcpConsumer":
-        self._link.start()
+        self._open_link()
         return self
 
     def reconnect(self) -> "TcpConsumer":
-        """Re-establish a lost broker connection on the same node id.
-
-        Pending futures were already failed with
-        :class:`~repro.common.errors.BrokerUnreachable` when the link
-        died; after reconnecting, resubmitting with the *same* tasklet
-        ids is idempotent — in-flight work completes to the resubmitter,
-        and a journal-backed broker re-delivers completed outcomes instead
-        of re-executing them.
-        """
+        """Re-establish a lost broker link on the same node id.  Pending
+        futures failed with the loss; resubmitting the *same* tasklet ids
+        is idempotent — in-flight work completes to the resubmitter, and a
+        journal-backed broker re-delivers completed outcomes."""
         return self.start()
 
     def stop(self) -> None:
-        was_running = self._link.state != _BrokerLink.CLOSED
-        self._link.close()
+        was_running = self._loop is not None
+        self._close_link()
         if was_running:
             # Nothing can resolve once the connection is gone; anyone
             # still waiting gets a typed error instead of a hang.
@@ -710,29 +490,43 @@ class TcpConsumer(CoreSession, _Node):
     # -- what CoreSession asks of a driver ---------------------------------------
 
     def _check_ready(self) -> None:
-        if self._link.exhausted is not None:
-            raise self._link.exhausted
-        if self._link.state == _BrokerLink.CLOSED:
+        if self.exhausted is not None:
+            raise self.exhausted
+        if self.state == self.CLOSED:
             raise TransportError("consumer not started")
 
     def _send(self, envelopes: Sequence[Envelope]) -> None:
-        """One socket write per submission, however many envelopes."""
-        # A link the reader already saw die refuses the send outright —
-        # TCP would let one write after a peer close "succeed" — and a
-        # write that fails never left this host.  Either way the
-        # connection is dead for every pending future, so they all
-        # resolve with a typed error rather than hanging.
+        """One encode and one hop per submission, however many envelopes
+        (the application's thread).  A submission that does not encode
+        raises its ``CodecError`` here, its waiters failed with it; the
+        link and everything else pending are untouched."""
         try:
-            self._link.send_many(envelopes)
-        except ConnectionClosed as exc:
-            self.core.fail_all_pending(str(exc))
+            frames = encode_batch(envelopes, CODEC_BINARY)
+        except CodecError as exc:
+            self.core.fail_unsent(envelopes, exc)
+            raise
+        if not self._hop(self._submit, frames, len(envelopes)):
+            self.core.fail_all_pending("consumer stopped")
 
-    # -- internals ----------------------------------------------------------
+    # -- the loop ---------------------------------------------------------------
+
+    def _submit(self, frames: bytes, count: int) -> None:
+        connecting = self._connecting
+        if connecting is not None and not connecting.done():
+            connecting.add_done_callback(lambda _: self._submit(frames, count))
+        elif not self._write_frames(frames, count):
+            # A link known dead refuses the write outright — TCP would let
+            # one write after a peer close "succeed" — so every pending
+            # future resolves with a typed error rather than hanging.
+            self.core.fail_all_pending(f"broker link is {self.state}")
+
+    def _on_envelope(self, connection: AioConnection, envelope: Envelope) -> None:
+        self.core.handle(envelope)
 
     def _on_lost(self, reason: str) -> None:
-        # The link went DOWN before this runs, so a submit racing the loss
-        # either is refused (and fails itself) or registered its future in
-        # time to be caught here.  No window where a future slips through.
+        # The link is down before this runs, so a submission hopping onto
+        # the loop after it is refused (and fails itself), and one queued
+        # before it registered its future in time to be caught here.
         self.core.fail_all_pending(reason)
         hook = self.on_disconnect
         if hook is not None:

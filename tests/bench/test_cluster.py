@@ -29,7 +29,7 @@ def test_a_body_that_raises_still_stops_every_node():
             raise Boom("body")
     assert cluster.broker.state == cluster.broker.STOPPED
     assert provider.core.state == ProviderCore.STOPPED
-    assert consumer._link.state == consumer._link.CLOSED  # stopped, not just cut off
+    assert consumer.state == consumer.CLOSED  # stopped, not just cut off
 
 
 def test_a_stop_that_raises_keeps_no_other_node_running_and_is_reraised():
@@ -39,7 +39,7 @@ def test_a_stop_that_raises_keeps_no_other_node_running_and_is_reraised():
             provider = cluster.provider("b1", node_id="p1")
             consumer.stop = failing_after(consumer.stop, "consumer")
             provider.stop = failing_after(provider.stop, "provider")
-    assert consumer._link.state == consumer._link.CLOSED  # stopped, not just cut off
+    assert consumer.state == consumer.CLOSED  # stopped, not just cut off
     assert provider.core.state == ProviderCore.STOPPED
     assert cluster.broker.state == cluster.broker.STOPPED
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from repro.common.stats import (
     EwmaTracker,
-    Welford,
     mean,
     median,
     percentile,
@@ -110,27 +109,6 @@ def test_summary_format_mentions_unit():
     text = summarize([1.0, 2.0]).format(unit="ms")
     assert "ms" in text
     assert "n=2" in text
-
-
-class TestWelford:
-    @given(st.lists(finite_floats, min_size=2, max_size=100))
-    def test_matches_batch_statistics(self, values):
-        accumulator = Welford()
-        for value in values:
-            accumulator.add(value)
-        assert accumulator.count == len(values)
-        assert accumulator.mean == pytest.approx(
-            statistics.fmean(values), rel=1e-6, abs=1e-6
-        )
-        assert accumulator.variance == pytest.approx(
-            statistics.variance(values), rel=1e-4, abs=1e-4
-        )
-
-    def test_empty_accumulator_is_zero(self):
-        accumulator = Welford()
-        assert accumulator.mean == 0.0
-        assert accumulator.variance == 0.0
-        assert accumulator.stdev == 0.0
 
 
 class TestEwma:

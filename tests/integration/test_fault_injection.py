@@ -17,12 +17,14 @@ from repro.core import kernels
 from repro.core.qoc import QoC
 from repro.provider.process import ProviderProcess
 from repro.provider.executor import TaskletExecutor
-from repro.transport import tcp
+from repro.transport import aio
 from repro.transport.tcp import (
     TcpBroker,
     TcpConsumer,
     TcpProvider,
 )
+
+from tests.transport.test_broker_link import sever
 
 
 def test_killed_providers_mid_bag_of_tasks_every_future_resolves():
@@ -71,7 +73,7 @@ def test_killed_providers_mid_bag_of_tasks_every_future_resolves():
 
 
 def test_broker_restart_fails_consumer_futures_and_provider_reconnects(monkeypatch):
-    monkeypatch.setattr(tcp, "RECONNECT_BACKOFF_S", 0.05)
+    monkeypatch.setattr(aio, "RECONNECT_BACKOFF_S", 0.05)
     first = TcpBroker(config=FAST_CONFIG).start()
     host, port = first.address
     provider = None
@@ -148,10 +150,8 @@ def test_severed_consumer_connection_fails_futures_not_broker():
             disconnects = []
             victim = TcpConsumer(host, port, on_disconnect=disconnects.append).start()
             future = victim.library.submit(kernels.PRIME_COUNT, args=[30000])
-            # Sever mid-flight: shutdown() tears the connection down even
-            # with the reader thread blocked in recv (a bare close() would
-            # leave the kernel socket alive until that recv returns).
-            victim._link._connection.close()
+            # Sever mid-flight, as a dead network would.
+            sever(victim)
             with pytest.raises(BrokerUnreachable):
                 future.result(timeout=5)
             wait_until(lambda: disconnects, timeout=5, what="on_disconnect hook")

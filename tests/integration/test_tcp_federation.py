@@ -13,7 +13,7 @@ from repro.bench.cluster import LocalCluster, wait_until
 from repro.bench.experiments.exp_f7_churn import broker_kill
 from repro.common.errors import BrokerUnreachable, FederationExhausted
 from repro.core import kernels
-from repro.transport import tcp
+from repro.transport import aio, tcp
 
 
 def test_tasklet_forwarded_to_peer_with_capacity(tmp_path):
@@ -48,7 +48,7 @@ def test_broker_kill_mid_workload_loses_nothing_duplicates_nothing(tmp_path):
 
 
 def test_federation_exhausted_when_every_broker_is_gone(tmp_path, monkeypatch):
-    monkeypatch.setattr(tcp, "FAILOVER_BACKOFF_S", 0.05)
+    monkeypatch.setattr(aio, "RECONNECT_BACKOFF_S", 0.05)
     monkeypatch.setattr(tcp, "FAILOVER_BACKOFF_MAX_S", 0.1)
     monkeypatch.setattr(tcp, "MAX_FAILOVER_ATTEMPTS", 4)
     with LocalCluster("b1", "b2", journal=str(tmp_path / "{id}.jsonl")) as cluster:
@@ -56,7 +56,7 @@ def test_federation_exhausted_when_every_broker_is_gone(tmp_path, monkeypatch):
         cluster.kill("b1")
         cluster.kill("b2")
         wait_until(
-            lambda: consumer._link.exhausted is not None,
+            lambda: consumer.exhausted is not None,
             what="failover attempts to exhaust",
         )
         with pytest.raises(FederationExhausted) as excinfo:

@@ -33,7 +33,7 @@ from repro.transport.tcp import (
 )
 from repro.tvm.compiler import compile_source
 
-from tests.transport.test_broker_link import Listener, read_envelopes
+from tests.transport.test_broker_link import Listener, read_envelopes, sever
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ def test_abrupt_consumer_disconnect_leaves_broker_healthy(broker):
         _wait_registered(broker, 1)
         consumer = TcpConsumer(host, port).start()
         consumer.library.submit(kernels.PRIME_COUNT, args=[5000])
-        consumer._link._connection.sock.close()  # vanish without goodbye
+        sever(consumer)  # vanish without goodbye
         time.sleep(0.3)
         # New consumers are served normally.
         with TcpConsumer(host, port) as fresh:
@@ -183,7 +183,7 @@ def test_unhashable_cancel_does_not_deafen_the_provider():
         (result,) = read_envelopes(peer, 1)
         assert result.type == "execution_result"
         assert (result.payload["execution_id"], result.payload["value"]) == ("ex-1", packed(42))
-        assert provider._link.connected
+        assert provider.connected
     finally:
         provider.stop()
         peer.close()
@@ -352,3 +352,41 @@ def test_a_handler_fault_on_the_broker_costs_that_link_and_says_why():
         # Everybody else is served as before.
         with TcpProvider(host, port, node_id="p1", benchmark_score=1e7):
             _wait_registered(broker, 1)
+
+
+# -- liveness under a stalled broker (ROADMAP 2(i)) ---------------------------------
+
+
+def test_a_stalled_broker_loop_does_not_kill_a_heartbeating_provider():
+    """A broker loop blocked for longer than a provider's silence horizon
+    must not declare that provider dead: the heartbeats that arrived during
+    the stall are read (I/O callbacks run before the timers that fell due)
+    before the tick that follows it.  The control: the same detector does
+    declare a provider that really went silent."""
+    telemetry = Telemetry()
+    with TcpBroker(telemetry=telemetry) as broker:
+        host, port = broker.address
+        provider = TcpProvider(
+            host, port, node_id="p1", benchmark_score=1e7, reconnect=False
+        ).start()
+        try:
+            _wait_registered(broker, 1)
+            registry = broker.core.registry
+            horizon = registry.horizon(registry.get(NodeId("p1")))
+            assert horizon == 3.0  # the defaults: a 1 s heartbeat, 3 missed
+            stall = horizon + 1.0
+            broker._loop.call_soon_threadsafe(time.sleep, stall)
+            time.sleep(stall + 1.5)  # the stall, then three ticks after it
+            assert telemetry.events.events(kind="node_dead") == []
+            assert broker.core.stats.providers_failed == 0
+            provider.core.stop()  # control: no more heartbeats ...
+            sever(provider)  # ... and no link
+            wait_until(
+                lambda: broker.core.stats.providers_failed == 1,
+                timeout=horizon + 5.0,
+                what="the failure detector",
+            )
+            (dead,) = telemetry.events.events(kind="node_dead")
+            assert dead.node == "p1"
+        finally:
+            provider.stop()

@@ -14,8 +14,6 @@ from repro.sim.devices import (
 from repro.sim.network import (
     BandwidthLatency,
     ConstantLatency,
-    JitteredLatency,
-    PerClassLatency,
     wire_size,
 )
 from repro.sim.workloads import (
@@ -41,17 +39,6 @@ class TestNetworkModels:
         with pytest.raises(ValueError):
             ConstantLatency(-1)
 
-    def test_jittered_within_bounds_and_seeded(self):
-        model = JitteredLatency(base_s=0.01, jitter_s=0.005, seed=3)
-        delays = [model.delay(A, B, HEARTBEAT) for _ in range(50)]
-        assert all(0.005 <= d <= 0.015 for d in delays)
-        replay = JitteredLatency(base_s=0.01, jitter_s=0.005, seed=3)
-        assert [replay.delay(A, B, HEARTBEAT) for _ in range(50)] == delays
-
-    def test_jitter_cannot_go_negative(self):
-        with pytest.raises(ValueError):
-            JitteredLatency(base_s=0.001, jitter_s=0.01)
-
     def test_bandwidth_scales_with_message_size(self):
         model = BandwidthLatency(base_s=0.0, bandwidth_bps=8e6)  # 1 MB/s
         small = model.delay(A, B, HEARTBEAT)
@@ -61,17 +48,6 @@ class TestNetworkModels:
         assert big - small == pytest.approx(
             (wire_size(big_payload) - wire_size(HEARTBEAT)) * 8 / 8e6
         )
-
-    def test_per_class_matrix_with_fallback(self):
-        classes = {"a": "edge", "b": "cloud"}
-        model = PerClassLatency(
-            class_of=classes.get,
-            delays={("edge", "cloud"): 0.05},
-            default=0.001,
-        )
-        assert model.delay(A, B, HEARTBEAT) == 0.05
-        assert model.delay(B, A, HEARTBEAT) == 0.05  # symmetric fallback
-        assert model.delay(A, A, HEARTBEAT) == 0.001
 
 
 class TestDevices:

@@ -1,8 +1,10 @@
-"""One thread owns the broker (DESIGN.md, "Who runs what").
+"""One thread owns each node (DESIGN.md, "Who runs what").
 
 ``TcpBroker`` takes no lock: its loop thread is the only one that touches
 the core, the connection table and every send queue, and ``/healthz`` —
-the one outside reader — hops onto the loop and waits.  These tests are
+the one outside reader — hops onto the loop and waits.  A provider and a
+consumer are the same: one loop thread each runs the core's handler and
+the link, and every other thread hops.  These tests are
 the invariant the locks used to stand in for, plus the driver's
 lifecycle: a tick that raises, a ``start`` that fails, a loop that does
 not answer.
@@ -11,6 +13,7 @@ not answer.
 import asyncio
 import json
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -18,17 +21,22 @@ import urllib.request
 
 import pytest
 
-from repro.bench.cluster import FAST_CONFIG, wait_until
+from repro.bench.cluster import FAST_CONFIG, LocalCluster, wait_until
 from repro.broker.core import BrokerCore
 from repro.common.ids import NodeId
+from repro.consumer.core import ConsumerCore
 from repro.core import kernels
 from repro.dag.patterns import chain, reference_values
 from repro.obs.telemetry import Telemetry
-from repro.transport import aio, tcp
+from repro.provider.core import ProviderCore
+from repro.provider.executor import TaskletExecutor
+from repro.transport import aio
 from repro.transport.aio import AioConnection
 from repro.transport.codec import encode_envelope
 from repro.transport.message import Unregister
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
+
+from .test_broker_link import sever
 
 
 def get(url, timeout=5.0):
@@ -44,29 +52,46 @@ def threads_named(*names):
     return [t.name for t in threading.enumerate() if t.name in names]
 
 
-def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
-    seen = {}  # "Class.method" -> the ident of every thread that ran it
+class Calls:
+    """Who ran what: ``Class.method`` -> ``(owner, thread ident)`` per call,
+    where a connection's owner is the node whose handler it feeds and a
+    core's owner is the core itself."""
 
-    def recording(owner, name):
+    def __init__(self, monkeypatch, *methods):
+        self.seen = {}
+        for owner, name in methods:
+            self._record(monkeypatch, owner, name)
+
+    def _record(self, monkeypatch, owner, name):
         original = getattr(owner, name)
 
-        def wrapper(*args, **kwargs):
-            seen.setdefault(f"{owner.__name__}.{name}", []).append(
-                threading.get_ident()
+        def wrapper(obj, *args, **kwargs):
+            node = obj._on_envelope.__self__ if isinstance(obj, AioConnection) else obj
+            self.seen.setdefault(f"{owner.__name__}.{name}", []).append(
+                (node, threading.get_ident())
             )
-            return original(*args, **kwargs)
+            return original(obj, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner, name in (
+    def threads(self, *nodes):
+        """Every thread that ran something on behalf of ``nodes``."""
+        return {ident for calls in self.seen.values() for node, ident in calls if node in nodes}
+
+    def methods(self, *nodes):
+        return {name for name, calls in self.seen.items() if any(n in nodes for n, _ in calls)}
+
+
+def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
+    calls = Calls(
+        monkeypatch,
         (BrokerCore, "handle"),
         (BrokerCore, "tick"),
         (BrokerCore, "health_snapshot"),
         (AioConnection, "send"),
         (TcpBroker, "_route"),
-    ):
-        recording(owner, name)
-    monkeypatch.setattr(tcp, "RECONNECT_BACKOFF_S", 0.05)
+    )
+    monkeypatch.setattr(aio, "RECONNECT_BACKOFF_S", 0.05)
 
     broker = TcpBroker(config=FAST_CONFIG, obs_port=0).start()
     loop_thread = broker._thread
@@ -94,14 +119,14 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
             outputs = consumer.submit_workflow(spec).result(timeout=60)
             assert outputs == {s: reference_values(spec)[s] for s in spec.sinks()}
             # The provider loses its link, redials and registers again.
-            provider._link._connection.close()
+            sever(provider)
             wait_until(
                 lambda: broker.telemetry.events.events(kind="node_flap"),
                 what="the re-registration",
             )
             future = consumer.library.submit(kernels.PRIME_COUNT, args=[300])
             assert future.result(timeout=60) == kernels.python_prime_count(300)
-            wait_until(lambda: len(seen.get("BrokerCore.tick", ())) >= 2, what="ticks")
+            wait_until(lambda: len(calls.seen.get("BrokerCore.tick", ())) >= 2, what="ticks")
             wait_until(lambda: len(scrapes) >= 5, timeout=30.0, what="scrapes")
     finally:
         done.set()
@@ -110,16 +135,14 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
         broker.stop()
 
     assert not scraper.is_alive()
-    assert set(seen) == {
+    assert calls.methods(broker, broker.core) == {
         "BrokerCore.handle",
         "BrokerCore.tick",
         "BrokerCore.health_snapshot",
         "AioConnection.send",
         "TcpBroker._route",
     }
-    assert {ident for idents in seen.values() for ident in idents} == {
-        loop_thread.ident
-    }
+    assert calls.threads(broker, broker.core) == {loop_thread.ident}
     # Every scrape was answered by the loop, none by the give-up path.
     assert all("providers_total" in doc for doc in scrapes)
     assert all(doc["transport"]["loop_wait_ms"] >= 0.0 for doc in scrapes)
@@ -127,6 +150,63 @@ def test_one_thread_touches_the_core_the_table_and_the_queues(monkeypatch):
     assert not loop_thread.is_alive()
     assert broker.state == TcpBroker.STOPPED
     broker.stop()
+
+
+def test_one_thread_per_client_runs_its_core_and_its_link(monkeypatch):
+    """A provider and a consumer each own one loop thread: it alone runs
+    the core's handler and every send and flush of the node's link — the
+    application's threads and the provider's pool encode what they send,
+    and reach the link only by hopping onto that loop."""
+    calls = Calls(
+        monkeypatch,
+        (ConsumerCore, "handle"),
+        (ProviderCore, "handle"),
+        (AioConnection, "send"),
+        (AioConnection, "send_encoded"),
+        (AioConnection, "flush"),
+    )
+    monkeypatch.setattr(aio, "RECONNECT_BACKOFF_S", 0.05)
+    monkeypatch.setattr(sys, "getswitchinterval", lambda: 0.0)  # every run on the pool
+    pool_threads, app_threads = set(), set()
+    real_execute = TaskletExecutor.execute
+
+    def execute(executor, request):
+        pool_threads.add(threading.get_ident())
+        return real_execute(executor, request)
+
+    monkeypatch.setattr(TaskletExecutor, "execute", execute)
+    with LocalCluster("b1") as cluster:
+        provider = cluster.provider("b1", node_id="p1", capacity=2, heartbeat_interval=0.05)
+        consumer = cluster.consumer(node_id="c1")
+        loops = {provider: provider._thread.ident, consumer: consumer._thread.ident}
+
+        def submit(base):
+            app_threads.add(threading.get_ident())
+            futures = consumer.library.map(kernels.PRIME_COUNT, [[base + i] for i in range(6)])
+            assert consumer.library.gather(futures, timeout=60) == [
+                kernels.python_prime_count(base + i) for i in range(6)
+            ]
+
+        submitters = [threading.Thread(target=submit, args=(100 * k,)) for k in (1, 2, 3)]
+        for thread in submitters:
+            thread.start()
+        for thread in submitters:
+            thread.join(60.0)
+        sever(provider)  # the redial's sends are the loop's too
+        core = provider.core
+        wait_until(lambda: core.epoch == 2 and core.registered, what="the re-registration")
+        future = consumer.library.submit(kernels.PRIME_COUNT, args=[300])
+        assert future.result(timeout=60) == kernels.python_prime_count(300)
+
+    assert pool_threads and app_threads
+    for node, loop in loops.items():
+        assert calls.threads(node, node.core) == {loop}, node.node_id
+        assert {"AioConnection.send_encoded", "AioConnection.flush"} <= calls.methods(node)
+    assert calls.methods(provider.core) == {"ProviderCore.handle"}
+    assert calls.methods(consumer.core) == {"ConsumerCore.handle"}
+    assert not (pool_threads | app_threads) & set(loops.values())
+    assert not any(thread.is_alive() for thread in threading.enumerate()
+                   if thread.name in ("p1-link", "c1-link"))
 
 
 def test_healthz_says_the_loop_is_stuck_within_its_bound_then_recovers(monkeypatch):
@@ -192,7 +272,7 @@ def test_a_tick_fault_is_reported_and_the_next_tick_still_runs():
             assert event.node == "broker"
             assert event.attrs["reason"] == "tick fault: RuntimeError: boom"
             # The provider vanishes without a goodbye; only a tick notices.
-            provider._link.close()
+            sever(provider)
             wait_until(
                 lambda: broker.core.stats.providers_failed == 1,
                 timeout=10.0,

@@ -10,7 +10,8 @@ CLI's JSON output use: whatever a message carries must survive that too.
 """
 
 import json
-import socket
+import threading
+import time
 
 import pytest
 
@@ -33,7 +34,6 @@ from repro.transport.codec import (
     decode_chunk,
     encode_batch,
     encode_envelope,
-    iter_frames,
 )
 from repro.transport.message import (
     MESSAGE_TYPES,
@@ -43,8 +43,11 @@ from repro.transport.message import (
     body_of,
 )
 
-from repro.transport.tcp import _Connection
+from repro.obs.telemetry import Telemetry
+from repro.transport import tcp
+from repro.transport.tcp import TcpProvider
 
+from .test_broker_link import Listener, read_envelopes
 from .test_messages import SAMPLE_BODIES
 
 JSON_SAFE = "json"
@@ -232,10 +235,10 @@ def test_a_frame_stream_decodes_in_order_byte_by_byte():
     assert sum(size for _e, size in frames) == len(wire)
 
 
-def test_batch_encoding_applies_stamps_at_encode_time():
+def test_batch_encoding_applies_stamps_at_encode_time(monkeypatch):
     """A batch is its envelopes' frames back to back; the one send-time
-    stamp (a heartbeat's ``sent_at``) is the client link's, run under its
-    send lock just before it encodes."""
+    stamp (a heartbeat's ``sent_at``, asked for only with telemetry on) is
+    taken on the provider's loop, which is also the thread that encodes."""
     envelopes = [
         Heartbeat(provider_id="p1", free_slots=n, sent_at=0.0).envelope(
             NodeId("p1"), NodeId("broker")
@@ -245,22 +248,34 @@ def test_batch_encoding_applies_stamps_at_encode_time():
     data = encode_batch(envelopes, CODEC_BINARY)
     assert data == b"".join(encode_envelope(envelope) for envelope in envelopes)
 
-    ours, peer = socket.socketpair()
-    connection, stamped = _Connection(ours), []
+    encoded = []  # (thread, when, sent_at) per heartbeat written
+    real_encode = tcp.encode_batch
 
-    def stamp(envelope):
-        assert connection._send_lock.locked()
-        envelope.payload["sent_at"] = 99.5
-        stamped.append(envelope)
+    def recording(batch, codec):
+        now = time.monotonic()
+        for envelope in batch:
+            if envelope.type == "heartbeat":
+                encoded.append((threading.current_thread().name, now, envelope.payload["sent_at"]))
+        return real_encode(batch, codec)
 
-    try:
-        connection.send_many(envelopes, stamp)
-        assert stamped == envelopes
-        received = peer.recv(65536)
-        assert [decoded.payload["sent_at"] for decoded in iter_frames(received)] == [99.5, 99.5]
-    finally:
-        connection.close()
-        peer.close()
+    monkeypatch.setattr(tcp, "encode_batch", recording)
+    for telemetry in (Telemetry(), None):
+        encoded.clear()
+        listener = Listener()
+        provider = TcpProvider(
+            *listener.address, node_id="p1", benchmark_score=1e7,
+            heartbeat_interval=0.02, telemetry=telemetry,
+        ).start()
+        try:
+            read_envelopes(listener.accept(), 3)  # a registration, then beats
+        finally:
+            provider.stop()
+            listener.close()
+        assert encoded and {thread for thread, _, _ in encoded} == {"p1-link"}
+        if telemetry is None:
+            assert {sent_at for _, _, sent_at in encoded} == {0.0}
+        else:
+            assert all(0.0 < sent_at <= when for _, when, sent_at in encoded)
 
 
 def test_garbage_and_oversized_frames_raise_typed_errors():

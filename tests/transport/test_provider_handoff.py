@@ -2,7 +2,7 @@
 "Provider internals").
 
 A program whose latest run on this provider took less than the GIL switch
-interval runs on the link thread that read its assignment; anything else —
+interval runs on the loop thread that read its assignment; anything else —
 a program never run here, one whose latest run went over — is handed to
 the pool.  Either thread makes the same calls in the same order, so a
 cancel still stops queued pool work and a draining stop still waits for

@@ -1,10 +1,11 @@
 """Deterministic regressions for the transport's shutdown races.
 
-* a client ``send`` returns only once its bytes are written, so a graceful
-  close cannot lose it, and a send that fails to encode wedges nobody;
+* a client's submission hops onto its loop ahead of any later ``stop``, so
+  a graceful close cannot lose it, and an envelope that fails to encode
+  fails its sender alone, wedging nobody;
 * what the broker-side connection accepted before a graceful close still
   reaches the wire;
-* an assignment the provider's link thread hands to the pool after
+* an assignment the provider's loop hands to the pool after
   ``stop()`` shut it is rejected, not an unhandled thread exception.
 """
 
@@ -15,10 +16,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.common.errors import CodecError
+from repro.bench.cluster import wait_until
+from repro.common.errors import BrokerUnreachable, CodecError
 from repro.common.ids import NodeId
+from repro.core import kernels
+from repro.transport import codec
 from repro.transport.aio import AioConnection
-from repro.transport.codec import EnvelopeDecoder
+from repro.transport.codec import EnvelopeDecoder, encode_envelope
 from repro.transport.message import (
     BROKER_ADDRESS,
     AssignExecution,
@@ -26,7 +30,11 @@ from repro.transport.message import (
     Heartbeat,
     body_of,
 )
-from repro.transport.tcp import TcpProvider, _Connection
+from repro.transport.tcp import TcpConsumer, TcpProvider
+from repro.tvm.compiler import compile_source
+
+from .test_broker_link import Listener, read_envelopes
+from .test_provider_handoff import _assign as assign
 
 
 def make_envelope(i):
@@ -46,80 +54,120 @@ def recv_until_eof(sock, timeout=5.0):
         envelopes.extend(envelope for envelope, _size in decoder.feed(chunk))
 
 
-class GatedSocket:
-    """A socket whose ``sendall`` parks until the test opens the gate."""
-
-    def __init__(self, sock):
-        self._sock = sock
-        self.entered = threading.Event()
-        self.gate = threading.Event()
-
-    def sendall(self, data):
-        self.entered.set()
-        assert self.gate.wait(5.0)
-        self._sock.sendall(data)
-
-    def __getattr__(self, name):
-        return getattr(self._sock, name)
+def submits(envelopes):
+    return [e.payload["tasklet"]["tasklet_id"] for e in envelopes if e.type == "submit_tasklet"]
 
 
 def test_threaded_send_returns_once_written_so_close_loses_nothing():
-    ours, peer = socket.socketpair()
-    gated = GatedSocket(ours)
-    connection = _Connection(gated)
-    first = threading.Thread(target=connection.send, args=(make_envelope(1),))
-    first.start()
-    assert gated.entered.wait(5.0)
-    # The first sender is parked inside sendall holding the send lock; a
-    # second send must wait its turn rather than return with its envelope
-    # merely queued.
-    second = threading.Thread(target=connection.send, args=(make_envelope(2),))
-    second.start()
-    second.join(0.2)
-    assert second.is_alive()
-    gated.gate.set()
-    first.join(5.0)
-    second.join(5.0)
-    assert not first.is_alive() and not second.is_alive()
-    # Both sends returned, so both are with the kernel: close loses neither.
-    connection.close()
-    received = recv_until_eof(peer)
-    peer.close()
-    assert [e.payload["provider_id"] for e in received] == ["p1", "p2"]
+    """An application thread's submission hops onto the consumer's loop;
+    a ``stop`` right after it hops there too, behind it, so the graceful
+    close writes the submission before the stream ends."""
+    listener = Listener()
+    consumer = TcpConsumer(*listener.address, node_id="c1").start()
+    peer = listener.accept()
+    try:
+        first = consumer.library.submit(kernels.PRIME_COUNT, args=[10], tasklet_id="t1")
+        sender = threading.Thread(
+            target=consumer.library.submit,
+            args=(kernels.PRIME_COUNT,),
+            kwargs=dict(args=[20], tasklet_id="t2"),
+        )
+        sender.start()
+        sender.join(5.0)
+        consumer.stop()
+        assert submits(recv_until_eof(peer)) == ["t1", "t2"]
+        with pytest.raises(BrokerUnreachable):
+            first.result(0)  # stopped: answered typed, not left pending
+    finally:
+        consumer.stop()
+        peer.close()
+        listener.close()
 
 
-def test_close_waits_for_a_send_in_progress():
-    ours, peer = socket.socketpair()
-    gated = GatedSocket(ours)
-    connection = _Connection(gated)
-    sender = threading.Thread(target=connection.send, args=(make_envelope(1),))
-    sender.start()
-    assert gated.entered.wait(5.0)
-    closer = threading.Thread(target=connection.close)
-    closer.start()
-    closer.join(0.2)
-    assert closer.is_alive()  # waiting for the send lock, socket still open
-    gated.gate.set()
-    sender.join(5.0)
-    closer.join(5.0)
-    assert not sender.is_alive() and not closer.is_alive()
-    received = recv_until_eof(peer)
-    peer.close()
-    assert [e.payload["provider_id"] for e in received] == ["p1"]
+def test_close_waits_for_a_send_in_progress(monkeypatch):
+    """A ``stop`` that arrives while the loop is writing waits for the
+    write, which still reaches the wire, before the stream ends."""
+    entered, gate = threading.Event(), threading.Event()
+    real_write = AioConnection._write_batch
+
+    def gated(connection, batch):  # the consumer's first write: its submission
+        entered.set()
+        assert gate.wait(5.0)
+        return real_write(connection, batch)
+
+    monkeypatch.setattr(AioConnection, "_write_batch", gated)
+    listener = Listener()
+    consumer = TcpConsumer(*listener.address, node_id="c1").start()
+    peer = listener.accept()
+    try:
+        consumer.library.submit(kernels.PRIME_COUNT, args=[10], tasklet_id="t1")
+        assert entered.wait(5.0)  # the loop is inside the write
+        closer = threading.Thread(target=consumer.stop)
+        closer.start()
+        closer.join(0.2)
+        assert closer.is_alive()  # behind the write, the stream still open
+        gate.set()
+        closer.join(5.0)
+        assert not closer.is_alive()
+        assert submits(recv_until_eof(peer)) == ["t1"]
+    finally:
+        gate.set()
+        consumer.stop()
+        peer.close()
+        listener.close()
 
 
-def test_encode_failure_does_not_wedge_the_connection():
-    ours, peer = socket.socketpair()
-    connection = _Connection(ours)
-    unencodable = make_envelope(1)
-    unencodable.payload["free_slots"] = {1, 2}  # a set is not a wire value
-    with pytest.raises(CodecError):
-        connection.send(unencodable)
-    connection.send(make_envelope(2))
-    connection.close()
-    received = recv_until_eof(peer)
-    peer.close()
-    assert [e.payload["provider_id"] for e in received] == ["p2"]
+def test_encode_failure_does_not_wedge_the_connection(monkeypatch):
+    """A submission that does not encode (a frame over the cap) raises
+    ``CodecError`` to its sender alone: its waiter is failed, not left
+    pending, and the link stays up — the next submission reaches the peer."""
+    monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 4096)
+    listener = Listener()
+    disconnects = []
+    consumer = TcpConsumer(
+        *listener.address, node_id="c1", on_disconnect=disconnects.append
+    ).start()
+    peer = listener.accept()
+    try:
+        with pytest.raises(CodecError, match="frame too large"):
+            consumer.library.submit(kernels.PRIME_COUNT, args=[list(range(4096))], tasklet_id="t1")
+        assert consumer.core.pending == 0  # failed with it, so "t1" is free again
+        consumer.library.submit(kernels.PRIME_COUNT, args=[20], tasklet_id="t1")
+        consumer.stop()
+        assert submits(recv_until_eof(peer)) == ["t1"]
+        assert disconnects == []
+    finally:
+        consumer.stop()
+        peer.close()
+        listener.close()
+
+
+def test_a_result_that_does_not_encode_is_dropped_and_the_link_stays_up(monkeypatch):
+    """A provider's result over the frame cap is not sent, as a failed send
+    never was: the results beside and after it still go out on the same
+    link, with no redial and no re-registration."""
+    monkeypatch.setattr(codec, "MAX_FRAME_BYTES", 4096)
+    zeros = compile_source("func main(n: int) -> array { return array(n); }")
+    listener = Listener()
+    provider = TcpProvider(
+        *listener.address, node_id="p1", benchmark_score=1e7, heartbeat_interval=30.0
+    ).start()
+    peer = listener.accept()
+    try:
+        assert [e.type for e in read_envelopes(peer, 1)] == ["register_provider"]
+        for execution_id, n in (("big", 4096), ("small", 1)):
+            peer.sendall(encode_envelope(assign(execution_id, zeros, n)))
+        (result,) = read_envelopes(peer, 1)
+        assert (result.type, result.payload["execution_id"]) == ("execution_result", "small")
+        wait_until(lambda: not provider.core.inflight, what="both purged")
+        peer.sendall(encode_envelope(assign("later", zeros, 2)))
+        (result,) = read_envelopes(peer, 1)
+        assert result.payload["execution_id"] == "later"
+        assert provider.connected and provider.core.epoch == 1
+    finally:
+        provider.stop()
+        peer.close()
+        listener.close()
 
 
 def test_aio_close_flushes_sends_accepted_before_it():
@@ -143,7 +191,7 @@ def test_aio_close_flushes_sends_accepted_before_it():
 
 
 def test_assignment_delivered_after_stop_is_rejected_not_raised():
-    # A program this provider never ran: not known cheap, so the link thread
+    # A program this provider never ran: not known cheap, so the loop
     # hands it to the pool (the path a shut pool refuses), not to itself.
     assign = AssignExecution(
         execution_id="ex-1",
@@ -161,7 +209,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
     for still_running in (True, False):
         provider = TcpProvider("127.0.0.1", 1, node_id="p1", benchmark_score=1e7)
         sent = []
-        provider._send = lambda envelope, stamp=None: sent.append(envelope)
+        provider._write = sent.extend
         provider._pool = ThreadPoolExecutor(max_workers=1)
         provider._pool.shutdown(wait=False, cancel_futures=True)  # as stop() does
         assert not provider.core.executor.known_cheap(assign.program_fingerprint)
@@ -173,7 +221,7 @@ def test_assignment_delivered_after_stop_is_rejected_not_raised():
         try:
             reader = threading.Thread(
                 target=provider._on_envelope,
-                args=(assign.envelope(BROKER_ADDRESS, provider.node_id),),
+                args=(None, assign.envelope(BROKER_ADDRESS, provider.node_id)),
             )
             reader.start()
             reader.join(5.0)
