@@ -65,8 +65,7 @@ FIELD_TABLES: dict[str, tuple[str, ...]] = {
     if cls.PACKED
 }
 
-_FLAG_TRACE = 0x01
-_FLAG_FIELD_PACKED = 0x02
+_FLAG_TRACE, _FLAG_FIELD_PACKED = 0x01, 0x02  # every other flag bit is zero
 
 #: Per type: the frame's magic and tag — and for a field-packed type, its
 #: field set (a payload qualifies when its keys are exactly these) and a
@@ -120,8 +119,9 @@ def decode_body(body: bytes) -> Envelope:
     seq, pos = unpack_varint(body, pos)
     if pos >= len(body):
         raise CodecError("truncated binary envelope")
-    flags = body[pos]
-    pos += 1
+    flags, pos = body[pos], pos + 1
+    if flags & ~(_FLAG_TRACE | _FLAG_FIELD_PACKED):
+        raise CodecError(f"undefined flag bits set: 0x{flags:02x}")
     trace = None
     if flags & _FLAG_TRACE:
         trace, pos = unpack_value(body, pos)

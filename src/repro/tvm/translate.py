@@ -25,18 +25,29 @@ knows stack depths, not tags or definite assignment) and declined if unsound.
 ``type(x) is int or type(x) is float`` is all of "is a number".  Locals and
 stack entries carry tags (int, float, number, bool, anything, maybe void)
 that survive a join where every path agrees, and a guard is dropped only
-where a tag proves it.  A parameter never stored to that the body needs as
-a number is guarded once, at function entry (as an int where ``%`` or
-``/`` wants one).  A call's result has its callee's return tag: callees are
+where a tag proves it.  Ints also carry the facts ">= 0" and "> 0" (from
+constants, ``+``, ``*``, ``%`` and ``/`` of such ints, and on the arm a
+comparison with an int constant selects): a non-negative int ``%`` or ``/``
+a positive one is the bare Python operator.  A parameter never stored to
+that the body needs as a number is guarded once, at entry (as an int where
+``%`` or ``/`` wants one): ``f<i>`` tests those guards and enters ``u<i>``,
+which a call enters after testing only the arguments whose tags do not
+prove them.  A call's result has its callee's return tag: callees are
 analysed first, and recursion reads as maybe void, which may only be
 popped, duplicated or returned — so an unbound Python local *is* the
-uninitialised TVM local.  Fuel is charged per basic block on entry, and
-tested at function entry and at every loop head.
+uninitialised TVM local.
+
+**Sunk fuel.**  A block's instruction count is charged at the first back
+edge, chain head, return or call on its way out (a join after an ``if``
+takes over what every way in still owes): only instructions that have run
+are charged, so ``fuel < 0`` — tested at entry and at every loop head —
+fires exactly where the portable VM runs out.
 
 **Source injection rule.**  The only program-derived tokens in generated
-source are integers ``verify()`` has range-checked.  Constants, builtins
-and operator helpers are bound by reference in the namespace the source
-runs in, names are never interpolated, and its ``__builtins__`` is empty.
+source are integers the translator computed or ``verify()`` range-checked.
+Constants, builtins and operator helpers are bound by reference in the
+namespace the source runs in, names are never interpolated, and its
+``__builtins__`` is empty.
 """
 
 from __future__ import annotations
@@ -72,10 +83,19 @@ _BUILTIN_TAGS = {
 _SEEDED = frozenset(("rand", "rand_int"))
 _MUTATING = frozenset(("push", "pop", "store_index"))
 _IS_NUMBER = "(type({0}) is int or type({0}) is float)"
-_NOT_NUMBER = "if type({0}) is not int and type({0}) is not float: raise R"
+#: the guard for a value wanted as an int or as a number
+_GUARDS = {
+    "i": "if type({0}) is not int: raise R",
+    "n": "if type({0}) is not int and type({0}) is not float: raise R",
+}
+_INTS, _NUMBERS = "pzi", "pzifn"
 #: What a local's tag implies, as the masks a block-entry state carries.
-_FACTS = "ifnb"
-_IMPLIED = {"i": "in", "f": "fn", "n": "n", "b": "b"}
+_FACTS = "pzifnb"
+_IMPLIED = {"p": "pzin", "z": "zin", "i": "in", "f": "fn", "n": "n", "b": "b"}
+#: ``x <op> c`` read as ``c <op'> x``; and the arms (true, false) on which
+#: ``x <op> c`` proves ``x >= c + offset``
+_MIRRORED = {Op.LT: Op.GT, Op.LE: Op.GE, Op.GT: Op.LT, Op.GE: Op.LE}
+_AT_LEAST = {Op.GT: (1, None), Op.GE: (0, None), Op.LT: (None, 0), Op.LE: (None, 1)}
 
 
 class Restart(Exception):
@@ -87,7 +107,13 @@ class _Declined(Exception):
 
 
 def _join_tag(a: str, b: str) -> str:
-    return a if a == b else "n" if a in "ifn" and b in "ifn" else "x" if "x" in (a, b) else "a"
+    both = set(_IMPLIED.get(a, "")) & set(_IMPLIED.get(b, ""))
+    return next((fact for fact in _FACTS if fact in both), "x" if "x" in (a, b) else "a")
+
+
+def _int_tag(low: int) -> str:
+    """The tag of an int known to be at least ``low``."""
+    return "p" if low > 0 else "z" if low == 0 else "i"
 
 
 def _join(old: tuple, new: tuple) -> tuple:
@@ -104,15 +130,16 @@ class _FunctionTranslator:
     The abstract operand stack holds ``(name, tag)`` pairs: ``name`` is a
     Python name that yields the value (``s<depth>``, or an alias — a local
     ``v<slot>``, a constant ``k<index>``, the sentinel ``N``) and ``tag``
-    is ``i`` exact int, ``f`` exact float, ``n`` either, ``b`` exact bool,
-    ``x`` maybe void, ``a`` anything else.  A block-entry state is the
-    stack's tags, the definitely-assigned locals, and one mask of locals
-    per tag in ``_FACTS``.
+    is ``i`` exact int (``z`` one ``>= 0``, ``p`` one ``> 0``), ``f`` exact
+    float, ``n`` either, ``b`` exact bool, ``x`` maybe void, ``a`` anything
+    else.  A block-entry state is the stack's tags, the definitely-assigned
+    locals, and one mask of locals per tag in ``_FACTS``.
     """
 
-    def __init__(self, program: CompiledProgram, index: int):
+    def __init__(self, program: CompiledProgram, index: int, entry_guards: dict):
         self.program = program
         self.index = index
+        self.entry_guards = entry_guards  # function index -> its ``wanted``
         self.n_params = program.functions[index].n_params
         self.pairs = pairs = program.functions[index].pairs
         self.leaders = {operand for op, operand in pairs if op in _BRANCHES} | {
@@ -127,7 +154,7 @@ class _FunctionTranslator:
         stores = {operand for op, operand in pairs if op == Op.STORE}
         #: parameters that hold their argument throughout, and the tag a use wants
         self.unstored = set(range(self.n_params)) - stores
-        self.wanted: dict[int, str] = {}
+        self.wanted: dict[int, str] = entry_guards.setdefault(index, {})
         self.max_depth = 0
         self.uses: set[str] = set()  # builtins called, and "store_index"
 
@@ -152,35 +179,35 @@ class _FunctionTranslator:
         self.states = {0: ("", (1 << self.n_params) - 1, *masks)}
         self.successors: dict[int, tuple] = {}
         self.returned: str | None = None
-        work = [0]
+        work = {0}  # lowest pc first: a loop's body settles before its exit is read
         while work:
-            leader = work.pop()
-            _, self.successors[leader], _ = self._block(leader)
-            for target in self.successors[leader]:
+            work.remove(leader := min(work))
+            _, self.successors[leader], _, _ = self._block(leader)
+            for target, out in zip(self.successors[leader], self._outs):
                 known = self.states.get(target)
-                state = self._out if known is None else _join(known, self._out)
+                state = out if known is None else _join(known, out)
                 if state != known:
                     self.states[target] = state
-                    work.append(target)
+                    work.add(target)
 
-    def _block(self, leader: int) -> tuple[list[str], tuple, str]:
-        """Abstractly run the block at ``leader`` from its recorded state:
-        its lines, its successors (``(pc_if_true, pc_if_false)`` after a
-        branch) and the branch's condition; the state its successors start
-        from is left in ``self._out``."""
+    def _block(self, leader: int, ran: int = 0) -> tuple[list[str], tuple, str, int]:
+        """Abstractly run the block at ``leader`` from its recorded state,
+        ``ran`` instructions not yet charged on the way in: its lines, its
+        successors (``(pc_if_true, pc_if_false)`` after a branch), the
+        branch's condition and the instructions still uncharged at its end;
+        the states its successors start from are left in ``self._outs``."""
         tags, self.assigned, *self.proven = self.states[leader]
         self.stack = [(f"s{depth}", tag) for depth, tag in enumerate(tags)]
-        self.lines = [""]  # the fuel charge, once the block size is known
-        if leader == 0 or leader in self.loop_heads:
-            self.lines.append("if fuel < 0: raise R")
-        pc, condition = leader, ""
+        self.lines = ["if fuel < 0: raise R"] if leader == 0 or leader in self.loop_heads else []
+        self.charged, self.refined, pc, condition = leader - ran, None, leader, ""
         while True:
             op, operand = self.pairs[pc]
-            pc += 1
+            self.pc = pc = pc + 1
             if op == Op.RET:
                 ((name, tag),) = self._take(1, void_ok=True)
                 self.returned = tag if self.returned is None else _join_tag(self.returned, tag)
-                self.lines += ["F[0] = fuel", f"return {self._computed_by_last_line(name)}"]
+                charge = f"F[0] = fuel - {pc - self.charged}"
+                self.lines += [charge, f"return {self._computed_by_last_line(name)}"]
                 successors: tuple = ()
             elif op == Op.JUMP:
                 successors = (operand,)
@@ -201,9 +228,15 @@ class _FunctionTranslator:
             for depth, (name, _) in enumerate(self.stack):
                 if name != f"s{depth}":
                     self.lines.append(f"s{depth} = {name}")
-        self.lines[0] = f"fuel -= {pc - leader}"
-        self._out = ("".join(tag for _, tag in self.stack), self.assigned, *self.proven)
-        return self.lines, successors, condition
+        tags, proven = "".join(tag for _, tag in self.stack), self.proven
+        self._outs = [(tags, self.assigned, *proven)] * len(successors)
+        if len(successors) == 2 and self.refined and self.refined[0] == pc - 1:
+            _, slot, *arms = self.refined  # the condition compared a local with a constant
+            for arm, tag in enumerate(arms):
+                self._prove(slot, tag)
+                self._outs[arm] = (tags, self.assigned, *self.proven)
+                self.proven = proven
+        return self.lines, successors, condition, pc - self.charged
 
     # -- abstract stack and locals ----------------------------------------------
 
@@ -233,7 +266,7 @@ class _FunctionTranslator:
         else can read it: take the line back and use its expression.
         """
         prefix = f"{name} = "
-        if name == f"s{len(self.stack)}" and self.lines[-1].startswith(prefix):
+        if name == f"s{len(self.stack)}" and self.lines and self.lines[-1].startswith(prefix):
             return self.lines.pop()[len(prefix) :]
         return name
 
@@ -255,9 +288,9 @@ class _FunctionTranslator:
     def _number(self, name: str, tag: str) -> str:
         """Guard ``name`` as an exact number (a failure is a certain
         error); returns its numeric tag."""
-        if tag in "ifn":
+        if tag in _NUMBERS:
             return tag
-        self.lines.append(_NOT_NUMBER.format(name))
+        self.lines.append(_GUARDS["n"].format(name))
         if name[0] == "v":  # holds for the local until it is stored to
             self._want(name, "n")
             self._prove(int(name[1:]), "n")
@@ -266,8 +299,9 @@ class _FunctionTranslator:
     # -- instructions -------------------------------------------------------------
 
     def _op_push_const(self, op: int, operand: int) -> None:
-        kind = type(self.program.constants[operand])
-        tag = {int: "i", float: "f", bool: "b"}.get(kind, "a")
+        value = self.program.constants[operand]
+        kind = type(value)
+        tag = _int_tag(value) if kind is int else {float: "f", bool: "b"}.get(kind, "a")
         self.stack.append((f"k{operand}", tag))
 
     def _op_push_none(self, op: int, operand: None) -> None:
@@ -300,10 +334,16 @@ class _FunctionTranslator:
     def _op_add(self, op: int, operand: None) -> None:
         (x, x_tag), (y, y_tag) = self._take(2)
         expr, ordering = f"{x} {_SYMBOLS[op]} {y}", op in _ORDERING
-        if (op != Op.ADD and not ordering) or x_tag in "ifn" or y_tag in "ifn":
+        if (op != Op.ADD and not ordering) or x_tag in _NUMBERS or y_tag in _NUMBERS:
             # No string or array meaning is left: a non-number is an error.
+            if ordering:
+                self._note_comparison(op, (x, x_tag), (y, y_tag))
             x_tag, y_tag = self._number(x, x_tag), self._number(y, y_tag)
-            tag = "i" if x_tag == y_tag == "i" else "f" if "f" in (x_tag, y_tag) else "n"
+            ints = x_tag in _INTS and y_tag in _INTS
+            tag = "i" if ints else "f" if "f" in (x_tag, y_tag) else "n"
+            if ints and op != Op.SUB and "i" not in (x_tag, y_tag):
+                # A sum has its stronger side's sign fact, a product its weaker ("p" < "z").
+                tag = (min if op == Op.ADD else max)(x_tag, y_tag)
             self._result(expr, "b" if ordering else tag)
         else:
             slow = f"order(o{op}, {x}, {y})" if ordering else f"add({x}, {y})"
@@ -314,14 +354,32 @@ class _FunctionTranslator:
 
     _op_sub = _op_mul = _op_lt = _op_le = _op_gt = _op_ge = _op_add
 
+    def _note_comparison(self, op: int, x: tuple[str, str], y: tuple[str, str]) -> None:
+        """An int local compared with an int constant is bounded below on an
+        arm of the branch this feeds (not a float: NaN fails ``x < c`` too)."""
+        if x[0][0] == "k":
+            x, y, op = y, x, _MIRRORED[op]
+        (name, tag), constant = x, y[0]
+        value = self.program.constants[int(constant[1:])] if constant[0] == "k" else None
+        if name[0] == "v" and tag in _INTS and type(value) is int:
+            arms = [
+                tag if offset is None else min(tag, _int_tag(value + offset), key=_INTS.index)
+                for offset in _AT_LEAST[op]
+            ]
+            self.refined = (self.pc, int(name[1:]), *arms)
+
     def _op_div(self, op: int, operand: None) -> None:
         (x, x_tag), (y, y_tag) = self._take(2)
         self._want(x, "n" if y_tag in "fn" else "i")
         self._want(y, "n" if x_tag in "fn" else "i")
         fast = f"{x} % {y}" if op == Op.MOD else f"{x} // {y}"
+        if x_tag in "pz" and y_tag == "p":  # C and Python agree on these signs
+            self._result(fast, "z")
+            return
         slow = f"modulo({x}, {y})" if op == Op.MOD else f"divide({x}, {y})"
-        ints = "" if x_tag == y_tag == "i" else f"type({x}) is int and type({y}) is int and "
-        if op == Op.DIV and x_tag in "ifn" and y_tag in "ifn" and "f" in (x_tag, y_tag):
+        ints = f"type({x}) is int and type({y}) is int and "
+        ints = "" if x_tag in _INTS and y_tag in _INTS else ints
+        if op == Op.DIV and x_tag in _NUMBERS and y_tag in _NUMBERS and "f" in (x_tag, y_tag):
             self._result(f"{x} / {y} if {y} else {slow}", "f")
             return
         if op == Op.DIV and ints:
@@ -334,7 +392,7 @@ class _FunctionTranslator:
 
     def _op_eq(self, op: int, operand: None) -> None:
         (x, x_tag), (y, y_tag) = self._take(2)
-        if (x_tag in "ifn" and y_tag in "ifn") or x_tag == y_tag == "b":
+        if (x_tag in _NUMBERS and y_tag in _NUMBERS) or x_tag == y_tag == "b":
             self._result(f"{x} == {y}" if op == Op.EQ else f"{x} != {y}", "b")
         else:
             self._result(f"{'' if op == Op.EQ else 'not '}equals({x}, {y})", "b")
@@ -343,7 +401,8 @@ class _FunctionTranslator:
 
     def _op_neg(self, op: int, operand: None) -> None:
         ((name, tag),) = self._take(1)
-        self._result(f"-{name}", self._number(name, tag))
+        tag = self._number(name, tag)
+        self._result(f"-{name}", "i" if tag in _INTS else tag)
 
     def _op_not(self, op: int, operand: None) -> None:
         ((name, tag),) = self._take(1)
@@ -353,7 +412,7 @@ class _FunctionTranslator:
 
     def _op_index(self, op: int, operand: None) -> None:
         (x, _), (y, y_tag) = self._take(2)
-        integer = "" if y_tag == "i" else f" and type({y}) is int"
+        integer = "" if y_tag in _INTS else f" and type({y}) is int"
         self._result(
             f"{x}[{y}] if type({x}) is list{integer} "
             f"and 0 <= {y} < len({x}) else index_get({x}, {y})",
@@ -363,7 +422,7 @@ class _FunctionTranslator:
     def _op_store_index(self, op: int, operand: None) -> None:
         (x, _), (y, y_tag), (z, _) = self._take(3)
         self.uses.add("store_index")
-        integer = "" if y_tag == "i" else f" and type({y}) is int"
+        integer = "" if y_tag in _INTS else f" and type({y}) is int"
         self.lines += [
             f"if type({x}) is list{integer} and 0 <= {y} < len({x}): {x}[{y}] = {z}",
             f"else: index_set({x}, {y}, {z})",
@@ -381,17 +440,24 @@ class _FunctionTranslator:
         self._result(f"b{index}({seeded}, [{arguments}])", _BUILTIN_TAGS.get(builtin, "a"))
 
     def _op_call(self, op: int, operand: int) -> None:
-        n_params = self.program.functions[operand].n_params
-        arguments = "".join(f", {name}" for name, _ in self._take(n_params))
-        self.lines.append("F[0] = fuel")
-        self._result(f"f{operand}(F, depth + 1{arguments})", self.returns.get(operand, "x"))
+        """Enter the callee past its entry guards, testing the arguments no tag proves."""
+        taken = self._take(self.program.functions[operand].n_params)
+        for slot, (name, tag) in enumerate(taken):
+            want = self.entry_guards[operand].get(slot)
+            if want and want not in _IMPLIED.get(tag, ""):
+                self.lines.append(_GUARDS[want].format(name))
+        arguments = "".join(f", {name}" for name, _ in taken)
+        self.lines.append(f"F[0] = fuel - {self.pc - self.charged}")
+        self.charged = self.pc
+        self._result(f"u{operand}(F, depth + 1{arguments})", self.returns.get(operand, "x"))
         self.lines.append("fuel = F[0]")
 
     # -- emission -----------------------------------------------------------------
 
     def source(self) -> str:
-        """The function as Python source (call after ``analyse``)."""
-        self.merged: set[int] = set()
+        """The function as Python source (call after ``analyse``): ``f<i>``
+        tests the entry guards and enters ``u<i>``, which calls enter."""
+        self.carried: dict[int, int] = {}  # merged join -> instructions it owes
         bodies: dict[int | None, list] = {}
         heads = [0 if self.preds[0] > 1 else None]  # None: the entry runs before the loop
         while heads:
@@ -405,11 +471,7 @@ class _FunctionTranslator:
             bodies, key=lambda pc: (-sum(lo <= pc <= hi for lo, hi in self.back_edges), pc)
         )
         self.position = {pc: place for place, pc in enumerate(chain)}
-        guards = [
-            _NOT_NUMBER.format(f"v{p}") if tag == "n" else f"if type(v{p}) is not int: raise R"
-            for p, tag in sorted(self.wanted.items())
-        ]
-        lines = ["if depth > D: raise R", *guards, "fuel = F[0]", *self._render(prelude, None)]
+        lines = ["if depth > D: raise R", "fuel = F[0]", *self._render(prelude, None)]
         if chain:
             loop = []
             for head in chain[:-1]:
@@ -418,49 +480,63 @@ class _FunctionTranslator:
             if len(chain) > 1 and 0 in bodies:
                 lines.append("pc = 0")
             lines += ["while True:", *_indented(loop)]
-        params = "".join(f", v{slot}" for slot in range(self.n_params))
-        return "\n".join([f"def f{self.index}(F, depth{params}):", *_indented(lines)])
+        guards = [_GUARDS[tag].format(f"v{p}") for p, tag in sorted(self.wanted.items())]
+        signature = f"{self.index}(F, depth{''.join(f', v{p}' for p in range(self.n_params))})"
+        entry = [f"def f{signature}:", *_indented([*guards, f"return u{signature}"])]
+        return "\n".join([*entry, f"def u{signature}:", *_indented(lines)])
 
-    def _emit(self, leader: int, head: int | None, depth: int) -> tuple[list, Counter]:
-        """The block at ``leader``, what nests in it and the joins that
-        follow it; and ``{target: jumps}`` for the jumps that fall out of
-        its end.  The body holds lines, branches ``(condition, then,
-        else)`` and jumps to chain heads (their target), rendered later."""
+    def _emit(self, leader: int, head: int | None, depth: int, ran: int = 0) -> tuple[list, dict]:
+        """The block at ``leader``, entered owing ``ran`` instructions, what
+        nests in it and the joins that follow it; and ``{target: [owed, ...]}``
+        for the jumps that fall out of its end.  The body holds lines,
+        branches ``(condition, then, else)`` and jumps ``(target, owed)``,
+        rendered later."""
         body: list = []
         while True:
-            lines, successors, condition = self._block(leader)
-            outs: Counter = Counter()
-            arms = [self._edge(target, head, depth, outs) for target in successors]
+            lines, successors, condition, ran = self._block(leader, ran)
+            outs: dict[int, list[int]] = {}
+            arms = [self._edge(target, head, depth, outs, ran) for target in successors]
             body += [*lines, (condition, *arms)] if len(arms) == 2 else [*lines, *sum(arms, [])]
-            # A join that every way out of here falls into follows here.
-            if len(outs) != 1 or sum(outs.values()) != self.preds[leader := next(iter(outs))]:
+            # A join that every way out of here falls into follows here, and
+            # what every way in still owes is charged after it.
+            if len(outs) != 1 or len(outs[leader := next(iter(outs))]) != self.preds[leader]:
                 return body, outs
-            self.merged.add(leader)
+            self.carried[leader] = ran = min(outs[leader])
 
-    def _edge(self, target: int, head: int | None, depth: int, outs: Counter) -> list:
-        if target == head:
-            return ["continue"]
-        if self.preds[target] == 1 and depth < _MAX_NESTING:
-            body, inner = self._emit(target, head, depth + 1)
-            outs.update(inner)
+    def _edge(self, target: int, head: int | None, depth: int, outs: dict, ran: int) -> list:
+        if target != head and self.preds[target] == 1 and depth < _MAX_NESTING:
+            body, inner = self._emit(target, head, depth + 1, ran)
+            for join, owed in inner.items():
+                outs.setdefault(join, []).extend(owed)
             return body
-        outs[target] += 1
-        return [target]
+        if target != head:
+            outs.setdefault(target, []).append(ran)
+        return [(target, ran)]
 
     def _render(self, body: list, head: int | None) -> list[str]:
         lines: list[str] = []
         for item in body:
             if type(item) is str:
                 lines.append(item)
-            elif type(item) is tuple:
+            elif len(item) == 3:
                 condition, then, orelse = item
                 lines += [f"if {condition}:", *_indented(self._render(then, head) or ["pass"])]
                 orelse = self._render(orelse, head)
                 lines += ["else:", *_indented(orelse)] if orelse else []
-            elif item not in self.merged and len(self.position) > 1:  # else: fall into it
-                lines.append(f"pc = {item}")
-                if head is not None and self.position[item] < self.position[head]:
-                    lines.append("continue")  # up the chain; down it (or into it) falls
+            else:
+                lines += self._jump(*item, head)
+        return lines
+
+    def _jump(self, target: int, ran: int, head: int | None) -> list[str]:
+        """Charge what the jump owes (a merged join owes the rest), then go."""
+        owed = ran - self.carried.get(target, 0)
+        lines = [f"fuel -= {owed}"] if owed else []
+        if target == head:
+            lines.append("continue")
+        elif target not in self.carried and len(self.position) > 1:  # else: fall into it
+            lines.append(f"pc = {target}")
+            if head is not None and self.position[target] < self.position[head]:
+                lines.append("continue")  # up the chain; down it (or into it) falls
         return lines
 
 
@@ -559,8 +635,10 @@ def translate(program: CompiledProgram) -> Translation | None:
             raise _Declined("program too large")
         if not all(type(constant) in _SCALARS for constant in program.constants):
             raise _Declined("non-scalar constant")
+        entry_guards: dict[int, dict[int, str]] = {}
         translators = [
-            _FunctionTranslator(program, index) for index in range(len(program.functions))
+            _FunctionTranslator(program, index, entry_guards)
+            for index in range(len(program.functions))
         ]
         returns: dict[int, str] = {}
         for index in _callees_first(program):

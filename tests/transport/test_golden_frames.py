@@ -27,7 +27,7 @@ import pytest
 
 from repro.common.errors import CodecError
 from repro.common.ids import NodeId, TaskletId
-from repro.common.serde import decode_value, encode_value, packed
+from repro.common.serde import decode_value, encode_value, packed, unpack_str, unpack_varint
 from repro.core.kernels import PRIME_COUNT
 from repro.core.tasklet import Tasklet
 from repro.dag.patterns import stencil
@@ -224,6 +224,31 @@ def test_a_frame_of_a_retired_type_is_refused():
         assert str(refused.value) == "unknown message tag 0x0f"
         with pytest.raises(CodecError, match="unknown message tag 0x0f"):
             EnvelopeDecoder().feed(frame)
+
+
+def _flags_at(body: bytes) -> int:
+    """Where a frame body's flags byte is: after magic, tag, src, dst, seq."""
+    assert body[1] != 0  # a tagged type: no type name follows the tag
+    _src, pos = unpack_str(body, 2)
+    _dst, pos = unpack_str(body, pos)
+    return unpack_varint(body, pos)[1]
+
+
+@pytest.mark.parametrize("name", ["sample/cancel_execution#11", "coarse/assign_execution+trace"])
+def test_a_frame_with_an_undefined_flag_bit_is_refused(name):
+    """Only bit0 (trace) and bit1 (field-packed) mean anything; a frame
+    with any other bit set is refused whole, not read as if it were clear."""
+    (frame,) = [frame for golden, frame, _envelope in LIVE if golden == name]
+    body = frame[4:]
+    at = _flags_at(body)
+    assert body[at] in (0x02, 0x03)
+    for bit in range(2, 8):
+        flags = body[at] | 1 << bit
+        broken = body[:at] + bytes([flags]) + body[at + 1 :]
+        with pytest.raises(CodecError, match=f"undefined flag bits set: 0x{flags:02x}"):
+            decode_body(broken)
+        with pytest.raises(CodecError, match="undefined flag bits"):
+            EnvelopeDecoder().feed(frame[:4] + broken)
 
 
 def test_a_golden_stream_fed_in_odd_chunks_decodes_in_order():

@@ -9,7 +9,10 @@ model, and redundant-execution voting.  The portable representation
 ``tests/tvm/engines.py`` says what is compared and how.
 """
 
+import copy
+import math
 import re
+import sys
 import threading
 
 import pytest
@@ -18,6 +21,7 @@ from repro.core import kernels
 from repro.provider.executor import TaskletExecutor, local_assignment
 from repro.tvm.bytecode import CompiledProgram
 from repro.tvm.compiler import compile_source
+from repro.tvm.opcodes import Op
 from repro.tvm.parser import parse
 from repro.tvm.semantics import analyze
 from repro.tvm.translate import translate
@@ -26,6 +30,7 @@ from repro.tvm.vm import TVM
 from tests.tvm.assembler import assemble
 from tests.tvm.astinterp import AstInterpreter
 from tests.tvm.engines import (
+    FUEL,
     KERNEL_CASES,
     assert_engines_agree,
     run_portable,
@@ -70,17 +75,42 @@ def test_translation_elides_only_the_guards_it_has_proven():
     assert source.index(guard) < source.index("while True:")
 
 
+#: Inputs that between them take every arm of every kernel's branches.
+PATH_CASES = {
+    **{name: [("main", args)] for name, args in KERNEL_CASES.items()},
+    "prime_count": [("main", [40]), ("is_prime", [1])],
+    "fibonacci": [("main", [0]), ("main", [7])],
+}
+CHARGE = re.compile(r"fuel -= \d+|F\[0\] = fuel - \d+")
+
+
 def test_fuel_charges_cover_every_reachable_instruction_once():
-    for name in KERNEL_CASES:
+    # Charges sink to the first back edge, join, return or call on the
+    # way: the charges along every path must sum to the path's
+    # instruction count.  Each run checks the path it took (its total is
+    # the portable VM's count); together the runs pass every charge.
+    for name, cases in PATH_CASES.items():
         program = compile_source(kernels.ALL_KERNELS[name])
         program.verify()
         translation = translate(program)
-        for function, source in zip(program.functions, translation.sources):
-            charged = sum(int(n) for n in re.findall(r"fuel -= (\d+)", source))
-            # The compiler's implicit ``PUSH_NONE; RET`` tail is unreachable
-            # in a value-returning function and must not be emitted; nesting
-            # and joins move blocks, never copy or drop one.
-            assert charged == len(function.code) - 2, (name, function.name)
+        text = "\n\n".join(translation.sources).splitlines()
+        charges = {number for number, line in enumerate(text, 1) if CHARGE.search(line)}
+        ran: set[int] = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != "<tvm:translated>":
+                return None
+            ran.add(frame.f_lineno)
+            return trace
+
+        for entry, args in cases:
+            sys.settrace(trace)
+            try:
+                direct = translation.run(entry, copy.deepcopy(args), FUEL)
+            finally:
+                sys.settrace(None)
+            assert ("ok", *direct) == run_portable(program, args, entry=entry), (name, args)
+        assert charges <= ran, (name, [text[number - 1] for number in charges - ran])
 
 
 def test_function_entry_and_every_loop_head_test_fuel():
@@ -92,17 +122,20 @@ def test_function_entry_and_every_loop_head_test_fuel():
     .end
     """
     program = assemble(listing)
-    (source,) = translate(program).sources
-    # The entry runs before the loop, the back edge's target 1 heads it,
-    # and 2 (one predecessor) nests in 1 and jumps back with a bare continue.
-    entry, loop = source.split("while True:")
-    assert entry.endswith("fuel -= 1\n    if fuel < 0: raise R\n    ")
-    assert loop == (
-        "\n        fuel -= 1\n        if fuel < 0: raise R"
-        "\n        fuel -= 1\n        continue"
-    )
-    nested = translate(compile_source(kernels.MANDELBROT_ROW)).sources[0]
-    assert nested.count("if fuel < 0: raise R") == 3  # entry + two loop heads
+    branches = (Op.JUMP, Op.JUMP_IF_FALSE, Op.JUMP_IF_TRUE)
+    for compiled in (program, *map(compile_source, kernels.ALL_KERNELS.values())):
+        for function, source in zip(compiled.functions, translate(compiled).sources):
+            pairs = enumerate(function.pairs)
+            heads = {to for pc, (op, to) in pairs if op in branches and to <= pc}
+            # One test at entry and one at the top of every loop head...
+            assert source.count("if fuel < 0: raise R") == 1 + len(heads), function.name
+            # ...and every way back up to a head pays first, so each
+            # cycle's test sees a charge of at least one.
+            lines = [line.strip() for line in source.splitlines()]
+            for place, line in enumerate(lines):
+                if line == "continue":
+                    before = lines[place - 2 : place]
+                    assert any(CHARGE.match(other) for other in before), (function.name, before)
     # ``while (true) {}`` ends: without the loop head's test it would spin
     # on a negative budget for ever, so run it where a hang is a failure.
     outcome = []
@@ -299,6 +332,153 @@ def test_remainder_and_quotient_of_negative_ints_in_a_proven_int_loop():
             + c_mod(i, n) + c_div(-i, n)
             for i in range(-13, 13)
         )
+
+
+SIGNS = """
+func main(a: int, b: int) -> int {
+    var s: int = a % 5 + a / 5 + b % 7;
+    if (a >= 0) {
+        s = s + a % 3 + a / 3;
+        if (b > 0) { s = s + a % b + a / b + (a * b + 1) % (b + 2) + (b - 5) % 3; }
+        if (1 <= b) { s = s + (a + b) / b; }
+    }
+    if (b < 0) { s = s - 1; } else { s = s + 9 % (b + 1); }
+    return s + a % b + a / b;
+}
+"""
+
+
+def test_remainder_and_quotient_by_sign_agree_with_the_portable_vm():
+    # Where a, b or a sum or product of them is proven >= 0 or > 0, % and /
+    # are Python's; elsewhere they keep the sign tests.  Every sign of
+    # either operand, zero included, must still mean what it means in C.
+    program = compile_source(SIGNS)
+    (text,) = translate(program).sources
+    bare = re.findall(r"\n +s\d = (\w+ (?:%|//) \w+)\n", text)
+    assert bare == ["v0 % k3", "v0 // k3", "v0 % v1", "v0 // v1", "s1 % s2", "s1 // v1", "k6 % s2"]
+    assert text.count("modulo(") == 4 and text.count("divide(") == 2
+    for a in range(-4, 5):
+        for b in range(-4, 5):
+            expected, direct = assert_engines_agree(program, [a, b])
+            if b:
+                assert expected == direct and direct[1] == c_signs(a, b), (a, b)
+            else:
+                assert direct == ("restart",) and expected[1] == "VMDivisionByZero"
+    # Each comparison, either way round, with a constant either side of
+    # zero: an arm may only call x non-negative where it is.
+    compare = """
+    .constants 2
+      k0 = {c}
+      k1 = 3
+    .func main params=1 locals=1 returns=value
+      0  {first}
+      1  {second}
+      2  {op}
+      3  JUMP_IF_FALSE 8
+      4  LOAD 0
+      5  PUSH_CONST 1
+      6  MOD
+      7  RET
+     L8  LOAD 0
+      9  PUSH_CONST 1
+     10  MOD
+     11  PUSH_CONST 1
+     12  ADD
+     13  RET
+    .end
+    """
+    for op, holds in {"LT": int.__lt__, "LE": int.__le__, "GT": int.__gt__, "GE": int.__ge__}.items():
+        for c in (-2, -1, 0, 1):
+            for first, second, flip in (("LOAD 0", "PUSH_CONST 0", 0), ("PUSH_CONST 0", "LOAD 0", 1)):
+                program = assemble(compare.format(c=c, op=op, first=first, second=second))
+                for x in range(-4, 5):
+                    true = holds(c, x) if flip else holds(x, c)
+                    expected = c_mod(x, 3) + (0 if true else 3)
+                    assert agree_ok(program, [x]) == expected, (op, c, flip, x)
+
+
+def c_signs(a, b):
+    s = c_mod(a, 5) + c_div(a, 5) + c_mod(b, 7)
+    if a >= 0:
+        s += a % 3 + a // 3
+        if b > 0:
+            s += a % b + a // b + (a * b + 1) % (b + 2) + c_mod(b - 5, 3) + (a + b) // b
+    s += -1 if b < 0 else 9 % (b + 1)
+    return s + c_mod(a, b) + c_div(a, b)
+
+
+def test_a_comparison_nan_fails_proves_no_sign():
+    # x is a number, not an int: NaN (or 5.5) gets past ``x < 0`` too, so
+    # the arm proves nothing and % and / keep their float meaning.
+    listing = """
+    .constants 3
+      k0 = 0
+      k1 = 2
+      k2 = 1
+    .func main params=1 locals=1 returns=value
+      0  LOAD 0
+      1  PUSH_CONST 2
+      2  MUL
+      3  STORE 0
+      4  LOAD 0
+      5  PUSH_CONST 0
+      6  LT
+      7  JUMP_IF_FALSE 10
+      8  PUSH_CONST 0
+      9  RET
+    L10  LOAD 0
+     11  PUSH_CONST 1
+     12  MOD
+     13  LOAD 0
+     14  PUSH_CONST 1
+     15  DIV
+     16  BUILD_ARRAY 2
+     17  RET
+    .end
+    """
+    program = assemble(listing)
+    (text,) = translate(program).sources
+    assert "v0 = v0 * k2" in text and "v0 < k0" in text  # a number, compared
+    assert "modulo(" in text and "divide(" in text
+    assert agree_ok(program, [5.5]) == [1.5, 2.75] and agree_ok(program, [7]) == [1, 3]
+    assert agree_ok(program, [-0.5]) == 0
+    (_, portable, _), (_, translated, _) = (
+        engine(program, [math.nan]) for engine in (run_portable, run_translated)
+    )
+    assert all(map(math.isnan, portable + translated)) and len(translated) == 2
+
+
+def test_run_enters_through_the_guards_a_proven_call_skips():
+    # A call whose argument no tag proves an int tests it before entering:
+    # past half's guard, 5.5 / 2 would floor like an int.
+    half = """
+    .constants 1
+      k0 = 2
+    .func half params=1 locals=1 returns=value
+      0  LOAD 0
+      1  PUSH_CONST 0
+      2  DIV
+      3  RET
+    .end
+    .func main params=1 locals=1 returns=value
+      0  LOAD 0
+      1  CALL 0
+      2  RET
+    .end
+    """
+    program = assemble(half)
+    assert agree_ok(program, [7]) == 3 and agree_ok(program, [-7]) == -3
+    expected, direct = assert_engines_agree(program, [5.5])
+    assert direct == ("restart",) and expected[1] == 2.75
+    program = compile_source(kernels.PRIME_COUNT)
+    is_prime, main = translate(program).sources
+    # main's n is a proven positive int: it enters is_prime past its guard.
+    assert "if type(v0) is not int: raise R\n    return u0(F, depth, v0)" in is_prime
+    assert "u0(F, depth + 1, v2)" in main and "type(" not in main.split("def u1")[1]
+    expected, direct = assert_engines_agree(program, [-7], entry="is_prime")
+    assert expected == direct and direct[1] is False
+    expected, direct = assert_engines_agree(program, [2.0], entry="is_prime")
+    assert direct == ("restart",) and expected[:2] == ("ok", True)
 
 
 def c_mod(x, y):

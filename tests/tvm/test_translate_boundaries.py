@@ -44,6 +44,24 @@ def test_fuel_boundary_is_exact_for_every_kernel(name):
         assert expected == direct == ("ok", value, retired)
 
 
+@pytest.mark.parametrize("name", sorted(kernels.ALL_KERNELS))
+def test_each_of_the_last_40_fuels_ends_where_the_portable_vm_ends(name):
+    # Charges sink to back edges, joins, returns and calls: a budget that
+    # runs out anywhere in the last 40 instructions must still restart.
+    program = compile_source(kernels.ALL_KERNELS[name])
+    args = KERNEL_CASES[name]
+    status, value, retired = run_portable(program, args, seed=3)
+    assert status == "ok"
+    for fuel in range(retired - 40, retired + 2):
+        expected, direct = assert_engines_agree(program, args, fuel=fuel, seed=3)
+        if fuel < retired:
+            message = f"fuel exhausted after {fuel} instructions"
+            assert expected == ("error", "VMFuelExhausted", message, fuel)
+            assert direct == ("restart",)
+        else:
+            assert expected == direct == ("ok", value, retired)
+
+
 RECURSE = """
 func down(n: int) -> int {
     if (n <= 1) { return 1; }
