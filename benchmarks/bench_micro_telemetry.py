@@ -13,9 +13,8 @@ Two claims are kept honest here:
    benchmarked alongside the disabled one so a regression in either
    path shows up in the pytest-benchmark tables.
 
-The TVM's per-instruction profiling guard gets the same treatment at
-the dispatch-loop level, and the flight recorder's per-event guard at
-the event-emission level.
+The flight recorder's per-event guard gets the same treatment at the
+event-emission level.
 """
 
 import time
@@ -24,8 +23,6 @@ from repro.core import kernels
 from repro.obs import Telemetry
 from repro.sim.devices import make_pool
 from repro.sim.runner import Simulation
-from repro.tvm.compiler import compile_source
-from repro.tvm.vm import TVM
 
 
 def run_sim_workload(telemetry, tasks=6, limit=300):
@@ -92,25 +89,6 @@ def test_workflow_tracing_disabled_within_noise_of_enabled():
     assert disabled <= enabled * 1.05, (
         f"tracing-disabled workflow run ({disabled * 1e3:.1f}ms) slower "
         f"than traced run ({enabled * 1e3:.1f}ms) beyond 5% noise"
-    )
-
-
-def test_vm_unprofiled_within_noise_of_profiled():
-    """The per-instruction ``profile`` guard must be cheaper than profiling."""
-    program = compile_source(kernels.PRIME_COUNT)
-
-    def run(profile):
-        machine = TVM(program, verify=False, profile=profile)
-        machine.run("main", [1500])
-        return machine.stats.instructions
-
-    run(False), run(True)  # warm
-    unprofiled, profiled = interleaved_best_of(
-        lambda: run(False), lambda: run(True), rounds=7
-    )
-    assert unprofiled <= profiled * 1.05, (
-        f"unprofiled dispatch ({unprofiled * 1e3:.2f}ms) slower than "
-        f"profiled ({profiled * 1e3:.2f}ms) beyond 5% noise"
     )
 
 

@@ -11,9 +11,11 @@ Drives the broker-loss survival story over real TCP sockets:
    mid-workload (no drain, no goodbye);
 4. the consumer fails over to a surviving broker on its own, in-flight
    futures fail typed, and idempotent resubmission recovers the rest;
-5. the cross-journal audit proves exactly-once: every tasklet value is
-   correct, and each tasklet's ``executed_by`` names exactly one broker
-   — never the one that died.
+5. b2, b1's successor, sees b1 go silent past its peer horizon and
+   adopts b1's journal (a ``journal_handoff`` event naming b1);
+6. the cross-journal audit, read after the handoff, proves exactly-once:
+   every tasklet value is correct, and each tasklet's ``executed_by``
+   names exactly one broker — never the one that died.
 
 Exit code 0 when every assertion holds; stack trace otherwise.  The
 journals and the flight-recorder event log are CI artifacts on failure.
@@ -23,7 +25,7 @@ import argparse
 import os
 import sys
 
-from repro.bench.cluster import LocalCluster
+from repro.bench.cluster import LocalCluster, wait_until
 from repro.bench.experiments.exp_f7_churn import broker_kill
 from repro.core import kernels
 from repro.obs import FlightRecorder, Telemetry
@@ -45,15 +47,28 @@ def main() -> int:
     args = parser.parse_args()
 
     telemetry = Telemetry(events=FlightRecorder(jsonl_path=args.events_log))
+    successor = Telemetry()
     with LocalCluster(
         *BROKER_IDS,
         journal=os.path.join(args.journal_dir, "journal_{id}.jsonl"),
-        telemetry={"b1": telemetry},
+        telemetry={"b1": telemetry, "b2": successor},
     ) as cluster:
         ports = ", ".join(f"{b}@{cluster.addresses[b][1]}" for b in BROKER_IDS)
         print(f"federation up: {ports}")
-        values, lost, executed_by = broker_kill(cluster, BAG)
+        values, lost, _ = broker_kill(cluster, BAG)
         print(f"killed b1 with {len(BAG)} tasklets in flight; {len(lost)} resubmitted")
+        wait_until(
+            lambda: successor.events.events(kind="journal_handoff"), 15,
+            "b2 to adopt b1's journal",
+        )
+        (handoff,) = successor.events.events(kind="journal_handoff")
+        assert handoff.node == "b1", handoff
+        print(
+            f"b2 adopted b1's journal: {handoff.attrs['pending']} pending, "
+            f"{handoff.attrs['completions']} completions"
+        )
+        audit = cluster.executors()
+    executed_by = {tid: audit.get(tid, set()) for tid, _ in BAG}
 
     for tid, limit in BAG:
         expected = kernels.python_prime_count(limit)

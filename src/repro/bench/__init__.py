@@ -7,7 +7,6 @@ from .harness import (
     geometric_mean,
     monotone_decreasing,
     monotone_increasing,
-    sweep,
 )
 from .simlib import RunOutcome, run_workload
 
@@ -18,7 +17,6 @@ __all__ = [
     "geometric_mean",
     "monotone_decreasing",
     "monotone_increasing",
-    "sweep",
     "RunOutcome",
     "run_workload",
 ]

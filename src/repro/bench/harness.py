@@ -1,8 +1,8 @@
-"""Experiment harness: tables, series, and sweep plumbing.
+"""Experiment harness: tables, series, and shape checks.
 
 Every reconstructed table/figure (see DESIGN.md §3) is implemented as a
 function returning a :class:`Table`; ``benchmarks/`` calls them with quick
-parameters under pytest-benchmark, and ``python -m repro.bench.report``
+parameters under pytest-benchmark, and ``python -m repro report``
 runs the full set and regenerates EXPERIMENTS.md.
 
 A :class:`Table` is intentionally dumb — ordered columns, homogeneous
@@ -13,7 +13,7 @@ series the paper reports", not a plotting stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 
 @dataclass
@@ -34,11 +34,6 @@ class Table:
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)
-
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order."""
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
 
     @staticmethod
     def _format_cell(value: Any) -> str:
@@ -146,19 +141,3 @@ def geometric_mean(values: Sequence[float]) -> float:
             raise ValueError(f"geometric mean requires positive values, got {value}")
         product *= value
     return product ** (1.0 / len(values))
-
-
-def sweep(
-    parameter_values: Sequence[Any], run_one: Callable[[Any], dict[str, Any]]
-) -> list[dict[str, Any]]:
-    """Run ``run_one`` for each parameter value; collect result dicts.
-
-    A thin helper, but it centralises the convention that each sweep point
-    returns a flat dict (which maps 1:1 onto a table row).
-    """
-    results = []
-    for value in parameter_values:
-        outcome = run_one(value)
-        outcome.setdefault("param", value)
-        results.append(outcome)
-    return results

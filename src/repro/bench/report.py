@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.bench.report            # quick parameters (~2-4 min)
-    python -m repro.bench.report --full     # paper-scale parameters
-    python -m repro.bench.report T1 F3      # subset
+    python -m repro report            # quick parameters (~2-4 min)
+    python -m repro report --full     # paper-scale parameters
+    python -m repro report T1 F3      # subset
 
 Each experiment module documents, in its docstring, the *shape claims*
 reconstructed from the paper's design (the paper text itself being
@@ -14,7 +14,6 @@ the PASS/FAIL verdict of every claim.
 
 from __future__ import annotations
 
-import sys
 import time
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .experiments import ALL_EXPERIMENTS
 
 _HEADER = """# EXPERIMENTS — paper vs. measured
 
-> Generated by `python -m repro.bench.report`{mode_note}.
+> Generated by `python -m repro report`{mode_note}.
 >
 > **Context.** The target paper's evaluation section was unavailable (the
 > text supplied with the reproduction task was a different document — see
@@ -54,7 +53,6 @@ def generate(
     experiment_ids: list[str] | None = None,
     quick: bool = True,
     output_path: str | Path = "EXPERIMENTS.md",
-    echo: bool = True,
 ) -> bool:
     """Run experiments and (re)write the report; returns overall pass."""
     selected = experiment_ids or list(ALL_EXPERIMENTS)
@@ -70,9 +68,8 @@ def generate(
         started = time.perf_counter()
         experiment = module.run(quick=quick)
         elapsed = time.perf_counter() - started
-        if echo:
-            print(experiment.render())
-            print(f"({elapsed:.1f}s)\n")
+        print(experiment.render())
+        print(f"({elapsed:.1f}s)\n")
         all_passed = all_passed and experiment.all_passed
         passed = sum(1 for check in experiment.checks if check.passed)
         verdict = "PASS" if experiment.all_passed else "**FAIL**"
@@ -98,20 +95,5 @@ def generate(
         mode_note=mode_note, summary_rows="\n".join(summary_rows)
     ) + "\n\n".join(sections) + "\n"
     Path(output_path).write_text(content)
-    if echo:
-        print(f"wrote {output_path}; overall: {'PASS' if all_passed else 'FAIL'}")
+    print(f"wrote {output_path}; overall: {'PASS' if all_passed else 'FAIL'}")
     return all_passed
-
-
-def main(argv: list[str] | None = None) -> int:
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    quick = True
-    if "--full" in arguments:
-        quick = False
-        arguments.remove("--full")
-    ok = generate(experiment_ids=arguments or None, quick=quick)
-    return 0 if ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -93,21 +93,10 @@ class CostLedger:
         )
         return amount
 
-    def spent_by(self, consumer_id: NodeId) -> float:
-        account = self.consumers.get(consumer_id)
-        return account.spent if account else 0.0
-
-    def earned_by(self, provider_id: NodeId) -> float:
-        account = self.providers.get(provider_id)
-        return account.earned if account else 0.0
-
-    def cost_of(self, tasklet_key: str) -> float:
-        """Total billed for one Tasklet (all replicas and retries)."""
-        return self._per_tasklet.get(tasklet_key, 0.0)
-
     def pop_cost_of(self, tasklet_key: str) -> float:
-        """Like :meth:`cost_of` but releases the per-Tasklet entry
-        (called when the Tasklet completes, to bound memory)."""
+        """Total billed for one Tasklet (all replicas and retries), and
+        its entry released (called when the Tasklet completes, to bound
+        memory)."""
         return self._per_tasklet.pop(tasklet_key, 0.0)
 
     @property

@@ -204,10 +204,6 @@ class JournalSnapshot:
     workflows_completed: int = 0
 
     @property
-    def pending_keys(self) -> list[str]:
-        return [entry.key for entry in self.pending]
-
-    @property
     def pending_workflow_keys(self) -> list[str]:
         return [entry.key for entry in self.workflows]
 
@@ -431,38 +427,20 @@ class WorkJournal:
 
     # -- maintenance ----------------------------------------------------------
 
-    def compact(self, keep_completions: int | None = None) -> JournalSnapshot:
+    def compact(self) -> JournalSnapshot:
         """Rewrite the journal keeping only live state.
 
         Drops ``admitted`` records that already completed (the program
-        payloads dominate journal size) and, when ``keep_completions``
-        is given, all but the most recent N completions.  State an
-        in-flight workflow still needs survives unconditionally: its
-        ``wf_admitted`` record, its not-yet-completed node admissions,
-        and its node completions (exempt from the ``keep_completions``
-        trim — recovery replays them into the rebuilt scheduler).  The
+        payloads dominate journal size); every completion is kept.  State
+        an in-flight workflow still needs survives: its ``wf_admitted``
+        record and its not-yet-completed node admissions (recovery replays
+        them, with the node completions, into the rebuilt scheduler).  The
         rewrite is atomic (temp file + rename); returns the snapshot it
         kept.
         """
         snapshot = self.replay()
         pending_wf = set(snapshot.pending_workflow_keys)
-
-        def _owned_by_pending_workflow(node_key: str) -> bool:
-            return any(node_key.startswith(wf + ":") for wf in pending_wf)
-
         completions = list(snapshot.completions.values())
-        if keep_completions is not None and keep_completions >= 0:
-            tail = (
-                {c.key for c in completions[-keep_completions:]}
-                if keep_completions
-                else set()
-            )
-            completions = [
-                completion
-                for completion in completions
-                if completion.key in tail
-                or _owned_by_pending_workflow(completion.key)
-            ]
         live_nodes = [
             entry
             for entry in snapshot.workflow_nodes

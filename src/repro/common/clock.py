@@ -33,10 +33,6 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic() - self._origin
 
-    def sleep(self, seconds: float) -> None:
-        """Block the calling thread for ``seconds``."""
-        time.sleep(seconds)
-
 
 class VirtualClock:
     """Simulated time, advanced explicitly by the event loop.

@@ -76,7 +76,3 @@ class IdGenerator:
     def next_execution(self) -> ExecutionId:
         """Return a fresh :data:`ExecutionId`."""
         return ExecutionId(self.next("ex"))
-
-    def next_job(self) -> JobId:
-        """Return a fresh :data:`JobId`."""
-        return JobId(self.next("job"))

@@ -44,11 +44,3 @@ class RngRegistry:
         if name not in self._streams:
             self._streams[name] = random.Random(derive_seed(self.seed, name))
         return self._streams[name]
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry whose streams are independent of this one.
-
-        Used to give each simulated node its own registry so adding a node
-        never perturbs the randomness observed by existing nodes.
-        """
-        return RngRegistry(derive_seed(self.seed, f"fork:{name}"))

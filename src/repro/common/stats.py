@@ -76,13 +76,6 @@ class Summary:
     p95: float
     maximum: float
 
-    def format(self, unit: str = "") -> str:
-        """Render a compact one-line summary, e.g. for table cells."""
-        suffix = f" {unit}" if unit else ""
-        return (
-            f"n={self.count} mean={self.mean:.4g}{suffix} "
-            f"p50={self.p50:.4g} p95={self.p95:.4g} sd={self.stdev:.3g}"
-        )
 
 
 def summarize(values: Iterable[float]) -> Summary:

@@ -122,11 +122,6 @@ class ConsumerCore:
 
     # -- submission -----------------------------------------------------------
 
-    def submit(self, tasklet: Tasklet) -> tuple[TaskletFuture, list[Envelope]]:
-        """:meth:`submit_tasklets` for a batch of one."""
-        futures, envelopes = self.submit_tasklets([tasklet])
-        return futures[0], envelopes
-
     def submit_tasklets(
         self, tasklets: Sequence[Tasklet]
     ) -> tuple[list[TaskletFuture], list[Envelope]]:

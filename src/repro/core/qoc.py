@@ -79,18 +79,6 @@ class QoC(Record):
                 f"cost ceiling must be non-negative, got {self.cost_ceiling}"
             )
 
-    # -- classification used by broker and library --------------------------------
-
-    @property
-    def is_best_effort(self) -> bool:
-        """True when no goal beyond single best-effort execution is set."""
-        return self == QoC()
-
-    @property
-    def wants_voting(self) -> bool:
-        """True when replica results must be compared before acceptance."""
-        return self.redundancy >= 2
-
     # -- convenience constructors ---------------------------------------------------
 
     @classmethod

@@ -158,10 +158,6 @@ class VoteCollector:
                 return group
         return None
 
-    @property
-    def decided(self) -> bool:
-        return self.winner() is not None
-
     def disagreement(self) -> bool:
         """True when successful replicas returned conflicting values."""
         return len(self.successes) > 1

@@ -105,10 +105,3 @@ class Tasklet(Record):
             # program pays the hash once.
             data["program_fingerprint"] = self.program.fingerprint()
         return data
-
-    def describe(self) -> str:
-        """One-line human-readable description for logs."""
-        return (
-            f"Tasklet({self.tasklet_id}, entry={self.entry}, "
-            f"redundancy={self.qoc.redundancy})"
-        )

@@ -64,17 +64,6 @@ class DagScheduler:
 
     # -- queries ------------------------------------------------------------
 
-    def state_of(self, node_id: str) -> str:
-        return self._state[node_id]
-
-    @property
-    def states(self) -> dict[str, str]:
-        return dict(self._state)
-
-    @property
-    def failed_node(self) -> str | None:
-        return self._failed_node
-
     @property
     def finished(self) -> bool:
         """True once every node is done, or any node has failed."""
@@ -91,9 +80,6 @@ class DagScheduler:
         for state in self._state.values():
             out[state] += 1
         return out
-
-    def value_of(self, node_id: str) -> bytes:
-        return self._values[node_id]
 
     def outputs(self) -> dict[str, bytes]:
         """Sink-node outputs (the workflow's results, packed), if computed."""

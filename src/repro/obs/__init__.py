@@ -34,7 +34,6 @@ from .analysis import (
     find_workflow_trace,
     latency_summary,
     to_chrome_trace,
-    workflow_ids,
 )
 from .bridge import publish_broker_stats, publish_summary
 from .events import Event, FlightRecorder
@@ -96,5 +95,4 @@ __all__ = [
     "publish_broker_stats",
     "publish_summary",
     "to_chrome_trace",
-    "workflow_ids",
 ]

@@ -37,17 +37,6 @@ from .trace import Span
 _WORKFLOW_SPAN_NAMES = ("workflow", "broker.workflow", "wf.node")
 
 
-def workflow_ids(spans: Iterable[Span]) -> list[str]:
-    """Distinct workflow ids present in ``spans``, oldest first."""
-    seen: dict[str, None] = {}
-    for span in spans:
-        if span.name in _WORKFLOW_SPAN_NAMES:
-            workflow_id = str(span.attrs.get("workflow_id", ""))
-            if workflow_id:
-                seen.setdefault(workflow_id, None)
-    return list(seen)
-
-
 def find_workflow_trace(spans: Iterable[Span], workflow_id: str) -> str | None:
     """Trace id of the given workflow, or None if no span mentions it."""
     for span in spans:

@@ -37,6 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default ring capacity; bounds memory for arbitrarily long deployments.
 DEFAULT_EVENT_CAPACITY = 2048
 
+#: A JSONL log rotates when its active file would pass this size, keeping
+#: this many rotated generations.
+JSONL_MAX_BYTES = 1 << 20
+JSONL_MAX_FILES = 3
+
 # -- well-known event kinds -------------------------------------------------
 # The recorder accepts any string kind; these constants are the vocabulary
 # the middleware itself emits (and PROTOCOL.md documents).
@@ -113,27 +118,21 @@ class Event:
 class _JsonlSink:
     """Append-only JSONL file with size-based rotation.
 
-    When the active file would exceed ``max_bytes`` the sink rotates:
-    ``events.jsonl`` becomes ``events.jsonl.1``, the previous ``.1``
-    becomes ``.2``, and so on up to ``max_files`` rotated generations
-    (older ones are deleted).  Not thread-safe by itself — the owning
+    When the active file would exceed :data:`JSONL_MAX_BYTES` the sink
+    rotates: ``events.jsonl`` becomes ``events.jsonl.1``, the previous
+    ``.1`` becomes ``.2``, and so on up to :data:`JSONL_MAX_FILES` rotated
+    generations (older ones are deleted).  Not thread-safe by itself — the owning
     :class:`FlightRecorder` serialises access.
     """
 
-    def __init__(self, path: str, max_bytes: int = 1 << 20, max_files: int = 3):
-        if max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
-        if max_files < 1:
-            raise ValueError(f"max_files must be >= 1, got {max_files}")
+    def __init__(self, path: str):
         self.path = path
-        self.max_bytes = max_bytes
-        self.max_files = max_files
         self._file = open(path, "a", encoding="utf-8")
         self._size = self._file.tell()
 
     def write(self, line: str) -> None:
         encoded = line + "\n"
-        if self._size > 0 and self._size + len(encoded) > self.max_bytes:
+        if self._size > 0 and self._size + len(encoded) > JSONL_MAX_BYTES:
             self._rotate()
         self._file.write(encoded)
         self._file.flush()
@@ -141,10 +140,10 @@ class _JsonlSink:
 
     def _rotate(self) -> None:
         self._file.close()
-        oldest = f"{self.path}.{self.max_files}"
+        oldest = f"{self.path}.{JSONL_MAX_FILES}"
         if os.path.exists(oldest):
             os.remove(oldest)
-        for index in range(self.max_files - 1, 0, -1):
+        for index in range(JSONL_MAX_FILES - 1, 0, -1):
             source = f"{self.path}.{index}"
             if os.path.exists(source):
                 os.replace(source, f"{self.path}.{index + 1}")
@@ -171,8 +170,6 @@ class FlightRecorder:
         self,
         capacity: int = DEFAULT_EVENT_CAPACITY,
         jsonl_path: str | None = None,
-        jsonl_max_bytes: int = 1 << 20,
-        jsonl_max_files: int = 3,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -182,11 +179,7 @@ class FlightRecorder:
         self._seq = 0
         self._dropped = 0
         self._counter: "CounterFamily | None" = None
-        self._sink = (
-            _JsonlSink(jsonl_path, jsonl_max_bytes, jsonl_max_files)
-            if jsonl_path
-            else None
-        )
+        self._sink = _JsonlSink(jsonl_path) if jsonl_path else None
 
     def attach_counter(self, family: "CounterFamily") -> None:
         """Mirror per-kind event counts into a labeled counter family."""
@@ -220,22 +213,6 @@ class FlightRecorder:
         if limit is not None and limit >= 0:
             snapshot = snapshot[-limit:]
         return snapshot
-
-    def alerts(self, limit: int | None = None) -> list[Event]:
-        """Recent events of alert-class kinds (see :data:`ALERT_KINDS`)."""
-        with self._lock:
-            snapshot = list(self._events)
-        snapshot = [event for event in snapshot if event.kind in ALERT_KINDS]
-        if limit is not None and limit >= 0:
-            snapshot = snapshot[-limit:]
-        return snapshot
-
-    def counts(self) -> dict[str, int]:
-        """Events currently in the ring, by kind."""
-        out: dict[str, int] = {}
-        for event in self.events():
-            out[event.kind] = out.get(event.kind, 0) + 1
-        return out
 
     @property
     def dropped(self) -> int:

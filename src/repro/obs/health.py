@@ -260,10 +260,6 @@ class StragglerWatchdog:
             out[watch.provider_id] = out.get(watch.provider_id, 0) + 1
         return out
 
-    @property
-    def outstanding(self) -> int:
-        return len(self._watches)
-
 
 class HealthModel:
     """Grades providers and hosts the straggler watchdog.

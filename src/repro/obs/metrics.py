@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 #: Default histogram boundaries for latencies in seconds (upper bounds;
 #: an implicit +Inf bucket is always appended).
@@ -406,10 +406,3 @@ def parse_prometheus(text: str) -> dict[str, dict[str, float]]:
         value = float(value_text)
         out.setdefault(name, {})[labels] = value
     return out
-
-
-def iter_metric_names(text: str) -> Iterable[str]:
-    """Family names declared by ``# TYPE`` lines of an exposition."""
-    for line in text.splitlines():
-        if line.startswith("# TYPE "):
-            yield line.split()[2]

@@ -41,15 +41,9 @@ class Telemetry:
     ``repro_events_total{kind=...}`` counter attached here.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        span_capacity: int = 4096,
-        events: FlightRecorder | None = None,
-    ):
-        self.registry = registry or MetricsRegistry()
-        self.tracer = tracer or Tracer(SpanStore(span_capacity))
+    def __init__(self, events: FlightRecorder | None = None):
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer()
         # Not `or`: an empty FlightRecorder is falsy (len 0), which would
         # silently discard a caller's JSONL-backed recorder.
         self.events = events if events is not None else FlightRecorder()
@@ -239,13 +233,8 @@ class ProviderMetrics:
         self.vm_runs = registry.counter(
             "repro_provider_vm_runs_total",
             "Executions by the engine that ran them: translated, portable "
-            "(declined, profiled or uncached program), or restarted (both)",
+            "(declined or uncached program), or restarted (both)",
             labelnames=("engine",),
-        )
-        self.vm_opcodes = registry.counter(
-            "repro_provider_vm_opcodes_total",
-            "TVM instructions retired by opcode group (profiled executions only)",
-            labelnames=("group",),
         )
 
 

@@ -128,25 +128,11 @@ class SpanStore:
         with self._lock:
             return list(self._spans)
 
-    def for_trace(self, trace_id: str) -> list[Span]:
-        return [span for span in self.spans() if span.trace_id == trace_id]
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids, oldest first."""
-        seen: dict[str, None] = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     @property
     def dropped(self) -> int:
         """Spans evicted by the ring buffer since creation."""
         with self._lock:
             return self._dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._spans)
 
 
 class Tracer:
@@ -257,15 +243,6 @@ def build_trace_tree(spans: Iterable[Span]) -> list[SpanNode]:
         node.children.sort(key=lambda child: (child.span.start, child.span.span_id))
     roots.sort(key=lambda root: (root.span.start, root.span.span_id))
     return roots
-
-
-def merge_spans(*stores: SpanStore) -> list[Span]:
-    """All spans of several stores (one per node), in start order."""
-    merged: list[Span] = []
-    for store in stores:
-        merged.extend(store.spans())
-    merged.sort(key=lambda span: (span.trace_id, span.start, span.span_id))
-    return merged
 
 
 def format_trace(spans: Sequence[Span]) -> str:

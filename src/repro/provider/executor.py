@@ -33,7 +33,7 @@ from ..common.serde import opened, packed
 from ..core.results import ExecutionStatus
 from ..tvm.bytecode import PROGRAM_CACHE_SIZE, CompiledProgram, checked_stamp
 from ..tvm.translate import Translation, translate
-from ..tvm.vm import DEFAULT_FUEL, TVM, VMLimits, VMProfile
+from ..tvm.vm import DEFAULT_FUEL, TVM, VMLimits
 from ..transport.message import AssignExecution
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,18 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class ExecutionOutcome:
-    """What one execution attempt produced.
-
-    ``profile`` is the optional TVM execution profile (opcode groups,
-    peak stack depth, wall time), present only when the executor was
-    built with ``profile=True``.
-    """
+    """What one execution attempt produced."""
 
     status: ExecutionStatus
     value: Any = None
     error: str | None = None
     instructions: int = 0
-    profile: VMProfile | None = None
 
     @property
     def ok(self) -> bool:
@@ -118,10 +112,9 @@ class TaskletExecutor:
     instruction counts are reported through its registry.
 
     Which engine runs follows from what the executor can observe, not
-    from an option: a profiled executor needs per-opcode counts and one
-    with ``cache_size=0`` has nothing to amortise a translation over, so
-    both stay on the portable VM; so does a program the translator
-    declines.  ``translated_runs`` / ``restarts`` / ``declined_programs``
+    from an option: one with ``cache_size=0`` has nothing to amortise a
+    translation over, so it stays on the portable VM; so does a program
+    the translator declines.  ``translated_runs`` / ``restarts`` / ``declined_programs``
     (and ``repro_provider_vm_runs_total{engine=...}``) say which engine
     ran: a program that restarts on every run is paying for both.
 
@@ -133,7 +126,6 @@ class TaskletExecutor:
     def __init__(
         self,
         cache_size: int = PROGRAM_CACHE_SIZE,
-        profile: bool = False,
         metrics: "ProviderMetrics | None" = None,
     ):
         if cache_size < 0:
@@ -141,17 +133,12 @@ class TaskletExecutor:
         self._cache: OrderedDict[str, _Cached] = OrderedDict()
         self._lock = threading.Lock()
         self._cache_size = cache_size
-        self._profile = profile
         self._metrics = metrics
         self.cache_hits = 0
         self.cache_misses = 0
         self.translated_runs = 0
         self.restarts = 0
         self.declined_programs = 0
-
-    @property
-    def cache_size(self) -> int:
-        return self._cache_size
 
     def known_cheap(self, claimed_fingerprint: str) -> bool:
         """Whether the program stamped ``claimed_fingerprint`` last ran here
@@ -188,9 +175,9 @@ class TaskletExecutor:
         program.verify()
         if self._cache_size == 0:
             return _Cached(program, None)
-        cached = _Cached(program, None if self._profile else translate(program))
+        cached = _Cached(program, translate(program))
         with self._lock:
-            if cached.translation is None and not self._profile:
+            if cached.translation is None:
                 self.declined_programs += 1
             self._cache[key] = cached
             if len(self._cache) > self._cache_size:
@@ -207,7 +194,7 @@ class TaskletExecutor:
         The run's wall time — from the program in hand, so a miss's
         opening and translating is not counted — is kept on its cache entry.
         """
-        machine = engine = cached = None
+        engine = cached = None
         try:
             cached = self._load_program(request.program, request.program_fingerprint)
             began = time.perf_counter()
@@ -233,14 +220,12 @@ class TaskletExecutor:
                     limits=VMLimits(fuel=request.fuel),
                     seed=request.seed,
                     verify=False,  # verified on cache insertion
-                    profile=self._profile,
                 )
                 ran = machine.run(request.entry, args), machine.stats.instructions
             outcome = ExecutionOutcome(
                 status=ExecutionStatus.SUCCESS,
                 value=ran[0],
                 instructions=ran[1],
-                profile=machine.profile if machine else None,
             )
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -253,11 +238,7 @@ class TaskletExecutor:
                 error += f" [engine fault at {where}:{fault.tb_lineno}]"
             # instructions stays 0 on failure: billing and the virtual
             # service-time model only ever charge successful work.
-            outcome = ExecutionOutcome(
-                status=ExecutionStatus.VM_ERROR,
-                error=error,
-                profile=machine.profile if machine else None,
-            )
+            outcome = ExecutionOutcome(status=ExecutionStatus.VM_ERROR, error=error)
         if cached is not None:  # None: the program never loaded
             cached.last_run_s = time.perf_counter() - began
         if self._metrics is not None:
@@ -265,7 +246,4 @@ class TaskletExecutor:
                 self._metrics.vm_runs.labels(engine=engine).inc()
             if outcome.instructions:
                 self._metrics.vm_instructions.inc(outcome.instructions)
-            if outcome.profile is not None:
-                for group, count in outcome.profile.opcode_groups.items():
-                    self._metrics.vm_opcodes.labels(group=group).inc(count)
         return outcome

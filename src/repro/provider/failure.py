@@ -60,10 +60,6 @@ class ExecutionFailureModel:
             return FaultKind.CORRUPT
         return FaultKind.NONE
 
-    @property
-    def is_reliable(self) -> bool:
-        return self.drop_probability == 0.0 and self.corrupt_probability == 0.0
-
 
 def corrupt_value(value, rng: random.Random):
     """Corrupt a result value for byzantine injection.

@@ -2,7 +2,7 @@
 
 from .churn import ChurnModel, ExponentialChurn, NoChurn, TraceChurn
 from .devices import DEVICE_CLASSES, DeviceProfile, make_config, make_pool, profile
-from .eventloop import EventHandle, EventLoop
+from .eventloop import EventLoop
 from .metrics import GaugeSeries, MetricsCollector, MetricsSummary
 from .network import (
     BandwidthLatency,
@@ -23,7 +23,6 @@ __all__ = [
     "make_config",
     "make_pool",
     "profile",
-    "EventHandle",
     "EventLoop",
     "GaugeSeries",
     "MetricsCollector",

@@ -117,8 +117,3 @@ def make_pool(
                 )
             )
     return configs
-
-
-def pool_speed(configs: list[ProviderConfig]) -> float:
-    """Aggregate instructions/second of a pool (capacity-weighted)."""
-    return sum(config.speed_ips * config.capacity for config in configs)

@@ -30,25 +30,6 @@ class _Event:
     seq: int
     callback: Callable[[], None] = field(compare=False)
     background: bool = field(compare=False, default=False)
-    cancelled: bool = field(compare=False, default=False)
-
-
-class EventHandle:
-    """Returned by ``schedule``; allows cancellation."""
-
-    def __init__(self, event: _Event):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
 
 
 class EventLoop:
@@ -67,15 +48,15 @@ class EventLoop:
 
     def schedule(
         self, delay: float, callback: Callable[[], None], background: bool = False
-    ) -> EventHandle:
+    ) -> None:
         """Run ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self.clock.now() + delay, callback, background)
+        self.schedule_at(self.clock.now() + delay, callback, background)
 
     def schedule_at(
         self, time: float, callback: Callable[[], None], background: bool = False
-    ) -> EventHandle:
+    ) -> None:
         """Run ``callback`` at absolute virtual ``time``."""
         if time < self.clock.now():
             raise ValueError(
@@ -85,7 +66,6 @@ class EventLoop:
             time=time, seq=next(self._seq), callback=callback, background=background
         )
         heapq.heappush(self._heap, event)
-        return EventHandle(event)
 
     def every(
         self, interval: float, callback: Callable[[], None], jitter0: float = 0.0
@@ -115,18 +95,11 @@ class EventLoop:
 
     # -- execution ----------------------------------------------------------
 
-    def _pop_runnable(self) -> _Event | None:
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
-
     def step(self) -> bool:
         """Run the next event; returns False when the queue is empty."""
-        event = self._pop_runnable()
-        if event is None:
+        if not self._heap:
             return False
+        event = heapq.heappop(self._heap)
         self.clock.advance_to(event.time)
         self.events_processed += 1
         event.callback()
@@ -134,13 +107,7 @@ class EventLoop:
 
     def run_until(self, deadline: float) -> None:
         """Process every event with ``time <= deadline``; advance to it."""
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if head.time > deadline:
-                break
+        while self._heap and self._heap[0].time <= deadline:
             self.step()
         self.clock.advance_to(max(self.clock.now(), deadline))
 
@@ -157,24 +124,14 @@ class EventLoop:
         while True:
             if done is not None and done():
                 return self.clock.now()
-            head = self._next_head()
-            if head is None:
+            if not self._heap:
                 return self.clock.now()
-            if head.time > max_time:
+            if self._heap[0].time > max_time:
                 self.clock.advance_to(max_time)
                 return max_time
             if done is None and self._only_background_left():
                 return self.clock.now()
             self.step()
 
-    def _next_head(self) -> _Event | None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0] if self._heap else None
-
     def _only_background_left(self) -> bool:
-        return all(event.background or event.cancelled for event in self._heap)
-
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return all(event.background for event in self._heap)

@@ -66,11 +66,6 @@ class MetricsSummary:
     samples: int
     message_type_counts: dict[str, int]
 
-    def busiest_provider(self) -> ProviderSummary | None:
-        if not self.providers:
-            return None
-        return max(self.providers.values(), key=lambda p: p.mean_utilization)
-
     def publish(self, registry) -> None:
         """Publish this summary into an obs registry (``repro_sim_*``).
 

@@ -46,6 +46,9 @@ from ..sim.eventloop import EventLoop
 from ..sim.network import ConstantLatency, NetworkModel
 from ..transport.message import Envelope
 
+#: Virtual seconds between broker ticks (failure detector, timeouts, backlog).
+TICK_INTERVAL_S = 0.5
+
 
 @dataclass
 class _ProviderNode:
@@ -85,7 +88,6 @@ class Simulation:
         strategy: Strategy | str = "qoc",
         network: NetworkModel | None = None,
         broker_config: BrokerConfig | None = None,
-        tick_interval: float = 0.5,
         telemetry: Telemetry | None = None,
         journal: "WorkJournal | None" = None,
     ):
@@ -112,7 +114,7 @@ class Simulation:
         self.messages_dropped = 0
         #: Deliveries by message type, e.g. {"heartbeat": 214, ...}.
         self.message_type_counts: dict[str, int] = {}
-        self.loop.every(tick_interval, self._broker_tick)
+        self.loop.every(TICK_INTERVAL_S, self._broker_tick)
 
     # -- topology ----------------------------------------------------------
 

@@ -45,18 +45,6 @@ def mandelbrot(width: int = 128, height: int = 96, max_iter: int = 64) -> Worklo
     )
 
 
-def monte_carlo_pi(tasks: int = 64, samples_per_task: int = 20_000) -> Workload:
-    """Monte-Carlo π: homogeneous task sizes (the load-balancing control)."""
-    program = compiled(kernels.MONTE_CARLO_PI)
-    args_list = [[samples_per_task] for _ in range(tasks)]
-    return Workload(
-        name=f"mcpi-{tasks}x{samples_per_task}",
-        program=program,
-        entry="main",
-        args_list=args_list,
-    )
-
-
 def matmul_tiles(tiles: int = 32, n: int = 12, seed: int = 0) -> Workload:
     """Dense linear-algebra tiles with random inputs (data-heavy tasks:
     arguments and results dominate message size)."""
@@ -91,22 +79,6 @@ def prime_count(tasks: int = 32, limit: int = 3000) -> Workload:
     )
 
 
-def integration(tasks: int = 48, steps: int = 2000) -> Workload:
-    """Numeric integration split into per-task subintervals."""
-    program = compiled(kernels.NUMERIC_INTEGRATION)
-    span = 12.0
-    width = span / tasks
-    args_list = [
-        [i * width, (i + 1) * width, steps] for i in range(tasks)
-    ]
-    return Workload(
-        name=f"integration-{tasks}x{steps}",
-        program=program,
-        entry="main",
-        args_list=args_list,
-    )
-
-
 def mixed(seed: int = 0, scale: int = 1) -> Workload:
     """A shuffled mix of small and large prime-count tasks.
 
@@ -128,9 +100,7 @@ def mixed(seed: int = 0, scale: int = 1) -> Workload:
 #: Generators by name, for harness configuration.
 WORKLOADS = {
     "mandelbrot": mandelbrot,
-    "monte_carlo_pi": monte_carlo_pi,
     "matmul_tiles": matmul_tiles,
     "prime_count": prime_count,
-    "integration": integration,
     "mixed": mixed,
 }

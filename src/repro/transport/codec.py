@@ -19,9 +19,9 @@ from __future__ import annotations
 import dataclasses
 import struct
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from ..common.errors import CodecError, TransportError
+from ..common.errors import CodecError
 from ..common.ids import NodeId
 from ..common.serde import (
     pack_items,
@@ -174,14 +174,6 @@ class EnvelopeDecoder:
     def pending_bytes(self) -> int:
         return len(self._buffer)
 
-
-def iter_frames(data: bytes) -> Iterator[Envelope]:
-    """Decode a complete byte string of frames (tests and tools)."""
-    decoder = EnvelopeDecoder()
-    for envelope, _size in decoder.feed(data):
-        yield envelope
-    if decoder.pending_bytes:
-        raise TransportError(f"{decoder.pending_bytes} trailing bytes")
 
 
 def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:

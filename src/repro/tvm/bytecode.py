@@ -39,10 +39,6 @@ class Instruction:
         """Compact list form used on the wire (operand ``-1`` = none)."""
         return [int(self.op), -1 if self.operand is None else self.operand]
 
-    @classmethod
-    def from_pair(cls, pair: list[int]) -> "Instruction":
-        return _read_code([pair])[0]
-
 
 def _read_code(pairs: list) -> list[Instruction]:
     """The instructions a ``code`` list of ``[opcode, operand]`` pairs holds."""
@@ -129,12 +125,11 @@ class CompiledProgram(Record):
 
     # -- serialisation ----------------------------------------------------------
 
-    def to_dict(self, include_source: bool = False) -> dict[str, Any]:
-        """Wire representation.  Source is omitted by default (it is large
-        and providers never need it)."""
+    def to_dict(self) -> dict[str, Any]:
+        """Wire representation.  Source is omitted (it is large and
+        providers never need it)."""
         payload = {"version": BYTECODE_VERSION, **super().to_dict()}
-        if not include_source or self.source is None:
-            del payload["source"]
+        del payload["source"]
         return payload
 
     @classmethod
@@ -303,10 +298,3 @@ class ProgramTable:
         if len(self.opened) > PROGRAM_CACHE_SIZE:
             del self.opened[next(iter(self.opened))]
         return program
-
-
-def builtin_index(name: str) -> int:
-    """Stable wire index of a builtin, for ``CALL_BUILTIN`` operands."""
-    if name not in BUILTINS:
-        raise VMInvalidProgram(f"unknown builtin {name!r}")
-    return BUILTIN_ORDER.index(name)

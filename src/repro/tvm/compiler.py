@@ -322,24 +322,13 @@ class Compiler:
         return compiled
 
 
-def compile_ast(
-    program: ast.Program, source: str | None = None, optimize: bool = False
-) -> CompiledProgram:
-    """Compile an *already analysed* AST.
-
-    ``optimize`` runs the post-compilation bytecode optimizer (constant
-    folding, jump threading, dead-code elimination; see
-    :mod:`repro.tvm.optimizer`).  Off by default: un-optimized output is
-    the stable wire format that tests pin against.
-    """
-    compiled = Compiler(program, source=source).compile()
-    if optimize:
-        from .optimizer import optimize_program
-
-        compiled = optimize_program(compiled)
-    return compiled
+def compile_ast(program: ast.Program, source: str | None = None) -> CompiledProgram:
+    """Compile an *already analysed* AST.  The output is the stable wire
+    format that tests pin against; :func:`repro.tvm.optimizer.optimize_program`
+    is a separate pass over it."""
+    return Compiler(program, source=source).compile()
 
 
-def compile_source(source: str, optimize: bool = False) -> CompiledProgram:
+def compile_source(source: str) -> CompiledProgram:
     """Parse, analyse, and compile Tasklet ``source`` in one call."""
-    return compile_ast(analyze(parse(source)), source=source, optimize=optimize)
+    return compile_ast(analyze(parse(source)), source=source)

@@ -78,39 +78,6 @@ STACK_EFFECT: dict[Op, tuple[int, int]] = {
     Op.STORE_INDEX: (3, 0),
 }
 
-#: Coarse instruction families, used by the VM's execution profiler
-#: (``TVM(profile=True)``) to report where instructions go.
-OPCODE_GROUP: dict[int, str] = {
-    Op.PUSH_CONST: "stack",
-    Op.PUSH_NONE: "stack",
-    Op.LOAD: "stack",
-    Op.STORE: "stack",
-    Op.POP: "stack",
-    Op.DUP: "stack",
-    Op.ADD: "arithmetic",
-    Op.SUB: "arithmetic",
-    Op.MUL: "arithmetic",
-    Op.DIV: "arithmetic",
-    Op.MOD: "arithmetic",
-    Op.NEG: "arithmetic",
-    Op.EQ: "compare",
-    Op.NE: "compare",
-    Op.LT: "compare",
-    Op.LE: "compare",
-    Op.GT: "compare",
-    Op.GE: "compare",
-    Op.NOT: "compare",
-    Op.JUMP: "branch",
-    Op.JUMP_IF_FALSE: "branch",
-    Op.JUMP_IF_TRUE: "branch",
-    Op.CALL: "call",
-    Op.CALL_BUILTIN: "call",
-    Op.RET: "call",
-    Op.BUILD_ARRAY: "array",
-    Op.INDEX: "array",
-    Op.STORE_INDEX: "array",
-}
-
 #: Opcodes that take no operand.
 NO_OPERAND_OPS = {
     Op.PUSH_NONE,

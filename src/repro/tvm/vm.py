@@ -23,8 +23,8 @@ checkpoints every 2048 instructions plus at every call and array build,
 so a runaway push loop can overshoot ``max_stack`` by at most 2048
 entries before being stopped.
 
-This is the *portable* engine: the reference semantics, the profiled
-path, and what every translated run (:mod:`repro.tvm.translate`) restarts
+This is the *portable* engine: the reference semantics and what every
+translated run (:mod:`repro.tvm.translate`) restarts
 on when it gives up — so every error and every failing instruction count
 a provider reports is produced here.
 
@@ -35,8 +35,7 @@ once); create a fresh instance per Tasklet.
 from __future__ import annotations
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..common.errors import (
@@ -49,7 +48,7 @@ from ..common.errors import (
 from . import operators
 from .builtins import BUILTIN_ORDER, BUILTINS
 from .bytecode import CompiledProgram, FunctionCode
-from .opcodes import OPCODE_GROUP, Op
+from .opcodes import Op
 
 #: Sentinel for "no value" (void returns / uninitialised locals).  A
 #: distinct object, not None, so Tasklet code can never observe or forge it.
@@ -88,39 +87,6 @@ class ExecutionStats:
     max_call_depth: int = 0
     builtin_calls: int = 0
     function_calls: int = 0
-
-    @property
-    def fuel_used(self) -> int:
-        return self.instructions
-
-
-@dataclass
-class VMProfile:
-    """Per-execution profile, collected only when ``TVM(profile=True)``.
-
-    ``opcode_groups`` buckets retired instructions into the coarse
-    families of :data:`repro.tvm.opcodes.OPCODE_GROUP`; ``opcodes`` has
-    the exact per-opcode counts.  ``wall_time_s`` is real elapsed time
-    (``time.perf_counter``), not virtual time.  ``peak_stack_depth`` is
-    the checkpoint-sampled high-water mark from :class:`ExecutionStats`.
-    """
-
-    wall_time_s: float = 0.0
-    instructions: int = 0
-    peak_stack_depth: int = 0
-    peak_call_depth: int = 0
-    opcode_groups: dict[str, int] = field(default_factory=dict)
-    opcodes: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "wall_time_s": self.wall_time_s,
-            "instructions": self.instructions,
-            "peak_stack_depth": self.peak_stack_depth,
-            "peak_call_depth": self.peak_call_depth,
-            "opcode_groups": dict(self.opcode_groups),
-            "opcodes": dict(self.opcodes),
-        }
 
 
 @dataclass
@@ -163,7 +129,6 @@ class TVM:
         limits: VMLimits | None = None,
         seed: int = 0,
         verify: bool = True,
-        profile: bool = False,
     ):
         if verify:
             program.verify()
@@ -174,10 +139,6 @@ class TVM:
         self._stack: list = []
         self._frames: list[_Frame] = []
         self._ran = False
-        # Profiling is opt-in: when disabled the dispatch loop pays one
-        # local ``is not None`` test per instruction and nothing else.
-        self._profile_counts: list[int] | None = [0] * 128 if profile else None
-        self.profile: VMProfile | None = None
 
     # -- public API ----------------------------------------------------------
 
@@ -199,39 +160,8 @@ class TVM:
         for arg in args:
             if not is_tasklet_value(arg):
                 raise VMTypeError(f"argument {arg!r} is not a valid Tasklet value")
-        if self._profile_counts is None:
-            result = self._execute(function, args)
-            return None if result is _NONE else result
-        started = time.perf_counter()
-        try:
-            result = self._execute(function, args)
-        finally:
-            self._finish_profile(time.perf_counter() - started)
+        result = self._execute(function, args)
         return None if result is _NONE else result
-
-    def _finish_profile(self, wall_time_s: float) -> None:
-        """Reduce raw opcode counts into the :class:`VMProfile`.
-
-        Called even when the execution failed, so a fuel-exhausted or
-        crashing Tasklet still yields a (partial) profile.
-        """
-        counts = self._profile_counts or []
-        groups: dict[str, int] = {}
-        opcodes: dict[str, int] = {}
-
-        for op_value, count in enumerate(counts):
-            if count:
-                opcodes[Op(op_value).name] = count
-                group = OPCODE_GROUP.get(op_value, "other")
-                groups[group] = groups.get(group, 0) + count
-        self.profile = VMProfile(
-            wall_time_s=wall_time_s,
-            instructions=self.stats.instructions,
-            peak_stack_depth=self.stats.max_stack_depth,
-            peak_call_depth=self.stats.max_call_depth,
-            opcode_groups=groups,
-            opcodes=opcodes,
-        )
 
     # -- machinery ----------------------------------------------------------
 
@@ -246,7 +176,6 @@ class TVM:
         max_call_depth = limits.max_call_depth
         rng = self.rng
         builtins = [BUILTINS[name] for name in BUILTIN_ORDER]
-        profile_counts = self._profile_counts
 
         local_vars = args + [_NONE] * (function.n_locals - function.n_params)
         frames.append(_Frame(function, local_vars, return_address=-1, stack_base=0))
@@ -272,8 +201,6 @@ class TVM:
 
                 op, operand = code[ip]
                 ip += 1
-                if profile_counts is not None:
-                    profile_counts[op] += 1
 
                 if op == 3:  # LOAD
                     value = local_vars[operand]

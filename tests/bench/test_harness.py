@@ -9,7 +9,6 @@ from repro.bench.harness import (
     geometric_mean,
     monotone_decreasing,
     monotone_increasing,
-    sweep,
 )
 
 
@@ -24,9 +23,6 @@ class TestTable:
         table = self.make()
         with pytest.raises(ValueError):
             table.add_row("only-one-cell")
-
-    def test_column_extraction(self):
-        assert self.make().column("value") == [1.0, 2.5]
 
     def test_render_contains_everything(self):
         table = self.make()
@@ -87,19 +83,6 @@ class TestHelpers:
             geometric_mean([])
         with pytest.raises(ValueError):
             geometric_mean([1.0, 0.0])
-
-    def test_sweep_collects_and_labels(self):
-        results = sweep([1, 2, 3], lambda x: {"square": x * x})
-        assert results == [
-            {"square": 1, "param": 1},
-            {"square": 4, "param": 2},
-            {"square": 9, "param": 3},
-        ]
-
-    def test_sweep_preserves_explicit_param(self):
-        results = sweep([1], lambda x: {"param": "custom"})
-        assert results[0]["param"] == "custom"
-
 
 class TestShapeCheck:
     def test_render(self):

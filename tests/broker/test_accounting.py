@@ -37,28 +37,28 @@ class TestLedger:
             NodeId("c1"), NodeId("p1"), "c1/tl-1", int(2e9), price=1.5
         )
         assert amount == pytest.approx(3.0)
-        assert ledger.spent_by(NodeId("c1")) == pytest.approx(3.0)
-        assert ledger.earned_by(NodeId("p1")) == pytest.approx(3.0)
-        assert ledger.cost_of("c1/tl-1") == pytest.approx(3.0)
+        assert ledger.consumers[NodeId("c1")].spent == pytest.approx(3.0)
+        assert ledger.providers[NodeId("p1")].earned == pytest.approx(3.0)
         assert ledger.total_billed == pytest.approx(3.0)
+        assert ledger.pop_cost_of("c1/tl-1") == pytest.approx(3.0)
 
     def test_replicas_accumulate_per_tasklet(self):
         ledger = CostLedger()
         ledger.charge(NodeId("c"), NodeId("p1"), "k", int(1e9), 1.0)
         ledger.charge(NodeId("c"), NodeId("p2"), "k", int(1e9), 2.0)
-        assert ledger.cost_of("k") == pytest.approx(3.0)
+        assert ledger.pop_cost_of("k") == pytest.approx(3.0)
 
     def test_pop_cost_releases_entry(self):
         ledger = CostLedger()
         ledger.charge(NodeId("c"), NodeId("p"), "k", int(1e9), 1.0)
         assert ledger.pop_cost_of("k") == pytest.approx(1.0)
-        assert ledger.cost_of("k") == 0.0
+        assert ledger.pop_cost_of("k") == 0.0
         assert ledger.total_billed == pytest.approx(1.0)  # totals persist
 
     def test_unknown_parties_cost_nothing(self):
         ledger = CostLedger()
-        assert ledger.spent_by(NodeId("ghost")) == 0.0
-        assert ledger.earned_by(NodeId("ghost")) == 0.0
+        assert ledger.pop_cost_of("ghost") == 0.0
+        assert ledger.consumers == {} and ledger.providers == {}
 
     @given(
         st.lists(

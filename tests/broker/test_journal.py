@@ -30,6 +30,10 @@ def loads(data):
     return decode_value(json.loads(data))
 
 
+def keys(entries) -> list[str]:
+    return [entry.key for entry in entries]
+
+
 def make_completion(key="c1/tl-1", ok=True, value=42, memo_key=None):
     """A completion as the broker keeps it: a success's value packed."""
     return CompletionRecord(
@@ -67,7 +71,7 @@ class TestReplay:
         journal.record_complete(make_completion("c1/tl-1"))
         snapshot = journal.replay()
         journal.close()
-        assert snapshot.pending_keys == ["c1/tl-2"]
+        assert keys(snapshot.pending) == ["c1/tl-2"]
         assert snapshot.admitted == 2 and snapshot.completed == 1
         completion = snapshot.completions["c1/tl-1"]
         assert completion.ok and opened(completion.value) == 42
@@ -93,7 +97,7 @@ class TestReplay:
             handle.write('{"kind":"complete","key":"c1/tl-1","ok"')
         snapshot = replay_journal(str(path))
         assert snapshot.malformed == 1
-        assert snapshot.pending_keys == ["c1/tl-1"]  # the torn complete never landed
+        assert keys(snapshot.pending) == ["c1/tl-1"]  # the torn complete never landed
 
     def test_corrupt_middle_line_does_not_poison_rest(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -130,7 +134,7 @@ class TestCompact:
         journal.record_admitted("c1/tl-2", "c1", dict(TASKLET, tasklet_id="tl-2"), ts=2.0)
         journal.record_complete(make_completion("c1/tl-1"))
         kept = journal.compact()
-        assert kept.pending_keys == ["c1/tl-2"]
+        assert keys(kept.pending) == ["c1/tl-2"]
         # The file shrank to exactly the live records and stays appendable.
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
@@ -139,15 +143,6 @@ class TestCompact:
         journal.close()
         assert snapshot.pending == []
         assert set(snapshot.completions) == {"c1/tl-1", "c1/tl-2"}
-
-    def test_compact_can_trim_completions(self, tmp_path):
-        journal = WorkJournal(str(tmp_path / "j.jsonl"))
-        for index in range(5):
-            journal.record_complete(make_completion(f"c1/tl-{index}"))
-        kept = journal.compact(keep_completions=2)
-        journal.close()
-        assert set(kept.completions) == {"c1/tl-3", "c1/tl-4"}
-
 
 class TestMemoKey:
     """The key hashes the packed arguments as the bytes they are."""
@@ -217,7 +212,7 @@ class TestAutoCompact:
         assert journal.maybe_compact() is None
         journal.close()
         snapshot = replay_journal(str(tmp_path / "wj.jsonl"))
-        assert list(snapshot.pending_keys) == ["c1/tl-9"]
+        assert keys(snapshot.pending) == ["c1/tl-9"]
         assert len(snapshot.completions) == 3
 
     def test_records_kept_counts_the_workflow_lines_the_rewrite_holds(self, tmp_path):
@@ -304,7 +299,7 @@ class TestWorkflowRecords:
         journal.close()
         # The plain tasklet is re-issued by generic recovery; the node
         # is re-released by the workflow's own recovery path.
-        assert snapshot.pending_keys == ["c1/tl-9"]
+        assert keys(snapshot.pending) == ["c1/tl-9"]
         assert [r["key"] for r in snapshot.workflow_nodes] == ["c1/wf-1:a"]
 
     def test_workflow_node_state_progression(self, tmp_path):
@@ -335,15 +330,20 @@ class TestWorkflowRecords:
         # Unrelated retired work that compaction is free to drop.
         journal.record_admitted("c1/tl-old", "c1", TASKLET, ts=0.5)
         journal.record_complete(make_completion("c1/tl-old"))
-        journal.compact(keep_completions=0)
+        journal.compact()
         snapshot = journal.replay()
         journal.close()
         assert snapshot.pending_workflow_keys == ["c1/wf-1"]
-        # The done node's completion survives the trim (recovery needs
-        # it); the unfinished node's admission survives; retired
-        # non-workflow state is gone.
+        # The done node's completion survives (recovery needs it); the
+        # unfinished node's admission survives; the retired tasklet's
+        # admission is gone.
         assert "c1/wf-1:a" in snapshot.completions
-        assert "c1/tl-old" not in snapshot.completions
+        admitted = [
+            json.loads(line)["key"]
+            for line in (tmp_path / "wj.jsonl").read_text().splitlines()
+            if json.loads(line)["kind"] == "admitted"
+        ]
+        assert admitted == ["c1/wf-1:b"]
         assert [r["key"] for r in snapshot.workflow_nodes] == ["c1/wf-1:b"]
         assert snapshot.workflow_node_state("c1/wf-1:a") == "done"
         assert snapshot.workflow_node_state("c1/wf-1:b") == "running"
@@ -358,7 +358,7 @@ class TestWorkflowRecords:
         journal.record_workflow_complete(
             "c1/wf-1", {"ok": True, "workflow_id": "wf-1", "outputs": {}}, ts=2.0
         )
-        journal.compact(keep_completions=0)
+        journal.compact()
         snapshot = journal.replay()
         journal.close()
         assert snapshot.workflows == []
@@ -417,7 +417,7 @@ def test_a_line_that_does_not_read_as_its_kind_is_malformed(tmp_path, line):
     snapshot = replay_journal(str(path))
     assert snapshot.malformed == 1
     assert snapshot.completions == {}  # in particular: no success out of "false"
-    assert snapshot.pending_keys == ["c1/tl-1"] and list(snapshot.workflow_completions) == ["c1/wf-1"]
+    assert keys(snapshot.pending) == ["c1/tl-1"] and list(snapshot.workflow_completions) == ["c1/wf-1"]
 
 
 def test_lines_are_typed_and_read_like_the_dicts_on_disk(tmp_path):

@@ -29,6 +29,7 @@ from repro.core.qoc import QoC
 from repro.dag.patterns import chain, stencil
 from repro.obs import Telemetry
 from repro.obs.metrics import Histogram
+from repro.obs.trace import SpanStore
 from repro.provider.failure import ExecutionFailureModel
 from repro.sim.devices import make_config, make_pool
 from repro.sim.runner import Simulation
@@ -69,7 +70,8 @@ def _sim_digest() -> dict:
     """Plain tasklets (incl. redundancy 3), a provider killed mid-run, a
     black-hole provider whose executions time out, a memo hit, a chain
     workflow, and a stencil workflow with one failing node."""
-    telemetry = Telemetry(span_capacity=1 << 16)
+    telemetry = Telemetry()
+    telemetry.tracer.store = SpanStore(1 << 16)
     simulation = Simulation(
         seed=13,
         telemetry=telemetry,

@@ -22,11 +22,9 @@ def test_typed_helpers_use_distinct_prefixes():
     node = generator.next_node()
     tasklet = generator.next_tasklet()
     execution = generator.next_execution()
-    job = generator.next_job()
     assert node.startswith("node-")
     assert tasklet.startswith("tl-")
     assert execution.startswith("ex-")
-    assert job.startswith("job-")
 
 
 def test_next_node_custom_kind():

@@ -37,16 +37,6 @@ def test_unrelated_draw_order_does_not_perturb_streams():
     assert observed == expected
 
 
-def test_fork_is_deterministic_and_independent():
-    parent = RngRegistry(9)
-    child_one = parent.fork("node-1")
-    child_two = parent.fork("node-2")
-    again = RngRegistry(9).fork("node-1")
-    assert child_one.seed == again.seed
-    assert child_one.seed != child_two.seed
-    assert child_one.seed != parent.seed
-
-
 @given(st.integers(), st.text(max_size=50))
 def test_derive_seed_is_64_bit_and_deterministic(master, name):
     seed = derive_seed(master, name)

@@ -105,12 +105,6 @@ def test_summary_is_internally_consistent(values):
     assert summary.minimum - slack <= summary.mean <= summary.maximum + slack
 
 
-def test_summary_format_mentions_unit():
-    text = summarize([1.0, 2.0]).format(unit="ms")
-    assert "ms" in text
-    assert "n=2" in text
-
-
 class TestEwma:
     def test_first_observation_is_the_value(self):
         tracker = EwmaTracker(alpha=0.5)

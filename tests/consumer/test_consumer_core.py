@@ -36,13 +36,18 @@ def make_tasklet(tasklet_id="tl-1"):
     )
 
 
+def submit_one(core, tasklet):
+    (future,), envelopes = core.submit_tasklets([tasklet])
+    return future, envelopes
+
+
 def deliver(core, body, src="broker"):
     return core.handle(body.envelope(NodeId(src), core.node_id))
 
 
 def test_submit_produces_wire_message_and_future():
     core = make_core()
-    future, envelopes = core.submit(make_tasklet())
+    future, envelopes = submit_one(core, make_tasklet())
     assert not future.done
     assert len(envelopes) == 1
     body = body_of(envelopes[0])
@@ -55,7 +60,7 @@ def test_submit_produces_wire_message_and_future():
 def test_completion_resolves_future_with_latency():
     clock = VirtualClock()
     core = make_core(clock)
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     clock.advance(2.5)
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), attempts=1))
     outcome = future.wait(0)
@@ -67,7 +72,7 @@ def test_completion_resolves_future_with_latency():
 
 def test_failed_completion():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=False, error="lost", attempts=3))
     outcome = future.wait(0)
     assert not outcome.ok
@@ -78,7 +83,7 @@ def test_failed_completion():
 
 def test_broker_rejection_resolves_future_as_failed():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     deliver(core, SubmitAck(tasklet_id="tl-1", accepted=False, reason="no capacity"))
     outcome = future.wait(0)
     assert not outcome.ok
@@ -88,7 +93,7 @@ def test_broker_rejection_resolves_future_as_failed():
 
 def test_positive_ack_keeps_future_pending():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     deliver(core, SubmitAck(tasklet_id="tl-1", accepted=True))
     assert not future.done
 
@@ -101,7 +106,7 @@ def test_unknown_completion_ignored():
 
 def test_duplicate_completion_ignored():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(1)))
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)))
     assert future.result(0) == 1
@@ -110,7 +115,7 @@ def test_duplicate_completion_ignored():
 
 def test_execution_records_rehydrated():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     record = {
         "execution_id": "ex-1",
         "tasklet_id": "tl-1",
@@ -140,7 +145,7 @@ def test_agreeing_records_get_the_verdicts_value_back():
     ``TaskletResult.executions`` reads as it always did.  A dissenting or
     failed record carries — and keeps — its own."""
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     array = list(range(1024))
 
     def record(n, status="success", **extra):
@@ -177,7 +182,7 @@ def test_malformed_execution_record_never_orphans_a_future(record):
     counted pending, for the well-formed completion that follows."""
     telemetry = Telemetry()
     core = ConsumerCore(NodeId("c1"), VirtualClock(), telemetry=telemetry)
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     good = {"execution_id": "ex-1", "tasklet_id": "tl-1", "provider_id": "p1", "status": "success"}
     if isinstance(record, dict) and "execution_id" not in record:
         record = {**good, **record}
@@ -196,9 +201,9 @@ def test_malformed_execution_record_never_orphans_a_future(record):
 
 def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
     core = make_core()
-    first, _ = core.submit(make_tasklet())
+    first, _ = submit_one(core, make_tasklet())
     with pytest.raises(DuplicateSubmission, match="tl-1") as refused:
-        core.submit(make_tasklet())
+        submit_one(core, make_tasklet())
     assert isinstance(refused.value, TaskletError)
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)))
     assert first.result(0) == 2
@@ -206,7 +211,7 @@ def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
     stats = dataclasses.asdict(core.stats)
     assert (stats["submitted"], stats["completed"], stats["failed"]) == (1, 1, 0)
     # Answered, so the id may be submitted again.
-    again, envelopes = core.submit(make_tasklet())
+    again, envelopes = submit_one(core, make_tasklet())
     assert again is not first and len(envelopes) == 1
 
 
@@ -217,7 +222,7 @@ def test_second_submit_of_pending_id_raises_and_first_future_still_resolves():
 )
 def test_refused_batch_registers_nothing(batch):
     core = make_core()
-    first, _ = core.submit(make_tasklet("tl-1"))
+    first, _ = submit_one(core, make_tasklet("tl-1"))
     with pytest.raises(DuplicateSubmission):
         core.submit_tasklets([make_tasklet(tasklet_id) for tasklet_id in batch])
     assert core.pending == 1 and core.stats.submitted == 1
@@ -260,8 +265,8 @@ def test_disconnect_event_when_only_workflows_pending():
 
 def test_fail_all_pending_resolves_every_future_with_typed_error():
     core = make_core()
-    first, _ = core.submit(make_tasklet("tl-1"))
-    second, _ = core.submit(make_tasklet("tl-2"))
+    first, _ = submit_one(core, make_tasklet("tl-1"))
+    second, _ = submit_one(core, make_tasklet("tl-2"))
     failed = core.fail_all_pending("connection to broker lost")
     assert failed == 2
     assert core.pending == 0
@@ -283,7 +288,7 @@ def test_fail_all_pending_with_nothing_pending_is_noop():
 
 def test_late_completion_after_fail_all_pending_ignored():
     core = make_core()
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     core.fail_all_pending("connection to broker lost")
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(7)))
     # The typed failure won the write-once race; the late result is dropped.
@@ -311,7 +316,7 @@ def test_an_unopenable_completion_fails_the_future_typed_not_pending(value):
     that cannot come, and no half-opened result reaches the application."""
     telemetry = Telemetry()
     core = ConsumerCore(NodeId("c1"), VirtualClock(), telemetry=telemetry)
-    future, _ = core.submit(make_tasklet())
+    future, _ = submit_one(core, make_tasklet())
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=value, attempts=1))
     assert future.done and core.pending == 0
     assert (core.stats.completed, core.stats.failed) == (0, 1)
@@ -323,7 +328,7 @@ def test_an_unopenable_completion_fails_the_future_typed_not_pending(value):
     failures = telemetry.registry.get("repro_consumer_failures_total")
     assert failures.labels(kind="unreadable").value == 1
     # The same goes for the value of one execution record among good ones.
-    future, _ = core.submit(make_tasklet("tl-2"))
+    future, _ = submit_one(core, make_tasklet("tl-2"))
     record = {"execution_id": "ex-1", "tasklet_id": "tl-2", "provider_id": "p1",
               "status": "success", "value": value}
     deliver(core, TaskletComplete("tl-2", ok=True, value=packed(2), executions=[record]))
@@ -333,10 +338,10 @@ def test_an_unopenable_completion_fails_the_future_typed_not_pending(value):
 
 def test_a_void_result_and_a_failure_carry_no_surprise():
     core = make_core()
-    void, _ = core.submit(make_tasklet("tl-1"))
+    void, _ = submit_one(core, make_tasklet("tl-1"))
     deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(None)))
     assert void.wait(0).ok and void.result(0) is None
-    failed, _ = core.submit(make_tasklet("tl-2"))
+    failed, _ = submit_one(core, make_tasklet("tl-2"))
     deliver(core, TaskletComplete(tasklet_id="tl-2", ok=False, error="all 1 executions failed"))
     assert not failed.wait(0).ok and failed.wait(0).value is None
 

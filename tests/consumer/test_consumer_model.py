@@ -221,10 +221,10 @@ class ConsumerProtocol(RuleBasedStateMachine):
         """A fresh id, an answered id again, or one that is still pending."""
         if tasklet_id in self.tasklets:
             with pytest.raises(DuplicateSubmission, match=tasklet_id):
-                self.core.submit(tasklet(tasklet_id))
+                self.core.submit_tasklets([tasklet(tasklet_id)])
             return
-        future, envelopes = self.core.submit(tasklet(tasklet_id))
-        self._registered([future], envelopes, [tasklet_id])
+        futures, envelopes = self.core.submit_tasklets([tasklet(tasklet_id)])
+        self._registered(futures, envelopes, [tasklet_id])
 
     @rule(ids=st.lists(st.sampled_from(TASKLET_IDS), max_size=4))
     def submit_batch(self, ids):

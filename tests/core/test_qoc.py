@@ -9,22 +9,15 @@ from repro.core.qoc import MAX_REDUNDANCY, QoC
 
 def test_default_is_best_effort():
     qoc = QoC()
-    assert qoc.is_best_effort
-    assert not qoc.wants_voting
     assert qoc.redundancy == 1
     assert qoc.max_attempts == 1
 
 
 def test_any_goal_clears_best_effort():
-    assert not QoC(speed=True).is_best_effort
-    assert not QoC(redundancy=2).is_best_effort
-    assert not QoC(max_attempts=2).is_best_effort
-    assert not QoC(deadline_s=1.0).is_best_effort
-
-
-def test_voting_requires_two_replicas():
-    assert not QoC(redundancy=1).wants_voting
-    assert QoC(redundancy=2).wants_voting
+    assert QoC(speed=True) != QoC()
+    assert QoC(redundancy=2) != QoC()
+    assert QoC(max_attempts=2) != QoC()
+    assert QoC(deadline_s=1.0) != QoC()
 
 
 class TestValidation:
@@ -64,7 +57,6 @@ class TestConstructors:
         qoc = QoC.reliable(redundancy=3, max_attempts=4)
         assert qoc.redundancy == 3
         assert qoc.max_attempts == 4
-        assert qoc.wants_voting
 
     def test_fast(self):
         assert QoC.fast().speed

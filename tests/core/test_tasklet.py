@@ -110,9 +110,3 @@ def test_from_dict_validates():
     data["entry"] = "nosuch"
     with pytest.raises(TaskletError):
         Tasklet.from_dict(data)
-
-
-def test_describe_mentions_id_and_entry():
-    text = make().describe()
-    assert "tl-1" in text
-    assert "main" in text

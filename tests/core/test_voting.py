@@ -160,22 +160,22 @@ class TestCollecting:
     def test_single_success_decides_r1(self):
         collector = VoteCollector(1)
         collector.add(record(42))
-        assert collector.decided
+        assert collector.winner() is not None
         assert [opened(r.value) for r in collector.winner()] == [42]
 
     def test_r3_needs_two_agreeing(self):
         collector = VoteCollector(3)
         collector.add(record(42, provider="a"))
-        assert not collector.decided
+        assert collector.winner() is None
         collector.add(record(42, provider="b"))
-        assert collector.decided
+        assert collector.winner() is not None
         assert len(collector.winner()) == 2
 
     def test_failures_never_vote(self):
         collector = VoteCollector(1)
         collector.add(record(ok=False))
         collector.add(record(ok=False))
-        assert not collector.decided
+        assert collector.winner() is None
         assert collector.winner() is None
 
     def test_disagreement_detected(self):
@@ -183,14 +183,14 @@ class TestCollecting:
         collector.add(record(1, provider="a"))
         collector.add(record(2, provider="b"))
         assert collector.disagreement()
-        assert not collector.decided
+        assert collector.winner() is None
 
     def test_majority_wins_over_minority_corruption(self):
         collector = VoteCollector(3)
         collector.add(record(7, provider="a"))
         collector.add(record(999, provider="bad"))
         collector.add(record(7, provider="c"))
-        assert collector.decided
+        assert collector.winner() is not None
         assert all(opened(r.value) == 7 for r in collector.winner())
 
     def test_equal_but_distinct_corruptions_never_decide(self):
@@ -198,7 +198,7 @@ class TestCollecting:
         collector.add(record(100, provider="a"))
         collector.add(record(200, provider="b"))
         collector.add(record(300, provider="c"))
-        assert not collector.decided
+        assert collector.winner() is None
         assert collector.disagreement()
 
     def test_all_records_returns_everything(self):
@@ -212,7 +212,7 @@ class TestCollecting:
         collector = VoteCollector(2)
         collector.add(record(None, provider="a"))
         collector.add(record(None, provider="b"))
-        assert collector.decided
+        assert collector.winner() is not None
 
     @given(st.integers(min_value=1, max_value=7), st.data())
     def test_winner_iff_some_group_reaches_required(self, redundancy, data):
@@ -226,7 +226,7 @@ class TestCollecting:
         expect_decided = any(
             count >= collector.required for count in counts.values()
         )
-        assert collector.decided == expect_decided
+        assert (collector.winner() is not None) == expect_decided
 
 
 class TestExecutionRecord:

@@ -17,7 +17,6 @@ from repro.bench.cluster import wait_until
 from repro.core import kernels
 from repro.obs import Telemetry, build_trace_tree, parse_prometheus
 from repro.obs import events as ev
-from repro.obs.metrics import iter_metric_names
 from repro.transport.message import BROKER_ADDRESS, HeartbeatAck
 from repro.transport.tcp import TcpBroker, TcpConsumer, TcpProvider
 
@@ -53,10 +52,12 @@ def run_tasklets(broker, telemetry, tasks=2):
 
 def test_tcp_run_produces_complete_span_trees(broker, telemetry):
     run_tasklets(broker, telemetry, tasks=2)
-    trace_ids = telemetry.spans.trace_ids()
+    spans = telemetry.spans.spans()
+    trace_ids = {span.trace_id for span in spans}
     assert len(trace_ids) == 2
     for trace_id in trace_ids:
-        roots = build_trace_tree(telemetry.spans.for_trace(trace_id))
+        trace = [span for span in spans if span.trace_id == trace_id]
+        roots = build_trace_tree(trace)
         assert len(roots) == 1, "spans from all three nodes join one tree"
         root = roots[0]
         assert root.span.name == "tasklet"
@@ -73,14 +74,14 @@ def test_tcp_run_produces_complete_span_trees(broker, telemetry):
             "tasklet", "broker.tasklet", "broker.assign", "provider.execute"
         ]
         # Three distinct nodes contributed spans to the one trace.
-        nodes = {span.node for span in telemetry.spans.for_trace(trace_id)}
+        nodes = {span.node for span in trace}
         assert len(nodes) == 3
 
 
 def test_tcp_exposition_covers_all_four_subsystems(broker, telemetry):
     run_tasklets(broker, telemetry, tasks=1)
     text = telemetry.registry.render_prometheus()
-    names = set(iter_metric_names(text))
+    names = {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")}
     for expected in (
         "repro_broker_tasklets_completed_total",
         "repro_provider_executions_total",

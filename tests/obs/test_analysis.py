@@ -8,7 +8,6 @@ from repro.obs.analysis import (
     find_workflow_trace,
     latency_summary,
     to_chrome_trace,
-    workflow_ids,
 )
 from repro.obs.trace import Span
 
@@ -54,13 +53,6 @@ def chain_workflow_spans():
 
 
 class TestWorkflowDiscovery:
-    def test_workflow_ids_deduplicated_oldest_first(self):
-        spans = chain_workflow_spans() + [
-            span("x", None, "broker.workflow", 20.0, 21.0, trace_id="t2",
-                 workflow_id="wf-2"),
-        ]
-        assert workflow_ids(spans) == ["wf-1", "wf-2"]
-
     def test_find_workflow_trace(self):
         spans = chain_workflow_spans()
         assert find_workflow_trace(spans, "wf-1") == "t1"
@@ -68,7 +60,7 @@ class TestWorkflowDiscovery:
 
     def test_non_workflow_spans_are_ignored(self):
         only_tasklets = [span("t", None, "broker.tasklet", 0.0, 1.0)]
-        assert workflow_ids(only_tasklets) == []
+        assert find_workflow_trace(only_tasklets, "wf-1") is None
         assert analyze_workflow(only_tasklets, "wf-1") is None
 
 

@@ -109,7 +109,6 @@ class TestWatchdog:
         dog.on_result("e1", ok=True, instructions=1000)
         dog.on_issue("e2", "p1", "t2", "fp", speed_ips=1000.0, now=0.0)
         dog.on_lost("e2")
-        assert dog.outstanding == 0
         assert dog.check(now=1e9) == []
 
     def test_min_expected_floor_absorbs_tiny_programs(self):
@@ -349,9 +348,9 @@ class TestStragglerEndToEnd:
         assigns = harness.submit()
         for dst, assign in assigns:
             harness.complete(dst, assign)
-        kinds = harness.telemetry.events.counts()
-        assert kinds[ev.NODE_JOIN] == 1
-        assert kinds[ev.PLACEMENT] == 1
+        kinds = [event.kind for event in harness.telemetry.events.events()]
+        assert kinds.count(ev.NODE_JOIN) == 1
+        assert kinds.count(ev.PLACEMENT) == 1
         assert ev.STRAGGLER_ALERT not in kinds
 
     def test_dead_provider_emits_node_dead_event(self):

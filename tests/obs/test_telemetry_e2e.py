@@ -11,7 +11,6 @@ import pytest
 from repro.core import kernels
 from repro.core.qoc import QoC
 from repro.obs import Telemetry, build_trace_tree, parse_prometheus
-from repro.obs.metrics import iter_metric_names
 from repro.sim.devices import make_pool
 from repro.sim.runner import Simulation
 
@@ -41,7 +40,7 @@ def test_each_tasklet_is_one_complete_span_tree(telemetry):
     trace_ids = {span.trace_id for span in spans}
     assert len(trace_ids) == 3
     for trace_id in trace_ids:
-        roots = build_trace_tree(telemetry.spans.for_trace(trace_id))
+        roots = build_trace_tree([s for s in spans if s.trace_id == trace_id])
         assert len(roots) == 1, "every span must parent back to the root"
         root = roots[0]
         assert root.span.name == "tasklet"
@@ -72,7 +71,7 @@ def test_redundant_replicas_share_the_root(telemetry):
 def test_exposition_contains_all_subsystem_families(telemetry):
     run_sim(telemetry, tasks=2)
     text = telemetry.registry.render_prometheus()
-    names = set(iter_metric_names(text))
+    names = {line.split()[2] for line in text.splitlines() if line.startswith("# TYPE ")}
     for expected in (
         "repro_broker_tasklets_submitted_total",
         "repro_broker_tasklets_completed_total",

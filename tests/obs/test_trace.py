@@ -7,7 +7,6 @@ from repro.obs.trace import (
     Tracer,
     build_trace_tree,
     format_trace,
-    merge_spans,
 )
 
 
@@ -75,22 +74,13 @@ class TestSpanStore:
             store.add(span(f"s{i}"))
         assert [s.span_id for s in store.spans()] == ["s2", "s3"]
         assert store.dropped == 2
-        assert len(store) == 2
+        assert len(store.spans()) == 2
 
     def test_capacity_must_be_positive(self):
         import pytest
 
         with pytest.raises(ValueError):
             SpanStore(capacity=0)
-
-    def test_for_trace_and_trace_ids(self):
-        store = SpanStore()
-        store.add(span("a", trace_id="t1"))
-        store.add(span("b", trace_id="t2"))
-        store.add(span("c", trace_id="t1"))
-        assert [s.span_id for s in store.for_trace("t1")] == ["a", "c"]
-        assert store.trace_ids() == ["t1", "t2"]
-
 
 class TestTreeReconstruction:
     def test_builds_nested_tree_in_start_order(self):
@@ -149,13 +139,6 @@ class TestTreeReconstruction:
     def test_self_parent_does_not_loop(self):
         roots = build_trace_tree([span("weird", parent_id="weird")])
         assert len(roots) == 1
-
-    def test_merge_spans_across_stores(self):
-        first, second = SpanStore(), SpanStore()
-        first.add(span("a", start=1.0))
-        second.add(span("b", start=0.0))
-        assert [s.span_id for s in merge_spans(first, second)] == ["b", "a"]
-
 
 class TestFormatTrace:
     def test_empty_store_renders_placeholder(self):

@@ -10,6 +10,7 @@ from repro.common.serde import packed
 from repro.core.results import ExecutionStatus
 from repro.provider.executor import TaskletExecutor
 from repro.transport.message import AssignExecution
+from repro.tvm.bytecode import PROGRAM_CACHE_SIZE
 from repro.tvm.compiler import compile_source
 from tests.transport.test_messages import HOSTILE_BLOBS
 from tests.conftest import packed_document
@@ -275,16 +276,6 @@ def test_cache_metrics_flow_into_registry():
     assert instructions.value > 0
 
 
-def test_profiled_outcome_carries_vm_profile():
-    executor = TaskletExecutor(profile=True)
-    outcome = executor.execute(assignment(10))
-    assert outcome.ok
-    assert outcome.profile is not None
-    assert outcome.profile.instructions == outcome.instructions
-    # Unprofiled executors leave it unset.
-    assert TaskletExecutor().execute(assignment(10)).profile is None
-
-
 def test_seed_reaches_the_vm():
     program = compile_source("func main() -> float { return rand(); }")
     executor = TaskletExecutor()
@@ -382,7 +373,7 @@ def test_known_cheap_is_the_latest_run_of_a_cached_program_against_the_switch_in
     assert executor.execute(assignment(3, program=loop)).ok
     assert executor.known_cheap(stamp)
     # Evicted with its program; and an executor that caches nothing knows nothing.
-    for i in range(executor.cache_size):
+    for i in range(PROGRAM_CACHE_SIZE):
         executor.execute(assignment(1, program=compile_source(f"func main(n: int) -> int {{ return {i}; }}")))
     assert not executor.known_cheap(stamp)
     uncached = TaskletExecutor(cache_size=0)

@@ -15,7 +15,7 @@ from repro.tvm.vm import is_tasklet_value
 
 def test_reliable_by_default():
     model = ExecutionFailureModel()
-    assert model.is_reliable
+    assert model.drop_probability == model.corrupt_probability == 0.0
     assert all(model.draw() is FaultKind.NONE for _ in range(100))
 
 

@@ -1,4 +1,4 @@
-"""Discrete-event loop: ordering, cancellation, idle detection."""
+"""Discrete-event loop: ordering, recurring events, idle detection."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,16 +58,6 @@ def test_events_scheduled_during_events_run():
     loop.schedule(1.0, outer)
     loop.run_until(5.0)
     assert fired == ["outer", "inner"]
-
-
-def test_cancellation():
-    loop = EventLoop()
-    fired = []
-    handle = loop.schedule(1.0, lambda: fired.append("x"))
-    handle.cancel()
-    loop.run_until(2.0)
-    assert fired == []
-    assert handle.cancelled
 
 
 def test_run_until_respects_deadline():

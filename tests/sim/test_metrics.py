@@ -55,8 +55,7 @@ def test_saturated_pool_shows_high_utilization():
     simulation, collector = busy_simulation(tasks=40)
     summary = collector.summary()
     assert 0.3 < summary.pool_mean_utilization <= 1.0
-    busiest = summary.busiest_provider()
-    assert busiest is not None
+    busiest = max(summary.providers.values(), key=lambda p: p.mean_utilization)
     assert busiest.peak_utilization == 1.0
     assert busiest.executed > 0
 

@@ -8,7 +8,6 @@ from repro.sim.devices import (
     DEVICE_CLASSES,
     make_config,
     make_pool,
-    pool_speed,
     profile,
 )
 from repro.sim.network import (
@@ -18,11 +17,9 @@ from repro.sim.network import (
 )
 from repro.sim.workloads import (
     WORKLOADS,
-    integration,
     mandelbrot,
     matmul_tiles,
     mixed,
-    monte_carlo_pi,
     prime_count,
 )
 from repro.transport.message import Heartbeat
@@ -87,11 +84,6 @@ class TestDevices:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             make_pool({"desktop": -1})
-
-    def test_pool_speed_capacity_weighted(self):
-        pool = make_pool({"desktop": 2}, speed_jitter=0.0, seed=0)
-        expected = 2 * DEVICE_CLASSES["desktop"].speed_ips * DEVICE_CLASSES["desktop"].capacity
-        assert pool_speed(pool) == pytest.approx(expected)
 
 
 class TestChurn:
@@ -167,10 +159,6 @@ class TestWorkloads:
         assert len(workload) == 7
         assert [args[0] for args in workload.args_list] == list(range(7))
 
-    def test_monte_carlo_homogeneous(self):
-        workload = monte_carlo_pi(tasks=5, samples_per_task=100)
-        assert workload.args_list == [[100]] * 5
-
     def test_matmul_has_oracle(self):
         workload = matmul_tiles(tiles=2, n=3, seed=1)
         assert workload.expected is not None
@@ -184,11 +172,6 @@ class TestWorkloads:
     def test_prime_count_oracle(self):
         workload = prime_count(tasks=3, limit=100)
         assert workload.expected == [25] * 3
-
-    def test_integration_covers_span_contiguously(self):
-        workload = integration(tasks=4, steps=10)
-        for first, second in zip(workload.args_list, workload.args_list[1:]):
-            assert first[1] == pytest.approx(second[0])
 
     def test_mixed_is_shuffled_but_deterministic(self):
         a = mixed(seed=1)

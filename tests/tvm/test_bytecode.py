@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import VMInvalidProgram
+from repro.tvm.builtins import BUILTIN_ORDER
 from repro.tvm.bytecode import (
     BYTECODE_VERSION,
     CompiledProgram,
@@ -66,10 +67,10 @@ def test_version_embedded_and_checked():
         CompiledProgram.from_dict(data)
 
 
-def test_include_source_flag():
+def test_source_is_not_in_the_document():
     program = compile_source(SOURCES[0])
+    assert program.source is not None
     assert "source" not in program.to_dict()
-    assert "source" in program.to_dict(include_source=True)
 
 
 def _function(code, n_params=0, n_locals=0, returns_value=True, name="main"):
@@ -87,6 +88,13 @@ def _program(functions, constants=None):
 
 
 RET = [Instruction(Op.PUSH_NONE), Instruction(Op.RET)]
+
+
+def _decode(pair):
+    """Open a program document whose one instruction is ``pair``."""
+    document = _program([_function(RET)]).to_dict()
+    document["functions"][0]["code"] = [pair]
+    return CompiledProgram.from_dict(document)
 
 
 class TestVerification:
@@ -133,9 +141,7 @@ class TestVerification:
 
     def test_builtin_bad_arity_rejected(self):
         # sqrt is unary; encode arity 3.
-        from repro.tvm.bytecode import builtin_index
-
-        operand = builtin_index("sqrt") * 8 + 3
+        operand = BUILTIN_ORDER.index("sqrt") * 8 + 3
         code = [Instruction(Op.CALL_BUILTIN, operand), Instruction(Op.RET)]
         with pytest.raises(VMInvalidProgram):
             _program([_function(code)]).verify()
@@ -197,12 +203,10 @@ class TestVerification:
 
     def test_variable_pops_follow_the_operand(self):
         # BUILD_ARRAY 2, a binary builtin and a unary CALL with too few.
-        from repro.tvm.bytecode import builtin_index
-
         callee = _function([Instruction(Op.LOAD, 0), Instruction(Op.RET)], 1, 1, name="id")
         for short in (
             Instruction(Op.BUILD_ARRAY, 2),
-            Instruction(Op.CALL_BUILTIN, builtin_index("pow") * 8 + 2),
+            Instruction(Op.CALL_BUILTIN, BUILTIN_ORDER.index("pow") * 8 + 2),
         ):
             code = [Instruction(Op.PUSH_CONST, 0), short, Instruction(Op.RET)]
             with pytest.raises(VMInvalidProgram, match=r"main@1: .* pops 2 with 1"):
@@ -225,11 +229,11 @@ class TestVerification:
 
     def test_unknown_opcode_rejected_at_decode(self):
         with pytest.raises(VMInvalidProgram):
-            Instruction.from_pair([250, -1])
+            _decode([250, -1])
 
     def test_malformed_instruction_pair_rejected(self):
         with pytest.raises(VMInvalidProgram):
-            Instruction.from_pair([1, 2, 3])
+            _decode([1, 2, 3])
 
 
 @given(st.integers(min_value=0, max_value=30))

@@ -14,6 +14,10 @@ from repro.tvm.vm import execute
 from tests.tvm.astinterp import AstInterpreter
 
 
+def compile_optimized(source: str):
+    return optimize_program(compile_source(source))
+
+
 def instruction_count(program) -> int:
     return sum(len(function.code) for function in program.functions)
 
@@ -24,22 +28,22 @@ def ops_of(program, name="main"):
 
 class TestFolding:
     def test_arithmetic_chain_folds_to_one_constant(self):
-        program = compile_source(
-            "func main() -> int { return 1 + 2 * 3 - 4; }", optimize=True
+        program = compile_optimized(
+            "func main() -> int { return 1 + 2 * 3 - 4; }"
         )
         assert ops_of(program)[:2] == [Op.PUSH_CONST, Op.RET]
         assert execute(program, "main")[0] == 3
 
     def test_division_semantics_preserved(self):
-        program = compile_source(
-            "func main() -> int { return (0 - 7) / 2; }", optimize=True
+        program = compile_optimized(
+            "func main() -> int { return (0 - 7) / 2; }"
         )
         assert execute(program, "main")[0] == -3  # C truncation, folded
 
     def test_division_by_zero_not_folded(self):
         # Folding must not turn a runtime error into a compile-time crash.
         source = "func main() -> int { return 1 / 0; }"
-        program = compile_source(source, optimize=True)
+        program = compile_optimized(source)
         assert Op.DIV in ops_of(program)
         from repro.common.errors import VMDivisionByZero
 
@@ -47,27 +51,27 @@ class TestFolding:
             execute(program, "main")
 
     def test_comparison_and_not_fold(self):
-        program = compile_source(
-            "func main() -> bool { return !(2 < 1); }", optimize=True
+        program = compile_optimized(
+            "func main() -> bool { return !(2 < 1); }"
         )
         assert ops_of(program)[:2] == [Op.PUSH_CONST, Op.RET]
         assert execute(program, "main")[0] is True
 
     def test_negation_folds(self):
-        program = compile_source("func main() -> int { return -(3 + 4); }", optimize=True)
+        program = compile_optimized("func main() -> int { return -(3 + 4); }")
         assert ops_of(program)[:2] == [Op.PUSH_CONST, Op.RET]
         assert execute(program, "main")[0] == -7
 
     def test_string_concat_folds(self):
-        program = compile_source(
-            'func main() -> string { return "a" + "b" + "c"; }', optimize=True
+        program = compile_optimized(
+            'func main() -> string { return "a" + "b" + "c"; }'
         )
         assert execute(program, "main")[0] == "abc"
         assert ops_of(program)[:2] == [Op.PUSH_CONST, Op.RET]
 
     def test_int_float_distinction_survives_folding(self):
-        program = compile_source(
-            "func main() -> float { return 1 + 1 + 0.5; }", optimize=True
+        program = compile_optimized(
+            "func main() -> float { return 1 + 1 + 0.5; }"
         )
         value, _ = execute(program, "main")
         assert value == 2.5
@@ -76,7 +80,7 @@ class TestFolding:
     def test_folding_reduces_instruction_count(self):
         source = "func main() -> float { return 2.0 * 3.1415 * 10.0 * 10.0; }"
         plain = compile_source(source)
-        optimized = compile_source(source, optimize=True)
+        optimized = compile_optimized(source)
         assert instruction_count(optimized) < instruction_count(plain)
 
 
@@ -90,7 +94,7 @@ class TestControlFlow:
         # The compiler's implicit void tail (PUSH_NONE; RET) is
         # unreachable here and must be eliminated.
         plain = compile_source(source)
-        optimized = compile_source(source, optimize=True)
+        optimized = compile_optimized(source)
         assert instruction_count(optimized) < instruction_count(plain)
         assert execute(optimized, "main")[0] == 1
 
@@ -105,12 +109,12 @@ class TestControlFlow:
             return total;
         }
         """
-        optimized = compile_source(source, optimize=True)
+        optimized = compile_optimized(source)
         plain = compile_source(source)
         assert execute(optimized, "main", [10])[0] == execute(plain, "main", [10])[0]
 
     def test_optimizer_is_idempotent(self):
-        program = compile_source(kernels.MANDELBROT_ROW, optimize=True)
+        program = compile_optimized(kernels.MANDELBROT_ROW)
         again = optimize_program(program)
         assert again.fingerprint() == program.fingerprint()
 
@@ -121,7 +125,7 @@ class TestPeepholes:
             "func main(a: int, b: int) -> int "
             "{ if (!(a < b)) { return 1; } return 2; }"
         )
-        optimized = compile_source(source, optimize=True)
+        optimized = compile_optimized(source)
         ops = ops_of(optimized)
         assert Op.NOT not in ops
         assert Op.JUMP_IF_TRUE in ops
@@ -139,7 +143,7 @@ class TestPeepholes:
             "func main(a: int, b: int) -> int "
             "{ if (!(a < b) || a == 9) { return 1; } return 2; }"
         )
-        optimized = compile_source(source, optimize=True)
+        optimized = compile_optimized(source)
         assert Op.NOT not in ops_of(optimized)
         for a, b in ((1, 2), (2, 1), (9, 10)):
             plain = compile_source(source)

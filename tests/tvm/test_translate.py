@@ -25,7 +25,6 @@ from repro.tvm.opcodes import Op
 from repro.tvm.parser import parse
 from repro.tvm.semantics import analyze
 from repro.tvm.translate import translate
-from repro.tvm.vm import TVM
 
 from tests.tvm.assembler import assemble
 from tests.tvm.astinterp import AstInterpreter
@@ -615,20 +614,6 @@ def test_join_in_the_middle_of_a_statement_translates_and_agrees():
 # ---------------------------------------------------------------------------
 # Executor integration
 # ---------------------------------------------------------------------------
-
-
-def test_profiled_executor_stays_on_the_portable_vm():
-    for source, args in ((COUNT_LOOP, [200]), (kernels.PRIME_COUNT, [300])):
-        program = compile_source(source)
-        baseline = TVM(program, profile=True)
-        baseline.run("main", list(args))
-        executor = TaskletExecutor(profile=True)
-        outcome = executor.execute(local_assignment(program, list(args)))
-        # A profile counts opcodes, which only the interpreter retires.
-        assert executor.translated_runs == executor.restarts == 0
-        assert outcome.profile.opcodes == baseline.profile.opcodes
-        assert outcome.profile.opcode_groups == baseline.profile.opcode_groups
-        assert outcome.profile.instructions == baseline.profile.instructions
 
 
 def test_executor_translates_by_default_and_portable_agrees():

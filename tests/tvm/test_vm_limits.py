@@ -23,7 +23,6 @@ def test_fuel_accounting_on_success():
     program = compile_source("func main() -> int { return 1 + 2; }")
     _, stats = execute(program)
     assert 0 < stats.instructions <= 10
-    assert stats.fuel_used == stats.instructions
 
 
 def test_fuel_accounting_on_failure():
