@@ -34,7 +34,6 @@ def _run(workload, depth: int):
         broker_config=BrokerConfig(
             execution_timeout=None, pipeline_depth=depth
         ),
-        collect_metrics=True,
     )
 
 

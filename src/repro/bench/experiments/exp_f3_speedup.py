@@ -42,7 +42,6 @@ def run(quick: bool = True) -> Experiment:
             qoc=QoC(),
             seed=20,  # identical seed: only the pool size varies
             broker_config=BrokerConfig(execution_timeout=None),
-            collect_metrics=True,
         )
         assert outcome.failed == 0, "F3 assumes a failure-free pool"
         makespans.append(outcome.makespan)

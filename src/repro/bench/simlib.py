@@ -40,7 +40,6 @@ class RunOutcome:
     messages_dropped: int = 0
     correct: bool | None = None  # vs workload oracle, when available
     wrong_values: int = 0  # successful results that contradict the oracle
-    pool_utilization: float | None = None  # sampled mean (timeline-based)
     pool_busy_utilization: float | None = None  # exact: busy-s / slot-s
 
     @property
@@ -68,7 +67,6 @@ def run_workload(
     churn_for: "dict[int, ChurnModel] | None" = None,
     failure_for: "dict[int, ExecutionFailureModel] | None" = None,
     max_time: float = 1e5,
-    collect_metrics: bool = False,
     telemetry: "Telemetry | None" = None,
 ) -> RunOutcome:
     """Simulate one workload on one pool; returns the run summary.
@@ -77,9 +75,9 @@ def run_workload(
     models, so experiments can make exactly provider 0 flaky.
 
     ``telemetry`` (an :class:`~repro.obs.telemetry.Telemetry`) is shared
-    by every node of the simulated deployment; after the run the broker's
-    end-of-run counters — and, with ``collect_metrics``, the timeline
-    summary — are published into its registry via :mod:`repro.obs.bridge`.
+    by every node of the simulated deployment, whose counters its registry
+    reads; a :class:`~repro.sim.metrics.MetricsCollector` samples the run
+    and publishes its summary there too.
     """
     simulation = Simulation(
         seed=seed,
@@ -95,7 +93,7 @@ def run_workload(
             failure_model=(failure_for or {}).get(index),
         )
     collector = None
-    if collect_metrics:
+    if telemetry is not None:
         from ..sim.metrics import MetricsCollector
 
         collector = MetricsCollector(simulation, interval=0.01)
@@ -128,27 +126,19 @@ def run_workload(
             if result is not None and result.ok and result.value != expected
         )
         correct = wrong_values == 0
-    if telemetry is not None:
-        from ..obs.bridge import publish_broker_stats
-
-        publish_broker_stats(telemetry.registry, simulation.broker.stats)
-    pool_utilization = None
-    pool_busy_utilization = None
     if collector is not None:
         collector.stop()
-        summary = collector.summary()
-        if telemetry is not None:
-            summary.publish(telemetry.registry)
-        pool_utilization = summary.pool_mean_utilization
-        # Exact utilization from the providers' own busy-time accounting:
-        # immune to the sampling aliasing that short task bursts cause.
-        total_slots = sum(config.capacity for config in pool)
-        busy = sum(
-            provider.driver.stats.busy_seconds
-            for provider in simulation.providers.values()
-        )
-        if makespan not in (0.0, float("inf")) and total_slots:
-            pool_busy_utilization = busy / (makespan * total_slots)
+        collector.summary().publish(telemetry.registry)
+    # Exact utilization from the providers' own busy-time accounting:
+    # immune to the sampling aliasing that short task bursts cause.
+    total_slots = sum(config.capacity for config in pool)
+    busy = sum(
+        provider.driver.stats.busy_seconds
+        for provider in simulation.providers.values()
+    )
+    pool_busy_utilization = None
+    if makespan not in (0.0, float("inf")) and total_slots:
+        pool_busy_utilization = busy / (makespan * total_slots)
     return RunOutcome(
         makespan=makespan,
         succeeded=succeeded,
@@ -161,6 +151,5 @@ def run_workload(
         messages_dropped=simulation.messages_dropped,
         correct=correct,
         wrong_values=wrong_values,
-        pool_utilization=pool_utilization,
         pool_busy_utilization=pool_busy_utilization,
     )

@@ -10,7 +10,9 @@ unconditionally, and never test whether telemetry is on:
   off is one method call per fact.
 * :class:`TelemetryObserver` additionally owns the metric bundles, the
   flight recorder, the tracer and the :class:`HealthModel` (straggler
-  watchdog, flap detection, scorecards).
+  watchdog, flap detection, scorecards).  A fact ``BrokerStats`` counts
+  is not counted again: the exposition reads the field
+  (:data:`~repro.obs.telemetry.BROKER_COUNTS`).
 
 Contract: an observer method records and returns — it takes no
 decisions, builds no envelopes and never touches broker tables.  The
@@ -31,10 +33,13 @@ from ..core.results import ExecutionRecord, ExecutionStatus
 from ..obs import events as ev
 from ..obs.health import FLAP_WINDOW_S, GRADE_RANK, HealthMetrics, HealthModel, overall_status
 from ..obs.telemetry import (
+    BROKER_COUNTS,
+    FEDERATION_COUNTS,
     BrokerMetrics,
     FederationMetrics,
     Telemetry,
     WorkflowMetrics,
+    count_stats,
 )
 from ..obs.trace import TraceContext
 from ..transport.message import report_unreadable
@@ -336,13 +341,14 @@ class TelemetryObserver(LifecycleObserver):
         super().__init__()
         self._node = str(node_id)
         self._clock = clock
-        self._metrics = BrokerMetrics(telemetry.registry)
-        self._wf_metrics = WorkflowMetrics(telemetry.registry)
-        self._health_metrics = HealthMetrics(telemetry.registry)
+        registry = telemetry.registry
+        self._metrics = BrokerMetrics(registry)
+        self._wf_metrics = WorkflowMetrics(registry)
+        self._health_metrics = HealthMetrics(registry)
         #: Only a federated broker registers the federation families.
-        self._fed_metrics = (
-            FederationMetrics(telemetry.registry) if federated else None
-        )
+        self._fed_metrics = FederationMetrics(registry) if federated else None
+        counts = BROKER_COUNTS + (FEDERATION_COUNTS if federated else ())
+        count_stats(registry, counts, self.stats)
         self._tracer = telemetry.tracer
         self._events = telemetry.events
         self.health = HealthModel()
@@ -423,7 +429,6 @@ class TelemetryObserver(LifecycleObserver):
 
     def provider_failed(self, provider_id):
         super().provider_failed(provider_id)
-        self._metrics.providers_failed.inc()
         self._event(ev.NODE_DEAD, str(provider_id))
 
     def ticked(self, pending_tasklets, backlog_replicas, registry, federation):
@@ -457,18 +462,8 @@ class TelemetryObserver(LifecycleObserver):
 
     # -- admission ----------------------------------------------------------------
 
-    def submitted(self):
-        super().submitted()
-        self._metrics.tasklets_submitted.inc()
-
-    def memo_lookup(self, hit):
-        super().memo_lookup(hit)
-        self._metrics.memo_cache.labels(result="hit" if hit else "miss").inc()
-
     def admitted(self, state, trace):
         super().admitted(state, trace)
-        if state.origin_broker is not None:
-            self._fed_metrics.forwards.labels(direction="in").inc()
         self._open(state, trace)
 
     def journal_appended(self, kind):
@@ -476,7 +471,6 @@ class TelemetryObserver(LifecycleObserver):
 
     def journal_compacted(self, compaction):
         super().journal_compacted(compaction)
-        self._metrics.journal_compactions.inc()
         self._event(ev.JOURNAL_COMPACTED, self._node, **compaction)
 
     def tasklet_memoized(self, consumer_id, completion):
@@ -491,13 +485,10 @@ class TelemetryObserver(LifecycleObserver):
 
     def redelivered(self, consumer_id, ok, **ident):
         super().redelivered(consumer_id, ok, **ident)
-        self._metrics.completions_redelivered.inc()
         self._event(ev.RESULT_REDELIVERED, str(consumer_id), **ident, ok=ok)
 
     def recovered(self, pending, completions, workflows, malformed):
         super().recovered(pending, completions, workflows, malformed)
-        if pending:
-            self._metrics.tasklets_recovered.inc(pending)
         self._event(
             ev.JOURNAL_RECOVERED,
             self._node,
@@ -527,18 +518,12 @@ class TelemetryObserver(LifecycleObserver):
             execution_id=str(outstanding.execution_id),
             tasklet_id=str(state.tasklet.tasklet_id),
         )
-        self._metrics.executions_issued.inc()
         self._metrics.placements.labels(
             strategy=getattr(strategy, "name", "unknown")
         ).inc()
 
-    def replicas_queued(self, count):
-        super().replicas_queued(count)
-        self._metrics.replicas_queued.inc(count)
-
     def backlog_overflowed(self, state, dropped, limit):
         super().backlog_overflowed(state, dropped, limit)
-        self._metrics.replicas_overflowed.inc(dropped)
         self._alert(
             ev.BACKLOG_OVERFLOW,
             str(state.consumer_id),
@@ -627,10 +612,6 @@ class TelemetryObserver(LifecycleObserver):
 
     # -- workflows ------------------------------------------------------------------
 
-    def workflow_submitted(self):
-        super().workflow_submitted()
-        self._wf_metrics.submitted.inc()
-
     def workflow_opened(self, wf, trace):
         # A recovered graph passes no parent (the consumer's root context
         # died with the previous incarnation) and so gets a fresh trace.
@@ -713,7 +694,6 @@ class TelemetryObserver(LifecycleObserver):
     def workflow_finished(self, wf, outcome, active):
         super().workflow_finished(wf, outcome, active)
         ok = outcome.ok
-        self._wf_metrics.completed.labels(outcome="ok" if ok else "failed").inc()
         if ok:
             self._event(
                 ev.WORKFLOW_COMPLETE,
@@ -778,7 +758,6 @@ class TelemetryObserver(LifecycleObserver):
             # The peer parents its ``broker.tasklet`` on this context, so
             # the forwarded execution stays inside the origin's trace.
             forward.trace_ctx = self._tracer.child(state.trace_ctx)
-        self._fed_metrics.forwards.labels(direction="out").inc()
         self._event(
             ev.TASKLET_FORWARDED,
             forward.peer,
@@ -817,10 +796,6 @@ class TelemetryObserver(LifecycleObserver):
 
     def journal_adopted(self, peer_id, pending, completions, malformed):
         super().journal_adopted(peer_id, pending, completions, malformed)
-        if completions:
-            self._fed_metrics.handoff.labels(kind="complete").inc(completions)
-        if pending:
-            self._fed_metrics.handoff.labels(kind="pending").inc(pending)
         self._event(
             ev.JOURNAL_HANDOFF,
             peer_id,

@@ -216,7 +216,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         pool,
         strategy=args.strategy,
         seed=args.seed,
-        collect_metrics=True,
         telemetry=telemetry,
     )
     if args.format == "prom":

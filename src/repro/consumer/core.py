@@ -41,7 +41,7 @@ from ..core.tasklet import Tasklet
 from ..dag.handle import WorkflowHandle
 from ..dag.spec import WorkflowSpec
 from ..obs import events as ev
-from ..obs.telemetry import ConsumerMetrics, Telemetry
+from ..obs.telemetry import CONSUMER_COUNTS, ConsumerMetrics, Telemetry, count_stats
 from ..obs.trace import TraceContext
 from ..transport.message import (
     BROKER_ADDRESS,
@@ -116,6 +116,8 @@ class ConsumerCore:
         self._tracer = telemetry.tracer if telemetry else None
         self._events = telemetry.events if telemetry else None
         self.stats = ConsumerStats()
+        if telemetry is not None:
+            count_stats(telemetry.registry, CONSUMER_COUNTS, self.stats)
         self._lock = threading.Lock()
         self._tasklets: dict[TaskletId, _Pending] = {}
         self._workflows: dict[str, _Pending] = {}
@@ -131,14 +133,11 @@ class ConsumerCore:
         appears twice in the batch) raises :class:`DuplicateSubmission`
         before anything is registered, so no future is ever overwritten.
         """
-        futures, envelopes = self._register(
+        return self._register(
             self._tasklets,
             _TASKLET,
             [(t.tasklet_id, SubmitTasklet(tasklet=t.to_dict())) for t in tasklets],
         )
-        if self._metrics is not None and futures:
-            self._metrics.submitted.inc(len(futures))
-        return futures, envelopes
 
     def submit_workflow(
         self, spec: WorkflowSpec
@@ -304,7 +303,6 @@ class ConsumerCore:
             if not ok and kind is None:
                 error = result.error or ""
                 kind = next((kind for text, kind in _FAILURE_KINDS if text in error), "other")
-            self._metrics.completed.labels(outcome="ok" if ok else "failed").inc()
             if kind is not None:
                 self._metrics.failures.labels(kind=kind).inc()
             self._metrics.latency.observe(max(0.0, now - record.submitted_at))

@@ -35,7 +35,6 @@ from .analysis import (
     latency_summary,
     to_chrome_trace,
 )
-from .bridge import publish_broker_stats, publish_summary
 from .events import Event, FlightRecorder
 from .health import (
     HealthModel,
@@ -92,7 +91,5 @@ __all__ = [
     "format_trace",
     "latency_summary",
     "parse_prometheus",
-    "publish_broker_stats",
-    "publish_summary",
     "to_chrome_trace",
 ]

@@ -4,7 +4,8 @@ Three metric kinds — :class:`Counter` (monotonic), :class:`Gauge`
 (set/inc/dec), :class:`Histogram` (fixed bucket boundaries, cumulative
 exposition) — organised into labeled *families*: one registered name maps
 to many children, one per distinct label-value tuple, exactly like the
-Prometheus data model.
+Prometheus data model.  A :class:`StatsCounterFamily` is a counter that
+counts nothing itself: it reads fields of the stats objects that do.
 
 All mutation is thread-safe: the registry locks family creation, each
 family locks child creation, and each child locks its own updates.  The
@@ -274,6 +275,45 @@ class HistogramFamily(_Family):
         return self._solo().sum
 
 
+class _FieldSum:
+    """One child of a :class:`StatsCounterFamily`: a stats field summed
+    over the family's stats objects whenever it is read."""
+
+    def __init__(self, sources: list, field: str):
+        self._sources = sources
+        self._field = field
+
+    @property
+    def value(self) -> float:
+        return float(sum(getattr(stats, self._field) for stats in tuple(self._sources)))
+
+
+class StatsCounterFamily(_Family):
+    """A counter family with no ``inc``: each label value names a field
+    (``fields``; label ``""`` and key ``""`` when unlabeled), whose child
+    reads that field summed over every stats object :meth:`track` was given,
+    and is not exposed while zero.  Nothing is untracked (a restarted core's
+    predecessor stays in the sum), so values never go down."""
+
+    kind = "counter"
+
+    def __init__(self, name: str, help: str, label: str, fields: dict[str, str]):
+        super().__init__(name, help, (label,) if label else ())
+        self._sources: list = []
+        for value, field in fields.items():
+            self._children[(value,) if label else ()] = _FieldSum(self._sources, field)
+
+    def _make_child(self):
+        raise ValueError(f"{self.name} counts no other {self.labelnames} value")
+
+    def track(self, stats) -> None:
+        with self._lock:
+            self._sources.append(stats)
+
+    def children(self) -> list[tuple[tuple[str, ...], _FieldSum]]:
+        return [(key, child) for key, child in super().children() if child.value]
+
+
 class MetricsRegistry:
     """All metric families of one process (or one test's worth of nodes).
 
@@ -293,13 +333,13 @@ class MetricsRegistry:
             existing = self._families.get(family.name)
             if existing is not None:
                 if (
-                    existing.kind != family.kind
+                    type(existing) is not type(family)
                     or existing.labelnames != family.labelnames
                 ):
                     raise ValueError(
-                        f"metric {family.name!r} re-registered as {family.kind}"
-                        f"{family.labelnames}, already {existing.kind}"
-                        f"{existing.labelnames}"
+                        f"metric {family.name!r} re-registered as "
+                        f"{type(family).__name__}{family.labelnames}, already "
+                        f"{type(existing).__name__}{existing.labelnames}"
                     )
                 return existing
             self._families[family.name] = family
@@ -309,6 +349,11 @@ class MetricsRegistry:
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> CounterFamily:
         return self._register(CounterFamily(name, help, labelnames))  # type: ignore[return-value]
+
+    def stats_counter(
+        self, name: str, help: str, label: str, fields: dict[str, str]
+    ) -> StatsCounterFamily:
+        return self._register(StatsCounterFamily(name, help, label, fields))  # type: ignore[return-value]
 
     def gauge(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()

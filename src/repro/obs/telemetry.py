@@ -60,22 +60,69 @@ class Telemetry:
         return self.tracer.store
 
 
+#: Counters whose one count is a field of a stats object, read by the
+#: exposition: ``(family, help, label, {label value: stats field})``, with
+#: label ``""`` for an unlabeled family.  Broker rows read ``BrokerStats``.
+BROKER_COUNTS = (
+    ("repro_broker_tasklets_submitted_total", "Tasklets admitted for scheduling",
+     "", {"": "tasklets_submitted"}),
+    ("repro_broker_executions_issued_total", "Execution replicas assigned to providers",
+     "", {"": "executions_issued"}),
+    ("repro_broker_replicas_queued_total",
+     "Replicas that could not be placed immediately and were queued",
+     "", {"": "replicas_queued"}),
+    ("repro_broker_providers_failed_total",
+     "Providers declared dead by the heartbeat failure detector",
+     "", {"": "providers_failed"}),
+    ("repro_broker_memo_cache_total", "Result-memoization lookups at admission, by result",
+     "result", {"hit": "memo_hits", "miss": "memo_misses"}),
+    ("repro_broker_tasklets_recovered_total",
+     "Pending tasklets re-admitted from the work journal at startup",
+     "", {"": "tasklets_recovered"}),
+    ("repro_broker_completions_redelivered_total",
+     "Journalled completions re-delivered on idempotent resubmit",
+     "", {"": "completions_redelivered"}),
+    ("repro_broker_replicas_overflowed_total",
+     "Replicas dropped because the scheduling backlog was full",
+     "", {"": "replicas_overflowed"}),
+    ("repro_broker_journal_compactions_total", "Automatic in-place rewrites of the work journal",
+     "", {"": "journal_compactions"}),
+    ("repro_workflows_submitted_total", "Workflow (DAG) submissions admitted or rejected",
+     "", {"": "workflows_submitted"}),
+    ("repro_workflows_completed_total", "Workflows that reached a terminal state, by outcome",
+     "outcome", {"ok": "workflows_completed", "failed": "workflows_failed"}),
+)
+#: Read from a federated broker's ``BrokerStats``.
+FEDERATION_COUNTS = (
+    ("repro_federation_forwards_total", "Tasklets forwarded between brokers, by direction",
+     "direction", {"in": "forwards_received", "out": "tasklets_forwarded"}),
+    ("repro_federation_handoff_total",
+     "Journal records adopted from dead peers' journals, by kind",
+     "kind", {"complete": "completions_adopted", "pending": "tasklets_adopted"}),
+)
+#: Read from ``ConsumerStats``.
+CONSUMER_COUNTS = (
+    ("repro_consumer_tasklets_submitted_total", "Tasklets handed to the middleware",
+     "", {"": "submitted"}),
+    ("repro_consumer_tasklets_completed_total", "Tasklet futures resolved, by outcome",
+     "outcome", {"ok": "completed", "failed": "failed"}),
+)
+
+
+def count_stats(registry: MetricsRegistry, table: tuple, stats) -> None:
+    """Add ``stats`` to the sum each family of ``table`` exposes."""
+    for name, help, label, fields in table:
+        registry.stats_counter(name, help, label, fields).track(stats)
+
+
 class BrokerMetrics:
     """Broker-side families (shared across brokers on one registry)."""
 
     def __init__(self, registry: MetricsRegistry):
-        self.tasklets_submitted = registry.counter(
-            "repro_broker_tasklets_submitted_total",
-            "Tasklets admitted for scheduling",
-        )
         self.tasklets_completed = registry.counter(
             "repro_broker_tasklets_completed_total",
             "Tasklets that reached a final result, by outcome",
             labelnames=("outcome",),
-        )
-        self.executions_issued = registry.counter(
-            "repro_broker_executions_issued_total",
-            "Execution replicas assigned to providers",
         )
         self.executions_reissued = registry.counter(
             "repro_broker_executions_reissued_total",
@@ -90,14 +137,6 @@ class BrokerMetrics:
             "repro_broker_placements_total",
             "Providers chosen by the scheduling strategy",
             labelnames=("strategy",),
-        )
-        self.replicas_queued = registry.counter(
-            "repro_broker_replicas_queued_total",
-            "Replicas that could not be placed immediately and were queued",
-        )
-        self.providers_failed = registry.counter(
-            "repro_broker_providers_failed_total",
-            "Providers declared dead by the heartbeat failure detector",
         )
         self.pending_tasklets = registry.gauge(
             "repro_broker_pending_tasklets",
@@ -116,31 +155,10 @@ class BrokerMetrics:
             "Observed gap between consecutive heartbeats of one provider",
             buckets=RTT_BUCKETS + (2.5, 5.0, 10.0),
         )
-        self.memo_cache = registry.counter(
-            "repro_broker_memo_cache_total",
-            "Result-memoization lookups at admission, by result",
-            labelnames=("result",),
-        )
         self.journal_records = registry.counter(
             "repro_broker_journal_records_total",
             "Work-journal records appended, by kind",
             labelnames=("kind",),
-        )
-        self.tasklets_recovered = registry.counter(
-            "repro_broker_tasklets_recovered_total",
-            "Pending tasklets re-admitted from the work journal at startup",
-        )
-        self.completions_redelivered = registry.counter(
-            "repro_broker_completions_redelivered_total",
-            "Journalled completions re-delivered on idempotent resubmit",
-        )
-        self.replicas_overflowed = registry.counter(
-            "repro_broker_replicas_overflowed_total",
-            "Replicas dropped because the scheduling backlog was full",
-        )
-        self.journal_compactions = registry.counter(
-            "repro_broker_journal_compactions_total",
-            "Automatic in-place rewrites of the work journal",
         )
 
 
@@ -153,11 +171,6 @@ class FederationMetrics:
             "Gossip digests exchanged with peer brokers, by direction",
             labelnames=("direction",),
         )
-        self.forwards = registry.counter(
-            "repro_federation_forwards_total",
-            "Tasklets forwarded between brokers, by direction",
-            labelnames=("direction",),
-        )
         self.forward_results = registry.counter(
             "repro_federation_forward_results_total",
             "Forwarded tasklets that reached a terminal state, by outcome",
@@ -167,26 +180,12 @@ class FederationMetrics:
             "repro_federation_peers_alive",
             "Configured peer brokers currently considered alive",
         )
-        self.handoff = registry.counter(
-            "repro_federation_handoff_total",
-            "Journal records adopted from dead peers' journals, by kind",
-            labelnames=("kind",),
-        )
 
 
 class WorkflowMetrics:
     """DAG-workflow families (broker-held dependency scheduling)."""
 
     def __init__(self, registry: MetricsRegistry):
-        self.submitted = registry.counter(
-            "repro_workflows_submitted_total",
-            "Workflow (DAG) submissions admitted or rejected",
-        )
-        self.completed = registry.counter(
-            "repro_workflows_completed_total",
-            "Workflows that reached a terminal state, by outcome",
-            labelnames=("outcome",),
-        )
         self.nodes = registry.counter(
             "repro_workflow_nodes_total",
             "Workflow nodes that reached a terminal state, by outcome",
@@ -242,15 +241,6 @@ class ConsumerMetrics:
     """Consumer-side families."""
 
     def __init__(self, registry: MetricsRegistry):
-        self.submitted = registry.counter(
-            "repro_consumer_tasklets_submitted_total",
-            "Tasklets handed to the middleware",
-        )
-        self.completed = registry.counter(
-            "repro_consumer_tasklets_completed_total",
-            "Tasklet futures resolved, by outcome",
-            labelnames=("outcome",),
-        )
         self.failures = registry.counter(
             "repro_consumer_failures_total",
             "Failed Tasklets by error family",

@@ -13,10 +13,16 @@ from ..common.ids import random_id
 from ..transport.tcp import TcpProvider, _Node
 
 
+#: How long a stopping provider process lets its in-flight executions
+#: finish and report: below ``ProviderProcess.stop``'s join timeout, so
+#: the process unregisters and exits before it would be terminated.
+DRAIN_TIMEOUT_S = 3.0
+
+
 def _provider_process_main(stop_event, *args, **kwargs) -> None:
     provider = TcpProvider(*args, **kwargs).start()
     stop_event.wait()
-    provider.stop()
+    provider.stop(drain=True, drain_timeout=DRAIN_TIMEOUT_S)
 
 
 class ProviderProcess(_Node):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..common.ids import NodeId
+from ..obs.metrics import MetricsRegistry
 from .runner import Simulation
 
 
@@ -51,7 +52,6 @@ class ProviderSummary:
     mean_utilization: float  # busy slots / capacity, averaged over samples
     peak_utilization: float
     availability: float  # fraction of samples the provider was up
-    busy_seconds: float  # from the provider's own accounting
     executed: int
 
 
@@ -66,16 +66,37 @@ class MetricsSummary:
     samples: int
     message_type_counts: dict[str, int]
 
-    def publish(self, registry) -> None:
-        """Publish this summary into an obs registry (``repro_sim_*``).
-
-        ``registry`` is a :class:`~repro.obs.metrics.MetricsRegistry`; the
-        summary lands next to the live instrumentation so one Prometheus
-        exposition covers both.
-        """
-        from ..obs.bridge import publish_summary
-
-        publish_summary(registry, self)
+    def publish(self, registry: MetricsRegistry) -> None:
+        """Publish this summary into an obs registry as ``repro_sim_*``
+        gauges, next to the live instrumentation, so one Prometheus
+        exposition covers both."""
+        for name, help, attribute in (
+            ("repro_sim_provider_utilization",
+             "Mean sampled utilization per simulated provider", "mean_utilization"),
+            ("repro_sim_provider_availability",
+             "Fraction of samples each simulated provider was up", "availability"),
+            ("repro_sim_provider_executed", "Executions run per simulated provider", "executed"),
+        ):
+            family = registry.gauge(name, help, labelnames=("provider",))
+            for node_id, provider in self.providers.items():
+                family.labels(provider=node_id).set(getattr(provider, attribute))
+        for name, help, value in (
+            ("repro_sim_pool_mean_utilization", "Pool-wide mean sampled utilization",
+             self.pool_mean_utilization),
+            ("repro_sim_peak_backlog", "Peak queued-replica backlog over the run",
+             self.peak_backlog),
+            ("repro_sim_peak_pending_tasklets", "Peak pending-tasklet count over the run",
+             self.peak_pending_tasklets),
+            ("repro_sim_samples", "Timeline samples taken by the collector", self.samples),
+        ):
+            registry.gauge(name, help).set(value)
+        messages = registry.gauge(
+            "repro_sim_messages_delivered",
+            "Messages delivered by the simulated network, by type",
+            labelnames=("type",),
+        )
+        for message_type, count in self.message_type_counts.items():
+            messages.labels(type=message_type).set(count)
 
 
 class MetricsCollector:
@@ -125,7 +146,6 @@ class MetricsCollector:
                 mean_utilization=series.mean,
                 peak_utilization=series.peak,
                 availability=availability_series.mean,
-                busy_seconds=sim_provider.driver.stats.busy_seconds,
                 executed=sim_provider.driver.stats.executed,
             )
         pool_mean = (

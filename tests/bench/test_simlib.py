@@ -6,6 +6,7 @@ import random
 from repro.bench.simlib import RunOutcome, run_workload
 from repro.broker.core import BrokerConfig
 from repro.core.qoc import QoC
+from repro.obs import Telemetry, parse_prometheus
 from repro.provider.failure import ExecutionFailureModel
 from repro.sim.churn import TraceChurn
 from repro.sim.devices import make_config, make_pool
@@ -40,13 +41,16 @@ def test_successful_run_summary():
 
 
 def test_metrics_opt_in():
+    """Busy utilization is exact on every run; the sampled timeline runs
+    only for a telemetry registry, which reads the run's counters too."""
     without = small_run()
-    assert without.pool_utilization is None
-    assert without.pool_busy_utilization is None
-    with_metrics = small_run(collect_metrics=True)
-    assert with_metrics.pool_utilization is not None
-    assert with_metrics.pool_busy_utilization is not None
-    assert 0.0 <= with_metrics.pool_busy_utilization <= 1.0
+    assert 0.0 < without.pool_busy_utilization <= 1.0
+    telemetry = Telemetry()
+    with_metrics = small_run(telemetry=telemetry)
+    assert with_metrics.pool_busy_utilization == without.pool_busy_utilization
+    parsed = parse_prometheus(telemetry.registry.render_prometheus())
+    assert parsed["repro_sim_samples"][""] > 0
+    assert parsed["repro_broker_executions_issued_total"][""] == with_metrics.executions_issued
 
 
 def test_failure_for_targets_pool_index():

@@ -6,6 +6,7 @@ Tasklet's future *resolves* — with a value or a typed error — no matter
 what dies underneath it, and no stop() call blocks on a sleeping loop.
 """
 
+import threading
 import time
 
 import pytest
@@ -15,7 +16,8 @@ from repro.broker.core import BrokerConfig
 from repro.common.errors import BrokerUnreachable
 from repro.core import kernels
 from repro.core.qoc import QoC
-from repro.provider.process import ProviderProcess
+from repro.provider.core import ProviderCore
+from repro.provider.process import ProviderProcess, _provider_process_main
 from repro.provider.executor import TaskletExecutor
 from repro.transport import aio
 from repro.transport.tcp import (
@@ -186,11 +188,14 @@ def test_submit_after_disconnect_fails_typed_instead_of_hanging():
         server.stop()
 
 
-def test_drain_stop_flushes_in_flight_results_before_unregistering():
+def test_drain_stop_flushes_in_flight_results_before_unregistering(monkeypatch):
     server = TcpBroker(config=FAST_CONFIG).start()
     host, port = server.address
     provider = None
     consumer = None
+    # The execution starts, then waits on ``gate`` until the provider is
+    # draining: the drain always finds it in flight, however fast it runs.
+    started, gate = threading.Event(), threading.Event()
     try:
         provider = TcpProvider(
             host,
@@ -199,23 +204,89 @@ def test_drain_stop_flushes_in_flight_results_before_unregistering():
             capacity=1,
             benchmark_score=1e7,
             heartbeat_interval=0.2,
-        ).start()
+        )
+        execute = provider.core.executor.execute
+
+        def gated(request):
+            started.set()
+            gate.wait(timeout=30)
+            return execute(request)
+
+        monkeypatch.setattr(provider.core.executor, "execute", gated)
+        provider.start()
         wait_until(lambda: len(server.core.registry) == 1)
         consumer = TcpConsumer(host, port).start()
         future = consumer.library.submit(kernels.PRIME_COUNT, args=[20000])
         wait_until(lambda: server.core.stats.executions_issued >= 1)
         # The broker has issued the work, but drain only protects what
-        # the provider has actually received — wait out the assignment's
-        # flight time or the unregister races past it.
-        wait_until(lambda: len(provider.core.inflight) > 0, what="assignment arrival")
-        provider.stop(drain=True)  # finish + flush, then unregister
+        # the provider has actually received.
+        assert started.wait(timeout=10), "assignment never reached the provider's pool"
+        assert len(provider.core.inflight) > 0
+        stopper = threading.Thread(target=provider.stop, kwargs={"drain": True})
+        stopper.start()  # finish + flush, then unregister
+        wait_until(lambda: provider.core.state == provider.core.DRAINING, what="drain")
+        gate.set()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
         assert future.result(timeout=10) == kernels.python_prime_count(20000)
         wait_until(lambda: len(server.core.registry) == 0, timeout=5)
     finally:
+        gate.set()
         if consumer is not None:
             consumer.stop()
         if provider is not None:
             provider.stop()
+        server.stop()
+
+
+def test_a_stopping_provider_process_drains_what_it_runs(monkeypatch):
+    # The body of a provider process, run on a thread here so its execution
+    # can be held until the stop has begun draining.  With one attempt, a
+    # result lost to the unregister would fail the tasklet.
+    started, gate, draining = threading.Event(), threading.Event(), threading.Event()
+    execute, drain = TaskletExecutor.execute, ProviderCore.drain
+
+    def gated(self, request):
+        started.set()
+        gate.wait(timeout=30)
+        return execute(self, request)
+
+    def drain_and_tell(self):
+        drain(self)
+        draining.set()
+
+    monkeypatch.setattr(TaskletExecutor, "execute", gated)
+    monkeypatch.setattr(ProviderCore, "drain", drain_and_tell)
+    server = TcpBroker(config=FAST_CONFIG).start()
+    host, port = server.address
+    stop = threading.Event()
+    main = threading.Thread(
+        target=_provider_process_main,
+        args=(stop, host, port),
+        kwargs=dict(capacity=1, node_id="proc-1", benchmark_score=1e7),
+    )
+    consumer = None
+    try:
+        main.start()
+        wait_until(lambda: len(server.core.registry) == 1)
+        consumer = TcpConsumer(host, port).start()
+        future = consumer.library.submit(
+            kernels.PRIME_COUNT, args=[400], qoc=QoC(max_attempts=1)
+        )
+        assert started.wait(timeout=10), "assignment never reached the provider's pool"
+        stop.set()
+        assert draining.wait(timeout=10), "the provider process stopped without draining"
+        gate.set()
+        main.join(timeout=10)
+        assert not main.is_alive()
+        assert future.result(timeout=10) == kernels.python_prime_count(400)
+        wait_until(lambda: len(server.core.registry) == 0, timeout=5)
+    finally:
+        gate.set()
+        stop.set()
+        if consumer is not None:
+            consumer.stop()
+        main.join(timeout=10)
         server.stop()
 
 

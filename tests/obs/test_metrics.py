@@ -1,9 +1,14 @@
 """The metrics registry: counters, gauges, histograms, and exposition."""
 
+import dataclasses
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from repro.broker.observer import BrokerStats
+from repro.consumer.core import ConsumerStats
+from repro.obs import telemetry
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
@@ -48,6 +53,68 @@ class TestCounter:
             family.labels("ok", "extra")
         with pytest.raises(ValueError):
             family.labels(other="ok")
+
+
+class TestStatsCounter:
+    """A counter family that reads fields of the stats objects it tracks."""
+
+    @staticmethod
+    def family(registry):
+        return registry.stats_counter(
+            "repro_memo_total", "lookups", "result", {"hit": "hits", "miss": "misses"}
+        )
+
+    def test_sums_every_tracked_object_when_read(self, registry):
+        family = self.family(registry)
+        first, second = SimpleNamespace(hits=2, misses=0), SimpleNamespace(hits=1, misses=0)
+        family.track(first)
+        self.family(registry).track(second)  # re-registration: same family
+        assert family.labels(result="hit").value == 3
+        first.hits += 4
+        assert family.labels("hit").value == 7
+        assert family.labels(result="miss").value == 0
+
+    def test_exposes_only_nonzero_children(self, registry):
+        family = self.family(registry)
+        family.track(SimpleNamespace(hits=0, misses=0))
+        assert family.children() == []
+        family.track(SimpleNamespace(hits=0, misses=5))
+        parsed = parse_prometheus(registry.render_prometheus())
+        assert parsed["repro_memo_total"] == {'result="miss"': 5}
+        assert "# TYPE repro_memo_total counter" in registry.render_prometheus()
+        (sample,) = registry.snapshot()["repro_memo_total"]["samples"]
+        assert sample == {"labels": {"result": "miss"}, "value": 5}
+
+    def test_unlabeled_family(self, registry):
+        family = registry.stats_counter("repro_jobs_total", "jobs", "", {"": "jobs"})
+        family.track(SimpleNamespace(jobs=3))
+        assert family.labels().value == 3
+        assert parse_prometheus(registry.render_prometheus())["repro_jobs_total"] == {"": 3}
+
+    def test_cannot_be_incremented(self, registry):
+        family = self.family(registry)
+        with pytest.raises(AttributeError):
+            family.labels(result="hit").inc()
+        with pytest.raises(AttributeError):
+            family.inc()
+
+    def test_unknown_label_value_and_plain_counter_clash_rejected(self, registry):
+        family = self.family(registry)
+        with pytest.raises(ValueError):
+            family.labels(result="other")
+        with pytest.raises(ValueError):
+            registry.counter("repro_memo_total", labelnames=("result",))
+
+
+def test_the_telemetry_tables_name_stats_fields():
+    broker = {field.name for field in dataclasses.fields(BrokerStats)}
+    consumer = {field.name for field in dataclasses.fields(ConsumerStats)}
+    for table, fields in (
+        (telemetry.BROKER_COUNTS + telemetry.FEDERATION_COUNTS, broker),
+        (telemetry.CONSUMER_COUNTS, consumer),
+    ):
+        for _name, _help, _label, read in table:
+            assert set(read.values()) <= fields
 
 
 class TestGauge:
