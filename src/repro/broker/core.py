@@ -17,17 +17,17 @@ timeout, cancellation; feeds the QoC vote) and **complete**
 (:meth:`BrokerCore._complete` — single-shot, journalled, answered to
 whoever waits).  :mod:`~repro.broker.workflows` (DAGs) and
 :mod:`~repro.broker.forwarding` (federation peers) sit beside it and
-reach the lifecycle only through those methods;
-:mod:`~repro.broker.observer` does all the reporting — the core states
-each fact once, unconditionally, and keeps only the opaque trace contexts
-it copies onto envelopes.  Durability (the ``journal is not None``
-checks) is a decision, not an observation, and stays here.
+reach the lifecycle only through those methods.  The core states each
+fact once, unconditionally, to the two modules that act on facts:
+:mod:`~repro.broker.observer` does all the reporting (the core keeps only
+the opaque trace contexts it copies onto envelopes), and
+:mod:`~repro.broker.durability` all the remembering — what is journalled,
+which outcomes are kept, the result cache and replay.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -42,17 +42,11 @@ from ..obs.trace import TraceContext
 from ..tvm.bytecode import ProgramTable
 from .accounting import CostLedger
 from .backlog import Backlog
+from .durability import Durability
 from .executions import ExecutionIndex
 from .federation import FederationConfig, FederationCore
 from .forwarding import ForwardingPlane
-from .journal import (
-    COMPLETED_RETENTION,
-    CompletionRecord,
-    JournalSnapshot,
-    ResultCache,
-    WorkJournal,
-    memo_key_of,
-)
+from .journal import CompletionRecord, WorkJournal, memo_key_of
 from .observer import LifecycleObserver, TelemetryObserver
 from .registry import ProviderRegistry
 from .scheduling import QoCStrategy, Strategy
@@ -230,13 +224,8 @@ class BrokerCore:
         self.executions = ExecutionIndex()
         #: Tasklets with queued replicas, FIFO by first queueing.
         self.backlog = Backlog()
-        #: Durability: journal (may be None), terminal outcomes by tasklet
-        #: key (LRU-bounded, serves idempotent resubmits), and the result
-        #: memoization cache by computation identity — safe because
-        #: Tasklets are deterministic and side-effect-free.
-        self.journal = journal
-        self._completed: "OrderedDict[str, CompletionRecord]" = OrderedDict()
-        self.result_cache = ResultCache()
+        #: The journal (None = volatile), retained outcomes, result cache.
+        self.durability = Durability(self, journal)
         self.workflows = WorkflowCoordinator(self)
         #: Message dispatch: body type -> ``handler(body, envelope)``.
         self._handlers: dict[type, Callable[..., list[Envelope]]] = {
@@ -256,8 +245,7 @@ class BrokerCore:
             self.federation = FederationCore(str(node_id), federation)
             self.forwarding = ForwardingPlane(self, self.federation)
             self._handlers.update(self.forwarding.handlers)
-        if journal is not None:
-            self._recover(journal)
+        self.durability.recover()
 
     # -- message dispatch ----------------------------------------------------
 
@@ -414,17 +402,17 @@ class BrokerCore:
     ) -> _Admission:
         """The one admission path: decide what ``tasklet`` — whose wire
         form is ``wire`` — is to this broker and, if it is new work, make
-        it a journalled :class:`_TaskletState`.  The caller answers
-        whoever asked.
+        it a durable :class:`_TaskletState`.  The caller answers whoever
+        asked.
 
         ``trace`` parents the ``broker.tasklet`` span.  ``origin`` (the
         forwarding peer broker) and ``workflow`` (the owning workflow key)
-        tag the journal record, so replay leaves the work to whoever will
-        re-drive it.  ``accept`` is asked once the work is known to be new
-        and may return a refusal.  ``replayed`` work comes from a journal:
-        nobody waits for an answer, so it is never served from the result
-        cache and starts no trace; ``journalled`` says its admission
-        record is already in this broker's journal.
+        are remembered with the admission.  ``accept`` is asked once the
+        work is known to be new and may return a refusal.  ``replayed``
+        work comes from a journal: nobody waits for an answer, so it is
+        never served from the result cache and starts no trace;
+        ``journalled`` says its admission record is already in this
+        broker's journal.
         """
         tasklet_id = str(tasklet.tasklet_id)
         if tasklet.qoc.local_only:
@@ -433,7 +421,7 @@ class BrokerCore:
                 refusal="local_only tasklets must be executed by the consumer library",
             )
         key = f"{consumer_id}/{tasklet_id}"
-        completed = self._completed.get(key)
+        completed = self.durability.tasklet_outcomes.get(key)
         if completed is not None:
             return _Admission(tasklet_id, completion=completed)
         fingerprint = tasklet.program_fingerprint
@@ -464,7 +452,7 @@ class BrokerCore:
         now = self.clock.now()
         memo = memo_key_of(fingerprint, tasklet.entry, tasklet.args, tasklet.seed, tasklet.fuel)
         if memo is not None and not replayed:
-            hit = self.result_cache.get(memo)
+            hit = self.durability.result_cache.get(memo)
             if hit is not None:
                 self.observer.memo_lookup(hit=True)
                 completion = CompletionRecord(
@@ -478,7 +466,7 @@ class BrokerCore:
                     memo_key=memo,
                     completed_at=now,
                 )
-                self._remember_completion(completion)
+                self.durability.completed(completion)
                 return _Admission(tasklet_id, completion=completion, memoized=True)
             if origin is None:
                 # (A forwarded tasklet's miss was counted by its origin.)
@@ -497,16 +485,8 @@ class BrokerCore:
         if not replayed:
             self.observer.admitted(state, trace)
         self._tasklets[key] = state
-        if self.journal is not None and not journalled:
-            self.journal.record_admitted(
-                key,
-                str(consumer_id),
-                wire,
-                ts=now,
-                origin=str(origin or ""),
-                workflow=workflow,
-            )
-            self.observer.journal_appended("admitted")
+        if not journalled:
+            self.durability.admitted(state, workflow)
         return _Admission(tasklet_id, state=state)
 
     def _place(self, state: _TaskletState) -> list[Envelope]:
@@ -532,78 +512,6 @@ class BrokerCore:
             cost=completion.cost,
             executions=executions or [],
         )
-
-    def _remember_completion(
-        self, completion: CompletionRecord, journal_write: bool = True
-    ) -> None:
-        """Index (and optionally journal) one terminal outcome."""
-        self._completed[completion.key] = completion
-        self._completed.move_to_end(completion.key)
-        while len(self._completed) > COMPLETED_RETENTION:
-            self._completed.popitem(last=False)
-        if completion.ok and completion.memo_key:
-            self.result_cache.put(completion.memo_key, completion)
-        if journal_write and self.journal is not None:
-            self.journal.record_complete(completion)
-            self.observer.journal_appended("complete")
-            self._maybe_compact_journal()
-
-    def _maybe_compact_journal(self) -> None:
-        """Auto-compact the journal when its thresholds are crossed.
-
-        Called after completion writes (the moment ``admitted`` records
-        become droppable) and never while holding the journal lock —
-        ``compact`` takes it itself.
-        """
-        compaction = self.journal.maybe_compact()
-        if compaction is not None:
-            self.observer.journal_compacted(compaction)
-
-    # -- crash recovery ---------------------------------------------------------
-
-    def _recover(self, journal: WorkJournal) -> None:
-        """Replay the journal: re-index completions, re-admit pending work.
-
-        Runs during construction, before any provider can register, so
-        re-issuing pending tasklets only queues replicas in the backlog
-        (the envelopes are discarded); they are placed as providers
-        (re)join.  Nobody is told: an admission is answered only by its
-        outcome, and the resubmit path answers anyone who asks again.
-        """
-        snapshot = journal.replay()
-        completions, pending, _ = self._absorb(snapshot, own=True)
-        self.observer.recovered(
-            pending, completions, self.workflows.recover(snapshot), snapshot.malformed
-        )
-
-    def _absorb(
-        self, snapshot: JournalSnapshot, own: bool
-    ) -> tuple[int, int, list[Envelope]]:
-        """Take over a journal's tasklets — this broker's ``own`` at
-        recovery, a dead peer's at adoption (then journalled here too):
-        completions become re-deliverable, pending admissions are
-        re-admitted and issued.  Returns both counts and the envelopes."""
-        completions = pending = 0
-        for completion in snapshot.completions.values():
-            if completion.key in self._completed or completion.key in self._tasklets:
-                continue
-            self._remember_completion(completion, journal_write=not own)
-            completions += 1
-        out: list[Envelope] = []
-        for entry in snapshot.pending:
-            if entry.origin:
-                # Work a federation peer forwarded to the journal's
-                # broker.  The origin still holds the durable admission
-                # and reclaims it itself, so re-admitting here would
-                # double-execute.
-                continue
-            state = self._admit_wire(
-                NodeId(entry.consumer_id), entry.tasklet, replayed=True, journalled=own
-            ).state
-            if state is not None:
-                pending += 1
-                out.extend(self._issue(state, state.qoc.redundancy))
-        return completions, pending, out
 
     # -- execution lifecycle ------------------------------------------------------
 
@@ -928,7 +836,7 @@ class BrokerCore:
             completed_at=self.clock.now(),
             executed_by=executed_by,
         )
-        self._remember_completion(completion)
+        self.durability.completed(completion)
         del self._tasklets[state.key]
         # Who is waiting for this outcome?
         workflow = self.workflows.nodes.pop(state.key, None)

@@ -6,9 +6,9 @@ moves work between brokers: saturation forwarding and its acks, terminal
 outcomes flowing back, reclaim when a peer dies or restarts, gossip, and
 adoption of a dead peer's journal.  It exists only on a federated broker
 and reaches the tasklet lifecycle only through the core's ``_admit`` /
-``_issue`` / ``_complete``.  What is forwarded *out* is this plane's own
-table — one :class:`_Forward` per tasklet a peer is working on, written
-here and nowhere else.
+``_issue`` / ``_complete`` (an adopted journal through its ``durability``).
+What is forwarded *out* is this plane's own table — one :class:`_Forward`
+per tasklet a peer is working on, written here and nowhere else.
 """
 
 from __future__ import annotations
@@ -307,17 +307,13 @@ class ForwardingPlane:
         return out
 
     def _adopt_journal(self, peer_id: str, path: str) -> list[Envelope]:
-        """Adopt a dead peer's journal (this broker is its successor).
-
-        Completions become re-deliverable here (consumers failing over
-        get journalled outcomes instead of re-executions); pending
-        admissions are re-admitted, journalled here and executed.
-        """
+        """Adopt a dead peer's journal (this broker is its successor): a
+        consumer failing over gets its outcome, and pending work runs here."""
         try:
             snapshot = replay_journal(path)
         except OSError:
             return []
-        completions, pending, out = self.core._absorb(snapshot, own=False)
+        completions, pending, out = self.core.durability.replay(snapshot, own=False)
         self.core.observer.journal_adopted(
             peer_id, pending, completions, snapshot.malformed
         )

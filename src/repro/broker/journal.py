@@ -435,12 +435,11 @@ class WorkJournal:
         an in-flight workflow still needs survives: its ``wf_admitted``
         record and its not-yet-completed node admissions (recovery replays
         them, with the node completions, into the rebuilt scheduler).  The
-        rewrite is atomic (temp file + rename); returns the snapshot it
-        kept.
+        rewrite is atomic (temp file + rename); returns the replay of what
+        it kept.
         """
         snapshot = self.replay()
         pending_wf = set(snapshot.pending_workflow_keys)
-        completions = list(snapshot.completions.values())
         live_nodes = [
             entry
             for entry in snapshot.workflow_nodes
@@ -453,7 +452,7 @@ class WorkJournal:
                     *snapshot.pending,
                     *snapshot.workflows,
                     *live_nodes,
-                    *completions,
+                    *snapshot.completions.values(),
                     *snapshot.workflow_completions.values(),
                 ):
                     temp.write(_encode(entry))
@@ -464,21 +463,7 @@ class WorkJournal:
             os.replace(temp_path, self.path)
             self._file = open(self.path, "a", encoding="utf-8")
             self._appended = 0
-        kept = JournalSnapshot(
-            pending=snapshot.pending,
-            completions=OrderedDict(
-                (completion.key, completion) for completion in completions
-            ),
-            admitted=len(snapshot.pending) + len(live_nodes),
-            completed=len(completions),
-            malformed=0,
-            workflows=snapshot.workflows,
-            workflow_completions=OrderedDict(snapshot.workflow_completions),
-            workflow_nodes=live_nodes,
-            workflows_admitted=len(snapshot.workflows),
-            workflows_completed=len(snapshot.workflow_completions),
-        )
-        return kept
+            return replay_journal(self.path)
 
     def should_compact(self) -> bool:
         """True when the armed auto-compaction threshold has been crossed."""
@@ -499,15 +484,11 @@ class WorkJournal:
         if not self.should_compact():
             return None
         bytes_before = os.path.getsize(self.path)
-        snapshot = self.compact()
-        lines = (  # every line the rewrite holds, workflow lines included
-            snapshot.admitted
-            + snapshot.completed
-            + snapshot.workflows_admitted
-            + snapshot.workflows_completed
-        )
+        snapshot = self.compact()  # (its counts are every line the rewrite holds)
+        kept = (snapshot.admitted, snapshot.completed, snapshot.workflows_admitted,
+                snapshot.workflows_completed)
         return {
-            "records_kept": lines,
+            "records_kept": sum(kept),
             "pending": len(snapshot.pending),
             "completions": len(snapshot.completions),
             "bytes_before": bytes_before,

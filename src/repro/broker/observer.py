@@ -344,7 +344,7 @@ class TelemetryObserver(LifecycleObserver):
         registry = telemetry.registry
         self._metrics = BrokerMetrics(registry)
         self._wf_metrics = WorkflowMetrics(registry)
-        self._health_metrics = HealthMetrics(registry)
+        self._health_metrics = HealthMetrics(registry, telemetry.events)
         #: Only a federated broker registers the federation families.
         self._fed_metrics = FederationMetrics(registry) if federated else None
         counts = BROKER_COUNTS + (FEDERATION_COUNTS if federated else ())
@@ -352,11 +352,6 @@ class TelemetryObserver(LifecycleObserver):
         self._tracer = telemetry.tracer
         self._events = telemetry.events
         self.health = HealthModel()
-
-    def _alert(self, kind: str, node: str, **attrs) -> None:
-        """Record an operator alert: flight-recorder event + counter."""
-        self._event(kind, node, **attrs)
-        self._health_metrics.alerts.labels(kind=kind).inc()
 
     def _event(self, kind: str, node: str, **attrs) -> None:
         self._events.record(kind, node=node, ts=self._clock.now(), **attrs)
@@ -411,7 +406,7 @@ class TelemetryObserver(LifecycleObserver):
             benchmark_score=body.benchmark_score,
         )
         if was_known and self.health.record_flap(body.provider_id, self._clock.now()):
-            self._alert(
+            self._event(
                 ev.FLAPPING_ALERT,
                 body.provider_id,
                 flaps=self.health.flap_count(body.provider_id),
@@ -440,7 +435,7 @@ class TelemetryObserver(LifecycleObserver):
             self._fed_metrics.peers_alive.set(len(federation.alive_peers()))
         now = self._clock.now()
         for alert in self.health.watchdog.check(now):
-            self._alert(
+            self._event(
                 ev.STRAGGLER_ALERT,
                 alert.provider_id,
                 execution_id=alert.execution_id,
@@ -524,7 +519,7 @@ class TelemetryObserver(LifecycleObserver):
 
     def backlog_overflowed(self, state, dropped, limit):
         super().backlog_overflowed(state, dropped, limit)
-        self._alert(
+        self._event(
             ev.BACKLOG_OVERFLOW,
             str(state.consumer_id),
             tasklet_id=str(state.tasklet.tasklet_id),
@@ -585,7 +580,7 @@ class TelemetryObserver(LifecycleObserver):
         ).inc()
         elapsed = self._clock.now() - state.submitted_at
         if not ok:
-            self._alert(
+            self._event(
                 ev.TASKLET_FAILED,
                 str(state.consumer_id),
                 tasklet_id=str(state.tasklet.tasklet_id),
@@ -593,7 +588,7 @@ class TelemetryObserver(LifecycleObserver):
                 attempts=state.issued,
             )
         elif state.qoc.deadline_s is not None and elapsed > state.qoc.deadline_s:
-            self._alert(
+            self._event(
                 ev.SLO_BREACH,
                 str(state.consumer_id),
                 tasklet_id=str(state.tasklet.tasklet_id),
@@ -704,7 +699,7 @@ class TelemetryObserver(LifecycleObserver):
                 elapsed_s=round(self._clock.now() - wf.submitted_at, 6),
             )
         else:
-            self._alert(
+            self._event(
                 ev.WORKFLOW_FAILED,
                 str(wf.consumer_id),
                 workflow_id=wf.workflow_id,
@@ -789,7 +784,7 @@ class TelemetryObserver(LifecycleObserver):
         self._event(ev.PEER_UP, peer_id, epoch=epoch)
 
     def peer_down(self, peer_id):
-        self._alert(ev.PEER_DOWN, peer_id)
+        self._event(ev.PEER_DOWN, peer_id)
 
     def gossiped(self, direction):
         self._fed_metrics.gossip.labels(direction=direction).inc()

@@ -2,16 +2,17 @@
 
 :class:`WorkflowCoordinator` owns every graph a consumer submitted: the
 :class:`~repro.dag.scheduler.DagScheduler` per workflow, the released
-nodes, terminal outcomes for idempotent resubmits, and journal resume.
-A node is an ordinary tasklet under the key
-``consumer_id/workflow_id:node_id``; the coordinator reaches the tasklet
-lifecycle only through the core's ``_admit`` / ``_place`` / ``_complete``
-and is told about node outcomes through :meth:`node_terminal`.
+nodes, and the resumption of a graph its journal left in flight (its
+journal lines and outcome are the core's ``durability``'s).  A node is an
+ordinary tasklet under the key ``consumer_id/workflow_id:node_id``; the
+coordinator reaches the tasklet lifecycle only through the core's
+``_admit`` / ``_place`` / ``_complete`` and is told about node outcomes
+through :meth:`node_terminal`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -29,13 +30,7 @@ from ..transport.message import (
     WorkflowAck,
     WorkflowComplete,
 )
-from .journal import (
-    COMPLETED_RETENTION,
-    CompletionRecord,
-    JournalSnapshot,
-    WorkflowAdmitted,
-    WorkflowOutcome,
-)
+from .journal import CompletionRecord, WorkflowAdmitted, WorkflowOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import BrokerCore
@@ -79,8 +74,6 @@ class WorkflowCoordinator:
         self.active: dict[str, _WorkflowState] = {}
         #: Released node's tasklet key -> owning workflow.
         self.nodes: dict[str, _WorkflowState] = {}
-        #: Terminal outcomes (LRU) serving idempotent resubmits.
-        self.completed: "OrderedDict[str, WorkflowOutcome]" = OrderedDict()
 
     # -- submission ------------------------------------------------------------
 
@@ -95,7 +88,7 @@ class WorkflowCoordinator:
             return [self._refuse(src, body.workflow["workflow_id"], refusal)]
         spec = graph.spec
         key = f"{src}/{spec.workflow_id}"
-        outcome = self.completed.get(key)
+        outcome = core.durability.workflow_outcomes.get(key)
         if outcome is not None:
             # Idempotent resubmit of a finished workflow (consumer
             # reconnected, or the broker restarted between the terminal
@@ -115,11 +108,7 @@ class WorkflowCoordinator:
                 return []
             return [self._refuse(src, spec.workflow_id, "duplicate workflow id")]
         wf = self._open(src, graph, programs, envelope.trace)
-        if core.journal is not None:
-            core.journal.record_workflow_admitted(
-                key, str(src), spec.to_dict(), ts=wf.submitted_at
-            )
-            core.observer.journal_appended("wf_admitted")
+        core.durability.workflow_admitted(wf)
         core.observer.workflow_admitted(wf, len(self.active))
         return self._release(wf, wf.scheduler.start(), core.clock.now())
 
@@ -277,7 +266,7 @@ class WorkflowCoordinator:
         failed_node: str = "",
         dependents: list[str] | None = None,
     ) -> list[Envelope]:
-        """Terminate one workflow: cancel stragglers, journal, notify."""
+        """Terminate one workflow: cancel stragglers, remember, notify."""
         wf.done = True
         core = self.core
         out: list[Envelope] = []
@@ -295,7 +284,6 @@ class WorkflowCoordinator:
                     ),
                 )
             )
-        now = core.clock.now()
         outcome = WorkflowOutcome(
             workflow_id=wf.workflow_id,
             ok=ok,
@@ -307,30 +295,13 @@ class WorkflowCoordinator:
             nodes_total=len(wf.spec.nodes),
             nodes_memoized=wf.nodes_memoized,
         )
-        self._remember(wf.key, outcome)
-        if core.journal is not None:
-            core.journal.record_workflow_complete(wf.key, outcome.to_dict(), ts=now)
-            core.observer.journal_appended("wf_complete")
-            core._maybe_compact_journal()
+        core.durability.workflow_completed(wf.key, outcome)
         del self.active[wf.key]
         core.observer.workflow_finished(wf, outcome, len(self.active))
         out.append(core._send(_complete_message(outcome), wf.consumer_id))
         return out
 
-    def _remember(self, key: str, outcome: WorkflowOutcome) -> None:
-        self.completed[key] = outcome
-        self.completed.move_to_end(key)
-        while len(self.completed) > COMPLETED_RETENTION:
-            self.completed.popitem(last=False)
-
     # -- crash recovery ------------------------------------------------------------
-
-    def recover(self, snapshot: JournalSnapshot) -> int:
-        """Replay the workflow half of the journal; returns how many
-        in-flight graphs were resumed."""
-        for entry in snapshot.workflow_completions.values():
-            self._remember(entry.key, WorkflowOutcome.from_dict(entry.outcome))
-        return sum(1 for entry in snapshot.workflows if self._resume(entry))
 
     def _resume(self, entry: WorkflowAdmitted) -> bool:
         """Rebuild one in-flight workflow during crash recovery.
@@ -346,7 +317,7 @@ class WorkflowCoordinator:
             return False
         consumer_id = NodeId(entry.consumer_id)
         key = f"{consumer_id}/{graph.spec.workflow_id}"
-        if key in self.active or key in self.completed:
+        if key in self.active or key in self.core.durability.workflow_outcomes:
             return False
         wf = self._open(consumer_id, graph, programs, None)
         self._release(wf, wf.scheduler.start(), self.core.clock.now())

@@ -158,12 +158,27 @@ class _JsonlSink:
             pass
 
 
+class _KindCounts:
+    """A recorder's count of each kind as an attribute (0 before its first
+    event): what a :class:`~repro.obs.metrics.StatsCounterFamily` reads."""
+
+    def __init__(self, recorder: "FlightRecorder"):
+        self._recorder = recorder
+
+    def __getattr__(self, kind: str) -> float:
+        if kind.startswith("__"):  # (``copy`` probes for ``__deepcopy__``)
+            raise AttributeError(kind)
+        counts = dict(self._recorder._counter.children())
+        return counts[(kind,)].value if (kind,) in counts else 0.0
+
+
 class FlightRecorder:
     """Bounded, thread-safe ring of events, optionally mirrored to JSONL.
 
     ``attach_counter`` (called by :class:`~repro.obs.telemetry.Telemetry`)
     links a ``repro_events_total{kind=...}`` counter family so the metrics
-    exposition reflects event volume without scraping ``/events``.
+    exposition reflects event volume without scraping ``/events``: the one
+    per-kind count, which :attr:`kinds` reads.
     """
 
     def __init__(
@@ -180,6 +195,8 @@ class FlightRecorder:
         self._dropped = 0
         self._counter: "CounterFamily | None" = None
         self._sink = _JsonlSink(jsonl_path) if jsonl_path else None
+        #: The counter's counts by kind, for a family exposing some again.
+        self.kinds = _KindCounts(self)
 
     def attach_counter(self, family: "CounterFamily") -> None:
         """Mirror per-kind event counts into a labeled counter family."""

@@ -23,9 +23,9 @@ a provider's silence horizon is :meth:`ProviderRegistry.horizon
 detector uses.
 
 The watchdog is advisory: :class:`~repro.broker.core.BrokerCore` records
-the alert (event + metric) and exposes the straggler set, but the
-re-issue policy is unchanged — reacting to the signal is the operator's
-(or a future scheduler's) decision.
+the alert (an event, read by the alert family) and exposes the straggler
+set, but the re-issue policy is unchanged — reacting to the signal is the
+operator's (or a future scheduler's) decision.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from ..common.stats import EwmaTracker
+from . import events as ev
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..broker.registry import ProviderRecord, ProviderRegistry
@@ -67,10 +68,15 @@ STRAGGLER_MIN_EXPECTED_S = 0.05
 PROFILE_ALPHA = 0.3
 
 
+#: The alerts a broker raises: each is one event, which the alert family reads.
+BROKER_ALERTS = (ev.FLAPPING_ALERT, ev.STRAGGLER_ALERT, ev.BACKLOG_OVERFLOW,
+                 ev.TASKLET_FAILED, ev.SLO_BREACH, ev.WORKFLOW_FAILED, ev.PEER_DOWN)
+
+
 class HealthMetrics:
     """Health/alert metric families (broker-side)."""
 
-    def __init__(self, registry: "MetricsRegistry"):
+    def __init__(self, registry: "MetricsRegistry", events: "ev.FlightRecorder"):
         self.provider_grade = registry.gauge(
             "repro_health_provider_grade",
             "Provider health grade (0 healthy, 1 degraded, 2 unhealthy)",
@@ -81,11 +87,10 @@ class HealthMetrics:
             "Registered providers currently at each health grade",
             labelnames=("grade",),
         )
-        self.alerts = registry.counter(
-            "repro_health_alerts_total",
-            "Operator-grade health alerts raised, by kind",
-            labelnames=("kind",),
-        )
+        registry.stats_counter(
+            "repro_health_alerts_total", "Operator-grade health alerts raised, by kind",
+            "kind", {kind: kind for kind in BROKER_ALERTS},
+        ).track(events.kinds)
         self.stragglers_active = registry.gauge(
             "repro_health_stragglers_active",
             "Outstanding executions currently past their straggler deadline",

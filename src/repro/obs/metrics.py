@@ -291,9 +291,9 @@ class _FieldSum:
 class StatsCounterFamily(_Family):
     """A counter family with no ``inc``: each label value names a field
     (``fields``; label ``""`` and key ``""`` when unlabeled), whose child
-    reads that field summed over every stats object :meth:`track` was given,
-    and is not exposed while zero.  Nothing is untracked (a restarted core's
-    predecessor stays in the sum), so values never go down."""
+    reads that field summed over every stats object :meth:`track` was given
+    (once each), and is not exposed while zero.  Nothing is untracked (a
+    restarted core's predecessor stays in the sum), so values never go down."""
 
     kind = "counter"
 
@@ -308,7 +308,8 @@ class StatsCounterFamily(_Family):
 
     def track(self, stats) -> None:
         with self._lock:
-            self._sources.append(stats)
+            if all(source is not stats for source in self._sources):
+                self._sources.append(stats)
 
     def children(self) -> list[tuple[tuple[str, ...], _FieldSum]]:
         return [(key, child) for key, child in super().children() if child.value]

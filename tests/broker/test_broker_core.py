@@ -500,7 +500,7 @@ def test_args_that_pack_no_argument_list_are_refused_by_id_and_leave_nothing(
     assert len(replies) == 1 and not ack.accepted and ack.tasklet_id == "tl-1"
     assert ack.reason.startswith("malformed tasklet: args "), ack.reason
     broker = harness.broker
-    assert broker.pending_tasklets == 0 and not broker._completed and len(broker.result_cache) == 0
+    assert broker.pending_tasklets == 0 and not broker.durability.tasklet_outcomes and len(broker.durability.result_cache) == 0
     assert (broker.stats.tasklets_submitted, broker.stats.executions_issued) == (1, 0)
     assert broker.stats.messages_unreadable == 0
     if journal is not None:

@@ -7,7 +7,8 @@ and identical computations are served from the result cache.
 """
 
 from repro.broker.core import BrokerConfig, BrokerCore
-from repro.broker.journal import WorkJournal
+from repro.broker.federation import FederationConfig
+from repro.broker.journal import WorkJournal, replay_journal
 from repro.broker.scheduling import LeastLoadedStrategy
 from repro.common.clock import VirtualClock
 from repro.common.ids import NodeId, TaskletId
@@ -152,6 +153,46 @@ class TestJournalRecovery:
         assert completions[0].ok and opened(completions[0].value) == 5
         assert harness.broker.stats.executions_issued == issued
         harness.close()
+
+
+class TestOneReplay:
+    """A journal is replayed the same way whoever replays it: this broker at
+    its restart (``own``: nothing is written again) or a federation peer
+    adopting it (its completions and admissions are journalled there)."""
+
+    def test_restart_and_adoption_remember_the_same_work(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        first = Harness(path)
+        first.register(capacity=1)
+        (assign,) = bodies(first.submit("tl-1", args=[1]), AssignExecution)
+        first.complete(assign)
+        (assign,) = bodies(first.submit("tl-2", args=[2]), AssignExecution)  # runs
+        first.submit("tl-3", args=[3])  # queues behind it
+        first.close()  # crash: tl-2 and tl-3 never completed
+        lines = path.read_text().splitlines()
+
+        restarted = Harness(path)
+        adopter_path = tmp_path / "adopter.jsonl"
+        adopter = BrokerCore(
+            clock=VirtualClock(),
+            node_id=NodeId("b1"),
+            journal=WorkJournal(str(adopter_path)),
+            federation=FederationConfig(peers=["b2"], epoch="b1-epoch"),
+        )
+        adopter.forwarding._adopt_journal("b2", str(path))
+
+        remembered, pending = ["c1/tl-1"], ["c1/tl-2", "c1/tl-3"]
+        for core in (restarted.broker, adopter):
+            assert sorted(core.durability.tasklet_outcomes) == remembered
+            assert sorted(core._tasklets) == pending
+        assert restarted.broker.stats.tasklets_recovered == len(pending)
+        assert (adopter.stats.tasklets_adopted, adopter.stats.completions_adopted) == (2, 1)
+        restarted.close()
+        assert path.read_text().splitlines() == lines  # its own lines: none again
+        adopter.durability.journal.close()
+        adopted = replay_journal(str(adopter_path))
+        assert list(adopted.completions) == remembered
+        assert [entry.key for entry in adopted.pending] == pending
 
 
 class TestMemoization:

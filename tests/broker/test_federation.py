@@ -292,7 +292,7 @@ class TestForwarding:
         assert fed.cores["b1"].stats.forwards_completed == 1
         assert fed.cores["b1"].stats.tasklets_completed == 1
         # The origin's completion record names the executing broker.
-        completion = fed.cores["b1"]._completed[f"c1/{tasklet_id}"]
+        completion = fed.cores["b1"].durability.tasklet_outcomes[f"c1/{tasklet_id}"]
         assert completion.executed_by == "b2"
 
     def test_forward_table_is_the_forwards_in_flight_and_nothing_else(self):
@@ -406,7 +406,7 @@ class TestPeerLoss:
         )
         completes = bodies(out, TaskletComplete)
         assert len(completes) == 1 and completes[0].ok
-        completion = fed.cores["b1"]._completed[f"c1/{tasklet_id}"]
+        completion = fed.cores["b1"].durability.tasklet_outcomes[f"c1/{tasklet_id}"]
         assert completion.executed_by == "b1"
 
     def test_epoch_change_reclaims_forwarded_work(self):
@@ -445,7 +445,7 @@ class TestPeerLoss:
             src="p9",
         )
         assert core.stats.tasklets_completed == 1
-        assert opened(core._completed[f"c1/{tasklet_id}"].value) == 42
+        assert opened(core.durability.tasklet_outcomes[f"c1/{tasklet_id}"].value) == 42
 
 
 class TestForwardCompleteSender:

@@ -579,10 +579,10 @@ def _recovers_and_runs(tmp_path, name, pending, completed, workflows, values):
     on_disk = {line["key"]: line for line in map(loads, path.read_bytes().splitlines())}
     clock = VirtualClock()
     broker = BrokerCore(clock, journal=WorkJournal(str(path)))
-    assert sorted(broker._tasklets) == pending and sorted(broker._completed) == completed
-    assert (list(broker.workflows.active), list(broker.workflows.completed)) == workflows
+    assert sorted(broker._tasklets) == pending and sorted(broker.durability.tasklet_outcomes) == completed
+    assert (list(broker.workflows.active), list(broker.durability.workflow_outcomes)) == workflows
     for key in completed:  # what was journalled as a JSON value is delivered as its bytes
-        stored, line = broker._completed[key].value, on_disk[key]
+        stored, line = broker.durability.tasklet_outcomes[key].value, on_disk[key]
         assert stored is None if not line["ok"] else opened(stored) == line["value"]
     register = RegisterProvider(provider_id="p1", device_class="d", capacity=4, benchmark_score=1e6)
     out = broker.handle(register.envelope(NodeId("p1"), broker.node_id))
@@ -602,7 +602,7 @@ def _recovers_and_runs(tmp_path, name, pending, completed, workflows, values):
             instructions=outcome.instructions, finished_at=1.0,
         )
         out.extend(broker.handle(result.envelope(NodeId("p1"), broker.node_id)))
-    broker.journal.close()
+    broker.durability.journal.close()
     assert ran == values
     assert (executor.cache_misses, executor.cache_hits) == (1, 1)  # one program, re-stamped alike
     finished = {envelope.type: envelope.payload for envelope in out}
@@ -624,10 +624,10 @@ def test_a_completion_an_older_build_journalled_is_redelivered_as_its_bytes(tmp_
     for _ in range(2):
         out = broker.handle(Envelope("submit_tasklet", NodeId("c1"), broker.node_id, {"tasklet": resubmit}))
         answers.append(next(e.payload["value"] for e in out if e.type == "tasklet_complete"))
-    assert answers[0] is answers[1] is broker._completed["c1/tl-array"].value
+    assert answers[0] is answers[1] is broker.durability.tasklet_outcomes["c1/tl-array"].value
     assert opened(answers[0]) == complete["value"] and broker.stats.executions_issued == 0
-    broker.journal.compact()
-    broker.journal.close()
+    broker.durability.journal.compact()
+    broker.durability.journal.close()
     (line,) = [text for text in path.read_text().splitlines() if '"c1/tl-array"' in text]
     assert '"value":{"__b__":' in line and len(line) < 6000
     assert _read_line(line).value is not None and opened(_read_line(line).value) == complete["value"]

@@ -204,11 +204,11 @@ def _snapshot(broker: BrokerCore) -> tuple:
         dataclasses.replace(
             broker.stats, messages_unreadable=0, tasklets_submitted=0, workflows_submitted=0
         ),
-        Path(broker.journal.path).stat().st_size if broker.journal else 0,
+        Path(broker.durability.journal.path).stat().st_size if broker.durability.journal else 0,
         {key: (sorted(state.outstanding), state.pending_replicas, state.issued)
          for key, state in broker._tasklets.items()},
         sorted(broker.workflows.active),
-        list(broker._completed),
+        list(broker.durability.tasklet_outcomes),
         {record.provider_id: dataclasses.replace(record)
          for record in broker.registry._providers.values()},
         (broker.registry.free_capacity, broker.backlog.replicas, len(broker.executions)),

@@ -146,7 +146,7 @@ def test_after_its_first_tasklet_nobody_reads_a_programs_code_again(tmp_path):
     assert len(cluster.assigned) == 21
     assert all(sent is submitted and type(sent) is bytes for submitted, sent in cluster.assigned)
     # ... as does the journal: each admitted line reads back to those bytes.
-    cluster.broker.journal.close()
+    cluster.broker.durability.journal.close()
     lines = [_read_line(text) for text in (tmp_path / "journal.jsonl").read_text().splitlines()]
     admitted = [line.tasklet["program"] for line in lines if line.WHAT == "admitted"]
     assert len(lines) == 42 and admitted == [PROGRAM.packed()] * 21
@@ -214,7 +214,7 @@ def test_a_mis_stamped_submit_is_refused_once_by_id_and_nothing_runs(tmp_path, w
     assert cluster.broker.pending_tasklets == 0 and cluster.broker.programs.opened == table
     assert cluster.broker.stats.executions_issued == issued
     assert (tmp_path / "journal.jsonl").read_text() == journalled
-    cluster.broker.journal.close()
+    cluster.broker.durability.journal.close()
 
 
 def test_a_mis_stamped_forward_is_refused_in_the_forward_ack():
@@ -243,7 +243,7 @@ def test_a_mis_keyed_workflow_program_is_refused_in_the_workflow_ack(tmp_path):
     assert cluster.broker.pending_workflows == cluster.broker.pending_tasklets == 0
     assert cluster.broker.programs.opened == {}
     assert (tmp_path / "journal.jsonl").read_text() == ""
-    cluster.broker.journal.close()
+    cluster.broker.durability.journal.close()
 
 
 def test_the_brokers_table_stays_bounded_and_so_does_a_providers_cache():

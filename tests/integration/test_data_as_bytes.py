@@ -93,16 +93,16 @@ def test_a_steady_state_round_trip_builds_no_value_on_the_broker():
         assert complete.payload["value"] is result.payload["value"]
         assert all("value" not in record for record in complete.payload["executions"])
     # What the broker keeps is those bytes too: the completion, and the memo entry.
-    kept = cluster.broker._completed["c1/tl-2"]
+    kept = cluster.broker.durability.tasklet_outcomes["c1/tl-2"]
     assert kept.value is by_type["execution_result"][-1][0].payload["value"]
-    assert cluster.broker.result_cache.get(kept.memo_key).value is kept.value
+    assert cluster.broker.durability.result_cache.get(kept.memo_key).value is kept.value
     assert cluster.broker.stats.memo_hits == 0
 
 
 def test_a_repeat_is_answered_from_the_memo_with_the_bytes_that_were_stored():
     cluster = WatchedCluster()
     assert cluster.submit([array_of(5)], program=ECHO) == [array_of(5)]
-    stored = cluster.broker._completed["c1/tl-0"].value
+    stored = cluster.broker.durability.tasklet_outcomes["c1/tl-0"].value
     cluster.inside.clear(), cluster.handled.clear()
     assert cluster.submit([array_of(5)], program=ECHO) == [array_of(5)]  # (another id, same work)
     assert cluster.inside == {} and cluster.broker.stats.memo_hits == 1
@@ -129,15 +129,15 @@ def test_the_journal_holds_the_bytes_and_replays_them(tmp_path):
         ("execution_result", "json.dumps"): 1,
         ("execution_result", "encode_value"): 1,
     }
-    cluster.broker.journal.close()
+    cluster.broker.durability.journal.close()
     lines = [_read_line(text) for text in path.read_text().splitlines()]
     assert [line.WHAT for line in lines] == ["admitted", "complete"] * 2
     assert [opened(line.tasklet["args"]) for line in lines[::2]] == [[array_of(0)], [array_of(1)]]
     assert [line.value for line in lines[1::2]] == [packed(array_of(0)), packed(array_of(1))]
     assert max(len(text) for text in path.read_text().splitlines()) < 7000
     recovered = WatchedCluster(journal=WorkJournal(str(path)))
-    assert recovered.broker._completed["c1/tl-1"].value == packed(array_of(1))
-    recovered.broker.journal.close()
+    assert recovered.broker.durability.tasklet_outcomes["c1/tl-1"].value == packed(array_of(1))
+    recovered.broker.durability.journal.close()
 
 
 def test_a_workflow_keeps_and_splices_its_node_outputs_unopened():

@@ -204,7 +204,7 @@ class TestJournalRecovery:
             simulation.run_for(0.01)
             if replay_journal(path).completions:
                 break
-        simulation.broker.journal.close()
+        simulation.broker.durability.journal.close()
         done_before = len(replay_journal(path).completions)
         assert 0 < done_before < len(spec.nodes)  # crashed mid-flight
 
@@ -217,7 +217,7 @@ class TestJournalRecovery:
         revived.run(max_time=1e5)
         outputs = handle.result(0)
         assert outputs == {sink: reference[sink] for sink in spec.sinks()}
-        revived.broker.journal.close()
+        revived.broker.durability.journal.close()
 
         # Exactly-once audit across both broker lifetimes.
         snapshot = replay_journal(path)
@@ -244,7 +244,7 @@ class TestJournalRecovery:
         simulation.run(max_time=1e5)
         assert handle.result(0) == first.result(0)
         assert handle.nodes_memoized == handle.nodes_total == 3
-        simulation.broker.journal.close()
+        simulation.broker.durability.journal.close()
 
 
 class TestWorkflowTracing:

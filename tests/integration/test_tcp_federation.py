@@ -28,7 +28,7 @@ def test_tasklet_forwarded_to_peer_with_capacity(tmp_path):
         brokers = cluster.brokers
         assert brokers["b1"].core.stats.tasklets_forwarded == 1
         assert brokers["b2"].core.stats.forwards_received == 1
-        completion = brokers["b1"].core._completed["c1/fwd-1"]
+        completion = brokers["b1"].core.durability.tasklet_outcomes["c1/fwd-1"]
         assert completion.executed_by == "b2"
 
 

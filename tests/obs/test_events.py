@@ -8,7 +8,8 @@ import pytest
 
 from repro.obs import events as ev
 from repro.obs.events import Event, FlightRecorder
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.health import HealthMetrics
+from repro.obs.metrics import MetricsRegistry, parse_prometheus
 from repro.obs.telemetry import Telemetry
 
 
@@ -112,6 +113,24 @@ class TestCounterMirror:
         assert telemetry.events is recorder
         telemetry.events.record(ev.NODE_JOIN, node="p1", ts=1.0)
         assert '"kind": "node_join"' in path.read_text()
+
+
+    def test_an_alert_is_counted_once_and_read_by_the_alert_family(self):
+        telemetry = Telemetry()
+        for _broker in range(2):  # brokers sharing one telemetry register it once
+            HealthMetrics(telemetry.registry, telemetry.events)
+        family = telemetry.registry.get("repro_health_alerts_total")
+        assert family.children() == []
+        telemetry.events.record(ev.STRAGGLER_ALERT, node="p1", ts=1.0)
+        telemetry.events.record(ev.PEER_DOWN, node="b2", ts=2.0)
+        telemetry.events.record(ev.DISCONNECT, node="c1", ts=3.0)  # a client's, no alert here
+        parsed = parse_prometheus(telemetry.registry.render_prometheus())
+        assert parsed["repro_health_alerts_total"] == {
+            'kind="peer_down"': 1, 'kind="straggler_alert"': 1,
+        }
+        assert parsed["repro_events_total"]['kind="straggler_alert"'] == 1
+        with pytest.raises(AttributeError):
+            family.labels(kind=ev.STRAGGLER_ALERT).inc()
 
 
 class TestJsonlSink:

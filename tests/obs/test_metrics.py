@@ -74,6 +74,12 @@ class TestStatsCounter:
         assert family.labels("hit").value == 7
         assert family.labels(result="miss").value == 0
 
+    def test_an_object_tracked_twice_is_summed_once(self, registry):
+        stats = SimpleNamespace(hits=2, misses=0)
+        self.family(registry).track(stats)
+        self.family(registry).track(stats)
+        assert self.family(registry).labels(result="hit").value == 2
+
     def test_exposes_only_nonzero_children(self, registry):
         family = self.family(registry)
         family.track(SimpleNamespace(hits=0, misses=0))
