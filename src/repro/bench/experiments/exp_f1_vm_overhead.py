@@ -58,13 +58,17 @@ _CASES = {
 }
 
 
-def _time_of(callable_, repetitions: int = 3) -> float:
-    """Fastest-of-N wall time of ``callable_()`` in seconds."""
-    best = float("inf")
+def _best_times(callables, repetitions: int = 3) -> list[float]:
+    """Fastest-of-N wall time of each of ``callables`` in seconds, timed in
+    turn within each repetition: a burst of contention on a shared host
+    slows every column of the repetition it falls in, not one column's
+    every repetition, so it cannot move their ratio."""
+    best = [float("inf")] * len(callables)
     for _ in range(repetitions):
-        started = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - started)
+        for index, callable_ in enumerate(callables):
+            started = time.perf_counter()
+            callable_()
+            best[index] = min(best[index], time.perf_counter() - started)
     return best
 
 
@@ -81,15 +85,15 @@ def run(quick: bool = True) -> Experiment:
         args = quick_args if quick else full_args
         program = compile_source(source)
 
-        native_s = _time_of(lambda: native(*args))
-
         executor = TaskletExecutor()
         request = local_assignment(program, args)
         instructions = executor.execute(request).instructions  # fills the cache
 
-        tvm_s = _time_of(lambda: executor.execute(request))
+        native_s, tvm_s = _best_times(
+            [lambda: native(*args), lambda: executor.execute(request)]
+        )
         translated_only &= executor.restarts == 0 and executor.declined_programs == 0
-        portable_s = _time_of(lambda: TVM(program).run("main", list(args)))
+        (portable_s,) = _best_times([lambda: TVM(program).run("main", list(args))])
         slowdown = tvm_s / native_s if native_s > 0 else float("inf")
         slowdowns.append(slowdown)
         table.add_row(

@@ -36,7 +36,7 @@ from ..common.errors import CodecError, RecordError, TaskletError, TransportErro
 from ..common.ids import ExecutionId, IdGenerator, NodeId
 from ..common.serde import check_packed
 from ..core.results import ExecutionRecord, ExecutionStatus, VoteCollector
-from ..core.tasklet import Tasklet
+from ..core.tasklet import TaskletFields
 from ..obs.telemetry import Telemetry
 from ..obs.trace import TraceContext
 from ..tvm.bytecode import ProgramTable
@@ -111,10 +111,10 @@ class _TaskletState:
 
     key: str
     consumer_id: NodeId
-    #: The admitted record, opened once (but for its ``args``, which stay
-    #: the bytes they are) — and as it arrived: what is journalled and
-    #: forwarded, and whose ``program`` bytes providers are sent.
-    tasklet: Tasklet
+    #: The admitted record, its fields read once (``args`` stay the bytes
+    #: they are) — and as it arrived: what is journalled and forwarded, and
+    #: whose ``program`` bytes providers are sent.
+    tasklet: TaskletFields
     wire: dict
     submitted_at: float
     collector: VoteCollector
@@ -376,11 +376,11 @@ class BrokerCore:
         return self._place(admission.state) if admission.state is not None else []
 
     def _admit_wire(self, consumer_id: NodeId, wire: dict, **how) -> _Admission:
-        """Open the ``tasklet`` record a peer or a journal handed over —
-        here, once — and :meth:`_admit` it.  One that does not read is
-        refused by its id, which its carrier's boundary saw to."""
+        """Read the fields of the ``tasklet`` record a peer or a journal
+        handed over — here, once — and :meth:`_admit` them.  One that does
+        not read is refused by its id, which its carrier's boundary saw to."""
         try:
-            tasklet = Tasklet.from_dict(wire, self.programs)
+            tasklet = TaskletFields.read(wire, self.programs)
         except RecordError as exc:
             return _Admission(wire["tasklet_id"], refusal=str(exc))
         except TaskletError as exc:  # reads as declared, and is no Tasklet
@@ -390,7 +390,7 @@ class BrokerCore:
     def _admit(
         self,
         consumer_id: NodeId,
-        tasklet: Tasklet,
+        tasklet: TaskletFields,
         wire: dict,
         *,
         trace=None,

@@ -42,7 +42,6 @@ from ..obs.telemetry import (
     count_stats,
 )
 from ..obs.trace import TraceContext
-from ..transport.message import report_unreadable
 from .journal import CompletionRecord, WorkflowOutcome
 from .registry import ProviderRecord, ProviderRegistry
 
@@ -393,7 +392,7 @@ class TelemetryObserver(LifecycleObserver):
 
     def message_unreadable(self, envelope, reason):
         super().message_unreadable(envelope, reason)
-        report_unreadable(
+        ev.report_unreadable(
             self._events, self._node, self._clock.now(), envelope, reason
         )
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..common.errors import TaskletError, WorkflowSpecError
-from ..common.ids import NodeId, TaskletId
-from ..core.qoc import QoC
-from ..core.tasklet import Tasklet
+from ..common.ids import NodeId
+from ..core.qoc import read_qoc
+from ..core.tasklet import TaskletFields
 from ..dag.scheduler import DONE, DagScheduler
 from ..dag.spec import WorkflowGraph, WorkflowSpec
 from ..obs.trace import TraceContext
@@ -181,18 +181,17 @@ class WorkflowCoordinator:
                 "fuel": node.fuel,
             }
             try:
-                # The same Tasklet, opened — but for its program, which was
-                # at admission (where entry and arity were checked, too).
-                tasklet = Tasklet(
-                    TaskletId(wire["tasklet_id"]), wf.programs[node.program_fingerprint],
-                    node.entry, wire["args"], QoC(max_attempts=node.max_attempts),
-                    node.seed, node.fuel,
+                # The same fields, read — but for the program, which was
+                # opened at admission (where entry and arity were checked, too).
+                tasklet = TaskletFields.checked(
+                    wf.programs[node.program_fingerprint], wire["tasklet_id"],
+                    node.program_fingerprint, node.entry, wire["args"],
+                    read_qoc(wire["qoc"]), node.seed, node.fuel,
                 )
             except TaskletError as exc:  # a predecessor's output is no Tasklet value
                 error = f"node {node_id!r} could not be released: {exc}"
                 out.extend(self._fail(wf, node_id, error))
                 break
-            tasklet.program_fingerprint = node.program_fingerprint
             admission = core._admit(
                 wf.consumer_id, tasklet, wire, workflow=wf.key, trace=wf.trace_ctx
             )

@@ -68,23 +68,41 @@ class Record:
         for name, required, accepted, read in cls._FIELDS:
             if name in data:
                 value = data[name]
-                if accepted is not None and type(value) not in accepted:
-                    problem = f"is a {type(value).__name__}"
-                elif read is None:
+                if read is None and (accepted is None or type(value) in accepted):
                     values[name] = value
-                    continue
                 else:
-                    try:
-                        values[name] = read(value)
-                        continue
-                    except TaskletError as exc:
-                        problem = str(exc)
+                    values[name] = cls._field(name, accepted, read, value)
             elif required:
-                problem = "is missing"
-            else:
-                continue
-            raise cls.ERROR(f"malformed {cls.WHAT}: {name} {problem}")
+                raise cls.ERROR(f"malformed {cls.WHAT}: {name} is missing")
         return values
+
+    @classmethod
+    def from_values(cls, values: list):
+        """The record whose fields, every one and in declaration order, are
+        ``values`` — a field-packed message body as it comes off the wire,
+        read as :meth:`from_dict` reads its keyed form (in place: ``values``
+        ends up holding what each reader kept), or ``cls.ERROR``.  For
+        records whose fields all go to the constructor."""
+        for index, (name, _required, accepted, read) in enumerate(cls._FIELDS):
+            value = values[index]
+            if read is not None or (accepted is not None and type(value) not in accepted):
+                values[index] = cls._field(name, accepted, read, value)
+        return cls(*values)
+
+    @classmethod
+    def _field(cls, name: str, accepted: tuple | None, read: Callable | None, value: Any):
+        """One field's value to keep, by its reader — or ``cls.ERROR``
+        saying what is wrong with it."""
+        if accepted is not None and type(value) not in accepted:
+            problem = f"is a {type(value).__name__}"
+        elif read is None:
+            return value
+        else:
+            try:
+                return read(value)
+            except TaskletError as exc:
+                problem = str(exc)
+        raise cls.ERROR(f"malformed {cls.WHAT}: {name} {problem}")
 
     @classmethod
     def _build(cls, values: dict[str, Any]):

@@ -112,6 +112,12 @@ _NAN = float("nan")
 #: them, narrowest first.
 _INT_FORMATS = "bBhHiIqQ"
 _ARRAY_ITEM_SIZE = {ord(code): struct.calcsize(">" + code) for code in _INT_FORMATS + "d"}
+#: Each integer code with the least and the greatest int it holds (a
+#: lower-case code is signed).
+_INT_RANGES = [
+    (code, -(2 ** (bits - 1)), 2 ** (bits - 1) - 1) if code.islower() else (code, 0, 2**bits - 1)
+    for code, bits in ((code, 8 * struct.calcsize(">" + code)) for code in _INT_FORMATS)
+]
 #: Shorter lists are written item by item: the bulk form's fixed cost (the
 #: type-set pass, a struct format) only pays for itself from about four
 #: items on, and the wire is full of shorter ones — a program's
@@ -182,7 +188,11 @@ def pack_str(text: str, out: bytearray) -> None:
 
 
 def unpack_str(buf: bytes, pos: int) -> tuple[str, int]:
-    length, pos = unpack_varint(buf, pos)
+    length = buf[pos] if pos < len(buf) else 0x80  # (a one-byte length is read here)
+    if length & 0x80:
+        length, pos = unpack_varint(buf, pos)
+    else:
+        pos += 1
     end = pos + length
     if end > len(buf):
         raise CodecError("truncated string")
@@ -220,36 +230,32 @@ def _pack_array(value: list | tuple, out: bytearray, fold_nan: bool) -> bool:
     themselves.
 
     Nothing here is a Python step per element.  The first element says
-    whether the type-set pass is worth making; an int list then takes the
-    first format that packs it, so the result is the narrowest that holds
-    its minimum and maximum, and a format too narrow fails at the first
-    item it cannot hold — at worst one wasted pass per narrower format.
+    whether the type-set pass is worth making; an int list's ``min`` and
+    ``max`` then pick the narrowest format that holds both — the first of
+    ``_INT_FORMATS`` that would pack it — and one :mod:`struct` call packs it.
     """
     if len(value) < _ARRAY_MIN_ITEMS:
         return False
     kind = type(value[0])
-    if kind is int:
-        formats = _INT_FORMATS
-    elif kind is float:
-        formats = "d"
-    else:
+    if kind is not int and kind is not float:
         return False
     if len(set(map(type, value))) != 1:
         return False
-    if fold_nan and kind is float and any(map(isnan, value)):
-        value = [_NAN if item != item else item for item in value]
+    if kind is float:
+        code = "d"
+        if fold_nan and any(map(isnan, value)):
+            value = [_NAN if item != item else item for item in value]
+    else:
+        low, high = min(value), max(value)
+        code = next((code for code, lo, hi in _INT_RANGES if lo <= low and high <= hi), None)
+        if code is None:
+            return False  # an int beyond 64 bits
     count = len(value)
-    for code in formats:
-        try:
-            items = struct.pack(f">{count}{code}", *value)
-        except struct.error:  # an item out of this format's range
-            continue
-        out.append(_T_ARRAY)
-        out.append(ord(code))
-        pack_varint(count, out)
-        out += items
-        return True
-    return False  # an int beyond 64 bits
+    out.append(_T_ARRAY)
+    out.append(ord(code))
+    pack_varint(count, out)
+    out += struct.pack(f">{count}{code}", *value)
+    return True
 
 
 def pack_value(value: Any, out: bytearray, fold_nan: bool = False) -> None:
@@ -364,34 +370,30 @@ def unpack_value(buf: bytes, pos: int) -> tuple[Any, int]:
     """Decode one value at ``pos``; returns ``(value, next_pos)``."""
     if type(buf) is not bytes:
         buf = bytes(buf)
-    values, pos = _unpack_seq(buf, pos, 1, None)
+    values, pos = _unpack_seq(buf, pos, 1, False)
     return values[0], pos
 
 
-def unpack_items(
-    buf: bytes, pos: int, count: int, names: tuple[str, ...] | None = None
-) -> tuple[Any, int]:
+def unpack_items(buf: bytes, pos: int, count: int) -> tuple[list, int]:
     """Decode ``count`` values in a row at ``pos`` — the inverse of
-    :func:`pack_items`; returns ``(values, next_pos)``: a list of them, or
-    with ``names`` (one per value) a dict of them under those names."""
+    :func:`pack_items`; returns ``(values, next_pos)``, a list of them."""
     if type(buf) is not bytes:
         buf = bytes(buf)
-    return _unpack_seq(buf, pos, count, names)
+    return _unpack_seq(buf, pos, count, False)
 
 
-def _unpack_seq(buf: bytes, pos: int, count: int, keys: Any) -> tuple[Any, int]:
-    """The decoder: ``count`` values in one pass, into a list (``keys``
-    None), a dict under the names ``keys`` holds, or — ``keys`` True — a
-    dict whose keys precede their values in ``buf``.  A scalar is read in
+def _unpack_seq(buf: bytes, pos: int, count: int, keyed: bool) -> tuple[Any, int]:
+    """The decoder: ``count`` values in one pass, into a list or — ``keyed``
+    — a dict whose keys precede their values in ``buf``.  A scalar is read in
     this loop, a list or a dict costs one call.  Every fault is a
     :class:`CodecError`: a short buffer, bad UTF-8, an unknown tag."""
     size = len(buf)
     if count > size - pos:  # (a count is the peer's claim: each item takes a byte)
         raise CodecError("truncated value")
-    items: Any = [None] * count if keys is None else {}
+    items: Any = {} if keyed else [None] * count
     try:
         for index in range(count):
-            if keys is True:
+            if keyed:
                 length = buf[pos]
                 pos += 1
                 if length & 0x80:
@@ -401,8 +403,6 @@ def _unpack_seq(buf: bytes, pos: int, count: int, keys: Any) -> tuple[Any, int]:
                     raise CodecError("truncated string")
                 key = buf[pos:end].decode()
                 pos = end
-            elif keys is not None:
-                key = keys[index]
             tag = buf[pos]
             pos += 1
             if tag == _T_STR or tag == _T_BYTES:
@@ -439,15 +439,15 @@ def _unpack_seq(buf: bytes, pos: int, count: int, keys: Any) -> tuple[Any, int]:
                 pos += 1
                 if length & 0x80:
                     length, pos = unpack_varint(buf, pos - 1)
-                value, pos = _unpack_seq(buf, pos, length, True if tag == _T_DICT else None)
+                value, pos = _unpack_seq(buf, pos, length, tag == _T_DICT)
             elif tag == _T_ARRAY:
                 value, pos = _unpack_array(buf, pos)
             else:
                 raise CodecError(f"unknown value tag 0x{tag:02x}")
-            if keys is None:
-                items[index] = value
-            else:
+            if keyed:
                 items[key] = value
+            else:
+                items[index] = value
     except IndexError:
         raise CodecError("truncated value") from None
     except UnicodeDecodeError as exc:
@@ -561,6 +561,37 @@ def check_packed(blob: bytes, whole_none: bool = False) -> int | None:
     if pos != size:
         raise CodecError(f"{size - pos} trailing bytes")
     return top
+
+
+def cut_packed(data: dict, cuts: tuple[str, ...]) -> list[bytes]:
+    """``data`` packed, but for the values of its keys ``cuts`` (in the
+    order ``data`` has them): the parts between which :func:`spliced`
+    puts them.  For a record most of whose fields many share."""
+    parts, out = [], bytearray()
+    size = len(data)
+    if size < 128:
+        out += _DICT_HEADS[size]
+    else:
+        _head(_T_DICT, size, out)
+    for key, value in data.items():
+        out += _KEY_HEADS.get(key) or _key_head(key)
+        if key in cuts:
+            parts.append(bytes(out))
+            out.clear()
+        else:
+            pack_value(value, out)
+    parts.append(bytes(out))
+    return parts
+
+
+def spliced(parts: list[bytes], values: tuple) -> bytes:
+    """The packed record whose other fields :func:`cut_packed` cut into
+    ``parts``, with ``values`` — its cut fields — packed between them."""
+    out = bytearray(parts[0])
+    for value, part in zip(values, parts[1:]):
+        _pack_seq((value,), out, False, False)
+        out += part
+    return bytes(out)
 
 
 def splice_list(parts: list[bytes], out: bytearray) -> None:

@@ -54,7 +54,6 @@ from ..transport.message import (
     WorkflowAck,
     WorkflowComplete,
     body_of,
-    report_unreadable,
 )
 
 
@@ -133,11 +132,9 @@ class ConsumerCore:
         appears twice in the batch) raises :class:`DuplicateSubmission`
         before anything is registered, so no future is ever overwritten.
         """
-        return self._register(
-            self._tasklets,
-            _TASKLET,
-            [(t.tasklet_id, SubmitTasklet(tasklet=t.to_dict())) for t in tasklets],
-        )
+        wires = [(tasklet.tasklet_id, tasklet.wire()) for tasklet in tasklets]
+        submissions = [(tid, SubmitTasklet(tasklet=data), fields) for tid, (data, fields) in wires]
+        return self._register(self._tasklets, _TASKLET, submissions)
 
     def submit_workflow(
         self, spec: WorkflowSpec
@@ -149,19 +146,20 @@ class ConsumerCore:
         ``workflow_complete`` with the sink-node outputs.
         """
         spec.validate()
-        submission = spec.workflow_id, SubmitWorkflow(workflow=spec.to_dict())
+        submission = spec.workflow_id, SubmitWorkflow(workflow=spec.to_dict()), None
         (handle,), envelopes = self._register(self._workflows, _WORKFLOW, [submission])
         return handle, envelopes
 
     def _register(
-        self, table: dict, kind: _Kind, submissions: Sequence[tuple[Any, MessageBody]]
+        self, table: dict, kind: _Kind, submissions: Sequence[tuple[Any, MessageBody, Any]]
     ) -> tuple[list, list[Envelope]]:
         """The one place a submission becomes pending: every ``(id, submit
-        message)`` of the batch or, if one of the ids still is, none."""
+        message, its fields packed or None)`` of the batch or, if one of the
+        ids still is, none."""
         now = self.clock.now()
         tracer = self._tracer
         fresh: dict[Any, _Pending] = {}
-        for submission_id, _ in submissions:
+        for submission_id, _body, _fields in submissions:
             if submission_id in fresh:
                 raise kind.refusal(f"{submission_id!r} is twice in one batch")
             trace = tracer.start_trace() if tracer is not None else None
@@ -173,8 +171,9 @@ class ConsumerCore:
             count = getattr(self.stats, kind.counter) + len(fresh)
             setattr(self.stats, kind.counter, count)
         envelopes = []
-        for (_, body), record in zip(submissions, fresh.values()):
+        for (_, body, fields), record in zip(submissions, fresh.values()):
             envelope = body.envelope(src=self.node_id, dst=self.broker)
+            envelope.prepacked = fields
             if record.trace is not None:
                 envelope.trace = record.trace.to_dict()
             envelopes.append(envelope)
@@ -189,7 +188,7 @@ class ConsumerCore:
         try:
             body = body_of(envelope)
         except TransportError as exc:
-            report_unreadable(self._events, self.node_id, self.clock.now(), envelope, str(exc))
+            ev.report_unreadable(self._events, self.node_id, self.clock.now(), envelope, str(exc))
             return []
         if isinstance(body, TaskletComplete):
             self._end_tasklet(body)

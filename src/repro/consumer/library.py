@@ -24,7 +24,7 @@ from ..common.ids import IdGenerator
 from ..common.rng import derive_seed
 from ..core.futures import TaskletFuture
 from ..core.programs import compiled
-from ..core.qoc import QoC
+from ..core.qoc import DEFAULT_QOC, QoC
 from ..core.results import ExecutionRecord, TaskletResult
 from ..core.tasklet import Tasklet
 from ..provider.executor import TaskletExecutor, local_assignment
@@ -146,7 +146,7 @@ class TaskletLibrary:
             program=program,
             entry=entry,
             args=list(args or []),
-            qoc=qoc or QoC(),
+            qoc=qoc or DEFAULT_QOC,
             seed=seed,
             fuel=fuel,
         )

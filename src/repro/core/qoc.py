@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..common.errors import QoCUnsatisfiable
+from ..common.errors import QoCUnsatisfiable, RecordError
 from ..common.record import Record, record
 
 #: Upper bound on replicas; beyond this the marginal reliability gain is
@@ -95,3 +95,31 @@ class QoC(Record):
     def private(cls) -> "QoC":
         """Local-only execution (data never leaves the device)."""
         return cls(local_only=True)
+
+
+#: ``QoC()``, shared (a QoC is immutable): what a Tasklet has by default.
+DEFAULT_QOC = QoC()
+
+#: QoCs read off the wire, by the values and types of their fields: most
+#: submissions carry one of a few.  Emptied when it reaches 64.
+_READ: dict[tuple, QoC] = {}
+
+
+def read_qoc(data: dict) -> QoC:
+    """The QoC a ``qoc`` record holds, read once per distinct record — or
+    the :class:`RecordError` (or :class:`QoCUnsatisfiable`) it reads to."""
+    try:
+        key = (*data.items(), *map(type, data.values()))
+        qoc = _READ.get(key)
+    except TypeError:  # an unhashable value, which does not read
+        key = qoc = None
+    if qoc is None:
+        try:
+            qoc = QoC.from_dict(data)
+        except RecordError as exc:
+            raise RecordError(f"holds a {exc}") from None
+        if key is not None:
+            if len(_READ) >= 64:
+                _READ.clear()
+            _READ[key] = qoc
+    return qoc

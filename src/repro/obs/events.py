@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..transport.message import Envelope
     from .metrics import CounterFamily
 
 #: Default ring capacity; bounds memory for arbitrarily long deployments.
@@ -247,3 +248,18 @@ class FlightRecorder:
             if self._sink is not None:
                 self._sink.close()
                 self._sink = None
+
+
+def report_unreadable(events, receiver, ts: float, envelope: Envelope, reason: str) -> None:
+    """What every node says, once, about an envelope ``body_of`` refused:
+    a :data:`MESSAGE_UNREADABLE` event on its flight recorder (``events``;
+    None = telemetry off) naming sender, type and reason."""
+    if events is not None:
+        events.record(
+            MESSAGE_UNREADABLE,
+            node=str(envelope.src),
+            ts=ts,
+            type=envelope.type,
+            receiver=str(receiver),
+            reason=reason,
+        )

@@ -38,7 +38,6 @@ from ..transport.message import (
     RegisterProvider,
     Unregister,
     body_of,
-    report_unreadable,
 )
 from .executor import ExecutionOutcome, TaskletExecutor
 
@@ -167,7 +166,7 @@ class ProviderCore:
         try:
             return body_of(envelope)
         except TransportError as exc:
-            report_unreadable(
+            ev.report_unreadable(
                 self._events, self.node_id, self.clock.now(), envelope, str(exc)
             )
             return None

@@ -21,8 +21,7 @@ import struct
 from operator import itemgetter
 from typing import Sequence
 
-from ..common.errors import CodecError
-from ..common.ids import NodeId
+from ..common.errors import CodecError, TransportError
 from ..common.serde import (
     pack_items,
     pack_str,
@@ -89,11 +88,6 @@ def _name_head(name: str) -> bytes:
     return bytes(head)
 
 
-# ---------------------------------------------------------------------------
-# Envelope encoding
-# ---------------------------------------------------------------------------
-
-
 def encode_envelope(envelope: Envelope) -> bytes:
     """Serialise one envelope to a complete length-prefixed frame."""
     return encode_batch((envelope,), CODEC_BINARY)
@@ -127,18 +121,25 @@ def decode_body(body: bytes) -> Envelope:
         trace, pos = unpack_value(body, pos)
         if not isinstance(trace, dict):
             raise CodecError("trace must be a dict")
+    fields = None
     if flags & _FLAG_FIELD_PACKED:
         fields = FIELD_TABLES.get(type_name)
         if fields is None:
             raise CodecError(f"no field table for {type_name!r}")
-        payload, pos = unpack_items(body, pos, len(fields), fields)
+        payload, pos = unpack_items(body, pos, len(fields))
     else:
         payload, pos = unpack_value(body, pos)
         if not isinstance(payload, dict):
             raise CodecError("payload must be a dict")
     if pos != len(body):
         raise CodecError(f"{len(body) - pos} trailing bytes in frame")
-    return Envelope(type_name, NodeId(src), NodeId(dst), payload, seq, trace)
+    if fields is not None:  # straight into the body: one that does not read keeps a payload
+        try:
+            read = MESSAGE_TYPES[type_name].from_values(payload)
+            return Envelope(type_name, src, dst, None, seq, trace, read, True)
+        except TransportError:
+            payload = dict(zip(fields, payload))
+    return Envelope(type_name, src, dst, payload, seq, trace)
 
 
 class EnvelopeDecoder:
@@ -175,7 +176,6 @@ class EnvelopeDecoder:
         return len(self._buffer)
 
 
-
 def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:
     """Encode a coalesced write: many envelopes, one byte string.
 
@@ -196,15 +196,17 @@ def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:
         out += _NAME_HEADS.get(envelope.src) or _name_head(envelope.src)
         out += _NAME_HEADS.get(envelope.dst) or _name_head(envelope.dst)
         pack_varint(envelope.seq, out)
-        payload, trace = envelope.payload, envelope.trace
-        # Field-pack only when the payload carries exactly the pinned field
-        # set; anything else (hand-built payloads, future extra keys) falls
-        # back to the keyed dict form so nothing is silently dropped.
-        packed = fields is not None and payload.keys() == fields
+        body, trace = envelope.body, envelope.trace
+        # A body packs its own fields; a payload only with exactly the pinned field set, else
+        # (hand-edited, future extra keys) it takes the keyed form: nothing is silently dropped.
+        payload = envelope.payload if body is None else vars(body)
+        packed = fields is not None and (body is not None or payload.keys() == fields)
         out.append((trace is not None) * _FLAG_TRACE | packed * _FLAG_FIELD_PACKED)
         if trace is not None:
             pack_value(trace, out)
-        if packed:
+        if envelope.prepacked is not None:  # (only ever a field-packed body's)
+            out += envelope.prepacked
+        elif packed:
             pack_items(values_of(payload), out)
         else:
             pack_value(payload, out)
@@ -215,15 +217,11 @@ def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:
     return bytes(out)
 
 
-def decode_chunk(
-    decoder: EnvelopeDecoder, chunk: bytes, metrics
-) -> list[Envelope]:
+def decode_chunk(decoder: EnvelopeDecoder, chunk: bytes, metrics) -> list[Envelope]:
     """Envelopes completed by one received chunk, accounted on ``metrics``.
-
-    Raises :class:`~repro.common.errors.CodecError` on undecodable bytes:
-    such a peer is indistinguishable from a broken one, so the caller
-    refuses the link — one bad peer must never take down the node.
-    """
+    Raises :class:`~repro.common.errors.CodecError` on undecodable bytes: such
+    a peer is indistinguishable from a broken one, so the caller refuses the
+    link — one bad peer must never take down the node."""
     frames = decoder.feed(chunk)
     if metrics is not None and frames:
         metrics.bytes.labels(direction="in", codec=CODEC_BINARY).inc(

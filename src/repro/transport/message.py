@@ -5,11 +5,10 @@ and the ``@_message`` decorator on each is the one place a message type is
 listed (name, ``bin2`` tag, packed or keyed).  docs/PROTOCOL.md has the
 *Message table* (a tier-1 test holds it to this registry), each field's
 meaning and the rules for an unreadable envelope; DESIGN.md, "Wire
-boundary", says why.  This module is that boundary's outer half:
-:func:`body_of` reads a body by the record grammar
-(:mod:`repro.common.record`) and raises
-:class:`~repro.common.errors.TransportError` and nothing else; the header
-is the codec's (:mod:`repro.transport.codec`).
+boundary", says why.  The codec (:mod:`repro.transport.codec`) reads a
+field-packed frame straight into its body, by the record grammar
+(:mod:`repro.common.record`); :func:`body_of` reads any other, and both
+raise :class:`~repro.common.errors.TransportError` and nothing else.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from ..common.errors import TransportError
 from ..common.ids import NodeId
 from ..common.record import Record, compile_fields, identified, one_of, records_of
 from ..core.results import ExecutionRecord, ExecutionStatus
-from ..obs.events import MESSAGE_UNREADABLE
 
 #: Broadcast / well-known addresses.
 BROKER_ADDRESS = NodeId("broker")
@@ -36,23 +34,46 @@ REASON_UNKNOWN_PROVIDER = "unknown provider"
 _envelope_counter = itertools.count()
 
 
-@dataclass
 class Envelope:
     """Routable wrapper around one message body.
 
-    ``trace`` is the optional telemetry trace context —
-    ``{"trace_id": ..., "span_id": ...}`` — that lets receivers parent
-    their spans on the sender's (see :mod:`repro.obs.trace`).  ``None``
-    (telemetry disabled, or an untraced message type) is one clear flag
-    bit on the wire, so the disabled path costs zero bytes.
+    ``body``: the typed body as its sender built it or (``decoded``) as the
+    codec read it off a field-packed frame, which :func:`body_of` hands out
+    as it is; ``prepacked``: its fields as the sender already packed them
+    (None: the codec packs them).  ``payload``: the fields by name, made on
+    first use, the caller's to edit, and from then on what is read and sent.
+    ``trace``: the optional telemetry context (:mod:`repro.obs.trace`);
+    ``None`` is one clear flag bit on the wire.
     """
 
-    type: str
-    src: NodeId
-    dst: NodeId
-    payload: dict[str, Any]
-    seq: int = field(default_factory=lambda: next(_envelope_counter))
-    trace: dict[str, str] | None = None
+    __slots__ = ("type", "src", "dst", "seq", "trace", "body", "decoded", "prepacked", "_payload")
+
+    def __init__(self, type: str, src: NodeId, dst: NodeId, payload: dict | None = None,
+                 seq: int | None = None, trace: dict | None = None, body=None, decoded=False):
+        self.type, self.src, self.dst, self.trace = type, src, dst, trace
+        self.seq = next(_envelope_counter) if seq is None else seq
+        self.body: MessageBody | None = None if payload is not None else body
+        self.decoded, self.prepacked, self._payload = decoded, None, payload
+
+    def _get_payload(self) -> dict[str, Any]:
+        if self._payload is None:
+            self._payload, self.body, self.prepacked = dict(vars(self.body)), None, None
+        return self._payload
+
+    def _set_payload(self, payload: dict[str, Any]) -> None:
+        self._payload, self.body, self.prepacked = payload, None, None
+
+    payload = property(_get_payload, _set_payload)
+
+    def _key(self) -> tuple:
+        fields = vars(self.body) if self._payload is None else self._payload
+        return self.type, self.src, self.dst, fields, self.seq, self.trace
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Envelope) and self._key() == other._key()
+
+    def __repr__(self) -> str:  # (type, src, dst, fields, seq, trace)
+        return f"Envelope{self._key()!r}"
 
 
 #: type-name -> body class registry, filled by ``_message`` below.
@@ -70,17 +91,16 @@ class MessageBody(Record):
 
     def envelope(self, src: NodeId, dst: NodeId) -> Envelope:
         """Wrap this body for transmission."""
-        return Envelope(type=self.TYPE, src=src, dst=dst, payload=dict(self.__dict__))
+        return Envelope(self.TYPE, src, dst, body=self)
 
 
 def _message(type_name: str, tag: int, packed: bool = False):
-    """Class decorator: register the dataclass under ``type_name`` with
-    its ``bin2`` wire ``tag`` (1-255, never reused; 0 is the codec's
-    escape for a type it has no tag for; retired and unused: 15, the
-    advisory per-node workflow progress report, and 22 and 23, the
-    ``hello`` / ``hello_ack`` handshake).  ``packed``
-    bodies travel as bare values in field order, which makes that order
-    part of the ``bin2`` contract."""
+    """Class decorator: register the dataclass under ``type_name`` with its
+    ``bin2`` wire ``tag`` (1-255, never reused; 0 is the codec's escape for
+    a type it has no tag for; retired: 15, the per-node workflow progress
+    report, and 22 and 23, the ``hello`` / ``hello_ack`` handshake).
+    ``packed`` bodies travel as bare values in field order, which makes
+    that order part of the ``bin2`` contract."""
 
     def wrap(cls):
         cls.TYPE, cls.TAG, cls.PACKED = type_name, tag, packed
@@ -93,35 +113,19 @@ def _message(type_name: str, tag: int, packed: bool = False):
 
 
 def body_of(envelope: Envelope) -> MessageBody:
-    """The typed body of an envelope: every field of its declared type,
-    or :class:`TransportError` — never another exception, never half a
-    body."""
+    """The typed body of an envelope — the one the codec read, or its fields read: every field of
+    its declared type, or :class:`TransportError` — never another exception, never half a body."""
+    body = envelope.body
+    if body is not None and envelope.decoded:
+        return body
     body_class = MESSAGE_TYPES.get(envelope.type)
     if body_class is None:
         raise TransportError(f"unknown message type {envelope.type!r}")
-    return body_class.from_dict(envelope.payload)
+    return body_class.from_dict(envelope.payload if body is None else vars(body))
 
 
-def report_unreadable(events, receiver, ts: float, envelope: Envelope, reason: str) -> None:
-    """What every node says, once, about an envelope ``body_of`` refused:
-    a ``message_unreadable`` event on its flight recorder (``events``;
-    None = telemetry off) naming sender, type and reason."""
-    if events is not None:
-        events.record(
-            MESSAGE_UNREADABLE,
-            node=str(envelope.src),
-            ts=ts,
-            type=envelope.type,
-            receiver=str(receiver),
-            reason=reason,
-        )
-
-
-# ---------------------------------------------------------------------------
-# The message types.  What each field means, who sends what to whom and
-# when: docs/PROTOCOL.md ("Message table", "Field notes", "Federation").
-# Only what the table cannot say is noted here.
-# ---------------------------------------------------------------------------
+# -- The message types.  What each field means, who sends what to whom and when:
+# -- docs/PROTOCOL.md ("Message table", "Field notes", "Federation"); only what it cannot say is here.
 
 # -- provider <-> broker ---------------------------------------------------------
 
@@ -136,8 +140,7 @@ class RegisterProvider(MessageBody):
     capacity: int  # concurrent execution slots
     benchmark_score: float  # instructions/second from self-benchmark
     price: float = 0.0  # cost units per 1e9 instructions (cost QoC)
-    #: How often this provider promises to heartbeat; the broker's failure
-    #: detector scales its per-provider horizon accordingly.
+    #: Promised heartbeat period: the broker's failure detector scales this provider's horizon by it.
     heartbeat_interval: float = 1.0
 
 
@@ -162,8 +165,7 @@ class Heartbeat(MessageBody):
     provider_id: str
     free_slots: int
     queue_length: int = 0
-    #: Sender's monotonic send time; non-zero asks for a
-    #: :class:`HeartbeatAck` (the simulator sends 0.0 and gets none).
+    #: Sender's monotonic send time; non-zero asks for a :class:`HeartbeatAck` (the simulator's 0.0 does not).
     sent_at: float = 0.0
 
 
@@ -189,8 +191,7 @@ class AssignExecution(MessageBody):
     args: bytes  # the packed argument list: the bytes the consumer sent, opened to run
     seed: int
     fuel: int
-    #: Hash of ``program``; lets the provider's program cache hit without
-    #: opening the bytes.  Checked against them on every execution.
+    #: Hash of ``program``: the provider's program cache hits by it, and checks it against the bytes always.
     program_fingerprint: str = ""
 
 
@@ -359,6 +360,5 @@ class ForwardComplete(MessageBody):
     attempts: int = 0
     cost: float = 0.0
     executions: list[dict[str, Any]] = records_of(ExecutionRecord)
-    #: Broker whose providers ran it ("" = answered from a journal or the
-    #: result cache): what the exactly-once audit counts.
+    #: Broker whose providers ran it ("" = from a journal or the result cache): the exactly-once audit's count.
     executed_by: str = ""

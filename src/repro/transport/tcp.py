@@ -396,7 +396,7 @@ class TcpProvider(_Client):
         if self._metrics is not None:
             # Asks the broker for an RTT ack.  Stamped on the loop as it is
             # queued, just before its flush: no other sender to wait behind.
-            heartbeat.payload["sent_at"] = time.monotonic()
+            heartbeat.body.sent_at = time.monotonic()
         self._write([heartbeat])
 
     def _report(self, work: Work, result: bytes | None, now: bool = False) -> None:

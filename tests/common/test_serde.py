@@ -258,6 +258,42 @@ def test_arrays_take_the_narrowest_format_that_holds_them(array, code, item_byte
     assert exactly(unpacked(data)) == exactly(array)
 
 
+def _tried_in_order(array: list) -> bytes:
+    """The array form as the encoder used to find it: each int format in
+    turn, narrowest first, until one packs every item (None past 64 bits)."""
+    for code in "bBhHiIqQ":
+        try:
+            items = struct.pack(f">{len(array)}{code}", *array)
+        except struct.error:
+            continue
+        return bytes((0x09, ord(code), len(array))) + items
+    return None
+
+
+BOUNDS = [-(2**63), -(2**31), -(2**15), -(2**7), 0, 2**7, 2**8, 2**15, 2**16, 2**31, 2**32, 2**63]
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("step", [-1, 0])
+def test_an_int_array_packs_as_the_formats_tried_in_order_would(bound, step):
+    """The format comes from the array's min and max; the bytes are those of
+    trying each format in turn, on both sides of every format's range."""
+    edge = bound + step
+    for array in ([edge, 1, 2, 3], [0, 1, 2, edge], [edge, -edge - 1, 0, 5]):
+        expected, data = _tried_in_order(array), packed(array)
+        assert data == expected if expected is not None else data[:2] == b"\x07\x04"
+        assert exactly(unpacked(data)) == exactly(array)
+
+
+@pytest.mark.parametrize("wide", [2**64, 2**64 + 1, 2**70, -(2**63) - 1, -(2**70)])
+def test_an_int_array_beyond_64_bits_takes_the_per_item_form(wide):
+    for array in ([wide, 0, 1, 2], [0, 1, 2, wide], [2**64 - 1, 0, 1, wide]):
+        assert _tried_in_order(array) is None
+        data = packed(array)
+        assert data[:2] == b"\x07\x04" and exactly(unpacked(data)) == exactly(array)
+    assert packed([2**64 - 1, 0, 1, 2]) == _tried_in_order([2**64 - 1, 0, 1, 2])
+
+
 @pytest.mark.parametrize(
     "value",
     [[], [7], [1, 2, 3], [1.5, 2.5, 3.5], [1, 2, 3, True], [True] * 5, [1, 2, 3, 4.0],

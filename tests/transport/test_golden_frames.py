@@ -119,7 +119,10 @@ def golden_envelopes() -> list[tuple[str, Envelope]]:
     traced = []
     for name, envelope in named:
         if not name.startswith("sample/"):
-            copy = Envelope(**{**vars(envelope), "trace": dict(TRACE)})
+            copy = Envelope(
+                envelope.type, envelope.src, envelope.dst, envelope.payload, envelope.seq,
+                dict(TRACE),
+            )
             traced.append((name + "+trace", copy))
     awkward = Envelope(
         type="experimental_v99",  # no tag: the generic escape, a keyed payload
