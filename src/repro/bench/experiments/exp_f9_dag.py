@@ -152,7 +152,7 @@ def _crash_recovery(depth: int) -> tuple[bool, bool, bool]:
 
         snapshot = replay_journal(path)
         completed = next(iter(snapshot.workflow_completions.values()), None)
-        outputs = completed.outcome.get("outputs", {}) if completed else {}
+        outputs = completed.outcome.outputs if completed else {}
         reference = reference_values(spec)
         correct = bool(outputs) and all(  # (journalled packed, as they crossed the wire)
             sink in outputs and opened(outputs[sink]) == reference[sink] for sink in spec.sinks()

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro report            # quick parameters (~2-4 min)
     python -m repro report --full     # paper-scale parameters
-    python -m repro report T1 F3      # subset
+    python -m repro report T1 F3      # subset: the report goes to stdout
 
 Each experiment module documents, in its docstring, the *shape claims*
 reconstructed from the paper's design (the paper text itself being
@@ -52,9 +52,10 @@ def _docstring_claims(module) -> str:
 def generate(
     experiment_ids: list[str] | None = None,
     quick: bool = True,
-    output_path: str | Path = "EXPERIMENTS.md",
+    output_path: str | Path | None = "EXPERIMENTS.md",
 ) -> bool:
-    """Run experiments and (re)write the report; returns overall pass."""
+    """Run experiments and (re)write the report — or print it, with no
+    ``output_path``; returns overall pass."""
     selected = experiment_ids or list(ALL_EXPERIMENTS)
     unknown = [eid for eid in selected if eid not in ALL_EXPERIMENTS]
     if unknown:
@@ -94,6 +95,10 @@ def generate(
     content = _HEADER.format(
         mode_note=mode_note, summary_rows="\n".join(summary_rows)
     ) + "\n\n".join(sections) + "\n"
-    Path(output_path).write_text(content)
-    print(f"wrote {output_path}; overall: {'PASS' if all_passed else 'FAIL'}")
+    if output_path is None:
+        print(content)
+    else:
+        Path(output_path).write_text(content)
+        print(f"wrote {output_path}", end="; ")
+    print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     return all_passed

@@ -11,7 +11,6 @@ from .federation import FederationConfig, FederationCore, PeerState
 from .journal import (
     CompletionRecord,
     JournalSnapshot,
-    ResultCache,
     WorkJournal,
     memo_key_of,
     replay_journal,
@@ -42,7 +41,6 @@ __all__ = [
     "ProviderRecord",
     "ProviderRegistry",
     "ProviderView",
-    "ResultCache",
     "WorkJournal",
     "memo_key_of",
     "replay_journal",

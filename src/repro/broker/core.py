@@ -452,7 +452,7 @@ class BrokerCore:
         now = self.clock.now()
         memo = memo_key_of(fingerprint, tasklet.entry, tasklet.args, tasklet.seed, tasklet.fuel)
         if memo is not None and not replayed:
-            hit = self.durability.result_cache.get(memo)
+            hit = self.durability.tasklet_outcomes.memoized(memo)
             if hit is not None:
                 self.observer.memo_lookup(hit=True)
                 completion = CompletionRecord(
@@ -499,7 +499,7 @@ class BrokerCore:
         return self._issue(state, state.qoc.redundancy)
 
     def _tasklet_complete_of(
-        self, completion: CompletionRecord, executions: list[dict] | None = None
+        self, completion: CompletionRecord, executions: list[ExecutionRecord] | None = None
     ) -> TaskletComplete:
         """The consumer-facing terminal message for one outcome (stored
         outcomes are re-delivered without the execution list)."""
@@ -814,15 +814,9 @@ class BrokerCore:
             out.extend(self._end_execution(state, outstanding, None, cancel=True))
         self.backlog.forget(state)
         attempts, cost = state.issued, self.ledger.pop_cost_of(state.key)
-        # The winning value travels once, as the completion's own (the bytes are the vote).
-        executions = [
-            record.to_dict(with_value=not (ok and record.ok and record.value == value))
-            for record in state.collector.all_records
-        ]
         executed_by = str(self.node_id) if state.issued > 0 else ""
         if remote is not None:
-            attempts, cost = remote.attempts, remote.cost
-            executions, executed_by = list(remote.executions), remote.executed_by
+            attempts, cost, executed_by = remote.attempts, remote.cost, remote.executed_by
         completion = CompletionRecord(
             key=state.key,
             tasklet_id=str(state.tasklet.tasklet_id),
@@ -845,6 +839,11 @@ class BrokerCore:
             # TaskletComplete is sent.
             out.extend(self.workflows.node_terminal(workflow, completion))
             return out
+        # The winning value travels once, as the completion's own (the bytes are the vote).
+        executions = list(remote.executions) if remote is not None else [
+            record.holding(None) if ok and record.ok and record.value == value else record
+            for record in state.collector.all_records
+        ]
         answer = self._tasklet_complete_of(completion, executions)
         if state.origin_broker is not None:
             # Forwarded work: the consumer belongs to the origin broker,

@@ -1,6 +1,6 @@
 """The broker's durable memory: the :class:`~repro.broker.journal.WorkJournal`
 (``None`` for a volatile broker), the terminal outcomes that answer
-idempotent resubmits, the result cache, and the one replay of a journal —
+idempotent resubmits and memoized repeats, and the one replay of a journal —
 this broker's own at construction, a dead peer's at adoption.  The core,
 the workflow coordinator and the forwarding plane state what happened;
 :class:`Durability` decides what of it is written, reports each append and
@@ -15,20 +15,47 @@ from typing import TYPE_CHECKING
 
 from ..common.ids import NodeId
 from ..transport.message import Envelope
-from .journal import COMPLETED_RETENTION, CompletionRecord, JournalSnapshot, ResultCache
-from .journal import WorkflowOutcome, WorkJournal
+from .journal import CompletionRecord, JournalSnapshot, WorkflowOutcome, WorkJournal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import BrokerCore, _TaskletState
     from .workflows import _WorkflowState
 
+#: Terminal outcomes (tasklets and workflows each) the broker keeps in
+#: memory, LRU by completion recency: what answers an idempotent resubmit,
+#: and — the successes among them — a repeat of the same computation.
+COMPLETED_RETENTION = 8192
 
-def _retain(table: OrderedDict, key: str, outcome) -> None:
-    """Keep ``outcome`` as the newest, forgetting the oldest past the bound."""
-    table[key] = outcome
-    table.move_to_end(key)
-    while len(table) > COMPLETED_RETENTION:
-        table.popitem(last=False)
+
+class Retained(OrderedDict):
+    """Terminal outcomes by key, the most recently completed last; the
+    oldest past ``capacity`` is forgotten.  ``indexed``: the successes
+    among them are also found by memo key (Tasklets are deterministic;
+    a failure is a property of the moment and stays retryable).  A memo
+    entry names the latest success of its computation, so forgetting an
+    outcome drops the entry only while it still names that outcome."""
+
+    def __init__(self, indexed: bool = False):
+        super().__init__()
+        self.capacity = COMPLETED_RETENTION
+        self._by_memo: dict[str, CompletionRecord] | None = {} if indexed else None
+
+    def keep(self, key: str, outcome: CompletionRecord | WorkflowOutcome) -> None:
+        """Keep ``outcome`` as the newest, forgetting the oldest past the bound."""
+        replaced = self.pop(key, None)
+        self[key] = outcome
+        forgotten = self.popitem(last=False)[1] if len(self) > self.capacity else None
+        if self._by_memo is None:
+            return
+        for gone in (replaced, forgotten):
+            if gone is not None and self._by_memo.get(gone.memo_key) is gone:
+                del self._by_memo[gone.memo_key]
+        if outcome.ok and outcome.memo_key:
+            self._by_memo[outcome.memo_key] = outcome
+
+    def memoized(self, memo_key: str) -> CompletionRecord | None:
+        """The latest retained success of the computation ``memo_key`` names."""
+        return self._by_memo.get(memo_key)
 
 
 class Durability:
@@ -37,10 +64,8 @@ class Durability:
     def __init__(self, core: "BrokerCore", journal: WorkJournal | None):
         self.core = core
         self.journal = journal
-        self.tasklet_outcomes: "OrderedDict[str, CompletionRecord]" = OrderedDict()
-        self.workflow_outcomes: "OrderedDict[str, WorkflowOutcome]" = OrderedDict()
-        #: Successes by computation identity: Tasklets are deterministic.
-        self.result_cache = ResultCache()
+        self.tasklet_outcomes = Retained(indexed=True)
+        self.workflow_outcomes = Retained()
 
     def admitted(self, state: "_TaskletState", workflow: str) -> None:
         """New work passed admission (``workflow``: a node's owner)."""
@@ -53,7 +78,7 @@ class Durability:
         self.core.observer.journal_appended("admitted")
 
     def completed(self, completion: CompletionRecord) -> None:
-        self._keep(completion)
+        self.tasklet_outcomes.keep(completion.key, completion)
         if self.journal is not None:
             self.journal.record_complete(completion)
             self._appended("complete")
@@ -66,15 +91,10 @@ class Durability:
             self.core.observer.journal_appended("wf_admitted")
 
     def workflow_completed(self, key: str, outcome: WorkflowOutcome) -> None:
-        _retain(self.workflow_outcomes, key, outcome)
+        self.workflow_outcomes.keep(key, outcome)
         if self.journal is not None:
-            self.journal.record_workflow_complete(key, outcome.to_dict(), ts=self.core.clock.now())
+            self.journal.record_workflow_complete(key, outcome, ts=self.core.clock.now())
             self._appended("wf_complete")
-
-    def _keep(self, completion: CompletionRecord) -> None:
-        _retain(self.tasklet_outcomes, completion.key, completion)
-        if completion.ok and completion.memo_key:
-            self.result_cache.put(completion.memo_key, completion)
 
     def _appended(self, kind: str) -> None:
         """A terminal line was written: what it closes may be compacted away."""
@@ -91,7 +111,7 @@ class Durability:
         snapshot = self.journal.replay()
         completions, pending, _ = self.replay(snapshot, own=True)
         for entry in snapshot.workflow_completions.values():
-            _retain(self.workflow_outcomes, entry.key, WorkflowOutcome.from_dict(entry.outcome))
+            self.workflow_outcomes.keep(entry.key, entry.outcome)
         resumed = sum(1 for entry in snapshot.workflows if self.core.workflows._resume(entry))
         self.core.observer.recovered(pending, completions, resumed, snapshot.malformed)
 
@@ -104,7 +124,10 @@ class Durability:
         for completion in snapshot.completions.values():
             if completion.key in self.tasklet_outcomes or completion.key in core._tasklets:
                 continue
-            (self._keep if own else self.completed)(completion)
+            if own:
+                self.tasklet_outcomes.keep(completion.key, completion)
+            else:
+                self.completed(completion)
             completions += 1
         out: list[Envelope] = []
         for entry in snapshot.pending:

@@ -36,6 +36,7 @@ from .federation import (
 from .journal import CompletionRecord, replay_journal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.results import ExecutionRecord
     from .core import BrokerCore, _TaskletState
 
 
@@ -200,7 +201,7 @@ class ForwardingPlane:
         return None
 
     def complete_of(
-        self, completion: CompletionRecord, executions: list[dict] | None = None
+        self, completion: CompletionRecord, executions: list[ExecutionRecord] | None = None
     ) -> ForwardComplete:
         """Terminal outcome of forwarded work, built from its record (a
         duplicate forward is re-answered without the execution list)."""

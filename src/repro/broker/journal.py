@@ -1,4 +1,4 @@
-"""Broker durability: the work journal and result memoization.
+"""Broker durability: the work journal, and the memo key of a computation.
 
 The journal is the broker's crash-survivable memory, modeled on the
 minimal two-state (``pending``/``complete``) pull queue of the
@@ -19,9 +19,10 @@ Tasklets are side-effect-free and deterministic.
 
 That same determinism is what makes the journal double as a result
 cache: two submissions agreeing on (program fingerprint, entry, args,
-seed, fuel) must produce bit-identical values, so :class:`ResultCache`
-memoizes successful completions under :func:`memo_key_of` and the broker
-serves repeats with zero executions issued.
+seed, fuel) must produce bit-identical values, so the broker's retained
+outcomes (:class:`~repro.broker.durability.Retained`) find successful
+completions by :func:`memo_key_of` and the broker serves repeats with
+zero executions issued.
 
 Every line kind is a declared record (:mod:`repro.common.record`;
 docs/PROTOCOL.md, "Record table"): replay looks up a line's kind and opens
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..common.errors import RecordError, TransportError, VMInvalidProgram
-from ..common.record import Record, identified, reads_as, record, sparse
+from ..common.record import Record, identified, record, sparse
 from ..common.serde import decode_value, encode_value, packed
 from ..tvm.bytecode import CompiledProgram
 
@@ -67,14 +68,6 @@ def memo_key_of(
         return None
     head = f"{program_fingerprint}\x00{entry}\x00{seed}\x00{fuel}\x00"
     return hashlib.sha256(head.encode("utf-8") + args).hexdigest()[:32]
-
-
-#: Terminal outcomes (tasklets and workflows each) the broker keeps in
-#: memory for idempotent resubmit re-delivery, LRU by completion recency.
-COMPLETED_RETENTION = 8192
-
-#: LRU capacity of the result-memoization cache.
-RESULT_CACHE_SIZE = 4096
 
 
 @record("complete")
@@ -103,9 +96,16 @@ class CompletionRecord(Record):
     executed_by: str = ""
 
 
+class _Subscripted(Record):
+    """A record that also reads by subscript, like the dict it is written as."""
+
+    def __getitem__(self, name: str) -> Any:
+        return getattr(self, name)
+
+
 @record("wf_outcome")
 @dataclass(frozen=True)
-class WorkflowOutcome(Record):
+class WorkflowOutcome(_Subscripted):
     """Terminal outcome of one workflow: what a ``wf_complete`` line holds
     and a ``workflow_complete`` message says."""
 
@@ -120,15 +120,12 @@ class WorkflowOutcome(Record):
     nodes_memoized: int = 0
 
 
-class _Line(Record):
+class _Line(_Subscripted):
     """A journal line that is nothing else: it is written with its kind
-    (the record's name), and reads by subscript like the line on disk."""
+    (the record's name)."""
 
     def to_dict(self) -> dict[str, Any]:
         return {"kind": self.WHAT, **super().to_dict()}
-
-    def __getitem__(self, name: str) -> Any:
-        return getattr(self, name)
 
 
 @record("admitted")
@@ -161,7 +158,7 @@ class WorkflowAdmitted(_Line):
 class WorkflowCompleted(_Line):
     key: str
     ts: float
-    outcome: dict[str, Any] = reads_as(WorkflowOutcome)
+    outcome: WorkflowOutcome
 
 
 #: Line kind -> its record: the complete state vocabulary.  Workflow kinds
@@ -400,10 +397,8 @@ class WorkJournal:
         """Journal one admitted workflow (the full wire-form spec)."""
         self._write(WorkflowAdmitted(key, consumer_id, ts, workflow))
 
-    def record_workflow_complete(
-        self, key: str, outcome: dict, ts: float
-    ) -> None:
-        """Journal one workflow's terminal outcome (a ``wf_outcome`` dict)."""
+    def record_workflow_complete(self, key: str, outcome: WorkflowOutcome, ts: float) -> None:
+        """Journal one workflow's terminal outcome."""
         self._write(WorkflowCompleted(key, ts, outcome))
 
     def _write(self, entry: Record) -> None:
@@ -500,34 +495,3 @@ class WorkJournal:
             if not self._file.closed:
                 self._file.close()
 
-
-class ResultCache:
-    """LRU memoization of *successful* completions by computation identity.
-
-    Only ``ok`` outcomes are cached: a success of a deterministic,
-    side-effect-free Tasklet is a property of its inputs, while a failure
-    is usually a property of the moment (provider churn, exhausted pool)
-    and must stay retryable.  The broker's thread owns it; hits and misses
-    are counted in ``BrokerStats``.
-    """
-
-    def __init__(self):
-        self.capacity = RESULT_CACHE_SIZE
-        self._entries: "OrderedDict[str, CompletionRecord]" = OrderedDict()
-
-    def get(self, key: str) -> CompletionRecord | None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: str, completion: CompletionRecord) -> None:
-        if not completion.ok:
-            return
-        self._entries[key] = completion
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -12,7 +12,7 @@
     python -m repro journal  work_journal.jsonl    # inspect broker durability
     python -m repro broker   --port 7070 --broker-id b1 \
                              --peer b2=127.0.0.1:7071   # federated broker
-    python -m repro report F3 F4                   # regenerate experiments
+    python -m repro report F3 F4                   # run experiments (report on stdout)
 
 ``compile``/``disasm``/``run`` accept either Tasklet source (``.tl``, or
 anything that does not parse as JSON) or compiled-bytecode JSON, so the
@@ -562,10 +562,9 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                 {
                     **entry.to_dict(),
                     "outcome": {
-                        **entry.outcome,
+                        **entry.outcome.to_dict(),
                         "outputs": {
-                            sink: shown(blob)
-                            for sink, blob in entry.outcome.get("outputs", {}).items()
+                            sink: shown(blob) for sink, blob in entry.outcome.outputs.items()
                         },
                     },
                 }
@@ -613,14 +612,10 @@ def _cmd_journal(args: argparse.Namespace) -> int:
                     print(f"    {node_id:<22} state={state}")
         for entry in snapshot.workflow_completions.values():
             outcome = entry.outcome
-            verdict = "ok" if outcome["ok"] else (
-                f"failed at {outcome.get('failed_node', '?')}"
-            )
+            verdict = "ok" if outcome.ok else f"failed at {outcome.failed_node}"
             print(
-                f"  {entry.key:<28} "
-                f"{verdict} "
-                f"({outcome.get('nodes_total', 0)} nodes, "
-                f"{outcome.get('nodes_memoized', 0)} memoized)"
+                f"  {entry.key:<28} {verdict} "
+                f"({outcome.nodes_total} nodes, {outcome.nodes_memoized} memoized)"
             )
     return 0
 
@@ -693,10 +688,11 @@ def _cmd_broker(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     from .bench.report import generate
 
+    # A subset goes to stdout unless named: it must not replace the full report.
     ok = generate(
         experiment_ids=args.ids or None,
         quick=not args.full,
-        output_path=args.output,
+        output_path=args.output or (None if args.ids else "EXPERIMENTS.md"),
     )
     return 0 if ok else 1
 
@@ -912,7 +908,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_cmd.add_argument("ids", nargs="*", help="experiment ids (default: all)")
     report_cmd.add_argument("--full", action="store_true")
-    report_cmd.add_argument("--output", default="EXPERIMENTS.md")
+    report_cmd.add_argument(
+        "--output", help="report file (default: EXPERIMENTS.md for all, stdout for a subset)"
+    )
     report_cmd.set_defaults(handler=_cmd_report)
 
     return parser

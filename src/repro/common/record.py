@@ -52,6 +52,9 @@ class Record:
     #: Per field written: name, the inverse of its reader (or None) and
     #: whether an empty value is left out.
     _DUMPS: ClassVar[tuple[tuple[str, Callable | None, bool], ...]] = ()
+    #: Whether the wire form is the instance's ``__dict__`` as it stands:
+    #: no field is written as something else or left out while empty.
+    _PLAIN: ClassVar[bool] = True
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]):
@@ -114,6 +117,11 @@ class Record:
         for name, value in late:
             setattr(opened, name, value)
         return opened
+
+    def wire_fields(self) -> dict[str, Any]:
+        """The wire form — ``__dict__`` itself where that is it (not a copy:
+        for reading), else :meth:`to_dict`."""
+        return vars(self) if self._PLAIN else self.to_dict()
 
     def to_dict(self) -> dict[str, Any]:
         """The wire form :meth:`from_dict` reads back."""
@@ -209,6 +217,8 @@ def compile_fields(cls, what: str, error: type[TaskletError]):
             (f.name, f.metadata.get("dump", dump), f.metadata.get("sparse", False))
         )
     cls._FIELDS, cls._DUMPS = tuple(fields), tuple(dumps)
+    # (A container's writer only copies it.)
+    cls._PLAIN = all(dump in (None, list, dict) and not sparse for _n, dump, sparse in dumps)
     cls._LATE = tuple(f.name for f in wire if not f.init)
     return cls
 
@@ -261,27 +271,6 @@ def one_of_values(choices) -> Callable:
 def one_of(choices) -> Any:
     """A required string field that takes a value of a closed set."""
     return coded(one_of_values(frozenset(choices)))
-
-
-def _kept(read: Callable) -> Callable:
-    """``read`` as a check: the field keeps the plain value it was sent."""
-
-    def check(value):
-        read(value)
-        return value
-
-    return check
-
-
-def records_of(shape: type[Record]) -> Any:
-    """An optional list field whose items each read as a ``shape`` — and
-    stay the plain dicts they are, for whoever opens them."""
-    return coded(_kept(_each(shape)), default_factory=list)
-
-
-def reads_as(shape: type[Record]) -> Any:
-    """A required dict field that reads as a ``shape`` and stays plain."""
-    return coded(_kept(_opened(shape)))
 
 
 def identified(key: str) -> Any:

@@ -41,8 +41,8 @@ class ExecutionStatus(enum.Enum):
 @dataclass
 class ExecutionRecord(Record):
     """Outcome of one execution attempt on one provider.  On the wire: an
-    item of ``tasklet_complete.executions``, with the fields of an
-    ``execution_result``."""
+    item of ``tasklet_complete.executions`` / ``forward_complete.executions``,
+    with the fields of an ``execution_result``."""
 
     execution_id: ExecutionId
     tasklet_id: TaskletId
@@ -64,33 +64,51 @@ class ExecutionRecord(Record):
     def duration(self) -> float:
         return max(0.0, self.finished_at - self.started_at)
 
-    def to_dict(self, with_value: bool = True) -> dict[str, Any]:
-        """Wire form.  A record of the agreeing group goes without its
-        ``value`` key: it repeats the completion's own value, which then
-        crosses the wire once; the consumer puts it back before reading."""
+    #: Optional keys the item this record was read from left out: written
+    #: back out only once their field no longer holds its default, so a
+    #: record re-encodes as it was read (set by :meth:`from_dict` alone).
+    _absent = frozenset()
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> ExecutionRecord:
+        read = super().from_dict(data)
+        if len(data) < len(cls._FIELDS):
+            read._absent = vars(read).keys() - data.keys()
+        return read
+
+    def to_dict(self) -> dict[str, Any]:
+        """Wire form.  A success without a ``value`` leaves the key out:
+        it agrees with the completion it travels in, whose value then
+        crosses the wire once; the consumer puts it back as it opens it."""
         data = super().to_dict()
-        if not with_value:
+        if data["value"] is None and self.status is ExecutionStatus.SUCCESS:
             del data["value"]
+        for name in self._absent:
+            if name in data and data[name] == getattr(ExecutionRecord, name):
+                del data[name]
         return data
+
+    def holding(self, value: Any) -> ExecutionRecord:
+        """A copy of this record with ``value`` in place of its own."""
+        copy = object.__new__(ExecutionRecord)
+        copy.__dict__ = {**vars(self), "value": value}
+        return copy
 
 
 def open_completion(
-    value: bytes | None, executions: list[dict]
+    value: bytes | None, executions: list[ExecutionRecord]
 ) -> tuple[Any, list[ExecutionRecord]]:
     """What a ``tasklet_complete`` carries packed, opened — once, by its
-    consumer: the value, and the execution records with theirs (one that
-    agreed with the verdict left its own to it).  :class:`CodecError` if
-    one does not open."""
-
-    def unpacked(blob: bytes | None) -> Any:
-        return None if blob is None else opened(blob)
-
-    value = unpacked(value)
+    consumer, from the records its body was read into (which stay as they
+    crossed the wire): the value, and copies of the records holding theirs
+    (a success that agreed with the verdict takes the verdict's).
+    :class:`CodecError` if one does not open."""
+    value = None if value is None else opened(value)
     return value, [
-        ExecutionRecord.from_dict(
-            {**item, "value": unpacked(item["value"]) if "value" in item else value}
-        )
-        for item in executions
+        record.holding(opened(record.value))
+        if record.value is not None
+        else record.holding(value if record.ok else None)
+        for record in executions
     ]
 
 

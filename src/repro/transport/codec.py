@@ -199,7 +199,7 @@ def encode_batch(batch: Sequence[Envelope], codec: str) -> bytes:
         body, trace = envelope.body, envelope.trace
         # A body packs its own fields; a payload only with exactly the pinned field set, else
         # (hand-edited, future extra keys) it takes the keyed form: nothing is silently dropped.
-        payload = envelope.payload if body is None else vars(body)
+        payload = envelope.payload if body is None else body.wire_fields()
         packed = fields is not None and (body is not None or payload.keys() == fields)
         out.append((trace is not None) * _FLAG_TRACE | packed * _FLAG_FIELD_PACKED)
         if trace is not None:

@@ -19,7 +19,7 @@ from typing import Any, ClassVar, Type
 
 from ..common.errors import TransportError
 from ..common.ids import NodeId
-from ..common.record import Record, compile_fields, identified, one_of, records_of
+from ..common.record import Record, compile_fields, identified, one_of
 from ..core.results import ExecutionRecord, ExecutionStatus
 
 #: Broadcast / well-known addresses.
@@ -57,7 +57,7 @@ class Envelope:
 
     def _get_payload(self) -> dict[str, Any]:
         if self._payload is None:
-            self._payload, self.body, self.prepacked = dict(vars(self.body)), None, None
+            self._payload, self.body, self.prepacked = dict(self.body.wire_fields()), None, None
         return self._payload
 
     def _set_payload(self, payload: dict[str, Any]) -> None:
@@ -66,7 +66,7 @@ class Envelope:
     payload = property(_get_payload, _set_payload)
 
     def _key(self) -> tuple:
-        fields = vars(self.body) if self._payload is None else self._payload
+        fields = self.body.wire_fields() if self._payload is None else self._payload
         return self.type, self.src, self.dst, fields, self.seq, self.trace
 
     def __eq__(self, other) -> bool:
@@ -81,8 +81,8 @@ MESSAGE_TYPES: dict[str, Type["MessageBody"]] = {}
 
 
 class MessageBody(Record):
-    """Base class for typed message bodies: records whose fields are
-    JSON-safe values, so the payload is just ``__dict__``."""
+    """Base class for typed message bodies: records whose payload is their
+    wire form, ``__dict__`` itself unless a field holds records."""
 
     TYPE: ClassVar[str] = ""
     #: ``bin2`` wire tag, and whether the payload travels field-packed.
@@ -121,7 +121,7 @@ def body_of(envelope: Envelope) -> MessageBody:
     body_class = MESSAGE_TYPES.get(envelope.type)
     if body_class is None:
         raise TransportError(f"unknown message type {envelope.type!r}")
-    return body_class.from_dict(envelope.payload if body is None else vars(body))
+    return body_class.from_dict(envelope.payload if body is None else body.wire_fields())
 
 
 # -- The message types.  What each field means, who sends what to whom and when:
@@ -258,7 +258,7 @@ class TaskletComplete(MessageBody):
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0  # total billed across all executions (cost QoC)
-    executions: list[dict[str, Any]] = records_of(ExecutionRecord)
+    executions: list[ExecutionRecord] = field(default_factory=list)
 
 
 @_message("submit_workflow", tag=13, packed=True)
@@ -359,6 +359,6 @@ class ForwardComplete(MessageBody):
     error: str | None = None
     attempts: int = 0
     cost: float = 0.0
-    executions: list[dict[str, Any]] = records_of(ExecutionRecord)
+    executions: list[ExecutionRecord] = field(default_factory=list)
     #: Broker whose providers ran it ("" = from a journal or the result cache): the exactly-once audit's count.
     executed_by: str = ""

@@ -340,8 +340,9 @@ class TestRedundancy:
         (complete,) = [e for e in envelopes if e.type == "tasklet_complete"]
         body = body_of(complete)
         assert body.ok and body.value == array
-        agreeing = [record for record in body.executions if "value" not in record]
-        dissenting = [record for record in body.executions if "value" in record]
+        wire = complete.payload["executions"]
+        agreeing = [record for record in wire if "value" not in record]
+        dissenting = [record for record in wire if "value" in record]
         assert len(agreeing) == (redundancy + 1) // 2
         assert [record["value"] for record in dissenting] == [wrong] * (redundancy // 2)
         assert encode_envelope(complete).count(array) == 1
@@ -500,7 +501,7 @@ def test_args_that_pack_no_argument_list_are_refused_by_id_and_leave_nothing(
     assert len(replies) == 1 and not ack.accepted and ack.tasklet_id == "tl-1"
     assert ack.reason.startswith("malformed tasklet: args "), ack.reason
     broker = harness.broker
-    assert broker.pending_tasklets == 0 and not broker.durability.tasklet_outcomes and len(broker.durability.result_cache) == 0
+    assert broker.pending_tasklets == 0 and not broker.durability.tasklet_outcomes and not broker.durability.tasklet_outcomes._by_memo
     assert (broker.stats.tasklets_submitted, broker.stats.executions_issued) == (1, 0)
     assert broker.stats.messages_unreadable == 0
     if journal is not None:

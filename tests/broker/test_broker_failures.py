@@ -197,7 +197,7 @@ class TestExecutionTimeout:
         (complete,) = bodies(replies, TaskletComplete)
         assert not complete.ok
         assert complete.error.startswith("all 2 executions failed")
-        assert {e["provider_id"] for e in complete.executions} == losers
+        assert {e.provider_id for e in complete.executions} == losers
         assert harness.broker.pending_tasklets == 0
 
     def test_deadline_qoc_tightens_timeout(self):
@@ -421,8 +421,8 @@ class TestByzantineResultValues:
         (done,) = bodies(replies, TaskletComplete)
         assert not done.ok and done.value is None
         assert "result is not a Tasklet value: value tag 0x00" in done.error
-        assert [record["status"] for record in done.executions] == ["vm_error"] * 2
-        assert all(record["value"] is None for record in done.executions)
+        assert [record.status.value for record in done.executions] == ["vm_error"] * 2
+        assert all(record.value is None for record in done.executions)
         assert harness.broker.pending_tasklets == 0
 
     @pytest.mark.parametrize(
@@ -453,9 +453,9 @@ class TestByzantineResultValues:
         (done,) = bodies(harness.send(result_of(second, "p2", 5), src="p2"), TaskletComplete)
         assert done.ok and opened(done.value) == 5
         lied, honest = done.executions
-        assert (lied["status"], lied["value"]) == ("vm_error", None)
-        assert lied["error"].startswith("result is not a Tasklet value: ")
-        assert "value" not in honest  # it agreed with the verdict: the value travels once
+        assert (lied.status.value, lied.value) == ("vm_error", None)
+        assert lied.error.startswith("result is not a Tasklet value: ")
+        assert honest.ok and honest.value is None  # it agreed with the verdict: the value travels once
 
     def test_two_hosts_nans_are_one_vote_because_their_providers_folded_them(self):
         """The broker votes on the bytes: ``inf - inf`` as x86 and as ARM
@@ -475,7 +475,7 @@ class TestByzantineResultValues:
             (done,) = bodies(replies, TaskletComplete)
             if fold:
                 assert done.ok and done.value == packed([1.5, 2.5, float("nan"), 3.5], fold_nan=True)
-                assert all("value" not in record for record in done.executions)
+                assert all(record.ok and record.value is None for record in done.executions)
             else:
                 assert not done.ok and verdict in done.error
 
@@ -519,7 +519,7 @@ class TestByzantineResultValues:
         p1, p2 = (harness.broker.registry.get(NodeId(name)) for name in ("p1", "p2"))
         assert (p1.outstanding, p2.outstanding) == (1, 1)
         (done,) = bodies(harness.send(result_of(first, "p2", 1), src="p1"), TaskletComplete)
-        assert done.ok and done.executions[0]["provider_id"] == "p1"
+        assert done.ok and done.executions[0].provider_id == "p1"
         assert (p1.outstanding, p2.outstanding, p1.completed, p2.completed) == (0, 1, 1, 0)
         harness.send(result_of(second, "nobody", 1), src="p2")
         assert (p1.outstanding, p2.outstanding, harness.broker.registry.free_capacity) == (0, 0, 2)

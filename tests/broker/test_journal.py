@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.broker.core import BrokerCore
+from repro.broker.durability import Retained
 from repro.broker.journal import (
     CompletionRecord,
-    ResultCache,
+    WorkflowOutcome,
     WorkJournal,
     _encode,
     _read_line,
@@ -175,22 +176,45 @@ class TestMemoKey:
 
 
 class TestResultCache:
+    """The result cache is the memo index over the retained tasklet outcomes."""
+
     def test_failures_never_cached(self):
-        cache = ResultCache()
-        cache.put("k", make_completion(ok=False))
-        assert cache.get("k") is None
+        outcomes = Retained(indexed=True)
+        outcomes.keep("c1/k", make_completion("c1/k", ok=False, memo_key="m"))
+        assert outcomes.memoized("m") is None and "c1/k" in outcomes
 
     def test_lru_eviction(self):
-        cache = ResultCache()
-        cache.capacity = 2
-        cache.put("a", make_completion("c1/a"))
-        cache.put("b", make_completion("c1/b"))
-        cache.get("a")  # refresh a; b is now least recent
-        cache.put("c", make_completion("c1/c"))
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
-        assert len(cache) == 2
+        outcomes = Retained(indexed=True)
+        outcomes.capacity = 2
+        for name in "abc":
+            outcomes.keep(f"c1/{name}", make_completion(f"c1/{name}", memo_key=name))
+        assert list(outcomes) == ["c1/b", "c1/c"]
+        assert outcomes.memoized("a") is None
+        assert outcomes.memoized("b") is outcomes["c1/b"]
+        assert outcomes.memoized("c") is outcomes["c1/c"]
+        outcomes.keep("c1/b", make_completion("c1/b", memo_key="b"))  # completed again: newest
+        outcomes.keep("c1/d", make_completion("c1/d", memo_key="d"))
+        assert list(outcomes) == ["c1/b", "c1/d"]
+        assert outcomes.memoized("c") is None and outcomes.memoized("b") is outcomes["c1/b"]
+
+    def test_a_hit_outlives_the_outcome_it_repeated(self):
+        """A memo hit is a new outcome the index now names: forgetting the
+        outcome it repeated must not take the index entry with it."""
+        outcomes = Retained(indexed=True)
+        outcomes.capacity = 2
+        outcomes.keep("c1/first", make_completion("c1/first", memo_key="m"))
+        repeat = make_completion("c1/again", memo_key="m")  # (what a hit keeps)
+        outcomes.keep("c1/again", repeat)
+        outcomes.keep("c1/other", make_completion("c1/other"))  # forgets c1/first
+        assert "c1/first" not in outcomes
+        assert outcomes.memoized("m") is repeat
+
+    def test_an_outcome_kept_again_under_its_key_stays_memoized(self):
+        outcomes = Retained(indexed=True)
+        done = make_completion("c1/k", memo_key="m")
+        outcomes.keep("c1/k", done)
+        outcomes.keep("c1/k", done)
+        assert outcomes.memoized("m") is done
 
 
 class TestAutoCompact:
@@ -225,7 +249,7 @@ class TestAutoCompact:
         journal.record_workflow_admitted("c1/wf-done", "c1", finished, ts=1.0)
         journal.record_admitted("c1/wf-done:a", "c1", TASKLET, ts=1.1, workflow="c1/wf-done")
         journal.record_complete(make_completion("c1/wf-done:a"))
-        outcome = {"ok": True, "workflow_id": "wf-done", "outputs": {"a": packed(42)}}
+        outcome = WorkflowOutcome("wf-done", ok=True, outputs={"a": packed(42)})
         journal.record_workflow_complete("c1/wf-done", outcome, ts=2.0)
         journal.record_workflow_admitted("c1/wf-1", "c1", WF_SPEC, ts=3.0)
         journal.record_admitted("c1/wf-1:a", "c1", TASKLET, ts=3.1, workflow="c1/wf-1")
@@ -280,7 +304,7 @@ class TestWorkflowRecords:
     def test_wf_complete_retires_the_workflow(self, tmp_path):
         journal = WorkJournal(str(tmp_path / "wj.jsonl"))
         journal.record_workflow_admitted("c1/wf-1", "c1", WF_SPEC, ts=1.0)
-        outcome = {"ok": True, "workflow_id": "wf-1", "outputs": {"a": packed(9)}}
+        outcome = WorkflowOutcome("wf-1", ok=True, outputs={"a": packed(9)})
         journal.record_workflow_complete("c1/wf-1", outcome, ts=2.0)
         snapshot = journal.replay()
         journal.close()
@@ -356,7 +380,7 @@ class TestWorkflowRecords:
         )
         journal.record_complete(make_completion("c1/wf-1:a"))
         journal.record_workflow_complete(
-            "c1/wf-1", {"ok": True, "workflow_id": "wf-1", "outputs": {}}, ts=2.0
+            "c1/wf-1", WorkflowOutcome("wf-1", ok=True), ts=2.0
         )
         journal.compact()
         snapshot = journal.replay()

@@ -72,7 +72,7 @@ SAMPLES = {
     "wf_outcome": OUTCOME.to_dict(),
     "admitted": Admitted("c1/tl-1", "c1", 1.5, TASKLET.to_dict(), "b2", "c1/wf-1").to_dict(),
     "wf_admitted": WorkflowAdmitted("c1/wf-1", "c1", 2.0, _workflow().to_dict()).to_dict(),
-    "wf_complete": WorkflowCompleted("c1/wf-1", 3.0, OUTCOME.to_dict()).to_dict(),
+    "wf_complete": WorkflowCompleted("c1/wf-1", 3.0, OUTCOME).to_dict(),
 }
 
 

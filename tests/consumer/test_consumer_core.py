@@ -13,6 +13,7 @@ from repro.core.tasklet import Tasklet
 from repro.dag.patterns import chain
 from repro.obs import Telemetry
 from repro.obs import events as ev
+from repro.transport.codec import EnvelopeDecoder, encode_envelope
 from repro.transport.message import (
     SubmitAck,
     SubmitTasklet,
@@ -41,8 +42,13 @@ def submit_one(core, tasklet):
     return future, envelopes
 
 
-def deliver(core, body, src="broker"):
-    return core.handle(body.envelope(NodeId(src), core.node_id))
+def deliver(core, body, src="broker", **payload):
+    """Hand ``core`` the envelope of ``body`` — with the ``payload`` fields
+    a peer wrote in its stead (execution records as the dicts they travel as)."""
+    envelope = body.envelope(NodeId(src), core.node_id)
+    if payload:
+        envelope.payload.update(payload)
+    return core.handle(envelope)
 
 
 def test_submit_produces_wire_message_and_future():
@@ -129,9 +135,8 @@ def test_execution_records_rehydrated():
     }
     deliver(
         core,
-        TaskletComplete(
-            tasklet_id="tl-1", ok=True, value=packed(2), attempts=1, executions=[record]
-        ),
+        TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), attempts=1),
+        executions=[record],
     )
     outcome = future.wait(0)
     assert len(outcome.executions) == 1
@@ -162,11 +167,30 @@ def test_agreeing_records_get_the_verdicts_value_back():
     ]
     deliver(
         core,
-        TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(array), attempts=4, executions=executions),
+        TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(array), attempts=4),
+        executions=executions,
     )
     outcome = future.wait(0)
     assert [r.value for r in outcome.executions] == [None, [0], array, array]
     assert all(r.value == outcome.value for r in outcome.executions[2:])
+
+
+def test_a_handled_completion_still_holds_what_crossed_the_wire():
+    """The values are opened into the result's own records: the envelope's
+    body keeps the packed, agreeing-without-a-value records it was read into."""
+    core = make_core()
+    future, _ = submit_one(core, make_tasklet())
+    item = {"execution_id": "ex-1", "tasklet_id": "tl-1", "provider_id": "p1", "status": "success"}
+    sent = TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)).envelope(
+        NodeId("broker"), core.node_id
+    )
+    sent.payload["executions"] = [item]
+    frame = encode_envelope(sent)
+    ((envelope, _size),) = EnvelopeDecoder().feed(frame)
+    core.handle(envelope)
+    assert [record.value for record in future.wait(0).executions] == [2]
+    assert envelope.body.executions[0].value is None
+    assert encode_envelope(envelope) == frame
 
 
 @pytest.mark.parametrize(
@@ -186,15 +210,15 @@ def test_malformed_execution_record_never_orphans_a_future(record):
     good = {"execution_id": "ex-1", "tasklet_id": "tl-1", "provider_id": "p1", "status": "success"}
     if isinstance(record, dict) and "execution_id" not in record:
         record = {**good, **record}
-    bad = TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), executions=[good, record])
-    assert deliver(core, bad) == []
+    bad = TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2))
+    assert deliver(core, bad, executions=[good, record]) == []
     assert not future.done and core.pending == 1
     assert (core.stats.completed, core.stats.failed) == (0, 0)
     (event,) = telemetry.events.events(kind=ev.MESSAGE_UNREADABLE)
     assert event.node == "broker" and event.attrs["type"] == "tasklet_complete"
     assert "executions" in event.attrs["reason"]
     assert telemetry.spans.spans() == []
-    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2), executions=[good]))
+    deliver(core, TaskletComplete(tasklet_id="tl-1", ok=True, value=packed(2)), executions=[good])
     assert future.result(0) == 2 and core.pending == 0 and core.stats.completed == 1
     assert [record.value for record in future.wait(0).executions] == [2]
 
@@ -331,7 +355,7 @@ def test_an_unopenable_completion_fails_the_future_typed_not_pending(value):
     future, _ = submit_one(core, make_tasklet("tl-2"))
     record = {"execution_id": "ex-1", "tasklet_id": "tl-2", "provider_id": "p1",
               "status": "success", "value": value}
-    deliver(core, TaskletComplete("tl-2", ok=True, value=packed(2), executions=[record]))
+    deliver(core, TaskletComplete("tl-2", ok=True, value=packed(2)), executions=[record])
     with pytest.raises(CodecError):
         future.result(0)
 

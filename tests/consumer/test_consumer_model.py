@@ -146,10 +146,13 @@ class ConsumerProtocol(RuleBasedStateMachine):
 
     # -- plumbing -----------------------------------------------------------
 
-    def _deliver(self, body):
-        """Hand the core ``body`` — or, when armed, what the hostile step
-        made of it; returns the body as read, None for an unreadable one."""
+    def _deliver(self, body, **payload):
+        """Hand the core ``body`` (with the ``payload`` fields a peer wrote
+        in its stead) — or, when armed, what the hostile step made of it;
+        returns the body as read, None for an unreadable one."""
         envelope = body.envelope(BROKER_ADDRESS, self.core.node_id)
+        if payload:
+            envelope.payload.update(payload)
         armed, self.armed = self.armed, None
         if armed is not None:
             hostile(envelope, *armed)
@@ -260,11 +263,10 @@ class ConsumerProtocol(RuleBasedStateMachine):
             value=packed(41) if ok else None,
             error=None if ok else "all 3 executions failed",
             attempts=3,
-            executions=executions,
         )
-        body = self._deliver(body)
+        body = self._deliver(body, executions=executions)
         if body is not None and body.tasklet_id in self.tasklets:
-            carried = [body.value] + [r["value"] for r in body.executions if "value" in r]
+            carried = [body.value] + [r.value for r in body.executions if r.value is not None]
             values = unpacked(carried)
             if values is None:  # a value that does not open: a typed failure, not a wait
                 self._end_tasklet(body.tasklet_id, CodecError, "")

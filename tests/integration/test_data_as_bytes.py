@@ -95,7 +95,7 @@ def test_a_steady_state_round_trip_builds_no_value_on_the_broker():
     # What the broker keeps is those bytes too: the completion, and the memo entry.
     kept = cluster.broker.durability.tasklet_outcomes["c1/tl-2"]
     assert kept.value is by_type["execution_result"][-1][0].payload["value"]
-    assert cluster.broker.durability.result_cache.get(kept.memo_key).value is kept.value
+    assert cluster.broker.durability.tasklet_outcomes.memoized(kept.memo_key).value is kept.value
     assert cluster.broker.stats.memo_hits == 0
 
 

@@ -112,7 +112,7 @@ GUARDS = {
     # Every node is one loop thread that owns its links (no lock), one dial loop opens every
     # outbound link, and tcp.py is the two client drivers and what they share.
     "one-link-for-every-node": [
-        at_most(1808, TRANSPORT),
+        at_most(1806, TRANSPORT),
         at_most(364, "src/repro/transport/message.py"),
         absent(r"threading\.(Lock|RLock|Condition)", TRANSPORT),
         exactly(1, r"delay \* 2|backoff \* 2|\* 2\.0, ", TRANSPORT),  # one dial loop's backoff
@@ -133,7 +133,7 @@ GUARDS = {
         absent(r"StreamReader|StreamWriter|run_reader|_flush_task|drain\(", "src/repro/transport/aio.py"),
     ],
     "unguarded-large-files-stop-growing": [
-        at_most(936, "src/repro/cli.py"),
+        at_most(933, "src/repro/cli.py"),
         at_most(829, "src/repro/broker/observer.py"),
     ],
     # A fact a stats object counts is not counted again: each such family is one row of
@@ -149,8 +149,8 @@ GUARDS = {
         ),
         gone("src/repro/obs/bridge.py"),
     ],
-    # The broker's durable memory is one module: the journal, the retained outcomes, the
-    # result cache and the one replay, for its own journal and for an adopted one.
+    # The broker's durable memory is one module: the journal, the retained outcomes (the
+    # result cache among them) and the one replay, for its own journal and for an adopted one.
     "durability-in-one-module": [
         absent(
             r"journal\.record_|COMPLETED_RETENTION|ResultCache\(|OrderedDict|journal is not None",
@@ -158,6 +158,14 @@ GUARDS = {
         ),
         only_in("src/repro/broker/durability.py", r"journal\.record_", "src"),
         absent(r"_maybe_compact_journal|_absorb|_remember_completion|def _remember", "src"),
+    ],
+    # An outcome is kept once and read once: one store answers resubmits and memo hits, and
+    # an execution record or a workflow outcome is held as the record it was read into.
+    "one-outcome-store": [
+        absent(
+            "ResultCache|RESULT_CACHE_SIZE|_retain|records_of|reads_as|_kept|with_value",
+            "src", word=True,
+        ),
     ],
     # Each was a parameter only a test set; tests/test_public_api.py pins what is settable.
     "every-tunable-has-a-caller": [
@@ -225,7 +233,7 @@ GUARDS = {
     ],
     # One pending record per submission; the drivers say how envelopes leave.
     "one-consumer": [
-        at_most(373, "src/repro/consumer/core.py"),
+        at_most(372, "src/repro/consumer/core.py"),
         absent("_submitted_at|_wf_trace|resolve_local|submit_many|submit_batch|FrameReader", "src"),
         absent("def submit_", "src/repro/sim/runner.py", "src/repro/transport/tcp.py"),
     ],

@@ -526,7 +526,7 @@ class TestTopWorkflows:
 @pytest.fixture
 def workflow_journal_file(tmp_path):
     """A journal with one in-flight and one completed workflow."""
-    from repro.broker.journal import CompletionRecord, WorkJournal
+    from repro.broker.journal import CompletionRecord, WorkflowOutcome, WorkJournal
 
     path = tmp_path / "journal.jsonl"
     journal = WorkJournal(str(path))
@@ -554,13 +554,7 @@ def workflow_journal_file(tmp_path):
     )
     journal.record_workflow_complete(
         "c1/wf-done",
-        {
-            "ok": True,
-            "workflow_id": "wf-done",
-            "outputs": {"sink": packed(3)},
-            "nodes_total": 2,
-            "nodes_memoized": 1,
-        },
+        WorkflowOutcome("wf-done", ok=True, outputs={"sink": packed(3)}, nodes_total=2, nodes_memoized=1),
         ts=2.0,
     )
     journal.close()
@@ -601,6 +595,15 @@ class TestReport:
         content = open(out).read()
         assert "F1" in content
         assert "PASS" in content
+
+    def test_a_subset_leaves_the_full_report_alone(self, tmp_path, monkeypatch, capsys):
+        """Without ``--output`` a subset's report goes to stdout: running one
+        experiment never replaces the other experiments' sections."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "EXPERIMENTS.md").write_text("every experiment's section\n")
+        assert main(["report", "F1"]) == 0
+        assert (tmp_path / "EXPERIMENTS.md").read_text() == "every experiment's section\n"
+        assert "## F1" in capsys.readouterr().out
 
     def test_report_unknown_id(self, tmp_path):
         with pytest.raises(SystemExit):

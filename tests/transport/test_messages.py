@@ -13,7 +13,8 @@ import pytest
 from repro.common.errors import TransportError
 from repro.common.ids import NodeId
 from repro.common.serde import packed
-from repro.transport.codec import EnvelopeDecoder, encode_envelope
+from repro.core.results import ExecutionRecord, ExecutionStatus
+from repro.transport.codec import EnvelopeDecoder, decode_body, encode_envelope
 from repro.transport.message import (
     MESSAGE_TYPES,
     AssignExecution,
@@ -107,15 +108,17 @@ SAMPLE_BODIES = [
         attempts=1,
         cost=0.5,
         executions=[
-            {
-                "execution_id": "ex-1",
-                "tasklet_id": "tl-1",
-                "provider_id": "p1",
-                "status": "success",
-                "instructions": 500,
-                "started_at": 1.0,
-                "finished_at": 2.0,
-            }
+            ExecutionRecord.from_dict(
+                {
+                    "execution_id": "ex-1",
+                    "tasklet_id": "tl-1",
+                    "provider_id": "p1",
+                    "status": "success",
+                    "instructions": 500,
+                    "started_at": 1.0,
+                    "finished_at": 2.0,
+                }
+            )
         ],
         executed_by="broker-b",
     ),
@@ -283,8 +286,8 @@ def _well_formed(body) -> bool:
         return body.status in _STATUSES
     if isinstance(body, (TaskletComplete, ForwardComplete)):
         return all(
-            type(record) is dict
-            and _well_formed(ExecutionResult(**record))
+            type(record) is ExecutionRecord
+            and _well_formed(ExecutionResult(**record.to_dict()))
             for record in body.executions
         )
     return True
@@ -363,10 +366,51 @@ _RECORD = {
     ],
 )
 def test_an_execution_record_is_checked_by_shape_not_by_container(record, reason):
-    body = TaskletComplete(tasklet_id="tl-1", ok=False, error="e", executions=[_RECORD])
+    body = TaskletComplete(
+        tasklet_id="tl-1", ok=False, error="e", executions=[ExecutionRecord.from_dict(_RECORD)]
+    )
     assert body_of(_envelope_of(body)) == body  # the optional fields may be absent
     with pytest.raises(TransportError, match=reason):
         body_of(_envelope_of(body, executions=[_RECORD, record]))
+
+
+def _item(n: int, status: str, error: str | None = None, **value) -> dict:
+    """An execution item with its keys in the order a record writes them."""
+    return {"execution_id": f"ex-{n}", "tasklet_id": "tl-1", "provider_id": f"p{n}",
+            "status": status, **value, "error": error,
+            "instructions": 40 + n, "started_at": 1.0, "finished_at": 2.5}
+
+
+#: The three shapes of an execution item: a success that agreed with the
+#: verdict (no ``value`` key: it is the completion's), an outvoted success
+#: (its own bytes) and a failure (``"value": null``).
+_ITEMS = [_item(1, "success"), _item(2, "success", value=packed(7)),
+          _item(3, "vm_error", "boom", value=None)]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        TaskletComplete("tl-1", ok=True, value=packed(8), attempts=3),
+        ForwardComplete("tl-1", "c1", "b2", ok=True, value=packed(8), attempts=3, executed_by="b2"),
+    ],
+    ids=lambda body: body.TYPE,
+)
+def test_execution_items_cross_in_their_three_shapes_byte_for_byte(body):
+    """frame → body → frame is the identity: each item is read into a typed
+    record once, and the record writes what it was read from."""
+    envelope = body.envelope(NodeId("b1"), NodeId("c1"))
+    envelope.payload["executions"] = copy.deepcopy(_ITEMS)
+    frame = encode_envelope(envelope)
+    decoded = decode_body(frame[4:])
+    agreed, outvoted, failed = body_of(decoded).executions
+    assert all(type(record) is ExecutionRecord for record in (agreed, outvoted, failed))
+    assert (agreed.value, outvoted.value, failed.value) == (None, packed(7), None)
+    assert (agreed.status, failed.status, failed.error) == (
+        ExecutionStatus.SUCCESS, ExecutionStatus.VM_ERROR, "boom"
+    )
+    assert encode_envelope(decoded) == frame
+    assert decoded.payload["executions"] == _ITEMS
 
 
 def test_body_of_calls_nothing_in_dataclasses_or_typing():
