@@ -1,16 +1,19 @@
-"""Call census: which functions of ``src/`` does a production driver reach?  ``PYTHONPATH=src
-python benchmarks/census.py [--check] [--out DIR]`` runs the examples, the smokes, every ``repro``
-subcommand (two peered live brokers read by ``top``, ``trace``, ``metrics --from-url``), ``repro
-report`` and the e2e ``--smoke`` under ``sys.setprofile`` / ``threading.setprofile`` in every Python
-process, and lists each def no frame entered in ``DIR/census.txt`` (a body of ``...`` or ``raise
-NotImplementedError`` declares an interface: not counted).  ``--check`` fails on one missing from
-``census_allowlist.txt``, a stale or ill-reasoned entry, or a failed driver.  ~2 min on 2 cores."""
+"""Call census: which functions of ``src/`` does a serving driver reach?  ``PYTHONPATH=src python
+benchmarks/census.py [--check] [--out DIR]`` runs the examples, the smokes, every ``repro`` subcommand
+(two peered live brokers read by ``top``, ``trace``, ``metrics --from-url``) and the e2e ``--smoke`` as
+serving drivers, then ``repro report`` apart, under ``sys.setprofile`` / ``threading.setprofile`` in
+every Python process.  ``DIR/census.txt`` lists each def in one of three sets: reached by a serving
+driver, reached only by the report, and never reached (a body of ``...`` or ``raise
+NotImplementedError`` declares an interface: not counted).  ``--check`` fails on a never-reached
+def, or on a report-only def outside ``repro/bench/``, that ``census_allowlist.txt`` does not name;
+on a stale or ill-reasoned entry; or on a failed serving driver.  ~1.5 min on 2 cores."""
 
 import argparse, ast, glob, os, signal, socket, subprocess, sys, tempfile, time  # noqa: E401
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC, PY, E2E = os.path.join(ROOT, "src"), sys.executable, os.path.join(ROOT, "benchmarks", "e2e", "run.py")
-REASONS = ("failure path", "asyncio protocol callback", "TVM builtin or translator handler", "test seam")
+REASONS = ("failure path", "asyncio protocol callback", "TVM builtin or translator handler", "test seam",
+           "reference oracle", "ablation subject")
 HOOK = '''import atexit, os, sys, threading
 _src, _seen = os.environ["CENSUS_SRC"], set()
 def _hook(frame, event, arg, _add=_seen.add):
@@ -41,7 +44,7 @@ LIVE = (("top", "{url}", "--once"), ("top", "{url}", "--once", "--format", "json
         *(("trace", "chain-d8", "--url", "{url}", "--format", f) for f in ("table", "json", "chrome")),
         *(("metrics", "--from-url", "{url}", "--format", f) for f in ("prom", "json", "traces")))
 AFTER = (("journal", "b1.jsonl"), ("journal", "b1.jsonl", "--format", "json", "--pending"),
-         ("journal", "wj.jsonl", "--compact"), ("report", "--output", "EXPERIMENTS.md"))
+         ("journal", "wj.jsonl", "--compact"))
 
 
 def functions():
@@ -62,11 +65,12 @@ def functions():
     return found
 
 
-def drive(tmp, env):
-    """Run every driver in ``tmp``; returns those that failed (``report``'s verdicts time the host)."""
+def drive(tmp, env, report_out):
+    """Run every driver in ``tmp``, ``repro report`` last into ``report_out``; returns the serving
+    drivers that failed (``report``'s verdicts time the host)."""
     failed, ports = [], {}
     def run(*argv):
-        if subprocess.run(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL).returncode and "report" not in argv:
+        if subprocess.run(argv, cwd=tmp, env=env, stdout=subprocess.DEVNULL).returncode:
             failed.append(" ".join(argv[1:4]))
     def broker(me, peer, *options):  # peered, journalled, gossiping every 0.2 s
         argv = ("--broker-id", me, "--port", str(ports[me]), "--journal", f"{me}.jsonl", "--gossip-interval", "0.2",
@@ -90,6 +94,8 @@ def drive(tmp, env):
         time.sleep(1.0)
     for argv in (*(["-m", "repro", *argv] for argv in AFTER), [E2E, "--smoke", "--seed", "1", "--out", "e2e"]):
         run(PY, *argv)
+    subprocess.run([PY, "-m", "repro", "report", "--output", "EXPERIMENTS.md"], cwd=tmp,
+                   env=dict(env, CENSUS_OUT=report_out), stdout=subprocess.DEVNULL)
     return failed
 
 
@@ -98,22 +104,33 @@ def main():
     parser.add_argument("--check", action="store_true"), parser.add_argument("--out")
     args, started, every = parser.parse_args(), time.monotonic(), functions()
     tmp = os.path.abspath(args.out or tempfile.mkdtemp(prefix="census-"))
-    os.makedirs(hook := os.path.join(tmp, "hook"), exist_ok=True)
+    os.makedirs(report_out := os.path.join(hook := os.path.join(tmp, "hook"), "report"), exist_ok=True)
     open(os.path.join(hook, "sitecustomize.py"), "w").write(HOOK)
-    failed = drive(tmp, dict(os.environ, PYTHONPATH=f"{hook}{os.pathsep}{SRC}", CENSUS_SRC=SRC + os.sep, CENSUS_OUT=hook))
-    reached = {tuple(row.rsplit(":", 1)) for dump in glob.glob(f"{hook}/reached-*") for row in open(dump).read().split()}
-    unreached = {key: span for key, span in every.items() if (span[0], str(span[1])) not in reached}
+    env = dict(os.environ, PYTHONPATH=f"{hook}{os.pathsep}{SRC}", CENSUS_SRC=SRC + os.sep, CENSUS_OUT=hook)
+    failed = drive(tmp, env, report_out)
+    def reached(out):
+        return {tuple(row.rsplit(":", 1)) for dump in glob.glob(f"{out}/reached-*") for row in open(dump).read().split()}
+    serving, by_report = reached(hook), reached(report_out)
+    where = {key: ("serving" if (path, str(first)) in serving else "report-only" if (path, str(first)) in by_report
+                   else "unreached") for key, (path, first, last) in every.items()}
+    unreached = {key: every[key] for key, kind in where.items() if kind == "unreached"}
     allowed = dict(row.split(None, 1) for row in open(os.path.join(ROOT, "benchmarks", "census_allowlist.txt"))
                    .read().splitlines() if row.strip() and not row.startswith("#"))
     bad = [key for key, reason in sorted(allowed.items()) if key not in every or reason.strip() not in REASONS]
+    missing = {key for key, kind in where.items() if kind != "serving" and key not in allowed
+               and (kind == "unreached" or not key.startswith("repro/bench/"))}
     lines = len({(path, n) for path, first, last in unreached.values() for n in range(first, last + 1)})
-    report = [f"{len(unreached)} of {len(every)} functions in src/ unreached ({lines} lines); {len(allowed)} "
-              f"allowlisted; drivers failed: {failed or 'none'} ({time.monotonic() - started:.0f} s)",
-              *(f"unreached {key}  {allowed.get(key, 'NOT ALLOWLISTED')}" for key in sorted(unreached)),
+    only = sum(kind == "report-only" for kind in where.values())
+    report = [f"{len(unreached)} of {len(every)} functions in src/ unreached ({lines} lines), {only} reached only by "
+              f"the report; {len(allowed)} allowlisted; drivers failed: {failed or 'none'} "
+              f"({time.monotonic() - started:.0f} s)",
+              *(f"{kind} {key}  {allowed.get(key, 'NOT ALLOWLISTED' if key in missing else '')}".rstrip()
+                for kind in ("serving", "report-only", "unreached") for key in sorted(every) if where[key] == kind),
               *(f"bad allowlist entry {key}" for key in bad)]
     open(os.path.join(tmp, "census.txt"), "w").write("\n".join(report) + "\n")
-    print("\n".join(line for line in report if not line.startswith("unreached") or "NOT ALLOWLISTED" in line), tmp)
-    return 1 if args.check and (set(unreached) - set(allowed) or bad or failed) else 0
+    print("\n".join([report[0], *(line for line in report[1:] if line.startswith("bad") or "NOT ALLOWLISTED" in line)]),
+          tmp)
+    return 1 if args.check and (missing or bad or failed) else 0
 
 
 if __name__ == "__main__":

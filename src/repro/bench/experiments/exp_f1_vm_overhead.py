@@ -20,13 +20,11 @@ given kernel (linear-time interpretation).
 
 from __future__ import annotations
 
-import time
-
 from ...core import kernels
 from ...provider.executor import TaskletExecutor, local_assignment
 from ...tvm.compiler import compile_source
 from ...tvm.vm import TVM
-from ..harness import Experiment, Table, geometric_mean
+from ..harness import Experiment, Table, best_times, geometric_mean
 
 #: kernel name -> (source, native callable, quick args, full args)
 _CASES = {
@@ -58,20 +56,6 @@ _CASES = {
 }
 
 
-def _best_times(callables, repetitions: int = 3) -> list[float]:
-    """Fastest-of-N wall time of each of ``callables`` in seconds, timed in
-    turn within each repetition: a burst of contention on a shared host
-    slows every column of the repetition it falls in, not one column's
-    every repetition, so it cannot move their ratio."""
-    best = [float("inf")] * len(callables)
-    for _ in range(repetitions):
-        for index, callable_ in enumerate(callables):
-            started = time.perf_counter()
-            callable_()
-            best[index] = min(best[index], time.perf_counter() - started)
-    return best
-
-
 def run(quick: bool = True) -> Experiment:
     table = Table(
         title="F1: TVM execution overhead vs native (host Python)",
@@ -89,11 +73,11 @@ def run(quick: bool = True) -> Experiment:
         request = local_assignment(program, args)
         instructions = executor.execute(request).instructions  # fills the cache
 
-        native_s, tvm_s = _best_times(
+        native_s, tvm_s = best_times(
             [lambda: native(*args), lambda: executor.execute(request)]
         )
         translated_only &= executor.restarts == 0 and executor.declined_programs == 0
-        (portable_s,) = _best_times([lambda: TVM(program).run("main", list(args))])
+        (portable_s,) = best_times([lambda: TVM(program).run("main", list(args))])
         slowdown = tvm_s / native_s if native_s > 0 else float("inf")
         slowdowns.append(slowdown)
         table.add_row(

@@ -15,12 +15,37 @@ argue Tasklets should not be too fine-grained.
 from __future__ import annotations
 
 from ...broker.core import BrokerConfig
+from ...common.ids import NodeId
 from ...core.qoc import QoC
 from ...sim.devices import make_config
-from ...sim.network import BandwidthLatency
 from ...sim.runner import Simulation
 from ...sim.workloads import prime_count
+from ...transport.codec import encode_envelope
+from ...transport.message import Envelope
 from ..harness import Experiment, Table, monotone_increasing
+
+
+def wire_size(envelope: Envelope) -> int:
+    """Exact size of this envelope on the real TCP transport, in bytes."""
+    return len(encode_envelope(envelope))
+
+
+class BandwidthLatency:
+    """Base propagation delay plus serialisation over a shared-class link.
+
+    ``bandwidth_bps`` is applied to the message's actual encoded size, so
+    shipping a large compiled program costs proportionally more than a
+    heartbeat — the effect the F2 breakdown measures.
+    """
+
+    def __init__(self, base_s: float = 0.002, bandwidth_bps: float = 100e6):
+        if bandwidth_bps <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth_bps}")
+        self.base_s = base_s
+        self.bandwidth_bps = bandwidth_bps
+
+    def delay(self, src: NodeId, dst: NodeId, envelope: Envelope) -> float:
+        return self.base_s + wire_size(envelope) * 8.0 / self.bandwidth_bps
 
 
 def _one_roundtrip(limit: int, seed: int) -> dict:

@@ -14,9 +14,8 @@ from __future__ import annotations
 from ...broker.core import BrokerConfig
 from ...core.qoc import QoC
 from ...sim.devices import make_config
-from ...sim.workloads import mandelbrot
 from ..harness import Experiment, Table, monotone_increasing
-from ..simlib import run_workload
+from ..simlib import mandelbrot, run_workload
 
 
 def run(quick: bool = True) -> Experiment:

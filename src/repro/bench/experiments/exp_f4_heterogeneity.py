@@ -12,15 +12,38 @@ devices (straggler avoidance).
 
 from __future__ import annotations
 
+import random
+
 from ...broker.core import BrokerConfig
+from ...core import kernels
+from ...core.programs import compiled
 from ...core.qoc import QoC
 from ...sim.devices import make_pool
-from ...sim.workloads import mixed
+from ...sim.workloads import Workload
 from ..harness import Experiment, Table
 from ..simlib import run_workload
 
 _POOL_SPEC = {"server": 1, "desktop": 2, "laptop": 2, "smartphone": 4, "sbc": 3}
 _STRATEGIES = ["random", "round_robin", "least_loaded", "fastest_first", "qoc"]
+
+
+def mixed(seed: int = 0, scale: int = 1) -> Workload:
+    """A shuffled mix of small and large prime-count tasks.
+
+    Models the long-tailed task-size distributions of real deployments:
+    the large tasks are the stragglers a strategy must keep off slow
+    devices.
+    """
+    rng = random.Random(seed)
+    program = compiled(kernels.PRIME_COUNT)
+    sizes = [800] * (24 * scale) + [4000] * (8 * scale) + [12000] * (2 * scale)
+    rng.shuffle(sizes)
+    return Workload(
+        name=f"mixed-{scale}",
+        program=program,
+        entry="main",
+        args_list=[[size] for size in sizes],
+    )
 
 
 def run(quick: bool = True) -> Experiment:

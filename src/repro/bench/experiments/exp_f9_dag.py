@@ -28,7 +28,7 @@ from ...common.serde import opened
 from ...core.qoc import QoC
 from ...core.tasklet import Tasklet
 from ...dag.patterns import butterfly, chain, reference_values, stencil, tree
-from ...dag.spec import WorkflowSpec, resolve_arg
+from ...dag.spec import WorkflowGraph, WorkflowSpec, resolve_arg
 from ...sim.devices import make_config
 from ...sim.runner import Simulation
 from ...tvm.bytecode import CompiledProgram
@@ -45,11 +45,11 @@ def _make_sim(seed: int = 7, journal: WorkJournal | None = None) -> Simulation:
     return sim
 
 
-def _topo_levels(spec: WorkflowSpec) -> list[list[str]]:
+def _topo_levels(graph: WorkflowGraph) -> list[list[str]]:
     """Topological levels: level 0 has no deps, level N depends on < N."""
     level_of: dict[str, int] = {}
-    for node_id in spec.topo_order():
-        deps = spec.node(node_id).deps()
+    for node_id in graph.topo_order():
+        deps = graph.deps[node_id]
         level_of[node_id] = 1 + max((level_of[d] for d in deps), default=-1)
     levels: list[list[str]] = [[] for _ in range(max(level_of.values()) + 1)]
     for node_id, level in level_of.items():
@@ -69,11 +69,12 @@ def _run_naive(spec: WorkflowSpec) -> tuple[float, dict[str, object]]:
         for fingerprint, blob in spec.programs.items()
     }
     values: dict[str, object] = {}
+    graph = WorkflowGraph(spec)
     started = sim.now
-    for level in _topo_levels(spec):
+    for level in _topo_levels(graph):
         tasklets = []
         for node_id in level:
-            node = spec.node(node_id)
+            node = graph.nodes[node_id]
             tasklets.append(
                 Tasklet(
                     tasklet_id=f"{spec.workflow_id}-naive:{node_id}",
@@ -90,7 +91,7 @@ def _run_naive(spec: WorkflowSpec) -> tuple[float, dict[str, object]]:
         for node_id, future in zip(level, futures):
             values[node_id] = future.result(0)
     makespan = sim.now - started
-    return makespan, {node_id: values[node_id] for node_id in spec.sinks()}
+    return makespan, {node_id: values[node_id] for node_id in graph.sinks}
 
 
 def _run_dag(spec: WorkflowSpec) -> tuple[float, dict[str, object]]:
@@ -199,7 +200,7 @@ def run(quick: bool = True) -> Experiment:
     chain_rows = []
     all_correct = True
     for name, spec in cases:
-        depth = len(_topo_levels(spec))
+        depth = len(_topo_levels(WorkflowGraph(spec)))
         reference = reference_values(spec)
         expected = {sink: reference[sink] for sink in spec.sinks()}
         naive_time, naive_outputs = _run_naive(spec)

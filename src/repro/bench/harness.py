@@ -12,6 +12,7 @@ series the paper reports", not a plotting stack.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -119,6 +120,20 @@ class Experiment:
         parts = [self.table.render()]
         parts.extend(check.render() for check in self.checks)
         return "\n".join(parts)
+
+
+def best_times(callables, repetitions: int = 3) -> list[float]:
+    """Fastest-of-N wall time of each of ``callables`` in seconds, timed in
+    turn within each repetition: a burst of contention on a shared host
+    slows every column of the repetition it falls in, not one column's
+    every repetition, so it cannot move their ratio."""
+    best = [float("inf")] * len(callables)
+    for _ in range(repetitions):
+        for index, callable_ in enumerate(callables):
+            started = time.perf_counter()
+            callable_()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return best
 
 
 def monotone_increasing(values: Sequence[float], tolerance: float = 0.0) -> bool:

@@ -12,7 +12,9 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..broker.core import BrokerConfig
 from ..broker.scheduling import Strategy
-from ..common.stats import summarize
+from ..common.stats import percentile
+from ..core import kernels
+from ..core.programs import compiled
 from ..core.qoc import QoC
 from ..provider.core import ProviderConfig
 from ..provider.failure import ExecutionFailureModel
@@ -49,11 +51,24 @@ class RunOutcome:
 
     @property
     def latency_p50(self) -> float:
-        return summarize(self.latencies).p50 if self.latencies else 0.0
+        return percentile(self.latencies, 50.0) if self.latencies else 0.0
 
     @property
     def latency_p95(self) -> float:
-        return summarize(self.latencies).p95 if self.latencies else 0.0
+        return percentile(self.latencies, 95.0) if self.latencies else 0.0
+
+
+def mandelbrot(width: int = 128, height: int = 96, max_iter: int = 64) -> Workload:
+    """Fractal rendering: one Tasklet per image row (heterogeneous task
+    sizes — rows near the set's interior iterate far more)."""
+    program = compiled(kernels.MANDELBROT_ROW)
+    args_list = [[y, width, height, max_iter] for y in range(height)]
+    return Workload(
+        name=f"mandelbrot-{width}x{height}i{max_iter}",
+        program=program,
+        entry="main",
+        args_list=args_list,
+    )
 
 
 def run_workload(

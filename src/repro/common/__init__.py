@@ -4,7 +4,7 @@ from .clock import Clock, VirtualClock, WallClock
 from .errors import TaskletError
 from .ids import ExecutionId, IdGenerator, JobId, NodeId, TaskletId, random_id
 from .rng import RngRegistry, derive_seed
-from .stats import EwmaTracker, Summary, summarize
+from .stats import EwmaTracker
 
 __all__ = [
     "Clock",
@@ -20,6 +20,4 @@ __all__ = [
     "RngRegistry",
     "derive_seed",
     "EwmaTracker",
-    "Summary",
-    "summarize",
 ]

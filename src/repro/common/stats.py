@@ -1,4 +1,4 @@
-"""Small statistics toolkit used by the benchmark harness and the broker.
+"""The two statistics the stdlib's ``statistics`` module lacks.
 
 Pure-Python on purpose: the broker's reliability tracker runs inside the
 middleware where a numpy dependency would be unwelcome, and the quantities
@@ -8,31 +8,7 @@ involved (hundreds of samples) never justify vectorisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; raises ``ValueError`` on an empty sequence."""
-    if not values:
-        raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
-
-
-def variance(values: Sequence[float]) -> float:
-    """Unbiased sample variance (n-1 denominator); 0.0 for a single sample."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("variance of empty sequence")
-    if n == 1:
-        return 0.0
-    m = mean(values)
-    return sum((v - m) ** 2 for v in values) / (n - 1)
-
-
-def stdev(values: Sequence[float]) -> float:
-    """Sample standard deviation."""
-    return math.sqrt(variance(values))
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -57,41 +33,6 @@ def percentile(values: Sequence[float], q: float) -> float:
         return ordered[low]
     frac = rank - low
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
-
-
-def median(values: Sequence[float]) -> float:
-    """50th percentile."""
-    return percentile(values, 50.0)
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-plus summary of a sample, as printed by the harness."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    p50: float
-    p95: float
-    maximum: float
-
-
-
-def summarize(values: Iterable[float]) -> Summary:
-    """Build a :class:`Summary` from any iterable of floats."""
-    data = list(values)
-    if not data:
-        raise ValueError("summarize of empty sequence")
-    return Summary(
-        count=len(data),
-        mean=mean(data),
-        stdev=stdev(data),
-        minimum=min(data),
-        p50=median(data),
-        p95=percentile(data, 95.0),
-        maximum=max(data),
-    )
 
 
 class EwmaTracker:

@@ -157,19 +157,9 @@ class WorkflowSpec(Record):
     # than once keeps a WorkflowGraph (``validate()`` returns the one it
     # built).
 
-    def node(self, node_id: str) -> NodeSpec:
-        for node in self.nodes:
-            if node.node_id == node_id:
-                return node
-        raise KeyError(node_id)
-
     def sinks(self) -> list[str]:
         """Nodes with no successors: the workflow's output nodes."""
         return WorkflowGraph(self).sinks
-
-    def topo_order(self) -> list[str]:
-        """Kahn topological order; raises on cycles (used by validate)."""
-        return WorkflowGraph(self).topo_order()
 
     def validate(self) -> "WorkflowGraph":
         """Raise :class:`WorkflowSpecError` unless the spec is well-formed;

@@ -4,12 +4,7 @@ from .churn import ChurnModel, ExponentialChurn, NoChurn, TraceChurn
 from .devices import DEVICE_CLASSES, DeviceProfile, make_config, make_pool, profile
 from .eventloop import EventLoop
 from .metrics import GaugeSeries, MetricsCollector, MetricsSummary
-from .network import (
-    BandwidthLatency,
-    ConstantLatency,
-    NetworkModel,
-    wire_size,
-)
+from .network import ConstantLatency, NetworkModel
 from .runner import SimConsumer, Simulation
 from .workloads import WORKLOADS, Workload
 
@@ -27,10 +22,8 @@ __all__ = [
     "GaugeSeries",
     "MetricsCollector",
     "MetricsSummary",
-    "BandwidthLatency",
     "ConstantLatency",
     "NetworkModel",
-    "wire_size",
     "SimConsumer",
     "Simulation",
     "WORKLOADS",

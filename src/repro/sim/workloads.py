@@ -32,19 +32,6 @@ class Workload:
         return len(self.args_list)
 
 
-def mandelbrot(width: int = 128, height: int = 96, max_iter: int = 64) -> Workload:
-    """Fractal rendering: one Tasklet per image row (heterogeneous task
-    sizes — rows near the set's interior iterate far more)."""
-    program = compiled(kernels.MANDELBROT_ROW)
-    args_list = [[y, width, height, max_iter] for y in range(height)]
-    return Workload(
-        name=f"mandelbrot-{width}x{height}i{max_iter}",
-        program=program,
-        entry="main",
-        args_list=args_list,
-    )
-
-
 def matmul_tiles(tiles: int = 32, n: int = 12, seed: int = 0) -> Workload:
     """Dense linear-algebra tiles with random inputs (data-heavy tasks:
     arguments and results dominate message size)."""
@@ -79,28 +66,8 @@ def prime_count(tasks: int = 32, limit: int = 3000) -> Workload:
     )
 
 
-def mixed(seed: int = 0, scale: int = 1) -> Workload:
-    """A shuffled mix of small and large prime-count tasks.
-
-    Models the long-tailed task-size distributions of real deployments;
-    used by the scheduling experiments to create stragglers.
-    """
-    rng = random.Random(seed)
-    program = compiled(kernels.PRIME_COUNT)
-    sizes = [800] * (24 * scale) + [4000] * (8 * scale) + [12000] * (2 * scale)
-    rng.shuffle(sizes)
-    return Workload(
-        name=f"mixed-{scale}",
-        program=program,
-        entry="main",
-        args_list=[[size] for size in sizes],
-    )
-
-
 #: Generators by name, for harness configuration.
 WORKLOADS = {
-    "mandelbrot": mandelbrot,
     "matmul_tiles": matmul_tiles,
     "prime_count": prime_count,
-    "mixed": mixed,
 }

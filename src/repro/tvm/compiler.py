@@ -103,10 +103,10 @@ class _FunctionCompiler:
 
     def compile(self) -> FunctionCode:
         self._compile_block(self.function.body)
-        # Implicit void return; unreachable in value-returning functions
-        # (semantics guarantees all paths return) but keeps the VM simple.
-        self._emit(Op.PUSH_NONE)
-        self._emit(Op.RET)
+        # Implicit void return, left out after a closing ``return`` (no jump lands past it).
+        if not any(isinstance(last, ast.Return) for last in self.function.body.statements[-1:]):
+            self._emit(Op.PUSH_NONE)
+            self._emit(Op.RET)
         return FunctionCode(
             name=self.function.name,
             n_params=len(self.function.params),
@@ -324,8 +324,8 @@ class Compiler:
 
 def compile_ast(program: ast.Program, source: str | None = None) -> CompiledProgram:
     """Compile an *already analysed* AST.  The output is the stable wire
-    format that tests pin against; :func:`repro.tvm.optimizer.optimize_program`
-    is a separate pass over it."""
+    format that tests pin against, and what a consumer ships;
+    :func:`repro.tvm.optimizer.optimize_program` is a separate pass over it."""
     return Compiler(program, source=source).compile()
 
 

@@ -1,8 +1,8 @@
 """Bytecode optimizer: folding, peepholes, jump threading, dead code.
 
-Optional post-compilation pass (:func:`optimize_program`).  Unlike provider-side translation
-(:mod:`repro.tvm.translate`), these transformations change the *portable*
-bytecode — they happen before fingerprinting, on the consumer side.
+Post-compilation pass (:func:`optimize_program`) that no shipping path runs; A4 measures it.  Unlike
+provider-side translation (:mod:`repro.tvm.translate`), it changes the *portable* bytecode, so it
+would run before fingerprinting, on the consumer side.
 Four classic transformations, each safe under the language's semantics:
 
 * **constant folding** — ``PUSH_CONST a; PUSH_CONST b; <arith/cmp>``
@@ -63,16 +63,16 @@ def _checked_mul(a, b):
 
 
 class _Pool:
-    """Append-only view over the shared constant pool."""
+    """Append-only view over the shared constant pool (keyed by ``repr``: ``-0.0 == 0.0``)."""
 
     def __init__(self, constants: list):
         self.constants = constants
         self._positions: dict[tuple, int] = {}
         for position, value in enumerate(constants):
-            self._positions.setdefault((type(value).__name__, value), position)
+            self._positions.setdefault((type(value).__name__, repr(value)), position)
 
     def add(self, value) -> int:
-        key = (type(value).__name__, value)
+        key = (type(value).__name__, repr(value))
         if key in self._positions:
             return self._positions[key]
         self.constants.append(value)

@@ -405,7 +405,7 @@ class TestWorkflowNodeIds:
         spec = builder.build()
         replies = harness.send(SubmitWorkflow(workflow=spec.to_dict()), src="c1")
         (assign,) = bodies(replies, AssignExecution)
-        node = spec.node("n1")
+        (node,) = spec.nodes
         twin = Tasklet(
             tasklet_id=TaskletId("wf-1:n1"),
             program=compile_source(self.SOURCE),

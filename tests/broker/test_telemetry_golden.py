@@ -129,7 +129,7 @@ def _sim_digest() -> dict:
     assert ok_flow.result(0)
 
     doomed = stencil(3, 3, max_attempts=3)
-    doomed.node("s1x1").fuel = 50  # exhausts its fuel on every attempt
+    doomed.validate().nodes["s1x1"].fuel = 50  # exhausts its fuel on every attempt
     failed_flow = consumer.submit_workflow(doomed)
     simulation.run(max_time=1e4)
     assert failed_flow.exception(0) is not None

@@ -1,4 +1,4 @@
-"""Statistics toolkit, checked against Python's statistics / numpy."""
+"""The statistics the stdlib lacks, checked against Python's statistics / numpy."""
 
 import statistics
 
@@ -6,36 +6,12 @@ import numpy
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.stats import (
-    EwmaTracker,
-    mean,
-    median,
-    percentile,
-    stdev,
-    summarize,
-    variance,
-)
+from repro.common.stats import EwmaTracker, percentile
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
 )
 samples = st.lists(finite_floats, min_size=1, max_size=200)
-
-
-@given(samples)
-def test_mean_matches_statistics(values):
-    assert mean(values) == pytest.approx(statistics.fmean(values), abs=1e-6)
-
-
-@given(st.lists(finite_floats, min_size=2, max_size=200))
-def test_variance_matches_statistics(values):
-    assert variance(values) == pytest.approx(
-        statistics.variance(values), rel=1e-6, abs=1e-6
-    )
-
-
-def test_variance_of_single_sample_is_zero():
-    assert variance([3.0]) == 0.0
 
 
 @given(samples, st.floats(min_value=0, max_value=100))
@@ -46,7 +22,9 @@ def test_percentile_matches_numpy_linear(values, q):
 
 @given(samples)
 def test_median_is_50th_percentile(values):
-    assert median(values) == percentile(values, 50.0)
+    assert percentile(values, 50.0) == pytest.approx(
+        statistics.median(values), rel=1e-9, abs=1e-9
+    )
 
 
 def test_percentile_rejects_bad_q():
@@ -84,25 +62,10 @@ def test_percentile_sorts_unsorted_input():
     assert percentile([3.0, 1.0, 2.0], 50.0) == 2.0
 
 
-def test_variance_of_constant_sequence_is_zero():
-    assert variance([5.0, 5.0, 5.0, 5.0]) == 0.0
-
-
-def test_empty_sequences_rejected():
-    for function in (mean, variance, stdev, median, summarize):
-        with pytest.raises(ValueError):
-            function([])
-
-
 @given(samples)
-def test_summary_is_internally_consistent(values):
-    summary = summarize(values)
-    assert summary.count == len(values)
-    assert summary.minimum <= summary.p50 <= summary.p95 <= summary.maximum
-    # The mean may fall one ulp outside [min, max] due to summation
-    # rounding; allow that single-ulp slack.
-    slack = 4 * abs(summary.mean) * 2.3e-16
-    assert summary.minimum - slack <= summary.mean <= summary.maximum + slack
+def test_percentiles_are_ordered_within_the_sample(values):
+    p50, p95 = percentile(values, 50.0), percentile(values, 95.0)
+    assert min(values) <= p50 <= p95 <= max(values)
 
 
 class TestEwma:

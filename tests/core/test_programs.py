@@ -1,4 +1,5 @@
-"""One compiled program per distinct source, shared by every builder in a process."""
+"""One compiled program per distinct source, shared by every builder in a
+process: the compiler's own output, with no unreachable instruction."""
 
 import itertools
 
@@ -6,9 +7,11 @@ import pytest
 
 from repro.common.errors import ParserError
 from repro.consumer.library import TaskletLibrary
-from repro.core import programs
+from repro.core import kernels, programs
 from repro.dag.patterns import DAG_KERNEL, stencil
 from repro.dag.spec import WorkflowBuilder
+from repro.tvm import optimizer
+from repro.tvm.compiler import compile_source
 
 _fresh = itertools.count()
 
@@ -44,3 +47,12 @@ def test_a_source_that_does_not_compile_raises_every_time():
     for _ in range(2):  # an error is not a cached value
         with pytest.raises(ParserError):
             programs.compiled("func main( {")
+
+
+@pytest.mark.parametrize("name", sorted(kernels.ALL_KERNELS))
+def test_the_library_ships_the_compilers_output_with_nothing_unreachable(name):
+    source = kernels.ALL_KERNELS[name]
+    shipped = TaskletLibrary(session=None).compile(source)
+    assert shipped.packed() == compile_source(source).packed()  # what `repro compile` writes
+    for function in shipped.functions:
+        assert optimizer._eliminate_dead_code(function.code) == function.code, function.name

@@ -88,7 +88,6 @@ def assert_same_as_oracle(spec):
     assert graph.successors == oracle_successors(spec)
     assert graph.sinks == oracle_sinks(spec) == spec.sinks()
     assert outcome(graph.topo_order) == outcome(lambda: oracle_topo_order(spec))
-    assert outcome(spec.topo_order) == outcome(lambda: oracle_topo_order(spec))
     kind, validated = outcome(spec.validate)
     expected_kind, expected = outcome(lambda: oracle_validate(spec))
     assert kind == expected_kind

@@ -132,7 +132,7 @@ def test_reference_values_walk_matches_kernel():
     spec = chain(3, work=10, salt=2)
     values = reference_values(spec)
     expected = python_dag_kernel([2], 10, 2)
-    assert values[spec.topo_order()[0]] == expected
+    assert values[spec.validate().topo_order()[0]] == expected
 
 
 def test_butterfly_requires_power_of_two():

@@ -65,7 +65,7 @@ def test_node_deps_combine_placeholders_and_after():
 
 def test_topo_order_respects_dependencies():
     spec = diamond()
-    order = spec.topo_order()
+    order = spec.validate().topo_order()
     assert order.index("src") < order.index("left")
     assert order.index("src") < order.index("right")
     assert order.index("left") < order.index("sink")

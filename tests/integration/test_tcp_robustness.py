@@ -121,7 +121,7 @@ def test_messages_larger_than_one_recv_chunk(broker):
     # reassembled, not treated as a dead connection.
     host, port = broker.address
     parts = []
-    for index in range(450):
+    for index in range(500):
         parts.append(
             f"func helper_{index}(x: float) -> float {{\n"
             f"    return x * {index}.5 + sqrt(abs(x) + {index}.0);\n"

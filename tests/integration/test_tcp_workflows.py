@@ -7,6 +7,8 @@ client recovery recipe — ``reconnect()`` plus idempotent resubmission of
 the same workflow — to completion with an exactly-once journal audit.
 """
 
+import threading
+
 import pytest
 
 from repro.bench.cluster import LocalCluster, wait_until
@@ -33,11 +35,9 @@ def test_workflow_end_to_end_over_tcp(tmp_path):
         assert cluster.broker.core.pending_workflows == 0
 
 
-def test_broker_restart_resumes_workflow_exactly_once(tmp_path):
+def test_broker_restart_resumes_workflow_exactly_once(tmp_path, monkeypatch):
     journal = tmp_path / "journal.jsonl"
-    # Serial chain, each node slow enough (~0.5s) that the graph is
-    # mid-flight when the plug is pulled; max_attempts=3 rides out the
-    # crash window.
+    # Serial chain; max_attempts=3 rides out the crash window.
     spec = chain(3, work=150_000, salt=7, max_attempts=3)
     reference = reference_values(spec)
     expected = {sink: reference[sink] for sink in spec.sinks()}
@@ -46,10 +46,23 @@ def test_broker_restart_resumes_workflow_exactly_once(tmp_path):
         first = cluster.broker
         consumer = cluster.consumer(node_id="c1")
         provider = cluster.provider("b1", node_id="p1")
+        # p1 runs the first node, then holds every later one on ``gate``
+        # until the broker is gone: the plug is always pulled mid-graph,
+        # however fast a node runs.
+        execute, gate, ran = provider.core.executor.execute, threading.Event(), []
+
+        def gated(request):
+            if ran:
+                gate.wait(timeout=30)
+            ran.append(request)
+            return execute(request)
+
+        monkeypatch.setattr(provider.core.executor, "execute", gated)
         handle = consumer.submit_workflow(spec)
         wait_until(lambda: ok_completions(journal) >= 1, 60, "partial progress")
         assert first.core.pending_workflows == 1
         cluster.kill("b1")  # crash: in-flight results die with the connection
+        gate.set()
         provider.stop()
         done_before = ok_completions(journal)
         assert done_before < len(spec.nodes)

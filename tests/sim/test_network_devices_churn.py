@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.bench.experiments.exp_f2_breakdown import BandwidthLatency, wire_size
+from repro.bench.experiments.exp_f4_heterogeneity import mixed
+from repro.bench.simlib import mandelbrot
 from repro.common.ids import NodeId
 from repro.sim.churn import ExponentialChurn, NoChurn, TraceChurn
 from repro.sim.devices import (
@@ -10,18 +13,8 @@ from repro.sim.devices import (
     make_pool,
     profile,
 )
-from repro.sim.network import (
-    BandwidthLatency,
-    ConstantLatency,
-    wire_size,
-)
-from repro.sim.workloads import (
-    WORKLOADS,
-    mandelbrot,
-    matmul_tiles,
-    mixed,
-    prime_count,
-)
+from repro.sim.network import ConstantLatency
+from repro.sim.workloads import WORKLOADS, matmul_tiles, prime_count
 from repro.transport.message import Heartbeat
 
 A, B = NodeId("a"), NodeId("b")

@@ -2,7 +2,7 @@
 
 import random
 
-
+from repro.bench.simlib import mandelbrot
 from repro.broker.core import BrokerConfig
 from repro.core import kernels
 from repro.core.qoc import QoC
@@ -10,7 +10,7 @@ from repro.provider.failure import ExecutionFailureModel
 from repro.sim.churn import TraceChurn
 from repro.sim.devices import make_pool
 from repro.sim.runner import Simulation
-from repro.sim.workloads import mandelbrot, prime_count
+from repro.sim.workloads import prime_count
 from repro.provider.core import ProviderConfig
 
 

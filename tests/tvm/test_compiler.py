@@ -13,7 +13,20 @@ def ops_of(program: CompiledProgram, name: str = "main") -> list[Op]:
 
 def test_trivial_function_shape():
     program = compile_source("func main() -> int { return 7; }")
-    assert ops_of(program) == [Op.PUSH_CONST, Op.RET, Op.PUSH_NONE, Op.RET]
+    assert ops_of(program) == [Op.PUSH_CONST, Op.RET]
+
+
+def test_a_body_that_can_end_without_return_keeps_the_implicit_void_return():
+    falls_off = compile_source("func main() { var x: int = 1; }")
+    assert ops_of(falls_off)[-2:] == [Op.PUSH_NONE, Op.RET]
+    assert execute(falls_off, "main")[0] is None
+    # Both branches return, but the then-branch's jump over the else
+    # targets the end: the tail stays where a jump may land.
+    branches = compile_source(
+        "func main(c: bool) -> int { if (c) { return 1; } else { return 2; } }"
+    )
+    assert ops_of(branches)[-2:] == [Op.PUSH_NONE, Op.RET]
+    assert [execute(branches, "main", [c])[0] for c in (True, False)] == [1, 2]
 
 
 def test_constants_are_deduplicated():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
+from repro.provider.executor import TaskletExecutor, local_assignment
 from repro.tvm.compiler import compile_ast, compile_source
 from repro.tvm.opcodes import Op
 from repro.tvm.optimizer import optimize_program
@@ -12,6 +13,14 @@ from repro.tvm.semantics import analyze
 from repro.tvm.vm import execute
 
 from tests.tvm.astinterp import AstInterpreter
+
+
+def _translated(program):
+    """``main()``'s value on the translated tier."""
+    executor = TaskletExecutor()
+    outcome = executor.execute(local_assignment(program, [], seed=0))
+    assert outcome.ok and executor.declined_programs == 0
+    return outcome.value
 
 
 def compile_optimized(source: str):
@@ -77,6 +86,24 @@ class TestFolding:
         assert value == 2.5
         assert type(value) is float
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "func main() -> float { return -0.0; }",
+            "func main() -> float { return 0.0 * -1.0; }",
+            "func main() -> string { return str(0.0) + str(-0.0) + str(0.0 * -1.0); }",
+        ],
+    )
+    def test_negative_zero_folds_to_itself(self, source):
+        # 0.0 == -0.0 in Python: a pool keyed by value alone hands the
+        # folded -0.0 the slot of 0.0, and the sign is lost.
+        plain = compile_source(source)
+        optimized = compile_optimized(source)
+        for engine in (lambda program: execute(program, "main")[0], _translated):
+            expected, folded = engine(plain), engine(optimized)
+            assert repr(folded) == repr(expected)
+        assert instruction_count(optimized) < instruction_count(plain)
+
     def test_folding_reduces_instruction_count(self):
         source = "func main() -> float { return 2.0 * 3.1415 * 10.0 * 10.0; }"
         plain = compile_source(source)
@@ -87,16 +114,18 @@ class TestFolding:
 class TestControlFlow:
     def test_dead_code_after_return_removed(self):
         source = """
-        func main() -> int {
-            return 1;
+        func main(c: bool) -> int {
+            if (c) { return 1; } else { return 2; }
         }
         """
-        # The compiler's implicit void tail (PUSH_NONE; RET) is
-        # unreachable here and must be eliminated.
+        # The then-branch's jump over the else follows its return, and the
+        # compiler's implicit void tail (PUSH_NONE; RET) that it targets is
+        # unreachable: both must be eliminated.
         plain = compile_source(source)
         optimized = compile_optimized(source)
         assert instruction_count(optimized) < instruction_count(plain)
-        assert execute(optimized, "main")[0] == 1
+        assert Op.PUSH_NONE not in ops_of(optimized)
+        assert [execute(optimized, "main", [c])[0] for c in (True, False)] == [1, 2]
 
     def test_loops_still_work(self):
         source = """
